@@ -5,7 +5,7 @@ use crate::config::KmerAnalysisConfig;
 use crate::pass1::{sketch_reads, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
 use hipmer_dna::{ExtVotes, Kmer, KmerCodec, KmerHashMap};
-use hipmer_pgas::{DistHashMap, Outbox, Partitioner, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, Outbox, Partitioner, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
 use parking_lot::Mutex;
@@ -82,12 +82,12 @@ fn bloom_pass(
         // 16-byte `u128`.
         let mut outbox: Outbox<Kmer> =
             Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(codec.wire_bytes());
-        // Blocking service path: waits for the owner's Bloom filter, then
-        // upserts the repeated keys. Used by the completion drain.
-        let mut apply = |dest: usize, kmers: Vec<Kmer>| {
+        // Owner-side service: insert into the owner's Bloom filter and
+        // upsert the keys it has now seen twice.
+        let mut apply = |_: &mut RankCtx, dest: usize, kmers: &mut Vec<Kmer>| {
             let mut bloom = blooms[dest].lock();
             let mut repeated: Vec<(Kmer, ExtVotes)> = Vec::new();
-            for km in kmers {
+            for &km in kmers.iter() {
                 if bloom.insert(hipmer_dna::mix128(km.bits())) {
                     repeated.push((km, ExtVotes::new()));
                 }
@@ -98,38 +98,17 @@ fn bloom_pass(
                 table.merge_batch(dest, repeated, |_existing, _new| {});
             }
         };
-        // Non-blocking attempt: if the owner's Bloom filter is busy, park
-        // the batch untouched and keep producing. The Bloom membership
-        // test is stateful (second sighting creates the entry), so a batch
-        // either fully lands here or is retried whole at the drain.
-        let mut try_apply = |dest: usize, mut kmers: Vec<Kmer>| {
-            let Some(mut bloom) = blooms[dest].try_lock() else {
-                return Err(kmers);
-            };
-            let mut repeated: Vec<(Kmer, ExtVotes)> = Vec::new();
-            for km in kmers.drain(..) {
-                if bloom.insert(hipmer_dna::mix128(km.bits())) {
-                    repeated.push((km, ExtVotes::new()));
-                }
-            }
-            drop(bloom);
-            if !repeated.is_empty() {
-                table.merge_batch(dest, repeated, |_existing, _new| {});
-            }
-            Ok(kmers)
-        };
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
             for_each_occurrence(&codec, cfg, read, |canon, _, _| {
                 ctx.stats.compute(1);
                 if !sketch.heavy_hitters.contains(&canon) {
                     let dest = table.owner(&canon);
-                    outbox.push_async(ctx, dest, canon, &mut try_apply);
+                    outbox.push(ctx, dest, canon, &mut apply);
                 }
             });
         }
-        // Drains parked batches and hard-asserts nothing is left pending.
-        outbox.finish_async(ctx, &mut try_apply, &mut apply);
+        outbox.finish(ctx, &mut apply);
     });
     table.drain_service_into(&mut stats);
     PhaseReport::new("kmer-analysis/bloom", *team.topo(), stats)
@@ -156,22 +135,13 @@ fn count_pass(
     let (_, mut stats) = team.run_named("kmer-analysis/count", |ctx| {
         let mut outbox: Outbox<(Kmer, ExtVotes)> =
             Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(entry_wire_bytes);
-        // Blocking merge for the completion drain; vote merges commute, so
-        // deferred batches may land in any order.
-        let mut apply = |dest: usize, entries: Vec<(Kmer, ExtVotes)>| {
+        // Vote merges commute, so batches from different ranks may land
+        // in any order.
+        let mut apply = |_: &mut RankCtx, dest: usize, entries: &mut Vec<(Kmer, ExtVotes)>| {
             if cfg.use_bloom {
-                table.merge_batch_existing(dest, entries, merge);
+                table.merge_batch_existing(dest, entries.drain(..), merge);
             } else {
-                table.merge_batch(dest, entries, merge);
-            }
-        };
-        // Non-blocking merge: contended sub-shards return their entries,
-        // which the outbox parks until the drain.
-        let mut try_apply = |dest: usize, entries: Vec<(Kmer, ExtVotes)>| {
-            if cfg.use_bloom {
-                table.try_merge_batch_existing(dest, entries, merge)
-            } else {
-                table.try_merge_batch(dest, entries, merge)
+                table.merge_batch(dest, entries.drain(..), merge);
             }
         };
         let mut hh_local: KmerHashMap<Kmer, ExtVotes> = KmerHashMap::default();
@@ -187,11 +157,11 @@ fn count_pass(
                     let mut votes = ExtVotes::new();
                     votes.record(l, r);
                     let dest = table.owner(&canon);
-                    outbox.push_async(ctx, dest, (canon, votes), &mut try_apply);
+                    outbox.push(ctx, dest, (canon, votes), &mut apply);
                 }
             });
         }
-        outbox.finish_async(ctx, &mut try_apply, &mut apply);
+        outbox.finish(ctx, &mut apply);
 
         // Global reduction of heavy-hitter partials: one grouped message
         // per owner holding this rank's partial counts (O(p) messages per
@@ -199,14 +169,15 @@ fn count_pass(
         if !hh_local.is_empty() {
             let mut hh_outbox: Outbox<(Kmer, ExtVotes)> =
                 Outbox::new(*ctx.topo(), usize::MAX >> 1).with_item_bytes(entry_wire_bytes);
-            let mut hh_apply = |dest: usize, entries: Vec<(Kmer, ExtVotes)>| {
-                table.merge_batch(dest, entries, merge);
-            };
+            let mut hh_apply =
+                |_: &mut RankCtx, dest: usize, entries: &mut Vec<(Kmer, ExtVotes)>| {
+                    table.merge_batch(dest, entries.drain(..), merge);
+                };
             for (km, votes) in hh_local {
                 let dest = table.owner(&km);
                 hh_outbox.push(ctx, dest, (km, votes), &mut hh_apply);
             }
-            hh_outbox.flush_all(ctx, &mut hh_apply);
+            hh_outbox.finish(ctx, &mut hh_apply);
         }
     });
     table.drain_service_into(&mut stats);
@@ -284,7 +255,7 @@ pub fn analyze_kmers(
 mod tests {
     use super::*;
     use hipmer_dna::ExtChoice;
-    use hipmer_pgas::{RankCtx, Topology};
+    use hipmer_pgas::Topology;
 
     /// Reads tiling `genome` perfectly with `depth` copies.
     fn perfect_reads(genome: &[u8], read_len: usize, depth: usize) -> Vec<SeqRecord> {

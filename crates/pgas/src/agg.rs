@@ -11,19 +11,20 @@
 //! only the per-message latency and per-element lock traffic are saved —
 //! the same trade the paper's UPC implementation makes.
 //!
-//! Since the measured-parallelism engine (DESIGN.md §12) sends are
-//! **non-blocking**: a full buffer is attempted with the destination
-//! table's `try_*` path, and a batch behind a contended sub-shard lock is
-//! parked instead of stalling the sending worker — see [`crate::comp`] for
-//! the completion-drain lifecycle. Buffers are recycled through a
-//! [`BufferPool`] so a steady phase allocates nothing per batch.
+//! Sends are **blocking**: a full buffer is applied at its owner before
+//! `push` returns, waiting for the owner's lock if another worker holds it.
+//! "Remote" in this single-process runtime is a `Mutex` held for one
+//! ≤ [`DEFAULT_BATCH`]-entry bucket, so there is no round trip worth
+//! overlapping with compute (DESIGN.md §12). The owner receives the
+//! per-destination buffer itself (`&mut Vec<T>`) and hands it back empty
+//! with its capacity, so the batcher allocates nothing per batch.
 //!
-//! This module batches the *write* path; [`crate::LookupBatch`] and
-//! [`crate::SoftwareCache`] in [`crate::lookup`] are the read-side
-//! counterparts, with the same accounting contract.
+//! [`Outbox`] is the only implementation of per-destination buffering in
+//! this crate. [`AggregatingStores`] (upserts into a [`DistHashMap`]) and
+//! [`crate::LookupBatch`] (batched reads, in [`crate::lookup`]) are thin
+//! adapters that fix the apply step; all three share one accounting
+//! contract.
 
-use crate::arena::BufferPool;
-use crate::comp::Completion;
 use crate::dht::DistHashMap;
 use crate::team::RankCtx;
 use crate::topology::Topology;
@@ -35,26 +36,19 @@ use std::hash::Hash;
 /// [`DistHashMap`]" case; `Outbox` is the underlying pattern for anything
 /// else that batches per-destination work (e.g. Bloom-filter insertion in
 /// k-mer analysis, where the *owner's* filter must absorb the key). The
-/// caller supplies the apply function at flush time; the outbox accounts
-/// one message per shipped batch.
+/// caller supplies the apply function; the outbox accounts one message per
+/// shipped batch, **before** the batch is applied, so per-rank counters
+/// depend only on the rank's own push sequence.
 ///
-/// Two apply styles exist: the blocking [`push`](Self::push) /
-/// [`flush_all`](Self::flush_all) / [`finish`](Self::finish) family takes
-/// an infallible `FnMut(usize, Vec<T>)`, and the non-blocking
-/// [`push_async`](Self::push_async) / [`flush_async`](Self::flush_async) /
-/// [`finish_async`](Self::finish_async) family takes a *fallible* closure
-/// returning `Result<Vec<T>, Vec<T>>` — `Ok(drained_carrier)` when the
-/// batch landed (the emptied buffer is recycled), `Err(items)` when the
-/// destination was contended (the batch is parked until
-/// [`drain`](Self::drain)). [`DistHashMap::try_merge_batch`] has exactly
-/// this signature shape, so table-backed outboxes pass it straight through.
+/// `apply(ctx, dest, items)` receives the destination's buffer and must
+/// consume what it needs from it (by `drain(..)` or by reading it in
+/// place); whatever it leaves behind is cleared, and the buffer keeps its
+/// capacity for the next batch.
 pub struct Outbox<T> {
     buffers: Vec<Vec<T>>,
-    deferred: Vec<(usize, Vec<T>)>,
-    pool: BufferPool<T>,
-    completion: Completion,
     batch: usize,
     item_bytes: u64,
+    wire_metric: &'static str,
     topo: Topology,
 }
 
@@ -72,11 +66,9 @@ impl<T> Outbox<T> {
         assert!(batch >= 1);
         Outbox {
             buffers: (0..topo.ranks()).map(|_| Vec::new()).collect(),
-            deferred: Vec::new(),
-            pool: BufferPool::default_bound(),
-            completion: Completion::new(),
             batch,
             item_bytes: std::mem::size_of::<T>() as u64,
+            wire_metric: "pgas/outbox/wire_bytes",
             topo,
         }
     }
@@ -90,20 +82,16 @@ impl<T> Outbox<T> {
         self
     }
 
-    /// Account one shipped batch: message + bytes at first attempt. Parked
-    /// batches are **not** re-accounted at drain time, so per-rank counters
-    /// depend only on the push sequence, never on lock contention.
-    fn account(&self, ctx: &mut RankCtx, dest: usize, items: usize) {
-        let topo = self.topo;
-        let bytes = items as u64 * self.item_bytes;
-        ctx.comm(&topo, dest, bytes);
-        crate::metrics::observe("pgas/outbox/wire_bytes", bytes);
+    /// Name the wire-bytes histogram the in-crate adapters report under.
+    pub(crate) fn with_wire_metric(mut self, name: &'static str) -> Self {
+        self.wire_metric = name;
+        self
     }
 
     /// Queue `item` for `dest`; ships that buffer through `apply` if full.
     pub fn push<F>(&mut self, ctx: &mut RankCtx, dest: usize, item: T, apply: &mut F)
     where
-        F: FnMut(usize, Vec<T>),
+        F: FnMut(&mut RankCtx, usize, &mut Vec<T>),
     {
         self.buffers[dest].push(item);
         if self.buffers[dest].len() >= self.batch {
@@ -111,90 +99,31 @@ impl<T> Outbox<T> {
         }
     }
 
-    /// Queue `item` for `dest`; a full buffer is *attempted* through
-    /// `try_apply` and parked if the destination is contended (see the
-    /// type-level docs for the closure contract).
-    pub fn push_async<F>(&mut self, ctx: &mut RankCtx, dest: usize, item: T, try_apply: &mut F)
-    where
-        F: FnMut(usize, Vec<T>) -> Result<Vec<T>, Vec<T>>,
-    {
-        self.buffers[dest].push(item);
-        if self.buffers[dest].len() >= self.batch {
-            self.ship_async(ctx, dest, try_apply);
-        }
-    }
-
+    /// Ship one destination's buffer as a single message: account it, then
+    /// apply it at the owner and take the emptied buffer back.
     fn ship<F>(&mut self, ctx: &mut RankCtx, dest: usize, apply: &mut F)
     where
-        F: FnMut(usize, Vec<T>),
+        F: FnMut(&mut RankCtx, usize, &mut Vec<T>),
     {
-        if self.buffers[dest].is_empty() {
+        let items = &mut self.buffers[dest];
+        if items.is_empty() {
             return;
         }
-        let fresh = self.pool.take();
-        let items = std::mem::replace(&mut self.buffers[dest], fresh);
-        self.account(ctx, dest, items.len());
-        self.completion.record_shipped();
-        apply(dest, items);
+        let bytes = items.len() as u64 * self.item_bytes;
+        ctx.comm(&self.topo, dest, bytes);
+        crate::metrics::observe(self.wire_metric, bytes);
+        apply(ctx, dest, items);
+        items.clear();
     }
 
-    fn ship_async<F>(&mut self, ctx: &mut RankCtx, dest: usize, try_apply: &mut F)
-    where
-        F: FnMut(usize, Vec<T>) -> Result<Vec<T>, Vec<T>>,
-    {
-        if self.buffers[dest].is_empty() {
-            return;
-        }
-        let fresh = self.pool.take();
-        let items = std::mem::replace(&mut self.buffers[dest], fresh);
-        self.account(ctx, dest, items.len());
-        match try_apply(dest, items) {
-            Ok(carrier) => {
-                self.completion.record_shipped();
-                self.pool.put(carrier);
-            }
-            Err(items) => {
-                self.completion.record_deferred();
-                self.deferred.push((dest, items));
-            }
-        }
-    }
-
-    /// Ship every non-empty buffer, then drain anything parked — on return
-    /// every queued item has been applied.
+    /// Ship every non-empty buffer — on return every queued item has been
+    /// applied (call before the phase barrier).
     pub fn flush_all<F>(&mut self, ctx: &mut RankCtx, apply: &mut F)
     where
-        F: FnMut(usize, Vec<T>),
+        F: FnMut(&mut RankCtx, usize, &mut Vec<T>),
     {
         for dest in 0..self.buffers.len() {
             self.ship(ctx, dest, apply);
-        }
-        self.drain(apply);
-    }
-
-    /// Non-blocking flush: attempt every non-empty buffer through
-    /// `try_apply`, parking contended batches instead of waiting. Returns
-    /// this outbox's cumulative [`Completion`]; call [`drain`](Self::drain)
-    /// (or [`finish_async`](Self::finish_async)) before the phase barrier.
-    pub fn flush_async<F>(&mut self, ctx: &mut RankCtx, try_apply: &mut F) -> Completion
-    where
-        F: FnMut(usize, Vec<T>) -> Result<Vec<T>, Vec<T>>,
-    {
-        for dest in 0..self.buffers.len() {
-            self.ship_async(ctx, dest, try_apply);
-        }
-        self.completion
-    }
-
-    /// Apply every parked batch with the blocking `apply`. Already-shipped
-    /// accounting is **not** repeated. Must run before the phase barrier;
-    /// `flush_all` and the `finish` variants call it for you.
-    pub fn drain<F>(&mut self, apply: &mut F)
-    where
-        F: FnMut(usize, Vec<T>),
-    {
-        for (dest, items) in std::mem::take(&mut self.deferred) {
-            apply(dest, items);
         }
     }
 
@@ -204,53 +133,25 @@ impl<T> Outbox<T> {
     /// return path, and it runs the check in release builds too.
     pub fn finish<F>(mut self, ctx: &mut RankCtx, apply: &mut F)
     where
-        F: FnMut(usize, Vec<T>),
+        F: FnMut(&mut RankCtx, usize, &mut Vec<T>),
     {
         self.flush_all(ctx, apply);
         assert_eq!(self.pending(), 0, "Outbox::finish left items pending");
     }
 
-    /// Consume the outbox on the async path: attempt remaining buffers via
-    /// `try_apply`, drain parked batches via the blocking `apply`, and
-    /// hard-assert nothing is left. Returns the final [`Completion`] so the
-    /// caller can log how much of the phase's traffic overlapped compute.
-    pub fn finish_async<TF, F>(
-        mut self,
-        ctx: &mut RankCtx,
-        try_apply: &mut TF,
-        apply: &mut F,
-    ) -> Completion
-    where
-        TF: FnMut(usize, Vec<T>) -> Result<Vec<T>, Vec<T>>,
-        F: FnMut(usize, Vec<T>),
-    {
-        let completion = self.flush_async(ctx, try_apply);
-        self.drain(apply);
-        assert_eq!(self.pending(), 0, "Outbox::finish_async left items pending");
-        completion
-    }
-
-    /// Items currently buffered or parked awaiting a drain.
+    /// Items currently buffered.
     pub fn pending(&self) -> usize {
-        self.buffers.iter().map(Vec::len).sum::<usize>()
-            + self.deferred.iter().map(|(_, b)| b.len()).sum::<usize>()
+        self.buffers.iter().map(Vec::len).sum()
     }
 
-    /// Cumulative completion summary of every ship attempt so far.
-    pub fn completion(&self) -> Completion {
-        self.completion
-    }
-
-    /// Discard every buffered and parked item without shipping it. The
-    /// abort-safe teardown for a stage that failed mid-flight: the
-    /// un-shipped work is intentionally thrown away (the stage will be
-    /// re-executed from scratch), and the `Drop` drained-buffer assertion
-    /// is disarmed.
+    /// Discard every buffered item without shipping it. The abort-safe
+    /// teardown for a stage that failed mid-flight: the un-shipped work is
+    /// intentionally thrown away (the stage will be re-executed from
+    /// scratch), and the `Drop` drained-buffer assertion is disarmed.
     pub fn abandon(mut self) {
         for buf in &mut self.buffers {
             buf.clear();
         }
-        self.deferred.clear();
     }
 }
 
@@ -265,7 +166,8 @@ impl<T> Drop for Outbox<T> {
         debug_assert_eq!(
             self.pending(),
             0,
-            "Outbox dropped with un-shipped items; call finish(ctx, ..)"
+            "batcher ({}) dropped with un-shipped items; call finish or abandon",
+            self.wire_metric
         );
     }
 }
@@ -275,35 +177,24 @@ impl<T> Drop for Outbox<T> {
 /// latency stops mattering.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// A per-rank buffer set for batched upserts into a [`DistHashMap`].
+/// A per-rank buffer set for batched upserts into a [`DistHashMap`]: an
+/// [`Outbox`] whose apply step is [`DistHashMap::merge_batch`].
 ///
 /// One `AggregatingStores` is created per acting rank per phase (it is not
 /// shared between ranks). Call [`push`](Self::push) for each update and
 /// consume the aggregator with [`finish`](Self::finish) (or at least
 /// [`flush_all`](Self::flush_all)) before the phase ends; un-flushed
-/// updates are lost (`finish` asserts in all builds, and a `debug_assert`
-/// in `Drop` catches aggregators abandoned at phase end). The read-side
-/// mirror of this type is [`crate::LookupBatch`].
+/// updates are lost (`finish` asserts in all builds, and the outbox's
+/// `debug_assert` in `Drop` catches aggregators abandoned at phase end).
+/// The read-side mirror of this type is [`crate::LookupBatch`].
 ///
-/// Sends are non-blocking ([`crate::comp`]): a full buffer is attempted
-/// with [`DistHashMap::try_merge_batch`] and parked when the owner
-/// sub-shard is contended; parked batches land at the next
-/// [`drain`](Self::drain) / [`flush_all`](Self::flush_all) /
-/// [`finish`](Self::finish). This is output-safe for the same reason
-/// concurrent ranks already are: merge application order across batches is
-/// only ever observable to commutative merges (see DESIGN.md §12).
-pub struct AggregatingStores<'a, K, V, M>
-where
-    M: Fn(&mut V, V),
-{
+/// Merge application order across ranks' batches depends on the OS-thread
+/// schedule, which is output-safe only because every merge in this repo
+/// commutes (see DESIGN.md §12).
+pub struct AggregatingStores<'a, K, V, M> {
     dht: &'a DistHashMap<K, V>,
     merge: M,
-    buffers: Vec<Vec<(K, V)>>,
-    deferred: Vec<(usize, Vec<(K, V)>)>,
-    pool: BufferPool<(K, V)>,
-    completion: Completion,
-    batch: usize,
-    entry_bytes: u64,
+    outbox: Outbox<(K, V)>,
 }
 
 impl<'a, K, V, M> AggregatingStores<'a, K, V, M>
@@ -320,144 +211,65 @@ where
 
     /// As [`new`](Self::new) with an explicit batch size (ablation hook).
     pub fn with_batch(dht: &'a DistHashMap<K, V>, merge: M, batch: usize) -> Self {
-        assert!(batch >= 1);
-        let ranks = dht.topo().ranks();
         AggregatingStores {
             dht,
             merge,
-            buffers: (0..ranks).map(|_| Vec::new()).collect(),
-            deferred: Vec::new(),
-            pool: BufferPool::default_bound(),
-            completion: Completion::new(),
-            batch,
-            entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
+            outbox: Outbox::new(*dht.topo(), batch)
+                .with_item_bytes(dht.entry_bytes())
+                .with_wire_metric("pgas/agg/wire_bytes"),
         }
     }
 
-    /// Queue one upsert; a full destination buffer is shipped
-    /// (non-blocking: contended batches park until the next drain point).
+    /// Queue one upsert; a full destination buffer is shipped as a single
+    /// aggregated message and merged at its owner.
     pub fn push(&mut self, ctx: &mut RankCtx, key: K, value: V) {
         let dest = self.dht.owner(&key);
-        self.buffers[dest].push((key, value));
-        if self.buffers[dest].len() >= self.batch {
-            self.ship(ctx, dest);
-        }
+        let mut apply = merge_at_owner(self.dht, &self.merge);
+        self.outbox.push(ctx, dest, (key, value), &mut apply);
     }
 
-    /// Ship one destination's buffer as a single aggregated message,
-    /// attempted through the table's non-blocking path.
-    fn ship(&mut self, ctx: &mut RankCtx, dest: usize) {
-        if self.buffers[dest].is_empty() {
-            return;
-        }
-        let fresh = self.pool.take();
-        let entries = std::mem::replace(&mut self.buffers[dest], fresh);
-        let bytes = entries.len() as u64 * self.entry_bytes;
-        // One message event carrying the whole batch, charged at first
-        // attempt; a parked batch is not re-charged when it drains.
-        let topo = *self.dht.topo();
-        ctx.comm(&topo, dest, bytes);
-        crate::metrics::observe("pgas/agg/wire_bytes", bytes);
-        match self.dht.try_merge_batch(dest, entries, &self.merge) {
-            Ok(carrier) => {
-                self.completion.record_shipped();
-                self.pool.put(carrier);
-            }
-            Err(leftovers) => {
-                self.completion.record_deferred();
-                self.deferred.push((dest, leftovers));
-            }
-        }
-    }
-
-    /// Apply every parked batch with the blocking path (no re-accounting).
-    /// Runs implicitly from [`flush_all`](Self::flush_all) and
-    /// [`finish`](Self::finish); call it directly at intra-phase sync
-    /// points when using [`flush_async`](Self::flush_async).
-    pub fn drain(&mut self) {
-        for (dest, entries) in std::mem::take(&mut self.deferred) {
-            let carrier = self.dht.apply_batch(dest, entries, &self.merge, false);
-            self.pool.put(carrier);
-        }
-    }
-
-    /// Ship every non-empty buffer and drain parked batches — on return
-    /// every queued upsert has landed (call before the phase barrier).
+    /// Ship every non-empty buffer — on return every queued upsert has
+    /// landed (call before the phase barrier).
     pub fn flush_all(&mut self, ctx: &mut RankCtx) {
-        for dest in 0..self.buffers.len() {
-            self.ship(ctx, dest);
-        }
-        self.drain();
-    }
-
-    /// Non-blocking flush: attempt every non-empty buffer, parking
-    /// contended batches instead of waiting, and return the cumulative
-    /// [`Completion`]. The caller owns the obligation to
-    /// [`drain`](Self::drain) (or `flush_all`/`finish`) before the phase
-    /// barrier — [`finish`](Self::finish) and the `Drop` assertion both
-    /// enforce it.
-    pub fn flush_async(&mut self, ctx: &mut RankCtx) -> Completion {
-        for dest in 0..self.buffers.len() {
-            self.ship(ctx, dest);
-        }
-        self.completion
+        let mut apply = merge_at_owner(self.dht, &self.merge);
+        self.outbox.flush_all(ctx, &mut apply);
     }
 
     /// Consume the aggregator: flush every buffer, then hard-assert all
     /// buffers drained. Unlike the `Drop` debug assertion this also fires
     /// in release builds, closing the flush-on-drop hole for phases whose
     /// updates must not be silently lost.
-    pub fn finish(mut self, ctx: &mut RankCtx) {
-        self.flush_all(ctx);
-        assert_eq!(
-            self.pending(),
-            0,
-            "AggregatingStores::finish left updates pending"
-        );
+    pub fn finish(self, ctx: &mut RankCtx) {
+        let mut apply = merge_at_owner(self.dht, &self.merge);
+        self.outbox.finish(ctx, &mut apply);
     }
 }
 
-impl<K, V, M> AggregatingStores<'_, K, V, M>
+/// The apply step of [`AggregatingStores`]: drain the shipped buffer into
+/// the owner's partition.
+fn merge_at_owner<'d, K, V, M>(
+    dht: &'d DistHashMap<K, V>,
+    merge: &'d M,
+) -> impl FnMut(&mut RankCtx, usize, &mut Vec<(K, V)>) + 'd
 where
+    K: Hash + Eq + Send,
+    V: Send,
     M: Fn(&mut V, V),
 {
-    /// Elements currently buffered or parked awaiting a drain.
+    move |_, dest, entries| dht.merge_batch(dest, entries.drain(..), merge)
+}
+
+impl<K, V, M> AggregatingStores<'_, K, V, M> {
+    /// Elements currently buffered.
     pub fn pending(&self) -> usize {
-        self.buffers.iter().map(Vec::len).sum::<usize>()
-            + self.deferred.iter().map(|(_, b)| b.len()).sum::<usize>()
+        self.outbox.pending()
     }
 
-    /// Cumulative completion summary of every ship attempt so far.
-    pub fn completion(&self) -> Completion {
-        self.completion
-    }
-
-    /// Discard every buffered and parked update without flushing it — the
-    /// abort-safe teardown for a stage that failed mid-flight (the stage
-    /// re-executes from scratch, so the pending upserts must *not* land).
-    pub fn abandon(mut self) {
-        for buf in &mut self.buffers {
-            buf.clear();
-        }
-        self.deferred.clear();
-    }
-}
-
-impl<K, V, M> Drop for AggregatingStores<'_, K, V, M>
-where
-    M: Fn(&mut V, V),
-{
-    fn drop(&mut self) {
-        // See Outbox::drop: never assert while a rank-failure panic is
-        // already unwinding through this aggregator.
-        if std::thread::panicking() {
-            return;
-        }
-        debug_assert_eq!(
-            self.pending(),
-            0,
-            "AggregatingStores dropped with un-flushed updates; call flush_all"
-        );
+    /// Discard every buffered update without flushing it — the abort-safe
+    /// teardown for a stage that failed mid-flight (the stage re-executes
+    /// from scratch, so the pending upserts must *not* land).
+    pub fn abandon(self) {
+        self.outbox.abandon();
     }
 }
 
@@ -465,13 +277,18 @@ where
 mod tests {
     use super::*;
     use crate::{CommStats, Topology};
+    use std::collections::HashMap;
+
+    fn add(a: &mut u32, b: u32) {
+        *a += b;
+    }
 
     #[test]
     fn batched_updates_apply_with_merge() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht, |a: &mut u32, b| *a += b, 8);
+        let mut agg = AggregatingStores::with_batch(&dht, add, 8);
         for k in 0..100u64 {
             agg.push(&mut ctx, k % 10, 1);
         }
@@ -496,7 +313,7 @@ mod tests {
         // Aggregated.
         let dht2: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut agg_ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht2, |a: &mut u32, b| *a += b, 128);
+        let mut agg = AggregatingStores::with_batch(&dht2, add, 128);
         for k in 0..n {
             agg.push(&mut agg_ctx, k, 1);
         }
@@ -516,11 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn flush_all_empties_buffers() {
+    fn flush_all_empties_buffers_and_finish_consumes() {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::new(&dht, |a: &mut u32, b| *a += b);
+        let mut agg = AggregatingStores::new(&dht, add);
         for k in 0..5u64 {
             agg.push(&mut ctx, k, 1);
         }
@@ -528,19 +345,11 @@ mod tests {
         agg.flush_all(&mut ctx);
         assert_eq!(agg.pending(), 0);
         assert_eq!(dht.len(), 5);
-    }
-
-    #[test]
-    fn finish_flushes_and_consumes() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::new(&dht, |a: &mut u32, b| *a += b);
-        for k in 0..5u64 {
+        for k in 5..9u64 {
             agg.push(&mut ctx, k, 1);
         }
         agg.finish(&mut ctx);
-        assert_eq!(dht.len(), 5);
+        assert_eq!(dht.len(), 9);
     }
 
     #[test]
@@ -548,7 +357,7 @@ mod tests {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::new(&dht, |a: &mut u32, b| *a += b);
+        let mut agg = AggregatingStores::new(&dht, add);
         for k in 0..5u64 {
             agg.push(&mut ctx, k, 1);
         }
@@ -557,11 +366,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "pgas/agg/wire_bytes) dropped with un-shipped items")]
+    #[cfg(debug_assertions)]
+    fn dropping_pending_updates_panics_in_debug() {
+        let topo = Topology::new(2, 2);
+        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let mut ctx = RankCtx::new(0, topo);
+        let mut agg = AggregatingStores::new(&dht, add);
+        agg.push(&mut ctx, 7, 1);
+        drop(agg);
+    }
+
+    #[test]
     fn service_ops_still_counted_at_owner() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht, |a: &mut u32, b| *a += b, 16);
+        let mut agg = AggregatingStores::with_batch(&dht, add, 16);
         for k in 0..64u64 {
             agg.push(&mut ctx, k, 1);
         }
@@ -573,96 +394,13 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_sends_complete_without_parking() {
-        let topo = Topology::new(4, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht, |a: &mut u32, b| *a += b, 16);
-        for k in 0..256u64 {
-            agg.push(&mut ctx, k, 1);
-        }
-        let completion = agg.flush_async(&mut ctx);
-        assert!(completion.shipped() > 0);
-        assert!(
-            completion.all_shipped(),
-            "single-threaded sends never contend: {completion:?}"
-        );
-        agg.drain(); // no-op here, but part of the contract
-        assert_eq!(agg.pending(), 0);
-        assert_eq!(dht.len(), 256);
-        drop(agg);
-    }
-
-    #[test]
-    fn contended_sends_park_and_drain_converges() {
-        // Hold one sub-shard lock while flushing: the batch for that
-        // sub-shard parks; drain() applies it after release. Counters and
-        // table state must match the uncontended run exactly.
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht, |a: &mut u32, b| *a += b, 1024);
-        for k in 0..512u64 {
-            agg.push(&mut ctx, k, 1);
-        }
-        let held = dht.lock_shard_of_key_for_test(&0);
-        let completion = agg.flush_async(&mut ctx);
-        assert!(completion.deferred() > 0, "held lock must park a batch");
-        let parked = agg.pending();
-        assert!(parked > 0);
-        drop(held);
-        agg.drain();
-        assert_eq!(agg.pending(), 0);
-        assert_eq!(dht.len(), 512, "parked entries land on drain");
-        // Accounting happened at first attempt only: bytes equal the
-        // uncontended equivalent.
-        let mut ctx2 = RankCtx::new(0, topo);
-        let dht2: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut agg2 = AggregatingStores::with_batch(&dht2, |a: &mut u32, b| *a += b, 1024);
-        for k in 0..512u64 {
-            agg2.push(&mut ctx2, k, 1);
-        }
-        agg2.finish(&mut ctx2);
-        assert_eq!(
-            ctx.stats.onnode_bytes + ctx.stats.offnode_bytes,
-            ctx2.stats.onnode_bytes + ctx2.stats.offnode_bytes
-        );
-        assert_eq!(ctx.stats.total_accesses(), ctx2.stats.total_accesses());
-        drop(agg);
-    }
-
-    #[test]
-    fn abandon_discards_parked_batches_too() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht, |a: &mut u32, b| *a += b, 1024);
-        for k in 0..64u64 {
-            agg.push(&mut ctx, k, 1);
-        }
-        let held = dht.lock_shard_of_key_for_test(&0);
-        agg.flush_async(&mut ctx);
-        drop(held);
-        let before = dht.len();
-        agg.abandon(); // parked batches must not land afterwards
-        assert_eq!(dht.len(), before);
-    }
-}
-
-#[cfg(test)]
-mod outbox_tests {
-    use super::*;
-    use crate::Topology;
-    use std::collections::HashMap;
-
-    #[test]
     fn outbox_batches_and_applies() {
         let topo = Topology::new(4, 2);
         let mut ctx = RankCtx::new(0, topo);
         let mut outbox: Outbox<u64> = Outbox::new(topo, 10);
         let mut landed: HashMap<usize, Vec<u64>> = HashMap::new();
-        let mut apply = |dest: usize, items: Vec<u64>| {
-            landed.entry(dest).or_default().extend(items);
+        let mut apply = |_: &mut RankCtx, dest: usize, items: &mut Vec<u64>| {
+            landed.entry(dest).or_default().append(items);
         };
         for i in 0..95u64 {
             outbox.push(&mut ctx, (i % 4) as usize, i, &mut apply);
@@ -678,6 +416,31 @@ mod outbox_tests {
     }
 
     #[test]
+    fn shipped_buffer_comes_back_empty_with_its_capacity() {
+        // The in-place contract: apply may read the batch without draining
+        // it; the outbox clears it and never reallocates a steady buffer.
+        let topo = Topology::new(2, 1);
+        let mut ctx = RankCtx::new(0, topo);
+        let mut outbox: Outbox<u64> = Outbox::new(topo, 8);
+        let mut seen = 0usize;
+        let mut storage: Vec<*const u64> = Vec::new();
+        let mut apply = |_: &mut RankCtx, _dest: usize, items: &mut Vec<u64>| {
+            seen += items.len(); // read in place, leave the items behind
+            storage.push(items.as_ptr());
+        };
+        for i in 0..64u64 {
+            outbox.push(&mut ctx, 1, i, &mut apply);
+        }
+        outbox.finish(&mut ctx, &mut apply);
+        assert_eq!(seen, 64, "left-behind items are cleared, never re-shipped");
+        assert_eq!(storage.len(), 8);
+        assert!(
+            storage.iter().all(|&p| p == storage[0]),
+            "one allocation serves every batch of a destination"
+        );
+    }
+
+    #[test]
     fn item_bytes_override_replaces_padded_default() {
         // A padded payload: (u64, u8) occupies 16 in-memory bytes but only
         // 9 packed wire bytes.
@@ -685,7 +448,7 @@ mod outbox_tests {
         assert_eq!(std::mem::size_of::<(u64, u8)>(), 16);
         let run = |outbox: &mut Outbox<(u64, u8)>| {
             let mut ctx = RankCtx::new(0, topo);
-            let mut apply = |_dest: usize, _items: Vec<(u64, u8)>| {};
+            let mut apply = |_: &mut RankCtx, _dest: usize, _items: &mut Vec<(u64, u8)>| {};
             for i in 0..50u64 {
                 outbox.push(&mut ctx, 1, (i, 0), &mut apply);
             }
@@ -703,7 +466,8 @@ mod outbox_tests {
         let topo = Topology::new(4, 2);
         let mut ctx = RankCtx::new(0, topo);
         let mut outbox: Outbox<u64> = Outbox::new(topo, 100);
-        let mut apply = |_dest: usize, _items: Vec<u64>| panic!("nothing may ship");
+        let mut apply =
+            |_: &mut RankCtx, _dest: usize, _items: &mut Vec<u64>| panic!("nothing may ship");
         for i in 0..7u64 {
             outbox.push(&mut ctx, (i % 4) as usize, i, &mut apply);
         }
@@ -712,70 +476,13 @@ mod outbox_tests {
     }
 
     #[test]
-    fn async_outbox_parks_on_err_and_drains() {
-        let topo = Topology::new(2, 1);
+    #[should_panic(expected = "pgas/outbox/wire_bytes) dropped with un-shipped items")]
+    #[cfg(debug_assertions)]
+    fn dropping_pending_outbox_items_panics_in_debug() {
+        let topo = Topology::new(2, 2);
         let mut ctx = RankCtx::new(0, topo);
-        let mut outbox: Outbox<u64> = Outbox::new(topo, 4);
-        // Destination 1 refuses every attempt (simulated contention);
-        // destination 0 accepts and returns the drained carrier.
-        let mut accepted: Vec<u64> = Vec::new();
-        let mut try_apply = |dest: usize, mut items: Vec<u64>| {
-            if dest == 1 {
-                Err(items)
-            } else {
-                accepted.append(&mut items);
-                Ok(items)
-            }
-        };
-        for i in 0..16u64 {
-            outbox.push_async(&mut ctx, (i % 2) as usize, i, &mut try_apply);
-        }
-        let completion = outbox.flush_async(&mut ctx, &mut try_apply);
-        assert!(completion.shipped() >= 1);
-        assert!(completion.deferred() >= 1);
-        assert_eq!(accepted.len(), 8, "dest-0 items landed");
-        assert_eq!(outbox.pending(), 8, "dest-1 items parked");
-        let msgs_after_flush = ctx.stats.total_accesses();
-        let mut drained: Vec<u64> = Vec::new();
-        let mut apply = |_dest: usize, items: Vec<u64>| drained.extend(items);
-        outbox.drain(&mut apply);
-        assert_eq!(drained.len(), 8, "parked items delivered in drain");
-        assert_eq!(outbox.pending(), 0);
-        assert_eq!(
-            ctx.stats.total_accesses(),
-            msgs_after_flush,
-            "drain never re-accounts messages"
-        );
+        let mut outbox: Outbox<u64> = Outbox::new(topo, 100);
+        outbox.push(&mut ctx, 1, 7, &mut |_, _, _| {});
         drop(outbox);
-    }
-
-    #[test]
-    fn finish_async_lands_everything() {
-        let topo = Topology::new(2, 1);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut outbox: Outbox<u64> = Outbox::new(topo, 64);
-        let mut first_attempt = true;
-        let mut landed: Vec<u64> = Vec::new();
-        for i in 0..10u64 {
-            outbox.push_async(&mut ctx, 1, i, &mut |_d, items| {
-                let _ = &items;
-                Err(items) // buffers smaller than batch: never called here
-            });
-        }
-        let completion = outbox.finish_async(
-            &mut ctx,
-            &mut |_d, items| {
-                // Refuse the first attempt to force the drain path.
-                if std::mem::take(&mut first_attempt) {
-                    Err(items)
-                } else {
-                    Ok(items)
-                }
-            },
-            &mut |_d, items| landed.extend(items),
-        );
-        assert_eq!(completion.deferred(), 1);
-        landed.sort_unstable();
-        assert_eq!(landed, (0..10u64).collect::<Vec<_>>());
     }
 }

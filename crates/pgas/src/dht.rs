@@ -22,16 +22,8 @@
 //! makes the coherence contract of [`crate::lookup`] checkable instead of
 //! merely documented.
 //!
-//! The `try_*` batch variants ([`try_merge_batch`], [`try_fetch_batch`])
-//! are the non-blocking sends of the async completion layer
-//! ([`crate::comp`]): they fail fast when a sub-shard lock is contended,
-//! handing the batch back to the caller to park and retry at drain time
-//! instead of stalling the sending worker.
-//!
 //! [`CommStats`]: crate::stats::CommStats
 //! [`version_stamp`]: DistHashMap::version_stamp
-//! [`try_merge_batch`]: DistHashMap::try_merge_batch
-//! [`try_fetch_batch`]: DistHashMap::try_fetch_batch
 
 use crate::metrics;
 use crate::team::RankCtx;
@@ -73,12 +65,6 @@ impl std::fmt::Debug for Placement {
 /// sub-shard membership feeds local iteration order, and a host-dependent
 /// layout would make output-determinism arguments depend on the machine.
 pub const SUB_SHARDS_PER_RANK: usize = 8;
-
-/// Outcome of a non-blocking batch send: `Ok` carries the drained batch
-/// buffer back for reuse ([`crate::BufferPool`]); `Err` carries the
-/// entries that parked behind a contended sub-shard lock, to be retried
-/// at drain time.
-pub type TryBatchResult<K, V> = Result<Vec<(K, V)>, Vec<(K, V)>>;
 
 /// One lockable slice of an owner rank's partition.
 struct SubShard<K, V> {
@@ -342,16 +328,6 @@ where
         self.shards[idx].seq.fetch_add(1, Ordering::Release);
     }
 
-    /// Test-only: hold the lock of the sub-shard owning `key`, to simulate
-    /// a contended owner from unit tests in sibling modules.
-    #[cfg(test)]
-    pub(crate) fn lock_shard_of_key_for_test(
-        &self,
-        key: &K,
-    ) -> parking_lot::MutexGuard<'_, HashMap<K, V, KmerBuildHasher>> {
-        self.shards[self.shard_of_key(key)].map.lock()
-    }
-
     /// Sum of all sub-shard mutation sequence numbers — a cheap stamp that
     /// changes whenever any write lands anywhere in the table.
     ///
@@ -452,74 +428,48 @@ where
     /// every counter except the message count unchanged.
     ///
     /// Every key must be owned by `dest` (checked in debug builds). Results
-    /// come back in key order; each sub-shard lock is taken once for the
-    /// whole batch — the read-side analogue of the aggregated-store lock
-    /// saving documented in [`crate::agg`].
+    /// come back in key order. The keys are grouped by sub-shard in one
+    /// counting pass, then each present sub-shard is locked once, one at a
+    /// time in ascending index order, and only its own keys are probed —
+    /// the read-side analogue of the aggregated-store lock saving
+    /// documented in [`crate::agg`].
     pub fn fetch_batch(&self, dest: usize, keys: &[&K]) -> Vec<Option<V>>
     where
         V: Clone,
     {
-        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
-        out.resize_with(keys.len(), || None);
+        // `start[s]..start[s + 1]` will index sub-shard `s`'s keys in `order`.
+        let mut start = [0usize; SUB_SHARDS_PER_RANK + 1];
         let subs: Vec<u8> = keys
             .iter()
             .map(|k| {
                 debug_assert_eq!(self.owner(k), dest, "fetch_batch key not owned by dest");
-                Self::sub_of_hash(self.key_hash(k)) as u8
+                let sub = Self::sub_of_hash(self.key_hash(k));
+                start[sub + 1] += 1;
+                sub as u8
             })
             .collect();
         for sub in 0..SUB_SHARDS_PER_RANK {
-            if !subs.iter().any(|&s| s as usize == sub) {
+            start[sub + 1] += start[sub];
+        }
+        let mut order = vec![0usize; keys.len()];
+        let mut next = start;
+        for (i, &sub) in subs.iter().enumerate() {
+            order[next[sub as usize]] = i;
+            next[sub as usize] += 1;
+        }
+        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
+        out.resize_with(keys.len(), || None);
+        for sub in 0..SUB_SHARDS_PER_RANK {
+            let mine = &order[start[sub]..start[sub + 1]];
+            if mine.is_empty() {
                 continue;
             }
             let shard = self.lock_shard(dest * SUB_SHARDS_PER_RANK + sub);
-            for (i, k) in keys.iter().enumerate() {
-                if subs[i] as usize == sub {
-                    out[i] = shard.get(*k).cloned();
-                }
+            for &i in mine {
+                out[i] = shard.get(keys[i]).cloned();
             }
         }
         out
-    }
-
-    /// Non-blocking [`fetch_batch`](Self::fetch_batch): resolve the batch
-    /// only if **every** needed sub-shard lock is immediately available
-    /// (acquired in ascending index order — the module's lock-ordering
-    /// rule). Returns `None` without blocking when any is contended; the
-    /// caller parks the request batch and retries at drain time
-    /// ([`crate::LookupBatch::drain`]). Each refusal counts one
-    /// `pgas/dht/lock_contention` tick (metrics enabled).
-    pub fn try_fetch_batch(&self, dest: usize, keys: &[&K]) -> Option<Vec<Option<V>>>
-    where
-        V: Clone,
-    {
-        let subs: Vec<u8> = keys
-            .iter()
-            .map(|k| {
-                debug_assert_eq!(self.owner(k), dest, "try_fetch_batch key not owned by dest");
-                Self::sub_of_hash(self.key_hash(k)) as u8
-            })
-            .collect();
-        let mut guards: Vec<Option<parking_lot::MutexGuard<'_, _>>> = Vec::new();
-        guards.resize_with(SUB_SHARDS_PER_RANK, || None);
-        for (sub, slot) in guards.iter_mut().enumerate() {
-            if !subs.iter().any(|&s| s as usize == sub) {
-                continue;
-            }
-            match self.shards[dest * SUB_SHARDS_PER_RANK + sub].map.try_lock() {
-                Some(guard) => *slot = Some(guard),
-                None => {
-                    metrics::counter_add("pgas/dht/lock_contention", 1);
-                    return None; // guards drop, releasing what was taken
-                }
-            }
-        }
-        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
-        for (k, &sub) in keys.iter().zip(&subs) {
-            let shard = guards[sub as usize].as_ref().expect("locked above");
-            out.push(shard.get(*k).cloned());
-        }
-        Some(out)
     }
 
     /// Batched one-sided read: group `keys` by owner, ship **one** message
@@ -556,23 +506,6 @@ where
             }
         }
         out
-    }
-
-    /// Partition a batch into per-sub-shard buckets, preserving the
-    /// relative order of entries within each bucket (equal keys always land
-    /// in the same bucket, so same-key merge order is deterministic).
-    /// Returns the emptied carrier alongside the buckets for buffer reuse.
-    #[allow(clippy::type_complexity)]
-    fn bucket_entries(
-        &self,
-        entries: Vec<(K, V)>,
-    ) -> (Vec<(K, V)>, [Vec<(K, V)>; SUB_SHARDS_PER_RANK]) {
-        let mut buckets: [Vec<(K, V)>; SUB_SHARDS_PER_RANK] = std::array::from_fn(|_| Vec::new());
-        let mut carrier = entries;
-        for (k, v) in carrier.drain(..) {
-            buckets[Self::sub_of_hash(self.key_hash(&k))].push((k, v));
-        }
-        (carrier, buckets)
     }
 
     /// Apply one sub-shard bucket under its lock, tallying service ops and
@@ -612,104 +545,44 @@ where
         }
     }
 
-    /// Blocking batch application shared by [`merge_batch`](Self::merge_batch)
-    /// and [`merge_batch_existing`](Self::merge_batch_existing); returns the
-    /// emptied carrier so aggregators can recycle it through their
-    /// [`crate::arena::BufferPool`].
-    pub(crate) fn apply_batch<M>(
+    /// Batch application shared by [`merge_batch`](Self::merge_batch) and
+    /// [`merge_batch_existing`](Self::merge_batch_existing): partition the
+    /// entries into per-sub-shard buckets, preserving the relative order
+    /// within each bucket (equal keys always share a bucket, so same-key
+    /// merge order is deterministic), then apply each bucket under its
+    /// lock, one lock at a time in ascending index order.
+    fn apply_batch<M>(
         &self,
         dest: usize,
-        entries: Vec<(K, V)>,
+        entries: impl IntoIterator<Item = (K, V)>,
         merge: &M,
         existing_only: bool,
-    ) -> Vec<(K, V)>
-    where
+    ) where
         M: Fn(&mut V, V),
     {
-        let (carrier, buckets) = self.bucket_entries(entries);
-        for (sub, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            self.apply_bucket(dest, sub, bucket, merge, existing_only);
+        let mut buckets: [Vec<(K, V)>; SUB_SHARDS_PER_RANK] = std::array::from_fn(|_| Vec::new());
+        for (k, v) in entries {
+            buckets[Self::sub_of_hash(self.key_hash(&k))].push((k, v));
         }
-        carrier
-    }
-
-    /// Non-blocking batch application shared by
-    /// [`try_merge_batch`](Self::try_merge_batch) and
-    /// [`try_merge_batch_existing`](Self::try_merge_batch_existing).
-    pub(crate) fn try_apply_batch<M>(
-        &self,
-        dest: usize,
-        entries: Vec<(K, V)>,
-        merge: &M,
-        existing_only: bool,
-    ) -> TryBatchResult<K, V>
-    where
-        M: Fn(&mut V, V),
-    {
-        let (mut carrier, buckets) = self.bucket_entries(entries);
-        let mut contended = false;
         for (sub, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
+            if !bucket.is_empty() {
+                self.apply_bucket(dest, sub, bucket, merge, existing_only);
             }
-            // Peek without blocking; the real lock (with its contention
-            // accounting) is taken inside apply_bucket and cannot block
-            // because sends of a phase never hold sub-shard locks across
-            // calls (the module's lock-ordering rule) — but another worker
-            // may still slip in, which is fine: apply_bucket then waits on
-            // a lock known to be briefly held, which is not the stall the
-            // try path exists to avoid. Keep it truly non-blocking instead:
-            // a failed try_lock parks the bucket.
-            match self.shards[dest * SUB_SHARDS_PER_RANK + sub].map.try_lock() {
-                Some(guard) => {
-                    drop(guard);
-                    self.apply_bucket(dest, sub, bucket, merge, existing_only);
-                }
-                None => {
-                    metrics::counter_add("pgas/dht/lock_contention", 1);
-                    contended = true;
-                    carrier.extend(bucket);
-                }
-            }
-        }
-        if contended {
-            Err(carrier)
-        } else {
-            Ok(carrier)
         }
     }
 
     /// Apply a batch of merged updates that arrived as **one** aggregated
     /// message (see [`crate::AggregatingStores`]). The caller has already
     /// accounted the message; this only tallies the owner's service work.
-    pub fn merge_batch<M>(&self, dest: usize, entries: Vec<(K, V)>, merge: M)
+    ///
+    /// `entries` is any owned sequence: a `Vec`, or the `drain(..)` of a
+    /// sender's per-destination buffer, which then keeps its capacity for
+    /// the next batch.
+    pub fn merge_batch<M>(&self, dest: usize, entries: impl IntoIterator<Item = (K, V)>, merge: M)
     where
         M: Fn(&mut V, V),
     {
-        let _ = self.apply_batch(dest, entries, &merge, false);
-    }
-
-    /// Non-blocking [`merge_batch`](Self::merge_batch): entries whose
-    /// sub-shard lock is free are applied immediately; entries behind a
-    /// contended lock are handed back as `Err(leftovers)` for the caller to
-    /// park and retry at drain time ([`crate::AggregatingStores::drain`]).
-    /// `Ok` carries the emptied batch buffer for reuse. Same-key entries
-    /// keep their relative order (they share a sub-shard), so deferred
-    /// application commutes with the in-order blocking path for any
-    /// per-key merge.
-    pub fn try_merge_batch<M>(
-        &self,
-        dest: usize,
-        entries: Vec<(K, V)>,
-        merge: M,
-    ) -> TryBatchResult<K, V>
-    where
-        M: Fn(&mut V, V),
-    {
-        self.try_apply_batch(dest, entries, &merge, false)
+        self.apply_batch(dest, entries, &merge, false);
     }
 
     /// As [`merge_batch`](Self::merge_batch), but entries whose key is not
@@ -717,25 +590,15 @@ where
     /// second-pass counting semantics of §3.1: only k-mers the Bloom filter
     /// admitted (seen at least twice) have table entries; votes for
     /// anything else are discarded.
-    pub fn merge_batch_existing<M>(&self, dest: usize, entries: Vec<(K, V)>, merge: M)
-    where
-        M: Fn(&mut V, V),
-    {
-        let _ = self.apply_batch(dest, entries, &merge, true);
-    }
-
-    /// Non-blocking [`merge_batch_existing`](Self::merge_batch_existing);
-    /// see [`try_merge_batch`](Self::try_merge_batch) for the contract.
-    pub fn try_merge_batch_existing<M>(
+    pub fn merge_batch_existing<M>(
         &self,
         dest: usize,
-        entries: Vec<(K, V)>,
+        entries: impl IntoIterator<Item = (K, V)>,
         merge: M,
-    ) -> TryBatchResult<K, V>
-    where
+    ) where
         M: Fn(&mut V, V),
     {
-        self.try_apply_batch(dest, entries, &merge, true)
+        self.apply_batch(dest, entries, &merge, true);
     }
 
     /// Total entries across all shards (collective metadata; not counted).
@@ -1175,82 +1038,29 @@ mod tests {
     }
 
     #[test]
-    fn try_merge_batch_applies_when_uncontended() {
-        let topo = Topology::new(4, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let dest = dht.owner(&7);
-        let entries: Vec<(u64, u32)> = (0..64)
-            .filter(|k| dht.owner(k) == dest)
-            .map(|k| (k, 1))
-            .collect();
-        let n = entries.len();
-        let carrier = dht
-            .try_merge_batch(dest, entries, |a, b| *a += b)
-            .expect("uncontended try_merge_batch must apply");
-        assert!(carrier.is_empty(), "carrier comes back drained for reuse");
-        assert_eq!(dht.len(), n);
-        // Service ops match the blocking path.
-        let mut stats = vec![crate::CommStats::new(); 4];
-        dht.drain_service_into(&mut stats);
-        assert_eq!(stats[dest].service_ops, n as u64);
-    }
-
-    #[test]
-    fn try_merge_batch_parks_contended_entries() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let dest = dht.owner(&3);
-        let entries: Vec<(u64, u32)> = (0..200)
-            .filter(|k| dht.owner(k) == dest)
-            .map(|k| (k, 1))
-            .collect();
-        let total = entries.len();
-        // Hold one sub-shard's lock: entries bound for it must come back.
-        let blocked_idx = dht.shard_of_key(&3);
-        let held = dht.shards[blocked_idx].map.lock();
-        let leftovers = dht
-            .try_merge_batch(dest, entries, |a, b| *a += b)
-            .expect_err("contended sub-shard must defer its bucket");
-        drop(held);
-        assert!(!leftovers.is_empty());
-        assert!(
-            leftovers.len() < total,
-            "only the contended bucket defers, not the whole batch"
-        );
-        assert!(leftovers
-            .iter()
-            .all(|(k, _)| dht.shard_of_key(k) == blocked_idx));
-        // Draining the leftovers through the blocking path converges to the
-        // same table state and the same service total.
-        let applied = total - leftovers.len();
-        dht.merge_batch(dest, leftovers, |a, b| *a += b);
-        assert_eq!(dht.len(), total);
-        let mut stats = vec![crate::CommStats::new(); 2];
-        dht.drain_service_into(&mut stats);
-        assert_eq!(stats[dest].service_ops, total as u64);
-        let _ = applied;
-    }
-
-    #[test]
-    fn try_fetch_batch_is_all_or_nothing() {
+    fn fetch_batch_returns_input_order_across_all_sub_shards() {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
-        let keys: Vec<u64> = (0..100).filter(|k| dht.owner(k) == 0).collect();
-        for &k in &keys {
-            dht.insert(&mut c, k, k as u32 * 2);
+        // Even keys of rank 0 are present, odd ones are misses.
+        let owned: Vec<u64> = (0..400).filter(|k| dht.owner(k) == 0).collect();
+        for &k in owned.iter().filter(|&&k| k % 2 == 0) {
+            dht.insert(&mut c, k, k as u32 * 3);
         }
-        let refs: Vec<&u64> = keys.iter().collect();
-        let vals = dht.try_fetch_batch(0, &refs).expect("uncontended");
-        assert_eq!(vals.len(), keys.len());
-        for (k, v) in keys.iter().zip(&vals) {
-            assert_eq!(*v, Some(*k as u32 * 2));
-        }
-        // Holding any needed sub-shard lock refuses the whole batch.
-        let held = dht.shards[dht.shard_of_key(&keys[0])].map.lock();
-        assert!(dht.try_fetch_batch(0, &refs).is_none());
-        drop(held);
-        assert!(dht.try_fetch_batch(0, &refs).is_some());
+        let subs: std::collections::HashSet<usize> =
+            owned.iter().map(|k| dht.shard_of_key(k)).collect();
+        assert_eq!(
+            subs.len(),
+            SUB_SHARDS_PER_RANK,
+            "keys must span every sub-shard"
+        );
+        // Duplicates, interleaved: forward then backward over the same keys.
+        let probes: Vec<u64> = owned.iter().chain(owned.iter().rev()).copied().collect();
+        let refs: Vec<&u64> = probes.iter().collect();
+        let expect: Vec<Option<u32>> = probes.iter().map(|k| dht.get(&mut c, k)).collect();
+        assert_eq!(dht.fetch_batch(0, &refs), expect);
+        assert!(expect.iter().any(Option::is_none) && expect.iter().any(Option::is_some));
+        assert_eq!(dht.fetch_batch(0, &[]), Vec::<Option<u32>>::new());
     }
 
     #[test]

@@ -31,9 +31,7 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod arena;
 pub mod calib;
-pub mod comp;
 pub mod cost;
 pub mod dht;
 pub mod fault;
@@ -51,9 +49,7 @@ pub mod topology;
 pub mod trace;
 
 pub use agg::{AggregatingStores, Outbox};
-pub use arena::BufferPool;
 pub use calib::Calibration;
-pub use comp::Completion;
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
 pub use dht::{DistHashMap, LocalityHash, Placement};
 pub use fault::{
@@ -66,6 +62,6 @@ pub use pool::{TeamLease, TeamPool};
 pub use report::{CheckpointEvent, PhaseReport, PipelineReport, RoundReport, StageAttempt};
 pub use sched::Schedule;
 pub use stats::CommStats;
-pub use team::{Affinity, RankCtx, Team};
+pub use team::{RankCtx, Team};
 pub use topology::Topology;
 pub use trace::Recorder;

@@ -7,8 +7,8 @@
 //! latency per key. This module provides the two levers the paper (§4.4)
 //! and its follow-ups use to close that gap:
 //!
-//! * [`LookupBatch`] — an [`Outbox`](crate::Outbox)-shaped buffer of key
-//!   requests per destination rank. Each full buffer ships as **one**
+//! * [`LookupBatch`] — an [`Outbox`] of key requests per destination
+//!   rank. Each full buffer ships as **one**
 //!   message (answered by [`DistHashMap::fetch_batch`]) and results are
 //!   delivered through a per-key callback. Per-message latency and
 //!   per-key shard-lock traffic are divided by the batch factor; bytes are
@@ -35,15 +35,16 @@
 //! [`CommStats::cache_misses`](crate::CommStats::cache_misses) so cache
 //! effectiveness is visible in `--report-json` (schema v2).
 
-use crate::arena::BufferPool;
-use crate::comp::Completion;
+use crate::agg::Outbox;
 use crate::dht::DistHashMap;
 use crate::team::RankCtx;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A per-destination buffer set for batched one-sided reads from a
-/// [`DistHashMap`] — the read-side mirror of [`crate::AggregatingStores`].
+/// [`DistHashMap`] — the read-side mirror of [`crate::AggregatingStores`]:
+/// an [`Outbox`] of `(key, tag)` requests whose apply step is
+/// [`DistHashMap::fetch_batch`] plus delivery.
 ///
 /// Each queued key carries a caller-supplied *tag* (e.g. a read index or
 /// sequence position) handed back to the delivery callback alongside the
@@ -54,26 +55,17 @@ use std::hash::Hash;
 /// Unlike the write-side aggregator, un-flushed lookups are not merely
 /// *lost* — the caller never observes its results — so the batch must be
 /// consumed with [`finish`](Self::finish) (which hard-asserts all buffers
-/// drained) or explicitly [`flush_all`](Self::flush_all)ed; a
+/// drained) or explicitly [`flush_all`](Self::flush_all)ed; the outbox's
 /// `debug_assert` in `Drop` catches batches abandoned at phase end.
 ///
-/// Ships are non-blocking ([`crate::comp`]): a full buffer is attempted
-/// with [`DistHashMap::try_fetch_batch`] and **parked** when any needed
-/// owner sub-shard is contended; parked requests resolve at the next
-/// [`drain`](Self::drain) / [`flush_all`](Self::flush_all) /
-/// [`finish`](Self::finish). Delivery order across batches therefore
-/// depends on contention — callers must route results by tag (as every
-/// call site in this repo does), never by arrival order. Values are
-/// unaffected: the coherence contract already forbids mutating a table
-/// with reads in flight, and
+/// Results arrive grouped by owner, not in push order — callers must route
+/// them by tag (as every call site in this repo does). Values are
+/// unaffected by scheduling: the coherence contract already forbids
+/// mutating a table with reads in flight, and
 /// [`DistHashMap::version_stamp`] makes that checkable.
 pub struct LookupBatch<'a, K, V, T> {
     dht: &'a DistHashMap<K, V>,
-    buffers: Vec<Vec<(K, T)>>,
-    deferred: Vec<(usize, Vec<(K, T)>)>,
-    pool: BufferPool<(K, T)>,
-    completion: Completion,
-    batch: usize,
+    outbox: Outbox<(K, T)>,
 }
 
 impl<'a, K, V, T> LookupBatch<'a, K, V, T>
@@ -89,15 +81,13 @@ where
 
     /// As [`new`](Self::new) with an explicit batch size (ablation hook).
     pub fn with_batch(dht: &'a DistHashMap<K, V>, batch: usize) -> Self {
-        assert!(batch >= 1);
-        let ranks = dht.topo().ranks();
         LookupBatch {
             dht,
-            buffers: (0..ranks).map(|_| Vec::new()).collect(),
-            deferred: Vec::new(),
-            pool: BufferPool::default_bound(),
-            completion: Completion::new(),
-            batch,
+            // Bytes in full, exactly like the write side: one message per
+            // shipped request batch at `entry_bytes` per key.
+            outbox: Outbox::new(*dht.topo(), batch)
+                .with_item_bytes(dht.entry_bytes())
+                .with_wire_metric("pgas/lookup/wire_bytes"),
         }
     }
 
@@ -109,148 +99,65 @@ where
         F: FnMut(&mut RankCtx, T, Option<V>),
     {
         let dest = self.dht.owner(&key);
-        self.buffers[dest].push((key, tag));
-        if self.buffers[dest].len() >= self.batch {
-            self.ship(ctx, dest, deliver);
-        }
+        let mut apply = fetch_at_owner(self.dht, deliver);
+        self.outbox.push(ctx, dest, (key, tag), &mut apply);
     }
 
-    /// Ship one destination's buffer as a single multi-get message,
-    /// attempted through the table's non-blocking read path.
-    fn ship<F>(&mut self, ctx: &mut RankCtx, dest: usize, deliver: &mut F)
-    where
-        F: FnMut(&mut RankCtx, T, Option<V>),
-    {
-        if self.buffers[dest].is_empty() {
-            return;
-        }
-        let fresh = self.pool.take();
-        let mut entries = std::mem::replace(&mut self.buffers[dest], fresh);
-        // One message event carrying the whole request batch; bytes in
-        // full, exactly like the write-side Outbox. Charged at first
-        // attempt; a parked batch is not re-charged when it drains.
-        let topo = *self.dht.topo();
-        let bytes = entries.len() as u64 * self.dht.entry_bytes();
-        ctx.comm(&topo, dest, bytes);
-        crate::metrics::observe("pgas/lookup/wire_bytes", bytes);
-        ctx.stats.lookup_batches += 1;
-        let keys: Vec<&K> = entries.iter().map(|(k, _)| k).collect();
-        match self.dht.try_fetch_batch(dest, &keys) {
-            Some(values) => {
-                self.completion.record_shipped();
-                for ((_, tag), value) in entries.drain(..).zip(values) {
-                    deliver(ctx, tag, value);
-                }
-                self.pool.put(entries);
-            }
-            None => {
-                self.completion.record_deferred();
-                self.deferred.push((dest, entries));
-            }
-        }
-    }
-
-    /// Resolve every parked request with the blocking read path (no
-    /// re-accounting) and deliver the results. Runs implicitly from
-    /// [`flush_all`](Self::flush_all) and [`finish`](Self::finish); call it
-    /// directly at intra-phase sync points when using
-    /// [`flush_async`](Self::flush_async).
-    pub fn drain<F>(&mut self, ctx: &mut RankCtx, deliver: &mut F)
-    where
-        F: FnMut(&mut RankCtx, T, Option<V>),
-    {
-        for (dest, mut entries) in std::mem::take(&mut self.deferred) {
-            let keys: Vec<&K> = entries.iter().map(|(k, _)| k).collect();
-            let values = self.dht.fetch_batch(dest, &keys);
-            for ((_, tag), value) in entries.drain(..).zip(values) {
-                deliver(ctx, tag, value);
-            }
-            self.pool.put(entries);
-        }
-    }
-
-    /// Ship every non-empty buffer and drain parked requests — on return
-    /// every queued lookup has been delivered (call before the phase
-    /// barrier).
+    /// Ship every non-empty buffer — on return every queued lookup has been
+    /// delivered (call before the phase barrier).
     pub fn flush_all<F>(&mut self, ctx: &mut RankCtx, deliver: &mut F)
     where
         F: FnMut(&mut RankCtx, T, Option<V>),
     {
-        for dest in 0..self.buffers.len() {
-            self.ship(ctx, dest, deliver);
-        }
-        self.drain(ctx, deliver);
-    }
-
-    /// Non-blocking flush: attempt every non-empty buffer, parking batches
-    /// behind contended owners instead of waiting, and return the
-    /// cumulative [`Completion`]. The caller owns the obligation to
-    /// [`drain`](Self::drain) (or `flush_all`/`finish`) before the phase
-    /// barrier — un-drained requests are unanswered, and both
-    /// [`finish`](Self::finish) and the `Drop` assertion enforce it.
-    pub fn flush_async<F>(&mut self, ctx: &mut RankCtx, deliver: &mut F) -> Completion
-    where
-        F: FnMut(&mut RankCtx, T, Option<V>),
-    {
-        for dest in 0..self.buffers.len() {
-            self.ship(ctx, dest, deliver);
-        }
-        self.completion
+        let mut apply = fetch_at_owner(self.dht, deliver);
+        self.outbox.flush_all(ctx, &mut apply);
     }
 
     /// Consume the batch: flush every buffer, then hard-assert nothing is
     /// left pending. Prefer this over a bare [`flush_all`](Self::flush_all)
     /// at the end of a phase — it cannot be silently skipped on an early
     /// return path.
-    pub fn finish<F>(mut self, ctx: &mut RankCtx, deliver: &mut F)
+    pub fn finish<F>(self, ctx: &mut RankCtx, deliver: &mut F)
     where
         F: FnMut(&mut RankCtx, T, Option<V>),
     {
-        self.flush_all(ctx, deliver);
-        assert_eq!(
-            self.pending(),
-            0,
-            "LookupBatch::finish left requests pending"
-        );
+        let mut apply = fetch_at_owner(self.dht, deliver);
+        self.outbox.finish(ctx, &mut apply);
+    }
+}
+
+/// The apply step of [`LookupBatch`]: answer one shipped request batch as a
+/// single multi-get at its owner and deliver each value by tag.
+fn fetch_at_owner<'d, K, V, T, F>(
+    dht: &'d DistHashMap<K, V>,
+    deliver: &'d mut F,
+) -> impl FnMut(&mut RankCtx, usize, &mut Vec<(K, T)>) + 'd
+where
+    K: Hash + Eq + Send,
+    V: Clone + Send,
+    F: FnMut(&mut RankCtx, T, Option<V>),
+{
+    move |ctx, dest, requests| {
+        ctx.stats.lookup_batches += 1;
+        let keys: Vec<&K> = requests.iter().map(|(k, _)| k).collect();
+        let values = dht.fetch_batch(dest, &keys);
+        for ((_, tag), value) in requests.drain(..).zip(values) {
+            deliver(ctx, tag, value);
+        }
     }
 }
 
 impl<K, V, T> LookupBatch<'_, K, V, T> {
-    /// Requests currently buffered or parked awaiting a drain.
+    /// Requests currently buffered.
     pub fn pending(&self) -> usize {
-        self.buffers.iter().map(Vec::len).sum::<usize>()
-            + self.deferred.iter().map(|(_, b)| b.len()).sum::<usize>()
+        self.outbox.pending()
     }
 
-    /// Cumulative completion summary of every ship attempt so far.
-    pub fn completion(&self) -> Completion {
-        self.completion
-    }
-
-    /// Discard every queued and parked request without resolving it — the
-    /// abort-safe teardown for a stage that failed mid-flight (the stage
-    /// re-executes from scratch, so the unanswered lookups are moot).
-    pub fn abandon(mut self) {
-        for buf in &mut self.buffers {
-            buf.clear();
-        }
-        self.deferred.clear();
-    }
-}
-
-impl<K, V, T> Drop for LookupBatch<'_, K, V, T> {
-    fn drop(&mut self) {
-        // An injected rank failure unwinds through pending requests by
-        // design; asserting then would turn an orderly stage abort into a
-        // double-panic process abort.
-        if std::thread::panicking() {
-            return;
-        }
-        debug_assert_eq!(
-            self.pending(),
-            0,
-            "LookupBatch dropped with unresolved requests; call finish(ctx, ..)"
-        );
+    /// Discard every queued request without resolving it — the abort-safe
+    /// teardown for a stage that failed mid-flight (the stage re-executes
+    /// from scratch, so the unanswered lookups are moot).
+    pub fn abandon(self) {
+        self.outbox.abandon();
     }
 }
 
@@ -549,42 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn contended_lookups_park_and_drain_delivers_same_results() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut setup = ctx(0, topo);
-        for k in 0..200u64 {
-            dht.insert(&mut setup, k, k as u32 + 1);
-        }
-        let mut c = ctx(0, topo);
-        let mut got: Vec<(u64, Option<u32>)> = Vec::new();
-        let mut deliver = |_: &mut RankCtx, tag: u64, v: Option<u32>| got.push((tag, v));
-        let mut lb = LookupBatch::with_batch(&dht, 1024);
-        for k in 0..200u64 {
-            lb.push(&mut c, k, k, &mut deliver);
-        }
-        let held = dht.lock_shard_of_key_for_test(&0);
-        let completion = lb.flush_async(&mut c, &mut deliver);
-        assert!(completion.deferred() > 0, "held sub-shard must park");
-        assert!(lb.pending() > 0, "parked requests still pending");
-        let msgs_after_flush = c.stats.total_accesses();
-        let batches_after_flush = c.stats.lookup_batches;
-        drop(held);
-        lb.finish(&mut c, &mut deliver);
-        assert_eq!(
-            c.stats.total_accesses(),
-            msgs_after_flush,
-            "drain never re-accounts messages"
-        );
-        assert_eq!(c.stats.lookup_batches, batches_after_flush);
-        got.sort_by_key(|(tag, _)| *tag);
-        assert_eq!(got.len(), 200);
-        for (tag, v) in got {
-            assert_eq!(v, Some(tag as u32 + 1));
-        }
-    }
-
-    #[test]
     fn abandon_disarms_the_drop_assertion() {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
@@ -597,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unresolved requests")]
+    #[should_panic(expected = "pgas/lookup/wire_bytes) dropped with un-shipped items")]
     #[cfg(debug_assertions)]
     fn dropping_pending_lookups_panics_in_debug() {
         let topo = Topology::new(2, 2);

@@ -25,19 +25,12 @@
 //! for latency/size distributions whose interesting structure spans orders
 //! of magnitude.
 //!
-//! ## Measured-execution counters (DESIGN.md §12)
+//! ## Measured-execution counter (DESIGN.md §12)
 //!
-//! The measured-parallelism engine reports itself exclusively through this
-//! registry (never through new [`crate::CommStats`] fields, which would
-//! change the report schema):
-//!
-//! * `pgas/dht/lock_contention` — failed sub-shard `try_lock`s, both from
-//!   blocking accessors that then waited and from `try_*` batch primitives
-//!   that parked their batch instead;
-//! * `pgas/comp/deferred_sends` — batches a [`crate::Completion`] recorded
-//!   as deferred (parked at first attempt, landed at the drain);
-//! * `pgas/arena/reuse` / `pgas/arena/alloc` — [`crate::BufferPool`] wire
-//!   buffer recycling vs. fresh allocations.
+//! Lock waiting reports itself through this registry (never through a new
+//! [`crate::CommStats`] field, which would change the report schema):
+//! `pgas/dht/lock_contention` counts sub-shard locks an accessor found
+//! held and then waited for.
 //!
 //! ## Exposition
 //!

@@ -10,19 +10,18 @@
 //! paper's own algorithms are asynchronous one-sided for the same reason:
 //! to avoid synchronization and message-matching logic).
 //!
-//! Rank→thread placement is governed by [`Affinity`]: by default each OS
-//! worker executes a **contiguous block** of ranks (`HIPMER_AFFINITY=dynamic`
-//! opts out into first-come assignment). Blocked placement keeps a rank's
-//! working set — its DHT sub-shards, its aggregation buffers — on one
-//! worker for a whole phase, the single-process analogue of NUMA-aware
-//! rank pinning (DESIGN.md §12).
+//! Rank→thread placement is blocked: worker `w` of `W` executes the
+//! **contiguous block** of ranks `w·P/W .. (w+1)·P/W`. A rank's working
+//! set — its DHT sub-shards, its aggregation buffers — stays on one worker
+//! for a whole phase, and consecutive ranks, whose DHT partitions are
+//! adjacent, share that worker's caches: the single-process analogue of
+//! NUMA-aware rank pinning (DESIGN.md §12).
 
 use crate::fault::{self, FailureCause, FaultEvent, FaultPlan, StageAbort, StageOutcome};
 use crate::stats::CommStats;
 use crate::topology::Topology;
 use crate::trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -134,29 +133,11 @@ impl RankCtx {
     }
 }
 
-/// How virtual ranks are placed onto OS worker threads for a phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Affinity {
-    /// Each worker executes one contiguous block of ranks (worker `w` of
-    /// `W` runs ranks `w·P/W .. (w+1)·P/W`). The default: a rank's working
-    /// set stays on one thread for the whole phase, and consecutive ranks —
-    /// whose DHT partitions are adjacent — share a worker's caches. This is
-    /// the thread-affinity analogue of NUMA-aware rank placement on a real
-    /// PGAS machine.
-    Blocked,
-    /// First-come assignment from a shared atomic counter: whichever worker
-    /// is free takes the next rank. Opt out of blocked placement with
-    /// `HIPMER_AFFINITY=dynamic` (or `0`/`off`) when rank bodies are so
-    /// skewed that block-level imbalance dominates cache affinity.
-    Dynamic,
-}
-
 /// An SPMD team of virtual ranks.
 #[derive(Clone, Debug)]
 pub struct Team {
     topo: Topology,
     os_threads: usize,
-    affinity: Affinity,
     faults: Option<Arc<FaultPlan>>,
     recorder: Option<trace::Recorder>,
 }
@@ -180,22 +161,6 @@ fn default_os_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Rank→thread placement (env `HIPMER_AFFINITY`; default blocked).
-/// `dynamic`, `off`, or `0` opt out into first-come assignment.
-fn default_affinity() -> Affinity {
-    if let Ok(v) = std::env::var("HIPMER_AFFINITY") {
-        match v.to_ascii_lowercase().as_str() {
-            "dynamic" | "off" | "0" => return Affinity::Dynamic,
-            "blocked" | "on" | "1" => return Affinity::Blocked,
-            other => eprintln!(
-                "hipmer: ignoring HIPMER_AFFINITY={other:?} (expected \
-                 blocked|dynamic); using blocked placement"
-            ),
-        }
-    }
-    Affinity::Blocked
 }
 
 /// Execute one rank's phase body, stamping measured execution time into its
@@ -262,22 +227,9 @@ impl Team {
         Team {
             topo,
             os_threads: default_os_threads(),
-            affinity: default_affinity(),
             faults: None,
             recorder: None,
         }
-    }
-
-    /// Override rank→thread placement for this team (the environment
-    /// default comes from `HIPMER_AFFINITY`; see [`Affinity`]).
-    pub fn with_affinity(mut self, affinity: Affinity) -> Self {
-        self.affinity = affinity;
-        self
-    }
-
-    /// The rank→thread placement this team uses.
-    pub fn affinity(&self) -> Affinity {
-        self.affinity
     }
 
     /// Attach a per-team span [`trace::Recorder`]: every phase of this team
@@ -380,9 +332,7 @@ impl Team {
     {
         let ranks = self.topo.ranks();
         let workers = self.os_threads.min(ranks);
-        let next = AtomicUsize::new(0);
         type Bucket<R> = Vec<(usize, Option<R>, CommStats, Option<fault::RankFailure>)>;
-        let mut collected: Vec<Bucket<R>> = Vec::with_capacity(workers);
 
         let phase_start = Instant::now();
         let (tracing, sample) = match &self.recorder {
@@ -409,15 +359,12 @@ impl Team {
             start..start + base + usize::from(w < rem)
         };
 
-        // Workers inherit the spawning thread's metric scope, so a phase
-        // run on behalf of one job of a multi-tenant server records its
-        // counters under that job's label (see `metrics::scoped`).
-        let metric_scope = crate::metrics::current_scope();
-
-        if workers <= 1 {
-            let mut local = Vec::with_capacity(ranks);
+        // One worker's share of the phase: run its ranks in order and
+        // record their spans in one batch.
+        let run_block = |block: std::ops::Range<usize>| {
+            let mut local: Bucket<R> = Vec::with_capacity(block.len());
             let mut spans = Vec::new();
-            for rank in 0..ranks {
+            for rank in block {
                 let (out, stats, span, failure) = run_rank(
                     &f,
                     rank,
@@ -431,66 +378,35 @@ impl Team {
                 local.push((rank, out, stats, failure));
             }
             record_spans(spans);
-            collected.push(local);
+            local
+        };
+
+        let collected: Vec<Bucket<R>> = if workers <= 1 {
+            vec![run_block(0..ranks)]
         } else {
-            let affinity = self.affinity;
-            let worker_outputs = crossbeam::thread::scope(|scope| {
+            // Workers inherit the spawning thread's metric scope, so a phase
+            // run on behalf of one job of a multi-tenant server records its
+            // counters under that job's label (see `metrics::scoped`).
+            let metric_scope = crate::metrics::current_scope();
+            crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers)
                     .map(|w| {
-                        let next = &next;
-                        let f = &f;
-                        let span_label = &span_label;
-                        let record_spans = &record_spans;
-                        let block = &block;
-                        let topo = self.topo;
+                        let run_block = &run_block;
+                        let block = block(w);
                         let metric_scope = metric_scope.clone();
                         scope.spawn(move |_| {
                             let _scope_guard = crate::metrics::inherit_scope(metric_scope);
-                            let mut local = Vec::new();
-                            let mut spans = Vec::new();
-                            let run_one =
-                                |rank: usize,
-                                 local: &mut Bucket<R>,
-                                 spans: &mut Vec<trace::SpanEvent>| {
-                                    let (out, stats, span, failure) = run_rank(
-                                        f,
-                                        rank,
-                                        topo,
-                                        faults,
-                                        phase_start,
-                                        label,
-                                        span_label(rank),
-                                    );
-                                    spans.extend(span);
-                                    local.push((rank, out, stats, failure));
-                                };
-                            match affinity {
-                                Affinity::Blocked => {
-                                    for rank in block(w) {
-                                        run_one(rank, &mut local, &mut spans);
-                                    }
-                                }
-                                Affinity::Dynamic => loop {
-                                    let rank = next.fetch_add(1, Ordering::Relaxed);
-                                    if rank >= ranks {
-                                        break;
-                                    }
-                                    run_one(rank, &mut local, &mut spans);
-                                },
-                            }
-                            record_spans(spans);
-                            local
+                            run_block(block)
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("phase body panicked"))
-                    .collect::<Vec<_>>()
+                    .collect()
             })
-            .expect("team scope panicked");
-            collected = worker_outputs;
-        }
+            .expect("team scope panicked")
+        };
 
         // Any dead rank aborts the stage; pick the lowest rank so the
         // reported failure is deterministic across OS-thread schedules.
@@ -632,36 +548,10 @@ mod tests {
         crate::trace::record(stolen); // put concurrent tests' spans back
     }
 
+    /// Deterministic stage-abort selection must hold while ranks ship
+    /// batched traffic, across OS thread counts.
     #[test]
-    fn blocked_and_dynamic_affinity_both_cover_every_rank() {
-        for affinity in [Affinity::Blocked, Affinity::Dynamic] {
-            // 13 ranks over 4 workers: uneven blocks (4,3,3,3).
-            let team = Team::new(Topology::new(13, 4))
-                .with_os_threads(4)
-                .with_affinity(affinity);
-            let (ranks_seen, stats) = team.run(|ctx| ctx.rank);
-            assert_eq!(ranks_seen, (0..13).collect::<Vec<_>>(), "{affinity:?}");
-            assert_eq!(stats.len(), 13);
-        }
-    }
-
-    #[test]
-    fn affinity_env_opt_out_selects_dynamic() {
-        std::env::set_var("HIPMER_AFFINITY", "dynamic");
-        let dynamic = Team::new(Topology::new(4, 2));
-        std::env::set_var("HIPMER_AFFINITY", "blocked");
-        let blocked = Team::new(Topology::new(4, 2));
-        std::env::remove_var("HIPMER_AFFINITY");
-        let default = Team::new(Topology::new(4, 2));
-        assert_eq!(dynamic.affinity(), Affinity::Dynamic);
-        assert_eq!(blocked.affinity(), Affinity::Blocked);
-        assert_eq!(default.affinity(), Affinity::Blocked);
-    }
-
-    /// PR 7 satellite: deterministic stage-abort selection must hold while
-    /// ranks run async (deferred-send) traffic, across OS thread counts.
-    #[test]
-    fn abort_selection_is_deterministic_under_async_drains_across_threads() {
+    fn abort_selection_is_deterministic_under_batched_sends_across_threads() {
         use crate::agg::AggregatingStores;
         use crate::dht::DistHashMap;
 
@@ -673,13 +563,13 @@ mod tests {
                 .with_os_threads(threads)
                 .with_fault_plan(Arc::new(plan));
             let dht: DistHashMap<u64, u64> = DistHashMap::new(topo);
-            team.try_run_named("test/async-abort", |ctx| {
+            team.try_run_named("test/batched-abort", |ctx| {
                 let mut agg =
                     AggregatingStores::with_batch(&dht, |acc: &mut u64, v: u64| *acc += v, 4);
                 for i in 0..200u64 {
                     agg.push(ctx, i * 7, 1);
                 }
-                let _completion = agg.flush_async(ctx);
+                agg.flush_all(ctx);
                 agg.finish(ctx);
             })
         };
@@ -687,7 +577,7 @@ mod tests {
         for threads in [1usize, 4, 8] {
             match run_with(threads) {
                 StageOutcome::Aborted(abort) => {
-                    assert_eq!(abort.phase, "test/async-abort");
+                    assert_eq!(abort.phase, "test/batched-abort");
                     aborted_ranks.push(abort.rank);
                 }
                 StageOutcome::Completed(..) => {
@@ -742,7 +632,7 @@ mod tests {
 
     #[test]
     fn shared_state_is_visible_across_ranks() {
-        use std::sync::atomic::AtomicU64;
+        use std::sync::atomic::{AtomicU64, Ordering};
         let team = Team::new(Topology::new(64, 24)).with_os_threads(4);
         let acc = AtomicU64::new(0);
         team.run(|ctx| {
