@@ -195,12 +195,7 @@ fn main() {
     doc.set("schema_version", 1u64);
     doc.set("bench", "load_serve");
     doc.set("fast_mode", fast);
-    doc.set(
-        "host_parallelism",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1) as u64,
-    );
+    doc.set("host_parallelism", hipmer_bench::host_parallelism());
     doc.set("pool_ranks", POOL_RANKS as u64);
     doc.set("ranks_per_node", RANKS_PER_NODE as u64);
     doc.set("job_ranks", JOB_RANKS as u64);

@@ -17,7 +17,7 @@
 //! `BENCH_metagenome.json`.
 
 use hipmer::{evaluate, PipelineConfig};
-use hipmer_bench::{banner, fast, model, phase_seconds, scaled};
+use hipmer_bench::{banner, fast, host_parallelism, model, phase_seconds, scaled};
 use hipmer_contig::{generate_contigs, ContigConfig};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::json::Value;
@@ -316,6 +316,7 @@ fn multi_k_rounds() {
     doc.set("schema_version", 1.0)
         .set("bench", "table3_metagenome")
         .set("fast_mode", fast())
+        .set("host_parallelism", host_parallelism())
         .set(
             "k_schedule",
             Value::Arr(ks.iter().map(|&k| (k as f64).into()).collect()),

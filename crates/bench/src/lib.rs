@@ -32,6 +32,12 @@ pub fn fast() -> bool {
         .unwrap_or(false)
 }
 
+/// The host's available parallelism, stamped into every `BENCH_*.json` whose
+/// numbers a reader may want to compare across machines.
+pub fn host_parallelism() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get()) as u64
+}
+
 /// A genome size scaled by [`scale`].
 pub fn scaled(base: usize) -> usize {
     (base as f64 * scale()) as usize

@@ -54,8 +54,6 @@
 //! same snapshot in Prometheus text exposition format on stdout.
 //! `--heartbeat <secs>` emits rate-limited per-pool progress lines to
 //! stderr (or, with `--heartbeat-jsonl <path>`, appends JSONL records).
-//! `--trace-sample-ranks N` caps traced ranks via the pipeline config
-//! (0 = all), overriding `--trace-ranks` for the assembly stages.
 //!
 //! Calibration: `--calibrate <fitted.json>` fits the six measurable
 //! `CostModel` constants by least-squares regression of measured per-rank
@@ -97,7 +95,7 @@ fn usage() -> ExitCode {
          \x20         [--multi-k K1,K2,...]\n\
          \x20         [--schedule static|dynamic] [--partition uniform|minimizer]\n\
          \x20         [--trace <trace.json>] [--trace-ranks N] [--report-json <report.json>]\n\
-         \x20         [--trace-sample-ranks N] [--metrics-json <metrics.json>] [--metrics-text]\n\
+         \x20         [--metrics-json <metrics.json>] [--metrics-text]\n\
          \x20         [--calibrate <fitted.json>] [--heartbeat SECS] [--heartbeat-jsonl <path>]\n\
          \x20         [--checkpoint-dir <dir>] [--resume] [--checkpoint-interval N]\n\
          \x20         [--stage-retries N] [--halt-after <stage>] [--fault-seed S]\n\
@@ -282,25 +280,9 @@ fn main() -> ExitCode {
                 Ok(n) => n,
                 _ => return usage(),
             };
-            if trace_out.is_some() {
-                trace::enable(trace_ranks);
-            }
-            // `--trace-sample-ranks` rides the pipeline config so library
-            // users get the same knob; it overrides `--trace-ranks`.
-            match parse_string_flag(&args, "--trace-sample-ranks") {
-                Ok(Some(n)) => match n.parse::<usize>() {
-                    Ok(n) => cfg = cfg.with_trace_sample_ranks(n),
-                    Err(_) => {
-                        eprintln!("error: bad value for --trace-sample-ranks");
-                        return usage();
-                    }
-                },
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            }
+            let recorder = trace_out
+                .as_ref()
+                .map(|path| (trace::Recorder::new(trace_ranks), path));
             let (metrics_json, calibrate_out, heartbeat_jsonl) = match (
                 parse_path_flag(&args, "--metrics-json"),
                 parse_path_flag(&args, "--calibrate"),
@@ -392,6 +374,9 @@ fn main() -> ExitCode {
                 });
             }
             let mut team = Team::new(Topology::new(ranks, rpn));
+            if let Some((recorder, _)) = &recorder {
+                team = team.with_recorder(recorder.clone());
+            }
             match fault_plan_from_args(&args, ranks) {
                 Ok(Some(plan)) => {
                     eprintln!("fault injection armed (seed, transient, kill per --fault-* flags)");
@@ -433,8 +418,8 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            if let Some(path) = &trace_out {
-                let events = trace::take_events();
+            if let Some((recorder, path)) = &recorder {
+                let events = recorder.take_events();
                 if let Err(e) = std::fs::write(path, trace::chrome_trace_json(&events)) {
                     eprintln!("error writing {}: {e}", path.display());
                     return ExitCode::FAILURE;

@@ -16,11 +16,6 @@ pub struct PipelineConfig {
     pub contig: ContigConfig,
     /// Stage 3 settings.
     pub scaffold: ScaffoldConfig,
-    /// Cap on the number of ranks whose execution spans are recorded when
-    /// tracing is enabled (`None` leaves the tracer's own setting alone;
-    /// `Some(0)` means all ranks). Applied by the pipeline via
-    /// [`hipmer_pgas::trace::set_sample_ranks`].
-    pub trace_sample_ranks: Option<usize>,
     /// MetaHipMer multi-k schedule: the strictly increasing k values for
     /// the iterative kanalysis → contig rounds (the SC18 follow-on's
     /// "Extreme Scale De Novo Metagenome Assembly" loop). Empty (the
@@ -69,7 +64,6 @@ impl PipelineConfig {
             kanalysis: KmerAnalysisConfig::new(k),
             contig: ContigConfig::new(k),
             scaffold: ScaffoldConfig::new(seed_len),
-            trace_sample_ranks: None,
             multi_k: Vec::new(),
             round_prune_depth: 2.5,
         })
@@ -134,13 +128,6 @@ impl PipelineConfig {
     /// byte-identical to `-k 21`.
     pub fn multi_k_rounds(&self) -> Option<&[usize]> {
         (self.multi_k.len() >= 2).then_some(&self.multi_k[..])
-    }
-
-    /// Cap the number of ranks traced per phase (0 = all ranks). Only
-    /// takes effect when span tracing is enabled.
-    pub fn with_trace_sample_ranks(mut self, n: usize) -> Self {
-        self.trace_sample_ranks = Some(n);
-        self
     }
 
     /// Apply one [`Schedule`] to every skew-prone stage: the cooperative
@@ -230,19 +217,6 @@ mod tests {
         assert_eq!(cfg.kanalysis.partition, PartitionScheme::Minimizer);
         assert_eq!(cfg.contig.partition, PartitionScheme::Minimizer);
         assert_eq!(cfg.scaffold.align.partition, PartitionScheme::Minimizer);
-    }
-
-    #[test]
-    fn trace_sample_ranks_defaults_off_and_is_settable() {
-        assert_eq!(PipelineConfig::new(31).trace_sample_ranks, None);
-        let cfg = PipelineConfig::new(31).with_trace_sample_ranks(4);
-        assert_eq!(cfg.trace_sample_ranks, Some(4));
-        assert_eq!(
-            PipelineConfig::new(31)
-                .with_trace_sample_ranks(0)
-                .trace_sample_ranks,
-            Some(0)
-        );
     }
 
     #[test]

@@ -418,9 +418,6 @@ pub fn run_assembly(
         Some(dir) => Some(CheckpointStore::create(dir, fingerprint)?),
         None => None,
     };
-    if let Some(n) = cfg.trace_sample_ranks {
-        hipmer_pgas::trace::set_sample_ranks(n);
-    }
     let mut runner = StageRunner {
         report: PipelineReport::new().with_partition(cfg.partition().to_string()),
         store,
@@ -638,11 +635,6 @@ pub fn run_assembly_fastq(
     cfg: &PipelineConfig,
     opts: &RunOptions,
 ) -> Result<Assembly, PipelineError> {
-    // Apply the trace cap before the I/O phase, not just inside
-    // `run_assembly`, so `io/fastq` spans honor it too.
-    if let Some(n) = cfg.trace_sample_ranks {
-        hipmer_pgas::trace::set_sample_ranks(n);
-    }
     let (per_rank, io_stats) = read_fastq_parallel(team, path)?;
     let reads: Vec<SeqRecord> = per_rank.into_iter().flatten().collect();
     let lib_range = 0..reads.len();

@@ -51,7 +51,6 @@ fn config_for(spec: &JobSpec) -> Result<PipelineConfig, String> {
     } else {
         cfg.scaffold.rounds = spec.rounds;
     }
-    cfg = cfg.with_trace_sample_ranks(TRACE_SAMPLE_RANKS);
     Ok(cfg)
 }
 

@@ -524,8 +524,6 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
             "--trace",
             trace.to_str().unwrap(),
             "--trace-ranks",
-            "4",
-            "--trace-sample-ranks",
             "2",
             "--metrics-json",
             metrics.to_str().unwrap(),
@@ -543,8 +541,8 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
         String::from_utf8_lossy(&asm.stderr)
     );
 
-    // --trace-sample-ranks 2 overrides --trace-ranks 4 for the pipeline
-    // stages: no span may carry a rank id >= 2.
+    // --trace-ranks 2 holds alongside the metrics and calibration flags:
+    // no span may carry a rank id >= 2.
     let trace_doc = Value::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     let spans: Vec<&Value> = trace_doc
         .as_arr()
@@ -555,7 +553,7 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
     assert!(!spans.is_empty());
     for s in &spans {
         let tid = s.get("tid").and_then(Value::as_u64).unwrap();
-        assert!(tid < 2, "rank {tid} exceeds --trace-sample-ranks 2");
+        assert!(tid < 2, "rank {tid} exceeds --trace-ranks 2");
     }
 
     // The metrics snapshot is valid JSON carrying the instrumented names.

@@ -3,10 +3,10 @@
 //! operations on them are irregular lookups").
 //!
 //! Keys are assigned to an **owner rank** by a placement function over the
-//! key's 64-bit hash; each rank's partition is further split into
-//! [`SUB_SHARDS_PER_RANK`] independently locked **sub-shards** selected by
-//! the hash's high bits, so concurrent OS workers servicing different keys
-//! of the same owner do not serialize on one lock (see DESIGN.md §12).
+//! key's 64-bit hash; each rank owns exactly one partition — one map under
+//! one lock, as each UPC thread does in the paper — and every operation
+//! holds at most one partition lock (see DESIGN.md §12). Lock count scales
+//! with the rank count, which is never below the worker count.
 //! Any rank may read or write any key (one-sided semantics): the access is
 //! executed directly against the owner's partition, and the *acting* rank's
 //! [`CommStats`] records whether it was local, on-node, or off-node —
@@ -15,7 +15,7 @@
 //! `service_ops` against the owner, which is where heavy-hitter load
 //! imbalance (Fig. 6) becomes visible.
 //!
-//! Every sub-shard carries a **mutation sequence number** bumped on each
+//! Every partition carries a **mutation sequence number** bumped on each
 //! write that touches it. Read-only consumers (the software caches, the
 //! merAligner seed index) capture a [`version_stamp`] and validate it
 //! unchanged after the read phase — the sequence-validated access that
@@ -56,27 +56,17 @@ impl std::fmt::Debug for Placement {
     }
 }
 
-/// Independently locked sub-shards per owner rank (a power of two).
-///
-/// A phase runs at most `min(os_threads, ranks)` concurrent workers, so
-/// `ranks × SUB_SHARDS_PER_RANK` total locks is always ≥ 8× the worker
-/// count — the contention headroom the measured-parallelism engine needs.
-/// The constant is deliberately **independent of the host's thread count**:
-/// sub-shard membership feeds local iteration order, and a host-dependent
-/// layout would make output-determinism arguments depend on the machine.
-pub const SUB_SHARDS_PER_RANK: usize = 8;
-
-/// One lockable slice of an owner rank's partition.
-struct SubShard<K, V> {
+/// One owner rank's partition.
+struct Shard<K, V> {
     map: Mutex<HashMap<K, V, KmerBuildHasher>>,
     /// Mutation sequence number: bumped once per write batch / write op
-    /// that touches this sub-shard. Never reset.
+    /// that touches this partition. Never reset.
     seq: AtomicU64,
 }
 
-impl<K, V> Default for SubShard<K, V> {
+impl<K, V> Default for Shard<K, V> {
     fn default() -> Self {
-        SubShard {
+        Shard {
             map: Mutex::new(HashMap::default()),
             seq: AtomicU64::new(0),
         }
@@ -96,14 +86,10 @@ pub struct DistHashMap<K, V> {
     placement: Placement,
     /// Optional **locality hash** override for owner selection (see
     /// [`DistHashMap::with_locality_hash`]): when set, the owner rank is
-    /// computed from this hash instead of [`key_hash`](Self::key_hash),
-    /// while sub-shard selection stays on `key_hash` — so content-aware
-    /// placements (minimizer bucketing) still spread one owner's keys over
-    /// its sub-shards.
+    /// computed from this hash instead of [`key_hash`](Self::key_hash).
     locality: Option<LocalityHash<K>>,
-    /// `ranks * SUB_SHARDS_PER_RANK` sub-shards; index
-    /// `owner * SUB_SHARDS_PER_RANK + sub`.
-    shards: Vec<SubShard<K, V>>,
+    /// One partition per rank, indexed by owner.
+    shards: Vec<Shard<K, V>>,
     /// Remote-landed updates serviced by each shard's owner.
     service: Vec<AtomicU64>,
     hasher: KmerBuildHasher,
@@ -139,9 +125,7 @@ where
             topo,
             placement,
             locality: None,
-            shards: (0..ranks * SUB_SHARDS_PER_RANK)
-                .map(|_| SubShard::default())
-                .collect(),
+            shards: (0..ranks).map(|_| Shard::default()).collect(),
             service: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             hasher: KmerBuildHasher::default(),
             entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
@@ -159,10 +143,9 @@ where
 
     /// Route **owner selection** through `f` instead of the uniform
     /// [`key_hash`](Self::key_hash): the owner becomes
-    /// `placement(f(key))` while sub-shard selection keeps using
-    /// `key_hash`'s top bits. This is the hook content-aware partitioners
+    /// `placement(f(key))`. This is the hook content-aware partitioners
     /// (minimizer bucketing — [`crate::part`]) plug into: keys that share a
-    /// locality hash land on one rank without piling into one sub-shard.
+    /// locality hash land on one rank.
     ///
     /// Must be applied before any entry is inserted (a populated table
     /// re-homed under a different owner function would orphan its entries).
@@ -236,10 +219,9 @@ where
     /// The rank owning the key whose placement hash is `h`.
     ///
     /// A `Placement::Custom` owner outside `0..ranks` is checked with a
-    /// **release-mode** assert: the owner feeds `shard_index`, and an
-    /// out-of-range value would silently index (or corrupt) an unrelated
-    /// rank's sub-shard — the same rationale as `Topology::chunk`'s release
-    /// bounds check.
+    /// **release-mode** assert, so a bogus owner fails with the placement
+    /// named instead of as a bare index panic deep inside an operation —
+    /// the same rationale as `Topology::chunk`'s release bounds check.
     #[inline]
     fn owner_of_hash(&self, h: u64) -> usize {
         match &self.placement {
@@ -273,26 +255,6 @@ where
         self.owner_of_hash(self.placement_hash(key))
     }
 
-    /// Sub-shard selector: the hash's top bits, independent of the
-    /// placement's `hash % ranks` (or custom) owner choice.
-    #[inline]
-    fn sub_of_hash(h: u64) -> usize {
-        (h >> 61) as usize & (SUB_SHARDS_PER_RANK - 1)
-    }
-
-    /// Global sub-shard index for a key of `owner` with hash `h`.
-    #[inline]
-    fn shard_index(owner: usize, h: u64) -> usize {
-        owner * SUB_SHARDS_PER_RANK + Self::sub_of_hash(h)
-    }
-
-    /// Global sub-shard index holding `key`: owner from the placement
-    /// hash, sub-shard from `key_hash`'s top bits.
-    #[inline]
-    fn shard_of_key(&self, key: &K) -> usize {
-        Self::shard_index(self.owner(key), self.key_hash(key))
-    }
-
     /// Record one one-sided access by `ctx.rank` against `owner`'s shard
     /// (subject to fault injection when the rank's team carries a
     /// [`crate::FaultPlan`]).
@@ -301,17 +263,17 @@ where
         ctx.comm(&self.topo, owner, self.entry_bytes);
     }
 
-    /// Take a sub-shard lock. With the metrics registry enabled, a failed
-    /// `try_lock` first counts one `pgas/dht/lock_contention` tick before
-    /// blocking — the simulator's stand-in for the remote atomics HipMer's
-    /// UPC tables contend on. Disabled cost: one relaxed atomic load on top
-    /// of the lock itself.
+    /// Take `owner`'s partition lock. With the metrics registry enabled, a
+    /// failed `try_lock` first counts one `pgas/dht/lock_contention` tick
+    /// before blocking — the simulator's stand-in for the remote atomics
+    /// HipMer's UPC tables contend on. Disabled cost: one relaxed atomic
+    /// load on top of the lock itself.
     #[inline]
     fn lock_shard(
         &self,
-        idx: usize,
+        owner: usize,
     ) -> parking_lot::MutexGuard<'_, HashMap<K, V, KmerBuildHasher>> {
-        let shard = &self.shards[idx];
+        let shard = &self.shards[owner];
         if metrics::is_enabled() {
             if let Some(guard) = shard.map.try_lock() {
                 return guard;
@@ -321,14 +283,14 @@ where
         shard.map.lock()
     }
 
-    /// Bump a sub-shard's mutation sequence number (call once per write op
-    /// or applied write batch).
+    /// Bump `owner`'s mutation sequence number (call once per write op or
+    /// applied write batch).
     #[inline]
-    fn bump_seq(&self, idx: usize) {
-        self.shards[idx].seq.fetch_add(1, Ordering::Release);
+    fn bump_seq(&self, owner: usize) {
+        self.shards[owner].seq.fetch_add(1, Ordering::Release);
     }
 
-    /// Sum of all sub-shard mutation sequence numbers — a cheap stamp that
+    /// Sum of the per-rank mutation sequence numbers — a cheap stamp that
     /// changes whenever any write lands anywhere in the table.
     ///
     /// The sequence-validated read protocol: capture the stamp before a
@@ -343,12 +305,6 @@ where
             .sum()
     }
 
-    /// Total number of independently locked sub-shards
-    /// (`ranks × SUB_SHARDS_PER_RANK`).
-    pub fn sub_shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// One-sided read. Returns a clone of the value.
     pub fn get(&self, ctx: &mut RankCtx, key: &K) -> Option<V>
     where
@@ -356,14 +312,14 @@ where
     {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        self.lock_shard(self.shard_of_key(key)).get(key).cloned()
+        self.lock_shard(owner).get(key).cloned()
     }
 
     /// One-sided existence check.
     pub fn contains(&self, ctx: &mut RankCtx, key: &K) -> bool {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        self.lock_shard(self.shard_of_key(key)).contains_key(key)
+        self.lock_shard(owner).contains_key(key)
     }
 
     /// One-sided write; returns the previous value if any. Counts a service
@@ -373,9 +329,8 @@ where
         self.account(ctx, owner);
         self.service[owner].fetch_add(1, Ordering::Relaxed);
         self.track_hot_key(&key);
-        let idx = Self::shard_index(owner, self.key_hash(&key));
-        self.bump_seq(idx);
-        self.lock_shard(idx).insert(key, value)
+        self.bump_seq(owner);
+        self.lock_shard(owner).insert(key, value)
     }
 
     /// One-sided upsert: create the entry with `default` if absent, then
@@ -390,9 +345,8 @@ where
         self.account(ctx, owner);
         self.service[owner].fetch_add(1, Ordering::Relaxed);
         self.track_hot_key(&key);
-        let idx = Self::shard_index(owner, self.key_hash(&key));
-        self.bump_seq(idx);
-        let mut shard = self.lock_shard(idx);
+        self.bump_seq(owner);
+        let mut shard = self.lock_shard(owner);
         f(shard.entry(key).or_insert_with(default));
     }
 
@@ -404,9 +358,8 @@ where
     {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        let idx = self.shard_of_key(key);
-        self.bump_seq(idx);
-        let mut shard = self.lock_shard(idx);
+        self.bump_seq(owner);
+        let mut shard = self.lock_shard(owner);
         f(shard.get_mut(key))
     }
 
@@ -414,9 +367,8 @@ where
     pub fn remove(&self, ctx: &mut RankCtx, key: &K) -> Option<V> {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        let idx = self.shard_of_key(key);
-        self.bump_seq(idx);
-        self.lock_shard(idx).remove(key)
+        self.bump_seq(owner);
+        self.lock_shard(owner).remove(key)
     }
 
     /// Answer a batch of lookups that arrived as **one** multi-get message
@@ -427,49 +379,21 @@ where
     /// summary, so converting a loop of `get`s into one `fetch_batch` leaves
     /// every counter except the message count unchanged.
     ///
-    /// Every key must be owned by `dest` (checked in debug builds). Results
-    /// come back in key order. The keys are grouped by sub-shard in one
-    /// counting pass, then each present sub-shard is locked once, one at a
-    /// time in ascending index order, and only its own keys are probed —
-    /// the read-side analogue of the aggregated-store lock saving
-    /// documented in [`crate::agg`].
+    /// Every key must be owned by `dest` (checked in debug builds). `dest`'s
+    /// partition is locked once and probed in input order — the read-side
+    /// analogue of the aggregated-store lock saving documented in
+    /// [`crate::agg`].
     pub fn fetch_batch(&self, dest: usize, keys: &[&K]) -> Vec<Option<V>>
     where
         V: Clone,
     {
-        // `start[s]..start[s + 1]` will index sub-shard `s`'s keys in `order`.
-        let mut start = [0usize; SUB_SHARDS_PER_RANK + 1];
-        let subs: Vec<u8> = keys
-            .iter()
+        let shard = self.lock_shard(dest);
+        keys.iter()
             .map(|k| {
                 debug_assert_eq!(self.owner(k), dest, "fetch_batch key not owned by dest");
-                let sub = Self::sub_of_hash(self.key_hash(k));
-                start[sub + 1] += 1;
-                sub as u8
+                shard.get(k).cloned()
             })
-            .collect();
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            start[sub + 1] += start[sub];
-        }
-        let mut order = vec![0usize; keys.len()];
-        let mut next = start;
-        for (i, &sub) in subs.iter().enumerate() {
-            order[next[sub as usize]] = i;
-            next[sub as usize] += 1;
-        }
-        let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
-        out.resize_with(keys.len(), || None);
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            let mine = &order[start[sub]..start[sub + 1]];
-            if mine.is_empty() {
-                continue;
-            }
-            let shard = self.lock_shard(dest * SUB_SHARDS_PER_RANK + sub);
-            for &i in mine {
-                out[i] = shard.get(keys[i]).cloned();
-            }
-        }
-        out
+            .collect()
     }
 
     /// Batched one-sided read: group `keys` by owner, ship **one** message
@@ -508,28 +432,28 @@ where
         out
     }
 
-    /// Apply one sub-shard bucket under its lock, tallying service ops and
-    /// hot keys for the applied entries.
-    fn apply_bucket<M>(
+    /// Batch application shared by [`merge_batch`](Self::merge_batch) and
+    /// [`merge_batch_existing`](Self::merge_batch_existing): lock `dest`'s
+    /// partition once and apply the entries straight from the caller's
+    /// iterator, in its order, tallying service ops and hot keys as they
+    /// land. (The hot-key summary's lock, taken under the partition lock
+    /// when tracking is on, is a leaf: nothing is acquired while it is
+    /// held.)
+    fn apply_batch<M>(
         &self,
         dest: usize,
-        sub: usize,
-        bucket: Vec<(K, V)>,
+        entries: impl IntoIterator<Item = (K, V)>,
         merge: &M,
         existing_only: bool,
     ) where
         M: Fn(&mut V, V),
     {
-        self.service[dest].fetch_add(bucket.len() as u64, Ordering::Relaxed);
-        if self.hot_keys.is_some() {
-            for (k, _) in &bucket {
-                self.track_hot_key(k);
-            }
-        }
-        let idx = dest * SUB_SHARDS_PER_RANK + sub;
-        self.bump_seq(idx);
-        let mut shard = self.lock_shard(idx);
-        for (k, v) in bucket {
+        self.bump_seq(dest);
+        let mut applied = 0u64;
+        let mut shard = self.lock_shard(dest);
+        for (k, v) in entries {
+            applied += 1;
+            self.track_hot_key(&k);
             if existing_only {
                 if let Some(slot) = shard.get_mut(&k) {
                     merge(slot, v);
@@ -543,32 +467,7 @@ where
                 }
             }
         }
-    }
-
-    /// Batch application shared by [`merge_batch`](Self::merge_batch) and
-    /// [`merge_batch_existing`](Self::merge_batch_existing): partition the
-    /// entries into per-sub-shard buckets, preserving the relative order
-    /// within each bucket (equal keys always share a bucket, so same-key
-    /// merge order is deterministic), then apply each bucket under its
-    /// lock, one lock at a time in ascending index order.
-    fn apply_batch<M>(
-        &self,
-        dest: usize,
-        entries: impl IntoIterator<Item = (K, V)>,
-        merge: &M,
-        existing_only: bool,
-    ) where
-        M: Fn(&mut V, V),
-    {
-        let mut buckets: [Vec<(K, V)>; SUB_SHARDS_PER_RANK] = std::array::from_fn(|_| Vec::new());
-        for (k, v) in entries {
-            buckets[Self::sub_of_hash(self.key_hash(&k))].push((k, v));
-        }
-        for (sub, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                self.apply_bucket(dest, sub, bucket, merge, existing_only);
-            }
-        }
+        self.service[dest].fetch_add(applied, Ordering::Relaxed);
     }
 
     /// Apply a batch of merged updates that arrived as **one** aggregated
@@ -577,7 +476,9 @@ where
     ///
     /// `entries` is any owned sequence: a `Vec`, or the `drain(..)` of a
     /// sender's per-destination buffer, which then keeps its capacity for
-    /// the next batch.
+    /// the next batch. Entries are merged in sequence order under one lock,
+    /// so the result equals a loop of [`update`](Self::update)s even for a
+    /// merge that does not commute.
     pub fn merge_batch<M>(&self, dest: usize, entries: impl IntoIterator<Item = (K, V)>, merge: M)
     where
         M: Fn(&mut V, V),
@@ -611,23 +512,16 @@ where
         self.shards.iter().all(|s| s.map.lock().is_empty())
     }
 
-    /// Iterate the acting rank's own partition (all its sub-shards, in
-    /// sub-shard order), counting one local op per entry (each rank
-    /// post-processing its local buckets is a standard phase in the paper:
-    /// link assessment, depth summation, ...).
+    /// Iterate the acting rank's own partition, counting one local op per
+    /// entry (each rank post-processing its local buckets is a standard
+    /// phase in the paper: link assessment, depth summation, ...).
     pub fn fold_local<T, F>(&self, ctx: &mut RankCtx, init: T, mut f: F) -> T
     where
         F: FnMut(T, &K, &V) -> T,
     {
-        let mut acc = init;
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            let shard = self.shards[ctx.rank * SUB_SHARDS_PER_RANK + sub].map.lock();
-            ctx.stats.local_ops += shard.len() as u64;
-            for (k, v) in shard.iter() {
-                acc = f(acc, k, v);
-            }
-        }
-        acc
+        let shard = self.shards[ctx.rank].map.lock();
+        ctx.stats.local_ops += shard.len() as u64;
+        shard.iter().fold(init, |acc, (k, v)| f(acc, k, v))
     }
 
     /// Snapshot the acting rank's partition as (key, value) pairs, charging
@@ -639,57 +533,17 @@ where
         K: Clone,
         V: Clone,
     {
-        let mut out = Vec::new();
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            let shard = self.shards[ctx.rank * SUB_SHARDS_PER_RANK + sub].map.lock();
-            ctx.stats.compute(shard.len() as u64);
-            out.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out
+        let shard = self.shards[ctx.rank].map.lock();
+        ctx.stats.compute(shard.len() as u64);
+        shard.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     /// Drain the acting rank's partition into a vector (counts local ops).
     pub fn drain_local(&self, ctx: &mut RankCtx) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            let idx = ctx.rank * SUB_SHARDS_PER_RANK + sub;
-            self.bump_seq(idx);
-            let mut shard = self.shards[idx].map.lock();
-            ctx.stats.local_ops += shard.len() as u64;
-            out.extend(shard.drain());
-        }
-        out
-    }
-
-    /// Mutate every entry of the acting rank's partition in place.
-    pub fn for_each_local_mut<F>(&self, ctx: &mut RankCtx, mut f: F)
-    where
-        F: FnMut(&K, &mut V),
-    {
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            let idx = ctx.rank * SUB_SHARDS_PER_RANK + sub;
-            self.bump_seq(idx);
-            let mut shard = self.shards[idx].map.lock();
-            ctx.stats.local_ops += shard.len() as u64;
-            for (k, v) in shard.iter_mut() {
-                f(k, v);
-            }
-        }
-    }
-
-    /// Retain only entries satisfying the predicate in the acting rank's
-    /// partition (used to discard below-threshold k-mers after counting).
-    pub fn retain_local<F>(&self, ctx: &mut RankCtx, mut f: F)
-    where
-        F: FnMut(&K, &mut V) -> bool,
-    {
-        for sub in 0..SUB_SHARDS_PER_RANK {
-            let idx = ctx.rank * SUB_SHARDS_PER_RANK + sub;
-            self.bump_seq(idx);
-            let mut shard = self.shards[idx].map.lock();
-            ctx.stats.local_ops += shard.len() as u64;
-            shard.retain(|k, v| f(k, v));
-        }
+        self.bump_seq(ctx.rank);
+        let mut shard = self.shards[ctx.rank].map.lock();
+        ctx.stats.local_ops += shard.len() as u64;
+        shard.drain().collect()
     }
 
     /// Move each shard owner's accumulated service work into the per-rank
@@ -741,9 +595,9 @@ where
     /// (a restore is a write).
     pub fn preload(&self, entries: impl IntoIterator<Item = (K, V)>) {
         for (k, v) in entries {
-            let idx = self.shard_of_key(&k);
-            self.bump_seq(idx);
-            self.shards[idx].map.lock().insert(k, v);
+            let owner = self.owner(&k);
+            self.bump_seq(owner);
+            self.shards[owner].map.lock().insert(k, v);
         }
     }
 
@@ -756,21 +610,9 @@ where
         out
     }
 
-    /// Snapshot of the per-rank partition sizes (load-balance diagnostics);
-    /// each rank's size sums its sub-shards.
+    /// Snapshot of the per-rank partition sizes (load-balance diagnostics).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        (0..self.topo.ranks())
-            .map(|rank| {
-                (0..SUB_SHARDS_PER_RANK)
-                    .map(|sub| {
-                        self.shards[rank * SUB_SHARDS_PER_RANK + sub]
-                            .map
-                            .lock()
-                            .len()
-                    })
-                    .sum()
-            })
-            .collect()
+        self.shards.iter().map(|s| s.map.lock().len()).collect()
     }
 }
 
@@ -803,31 +645,6 @@ mod tests {
             assert!(o < 7);
             assert_eq!(o, dht.owner(&key));
         }
-    }
-
-    #[test]
-    fn sub_shard_count_gives_contention_headroom() {
-        // A phase runs at most min(os_threads, ranks) workers, so the
-        // sub-shard count is always >= 8x the worker count.
-        let topo = Topology::new(16, 8);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        assert_eq!(dht.sub_shard_count(), 16 * SUB_SHARDS_PER_RANK);
-        assert!(dht.sub_shard_count() >= 8 * 16);
-        // Keys of one owner spread over that owner's sub-shards.
-        let mut c = ctx(0, topo);
-        for k in 0..4096u64 {
-            dht.insert(&mut c, k, 0);
-        }
-        let rank0_keys: Vec<u64> = (0..4096).filter(|k| dht.owner(k) == 0).collect();
-        let mut subs_used = std::collections::HashSet::new();
-        for k in &rank0_keys {
-            subs_used.insert(dht.shard_of_key(k));
-        }
-        assert!(
-            subs_used.len() > SUB_SHARDS_PER_RANK / 2,
-            "keys should spread over sub-shards, used {}",
-            subs_used.len()
-        );
     }
 
     #[test]
@@ -898,21 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_local_filters() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        for k in 0..100 {
-            dht.insert(&mut c, k, (k % 10) as u32);
-        }
-        for rank in 0..2 {
-            let mut cr = ctx(rank, topo);
-            dht.retain_local(&mut cr, |_, v| *v >= 5);
-        }
-        assert_eq!(dht.len(), 50);
-    }
-
-    #[test]
     fn custom_placement_is_respected() {
         let topo = Topology::new(4, 2);
         // Everything on rank 3.
@@ -927,9 +729,8 @@ mod tests {
 
     #[test]
     fn out_of_range_custom_owner_is_rejected_in_release_builds_too() {
-        // A bogus owner would index an unrelated rank's sub-shard; the
-        // check must be a real assert, not a debug_assert (this test runs
-        // under `--release` in the bench/CI configurations as well).
+        // The check must be a real assert, not a debug_assert (this test
+        // runs under `--release` in the bench/CI configurations as well).
         let topo = Topology::new(4, 2);
         let placement = Placement::Custom(Arc::new(|_h| 7)); // >= ranks
         let dht: DistHashMap<u64, u32> = DistHashMap::with_placement(topo, placement);
@@ -949,31 +750,39 @@ mod tests {
     }
 
     #[test]
-    fn locality_hash_overrides_owner_but_not_sub_shard_spread() {
+    fn locality_hash_overrides_owner_and_is_evaluated_once_per_point_op() {
         let topo = Topology::new(4, 2);
-        // All keys share one locality hash => one owner; sub-shard
-        // selection must still ride the per-key hash and spread.
+        // All keys share one locality hash => one owner (3 % 4 ranks = 3).
+        let calls = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&calls);
         let dht: DistHashMap<u64, u32> =
-            DistHashMap::new(topo).with_locality_hash(Arc::new(|_k: &u64| 3));
+            DistHashMap::new(topo).with_locality_hash(Arc::new(move |_k: &u64| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                3
+            }));
         assert!(dht.has_locality_hash());
         let mut c = ctx(0, topo);
+        // Every point operation routes with exactly one owner evaluation.
+        let mut expect_one_call = |what: &str, op: &mut dyn FnMut(&mut RankCtx)| {
+            let before = calls.load(Ordering::Relaxed);
+            op(&mut c);
+            assert_eq!(calls.load(Ordering::Relaxed) - before, 1, "{what}");
+        };
+        expect_one_call("insert", &mut |c| assert_eq!(dht.insert(c, 7, 0), None));
+        expect_one_call("update", &mut |c| dht.update(c, 8, || 0, |v| *v += 1));
+        expect_one_call("get", &mut |c| assert_eq!(dht.get(c, &7), Some(0)));
+        expect_one_call("contains", &mut |c| assert!(dht.contains(c, &8)));
+        expect_one_call("with_mut", &mut |c| {
+            dht.with_mut(c, &8, |v| *v.unwrap() = 0)
+        });
+        expect_one_call("remove", &mut |c| assert_eq!(dht.remove(c, &8), Some(0)));
+        // Reads, batched reads and local iteration agree with the override.
         for k in 0..256u64 {
             dht.insert(&mut c, k, 0);
         }
         assert_eq!(dht.shard_sizes(), vec![0, 0, 0, 256]);
-        let subs: std::collections::HashSet<usize> =
-            (0..256u64).map(|k| dht.shard_of_key(&k)).collect();
-        assert!(
-            subs.len() > SUB_SHARDS_PER_RANK / 2,
-            "co-owned keys must spread over the owner's sub-shards, used {}",
-            subs.len()
-        );
-        // Reads, batched reads and removal agree with the overridden owner
-        // (the locality hash maps every key to 3, and 3 % 4 ranks = 3).
         assert_eq!(dht.owner(&7), dht.owner_of_hash(3));
-        assert_eq!(dht.get(&mut c, &7), Some(0));
         assert_eq!(dht.multi_get(&mut c, &[1, 2, 3]), vec![Some(0); 3]);
-        assert_eq!(dht.remove(&mut c, &7), Some(0));
     }
 
     #[test]
@@ -1038,7 +847,55 @@ mod tests {
     }
 
     #[test]
-    fn fetch_batch_returns_input_order_across_all_sub_shards() {
+    fn merge_batch_equals_sequential_updates_in_input_order() {
+        // Appending is not commutative, so any reordering of same-key (or,
+        // through the shared log, different-key) entries would show.
+        let topo = Topology::new(2, 2);
+        let batched: DistHashMap<u64, String> = DistHashMap::new(topo);
+        let reference: DistHashMap<u64, String> = DistHashMap::new(topo);
+        let mut c = ctx(0, topo);
+        let owned: Vec<u64> = (0..64).filter(|k| batched.owner(k) == 1).collect();
+        let batch: Vec<(u64, String)> = (0..500usize)
+            .map(|i| (owned[(i * 7) % owned.len()], format!("{i},")))
+            .collect();
+        let log = Mutex::new(Vec::new());
+        batched.merge_batch(1, batch.clone(), |a: &mut String, b: String| {
+            log.lock().push(b.clone());
+            a.push_str(&b);
+        });
+        for (k, v) in batch.clone() {
+            reference.update(&mut c, k, String::new, |s| s.push_str(&v));
+        }
+        let sorted = |t: &DistHashMap<u64, String>| {
+            let mut e = t.snapshot_entries();
+            e.sort();
+            e
+        };
+        assert_eq!(sorted(&batched), sorted(&reference));
+        // Merges ran in batch order across keys, not just within one key.
+        let merged = log.into_inner();
+        let mut seen = std::collections::HashSet::new();
+        let expect: Vec<String> = batch
+            .iter()
+            .filter(|(k, _)| !seen.insert(*k))
+            .map(|(_, v)| v.clone())
+            .collect();
+        assert_eq!(merged, expect);
+
+        // The existing-only variant drops absent keys and keeps the order.
+        let absent = (64..).find(|k| batched.owner(k) == 1).unwrap();
+        let second = vec![
+            (owned[0], "x".to_string()),
+            (absent, "dropped".to_string()),
+            (owned[0], "y".to_string()),
+        ];
+        batched.merge_batch_existing(1, second, |a: &mut String, b: String| a.push_str(&b));
+        assert_eq!(batched.get(&mut c, &absent), None);
+        assert!(batched.get(&mut c, &owned[0]).unwrap().ends_with("xy"));
+    }
+
+    #[test]
+    fn fetch_batch_equals_per_key_get_in_input_order() {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
@@ -1047,13 +904,6 @@ mod tests {
         for &k in owned.iter().filter(|&&k| k % 2 == 0) {
             dht.insert(&mut c, k, k as u32 * 3);
         }
-        let subs: std::collections::HashSet<usize> =
-            owned.iter().map(|k| dht.shard_of_key(k)).collect();
-        assert_eq!(
-            subs.len(),
-            SUB_SHARDS_PER_RANK,
-            "keys must span every sub-shard"
-        );
         // Duplicates, interleaved: forward then backward over the same keys.
         let probes: Vec<u64> = owned.iter().chain(owned.iter().rev()).copied().collect();
         let refs: Vec<&u64> = probes.iter().collect();
@@ -1064,23 +914,45 @@ mod tests {
     }
 
     #[test]
-    fn version_stamp_advances_on_writes_only() {
+    fn version_stamp_advances_once_per_write_and_never_on_reads() {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
-        let v0 = dht.version_stamp();
+        let owned: Vec<u64> = (0..64).filter(|k| dht.owner(k) == 0).collect();
+        let batch = || owned.iter().map(|&k| (k, 1u32));
+        let mut stamp = dht.version_stamp();
+        let mut expect_advance = |what: &str, by: u64, dht: &DistHashMap<u64, u32>| {
+            let now = dht.version_stamp();
+            assert_eq!(now - stamp, by, "{what}");
+            stamp = now;
+        };
+        // One tick per write op or applied batch, whatever the batch size.
         dht.insert(&mut c, 1, 1);
-        let v1 = dht.version_stamp();
-        assert!(v1 > v0, "insert must advance the stamp");
+        expect_advance("insert", 1, &dht);
+        dht.update(&mut c, 1, || 0, |v| *v += 1);
+        expect_advance("update", 1, &dht);
+        dht.with_mut(&mut c, &1, |v| *v.unwrap() += 1);
+        expect_advance("with_mut", 1, &dht);
+        dht.remove(&mut c, &1);
+        expect_advance("remove", 1, &dht);
+        dht.merge_batch(0, batch(), |a, b| *a += b);
+        expect_advance("merge_batch", 1, &dht);
+        dht.merge_batch_existing(0, batch(), |a, b| *a += b);
+        expect_advance("merge_batch_existing", 1, &dht);
         // Reads leave the stamp untouched: the sequence-validated read
         // protocol for caches.
-        let _ = dht.get(&mut c, &1);
-        let _ = dht.contains(&mut c, &1);
+        let refs: Vec<&u64> = owned.iter().collect();
+        let _ = dht.get(&mut c, &owned[0]);
+        let _ = dht.contains(&mut c, &owned[0]);
         let _ = dht.multi_get(&mut c, &[1, 2, 3]);
+        let _ = dht.fetch_batch(0, &refs);
+        let _ = dht.fold_local(&mut c, 0u32, |acc, _, v| acc + v);
+        let _ = dht.snapshot_local(&mut c);
         let _ = dht.snapshot_entries();
-        assert_eq!(dht.version_stamp(), v1);
-        dht.update(&mut c, 1, || 0, |v| *v += 1);
-        assert!(dht.version_stamp() > v1, "update must advance the stamp");
+        let _ = (dht.len(), dht.shard_sizes());
+        expect_advance("reads", 0, &dht);
+        assert_eq!(dht.drain_local(&mut c).len(), owned.len());
+        expect_advance("drain_local", 1, &dht);
     }
 
     #[test]
@@ -1166,7 +1038,7 @@ mod tests {
         let mut stats = vec![crate::CommStats::new(); 4];
         dht.drain_service_into(&mut stats);
 
-        // Contention: hold key 0's sub-shard lock while another thread
+        // Contention: hold key 0's partition lock while another thread
         // inserts that key. The insert's try_lock fails and counts
         // contention *before* blocking, so we can wait on the counter and
         // then release.
@@ -1178,7 +1050,7 @@ mod tests {
                 _ => None,
             })
         };
-        let held = dht.shards[dht.shard_of_key(&0)].map.lock();
+        let held = dht.shards[dht.owner(&0)].map.lock();
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut c2 = RankCtx::new(1, topo);

@@ -43,9 +43,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// Default per-message retry budget before a transient fault escalates.
 pub const DEFAULT_MAX_RETRIES: u32 = 4;
 
-/// Default cap on the backoff exponent: attempt `n` adds
-/// `2^min(n-1, cap)` backoff units.
-pub const DEFAULT_BACKOFF_CAP: u32 = 6;
+/// Cap on the backoff exponent: attempt `n` adds `2^min(n-1, cap)` backoff
+/// units.
+pub const BACKOFF_CAP: u32 = 6;
 
 /// Why a rank failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,7 +134,6 @@ pub struct FaultPlan {
     /// threshold (`u128` so probability 1.0 is representable).
     transient_threshold: u128,
     max_retries: u32,
-    backoff_cap: u32,
     /// One-shot hard kill: `(rank, at_event)`.
     kill: Option<(usize, u64)>,
     kill_fired: AtomicBool,
@@ -150,7 +149,6 @@ impl FaultPlan {
             seed,
             transient_threshold: 0,
             max_retries: DEFAULT_MAX_RETRIES,
-            backoff_cap: DEFAULT_BACKOFF_CAP,
             kill: None,
             kill_fired: AtomicBool::new(false),
             events: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
@@ -173,13 +171,6 @@ impl FaultPlan {
         self
     }
 
-    /// Cap the exponential-backoff exponent (attempt `n` adds
-    /// `2^min(n-1, cap)` backoff units).
-    pub fn with_backoff_cap(mut self, cap: u32) -> Self {
-        self.backoff_cap = cap;
-        self
-    }
-
     /// Schedule a one-shot hard failure: `rank` dies at its `at_event`-th
     /// remote communication event. Because event counters persist across
     /// stages, the re-executed stage does not hit the same event again —
@@ -195,12 +186,6 @@ impl FaultPlan {
     #[inline]
     pub fn max_retries(&self) -> u32 {
         self.max_retries
-    }
-
-    /// The backoff exponent cap.
-    #[inline]
-    pub fn backoff_cap(&self) -> u32 {
-        self.backoff_cap
     }
 
     /// Total remote communication events each rank has issued so far.

@@ -141,10 +141,13 @@ impl Value {
     }
 
     /// Parse a JSON document (must be a single value plus whitespace).
+    /// Arrays and objects may nest at most 128 deep; deeper is a
+    /// [`ParseError`], not a stack overflow.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -247,9 +250,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting the parser accepts. It recurses once per
+/// level and documents arrive from outside the process (`hipmer serve`
+/// request bodies), so unbounded nesting is a stack overflow — an abort, not
+/// an error — at the sender's choosing. The deepest document this workspace
+/// writes nests 5 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -294,11 +306,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one container, refusing to go deeper than [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -537,6 +563,23 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        // Unbounded recursion would abort the whole process on these.
+        for unit in ["[", "{\"a\":"] {
+            let err = Value::parse(&unit.repeat(200_000)).unwrap_err();
+            assert!(err.msg.contains("nesting deeper"), "{err}");
+            assert_eq!(err.pos, unit.len() * MAX_DEPTH);
+        }
+        // Exactly at the cap still parses; one more level does not.
+        let nest = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Depth counts open containers, not containers seen.
+        let wide = format!("[{}[]]", "[],".repeat(10 * MAX_DEPTH));
+        assert!(Value::parse(&wide).is_ok());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!
 //! Lock waiting reports itself through this registry (never through a new
 //! [`crate::CommStats`] field, which would change the report schema):
-//! `pgas/dht/lock_contention` counts sub-shard locks an accessor found
-//! held and then waited for.
+//! `pgas/dht/lock_contention` counts rank-partition locks an accessor
+//! found held and then waited for.
 //!
 //! ## Exposition
 //!

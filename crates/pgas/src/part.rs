@@ -25,9 +25,9 @@
 //! byte-identical under any scheme — only the communication tallies move.
 //!
 //! The partitioner feeds [`DistHashMap::with_locality_hash`]: the owner is
-//! chosen from the minimizer hash while sub-shard selection keeps the
-//! uniform per-key hash, so a minimizer run co-owned by one rank still
-//! spreads across that owner's sub-shard locks.
+//! chosen from the minimizer hash, and that one choice is all the routing
+//! there is — a minimizer run lands in one rank's partition, under its one
+//! lock.
 //!
 //! Coherence rule: tables whose entries flow into each other without
 //! re-homing (the k-mer votes table and the final spectrum table, the

@@ -321,15 +321,6 @@ impl PipelineReport {
         acc
     }
 
-    /// Modeled seconds of the phases whose name contains `needle`.
-    pub fn modeled_matching(&self, model: &CostModel, needle: &str) -> f64 {
-        self.phases
-            .iter()
-            .filter(|p| p.name.contains(needle))
-            .map(|p| p.modeled(model).total())
-            .sum()
-    }
-
     /// Compare measured and modeled time phase by phase. For phases whose
     /// ranks carry [`CommStats::exec_nanos`] stamps, the measured quantity
     /// is the slowest rank's execution seconds and the modeled one is the
@@ -368,21 +359,6 @@ impl PipelineReport {
                 })
             })
             .collect()
-    }
-
-    /// The worst (largest) relative model error among phases whose priced
-    /// time is at least `min_compute_fraction` compute. Calibration gates
-    /// and the measured-scaling bench summarize a whole run with this one
-    /// number; `None` when no phase qualifies.
-    pub fn worst_model_error(
-        &self,
-        model: &CostModel,
-        min_compute_fraction: f64,
-    ) -> Option<PhaseModelError> {
-        self.model_errors(model)
-            .into_iter()
-            .filter(|e| e.compute_fraction >= min_compute_fraction)
-            .max_by(|a, b| a.rel_error.total_cmp(&b.rel_error))
     }
 
     /// Render a per-phase table (name, modeled seconds, % of total,
@@ -1159,7 +1135,5 @@ mod tests {
         let text = pr.render(&model);
         assert!(text.contains("TOTAL"));
         assert!(text.lines().count() >= 4);
-        assert!(pr.modeled_matching(&model, "test") > 0.0);
-        assert_eq!(pr.modeled_matching(&model, "nope"), 0.0);
     }
 }

@@ -204,27 +204,6 @@ impl RankCtx {
             }
         }
     }
-
-    /// As [`RankCtx::for_each_dynamic`] with one cost weight per item
-    /// (`weights.len()` items): heavier items close chunks sooner, so a
-    /// long contig or deep gap travels alone instead of dragging its
-    /// chunk-mates onto the critical rank.
-    pub fn for_each_dynamic_weighted<F: FnMut(&mut RankCtx, usize)>(
-        &mut self,
-        weights: &[u64],
-        mut f: F,
-    ) {
-        let pool = crate::metrics::is_enabled().then(|| self.progress_pool());
-        for range in self.dynamic_ranges_weighted(weights) {
-            let len = range.len() as u64;
-            for i in range {
-                f(self, i);
-            }
-            if let Some(pool) = &pool {
-                crate::metrics::pool_progress(pool, len, weights.len() as u64);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -248,7 +227,7 @@ mod tests {
         let (per_rank, _) = team.run(|ctx| {
             let mut seen = Vec::new();
             match &weights {
-                Some(w) => ctx.for_each_dynamic_weighted(w, |_, i| seen.push(i)),
+                Some(w) => seen.extend(ctx.dynamic_ranges_weighted(w).into_iter().flatten()),
                 None => ctx.for_each_dynamic(n, |_, i| seen.push(i)),
             }
             seen

@@ -12,7 +12,7 @@
 //!
 //! Rank→thread placement is blocked: worker `w` of `W` executes the
 //! **contiguous block** of ranks `w·P/W .. (w+1)·P/W`. A rank's working
-//! set — its DHT sub-shards, its aggregation buffers — stays on one worker
+//! set — its DHT partition, its aggregation buffers — stays on one worker
 //! for a whole phase, and consecutive ranks, whose DHT partitions are
 //! adjacent, share that worker's caches: the single-process analogue of
 //! NUMA-aware rank pinning (DESIGN.md §12).
@@ -57,13 +57,6 @@ impl RankCtx {
     /// phase. Used to name progress pools in [`crate::metrics`].
     pub fn phase(&self) -> &str {
         &self.phase
-    }
-
-    /// Attach a fault plan to a forged context (tests; `Team` does this for
-    /// real phase executions).
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
     }
 
     /// The machine topology this phase runs on.
@@ -124,7 +117,7 @@ impl RankCtx {
                         FaultPlan::fail_rank(self.rank, FailureCause::RetryBudgetExhausted);
                     }
                     self.stats.retries += 1;
-                    self.stats.backoff_units += 1u64 << (attempt - 1).min(plan.backoff_cap());
+                    self.stats.backoff_units += 1u64 << (attempt - 1).min(fault::BACKOFF_CAP);
                     // The re-sent message pays latency and bytes again.
                     self.stats.access(topo, self.rank, to, bytes);
                 }
@@ -232,11 +225,9 @@ impl Team {
         }
     }
 
-    /// Attach a per-team span [`trace::Recorder`]: every phase of this team
-    /// records spans there unconditionally (the recorder's existence is the
-    /// enable flag), and never touches the process-global trace buffer.
-    /// Without one, the team falls back to the global
-    /// [`trace::is_enabled`] / [`trace::record`] machinery.
+    /// Attach a span [`trace::Recorder`]: every phase of this team records
+    /// spans there (the recorder's existence is the enable flag). Without
+    /// one, the team records no spans.
     pub fn with_recorder(mut self, recorder: trace::Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -266,11 +257,6 @@ impl Team {
         );
         self.faults = Some(plan);
         self
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.faults.as_ref()
     }
 
     /// The topology this team executes on.
@@ -306,8 +292,8 @@ impl Team {
     ///
     /// The implicit barrier at phase end is recorded in every rank's stats,
     /// and each rank's measured execution time is stamped into
-    /// [`CommStats::exec_nanos`]. When [`crate::trace`] is enabled, a span
-    /// per sampled rank is recorded under `label`.
+    /// [`CommStats::exec_nanos`]. With a [`trace::Recorder`] attached, a
+    /// span per sampled rank is recorded under `label`.
     pub fn run_named<R, F>(&self, label: &str, f: F) -> (Vec<R>, Vec<CommStats>)
     where
         R: Send,
@@ -335,20 +321,9 @@ impl Team {
         type Bucket<R> = Vec<(usize, Option<R>, CommStats, Option<fault::RankFailure>)>;
 
         let phase_start = Instant::now();
-        let (tracing, sample) = match &self.recorder {
-            Some(recorder) => (true, recorder.sample_ranks()),
-            None => (trace::is_enabled(), trace::sample_ranks()),
-        };
-        let span_label = |rank: usize| (tracing && rank < sample).then_some(label);
-        let record_spans = |spans: Vec<trace::SpanEvent>| {
-            if spans.is_empty() {
-                return;
-            }
-            match &self.recorder {
-                Some(recorder) => recorder.record(spans),
-                None => trace::record(spans),
-            }
-        };
+        let recorder = self.recorder.as_ref();
+        let sample = recorder.map_or(0, trace::Recorder::sample_ranks);
+        let span_label = |rank: usize| (rank < sample).then_some(label);
         let faults = self.faults.as_ref();
 
         // Blocked placement: worker `w` owns one contiguous rank block.
@@ -377,7 +352,9 @@ impl Team {
                 spans.extend(span);
                 local.push((rank, out, stats, failure));
             }
-            record_spans(spans);
+            if let Some(recorder) = recorder.filter(|_| !spans.is_empty()) {
+                recorder.record(spans);
+            }
             local
         };
 
@@ -534,18 +511,6 @@ mod tests {
         let mut ranks: Vec<usize> = recorder.take_events().iter().map(|e| e.rank).collect();
         ranks.sort_unstable();
         assert_eq!(ranks, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn team_without_recorder_records_nothing_for_this_phase() {
-        let label = "test/tracing-disabled";
-        let team = Team::new(Topology::new(4, 4)).with_os_threads(2);
-        team.run_named(label, |ctx| ctx.rank);
-        // Don't drain the global buffer (a concurrent test may be
-        // tracing); just check nothing carries this label.
-        let stolen: Vec<_> = crate::trace::take_events();
-        assert!(stolen.iter().all(|e| e.phase != label));
-        crate::trace::record(stolen); // put concurrent tests' spans back
     }
 
     /// Deterministic stage-abort selection must hold while ranks ship

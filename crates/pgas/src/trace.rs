@@ -1,12 +1,10 @@
 //! Structured tracing for SPMD phase execution.
 //!
-//! When enabled, [`crate::Team::run_named`] records one span per *sampled*
+//! A [`crate::Team`] carrying a [`Recorder`] records one span per *sampled*
 //! virtual rank per phase: when the rank started executing (relative to the
 //! trace epoch), how long its body ran, how long it sat in the OS-thread
-//! multiplex queue before starting, and how many barriers it crossed. The
-//! recorder is process-global so one flag covers every `Team` a pipeline
-//! constructs internally; when disabled (the default) the only cost on the
-//! phase path is one relaxed atomic load per rank.
+//! multiplex queue before starting, and how many barriers it crossed. A
+//! team without one records nothing and pays nothing.
 //!
 //! [`chrome_trace_json`] serializes the collected spans in the Chrome
 //! trace-event format (`chrome://tracing`, Perfetto): one process, one lane
@@ -20,12 +18,9 @@
 //! (the paper's Fig. 6 load-imbalance story).
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Default number of ranks whose spans are recorded per phase.
-pub const DEFAULT_SAMPLE_RANKS: usize = 16;
 
 /// One recorded rank-execution span.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,22 +58,14 @@ pub struct SpanEvent {
     pub steal_ops: u64,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SAMPLE_RANKS: AtomicUsize = AtomicUsize::new(DEFAULT_SAMPLE_RANKS);
 static HOTKEY_CAPACITY: AtomicUsize = AtomicUsize::new(0);
-static EVENTS: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 
 /// A span recorder scoped to one [`Team`](crate::Team) (or any set of teams
-/// that share a clone) instead of the process-global buffer.
-///
-/// The process-global recorder exists so one `--trace` flag covers every
-/// team a pipeline constructs internally — but it makes concurrent users
-/// (parallel tests, future multi-tenant pipelines) share one buffer and
-/// one enable flag, which is exactly the cross-talk the old
-/// `TRACE_TEST_LOCK` test serialization papered over. Attach a `Recorder`
-/// with [`Team::with_recorder`](crate::Team::with_recorder) and that
-/// team's phases record here unconditionally (the recorder's existence
-/// *is* the enable flag), never touching the global buffer.
+/// that share a clone), so concurrent users — parallel tests, the jobs of a
+/// multi-tenant server — never share a buffer. Attach it with
+/// [`Team::with_recorder`](crate::Team::with_recorder) and that team's
+/// phases record here unconditionally: the recorder's existence *is* the
+/// enable flag.
 ///
 /// Clones share the underlying buffer, so one recorder can span a
 /// multi-team pipeline and be drained once at the end.
@@ -140,53 +127,6 @@ pub fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Start recording spans for the first `sample_ranks` ranks of every phase
-/// (0 disables sampling caps entirely and records every rank).
-pub fn enable(sample_ranks: usize) {
-    epoch(); // pin the epoch before any span is recorded
-    SAMPLE_RANKS.store(
-        if sample_ranks == 0 {
-            usize::MAX
-        } else {
-            sample_ranks
-        },
-        Ordering::Relaxed,
-    );
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Stop recording. Already-collected spans stay until [`take_events`].
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Whether spans are being recorded.
-#[inline]
-pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Ranks per phase whose spans are recorded while tracing is enabled.
-#[inline]
-pub fn sample_ranks() -> usize {
-    SAMPLE_RANKS.load(Ordering::Relaxed)
-}
-
-/// Change how many ranks per phase are sampled without toggling the
-/// enabled flag (0 removes the cap and records every rank) — the hook
-/// `--trace-sample-ranks` reaches through. [`enable`] also sets this;
-/// call `set_sample_ranks` after it to adjust a live tracer.
-pub fn set_sample_ranks(sample_ranks: usize) {
-    SAMPLE_RANKS.store(
-        if sample_ranks == 0 {
-            usize::MAX
-        } else {
-            sample_ranks
-        },
-        Ordering::Relaxed,
-    );
-}
-
 /// Set the Misra–Gries capacity for per-table hot-key tracking. Takes
 /// effect for `DistHashMap`s created afterwards; 0 (the default) disables
 /// tracking.
@@ -198,17 +138,6 @@ pub fn set_hotkey_capacity(capacity: usize) {
 #[inline]
 pub fn hotkey_capacity() -> usize {
     HOTKEY_CAPACITY.load(Ordering::Relaxed)
-}
-
-/// Record a batch of spans (called by `Team::run_named`; public so other
-/// executors can feed the same trace).
-pub fn record(events: impl IntoIterator<Item = SpanEvent>) {
-    EVENTS.lock().extend(events);
-}
-
-/// Drain all collected spans, oldest first.
-pub fn take_events() -> Vec<SpanEvent> {
-    std::mem::take(&mut *EVENTS.lock())
 }
 
 /// Serialize spans in the Chrome trace-event JSON array format readable by
@@ -361,18 +290,6 @@ mod tests {
             .map(|e| e.get("name").and_then(Value::as_str).unwrap())
             .collect();
         assert_eq!(names, labels);
-    }
-
-    #[test]
-    fn sample_ranks_is_settable_without_toggling_enable() {
-        // Touches only the sample-ranks cell; the enabled flag stays off.
-        let before = sample_ranks();
-        set_sample_ranks(3);
-        assert_eq!(sample_ranks(), 3);
-        assert!(!is_enabled());
-        set_sample_ranks(0);
-        assert_eq!(sample_ranks(), usize::MAX, "0 removes the cap");
-        set_sample_ranks(before);
     }
 
     #[test]

@@ -16,7 +16,7 @@ fn add(a: &mut u32, b: u32) {
 }
 
 /// One phase of writes then one of reads with every key owned by a
-/// single rank, so all workers queue on the same eight sub-shard locks.
+/// single rank, so all workers queue on that rank's one partition lock.
 /// Returns the table contents, the outbox-fed side table's contents,
 /// what each rank's lookups delivered, and both phases' per-rank stats.
 #[allow(clippy::type_complexity)]

@@ -217,6 +217,24 @@ fn duplicates_hit_the_cache_instead_of_recomputing() {
 }
 
 #[test]
+fn deeply_nested_body_gets_400_and_the_server_keeps_serving() {
+    // 200 kB of '[' is far under the body limit; a parser that recurses per
+    // level without a cap overflows the connection thread's stack and takes
+    // the whole process — every tenant's jobs — down with it.
+    let (server, addr, exec) = start("deepjson", Duration::from_millis(1), |_| {});
+    let body = "[".repeat(200_000);
+    let (status, reply) = http::request(&addr, "POST", "/v1/jobs", Some(body.as_bytes())).unwrap();
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&reply));
+    let doc = Value::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+    assert_eq!(doc.get("error").and_then(Value::as_str), Some("bad_spec"));
+    let (status, _stats) = get_json(&addr, "/v1/stats");
+    assert_eq!(status, 200, "server must still answer after the bad body");
+    assert_eq!(exec.executions.load(Ordering::SeqCst), 0);
+    let _ = http::request(&addr, "POST", "/admin/drain", None).unwrap();
+    server.join();
+}
+
+#[test]
 fn full_queue_rejects_with_429() {
     let (server, addr, _exec) = start("queuefull", Duration::from_millis(200), |cfg| {
         cfg.queue_capacity = 2;
