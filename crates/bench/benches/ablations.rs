@@ -10,8 +10,8 @@
 //!    the node-level coarsening refinement.
 //! 5. Round-robin vs blocked gap distribution — gap-closing load balance
 //!    (§4.8).
-//! 6. Traversal mode cross-check — cooperative / endpoint / speculative
-//!    produce identical contigs at different cost profiles.
+//! 6. Traversal mode cross-check — cooperative / endpoint produce
+//!    identical contigs at different cost profiles.
 //! 7. Parallel FASTQ reader vs a SeqDB-like binary store (§3.3's claim:
 //!    FASTQ reading reaches SeqDB's bandwidth up to the compression
 //!    factor).
@@ -143,7 +143,7 @@ fn main() {
         let oracle = Arc::new(build_oracle(&contigs, &topo, slots));
         let collisions = oracle.collisions();
         let kb = oracle.memory_bytes() / 1024;
-        let (graph, _) = build_graph(&team, &spectrum, oracle.placement(), Partitioner::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, Some(oracle), Partitioner::Uniform);
         let (_, traversal) = traverse_graph(&team, &graph, &ccfg);
         // A vector far smaller than the k-mer set funnels most k-mers onto
         // the first-written ranks: lookups turn local but the load
@@ -164,7 +164,7 @@ fn main() {
     let (graph, _) = build_graph(
         &team,
         &spectrum,
-        Arc::new(oracle).placement(),
+        Some(Arc::new(oracle)),
         Partitioner::Uniform,
     );
     let (_, traversal) = traverse_graph(&team, &graph, &ccfg);
@@ -343,11 +343,7 @@ fn main() {
         "Ablation 6",
         "traversal modes: identical contigs, different cost profiles",
     );
-    for mode in [
-        TraversalMode::Cooperative,
-        TraversalMode::EndpointWalk,
-        TraversalMode::Speculative,
-    ] {
+    for mode in [TraversalMode::Cooperative, TraversalMode::EndpointWalk] {
         let mut cfg = ContigConfig::new(k);
         cfg.mode = mode;
         let (set, reports) = generate_contigs(&team, &spectrum, &cfg);

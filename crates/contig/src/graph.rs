@@ -1,8 +1,16 @@
 //! De Bruijn graph construction in a distributed hash table.
+//!
+//! [`build_graph`] is where vertex ownership is decided, once: the node
+//! table is built either by the oracle ([`OracleVector::table`]) or by the
+//! run's partitioner ([`Partitioner::table`]), and the traversal reads the
+//! consequence — whether walks stop at ownership boundaries — from
+//! [`DebruijnGraph::stop_foreign`] instead of asking the table how it
+//! routes.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{DistHashMap, Partitioner, PhaseReport, Placement, Team};
+use hipmer_pgas::{DistHashMap, OracleVector, Partitioner, PhaseReport, Team};
+use std::sync::Arc;
 
 /// A graph vertex: one UU k-mer with its unique extensions.
 #[derive(Clone, Copy, Debug)]
@@ -24,38 +32,42 @@ pub struct DebruijnGraph {
     pub nodes: DistHashMap<Kmer, GraphNode>,
     /// K-mer codec.
     pub codec: KmerCodec,
+    /// Whether claim walks stop at ownership boundaries (see
+    /// `traverse::step_claim`). Set when the node table co-locates adjacent
+    /// k-mers by minimizer, so each rank claims its own runs locally; unset
+    /// under uniform hashing (nothing to exploit) and under an oracle (whose
+    /// owner already follows whole contigs, so a walk that crosses ranks is
+    /// a collision to walk through, not a run boundary).
+    pub stop_foreign: bool,
 }
 
-/// Build the graph from a finished k-mer spectrum, placing vertices with
-/// `placement` ([`Placement::Cyclic`] for the baseline; an oracle placement
-/// for the communication-avoiding traversal) and, under `Cyclic`, the
-/// partitioner's locality hash (minimizer bucketing). An oracle
-/// `Placement::Custom` supersedes the partitioner: the oracle already
-/// encodes a (stronger, contig-exact) locality decision per hash, so
-/// installing a second locality layer under it would only re-home the
+/// Build the graph from a finished k-mer spectrum. Vertices are owned as
+/// `oracle` says when one is given (the communication-avoiding traversal
+/// of §3.2), otherwise as `partitioner` says. An oracle supersedes the
+/// partitioner: it already encodes a (stronger, contig-exact) locality
+/// decision per k-mer, so a minimizer layer under it would only re-home the
 /// k-mers the oracle deliberately grouped.
 ///
 /// Only UU k-mers become vertices (§2: "for k-mers where the extensions
 /// are \[unique\] in both directions"). Each rank streams its local spectrum
-/// shard into the graph table; with matching spectrum→graph placement this
-/// is mostly rank-local, while an oracle placement reshuffles vertices to
-/// their contig's rank (paying the one-time movement the paper folds into
-/// graph construction).
+/// shard into the graph table; with matching spectrum→graph ownership this
+/// is mostly rank-local, while an oracle reshuffles vertices to their
+/// contig's rank (paying the one-time movement the paper folds into graph
+/// construction).
 pub fn build_graph(
     team: &Team,
     spectrum: &KmerSpectrum,
-    placement: Placement,
+    oracle: Option<Arc<OracleVector>>,
     partitioner: Partitioner,
 ) -> (DebruijnGraph, PhaseReport) {
-    let apply_locality = matches!(placement, Placement::Cyclic);
-    let nodes: DistHashMap<Kmer, GraphNode> = DistHashMap::with_placement(*team.topo(), placement);
-    let nodes = if apply_locality {
-        match partitioner.locality_hash(spectrum.codec) {
-            Some(f) => nodes.with_locality_hash(f),
-            None => nodes,
-        }
-    } else {
-        nodes
+    let topo = *team.topo();
+    let (nodes, label, stop_foreign): (DistHashMap<Kmer, GraphNode>, String, bool) = match oracle {
+        Some(oracle) => (oracle.table(topo), "oracle".to_string(), false),
+        None => (
+            partitioner.table(topo, spectrum.codec),
+            partitioner.label(),
+            partitioner != Partitioner::Uniform,
+        ),
     };
 
     let (_, mut stats) = team.run_named("contig/graph-build", |ctx| {
@@ -77,16 +89,12 @@ pub fn build_graph(
         }
     });
     nodes.drain_service_into(&mut stats);
-    let label = if apply_locality {
-        partitioner.label()
-    } else {
-        "oracle".to_string()
-    };
-    let report = PhaseReport::new("contig/graph-build", *team.topo(), stats).with_placement(label);
+    let report = PhaseReport::new("contig/graph-build", topo, stats).with_placement(label);
     (
         DebruijnGraph {
             nodes,
             codec: spectrum.codec,
+            stop_foreign,
         },
         report,
     )
@@ -138,7 +146,7 @@ mod tests {
                 ("GTA", ExtChoice::Unique(2), ExtChoice::None),      // UX
             ],
         );
-        let (graph, _) = build_graph(&team, &spectrum, Placement::Cyclic, Partitioner::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, None, Partitioner::Uniform);
         assert_eq!(graph.nodes.len(), 1);
         let mut ctx = RankCtx::new(0, topo);
         let codec = KmerCodec::new(3);
@@ -146,8 +154,15 @@ mod tests {
         assert!(graph.nodes.get(&mut ctx, &acg).is_some());
     }
 
+    /// A one-slot oracle: every k-mer is owned by `rank`.
+    fn everything_on(rank: usize, ranks: usize) -> Option<Arc<OracleVector>> {
+        let mut oracle = OracleVector::new(1, ranks);
+        oracle.assign(0, rank);
+        Some(Arc::new(oracle))
+    }
+
     #[test]
-    fn custom_placement_moves_vertices() {
+    fn oracle_moves_vertices() {
         let topo = Topology::new(4, 2);
         let team = Team::new(topo);
         let spectrum = spectrum_from(
@@ -159,13 +174,13 @@ mod tests {
                 ("GCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
             ],
         );
-        let everything_on_3 = Placement::Custom(std::sync::Arc::new(|_h| 3usize));
-        let (graph, _) = build_graph(&team, &spectrum, everything_on_3, Partitioner::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, everything_on(3, 4), Partitioner::Uniform);
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 0, 0, 3]);
+        assert!(!graph.stop_foreign);
     }
 
     #[test]
-    fn minimizer_partitioner_rehomes_vertices_under_cyclic_only() {
+    fn oracle_supersedes_the_minimizer_partitioner() {
         let topo = Topology::new(4, 2);
         let team = Team::new(topo);
         let spectrum = spectrum_from(
@@ -178,14 +193,24 @@ mod tests {
             ],
         );
         let part = Partitioner::new(hipmer_pgas::PartitionScheme::Minimizer, 3);
-        // Cyclic placement: the partitioner's locality hash decides owners.
-        let (graph, _) = build_graph(&team, &spectrum, Placement::Cyclic, part);
-        assert!(graph.nodes.has_locality_hash());
-        assert_eq!(graph.nodes.len(), 3);
-        // An oracle-style custom placement supersedes the partitioner.
-        let oracle = Placement::Custom(std::sync::Arc::new(|_h| 1usize));
-        let (graph, _) = build_graph(&team, &spectrum, oracle, part);
-        assert!(!graph.nodes.has_locality_hash());
+        // No oracle: the partitioner decides owners, and minimizer runs
+        // are worth stopping at.
+        let (graph, report) = build_graph(&team, &spectrum, None, part);
+        assert!(graph.stop_foreign);
+        assert_eq!(report.placement.as_deref(), Some("minimizer(w=1,m=3)"));
+        let by_minimizer: DistHashMap<Kmer, GraphNode> = part.table(topo, graph.codec);
+        for (km, _) in graph.nodes.snapshot_entries() {
+            assert_eq!(graph.nodes.owner(&km), by_minimizer.owner(&km));
+        }
+        // An oracle supersedes it — owners, label, and walks that do NOT
+        // stop at ownership boundaries even though the run's partition
+        // scheme is minimizer.
+        let (graph, report) = build_graph(&team, &spectrum, everything_on(1, 4), part);
+        assert!(!graph.stop_foreign);
+        assert_eq!(report.placement.as_deref(), Some("oracle"));
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 3, 0, 0]);
+        // Uniform hashing has no runs to stop at either.
+        let (graph, _) = build_graph(&team, &spectrum, None, Partitioner::Uniform);
+        assert!(!graph.stop_foreign);
     }
 }

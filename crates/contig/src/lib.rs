@@ -8,18 +8,15 @@
 //! almost always remote — the O(G) message bottleneck the paper's oracle
 //! partitioning attacks.
 //!
-//! Traversal here is the *deterministic endpoint-walk* formulation: each
-//! rank scans its local shard for path endpoints (k-mers whose
-//! left-neighbor link is absent or non-mutual), walks right from each
-//! endpoint emitting one base per lookup, and a tie-break on the endpoint
-//! pair ensures every maximal path is emitted exactly once regardless of
-//! schedule. Cyclic components (no endpoints) are swept in a cleanup pass.
-//! This has the same per-extension communication profile as the paper's
-//! speculative-seed traversal (one lookup per explored vertex) while being
-//! schedule-independent, which the oracle experiments (Tables 1–2) rely on
-//! for apples-to-apples counter comparisons. A speculative-seed mode in
-//! the paper's style is provided as [`traverse::speculative`] for the
-//! ablation benches.
+//! Traversal is the paper's cooperative scheme — one claim walk per seed
+//! ([`TraversalMode::Cooperative`]): every rank seeds from its local
+//! buckets, claims vertices in the access that reads them, stops where
+//! another walk's claim begins, and a serial pass merges the subcontig
+//! chains. [`TraversalMode::EndpointWalk`] — one walker per path endpoint,
+//! emitted by an endpoint tie-break, cycles swept in a cleanup pass — is
+//! the schedule-independent reference the tests hold it to; both have the
+//! same per-extension communication profile (one lookup per explored
+//! vertex).
 
 pub mod contig_set;
 pub mod graph;
@@ -28,5 +25,5 @@ pub mod traverse;
 
 pub use contig_set::{Contig, ContigSet};
 pub use graph::{build_graph, DebruijnGraph, GraphNode};
-pub use oracle_build::{build_oracle, build_oracle_for_k, kmer_placement_hash};
+pub use oracle_build::{build_oracle, build_oracle_for_k};
 pub use traverse::{generate_contigs, prune_hairs, traverse_graph, ContigConfig, TraversalMode};

@@ -10,17 +10,7 @@
 //! k-sweeps of one genome.
 
 use crate::contig_set::ContigSet;
-use hipmer_dna::{Kmer, KmerBuildHasher};
 use hipmer_pgas::{OracleVector, Topology};
-use std::hash::BuildHasher;
-
-/// The placement hash for a k-mer — must agree with what
-/// [`hipmer_pgas::DistHashMap`] computes for `Kmer` keys, since the oracle
-/// vector is indexed by `uniform_hash(A)`.
-#[inline]
-pub fn kmer_placement_hash(km: &Kmer) -> u64 {
-    KmerBuildHasher::default().hash_one(km)
-}
 
 /// Build an oracle vector with `slots` entries from `contigs`, targeting
 /// `topo.ranks()` owners, keyed by the contigs' own k.
@@ -59,7 +49,7 @@ pub fn build_oracle_for_k(
             heap.pop().expect("at least one rank");
         // Step 2: claim every k-mer's slot for that rank.
         for (_, _, canon) in codec.canonical_kmers(&contig.seq) {
-            oracle.assign(kmer_placement_hash(&canon), rank);
+            oracle.assign(OracleVector::kmer_hash(&canon), rank);
         }
         heap.push((
             std::cmp::Reverse(load + contig.len()),
@@ -101,7 +91,7 @@ mod tests {
                 .seq
                 .windows(21)
                 .filter_map(|w| codec.pack(w))
-                .map(|km| oracle.owner(kmer_placement_hash(&codec.canonical(km))))
+                .map(|km| oracle.owner(OracleVector::kmer_hash(&codec.canonical(km))))
                 .collect();
             // Nearly all k-mers of one contig land on one rank; slot
             // collisions with other contigs leak a small fraction.
@@ -130,7 +120,7 @@ mod tests {
         for contig in &set.contigs {
             if let Some(w) = contig.seq.windows(21).next() {
                 let km = codec.canonical(codec.pack(w).unwrap());
-                per_rank[oracle.owner(kmer_placement_hash(&km))] += 1;
+                per_rank[oracle.owner(OracleVector::kmer_hash(&km))] += 1;
             }
         }
         let max = *per_rank.iter().max().unwrap();

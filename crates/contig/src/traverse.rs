@@ -2,26 +2,27 @@
 //!
 //! Mutual unique-extension links give every vertex in-degree ≤ 1 and
 //! out-degree ≤ 1, so the graph decomposes into simple paths and cycles.
-//! The default traversal walks each path from its endpoints: every rank
-//! scans its **local** shard for endpoint vertices (the paper's "processors
-//! select traversal seeds from local buckets"), walks right one
-//! hash-table lookup per extension, and emits the contig if its endpoint
-//! pair tie-break says so — a schedule-independent way to emit each path
-//! exactly once. A cleanup pass linearizes cyclic components.
-//!
-//! [`speculative`] implements the paper's random-seed formulation (seeds
-//! claimed speculatively, duplicates resolved afterwards) for the ablation
-//! benches; both produce the identical contig set.
+//! The paper's traversal ([`TraversalMode::Cooperative`]) is one claim walk
+//! per seed: every rank picks seeds from its **local** buckets, claims the
+//! seed, extends it in both directions with one claiming access per vertex,
+//! stops where another walk's claim (or the walk cap, or an ownership
+//! boundary) begins, and a serial pass stitches the resulting subcontig
+//! chains. [`TraversalMode::EndpointWalk`] is the deterministic reference
+//! the tests compare against: one walker per path endpoint, emitted by an
+//! endpoint tie-break, plus a cleanup pass that linearizes cycles. Both
+//! produce the identical contig set.
 
 use crate::contig_set::ContigSet;
 use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::{
-    PartitionScheme, Partitioner, PhaseReport, Placement, RankCtx, Schedule, SoftwareCache, Team,
+    CommStats, OracleVector, PartitionScheme, Partitioner, PhaseReport, RankCtx, Schedule,
+    SoftwareCache, Team,
 };
+use std::sync::Arc;
 
-/// Which traversal algorithm to run (ablation hook; all three emit the
+/// Which traversal algorithm to run (ablation hook; both emit the
 /// identical contig set).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraversalMode {
@@ -32,10 +33,9 @@ pub enum TraversalMode {
     /// when one contig spans the whole genome.
     Cooperative,
     /// Deterministic endpoint walks: one walker per path endpoint (simple,
-    /// but serializes each contig onto one rank).
+    /// but serializes each contig onto one rank). The reference the
+    /// property tests hold `Cooperative` to.
     EndpointWalk,
-    /// Random local seeds with duplicate resolution by deduplication.
-    Speculative,
 }
 
 /// Traversal configuration.
@@ -45,8 +45,9 @@ pub struct ContigConfig {
     /// Meraculous convention of keeping everything at least one k-mer
     /// long).
     pub min_contig_len: usize,
-    /// Vertex placement: cyclic (baseline) or oracle.
-    pub placement: Placement,
+    /// Oracle vertex ownership (§3.2), or `None` for the run's partition
+    /// scheme.
+    pub oracle: Option<Arc<OracleVector>>,
     /// Traversal algorithm.
     pub mode: TraversalMode,
     /// Cooperative mode: cap on steps per walk before the subcontig is
@@ -65,12 +66,12 @@ pub struct ContigConfig {
     /// rank). [`Schedule::Dynamic`] pools all seeds and deals them as
     /// guided chunks, so any rank may walk any region; the claim flags
     /// still guarantee each vertex is consumed exactly once and the merged
-    /// contig set is byte-identical. Ignored by the other traversal modes.
+    /// contig set is byte-identical. Ignored by [`TraversalMode::EndpointWalk`].
     pub schedule: Schedule,
-    /// How graph vertices map to ranks under cyclic placement: uniform
-    /// hashing or minimizer bucketing (adjacent k-mers share an owner, so
-    /// claim/probe steps stay local within minimizer runs). Superseded by
-    /// an oracle [`Placement::Custom`] — see [`crate::graph::build_graph`].
+    /// How graph vertices map to ranks: uniform hashing or minimizer
+    /// bucketing (adjacent k-mers share an owner, so claim/probe steps stay
+    /// local within minimizer runs). Superseded by [`Self::oracle`] — see
+    /// [`crate::graph::build_graph`].
     pub partition: PartitionScheme,
     /// Abundance-aware hair/tip pruning floor (the MetaHipMer multi-k
     /// rounds): after traversal, contigs no longer than
@@ -91,7 +92,7 @@ impl ContigConfig {
     pub fn new(k: usize) -> Self {
         ContigConfig {
             min_contig_len: k,
-            placement: Placement::Cyclic,
+            oracle: None,
             mode: TraversalMode::Cooperative,
             walk_cap: 2048,
             node_cache: 16384,
@@ -137,12 +138,23 @@ struct Oriented {
     flipped: bool,
 }
 
+/// `kmer` as walked, with its canonical key worked out.
 fn orient(codec: &KmerCodec, kmer: Kmer) -> Oriented {
     let canon = codec.canonical(kmer);
     Oriented {
         kmer,
         canon,
         flipped: canon != kmer,
+    }
+}
+
+/// The table key `canon` itself as a walk start: forward, or (`flipped`)
+/// as its reverse complement.
+fn orient_canon(codec: &KmerCodec, canon: Kmer, flipped: bool) -> Oriented {
+    Oriented {
+        kmer: if flipped { codec.revcomp(canon) } else { canon },
+        canon,
+        flipped,
     }
 }
 
@@ -176,26 +188,6 @@ fn step_right(
         return None;
     }
     Some((next, node, b))
-}
-
-/// Whether the vertex has a mutual left neighbor (one lookup).
-fn has_left(
-    graph: &DebruijnGraph,
-    ctx: &mut RankCtx,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
-    cur: Oriented,
-    cur_node: &GraphNode,
-) -> bool {
-    let codec = &graph.codec;
-    let Some(b) = exts_of(cur_node, cur.flipped).left.unique_base() else {
-        return false;
-    };
-    let prev = orient(codec, codec.extend_left(cur.kmer, b));
-    let Some(pnode) = node_for_exts(graph, ctx, cache, &prev.canon) else {
-        return false;
-    };
-    ctx.stats.compute(1);
-    exts_of(&pnode, prev.flipped).right.unique_base() == Some(codec.last_base(cur.kmer))
 }
 
 /// Walk right from `start`, returning the sequence and the canonical keys
@@ -253,13 +245,13 @@ enum ClaimStep {
 /// reads it (one one-sided operation per explored vertex, as in the
 /// paper).
 ///
-/// With `stop_foreign` set (locality-aware placement: adjacent k-mers
-/// share an owner), the walk instead **stops at ownership boundaries**:
-/// crossing into another rank's minimizer run records a boundary link and
-/// lets that rank claim its own run from its local buckets. Every claim is
-/// then rank-local and the only remote traffic is one exts probe per run
-/// boundary — this is what converts co-ownership of adjacent k-mers into
-/// an off-node message reduction. The chain merge stitches the per-run
+/// With [`DebruijnGraph::stop_foreign`] set (minimizer ownership: adjacent
+/// k-mers share an owner), the walk instead **stops at ownership
+/// boundaries**: crossing into another rank's minimizer run records a
+/// boundary link and lets that rank claim its own run from its local
+/// buckets. Every claim is then rank-local and the only remote traffic is
+/// one exts probe per run boundary — this is what converts co-ownership of
+/// adjacent k-mers into an off-node message reduction. The chain merge stitches the per-run
 /// subcontigs exactly as it stitches walk-cap and racing-claim boundaries,
 /// so the contig set is unchanged.
 fn step_claim(
@@ -268,7 +260,6 @@ fn step_claim(
     cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
     cur: Oriented,
     cur_node: &GraphNode,
-    stop_foreign: bool,
 ) -> ClaimStep {
     let codec = graph.codec;
     let Some(b) = exts_of(cur_node, cur.flipped).right.unique_base() else {
@@ -277,7 +268,7 @@ fn step_claim(
     let next = orient(&codec, codec.extend_right(cur.kmer, b));
     let first_base = codec.first_base(cur.kmer);
     ctx.stats.compute(1);
-    if stop_foreign && graph.nodes.owner(&next.canon) != ctx.rank {
+    if graph.stop_foreign && graph.nodes.owner(&next.canon) != ctx.rank {
         // Ownership boundary. Confirm the link is real (exts-only read,
         // cache-served) before pointing the merge at it; the owner claims
         // the vertex when it seeds its own run.
@@ -305,19 +296,75 @@ fn step_claim(
     })
 }
 
+/// Index of a subcontig's left side in [`Subcontig::ends`] / `links`.
+const LEFT: usize = 0;
+/// Index of its right side.
+const RIGHT: usize = 1;
+
 /// A subcontig produced by the cooperative traversal.
 struct Subcontig {
     /// Sequence in the seed's canonical orientation.
     seq: Vec<u8>,
-    /// Canonical key of the first k-mer.
-    left_end: Kmer,
-    /// Canonical key of the last k-mer.
-    right_end: Kmer,
-    /// Canonical key of the claimed vertex beyond the left end, if the
-    /// walk stopped at a foreign claim (None at natural ends).
-    left_link: Option<Kmer>,
-    /// Same for the right end.
-    right_link: Option<Kmer>,
+    /// Canonical keys of the first (`LEFT`) and last (`RIGHT`) k-mer.
+    ends: [Kmer; 2],
+    /// Per side, the canonical key of the vertex beyond that end if the
+    /// walk stopped at a boundary (foreign claim, ownership boundary or
+    /// walk cap); `None` at natural path ends.
+    links: [Option<Kmer>; 2],
+}
+
+/// One direction of a claim walk: what extending from `start` consumed.
+struct Arm {
+    /// Base codes appended in walk orientation, one per claimed vertex.
+    bases: Vec<u8>,
+    /// Canonical key of the last claimed vertex (`start` if none).
+    end: Kmer,
+    /// The boundary vertex beyond `end`, if the walk did not end naturally.
+    link: Option<Kmer>,
+}
+
+/// Extend rightward from the already-claimed `start`, claiming every vertex
+/// consumed, for at most `cfg.walk_cap` steps. (Walking left is walking
+/// right from the flipped orientation.)
+fn claim_arm(
+    graph: &DebruijnGraph,
+    ctx: &mut RankCtx,
+    cfg: &ContigConfig,
+    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
+    start: Oriented,
+    start_node: GraphNode,
+) -> Arm {
+    let codec = graph.codec;
+    let mut arm = Arm {
+        bases: Vec::new(),
+        end: start.canon,
+        link: None,
+    };
+    let (mut cur, mut cur_node) = (start, start_node);
+    for _ in 0..cfg.walk_cap {
+        match step_claim(graph, ctx, cache, cur, &cur_node) {
+            ClaimStep::Claimed(next, node, b) => {
+                arm.bases.push(b);
+                arm.end = next.canon;
+                cur = next;
+                cur_node = node;
+            }
+            ClaimStep::Boundary(km) => {
+                arm.link = Some(km);
+                return arm;
+            }
+            ClaimStep::End => return arm,
+        }
+    }
+    // Hit the cap mid-path: the next (unclaimed) vertex is the boundary
+    // another subcontig will seed from.
+    if let Some(b) = exts_of(&cur_node, cur.flipped).right.unique_base() {
+        let next = orient(&codec, codec.extend_right(cur.kmer, b));
+        if node_for_exts(graph, ctx, cache, &next.canon).is_some() {
+            arm.link = Some(next.canon);
+        }
+    }
+    arm
 }
 
 /// Claim `seed` and walk both directions from it, claiming every vertex
@@ -341,109 +388,34 @@ fn claim_walk_seed(
             Some(*node)
         }
     })?;
-    let mut claimed = 1usize;
-    // Locality-aware placement co-locates adjacent k-mers, so walks stop
-    // at ownership boundaries and each rank claims its own runs locally.
-    let stop_foreign = graph.nodes.has_locality_hash();
-
-    let start = Oriented {
-        kmer: seed,
-        canon: seed,
-        flipped: false,
+    let mut arm = |flipped| {
+        let start = orient_canon(&codec, seed, flipped);
+        claim_arm(graph, ctx, cfg, cache, start, seed_node)
     };
-    // Extend right in canonical orientation.
-    let mut seq = codec.unpack(seed);
-    let mut right_end = seed;
-    let mut right_link = None;
-    let mut cur = start;
-    let mut cur_node = seed_node;
-    let mut hit_cap = true;
-    for _ in 0..cfg.walk_cap {
-        match step_claim(graph, ctx, cache, cur, &cur_node, stop_foreign) {
-            ClaimStep::Claimed(next, node, b) => {
-                claimed += 1;
-                seq.push(decode_base(b));
-                right_end = next.canon;
-                cur = next;
-                cur_node = node;
-            }
-            ClaimStep::Boundary(km) => {
-                right_link = Some(km);
-                hit_cap = false;
-                break;
-            }
-            ClaimStep::End => {
-                hit_cap = false;
-                break;
-            }
-        }
-    }
-    if hit_cap && exts_of(&cur_node, cur.flipped).right.is_unique() {
-        // Hit the cap mid-path: the next (unclaimed) vertex is the
-        // boundary another subcontig will seed from.
-        let b = exts_of(&cur_node, cur.flipped).right.unique_base().unwrap();
-        let next = orient(&codec, codec.extend_right(cur.kmer, b));
-        if node_for_exts(graph, ctx, cache, &next.canon).is_some() {
-            right_link = Some(next.canon);
-        }
-    }
-
-    // Extend left: walk right in the flipped orientation and prepend
-    // complements.
-    let mut left_end = seed;
-    let mut left_link = None;
-    let mut cur = Oriented {
-        kmer: codec.revcomp(seed),
-        canon: seed,
-        flipped: true,
-    };
-    let mut cur_node = seed_node;
-    let mut prepended: Vec<u8> = Vec::new();
-    let mut hit_cap = true;
-    for _ in 0..cfg.walk_cap {
-        match step_claim(graph, ctx, cache, cur, &cur_node, stop_foreign) {
-            ClaimStep::Claimed(next, node, b) => {
-                claimed += 1;
-                // Base b extends the flipped orientation; in forward
-                // orientation it prepends complement(b).
-                prepended.push(decode_base(3 - b));
-                left_end = next.canon;
-                cur = next;
-                cur_node = node;
-            }
-            ClaimStep::Boundary(km) => {
-                left_link = Some(km);
-                hit_cap = false;
-                break;
-            }
-            ClaimStep::End => {
-                hit_cap = false;
-                break;
-            }
-        }
-    }
-    if hit_cap && exts_of(&cur_node, cur.flipped).right.is_unique() {
-        let b = exts_of(&cur_node, cur.flipped).right.unique_base().unwrap();
-        let next = orient(&codec, codec.extend_right(cur.kmer, b));
-        if node_for_exts(graph, ctx, cache, &next.canon).is_some() {
-            left_link = Some(next.canon);
-        }
-    }
-    if !prepended.is_empty() {
-        prepended.reverse();
-        prepended.extend_from_slice(&seq);
-        seq = prepended;
-    }
+    let right = arm(false);
+    let left = arm(true);
+    // A base b appended in the flipped orientation prepends complement(b)
+    // in the seed's.
+    let complement = |&b: &u8| decode_base(3 - b);
+    let mut seq: Vec<u8> = left.bases.iter().rev().map(complement).collect();
+    seq.extend(codec.unpack(seed));
+    seq.extend(right.bases.iter().map(|&b| decode_base(b)));
+    let claimed = 1 + left.bases.len() + right.bases.len();
     Some((
         Subcontig {
             seq,
-            left_end,
-            right_end,
-            left_link,
-            right_link,
+            ends: [left.end, right.end],
+            links: [left.link, right.link],
         },
         claimed,
     ))
+}
+
+/// Accumulate a later sub-phase's per-rank counters into `acc`.
+fn merge_stats(acc: &mut [CommStats], more: &[CommStats]) {
+    for (a, b) in acc.iter_mut().zip(more) {
+        a.merge(b);
+    }
 }
 
 /// The paper's cooperative traversal: claim-as-you-walk subcontigs from
@@ -452,7 +424,7 @@ fn traverse_cooperative(
     team: &Team,
     graph: &DebruijnGraph,
     cfg: &ContigConfig,
-) -> (Vec<Vec<u8>>, Vec<hipmer_pgas::CommStats>, f64) {
+) -> (Vec<Vec<u8>>, Vec<CommStats>, f64) {
     let codec = graph.codec;
     // Three passes over the local seeds. In a truly concurrent execution
     // the racing walks partition the graph into ~G/p claims per rank; our
@@ -497,21 +469,15 @@ fn traverse_cooperative(
                     continue;
                 }
                 if native_only {
-                    // Neighbor ownership is pure placement arithmetic — no
+                    // Neighbor ownership is pure owner arithmetic — no
                     // table lookups.
-                    let mut native = false;
                     ctx.stats.compute(2);
-                    if let Some(b) = snapshot_node.exts.left.unique_base() {
-                        let n = codec.canonical(codec.extend_left(seed, b));
-                        native |= graph.nodes.owner(&n) == ctx.rank;
-                    }
-                    if !native {
-                        if let Some(b) = snapshot_node.exts.right.unique_base() {
-                            let n = codec.canonical(codec.extend_right(seed, b));
-                            native |= graph.nodes.owner(&n) == ctx.rank;
-                        }
-                    }
-                    if !native {
+                    let here = |n: Kmer| graph.nodes.owner(&codec.canonical(n)) == ctx.rank;
+                    let left = snapshot_node.exts.left.unique_base();
+                    let right = snapshot_node.exts.right.unique_base();
+                    if !left.is_some_and(|b| here(codec.extend_left(seed, b)))
+                        && !right.is_some_and(|b| here(codec.extend_right(seed, b)))
+                    {
                         continue;
                     }
                 }
@@ -531,12 +497,8 @@ fn traverse_cooperative(
             let (subs_native, mut stats) = run_pass(0);
             let (subs_capped, stats_capped) = run_pass(1);
             let (subs_cleanup, stats_cleanup) = run_pass(2);
-            for (a, b) in stats.iter_mut().zip(&stats_capped) {
-                a.merge(b);
-            }
-            for (a, b) in stats.iter_mut().zip(&stats_cleanup) {
-                a.merge(b);
-            }
+            merge_stats(&mut stats, &stats_capped);
+            merge_stats(&mut stats, &stats_cleanup);
             let subs: Vec<Subcontig> = subs_native
                 .into_iter()
                 .chain(subs_capped)
@@ -579,9 +541,7 @@ fn traverse_cooperative(
                 }
                 subs
             });
-            for (a, b) in stats.iter_mut().zip(&stats_claim) {
-                a.merge(b);
-            }
+            merge_stats(&mut stats, &stats_claim);
             (subs_lists.into_iter().flatten().collect(), stats)
         }
     };
@@ -589,23 +549,51 @@ fn traverse_cooperative(
     // Serial merge of the subcontig chains (tiny: O(G / walk_cap + p)
     // pieces).
     let serial_start = std::time::Instant::now();
-    let k = codec.k();
-    // Map endpoint key -> (subcontig index, side). side 0 = left end.
-    let mut by_end: std::collections::HashMap<Kmer, Vec<(usize, u8)>> =
-        std::collections::HashMap::new();
+    let out = merge_chains(&subs, codec.k(), cfg.min_contig_len);
+    let serial_seconds = serial_start.elapsed().as_secs_f64();
+    (out, stats, serial_seconds)
+}
+
+/// Stitch subcontigs into contigs by following their boundary links.
+fn merge_chains(subs: &[Subcontig], k: usize, min_contig_len: usize) -> Vec<Vec<u8>> {
+    // Endpoint key -> subcontigs ending there.
+    let mut by_end: std::collections::HashMap<Kmer, Vec<usize>> = std::collections::HashMap::new();
     for (i, s) in subs.iter().enumerate() {
-        by_end.entry(s.left_end).or_default().push((i, 0));
-        if s.right_end != s.left_end {
-            by_end.entry(s.right_end).or_default().push((i, 1));
+        by_end.entry(s.ends[LEFT]).or_default().push(i);
+        if s.ends[RIGHT] != s.ends[LEFT] {
+            by_end.entry(s.ends[RIGHT]).or_default().push(i);
         }
     }
-    // Follow a link: which subcontig owns the endpoint `km`, other than
-    // `not` (a subcontig may self-link on cycles)?
-    let owner_of = |km: Kmer, not: usize| -> Option<(usize, u8)> {
-        by_end
-            .get(&km)
-            .and_then(|v| v.iter().find(|(i, _)| *i != not).or_else(|| v.first()))
-            .copied()
+    // Follow the link out of `side` of subcontig `i`: the neighbor, and the
+    // side we enter it by.
+    let hop = |i: usize, side: usize| -> Option<(usize, usize)> {
+        let km = subs[i].links[side]?;
+        // Prefer a neighbor other than `i` (a subcontig may self-link on
+        // cycles).
+        let at = by_end.get(&km)?;
+        let n = *at.iter().find(|&&n| n != i).or_else(|| at.first())?;
+        // We enter the neighbor at the side whose link points back at our
+        // endpoint. (Endpoint matching alone is ambiguous for single-k-mer
+        // subcontigs, where both ends are the same key.)
+        let back = Some(subs[i].ends[side]);
+        let enter = if subs[n].links[LEFT] == back {
+            LEFT
+        } else if subs[n].links[RIGHT] == back {
+            RIGHT
+        } else if subs[n].ends[LEFT] == km {
+            LEFT
+        } else {
+            RIGHT
+        };
+        Some((n, enter))
+    };
+    // A subcontig read so that `enter` is its left side.
+    let oriented = |i: usize, enter: usize| -> Vec<u8> {
+        if enter == LEFT {
+            subs[i].seq.clone()
+        } else {
+            hipmer_dna::revcomp(&subs[i].seq)
+        }
     };
 
     let mut used = vec![false; subs.len()];
@@ -614,117 +602,41 @@ fn traverse_cooperative(
         if used[start] {
             continue;
         }
-        // Walk to the chain's left terminus.
-        let mut cur = (start, 0u8); // (subcontig, the side we face left)
-        let mut hops = 0usize;
-        loop {
-            let link = if cur.1 == 0 {
-                subs[cur.0].left_link
-            } else {
-                subs[cur.0].right_link
-            };
-            let Some(km) = link else { break };
-            let Some((pi, pside)) = owner_of(km, cur.0) else {
-                break;
-            };
-            if pi == start && hops > 0 {
-                break; // cycle
-            }
-            if pi == cur.0 {
-                break; // self-link (single-subcontig cycle)
-            }
-            // We enter the previous subcontig at the side whose link
-            // points back at our endpoint. (Endpoint matching alone is
-            // ambiguous for single-k-mer subcontigs where left_end ==
-            // right_end.)
-            let my_end = if cur.1 == 0 {
-                subs[cur.0].left_end
-            } else {
-                subs[cur.0].right_end
-            };
-            let enter_side = if subs[pi].left_link == Some(my_end) {
-                0u8
-            } else if subs[pi].right_link == Some(my_end) {
-                1u8
-            } else if subs[pi].left_end == km {
-                0u8
-            } else {
-                1u8
-            };
-            let _ = pside;
-            cur = (pi, 1 - enter_side);
-            hops += 1;
-            if hops > subs.len() {
-                break;
+        // Walk to the chain's left terminus: `(subcontig, side facing left)`.
+        let mut cur = (start, LEFT);
+        for hops in 0..=subs.len() {
+            match hop(cur.0, cur.1) {
+                // Back at the start (cycle) or a single-subcontig cycle.
+                Some((prev, _)) if (prev == start && hops > 0) || prev == cur.0 => break,
+                Some((prev, enter)) => cur = (prev, 1 - enter),
+                None => break,
             }
         }
         // Assemble rightward from the terminus.
-        let first = cur.0;
-        let mut seq = if cur.1 == 0 {
-            subs[first].seq.clone()
-        } else {
-            hipmer_dna::revcomp(&subs[first].seq)
-        };
-        used[first] = true;
-        let mut cursor = (first, 1 - cur.1); // side we exit from
-        let mut hops = 0usize;
-        loop {
-            let link = if cursor.1 == 0 {
-                subs[cursor.0].left_link
-            } else {
-                subs[cursor.0].right_link
-            };
-            let Some(km) = link else { break };
-            let Some((ni, _)) = owner_of(km, cursor.0) else {
+        let mut seq = oriented(cur.0, cur.1);
+        used[cur.0] = true;
+        let mut exit = (cur.0, 1 - cur.1);
+        for _ in 0..=subs.len() {
+            let Some((next, enter)) = hop(exit.0, exit.1).filter(|&(n, _)| !used[n]) else {
                 break;
             };
-            if used[ni] {
-                break;
-            }
-            // Orient the next subcontig so the side whose link points
-            // back at our endpoint becomes its left. (For single-k-mer
-            // subcontigs, left_end == right_end, so links disambiguate.)
-            let my_end = if cursor.1 == 0 {
-                subs[cursor.0].left_end
-            } else {
-                subs[cursor.0].right_end
-            };
-            let enter_side = if subs[ni].left_link == Some(my_end) {
-                0u8
-            } else if subs[ni].right_link == Some(my_end) {
-                1u8
-            } else if subs[ni].left_end == km {
-                0u8
-            } else {
-                1u8
-            };
-            let next_seq = if enter_side == 0 {
-                subs[ni].seq.clone()
-            } else {
-                hipmer_dna::revcomp(&subs[ni].seq)
-            };
+            let next_seq = oriented(next, enter);
             // Adjacent subcontigs overlap by exactly k-1 bases.
-            if next_seq.len() >= k - 1
-                && seq.len() >= k - 1
-                && next_seq[..k - 1] == seq[seq.len() - (k - 1)..]
+            if next_seq.len() < k - 1
+                || seq.len() < k - 1
+                || next_seq[..k - 1] != seq[seq.len() - (k - 1)..]
             {
-                seq.extend_from_slice(&next_seq[k - 1..]);
-            } else {
                 break; // inconsistent join; leave as separate chains
             }
-            used[ni] = true;
-            cursor = (ni, 1 - enter_side);
-            hops += 1;
-            if hops > subs.len() {
-                break;
-            }
+            seq.extend_from_slice(&next_seq[k - 1..]);
+            used[next] = true;
+            exit = (next, 1 - enter);
         }
-        if seq.len() >= cfg.min_contig_len {
+        if seq.len() >= min_contig_len {
             out.push(canonical_seq(seq));
         }
     }
-    let serial_seconds = serial_start.elapsed().as_secs_f64();
-    (out, stats, serial_seconds)
+    out
 }
 
 /// The deterministic endpoint traversal (default mode).
@@ -732,33 +644,23 @@ fn traverse_endpoints(
     team: &Team,
     graph: &DebruijnGraph,
     cfg: &ContigConfig,
-) -> (Vec<Vec<u8>>, Vec<hipmer_pgas::CommStats>) {
+) -> (Vec<Vec<u8>>, Vec<CommStats>) {
     // Pass 1: endpoint walks. Every endpoint check and walk step is an
     // exts-only read, so the whole pass runs through the node cache: path
     // vertices are read several times (once per orientation check of their
     // own endpoint role, once per walk over the path) and repeats hit.
-    let (seqs, stats) = team.run_named("contig/traversal/endpoints", |ctx| {
+    let (seqs, mut stats) = team.run_named("contig/traversal/endpoints", |ctx| {
         let mut cache = cfg.make_cache();
         let local = graph.nodes.snapshot_local(ctx);
         let mut out: Vec<Vec<u8>> = Vec::new();
         for (km, node) in local {
             // Two possible walk orientations; each is a start if it has no
-            // mutual left neighbor.
+            // mutual left neighbor — i.e. no step right from the opposite
+            // orientation (one lookup).
             for flipped in [false, true] {
-                let oriented = if flipped {
-                    Oriented {
-                        kmer: graph.codec.revcomp(km),
-                        canon: km,
-                        flipped: true,
-                    }
-                } else {
-                    Oriented {
-                        kmer: km,
-                        canon: km,
-                        flipped: false,
-                    }
-                };
-                if has_left(graph, ctx, &mut cache, oriented, &node) {
+                let oriented = orient_canon(&graph.codec, km, flipped);
+                let facing_left = orient_canon(&graph.codec, km, !flipped);
+                if step_right(graph, ctx, &mut cache, facing_left, &node).is_some() {
                     continue;
                 }
                 let (seq, path, end) = walk_right(graph, ctx, &mut cache, oriented, node);
@@ -786,29 +688,15 @@ fn traverse_endpoints(
     // walk it, and the walker whose start is the cycle's minimum key emits.
     let (cycle_seqs, cycle_stats) = team.run_named("contig/traversal/cycles", |ctx| {
         let mut cache = cfg.make_cache();
-        let local: Vec<(Kmer, GraphNode)> = graph
-            .nodes
-            .snapshot_local(ctx)
-            .into_iter()
-            .filter(|(_, node)| !node.visited)
-            .collect();
         let mut out: Vec<Vec<u8>> = Vec::new();
-        for (km, node) in local {
-            // Re-check visited (an earlier walk this pass may have claimed
-            // the cycle). Reads `visited`, so it must bypass the cache.
-            let still = graph
-                .nodes
-                .get(ctx, &km)
-                .map(|n| !n.visited)
-                .unwrap_or(false);
-            if !still {
+        for (km, node) in graph.nodes.snapshot_local(ctx) {
+            // Skip what pass 1 visited, then re-check (an earlier walk this
+            // pass may have claimed the cycle). The re-check reads
+            // `visited`, so it must bypass the cache.
+            if node.visited || graph.nodes.get(ctx, &km).is_none_or(|n| n.visited) {
                 continue;
             }
-            let start = Oriented {
-                kmer: km,
-                canon: km,
-                flipped: false,
-            };
+            let start = orient_canon(&graph.codec, km, false);
             let (seq, path, _) = walk_right(graph, ctx, &mut cache, start, node);
             let min = path.iter().min().copied().expect("non-empty path");
             if min == km {
@@ -822,64 +710,7 @@ fn traverse_endpoints(
     });
     all.extend(cycle_seqs.into_iter().flatten());
 
-    let mut merged = stats;
-    for (a, b) in merged.iter_mut().zip(&cycle_stats) {
-        a.merge(b);
-    }
-    (all, merged)
-}
-
-/// The paper-style speculative traversal: every rank seeds from its local
-/// shard in arbitrary order, walks left to the path start, then emits the
-/// full path. Ranks racing on one connected component produce duplicate
-/// candidates; deduplication of the canonical sequences resolves them
-/// (playing the role of the paper's lightweight synchronization scheme).
-pub fn speculative(
-    team: &Team,
-    graph: &DebruijnGraph,
-    cfg: &ContigConfig,
-) -> (Vec<Vec<u8>>, Vec<hipmer_pgas::CommStats>) {
-    let (seqs, stats) = team.run_named("contig/traversal/speculative", |ctx| {
-        let mut cache = cfg.make_cache();
-        let local = graph.nodes.snapshot_local(ctx);
-        let mut out: Vec<Vec<u8>> = Vec::new();
-        for (km, node) in local {
-            // Skip seeds already swallowed by a completed walk. Reads
-            // `visited`, so it must bypass the cache.
-            let fresh = graph
-                .nodes
-                .get(ctx, &km)
-                .map(|n| !n.visited)
-                .unwrap_or(false);
-            if !fresh {
-                continue;
-            }
-            // Walk left (= walk right in flipped orientation) to the start.
-            let flipped_seed = Oriented {
-                kmer: graph.codec.revcomp(km),
-                canon: km,
-                flipped: true,
-            };
-            let (_, lpath, left_end) = walk_right(graph, ctx, &mut cache, flipped_seed, node);
-            let _ = lpath;
-            // left_end is the path's left endpoint in flipped orientation;
-            // re-flip to walk the path forward (exts-only read).
-            let start = orient(&graph.codec, graph.codec.revcomp(left_end.kmer));
-            let start_node = match node_for_exts(graph, ctx, &mut cache, &start.canon) {
-                Some(n) => n,
-                None => continue,
-            };
-            let (seq, path, _) = walk_right(graph, ctx, &mut cache, start, start_node);
-            mark_visited(graph, ctx, &path);
-            if seq.len() >= cfg.min_contig_len {
-                out.push(canonical_seq(seq));
-            }
-        }
-        out
-    });
-    let mut all: Vec<Vec<u8>> = seqs.into_iter().flatten().collect();
-    all.sort();
-    all.dedup();
+    merge_stats(&mut stats, &cycle_stats);
     (all, stats)
 }
 
@@ -897,10 +728,6 @@ pub fn traverse_graph(
         TraversalMode::Cooperative => traverse_cooperative(team, graph, cfg),
         TraversalMode::EndpointWalk => {
             let (s, st) = traverse_endpoints(team, graph, cfg);
-            (s, st, 0.0)
-        }
-        TraversalMode::Speculative => {
-            let (s, st) = speculative(team, graph, cfg);
             (s, st, 0.0)
         }
     };
@@ -1053,8 +880,7 @@ pub fn generate_contigs(
     cfg: &ContigConfig,
 ) -> (ContigSet, Vec<PhaseReport>) {
     let part = Partitioner::new(cfg.partition, spectrum.codec.k());
-    let (graph, build_report) =
-        crate::graph::build_graph(team, spectrum, cfg.placement.clone(), part);
+    let (graph, build_report) = crate::graph::build_graph(team, spectrum, cfg.oracle.clone(), part);
     let (set, traverse_report) = traverse_graph(team, &graph, cfg);
     // The traversal walks the same table the build placed, so it carries
     // the build's placement label in the report's per-placement split.
@@ -1341,15 +1167,90 @@ mod tests {
     }
 
     #[test]
-    fn speculative_matches_deterministic() {
+    fn cooperative_matches_deterministic() {
         let genome = lcg_genome(2500, 55);
         let det = assemble(&genome, Topology::new(4, 2), TraversalMode::EndpointWalk);
-        let spec = assemble(&genome, Topology::new(4, 2), TraversalMode::Speculative);
         let coop = assemble(&genome, Topology::new(4, 2), TraversalMode::Cooperative);
         let seqs =
             |s: &ContigSet| -> Vec<Vec<u8>> { s.contigs.iter().map(|c| c.seq.clone()).collect() };
-        assert_eq!(seqs(&det), seqs(&spec));
         assert_eq!(seqs(&det), seqs(&coop));
+    }
+
+    /// A contig set with every linearized cycle (one period plus the k-1
+    /// wrap bases) rotated to its smallest rotation over both strands — a
+    /// cycle's start depends on claim order, its content does not.
+    fn rotation_free(set: &ContigSet, k: usize) -> Vec<Vec<u8>> {
+        let mut seqs: Vec<Vec<u8>> = set
+            .contigs
+            .iter()
+            .map(|c| {
+                let seq = &c.seq;
+                if seq.len() < 2 * k || seq[..k - 1] != seq[seq.len() - (k - 1)..] {
+                    return seq.clone();
+                }
+                let period = seq.len() - (k - 1);
+                let rc = hipmer_dna::revcomp(seq);
+                [&seq[..], &rc[..]]
+                    .into_iter()
+                    .flat_map(|s| (0..period).map(move |r| [&s[r..period], &s[..r]].concat()))
+                    .min()
+                    .expect("period > 0")
+            })
+            .collect();
+        seqs.sort();
+        seqs
+    }
+
+    #[test]
+    fn tiny_walk_caps_match_the_endpoint_walk() {
+        // walk_cap 1..=3 makes most subcontigs one to three k-mers long,
+        // so the chain merge joins single-k-mer subcontigs (both ends the
+        // same key) everywhere: the orientation rule has to come from the
+        // links, on paths, across a repeat and around a cycle.
+        let k = 21;
+        let linear = lcg_genome(1200, 21);
+        let repeat = lcg_genome(60, 77);
+        let broken = [
+            lcg_genome(500, 1),
+            repeat.clone(),
+            lcg_genome(500, 2),
+            repeat,
+            lcg_genome(500, 3),
+        ]
+        .concat();
+        let mut circular = lcg_genome(600, 9);
+        circular.extend_from_within(..80);
+        let team = Team::new(Topology::new(7, 3));
+        for (what, genome) in [
+            ("linear", linear),
+            ("repeat", broken),
+            ("circular", circular),
+        ] {
+            let reads = perfect_reads(&genome, 80, 4);
+            for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
+                let mut kcfg = KmerAnalysisConfig::new(k);
+                kcfg.partition = partition;
+                let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
+                let mut cfg = ContigConfig::new(k);
+                cfg.partition = partition;
+                cfg.mode = TraversalMode::EndpointWalk;
+                let (reference, _) = generate_contigs(&team, &spectrum, &cfg);
+                assert!(!reference.is_empty());
+                cfg.mode = TraversalMode::Cooperative;
+                for walk_cap in [1, 2, 3] {
+                    for schedule in [Schedule::Static, Schedule::Dynamic] {
+                        cfg.walk_cap = walk_cap;
+                        cfg.schedule = schedule;
+                        let (set, _) = generate_contigs(&team, &spectrum, &cfg);
+                        assert_eq!(
+                            rotation_free(&set, k),
+                            rotation_free(&reference, k),
+                            "{what} {partition} {schedule} walk_cap={walk_cap}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1442,7 +1343,7 @@ mod tests {
         // Oracle built from the baseline contigs.
         let oracle = crate::oracle_build::build_oracle(&base_set, &topo, 1 << 16);
         let mut ocfg = ContigConfig::new(21);
-        ocfg.placement = std::sync::Arc::new(oracle).placement();
+        ocfg.oracle = Some(Arc::new(oracle));
         let (oracle_set, oracle_reports) = generate_contigs(&team, &spectrum, &ocfg);
 
         let seqs =
@@ -1473,6 +1374,7 @@ mod tests {
         let graph = DebruijnGraph {
             nodes: hipmer_pgas::DistHashMap::new(topo),
             codec,
+            stop_foreign: false,
         };
         let cfg = ContigConfig::new(4);
         let _ = traverse_graph(&team, &graph, &cfg);

@@ -48,18 +48,14 @@ proptest! {
     fn contigs_are_genome_substrings_and_cover_interior(
         genome in genome_strategy(),
         ranks in 1usize..10,
-        mode_pick in 0usize..3,
+        mode_pick in 0usize..2,
     ) {
         let k = 21;
         let reads = tile(&genome, 80);
         let team = Team::new(Topology::new(ranks, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
         let mut cfg = ContigConfig::new(k);
-        cfg.mode = [
-            TraversalMode::Cooperative,
-            TraversalMode::EndpointWalk,
-            TraversalMode::Speculative,
-        ][mode_pick];
+        cfg.mode = [TraversalMode::Cooperative, TraversalMode::EndpointWalk][mode_pick];
         cfg.walk_cap = 64; // exercise subcontig chaining
         let (set, _) = generate_contigs(&team, &spectrum, &cfg);
 
@@ -84,17 +80,13 @@ proptest! {
     }
 
     #[test]
-    fn all_modes_agree(genome in genome_strategy(), ranks in 1usize..8) {
+    fn both_modes_agree(genome in genome_strategy(), ranks in 1usize..8) {
         let k = 21;
         let reads = tile(&genome, 80);
         let team = Team::new(Topology::new(ranks, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
         let mut sets = Vec::new();
-        for mode in [
-            TraversalMode::Cooperative,
-            TraversalMode::EndpointWalk,
-            TraversalMode::Speculative,
-        ] {
+        for mode in [TraversalMode::Cooperative, TraversalMode::EndpointWalk] {
             let mut cfg = ContigConfig::new(k);
             cfg.mode = mode;
             cfg.walk_cap = 50;
@@ -107,6 +99,5 @@ proptest! {
             );
         }
         prop_assert_eq!(&sets[0], &sets[1]);
-        prop_assert_eq!(&sets[0], &sets[2]);
     }
 }

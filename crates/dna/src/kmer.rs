@@ -197,12 +197,6 @@ impl KmerCodec {
         kmer.0 <= self.revcomp(kmer).0
     }
 
-    /// Whether `kmer` is its own reverse complement (only possible for even k).
-    #[inline]
-    pub fn is_palindrome(&self, kmer: Kmer) -> bool {
-        self.revcomp(kmer) == kmer
-    }
-
     /// Slide one base to the right: drop the first base, append `code`.
     #[inline]
     pub fn extend_right(&self, kmer: Kmer, code: u8) -> Kmer {
@@ -285,38 +279,6 @@ impl KmerCodec {
             valid: 0,
             bits: 0,
             rc_bits: 0,
-        }
-    }
-
-    /// Iterate over all k-mers of `seq` together with their canonical forms
-    /// **and** their [`minimizer_hash`](Self::minimizer_hash), each position
-    /// amortized O(1): the m-mer window rolls like the k-mer window, and a
-    /// monotone deque maintains the sliding-window minimum over the m-mer
-    /// hashes, so no per-position rescan of the `k - m + 1` windows is paid.
-    /// Yields `(offset, kmer, canonical, minimizer_hash)` quadruples
-    /// identical to `canonical_kmers(seq)` zipped with per-k-mer
-    /// `minimizer_hash` calls.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= m <= min(k, MAX_MINIMIZER_LEN)`.
-    pub fn minimizer_kmers<'a>(&self, seq: &'a [u8], m: usize) -> MinimizerKmerIter<'a> {
-        assert!(
-            m >= 1 && m <= self.k && m <= Self::MAX_MINIMIZER_LEN,
-            "minimizer length m={m} outside 1..=min(k={}, {})",
-            self.k,
-            Self::MAX_MINIMIZER_LEN
-        );
-        MinimizerKmerIter {
-            codec: *self,
-            mcodec: KmerCodec::new(m),
-            seq,
-            pos: 0,
-            valid: 0,
-            bits: 0,
-            rc_bits: 0,
-            mbits: 0,
-            m_rc_bits: 0,
-            window: std::collections::VecDeque::new(),
         }
     }
 }
@@ -425,90 +387,6 @@ impl<'a> Iterator for CanonicalKmerIter<'a> {
     }
 }
 
-/// Rolling iterator over the k-mers of an ASCII sequence together with
-/// their canonical representatives and minimizer hashes.
-///
-/// Like [`CanonicalKmerIter`], plus a rolling canonical m-mer window and a
-/// monotone deque over the m-mer hashes: the deque's front is always the
-/// minimum hash among the m-mers inside the current k-mer window, so each
-/// base is pushed and popped at most once regardless of `k - m + 1`.
-pub struct MinimizerKmerIter<'a> {
-    codec: KmerCodec,
-    mcodec: KmerCodec,
-    seq: &'a [u8],
-    pos: usize,
-    /// How many consecutive valid bases end at `pos` (capped at k).
-    valid: usize,
-    /// Forward / reverse-complement k-mer windows (low `2k` bits).
-    bits: u128,
-    rc_bits: u128,
-    /// Forward / reverse-complement m-mer windows (low `2m` bits).
-    mbits: u128,
-    m_rc_bits: u128,
-    /// `(m-mer offset, mix64(canonical m-mer))` with nondecreasing hashes
-    /// front to back; the front is the current window minimum.
-    window: std::collections::VecDeque<(usize, u64)>,
-}
-
-impl<'a> Iterator for MinimizerKmerIter<'a> {
-    type Item = (usize, Kmer, Kmer, u64);
-
-    fn next(&mut self) -> Option<(usize, Kmer, Kmer, u64)> {
-        let k = self.codec.k;
-        let m = self.mcodec.k;
-        let rc_shift = 2 * (k - 1) as u32;
-        let m_rc_shift = 2 * (m - 1) as u32;
-        while self.pos < self.seq.len() {
-            let b = self.seq[self.pos];
-            self.pos += 1;
-            match encode_base(b) {
-                Some(code) => {
-                    self.bits = ((self.bits << 2) | code as u128) & self.codec.mask;
-                    self.rc_bits = (self.rc_bits >> 2) | (((3 - code) as u128) << rc_shift);
-                    self.mbits = ((self.mbits << 2) | code as u128) & self.mcodec.mask;
-                    self.m_rc_bits = (self.m_rc_bits >> 2) | (((3 - code) as u128) << m_rc_shift);
-                    self.valid = (self.valid + 1).min(k);
-                    if self.valid >= m {
-                        let canon_m = self.mbits.min(self.m_rc_bits);
-                        let h = crate::hash::mix64(canon_m as u64);
-                        while self.window.back().is_some_and(|&(_, bh)| bh >= h) {
-                            self.window.pop_back();
-                        }
-                        self.window.push_back((self.pos - m, h));
-                    }
-                    if self.valid == k {
-                        let start = self.pos - k;
-                        while self.window.front().is_some_and(|&(off, _)| off < start) {
-                            self.window.pop_front();
-                        }
-                        let fwd = Kmer(self.bits);
-                        let canon = if self.rc_bits < self.bits {
-                            Kmer(self.rc_bits)
-                        } else {
-                            fwd
-                        };
-                        let min_hash = self.window.front().expect("window nonempty at k").1;
-                        return Some((start, fwd, canon, min_hash));
-                    }
-                }
-                None => {
-                    self.valid = 0;
-                    self.bits = 0;
-                    self.rc_bits = 0;
-                    self.mbits = 0;
-                    self.m_rc_bits = 0;
-                    self.window.clear();
-                }
-            }
-        }
-        None
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.seq.len().saturating_sub(self.pos)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,13 +454,6 @@ mod tests {
         assert_eq!(c.canonical(canon), canon);
         assert!(c.is_canonical(canon));
         assert!(!c.is_canonical(kmer));
-    }
-
-    #[test]
-    fn palindrome_detection() {
-        let c = KmerCodec::new(4);
-        assert!(c.is_palindrome(c.pack(b"ACGT").unwrap()));
-        assert!(!c.is_palindrome(c.pack(b"ACGG").unwrap()));
     }
 
     #[test]
@@ -796,23 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn minimizer_iter_matches_per_kmer_hash() {
-        // Window edges are exercised by the N resets (the deque must clear)
-        // and by sequence start/end; k=m covers the single-window case.
-        for (k, m) in [(3usize, 3usize), (7, 3), (21, 7), (31, 15), (32, 32)] {
-            let c = KmerCodec::new(k);
-            let seq = noisy_seq(240, 53, 5);
-            let rolled: Vec<(usize, Kmer, Kmer, u64)> = c.minimizer_kmers(&seq, m).collect();
-            let naive: Vec<(usize, Kmer, Kmer, u64)> = c
-                .canonical_kmers(&seq)
-                .map(|(off, km, canon)| (off, km, canon, c.minimizer_hash(km, m)))
-                .collect();
-            assert_eq!(rolled, naive, "k={k} m={m}");
-            assert!(!rolled.is_empty(), "fixture must produce k-mers");
-        }
-    }
-
-    #[test]
     fn adjacent_kmers_mostly_share_minimizers() {
         // The locality property placement rides on: along a read, the
         // minimizer changes far less often than once per position.
@@ -820,7 +674,10 @@ mod tests {
         let m = 7;
         let c = KmerCodec::new(k);
         let seq = noisy_seq(4000, 0, 3);
-        let hashes: Vec<u64> = c.minimizer_kmers(&seq, m).map(|(_, _, _, h)| h).collect();
+        let hashes: Vec<u64> = c
+            .canonical_kmers(&seq)
+            .map(|(_, km, _)| c.minimizer_hash(km, m))
+            .collect();
         let changes = hashes.windows(2).filter(|w| w[0] != w[1]).count();
         assert!(
             changes * 4 < hashes.len(),

@@ -21,9 +21,7 @@ pub mod seq;
 pub use base::{complement_ascii, complement_code, decode_base, encode_base, is_acgt, BASES};
 pub use ext::{ExtChoice, ExtVotes, ExtensionPair};
 pub use hash::{mix128, mix64, KmerBuildHasher, KmerHashMap, KmerHashSet};
-pub use kmer::{
-    CanonicalKmerIter, Kmer, KmerCodec, KmerIter, KmerLenError, MinimizerKmerIter, MAX_K,
-};
+pub use kmer::{CanonicalKmerIter, Kmer, KmerCodec, KmerIter, KmerLenError, MAX_K};
 pub use seq::{
     canonical_seq, gc_content, hamming, is_canonical_seq, revcomp, revcomp_in_place, validate_dna,
 };

@@ -23,9 +23,9 @@
 //!
 //! Partitioning: `--partition minimizer` buckets every k-mer table's keys
 //! by window minimizer so adjacent k-mers share an owner rank (k-mer
-//! analysis, the de Bruijn graph under cyclic placement, and the aligner
-//! seed index). The assembled output is byte-identical to
-//! `--partition uniform` (the default); only the off-node traffic —
+//! analysis, the de Bruijn graph, and the aligner seed index). The
+//! assembled output is byte-identical to `--partition uniform` (the
+//! default); only the off-node traffic —
 //! visible as `offnode_fraction`, the per-phase `placement` labels, and
 //! the `offnode_by_placement` split in `--report-json` (schema v6) —
 //! changes.
@@ -81,12 +81,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Per-stage peak-heap accounting for `--metrics-json` (see
-/// [`hipmer::alloc`]); free when the metrics registry is disabled beyond
-/// two relaxed atomic ops per allocation.
-#[global_allocator]
-static ALLOC: hipmer::TrackingAlloc = hipmer::TrackingAlloc;
 
 fn usage() -> ExitCode {
     eprintln!(

@@ -615,11 +615,6 @@ impl CheckpointStore {
         self.stages.iter().any(|s| s.name == stage)
     }
 
-    /// Number of validated stages (contiguous from 0).
-    pub fn completed_stages(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Persist `payload` as the artifact of `stage` (pipeline index
     /// `index`), replacing any record at or after that index (they are
     /// stale once an earlier stage re-executes). The artifact is written
@@ -831,8 +826,8 @@ mod tests {
         store.save(1, "contig-generation", &payload).unwrap();
 
         let reopened = CheckpointStore::open_for_resume(&dir, fp()).unwrap();
-        assert_eq!(reopened.completed_stages(), 2);
         assert!(reopened.completed("kmer-analysis"));
+        assert!(reopened.completed("contig-generation"));
         let (data, b, s) = reopened.load("contig-generation").unwrap();
         assert_eq!(data, payload);
         assert_eq!((b, s), (bytes, sum));
@@ -864,7 +859,6 @@ mod tests {
         std::fs::write(&victim, &data).unwrap();
 
         let reopened = CheckpointStore::open_for_resume(&dir, fp()).unwrap();
-        assert_eq!(reopened.completed_stages(), 1);
         assert!(reopened.completed("a"));
         assert!(!reopened.completed("b"));
         assert!(!reopened.completed("c"), "no resume past a gap");
@@ -881,11 +875,11 @@ mod tests {
         store.save(2, "c", &payload).unwrap();
         // Re-executing stage 1 invalidates stages 1 and 2.
         store.save(1, "b", &payload).unwrap();
-        assert_eq!(store.completed_stages(), 2);
-        assert!(!store.completed("c"));
+        let kept = |s: &CheckpointStore| ["a", "b", "c"].map(|name| s.completed(name));
+        assert_eq!(kept(&store), [true, true, false]);
         // And the manifest agrees after reopening.
         let reopened = CheckpointStore::open_for_resume(&dir, fp()).unwrap();
-        assert_eq!(reopened.completed_stages(), 2);
+        assert_eq!(kept(&reopened), [true, true, false]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -899,9 +893,9 @@ mod tests {
         // Stage 0 re-executed without saving (checkpoint interval): every
         // later artifact is stale.
         store.invalidate_from(0);
-        assert_eq!(store.completed_stages(), 0);
+        assert!(!store.completed("a") && !store.completed("b"));
         let reopened = CheckpointStore::open_for_resume(&dir, fp()).unwrap();
-        assert_eq!(reopened.completed_stages(), 0);
+        assert!(!reopened.completed("a") && !reopened.completed("b"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -71,7 +71,7 @@ impl PipelineConfig {
 
     /// Stage configs for one *non-final* multi-k round at `k`: fresh
     /// kanalysis/contig defaults at that k, with this config's schedule,
-    /// partition, placement, and traversal mode carried over, and hair/tip
+    /// partition, oracle, and traversal mode carried over, and hair/tip
     /// pruning armed at [`Self::round_prune_depth`]. The final round uses
     /// [`Self::kanalysis`]/[`Self::contig`] verbatim (pruning off).
     pub fn round_stage_configs(&self, k: usize) -> (KmerAnalysisConfig, ContigConfig) {
@@ -80,7 +80,7 @@ impl PipelineConfig {
         let mut cc = ContigConfig::new(k);
         cc.schedule = self.contig.schedule;
         cc.partition = self.contig.partition;
-        cc.placement = self.contig.placement.clone();
+        cc.oracle = self.contig.oracle.clone();
         cc.mode = self.contig.mode;
         cc.prune_depth_floor = self.round_prune_depth;
         (ka, cc)

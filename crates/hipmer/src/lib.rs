@@ -30,7 +30,6 @@
 //! execution times; [`StageTimes`] groups them the way the paper's figures
 //! do.
 
-pub mod alloc;
 pub mod checkpoint;
 pub mod config;
 pub mod eval;
@@ -38,7 +37,6 @@ pub mod pipeline;
 pub mod service;
 pub mod stats;
 
-pub use alloc::TrackingAlloc;
 pub use checkpoint::{CheckpointStore, Fingerprint, ScaffoldState};
 pub use config::PipelineConfig;
 pub use eval::{evaluate, EvalReport};

@@ -167,6 +167,25 @@ impl From<std::io::Error> for PipelineError {
     }
 }
 
+/// Restart the kernel's resident-set high-water mark (`VmHWM`) from the
+/// current resident size, so the next [`peak_rss_bytes`] covers one stage.
+/// Best effort: where `/proc/self/clear_refs` cannot be written the next
+/// reading is the process peak so far.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// `VmHWM` of `/proc/self/status` in bytes — what
+/// `hipmer/mem/stage_peak_bytes/<stage>` reports; 0 where there is no procfs.
+fn peak_rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
+}
+
 /// Spread `bytes` of checkpoint I/O over the topology's ranks (the way a
 /// real stage writes its shard of the artifact to the parallel FS), so
 /// the shared-I/O saturation model prices it like any other I/O phase.
@@ -289,13 +308,15 @@ impl StageRunner<'_> {
         let mark = self.report.mark();
         let mut aborted = 0u64;
         loop {
-            crate::alloc::reset_peak();
+            if metrics::is_enabled() {
+                reset_peak_rss();
+            }
             match catch_stage_abort(&mut run) {
                 Ok((value, phases)) => {
                     if metrics::is_enabled() {
                         metrics::gauge_max(
                             &format!("hipmer/mem/stage_peak_bytes/{name}"),
-                            crate::alloc::peak_bytes() as f64,
+                            peak_rss_bytes() as f64,
                         );
                     }
                     for p in phases {

@@ -582,8 +582,8 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
     ] {
         assert!(names.contains(&expected), "missing metric {expected}");
     }
-    // The tracking allocator is installed in the binary, so stage peaks
-    // are real heap numbers, not zeros.
+    // Stage peaks are the kernel's resident-set high-water mark, reset at
+    // each stage start: real numbers, not zeros.
     let peak = metrics_doc
         .get("metrics")
         .unwrap()

@@ -86,21 +86,6 @@ impl KmerSpectrum {
         table.preload(entries);
         KmerSpectrum { codec, table }
     }
-
-    /// Fraction of UU k-mers (unique extension both sides) on this rank's
-    /// shard — the de Bruijn graph vertices.
-    pub fn uu_fraction_local(&self, ctx: &mut RankCtx) -> f64 {
-        let (uu, total) = self
-            .table
-            .fold_local(ctx, (0usize, 0usize), |(uu, t), _, e| {
-                (uu + usize::from(e.exts.is_uu()), t + 1)
-            });
-        if total == 0 {
-            0.0
-        } else {
-            uu as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,10 +176,11 @@ mod tests {
                 KmerSpectrum::from_entries(Topology::new(7, 3), 5, scheme, exported.clone());
             assert_eq!(restored.codec.k(), 5);
             assert_eq!(restored.export_entries(), exported);
-            assert_eq!(
-                restored.table.has_locality_hash(),
-                scheme == PartitionScheme::Minimizer
-            );
+            let homed: DistHashMap<Kmer, KmerEntry> =
+                Partitioner::new(scheme, 5).table(Topology::new(7, 3), restored.codec);
+            for &(km, _) in &exported {
+                assert_eq!(restored.table.owner(&km), homed.owner(&km));
+            }
             let mut c2 = RankCtx::new(0, Topology::new(7, 3));
             for &(km, e) in &exported {
                 assert_eq!(restored.get(&mut c2, km), Some(e));
@@ -203,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_and_uu_fraction() {
+    fn count_histogram_bins_local_counts() {
         let topo = Topology::new(1, 1);
         let codec = KmerCodec::new(3);
         let table = DistHashMap::new(topo);
@@ -220,7 +206,5 @@ mod tests {
         let h = spectrum.count_histogram(&mut ctx, 100);
         assert_eq!(h.count(), 4);
         assert_eq!(h.bin(1), Some(1));
-        let uu = spectrum.uu_fraction_local(&mut ctx);
-        assert!((uu - 0.5).abs() < 1e-12);
     }
 }

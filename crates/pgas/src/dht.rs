@@ -2,11 +2,12 @@
 //! "distributed hash tables lie in the heart of HipMer and the main
 //! operations on them are irregular lookups").
 //!
-//! Keys are assigned to an **owner rank** by a placement function over the
-//! key's 64-bit hash; each rank owns exactly one partition — one map under
-//! one lock, as each UPC thread does in the paper — and every operation
-//! holds at most one partition lock (see DESIGN.md §12). Lock count scales
-//! with the rank count, which is never below the worker count.
+//! Keys are assigned to an **owner rank** by the table's one owner function
+//! (`key_hash % ranks` unless the table was built [`with_owner`]); each
+//! rank owns exactly one partition — one map under one lock, as each UPC
+//! thread does in the paper — and every operation holds at most one
+//! partition lock (see DESIGN.md §12). Lock count scales with the rank
+//! count, which is never below the worker count.
 //! Any rank may read or write any key (one-sided semantics): the access is
 //! executed directly against the owner's partition, and the *acting* rank's
 //! [`CommStats`] records whether it was local, on-node, or off-node —
@@ -24,6 +25,7 @@
 //!
 //! [`CommStats`]: crate::stats::CommStats
 //! [`version_stamp`]: DistHashMap::version_stamp
+//! [`with_owner`]: DistHashMap::with_owner
 
 use crate::metrics;
 use crate::team::RankCtx;
@@ -35,26 +37,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// How keys map to owner ranks.
-#[derive(Clone)]
-pub enum Placement {
-    /// Uniform: `owner = hash % ranks`. The default for every table.
-    Cyclic,
-    /// A custom mapping from key hash to owner rank — the hook the oracle
-    /// partitioning of §3.2 plugs into.
-    Custom(Arc<dyn Fn(u64) -> usize + Send + Sync>),
-}
-
-impl std::fmt::Debug for Placement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Placement::Cyclic => write!(f, "Placement::Cyclic"),
-            Placement::Custom(_) => write!(f, "Placement::Custom(..)"),
-        }
-    }
-}
 
 /// One owner rank's partition.
 struct Shard<K, V> {
@@ -76,18 +58,17 @@ impl<K, V> Default for Shard<K, V> {
 /// Process-global table id source (see [`DistHashMap::table_id`]).
 static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
 
-/// An owner-selection override: hashes a key to a placement-routable
-/// value (see [`DistHashMap::with_locality_hash`]).
-pub type LocalityHash<K> = Arc<dyn Fn(&K) -> u64 + Send + Sync>;
+/// A table's owner function: key → owner rank (see
+/// [`DistHashMap::with_owner`]).
+type OwnerFn<K> = Box<dyn Fn(&K) -> usize + Send + Sync>;
 
 /// A hash table partitioned across the virtual ranks of a [`Topology`].
 pub struct DistHashMap<K, V> {
     topo: Topology,
-    placement: Placement,
-    /// Optional **locality hash** override for owner selection (see
-    /// [`DistHashMap::with_locality_hash`]): when set, the owner rank is
-    /// computed from this hash instead of [`key_hash`](Self::key_hash).
-    locality: Option<LocalityHash<K>>,
+    /// The one routing decision: `None` is uniform hashing
+    /// (`key_hash % ranks`); `Some` is whatever the table was built with
+    /// ([`DistHashMap::with_owner`]).
+    owner_fn: Option<OwnerFn<K>>,
     /// One partition per rank, indexed by owner.
     shards: Vec<Shard<K, V>>,
     /// Remote-landed updates serviced by each shard's owner.
@@ -99,8 +80,7 @@ pub struct DistHashMap<K, V> {
     table_id: u64,
     /// Misra–Gries summary over the key hashes of service operations, for
     /// naming the heavy hitters behind `service_ops` skew. `None` (free)
-    /// unless [`trace::hotkey_capacity`] was nonzero at construction or
-    /// tracking was requested via [`DistHashMap::with_hot_key_tracking`].
+    /// unless [`trace::hotkey_capacity`] was nonzero at construction.
     hot_keys: Option<Mutex<MisraGries<u64>>>,
 }
 
@@ -109,13 +89,23 @@ where
     K: Hash + Eq + Send,
     V: Send,
 {
-    /// An empty table over `topo` with cyclic placement.
+    /// An empty table over `topo` with uniform ownership:
+    /// `owner = key_hash % ranks`.
     pub fn new(topo: Topology) -> Self {
-        Self::with_placement(topo, Placement::Cyclic)
+        Self::build(topo, None)
     }
 
-    /// An empty table with an explicit placement function.
-    pub fn with_placement(topo: Topology, placement: Placement) -> Self {
+    /// An empty table whose keys are owned by `owner(key)` — the hook the
+    /// minimizer partitioner ([`crate::Partitioner::table`]) and the oracle
+    /// of §3.2 ([`crate::OracleVector::table`]) plug into. The function is
+    /// fixed for the table's lifetime (re-homing a populated table would
+    /// orphan its entries) and must return a rank `< topo.ranks()`, which
+    /// [`owner`](Self::owner) checks on every call.
+    pub fn with_owner(topo: Topology, owner: impl Fn(&K) -> usize + Send + Sync + 'static) -> Self {
+        Self::build(topo, Some(Box::new(owner)))
+    }
+
+    fn build(topo: Topology, owner_fn: Option<OwnerFn<K>>) -> Self {
         let ranks = topo.ranks();
         let hot_keys = match trace::hotkey_capacity() {
             0 => None,
@@ -123,8 +113,7 @@ where
         };
         DistHashMap {
             topo,
-            placement,
-            locality: None,
+            owner_fn,
             shards: (0..ranks).map(|_| Shard::default()).collect(),
             service: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             hasher: KmerBuildHasher::default(),
@@ -132,36 +121,6 @@ where
             table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
             hot_keys,
         }
-    }
-
-    /// Enable hot-key tracking on this table with an explicit Misra–Gries
-    /// capacity, regardless of the process-global setting.
-    pub fn with_hot_key_tracking(mut self, capacity: usize) -> Self {
-        self.hot_keys = Some(Mutex::new(MisraGries::new(capacity)));
-        self
-    }
-
-    /// Route **owner selection** through `f` instead of the uniform
-    /// [`key_hash`](Self::key_hash): the owner becomes
-    /// `placement(f(key))`. This is the hook content-aware partitioners
-    /// (minimizer bucketing — [`crate::part`]) plug into: keys that share a
-    /// locality hash land on one rank.
-    ///
-    /// Must be applied before any entry is inserted (a populated table
-    /// re-homed under a different owner function would orphan its entries).
-    pub fn with_locality_hash(mut self, f: LocalityHash<K>) -> Self {
-        assert!(
-            self.shards.iter().all(|s| s.map.lock().is_empty()),
-            "locality hash must be set before the table is populated"
-        );
-        self.locality = Some(f);
-        self
-    }
-
-    /// Whether owner selection uses a locality-hash override.
-    #[inline]
-    pub fn has_locality_hash(&self) -> bool {
-        self.locality.is_some()
     }
 
     /// A process-unique identity for this table instance. Read-side
@@ -210,49 +169,33 @@ where
         self.entry_bytes
     }
 
-    /// The 64-bit hash used for placement (stable across ranks and runs).
+    /// The 64-bit hash behind uniform ownership and the hot-key summary
+    /// (stable across tables, ranks and runs).
     #[inline]
     pub fn key_hash(&self, key: &K) -> u64 {
         self.hasher.hash_one(key)
     }
 
-    /// The rank owning the key whose placement hash is `h`.
+    /// The rank owning `key`.
     ///
-    /// A `Placement::Custom` owner outside `0..ranks` is checked with a
-    /// **release-mode** assert, so a bogus owner fails with the placement
-    /// named instead of as a bare index panic deep inside an operation —
-    /// the same rationale as `Topology::chunk`'s release bounds check.
+    /// An owner function's result is range-checked with a **release-mode**
+    /// assert, so a bogus owner fails naming the table's size instead of as
+    /// a bare index panic deep inside an operation — the same rationale as
+    /// `Topology::chunk`'s release bounds check.
     #[inline]
-    fn owner_of_hash(&self, h: u64) -> usize {
-        match &self.placement {
-            Placement::Cyclic => (h % self.topo.ranks() as u64) as usize,
-            Placement::Custom(f) => {
-                let r = f(h);
+    pub fn owner(&self, key: &K) -> usize {
+        let ranks = self.topo.ranks();
+        match &self.owner_fn {
+            None => (self.key_hash(key) % ranks as u64) as usize,
+            Some(f) => {
+                let r = f(key);
                 assert!(
-                    r < self.topo.ranks(),
-                    "custom placement returned owner {r} for a table of {} ranks",
-                    self.topo.ranks()
+                    r < ranks,
+                    "owner function returned rank {r} for a table of {ranks} ranks"
                 );
                 r
             }
         }
-    }
-
-    /// The hash that drives owner selection: the locality hash when one is
-    /// installed ([`with_locality_hash`](Self::with_locality_hash)),
-    /// otherwise [`key_hash`](Self::key_hash).
-    #[inline]
-    fn placement_hash(&self, key: &K) -> u64 {
-        match &self.locality {
-            Some(f) => f(key),
-            None => self.key_hash(key),
-        }
-    }
-
-    /// The rank owning `key`.
-    #[inline]
-    pub fn owner(&self, key: &K) -> usize {
-        self.owner_of_hash(self.placement_hash(key))
     }
 
     /// Record one one-sided access by `ctx.rank` against `owner`'s shard
@@ -715,11 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn custom_placement_is_respected() {
+    fn owner_function_is_respected() {
         let topo = Topology::new(4, 2);
         // Everything on rank 3.
-        let placement = Placement::Custom(Arc::new(|_h| 3));
-        let dht: DistHashMap<u64, u32> = DistHashMap::with_placement(topo, placement);
+        let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 3);
         let mut c = ctx(0, topo);
         for k in 0..50 {
             dht.insert(&mut c, k, 0);
@@ -728,12 +670,12 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_custom_owner_is_rejected_in_release_builds_too() {
+    fn out_of_range_owner_is_rejected_in_release_builds_too() {
         // The check must be a real assert, not a debug_assert (this test
         // runs under `--release` in the bench/CI configurations as well).
+        // `ranks` itself is the smallest bad owner.
         let topo = Topology::new(4, 2);
-        let placement = Placement::Custom(Arc::new(|_h| 7)); // >= ranks
-        let dht: DistHashMap<u64, u32> = DistHashMap::with_placement(topo, placement);
+        let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 4);
         let mut c = ctx(0, topo);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             dht.insert(&mut c, 1, 1);
@@ -744,23 +686,20 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| err.downcast_ref::<&str>().unwrap_or(&"").to_string());
         assert!(
-            msg.contains("custom placement returned owner 7"),
+            msg.contains("owner function returned rank 4 for a table of 4 ranks"),
             "unexpected panic message: {msg}"
         );
     }
 
     #[test]
-    fn locality_hash_overrides_owner_and_is_evaluated_once_per_point_op() {
+    fn owner_function_is_evaluated_once_per_point_op() {
         let topo = Topology::new(4, 2);
-        // All keys share one locality hash => one owner (3 % 4 ranks = 3).
-        let calls = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&calls);
-        let dht: DistHashMap<u64, u32> =
-            DistHashMap::new(topo).with_locality_hash(Arc::new(move |_k: &u64| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                3
-            }));
-        assert!(dht.has_locality_hash());
+        let calls = std::sync::Arc::new(AtomicU64::new(0));
+        let counter = std::sync::Arc::clone(&calls);
+        let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, move |_k| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            3
+        });
         let mut c = ctx(0, topo);
         // Every point operation routes with exactly one owner evaluation.
         let mut expect_one_call = |what: &str, op: &mut dyn FnMut(&mut RankCtx)| {
@@ -776,23 +715,21 @@ mod tests {
             dht.with_mut(c, &8, |v| *v.unwrap() = 0)
         });
         expect_one_call("remove", &mut |c| assert_eq!(dht.remove(c, &8), Some(0)));
-        // Reads, batched reads and local iteration agree with the override.
+        // Reads, batched reads and local iteration agree with the function.
         for k in 0..256u64 {
             dht.insert(&mut c, k, 0);
         }
         assert_eq!(dht.shard_sizes(), vec![0, 0, 0, 256]);
-        assert_eq!(dht.owner(&7), dht.owner_of_hash(3));
         assert_eq!(dht.multi_get(&mut c, &[1, 2, 3]), vec![Some(0); 3]);
     }
 
     #[test]
-    fn locality_hash_keeps_grouped_keys_on_one_owner() {
+    fn owner_function_keeps_grouped_keys_on_one_owner() {
         // Keys bucketed by key/8: every group of 8 consecutive keys shares
         // an owner — the minimizer-run shape — and preload/drain respect it.
         let topo = Topology::new(8, 4);
-        let build = || -> DistHashMap<u64, u32> {
-            DistHashMap::new(topo).with_locality_hash(Arc::new(|k: &u64| k / 8))
-        };
+        let build =
+            || -> DistHashMap<u64, u32> { DistHashMap::with_owner(topo, |k| (k / 8 % 8) as usize) };
         let dht = build();
         let mut c = ctx(0, topo);
         for k in 0..640u64 {
@@ -803,24 +740,70 @@ mod tests {
                 (group * 8..group * 8 + 8).map(|k| dht.owner(&k)).collect();
             assert_eq!(owners.len(), 1, "group {group} split across owners");
         }
-        // preload places by the same overridden owner function.
+        // preload places by the same owner function.
         let restored = build();
         restored.preload(dht.snapshot_entries());
         assert_eq!(restored.shard_sizes(), dht.shard_sizes());
-        // drain_local returns exactly the rank's own (locality) partition.
+        // drain_local returns exactly the rank's own partition.
         let mut c2 = ctx(2, topo);
         let drained = restored.drain_local(&mut c2);
         assert!(drained.iter().all(|(k, _)| restored.owner(k) == 2));
     }
 
     #[test]
-    #[should_panic(expected = "before the table is populated")]
-    fn locality_hash_rejected_on_populated_table() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        dht.insert(&mut c, 1, 1);
-        let _ = dht.with_locality_hash(Arc::new(|_k: &u64| 0));
+    fn partitioner_and_oracle_tables_keep_their_owners() {
+        // Digests of `owner(key)` over 10 000 random 31-mers, taken at the
+        // commit before ownership became one closure (when it was a
+        // placement over a locality hash): the refactor moved no key.
+        use crate::{OracleVector, PartitionScheme, Partitioner};
+        use hipmer_dna::{Kmer, KmerCodec};
+        let k = 31;
+        let codec = KmerCodec::new(k);
+        let topo = Topology::new(16, 8);
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let kmers: Vec<Kmer> = (0..10_000)
+            .map(|_| {
+                let seq: Vec<u8> = (0..k)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        b"ACGT"[(x >> 62) as usize]
+                    })
+                    .collect();
+                codec.canonical(codec.pack(&seq).unwrap())
+            })
+            .collect();
+        // (FNV-style digest of all owners, the first six owners).
+        let owners = |t: &DistHashMap<Kmer, u32>| -> (u64, Vec<usize>) {
+            let all: Vec<usize> = kmers.iter().map(|km| t.owner(km)).collect();
+            let digest = all.iter().fold(0xcbf29ce484222325u64, |d, &o| {
+                d.wrapping_mul(0x100000001b3) ^ o as u64
+            });
+            (digest, all[..6].to_vec())
+        };
+
+        let uniform = Partitioner::new(PartitionScheme::Uniform, k).table(topo, codec);
+        assert_eq!(
+            owners(&uniform),
+            (0xbd50dbfff5db97f9, vec![7, 4, 0, 5, 10, 10])
+        );
+        let minimizer = Partitioner::new(PartitionScheme::Minimizer, k).table(topo, codec);
+        assert_eq!(
+            owners(&minimizer),
+            (0x300302fae281ebbd, vec![7, 0, 4, 12, 11, 2])
+        );
+        // Half the keys claim oracle slots (with collisions); the rest fall
+        // back to uniform ownership.
+        let mut oracle = OracleVector::new(4096, 16);
+        for (i, km) in kmers.iter().take(5_000).enumerate() {
+            oracle.assign(uniform.key_hash(km), i % 16);
+        }
+        let routed = std::sync::Arc::new(oracle).table(topo);
+        assert_eq!(
+            owners(&routed),
+            (0xeaba6ee1441f1650, vec![0, 1, 2, 3, 4, 5])
+        );
     }
 
     #[test]
@@ -967,15 +950,25 @@ mod tests {
     }
 
     #[test]
-    fn hot_key_tracking_names_the_heavy_hitter() {
+    fn hot_key_tracking_follows_the_process_capacity() {
+        // The one test that writes the process-wide capacity: a table made
+        // while it is 0 (the default) tracks nothing, one made while it is
+        // set names the heavy hitter.
         let topo = Topology::new(4, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_key_tracking(16);
+        let off: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        trace::set_hotkey_capacity(16);
+        assert_eq!(trace::hotkey_capacity(), 16);
+        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        trace::set_hotkey_capacity(0);
         let mut c = ctx(0, topo);
         // One ultra-frequent key among a uniform background.
         for i in 0..500u64 {
-            dht.update(&mut c, 7777, || 0, |v| *v += 1);
-            dht.update(&mut c, i, || 0, |v| *v += 1);
+            for t in [&off, &dht] {
+                t.update(&mut c, 7777, || 0, |v| *v += 1);
+                t.update(&mut c, i, || 0, |v| *v += 1);
+            }
         }
+        assert!(off.hot_keys(10).is_empty());
         let hot = dht.hot_keys(3);
         assert!(!hot.is_empty());
         assert_eq!(hot[0].0, dht.key_hash(&7777));
@@ -983,17 +976,6 @@ mod tests {
         for w in hot.windows(2) {
             assert!(w[0].1 >= w[1].1, "sorted descending");
         }
-    }
-
-    #[test]
-    fn hot_key_tracking_off_by_default_and_free() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        for i in 0..100u64 {
-            dht.insert(&mut c, i % 3, 0);
-        }
-        assert!(dht.hot_keys(10).is_empty());
     }
 
     #[test]
@@ -1029,8 +1011,7 @@ mod tests {
 
         let topo = Topology::new(4, 2);
         // All keys on rank 3: max/mean load factor = 4.0.
-        let placement = Placement::Custom(Arc::new(|_h| 3));
-        let dht: DistHashMap<u64, u32> = DistHashMap::with_placement(topo, placement);
+        let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 3);
         let mut c = ctx(0, topo);
         for k in 0..80 {
             dht.insert(&mut c, k, 0);

@@ -188,11 +188,6 @@ impl FaultPlan {
         self.max_retries
     }
 
-    /// Total remote communication events each rank has issued so far.
-    pub fn events_seen(&self, rank: usize) -> u64 {
-        self.events[rank].load(Ordering::Relaxed)
-    }
-
     /// Number of ranks the plan covers.
     pub fn events_len(&self) -> usize {
         self.events.len()
@@ -345,7 +340,6 @@ mod tests {
             // One-shot: the retried stage must not die again.
             assert_eq!(plan.on_remote_event(1), FaultEvent::Delivered);
         }
-        assert_eq!(plan.events_seen(1), 14);
     }
 
     #[test]

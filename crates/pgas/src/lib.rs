@@ -51,7 +51,7 @@ pub mod trace;
 pub use agg::{AggregatingStores, Outbox};
 pub use calib::Calibration;
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
-pub use dht::{DistHashMap, LocalityHash, Placement};
+pub use dht::DistHashMap;
 pub use fault::{
     catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort, StageOutcome,
 };

@@ -8,8 +8,14 @@
 //! send a k-mer to the wrong (remote) rank; a larger vector trades memory
 //! for fewer collisions and less communication, exactly the knob the paper
 //! turns between "oracle-1" (115 MB/thread) and "oracle-4" (4×).
+//!
+//! [`OracleVector::table`] is how the oracle reaches a table: it builds the
+//! [`DistHashMap`] whose one owner function is the vector's lookup.
 
-use crate::dht::Placement;
+use crate::dht::DistHashMap;
+use crate::topology::Topology;
+use hipmer_dna::{Kmer, KmerBuildHasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,12 +28,6 @@ pub struct OracleVector {
     ranks: usize,
     collisions: AtomicU64,
     assigned: AtomicU64,
-    /// Owner mapping for *unclaimed* slots. Defaults to cyclic
-    /// (`hash % ranks`); callers running the table family under a
-    /// non-uniform [`crate::Partitioner`] must install that partitioner's
-    /// mapping here, or unclaimed k-mers would silently disagree with
-    /// [`crate::DistHashMap::owner`] for every other table in the family.
-    fallback: Arc<dyn Fn(u64) -> usize + Send + Sync>,
 }
 
 impl OracleVector {
@@ -43,20 +43,7 @@ impl OracleVector {
             ranks,
             collisions: AtomicU64::new(0),
             assigned: AtomicU64::new(0),
-            fallback: Arc::new(move |h| (h % ranks as u64) as usize),
         }
-    }
-
-    /// Replace the unclaimed-slot fallback (default: cyclic). The closure
-    /// must return an owner `< ranks` — it is validated on every lookup by
-    /// the same release-mode owner-range check [`crate::DistHashMap`]
-    /// applies to custom placements. Use this to route novel k-mers through
-    /// the same partitioner that owns the rest of the table family instead
-    /// of a hard-coded `hash % ranks` that only agrees with uniform
-    /// placement.
-    pub fn with_fallback(mut self, f: Arc<dyn Fn(u64) -> usize + Send + Sync>) -> Self {
-        self.fallback = f;
-        self
     }
 
     /// Number of slots (the memory knob).
@@ -96,17 +83,16 @@ impl OracleVector {
         }
     }
 
-    /// Lookup: the owner for `hash`, falling back to the configured
-    /// fallback placement (default cyclic; see
-    /// [`with_fallback`](Self::with_fallback)) for unclaimed slots (k-mers
-    /// not seen when the oracle was built — e.g. novel k-mers of a
-    /// different individual or a different k).
+    /// Lookup: the owner for `hash`, falling back to uniform ownership
+    /// (`hash % ranks`) for unclaimed slots (k-mers not seen when the oracle
+    /// was built — e.g. novel k-mers of a different individual or a
+    /// different k).
     #[inline]
     pub fn owner(&self, hash: u64) -> usize {
         let idx = (hash % self.slots.len() as u64) as usize;
         let slot = self.slots[idx];
         if slot == EMPTY {
-            (self.fallback)(hash)
+            (hash % self.ranks as u64) as usize
         } else {
             slot as usize
         }
@@ -136,16 +122,33 @@ impl OracleVector {
         }
     }
 
-    /// Wrap into a [`Placement`] for [`crate::DistHashMap`].
-    pub fn placement(self: Arc<Self>) -> Placement {
-        Placement::Custom(Arc::new(move |h| self.owner(h)))
+    /// The hash the vector is indexed by: `uniform_hash(kmer)`, what
+    /// [`DistHashMap::key_hash`] computes for k-mer keys. Builders
+    /// [`assign`](Self::assign) under it and [`table`](Self::table) looks
+    /// up under it.
+    #[inline]
+    pub fn kmer_hash(km: &Kmer) -> u64 {
+        KmerBuildHasher::default().hash_one(km)
+    }
+
+    /// An empty k-mer table over `topo` whose owner function is this oracle:
+    /// `owner(kmer_hash(kmer))`.
+    ///
+    /// # Panics
+    /// Panics if the oracle targets a different rank count than `topo`.
+    pub fn table<V: Send>(self: Arc<Self>, topo: Topology) -> DistHashMap<Kmer, V> {
+        assert_eq!(
+            self.ranks,
+            topo.ranks(),
+            "oracle built for a different rank count than the table's topology"
+        );
+        DistHashMap::with_owner(topo, move |km: &Kmer| self.owner(Self::kmer_hash(km)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Topology;
 
     #[test]
     fn assign_then_lookup() {
@@ -171,21 +174,6 @@ mod tests {
         let o = OracleVector::new(16, 4);
         for h in 0..100u64 {
             assert_eq!(o.owner(h), (h % 4) as usize);
-        }
-    }
-
-    #[test]
-    fn fallback_hook_overrides_cyclic_for_unclaimed_slots_only() {
-        let mut o = OracleVector::new(16, 4);
-        o.assign(3, 2);
-        o = o.with_fallback(Arc::new(|h| ((h / 7) % 4) as usize));
-        // Claimed slot still wins...
-        assert_eq!(o.owner(3), 2);
-        // ...but every unclaimed hash routes through the hook, not % ranks.
-        for h in 0..100u64 {
-            if h % 16 != 3 {
-                assert_eq!(o.owner(h), ((h / 7) % 4) as usize);
-            }
         }
     }
 
@@ -220,13 +208,15 @@ mod tests {
     }
 
     #[test]
-    fn placement_wrapper_works() {
+    fn table_routes_by_the_oracle() {
+        let topo = Topology::new(4, 2);
+        let codec = hipmer_dna::KmerCodec::new(21);
+        let km = codec.pack(b"ACGTTGCAAGGCTTAACCGGT").unwrap();
         let mut o = OracleVector::new(32, 4);
-        o.assign(7, 3);
-        let p = Arc::new(o).placement();
-        match p {
-            Placement::Custom(f) => assert_eq!(f(7), 3),
-            _ => panic!("expected custom placement"),
-        }
+        let table: DistHashMap<Kmer, u32> = DistHashMap::new(topo);
+        let claimed = (table.owner(&km) + 1) % 4;
+        o.assign(table.key_hash(&km), claimed);
+        let routed: DistHashMap<Kmer, u32> = Arc::new(o).table(topo);
+        assert_eq!(routed.owner(&km), claimed);
     }
 }

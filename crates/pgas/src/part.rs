@@ -24,10 +24,9 @@
 //! access goes through [`DistHashMap::owner`], so the assembled output is
 //! byte-identical under any scheme — only the communication tallies move.
 //!
-//! The partitioner feeds [`DistHashMap::with_locality_hash`]: the owner is
-//! chosen from the minimizer hash, and that one choice is all the routing
-//! there is — a minimizer run lands in one rank's partition, under its one
-//! lock.
+//! The partitioner feeds [`DistHashMap::with_owner`]: the owner is
+//! `minimizer_hash % ranks`, and that one function is all the routing there
+//! is — a minimizer run lands in one rank's partition, under its one lock.
 //!
 //! Coherence rule: tables whose entries flow into each other without
 //! re-homing (the k-mer votes table and the final spectrum table, the
@@ -39,7 +38,6 @@ use crate::dht::DistHashMap;
 use crate::topology::Topology;
 use hipmer_dna::{Kmer, KmerCodec};
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// Default minimizer length `m` (capped at the key length). Short enough
 /// that minimizer runs are long (`w = k - m + 1` windows per k-mer) even
@@ -133,12 +131,16 @@ impl Partitioner {
         }
     }
 
-    /// The locality-hash closure to install on a k-mer table, or `None`
-    /// for uniform hashing. The codec's key length must match the length
-    /// this partitioner was bound to.
-    pub fn locality_hash(&self, codec: KmerCodec) -> Option<crate::dht::LocalityHash<Kmer>> {
+    /// The one construction path for partitioned k-mer tables: an empty
+    /// [`DistHashMap`] over `topo` whose owner function follows this
+    /// partitioner (`key_hash % ranks` for uniform, `minimizer_hash % ranks`
+    /// for minimizer bucketing). Stages that feed entries between tables
+    /// must build both ends through the same partitioner (see the module
+    /// docs). The codec's key length must match the length this partitioner
+    /// was bound to.
+    pub fn table<V: Send>(&self, topo: Topology, codec: KmerCodec) -> DistHashMap<Kmer, V> {
         match *self {
-            Partitioner::Uniform => None,
+            Partitioner::Uniform => DistHashMap::new(topo),
             Partitioner::Minimizer { w, m } => {
                 assert_eq!(
                     w,
@@ -146,20 +148,11 @@ impl Partitioner {
                     "partitioner bound to a different key length than codec k={}",
                     codec.k()
                 );
-                Some(Arc::new(move |km: &Kmer| codec.minimizer_hash(*km, m)))
+                let ranks = topo.ranks() as u64;
+                DistHashMap::with_owner(topo, move |km: &Kmer| {
+                    (codec.minimizer_hash(*km, m) % ranks) as usize
+                })
             }
-        }
-    }
-
-    /// The one construction path for partitioned k-mer tables: an empty
-    /// [`DistHashMap`] over `topo` whose owner selection follows this
-    /// partitioner. Stages that feed entries between tables must build
-    /// both ends through the same partitioner (see the module docs).
-    pub fn table<V: Send>(&self, topo: Topology, codec: KmerCodec) -> DistHashMap<Kmer, V> {
-        let table = DistHashMap::new(topo);
-        match self.locality_hash(codec) {
-            Some(f) => table.with_locality_hash(f),
-            None => table,
         }
     }
 }
@@ -215,7 +208,6 @@ mod tests {
         let topo = Topology::new(8, 4);
         let part = Partitioner::new(PartitionScheme::Minimizer, k);
         let table: DistHashMap<Kmer, u32> = part.table(topo, codec);
-        assert!(table.has_locality_hash());
 
         // A synthetic read: adjacent canonical k-mers must mostly share an
         // owner (the property the placement exists for), and owners must
@@ -256,8 +248,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different key length")]
-    fn locality_hash_rejects_mismatched_codec() {
+    fn table_rejects_mismatched_codec() {
         let part = Partitioner::new(PartitionScheme::Minimizer, 31);
-        let _ = part.locality_hash(KmerCodec::new(21));
+        let _: DistHashMap<Kmer, u32> = part.table(Topology::new(2, 2), KmerCodec::new(21));
     }
 }

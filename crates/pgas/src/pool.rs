@@ -87,12 +87,6 @@ impl TeamPool {
         self.os_threads
     }
 
-    /// Ranks currently free (not leased).
-    pub fn available_ranks(&self) -> usize {
-        let state = self.state.lock().expect("pool lock poisoned");
-        self.total_ranks - state.leased
-    }
-
     /// Ranks currently leased out.
     pub fn leased_ranks(&self) -> usize {
         let state = self.state.lock().expect("pool lock poisoned");
@@ -214,17 +208,17 @@ mod tests {
     #[test]
     fn leases_grant_and_return_ranks() {
         let p = pool(16);
-        assert_eq!(p.available_ranks(), 16);
+        assert_eq!(p.leased_ranks(), 0);
         let a = p.try_lease(10).expect("10 of 16 free");
         assert_eq!(a.ranks(), 10);
-        assert_eq!(p.available_ranks(), 6);
+        assert_eq!(p.leased_ranks(), 10);
         assert!(p.try_lease(8).is_none(), "only 6 left");
         let b = p.try_lease(6).expect("exactly 6 left");
-        assert_eq!(p.available_ranks(), 0);
+        assert_eq!(p.leased_ranks(), 16);
         drop(a);
-        assert_eq!(p.available_ranks(), 10);
+        assert_eq!(p.leased_ranks(), 6);
         drop(b);
-        assert_eq!(p.available_ranks(), 16);
+        assert_eq!(p.leased_ranks(), 0);
     }
 
     #[test]
@@ -277,7 +271,7 @@ mod tests {
         drop(held);
         waiter.join().unwrap();
         assert_eq!(got.load(Ordering::SeqCst), 2);
-        assert_eq!(p.available_ranks(), 4, "waiter's lease dropped on join");
+        assert_eq!(p.leased_ranks(), 0, "waiter's lease dropped on join");
     }
 
     #[test]
@@ -291,6 +285,6 @@ mod tests {
             }
         });
         assert!(res.is_err());
-        assert_eq!(p.available_ranks(), 8, "drop ran during unwind");
+        assert_eq!(p.leased_ranks(), 0, "drop ran during unwind");
     }
 }

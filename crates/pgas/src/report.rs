@@ -409,7 +409,7 @@ impl PipelineReport {
     ///
     /// Schema v4 adds the dynamic-scheduling surface: per-phase `totals`
     /// gain `steal_ops` ([`CommStats::steal_ops`], the chunk acquisitions
-    /// of [`crate::RankCtx::for_each_dynamic`]). The per-phase `imbalance`
+    /// of [`crate::RankCtx::dynamic_ranges`]). The per-phase `imbalance`
     /// key — present since v1 — is now computed by pricing each rank under
     /// the phase's real topology via [`CostModel::rank_breakdown`] (see
     /// [`PhaseReport::imbalance`]), so static-vs-dynamic schedule

@@ -176,34 +176,6 @@ impl RankCtx {
         self.stats.steal(mine.len() as u64 + 1);
         mine
     }
-
-    /// The progress-pool name this context reports under: the phase label
-    /// when the context runs inside a named phase, else `"dynamic"`.
-    fn progress_pool(&self) -> String {
-        if self.phase().is_empty() {
-            "dynamic".to_string()
-        } else {
-            self.phase().to_string()
-        }
-    }
-
-    /// Run `f` once for every index of `0..n` this rank claims under
-    /// guided dynamic scheduling (see the [module docs](crate::sched)).
-    /// Across the team every index is visited exactly once. When the
-    /// metrics registry is enabled, each completed chunk records progress
-    /// under pool [`RankCtx::phase`] (team-wide `done` converges to `n`).
-    pub fn for_each_dynamic<F: FnMut(&mut RankCtx, usize)>(&mut self, n: usize, mut f: F) {
-        let pool = crate::metrics::is_enabled().then(|| self.progress_pool());
-        for range in self.dynamic_ranges(n) {
-            let len = range.len() as u64;
-            for i in range {
-                f(self, i);
-            }
-            if let Some(pool) = &pool {
-                crate::metrics::pool_progress(pool, len, n as u64);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +200,7 @@ mod tests {
             let mut seen = Vec::new();
             match &weights {
                 Some(w) => seen.extend(ctx.dynamic_ranges_weighted(w).into_iter().flatten()),
-                None => ctx.for_each_dynamic(n, |_, i| seen.push(i)),
+                None => seen.extend(ctx.dynamic_ranges(n).into_iter().flatten()),
             }
             seen
         });
@@ -360,36 +332,6 @@ mod tests {
         for (rank, s) in stats.iter().enumerate() {
             assert_eq!(s.steal_ops, claims[rank] + 1, "rank {rank}");
         }
-    }
-
-    #[test]
-    fn dynamic_progress_counts_every_item_under_the_phase_pool() {
-        let _serial = crate::metrics::TEST_LOCK.lock().unwrap();
-        crate::metrics::reset();
-        crate::metrics::enable();
-        let team = Team::new(Topology::new(6, 3)).with_os_threads(2);
-        team.run_named("test/sched-progress", |ctx| {
-            ctx.for_each_dynamic(500, |_, _| {});
-        });
-        crate::metrics::disable();
-        let snap = crate::metrics::snapshot();
-        let done = snap
-            .iter()
-            .find(|m| m.name() == "progress/test/sched-progress/done")
-            .expect("progress counter registered");
-        match done {
-            crate::metrics::MetricSnapshot::Counter(_, c) => assert_eq!(*c, 500),
-            other => panic!("expected counter, got {other:?}"),
-        }
-        let total = snap
-            .iter()
-            .find(|m| m.name() == "progress/test/sched-progress/total")
-            .expect("progress total registered");
-        match total {
-            crate::metrics::MetricSnapshot::Gauge(_, g) => assert_eq!(*g, 500.0),
-            other => panic!("expected gauge, got {other:?}"),
-        }
-        crate::metrics::reset();
     }
 
     #[test]

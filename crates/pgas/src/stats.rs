@@ -57,7 +57,7 @@ pub struct CommStats {
     /// Bytes written to storage by this rank.
     pub io_write_bytes: u64,
     /// Dynamic-scheduling chunk acquisitions: each chunk a rank claims from
-    /// the shared work counter of [`crate::RankCtx::for_each_dynamic`] is one
+    /// the shared work counter of [`crate::RankCtx::dynamic_ranges`] is one
     /// modeled remote atomic fetch-add, priced by
     /// [`crate::CostModel::t_steal`]. Static `chunk` partitioning performs
     /// none.

@@ -35,9 +35,6 @@ pub struct RankCtx {
     /// Fault schedule consulted by [`RankCtx::comm`] (set by
     /// [`Team::with_fault_plan`]; `None` = fault-free).
     faults: Option<Arc<FaultPlan>>,
-    /// Label of the phase this context runs in (empty for forged
-    /// contexts); names the progress pool for dynamic scheduling.
-    phase: String,
 }
 
 impl RankCtx {
@@ -48,15 +45,7 @@ impl RankCtx {
             topo,
             stats: CommStats::new(),
             faults: None,
-            phase: String::new(),
         }
-    }
-
-    /// The label of the phase this context is executing (the string passed
-    /// to [`Team::run_named`]), or `""` for contexts forged outside a
-    /// phase. Used to name progress pools in [`crate::metrics`].
-    pub fn phase(&self) -> &str {
-        &self.phase
     }
 
     /// The machine topology this phase runs on.
@@ -166,7 +155,6 @@ fn run_rank<R, F>(
     topo: Topology,
     faults: Option<&Arc<FaultPlan>>,
     phase_start: Instant,
-    phase: &str,
     label: Option<&str>,
 ) -> (
     Option<R>,
@@ -179,7 +167,6 @@ where
 {
     let rank_start = Instant::now();
     let mut ctx = RankCtx::new(rank, topo);
-    ctx.phase = phase.to_string();
     if let Some(plan) = faults {
         ctx.faults = Some(Arc::clone(plan));
     }
@@ -340,15 +327,8 @@ impl Team {
             let mut local: Bucket<R> = Vec::with_capacity(block.len());
             let mut spans = Vec::new();
             for rank in block {
-                let (out, stats, span, failure) = run_rank(
-                    &f,
-                    rank,
-                    self.topo,
-                    faults,
-                    phase_start,
-                    label,
-                    span_label(rank),
-                );
+                let (out, stats, span, failure) =
+                    run_rank(&f, rank, self.topo, faults, phase_start, span_label(rank));
                 spans.extend(span);
                 local.push((rank, out, stats, failure));
             }

@@ -291,14 +291,4 @@ mod tests {
             .collect();
         assert_eq!(names, labels);
     }
-
-    #[test]
-    fn hotkey_capacity_round_trip() {
-        // Touches only the capacity cell; other tests don't read it.
-        assert_eq!(hotkey_capacity(), 0);
-        set_hotkey_capacity(12);
-        assert_eq!(hotkey_capacity(), 12);
-        set_hotkey_capacity(0);
-        assert_eq!(hotkey_capacity(), 0);
-    }
 }

@@ -5,11 +5,9 @@
 //! that snapshot the process-global registry.
 
 use hipmer_pgas::{
-    AggregatingStores, CommStats, DistHashMap, LookupBatch, Outbox, Placement, RankCtx, Team,
-    Topology,
+    AggregatingStores, CommStats, DistHashMap, LookupBatch, Outbox, RankCtx, Team, Topology,
 };
 use std::collections::HashMap;
-use std::sync::Arc;
 
 fn add(a: &mut u32, b: u32) {
     *a += b;
@@ -32,9 +30,8 @@ fn hot_owner_run(
     const HOT: usize = 5;
     const KEYS: u64 = 96;
     let topo = Topology::new(16, 8);
-    let hot = || Placement::Custom(Arc::new(|_| HOT));
-    let dht: DistHashMap<u64, u32> = DistHashMap::with_placement(topo, hot());
-    let side: DistHashMap<u64, u32> = DistHashMap::with_placement(topo, hot());
+    let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| HOT);
+    let side: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| HOT);
     let team = Team::new(topo).with_os_threads(threads);
     let (_, mut stats) = team.run_named("test/hot-owner-write", |ctx| {
         let mut agg = AggregatingStores::with_batch(&dht, add, batch);

@@ -90,12 +90,6 @@ impl BloomFilter {
         self.probes(key_hash)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
-
-    /// Fraction of set bits (diagnostics; ~50% at design load).
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.num_bits() as f64
-    }
 }
 
 #[cfg(test)]
@@ -132,17 +126,6 @@ mod tests {
         let mut f = BloomFilter::with_rate(1000, 0.001);
         assert!(!f.insert(mix64(7)), "first insert is new");
         assert!(f.insert(mix64(7)), "second insert is seen");
-    }
-
-    #[test]
-    fn fill_ratio_reasonable_at_design_load() {
-        let n = 20_000;
-        let mut f = BloomFilter::with_rate(n, 0.01);
-        for k in 0..n as u64 {
-            f.insert(mix64(k));
-        }
-        let fill = f.fill_ratio();
-        assert!(fill > 0.2 && fill < 0.6, "fill ratio {fill}");
     }
 
     #[test]
