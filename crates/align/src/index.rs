@@ -2,9 +2,7 @@
 
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec};
-use hipmer_pgas::{
-    AggregatingStores, DistHashMap, PartitionScheme, Partitioner, PhaseReport, Team,
-};
+use hipmer_pgas::{AggregatingStores, DistHashMap, PartitionScheme, PhaseReport, Team};
 
 /// One seed occurrence in a contig.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,8 +60,7 @@ pub fn build_seed_index(
     partition: PartitionScheme,
 ) -> (SeedIndex, PhaseReport) {
     let codec = KmerCodec::new(seed_len);
-    let part = Partitioner::new(partition, seed_len);
-    let table: DistHashMap<Kmer, HitList> = part.table(*team.topo(), codec);
+    let table: DistHashMap<Kmer, HitList> = partition.table(*team.topo(), codec);
 
     let merge = move |a: &mut HitList, b: HitList| {
         a.total += b.total;
@@ -112,7 +109,7 @@ pub fn build_seed_index(
     });
     table.drain_service_into(&mut stats);
     let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats)
-        .with_placement(part.label());
+        .with_placement(partition.label(seed_len));
     (
         SeedIndex {
             table,

@@ -159,13 +159,7 @@ mod tests {
     fn dataset_and_ranges() -> (Vec<SeqRecord>, Vec<Range<usize>>) {
         let d = human_like_dataset(60_000, 16.0, false, 99);
         let reads = d.all_reads();
-        let mut ranges = Vec::new();
-        let mut start = 0;
-        for lib in &d.reads_per_library {
-            ranges.push(start..start + lib.len());
-            start += lib.len();
-        }
-        (reads, ranges)
+        (reads, d.lib_ranges())
     }
 
     #[test]

@@ -28,7 +28,7 @@ use hipmer_contig::{
     build_graph, build_oracle, generate_contigs, traverse_graph, ContigConfig, TraversalMode,
 };
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
-use hipmer_pgas::{Partitioner, Team, Topology};
+use hipmer_pgas::{PartitionScheme, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_like_dataset};
 use hipmer_scaffold::{close_gaps, GapCloseConfig};
 use std::sync::Arc;
@@ -143,7 +143,7 @@ fn main() {
         let oracle = Arc::new(build_oracle(&contigs, &topo, slots));
         let collisions = oracle.collisions();
         let kb = oracle.memory_bytes() / 1024;
-        let (graph, _) = build_graph(&team, &spectrum, Some(oracle), Partitioner::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, Some(oracle), PartitionScheme::Uniform);
         let (_, traversal) = traverse_graph(&team, &graph, &ccfg);
         // A vector far smaller than the k-mer set funnels most k-mers onto
         // the first-written ranks: lookups turn local but the load
@@ -165,7 +165,7 @@ fn main() {
         &team,
         &spectrum,
         Some(Arc::new(oracle)),
-        Partitioner::Uniform,
+        PartitionScheme::Uniform,
     );
     let (_, traversal) = traverse_graph(&team, &graph, &ccfg);
     let t = traversal.totals();
@@ -486,12 +486,7 @@ fn main() {
 
         let dataset = human_like_dataset(scaled(60_000), 14.0, true, 1009);
         let reads = dataset.all_reads();
-        let mut lib_ranges = Vec::new();
-        let mut start = 0usize;
-        for lib in &dataset.reads_per_library {
-            lib_ranges.push(start..start + lib.len());
-            start += lib.len();
-        }
+        let lib_ranges = dataset.lib_ranges();
         let cfg = PipelineConfig::new(k);
         let ft_topo = Topology::edison(96);
         let dir = std::env::temp_dir().join(format!("hipmer-ablation9-{}", std::process::id()));

@@ -9,8 +9,6 @@
 //! * I/O is flat across the sweep (Lustre saturated by 960 cores), which
 //!   limits scaling at the top end.
 
-#[allow(unused_imports)]
-use hipmer_bench::lib_ranges as _lib_ranges;
 use hipmer_bench::{banner, efficiency, fast, model, scaled};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::{CommStats, PhaseReport, Team, Topology};

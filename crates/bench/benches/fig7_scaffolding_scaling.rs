@@ -10,7 +10,7 @@
 //!   larger serial ordering/orientation component).
 
 use hipmer::StageTimes;
-use hipmer_bench::{banner, concurrencies, efficiency, lib_ranges, model, scaled};
+use hipmer_bench::{banner, concurrencies, efficiency, model, scaled};
 use hipmer_contig::{generate_contigs, ContigConfig};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::{Team, Topology};
@@ -20,7 +20,7 @@ use hipmer_scaffold::{scaffold_pipeline, ScaffoldConfig};
 fn run(dataset: &Dataset, rounds: usize, label: &str) {
     let k = 31;
     let reads = dataset.all_reads();
-    let ranges = lib_ranges(dataset);
+    let ranges = dataset.lib_ranges();
     println!(
         "\n--- {label}: {} bp genome, {} reads, {} libraries, {} scaffolding round(s) ---",
         dataset.total_genome_bases(),

@@ -9,13 +9,13 @@
 //!   second (28%), contig generation least (4%).
 
 use hipmer::{assemble, PipelineConfig, StageTimes};
-use hipmer_bench::{banner, concurrencies, lib_ranges, model, scaled};
+use hipmer_bench::{banner, concurrencies, model, scaled};
 use hipmer_pgas::{Team, Topology};
 use hipmer_readsim::{human_like_dataset, wheat_scaffolding_dataset, Dataset};
 
 fn run(dataset: &Dataset, cfg: &PipelineConfig, label: &str) {
     let reads = dataset.all_reads();
-    let ranges = lib_ranges(dataset);
+    let ranges = dataset.lib_ranges();
     println!(
         "\n--- {label}: {} bp genome, {} reads ---",
         dataset.total_genome_bases(),

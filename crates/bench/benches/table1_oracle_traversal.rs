@@ -11,7 +11,7 @@
 use hipmer_bench::{banner, fast, model, scaled};
 use hipmer_contig::{build_graph, build_oracle, traverse_graph, ContigConfig};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
-use hipmer_pgas::{Partitioner, Team, Topology};
+use hipmer_pgas::{PartitionScheme, Team, Topology};
 use hipmer_readsim::{
     apply_snps, repeat_fragmented, simulate_library, ErrorModel, Genome, Library,
 };
@@ -74,7 +74,7 @@ fn main() {
         // Draft assembly of individual A at this concurrency.
         let (spectrum_a, _) = analyze_kmers(&team, &reads_a_lib, &KmerAnalysisConfig::new(k));
         let cfg = ContigConfig::new(k);
-        let (graph_a, _) = build_graph(&team, &spectrum_a, None, Partitioner::Uniform);
+        let (graph_a, _) = build_graph(&team, &spectrum_a, None, PartitionScheme::Uniform);
         let (contigs_a, _) = traverse_graph(&team, &graph_a, &cfg);
 
         // Oracle vectors from A's contigs. "oracle-4" has 4x the slots
@@ -102,7 +102,7 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let (graph, _) = build_graph(&team, &spectrum_b, oracle, Partitioner::Uniform);
+            let (graph, _) = build_graph(&team, &spectrum_b, oracle, PartitionScheme::Uniform);
             let (contigs, traversal) = traverse_graph(&team, &graph, &cfg);
             times[i] = traversal.modeled(&m).total();
             offnode[i] = traversal.offnode_fraction();

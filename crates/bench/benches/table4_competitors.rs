@@ -9,7 +9,7 @@
 
 use hipmer::PipelineConfig;
 use hipmer_baselines::{abyss_like, hipmer_reference, ray_like, serial_meraculous};
-use hipmer_bench::{banner, lib_ranges, scaled};
+use hipmer_bench::{banner, scaled};
 use hipmer_readsim::human_like_dataset;
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
     );
     let dataset = human_like_dataset(scaled(300_000), 14.0, true, 90_001);
     let reads = dataset.all_reads();
-    let ranges = lib_ranges(&dataset);
+    let ranges = dataset.lib_ranges();
     let cfg = PipelineConfig::new(31);
     // Paper compares at 960 cores; concurrency matched to our data volume.
     let ranks = 240;

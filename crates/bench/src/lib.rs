@@ -14,8 +14,6 @@
 //! smoke checks).
 
 use hipmer_pgas::{CostModel, PhaseReport};
-use hipmer_readsim::Dataset;
-use std::ops::Range;
 
 /// Scale factor for genome sizes (`HIPMER_BENCH_SCALE`).
 pub fn scale() -> f64 {
@@ -53,17 +51,6 @@ pub fn concurrencies() -> Vec<usize> {
     } else {
         vec![48, 96, 192, 384, 768]
     }
-}
-
-/// Library index ranges of a dataset's reads (for the scaffolder).
-pub fn lib_ranges(dataset: &Dataset) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for lib in &dataset.reads_per_library {
-        out.push(start..start + lib.len());
-        start += lib.len();
-    }
-    out
 }
 
 /// The cost model every harness prices with.

@@ -2,14 +2,14 @@
 //!
 //! [`build_graph`] is where vertex ownership is decided, once: the node
 //! table is built either by the oracle ([`OracleVector::table`]) or by the
-//! run's partitioner ([`Partitioner::table`]), and the traversal reads the
+//! run's partition scheme ([`PartitionScheme::table`]), and the traversal reads the
 //! consequence — whether walks stop at ownership boundaries — from
 //! [`DebruijnGraph::stop_foreign`] instead of asking the table how it
 //! routes.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{DistHashMap, OracleVector, Partitioner, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, OracleVector, PartitionScheme, PhaseReport, Team};
 use std::sync::Arc;
 
 /// A graph vertex: one UU k-mer with its unique extensions.
@@ -43,8 +43,8 @@ pub struct DebruijnGraph {
 
 /// Build the graph from a finished k-mer spectrum. Vertices are owned as
 /// `oracle` says when one is given (the communication-avoiding traversal
-/// of §3.2), otherwise as `partitioner` says. An oracle supersedes the
-/// partitioner: it already encodes a (stronger, contig-exact) locality
+/// of §3.2), otherwise as `partition` says. An oracle supersedes the
+/// partition scheme: it already encodes a (stronger, contig-exact) locality
 /// decision per k-mer, so a minimizer layer under it would only re-home the
 /// k-mers the oracle deliberately grouped.
 ///
@@ -58,15 +58,15 @@ pub fn build_graph(
     team: &Team,
     spectrum: &KmerSpectrum,
     oracle: Option<Arc<OracleVector>>,
-    partitioner: Partitioner,
+    partition: PartitionScheme,
 ) -> (DebruijnGraph, PhaseReport) {
     let topo = *team.topo();
     let (nodes, label, stop_foreign): (DistHashMap<Kmer, GraphNode>, String, bool) = match oracle {
         Some(oracle) => (oracle.table(topo), "oracle".to_string(), false),
         None => (
-            partitioner.table(topo, spectrum.codec),
-            partitioner.label(),
-            partitioner != Partitioner::Uniform,
+            partition.table(topo, spectrum.codec),
+            partition.label(spectrum.codec.k()),
+            partition != PartitionScheme::Uniform,
         ),
     };
 
@@ -146,7 +146,7 @@ mod tests {
                 ("GTA", ExtChoice::Unique(2), ExtChoice::None),      // UX
             ],
         );
-        let (graph, _) = build_graph(&team, &spectrum, None, Partitioner::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
         assert_eq!(graph.nodes.len(), 1);
         let mut ctx = RankCtx::new(0, topo);
         let codec = KmerCodec::new(3);
@@ -174,7 +174,12 @@ mod tests {
                 ("GCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
             ],
         );
-        let (graph, _) = build_graph(&team, &spectrum, everything_on(3, 4), Partitioner::Uniform);
+        let (graph, _) = build_graph(
+            &team,
+            &spectrum,
+            everything_on(3, 4),
+            PartitionScheme::Uniform,
+        );
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 0, 0, 3]);
         assert!(!graph.stop_foreign);
     }
@@ -192,7 +197,7 @@ mod tests {
                 ("GCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
             ],
         );
-        let part = Partitioner::new(hipmer_pgas::PartitionScheme::Minimizer, 3);
+        let part = PartitionScheme::Minimizer;
         // No oracle: the partitioner decides owners, and minimizer runs
         // are worth stopping at.
         let (graph, report) = build_graph(&team, &spectrum, None, part);
@@ -210,7 +215,7 @@ mod tests {
         assert_eq!(report.placement.as_deref(), Some("oracle"));
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 3, 0, 0]);
         // Uniform hashing has no runs to stop at either.
-        let (graph, _) = build_graph(&team, &spectrum, None, Partitioner::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
         assert!(!graph.stop_foreign);
     }
 }

@@ -17,8 +17,7 @@ use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::{
-    CommStats, OracleVector, PartitionScheme, Partitioner, PhaseReport, RankCtx, Schedule,
-    SoftwareCache, Team,
+    CommStats, OracleVector, PartitionScheme, PhaseReport, RankCtx, Schedule, SoftwareCache, Team,
 };
 use std::sync::Arc;
 
@@ -879,8 +878,8 @@ pub fn generate_contigs(
     spectrum: &KmerSpectrum,
     cfg: &ContigConfig,
 ) -> (ContigSet, Vec<PhaseReport>) {
-    let part = Partitioner::new(cfg.partition, spectrum.codec.k());
-    let (graph, build_report) = crate::graph::build_graph(team, spectrum, cfg.oracle.clone(), part);
+    let (graph, build_report) =
+        crate::graph::build_graph(team, spectrum, cfg.oracle.clone(), cfg.partition);
     let (set, traverse_report) = traverse_graph(team, &graph, cfg);
     // The traversal walks the same table the build placed, so it carries
     // the build's placement label in the report's per-placement split.

@@ -1,13 +1,16 @@
 //! `hipmer` — command-line front end for the assembler.
 //!
 //! ```text
-//! hipmer assemble reads.fastq -o scaffolds.fasta [-k 31] [--ranks 480] \
-//!        [--ranks-per-node 24] [--rounds 1] [--metagenome] [--report] \
-//!        [--multi-k 21,33,55] \
-//!        [--schedule static|dynamic] [--partition uniform|minimizer] \
-//!        [--trace trace.json] [--trace-ranks N] [--report-json report.json]
-//! hipmer simulate human|wheat|meta -o reads.fastq [--len 100000] [--cov 16]
+//! hipmer assemble <reads.fastq> -o <scaffolds.fasta> [-k 31] [--ranks 480] ...
+//! hipmer simulate <human|wheat|meta> -o <reads.fastq> [--len 100000] [--cov 16]
+//! hipmer serve [--addr HOST:PORT] [--state-dir DIR] ...
 //! ```
+//!
+//! Run `hipmer` with no arguments for every flag: the usage text ([`USAGE`])
+//! is also the list the parser checks argv against, so an unknown or
+//! misspelled flag, a flag given twice, or a flag missing its value is an
+//! `error: …` plus the usage and exit status 2 — never a silently ignored
+//! argument.
 //!
 //! `assemble` reads a FASTQ file with the §3.3 parallel block reader, runs
 //! the full pipeline on the requested virtual-machine shape, writes the
@@ -77,14 +80,24 @@
 use hipmer::{run_assembly_fastq, PipelineConfig, PipelineError, RunOptions, StageTimes};
 use hipmer_pgas::{calib, metrics, trace, CostModel, FaultPlan, Team, Topology};
 use hipmer_serve::{signal, ServeConfig, Server};
+use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  hipmer assemble <reads.fastq> -o <scaffolds.fasta> [-k K] [--ranks N]\n\
+/// A subcommand body: `Err` is a usage error (`error: …`, the usage, exit 2).
+type Run = fn(&Flags) -> Result<ExitCode, String>;
+
+/// Every command line `hipmer` accepts. This is the usage text, and it is
+/// the flag list [`Flags::parse`] checks argv against: a token starting with
+/// `-` is a flag, `[--flag]` is a switch, and a flag followed by anything
+/// else takes one value.
+const USAGE: [(&str, &str, Run); 3] = [
+    (
+        "assemble",
+        "<reads.fastq> -o <scaffolds.fasta> [-k K] [--ranks N]\n\
          \x20         [--ranks-per-node N] [--rounds N] [--metagenome] [--report]\n\
          \x20         [--multi-k K1,K2,...]\n\
          \x20         [--schedule static|dynamic] [--partition uniform|minimizer]\n\
@@ -93,66 +106,151 @@ fn usage() -> ExitCode {
          \x20         [--calibrate <fitted.json>] [--heartbeat SECS] [--heartbeat-jsonl <path>]\n\
          \x20         [--checkpoint-dir <dir>] [--resume] [--checkpoint-interval N]\n\
          \x20         [--stage-retries N] [--halt-after <stage>] [--fault-seed S]\n\
-         \x20         [--fault-transient P] [--fault-retries N] [--fault-kill R:E]\n  \
-         hipmer simulate <human|wheat|meta> -o <reads.fastq> [--len BP] [--cov X] [--seed S]\n  \
-         hipmer serve [--addr HOST:PORT] [--state-dir DIR] [--pool-ranks N]\n\
+         \x20         [--fault-transient P] [--fault-retries N] [--fault-kill R:E]",
+        assemble,
+    ),
+    (
+        "simulate",
+        "<human|wheat|meta> -o <reads.fastq> [--len BP] [--cov X] [--seed S]",
+        simulate,
+    ),
+    (
+        "serve",
+        "[--addr HOST:PORT] [--state-dir DIR] [--pool-ranks N]\n\
          \x20         [--ranks-per-node N] [--pool-threads N] [--queue-capacity N]\n\
-         \x20         [--tenant-quota N]"
-    );
-    ExitCode::from(2)
+         \x20         [--tenant-quota N]",
+        serve,
+    ),
+];
+
+/// One subcommand's argv, parsed once against its [`USAGE`] line.
+struct Flags<'a> {
+    /// Arguments before the first flag.
+    positional: Vec<&'a str>,
+    /// `(flag, value)` in argv order; a switch's value is `""`.
+    given: Vec<(&'a str, &'a str)>,
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(default),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("bad value for {flag}")),
+impl<'a> Flags<'a> {
+    fn parse(usage: &str, args: &'a [String]) -> Result<Self, String> {
+        // (flag, takes a value)
+        let table: Vec<(&str, bool)> = usage
+            .split_whitespace()
+            .map(|t| t.trim_start_matches('['))
+            .filter(|t| t.starts_with('-'))
+            .map(|t| (t.trim_end_matches(']'), !t.ends_with(']')))
+            .collect();
+        let known = |arg: &str| table.iter().find(|(flag, _)| *flag == arg);
+        let mut flags = Flags {
+            positional: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                if !flags.given.is_empty() {
+                    return Err(format!("unexpected argument {arg:?}"));
+                }
+                flags.positional.push(arg);
+                continue;
+            }
+            let &(_, takes_value) = known(arg).ok_or(format!("unknown flag {arg}"))?;
+            if flags.has(arg) {
+                return Err(format!("{arg} given more than once"));
+            }
+            // Another flag where the value should be is a missing value.
+            let value = match takes_value {
+                true => (args.next().filter(|v| known(v).is_none()))
+                    .ok_or(format!("{arg} needs a value"))?,
+                false => "",
+            };
+            flags.given.push((arg, value));
+        }
+        Ok(flags)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The parsed value of `flag`, `None` when it was not given.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let value = self.given.iter().find(|(f, _)| *f == flag).map(|(_, v)| v);
+        value
+            .map(|v| {
+                v.parse()
+                    .map_err(|e| format!("bad value {v:?} for {flag}: {e}"))
+            })
+            .transpose()
+    }
+
+    fn get_or<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        Ok(self.get(flag)?.unwrap_or(default))
+    }
+
+    /// A count that must be at least 1: `--ranks 0` is a usage error here,
+    /// not a panic in `Topology::new`.
+    fn positive(&self, flag: &str, default: usize) -> Result<usize, String> {
+        Ok(self.get(flag)?.map_or(default, NonZeroUsize::get))
+    }
+
+    /// The single positional argument every subcommand but `serve` takes.
+    fn only_positional(&self, what: &str) -> Result<&'a str, String> {
+        match self.positional[..] {
+            [one] => Ok(one),
+            _ => Err(format!("expected exactly one {what}")),
+        }
+    }
+
+    fn output(&self) -> Result<PathBuf, String> {
+        self.get("-o")?.ok_or("-o <output file> is required".into())
     }
 }
 
-fn parse_path_flag(args: &[String], flag: &str) -> Result<Option<PathBuf>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(|v| Some(PathBuf::from(v)))
-            .ok_or_else(|| format!("{flag} needs a value")),
-    }
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = || {
+        let cmd = args.first().ok_or("missing subcommand")?;
+        let (_, usage, run) = (USAGE.iter().find(|(name, ..)| name == cmd))
+            .ok_or(format!("unknown subcommand {cmd:?}"))?;
+        run(&Flags::parse(usage, &args[1..])?)
+    };
+    run().unwrap_or_else(|e: String| {
+        eprintln!("error: {e}\nusage:");
+        for (cmd, usage, _) in USAGE {
+            eprintln!("  hipmer {cmd} {usage}");
+        }
+        ExitCode::from(2)
+    })
 }
 
-fn parse_string_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(|v| Some(v.clone()))
-            .ok_or_else(|| format!("{flag} needs a value")),
-    }
+/// A runtime failure, as opposed to a usage error: report it, exit 1.
+fn failed(msg: impl std::fmt::Display) -> Result<ExitCode, String> {
+    eprintln!("error: {msg}");
+    Ok(ExitCode::FAILURE)
 }
 
-/// Build the fault plan requested by the `--fault-*` flags, if any.
-fn fault_plan_from_args(args: &[String], ranks: usize) -> Result<Option<FaultPlan>, String> {
-    let armed = args.iter().any(|a| a.starts_with("--fault-"));
-    if !armed {
+/// The fault plan requested by the `--fault-*` flags, if any.
+fn fault_plan(flags: &Flags, ranks: usize) -> Result<Option<FaultPlan>, String> {
+    if !flags.given.iter().any(|(f, _)| f.starts_with("--fault-")) {
         return Ok(None);
     }
-    let seed: u64 = parse_flag(args, "--fault-seed", 1)?;
-    let transient: f64 = parse_flag(args, "--fault-transient", 0.0)?;
-    let mut plan = FaultPlan::new(seed, ranks).with_transient(transient);
-    if let Some(n) = parse_string_flag(args, "--fault-retries")? {
-        let n: u32 = n
-            .parse()
-            .map_err(|_| "bad value for --fault-retries".to_string())?;
-        plan = plan.with_max_retries(n);
+    let mut plan = FaultPlan::new(flags.get_or("--fault-seed", 1)?, ranks)
+        .with_transient(flags.get_or("--fault-transient", 0.0)?);
+    if let Some(n) = flags.get::<NonZeroU32>("--fault-retries")? {
+        plan = plan.with_max_retries(n.get());
     }
-    if let Some(spec) = parse_string_flag(args, "--fault-kill")? {
+    if let Some(spec) = flags.get::<String>("--fault-kill")? {
         let (rank, event) = spec
             .split_once(':')
             .and_then(|(r, e)| Some((r.parse().ok()?, e.parse().ok()?)))
-            .ok_or_else(|| "--fault-kill wants RANK:EVENT".to_string())?;
+            .ok_or("--fault-kill wants RANK:EVENT")?;
         if rank >= ranks {
             return Err(format!("--fault-kill rank {rank} out of range"));
         }
@@ -161,457 +259,259 @@ fn fault_plan_from_args(args: &[String], ranks: usize) -> Result<Option<FaultPla
     Ok(Some(plan))
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+fn assemble(flags: &Flags) -> Result<ExitCode, String> {
+    let input = flags.only_positional("<reads.fastq>")?;
+    let out = flags.output()?;
+    // The assembly k defaults to the `--multi-k` list's largest (last)
+    // element, so `-k` can be omitted; an explicit conflicting `-k` is
+    // rejected by `try_multi_k`.
+    let multi_k: Vec<usize> = match flags.get::<String>("--multi-k")? {
+        Some(list) => {
+            let ks: Result<_, std::num::ParseIntError> =
+                list.split(',').map(|k| k.trim().parse()).collect();
+            ks.map_err(|_| "--multi-k wants a comma-separated list of k values, e.g. 21,33,55")?
+        }
+        None => Vec::new(),
     };
-    let out: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "-o")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
+    let k = flags.get_or("-k", multi_k.last().copied().unwrap_or(31))?;
+    let ranks = flags.positive("--ranks", 480)?;
+    let rpn = flags.positive("--ranks-per-node", 24)?;
+    let cfg = PipelineConfig::from_spec(
+        k,
+        flags.get_or("--rounds", 1)?,
+        flags.has("--metagenome"),
+        &multi_k,
+        flags.get_or("--schedule", Default::default())?,
+        flags.get_or("--partition", Default::default())?,
+    )?;
+    let cancel = Arc::new(AtomicBool::new(false));
+    let opts = RunOptions {
+        checkpoint_dir: flags.get("--checkpoint-dir")?,
+        resume: flags.has("--resume"),
+        checkpoint_interval: flags.get_or("--checkpoint-interval", 1)?,
+        stage_retries: flags.get_or("--stage-retries", 1)?,
+        halt_after: flags.get("--halt-after")?,
+        cancel: Some(Arc::clone(&cancel)),
+    };
 
-    match cmd.as_str() {
-        "assemble" => {
-            let Some(input) = args.get(1).filter(|a| !a.starts_with('-')) else {
-                return usage();
-            };
-            let Some(out) = out else {
-                eprintln!("error: -o <scaffolds.fasta> is required");
-                return usage();
-            };
-            // `--multi-k` first: the assembly k defaults to the list's
-            // largest (last) element, so `-k` can be omitted; an explicit
-            // conflicting `-k` is rejected by `try_multi_k` below.
-            let multi_k: Option<Vec<usize>> = match parse_string_flag(&args, "--multi-k") {
-                Ok(Some(spec)) => {
-                    let ks: Result<Vec<usize>, _> =
-                        spec.split(',').map(|s| s.trim().parse()).collect();
-                    match ks {
-                        Ok(ks) if !ks.is_empty() => Some(ks),
-                        _ => {
-                            eprintln!(
-                                "error: --multi-k wants a comma-separated list of k values, \
-                                 e.g. --multi-k 21,33,55"
-                            );
-                            return usage();
-                        }
-                    }
-                }
-                Ok(None) => None,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            let k_default = multi_k
-                .as_ref()
-                .and_then(|ks| ks.last().copied())
-                .unwrap_or(31);
-            let (k, ranks, rpn, rounds) = match (
-                parse_flag(&args, "-k", k_default),
-                parse_flag(&args, "--ranks", 480usize),
-                parse_flag(&args, "--ranks-per-node", 24usize),
-                parse_flag(&args, "--rounds", 1usize),
-            ) {
-                (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
-                _ => return usage(),
-            };
-            // `try_new` so a bad -k (even, 0, > 64) is a clean diagnostic
-            // and a nonzero exit, not a panic.
-            let mut cfg = match PipelineConfig::try_new(k) {
-                Ok(cfg) => cfg,
-                Err(e) => {
-                    eprintln!("error: -k {k}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match parse_flag(&args, "--schedule", hipmer_pgas::Schedule::Static) {
-                Ok(schedule) => cfg = cfg.with_schedule(schedule),
-                Err(e) => {
-                    eprintln!("error: {e} (want static|dynamic)");
-                    return usage();
-                }
-            }
-            match parse_flag(&args, "--partition", hipmer_pgas::PartitionScheme::Uniform) {
-                Ok(partition) => cfg = cfg.with_partition(partition),
-                Err(e) => {
-                    eprintln!("error: {e} (want uniform|minimizer)");
-                    return usage();
-                }
-            }
-            if args.iter().any(|a| a == "--metagenome") {
-                cfg.scaffold.rounds = 0; // skip scaffolding (§5.4)
-            }
-            if cfg.scaffolding_enabled() {
-                cfg.scaffold.rounds = rounds;
-            }
-            if let Some(ks) = &multi_k {
-                cfg = match cfg.try_multi_k(ks) {
-                    Ok(cfg) => cfg,
-                    Err(e) => {
-                        eprintln!("error: --multi-k: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            // `--trace` wins over the HIPMER_TRACE env var; either turns
-            // the span recorder on for the whole run.
-            let (trace_out, report_json) = match (
-                parse_path_flag(&args, "--trace"),
-                parse_path_flag(&args, "--report-json"),
-            ) {
-                (Ok(t), Ok(r)) => (t, r),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            let trace_out =
-                trace_out.or_else(|| std::env::var_os("HIPMER_TRACE").map(PathBuf::from));
-            let trace_ranks = match parse_flag(&args, "--trace-ranks", 16usize) {
-                Ok(n) => n,
-                _ => return usage(),
-            };
-            let recorder = trace_out
-                .as_ref()
-                .map(|path| (trace::Recorder::new(trace_ranks), path));
-            let (metrics_json, calibrate_out, heartbeat_jsonl) = match (
-                parse_path_flag(&args, "--metrics-json"),
-                parse_path_flag(&args, "--calibrate"),
-                parse_path_flag(&args, "--heartbeat-jsonl"),
-            ) {
-                (Ok(m), Ok(c), Ok(h)) => (m, c, h),
-                (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            let metrics_text = args.iter().any(|a| a == "--metrics-text");
-            let heartbeat_secs = match parse_string_flag(&args, "--heartbeat") {
-                Ok(Some(v)) => match v.parse::<f64>() {
-                    Ok(secs) if secs > 0.0 => Some(secs),
-                    _ => {
-                        eprintln!("error: --heartbeat wants a positive seconds value");
-                        return usage();
-                    }
-                },
-                Ok(None) => None,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            if metrics_json.is_some()
-                || metrics_text
-                || calibrate_out.is_some()
-                || heartbeat_secs.is_some()
-                || heartbeat_jsonl.is_some()
-            {
-                metrics::enable();
-            }
-            if let Some(secs) = heartbeat_secs.or(if heartbeat_jsonl.is_some() {
-                Some(1.0)
-            } else {
-                None
-            }) {
-                metrics::set_heartbeat_interval(Some(std::time::Duration::from_secs_f64(secs)));
-                metrics::set_heartbeat_sink(heartbeat_jsonl.clone());
-            }
-            if trace_out.is_some() || report_json.is_some() {
-                // Hash tables built from here on track their hottest keys.
-                trace::set_hotkey_capacity(64);
-            }
-            let opts = {
-                let (dir, interval, retries, halt) = match (
-                    parse_path_flag(&args, "--checkpoint-dir"),
-                    parse_flag(&args, "--checkpoint-interval", 1usize),
-                    parse_flag(&args, "--stage-retries", 1usize),
-                    parse_string_flag(&args, "--halt-after"),
-                ) {
-                    (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
-                    (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), _) | (_, _, _, Err(e)) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
-                };
-                RunOptions {
-                    checkpoint_dir: dir,
-                    resume: args.iter().any(|a| a == "--resume"),
-                    checkpoint_interval: interval,
-                    stage_retries: retries,
-                    halt_after: halt,
-                    cancel: None,
-                }
-            };
-            // SIGINT/SIGTERM stop the run at the next stage boundary, so
-            // every completed stage's checkpoint is already flushed and a
-            // `--resume` rerun restarts from the longest valid prefix.
-            // The handler only flips a flag; a watcher thread feeds the
-            // pipeline's cancel flag.
-            let cancel = Arc::new(AtomicBool::new(false));
-            let opts = {
-                let mut opts = opts;
-                opts.cancel = Some(Arc::clone(&cancel));
-                opts
-            };
-            signal::install();
-            {
-                let cancel = Arc::clone(&cancel);
-                std::thread::spawn(move || loop {
-                    if signal::triggered() {
-                        cancel.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                });
-            }
-            let mut team = Team::new(Topology::new(ranks, rpn));
-            if let Some((recorder, _)) = &recorder {
-                team = team.with_recorder(recorder.clone());
-            }
-            match fault_plan_from_args(&args, ranks) {
-                Ok(Some(plan)) => {
-                    eprintln!("fault injection armed (seed, transient, kill per --fault-* flags)");
-                    team = team.with_fault_plan(Arc::new(plan));
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            }
-            match cfg.multi_k_rounds() {
-                Some(ks) => eprintln!(
-                    "assembling {input} on {ranks} virtual ranks ({rpn}/node), \
-                     multi-k rounds {ks:?}..."
-                ),
-                None => {
-                    eprintln!("assembling {input} on {ranks} virtual ranks ({rpn}/node), k={k}...")
-                }
-            }
-            let assembly = match run_assembly_fastq(&team, std::path::Path::new(input), &cfg, &opts)
-            {
-                Ok(a) => a,
-                Err(PipelineError::Halted { stage }) => {
-                    eprintln!("halted after stage {stage:?} (checkpoints saved); no FASTA written");
-                    return ExitCode::SUCCESS;
-                }
-                Err(PipelineError::Interrupted { stage }) => {
-                    eprintln!(
-                        "interrupted by signal before stage {stage:?}; completed stages are \
-                         checkpointed — rerun with --checkpoint-dir ... --resume to continue"
-                    );
-                    // 128 + SIGINT(2) by convention; SIGTERM lands here too
-                    // but 130 keeps shell semantics simple.
-                    return ExitCode::from(130);
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Some((recorder, path)) = &recorder {
-                let events = recorder.take_events();
-                if let Err(e) = std::fs::write(path, trace::chrome_trace_json(&events)) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                let sampled = if trace_ranks == 0 {
-                    "all ranks".to_string()
-                } else {
-                    format!("{trace_ranks} ranks sampled")
-                };
-                eprintln!(
-                    "wrote {} trace spans ({sampled}) -> {}",
-                    events.len(),
-                    path.display()
-                );
-            }
-            if let Some(path) = &metrics_json {
-                if let Err(e) = std::fs::write(path, metrics::to_json()) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote metrics snapshot -> {}", path.display());
-            }
-            if metrics_text {
-                print!("{}", metrics::prometheus_text());
-            }
-            // `--calibrate` fits the cost constants to this run's own
-            // measurements; the report (if requested) is then priced with
-            // the fitted model so `model_error` reflects the fit.
-            let mut report_model = CostModel::edison();
-            let mut report_label = "edison";
-            if let Some(path) = &calibrate_out {
-                match calib::fit(&assembly.report, &CostModel::edison()) {
-                    Ok(cal) => {
-                        eprintln!("{}", cal.summary());
-                        if let Err(e) = std::fs::write(path, cal.model.to_json()) {
-                            eprintln!("error writing {}: {e}", path.display());
-                            return ExitCode::FAILURE;
-                        }
-                        eprintln!("wrote fitted cost constants -> {}", path.display());
-                        report_model = cal.model;
-                        report_label = "calibrated";
-                    }
-                    Err(e) => {
-                        eprintln!("calibration failed: {e}; keeping Edison constants");
-                    }
-                }
-            }
-            if let Some(path) = &report_json {
-                let json = assembly.report.to_json_labeled(&report_model, report_label);
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("wrote pipeline report -> {}", path.display());
-            }
-            let records: Vec<hipmer_seqio::SeqRecord> = assembly
-                .scaffolds
-                .sequences
-                .iter()
-                .enumerate()
-                .map(|(i, s)| hipmer_seqio::SeqRecord::new(format!("scaffold_{i}"), s.clone()))
-                .collect();
-            let mut buf = Vec::new();
-            if let Err(e) = hipmer_seqio::write_fasta(&mut buf, &records, 80)
-                .and_then(|_| std::fs::write(&out, &buf))
-            {
-                eprintln!("error writing {}: {e}", out.display());
-                return ExitCode::FAILURE;
-            }
-            for r in &assembly.report.rounds {
-                eprintln!(
-                    "round {} (k={}): {} contigs, {} pseudo-reads in, {:.1}% off-node",
-                    r.round,
-                    r.k,
-                    r.contigs,
-                    r.pseudo_reads,
-                    100.0 * r.offnode_fraction
-                );
-            }
-            let s = &assembly.stats;
-            eprintln!(
-                "done: {} reads -> {} contigs (N50 {}) -> {} scaffolds (N50 {}), {} bases -> {}",
-                s.n_reads,
-                s.n_contigs,
-                s.contig_n50,
-                s.n_scaffolds,
-                s.scaffold_n50,
-                s.scaffold_bases,
-                out.display()
-            );
-            if args.iter().any(|a| a == "--report") {
-                let t = StageTimes::from_report(&assembly.report, &CostModel::edison());
-                eprintln!("modeled on {ranks} Edison-like cores:");
-                eprintln!("  io               {:>10.4} s", t.io);
-                eprintln!("  k-mer analysis   {:>10.4} s", t.kmer_analysis);
-                eprintln!("  contig generation{:>10.4} s", t.contig_generation);
-                eprintln!("  scaffolding      {:>10.4} s", t.scaffolding());
-                eprintln!("  TOTAL            {:>10.4} s", t.total());
-            }
-            ExitCode::SUCCESS
-        }
-        "serve" => {
-            let (queue_capacity, tenant_quota, pool_ranks, rpn) = match (
-                parse_flag(&args, "--queue-capacity", 64usize),
-                parse_flag(&args, "--tenant-quota", 16usize),
-                parse_flag(&args, "--pool-ranks", 16usize),
-                parse_flag(&args, "--ranks-per-node", 8usize),
-            ) {
-                (Ok(a), Ok(b), Ok(c), Ok(d)) => (a, b, c, d),
-                _ => return usage(),
-            };
-            let (addr, state_dir, pool_threads) = match (
-                parse_string_flag(&args, "--addr"),
-                parse_path_flag(&args, "--state-dir"),
-                parse_string_flag(&args, "--pool-threads"),
-            ) {
-                (Ok(a), Ok(s), Ok(p)) => (a, s, p),
-                (Err(e), ..) | (_, Err(e), _) | (_, _, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return usage();
-                }
-            };
-            let pool_threads = match pool_threads.map(|p| p.parse::<usize>()).transpose() {
-                Ok(p) => p,
-                Err(_) => {
-                    eprintln!("error: bad value for --pool-threads");
-                    return usage();
-                }
-            };
-            // The daemon's metrics registry is always on: /metrics is an
-            // endpoint, not an opt-in flag.
-            metrics::enable();
-            let cfg = ServeConfig {
-                addr: addr.unwrap_or_else(|| "127.0.0.1:7433".to_string()),
-                state_dir: state_dir.unwrap_or_else(|| PathBuf::from("hipmer-serve-state")),
-                queue_capacity,
-                tenant_quota,
-                pool_ranks,
-                ranks_per_node: rpn,
-                pool_threads,
-                handle_signals: true,
-                ..ServeConfig::default()
-            };
-            let server = match Server::start(cfg, hipmer::AssemblyExecutor::shared()) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: cannot start server: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // Tests parse this line to find the bound port; keep stable.
-            println!("hipmer serve listening on {}", server.addr());
-            eprintln!(
-                "pool: {pool_ranks} ranks ({rpn}/node); queue: {queue_capacity}; \
-                 quota: {tenant_quota}/tenant; SIGTERM drains gracefully"
-            );
-            server.join();
-            eprintln!("drained; all running jobs checkpointed");
-            ExitCode::SUCCESS
-        }
-        "simulate" => {
-            let Some(kind) = args.get(1) else {
-                return usage();
-            };
-            let Some(out) = out else {
-                eprintln!("error: -o <reads.fastq> is required");
-                return usage();
-            };
-            let (len, cov, seed) = match (
-                parse_flag(&args, "--len", 100_000usize),
-                parse_flag(&args, "--cov", 16.0f64),
-                parse_flag(&args, "--seed", 42u64),
-            ) {
-                (Ok(a), Ok(b), Ok(c)) => (a, b, c),
-                _ => return usage(),
-            };
-            let dataset = match kind.as_str() {
-                "human" => hipmer_readsim::human_like_dataset(len, cov, true, seed),
-                "wheat" => hipmer_readsim::wheat_like_dataset(len, cov, true, seed),
-                "meta" => hipmer_readsim::metagenome_dataset(len, 50, cov, true, seed),
-                _ => return usage(),
-            };
-            let mut buf = Vec::new();
-            if let Err(e) = hipmer_seqio::write_fastq(&mut buf, &dataset.all_reads())
-                .and_then(|_| std::fs::write(&out, &buf))
-            {
-                eprintln!("error writing {}: {e}", out.display());
-                return ExitCode::FAILURE;
-            }
-            eprintln!(
-                "simulated {} ({} bp, {} reads) -> {}",
-                dataset.name,
-                dataset.total_genome_bases(),
-                dataset.all_reads().len(),
-                out.display()
-            );
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
+    // `--trace` wins over the HIPMER_TRACE env var; either turns the span
+    // recorder on for the whole run.
+    let trace_out = (flags.get("--trace")?).or(std::env::var_os("HIPMER_TRACE").map(PathBuf::from));
+    let trace_ranks = flags.get_or("--trace-ranks", 16usize)?;
+    let recorder = trace_out
+        .is_some()
+        .then(|| trace::Recorder::new(trace_ranks));
+    let report_json: Option<PathBuf> = flags.get("--report-json")?;
+    let metrics_json: Option<PathBuf> = flags.get("--metrics-json")?;
+    let calibrate_out: Option<PathBuf> = flags.get("--calibrate")?;
+    let heartbeat_jsonl: Option<PathBuf> = flags.get("--heartbeat-jsonl")?;
+    let heartbeat_secs: Option<f64> = flags.get("--heartbeat")?;
+    if heartbeat_secs.is_some_and(|secs| secs.is_nan() || secs <= 0.0) {
+        return Err("--heartbeat wants a positive seconds value".into());
     }
+    if metrics_json.is_some()
+        || flags.has("--metrics-text")
+        || calibrate_out.is_some()
+        || heartbeat_secs.is_some()
+        || heartbeat_jsonl.is_some()
+    {
+        metrics::enable();
+    }
+    if let Some(secs) = heartbeat_secs.or(heartbeat_jsonl.as_ref().map(|_| 1.0)) {
+        metrics::set_heartbeat_interval(Some(std::time::Duration::from_secs_f64(secs)));
+        metrics::set_heartbeat_sink(heartbeat_jsonl);
+    }
+    if trace_out.is_some() || report_json.is_some() {
+        // Hash tables built from here on track their hottest keys.
+        trace::set_hotkey_capacity(64);
+    }
+    let mut team = Team::new(Topology::new(ranks, rpn));
+    if let Some(recorder) = &recorder {
+        team = team.with_recorder(recorder.clone());
+    }
+    if let Some(plan) = fault_plan(flags, ranks)? {
+        eprintln!("fault injection armed (seed, transient, kill per --fault-* flags)");
+        team = team.with_fault_plan(Arc::new(plan));
+    }
+
+    // SIGINT/SIGTERM stop the run at the next stage boundary, so every
+    // completed stage's checkpoint is already flushed and a `--resume`
+    // rerun restarts from the longest valid prefix. The handler only flips
+    // a flag; a watcher thread feeds the pipeline's cancel flag.
+    signal::install();
+    std::thread::spawn(move || loop {
+        if signal::triggered() {
+            cancel.store(true, Ordering::SeqCst);
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    });
+    match cfg.multi_k_rounds() {
+        Some(ks) => eprintln!(
+            "assembling {input} on {ranks} virtual ranks ({rpn}/node), multi-k rounds {ks:?}..."
+        ),
+        None => eprintln!("assembling {input} on {ranks} virtual ranks ({rpn}/node), k={k}..."),
+    }
+    let assembly = match run_assembly_fastq(&team, std::path::Path::new(input), &cfg, &opts) {
+        Ok(a) => a,
+        Err(PipelineError::Halted { stage }) => {
+            eprintln!("halted after stage {stage:?} (checkpoints saved); no FASTA written");
+            return Ok(ExitCode::SUCCESS);
+        }
+        Err(PipelineError::Interrupted { stage }) => {
+            eprintln!(
+                "interrupted by signal before stage {stage:?}; completed stages are \
+                 checkpointed — rerun with --checkpoint-dir ... --resume to continue"
+            );
+            // 128 + SIGINT(2) by convention; SIGTERM lands here too but 130
+            // keeps shell semantics simple.
+            return Ok(ExitCode::from(130));
+        }
+        Err(e) => return failed(e),
+    };
+
+    // Every requested output, written by the one loop below.
+    let mut outputs: Vec<(PathBuf, Vec<u8>, String)> = Vec::new();
+    if let (Some(path), Some(recorder)) = (trace_out, &recorder) {
+        let events = recorder.take_events();
+        let sampled = match trace_ranks {
+            0 => "all ranks".to_string(),
+            n => format!("{n} ranks sampled"),
+        };
+        let what = format!("{} trace spans ({sampled})", events.len());
+        outputs.push((path, trace::chrome_trace_json(&events).into(), what));
+    }
+    if let Some(path) = metrics_json {
+        outputs.push((path, metrics::to_json().into(), "metrics snapshot".into()));
+    }
+    if flags.has("--metrics-text") {
+        print!("{}", metrics::prometheus_text());
+    }
+    // `--calibrate` fits the cost constants to this run's own measurements;
+    // the report (if requested) is then priced with the fitted model so
+    // `model_error` reflects the fit.
+    let mut report_model = (CostModel::edison(), "edison");
+    if let Some(path) = calibrate_out {
+        match calib::fit(&assembly.report, &CostModel::edison()) {
+            Ok(cal) => {
+                eprintln!("{}", cal.summary());
+                outputs.push((
+                    path,
+                    cal.model.to_json().into(),
+                    "fitted cost constants".into(),
+                ));
+                report_model = (cal.model, "calibrated");
+            }
+            Err(e) => eprintln!("calibration failed: {e}; keeping Edison constants"),
+        }
+    }
+    if let Some(path) = report_json {
+        let json = assembly
+            .report
+            .to_json_labeled(&report_model.0, report_model.1);
+        outputs.push((path, json.into(), "pipeline report".into()));
+    }
+    outputs.push((out.clone(), assembly.to_fasta(), "scaffolds".into()));
+    for (path, bytes, what) in outputs {
+        if let Err(e) = std::fs::write(&path, bytes) {
+            return failed(format!("writing {}: {e}", path.display()));
+        }
+        eprintln!("wrote {what} -> {}", path.display());
+    }
+
+    for r in &assembly.report.rounds {
+        eprintln!(
+            "round {} (k={}): {} contigs, {} pseudo-reads in, {:.1}% off-node",
+            r.round,
+            r.k,
+            r.contigs,
+            r.pseudo_reads,
+            100.0 * r.offnode_fraction
+        );
+    }
+    let s = &assembly.stats;
+    eprintln!(
+        "done: {} reads -> {} contigs (N50 {}) -> {} scaffolds (N50 {}), {} bases -> {}",
+        s.n_reads,
+        s.n_contigs,
+        s.contig_n50,
+        s.n_scaffolds,
+        s.scaffold_n50,
+        s.scaffold_bases,
+        out.display()
+    );
+    if flags.has("--report") {
+        let t = StageTimes::from_report(&assembly.report, &CostModel::edison());
+        eprintln!("modeled on {ranks} Edison-like cores:");
+        eprintln!("  io               {:>10.4} s", t.io);
+        eprintln!("  k-mer analysis   {:>10.4} s", t.kmer_analysis);
+        eprintln!("  contig generation{:>10.4} s", t.contig_generation);
+        eprintln!("  scaffolding      {:>10.4} s", t.scaffolding());
+        eprintln!("  TOTAL            {:>10.4} s", t.total());
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn serve(flags: &Flags) -> Result<ExitCode, String> {
+    if !flags.positional.is_empty() {
+        return Err(format!("unexpected argument {:?}", flags.positional[0]));
+    }
+    let defaults = ServeConfig::default();
+    let cfg = ServeConfig {
+        addr: flags.get_or("--addr", "127.0.0.1:7433".to_string())?,
+        state_dir: flags.get_or("--state-dir", PathBuf::from("hipmer-serve-state"))?,
+        queue_capacity: flags.get_or("--queue-capacity", defaults.queue_capacity)?,
+        tenant_quota: flags.get_or("--tenant-quota", defaults.tenant_quota)?,
+        pool_ranks: flags.positive("--pool-ranks", defaults.pool_ranks)?,
+        ranks_per_node: flags.positive("--ranks-per-node", defaults.ranks_per_node)?,
+        pool_threads: flags.get("--pool-threads")?,
+        handle_signals: true,
+        ..defaults
+    };
+    let summary = format!(
+        "pool: {} ranks ({}/node); queue: {}; quota: {}/tenant; SIGTERM drains gracefully",
+        cfg.pool_ranks, cfg.ranks_per_node, cfg.queue_capacity, cfg.tenant_quota
+    );
+    // The daemon's metrics registry is always on: /metrics is an endpoint,
+    // not an opt-in flag.
+    metrics::enable();
+    let server = match Server::start(cfg, hipmer::AssemblyExecutor::shared()) {
+        Ok(s) => s,
+        Err(e) => return failed(format!("cannot start server: {e}")),
+    };
+    // Tests parse this line to find the bound port; keep stable.
+    println!("hipmer serve listening on {}", server.addr());
+    eprintln!("{summary}");
+    server.join();
+    eprintln!("drained; all running jobs checkpointed");
+    Ok(ExitCode::SUCCESS)
+}
+
+fn simulate(flags: &Flags) -> Result<ExitCode, String> {
+    let kind = flags.only_positional("<human|wheat|meta>")?;
+    let out = flags.output()?;
+    let len = flags.get_or("--len", 100_000usize)?;
+    let cov = flags.get_or("--cov", 16.0f64)?;
+    let seed = flags.get_or("--seed", 42u64)?;
+    let dataset = match kind {
+        "human" => hipmer_readsim::human_like_dataset(len, cov, true, seed),
+        "wheat" => hipmer_readsim::wheat_like_dataset(len, cov, true, seed),
+        "meta" => hipmer_readsim::metagenome_dataset(len, 50, cov, true, seed),
+        _ => return Err(format!("unknown genome kind {kind:?}")),
+    };
+    let reads = dataset.all_reads();
+    let mut buf = Vec::new();
+    if let Err(e) =
+        hipmer_seqio::write_fastq(&mut buf, &reads).and_then(|_| std::fs::write(&out, &buf))
+    {
+        return failed(format!("writing {}: {e}", out.display()));
+    }
+    eprintln!(
+        "simulated {} ({} bp, {} reads) -> {}",
+        dataset.name,
+        dataset.total_genome_bases(),
+        reads.len(),
+        out.display()
+    );
+    Ok(ExitCode::SUCCESS)
 }

@@ -115,8 +115,24 @@ impl<'a> Reader<'a> {
     fn f64(&mut self) -> io::Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
+    /// A length prefix: how many elements follow. Rejected unless that many
+    /// elements of at least `min_size` bytes each can still be in the buffer,
+    /// so a crafted count can never size an allocation.
+    fn count(&mut self, min_size: usize) -> io::Result<usize> {
+        let n = usize::try_from(self.u64()?).map_err(|_| truncated())?;
+        match n.checked_mul(min_size) {
+            Some(need) if need <= self.buf.len() - self.pos => Ok(n),
+            _ => Err(truncated()),
+        }
+    }
+    /// The artifact's k-mer length, validated before any codec is built
+    /// from it (`KmerCodec::new` panics outside `1..=MAX_K`).
+    fn k(&mut self) -> io::Result<KmerCodec> {
+        KmerCodec::try_new(self.u32()? as usize)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    }
     fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.u64()? as usize;
+        let n = self.count(1)?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -223,8 +239,8 @@ pub fn decode_spectrum(
 ) -> io::Result<KmerSpectrum> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_SPECTRUM)?;
-    let k = r.u32()? as usize;
-    let n = r.u64()? as usize;
+    let k = r.k()?.k();
+    let n = r.count(16 + 4 + 1 + 1)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let km = Kmer(r.u128()?);
@@ -262,8 +278,8 @@ pub fn encode_contigs(contigs: &ContigSet) -> Vec<u8> {
 pub fn decode_contigs(bytes: &[u8]) -> io::Result<ContigSet> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_CONTIGS)?;
-    let k = r.u32()? as usize;
-    let n = r.u64()? as usize;
+    let codec = r.k()?;
+    let n = r.count(8 + 8 + 8)?;
     let mut contigs = Vec::with_capacity(n);
     for _ in 0..n {
         let id = r.u64()? as usize;
@@ -272,10 +288,7 @@ pub fn decode_contigs(bytes: &[u8]) -> io::Result<ContigSet> {
         contigs.push(Contig { id, seq, depth });
     }
     r.finish()?;
-    Ok(ContigSet {
-        contigs,
-        codec: KmerCodec::new(k),
-    })
+    Ok(ContigSet { contigs, codec })
 }
 
 /// Serialize an alignment set (already in deterministic read order).
@@ -301,7 +314,7 @@ pub fn encode_alignments(alignments: &[Alignment]) -> Vec<u8> {
 pub fn decode_alignments(bytes: &[u8]) -> io::Result<Vec<Alignment>> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_ALIGNMENTS)?;
-    let n = r.u64()? as usize;
+    let n = r.count(8 * 4 + 1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let read = r.u32()?;
@@ -384,10 +397,10 @@ pub fn encode_scaffold_state(state: &ScaffoldState) -> Vec<u8> {
 pub fn decode_scaffold_state(bytes: &[u8]) -> io::Result<ScaffoldState> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_SCAFFOLD)?;
-    let n_scaffolds = r.u64()? as usize;
+    let n_scaffolds = r.count(8)?;
     let mut scaffolds = Vec::with_capacity(n_scaffolds);
     for _ in 0..n_scaffolds {
-        let n_members = r.u64()? as usize;
+        let n_members = r.count(4 + 1 + 8)?;
         let mut members = Vec::with_capacity(n_members);
         for _ in 0..n_members {
             let contig = r.u32()?;
@@ -401,7 +414,7 @@ pub fn decode_scaffold_state(bytes: &[u8]) -> io::Result<ScaffoldState> {
         }
         scaffolds.push(Scaffold { members });
     }
-    let n_seqs = r.u64()? as usize;
+    let n_seqs = r.count(8)?;
     let mut sequences = Vec::with_capacity(n_seqs);
     for _ in 0..n_seqs {
         sequences.push(r.bytes()?);
@@ -413,7 +426,7 @@ pub fn decode_scaffold_state(bytes: &[u8]) -> io::Result<ScaffoldState> {
         patched: r.u64()? as usize,
         nfilled: r.u64()? as usize,
     };
-    let n_means = r.u64()? as usize;
+    let n_means = r.count(8)?;
     let mut insert_means = Vec::with_capacity(n_means);
     for _ in 0..n_means {
         insert_means.push(r.f64()?);

@@ -69,6 +69,30 @@ impl PipelineConfig {
         })
     }
 
+    /// The one request → config mapping, shared by `hipmer assemble` and the
+    /// job service so the two cannot disagree about what a parameter
+    /// means: assemble at `k` with `rounds` scaffolding rounds (none under
+    /// `metagenome`, §5.4), `schedule` and `partition` applied to every
+    /// stage, and — when `multi_k` is non-empty — the MetaHipMer round
+    /// schedule of [`Self::try_multi_k`].
+    pub fn from_spec(
+        k: usize,
+        rounds: usize,
+        metagenome: bool,
+        multi_k: &[usize],
+        schedule: Schedule,
+        partition: PartitionScheme,
+    ) -> Result<Self, String> {
+        let mut cfg = Self::try_new(k).map_err(|e| format!("k={k}: {e}"))?;
+        cfg.scaffold.rounds = if metagenome { 0 } else { rounds };
+        cfg = cfg.with_schedule(schedule).with_partition(partition);
+        if multi_k.is_empty() {
+            Ok(cfg)
+        } else {
+            cfg.try_multi_k(multi_k)
+        }
+    }
+
     /// Stage configs for one *non-final* multi-k round at `k`: fresh
     /// kanalysis/contig defaults at that k, with this config's schedule,
     /// partition, oracle, and traversal mode carried over, and hair/tip
@@ -217,6 +241,27 @@ mod tests {
         assert_eq!(cfg.kanalysis.partition, PartitionScheme::Minimizer);
         assert_eq!(cfg.contig.partition, PartitionScheme::Minimizer);
         assert_eq!(cfg.scaffold.align.partition, PartitionScheme::Minimizer);
+    }
+
+    #[test]
+    fn from_spec_applies_every_parameter() {
+        let (dynamic, minimizer) = (Schedule::Dynamic, PartitionScheme::Minimizer);
+        let cfg = PipelineConfig::from_spec(33, 4, false, &[21, 33], dynamic, minimizer).unwrap();
+        assert_eq!((cfg.k, cfg.scaffold.rounds), (33, 4));
+        assert_eq!(cfg.multi_k_rounds(), Some(&[21, 33][..]));
+        assert_eq!(cfg.contig.schedule, Schedule::Dynamic);
+        assert_eq!(cfg.scaffold.align.schedule, Schedule::Dynamic);
+        assert_eq!(cfg.partition(), PartitionScheme::Minimizer);
+        assert_eq!(cfg.scaffold.align.partition, PartitionScheme::Minimizer);
+
+        // `metagenome` wins over `rounds`; no multi-k list is the classic run.
+        let meta = PipelineConfig::from_spec(31, 4, true, &[], dynamic, minimizer).unwrap();
+        assert!(!meta.scaffolding_enabled());
+        assert_eq!(meta.multi_k_rounds(), None);
+
+        let (s, p) = Default::default();
+        assert!(PipelineConfig::from_spec(32, 1, false, &[], s, p).is_err());
+        assert!(PipelineConfig::from_spec(31, 1, false, &[21, 33], s, p).is_err());
     }
 
     #[test]

@@ -1,26 +1,27 @@
 //! The end-to-end assembly driver, with stage-level fault recovery.
 //!
-//! The pipeline decomposes into five checkpointable stages —
-//! `kmer-analysis`, `contig-generation`, `scaffold-prep`, `alignment`,
-//! `scaffolding` — each run inside [`hipmer_pgas::catch_stage_abort`] so
-//! an injected (or modeled) rank failure aborts only the stage, not the
-//! process. [`run_assembly`] retries an aborted stage up to
-//! [`RunOptions::stage_retries`] times, rolling the [`PipelineReport`]
-//! back to the stage's mark first so a retried attempt *replaces* the
-//! aborted one in the wall-clock and counter totals. With a
-//! [`RunOptions::checkpoint_dir`], each completed stage's artifact is
+//! [`planned_stage_names`] is the one stage plan: a `kmer-analysis` +
+//! `contig-generation` pair per k of the schedule, then — unless
+//! scaffolding is disabled — `scaffold-prep`, `alignment`, `scaffolding`.
+//! A classic run is a one-round schedule at [`PipelineConfig::k`]; under
+//! [`crate::config::PipelineConfig::try_multi_k`] (two or more k values,
+//! the MetaHipMer rounds) the pair repeats once per k with its names
+//! prefixed `round{N}/`, round N+1's input is the original reads plus round
+//! N's contigs injected as high-confidence pseudo-reads, and the
+//! scaffolding tail runs once at the largest k. [`run_assembly`] walks that
+//! plan in one loop; stage names, checkpoint indices, progress totals and
+//! `--halt-after` validation are all read off it.
+//!
+//! Each stage is checkpointable and runs inside
+//! [`hipmer_pgas::catch_stage_abort`], so an injected (or modeled) rank
+//! failure aborts only the stage, not the process. An aborted stage is
+//! retried up to [`RunOptions::stage_retries`] times, with the
+//! [`PipelineReport`] rolled back to the stage's mark first so a retried
+//! attempt *replaces* the aborted one in the wall-clock and counter totals.
+//! With a [`RunOptions::checkpoint_dir`], each completed stage's artifact is
 //! persisted (see [`crate::checkpoint`]), and `--resume` skips validated
 //! stages entirely — the recovery guarantee is that a resumed or retried
 //! run produces a byte-identical assembly to an undisturbed one.
-//!
-//! With [`crate::config::PipelineConfig::try_multi_k`] (two or more k
-//! values) the fixed stage list generalizes to MetaHipMer-style *rounds*:
-//! each k runs its own `round{N}/kmer-analysis` + `round{N}/contig-generation`
-//! pair, round N+1's input is the original reads plus round N's contigs
-//! injected as high-confidence pseudo-reads, and a single scaffolding
-//! pass at the largest k closes the pipeline. Every round stage is a
-//! first-class checkpointable stage, so `--resume`, `--halt-after`,
-//! retry/rollback, and the schema report all work per-round unchanged.
 
 use crate::checkpoint::{self, CheckpointStore, Fingerprint, ScaffoldState};
 use crate::config::PipelineConfig;
@@ -30,7 +31,7 @@ use hipmer_contig::{generate_contigs, ContigSet};
 use hipmer_kanalysis::analyze_kmers;
 use hipmer_pgas::{catch_stage_abort, metrics, CheckpointEvent, RoundReport, StageAttempt};
 use hipmer_pgas::{CommStats, PhaseReport, PipelineReport, Team, Topology};
-use hipmer_scaffold::{prepare_contigs, scaffold_rounds, ScaffoldSet};
+use hipmer_scaffold::{prepare_contigs, scaffold_rounds, Scaffold, ScaffoldMember, ScaffoldSet};
 use hipmer_seqio::{read_fastq_parallel, SeqRecord};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -49,6 +50,20 @@ pub struct Assembly {
     pub stats: AssemblyStats,
     /// Per-phase counters + modeled-time inputs.
     pub report: PipelineReport,
+}
+
+impl Assembly {
+    /// The scaffolds as FASTA: records `scaffold_{i}` in scaffold order,
+    /// sequence lines wrapped at 80 bases. The one output format of the
+    /// CLI, the job service and the examples.
+    pub fn to_fasta(&self) -> Vec<u8> {
+        let records: Vec<SeqRecord> = (self.scaffolds.sequences.iter().enumerate())
+            .map(|(i, s)| SeqRecord::new(format!("scaffold_{i}"), s.clone()))
+            .collect();
+        let mut fasta = Vec::new();
+        hipmer_seqio::write_fasta(&mut fasta, &records, 80).expect("a Vec<u8> write cannot fail");
+        fasta
+    }
 }
 
 /// Checkpoint/restart knobs for [`run_assembly`]. [`Default`] gives the
@@ -204,192 +219,166 @@ fn io_phase(name: String, topo: Topology, bytes: u64, write: bool, wall: f64) ->
 }
 
 /// Every stage a [`run_assembly`] call with this config will execute, in
-/// order. Classic configs plan the fixed two/five-stage list; multi-k
-/// configs plan a `round{N}/kmer-analysis` + `round{N}/contig-generation`
-/// pair per k, then the scaffolding tail. [`RunOptions::halt_after`] is
-/// validated against this list up front, so a misspelled stage name fails
-/// fast instead of silently running the whole pipeline.
+/// order — the single stage plan: one `kmer-analysis` + `contig-generation`
+/// pair per k (prefixed `round{N}/` only when the schedule has more than
+/// one round), then the scaffolding tail unless scaffolding is disabled.
+/// Stage names, checkpoint indices, the progress total and
+/// [`RunOptions::halt_after`] validation all come from this list.
 pub fn planned_stage_names(cfg: &PipelineConfig) -> Vec<String> {
+    let rounds = cfg.multi_k_rounds().map_or(1, <[usize]>::len);
     let mut names = Vec::new();
-    if let Some(ks) = cfg.multi_k_rounds() {
-        for round in 1..=ks.len() {
-            names.push(format!("round{round}/kmer-analysis"));
-            names.push(format!("round{round}/contig-generation"));
-        }
-    } else {
-        names.push("kmer-analysis".to_string());
-        names.push("contig-generation".to_string());
+    for round in 1..=rounds {
+        let prefix = if rounds > 1 {
+            format!("round{round}/")
+        } else {
+            String::new()
+        };
+        names.push(format!("{prefix}kmer-analysis"));
+        names.push(format!("{prefix}contig-generation"));
     }
     if cfg.scaffolding_enabled() {
-        names.push("scaffold-prep".to_string());
-        names.push("alignment".to_string());
-        names.push("scaffolding".to_string());
+        names.extend(["scaffold-prep", "alignment", "scaffolding"].map(String::from));
     }
     names
 }
 
 /// Drives the stages of one [`run_assembly`] call: retry-with-rollback on
 /// stage aborts, checkpoint save/load, and the per-stage bookkeeping that
-/// lands in the schema-v3 report (`stage_attempts`, `checkpoints`).
+/// lands in the report (`stage_attempts`, `checkpoints`).
 struct StageRunner<'a> {
     report: PipelineReport,
     store: Option<CheckpointStore>,
     opts: &'a RunOptions,
     topo: Topology,
-    next_index: usize,
-    total_stages: usize,
+    /// [`planned_stage_names`] of this run; the next stage is `plan[done]`.
+    plan: Vec<String>,
+    done: usize,
 }
 
 impl StageRunner<'_> {
-    /// Run (or resume) one stage. `run` executes the stage body and may
-    /// unwind with a [`hipmer_pgas::StageAbort`]; `encode`/`decode` are
-    /// the stage's checkpoint codec.
+    /// Run (or resume) the next stage of the plan. `run` executes the stage
+    /// body and may unwind with a [`hipmer_pgas::StageAbort`];
+    /// `encode`/`decode` are the stage's checkpoint codec.
     fn stage<T>(
         &mut self,
-        name: &str,
         mut run: impl FnMut() -> (T, Vec<PhaseReport>),
         encode: impl FnOnce(&T) -> Vec<u8>,
         decode: impl FnOnce(&[u8]) -> std::io::Result<T>,
     ) -> Result<T, PipelineError> {
-        let index = self.next_index;
-        self.next_index += 1;
+        let index = self.done;
+        let name = self.plan[index].clone();
+        self.done += 1;
+        let attempt = |executions, aborted, resumed| StageAttempt {
+            stage: name.clone(),
+            executions,
+            aborted,
+            resumed,
+        };
 
         // Cooperative cancellation: stop cleanly between stages, leaving
         // the checkpoint prefix written so far intact for a resume.
-        if let Some(cancel) = &self.opts.cancel {
-            if cancel.load(Ordering::SeqCst) {
-                metrics::counter_add("hipmer/pipeline/interrupted", 1);
-                return Err(PipelineError::Interrupted {
-                    stage: name.to_string(),
-                });
-            }
+        if (self.opts.cancel.as_ref()).is_some_and(|c| c.load(Ordering::SeqCst)) {
+            metrics::counter_add("hipmer/pipeline/interrupted", 1);
+            return Err(PipelineError::Interrupted {
+                stage: name.clone(),
+            });
         }
 
-        // Resume path: a validated artifact satisfies the stage outright.
-        if self.opts.resume {
-            if let Some(store) = &self.store {
-                if store.completed(name) {
-                    let t0 = Instant::now();
-                    let (payload, bytes, checksum) = store.load(name)?;
-                    let value = decode(&payload)?;
-                    let wall = t0.elapsed().as_secs_f64();
-                    metrics::observe(
-                        "hipmer/checkpoint/load_nanos",
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                    metrics::observe("hipmer/checkpoint/load_bytes", bytes);
-                    self.report.push(io_phase(
-                        format!("checkpoint/load-{name}"),
-                        self.topo,
-                        bytes,
-                        false,
-                        wall,
-                    ));
-                    self.report.stage_attempts.push(StageAttempt {
-                        stage: name.to_string(),
-                        executions: 0,
-                        aborted: 0,
-                        resumed: true,
-                    });
-                    self.report.checkpoints.push(CheckpointEvent {
-                        stage: name.to_string(),
-                        action: "load".to_string(),
-                        bytes,
-                        checksum,
-                    });
-                    metrics::pool_progress("pipeline/stages", 1, self.total_stages as u64);
-                    return self.maybe_halt(name, value);
-                }
-            }
-        }
-
-        // Live path: execute, retrying after stage aborts with the report
-        // rolled back so the failed attempt's phases don't double-count.
         let mark = self.report.mark();
         let mut aborted = 0u64;
-        loop {
-            if metrics::is_enabled() {
-                reset_peak_rss();
+        let value = match &self.store {
+            // Resume path: a validated artifact satisfies the stage outright.
+            Some(store) if self.opts.resume && store.completed(&name) => {
+                let t0 = Instant::now();
+                let (payload, bytes, checksum) = store.load(&name)?;
+                let value = decode(&payload)?;
+                self.record_checkpoint(&name, "load", t0, bytes, checksum);
+                self.report.stage_attempts.push(attempt(0, 0, true));
+                value
             }
-            match catch_stage_abort(&mut run) {
-                Ok((value, phases)) => {
-                    if metrics::is_enabled() {
-                        metrics::gauge_max(
-                            &format!("hipmer/mem/stage_peak_bytes/{name}"),
-                            peak_rss_bytes() as f64,
-                        );
-                    }
-                    for p in phases {
-                        self.report.push(p);
-                    }
-                    self.report.stage_attempts.push(StageAttempt {
-                        stage: name.to_string(),
-                        executions: aborted + 1,
-                        aborted,
-                        resumed: false,
-                    });
-                    if let Some(store) = &mut self.store {
-                        if index.is_multiple_of(self.opts.checkpoint_interval.max(1)) {
-                            let payload = encode(&value);
-                            let t0 = Instant::now();
-                            let (bytes, checksum) = store.save(index, name, &payload)?;
-                            let wall = t0.elapsed().as_secs_f64();
-                            metrics::observe(
-                                "hipmer/checkpoint/save_nanos",
-                                t0.elapsed().as_nanos() as u64,
+            // Live path: execute, retrying after stage aborts with the report
+            // rolled back so the failed attempt's phases don't double-count.
+            _ => loop {
+                if metrics::is_enabled() {
+                    reset_peak_rss();
+                }
+                match catch_stage_abort(&mut run) {
+                    Ok((value, phases)) => {
+                        if metrics::is_enabled() {
+                            metrics::gauge_max(
+                                &format!("hipmer/mem/stage_peak_bytes/{name}"),
+                                peak_rss_bytes() as f64,
                             );
-                            metrics::observe("hipmer/checkpoint/save_bytes", bytes);
-                            self.report.push(io_phase(
-                                format!("checkpoint/save-{name}"),
-                                self.topo,
-                                bytes,
-                                true,
-                                wall,
-                            ));
-                            self.report.checkpoints.push(CheckpointEvent {
-                                stage: name.to_string(),
-                                action: "save".to_string(),
-                                bytes,
-                                checksum,
-                            });
-                        } else {
+                        }
+                        for p in phases {
+                            self.report.push(p);
+                        }
+                        self.report
+                            .stage_attempts
+                            .push(attempt(aborted + 1, aborted, false));
+                        match &mut self.store {
+                            Some(store)
+                                if index.is_multiple_of(self.opts.checkpoint_interval.max(1)) =>
+                            {
+                                let payload = encode(&value);
+                                let t0 = Instant::now();
+                                let (bytes, checksum) = store.save(index, &name, &payload)?;
+                                self.record_checkpoint(&name, "save", t0, bytes, checksum);
+                            }
                             // This stage's output exists only in memory:
                             // anything later on disk is now stale.
-                            store.invalidate_from(index);
+                            Some(store) => store.invalidate_from(index),
+                            None => {}
+                        }
+                        break value;
+                    }
+                    Err(abort) => {
+                        self.report.rollback_to(mark);
+                        aborted += 1;
+                        if aborted as usize > self.opts.stage_retries {
+                            self.report
+                                .stage_attempts
+                                .push(attempt(aborted, aborted, false));
+                            return Err(PipelineError::StageAborted {
+                                stage: name.clone(),
+                                rank: abort.rank,
+                                attempts: aborted as usize,
+                            });
                         }
                     }
-                    metrics::pool_progress("pipeline/stages", 1, self.total_stages as u64);
-                    return self.maybe_halt(name, value);
                 }
-                Err(abort) => {
-                    self.report.rollback_to(mark);
-                    aborted += 1;
-                    if aborted as usize > self.opts.stage_retries {
-                        self.report.stage_attempts.push(StageAttempt {
-                            stage: name.to_string(),
-                            executions: aborted,
-                            aborted,
-                            resumed: false,
-                        });
-                        return Err(PipelineError::StageAborted {
-                            stage: name.to_string(),
-                            rank: abort.rank,
-                            attempts: aborted as usize,
-                        });
-                    }
-                }
-            }
+            },
+        };
+        metrics::pool_progress("pipeline/stages", 1, self.plan.len() as u64);
+        if self.opts.halt_after.as_ref() == Some(&name) {
+            return Err(PipelineError::Halted { stage: name });
         }
+        Ok(value)
     }
 
-    fn maybe_halt<T>(&self, name: &str, value: T) -> Result<T, PipelineError> {
-        if self.opts.halt_after.as_deref() == Some(name) {
-            Err(PipelineError::Halted {
-                stage: name.to_string(),
-            })
-        } else {
-            Ok(value)
-        }
+    /// Book one checkpoint transfer (`action` is `"save"` or `"load"`): the
+    /// timing and size histograms, an I/O phase the cost model prices like
+    /// any other, and the report's checkpoint event.
+    fn record_checkpoint(&mut self, stage: &str, action: &str, t0: Instant, bytes: u64, sum: u64) {
+        let elapsed = t0.elapsed();
+        metrics::observe(
+            &format!("hipmer/checkpoint/{action}_nanos"),
+            elapsed.as_nanos() as u64,
+        );
+        metrics::observe(&format!("hipmer/checkpoint/{action}_bytes"), bytes);
+        self.report.push(io_phase(
+            format!("checkpoint/{action}-{stage}"),
+            self.topo,
+            bytes,
+            action == "save",
+            elapsed.as_secs_f64(),
+        ));
+        self.report.checkpoints.push(CheckpointEvent {
+            stage: stage.to_string(),
+            action: action.to_string(),
+            bytes,
+            checksum: sum,
+        });
     }
 }
 
@@ -404,16 +393,14 @@ pub fn run_assembly(
     opts: &RunOptions,
 ) -> Result<Assembly, PipelineError> {
     let topo = *team.topo();
+    let plan = planned_stage_names(cfg);
     // Fail fast on a --halt-after name the configured pipeline will never
     // run; an equality check per stage would just silently never match.
-    if let Some(halt) = &opts.halt_after {
-        let valid = planned_stage_names(cfg);
-        if !valid.iter().any(|s| s == halt) {
-            return Err(PipelineError::UnknownStage {
-                stage: halt.clone(),
-                valid,
-            });
-        }
+    if let Some(halt) = opts.halt_after.as_ref().filter(|h| !plan.contains(h)) {
+        return Err(PipelineError::UnknownStage {
+            stage: halt.clone(),
+            valid: plan,
+        });
     }
     if opts.checkpoint_interval == 0 {
         eprintln!(
@@ -421,17 +408,14 @@ pub fn run_assembly(
              treating it as 1 (checkpoint every stage)"
         );
     }
+    let read_bases = reads.iter().map(|r| r.len()).sum();
     let fingerprint = Fingerprint {
         k: cfg.k,
         ranks: topo.ranks(),
         ranks_per_node: topo.ranks_per_node(),
         n_reads: reads.len(),
-        read_bases: reads.iter().map(|r| r.len()).sum(),
-        rounds: if cfg.scaffolding_enabled() {
-            cfg.scaffold.rounds
-        } else {
-            0
-        },
+        read_bases,
+        rounds: cfg.scaffold.rounds,
         multi_k: cfg.multi_k.clone(),
     };
     let store = match &opts.checkpoint_dir {
@@ -444,45 +428,44 @@ pub fn run_assembly(
         store,
         opts,
         topo,
-        next_index: 0,
-        total_stages: cfg.multi_k_rounds().map_or(2, |ks| 2 * ks.len())
-            + if cfg.scaffolding_enabled() { 3 } else { 0 },
+        plan,
+        done: 0,
     };
 
-    let (spectrum, contigs) = if let Some(ks) = cfg.multi_k_rounds() {
-        // MetaHipMer rounds: kmer-analysis + contig-generation per k,
-        // feeding each round's contigs forward as pseudo-reads. The
-        // scaffolding tail below then runs once, at the largest k, on the
-        // final round's spectrum/contigs and the *original* reads.
-        let n_rounds = ks.len();
-        let mut round_reads: Vec<SeqRecord> = Vec::new();
-        let mut injected = 0u64;
-        let mut last = None;
-        for (ri, &k) in ks.iter().enumerate() {
-            let round = ri + 1;
-            let is_final = round == n_rounds;
-            // Non-final rounds prune low-depth hairs (round_prune_depth);
-            // the final round runs this config's own stage configs
-            // verbatim so `--multi-k` ending at k equals classic-k quality.
-            let (ka_cfg, contig_cfg) = if is_final {
-                (cfg.kanalysis.clone(), cfg.contig.clone())
-            } else {
-                cfg.round_stage_configs(k)
-            };
-            let input: &[SeqRecord] = if round == 1 { reads } else { &round_reads };
-            let phase_mark = runner.report.phases.len();
-            let spectrum = runner.stage(
-                &format!("round{round}/kmer-analysis"),
-                || analyze_kmers(team, input, &ka_cfg),
-                checkpoint::encode_spectrum,
-                |b| checkpoint::decode_spectrum(b, topo, cfg.partition()),
-            )?;
-            let round_contigs = runner.stage(
-                &format!("round{round}/contig-generation"),
-                || generate_contigs(team, &spectrum, &contig_cfg),
-                checkpoint::encode_contigs,
-                checkpoint::decode_contigs,
-            )?;
+    // k-mer analysis + contig generation, once per k of the schedule. A
+    // classic run is the one-round schedule `[cfg.k]`; under multi-k each
+    // round's contigs feed the next round as pseudo-reads, and the
+    // scaffolding tail below runs once, at the largest k, on the final
+    // round's spectrum/contigs and the *original* reads.
+    let ks = cfg.multi_k_rounds().unwrap_or(std::slice::from_ref(&cfg.k));
+    let mut round_reads: Vec<SeqRecord> = Vec::new();
+    let mut injected = 0u64;
+    let mut last = None;
+    for (ri, &k) in ks.iter().enumerate() {
+        let round = ri + 1;
+        let is_final = round == ks.len();
+        // Non-final rounds prune low-depth hairs (round_prune_depth); the
+        // final round runs this config's own stage configs verbatim so
+        // `--multi-k` ending at k equals classic-k quality.
+        let (ka_cfg, contig_cfg) = if is_final {
+            (cfg.kanalysis.clone(), cfg.contig.clone())
+        } else {
+            cfg.round_stage_configs(k)
+        };
+        let input: &[SeqRecord] = if ri == 0 { reads } else { &round_reads };
+        let phase_mark = runner.report.phases.len();
+        let spectrum = runner.stage(
+            || analyze_kmers(team, input, &ka_cfg),
+            checkpoint::encode_spectrum,
+            |b| checkpoint::decode_spectrum(b, topo, cfg.partition()),
+        )?;
+        // The raw, pre-bubble contig set.
+        let contigs = runner.stage(
+            || generate_contigs(team, &spectrum, &contig_cfg),
+            checkpoint::encode_contigs,
+            checkpoint::decode_contigs,
+        )?;
+        if ks.len() > 1 {
             let mut acc = CommStats::new();
             for p in &runner.report.phases[phase_mark..] {
                 acc.merge(&p.totals());
@@ -490,75 +473,50 @@ pub fn run_assembly(
             runner.report.rounds.push(RoundReport {
                 round,
                 k,
-                contigs: round_contigs.len() as u64,
+                contigs: contigs.len() as u64,
                 pseudo_reads: injected,
                 offnode_fraction: acc.offnode_fraction().unwrap_or(0.0),
             });
-            if !is_final {
-                // Next round's input: original reads plus this round's
-                // contigs as pseudo-reads. Each pseudo-read is emitted
-                // twice so its k-mers clear the min_count=2 filter, at a
-                // quality comfortably above the min_qual floor. Derived
-                // from the (possibly checkpoint-decoded) contig set, so a
-                // resumed round N+1 sees byte-identical input.
-                round_reads = reads.to_vec();
-                injected = 0;
-                for c in &round_contigs.contigs {
-                    let rec = SeqRecord::with_uniform_quality(
-                        format!("pseudo{round}:{}", c.id),
-                        c.seq.clone(),
-                        40,
-                    );
-                    round_reads.push(rec.clone());
-                    round_reads.push(rec);
-                    injected += 2;
-                }
-            }
-            last = Some((spectrum, round_contigs));
         }
-        last.expect("multi-k mode plans at least two rounds")
-    } else {
-        // Stage 0: k-mer analysis.
-        let spectrum = runner.stage(
-            "kmer-analysis",
-            || analyze_kmers(team, reads, &cfg.kanalysis),
-            checkpoint::encode_spectrum,
-            |b| checkpoint::decode_spectrum(b, topo, cfg.partition()),
-        )?;
+        if !is_final {
+            // Next round's input: original reads plus this round's contigs
+            // as pseudo-reads. Each pseudo-read is emitted twice so its
+            // k-mers clear the min_count=2 filter, at a quality comfortably
+            // above the min_qual floor. Derived from the (possibly
+            // checkpoint-decoded) contig set, so a resumed round N+1 sees
+            // byte-identical input.
+            round_reads = reads.to_vec();
+            for c in &contigs.contigs {
+                let id = format!("pseudo{round}:{}", c.id);
+                let rec = SeqRecord::with_uniform_quality(id, c.seq.clone(), 40);
+                round_reads.push(rec.clone());
+                round_reads.push(rec);
+            }
+            injected = 2 * contigs.len() as u64;
+        }
+        last = Some((spectrum, contigs));
+    }
+    let (spectrum, contigs) = last.expect("a schedule has at least one k");
 
-        // Stage 1: contig generation (the raw, pre-bubble contig set).
-        let contigs = runner.stage(
-            "contig-generation",
-            || generate_contigs(team, &spectrum, &cfg.contig),
-            checkpoint::encode_contigs,
-            checkpoint::decode_contigs,
-        )?;
-        (spectrum, contigs)
-    };
-
-    // Stages 2-4: scaffolding (unless disabled).
     let (scaffolds, gaps) = if cfg.scaffolding_enabled() {
-        // Stage 2: depths + bubble merging.
+        // scaffold-prep: depths + bubble merging.
         let prepared = runner.stage(
-            "scaffold-prep",
             || prepare_contigs(team, &spectrum, &contigs, cfg.scaffold.schedule),
             checkpoint::encode_contigs,
             checkpoint::decode_contigs,
         )?;
 
-        // Stage 3: round-0 merAligner (depends only on the prepared
+        // alignment: round-0 merAligner (depends only on the prepared
         // contigs, so it can be hoisted out of the round loop and
         // checkpointed — see `hipmer_scaffold::scaffold_rounds`).
         let alignments = runner.stage(
-            "alignment",
             || align_reads(team, &prepared, reads, &cfg.scaffold.align),
             |alns| checkpoint::encode_alignments(alns),
             checkpoint::decode_alignments,
         )?;
 
-        // Stage 4: the scaffolding rounds proper.
+        // scaffolding: the scaffolding rounds proper.
         let state = runner.stage(
-            "scaffolding",
             || {
                 let out = scaffold_rounds(
                     team,
@@ -586,33 +544,30 @@ pub fn run_assembly(
         // Contigs become singleton "scaffolds" verbatim. Scaffold members
         // index contigs with u32; surface an overflow as a clean error
         // instead of silently truncating the index.
-        let sequences: Vec<Vec<u8>> = contigs.contigs.iter().map(|c| c.seq.clone()).collect();
-        let mut singletons = Vec::with_capacity(sequences.len());
-        for i in 0..sequences.len() {
-            let contig = u32::try_from(i).map_err(|_| {
-                PipelineError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("contig index {i} exceeds the u32 scaffold-member id space"),
-                ))
-            })?;
-            singletons.push(hipmer_scaffold::Scaffold {
-                members: vec![hipmer_scaffold::ScaffoldMember {
-                    contig,
-                    reversed: false,
-                    gap_before: 0,
-                }],
-            });
-        }
+        let n = u32::try_from(contigs.len()).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "contig count exceeds the u32 scaffold-member id space",
+            )
+        })?;
+        let singleton = |contig| Scaffold {
+            members: vec![ScaffoldMember {
+                contig,
+                reversed: false,
+                gap_before: 0,
+            }],
+        };
         let scaffolds = ScaffoldSet {
-            scaffolds: singletons,
-            sequences,
+            scaffolds: (0..n).map(singleton).collect(),
+            sequences: contigs.contigs.iter().map(|c| c.seq.clone()).collect(),
         };
         (scaffolds, Default::default())
     };
+    debug_assert_eq!(runner.done, runner.plan.len(), "every planned stage ran");
 
     let stats = AssemblyStats {
         n_reads: reads.len(),
-        read_bases: reads.iter().map(|r| r.len()).sum(),
+        read_bases,
         distinct_kmers: spectrum.distinct(),
         n_contigs: contigs.len(),
         contig_n50: contigs.n50(),
@@ -684,14 +639,11 @@ mod tests {
     use hipmer_pgas::{CostModel, Topology};
     use hipmer_readsim::human_like_dataset;
 
-    fn lib_ranges_of(d: &hipmer_readsim::Dataset) -> Vec<Range<usize>> {
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        for lib in &d.reads_per_library {
-            out.push(start..start + lib.len());
-            start += lib.len();
-        }
-        out
+    /// The names a run actually executed (or resumed), in order.
+    fn stages_run(assembly: &Assembly) -> Vec<&str> {
+        (assembly.report.stage_attempts.iter())
+            .map(|a| a.stage.as_str())
+            .collect()
     }
 
     #[test]
@@ -700,7 +652,7 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let assembly = assemble(&team, &reads, &lib_ranges_of(&dataset), &cfg);
+        let assembly = assemble(&team, &reads, &dataset.lib_ranges(), &cfg);
 
         assert!(assembly.stats.scaffold_n50 >= assembly.stats.contig_n50);
         // Accuracy: nearly all scaffold k-mers come from a haplotype, and
@@ -725,7 +677,7 @@ mod tests {
         let assembly = assemble(
             &team,
             &reads,
-            &lib_ranges_of(&dataset),
+            &dataset.lib_ranges(),
             &PipelineConfig::new(21),
         );
         let t = StageTimes::from_report(&assembly.report, &CostModel::edison());
@@ -745,7 +697,7 @@ mod tests {
         let assembly = assemble(
             &team,
             &reads,
-            &lib_ranges_of(&dataset),
+            &dataset.lib_ranges(),
             &PipelineConfig::metagenome_preset(21),
         );
         assert_eq!(assembly.stats.n_scaffolds, assembly.stats.n_contigs);
@@ -785,7 +737,7 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
 
         let plain = assemble(&team, &reads, &ranges, &cfg);
 
@@ -820,7 +772,7 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
 
         let plain = assemble(&team, &reads, &ranges, &cfg);
 
@@ -880,7 +832,7 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
 
         let plain = assemble(&team, &reads, &ranges, &cfg);
 
@@ -951,7 +903,7 @@ mod tests {
         let dataset = human_like_dataset(15_000, 16.0, false, 13);
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
         let topo = Topology::new(4, 2);
 
         let plain = assemble(&Team::new(topo), &reads, &ranges, &cfg);
@@ -983,7 +935,7 @@ mod tests {
         let dataset = human_like_dataset(8_000, 14.0, false, 14);
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
         let topo = Topology::new(2, 2);
 
         // Transient probability 1.0 exhausts any retry budget immediately
@@ -1020,7 +972,7 @@ mod tests {
         let team = Team::new(Topology::new(2, 2));
         let reads = dataset.all_reads();
         let cfg = PipelineConfig::new(21);
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
 
         let dir = ckpt_dir("interval");
         let out = run_assembly(
@@ -1054,7 +1006,7 @@ mod tests {
         let dataset = human_like_dataset(5_000, 12.0, false, 31);
         let team = Team::new(Topology::new(2, 2));
         let reads = dataset.all_reads();
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
 
         // Misspelled classic stage name: fails fast, listing the plan.
         let err = match run_assembly(
@@ -1129,7 +1081,7 @@ mod tests {
         let dataset = human_like_dataset(15_000, 16.0, false, 32);
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
 
         for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
             let classic = PipelineConfig::new(21).with_partition(partition);
@@ -1143,23 +1095,19 @@ mod tests {
                 a.scaffolds.sequences, b.scaffolds.sequences,
                 "--multi-k 21 must be byte-identical to single-k ({partition:?})"
             );
-            // And it runs the classic stage list — no round prefixes.
-            let stages: Vec<_> = b
-                .report
-                .stage_attempts
-                .iter()
-                .map(|s| s.stage.as_str())
-                .collect();
-            assert_eq!(
-                stages,
-                [
-                    "kmer-analysis",
-                    "contig-generation",
-                    "scaffold-prep",
-                    "alignment",
-                    "scaffolding"
-                ]
-            );
+            // And it runs the classic stage list — no round prefixes — which
+            // is what the plan says for both configs.
+            let classic_stages = [
+                "kmer-analysis",
+                "contig-generation",
+                "scaffold-prep",
+                "alignment",
+                "scaffolding",
+            ];
+            assert_eq!(stages_run(&a), classic_stages);
+            assert_eq!(stages_run(&b), classic_stages);
+            assert_eq!(planned_stage_names(&classic), classic_stages);
+            assert_eq!(planned_stage_names(&single), classic_stages);
             assert!(b.report.rounds.is_empty(), "classic runs report no rounds");
         }
     }
@@ -1169,27 +1117,20 @@ mod tests {
         let dataset = hipmer_readsim::metagenome_dataset(60_000, 8, 10.0, false, 33);
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
         let cfg = PipelineConfig::metagenome_preset(33)
             .try_multi_k(&[21, 33])
             .unwrap();
 
         let assembly = assemble(&team, &reads, &ranges, &cfg);
-        let stages: Vec<_> = assembly
-            .report
-            .stage_attempts
-            .iter()
-            .map(|s| s.stage.as_str())
-            .collect();
-        assert_eq!(
-            stages,
-            [
-                "round1/kmer-analysis",
-                "round1/contig-generation",
-                "round2/kmer-analysis",
-                "round2/contig-generation"
-            ]
-        );
+        let round_stages = [
+            "round1/kmer-analysis",
+            "round1/contig-generation",
+            "round2/kmer-analysis",
+            "round2/contig-generation",
+        ];
+        assert_eq!(stages_run(&assembly), round_stages);
+        assert_eq!(planned_stage_names(&cfg), round_stages);
         let rounds = &assembly.report.rounds;
         assert_eq!(rounds.len(), 2);
         assert_eq!((rounds[0].round, rounds[0].k), (1, 21));
@@ -1208,14 +1149,30 @@ mod tests {
         let dataset = hipmer_readsim::metagenome_dataset(60_000, 8, 10.0, false, 34);
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
-        let ranges = lib_ranges_of(&dataset);
+        let ranges = dataset.lib_ranges();
         // Scaffolding enabled: the resume sweep crosses both the round
         // boundaries and the rounds→scaffolding seam.
         let cfg = PipelineConfig::new(33).try_multi_k(&[21, 33]).unwrap();
 
         let plain = assemble(&team, &reads, &ranges, &cfg);
+        // With scaffolding the plan is the round pairs plus the one tail,
+        // and a full run executes exactly the plan.
+        let plan = planned_stage_names(&cfg);
+        assert_eq!(
+            plan,
+            [
+                "round1/kmer-analysis",
+                "round1/contig-generation",
+                "round2/kmer-analysis",
+                "round2/contig-generation",
+                "scaffold-prep",
+                "alignment",
+                "scaffolding"
+            ]
+        );
+        assert_eq!(stages_run(&plain), plan);
 
-        for halt_stage in planned_stage_names(&cfg) {
+        for halt_stage in plan {
             let dir = ckpt_dir(&format!("mkres-{}", halt_stage.replace('/', "-")));
             let halted = run_assembly(
                 &team,

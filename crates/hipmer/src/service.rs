@@ -20,7 +20,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use hipmer_pgas::json::Value;
-use hipmer_pgas::{metrics, trace, CostModel, TeamLease};
+use hipmer_pgas::{metrics, trace, CostModel, PartitionScheme, Schedule, TeamLease};
 use hipmer_serve::{ExecOutcome, JobExecutor, JobSpec};
 
 use crate::checkpoint;
@@ -42,16 +42,18 @@ impl AssemblyExecutor {
     }
 }
 
-/// Build the pipeline configuration a spec describes, mirroring the
-/// one-shot CLI's flag handling so `serve` and `assemble` agree.
+/// The pipeline configuration a spec describes, through the constructor the
+/// one-shot CLI also uses. A spec carries no schedule or partition: both
+/// only move counters, never bytes, so the service runs the defaults.
 fn config_for(spec: &JobSpec) -> Result<PipelineConfig, String> {
-    let mut cfg = PipelineConfig::try_new(spec.k).map_err(|e| format!("k={}: {e}", spec.k))?;
-    if spec.metagenome {
-        cfg.scaffold.rounds = 0; // skip scaffolding (§5.4)
-    } else {
-        cfg.scaffold.rounds = spec.rounds;
-    }
-    Ok(cfg)
+    PipelineConfig::from_spec(
+        spec.k,
+        spec.rounds,
+        spec.metagenome,
+        &[],
+        Schedule::default(),
+        PartitionScheme::default(),
+    )
 }
 
 impl JobExecutor for AssemblyExecutor {
@@ -130,20 +132,8 @@ impl JobExecutor for AssemblyExecutor {
             }
         };
 
-        // Outputs: FASTA, schema-v5 report, per-job chrome trace.
-        let records: Vec<hipmer_seqio::SeqRecord> = assembly
-            .scaffolds
-            .sequences
-            .iter()
-            .enumerate()
-            .map(|(i, s)| hipmer_seqio::SeqRecord::new(format!("scaffold_{i}"), s.clone()))
-            .collect();
-        let mut fasta = Vec::new();
-        if let Err(e) = hipmer_seqio::write_fasta(&mut fasta, &records, 80) {
-            return ExecOutcome::Failed {
-                error: format!("FASTA encoding failed: {e}"),
-            };
-        }
+        // Outputs: FASTA, report, per-job chrome trace.
+        let fasta = assembly.to_fasta();
         let report = assembly
             .report
             .to_json_labeled(&CostModel::edison(), "edison");

@@ -1098,3 +1098,121 @@ fn bad_usage_exits_nonzero() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+/// Run `hipmer` with `args`; the exit code and the first stderr line (the
+/// `error: …` line of a usage error).
+fn usage_error(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin()).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default().to_string();
+    (out.status.code(), first)
+}
+
+/// Each subcommand's line of the usage text, as `(subcommand, flags)`.
+fn usage_flags() -> Vec<(String, Vec<String>)> {
+    let out = Command::new(bin()).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "no subcommand is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+    let commands: Vec<_> = stderr
+        .split("  hipmer ")
+        .skip(1)
+        .map(|section| {
+            let mut tokens = section.split_whitespace();
+            let cmd = tokens.next().unwrap().to_string();
+            let flags = tokens
+                .map(|t| t.trim_start_matches('[').trim_end_matches(']'))
+                .filter(|t| t.starts_with('-'))
+                .map(str::to_string)
+                .collect();
+            (cmd, flags)
+        })
+        .collect();
+    let names: Vec<_> = commands.iter().map(|(cmd, _)| cmd.as_str()).collect();
+    assert_eq!(names, ["assemble", "simulate", "serve"], "{stderr}");
+    commands
+}
+
+#[test]
+fn bad_flags_exit_2_naming_the_flag() {
+    // Nothing below may get as far as reading a file or binding a port, so
+    // the positionals need not exist.
+    for base in [
+        &["assemble", "reads.fastq", "-o", "x.fa"][..],
+        &["simulate", "human", "-o", "x.fastq"],
+        &["serve"],
+    ] {
+        let with = |extra: &[&str]| usage_error(&[base, extra].concat());
+        // Unknown, and a misspelling of a flag the subcommand does take
+        // (both used to be ignored: the run went ahead on the defaults).
+        let (code, err) = with(&["--frobnicate", "3"]);
+        assert_eq!(
+            (code, err.as_str()),
+            (Some(2), "error: unknown flag --frobnicate")
+        );
+        let misspelled = if base[0] == "simulate" {
+            "--sead"
+        } else {
+            "--ranks-per-nod"
+        };
+        let (code, err) = with(&[misspelled, "2"]);
+        assert_eq!(code, Some(2), "{err}");
+        assert_eq!(err, format!("error: unknown flag {misspelled}"));
+        // Given twice, and given without its value (at the end of argv, and
+        // with another flag where the value should be).
+        let flag = if base[0] == "simulate" {
+            "--seed"
+        } else {
+            "--ranks-per-node"
+        };
+        let (code, err) = with(&[flag, "2", flag, "4"]);
+        assert_eq!(code, Some(2), "{err}");
+        assert_eq!(err, format!("error: {flag} given more than once"));
+        for tail in [&[flag][..], &[flag, flag]] {
+            let (code, err) = with(tail);
+            assert_eq!(code, Some(2), "{err}");
+            assert_eq!(err, format!("error: {flag} needs a value"));
+        }
+        // A value that does not parse names the flag too.
+        let (code, err) = with(&[flag, "many"]);
+        assert_eq!(code, Some(2), "{err}");
+        assert!(
+            err.starts_with(&format!("error: bad value \"many\" for {flag}")),
+            "{err}"
+        );
+        // Zero ranks used to panic in `Topology::new`.
+        if base[0] != "simulate" {
+            let (code, err) = with(&[flag, "0"]);
+            assert_eq!(code, Some(2), "{err}");
+            assert!(
+                err.starts_with(&format!("error: bad value \"0\" for {flag}")),
+                "{err}"
+            );
+        }
+        // A stray argument after the flags is not silently dropped either.
+        let (code, err) = with(&["stray"]);
+        assert_eq!(
+            (code, err.as_str()),
+            (Some(2), "error: unexpected argument \"stray\"")
+        );
+    }
+}
+
+#[test]
+fn every_flag_in_the_usage_text_is_accepted() {
+    for (cmd, flags) in usage_flags() {
+        assert!(!flags.is_empty(), "{cmd}");
+        for flag in flags {
+            // Given twice, a known flag is "given more than once" (a switch)
+            // or "needs a value" (the second copy sits where the value
+            // goes); only a flag the parser does not know is "unknown".
+            let (code, err) = usage_error(&[&cmd, &flag, &flag]);
+            assert_eq!(code, Some(2), "{cmd} {flag}: {err}");
+            assert!(
+                err == format!("error: {flag} given more than once")
+                    || err == format!("error: {flag} needs a value"),
+                "{cmd} {flag}: {err}"
+            );
+        }
+    }
+}

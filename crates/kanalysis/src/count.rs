@@ -5,7 +5,7 @@ use crate::config::KmerAnalysisConfig;
 use crate::pass1::{sketch_reads, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
 use hipmer_dna::{ExtVotes, Kmer, KmerCodec, KmerHashMap};
-use hipmer_pgas::{DistHashMap, Outbox, Partitioner, PhaseReport, RankCtx, Team};
+use hipmer_pgas::{DistHashMap, Outbox, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
 use parking_lot::Mutex;
@@ -226,21 +226,22 @@ pub fn analyze_kmers(
     let (sketch, sketch_report) = sketch_reads(team, reads, cfg);
     let mut reports = vec![sketch_report];
 
-    // One partitioner for the whole table family: `finalize` moves entries
+    // One partition scheme for the whole table family: `finalize` moves entries
     // from the votes table into the final spectrum with a shard-local
     // merge, which is only correct when both tables agree on every key's
     // owner.
     let codec = KmerCodec::new(cfg.k);
-    let part = Partitioner::new(cfg.partition, cfg.k);
-    let votes_table: DistHashMap<Kmer, ExtVotes> = part.table(*team.topo(), codec);
+    let label = cfg.partition.label(cfg.k);
+    let votes_table: DistHashMap<Kmer, ExtVotes> = cfg.partition.table(*team.topo(), codec);
     if cfg.use_bloom {
-        reports
-            .push(bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement(part.label()));
+        reports.push(
+            bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement(label.clone()),
+        );
     }
-    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement(part.label()));
+    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement(label.clone()));
 
-    let final_table: DistHashMap<Kmer, KmerEntry> = part.table(*team.topo(), codec);
-    reports.push(finalize(team, cfg, votes_table, &final_table).with_placement(part.label()));
+    let final_table: DistHashMap<Kmer, KmerEntry> = cfg.partition.table(*team.topo(), codec);
+    reports.push(finalize(team, cfg, votes_table, &final_table).with_placement(label));
 
     (
         KmerSpectrum {

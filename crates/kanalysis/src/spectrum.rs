@@ -1,7 +1,7 @@
 //! The k-mer analysis output: the table of non-erroneous k-mers.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
-use hipmer_pgas::{DistHashMap, PartitionScheme, Partitioner, RankCtx, Topology};
+use hipmer_pgas::{DistHashMap, PartitionScheme, RankCtx, Topology};
 use hipmer_sketch::CountHistogram;
 
 /// One surviving canonical k-mer: exact count plus decided extensions.
@@ -82,7 +82,7 @@ impl KmerSpectrum {
         entries: impl IntoIterator<Item = (Kmer, KmerEntry)>,
     ) -> Self {
         let codec = KmerCodec::new(k);
-        let table = Partitioner::new(partition, k).table(topo, codec);
+        let table = partition.table(topo, codec);
         table.preload(entries);
         KmerSpectrum { codec, table }
     }
@@ -177,7 +177,7 @@ mod tests {
             assert_eq!(restored.codec.k(), 5);
             assert_eq!(restored.export_entries(), exported);
             let homed: DistHashMap<Kmer, KmerEntry> =
-                Partitioner::new(scheme, 5).table(Topology::new(7, 3), restored.codec);
+                scheme.table(Topology::new(7, 3), restored.codec);
             for &(km, _) in &exported {
                 assert_eq!(restored.table.owner(&km), homed.owner(&km));
             }

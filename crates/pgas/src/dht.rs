@@ -96,7 +96,7 @@ where
     }
 
     /// An empty table whose keys are owned by `owner(key)` — the hook the
-    /// minimizer partitioner ([`crate::Partitioner::table`]) and the oracle
+    /// minimizer partitioner ([`crate::PartitionScheme::table`]) and the oracle
     /// of §3.2 ([`crate::OracleVector::table`]) plug into. The function is
     /// fixed for the table's lifetime (re-homing a populated table would
     /// orphan its entries) and must return a rank `< topo.ranks()`, which
@@ -755,7 +755,7 @@ mod tests {
         // Digests of `owner(key)` over 10 000 random 31-mers, taken at the
         // commit before ownership became one closure (when it was a
         // placement over a locality hash): the refactor moved no key.
-        use crate::{OracleVector, PartitionScheme, Partitioner};
+        use crate::{OracleVector, PartitionScheme};
         use hipmer_dna::{Kmer, KmerCodec};
         let k = 31;
         let codec = KmerCodec::new(k);
@@ -783,12 +783,12 @@ mod tests {
             (digest, all[..6].to_vec())
         };
 
-        let uniform = Partitioner::new(PartitionScheme::Uniform, k).table(topo, codec);
+        let uniform = PartitionScheme::Uniform.table(topo, codec);
         assert_eq!(
             owners(&uniform),
             (0xbd50dbfff5db97f9, vec![7, 4, 0, 5, 10, 10])
         );
-        let minimizer = Partitioner::new(PartitionScheme::Minimizer, k).table(topo, codec);
+        let minimizer = PartitionScheme::Minimizer.table(topo, codec);
         assert_eq!(
             owners(&minimizer),
             (0x300302fae281ebbd, vec![7, 0, 4, 12, 11, 2])

@@ -57,7 +57,7 @@ pub use fault::{
 };
 pub use lookup::{LookupBatch, SoftwareCache};
 pub use oracle::OracleVector;
-pub use part::{PartitionScheme, Partitioner, DEFAULT_MINIMIZER_LEN};
+pub use part::{PartitionScheme, DEFAULT_MINIMIZER_LEN};
 pub use pool::{TeamLease, TeamPool};
 pub use report::{CheckpointEvent, PhaseReport, PipelineReport, RoundReport, StageAttempt};
 pub use sched::Schedule;

@@ -26,7 +26,7 @@
 //! directly. The contract is also **per table**: a cache primed through one
 //! map must never be re-pointed at another — the second map may hold
 //! different values for the same keys *and*, now that tables can carry
-//! per-partitioner locality hashes ([`crate::Partitioner`]), may not even
+//! per-partitioner locality hashes ([`crate::PartitionScheme`]), may not even
 //! agree on who owns a key, so stale hits would silently bypass the second
 //! table entirely. [`SoftwareCache::get_through`] binds the cache to the
 //! first table's [`DistHashMap::table_id`] and `debug_assert`s every later

@@ -568,6 +568,17 @@ pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 mod tests {
     use super::*;
 
+    /// What this module's tests recorded: every name they use has a `test/`
+    /// component. Other lib tests run phases and ship lookups in parallel
+    /// without [`TEST_LOCK`], and whatever they record while the registry
+    /// happens to be enabled (`pgas/lookup/wire_bytes`, …) must not shift
+    /// a positional assert.
+    fn own_snapshot() -> Vec<MetricSnapshot> {
+        let mut own = snapshot();
+        own.retain(|m| m.name().contains("test/"));
+        own
+    }
+
     fn with_clean_registry<R>(f: impl FnOnce() -> R) -> R {
         let _guard = TEST_LOCK.lock().unwrap();
         reset();
@@ -586,8 +597,8 @@ mod tests {
         counter_add("test/noop", 5);
         gauge_set("test/noop_gauge", 1.0);
         observe("test/noop_hist", 42);
-        pool_progress("noop", 1, 10);
-        assert!(snapshot().is_empty());
+        pool_progress("test/noop", 1, 10);
+        assert!(own_snapshot().is_empty());
     }
 
     #[test]
@@ -596,7 +607,7 @@ mod tests {
             counter_add("test/c", 3);
             counter_add("test/c", 4);
             counter_add("test/c", u64::MAX);
-            match &snapshot()[..] {
+            match &own_snapshot()[..] {
                 [MetricSnapshot::Counter(name, v)] => {
                     assert_eq!(name, "test/c");
                     assert_eq!(*v, u64::MAX, "saturating, not wrapping");
@@ -614,7 +625,7 @@ mod tests {
             gauge_max("test/hw", 1.0);
             gauge_max("test/hw", 9.0);
             gauge_max("test/hw", 3.0);
-            let snap = snapshot();
+            let snap = own_snapshot();
             assert_eq!(snap[0], MetricSnapshot::Gauge("test/g".into(), 2.0));
             assert_eq!(snap[1], MetricSnapshot::Gauge("test/hw".into(), 9.0));
         });
@@ -639,7 +650,7 @@ mod tests {
             for v in [0u64, 1, 2, 3, 200, 300, u64::MAX] {
                 observe("test/h", v);
             }
-            match &snapshot()[..] {
+            match &own_snapshot()[..] {
                 [MetricSnapshot::Histogram(h)] => {
                     assert_eq!(h.count, 7);
                     assert_eq!(h.min, 0);
@@ -665,25 +676,24 @@ mod tests {
     #[test]
     fn json_exposition_parses_and_carries_schema() {
         with_clean_registry(|| {
-            counter_add("dht/contended_locks", 2);
-            gauge_set("dht/entries", 128.0);
-            observe("outbox/wire_bytes", 4096);
+            counter_add("test/contended_locks", 2);
+            gauge_set("test/entries", 128.0);
+            observe("test/wire_bytes", 4096);
             let doc = Value::parse(&to_json()).expect("valid JSON");
             assert_eq!(
                 doc.get("metrics_schema_version").and_then(Value::as_u64),
                 Some(1)
             );
-            let metrics = doc.get("metrics").unwrap().as_arr().unwrap();
-            assert_eq!(metrics.len(), 3);
-            let names: Vec<_> = metrics
-                .iter()
-                .map(|m| m.get("name").and_then(Value::as_str).unwrap())
+            let name = |m: &Value| m.get("name").and_then(Value::as_str).unwrap().to_string();
+            let metrics: Vec<&Value> = (doc.get("metrics").unwrap().as_arr().unwrap().iter())
+                .filter(|m| name(m).starts_with("test/"))
                 .collect();
+            let names: Vec<_> = metrics.iter().map(|m| name(m)).collect();
             assert_eq!(
                 names,
-                vec!["dht/contended_locks", "dht/entries", "outbox/wire_bytes"]
+                vec!["test/contended_locks", "test/entries", "test/wire_bytes"]
             );
-            let hist = &metrics[2];
+            let hist = metrics[2];
             assert_eq!(hist.get("type").and_then(Value::as_str), Some("histogram"));
             assert_eq!(hist.get("count").and_then(Value::as_u64), Some(1));
             let buckets = hist.get("buckets").unwrap().as_arr().unwrap();
@@ -724,16 +734,16 @@ mod tests {
         with_clean_registry(|| {
             // No heartbeat interval set: nothing is emitted, but the
             // progress counters still accumulate.
-            pool_progress("sched", 10, 100);
-            pool_progress("sched", 30, 100);
-            let snap = snapshot();
+            pool_progress("test/sched", 10, 100);
+            pool_progress("test/sched", 30, 100);
+            let snap = own_snapshot();
             assert_eq!(
                 snap[0],
-                MetricSnapshot::Counter("progress/sched/done".into(), 40)
+                MetricSnapshot::Counter("progress/test/sched/done".into(), 40)
             );
             assert_eq!(
                 snap[1],
-                MetricSnapshot::Gauge("progress/sched/total".into(), 100.0)
+                MetricSnapshot::Gauge("progress/test/sched/total".into(), 100.0)
             );
         });
     }
@@ -781,7 +791,10 @@ mod tests {
                 counter_add("test/c", 10);
             }
             counter_add("test/c", 100);
-            let names: Vec<String> = snapshot().iter().map(|m| m.name().to_string()).collect();
+            let names: Vec<String> = own_snapshot()
+                .iter()
+                .map(|m| m.name().to_string())
+                .collect();
             assert_eq!(
                 names,
                 vec![
@@ -792,7 +805,7 @@ mod tests {
                     "test/c",
                 ]
             );
-            match &snapshot()[..] {
+            match &own_snapshot()[..] {
                 [MetricSnapshot::Counter(_, nested), MetricSnapshot::Counter(_, scoped), _, _, MetricSnapshot::Counter(_, bare)] =>
                 {
                     assert_eq!((*nested, *scoped, *bare), (5, 12, 101));
@@ -807,20 +820,20 @@ mod tests {
         with_clean_registry(|| {
             {
                 let _a = scoped("job/1");
-                pool_progress("stages", 2, 5);
+                pool_progress("test/stages", 2, 5);
             }
             {
                 let _b = scoped("job/2");
-                pool_progress("stages", 3, 5);
+                pool_progress("test/stages", 3, 5);
             }
-            let snap = snapshot();
+            let snap = own_snapshot();
             assert_eq!(
                 snap[0],
-                MetricSnapshot::Counter("progress/job/1/stages/done".into(), 2)
+                MetricSnapshot::Counter("progress/job/1/test/stages/done".into(), 2)
             );
             assert_eq!(
                 snap[2],
-                MetricSnapshot::Counter("progress/job/2/stages/done".into(), 3)
+                MetricSnapshot::Counter("progress/job/2/test/stages/done".into(), 3)
             );
         });
     }
@@ -838,7 +851,7 @@ mod tests {
                 counter_add("test/c", 1);
             }
             assert!(current_scope().is_none(), "guard restored no-scope");
-            assert_eq!(snapshot()[0].name(), "job/9/test/c");
+            assert_eq!(own_snapshot()[0].name(), "job/9/test/c");
         });
     }
 

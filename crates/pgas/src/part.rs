@@ -6,12 +6,13 @@
 //! ownership toward **locality-aware** k-mer placement. This module is the
 //! repo's first-class form of that idea:
 //!
-//! * [`PartitionScheme`] is the user-facing knob (`--partition
-//!   uniform|minimizer`), carried by every stage config;
-//! * [`Partitioner`] is the typed, per-key-length instantiation a stage
-//!   builds once it knows its key length: `Uniform`, or
-//!   `Minimizer { w, m }` where each k-mer is bucketed by the rank owning
-//!   its window minimizer ([`hipmer_dna::KmerCodec::minimizer_hash`]).
+//! [`PartitionScheme`] is both the user-facing knob (`--partition
+//! uniform|minimizer`, carried by every stage config) and the thing a stage
+//! builds its tables from once it knows its key length:
+//! [`PartitionScheme::table`]. Under `Minimizer` each k-mer is bucketed by
+//! the rank owning its window minimizer
+//! ([`hipmer_dna::KmerCodec::minimizer_hash`]); the minimizer length `m`
+//! and the window count `w` follow from the key length alone.
 //!
 //! **Why minimizers cut the off-node fraction:** adjacent k-mers of a read
 //! or a contig walk overlap in `k - 1` bases, so they share `w - 1 = k - m`
@@ -24,14 +25,14 @@
 //! access goes through [`DistHashMap::owner`], so the assembled output is
 //! byte-identical under any scheme — only the communication tallies move.
 //!
-//! The partitioner feeds [`DistHashMap::with_owner`]: the owner is
+//! The scheme feeds [`DistHashMap::with_owner`]: the owner is
 //! `minimizer_hash % ranks`, and that one function is all the routing there
 //! is — a minimizer run lands in one rank's partition, under its one lock.
 //!
 //! Coherence rule: tables whose entries flow into each other without
 //! re-homing (the k-mer votes table and the final spectrum table, the
 //! spectrum and the de Bruijn node table) must be built from the **same**
-//! partitioner — [`Partitioner::table`] is the one construction path the
+//! scheme — [`PartitionScheme::table`] is the one construction path the
 //! stages share.
 
 use crate::dht::DistHashMap;
@@ -77,77 +78,30 @@ impl std::fmt::Display for PartitionScheme {
     }
 }
 
-/// A [`PartitionScheme`] bound to one key length: the validated owner
-/// assignment a stage builds its k-mer tables from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partitioner {
-    /// Uniform hashing over the whole key.
-    Uniform,
-    /// Minimizer bucketing: `w = k - m + 1` length-`m` windows per key.
-    Minimizer {
-        /// Windows per key (`k - m + 1`).
-        w: usize,
-        /// Minimizer length.
-        m: usize,
-    },
-}
-
-impl Partitioner {
-    /// Bind `scheme` to keys of length `k`. For the minimizer scheme,
-    /// `m = min(DEFAULT_MINIMIZER_LEN, k)` and `w = k - m + 1`.
-    ///
-    /// # Panics
-    /// Panics when `k` is outside the packed k-mer range — ownership
-    /// decisions ride on these parameters, so they are validated here (in
-    /// release builds too) rather than at first use.
-    pub fn new(scheme: PartitionScheme, k: usize) -> Self {
-        assert!(
-            (1..=hipmer_dna::MAX_K).contains(&k),
-            "partitioner key length k={k} outside 1..={}",
-            hipmer_dna::MAX_K
-        );
-        match scheme {
-            PartitionScheme::Uniform => Partitioner::Uniform,
+impl PartitionScheme {
+    /// Human/report label for tables keyed by `k`-mers, e.g. `"uniform"` or
+    /// `"minimizer(w=25,m=7)"`: minimizer length
+    /// `m = min(DEFAULT_MINIMIZER_LEN, k)`, `w = k - m + 1` windows per key.
+    pub fn label(self, k: usize) -> String {
+        match self {
+            PartitionScheme::Uniform => "uniform".to_string(),
             PartitionScheme::Minimizer => {
                 let m = DEFAULT_MINIMIZER_LEN.min(k);
-                Partitioner::Minimizer { w: k - m + 1, m }
+                format!("minimizer(w={},m={m})", k - m + 1)
             }
         }
     }
 
-    /// The scheme this partitioner instantiates.
-    pub fn scheme(&self) -> PartitionScheme {
-        match self {
-            Partitioner::Uniform => PartitionScheme::Uniform,
-            Partitioner::Minimizer { .. } => PartitionScheme::Minimizer,
-        }
-    }
-
-    /// Human/report label, e.g. `"uniform"` or `"minimizer(w=25,m=7)"`.
-    pub fn label(&self) -> String {
-        match self {
-            Partitioner::Uniform => "uniform".to_string(),
-            Partitioner::Minimizer { w, m } => format!("minimizer(w={w},m={m})"),
-        }
-    }
-
     /// The one construction path for partitioned k-mer tables: an empty
-    /// [`DistHashMap`] over `topo` whose owner function follows this
-    /// partitioner (`key_hash % ranks` for uniform, `minimizer_hash % ranks`
-    /// for minimizer bucketing). Stages that feed entries between tables
-    /// must build both ends through the same partitioner (see the module
-    /// docs). The codec's key length must match the length this partitioner
-    /// was bound to.
-    pub fn table<V: Send>(&self, topo: Topology, codec: KmerCodec) -> DistHashMap<Kmer, V> {
-        match *self {
-            Partitioner::Uniform => DistHashMap::new(topo),
-            Partitioner::Minimizer { w, m } => {
-                assert_eq!(
-                    w,
-                    codec.k() - m + 1,
-                    "partitioner bound to a different key length than codec k={}",
-                    codec.k()
-                );
+    /// [`DistHashMap`] over `topo` whose owner function follows this scheme
+    /// (`key_hash % ranks` for uniform, `minimizer_hash % ranks` for
+    /// minimizer bucketing). Stages that feed entries between tables must
+    /// build both ends through the same scheme (see the module docs).
+    pub fn table<V: Send>(self, topo: Topology, codec: KmerCodec) -> DistHashMap<Kmer, V> {
+        match self {
+            PartitionScheme::Uniform => DistHashMap::new(topo),
+            PartitionScheme::Minimizer => {
+                let m = DEFAULT_MINIMIZER_LEN.min(codec.k());
                 let ranks = topo.ranks() as u64;
                 DistHashMap::with_owner(topo, move |km: &Kmer| {
                     (codec.minimizer_hash(*km, m) % ranks) as usize
@@ -174,31 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn binding_computes_window_count() {
-        assert_eq!(
-            Partitioner::new(PartitionScheme::Minimizer, 31),
-            Partitioner::Minimizer { w: 25, m: 7 }
-        );
+    fn labels_carry_the_window_geometry() {
+        assert_eq!(PartitionScheme::Minimizer.label(31), "minimizer(w=25,m=7)");
         // m is capped at k (degenerate single-window case).
-        assert_eq!(
-            Partitioner::new(PartitionScheme::Minimizer, 5),
-            Partitioner::Minimizer { w: 1, m: 5 }
-        );
-        assert_eq!(
-            Partitioner::new(PartitionScheme::Uniform, 31),
-            Partitioner::Uniform
-        );
-        assert_eq!(
-            Partitioner::Minimizer { w: 25, m: 7 }.label(),
-            "minimizer(w=25,m=7)"
-        );
-        assert_eq!(Partitioner::Uniform.label(), "uniform");
-    }
-
-    #[test]
-    #[should_panic(expected = "key length")]
-    fn binding_rejects_bad_k() {
-        Partitioner::new(PartitionScheme::Minimizer, 0);
+        assert_eq!(PartitionScheme::Minimizer.label(5), "minimizer(w=1,m=5)");
+        assert_eq!(PartitionScheme::Uniform.label(31), "uniform");
     }
 
     #[test]
@@ -206,8 +140,7 @@ mod tests {
         let k = 21;
         let codec = KmerCodec::new(k);
         let topo = Topology::new(8, 4);
-        let part = Partitioner::new(PartitionScheme::Minimizer, k);
-        let table: DistHashMap<Kmer, u32> = part.table(topo, codec);
+        let table: DistHashMap<Kmer, u32> = PartitionScheme::Minimizer.table(topo, codec);
 
         // A synthetic read: adjacent canonical k-mers must mostly share an
         // owner (the property the placement exists for), and owners must
@@ -232,8 +165,7 @@ mod tests {
         );
 
         // Placement is invisible to contents: same entries either way.
-        let uni: DistHashMap<Kmer, u32> =
-            Partitioner::new(PartitionScheme::Uniform, k).table(topo, codec);
+        let uni: DistHashMap<Kmer, u32> = PartitionScheme::Uniform.table(topo, codec);
         let mut c = RankCtx::new(0, topo);
         for (_, _, canon) in codec.canonical_kmers(&seq) {
             table.update(&mut c, canon, || 0, |v| *v += 1);
@@ -244,12 +176,5 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different key length")]
-    fn table_rejects_mismatched_codec() {
-        let part = Partitioner::new(PartitionScheme::Minimizer, 31);
-        let _: DistHashMap<Kmer, u32> = part.table(Topology::new(2, 2), KmerCodec::new(21));
     }
 }

@@ -33,7 +33,7 @@ pub struct PhaseReport {
     /// ([`crate::trace::set_hotkey_capacity`]) and the stage attached them.
     pub hot_keys: Vec<(u64, u64)>,
     /// Placement label of the phase's dominant hash table — a
-    /// [`crate::Partitioner::label`] string such as `"uniform"` or
+    /// [`crate::PartitionScheme::label`] string such as `"uniform"` or
     /// `"minimizer(w=25,m=7)"`, or `"oracle"` for contig-oracle placement.
     /// `None` for phases that own no table (I/O, serial passes). Drives
     /// the report's `offnode_by_placement` split, so partition ablations

@@ -380,21 +380,16 @@ impl Team {
             });
         }
 
-        let mut slots: Vec<Option<(R, CommStats)>> = (0..ranks).map(|_| None).collect();
-        for bucket in collected {
-            for (rank, out, stats, _) in bucket {
-                debug_assert!(slots[rank].is_none());
-                let out = out.expect("no failure implies a result");
-                slots[rank] = Some((out, stats));
-            }
-        }
+        // Blocks are contiguous and joined in worker order, so the flattened
+        // buckets are already in rank order.
         let mut results = Vec::with_capacity(ranks);
         let mut stats = Vec::with_capacity(ranks);
-        for slot in slots {
-            let (r, s) = slot.expect("every rank executed exactly once");
-            results.push(r);
-            stats.push(s);
+        for (rank, out, rank_stats, _) in collected.into_iter().flatten() {
+            debug_assert_eq!(rank, results.len(), "every rank exactly once, in order");
+            results.push(out.expect("no failure implies a result"));
+            stats.push(rank_stats);
         }
+        debug_assert_eq!(results.len(), ranks);
         // Host wall time of the whole phase (all ranks, all workers) —
         // one histogram observation per completed phase.
         crate::metrics::observe(

@@ -27,6 +27,19 @@ impl Dataset {
         self.reads_per_library.iter().flatten().cloned().collect()
     }
 
+    /// The index range each library occupies in [`Self::all_reads`] — the
+    /// `lib_ranges` argument of the scaffolder and the pipeline.
+    pub fn lib_ranges(&self) -> Vec<std::ops::Range<usize>> {
+        let mut start = 0;
+        (self.reads_per_library.iter())
+            .map(|lib| {
+                let range = start..start + lib.len();
+                start = range.end;
+                range
+            })
+            .collect()
+    }
+
     /// Total read bases.
     pub fn total_read_bases(&self) -> usize {
         self.reads_per_library

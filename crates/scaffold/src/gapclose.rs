@@ -98,7 +98,8 @@ impl GapCloseStats {
         self.total() - self.nfilled
     }
 
-    fn merge(&mut self, o: &GapCloseStats) {
+    /// Add another tally (a rank's, or a scaffolding round's) into this one.
+    pub fn merge(&mut self, o: &GapCloseStats) {
         self.overlap_joined += o.overlap_joined;
         self.spanned += o.spanned;
         self.walked += o.walked;

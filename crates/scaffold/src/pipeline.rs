@@ -254,15 +254,13 @@ pub fn scaffold_rounds(
         // §4.8 gap closing.
         let (set, gs, r) = close_gaps(team, &contigs, &scaffolds, &alignments, reads, &cfg.gap);
         reports.push(r);
-        gap_stats.merge_in(&gs);
+        gap_stats.merge(&gs);
 
         if round + 1 < cfg.rounds {
             // Next round scaffolds the current scaffolds.
             contigs = ContigSet::from_sequences(contigs.codec, set.sequences.clone());
-            result = Some(set);
-        } else {
-            result = Some(set);
         }
+        result = Some(set);
     }
 
     ScaffoldOutput {
@@ -271,19 +269,6 @@ pub fn scaffold_rounds(
         insert_means,
         gap_stats,
         reports,
-    }
-}
-
-impl GapCloseStats {
-    /// Public merge used by the pipeline across rounds.
-    pub fn merge_in(&mut self, o: &GapCloseStats) {
-        let mut tmp = *self;
-        tmp.overlap_joined += o.overlap_joined;
-        tmp.spanned += o.spanned;
-        tmp.walked += o.walked;
-        tmp.patched += o.patched;
-        tmp.nfilled += o.nfilled;
-        *self = tmp;
     }
 }
 
@@ -298,12 +283,7 @@ mod tests {
     fn run_pipeline(dataset: &Dataset, topo: Topology) -> (ScaffoldOutput, usize) {
         let team = Team::new(topo);
         let reads = dataset.all_reads();
-        let mut lib_ranges = Vec::new();
-        let mut start = 0usize;
-        for lib in &dataset.reads_per_library {
-            lib_ranges.push(start..start + lib.len());
-            start += lib.len();
-        }
+        let lib_ranges = dataset.lib_ranges();
         let kcfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
         let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));

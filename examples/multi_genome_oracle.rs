@@ -14,7 +14,7 @@
 
 use hipmer_contig::{build_graph, build_oracle, build_oracle_for_k, traverse_graph, ContigConfig};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
-use hipmer_pgas::{CostModel, Partitioner, Team, Topology};
+use hipmer_pgas::{CostModel, PartitionScheme, Team, Topology};
 use hipmer_readsim::{
     apply_snps, human_like_dataset, simulate_library, ErrorModel, Genome, Library,
 };
@@ -39,7 +39,7 @@ fn main() {
     let reads1 = d1.all_reads();
     let (spectrum1, _) = analyze_kmers(&team, &reads1, &KmerAnalysisConfig::new(k));
     let cfg = ContigConfig::new(k);
-    let (graph1, _) = build_graph(&team, &spectrum1, None, Partitioner::Uniform);
+    let (graph1, _) = build_graph(&team, &spectrum1, None, PartitionScheme::Uniform);
     let (contigs1, t1) = traverse_graph(&team, &graph1, &cfg);
     println!(
         "  {} contigs, N50 {}, traversal {:.4} s ({:.1}% off-node lookups)",
@@ -77,11 +77,15 @@ fn main() {
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
 
         // Without the oracle.
-        let (graph_a, _) = build_graph(&team, &spectrum, None, Partitioner::Uniform);
+        let (graph_a, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
         let (set_a, trav_a) = traverse_graph(&team, &graph_a, &cfg);
         // With the oracle from individual 1.
-        let (graph_b, _) =
-            build_graph(&team, &spectrum, Some(oracle.clone()), Partitioner::Uniform);
+        let (graph_b, _) = build_graph(
+            &team,
+            &spectrum,
+            Some(oracle.clone()),
+            PartitionScheme::Uniform,
+        );
         let (set_b, trav_b) = traverse_graph(&team, &graph_b, &cfg);
 
         assert_eq!(
@@ -110,7 +114,7 @@ fn main() {
     let k2 = 41;
     let (spectrum_k2, _) = analyze_kmers(&team, &reads1, &KmerAnalysisConfig::new(k2));
     let cfg2 = ContigConfig::new(k2);
-    let (graph_a, _) = build_graph(&team, &spectrum_k2, None, Partitioner::Uniform);
+    let (graph_a, _) = build_graph(&team, &spectrum_k2, None, PartitionScheme::Uniform);
     let (set_a, trav_a) = traverse_graph(&team, &graph_a, &cfg2);
     let oracle_k2 = Arc::new(build_oracle_for_k(
         &contigs1,
@@ -118,7 +122,12 @@ fn main() {
         (genome_len * 4).next_power_of_two(),
         k2,
     ));
-    let (graph_b, _) = build_graph(&team, &spectrum_k2, Some(oracle_k2), Partitioner::Uniform);
+    let (graph_b, _) = build_graph(
+        &team,
+        &spectrum_k2,
+        Some(oracle_k2),
+        PartitionScheme::Uniform,
+    );
     let (set_b, trav_b) = traverse_graph(&team, &graph_b, &cfg2);
     assert_eq!(
         set_a.contigs.iter().map(|c| &c.seq).collect::<Vec<_>>(),

@@ -11,7 +11,9 @@
 //! 2. writes the reads to a FASTQ file and assembles straight from that
 //!    file with [`hipmer::assemble_fastq`] (exercising the §3.3 parallel
 //!    block reader);
-//! 3. prints assembly statistics, the per-phase modeled times on a
+//! 3. writes the scaffolds as FASTA with [`hipmer::Assembly::to_fasta`] (the
+//!    bytes `hipmer assemble -o` and the job service write);
+//! 4. prints assembly statistics, the per-phase modeled times on a
 //!    480-core Cray-XC30-like machine, and an accuracy check against the
 //!    known source genome.
 
@@ -45,7 +47,12 @@ fn main() -> std::io::Result<()> {
     let cfg = PipelineConfig::new(31);
     let assembly = assemble_fastq(&team, &fastq, &cfg)?;
 
-    // 3. Report.
+    // 3. The scaffolds, in the one output format.
+    let fasta = dir.join("scaffolds.fasta");
+    std::fs::write(&fasta, assembly.to_fasta())?;
+    println!("wrote {}", fasta.display());
+
+    // 4. Report.
     let s = &assembly.stats;
     println!("\n--- assembly ---");
     println!("reads            : {} ({} bases)", s.n_reads, s.read_bases);
@@ -92,6 +99,6 @@ fn main() -> std::io::Result<()> {
         2 * genome_len
     );
 
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&fastq).ok();
     Ok(())
 }

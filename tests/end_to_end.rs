@@ -4,17 +4,6 @@
 use hipmer::{assemble, assemble_fastq, kmer_containment, PipelineConfig, StageTimes};
 use hipmer_pgas::{CostModel, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_scaffolding_dataset, Dataset};
-use std::ops::Range;
-
-fn lib_ranges(d: &Dataset) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for lib in &d.reads_per_library {
-        out.push(start..start + lib.len());
-        start += lib.len();
-    }
-    out
-}
 
 /// Reference sequence: all haplotypes joined with an N separator.
 fn reference_of(d: &Dataset) -> Vec<u8> {
@@ -38,7 +27,7 @@ fn human_like_with_errors_assembles_accurately() {
     let assembly = assemble(
         &team,
         &reads,
-        &lib_ranges(&dataset),
+        &dataset.lib_ranges(),
         &PipelineConfig::new(21),
     );
 
@@ -61,7 +50,7 @@ fn wheat_preset_runs_multiple_rounds_and_improves() {
     let dataset = wheat_scaffolding_dataset(60_000, 16.0, false, 321);
     let team = Team::new(Topology::new(6, 3));
     let reads = dataset.all_reads();
-    let one = assemble(&team, &reads, &lib_ranges(&dataset), &{
+    let one = assemble(&team, &reads, &dataset.lib_ranges(), &{
         let mut c = PipelineConfig::new(21);
         c.scaffold.rounds = 1;
         c
@@ -69,7 +58,7 @@ fn wheat_preset_runs_multiple_rounds_and_improves() {
     let four = assemble(
         &team,
         &reads,
-        &lib_ranges(&dataset),
+        &dataset.lib_ranges(),
         &PipelineConfig::wheat_preset(21),
     );
     assert!(
@@ -119,7 +108,7 @@ fn assembly_is_invariant_across_machine_shapes() {
     let cfg = PipelineConfig::new(21);
     let run = |ranks: usize, rpn: usize| {
         let team = Team::new(Topology::new(ranks, rpn));
-        assemble(&team, &reads, &lib_ranges(&dataset), &cfg)
+        assemble(&team, &reads, &dataset.lib_ranges(), &cfg)
             .scaffolds
             .sequences
     };
@@ -169,7 +158,7 @@ fn modeled_times_strong_scale_on_meaningful_input() {
     let cfg = PipelineConfig::new(21);
     let time_at = |ranks: usize| {
         let team = Team::new(Topology::edison(ranks));
-        let a = assemble(&team, &reads, &lib_ranges(&dataset), &cfg);
+        let a = assemble(&team, &reads, &dataset.lib_ranges(), &cfg);
         StageTimes::from_report(&a.report, &CostModel::edison()).total()
     };
     let t12 = time_at(12);
@@ -234,7 +223,7 @@ fn diploid_breaks_are_only_phase_switches() {
     let assembly = assemble(
         &team,
         &reads,
-        &lib_ranges(&dataset),
+        &dataset.lib_ranges(),
         &PipelineConfig::new(31),
     );
     let refs: Vec<&[u8]> = dataset.genomes[0]

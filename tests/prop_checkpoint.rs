@@ -186,6 +186,137 @@ proptest! {
     }
 }
 
+/// All four decoders over the same bytes; how many accepted them. Returning
+/// at all is the property: a decoder answers `Ok` or `Err`, it never unwinds
+/// (a panic fails the test) and never sizes an allocation from a count the
+/// bytes cannot back.
+fn decode_all(bytes: &[u8]) -> usize {
+    [
+        decode_spectrum(bytes, Topology::new(3, 2), PartitionScheme::Minimizer).is_ok(),
+        decode_contigs(bytes).is_ok(),
+        decode_alignments(bytes).is_ok(),
+        decode_scaffold_state(bytes).is_ok(),
+    ]
+    .iter()
+    .filter(|&&ok| ok)
+    .count()
+}
+
+/// One small valid artifact per codec, with the byte offsets of its `u64`
+/// count fields and, where it has one, of its `u32` k field. The header is
+/// magic (4) + version (4) + tag (1) = 9 bytes.
+fn valid_artifacts() -> Vec<(Vec<u8>, Vec<usize>, Option<usize>)> {
+    let entry = KmerEntry {
+        count: 3,
+        exts: ExtensionPair {
+            left: ExtChoice::Unique(1),
+            right: ExtChoice::Fork,
+        },
+    };
+    let spectrum = KmerSpectrum::from_entries(
+        Topology::new(2, 2),
+        21,
+        PartitionScheme::Uniform,
+        vec![(Kmer(5), entry), (Kmer(77), entry)],
+    );
+    let contigs = ContigSet {
+        contigs: vec![Contig {
+            id: 0,
+            seq: b"ACGTACGTAC".to_vec(),
+            depth: 4.5,
+        }],
+        codec: KmerCodec::new(21),
+    };
+    let alignment = Alignment {
+        read: 1,
+        contig: 0,
+        read_start: 0,
+        read_end: 90,
+        contig_start: 10,
+        contig_end: 100,
+        rc: true,
+        matches: 88,
+        read_len: 100,
+    };
+    let state = ScaffoldState {
+        scaffolds: ScaffoldSet {
+            scaffolds: vec![Scaffold {
+                members: vec![ScaffoldMember {
+                    contig: 0,
+                    reversed: false,
+                    gap_before: 0,
+                }],
+            }],
+            sequences: vec![b"ACGT".to_vec()],
+        },
+        gap_stats: GapCloseStats::default(),
+        insert_means: vec![395.0],
+    };
+    vec![
+        // k, entry count.
+        (encode_spectrum(&spectrum), vec![13], Some(9)),
+        // k, contig count, then id (8) + depth (8) before the sequence length.
+        (encode_contigs(&contigs), vec![13, 37], Some(9)),
+        (encode_alignments(&[alignment]), vec![9], None),
+        // Scaffold count, member count, one 13-byte member, sequence count,
+        // sequence length (4 bases), five gap counters, insert-mean count.
+        (
+            encode_scaffold_state(&state),
+            vec![9, 17, 38, 46, 58 + 5 * 8],
+            None,
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // HMCP files cross a trust boundary (`--resume` reads whatever is in the
+    // directory): arbitrary bytes, bare and behind a valid header so the
+    // body parsers are reached, must be rejected without a panic.
+    #[test]
+    fn decoders_never_unwind_on_arbitrary_bytes(
+        tag in 0u8..6,
+        body in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        decode_all(&body);
+        let mut framed = checkpoint::MAGIC.to_vec();
+        framed.extend_from_slice(&checkpoint::FORMAT_VERSION.to_le_bytes());
+        framed.push(tag);
+        framed.extend_from_slice(&body);
+        decode_all(&framed);
+    }
+
+    // A valid artifact with one count field or its k field overwritten: a
+    // huge count used to reach `Vec::with_capacity` ("capacity overflow" or
+    // an allocation abort) and an out-of-range k used to reach
+    // `KmerCodec::new`.
+    #[test]
+    fn overwritten_count_or_k_fields_never_unwind(count in any::<u64>(), k in any::<u32>()) {
+        for (bytes, count_offsets, k_offset) in valid_artifacts() {
+            prop_assert_eq!(decode_all(&bytes), 1, "exactly its own codec accepts it");
+            for &at in &count_offsets {
+                for hostile in [count, u64::MAX, u64::MAX / 16, 1 << 40, 2] {
+                    let mut bad = bytes.clone();
+                    bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                    let accepted = decode_all(&bad);
+                    // No count can be this large, so this also pins `at` to
+                    // a real count field.
+                    prop_assert!(hostile != u64::MAX || accepted == 0, "offset {}", at);
+                }
+            }
+            if let Some(at) = k_offset {
+                for hostile in [k, 0, 65, u32::MAX] {
+                    let mut bad = bytes.clone();
+                    bad[at..at + 4].copy_from_slice(&hostile.to_le_bytes());
+                    let accepted = decode_all(&bad);
+                    prop_assert!((1..=hipmer_dna::MAX_K as u32).contains(&hostile) || accepted == 0, "k = {}", hostile);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
