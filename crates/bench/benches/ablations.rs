@@ -466,8 +466,9 @@ fn main() {
             rows.push(row);
         }
         let mut doc = Value::obj();
-        doc.set("bench", "lookup_avoidance")
-            .set("ranks", ranks)
+        doc.set("bench", "lookup_avoidance");
+        hipmer_bench::stamp(&mut doc);
+        doc.set("ranks", ranks)
             .set("seed_len", 15usize)
             .set("rows", Value::Arr(rows));
         std::fs::write("BENCH_lookup_avoidance.json", doc.to_json()).unwrap();
@@ -577,8 +578,9 @@ fn main() {
         }
         std::fs::remove_dir_all(&dir).ok();
         let mut doc = Value::obj();
-        doc.set("bench", "fault_overhead")
-            .set("ranks", ft_topo.ranks())
+        doc.set("bench", "fault_overhead");
+        hipmer_bench::stamp(&mut doc);
+        doc.set("ranks", ft_topo.ranks())
             .set("k", k)
             .set("fault_seed", 4242u64)
             .set("rows", Value::Arr(rows));

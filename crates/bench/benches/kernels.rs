@@ -130,7 +130,6 @@ fn bench_before_after(_c: &mut Criterion) {
     // Fast mode shrinks only the sampling windows (see `measure_ns`), not
     // the inputs: CI compares quick-mode speedups against the checked-in
     // full-mode baseline, so the per-iteration work must be identical.
-    let fast = hipmer_bench::fast();
     let mut pairs = Vec::new();
 
     // Banded Smith–Waterman, 200 bp read-vs-contig with two substitutions
@@ -226,7 +225,7 @@ fn bench_before_after(_c: &mut Criterion) {
     let mut doc = Value::obj();
     doc.set("schema_version", 1u64);
     doc.set("bench", "kernels");
-    doc.set("fast_mode", fast);
+    hipmer_bench::stamp(&mut doc);
     let entries: Vec<Value> = pairs
         .iter()
         .map(|p| {

@@ -194,8 +194,7 @@ fn main() {
     let mut doc = Value::obj();
     doc.set("schema_version", 1u64);
     doc.set("bench", "load_serve");
-    doc.set("fast_mode", fast);
-    doc.set("host_parallelism", hipmer_bench::host_parallelism());
+    hipmer_bench::stamp(&mut doc);
     doc.set("pool_ranks", POOL_RANKS as u64);
     doc.set("ranks_per_node", RANKS_PER_NODE as u64);
     doc.set("job_ranks", JOB_RANKS as u64);

@@ -228,9 +228,9 @@ fn main() {
 
     let mut doc = Value::obj();
     doc.set("schema_version", 1u64)
-        .set("bench", "partition_ablation")
-        .set("fast_mode", fast())
-        .set("k", K as u64)
+        .set("bench", "partition_ablation");
+    hipmer_bench::stamp(&mut doc);
+    doc.set("k", K as u64)
         .set("minimizer_len", hipmer_pgas::DEFAULT_MINIMIZER_LEN as u64)
         .set("ranks_per_node", RANKS_PER_NODE as u64)
         .set("gates", Value::Arr(gates))

@@ -27,7 +27,7 @@
 //! schedule must cut the modeled imbalance of both stages (asserted with
 //! margin; these are the regression gates CI runs in fast mode).
 
-use hipmer_bench::{banner, fast, host_parallelism, model, scaled};
+use hipmer_bench::{banner, fast, model, scaled};
 use hipmer_contig::{build_graph, build_oracle, traverse_graph, ContigConfig, ContigSet};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::json::Value;
@@ -389,13 +389,12 @@ fn main() {
 
     let mut doc = Value::obj();
     doc.set("schema_version", 1u64)
-        .set("bench", "scaling_schedule")
-        .set("fast_mode", fast())
-        .set("host_parallelism", host_parallelism())
-        .set(
-            "rows",
-            Value::Arr(rows.iter().map(row_json).collect::<Vec<_>>()),
-        );
+        .set("bench", "scaling_schedule");
+    hipmer_bench::stamp(&mut doc);
+    doc.set(
+        "rows",
+        Value::Arr(rows.iter().map(row_json).collect::<Vec<_>>()),
+    );
     std::fs::write("BENCH_scaling.json", doc.to_json()).unwrap();
     println!(
         "\n(identical outputs under both schedules at every concurrency; wrote BENCH_scaling.json)"

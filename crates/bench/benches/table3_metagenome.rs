@@ -17,7 +17,7 @@
 //! `BENCH_metagenome.json`.
 
 use hipmer::{evaluate, PipelineConfig};
-use hipmer_bench::{banner, fast, host_parallelism, model, phase_seconds, scaled};
+use hipmer_bench::{banner, fast, model, phase_seconds, scaled, stamp};
 use hipmer_contig::{generate_contigs, ContigConfig};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::json::Value;
@@ -314,20 +314,19 @@ fn multi_k_rounds() {
         .collect();
     let mut doc = Value::obj();
     doc.set("schema_version", 1.0)
-        .set("bench", "table3_metagenome")
-        .set("fast_mode", fast())
-        .set("host_parallelism", host_parallelism())
-        .set(
-            "k_schedule",
-            Value::Arr(ks.iter().map(|&k| (k as f64).into()).collect()),
-        )
-        .set("species", species as f64)
-        .set("total_len", total_len as f64)
-        .set("min_contig", MIN_CONTIG as f64)
-        .set("eval_k", EVAL_K as f64)
-        .set("gates", Value::Arr(vec![gate]))
-        .set("rounds", Value::Arr(rounds))
-        .set("species_rows", Value::Arr(species_rows));
+        .set("bench", "table3_metagenome");
+    stamp(&mut doc);
+    doc.set(
+        "k_schedule",
+        Value::Arr(ks.iter().map(|&k| (k as f64).into()).collect()),
+    )
+    .set("species", species as f64)
+    .set("total_len", total_len as f64)
+    .set("min_contig", MIN_CONTIG as f64)
+    .set("eval_k", EVAL_K as f64)
+    .set("gates", Value::Arr(vec![gate]))
+    .set("rounds", Value::Arr(rounds))
+    .set("species_rows", Value::Arr(species_rows));
     std::fs::write("BENCH_metagenome.json", doc.to_json()).unwrap();
     println!("wrote BENCH_metagenome.json");
 }

@@ -13,6 +13,7 @@
 //! genomes, and `HIPMER_BENCH_FAST=1` to run a reduced sweep (used in CI
 //! smoke checks).
 
+use hipmer_pgas::json::Value;
 use hipmer_pgas::{CostModel, PhaseReport};
 
 /// Scale factor for genome sizes (`HIPMER_BENCH_SCALE`).
@@ -30,10 +31,27 @@ pub fn fast() -> bool {
         .unwrap_or(false)
 }
 
-/// The host's available parallelism, stamped into every `BENCH_*.json` whose
-/// numbers a reader may want to compare across machines.
-pub fn host_parallelism() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get()) as u64
+/// Stamp a `BENCH_*.json` document with what a reader needs to compare it
+/// with another one: `fast_mode`, `host_parallelism` (the host's available
+/// parallelism) and `commit` (`GITHUB_SHA`, else `git rev-parse --short
+/// HEAD`, else `"unknown"`). Every `BENCH_*.json` writer calls this.
+pub fn stamp(doc: &mut Value) {
+    let git_head = || {
+        let out = std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())?;
+        Some(String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let commit = (std::env::var("GITHUB_SHA").ok())
+        .or_else(git_head)
+        .filter(|c| !c.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    doc.set("fast_mode", fast())
+        .set("host_parallelism", host_parallelism)
+        .set("commit", commit);
 }
 
 /// A genome size scaled by [`scale`].

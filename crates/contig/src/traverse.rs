@@ -16,6 +16,7 @@ use crate::contig_set::ContigSet;
 use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
+use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{
     CommStats, OracleVector, PartitionScheme, PhaseReport, RankCtx, Schedule, SoftwareCache, Team,
 };
@@ -410,20 +411,13 @@ fn claim_walk_seed(
     ))
 }
 
-/// Accumulate a later sub-phase's per-rank counters into `acc`.
-fn merge_stats(acc: &mut [CommStats], more: &[CommStats]) {
-    for (a, b) in acc.iter_mut().zip(more) {
-        a.merge(b);
-    }
-}
-
 /// The paper's cooperative traversal: claim-as-you-walk subcontigs from
 /// local seeds, then merge the chains.
 fn traverse_cooperative(
     team: &Team,
     graph: &DebruijnGraph,
     cfg: &ContigConfig,
-) -> (Vec<Vec<u8>>, Vec<CommStats>, f64) {
+) -> (Vec<Vec<u8>>, Vec<CommStats>, u64) {
     let codec = graph.codec;
     // Three passes over the local seeds. In a truly concurrent execution
     // the racing walks partition the graph into ~G/p claims per rank; our
@@ -496,8 +490,8 @@ fn traverse_cooperative(
             let (subs_native, mut stats) = run_pass(0);
             let (subs_capped, stats_capped) = run_pass(1);
             let (subs_cleanup, stats_cleanup) = run_pass(2);
-            merge_stats(&mut stats, &stats_capped);
-            merge_stats(&mut stats, &stats_cleanup);
+            merge_ranks(&mut stats, &stats_capped);
+            merge_ranks(&mut stats, &stats_cleanup);
             let subs: Vec<Subcontig> = subs_native
                 .into_iter()
                 .chain(subs_capped)
@@ -540,17 +534,16 @@ fn traverse_cooperative(
                 }
                 subs
             });
-            merge_stats(&mut stats, &stats_claim);
+            merge_ranks(&mut stats, &stats_claim);
             (subs_lists.into_iter().flatten().collect(), stats)
         }
     };
 
     // Serial merge of the subcontig chains (tiny: O(G / walk_cap + p)
-    // pieces).
-    let serial_start = std::time::Instant::now();
+    // pieces); its work is one op per piece merged and per base stitched.
     let out = merge_chains(&subs, codec.k(), cfg.min_contig_len);
-    let serial_seconds = serial_start.elapsed().as_secs_f64();
-    (out, stats, serial_seconds)
+    let stitched: usize = out.iter().map(Vec::len).sum();
+    (out, stats, (subs.len() + stitched) as u64)
 }
 
 /// Stitch subcontigs into contigs by following their boundary links.
@@ -709,7 +702,7 @@ fn traverse_endpoints(
     });
     all.extend(cycle_seqs.into_iter().flatten());
 
-    merge_stats(&mut stats, &cycle_stats);
+    merge_ranks(&mut stats, &cycle_stats);
     (all, stats)
 }
 
@@ -723,18 +716,18 @@ pub fn traverse_graph(
         graph.codec.k() % 2 == 1,
         "traversal requires odd k (no palindromic k-mers)"
     );
-    let (seqs, mut stats, serial_seconds) = match cfg.mode {
+    let (seqs, mut stats, serial_ops) = match cfg.mode {
         TraversalMode::Cooperative => traverse_cooperative(team, graph, cfg),
         TraversalMode::EndpointWalk => {
             let (s, st) = traverse_endpoints(team, graph, cfg);
-            (s, st, 0.0)
+            (s, st, 0)
         }
     };
     graph.nodes.drain_service_into(&mut stats);
     let set = ContigSet::from_sequences(graph.codec, seqs);
     (
         set,
-        PhaseReport::new("contig/traversal", *team.topo(), stats).with_serial(serial_seconds),
+        PhaseReport::new("contig/traversal", *team.topo(), stats).with_serial_ops(serial_ops),
     )
 }
 

@@ -30,8 +30,7 @@
 //! assembled output is byte-identical to `--partition uniform` (the
 //! default); only the off-node traffic —
 //! visible as `offnode_fraction`, the per-phase `placement` labels, and
-//! the `offnode_by_placement` split in `--report-json` (schema v6) —
-//! changes.
+//! the `offnode_by_placement` split in `--report-json` — changes.
 //!
 //! Multi-k: `--multi-k 21,33,55` (strictly increasing, comma-separated)
 //! runs MetaHipMer-style iterative coassembly rounds: k-mer analysis +
@@ -40,23 +39,19 @@
 //! largest k finishes the assembly. The assembly k is the list's last
 //! element (`-k`, if also given, must agree). Checkpoints, `--resume`,
 //! and `--halt-after` address round stages as `round2/kmer-analysis` etc.;
-//! `--report-json` gains a per-round `rounds` array (schema v7).
+//! `--report-json` gains a per-round `rounds` array.
 //!
-//! Observability: `--trace <path>` (or the `HIPMER_TRACE=<path>` env var)
-//! records per-rank execution spans for every phase and writes them as
-//! Chrome trace-event JSON (load in `chrome://tracing` or Perfetto);
+//! Observability: `--report-json <path>` writes the run's one record (the
+//! machine-readable pipeline report, schema v8): per phase the counter
+//! totals, measured wall time and lock waits, hash-table occupancy,
+//! modeled-time breakdown, off-node fraction, imbalance and heavy-hitter
+//! keys; per stage the attempts and resident-set readings; per checkpoint
+//! the bytes, checksum and seconds. `--trace <path>` (or the
+//! `HIPMER_TRACE=<path>` env var) writes the same per-rank records as
+//! Chrome trace-event spans (load in `chrome://tracing` or Perfetto);
 //! `--trace-ranks N` caps the number of traced ranks (0 = all, default 16).
-//! `--report-json <path>` writes the full machine-readable pipeline report:
-//! per-phase counter totals, modeled-time breakdown, off-node fraction,
-//! imbalance, heavy-hitter keys, and (schema v3) the per-stage attempt and
-//! checkpoint bookkeeping.
-//!
-//! Metrics: `--metrics-json <path>` enables the [`hipmer_pgas::metrics`]
-//! registry for the run and writes its final snapshot (counters, gauges,
-//! power-of-two-bucket histograms) as JSON; `--metrics-text` prints the
-//! same snapshot in Prometheus text exposition format on stdout.
-//! `--heartbeat <secs>` emits rate-limited per-pool progress lines to
-//! stderr (or, with `--heartbeat-jsonl <path>`, appends JSONL records).
+//! `--heartbeat <secs>` emits rate-limited stage-progress lines to stderr
+//! (or, with `--heartbeat-jsonl <path>`, appends JSONL records).
 //!
 //! Calibration: `--calibrate <fitted.json>` fits the six measurable
 //! `CostModel` constants by least-squares regression of measured per-rank
@@ -77,8 +72,10 @@
 //! `--fault-kill R:E` (hard-kill rank R at its Eth remote event) arm a
 //! deterministic [`hipmer_pgas::FaultPlan`] on the team.
 
-use hipmer::{run_assembly_fastq, PipelineConfig, PipelineError, RunOptions, StageTimes};
-use hipmer_pgas::{calib, metrics, trace, CostModel, FaultPlan, Team, Topology};
+use hipmer::{
+    run_assembly_fastq, Heartbeat, PipelineConfig, PipelineError, RunOptions, StageTimes,
+};
+use hipmer_pgas::{calib, trace, CostModel, FaultPlan, Team, Topology};
 use hipmer_serve::{signal, ServeConfig, Server};
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::PathBuf;
@@ -102,7 +99,6 @@ const USAGE: [(&str, &str, Run); 3] = [
          \x20         [--multi-k K1,K2,...]\n\
          \x20         [--schedule static|dynamic] [--partition uniform|minimizer]\n\
          \x20         [--trace <trace.json>] [--trace-ranks N] [--report-json <report.json>]\n\
-         \x20         [--metrics-json <metrics.json>] [--metrics-text]\n\
          \x20         [--calibrate <fitted.json>] [--heartbeat SECS] [--heartbeat-jsonl <path>]\n\
          \x20         [--checkpoint-dir <dir>] [--resume] [--checkpoint-interval N]\n\
          \x20         [--stage-retries N] [--halt-after <stage>] [--fault-seed S]\n\
@@ -284,6 +280,13 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         flags.get_or("--schedule", Default::default())?,
         flags.get_or("--partition", Default::default())?,
     )?;
+    let sink: Option<PathBuf> = flags.get("--heartbeat-jsonl")?;
+    // A bare `--heartbeat-jsonl` beats once a second.
+    let secs: Option<f64> = (flags.get("--heartbeat")?).or(sink.as_ref().map(|_| 1.0));
+    if secs.is_some_and(|s| s.is_nan() || s <= 0.0) {
+        return Err("--heartbeat wants a positive seconds value".into());
+    }
+    let interval = secs.map(std::time::Duration::from_secs_f64);
     let cancel = Arc::new(AtomicBool::new(false));
     let opts = RunOptions {
         checkpoint_dir: flags.get("--checkpoint-dir")?,
@@ -292,6 +295,7 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         stage_retries: flags.get_or("--stage-retries", 1)?,
         halt_after: flags.get("--halt-after")?,
         cancel: Some(Arc::clone(&cancel)),
+        heartbeat: interval.map(|interval| Heartbeat { interval, sink }),
     };
 
     // `--trace` wins over the HIPMER_TRACE env var; either turns the span
@@ -302,25 +306,7 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         .is_some()
         .then(|| trace::Recorder::new(trace_ranks));
     let report_json: Option<PathBuf> = flags.get("--report-json")?;
-    let metrics_json: Option<PathBuf> = flags.get("--metrics-json")?;
     let calibrate_out: Option<PathBuf> = flags.get("--calibrate")?;
-    let heartbeat_jsonl: Option<PathBuf> = flags.get("--heartbeat-jsonl")?;
-    let heartbeat_secs: Option<f64> = flags.get("--heartbeat")?;
-    if heartbeat_secs.is_some_and(|secs| secs.is_nan() || secs <= 0.0) {
-        return Err("--heartbeat wants a positive seconds value".into());
-    }
-    if metrics_json.is_some()
-        || flags.has("--metrics-text")
-        || calibrate_out.is_some()
-        || heartbeat_secs.is_some()
-        || heartbeat_jsonl.is_some()
-    {
-        metrics::enable();
-    }
-    if let Some(secs) = heartbeat_secs.or(heartbeat_jsonl.as_ref().map(|_| 1.0)) {
-        metrics::set_heartbeat_interval(Some(std::time::Duration::from_secs_f64(secs)));
-        metrics::set_heartbeat_sink(heartbeat_jsonl);
-    }
     if trace_out.is_some() || report_json.is_some() {
         // Hash tables built from here on track their hottest keys.
         trace::set_hotkey_capacity(64);
@@ -381,12 +367,6 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         let what = format!("{} trace spans ({sampled})", events.len());
         outputs.push((path, trace::chrome_trace_json(&events).into(), what));
     }
-    if let Some(path) = metrics_json {
-        outputs.push((path, metrics::to_json().into(), "metrics snapshot".into()));
-    }
-    if flags.has("--metrics-text") {
-        print!("{}", metrics::prometheus_text());
-    }
     // `--calibrate` fits the cost constants to this run's own measurements;
     // the report (if requested) is then priced with the fitted model so
     // `model_error` reflects the fit.
@@ -406,9 +386,7 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         }
     }
     if let Some(path) = report_json {
-        let json = assembly
-            .report
-            .to_json_labeled(&report_model.0, report_model.1);
+        let json = assembly.report.to_json(&report_model.0, report_model.1);
         outputs.push((path, json.into(), "pipeline report".into()));
     }
     outputs.push((out.clone(), assembly.to_fasta(), "scaffolds".into()));
@@ -472,9 +450,6 @@ fn serve(flags: &Flags) -> Result<ExitCode, String> {
         "pool: {} ranks ({}/node); queue: {}; quota: {}/tenant; SIGTERM drains gracefully",
         cfg.pool_ranks, cfg.ranks_per_node, cfg.queue_capacity, cfg.tenant_quota
     );
-    // The daemon's metrics registry is always on: /metrics is an endpoint,
-    // not an opt-in flag.
-    metrics::enable();
     let server = match Server::start(cfg, hipmer::AssemblyExecutor::shared()) {
         Ok(s) => s,
         Err(e) => return failed(format!("cannot start server: {e}")),

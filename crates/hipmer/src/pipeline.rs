@@ -29,15 +29,18 @@ use crate::stats::AssemblyStats;
 use hipmer_align::align_reads;
 use hipmer_contig::{generate_contigs, ContigSet};
 use hipmer_kanalysis::analyze_kmers;
-use hipmer_pgas::{catch_stage_abort, metrics, CheckpointEvent, RoundReport, StageAttempt};
+use hipmer_pgas::json::Value;
+use hipmer_pgas::{catch_stage_abort, CheckpointEvent, RoundReport, StageAttempt};
 use hipmer_pgas::{CommStats, PhaseReport, PipelineReport, Team, Topology};
 use hipmer_scaffold::{prepare_contigs, scaffold_rounds, Scaffold, ScaffoldMember, ScaffoldSet};
 use hipmer_seqio::{read_fastq_parallel, SeqRecord};
+use std::fs::File;
+use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A finished assembly.
 pub struct Assembly {
@@ -95,6 +98,21 @@ pub struct RunOptions {
     /// handlers (one-shot CLI) and the job server's drain path both feed
     /// this flag.
     pub cancel: Option<Arc<AtomicBool>>,
+    /// Progress lines at stage boundaries (`None` = silent).
+    pub heartbeat: Option<Heartbeat>,
+}
+
+/// Where and how often [`run_assembly`] reports progress: after a stage
+/// completes, if at least `interval` has passed since the last line, one
+/// `stages done / total` line goes to stderr or — with a `sink` — is
+/// appended to that file as a JSON record
+/// (`{"pool","done","total","elapsed_seconds"}`).
+#[derive(Clone, Debug)]
+pub struct Heartbeat {
+    /// Minimum time between two lines.
+    pub interval: Duration,
+    /// JSONL file to append to instead of writing to stderr.
+    pub sink: Option<PathBuf>,
 }
 
 impl Default for RunOptions {
@@ -106,6 +124,7 @@ impl Default for RunOptions {
             stage_retries: 1,
             halt_after: None,
             cancel: None,
+            heartbeat: None,
         }
     }
 }
@@ -182,23 +201,24 @@ impl From<std::io::Error> for PipelineError {
     }
 }
 
-/// Restart the kernel's resident-set high-water mark (`VmHWM`) from the
-/// current resident size, so the next [`peak_rss_bytes`] covers one stage.
-/// Best effort: where `/proc/self/clear_refs` cannot be written the next
-/// reading is the process peak so far.
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-/// `VmHWM` of `/proc/self/status` in bytes — what
-/// `hipmer/mem/stage_peak_bytes/<stage>` reports; 0 where there is no procfs.
-fn peak_rss_bytes() -> u64 {
+/// The bookkeeping record of a stage that just ended, stamped with the
+/// process's peak and current resident set (`VmHWM` and `VmRSS` of
+/// `/proc/self/status`; zeros where there is no procfs).
+fn stage_attempt(stage: &str, executions: u64, aborted: u64, resumed: bool) -> StageAttempt {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<u64>().ok())
-        .map_or(0, |kb| kb * 1024)
+    let bytes = |name: &str| {
+        let value = status.lines().find_map(|l| l.strip_prefix(name));
+        let kb = value.and_then(|v| v.split_whitespace().next()?.parse::<u64>().ok());
+        kb.unwrap_or(0) * 1024
+    };
+    StageAttempt {
+        stage: stage.to_string(),
+        executions,
+        aborted,
+        resumed,
+        peak_rss_bytes: bytes("VmHWM:"),
+        rss_bytes: bytes("VmRSS:"),
+    }
 }
 
 /// Spread `bytes` of checkpoint I/O over the topology's ranks (the way a
@@ -253,6 +273,8 @@ struct StageRunner<'a> {
     /// [`planned_stage_names`] of this run; the next stage is `plan[done]`.
     plan: Vec<String>,
     done: usize,
+    started: Instant,
+    last_heartbeat: Option<Instant>,
 }
 
 impl StageRunner<'_> {
@@ -268,17 +290,9 @@ impl StageRunner<'_> {
         let index = self.done;
         let name = self.plan[index].clone();
         self.done += 1;
-        let attempt = |executions, aborted, resumed| StageAttempt {
-            stage: name.clone(),
-            executions,
-            aborted,
-            resumed,
-        };
-
         // Cooperative cancellation: stop cleanly between stages, leaving
         // the checkpoint prefix written so far intact for a resume.
         if (self.opts.cancel.as_ref()).is_some_and(|c| c.load(Ordering::SeqCst)) {
-            metrics::counter_add("hipmer/pipeline/interrupted", 1);
             return Err(PipelineError::Interrupted {
                 stage: name.clone(),
             });
@@ -293,29 +307,21 @@ impl StageRunner<'_> {
                 let (payload, bytes, checksum) = store.load(&name)?;
                 let value = decode(&payload)?;
                 self.record_checkpoint(&name, "load", t0, bytes, checksum);
-                self.report.stage_attempts.push(attempt(0, 0, true));
+                self.report
+                    .stage_attempts
+                    .push(stage_attempt(&name, 0, 0, true));
                 value
             }
             // Live path: execute, retrying after stage aborts with the report
             // rolled back so the failed attempt's phases don't double-count.
             _ => loop {
-                if metrics::is_enabled() {
-                    reset_peak_rss();
-                }
                 match catch_stage_abort(&mut run) {
                     Ok((value, phases)) => {
-                        if metrics::is_enabled() {
-                            metrics::gauge_max(
-                                &format!("hipmer/mem/stage_peak_bytes/{name}"),
-                                peak_rss_bytes() as f64,
-                            );
-                        }
                         for p in phases {
                             self.report.push(p);
                         }
-                        self.report
-                            .stage_attempts
-                            .push(attempt(aborted + 1, aborted, false));
+                        let attempt = stage_attempt(&name, aborted + 1, aborted, false);
+                        self.report.stage_attempts.push(attempt);
                         match &mut self.store {
                             Some(store)
                                 if index.is_multiple_of(self.opts.checkpoint_interval.max(1)) =>
@@ -336,9 +342,8 @@ impl StageRunner<'_> {
                         self.report.rollback_to(mark);
                         aborted += 1;
                         if aborted as usize > self.opts.stage_retries {
-                            self.report
-                                .stage_attempts
-                                .push(attempt(aborted, aborted, false));
+                            let attempt = stage_attempt(&name, aborted, aborted, false);
+                            self.report.stage_attempts.push(attempt);
                             return Err(PipelineError::StageAborted {
                                 stage: name.clone(),
                                 rank: abort.rank,
@@ -349,35 +354,57 @@ impl StageRunner<'_> {
                 }
             },
         };
-        metrics::pool_progress("pipeline/stages", 1, self.plan.len() as u64);
+        if let Some(hb) = &self.opts.heartbeat {
+            self.heartbeat(hb);
+        }
         if self.opts.halt_after.as_ref() == Some(&name) {
             return Err(PipelineError::Halted { stage: name });
         }
         Ok(value)
     }
 
-    /// Book one checkpoint transfer (`action` is `"save"` or `"load"`): the
-    /// timing and size histograms, an I/O phase the cost model prices like
-    /// any other, and the report's checkpoint event.
+    /// Report progress after a completed stage, at most once per
+    /// [`Heartbeat::interval`].
+    fn heartbeat(&mut self, hb: &Heartbeat) {
+        if (self.last_heartbeat).is_some_and(|last| last.elapsed() < hb.interval) {
+            return;
+        }
+        self.last_heartbeat = Some(Instant::now());
+        let (done, total) = (self.done, self.plan.len());
+        let Some(path) = &hb.sink else {
+            let pct = 100.0 * done as f64 / total as f64;
+            eprintln!(
+                "hipmer: heartbeat pool=pipeline/stages done={done} total={total} ({pct:.1}%)"
+            );
+            return;
+        };
+        let mut line = Value::obj();
+        line.set("pool", "pipeline/stages")
+            .set("done", done)
+            .set("total", total)
+            .set("elapsed_seconds", self.started.elapsed().as_secs_f64());
+        let file = File::options().create(true).append(true).open(path);
+        let _ = file.and_then(|mut f| writeln!(f, "{}", line.to_json()));
+    }
+
+    /// Book one checkpoint transfer (`action` is `"save"` or `"load"`): an
+    /// I/O phase the cost model prices like any other, and the report's
+    /// checkpoint event.
     fn record_checkpoint(&mut self, stage: &str, action: &str, t0: Instant, bytes: u64, sum: u64) {
-        let elapsed = t0.elapsed();
-        metrics::observe(
-            &format!("hipmer/checkpoint/{action}_nanos"),
-            elapsed.as_nanos() as u64,
-        );
-        metrics::observe(&format!("hipmer/checkpoint/{action}_bytes"), bytes);
+        let seconds = t0.elapsed().as_secs_f64();
         self.report.push(io_phase(
             format!("checkpoint/{action}-{stage}"),
             self.topo,
             bytes,
             action == "save",
-            elapsed.as_secs_f64(),
+            seconds,
         ));
         self.report.checkpoints.push(CheckpointEvent {
             stage: stage.to_string(),
             action: action.to_string(),
             bytes,
             checksum: sum,
+            seconds,
         });
     }
 }
@@ -430,6 +457,8 @@ pub fn run_assembly(
         topo,
         plan,
         done: 0,
+        started: Instant::now(),
+        last_heartbeat: None,
     };
 
     // k-mer analysis + contig generation, once per k of the schedule. A

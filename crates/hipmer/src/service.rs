@@ -8,9 +8,10 @@
 //!   rounds, metagenome preset), so identical resubmissions hit and any
 //!   parameter change misses;
 //! * runs on a sub-[`Team`](hipmer_pgas::Team) carved from the daemon's shared
-//!   [`hipmer_pgas::TeamPool`] lease, with the job's metrics recorded
-//!   under a `job/<id>/` scope and its trace spans in a private per-team
-//!   recorder (concurrent jobs don't interleave observability state);
+//!   [`hipmer_pgas::TeamPool`] lease; the job's measurements are its own
+//!   `report.json` and `trace.json` (a private per-team recorder), stored
+//!   and evicted with the job, so concurrent jobs share no observability
+//!   state and the daemon's `/metrics` does not grow with the job count;
 //! * checkpoints every stage into the cache directory, so a drain-time
 //!   interruption leaves a prefix that the next submission of the same
 //!   spec resumes instead of recomputing.
@@ -77,16 +78,13 @@ impl JobExecutor for AssemblyExecutor {
 
     fn execute(
         &self,
-        job_id: u64,
+        _job_id: u64,
         spec: &JobSpec,
         lease: &TeamLease,
         out_dir: &Path,
         resume: bool,
         cancel: &Arc<AtomicBool>,
     ) -> ExecOutcome {
-        // Everything this job records lands under `job/<id>/...` in the
-        // shared registry; worker threads inherit the scope via the team.
-        let _scope = metrics::scoped(&format!("job/{job_id}"));
         let recorder = trace::Recorder::new(TRACE_SAMPLE_RANKS);
 
         let cfg = match config_for(spec) {
@@ -134,9 +132,7 @@ impl JobExecutor for AssemblyExecutor {
 
         // Outputs: FASTA, report, per-job chrome trace.
         let fasta = assembly.to_fasta();
-        let report = assembly
-            .report
-            .to_json_labeled(&CostModel::edison(), "edison");
+        let report = assembly.report.to_json(&CostModel::edison(), "edison");
         let trace_json = trace::chrome_trace_json(&recorder.take_events());
         for (name, bytes) in [
             ("scaffolds.fasta", fasta.as_slice()),

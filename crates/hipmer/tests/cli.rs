@@ -376,9 +376,9 @@ fn trace_and_report_json_outputs_are_valid() {
     let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         report_doc.get("schema_version").and_then(Value::as_u64),
-        Some(7)
+        Some(8)
     );
-    // Schema v7: classic single-k runs serialize an empty rounds array.
+    // Classic single-k runs serialize an empty rounds array.
     assert!(report_doc
         .get("rounds")
         .unwrap()
@@ -426,13 +426,22 @@ fn trace_and_report_json_outputs_are_valid() {
     let phases = report_doc.get("phases").unwrap().as_arr().unwrap();
     assert!(phases.len() >= 8, "only {} phases reported", phases.len());
     for p in phases {
-        assert!(p.get("wall_seconds").and_then(Value::as_f64).unwrap() > 0.0);
-        // Schema v5: every phase carries its measured timings.
-        assert!(p
-            .get("measured")
-            .and_then(|m| m.get("max_rank_seconds"))
-            .and_then(Value::as_f64)
-            .is_some());
+        // Every phase carries its measured block and table occupancy.
+        let measured = p.get("measured").expect("measured block");
+        assert!(
+            measured
+                .get("wall_seconds")
+                .and_then(Value::as_f64)
+                .unwrap()
+                > 0.0
+        );
+        assert!(measured.get("exec_nanos").and_then(Value::as_u64).unwrap() > 0);
+        assert!(measured.get("lock_waits").and_then(Value::as_u64).is_some());
+        let table = p.get("table").expect("table block");
+        assert!(
+            table.get("max_partition_entries").and_then(Value::as_u64)
+                <= table.get("entries").and_then(Value::as_u64)
+        );
         assert!(p.get("offnode_fraction").and_then(Value::as_f64).is_some());
         assert!(p.get("imbalance").and_then(Value::as_f64).unwrap() >= 1.0);
         // Schema v4: steal accounting is always present (0 under the
@@ -507,8 +516,8 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
     let out = dir.join("scaffolds.fasta");
     let trace = dir.join("trace.json");
     let report = dir.join("report.json");
-    let metrics = dir.join("metrics.json");
     let fitted = dir.join("fitted.json");
+    let heartbeats = dir.join("heartbeats.jsonl");
     let asm = Command::new(bin())
         .args([
             "assemble",
@@ -525,13 +534,14 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
             trace.to_str().unwrap(),
             "--trace-ranks",
             "2",
-            "--metrics-json",
-            metrics.to_str().unwrap(),
-            "--metrics-text",
             "--calibrate",
             fitted.to_str().unwrap(),
             "--report-json",
             report.to_str().unwrap(),
+            "--heartbeat",
+            "0.001",
+            "--heartbeat-jsonl",
+            heartbeats.to_str().unwrap(),
         ])
         .output()
         .expect("assemble runs");
@@ -541,7 +551,7 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
         String::from_utf8_lossy(&asm.stderr)
     );
 
-    // --trace-ranks 2 holds alongside the metrics and calibration flags:
+    // --trace-ranks 2 holds alongside the calibration and heartbeat flags:
     // no span may carry a rank id >= 2.
     let trace_doc = Value::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
     let spans: Vec<&Value> = trace_doc
@@ -556,51 +566,61 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
         assert!(tid < 2, "rank {tid} exceeds --trace-ranks 2");
     }
 
-    // The metrics snapshot is valid JSON carrying the instrumented names.
-    let metrics_doc = Value::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
-    assert_eq!(
-        metrics_doc
-            .get("metrics_schema_version")
-            .and_then(Value::as_u64),
-        Some(1)
-    );
-    let names: Vec<&str> = metrics_doc
-        .get("metrics")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|m| m.get("name").and_then(Value::as_str).unwrap())
-        .collect();
-    for expected in [
-        "pgas/dht/entries",
-        "pgas/lookup/wire_bytes",
-        "pgas/outbox/wire_bytes",
-        "pgas/team/phase_nanos",
-        "hipmer/mem/stage_peak_bytes/kmer-analysis",
-        "progress/pipeline/stages/done",
-    ] {
-        assert!(names.contains(&expected), "missing metric {expected}");
+    // What the metrics registry used to carry per run now sits in the one
+    // report: table occupancy on the count phase, a resident-set peak on
+    // the k-mer analysis stage, every stage attempted once.
+    let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let phases = report_doc.get("phases").unwrap().as_arr().unwrap();
+    let count = (phases.iter())
+        .find(|p| p.get("name").and_then(Value::as_str) == Some("kmer-analysis/count"))
+        .expect("count phase present");
+    let entries = count.get("table").and_then(|t| t.get("entries"));
+    assert!(entries.and_then(Value::as_u64).unwrap() > 0);
+    let attempts = report_doc.get("stage_attempts").unwrap().as_arr().unwrap();
+    assert_eq!(attempts.len(), 5);
+    for a in attempts {
+        assert_eq!(a.get("executions").and_then(Value::as_u64), Some(1));
     }
-    // Stage peaks are the kernel's resident-set high-water mark, reset at
-    // each stage start: real numbers, not zeros.
-    let peak = metrics_doc
-        .get("metrics")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .find(|m| {
-            m.get("name").and_then(Value::as_str)
-                == Some("hipmer/mem/stage_peak_bytes/kmer-analysis")
-        })
-        .unwrap();
-    assert!(peak.get("value").and_then(Value::as_f64).unwrap() > 0.0);
+    assert_eq!(
+        attempts[0].get("stage").and_then(Value::as_str),
+        Some("kmer-analysis")
+    );
+    let peak = attempts[0].get("peak_rss_bytes").and_then(Value::as_u64);
+    assert!(
+        peak.unwrap() > 0,
+        "resident-set peak must be a real reading"
+    );
+    assert!(peak >= attempts[0].get("rss_bytes").and_then(Value::as_u64));
 
-    // --metrics-text prints Prometheus exposition on stdout.
-    let stdout = String::from_utf8_lossy(&asm.stdout);
-    assert!(stdout.contains("# TYPE"), "{stdout}");
-    assert!(stdout.contains("_bucket{le="), "{stdout}");
+    // One heartbeat line per planned stage (the interval is far below any
+    // stage's run time), counting done = 1..=total.
+    let beats = std::fs::read_to_string(&heartbeats).unwrap();
+    let beats: Vec<Value> = beats.lines().map(|l| Value::parse(l).unwrap()).collect();
+    assert_eq!(beats.len(), 5);
+    for (i, beat) in beats.iter().enumerate() {
+        assert_eq!(
+            beat.get("pool").and_then(Value::as_str),
+            Some("pipeline/stages")
+        );
+        assert_eq!(beat.get("done").and_then(Value::as_u64), Some(i as u64 + 1));
+        assert_eq!(beat.get("total").and_then(Value::as_u64), Some(5));
+        assert!(beat.get("elapsed_seconds").and_then(Value::as_f64).unwrap() > 0.0);
+    }
+
+    // The registry's flags went with it: unknown flag, usage, exit 2.
+    for flag in [&["--metrics-json", "m.json"][..], &["--metrics-text"]] {
+        let gone = Command::new(bin())
+            .args(["assemble", reads.to_str().unwrap(), "-o", "x.fa"])
+            .args(flag)
+            .output()
+            .expect("assemble runs");
+        assert_eq!(gone.status.code(), Some(2), "{flag:?}");
+        let stderr = String::from_utf8_lossy(&gone.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag {}", flag[0])),
+            "{stderr}"
+        );
+    }
 
     // The fitted constants round-trip through CostModel::from_json
     // byte-identically.
@@ -613,7 +633,6 @@ fn metrics_calibration_and_trace_sampling_flags_work_end_to_end() {
     );
 
     // The report was priced with the fitted model and carries model_error.
-    let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         report_doc.get("cost_model").and_then(Value::as_str),
         Some("calibrated")
@@ -942,7 +961,7 @@ fn multi_k_assembles_and_reports_rounds() {
 
     // The schema-v7 rounds surface.
     let doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(7));
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(8));
     let rounds = doc.get("rounds").unwrap().as_arr().unwrap();
     assert_eq!(rounds.len(), 2);
     assert_eq!(rounds[0].get("k").and_then(Value::as_u64), Some(21));

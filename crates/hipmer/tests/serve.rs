@@ -206,14 +206,23 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(4));
     assert_eq!(stats.get("cache_hits").and_then(Value::as_u64), Some(2));
 
-    // The report artifact is the schema-v7 pipeline report.
+    // The report artifact is the schema-v8 pipeline report — where the
+    // job's own measurements live.
     let (status, report) =
         http::request(&addr, "GET", &format!("/v1/jobs/{id_a}/report"), None).unwrap();
     assert_eq!(status, 200);
     let report = Value::parse(std::str::from_utf8(&report).unwrap()).unwrap();
     assert_eq!(
         report.get("schema_version").and_then(Value::as_u64),
-        Some(7)
+        Some(8)
+    );
+    let attempts = report.get("stage_attempts").unwrap().as_arr().unwrap();
+    assert!(
+        attempts[0]
+            .get("peak_rss_bytes")
+            .and_then(Value::as_u64)
+            .unwrap()
+            > 0
     );
     // The per-job trace artifact is valid chrome-trace JSON.
     let (status, trace) =
@@ -221,13 +230,59 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
     assert_eq!(status, 200);
     assert!(Value::parse(std::str::from_utf8(&trace).unwrap()).is_ok());
 
-    // Prometheus metrics include the per-job scoped counters.
+    // Prometheus metrics carry the daemon's own counters.
     let (status, metrics) = http::request(&addr, "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
     let text = String::from_utf8(metrics).unwrap();
     assert!(
         text.contains("serve_jobs_submitted"),
         "metrics text missing serve counters:\n{text}"
+    );
+
+    daemon.drain_and_wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The series names of `GET /metrics`.
+fn metric_series(addr: &str) -> Vec<String> {
+    let (status, metrics) = http::request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let text = String::from_utf8(metrics).unwrap();
+    let samples = text.lines().filter(|l| !l.starts_with('#'));
+    samples
+        .map(|l| l.split([' ', '{']).next().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn metrics_exposition_does_not_grow_with_completed_jobs() {
+    let dir = std::env::temp_dir().join(format!("hipmer-serve-series-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let daemon = Daemon::start(&dir.join("state"), 4, 2);
+    let addr = daemon.addr.clone();
+
+    // Four distinct inputs, run one after the other: every job is a cache
+    // miss, so each exercises the same daemon counters and nothing else.
+    let mut after_first = Vec::new();
+    for seed in 1..=4 {
+        let reads = dir.join(format!("reads_{seed}.fastq"));
+        simulate_reads(&reads, 40 + seed);
+        let done = wait_completed(&addr, submit(&addr, &reads, "alice", 4, 2));
+        assert_eq!(done.get("cache").and_then(Value::as_str), Some("miss"));
+        if seed == 1 {
+            after_first = metric_series(&addr);
+        }
+    }
+    let after_fourth = metric_series(&addr);
+    assert!(after_first.iter().any(|s| s == "serve_jobs_submitted"));
+    assert_eq!(
+        after_first, after_fourth,
+        "a completed job must not leave series behind"
+    );
+    assert!(
+        !after_fourth.iter().any(|s| s.contains("job_")),
+        "per-job numbers belong to /v1/jobs/<id>/report: {after_fourth:?}"
     );
 
     daemon.drain_and_wait();

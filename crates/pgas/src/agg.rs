@@ -48,7 +48,6 @@ pub struct Outbox<T> {
     buffers: Vec<Vec<T>>,
     batch: usize,
     item_bytes: u64,
-    wire_metric: &'static str,
     topo: Topology,
 }
 
@@ -68,7 +67,6 @@ impl<T> Outbox<T> {
             buffers: (0..topo.ranks()).map(|_| Vec::new()).collect(),
             batch,
             item_bytes: std::mem::size_of::<T>() as u64,
-            wire_metric: "pgas/outbox/wire_bytes",
             topo,
         }
     }
@@ -79,12 +77,6 @@ impl<T> Outbox<T> {
     pub fn with_item_bytes(mut self, item_bytes: u64) -> Self {
         assert!(item_bytes >= 1, "an item on the wire has at least one byte");
         self.item_bytes = item_bytes;
-        self
-    }
-
-    /// Name the wire-bytes histogram the in-crate adapters report under.
-    pub(crate) fn with_wire_metric(mut self, name: &'static str) -> Self {
-        self.wire_metric = name;
         self
     }
 
@@ -111,7 +103,6 @@ impl<T> Outbox<T> {
         }
         let bytes = items.len() as u64 * self.item_bytes;
         ctx.comm(&self.topo, dest, bytes);
-        crate::metrics::observe(self.wire_metric, bytes);
         apply(ctx, dest, items);
         items.clear();
     }
@@ -166,8 +157,7 @@ impl<T> Drop for Outbox<T> {
         debug_assert_eq!(
             self.pending(),
             0,
-            "batcher ({}) dropped with un-shipped items; call finish or abandon",
-            self.wire_metric
+            "batcher dropped with un-shipped items; call finish or abandon"
         );
     }
 }
@@ -214,9 +204,7 @@ where
         AggregatingStores {
             dht,
             merge,
-            outbox: Outbox::new(*dht.topo(), batch)
-                .with_item_bytes(dht.entry_bytes())
-                .with_wire_metric("pgas/agg/wire_bytes"),
+            outbox: Outbox::new(*dht.topo(), batch).with_item_bytes(dht.entry_bytes()),
         }
     }
 
@@ -366,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pgas/agg/wire_bytes) dropped with un-shipped items")]
+    #[should_panic(expected = "batcher dropped with un-shipped items")]
     #[cfg(debug_assertions)]
     fn dropping_pending_updates_panics_in_debug() {
         let topo = Topology::new(2, 2);
@@ -476,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pgas/outbox/wire_bytes) dropped with un-shipped items")]
+    #[should_panic(expected = "batcher dropped with un-shipped items")]
     #[cfg(debug_assertions)]
     fn dropping_pending_outbox_items_panics_in_debug() {
         let topo = Topology::new(2, 2);

@@ -27,7 +27,6 @@
 //! [`version_stamp`]: DistHashMap::version_stamp
 //! [`with_owner`]: DistHashMap::with_owner
 
-use crate::metrics;
 use crate::team::RankCtx;
 use crate::topology::Topology;
 use crate::trace;
@@ -44,6 +43,9 @@ struct Shard<K, V> {
     /// Mutation sequence number: bumped once per write batch / write op
     /// that touches this partition. Never reset.
     seq: AtomicU64,
+    /// Times an accessor found `map`'s lock held and waited for it, since
+    /// the last [`DistHashMap::drain_service_into`].
+    lock_waits: AtomicU64,
 }
 
 impl<K, V> Default for Shard<K, V> {
@@ -51,6 +53,7 @@ impl<K, V> Default for Shard<K, V> {
         Shard {
             map: Mutex::new(HashMap::default()),
             seq: AtomicU64::new(0),
+            lock_waits: AtomicU64::new(0),
         }
     }
 }
@@ -206,24 +209,21 @@ where
         ctx.comm(&self.topo, owner, self.entry_bytes);
     }
 
-    /// Take `owner`'s partition lock. With the metrics registry enabled, a
-    /// failed `try_lock` first counts one `pgas/dht/lock_contention` tick
-    /// before blocking — the simulator's stand-in for the remote atomics
-    /// HipMer's UPC tables contend on. Disabled cost: one relaxed atomic
-    /// load on top of the lock itself.
+    /// Take `owner`'s partition lock. A failed `try_lock` first counts one
+    /// lock wait against the owner (drained into
+    /// [`CommStats::lock_waits`](crate::CommStats::lock_waits)) before
+    /// blocking — the simulator's stand-in for the remote atomics HipMer's
+    /// UPC tables contend on.
     #[inline]
     fn lock_shard(
         &self,
         owner: usize,
     ) -> parking_lot::MutexGuard<'_, HashMap<K, V, KmerBuildHasher>> {
         let shard = &self.shards[owner];
-        if metrics::is_enabled() {
-            if let Some(guard) = shard.map.try_lock() {
-                return guard;
-            }
-            metrics::counter_add("pgas/dht/lock_contention", 1);
-        }
-        shard.map.lock()
+        shard.map.try_lock().unwrap_or_else(|| {
+            shard.lock_waits.fetch_add(1, Ordering::Relaxed);
+            shard.map.lock()
+        })
     }
 
     /// Bump `owner`'s mutation sequence number (call once per write op or
@@ -489,29 +489,16 @@ where
         shard.drain().collect()
     }
 
-    /// Move each shard owner's accumulated service work into the per-rank
-    /// stats vector collected from a finished phase. Resets the counters.
-    ///
-    /// With the metrics registry enabled, this end-of-phase collective also
-    /// publishes table occupancy: the `pgas/dht/entries` gauge keeps the
-    /// high-water total entry count across all tables, and
-    /// `pgas/dht/load_factor_max` the worst max-rank/mean-rank ratio
-    /// observed (1.0 = perfectly balanced placement; the paper's heavy
-    /// hitters show up here before they show up in `service_ops` skew).
+    /// Move each partition owner's tallies into the per-rank stats vector
+    /// collected from a finished phase: the service work and lock waits
+    /// accumulated since the last drain (both reset), and the partition's
+    /// current entry count ([`CommStats::table_entries`](crate::CommStats)).
     pub fn drain_service_into(&self, stats: &mut [crate::CommStats]) {
         assert_eq!(stats.len(), self.topo.ranks());
-        for (rank, c) in self.service.iter().enumerate() {
-            stats[rank].service_ops += c.swap(0, Ordering::Relaxed);
-        }
-        if metrics::is_enabled() {
-            let sizes = self.shard_sizes();
-            let total: usize = sizes.iter().sum();
-            metrics::gauge_max("pgas/dht/entries", total as f64);
-            if total > 0 {
-                let max = sizes.iter().copied().max().unwrap_or(0) as f64;
-                let mean = total as f64 / sizes.len().max(1) as f64;
-                metrics::gauge_max("pgas/dht/load_factor_max", max / mean);
-            }
+        for ((s, shard), service) in stats.iter_mut().zip(&self.shards).zip(&self.service) {
+            s.service_ops += service.swap(0, Ordering::Relaxed);
+            s.lock_waits += shard.lock_waits.swap(0, Ordering::Relaxed);
+            s.table_entries += shard.map.lock().len() as u64;
         }
     }
 
@@ -1004,71 +991,51 @@ mod tests {
     }
 
     #[test]
-    fn metrics_capture_occupancy_and_contention() {
-        let _guard = metrics::TEST_LOCK.lock().unwrap();
-        metrics::reset();
-        metrics::enable();
-
+    fn drained_stats_capture_occupancy_and_contention() {
         let topo = Topology::new(4, 2);
-        // All keys on rank 3: max/mean load factor = 4.0.
+        // All keys on rank 3.
         let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 3);
         let mut c = ctx(0, topo);
         for k in 0..80 {
             dht.insert(&mut c, k, 0);
         }
-        let mut stats = vec![crate::CommStats::new(); 4];
-        dht.drain_service_into(&mut stats);
 
-        // Contention: hold key 0's partition lock while another thread
-        // inserts that key. The insert's try_lock fails and counts
-        // contention *before* blocking, so we can wait on the counter and
-        // then release.
-        let contention = || {
-            metrics::snapshot().iter().find_map(|m| match m {
-                metrics::MetricSnapshot::Counter(n, v) if n == "pgas/dht/lock_contention" => {
-                    Some(*v)
-                }
-                _ => None,
-            })
-        };
-        let held = dht.shards[dht.owner(&0)].map.lock();
+        // Contention: hold rank 3's partition lock while another thread
+        // inserts. The insert's try_lock fails and counts the wait *before*
+        // blocking, so we can watch the tally and then release.
+        let shard = &dht.shards[3];
+        let held = shard.map.lock();
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut c2 = RankCtx::new(1, topo);
                 dht.insert(&mut c2, 0, 9); // blocks until `held` drops
             });
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            while contention().unwrap_or(0) == 0 {
+            while shard.lock_waits.load(Ordering::Relaxed) == 0 {
                 assert!(
                     std::time::Instant::now() < deadline,
-                    "blocked insert never counted contention"
+                    "blocked insert never counted a lock wait"
                 );
                 std::thread::yield_now();
             }
             drop(held);
         });
 
-        let snap = metrics::snapshot();
-        let find = |name: &str| snap.iter().find(|m| m.name() == name).cloned();
-        match find("pgas/dht/entries") {
-            Some(metrics::MetricSnapshot::Gauge(_, v)) => assert_eq!(v, 80.0),
-            other => panic!("missing entries gauge: {other:?}"),
-        }
-        match find("pgas/dht/load_factor_max") {
-            Some(metrics::MetricSnapshot::Gauge(_, v)) => {
-                assert!((v - 4.0).abs() < 1e-9, "all-on-one-rank placement: {v}")
-            }
-            other => panic!("missing load factor gauge: {other:?}"),
-        }
-        match find("pgas/dht/lock_contention") {
-            Some(metrics::MetricSnapshot::Counter(_, n)) => {
-                assert!(n >= 1, "blocked insert must count contention")
-            }
-            other => panic!("missing contention counter: {other:?}"),
-        }
+        let mut stats = vec![crate::CommStats::new(); 4];
+        dht.drain_service_into(&mut stats);
+        let total = crate::stats::total(&stats);
+        assert_eq!(total.table_entries, 80);
+        assert_eq!(stats[3].table_entries, 80, "max partition = the one owner");
+        assert!(stats[3].lock_waits >= 1, "blocked insert must count a wait");
+        assert_eq!(
+            total.lock_waits, stats[3].lock_waits,
+            "waits go to the owner"
+        );
 
-        metrics::disable();
-        metrics::reset();
+        // Waits reset with the drain; occupancy is read afresh each time.
+        let mut again = vec![crate::CommStats::new(); 4];
+        dht.drain_service_into(&mut again);
+        assert_eq!((again[3].lock_waits, again[3].table_entries), (0, 80));
     }
 
     #[test]

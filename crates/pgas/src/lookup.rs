@@ -85,9 +85,7 @@ where
             dht,
             // Bytes in full, exactly like the write side: one message per
             // shipped request batch at `entry_bytes` per key.
-            outbox: Outbox::new(*dht.topo(), batch)
-                .with_item_bytes(dht.entry_bytes())
-                .with_wire_metric("pgas/lookup/wire_bytes"),
+            outbox: Outbox::new(*dht.topo(), batch).with_item_bytes(dht.entry_bytes()),
         }
     }
 
@@ -468,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pgas/lookup/wire_bytes) dropped with un-shipped items")]
+    #[should_panic(expected = "batcher dropped with un-shipped items")]
     #[cfg(debug_assertions)]
     fn dropping_pending_lookups_panics_in_debug() {
         let topo = Topology::new(2, 2);

@@ -17,7 +17,7 @@
 //! worker threads (always at least one), so concurrent teams don't
 //! oversubscribe the host.
 //!
-//! Metrics (when [`crate::metrics`] is enabled): the gauge
+//! Metrics ([`crate::metrics`]): the gauge
 //! `pgas/pool/leased_ranks` tracks the live allocation, and the counters
 //! `pgas/pool/leases` / `pgas/pool/lease_waits` count grants and
 //! blocking waits.

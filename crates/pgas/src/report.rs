@@ -7,7 +7,7 @@
 
 use crate::cost::{CostModel, ModeledTime};
 use crate::json::Value;
-use crate::stats::{total, CommStats};
+use crate::stats::{total, CommStats, Kind};
 use crate::topology::Topology;
 
 /// The record of one finished SPMD phase.
@@ -24,9 +24,10 @@ pub struct PhaseReport {
     /// that [`crate::Team::run`] stamps (max over ranks, i.e. the slowest
     /// rank's measured time); [`PhaseReport::with_wall`] overrides it.
     pub wall_seconds: f64,
-    /// Inherently serial seconds this stage adds (e.g. the serial tie
-    /// traversal of §4.7), already priced by the stage.
-    pub serial_seconds: f64,
+    /// Operations of the stage's inherently serial section (e.g. the edges
+    /// walked by the serial tie traversal of §4.7) — counted by the stage,
+    /// priced at [`CostModel::t_compute`] by [`PhaseReport::modeled`].
+    pub serial_ops: u64,
     /// Heavy-hitter key hashes observed by this phase's hash-table service
     /// operations, as `(key_hash, estimated_count)` sorted by descending
     /// count. Empty unless hot-key tracking was enabled
@@ -56,7 +57,7 @@ impl PhaseReport {
             topo,
             stats,
             wall_seconds,
-            serial_seconds: 0.0,
+            serial_ops: 0,
             hot_keys: Vec::new(),
             placement: None,
         }
@@ -68,9 +69,9 @@ impl PhaseReport {
         self
     }
 
-    /// Attach serial seconds.
-    pub fn with_serial(mut self, seconds: f64) -> Self {
-        self.serial_seconds = seconds;
+    /// Attach the operation count of the stage's serial section.
+    pub fn with_serial_ops(mut self, ops: u64) -> Self {
+        self.serial_ops = ops;
         self
     }
 
@@ -88,21 +89,10 @@ impl PhaseReport {
         self
     }
 
-    /// Fold additional per-rank counters into this report (for stages made
-    /// of several `Team::run` calls over the same topology). Re-derives
-    /// `wall_seconds` from the merged execution times.
-    pub fn absorb(&mut self, more: &[CommStats]) {
-        assert_eq!(more.len(), self.stats.len());
-        for (mine, extra) in self.stats.iter_mut().zip(more) {
-            mine.merge(extra);
-        }
-        self.wall_seconds = derived_wall_seconds(&self.stats);
-    }
-
     /// Modeled execution time under `model`.
     pub fn modeled(&self, model: &CostModel) -> ModeledTime {
         let mut t = model.phase_time(&self.topo, &self.stats);
-        t.serial = self.serial_seconds;
+        t.serial = self.serial_ops as f64 * model.t_compute;
         t
     }
 
@@ -126,13 +116,13 @@ impl PhaseReport {
         derived_wall_seconds(&self.stats)
     }
 
-    /// Mean over ranks of measured execution seconds.
-    pub fn mean_rank_seconds(&self) -> f64 {
-        if self.stats.is_empty() {
-            return 0.0;
-        }
-        let sum: u64 = self.stats.iter().map(|s| s.exec_nanos).sum();
-        sum as f64 / 1e9 / self.stats.len() as f64
+    /// Occupancy of the phase's hash table(s) as drained into the stats:
+    /// `(entries, max_partition_entries)` — total resident entries and the
+    /// fullest rank's share (`max · ranks / entries` is the load factor the
+    /// paper's heavy hitters inflate). `(0, 0)` for table-less phases.
+    pub fn table(&self) -> (u64, u64) {
+        let per_rank = || self.stats.iter().map(|s| s.table_entries);
+        (per_rank().sum(), per_rank().max().unwrap_or(0))
     }
 
     /// Load imbalance: max over ranks of (work) divided by mean work, where
@@ -177,11 +167,17 @@ pub struct StageAttempt {
     pub aborted: u64,
     /// Whether the stage was satisfied from a checkpoint instead of run.
     pub resumed: bool,
+    /// The process's resident-set high-water mark (`VmHWM`) when the stage
+    /// ended, in bytes: the peak over the run *so far*, so a stage that
+    /// raises it is the stage that needed the memory. 0 without procfs.
+    pub peak_rss_bytes: u64,
+    /// The process's resident set (`VmRSS`) when the stage ended, in bytes.
+    pub rss_bytes: u64,
 }
 
 /// One checkpoint interaction: an artifact saved after a stage completed,
 /// or loaded to satisfy a `--resume`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointEvent {
     /// Stage the artifact belongs to.
     pub stage: String,
@@ -191,11 +187,13 @@ pub struct CheckpointEvent {
     pub bytes: u64,
     /// FNV-1a 64 checksum of the artifact bytes.
     pub checksum: u64,
+    /// Measured seconds the transfer took.
+    pub seconds: f64,
 }
 
 /// One MetaHipMer multi-k round's summary, serialized as an entry of the
-/// schema-v7 top-level `rounds` array. Classic single-k runs have an
-/// empty `rounds` array.
+/// top-level `rounds` array. Classic single-k runs have an empty `rounds`
+/// array.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoundReport {
     /// 1-based round number in multi-k order.
@@ -248,7 +246,7 @@ pub struct PipelineReport {
     /// reporting; serialized as the schema-v6 `partition` header.
     pub partition: Option<String>,
     /// Per-round summaries of a MetaHipMer multi-k run (empty for classic
-    /// single-k runs); serialized as the schema-v7 `rounds` array.
+    /// single-k runs); serialized as the `rounds` array.
     pub rounds: Vec<RoundReport>,
 }
 
@@ -385,93 +383,52 @@ impl PipelineReport {
     }
 
     /// Serialize the whole pipeline report as a machine-readable JSON
-    /// document (schema version 4; see `DESIGN.md` §"Observability").
+    /// document, **schema version 8**, priced under `model`;
+    /// `cost_model_label` names the constants (`"edison"`, `"calibrated"`
+    /// when fitted by [`crate::calib`]). Everything in it is a view of the
+    /// per-rank [`CommStats`] the phases returned plus the stage and
+    /// checkpoint bookkeeping; the keys that hold host measurements are
+    /// [`crate::stats::measured_report_keys`].
     ///
-    /// Per phase it carries the measured wall seconds, the modeled-time
-    /// breakdown, the critical rank's compute/latency/bandwidth split, the
-    /// off-node fraction and load imbalance (exactly the values the
-    /// [`PhaseReport`] methods return), the machine-wide counter totals,
-    /// and any heavy-hitter keys the stage attached.
-    ///
-    /// Schema v2 added three read-path counters to each phase's `totals`
-    /// object: `lookup_batches` ([`CommStats::lookup_batches`]),
-    /// `cache_hits` and `cache_misses`.
-    ///
-    /// Schema v3 adds the fault/recovery surface: per-phase `totals` gain
-    /// `transient_faults`, `retries` and `backoff_units`
-    /// ([`CommStats::transient_faults`], [`CommStats::retries`],
-    /// [`CommStats::backoff_units`]), and the document gains two top-level
-    /// arrays — `stage_attempts` ([`StageAttempt`]: execution/abort/resume
-    /// bookkeeping per pipeline stage) and `checkpoints`
-    /// ([`CheckpointEvent`]: artifact saves and loads with byte counts and
-    /// checksums). Consumers that indexed by key name are unaffected;
-    /// consumers that enumerated keys must accept the new ones.
-    ///
-    /// Schema v4 adds the dynamic-scheduling surface: per-phase `totals`
-    /// gain `steal_ops` ([`CommStats::steal_ops`], the chunk acquisitions
-    /// of [`crate::RankCtx::dynamic_ranges`]). The per-phase `imbalance`
-    /// key — present since v1 — is now computed by pricing each rank under
-    /// the phase's real topology via [`CostModel::rank_breakdown`] (see
-    /// [`PhaseReport::imbalance`]), so static-vs-dynamic schedule
-    /// ablations can read per-stage balance straight from the report.
-    ///
-    /// Schema v5 adds the measured-vs-modeled surface: a
-    /// top-level `cost_model` label naming the constants the document was
-    /// priced under (`"default"`, `"calibrated"`, …), a top-level
-    /// `model_error` block (per-phase measured/modeled seconds, relative
-    /// error and compute fraction — see
-    /// [`model_errors`](Self::model_errors) — plus mean/max summaries),
-    /// and a per-phase `measured` object carrying `wall_seconds`,
-    /// `max_rank_seconds` and `mean_rank_seconds` from the per-rank
-    /// execution stamps.
-    ///
-    /// Schema v6 (this PR) adds the partition surface: a top-level
-    /// `partition` header naming the run's k-mer partition scheme
-    /// (`"uniform"` / `"minimizer"`, or `null` for partition-unaware
-    /// producers), a top-level `offnode_by_placement` object mapping each
-    /// table placement label to the off-node fraction over all phases
-    /// using it (see [`offnode_by_placement`](Self::offnode_by_placement)),
-    /// and a per-phase `placement` key carrying the phase's table
-    /// placement label (`null` for table-less phases).
-    ///
-    /// Schema v7 (this PR) adds the multi-k surface: a top-level `rounds`
-    /// array ([`RoundReport`]) with one entry per MetaHipMer round —
-    /// `round`, `k`, `contigs`, `pseudo_reads` and the round's
-    /// access-weighted `offnode_fraction`. Classic single-k runs serialize
-    /// an empty array, so key-enumerating consumers see a fixed key set.
-    pub fn to_json(&self, model: &CostModel) -> String {
-        self.to_json_labeled(model, "default")
-    }
-
-    /// [`to_json`](Self::to_json) with an explicit `cost_model` label —
-    /// use `"calibrated"` when pricing under constants fitted by
-    /// [`crate::calib`].
-    pub fn to_json_labeled(&self, model: &CostModel, cost_model_label: &str) -> String {
+    /// * header: `schema_version`, `generator`, `cost_model`, `partition`
+    ///   (k-mer partition scheme or `null`), `rounds` ([`RoundReport`] per
+    ///   multi-k round; empty on classic runs), `topology` (`ranks`,
+    ///   `ranks_per_node`, `nodes`), `modeled_total` and `wall_seconds`
+    ///   (sums over phases), `offnode_by_placement`
+    ///   ([`offnode_by_placement`](Self::offnode_by_placement));
+    /// * `model_error`: [`model_errors`](Self::model_errors) per phase plus
+    ///   `mean_rel_error` / `max_rel_error`;
+    /// * `stage_attempts`: one [`StageAttempt`] per pipeline stage;
+    /// * `checkpoints`: one [`CheckpointEvent`] per artifact saved or loaded;
+    /// * `phases`: per phase `name`, `measured` (`wall_seconds` and the
+    ///   [`Kind::Measured`] fields summed over ranks), `modeled`
+    ///   (`critical_path_seconds`, `sync_seconds`, `io_seconds`,
+    ///   `serial_seconds`, `total_seconds`), `critical_rank` (its
+    ///   compute/latency/bandwidth seconds), `offnode_fraction`,
+    ///   `placement` (table placement label or `null`), `imbalance`
+    ///   ([`PhaseReport::imbalance`]), `totals` (the [`Kind::Counted`]
+    ///   fields summed over ranks), `table` ([`PhaseReport::table`]) and
+    ///   `hot_keys` (heavy-hitter key hashes, when tracking was on).
+    pub fn to_json(&self, model: &CostModel, cost_model_label: &str) -> String {
+        let label_or_null = |label: &Option<String>| match label {
+            Some(label) => Value::from(label.as_str()),
+            None => Value::Null,
+        };
         let mut doc = Value::obj();
-        doc.set("schema_version", 7u64)
+        doc.set("schema_version", 8u64)
             .set("generator", "hipmer-pgas")
             .set("cost_model", cost_model_label)
-            .set(
-                "partition",
-                match &self.partition {
-                    Some(label) => Value::from(label.as_str()),
-                    None => Value::Null,
-                },
-            );
-        let rounds: Vec<Value> = self
-            .rounds
-            .iter()
-            .map(|r| {
-                let mut v = Value::obj();
-                v.set("round", r.round)
-                    .set("k", r.k)
-                    .set("contigs", r.contigs)
-                    .set("pseudo_reads", r.pseudo_reads)
-                    .set("offnode_fraction", r.offnode_fraction);
-                v
-            })
-            .collect();
-        doc.set("rounds", Value::Arr(rounds));
+            .set("partition", label_or_null(&self.partition));
+        let rounds = self.rounds.iter().map(|r| {
+            let mut v = Value::obj();
+            v.set("round", r.round)
+                .set("k", r.k)
+                .set("contigs", r.contigs)
+                .set("pseudo_reads", r.pseudo_reads)
+                .set("offnode_fraction", r.offnode_fraction);
+            v
+        });
+        doc.set("rounds", Value::Arr(rounds.collect()));
         if let Some(p) = self.phases.first() {
             let mut topo = Value::obj();
             topo.set("ranks", p.topo.ranks())
@@ -489,59 +446,87 @@ impl PipelineReport {
             by_placement.set(label, frac);
         }
         doc.set("offnode_by_placement", by_placement);
+
         let errors = self.model_errors(model);
+        let entries = errors.iter().map(|e| {
+            let mut v = Value::obj();
+            v.set("name", e.name.as_str())
+                .set("measured_seconds", e.measured_seconds)
+                .set("modeled_seconds", e.modeled_seconds)
+                .set("rel_error", e.rel_error)
+                .set("compute_fraction", e.compute_fraction);
+            v
+        });
         let mut err_obj = Value::obj();
-        let entries: Vec<Value> = errors
-            .iter()
-            .map(|e| {
-                let mut v = Value::obj();
-                v.set("name", e.name.as_str())
-                    .set("measured_seconds", e.measured_seconds)
-                    .set("modeled_seconds", e.modeled_seconds)
-                    .set("rel_error", e.rel_error)
-                    .set("compute_fraction", e.compute_fraction);
-                v
-            })
-            .collect();
-        err_obj.set("phases", Value::Arr(entries));
-        let mean = if errors.is_empty() {
-            0.0
-        } else {
-            errors.iter().map(|e| e.rel_error).sum::<f64>() / errors.len() as f64
-        };
+        err_obj.set("phases", Value::Arr(entries.collect()));
+        let rel_sum: f64 = errors.iter().map(|e| e.rel_error).sum();
         let max = errors.iter().map(|e| e.rel_error).fold(0.0, f64::max);
         err_obj
-            .set("mean_rel_error", mean)
+            .set("mean_rel_error", rel_sum / errors.len().max(1) as f64)
             .set("max_rel_error", max);
         doc.set("model_error", err_obj);
-        let attempts: Vec<Value> = self
-            .stage_attempts
-            .iter()
-            .map(|a| {
-                let mut v = Value::obj();
-                v.set("stage", a.stage.as_str())
-                    .set("executions", a.executions)
-                    .set("aborted", a.aborted)
-                    .set("resumed", a.resumed);
-                v
-            })
-            .collect();
-        doc.set("stage_attempts", Value::Arr(attempts));
-        let ckpts: Vec<Value> = self
-            .checkpoints
-            .iter()
-            .map(|c| {
-                let mut v = Value::obj();
-                v.set("stage", c.stage.as_str())
-                    .set("action", c.action.as_str())
-                    .set("bytes", c.bytes)
-                    .set("checksum", format!("{:#018x}", c.checksum));
-                v
-            })
-            .collect();
-        doc.set("checkpoints", Value::Arr(ckpts));
-        let phases: Vec<Value> = self.phases.iter().map(|p| phase_json(p, model)).collect();
-        doc.set("phases", Value::Arr(phases));
+
+        let attempts = self.stage_attempts.iter().map(|a| {
+            let mut v = Value::obj();
+            v.set("stage", a.stage.as_str())
+                .set("executions", a.executions)
+                .set("aborted", a.aborted)
+                .set("resumed", a.resumed)
+                .set("peak_rss_bytes", a.peak_rss_bytes)
+                .set("rss_bytes", a.rss_bytes);
+            v
+        });
+        doc.set("stage_attempts", Value::Arr(attempts.collect()));
+        let ckpts = self.checkpoints.iter().map(|c| {
+            let mut v = Value::obj();
+            v.set("stage", c.stage.as_str())
+                .set("action", c.action.as_str())
+                .set("bytes", c.bytes)
+                .set("checksum", format!("{:#018x}", c.checksum))
+                .set("seconds", c.seconds);
+            v
+        });
+        doc.set("checkpoints", Value::Arr(ckpts.collect()));
+
+        let phases = self.phases.iter().map(|p| {
+            let mut v = Value::obj();
+            let (mut measured, mut totals) = (Value::obj(), Value::obj());
+            measured.set("wall_seconds", p.wall_seconds);
+            for (name, kind, value) in p.totals().fields() {
+                match kind {
+                    Kind::Counted => totals.set(name, value),
+                    Kind::Measured => measured.set(name, value),
+                };
+            }
+            v.set("name", p.name.as_str())
+                .set("measured", measured)
+                .set("modeled", modeled_json(&p.modeled(model)));
+            let breakdown = model.critical_rank_breakdown(&p.stats);
+            let mut crit = Value::obj();
+            crit.set("compute_seconds", breakdown.compute)
+                .set("latency_seconds", breakdown.latency)
+                .set("bandwidth_seconds", breakdown.bandwidth);
+            v.set("critical_rank", crit)
+                .set("offnode_fraction", p.offnode_fraction())
+                .set("placement", label_or_null(&p.placement))
+                .set("imbalance", p.imbalance(model))
+                .set("totals", totals);
+            let (entries, max_partition_entries) = p.table();
+            let mut table = Value::obj();
+            table
+                .set("entries", entries)
+                .set("max_partition_entries", max_partition_entries);
+            v.set("table", table);
+            let hot = p.hot_keys.iter().map(|&(hash, count)| {
+                let mut h = Value::obj();
+                h.set("key_hash", format!("{hash:#018x}"))
+                    .set("estimated_count", count);
+                h
+            });
+            v.set("hot_keys", Value::Arr(hot.collect()));
+            v
+        });
+        doc.set("phases", Value::Arr(phases.collect()));
         doc.to_json()
     }
 }
@@ -553,73 +538,6 @@ fn modeled_json(t: &ModeledTime) -> Value {
         .set("io_seconds", t.io)
         .set("serial_seconds", t.serial)
         .set("total_seconds", t.total());
-    v
-}
-
-fn phase_json(p: &PhaseReport, model: &CostModel) -> Value {
-    let totals = p.totals();
-    let breakdown = model.critical_rank_breakdown(&p.stats);
-
-    let mut v = Value::obj();
-    v.set("name", p.name.as_str())
-        .set("ranks", p.topo.ranks())
-        .set("wall_seconds", p.wall_seconds);
-
-    let mut measured = Value::obj();
-    measured
-        .set("wall_seconds", p.wall_seconds)
-        .set("max_rank_seconds", p.max_rank_seconds())
-        .set("mean_rank_seconds", p.mean_rank_seconds());
-    v.set("measured", measured)
-        .set("modeled", modeled_json(&p.modeled(model)));
-
-    let mut crit = Value::obj();
-    crit.set("compute_seconds", breakdown.compute)
-        .set("latency_seconds", breakdown.latency)
-        .set("bandwidth_seconds", breakdown.bandwidth);
-    v.set("critical_rank", crit)
-        .set("offnode_fraction", p.offnode_fraction())
-        .set(
-            "placement",
-            match &p.placement {
-                Some(label) => Value::from(label.as_str()),
-                None => Value::Null,
-            },
-        )
-        .set("imbalance", p.imbalance(model));
-
-    let mut t = Value::obj();
-    t.set("compute_ops", totals.compute_ops)
-        .set("local_ops", totals.local_ops)
-        .set("onnode_msgs", totals.onnode_msgs)
-        .set("offnode_msgs", totals.offnode_msgs)
-        .set("onnode_bytes", totals.onnode_bytes)
-        .set("offnode_bytes", totals.offnode_bytes)
-        .set("service_ops", totals.service_ops)
-        .set("lookup_batches", totals.lookup_batches)
-        .set("cache_hits", totals.cache_hits)
-        .set("cache_misses", totals.cache_misses)
-        .set("transient_faults", totals.transient_faults)
-        .set("retries", totals.retries)
-        .set("backoff_units", totals.backoff_units)
-        .set("io_read_bytes", totals.io_read_bytes)
-        .set("io_write_bytes", totals.io_write_bytes)
-        .set("steal_ops", totals.steal_ops)
-        .set("barriers", totals.barriers)
-        .set("exec_nanos", totals.exec_nanos);
-    v.set("totals", t);
-
-    let hot: Vec<Value> = p
-        .hot_keys
-        .iter()
-        .map(|&(hash, count)| {
-            let mut h = Value::obj();
-            h.set("key_hash", format!("{hash:#018x}"))
-                .set("estimated_count", count);
-            h
-        })
-        .collect();
-    v.set("hot_keys", Value::Arr(hot));
     v
 }
 
@@ -683,12 +601,15 @@ mod tests {
     }
 
     #[test]
-    fn modeled_uses_serial_seconds() {
+    fn modeled_prices_serial_ops_at_t_compute() {
         let model = CostModel::edison();
-        let p = phase_with(&[100, 100]).with_serial(1.5);
+        let p = phase_with(&[100, 100]).with_serial_ops(1_500);
         let t = p.modeled(&model);
-        assert!((t.serial - 1.5).abs() < 1e-12);
-        assert!(t.total() >= 1.5);
+        assert_eq!(t.serial, 1_500.0 * model.t_compute);
+        assert_eq!(
+            t.total(),
+            phase_with(&[100, 100]).modeled(&model).total() + t.serial
+        );
     }
 
     #[test]
@@ -735,24 +656,6 @@ mod tests {
         assert!((imb - max / mean).abs() < 1e-12);
     }
 
-    #[test]
-    fn absorb_merges_counters() {
-        let mut p = phase_with(&[10, 20]);
-        let extra = vec![
-            CommStats {
-                compute_ops: 5,
-                ..CommStats::default()
-            },
-            CommStats {
-                compute_ops: 5,
-                ..CommStats::default()
-            },
-        ];
-        p.absorb(&extra);
-        assert_eq!(p.stats[0].compute_ops, 15);
-        assert_eq!(p.stats[1].compute_ops, 25);
-    }
-
     /// A two-phase pipeline with enough counter variety to exercise every
     /// field of the JSON serialization.
     fn busy_pipeline() -> PipelineReport {
@@ -775,7 +678,9 @@ mod tests {
                 io_read_bytes: 1 << 20,
                 steal_ops: 9 + r,
                 barriers: 2,
+                table_entries: 100 + r,
                 exec_nanos: 1_000_000 * (r + 1),
+                lock_waits: r,
                 ..CommStats::default()
             })
             .collect();
@@ -785,24 +690,29 @@ mod tests {
                 .with_hot_keys(vec![(0xdead_beef, 41), (0x1234, 7)])
                 .with_placement("minimizer(w=17,m=7)"),
         );
-        pr.push(PhaseReport::new("contig/traversal", topo, stats).with_serial(0.125));
+        pr.push(PhaseReport::new("contig/traversal", topo, stats).with_serial_ops(125_000));
         pr.stage_attempts.push(StageAttempt {
             stage: "kmer-analysis".to_string(),
             executions: 2,
             aborted: 1,
             resumed: false,
+            peak_rss_bytes: 64 << 20,
+            rss_bytes: 48 << 20,
         });
         pr.stage_attempts.push(StageAttempt {
             stage: "contig-generation".to_string(),
             executions: 0,
             aborted: 0,
             resumed: true,
+            peak_rss_bytes: 64 << 20,
+            rss_bytes: 50 << 20,
         });
         pr.checkpoints.push(CheckpointEvent {
             stage: "kmer-analysis".to_string(),
             action: "save".to_string(),
             bytes: 4096,
             checksum: 0xfeed_f00d,
+            seconds: 0.002,
         });
         pr.rounds.push(RoundReport {
             round: 1,
@@ -817,7 +727,7 @@ mod tests {
     #[test]
     fn json_report_round_trips() {
         let model = CostModel::edison();
-        let text = busy_pipeline().to_json(&model);
+        let text = busy_pipeline().to_json(&model, "edison");
         let parsed = Value::parse(&text).expect("report must be valid JSON");
         // Serializing the parsed document reproduces the original text
         // byte-for-byte (ordered object pairs make this deterministic).
@@ -829,9 +739,9 @@ mod tests {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
         let model = CostModel::edison();
-        let doc = Value::parse(&busy_pipeline().to_json(&model)).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 7);
-        assert_eq!(str_at(&doc, "cost_model"), "default");
+        let doc = Value::parse(&busy_pipeline().to_json(&model, "edison")).unwrap();
+        assert_eq!(u64_at(&doc, "schema_version"), 8);
+        assert_eq!(str_at(&doc, "cost_model"), "edison");
         assert_eq!(str_at(&doc, "partition"), "minimizer");
         assert_keys(
             &doc,
@@ -881,7 +791,18 @@ mod tests {
         );
         let attempts = get_path(&doc, "stage_attempts").as_arr().unwrap();
         assert_eq!(attempts.len(), 2);
-        assert_keys(&attempts[0], &["stage", "executions", "aborted", "resumed"]);
+        assert_keys(
+            &attempts[0],
+            &[
+                "stage",
+                "executions",
+                "aborted",
+                "resumed",
+                "peak_rss_bytes",
+                "rss_bytes",
+            ],
+        );
+        assert_eq!(u64_at(&doc, "stage_attempts/0/peak_rss_bytes"), 64 << 20);
         assert_eq!(str_at(&doc, "stage_attempts/0/stage"), "kmer-analysis");
         assert_eq!(u64_at(&doc, "stage_attempts/0/aborted"), 1);
         assert_eq!(
@@ -890,7 +811,11 @@ mod tests {
         );
         let ckpts = get_path(&doc, "checkpoints").as_arr().unwrap();
         assert_eq!(ckpts.len(), 1);
-        assert_keys(&ckpts[0], &["stage", "action", "bytes", "checksum"]);
+        assert_keys(
+            &ckpts[0],
+            &["stage", "action", "bytes", "checksum", "seconds"],
+        );
+        assert_eq!(f64_at(&doc, "checkpoints/0/seconds"), 0.002);
         assert_eq!(str_at(&doc, "checkpoints/0/action"), "save");
         assert_eq!(u64_at(&doc, "checkpoints/0/bytes"), 4096);
         assert_eq!(str_at(&doc, "checkpoints/0/checksum"), "0x00000000feedf00d");
@@ -905,8 +830,6 @@ mod tests {
             p,
             &[
                 "name",
-                "ranks",
-                "wall_seconds",
                 "measured",
                 "modeled",
                 "critical_rank",
@@ -914,15 +837,12 @@ mod tests {
                 "placement",
                 "imbalance",
                 "totals",
+                "table",
                 "hot_keys",
             ],
         );
         assert_eq!(str_at(p, "placement"), "minimizer(w=17,m=7)");
         assert!(matches!(get_path(&doc, "phases/1/placement"), Value::Null));
-        assert_keys(
-            get_path(p, "measured"),
-            &["wall_seconds", "max_rank_seconds", "mean_rank_seconds"],
-        );
         assert_keys(
             get_path(p, "modeled"),
             &[
@@ -937,29 +857,18 @@ mod tests {
             get_path(p, "critical_rank"),
             &["compute_seconds", "latency_seconds", "bandwidth_seconds"],
         );
-        assert_keys(
-            get_path(p, "totals"),
-            &[
-                "compute_ops",
-                "local_ops",
-                "onnode_msgs",
-                "offnode_msgs",
-                "onnode_bytes",
-                "offnode_bytes",
-                "service_ops",
-                "lookup_batches",
-                "cache_hits",
-                "cache_misses",
-                "transient_faults",
-                "retries",
-                "backoff_units",
-                "io_read_bytes",
-                "io_write_bytes",
-                "steal_ops",
-                "barriers",
-                "exec_nanos",
-            ],
-        );
+        // `totals` then `measured` (after its one derived key) spell out
+        // the field table, in its order: counted fields, measured fields.
+        let measured = get_path(p, "measured").keys();
+        assert_eq!(measured[0], "wall_seconds");
+        let mut serialized = get_path(p, "totals").keys();
+        serialized.extend(&measured[1..]);
+        let table_names: Vec<&str> = crate::stats::FIELDS.iter().map(|f| f.0).collect();
+        assert_eq!(serialized, table_names);
+        assert_eq!(measured[1..], ["exec_nanos", "lock_waits"]);
+        assert_keys(get_path(p, "table"), &["entries", "max_partition_entries"]);
+        assert_eq!(u64_at(p, "table/entries"), 100 + 101 + 102 + 103);
+        assert_eq!(u64_at(p, "table/max_partition_entries"), 103);
         let hot = get_path(p, "hot_keys").as_arr().unwrap();
         assert_eq!(hot.len(), 2);
         assert_eq!(str_at(p, "hot_keys/0/key_hash"), "0x00000000deadbeef");
@@ -1007,7 +916,7 @@ mod tests {
     #[test]
     fn json_report_cost_model_label_flows_through() {
         let model = CostModel::edison();
-        let doc = Value::parse(&busy_pipeline().to_json_labeled(&model, "calibrated")).unwrap();
+        let doc = Value::parse(&busy_pipeline().to_json(&model, "calibrated")).unwrap();
         assert_eq!(str_at(&doc, "cost_model"), "calibrated");
     }
 
@@ -1055,7 +964,7 @@ mod tests {
         // `PhaseReport` accessors compute, not a parallel implementation.
         let model = CostModel::edison();
         let pr = busy_pipeline();
-        let doc = Value::parse(&pr.to_json(&model)).unwrap();
+        let doc = Value::parse(&pr.to_json(&model, "edison")).unwrap();
         let phases = get_path(&doc, "phases").as_arr().unwrap();
         for (p, v) in pr.phases.iter().zip(phases) {
             assert_eq!(str_at(v, "name"), p.name.as_str());
@@ -1065,17 +974,13 @@ mod tests {
             let imb = f64_at(v, "imbalance");
             assert!((imb - p.imbalance(&model)).abs() < 1e-12);
             assert!(imb > 1.0, "fixture must exercise real skew");
-            assert!((f64_at(v, "wall_seconds") - p.wall_seconds).abs() < 1e-12);
-            // Schema-v5 measured block carries the exec-stamp aggregates.
-            let max_rank = f64_at(v, "measured/max_rank_seconds");
-            assert!((max_rank - p.max_rank_seconds()).abs() < 1e-12);
-            assert!(max_rank > 0.0, "fixture must exercise exec stamps");
-            let mean_rank = f64_at(v, "measured/mean_rank_seconds");
-            assert!((mean_rank - p.mean_rank_seconds()).abs() < 1e-12);
-            assert!(mean_rank < max_rank, "fixture's stamps are skewed");
+            let wall = f64_at(v, "measured/wall_seconds");
+            assert!((wall - p.wall_seconds).abs() < 1e-12);
+            assert!(wall > 0.0, "fixture must exercise exec stamps");
             let total = f64_at(v, "modeled/total_seconds");
             assert!((total - p.modeled(&model).total()).abs() < 1e-12);
-            assert_eq!(u64_at(v, "totals/exec_nanos"), p.totals().exec_nanos);
+            assert_eq!(u64_at(v, "measured/exec_nanos"), p.totals().exec_nanos);
+            assert_eq!(u64_at(v, "measured/lock_waits"), p.totals().lock_waits);
             // Schema-v2 read-path counters carry the merged CommStats values.
             let hits = u64_at(v, "totals/cache_hits");
             assert_eq!(hits, p.totals().cache_hits);
@@ -1129,9 +1034,9 @@ mod tests {
         let model = CostModel::edison();
         let mut pr = PipelineReport::new();
         pr.push(phase_with(&[1_000_000, 1_000_000]));
-        pr.push(phase_with(&[500_000, 500_000]).with_serial(0.25));
+        pr.push(phase_with(&[500_000, 500_000]).with_serial_ops(250_000));
         let total = pr.total_modeled(&model).total();
-        assert!(total > 0.25);
+        assert!(total > 250_000.0 * model.t_compute);
         let text = pr.render(&model);
         assert!(text.contains("TOTAL"));
         assert!(text.lines().count() >= 4);

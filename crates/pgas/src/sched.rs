@@ -258,13 +258,7 @@ mod tests {
         let run = |threads: usize| {
             let team = Team::new(Topology::new(9, 3)).with_os_threads(threads);
             let (ranges, stats) = team.run(|ctx| ctx.dynamic_ranges(5_000));
-            let scrubbed: Vec<_> = stats
-                .into_iter()
-                .map(|mut s| {
-                    s.exec_nanos = 0;
-                    s
-                })
-                .collect();
+            let scrubbed: Vec<_> = stats.into_iter().map(crate::CommStats::counted).collect();
             (ranges, scrubbed)
         };
         assert_eq!(run(1), run(6));

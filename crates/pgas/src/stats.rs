@@ -68,6 +68,78 @@ pub struct CommStats {
     /// (stamped by [`crate::Team::run`]; sums across merged sub-phases).
     /// This is *host* time of the simulation, not modeled machine time.
     pub exec_nanos: u64,
+    /// Entries resident in this rank's partition of the phase's hash
+    /// table(s) when [`crate::DistHashMap::drain_service_into`] collected
+    /// them (summed over the tables a phase drains). The sum over ranks is
+    /// the report's `table.entries`, the max its
+    /// `table.max_partition_entries`.
+    pub table_entries: u64,
+    /// Measured: times an accessor found this rank's partition lock held
+    /// and had to wait for it — the simulator's stand-in for the remote
+    /// atomics HipMer's UPC tables contend on. Tallied per table and
+    /// drained to the *owner* alongside [`CommStats::service_ops`].
+    pub lock_waits: u64,
+}
+
+/// Whether a [`CommStats`] field counts modeled events — a function of the
+/// input, the configuration and the rank count — or measures the host.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Event counts: the report's per-phase `totals`.
+    Counted,
+    /// Host measurements: the report's per-phase `measured`; these differ
+    /// from run to run and are what [`CommStats::counted`] zeroes.
+    Measured,
+}
+use Kind::{Counted, Measured};
+
+/// One row of [`FIELDS`]: the field's name in every serialized form
+/// (report, trace), its kind, and its accessor.
+pub type Field = (&'static str, Kind, fn(&mut CommStats) -> &mut u64);
+
+/// The one description of [`CommStats`]: every field, in declaration
+/// order. [`CommStats::merge`], [`CommStats::counted`], the report's
+/// `totals`/`measured` objects and the trace span `args` are all loops over
+/// this table, so a new counter is one struct field plus one row here.
+pub const FIELDS: [Field; 20] = [
+    ("compute_ops", Counted, |s| &mut s.compute_ops),
+    ("local_ops", Counted, |s| &mut s.local_ops),
+    ("onnode_msgs", Counted, |s| &mut s.onnode_msgs),
+    ("offnode_msgs", Counted, |s| &mut s.offnode_msgs),
+    ("onnode_bytes", Counted, |s| &mut s.onnode_bytes),
+    ("offnode_bytes", Counted, |s| &mut s.offnode_bytes),
+    ("service_ops", Counted, |s| &mut s.service_ops),
+    ("lookup_batches", Counted, |s| &mut s.lookup_batches),
+    ("cache_hits", Counted, |s| &mut s.cache_hits),
+    ("cache_misses", Counted, |s| &mut s.cache_misses),
+    ("transient_faults", Counted, |s| &mut s.transient_faults),
+    ("retries", Counted, |s| &mut s.retries),
+    ("backoff_units", Counted, |s| &mut s.backoff_units),
+    ("io_read_bytes", Counted, |s| &mut s.io_read_bytes),
+    ("io_write_bytes", Counted, |s| &mut s.io_write_bytes),
+    ("steal_ops", Counted, |s| &mut s.steal_ops),
+    ("barriers", Counted, |s| &mut s.barriers),
+    ("table_entries", Counted, |s| &mut s.table_entries),
+    ("exec_nanos", Measured, |s| &mut s.exec_nanos),
+    ("lock_waits", Measured, |s| &mut s.lock_waits),
+];
+
+/// Every key of the report document ([`crate::PipelineReport::to_json`])
+/// that holds a host measurement: the [`Kind::Measured`] rows of [`FIELDS`]
+/// plus wall time (per phase and pipeline-wide), the measured-vs-modeled
+/// `model_error` block, a stage attempt's resident-set readings and a
+/// checkpoint transfer's seconds. Two runs of the same input at one OS
+/// thread write equal reports once these keys are removed.
+pub fn measured_report_keys() -> Vec<&'static str> {
+    let extra = [
+        "wall_seconds",
+        "model_error",
+        "peak_rss_bytes",
+        "rss_bytes",
+        "seconds",
+    ];
+    let measured = FIELDS.iter().filter(|f| f.1 == Measured).map(|f| f.0);
+    measured.chain(extra).collect()
 }
 
 impl CommStats {
@@ -130,24 +202,25 @@ impl CommStats {
     /// Saturating: pathological inputs (fuzzers, adversarial FASTQ sizes)
     /// pin counters at `u64::MAX` instead of wrapping or panicking.
     pub fn merge(&mut self, o: &CommStats) {
-        self.compute_ops = self.compute_ops.saturating_add(o.compute_ops);
-        self.local_ops = self.local_ops.saturating_add(o.local_ops);
-        self.onnode_msgs = self.onnode_msgs.saturating_add(o.onnode_msgs);
-        self.offnode_msgs = self.offnode_msgs.saturating_add(o.offnode_msgs);
-        self.onnode_bytes = self.onnode_bytes.saturating_add(o.onnode_bytes);
-        self.offnode_bytes = self.offnode_bytes.saturating_add(o.offnode_bytes);
-        self.service_ops = self.service_ops.saturating_add(o.service_ops);
-        self.lookup_batches = self.lookup_batches.saturating_add(o.lookup_batches);
-        self.cache_hits = self.cache_hits.saturating_add(o.cache_hits);
-        self.cache_misses = self.cache_misses.saturating_add(o.cache_misses);
-        self.transient_faults = self.transient_faults.saturating_add(o.transient_faults);
-        self.retries = self.retries.saturating_add(o.retries);
-        self.backoff_units = self.backoff_units.saturating_add(o.backoff_units);
-        self.io_read_bytes = self.io_read_bytes.saturating_add(o.io_read_bytes);
-        self.io_write_bytes = self.io_write_bytes.saturating_add(o.io_write_bytes);
-        self.steal_ops = self.steal_ops.saturating_add(o.steal_ops);
-        self.barriers = self.barriers.saturating_add(o.barriers);
-        self.exec_nanos = self.exec_nanos.saturating_add(o.exec_nanos);
+        for ((_, _, slot), (_, _, add)) in FIELDS.iter().zip(o.fields()) {
+            let mine = slot(self);
+            *mine = mine.saturating_add(add);
+        }
+    }
+
+    /// This record with every [`Kind::Measured`] field zeroed: what must be
+    /// equal between two runs that differ only in host timing.
+    pub fn counted(mut self) -> Self {
+        for (_, _, slot) in FIELDS.iter().filter(|f| f.1 == Measured) {
+            *slot(&mut self) = 0;
+        }
+        self
+    }
+
+    /// `(name, kind, value)` of every field, in [`FIELDS`] order — what the
+    /// report and trace writers serialize.
+    pub fn fields(mut self) -> impl Iterator<Item = (&'static str, Kind, u64)> {
+        (FIELDS.iter()).map(move |&(name, kind, slot)| (name, kind, *slot(&mut self)))
     }
 }
 
@@ -158,6 +231,15 @@ pub fn total(stats: &[CommStats]) -> CommStats {
         acc.merge(s);
     }
     acc
+}
+
+/// Fold a later sub-phase's per-rank counters into `acc`, rank by rank —
+/// how a stage made of several `Team::run` calls builds one record.
+pub fn merge_ranks(acc: &mut [CommStats], more: &[CommStats]) {
+    assert_eq!(acc.len(), more.len(), "one CommStats per rank on each side");
+    for (a, b) in acc.iter_mut().zip(more) {
+        a.merge(b);
+    }
 }
 
 #[cfg(test)]
@@ -188,6 +270,84 @@ mod tests {
         s.access(&topo, 0, 30, 8);
         s.access(&topo, 0, 0, 8);
         assert!((s.offnode_fraction().unwrap() - 0.5).abs() < 1e-12);
+    }
+
+    /// Destructuring without `..` stops compiling when a field is added, and
+    /// the checks fail when a field has no row, two rows, or a misnamed one.
+    #[test]
+    fn every_field_has_exactly_one_table_row() {
+        let mut s = CommStats::new();
+        for (i, (_, _, slot)) in FIELDS.iter().enumerate() {
+            *slot(&mut s) = i as u64 + 1;
+        }
+        macro_rules! named_fields {
+            ($($f:ident),*) => {{
+                let CommStats { $($f),* } = s;
+                [$((stringify!($f), $f)),*]
+            }};
+        }
+        let named = named_fields!(
+            compute_ops,
+            local_ops,
+            onnode_msgs,
+            offnode_msgs,
+            onnode_bytes,
+            offnode_bytes,
+            service_ops,
+            lookup_batches,
+            cache_hits,
+            cache_misses,
+            transient_faults,
+            retries,
+            backoff_units,
+            io_read_bytes,
+            io_write_bytes,
+            steal_ops,
+            barriers,
+            exec_nanos,
+            table_entries,
+            lock_waits
+        );
+        assert_eq!(named.len(), FIELDS.len());
+        for (name, value) in named {
+            assert!(value >= 1, "{name} has no row");
+            assert_eq!(
+                FIELDS[value as usize - 1].0,
+                name,
+                "row names another field"
+            );
+        }
+    }
+
+    #[test]
+    fn counted_zeroes_exactly_the_measured_fields() {
+        let mut s = CommStats::new();
+        for (_, _, slot) in &FIELDS {
+            *slot(&mut s) = 7;
+        }
+        let c = s.counted();
+        assert_eq!((c.exec_nanos, c.lock_waits), (0, 0));
+        let counted = || c.fields().filter(|f| f.1 == Counted);
+        assert!(counted().all(|(_, _, v)| v == 7));
+        assert_eq!(counted().count() + 2, FIELDS.len());
+        assert_eq!(measured_report_keys()[..2], ["exec_nanos", "lock_waits"]);
+    }
+
+    #[test]
+    fn merge_ranks_adds_rank_by_rank() {
+        let mut acc = vec![CommStats::new(); 2];
+        acc[0].compute(10);
+        let mut more = vec![CommStats::new(); 2];
+        more[0].compute(5);
+        more[1].barriers = 2;
+        merge_ranks(&mut acc, &more);
+        assert_eq!((acc[0].compute_ops, acc[1].barriers), (15, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "one CommStats per rank on each side")]
+    fn merge_ranks_rejects_mismatched_lengths() {
+        merge_ranks(&mut [CommStats::new()], &[]);
     }
 
     #[test]

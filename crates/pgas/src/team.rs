@@ -146,30 +146,21 @@ fn default_os_threads() -> usize {
 }
 
 /// Execute one rank's phase body, stamping measured execution time into its
-/// stats and producing a trace span when this rank is sampled. A
-/// [`fault::RankFailure`] unwinding out of the body is caught and reported
-/// in the fourth slot (`None` result); any other panic resumes unwinding.
+/// stats; also returns when the body started. A [`fault::RankFailure`]
+/// unwinding out of the body is caught and reported in the last slot
+/// (`None` result); any other panic resumes unwinding.
 fn run_rank<R, F>(
     f: &F,
     rank: usize,
     topo: Topology,
     faults: Option<&Arc<FaultPlan>>,
-    phase_start: Instant,
-    label: Option<&str>,
-) -> (
-    Option<R>,
-    CommStats,
-    Option<trace::SpanEvent>,
-    Option<fault::RankFailure>,
-)
+) -> (Option<R>, CommStats, Instant, Option<fault::RankFailure>)
 where
     F: Fn(&mut RankCtx) -> R,
 {
     let rank_start = Instant::now();
     let mut ctx = RankCtx::new(rank, topo);
-    if let Some(plan) = faults {
-        ctx.faults = Some(Arc::clone(plan));
-    }
+    ctx.faults = faults.cloned();
     // AssertUnwindSafe: on unwind only `ctx.stats` is read, and counters
     // are plain integers that stay valid mid-phase.
     let (out, failure) = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
@@ -180,25 +171,8 @@ where
         },
     };
     ctx.barrier();
-    let dur_nanos = rank_start.elapsed().as_nanos() as u64;
-    ctx.stats.exec_nanos = dur_nanos;
-    let span = label.map(|label| trace::SpanEvent {
-        phase: label.to_string(),
-        rank,
-        start_nanos: rank_start
-            .saturating_duration_since(trace::epoch())
-            .as_nanos() as u64,
-        dur_nanos,
-        queue_nanos: rank_start.saturating_duration_since(phase_start).as_nanos() as u64,
-        barriers: ctx.stats.barriers,
-        lookup_batches: ctx.stats.lookup_batches,
-        cache_hits: ctx.stats.cache_hits,
-        cache_misses: ctx.stats.cache_misses,
-        transient_faults: ctx.stats.transient_faults,
-        retries: ctx.stats.retries,
-        steal_ops: ctx.stats.steal_ops,
-    });
-    (out, ctx.stats, span, failure)
+    ctx.stats.exec_nanos = rank_start.elapsed().as_nanos() as u64;
+    (out, ctx.stats, rank_start, failure)
 }
 
 impl Team {
@@ -310,7 +284,6 @@ impl Team {
         let phase_start = Instant::now();
         let recorder = self.recorder.as_ref();
         let sample = recorder.map_or(0, trace::Recorder::sample_ranks);
-        let span_label = |rank: usize| (rank < sample).then_some(label);
         let faults = self.faults.as_ref();
 
         // Blocked placement: worker `w` owns one contiguous rank block.
@@ -322,14 +295,22 @@ impl Team {
         };
 
         // One worker's share of the phase: run its ranks in order and
-        // record their spans in one batch.
+        // record the sampled ranks' spans in one batch.
         let run_block = |block: std::ops::Range<usize>| {
             let mut local: Bucket<R> = Vec::with_capacity(block.len());
             let mut spans = Vec::new();
             for rank in block {
-                let (out, stats, span, failure) =
-                    run_rank(&f, rank, self.topo, faults, phase_start, span_label(rank));
-                spans.extend(span);
+                let (out, stats, rank_start, failure) = run_rank(&f, rank, self.topo, faults);
+                if rank < sample {
+                    let since = |t: Instant| rank_start.saturating_duration_since(t).as_nanos();
+                    spans.push(trace::SpanEvent {
+                        phase: label.to_string(),
+                        rank,
+                        start_nanos: since(trace::epoch()) as u64,
+                        queue_nanos: since(phase_start) as u64,
+                        stats,
+                    });
+                }
                 local.push((rank, out, stats, failure));
             }
             if let Some(recorder) = recorder.filter(|_| !spans.is_empty()) {
@@ -341,21 +322,10 @@ impl Team {
         let collected: Vec<Bucket<R>> = if workers <= 1 {
             vec![run_block(0..ranks)]
         } else {
-            // Workers inherit the spawning thread's metric scope, so a phase
-            // run on behalf of one job of a multi-tenant server records its
-            // counters under that job's label (see `metrics::scoped`).
-            let metric_scope = crate::metrics::current_scope();
             crossbeam::thread::scope(|scope| {
+                let (run_block, block) = (&run_block, &block);
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let run_block = &run_block;
-                        let block = block(w);
-                        let metric_scope = metric_scope.clone();
-                        scope.spawn(move |_| {
-                            let _scope_guard = crate::metrics::inherit_scope(metric_scope);
-                            run_block(block)
-                        })
-                    })
+                    .map(|w| scope.spawn(move |_| run_block(block(w))))
                     .collect();
                 handles
                     .into_iter()
@@ -390,12 +360,6 @@ impl Team {
             stats.push(rank_stats);
         }
         debug_assert_eq!(results.len(), ranks);
-        // Host wall time of the whole phase (all ranks, all workers) —
-        // one histogram observation per completed phase.
-        crate::metrics::observe(
-            "pgas/team/phase_nanos",
-            phase_start.elapsed().as_nanos() as u64,
-        );
         StageOutcome::Completed(results, stats)
     }
 }
@@ -471,8 +435,8 @@ mod tests {
         ranks.sort_unstable();
         assert_eq!(ranks, vec![0, 1], "only sampled ranks recorded");
         for e in &mine {
-            assert_eq!(e.barriers, 2, "explicit + implicit barrier");
-            assert!(e.dur_nanos > 0);
+            assert_eq!(e.stats.barriers, 2, "explicit + implicit barrier");
+            assert!(e.stats.exec_nanos > 0);
         }
     }
 
@@ -533,44 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_scope_propagates_into_phase_workers() {
-        let _guard = crate::metrics::TEST_LOCK.lock().unwrap();
-        crate::metrics::reset();
-        crate::metrics::enable();
-        {
-            let _job = crate::metrics::scoped("job/42");
-            let team = Team::new(Topology::new(8, 4)).with_os_threads(4);
-            team.run_named("test/scope", |ctx| {
-                crate::metrics::counter_add("test/rank_units", ctx.rank as u64 + 1);
-            });
-        }
-        let snap = crate::metrics::snapshot();
-        crate::metrics::disable();
-        crate::metrics::reset();
-        let rank_units = snap
-            .iter()
-            .find_map(|m| match m {
-                crate::metrics::MetricSnapshot::Counter(name, v)
-                    if name == "job/42/test/rank_units" =>
-                {
-                    Some(*v)
-                }
-                _ => None,
-            })
-            .expect("counter recorded under the job scope");
-        assert_eq!(rank_units, (1..=8).sum::<u64>());
-        assert!(
-            !snap.iter().any(|m| m.name() == "test/rank_units"),
-            "nothing leaks outside the scope"
-        );
-        assert!(
-            snap.iter()
-                .any(|m| m.name() == "job/42/pgas/team/phase_nanos"),
-            "the team's own phase histogram is scoped too"
-        );
-    }
-
-    #[test]
     fn shared_state_is_visible_across_ranks() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let team = Team::new(Topology::new(64, 24)).with_os_threads(4);
@@ -626,14 +552,8 @@ mod tests {
             stats
         };
         // Scrub measured host time: everything else must match exactly.
-        let scrub = |stats: Vec<CommStats>| {
-            stats
-                .into_iter()
-                .map(|mut s| {
-                    s.exec_nanos = 0;
-                    s
-                })
-                .collect::<Vec<_>>()
+        let scrub = |stats: Vec<CommStats>| -> Vec<CommStats> {
+            stats.into_iter().map(CommStats::counted).collect()
         };
         let serial = scrub(run_with(1));
         let threaded = scrub(run_with(4));

@@ -3,13 +3,13 @@
 //! A [`crate::Team`] carrying a [`Recorder`] records one span per *sampled*
 //! virtual rank per phase: when the rank started executing (relative to the
 //! trace epoch), how long its body ran, how long it sat in the OS-thread
-//! multiplex queue before starting, and how many barriers it crossed. A
-//! team without one records nothing and pays nothing.
+//! multiplex queue before starting, and the rank's [`CommStats`]. A team
+//! without one records nothing and pays nothing.
 //!
 //! [`chrome_trace_json`] serializes the collected spans in the Chrome
 //! trace-event format (`chrome://tracing`, Perfetto): one process, one lane
 //! (`tid`) per rank, one `ph:"X"` complete event per phase execution, with
-//! queue delay and barrier count attached as event `args`.
+//! queue delay and every [`CommStats`] field attached as event `args`.
 //!
 //! The module also owns the process-global *hot-key tracking capacity*:
 //! when nonzero, every [`crate::DistHashMap`] created afterwards keeps a
@@ -17,12 +17,15 @@
 //! reports can name the heavy hitters responsible for service-op skew
 //! (the paper's Fig. 6 load-imbalance story).
 
+use crate::stats::CommStats;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// One recorded rank-execution span.
+/// One recorded rank-execution span: where and when a rank ran, plus the
+/// rank's own record of the phase. The span's duration is
+/// [`CommStats::exec_nanos`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanEvent {
     /// Phase label (e.g. `"contig/traverse"`).
@@ -31,31 +34,12 @@ pub struct SpanEvent {
     pub rank: usize,
     /// Nanoseconds from the trace epoch to the start of the rank body.
     pub start_nanos: u64,
-    /// Nanoseconds the rank body ran.
-    pub dur_nanos: u64,
     /// Nanoseconds the rank waited in the multiplex queue: time from phase
     /// launch until an OS worker picked this rank up.
     pub queue_nanos: u64,
-    /// Barriers the rank participated in during the span.
-    pub barriers: u64,
-    /// Batched multi-get messages the rank shipped during the span (see
-    /// [`crate::CommStats::lookup_batches`]).
-    pub lookup_batches: u64,
-    /// Software-cache hits the rank scored during the span (see
-    /// [`crate::CommStats::cache_hits`]).
-    pub cache_hits: u64,
-    /// Software-cache misses during the span (see
-    /// [`crate::CommStats::cache_misses`]).
-    pub cache_misses: u64,
-    /// Transient message faults injected against the rank during the span
-    /// (see [`crate::CommStats::transient_faults`]).
-    pub transient_faults: u64,
-    /// Message re-deliveries the rank performed after transient faults
-    /// (see [`crate::CommStats::retries`]).
-    pub retries: u64,
-    /// Dynamic-scheduling chunk acquisitions the rank performed during the
-    /// span (see [`crate::CommStats::steal_ops`]).
-    pub steal_ops: u64,
+    /// The rank's counters at the end of its phase body (before the
+    /// owner-side tallies [`crate::DistHashMap::drain_service_into`] adds).
+    pub stats: CommStats,
 }
 
 static HOTKEY_CAPACITY: AtomicUsize = AtomicUsize::new(0);
@@ -183,16 +167,12 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
             .set("pid", 1u64)
             .set("tid", e.rank)
             .set("ts", e.start_nanos as f64 / 1e3)
-            .set("dur", e.dur_nanos as f64 / 1e3);
+            .set("dur", e.stats.exec_nanos as f64 / 1e3);
         let mut args = Value::obj();
-        args.set("queue_us", e.queue_nanos as f64 / 1e3)
-            .set("barriers", e.barriers)
-            .set("lookup_batches", e.lookup_batches)
-            .set("cache_hits", e.cache_hits)
-            .set("cache_misses", e.cache_misses)
-            .set("transient_faults", e.transient_faults)
-            .set("retries", e.retries)
-            .set("steal_ops", e.steal_ops);
+        args.set("queue_us", e.queue_nanos as f64 / 1e3);
+        for (name, _, value) in e.stats.fields() {
+            args.set(name, value);
+        }
         span.set("args", args);
         out.push(span);
     }
@@ -210,15 +190,14 @@ mod tests {
             phase: phase.to_string(),
             rank,
             start_nanos: start,
-            dur_nanos: dur,
             queue_nanos: 250,
-            barriers: 1,
-            lookup_batches: 3,
-            cache_hits: 40,
-            cache_misses: 2,
-            transient_faults: 5,
-            retries: 4,
-            steal_ops: 7,
+            stats: CommStats {
+                barriers: 1,
+                cache_hits: 40,
+                steal_ops: 7,
+                exec_nanos: dur,
+                ..CommStats::default()
+            },
         }
     }
 
@@ -253,15 +232,12 @@ mod tests {
         let args = s.get("args").unwrap();
         assert_eq!(args.get("queue_us").and_then(Value::as_f64), Some(0.25));
         assert_eq!(args.get("barriers").and_then(Value::as_u64), Some(1));
-        assert_eq!(args.get("lookup_batches").and_then(Value::as_u64), Some(3));
         assert_eq!(args.get("cache_hits").and_then(Value::as_u64), Some(40));
-        assert_eq!(args.get("cache_misses").and_then(Value::as_u64), Some(2));
-        assert_eq!(
-            args.get("transient_faults").and_then(Value::as_u64),
-            Some(5)
-        );
-        assert_eq!(args.get("retries").and_then(Value::as_u64), Some(4));
         assert_eq!(args.get("steal_ops").and_then(Value::as_u64), Some(7));
+        // The args are the queue delay plus the field table, nothing else.
+        let names: Vec<&str> = crate::stats::FIELDS.iter().map(|f| f.0).collect();
+        assert_eq!(args.keys()[0], "queue_us");
+        assert_eq!(args.keys()[1..], names[..]);
     }
 
     #[test]

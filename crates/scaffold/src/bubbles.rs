@@ -12,6 +12,7 @@
 use crate::depths::ContigEndInfo;
 use hipmer_contig::ContigSet;
 use hipmer_dna::{revcomp, Kmer, BASES};
+use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Schedule, Team};
 
 /// Merge bubbles and compress contig chains.
@@ -20,8 +21,8 @@ use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Schedule, Team};
 /// absorbed bubble arms dropped) and the phase report. The final chain
 /// compression is serial (the graph is tiny — the paper's speculative
 /// traversal spends ~99% of its time in parallel walks precisely because
-/// there is so little of it); its wall time is recorded as the report's
-/// serial seconds.
+/// there is so little of it); its work — edges placed plus bases stitched
+/// — is recorded as the report's serial ops.
 ///
 /// `schedule` controls how the parallel grouping/attachment passes deal
 /// contigs to ranks; per-contig work here is near-uniform, so the dynamic
@@ -130,9 +131,7 @@ pub fn merge_bubbles(
             absorbed
         })
     });
-    for (a, b) in stats.iter_mut().zip(&stats_b) {
-        a.merge(b);
-    }
+    merge_ranks(&mut stats, &stats_b);
     let mut absorbed = vec![false; n];
     for c in absorbed_lists.into_iter().flatten() {
         absorbed[c as usize] = true;
@@ -162,9 +161,7 @@ pub fn merge_bubbles(
         agg.finish(ctx);
     });
     attachments.drain_service_into(&mut stats);
-    for (a, b) in stats.iter_mut().zip(&stats_c) {
-        a.merge(b);
-    }
+    merge_ranks(&mut stats, &stats_c);
 
     // Phase D (parallel): unambiguous joins — exactly two distinct contig
     // ends at one attachment k-mer.
@@ -182,15 +179,12 @@ pub fn merge_bubbles(
             },
         )
     });
-    for (a, b) in stats.iter_mut().zip(&stats_d) {
-        a.merge(b);
-    }
+    merge_ranks(&mut stats, &stats_d);
     let mut edges: Vec<((u32, u8), (u32, u8))> = edge_lists.into_iter().flatten().collect();
     edges.sort_unstable();
     edges.dedup();
 
     // Phase E (serial; tiny graph): walk the chains and stitch sequences.
-    let serial_start = std::time::Instant::now();
     // adjacency[contig][side] -> (other contig, other side)
     let mut adj: Vec<[Option<(u32, u8)>; 2]> = vec![[None, None]; n];
     for ((c1, s1), (c2, s2)) in &edges {
@@ -275,11 +269,13 @@ pub fn merge_bubbles(
         }
         out_seqs.push(hipmer_dna::canonical_seq(seq));
     }
-    let serial_seconds = serial_start.elapsed().as_secs_f64();
+    // The serial section's work: one op per edge placed, per base stitched.
+    let stitched: usize = out_seqs.iter().map(Vec::len).sum();
+    let serial_ops = (edges.len() + stitched) as u64;
 
     let new_set = ContigSet::from_sequences(codec, out_seqs);
     let report =
-        PhaseReport::new("scaffold/bubbles", *team.topo(), stats).with_serial(serial_seconds);
+        PhaseReport::new("scaffold/bubbles", *team.topo(), stats).with_serial_ops(serial_ops);
     (new_set, report)
 }
 

@@ -22,6 +22,7 @@ use crate::scaffolds::{Scaffold, ScaffoldSet};
 use hipmer_align::Alignment;
 use hipmer_contig::ContigSet;
 use hipmer_dna::{revcomp, Kmer, KmerCodec, KmerHashMap};
+use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Schedule, Team};
 use hipmer_seqio::SeqRecord;
 use std::collections::HashMap;
@@ -537,9 +538,7 @@ pub fn close_gaps(
             closures[si][j] = Some(c);
         }
     }
-    for (a, b) in stats.iter_mut().zip(&stats2) {
-        a.merge(b);
-    }
+    merge_ranks(&mut stats, &stats2);
 
     // Phase 3 (parallel over scaffolds): stitch final sequences.
     let (seq_lists, stats3) = team.run_named("scaffold/gap-closing/stitch", |ctx| {
@@ -574,9 +573,7 @@ pub fn close_gaps(
         }
         out
     });
-    for (a, b) in stats.iter_mut().zip(&stats3) {
-        a.merge(b);
-    }
+    merge_ranks(&mut stats, &stats3);
     let mut sequences: Vec<Vec<u8>> = vec![Vec::new(); scaffolds.len()];
     for (si, seq) in seq_lists.into_iter().flatten() {
         sequences[si] = seq;

@@ -7,6 +7,7 @@
 //! assesses its local buckets.
 
 use crate::splints::{Span, Splint};
+use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
 
 /// One end of a contig.
@@ -158,9 +159,7 @@ pub fn generate_links(
             out
         })
     });
-    for (a, b) in stats.iter_mut().zip(&stats_b) {
-        a.merge(b);
-    }
+    merge_ranks(&mut stats, &stats_b);
     let mut links: Vec<Link> = link_lists.into_iter().flatten().collect();
     links.sort_by_key(|l| l.key);
     (

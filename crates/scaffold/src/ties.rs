@@ -6,8 +6,8 @@
 //! locking contigs into scaffolds. The traversal is inherently serial, but
 //! the tie graph is orders of magnitude smaller than the k-mer graph, so
 //! its runtime is insignificant — the paper found exactly that, and the
-//! serial seconds are recorded on the phase report to keep the claim
-//! checkable.
+//! serial section's operation count is recorded on the phase report (and
+//! priced like compute) to keep the claim checkable.
 
 use crate::links::{ContigEnd, Link};
 use crate::scaffolds::{Scaffold, ScaffoldMember};
@@ -39,10 +39,13 @@ pub fn order_and_orient(
         best.into_iter().collect::<Vec<_>>()
     });
 
-    // Serial part: merge the per-rank bests, then traverse ties.
-    let serial_start = std::time::Instant::now();
+    // Serial part: merge the per-rank bests, then traverse ties. Its work
+    // is counted as it goes: one op per candidate merged, per end assessed
+    // and per contig placed.
+    let mut serial_ops = 0u64;
     let mut best: HashMap<(u32, ContigEnd), Link> = HashMap::new();
     for (end, l) in best_lists.into_iter().flatten() {
+        serial_ops += 1;
         match best.get(&end) {
             Some(cur) if better(cur, &l) => {}
             _ => {
@@ -70,6 +73,7 @@ pub fn order_and_orient(
 
     // Seed contigs in decreasing length; lock chains.
     let n = contigs.contigs.len();
+    serial_ops += (best.len() + n) as u64;
     let mut used = vec![false; n];
     let mut scaffolds = Vec::new();
     for seed in 0..n {
@@ -125,11 +129,10 @@ pub fn order_and_orient(
         }
         scaffolds.push(Scaffold { members });
     }
-    let serial_seconds = serial_start.elapsed().as_secs_f64();
 
     (
         scaffolds,
-        PhaseReport::new("scaffold/ties", *team.topo(), stats).with_serial(serial_seconds),
+        PhaseReport::new("scaffold/ties", *team.topo(), stats).with_serial_ops(serial_ops),
     )
 }
 

@@ -116,14 +116,19 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
 
     /// Items whose lower-bound count is at least `min_count`. Guaranteed to
     /// contain every item with true frequency ≥ `min_count + error_bound()`.
-    pub fn heavy_hitters(&self, min_count: u64) -> Vec<(K, u64)> {
+    /// Sorted by descending count, ties by ascending item, so a truncated
+    /// prefix does not depend on `HashMap` iteration order.
+    pub fn heavy_hitters(&self, min_count: u64) -> Vec<(K, u64)>
+    where
+        K: Ord,
+    {
         let mut out: Vec<(K, u64)> = self
             .counters
             .iter()
             .filter(|(_, &c)| c >= min_count)
             .map(|(k, &c)| (k.clone(), c))
             .collect();
-        out.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 
@@ -264,6 +269,19 @@ mod tests {
         for w in hh.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
+    }
+
+    #[test]
+    fn heavy_hitter_ties_break_by_item() {
+        // 40 items of equal count: whatever order the map iterates in, the
+        // report — and so any truncated prefix of it — is in item order.
+        let mut mg = MisraGries::new(64);
+        for x in (0..40u64).rev() {
+            mg.observe_weighted(x.wrapping_mul(0x9e37_79b9_7f4a_7c15), 5);
+        }
+        let hh = mg.heavy_hitters(1);
+        assert_eq!(hh.len(), 40);
+        assert!(hh.windows(2).all(|w| w[0].0 < w[1].0), "{hh:?}");
     }
 
     #[test]

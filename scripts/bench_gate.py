@@ -11,8 +11,8 @@ run on the same host -- and the gate fails when the fresh ratio drops under
 0.75 of the baseline's for any key both files have.
 
 With no arguments: the trajectory table -- every checked-in
-crates/bench/BENCH_<kind>.json with its fast_mode / host_parallelism stamps
-and its gated ratios.
+crates/bench/BENCH_<kind>.json with its fast_mode / host_parallelism / commit
+stamps ("-" where the file predates the stamp) and its gated ratios.
 """
 import json
 import pathlib
@@ -80,12 +80,13 @@ def gate(kind, baseline, fresh):
 
 def trajectory():
     bench = pathlib.Path(__file__).resolve().parent.parent / "crates" / "bench"
-    print(f"{'file':<24} {'fast_mode':<10} {'host_par':<9} gated ratios")
+    print(f"{'file':<24} {'fast_mode':<10} {'host_par':<9} {'commit':<10} gated ratios")
     for kind, (extract, _, _) in KINDS.items():
         path = bench / f"BENCH_{kind}.json"
         doc = load(path)
         ratios = ", ".join(f"{key} {value:.3f}" for key, value in extract(doc).items())
-        print(f"{path.name:<24} {str(doc.get('fast_mode', '-')):<10} {str(doc.get('host_parallelism', '-')):<9} {ratios}")
+        fast, par, commit = (str(doc.get(k, "-")) for k in ("fast_mode", "host_parallelism", "commit"))
+        print(f"{path.name:<24} {fast:<10} {par:<9} {commit[:9]:<10} {ratios}")
 
 
 if __name__ == "__main__":
