@@ -12,12 +12,11 @@
 use crate::index::{build_seed_index, HitList, SeedIndex};
 use crate::sw::ungapped_matches;
 use hipmer_contig::ContigSet;
-use hipmer_dna::Kmer;
+use hipmer_dna::{Kmer, KmerHashMap};
 use hipmer_pgas::{
     LookupBatch, PartitionScheme, PhaseReport, RankCtx, Schedule, SoftwareCache, Team,
 };
 use hipmer_seqio::SeqRecord;
-use std::collections::HashMap;
 
 /// merAligner configuration.
 #[derive(Clone, Debug)]
@@ -249,7 +248,8 @@ fn align_one(
     mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
 ) -> Vec<Alignment> {
     let codec = &index.codec;
-    let mut candidates: HashMap<Candidate, u32> = HashMap::new();
+    // Sorted in full below, so the map's order never reaches the output.
+    let mut candidates: KmerHashMap<Candidate, u32> = KmerHashMap::default();
 
     for seed in seeds {
         let Some(list) = &seed.list else {

@@ -14,7 +14,7 @@
 
 use crate::contig_set::ContigSet;
 use crate::graph::{DebruijnGraph, GraphNode};
-use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec};
+use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec, KmerHashMap};
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{
@@ -549,7 +549,7 @@ fn traverse_cooperative(
 /// Stitch subcontigs into contigs by following their boundary links.
 fn merge_chains(subs: &[Subcontig], k: usize, min_contig_len: usize) -> Vec<Vec<u8>> {
     // Endpoint key -> subcontigs ending there.
-    let mut by_end: std::collections::HashMap<Kmer, Vec<usize>> = std::collections::HashMap::new();
+    let mut by_end: KmerHashMap<Kmer, Vec<usize>> = KmerHashMap::default();
     for (i, s) in subs.iter().enumerate() {
         by_end.entry(s.ends[LEFT]).or_default().push(i);
         if s.ends[RIGHT] != s.ends[LEFT] {

@@ -89,6 +89,41 @@ impl ExtensionPair {
     }
 }
 
+/// One k-mer occurrence's vote in one byte: which base, if any, passed the
+/// quality filter on each side, already oriented to the k-mer's canonical
+/// form. Each side is a base code `0..=3` or "no vote", so there are 5 × 5
+/// states — what the count pass ships per occurrence instead of a whole
+/// [`ExtVotes`] tally holding a single vote.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ExtCode(u8);
+
+impl ExtCode {
+    /// Packed wire bytes of one code.
+    pub const WIRE_BYTES: u64 = 1;
+
+    /// A side's "no vote" digit.
+    const NO_VOTE: u8 = 4;
+
+    /// Encode optional high-quality left/right base codes (`< 4`).
+    #[inline]
+    pub fn new(left: Option<u8>, right: Option<u8>) -> Self {
+        debug_assert!(left.unwrap_or(0) < 4 && right.unwrap_or(0) < 4);
+        ExtCode(left.unwrap_or(Self::NO_VOTE) * 5 + right.unwrap_or(Self::NO_VOTE))
+    }
+
+    /// The left base code that voted, if any.
+    #[inline]
+    pub fn left(self) -> Option<u8> {
+        Some(self.0 / 5).filter(|&c| c != Self::NO_VOTE)
+    }
+
+    /// The right base code that voted, if any.
+    #[inline]
+    pub fn right(self) -> Option<u8> {
+        Some(self.0 % 5).filter(|&c| c != Self::NO_VOTE)
+    }
+}
+
 /// Per-side extension vote counters for one k-mer.
 ///
 /// `left[c]` / `right[c]` count high-quality occurrences of base code `c`
@@ -129,6 +164,13 @@ impl ExtVotes {
             debug_assert!(c < 4);
             self.right[c as usize] = self.right[c as usize].saturating_add(1);
         }
+    }
+
+    /// Record one occurrence from its one-byte code; equal to
+    /// `record(code.left(), code.right())`.
+    #[inline]
+    pub fn record_code(&mut self, code: ExtCode) {
+        self.record(code.left(), code.right());
     }
 
     /// Merge another tally into this one (used by the heavy-hitter global
@@ -196,6 +238,34 @@ mod tests {
         assert_eq!(v.count, 3);
         assert_eq!(v.left[0], 2);
         assert_eq!(v.right[3], 2);
+    }
+
+    #[test]
+    fn ext_code_round_trips_all_25_states_and_records_like_the_pair() {
+        let sides = [None, Some(0u8), Some(1), Some(2), Some(3)];
+        let mut seen: Vec<ExtCode> = Vec::new();
+        let (mut by_code, mut by_pair) = (ExtVotes::new(), ExtVotes::new());
+        for left in sides {
+            for right in sides {
+                let code = ExtCode::new(left, right);
+                assert_eq!((code.left(), code.right()), (left, right));
+                assert!(!seen.contains(&code), "{code:?} encodes two states");
+                seen.push(code);
+                // Accumulate, so a vote landing on the wrong counter shows
+                // in the running tally as well as in a fresh one.
+                by_code.record_code(code);
+                by_pair.record(left, right);
+                assert_eq!(by_code, by_pair);
+                let mut one = ExtVotes::new();
+                one.record_code(code);
+                assert_eq!(one.count, 1);
+                assert_eq!(one.left.iter().sum::<u32>(), u32::from(left.is_some()));
+                assert_eq!(one.right.iter().sum::<u32>(), u32::from(right.is_some()));
+            }
+        }
+        assert_eq!((seen.len(), by_code.count), (25, 25));
+        assert_eq!((by_code.left, by_code.right), ([5; 4], [5; 4]));
+        assert_eq!(std::mem::size_of::<ExtCode>() as u64, ExtCode::WIRE_BYTES);
     }
 
     #[test]

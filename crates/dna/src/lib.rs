@@ -19,7 +19,7 @@ pub mod kmer;
 pub mod seq;
 
 pub use base::{complement_ascii, complement_code, decode_base, encode_base, is_acgt, BASES};
-pub use ext::{ExtChoice, ExtVotes, ExtensionPair};
+pub use ext::{ExtChoice, ExtCode, ExtVotes, ExtensionPair};
 pub use hash::{mix128, mix64, KmerBuildHasher, KmerHashMap, KmerHashSet};
 pub use kmer::{CanonicalKmerIter, Kmer, KmerCodec, KmerIter, KmerLenError, MAX_K};
 pub use seq::{

@@ -4,7 +4,7 @@
 use crate::config::KmerAnalysisConfig;
 use crate::pass1::{sketch_reads, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
-use hipmer_dna::{ExtVotes, Kmer, KmerCodec, KmerHashMap};
+use hipmer_dna::{ExtCode, ExtVotes, Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::{DistHashMap, Outbox, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
@@ -13,26 +13,21 @@ use parking_lot::Mutex;
 /// The left/right extension bases of one k-mer occurrence, re-oriented to
 /// the k-mer's canonical form. `left`/`right` are 2-bit codes of the
 /// neighboring bases that passed the quality filter.
-fn canonical_votes(
-    km: Kmer,
-    canon: Kmer,
-    left: Option<u8>,
-    right: Option<u8>,
-) -> (Option<u8>, Option<u8>) {
+fn canonical_votes(km: Kmer, canon: Kmer, left: Option<u8>, right: Option<u8>) -> ExtCode {
     if km == canon {
-        (left, right)
+        ExtCode::new(left, right)
     } else {
         // Occurrence is the reverse complement of the canonical form: sides
         // swap and bases complement.
-        (right.map(|c| 3 - c), left.map(|c| 3 - c))
+        ExtCode::new(right.map(|c| 3 - c), left.map(|c| 3 - c))
     }
 }
 
-/// Visit every k-mer occurrence of a read with its quality-filtered
-/// neighbor bases (already re-oriented to canonical form).
+/// Visit every k-mer occurrence of a read with the vote of its
+/// quality-filtered neighbor bases (already re-oriented to canonical form).
 fn for_each_occurrence<F>(codec: &KmerCodec, cfg: &KmerAnalysisConfig, read: &SeqRecord, mut f: F)
 where
-    F: FnMut(Kmer, Option<u8>, Option<u8>),
+    F: FnMut(Kmer, ExtCode),
 {
     let k = codec.k();
     for (off, km, canon) in codec.canonical_kmers(&read.seq) {
@@ -54,8 +49,7 @@ where
         } else {
             None
         };
-        let (l, r) = canonical_votes(km, canon, left, right);
-        f(canon, l, r);
+        f(canon, canonical_votes(km, canon, left, right));
     }
 }
 
@@ -83,30 +77,27 @@ fn bloom_pass(
         let mut outbox: Outbox<Kmer> =
             Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(codec.wire_bytes());
         // Owner-side service: insert into the owner's Bloom filter and
-        // upsert the keys it has now seen twice.
+        // give the keys it has now seen twice an (empty) entry, keeping the
+        // existing one if the key already landed.
         let mut apply = |_: &mut RankCtx, dest: usize, kmers: &mut Vec<Kmer>| {
-            let mut bloom = blooms[dest].lock();
-            let mut repeated: Vec<(Kmer, ExtVotes)> = Vec::new();
-            for &km in kmers.iter() {
-                if bloom.insert(hipmer_dna::mix128(km.bits())) {
-                    repeated.push((km, ExtVotes::new()));
-                }
+            {
+                let mut bloom = blooms[dest].lock();
+                kmers.retain(|km| bloom.insert(hipmer_dna::mix128(km.bits())));
             }
-            drop(bloom);
-            if !repeated.is_empty() {
-                // Keep the existing entry if the key already landed.
-                table.merge_batch(dest, repeated, |_existing, _new| {});
+            if !kmers.is_empty() {
+                let repeated = kmers.drain(..).map(|km| (km, ()));
+                table.apply_batch(dest, repeated, |_, ()| {}, Some(|()| ExtVotes::new()));
             }
         };
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for_each_occurrence(&codec, cfg, read, |canon, _, _| {
+            for (_, _, canon) in codec.canonical_kmers(&read.seq) {
                 ctx.stats.compute(1);
                 if !sketch.heavy_hitters.contains(&canon) {
                     let dest = table.owner(&canon);
                     outbox.push(ctx, dest, canon, &mut apply);
                 }
-            });
+            }
         }
         outbox.finish(ctx, &mut apply);
     });
@@ -115,8 +106,10 @@ fn bloom_pass(
 }
 
 /// Pass 3: exact counting with extension votes. Heavy hitters accumulate
-/// locally and reduce at the end; everything else ships via aggregating
-/// stores and merges into *existing* entries only (Bloom semantics).
+/// locally and reduce at the end; every other occurrence ships as its k-mer
+/// plus one byte of votes via aggregating stores, and the owner records it
+/// into the k-mer's tally in place — into *existing* entries only under
+/// Bloom semantics.
 fn count_pass(
     team: &Team,
     reads: &[SeqRecord],
@@ -125,53 +118,52 @@ fn count_pass(
     table: &DistHashMap<Kmer, ExtVotes>,
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
-    let merge = |a: &mut ExtVotes, b: ExtVotes| a.merge(&b);
-
-    // Wire bytes of one (k-mer, votes) record: packed k-mer bits plus the
-    // nine vote counters. The in-memory tuple is padded to the `u128`
-    // alignment, which must not be billed as network traffic.
-    let entry_wire_bytes = codec.wire_bytes() + ExtVotes::WIRE_BYTES;
+    // Wire bytes: the packed 2k bits of the k-mer, not the in-memory
+    // 16-byte `u128`, plus what rides with it.
+    let occurrence_wire_bytes = codec.wire_bytes() + ExtCode::WIRE_BYTES;
+    let partial_wire_bytes = codec.wire_bytes() + ExtVotes::WIRE_BYTES;
 
     let (_, mut stats) = team.run_named("kmer-analysis/count", |ctx| {
-        let mut outbox: Outbox<(Kmer, ExtVotes)> =
-            Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(entry_wire_bytes);
-        // Vote merges commute, so batches from different ranks may land
-        // in any order.
-        let mut apply = |_: &mut RankCtx, dest: usize, entries: &mut Vec<(Kmer, ExtVotes)>| {
-            if cfg.use_bloom {
-                table.merge_batch_existing(dest, entries.drain(..), merge);
-            } else {
-                table.merge_batch(dest, entries.drain(..), merge);
-            }
+        let mut outbox: Outbox<(Kmer, ExtCode)> =
+            Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(occurrence_wire_bytes);
+        // Without the Bloom pass a k-mer's first vote creates its entry;
+        // with it, a vote for a k-mer the filter kept out is dropped.
+        let first_sighting = (!cfg.use_bloom).then_some(|code| {
+            let mut tally = ExtVotes::new();
+            tally.record_code(code);
+            tally
+        });
+        // Votes commute, so batches from different ranks may land in any
+        // order.
+        let mut apply = |_: &mut RankCtx, dest: usize, votes: &mut Vec<(Kmer, ExtCode)>| {
+            table.apply_batch(dest, votes.drain(..), ExtVotes::record_code, first_sighting);
         };
         let mut hh_local: KmerHashMap<Kmer, ExtVotes> = KmerHashMap::default();
 
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for_each_occurrence(&codec, cfg, read, |canon, l, r| {
+            for_each_occurrence(&codec, cfg, read, |canon, code| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
-                    hh_local.entry(canon).or_default().record(l, r);
+                    hh_local.entry(canon).or_default().record_code(code);
                 } else {
-                    let mut votes = ExtVotes::new();
-                    votes.record(l, r);
                     let dest = table.owner(&canon);
-                    outbox.push(ctx, dest, (canon, votes), &mut apply);
+                    outbox.push(ctx, dest, (canon, code), &mut apply);
                 }
             });
         }
         outbox.finish(ctx, &mut apply);
 
         // Global reduction of heavy-hitter partials: one grouped message
-        // per owner holding this rank's partial counts (O(p) messages per
+        // per owner holding this rank's partial tallies (O(p) messages per
         // heavy k-mer across the team instead of O(count)).
         if !hh_local.is_empty() {
             let mut hh_outbox: Outbox<(Kmer, ExtVotes)> =
-                Outbox::new(*ctx.topo(), usize::MAX >> 1).with_item_bytes(entry_wire_bytes);
+                Outbox::new(*ctx.topo(), usize::MAX >> 1).with_item_bytes(partial_wire_bytes);
             let mut hh_apply =
                 |_: &mut RankCtx, dest: usize, entries: &mut Vec<(Kmer, ExtVotes)>| {
-                    table.merge_batch(dest, entries.drain(..), merge);
+                    table.merge_batch(dest, entries.drain(..), |a, b| a.merge(&b));
                 };
             for (km, votes) in hh_local {
                 let dest = table.owner(&km);
@@ -289,31 +281,144 @@ mod tests {
             .collect()
     }
 
+    /// Per-k-mer tallies the slow way: look at each read from both strands
+    /// and count an occurrence on the strand where it reads as the
+    /// canonical k-mer, so its neighbours need no re-orientation.
+    fn brute_force_votes(
+        reads: &[SeqRecord],
+        k: usize,
+        min_qual: u8,
+    ) -> KmerHashMap<Kmer, ExtVotes> {
+        let codec = KmerCodec::new(k);
+        let mut truth: KmerHashMap<Kmer, ExtVotes> = KmerHashMap::default();
+        for read in reads {
+            let mut other = read.clone();
+            other.seq = hipmer_dna::revcomp(&read.seq);
+            other.qual.as_mut().unwrap().reverse();
+            for strand in [read, &other] {
+                let vote = |i: Option<usize>| {
+                    let i = i.filter(|&i| i < strand.len() && strand.phred(i).unwrap() >= min_qual);
+                    i.and_then(|i| hipmer_dna::encode_base(strand.seq[i]))
+                };
+                for off in 0..=strand.len() - k {
+                    let km = codec.pack(&strand.seq[off..off + k]).unwrap();
+                    if km == codec.canonical(km) {
+                        let tally = truth.entry(km).or_default();
+                        tally.record(vote(off.checked_sub(1)), vote(Some(off + k)));
+                    }
+                }
+            }
+        }
+        truth
+    }
+
     #[test]
     fn exact_counts_match_brute_force() {
         let genome = lcg_genome(2000, 7);
-        let reads = perfect_reads(&genome, 80, 4);
-        let team = Team::new(Topology::new(4, 2));
-        let mut cfg = KmerAnalysisConfig::new(21);
-        cfg.min_count = 2;
-
-        let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
-
-        // Brute force.
-        let codec = KmerCodec::new(21);
-        let mut truth: KmerHashMap<Kmer, u32> = KmerHashMap::default();
-        for r in &reads {
-            for (_, km) in codec.kmers(&r.seq) {
-                *truth.entry(codec.canonical(km)).or_insert(0) += 1;
+        let mut reads = perfect_reads(&genome, 80, 4);
+        // Every third read comes from the other strand, and every fifth has
+        // three bases below `min_qual`: its first, its last (neighbours of
+        // the k-mers next to the read-end ones) and one in the middle.
+        for (i, r) in reads.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                r.seq = hipmer_dna::revcomp(&r.seq);
+            }
+            if i % 5 == 0 {
+                for pos in [0, 40, 79] {
+                    r.qual.as_mut().unwrap()[pos] = 33 + 5;
+                }
             }
         }
-        truth.retain(|_, c| *c >= 2);
+        let k = 21;
+        let codec = KmerCodec::new(k);
+        let team = Team::new(Topology::new(4, 2));
+        let topo = *team.topo();
+        let mut cfg = KmerAnalysisConfig::new(k);
+        let truth = brute_force_votes(&reads, k, cfg.min_qual);
+        assert!(truth.values().any(|t| t.count == 1) && truth.values().any(|t| t.count > 4));
 
-        assert_eq!(spectrum.distinct(), truth.len());
-        let mut ctx = RankCtx::new(0, *team.topo());
-        for (km, &count) in truth.iter() {
-            let entry = spectrum.table.get(&mut ctx, km).unwrap();
-            assert_eq!(entry.count, count, "kmer {}", codec.to_string(*km));
+        for (partition, use_bloom, use_hh) in [
+            (hipmer_pgas::PartitionScheme::Uniform, true, false),
+            (hipmer_pgas::PartitionScheme::Uniform, false, true),
+            (hipmer_pgas::PartitionScheme::Minimizer, true, true),
+            (hipmer_pgas::PartitionScheme::Minimizer, false, false),
+        ] {
+            cfg.partition = partition;
+            cfg.use_bloom = use_bloom;
+            cfg.use_heavy_hitters = use_hh;
+            let what = format!("{partition:?} bloom={use_bloom} hh={use_hh}");
+
+            // The vote table after the count pass: full tallies, not only
+            // the counts and decided extensions the spectrum keeps.
+            let (sketch, _) = sketch_reads(&team, &reads, &cfg);
+            assert_eq!(sketch.heavy_hitters.is_empty(), !use_hh);
+            let table: DistHashMap<Kmer, ExtVotes> = cfg.partition.table(topo, codec);
+            if use_bloom {
+                bloom_pass(&team, &reads, &cfg, &sketch, &table);
+            }
+            let report = count_pass(&team, &reads, &cfg, &sketch, &table);
+            let got: KmerHashMap<Kmer, ExtVotes> = table.snapshot_entries().into_iter().collect();
+            for (km, votes) in &got {
+                assert_eq!(votes, &truth[km], "{what}: {}", codec.to_string(*km));
+            }
+            // Without Bloom every k-mer has an entry; with it, every
+            // repeated one (and whichever singletons the filter let in).
+            for (km, t) in &truth {
+                assert!(got.contains_key(km) || (use_bloom && t.count < 2), "{what}");
+            }
+
+            // An occurrence is billed its packed k-mer plus one byte; only a
+            // heavy hitter's per-rank partial carries a whole tally.
+            let mut occurrences = 0u64;
+            let mut remote_bytes = 0u64;
+            for rank in 0..topo.ranks() {
+                let mut partials: hipmer_dna::KmerHashSet<Kmer> = Default::default();
+                for read in &reads[topo.chunk(reads.len(), rank)] {
+                    for (_, _, canon) in codec.canonical_kmers(&read.seq) {
+                        let item_bytes = if !sketch.heavy_hitters.contains(&canon) {
+                            occurrences += 1;
+                            codec.wire_bytes() + 1
+                        } else if partials.insert(canon) {
+                            codec.wire_bytes() + ExtVotes::WIRE_BYTES
+                        } else {
+                            continue;
+                        };
+                        if table.owner(&canon) != rank {
+                            remote_bytes += item_bytes;
+                        }
+                    }
+                }
+            }
+            let totals = report.totals();
+            assert_eq!(
+                totals.onnode_bytes + totals.offnode_bytes,
+                remote_bytes,
+                "{what}"
+            );
+            if !use_hh {
+                assert_eq!(totals.service_ops, occurrences, "{what}");
+            }
+
+            // And end to end: counts and decided extensions of the spectrum.
+            let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
+            let mut want: Vec<(Kmer, KmerEntry)> = truth
+                .iter()
+                .filter(|(_, t)| t.count >= cfg.min_count)
+                .map(|(km, t)| {
+                    let exts = t.decide(cfg.min_votes);
+                    (
+                        *km,
+                        KmerEntry {
+                            count: t.count,
+                            exts,
+                        },
+                    )
+                })
+                .collect();
+            want.sort_by_key(|(km, _)| *km);
+            let mut have = spectrum.table.into_entries();
+            have.sort_by_key(|(km, _)| *km);
+            assert_eq!(have, want, "{what}");
         }
     }
 

@@ -33,25 +33,51 @@ use crate::trace;
 use hipmer_dna::KmerBuildHasher;
 use hipmer_sketch::MisraGries;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// What one partition lock guards: the owner's entries and, when hot-key
+/// tracking is on, the summary of the service operations that landed here.
+struct Partition<K, V> {
+    map: HashMap<K, V, KmerBuildHasher>,
+    /// Misra–Gries summary over the key hashes of this partition's service
+    /// operations, for naming the heavy hitters behind `service_ops` skew.
+    /// `None` (free) unless [`trace::hotkey_capacity`] was nonzero when the
+    /// table was built. A key has one owner, so the partitions' summaries
+    /// cover disjoint keys.
+    hot_keys: Option<MisraGries<u64>>,
+}
+
+impl<K, V> Partition<K, V> {
+    /// Observe one service operation on the key hashing to `key_hash()`.
+    /// The hash is only computed when tracking is on.
+    #[inline]
+    fn track_hot_key(&mut self, key_hash: impl FnOnce() -> u64) {
+        if let Some(mg) = &mut self.hot_keys {
+            mg.observe(key_hash());
+        }
+    }
+}
+
 /// One owner rank's partition.
 struct Shard<K, V> {
-    map: Mutex<HashMap<K, V, KmerBuildHasher>>,
+    part: Mutex<Partition<K, V>>,
     /// Mutation sequence number: bumped once per write batch / write op
     /// that touches this partition. Never reset.
     seq: AtomicU64,
-    /// Times an accessor found `map`'s lock held and waited for it, since
+    /// Times an accessor found `part`'s lock held and waited for it, since
     /// the last [`DistHashMap::drain_service_into`].
     lock_waits: AtomicU64,
 }
 
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
+impl<K, V> Shard<K, V> {
+    fn new(hotkey_capacity: usize) -> Self {
         Shard {
-            map: Mutex::new(HashMap::default()),
+            part: Mutex::new(Partition {
+                map: HashMap::default(),
+                hot_keys: (hotkey_capacity > 0).then(|| MisraGries::new(hotkey_capacity)),
+            }),
             seq: AtomicU64::new(0),
             lock_waits: AtomicU64::new(0),
         }
@@ -81,10 +107,6 @@ pub struct DistHashMap<K, V> {
     entry_bytes: u64,
     /// Process-unique identity (see [`DistHashMap::table_id`]).
     table_id: u64,
-    /// Misra–Gries summary over the key hashes of service operations, for
-    /// naming the heavy hitters behind `service_ops` skew. `None` (free)
-    /// unless [`trace::hotkey_capacity`] was nonzero at construction.
-    hot_keys: Option<Mutex<MisraGries<u64>>>,
 }
 
 impl<K, V> DistHashMap<K, V>
@@ -110,19 +132,15 @@ where
 
     fn build(topo: Topology, owner_fn: Option<OwnerFn<K>>) -> Self {
         let ranks = topo.ranks();
-        let hot_keys = match trace::hotkey_capacity() {
-            0 => None,
-            cap => Some(Mutex::new(MisraGries::new(cap))),
-        };
+        let hotkey_capacity = trace::hotkey_capacity();
         DistHashMap {
             topo,
             owner_fn,
-            shards: (0..ranks).map(|_| Shard::default()).collect(),
+            shards: (0..ranks).map(|_| Shard::new(hotkey_capacity)).collect(),
             service: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             hasher: KmerBuildHasher::default(),
             entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
             table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
-            hot_keys,
         }
     }
 
@@ -136,26 +154,21 @@ where
         self.table_id
     }
 
-    /// Observe one service operation on `key` in the hot-key summary.
-    #[inline]
-    fn track_hot_key(&self, key: &K) {
-        if let Some(mg) = &self.hot_keys {
-            mg.lock().observe(self.key_hash(key));
-        }
-    }
-
     /// The `top_k` heaviest key hashes seen by service operations, as
-    /// `(key_hash, estimated_count)` sorted by descending count. Empty when
-    /// tracking is off. Counts are Misra–Gries lower bounds.
+    /// `(key_hash, estimated_count)` sorted by descending count, ties by
+    /// hash. Empty when tracking is off. Counts are Misra–Gries lower
+    /// bounds, each from its owner's summary: the partitions track disjoint
+    /// keys, so their reports are concatenated, not re-pruned.
     pub fn hot_keys(&self, top_k: usize) -> Vec<(u64, u64)> {
-        match &self.hot_keys {
-            None => Vec::new(),
-            Some(mg) => {
-                let mut all = mg.lock().heavy_hitters(1);
-                all.truncate(top_k);
-                all
+        let mut all: Vec<(u64, u64)> = Vec::new();
+        for shard in &self.shards {
+            if let Some(mg) = &shard.part.lock().hot_keys {
+                all.extend(mg.items().map(|(&hash, count)| (hash, count)));
             }
         }
+        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        all.truncate(top_k);
+        all
     }
 
     /// The topology this table is partitioned over.
@@ -215,14 +228,11 @@ where
     /// blocking — the simulator's stand-in for the remote atomics HipMer's
     /// UPC tables contend on.
     #[inline]
-    fn lock_shard(
-        &self,
-        owner: usize,
-    ) -> parking_lot::MutexGuard<'_, HashMap<K, V, KmerBuildHasher>> {
+    fn lock_shard(&self, owner: usize) -> parking_lot::MutexGuard<'_, Partition<K, V>> {
         let shard = &self.shards[owner];
-        shard.map.try_lock().unwrap_or_else(|| {
+        shard.part.try_lock().unwrap_or_else(|| {
             shard.lock_waits.fetch_add(1, Ordering::Relaxed);
-            shard.map.lock()
+            shard.part.lock()
         })
     }
 
@@ -255,14 +265,14 @@ where
     {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        self.lock_shard(owner).get(key).cloned()
+        self.lock_shard(owner).map.get(key).cloned()
     }
 
     /// One-sided existence check.
     pub fn contains(&self, ctx: &mut RankCtx, key: &K) -> bool {
         let owner = self.owner(key);
         self.account(ctx, owner);
-        self.lock_shard(owner).contains_key(key)
+        self.lock_shard(owner).map.contains_key(key)
     }
 
     /// One-sided write; returns the previous value if any. Counts a service
@@ -271,9 +281,10 @@ where
         let owner = self.owner(&key);
         self.account(ctx, owner);
         self.service[owner].fetch_add(1, Ordering::Relaxed);
-        self.track_hot_key(&key);
         self.bump_seq(owner);
-        self.lock_shard(owner).insert(key, value)
+        let mut part = self.lock_shard(owner);
+        part.track_hot_key(|| self.key_hash(&key));
+        part.map.insert(key, value)
     }
 
     /// One-sided upsert: create the entry with `default` if absent, then
@@ -287,10 +298,10 @@ where
         let owner = self.owner(&key);
         self.account(ctx, owner);
         self.service[owner].fetch_add(1, Ordering::Relaxed);
-        self.track_hot_key(&key);
         self.bump_seq(owner);
-        let mut shard = self.lock_shard(owner);
-        f(shard.entry(key).or_insert_with(default));
+        let mut part = self.lock_shard(owner);
+        part.track_hot_key(|| self.key_hash(&key));
+        f(part.map.entry(key).or_insert_with(default));
     }
 
     /// One-sided read-modify-write with full access to the slot (present or
@@ -302,8 +313,7 @@ where
         let owner = self.owner(key);
         self.account(ctx, owner);
         self.bump_seq(owner);
-        let mut shard = self.lock_shard(owner);
-        f(shard.get_mut(key))
+        f(self.lock_shard(owner).map.get_mut(key))
     }
 
     /// One-sided removal.
@@ -311,7 +321,7 @@ where
         let owner = self.owner(key);
         self.account(ctx, owner);
         self.bump_seq(owner);
-        self.lock_shard(owner).remove(key)
+        self.lock_shard(owner).map.remove(key)
     }
 
     /// Answer a batch of lookups that arrived as **one** multi-get message
@@ -330,11 +340,11 @@ where
     where
         V: Clone,
     {
-        let shard = self.lock_shard(dest);
+        let part = self.lock_shard(dest);
         keys.iter()
             .map(|k| {
                 debug_assert_eq!(self.owner(k), dest, "fetch_batch key not owned by dest");
-                shard.get(k).cloned()
+                part.map.get(k).cloned()
             })
             .collect()
     }
@@ -375,47 +385,62 @@ where
         out
     }
 
-    /// Batch application shared by [`merge_batch`](Self::merge_batch) and
-    /// [`merge_batch_existing`](Self::merge_batch_existing): lock `dest`'s
-    /// partition once and apply the entries straight from the caller's
-    /// iterator, in its order, tallying service ops and hot keys as they
-    /// land. (The hot-key summary's lock, taken under the partition lock
-    /// when tracking is on, is a leaf: nothing is acquired while it is
-    /// held.)
-    fn apply_batch<M>(
+    /// Apply a batch of items that arrived at `dest` as **one** aggregated
+    /// message (see [`crate::Outbox`]) — the one batch-apply loop; the
+    /// caller has already accounted the message. `dest`'s partition is
+    /// locked once and the items are applied straight from the caller's
+    /// iterator, in its order: `occupied(slot, item)` where the key has an
+    /// entry; where it has none, `vacant(item)` becomes the entry, or the
+    /// item is **dropped** if `vacant` is `None`. The item type `U` is the
+    /// sender's, not the table's: one byte of votes recorded into a tally in
+    /// place, or `()` for insert-if-absent. Each item is one service op at
+    /// the owner (and one hot-key observation when tracking is on), the
+    /// sequence number is bumped once per batch, and every key must be
+    /// owned by `dest`.
+    pub fn apply_batch<U, O, C>(
         &self,
         dest: usize,
-        entries: impl IntoIterator<Item = (K, V)>,
-        merge: &M,
-        existing_only: bool,
+        items: impl IntoIterator<Item = (K, U)>,
+        occupied: O,
+        vacant: Option<C>,
     ) where
-        M: Fn(&mut V, V),
+        O: Fn(&mut V, U),
+        C: Fn(U) -> V,
     {
         self.bump_seq(dest);
         let mut applied = 0u64;
-        let mut shard = self.lock_shard(dest);
-        for (k, v) in entries {
+        let mut part = self.lock_shard(dest);
+        // Key hashes for the hot-key summary, observed after the loop: its
+        // bookkeeping between two table probes would serialize the probes'
+        // cache misses. Stays empty and unallocated while tracking is off.
+        let mut tracked: Vec<u64> = Vec::new();
+        for (k, item) in items {
             applied += 1;
-            self.track_hot_key(&k);
-            if existing_only {
-                if let Some(slot) = shard.get_mut(&k) {
-                    merge(slot, v);
-                }
-            } else {
-                match shard.entry(k) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => merge(e.get_mut(), v),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(v);
+            if part.hot_keys.is_some() {
+                tracked.push(self.key_hash(&k));
+            }
+            match &vacant {
+                None => {
+                    if let Some(slot) = part.map.get_mut(&k) {
+                        occupied(slot, item);
                     }
                 }
+                Some(create) => match part.map.entry(k) {
+                    Entry::Occupied(mut e) => occupied(e.get_mut(), item),
+                    Entry::Vacant(e) => {
+                        e.insert(create(item));
+                    }
+                },
             }
+        }
+        if let Some(summary) = &mut part.hot_keys {
+            tracked.into_iter().for_each(|hash| summary.observe(hash));
         }
         self.service[dest].fetch_add(applied, Ordering::Relaxed);
     }
 
-    /// Apply a batch of merged updates that arrived as **one** aggregated
-    /// message (see [`crate::AggregatingStores`]). The caller has already
-    /// accounted the message; this only tallies the owner's service work.
+    /// [`apply_batch`](Self::apply_batch) for items that are values: merge
+    /// into the entry, or become it (see [`crate::AggregatingStores`]).
     ///
     /// `entries` is any owned sequence: a `Vec`, or the `drain(..)` of a
     /// sender's per-destination buffer, which then keeps its capacity for
@@ -426,7 +451,7 @@ where
     where
         M: Fn(&mut V, V),
     {
-        self.apply_batch(dest, entries, &merge, false);
+        self.apply_batch(dest, entries, merge, Some(|v| v));
     }
 
     /// As [`merge_batch`](Self::merge_batch), but entries whose key is not
@@ -442,17 +467,17 @@ where
     ) where
         M: Fn(&mut V, V),
     {
-        self.apply_batch(dest, entries, &merge, true);
+        self.apply_batch(dest, entries, merge, None::<fn(V) -> V>);
     }
 
     /// Total entries across all shards (collective metadata; not counted).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().len()).sum()
+        self.shards.iter().map(|s| s.part.lock().map.len()).sum()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.map.lock().is_empty())
+        self.shards.iter().all(|s| s.part.lock().map.is_empty())
     }
 
     /// Iterate the acting rank's own partition, counting one local op per
@@ -462,9 +487,9 @@ where
     where
         F: FnMut(T, &K, &V) -> T,
     {
-        let shard = self.shards[ctx.rank].map.lock();
-        ctx.stats.local_ops += shard.len() as u64;
-        shard.iter().fold(init, |acc, (k, v)| f(acc, k, v))
+        let part = self.shards[ctx.rank].part.lock();
+        ctx.stats.local_ops += part.map.len() as u64;
+        part.map.iter().fold(init, |acc, (k, v)| f(acc, k, v))
     }
 
     /// Snapshot the acting rank's partition as (key, value) pairs, charging
@@ -476,17 +501,20 @@ where
         K: Clone,
         V: Clone,
     {
-        let shard = self.shards[ctx.rank].map.lock();
-        ctx.stats.compute(shard.len() as u64);
-        shard.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+        let part = self.shards[ctx.rank].part.lock();
+        ctx.stats.compute(part.map.len() as u64);
+        part.map
+            .iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
     }
 
     /// Drain the acting rank's partition into a vector (counts local ops).
     pub fn drain_local(&self, ctx: &mut RankCtx) -> Vec<(K, V)> {
         self.bump_seq(ctx.rank);
-        let mut shard = self.shards[ctx.rank].map.lock();
-        ctx.stats.local_ops += shard.len() as u64;
-        shard.drain().collect()
+        let mut part = self.shards[ctx.rank].part.lock();
+        ctx.stats.local_ops += part.map.len() as u64;
+        part.map.drain().collect()
     }
 
     /// Move each partition owner's tallies into the per-rank stats vector
@@ -498,7 +526,7 @@ where
         for ((s, shard), service) in stats.iter_mut().zip(&self.shards).zip(&self.service) {
             s.service_ops += service.swap(0, Ordering::Relaxed);
             s.lock_waits += shard.lock_waits.swap(0, Ordering::Relaxed);
-            s.table_entries += shard.map.lock().len() as u64;
+            s.table_entries += shard.part.lock().map.len() as u64;
         }
     }
 
@@ -512,8 +540,8 @@ where
     {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let shard = shard.map.lock();
-            out.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
+            let part = shard.part.lock();
+            out.extend(part.map.iter().map(|(k, v)| (k.clone(), v.clone())));
         }
         out
     }
@@ -527,7 +555,7 @@ where
         for (k, v) in entries {
             let owner = self.owner(&k);
             self.bump_seq(owner);
-            self.shards[owner].map.lock().insert(k, v);
+            self.shards[owner].part.lock().map.insert(k, v);
         }
     }
 
@@ -535,14 +563,17 @@ where
     pub fn into_entries(self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in self.shards {
-            out.extend(shard.map.into_inner());
+            out.extend(shard.part.into_inner().map);
         }
         out
     }
 
     /// Snapshot of the per-rank partition sizes (load-balance diagnostics).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.map.lock().len()).collect()
+        self.shards
+            .iter()
+            .map(|s| s.part.lock().map.len())
+            .collect()
     }
 }
 
@@ -817,6 +848,41 @@ mod tests {
     }
 
     #[test]
+    fn apply_batch_occupied_vacant_and_existing_only() {
+        // Items are not values: a `u8` code lands in a `Vec<u8>` log.
+        let topo = Topology::new(2, 2);
+        let dht: DistHashMap<u64, Vec<u8>> = DistHashMap::new(topo);
+        let owned: Vec<u64> = (0..64).filter(|k| dht.owner(k) == 1).collect();
+        let (a, b, c) = (owned[0], owned[1], owned[2]);
+        let push = |log: &mut Vec<u8>, code: u8| log.push(code);
+        let stamp = dht.version_stamp();
+
+        // With `vacant`: the first item of a key creates the entry from the
+        // item, later ones go through `occupied`, in batch order.
+        let batch = vec![(a, 1u8), (b, 2), (a, 3), (a, 4)];
+        dht.apply_batch(1, batch, push, Some(|code: u8| vec![100 + code]));
+        // Without: items for absent keys are dropped, present ones applied.
+        let batch = vec![(c, 5u8), (b, 6), (c, 7)];
+        dht.apply_batch(1, batch, push, None::<fn(u8) -> Vec<u8>>);
+        // Insert-if-absent, the Bloom pass's shape: unit items, an
+        // `occupied` that leaves the entry alone.
+        let batch = [a, c].map(|k| (k, ()));
+        dht.apply_batch(1, batch, |_, ()| {}, Some(|()| vec![0]));
+
+        let mut got = dht.snapshot_entries();
+        got.sort();
+        let mut want = vec![(a, vec![101, 3, 4]), (b, vec![102, 6]), (c, vec![0])];
+        want.sort();
+        assert_eq!(got, want);
+        // One service op per item shipped — dropped or not — at the owner,
+        // and one sequence tick per batch.
+        let mut stats = vec![crate::CommStats::new(); 2];
+        dht.drain_service_into(&mut stats);
+        assert_eq!((stats[0].service_ops, stats[1].service_ops), (0, 4 + 3 + 2));
+        assert_eq!(dht.version_stamp() - stamp, 3);
+    }
+
+    #[test]
     fn merge_batch_equals_sequential_updates_in_input_order() {
         // Appending is not commutative, so any reordering of same-key (or,
         // through the shared log, different-key) entries would show.
@@ -948,18 +1014,26 @@ mod tests {
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         trace::set_hotkey_capacity(0);
         let mut c = ctx(0, topo);
-        // One ultra-frequent key among a uniform background.
+        // One ultra-frequent key among a uniform background, and a second,
+        // half as hot, on another owner: each lands in its own partition's
+        // summary and the report ranks them together.
+        let second = (0..).find(|k| dht.owner(k) != dht.owner(&7777)).unwrap();
         for i in 0..500u64 {
             for t in [&off, &dht] {
                 t.update(&mut c, 7777, || 0, |v| *v += 1);
-                t.update(&mut c, i, || 0, |v| *v += 1);
+                t.update(&mut c, 1000 + i, || 0, |v| *v += 1);
+                if i % 2 == 0 {
+                    t.merge_batch(t.owner(&second), [(second, 1)], |a, b| *a += b);
+                }
             }
         }
         assert!(off.hot_keys(10).is_empty());
         let hot = dht.hot_keys(3);
-        assert!(!hot.is_empty());
+        assert_eq!(hot.len(), 3);
         assert_eq!(hot[0].0, dht.key_hash(&7777));
         assert!(hot[0].1 > 100, "count {} too low", hot[0].1);
+        assert_eq!(hot[1].0, dht.key_hash(&second));
+        assert!(hot[1].1 > 50 && hot[1].1 <= 250, "count {}", hot[1].1);
         for w in hot.windows(2) {
             assert!(w[0].1 >= w[1].1, "sorted descending");
         }
@@ -1004,7 +1078,7 @@ mod tests {
         // inserts. The insert's try_lock fails and counts the wait *before*
         // blocking, so we can watch the tally and then release.
         let shard = &dht.shards[3];
-        let held = shard.map.lock();
+        let held = shard.part.lock();
         std::thread::scope(|s| {
             s.spawn(|| {
                 let mut c2 = RankCtx::new(1, topo);

@@ -38,7 +38,7 @@
 use crate::agg::Outbox;
 use crate::dht::DistHashMap;
 use crate::team::RankCtx;
-use std::collections::HashMap;
+use hipmer_dna::KmerHashMap;
 use std::hash::Hash;
 
 /// A per-destination buffer set for batched one-sided reads from a
@@ -185,8 +185,8 @@ impl<K, V, T> LookupBatch<'_, K, V, T> {
 pub struct SoftwareCache<K, V> {
     /// `(key, value, referenced)` slots; the clock hand sweeps these.
     slots: Vec<(K, V, bool)>,
-    /// Key → slot index.
-    index: HashMap<K, usize>,
+    /// Key → slot index. Probed once or twice per seed, never iterated.
+    index: KmerHashMap<K, usize>,
     hand: usize,
     capacity: usize,
     /// [`DistHashMap::table_id`] of the table this cache was first read
@@ -206,7 +206,7 @@ where
         assert!(capacity >= 1, "SoftwareCache capacity must be >= 1");
         SoftwareCache {
             slots: Vec::with_capacity(capacity.min(1 << 20)),
-            index: HashMap::new(),
+            index: KmerHashMap::default(),
             hand: 0,
             capacity,
             bound: None,

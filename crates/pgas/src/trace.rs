@@ -12,8 +12,9 @@
 //! queue delay and every [`CommStats`] field attached as event `args`.
 //!
 //! The module also owns the process-global *hot-key tracking capacity*:
-//! when nonzero, every [`crate::DistHashMap`] created afterwards keeps a
-//! Misra–Gries summary of the key hashes its service operations touch, so
+//! when nonzero, every [`crate::DistHashMap`] created afterwards keeps one
+//! Misra–Gries summary per partition, of that capacity, over the key
+//! hashes its service operations touch, so
 //! reports can name the heavy hitters responsible for service-op skew
 //! (the paper's Fig. 6 load-imbalance story).
 
@@ -111,9 +112,9 @@ pub fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Set the Misra–Gries capacity for per-table hot-key tracking. Takes
-/// effect for `DistHashMap`s created afterwards; 0 (the default) disables
-/// tracking.
+/// Set the Misra–Gries capacity of each table partition's hot-key
+/// summary. Takes effect for `DistHashMap`s created afterwards; 0 (the
+/// default) disables tracking.
 pub fn set_hotkey_capacity(capacity: usize) {
     HOTKEY_CAPACITY.store(capacity, Ordering::Relaxed);
 }

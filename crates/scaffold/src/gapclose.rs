@@ -25,7 +25,6 @@ use hipmer_dna::{revcomp, Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Schedule, Team};
 use hipmer_seqio::SeqRecord;
-use std::collections::HashMap;
 
 /// Gap-closing configuration.
 #[derive(Clone, Debug)]
@@ -497,7 +496,7 @@ pub fn close_gaps(
             // Fetch the read sequences, coalesced by owner rank: each
             // owner is asked once per gap with one message carrying all
             // of its candidate reads (bytes in full, as always).
-            let mut per_owner: HashMap<usize, u64> = HashMap::new();
+            let mut per_owner: KmerHashMap<usize, u64> = KmerHashMap::default();
             let mut candidates: Vec<&SeqRecord> = Vec::with_capacity(read_ids.len());
             for &ri in &read_ids {
                 let ri = ri as usize;

@@ -12,8 +12,8 @@
 use crate::links::{ContigEnd, Link};
 use crate::scaffolds::{Scaffold, ScaffoldMember};
 use hipmer_contig::ContigSet;
+use hipmer_dna::KmerHashMap;
 use hipmer_pgas::{PhaseReport, Team};
-use std::collections::HashMap;
 
 /// Build scaffolds from links by greedy reciprocal-best tie locking.
 pub fn order_and_orient(
@@ -24,7 +24,7 @@ pub fn order_and_orient(
     // Parallel part: each rank consolidates 1/p of the links into per-end
     // best candidates (in UPC this walks the links table's local buckets).
     let (best_lists, stats) = team.run_named("scaffold/ties", |ctx| {
-        let mut best: HashMap<(u32, ContigEnd), Link> = HashMap::new();
+        let mut best: KmerHashMap<(u32, ContigEnd), Link> = KmerHashMap::default();
         for l in &links[ctx.chunk(links.len())] {
             ctx.stats.compute(1);
             for end in [l.key.0, l.key.1] {
@@ -43,7 +43,7 @@ pub fn order_and_orient(
     // is counted as it goes: one op per candidate merged, per end assessed
     // and per contig placed.
     let mut serial_ops = 0u64;
-    let mut best: HashMap<(u32, ContigEnd), Link> = HashMap::new();
+    let mut best: KmerHashMap<(u32, ContigEnd), Link> = KmerHashMap::default();
     for (end, l) in best_lists.into_iter().flatten() {
         serial_ops += 1;
         match best.get(&end) {
@@ -57,7 +57,7 @@ pub fn order_and_orient(
     // A tie is usable iff it is the best link of BOTH of its ends
     // (reciprocal best — repeats produce conflicting links that lose this
     // filter).
-    let mut tie: HashMap<(u32, ContigEnd), ((u32, ContigEnd), i64)> = HashMap::new();
+    let mut tie: KmerHashMap<(u32, ContigEnd), ((u32, ContigEnd), i64)> = KmerHashMap::default();
     for l in best.values() {
         let (a, b) = l.key;
         if a.0 == b.0 {

@@ -15,14 +15,19 @@
 //! the concatenated stream, which is how the parallel version (Cafaro &
 //! Tempesta \[7\]) works.
 
-use std::collections::HashMap;
+use hipmer_dna::KmerHashMap;
 use std::hash::Hash;
 
 /// A Misra–Gries summary with at most `capacity` counters.
+///
+/// The counters hash with the repo's deterministic [`KmerHashMap`] hasher, as
+/// every table around the summary does: the sketch pass observes one item
+/// per k-mer occurrence, so the hash is its whole cost, and a fixed hash
+/// makes the map's iteration order repeat from run to run.
 #[derive(Clone, Debug)]
 pub struct MisraGries<K: Eq + Hash + Clone> {
     capacity: usize,
-    counters: HashMap<K, u64>,
+    counters: KmerHashMap<K, u64>,
     /// Total stream length observed (for the error bound).
     n: u64,
 }
@@ -36,7 +41,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
         assert!(capacity > 0, "capacity must be positive");
         MisraGries {
             capacity,
-            counters: HashMap::with_capacity(capacity + 1),
+            counters: KmerHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
             n: 0,
         }
     }
@@ -52,55 +57,37 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     }
 
     /// Observe one item (weight 1).
+    #[inline]
     pub fn observe(&mut self, item: K) {
         self.observe_weighted(item, 1);
     }
 
     /// Observe an item with weight `w` (used when merging pre-counted
-    /// chunks).
+    /// chunks). A zero weight observes nothing.
     pub fn observe_weighted(&mut self, item: K, w: u64) {
         self.n += w;
-        if let Some(c) = self.counters.get_mut(&item) {
-            *c += w;
-            return;
-        }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(item, w);
-            return;
-        }
-        // Summary full: decrement everything by the smallest amount that
-        // frees a slot (the classic algorithm decrements by 1 per arriving
-        // item; the weighted generalization decrements by
-        // min(w, min counter) and recurses on the remainder).
-        let dec = w.min(*self.counters.values().min().expect("non-empty"));
-        self.counters.retain(|_, c| {
-            *c -= dec;
-            *c > 0
-        });
-        let rem = w - dec;
-        if rem > 0 {
-            self.observe_weighted_after_decrement(item, rem);
-        }
-    }
-
-    /// Tail call of the weighted decrement loop, avoiding double-counting n.
-    fn observe_weighted_after_decrement(&mut self, item: K, w: u64) {
-        if let Some(c) = self.counters.get_mut(&item) {
-            *c += w;
-            return;
-        }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(item, w);
-            return;
-        }
-        let dec = w.min(*self.counters.values().min().expect("non-empty"));
-        self.counters.retain(|_, c| {
-            *c -= dec;
-            *c > 0
-        });
-        let rem = w - dec;
-        if rem > 0 {
-            self.observe_weighted_after_decrement(item, rem);
+        let mut rem = w;
+        while rem > 0 {
+            // Below capacity a tracked and an untracked item are one probe.
+            if self.counters.len() < self.capacity {
+                *self.counters.entry(item).or_insert(0) += rem;
+                return;
+            }
+            if let Some(c) = self.counters.get_mut(&item) {
+                *c += rem;
+                return;
+            }
+            // Summary full: decrement everything by the smallest amount that
+            // frees a slot (the classic algorithm decrements by 1 per arriving
+            // item; the weighted generalization decrements by
+            // min(w, min counter) and goes round again with the remainder,
+            // which then finds the freed slot).
+            let dec = rem.min(*self.counters.values().min().expect("non-empty"));
+            self.counters.retain(|_, c| {
+                *c -= dec;
+                *c > 0
+            });
+            rem -= dec;
         }
     }
 
@@ -155,6 +142,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// Zipf-ish stream: item i appears ~N/(i+1) times.
     fn skewed_stream(n_items: u64, scale: u64) -> Vec<u64> {
@@ -296,11 +284,9 @@ mod tests {
             }
         }
         assert_eq!(a.stream_len(), b.stream_len());
-        // Not bit-identical in general (decrement order differs), but both
-        // must satisfy the MG bound; check top item agrees.
-        let ta = a.heavy_hitters(1);
-        let tb = b.heavy_hitters(1);
-        assert!(!ta.is_empty() && !tb.is_empty());
+        // A weight-w decrement takes w unit steps at once: same counters.
+        assert_eq!(a.heavy_hitters(0), b.heavy_hitters(0));
+        assert!(!a.heavy_hitters(1).is_empty());
     }
 
     #[test]

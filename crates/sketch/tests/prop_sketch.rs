@@ -3,7 +3,7 @@
 use hipmer_dna::mix64;
 use hipmer_sketch::{BloomFilter, CountHistogram, HyperLogLog, MisraGries};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 proptest! {
     #[test]
@@ -51,6 +51,67 @@ proptest! {
                 prop_assert!(mg.items().any(|(x, _)| x == k), "missed heavy {k}");
             }
         }
+    }
+
+    #[test]
+    fn misra_gries_equals_the_textbook_model(
+        stream in prop::collection::vec(0u64..40, 1..3000),
+        theta in 1usize..48,
+    ) {
+        // The textbook algorithm, over an ordered map: a tracked item counts
+        // up, an untracked one takes a free slot, and with no slot free
+        // every counter steps down and the zeros leave.
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut truth: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut mg = MisraGries::new(theta);
+        let mut twin = MisraGries::new(theta);
+        for &x in &stream {
+            mg.observe(x);
+            twin.observe(x);
+            *truth.entry(x).or_insert(0) += 1;
+            if let Some(c) = model.get_mut(&x) {
+                *c += 1;
+            } else if model.len() < theta {
+                model.insert(x, 1);
+            } else {
+                model.retain(|_, c| {
+                    *c -= 1;
+                    *c > 0
+                });
+            }
+        }
+        let counters: BTreeMap<u64, u64> = mg.items().map(|(k, c)| (*k, c)).collect();
+        prop_assert_eq!(&counters, &model);
+        prop_assert_eq!(mg.stream_len(), stream.len() as u64);
+        let bound = mg.error_bound();
+        for (k, &reported) in &counters {
+            prop_assert!(reported <= truth[k] && reported + bound >= truth[k]);
+        }
+        // Same stream, same report, element for element.
+        prop_assert_eq!(mg.heavy_hitters(1), twin.heavy_hitters(1));
+        let by_count_then_key: Vec<(u64, u64)> = {
+            let mut v: Vec<(u64, u64)> = model.into_iter().collect();
+            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            v
+        };
+        prop_assert_eq!(mg.heavy_hitters(1), by_count_then_key);
+    }
+
+    #[test]
+    fn misra_gries_weighted_observe_is_repeated_observe(
+        stream in prop::collection::vec((0u64..20, 0u64..6), 1..400),
+        theta in 1usize..16,
+    ) {
+        let mut weighted = MisraGries::new(theta);
+        let mut repeated = MisraGries::new(theta);
+        for &(x, w) in &stream {
+            weighted.observe_weighted(x, w);
+            for _ in 0..w {
+                repeated.observe(x);
+            }
+        }
+        prop_assert_eq!(weighted.stream_len(), repeated.stream_len());
+        prop_assert_eq!(weighted.heavy_hitters(0), repeated.heavy_hitters(0));
     }
 
     #[test]
