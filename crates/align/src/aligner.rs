@@ -13,6 +13,7 @@ use crate::index::{build_seed_index, HitList, SeedIndex};
 use crate::sw::ungapped_matches;
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerHashMap};
+use hipmer_pgas::agg::DEFAULT_BATCH;
 use hipmer_pgas::{
     LookupBatch, PartitionScheme, PhaseReport, RankCtx, Schedule, SoftwareCache, Team,
 };
@@ -23,16 +24,6 @@ use hipmer_seqio::SeqRecord;
 pub struct AlignConfig {
     /// Seed k-mer length.
     pub seed_len: usize,
-    /// Look up every `seed_stride`-th seed position of the read (1 = all).
-    pub seed_stride: usize,
-    /// Maximum hits per seed before it is treated as repeat and skipped.
-    pub max_seed_hits: usize,
-    /// Minimum identity (matches / aligned length) to keep an alignment.
-    pub min_identity: f64,
-    /// Minimum aligned length to keep an alignment.
-    pub min_aligned: usize,
-    /// Keep at most this many alignments per read (best first).
-    pub max_alignments_per_read: usize,
     /// Seed lookups buffered per destination rank before they ship as one
     /// [`LookupBatch`] message. `<= 1` disables batching and issues one
     /// fine-grained get per seed — the unoptimized baseline, kept as an
@@ -59,18 +50,28 @@ impl AlignConfig {
     pub fn new(seed_len: usize) -> Self {
         AlignConfig {
             seed_len,
-            seed_stride: 4,
-            max_seed_hits: 8,
-            min_identity: 0.92,
-            min_aligned: 30,
-            max_alignments_per_read: 4,
-            lookup_batch: 256,
+            lookup_batch: DEFAULT_BATCH,
             cache_entries: 4096,
             schedule: Schedule::Static,
             partition: PartitionScheme::Uniform,
         }
     }
 }
+
+/// Look up every fourth seed position of the read: with 15-base seeds a
+/// 100-base read still probes ~22 positions, several per error-free
+/// stretch at the simulated 1 % error rate.
+const SEED_STRIDE: usize = 4;
+/// Minimum identity (matches / aligned length) to keep an alignment.
+const MIN_IDENTITY: f64 = 0.92;
+/// Minimum aligned length to keep an alignment (two seed lengths).
+const MIN_ALIGNED: usize = 30;
+/// Keep at most this many alignments per read (best first); twice as many
+/// candidates are extended to find them.
+const MAX_ALIGNMENTS_PER_READ: usize = 4;
+/// Band half-width of the gapped fallback: the indels a short read carries
+/// are a few bases.
+const BAND: usize = 8;
 
 /// One read-to-contig alignment.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -171,7 +172,7 @@ fn resolve_seeds(
             codec
                 .canonical_kmers(&reads[ri].seq)
                 .enumerate()
-                .filter(|(i, _)| i % cfg.seed_stride == 0)
+                .filter(|(i, _)| i % SEED_STRIDE == 0)
                 .map(|(_, (pos, km, canon))| ResolvedSeed {
                     rpos: pos,
                     read_rc: canon != km,
@@ -191,40 +192,34 @@ fn resolve_seeds(
     #[cfg(debug_assertions)]
     let stamp_before = index.table.version_stamp();
 
-    if cfg.lookup_batch > 1 {
-        let mut lb: LookupBatch<'_, Kmer, HitList, (usize, usize)> =
-            LookupBatch::with_batch(&index.table, cfg.lookup_batch);
-        for slot in 0..resolved.len() {
-            for s in 0..resolved[slot].len() {
-                let canon = resolved[slot][s].canon;
-                if let Some(c) = cache.as_mut() {
-                    if let Some(list) = c.get(ctx, &canon) {
-                        resolved[slot][s].list = list;
-                        continue;
-                    }
+    // A miss either joins the streaming batch or, with batching ablated
+    // (`lookup_batch <= 1`), is one fine-grained get.
+    let mut lb: Option<LookupBatch<'_, Kmer, HitList, (usize, usize)>> =
+        (cfg.lookup_batch > 1).then(|| LookupBatch::with_batch(&index.table, cfg.lookup_batch));
+    for slot in 0..resolved.len() {
+        for s in 0..resolved[slot].len() {
+            let canon = resolved[slot][s].canon;
+            if let Some(c) = cache.as_mut() {
+                if let Some(list) = c.get(ctx, &canon) {
+                    resolved[slot][s].list = list;
+                    continue;
                 }
-                lb.push(ctx, canon, (slot, s), &mut |_: &mut RankCtx, tag, v| {
+            }
+            match lb.as_mut() {
+                Some(lb) => lb.push(ctx, canon, (slot, s), &mut |_: &mut RankCtx, tag, v| {
                     deliver_seed(&mut resolved, &mut cache, tag, v)
-                });
+                }),
+                None => {
+                    let v = index.table.get(ctx, &canon);
+                    deliver_seed(&mut resolved, &mut cache, (slot, s), v);
+                }
             }
         }
+    }
+    if let Some(lb) = lb {
         lb.finish(ctx, &mut |_: &mut RankCtx, tag, v| {
             deliver_seed(&mut resolved, &mut cache, tag, v)
         });
-    } else {
-        for slot in 0..resolved.len() {
-            for s in 0..resolved[slot].len() {
-                let canon = resolved[slot][s].canon;
-                if let Some(c) = cache.as_mut() {
-                    if let Some(list) = c.get(ctx, &canon) {
-                        resolved[slot][s].list = list;
-                        continue;
-                    }
-                }
-                let v = index.table.get(ctx, &canon);
-                deliver_seed(&mut resolved, &mut cache, (slot, s), v);
-            }
-        }
     }
     #[cfg(debug_assertions)]
     assert_eq!(
@@ -236,14 +231,12 @@ fn resolve_seeds(
 }
 
 /// Stage 2: align one read against the contigs from its resolved seeds.
-#[allow(clippy::too_many_arguments)]
 fn align_one(
     ctx: &mut RankCtx,
     index: &SeedIndex,
     contigs: &ContigSet,
     read: &SeqRecord,
     read_idx: u32,
-    cfg: &AlignConfig,
     seeds: &[ResolvedSeed],
     mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
 ) -> Vec<Alignment> {
@@ -256,7 +249,7 @@ fn align_one(
             continue;
         };
         ctx.stats.compute(1);
-        if index.is_repeat(list) {
+        if list.is_repeat() {
             continue;
         }
         for hit in &list.hits {
@@ -291,7 +284,7 @@ fn align_one(
     });
 
     let mut out: Vec<Alignment> = Vec::new();
-    for (cand, _support) in ordered.into_iter().take(2 * cfg.max_alignments_per_read) {
+    for (cand, _support) in ordered.into_iter().take(2 * MAX_ALIGNMENTS_PER_READ) {
         let contig = &contigs.contigs[cand.contig as usize];
         let owner = cand.contig as usize % ctx.topo().ranks();
         match contig_cache.as_deref_mut() {
@@ -329,7 +322,7 @@ fn align_one(
             continue;
         }
         let span = (oriented.len() - r0).min(contig.seq.len() - c0);
-        if span < cfg.min_aligned {
+        if span < MIN_ALIGNED {
             continue;
         }
         // Fast path: ungapped comparison (substitution-only reads).
@@ -342,25 +335,22 @@ fn align_one(
         let (mut ro_start, mut ro_end) = (r0, r0 + aligned);
         let (mut co_start, mut co_end) = (c0, c0 + aligned);
         let mut matches = matches;
-        if identity < cfg.min_identity {
+        if identity < MIN_IDENTITY {
             // Gapped fallback: a small indel breaks the diagonal; banded
             // Smith-Waterman recovers it (merAligner's extension kernel).
             // Widen the contig window by the band so shifted tails fit.
-            let band = 8usize;
-            let cw_start = c0.saturating_sub(band);
-            let cw_end = (c0 + span + band).min(contig.seq.len());
+            let cw_start = c0.saturating_sub(BAND);
+            let cw_end = (c0 + span + BAND).min(contig.seq.len());
             let sw = crate::sw::banded_sw(
                 &oriented[r0..r0 + span],
                 &contig.seq[cw_start..cw_end],
                 &crate::sw::SwParams {
-                    band,
+                    band: BAND,
                     ..crate::sw::SwParams::default()
                 },
             );
-            ctx.stats.compute((span * band) as u64);
-            if sw.aligned < cfg.min_aligned
-                || (sw.matches as f64) < cfg.min_identity * sw.aligned as f64
-            {
+            ctx.stats.compute((span * BAND) as u64);
+            if sw.aligned < MIN_ALIGNED || (sw.matches as f64) < MIN_IDENTITY * sw.aligned as f64 {
                 continue;
             }
             ro_start = r0 + sw.a_start;
@@ -368,7 +358,7 @@ fn align_one(
             co_start = cw_start + sw.b_start;
             co_end = cw_start + sw.b_end;
             matches = sw.matches;
-        } else if aligned < cfg.min_aligned {
+        } else if aligned < MIN_ALIGNED {
             continue;
         }
         // Convert back to forward-read coordinates.
@@ -388,7 +378,7 @@ fn align_one(
             matches: matches as u32,
             read_len: read.seq.len() as u32,
         });
-        if out.len() >= cfg.max_alignments_per_read {
+        if out.len() >= MAX_ALIGNMENTS_PER_READ {
             break;
         }
     }
@@ -426,13 +416,7 @@ pub fn align_reads(
     reads: &[SeqRecord],
     cfg: &AlignConfig,
 ) -> (Vec<Alignment>, Vec<PhaseReport>) {
-    let (index, index_report) = build_seed_index(
-        team,
-        contigs,
-        cfg.seed_len,
-        cfg.max_seed_hits,
-        cfg.partition,
-    );
+    let (index, index_report) = build_seed_index(team, contigs, cfg.seed_len, cfg.partition);
 
     // Per-read cost proxy for the dynamic scheduler: seeding and extension
     // work both scale with read length. Under `Schedule::Static` the
@@ -457,7 +441,6 @@ pub fn align_reads(
                     contigs,
                     &reads[ri],
                     ri as u32,
-                    cfg,
                     &resolved[slot],
                     contig_cache.as_mut(),
                 ));

@@ -18,10 +18,15 @@ pub struct SeedHit {
     pub rc: bool,
 }
 
+/// Hits kept per seed: beyond this count further hits are dropped and the
+/// seed is treated as a repeat and skipped (repeat masking, as merAligner
+/// does; 8 tolerates the two haplotypes and a few paralogs).
+pub const MAX_SEED_HITS: usize = 8;
+
 /// Per-seed hit list, capped to suppress repeat seeds.
 #[derive(Clone, Debug, Default)]
 pub struct HitList {
-    /// The hits (at most `max_hits` retained).
+    /// The hits (at most [`MAX_SEED_HITS`] retained).
     pub hits: Vec<SeedHit>,
     /// Total occurrences seen, including dropped ones.
     pub total: u32,
@@ -33,16 +38,13 @@ pub struct SeedIndex {
     pub table: DistHashMap<Kmer, HitList>,
     /// Seed codec (seed length).
     pub codec: KmerCodec,
-    /// Hits beyond this count are dropped and the seed is flagged
-    /// oversubscribed (repeat masking, as merAligner does).
-    pub max_hits: usize,
 }
 
-impl SeedIndex {
-    /// Whether a seed should be ignored as a repeat (more occurrences than
-    /// the cap).
-    pub fn is_repeat(&self, list: &HitList) -> bool {
-        list.total as usize > self.max_hits
+impl HitList {
+    /// Whether the seed should be ignored as a repeat (more occurrences
+    /// than [`MAX_SEED_HITS`]).
+    pub fn is_repeat(&self) -> bool {
+        self.total as usize > MAX_SEED_HITS
     }
 }
 
@@ -56,16 +58,15 @@ pub fn build_seed_index(
     team: &Team,
     contigs: &ContigSet,
     seed_len: usize,
-    max_hits: usize,
     partition: PartitionScheme,
 ) -> (SeedIndex, PhaseReport) {
     let codec = KmerCodec::new(seed_len);
     let table: DistHashMap<Kmer, HitList> = partition.table(*team.topo(), codec);
 
-    let merge = move |a: &mut HitList, b: HitList| {
+    let merge = |a: &mut HitList, b: HitList| {
         a.total += b.total;
         for h in b.hits {
-            if a.hits.len() < max_hits {
+            if a.hits.len() < MAX_SEED_HITS {
                 a.hits.push(h);
             }
         }
@@ -110,14 +111,7 @@ pub fn build_seed_index(
     table.drain_service_into(&mut stats);
     let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats)
         .with_placement(partition.label(seed_len));
-    (
-        SeedIndex {
-            table,
-            codec,
-            max_hits,
-        },
-        report,
-    )
+    (SeedIndex { table, codec }, report)
 }
 
 #[cfg(test)]
@@ -147,7 +141,7 @@ mod tests {
         let c0 = lcg(200, 1);
         let set = contigs_from(&[&c0]);
         let team = Team::new(Topology::new(4, 2));
-        let (index, _) = build_seed_index(&team, &set, 15, 16, PartitionScheme::Uniform);
+        let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
         let mut ctx = RankCtx::new(0, Topology::new(4, 2));
         let codec = KmerCodec::new(15);
         for (pos, km) in codec.kmers(&set.contigs[0].seq) {
@@ -164,7 +158,7 @@ mod tests {
     fn rc_flag_reflects_orientation() {
         let set = contigs_from(&[b"TTTTTTTTTTTTTTTTTTTTTGGGGG"]);
         let team = Team::new(Topology::new(1, 1));
-        let (index, _) = build_seed_index(&team, &set, 15, 16, PartitionScheme::Uniform);
+        let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
         let mut ctx = RankCtx::new(0, Topology::new(1, 1));
         let codec = KmerCodec::new(15);
         // TTT... seed: canonical is AAA..., so rc must be true.
@@ -189,14 +183,14 @@ mod tests {
             .collect();
         let set = ContigSet::from_sequences(KmerCodec::new(21), seqs);
         let team = Team::new(Topology::new(2, 2));
-        let (index, _) = build_seed_index(&team, &set, 15, 4, PartitionScheme::Uniform);
+        let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
         let mut ctx = RankCtx::new(0, Topology::new(2, 2));
         let codec = KmerCodec::new(15);
         let km = codec.canonical(codec.pack(&block[..15]).unwrap());
         let list = index.table.get(&mut ctx, &km).unwrap();
         assert_eq!(list.total, 20);
-        assert!(list.hits.len() <= 4);
-        assert!(index.is_repeat(&list));
+        assert!(list.hits.len() <= MAX_SEED_HITS);
+        assert!(list.is_repeat());
     }
 
     #[test]
@@ -205,7 +199,7 @@ mod tests {
         let set = ContigSet::from_sequences(KmerCodec::new(21), seqs);
         let sizes = |ranks: usize| -> usize {
             let team = Team::new(Topology::new(ranks, 4));
-            let (index, _) = build_seed_index(&team, &set, 15, 8, PartitionScheme::Uniform);
+            let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
             index.table.len()
         };
         let a = sizes(1);

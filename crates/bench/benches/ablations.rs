@@ -131,7 +131,7 @@ fn main() {
     );
     let base_reads = human.all_reads();
     let (spectrum, _) = analyze_kmers(&team, &base_reads, &KmerAnalysisConfig::new(k));
-    let ccfg = ContigConfig::new(k);
+    let ccfg = ContigConfig::default();
     let (contigs, _) = generate_contigs(&team, &spectrum, &ccfg);
     println!(
         "{:>12} {:>12} {:>12} {:>12} {:>10}",
@@ -344,8 +344,10 @@ fn main() {
         "traversal modes: identical contigs, different cost profiles",
     );
     for mode in [TraversalMode::Cooperative, TraversalMode::EndpointWalk] {
-        let mut cfg = ContigConfig::new(k);
-        cfg.mode = mode;
+        let cfg = ContigConfig {
+            mode,
+            ..ContigConfig::default()
+        };
         let (set, reports) = generate_contigs(&team, &spectrum, &cfg);
         let secs: f64 = reports.iter().map(|r| r.modeled(&m).total()).sum();
         let lookups: u64 = reports.iter().map(|r| r.totals().total_accesses()).sum();

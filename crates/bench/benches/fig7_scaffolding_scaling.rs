@@ -36,7 +36,7 @@ fn run(dataset: &Dataset, rounds: usize, label: &str) {
     for ranks in concurrencies() {
         let team = Team::new(Topology::edison(ranks));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(k));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let mut cfg = ScaffoldConfig::new(15);
         cfg.rounds = rounds;
         let out = scaffold_pipeline(&team, &spectrum, &contigs, &reads, &ranges, &cfg);

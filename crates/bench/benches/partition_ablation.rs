@@ -165,8 +165,10 @@ fn main() {
                 find(&kreports, "kmer-analysis/count"),
             );
 
-            let mut ccfg = ContigConfig::new(K);
-            ccfg.partition = scheme;
+            let ccfg = ContigConfig {
+                partition: scheme,
+                ..ContigConfig::default()
+            };
             let (contigs, creports) = generate_contigs(&team, &spectrum, &ccfg);
             traversal_frac[i] = record(
                 &mut rows,

@@ -123,7 +123,7 @@ fn traversal_rows(concurrencies: &[usize], rows: &mut Vec<Row>) {
 
         // Draft assembly (cyclic) feeds the oracle, exactly as the oracle
         // benches do; the oracle then co-locates whole contigs.
-        let cfg = ContigConfig::new(k);
+        let cfg = ContigConfig::default();
         let (draft_graph, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
         let (draft, _) = traverse_graph(&team, &draft_graph, &cfg);
         let oracle = Arc::new(build_oracle(&draft, &topo, (total / 2).next_power_of_two()));
@@ -136,9 +136,11 @@ fn traversal_rows(concurrencies: &[usize], rows: &mut Vec<Row>) {
             .into_iter()
             .enumerate()
         {
-            let mut ocfg = ContigConfig::new(k);
-            ocfg.oracle = Some(oracle.clone());
-            ocfg.schedule = schedule;
+            let ocfg = ContigConfig {
+                oracle: Some(oracle.clone()),
+                schedule,
+                ..ContigConfig::default()
+            };
             let (graph, _) = build_graph(
                 &team,
                 &spectrum,

@@ -73,7 +73,7 @@ fn main() {
 
         // Draft assembly of individual A at this concurrency.
         let (spectrum_a, _) = analyze_kmers(&team, &reads_a_lib, &KmerAnalysisConfig::new(k));
-        let cfg = ContigConfig::new(k);
+        let cfg = ContigConfig::default();
         let (graph_a, _) = build_graph(&team, &spectrum_a, None, PartitionScheme::Uniform);
         let (contigs_a, _) = traverse_graph(&team, &graph_a, &cfg);
 

@@ -58,7 +58,7 @@ fn main() {
     for &ranks in &concurrencies {
         let team = Team::new(Topology::edison(ranks));
         let (spectrum, kreports) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
-        let (_contigs, creports) = generate_contigs(&team, &spectrum, &ContigConfig::new(k));
+        let (_contigs, creports) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let kmer_s = phase_seconds(&kreports, "kmer-analysis");
         let contig_s = phase_seconds(&creports, "contig");
         let topo = Topology::edison(ranks);

@@ -41,10 +41,6 @@ pub enum TraversalMode {
 /// Traversal configuration.
 #[derive(Clone)]
 pub struct ContigConfig {
-    /// Discard contigs shorter than this many bases (default: k, the
-    /// Meraculous convention of keeping everything at least one k-mer
-    /// long).
-    pub min_contig_len: usize,
     /// Oracle vertex ownership (§3.2), or `None` for the run's partition
     /// scheme.
     pub oracle: Option<Arc<OracleVector>>,
@@ -53,13 +49,6 @@ pub struct ContigConfig {
     /// Cooperative mode: cap on steps per walk before the subcontig is
     /// closed with a boundary link (keeps per-rank work bounded).
     pub walk_cap: usize,
-    /// Capacity of the per-rank node cache fronting *extension-only* reads
-    /// of the graph table (endpoint checks, walk steps, boundary probes).
-    /// `exts` never changes after the graph is built, so those reads obey
-    /// the [`SoftwareCache`] coherence contract; reads that consult the
-    /// mutable `visited` flag, and all claiming writes, bypass the cache.
-    /// `0` disables caching (ablation hook).
-    pub node_cache: usize,
     /// How cooperative-mode seeds are dealt to ranks. [`Schedule::Static`]
     /// keeps the paper's local-bucket seeding (each rank seeds only its own
     /// shard — skewed when placement co-locates a dominant contig on one
@@ -74,58 +63,48 @@ pub struct ContigConfig {
     /// [`crate::graph::build_graph`].
     pub partition: PartitionScheme,
     /// Abundance-aware hair/tip pruning floor (the MetaHipMer multi-k
-    /// rounds): after traversal, contigs no longer than
-    /// [`Self::prune_max_len`] with at least one dead end (no unique
-    /// outward extension) and a mean k-mer depth below this floor are
-    /// dropped. `0.0` (the default) disables pruning — the classic
-    /// single-k pipeline never sets it, so its output is untouched.
+    /// rounds): after traversal, contigs no longer than `3 * k` bases with
+    /// at least one dead end (no unique outward extension) and a mean k-mer
+    /// depth below this floor are dropped. `0.0` (the default) disables pruning — the
+    /// classic single-k pipeline never sets it, so its output is untouched.
     pub prune_depth_floor: f64,
-    /// Length cap for prune candidates (default `3 * k`): anything longer
-    /// is kept regardless of depth. Error hairs and tips are at most about
-    /// a read length of spurious extension, so a generous cap still never
-    /// touches genuine backbone contigs.
-    pub prune_max_len: usize,
 }
 
-impl ContigConfig {
-    /// Defaults for a given k.
-    pub fn new(k: usize) -> Self {
+impl Default for ContigConfig {
+    fn default() -> Self {
         ContigConfig {
-            min_contig_len: k,
             oracle: None,
             mode: TraversalMode::Cooperative,
             walk_cap: 2048,
-            node_cache: 16384,
             schedule: Schedule::Static,
             partition: PartitionScheme::Uniform,
             prune_depth_floor: 0.0,
-            prune_max_len: 3 * k,
         }
-    }
-
-    /// The per-rank node cache for this configuration (`None` if disabled).
-    fn make_cache(&self) -> Option<SoftwareCache<Kmer, GraphNode>> {
-        (self.node_cache > 0).then(|| SoftwareCache::new(self.node_cache))
     }
 }
 
-/// A node read that only consults the immutable `exts` field (and
-/// existence), served through the per-rank cache when one is configured.
+/// Length cap for prune candidates, in units of k: anything longer than
+/// `3 * k` bases is kept regardless of depth. Error hairs and tips are at
+/// most about a read length of spurious extension, so a generous cap still
+/// never touches genuine backbone contigs (tuned on the PR-10 multi-k
+/// community).
+const PRUNE_MAX_LEN_IN_K: usize = 3;
+
+/// Entries in the per-rank node cache fronting *extension-only* reads of
+/// the graph table (endpoint checks, walk steps, boundary probes) — sized,
+/// like the aligner's seed cache, to a few hundred KB per rank. `exts`
+/// never changes after the graph is built, so those reads obey the
+/// [`SoftwareCache`] coherence contract; reads that consult the mutable
+/// `visited` flag, and all claiming writes, bypass the cache.
+const NODE_CACHE_ENTRIES: usize = 16_384;
+
+/// The per-rank cache of graph nodes, for reads that only consult the
+/// immutable `exts` field (and existence).
 ///
 /// Coherence: a cached [`GraphNode`] may carry a **stale `visited` flag** —
 /// callers must not read it. Freshness checks and claims go through
 /// `graph.nodes` directly.
-fn node_for_exts(
-    graph: &DebruijnGraph,
-    ctx: &mut RankCtx,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
-    key: &Kmer,
-) -> Option<GraphNode> {
-    match cache.as_mut() {
-        Some(c) => c.get_through(ctx, &graph.nodes, key),
-        None => graph.nodes.get(ctx, key),
-    }
-}
+type NodeCache = SoftwareCache<Kmer, GraphNode>;
 
 /// A k-mer in walk orientation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -173,14 +152,14 @@ fn exts_of(node: &GraphNode, flipped: bool) -> ExtensionPair {
 fn step_right(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
+    cache: &mut NodeCache,
     cur: Oriented,
     cur_node: &GraphNode,
 ) -> Option<(Oriented, GraphNode, u8)> {
     let codec = &graph.codec;
     let b = exts_of(cur_node, cur.flipped).right.unique_base()?;
     let next = orient(codec, codec.extend_right(cur.kmer, b));
-    let node = node_for_exts(graph, ctx, cache, &next.canon)?;
+    let node = cache.get_through(ctx, &graph.nodes, &next.canon)?;
     ctx.stats.compute(1);
     // Mutual check: the next vertex's left extension must point back at the
     // base we dropped (the current k-mer's first base).
@@ -195,7 +174,7 @@ fn step_right(
 fn walk_right(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
+    cache: &mut NodeCache,
     start: Oriented,
     start_node: GraphNode,
 ) -> (Vec<u8>, Vec<Kmer>, Oriented) {
@@ -257,7 +236,7 @@ enum ClaimStep {
 fn step_claim(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
+    cache: &mut NodeCache,
     cur: Oriented,
     cur_node: &GraphNode,
 ) -> ClaimStep {
@@ -272,7 +251,7 @@ fn step_claim(
         // Ownership boundary. Confirm the link is real (exts-only read,
         // cache-served) before pointing the merge at it; the owner claims
         // the vertex when it seeds its own run.
-        let Some(node) = node_for_exts(graph, ctx, cache, &next.canon) else {
+        let Some(node) = cache.get_through(ctx, &graph.nodes, &next.canon) else {
             return ClaimStep::End;
         };
         if exts_of(&node, next.flipped).left.unique_base() != Some(first_base) {
@@ -330,7 +309,7 @@ fn claim_arm(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
     cfg: &ContigConfig,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
+    cache: &mut NodeCache,
     start: Oriented,
     start_node: GraphNode,
 ) -> Arm {
@@ -360,7 +339,7 @@ fn claim_arm(
     // another subcontig will seed from.
     if let Some(b) = exts_of(&cur_node, cur.flipped).right.unique_base() {
         let next = orient(&codec, codec.extend_right(cur.kmer, b));
-        if node_for_exts(graph, ctx, cache, &next.canon).is_some() {
+        if cache.get_through(ctx, &graph.nodes, &next.canon).is_some() {
             arm.link = Some(next.canon);
         }
     }
@@ -374,7 +353,7 @@ fn claim_walk_seed(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
     cfg: &ContigConfig,
-    cache: &mut Option<SoftwareCache<Kmer, GraphNode>>,
+    cache: &mut NodeCache,
     seed: Kmer,
 ) -> Option<(Subcontig, usize)> {
     let codec = graph.codec;
@@ -440,7 +419,7 @@ fn traverse_cooperative(
             // Per-rank node cache: in cooperative mode only the cap-boundary
             // existence probes are exts-only reads (claims must see fresh
             // `visited` and always bypass it).
-            let mut cache = cfg.make_cache();
+            let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
             // Seed scan: a snapshot of the local shard. Already-claimed
             // vertices are skipped from the (possibly stale) snapshot without
             // a table lookup — claims never revert, so a stale "claimed" is
@@ -523,7 +502,7 @@ fn traverse_cooperative(
             // exactly once, so the subcontig partition covers the same
             // paths and the merge below stitches identical contigs.
             let (subs_lists, stats_claim) = team.run_named("contig/traversal/claim", |ctx| {
-                let mut cache = cfg.make_cache();
+                let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
                 let mut subs: Vec<Subcontig> = Vec::new();
                 for range in ctx.dynamic_ranges(seeds.len()) {
                     for &seed in &seeds[range] {
@@ -541,13 +520,13 @@ fn traverse_cooperative(
 
     // Serial merge of the subcontig chains (tiny: O(G / walk_cap + p)
     // pieces); its work is one op per piece merged and per base stitched.
-    let out = merge_chains(&subs, codec.k(), cfg.min_contig_len);
+    let out = merge_chains(&subs, codec.k());
     let stitched: usize = out.iter().map(Vec::len).sum();
     (out, stats, (subs.len() + stitched) as u64)
 }
 
 /// Stitch subcontigs into contigs by following their boundary links.
-fn merge_chains(subs: &[Subcontig], k: usize, min_contig_len: usize) -> Vec<Vec<u8>> {
+fn merge_chains(subs: &[Subcontig], k: usize) -> Vec<Vec<u8>> {
     // Endpoint key -> subcontigs ending there.
     let mut by_end: KmerHashMap<Kmer, Vec<usize>> = KmerHashMap::default();
     for (i, s) in subs.iter().enumerate() {
@@ -624,25 +603,19 @@ fn merge_chains(subs: &[Subcontig], k: usize, min_contig_len: usize) -> Vec<Vec<
             used[next] = true;
             exit = (next, 1 - enter);
         }
-        if seq.len() >= min_contig_len {
-            out.push(canonical_seq(seq));
-        }
+        out.push(canonical_seq(seq));
     }
     out
 }
 
 /// The deterministic endpoint traversal (default mode).
-fn traverse_endpoints(
-    team: &Team,
-    graph: &DebruijnGraph,
-    cfg: &ContigConfig,
-) -> (Vec<Vec<u8>>, Vec<CommStats>) {
+fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (Vec<Vec<u8>>, Vec<CommStats>) {
     // Pass 1: endpoint walks. Every endpoint check and walk step is an
     // exts-only read, so the whole pass runs through the node cache: path
     // vertices are read several times (once per orientation check of their
     // own endpoint role, once per walk over the path) and repeats hit.
     let (seqs, mut stats) = team.run_named("contig/traversal/endpoints", |ctx| {
-        let mut cache = cfg.make_cache();
+        let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
         let local = graph.nodes.snapshot_local(ctx);
         let mut out: Vec<Vec<u8>> = Vec::new();
         for (km, node) in local {
@@ -666,9 +639,7 @@ fn traverse_endpoints(
                 };
                 if emit {
                     mark_visited(graph, ctx, &path);
-                    if seq.len() >= cfg.min_contig_len {
-                        out.push(canonical_seq(seq));
-                    }
+                    out.push(canonical_seq(seq));
                 }
             }
         }
@@ -679,7 +650,7 @@ fn traverse_endpoints(
     // Pass 2: cycle cleanup. Any vertex still unvisited lies on a cycle;
     // walk it, and the walker whose start is the cycle's minimum key emits.
     let (cycle_seqs, cycle_stats) = team.run_named("contig/traversal/cycles", |ctx| {
-        let mut cache = cfg.make_cache();
+        let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
         let mut out: Vec<Vec<u8>> = Vec::new();
         for (km, node) in graph.nodes.snapshot_local(ctx) {
             // Skip what pass 1 visited, then re-check (an earlier walk this
@@ -693,9 +664,7 @@ fn traverse_endpoints(
             let min = path.iter().min().copied().expect("non-empty path");
             if min == km {
                 mark_visited(graph, ctx, &path);
-                if seq.len() >= cfg.min_contig_len {
-                    out.push(canonical_seq(seq));
-                }
+                out.push(canonical_seq(seq));
             }
         }
         out
@@ -719,7 +688,7 @@ pub fn traverse_graph(
     let (seqs, mut stats, serial_ops) = match cfg.mode {
         TraversalMode::Cooperative => traverse_cooperative(team, graph, cfg),
         TraversalMode::EndpointWalk => {
-            let (s, st) = traverse_endpoints(team, graph, cfg);
+            let (s, st) = traverse_endpoints(team, graph);
             (s, st, 0)
         }
     };
@@ -795,8 +764,9 @@ pub fn prune_hairs(
 ) -> (ContigSet, PhaseReport) {
     let codec = spectrum.codec;
     let k = codec.k();
+    let max_len = PRUNE_MAX_LEN_IN_K * k;
     let candidates: Vec<usize> = (0..set.contigs.len())
-        .filter(|&ci| set.contigs[ci].seq.len() <= cfg.prune_max_len)
+        .filter(|&ci| set.contigs[ci].seq.len() <= max_len)
         .collect();
     let weights: Vec<u64> = candidates
         .iter()
@@ -836,9 +806,8 @@ pub fn prune_hairs(
                 .pack(&seq[seq.len() - k..])
                 .expect("contig ends with k clean bases");
             let floor = cfg.prune_depth_floor;
-            let hops = cfg.prune_max_len;
-            if end_is_dead(ctx, spectrum, first, true, floor, hops)
-                || end_is_dead(ctx, spectrum, last, false, floor, hops)
+            if end_is_dead(ctx, spectrum, first, true, floor, max_len)
+                || end_is_dead(ctx, spectrum, last, false, floor, max_len)
             {
                 dropped.push(ci);
             }
@@ -928,9 +897,11 @@ mod tests {
         let reads = perfect_reads(genome, 80, 4);
         let kcfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-        let mut ccfg = ContigConfig::new(21);
-        ccfg.mode = mode;
-        ccfg.walk_cap = 100; // small cap: exercise chain merging in tests
+        let ccfg = ContigConfig {
+            mode,
+            walk_cap: 100, // small cap: exercise chain merging in tests
+            ..ContigConfig::default()
+        };
         let (set, _) = generate_contigs(&team, &spectrum, &ccfg);
         set
     }
@@ -980,7 +951,7 @@ mod tests {
             ));
         }
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let mut ccfg = ContigConfig::new(21);
+        let mut ccfg = ContigConfig::default();
         let (unpruned, _) = generate_contigs(&team, &spectrum, &ccfg);
 
         ccfg.prune_depth_floor = 2.5;
@@ -1046,10 +1017,12 @@ mod tests {
         let mut kcfg = KmerAnalysisConfig::new(21);
         kcfg.partition = partition;
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-        let mut ccfg = ContigConfig::new(21);
-        ccfg.walk_cap = 100;
-        ccfg.schedule = schedule;
-        ccfg.partition = partition;
+        let ccfg = ContigConfig {
+            walk_cap: 100,
+            schedule,
+            partition,
+            ..ContigConfig::default()
+        };
         let (set, _) = generate_contigs(&team, &spectrum, &ccfg);
         set
     }
@@ -1138,11 +1111,13 @@ mod tests {
                 .unwrap()
                 .offnode_fraction()
         };
-        let mut ucfg = ContigConfig::new(21);
-        ucfg.partition = PartitionScheme::Uniform;
+        let ucfg = ContigConfig::default();
+        assert_eq!(ucfg.partition, PartitionScheme::Uniform);
         let (uni_set, uni_reports) = generate_contigs(&team, &spectrum, &ucfg);
-        let mut mcfg = ContigConfig::new(21);
-        mcfg.partition = PartitionScheme::Minimizer;
+        let mcfg = ContigConfig {
+            partition: PartitionScheme::Minimizer,
+            ..ContigConfig::default()
+        };
         let (min_set, min_reports) = generate_contigs(&team, &spectrum, &mcfg);
 
         let seqs =
@@ -1223,9 +1198,11 @@ mod tests {
                 let mut kcfg = KmerAnalysisConfig::new(k);
                 kcfg.partition = partition;
                 let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-                let mut cfg = ContigConfig::new(k);
-                cfg.partition = partition;
-                cfg.mode = TraversalMode::EndpointWalk;
+                let mut cfg = ContigConfig {
+                    partition,
+                    mode: TraversalMode::EndpointWalk,
+                    ..ContigConfig::default()
+                };
                 let (reference, _) = generate_contigs(&team, &spectrum, &cfg);
                 assert!(!reference.is_empty());
                 cfg.mode = TraversalMode::Cooperative;
@@ -1283,8 +1260,10 @@ mod tests {
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
         let mut sets = Vec::new();
         for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-            let mut ccfg = ContigConfig::new(21);
-            ccfg.partition = partition;
+            let ccfg = ContigConfig {
+                partition,
+                ..ContigConfig::default()
+            };
             let (set, _) = generate_contigs(&team, &spectrum, &ccfg);
             // The wrapped genome has no endpoints at the junction, so
             // without the cycle pass part of it would vanish. Total
@@ -1329,13 +1308,15 @@ mod tests {
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
 
         // Baseline.
-        let ccfg = ContigConfig::new(21);
+        let ccfg = ContigConfig::default();
         let (base_set, base_reports) = generate_contigs(&team, &spectrum, &ccfg);
 
         // Oracle built from the baseline contigs.
         let oracle = crate::oracle_build::build_oracle(&base_set, &topo, 1 << 16);
-        let mut ocfg = ContigConfig::new(21);
-        ocfg.oracle = Some(Arc::new(oracle));
+        let ocfg = ContigConfig {
+            oracle: Some(Arc::new(oracle)),
+            ..ContigConfig::default()
+        };
         let (oracle_set, oracle_reports) = generate_contigs(&team, &spectrum, &ocfg);
 
         let seqs =
@@ -1368,7 +1349,7 @@ mod tests {
             codec,
             stop_foreign: false,
         };
-        let cfg = ContigConfig::new(4);
+        let cfg = ContigConfig::default();
         let _ = traverse_graph(&team, &graph, &cfg);
     }
 }

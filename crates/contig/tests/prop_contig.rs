@@ -54,9 +54,11 @@ proptest! {
         let reads = tile(&genome, 80);
         let team = Team::new(Topology::new(ranks, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
-        let mut cfg = ContigConfig::new(k);
-        cfg.mode = [TraversalMode::Cooperative, TraversalMode::EndpointWalk][mode_pick];
-        cfg.walk_cap = 64; // exercise subcontig chaining
+        let cfg = ContigConfig {
+            mode: [TraversalMode::Cooperative, TraversalMode::EndpointWalk][mode_pick],
+            walk_cap: 64, // exercise subcontig chaining
+            ..ContigConfig::default()
+        };
         let (set, _) = generate_contigs(&team, &spectrum, &cfg);
 
         // Every contig is an exact substring of the genome or its reverse
@@ -87,9 +89,11 @@ proptest! {
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
         let mut sets = Vec::new();
         for mode in [TraversalMode::Cooperative, TraversalMode::EndpointWalk] {
-            let mut cfg = ContigConfig::new(k);
-            cfg.mode = mode;
-            cfg.walk_cap = 50;
+            let cfg = ContigConfig {
+                mode,
+                walk_cap: 50,
+                ..ContigConfig::default()
+            };
             let (set, _) = generate_contigs(&team, &spectrum, &cfg);
             sets.push(
                 set.contigs

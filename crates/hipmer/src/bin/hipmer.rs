@@ -307,11 +307,10 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         .then(|| trace::Recorder::new(trace_ranks));
     let report_json: Option<PathBuf> = flags.get("--report-json")?;
     let calibrate_out: Option<PathBuf> = flags.get("--calibrate")?;
-    if trace_out.is_some() || report_json.is_some() {
-        // Hash tables built from here on track their hottest keys.
-        trace::set_hotkey_capacity(64);
-    }
     let mut team = Team::new(Topology::new(ranks, rpn));
+    if trace_out.is_some() || report_json.is_some() {
+        team = team.with_hot_keys(trace::HOT_KEY_CAPACITY);
+    }
     if let Some(recorder) = &recorder {
         team = team.with_recorder(recorder.clone());
     }

@@ -27,6 +27,7 @@ use hipmer_kanalysis::{KmerEntry, KmerSpectrum};
 use hipmer_pgas::json::Value;
 use hipmer_pgas::{PartitionScheme, Topology};
 use hipmer_scaffold::{GapCloseStats, Scaffold, ScaffoldMember, ScaffoldSet};
+use hipmer_seqio::SeqRecord;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -78,8 +79,14 @@ struct Reader<'a> {
     pos: usize,
 }
 
+/// The one error kind a decoder or the store returns for bytes it will not
+/// take.
+fn invalid(what: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.into())
+}
+
 fn truncated() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, "checkpoint artifact truncated")
+    invalid("checkpoint artifact truncated")
 }
 
 impl<'a> Reader<'a> {
@@ -128,8 +135,7 @@ impl<'a> Reader<'a> {
     /// The artifact's k-mer length, validated before any codec is built
     /// from it (`KmerCodec::new` panics outside `1..=MAX_K`).
     fn k(&mut self) -> io::Result<KmerCodec> {
-        KmerCodec::try_new(self.u32()? as usize)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        KmerCodec::try_new(self.u32()? as usize).map_err(|e| invalid(e.to_string()))
     }
     fn bytes(&mut self) -> io::Result<Vec<u8>> {
         let n = self.count(1)?;
@@ -140,10 +146,7 @@ impl<'a> Reader<'a> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing bytes after checkpoint artifact",
-            ))
+            Err(invalid("trailing bytes after checkpoint artifact"))
         }
     }
 }
@@ -156,24 +159,17 @@ fn header(out: &mut Vec<u8>, tag: u8) {
 
 fn check_header(r: &mut Reader<'_>, tag: u8) -> io::Result<()> {
     if r.take(4)? != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad checkpoint magic",
-        ));
+        return Err(invalid("bad checkpoint magic"));
     }
     let version = r.u32()?;
     if version != FORMAT_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("checkpoint format v{version}, expected v{FORMAT_VERSION}"),
-        ));
+        return Err(invalid(format!(
+            "checkpoint format v{version}, expected v{FORMAT_VERSION}"
+        )));
     }
     let got = r.u8()?;
     if got != tag {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("artifact tag {got}, expected {tag}"),
-        ));
+        return Err(invalid(format!("artifact tag {got}, expected {tag}")));
     }
     Ok(())
 }
@@ -200,10 +196,7 @@ fn ext_decode(v: u8) -> io::Result<ExtChoice> {
         0..=3 => Ok(ExtChoice::Unique(v)),
         4 => Ok(ExtChoice::Fork),
         5 => Ok(ExtChoice::None),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad extension code {v}"),
-        )),
+        _ => Err(invalid(format!("bad extension code {v}"))),
     }
 }
 
@@ -274,17 +267,31 @@ pub fn encode_contigs(contigs: &ContigSet) -> Vec<u8> {
     out
 }
 
-/// Rebuild a contig set from [`encode_contigs`] bytes.
+/// Rebuild a contig set from [`encode_contigs`] bytes. What the stages
+/// downstream index and slice by is checked here, not only the framing:
+/// ids are dense (`id == index`) and every contig is at least one k-mer of
+/// `ACGT` — depth computation packs `seq[..k]` and the seed index looks
+/// contigs up by id, inside `Team::run`, where a panic is a process abort.
 pub fn decode_contigs(bytes: &[u8]) -> io::Result<ContigSet> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_CONTIGS)?;
     let codec = r.k()?;
     let n = r.count(8 + 8 + 8)?;
     let mut contigs = Vec::with_capacity(n);
-    for _ in 0..n {
+    for index in 0..n {
         let id = r.u64()? as usize;
         let depth = r.f64()?;
         let seq = r.bytes()?;
+        if id != index {
+            return Err(invalid(format!("contig {index} carries id {id}")));
+        }
+        if seq.len() < codec.k() {
+            let (len, k) = (seq.len(), codec.k());
+            return Err(invalid(format!("contig {id} has {len} bases, k = {k}")));
+        }
+        if let Some(b) = seq.iter().find(|b| !b"ACGT".contains(b)) {
+            return Err(invalid(format!("contig {id} holds byte {b:#04x}")));
+        }
         contigs.push(Contig { id, seq, depth });
     }
     r.finish()?;
@@ -328,12 +335,7 @@ pub fn decode_alignments(bytes: &[u8]) -> io::Result<Vec<Alignment>> {
         let rc = match r.u8()? {
             0 => false,
             1 => true,
-            v => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad rc flag {v}"),
-                ))
-            }
+            v => return Err(invalid(format!("bad rc flag {v}"))),
         };
         out.push(Alignment {
             read,
@@ -349,6 +351,33 @@ pub fn decode_alignments(bytes: &[u8]) -> io::Result<Vec<Alignment>> {
     }
     r.finish()?;
     Ok(out)
+}
+
+/// Check decoded alignments against what they index: the scaffolding
+/// modules take `contigs.contigs[a.contig]`, contig-end distances and read
+/// intervals on trust, so an artifact naming a contig or read that is not
+/// there (or an interval past its end) is rejected before they see it.
+pub fn validate_alignments(
+    alignments: &[Alignment],
+    contigs: &ContigSet,
+    reads: &[SeqRecord],
+) -> io::Result<()> {
+    for (i, a) in alignments.iter().enumerate() {
+        let contig_len = contigs.contigs.get(a.contig as usize).map(Contig::len);
+        let read_len = reads.get(a.read as usize).map(SeqRecord::len);
+        let ok = contig_len.is_some_and(|len| a.contig_end as usize <= len)
+            && read_len == Some(a.read_len as usize)
+            && a.read_end <= a.read_len
+            && a.contig_start <= a.contig_end
+            && a.read_start <= a.read_end;
+        if !ok {
+            return Err(invalid(format!(
+                "alignment {i} (read {}, contig {}) does not fit the reads and contigs it names",
+                a.read, a.contig
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Everything the scaffolding stage produces that downstream consumers
@@ -554,24 +583,21 @@ impl CheckpointStore {
     /// re-execution needs every upstream artifact).
     pub fn open_for_resume(dir: &Path, fingerprint: Fingerprint) -> io::Result<CheckpointStore> {
         let text = std::fs::read_to_string(dir.join(MANIFEST))?;
-        let doc = Value::parse(&text)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "unreadable manifest"))?;
+        let doc = Value::parse(&text).map_err(|_| invalid("unreadable manifest"))?;
         let version = doc.get("format_version").and_then(Value::as_u64);
         if version != Some(FORMAT_VERSION as u64) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("manifest format {version:?}, expected {FORMAT_VERSION}"),
-            ));
+            return Err(invalid(format!(
+                "manifest format {version:?}, expected {FORMAT_VERSION}"
+            )));
         }
         let found = doc
             .get("fingerprint")
             .and_then(Fingerprint::from_value)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "manifest fingerprint"))?;
+            .ok_or_else(|| invalid("manifest fingerprint"))?;
         if found != fingerprint {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint fingerprint {found:?} does not match this run {fingerprint:?}"),
-            ));
+            return Err(invalid(format!(
+                "checkpoint fingerprint {found:?} does not match this run {fingerprint:?}"
+            )));
         }
         let mut stages = Vec::new();
         if let Some(arr) = doc.get("stages").and_then(Value::as_arr) {
@@ -670,10 +696,7 @@ impl CheckpointStore {
             })?;
         let bytes = std::fs::read(self.dir.join(&rec.file))?;
         if fnv1a(&bytes) != rec.checksum {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checksum mismatch for stage {stage:?}"),
-            ));
+            return Err(invalid(format!("checksum mismatch for stage {stage:?}")));
         }
         Ok((bytes, rec.bytes, rec.checksum))
     }

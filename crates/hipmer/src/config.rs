@@ -25,18 +25,20 @@ pub struct PipelineConfig {
     /// and the final alignment + scaffolding pass runs at the largest k,
     /// which must equal [`Self::k`]. Set via [`Self::try_multi_k`].
     pub multi_k: Vec<usize>,
-    /// Per-round depth floor for abundance-aware hair/tip pruning in the
-    /// *non-final* multi-k rounds: short dead-end contigs whose mean k-mer
-    /// depth is below this are dropped before they are fed forward as
-    /// pseudo-reads, so later rounds do not inherit error branches from
-    /// low-abundance species. `0.0` disables pruning; the default `2.5`
-    /// sits just above the k-mer analysis `min_count` of 2, so hairs that
-    /// barely cleared the count filter are dropped while genuine
-    /// low-coverage contigs (mean depth ≥ 3) survive. The final round (and
-    /// the classic single-k path) never prunes, keeping single-k output
-    /// byte-identical to the pre-multi-k pipeline.
-    pub round_prune_depth: f64,
 }
+
+/// Depth floor for abundance-aware hair/tip pruning in the *non-final*
+/// multi-k rounds: short dead-end contigs whose mean k-mer depth is below
+/// this are dropped before they are fed forward as pseudo-reads, so later
+/// rounds do not inherit error branches from low-abundance species. `2.5`
+/// sits just above the k-mer analysis [`MIN_COUNT`] of 2, so hairs that
+/// barely cleared the count filter are dropped while genuine low-coverage
+/// contigs (mean depth ≥ 3) survive (tuned on the PR-10 multi-k community).
+/// The final round (and the classic single-k path) never prunes, keeping
+/// single-k output byte-identical to the pre-multi-k pipeline.
+///
+/// [`MIN_COUNT`]: hipmer_kanalysis::count::MIN_COUNT
+pub const ROUND_PRUNE_DEPTH: f64 = 2.5;
 
 impl PipelineConfig {
     /// Defaults for an assembly at the given (odd) k. The aligner seed
@@ -62,10 +64,9 @@ impl PipelineConfig {
         Ok(PipelineConfig {
             k,
             kanalysis: KmerAnalysisConfig::new(k),
-            contig: ContigConfig::new(k),
+            contig: ContigConfig::default(),
             scaffold: ScaffoldConfig::new(seed_len),
             multi_k: Vec::new(),
-            round_prune_depth: 2.5,
         })
     }
 
@@ -93,20 +94,19 @@ impl PipelineConfig {
         }
     }
 
-    /// Stage configs for one *non-final* multi-k round at `k`: fresh
-    /// kanalysis/contig defaults at that k, with this config's schedule,
-    /// partition, oracle, and traversal mode carried over, and hair/tip
-    /// pruning armed at [`Self::round_prune_depth`]. The final round uses
-    /// [`Self::kanalysis`]/[`Self::contig`] verbatim (pruning off).
+    /// Stage configs for one *non-final* multi-k round at `k`: the
+    /// final-round configs ([`Self::kanalysis`]/[`Self::contig`], which the
+    /// final round uses verbatim, pruning off) at another k, with hair/tip
+    /// pruning armed at [`ROUND_PRUNE_DEPTH`].
     pub fn round_stage_configs(&self, k: usize) -> (KmerAnalysisConfig, ContigConfig) {
-        let mut ka = KmerAnalysisConfig::new(k);
-        ka.partition = self.kanalysis.partition;
-        let mut cc = ContigConfig::new(k);
-        cc.schedule = self.contig.schedule;
-        cc.partition = self.contig.partition;
-        cc.oracle = self.contig.oracle.clone();
-        cc.mode = self.contig.mode;
-        cc.prune_depth_floor = self.round_prune_depth;
+        let ka = KmerAnalysisConfig {
+            k,
+            ..self.kanalysis.clone()
+        };
+        let cc = ContigConfig {
+            prune_depth_floor: ROUND_PRUNE_DEPTH,
+            ..self.contig.clone()
+        };
         (ka, cc)
     }
 
@@ -296,20 +296,142 @@ mod tests {
     }
 
     #[test]
-    fn round_stage_configs_carry_schedule_and_partition() {
-        let cfg = PipelineConfig::new(55)
-            .with_schedule(Schedule::Dynamic)
-            .with_partition(PartitionScheme::Minimizer)
-            .try_multi_k(&[21, 55])
-            .unwrap();
+    fn round_stage_configs_differ_only_in_k_and_pruning() {
+        use hipmer_contig::TraversalMode;
+        use hipmer_pgas::OracleVector;
+        use std::sync::Arc;
+        // Every field of the two stage configs at a non-default value.
+        let mut cfg = PipelineConfig::new(55).try_multi_k(&[21, 55]).unwrap();
+        cfg.kanalysis = KmerAnalysisConfig {
+            k: 55,
+            theta: 77,
+            hh_min_reported: 9,
+            use_heavy_hitters: false,
+            use_bloom: false,
+            agg_batch: 3,
+            partition: PartitionScheme::Minimizer,
+        };
+        let oracle = Arc::new(OracleVector::new(64, 4));
+        cfg.contig = ContigConfig {
+            oracle: Some(Arc::clone(&oracle)),
+            mode: TraversalMode::EndpointWalk,
+            walk_cap: 5,
+            schedule: Schedule::Dynamic,
+            partition: PartitionScheme::Minimizer,
+            prune_depth_floor: 0.0,
+        };
         let (ka, cc) = cfg.round_stage_configs(21);
-        assert_eq!(ka.k, 21);
-        assert_eq!(ka.partition, PartitionScheme::Minimizer);
-        assert_eq!(cc.schedule, Schedule::Dynamic);
-        assert_eq!(cc.partition, PartitionScheme::Minimizer);
-        assert_eq!(cc.prune_depth_floor, cfg.round_prune_depth);
+        // Destructured without `..`: a field added to either struct must be
+        // added here, which is where it is checked to survive the rounds.
+        let KmerAnalysisConfig {
+            k,
+            theta,
+            hh_min_reported,
+            use_heavy_hitters,
+            use_bloom,
+            agg_batch,
+            partition,
+        } = ka;
+        assert_eq!(k, 21);
+        assert_eq!((theta, hh_min_reported, agg_batch), (77, 9, 3));
+        assert!(!use_heavy_hitters && !use_bloom);
+        assert_eq!(partition, PartitionScheme::Minimizer);
+        let ContigConfig {
+            oracle: round_oracle,
+            mode,
+            walk_cap,
+            schedule,
+            partition,
+            prune_depth_floor,
+        } = cc;
+        assert!(Arc::ptr_eq(&round_oracle.unwrap(), &oracle));
+        assert_eq!(mode, TraversalMode::EndpointWalk);
+        assert_eq!(walk_cap, 5);
+        assert_eq!(schedule, Schedule::Dynamic);
+        assert_eq!(partition, PartitionScheme::Minimizer);
+        assert_eq!(prune_depth_floor, ROUND_PRUNE_DEPTH);
         // The final-round configs (cfg.contig) never prune.
         assert_eq!(cfg.contig.prune_depth_floor, 0.0);
+    }
+
+    /// The whole option surface: 24 independently settable values. Every
+    /// struct is destructured without `..`, so a new field does not compile
+    /// until it is listed here — and it belongs here only if two callers
+    /// that are neither tests nor examples (a CLI flag, the job service, a
+    /// `crates/bench` harness, `benchmark/`) need different values for it.
+    /// With one value in use it is a `const` beside the code that reads it;
+    /// if the code can work it out from its inputs, it is neither.
+    #[test]
+    fn option_surface_and_defaults() {
+        use hipmer_align::AlignConfig;
+        use hipmer_contig::TraversalMode;
+        use hipmer_pgas::agg::DEFAULT_BATCH;
+        use hipmer_scaffold::GapCloseConfig;
+        let PipelineConfig {
+            k,       // -k
+            multi_k, // --multi-k
+            kanalysis,
+            contig,
+            scaffold,
+        } = PipelineConfig::new(31);
+        assert_eq!(k, 31);
+        assert!(multi_k.is_empty());
+        let KmerAnalysisConfig {
+            k: analysis_k,     // round_stage_configs
+            theta,             // fig6_heavy_hitters
+            hh_min_reported,   // small inputs reaching the heavy-hitter path
+            use_heavy_hitters, // fig6_heavy_hitters, ablations
+            use_bloom,         // ablations
+            agg_batch,         // ablations
+            partition,         // --partition
+        } = kanalysis;
+        assert_eq!(analysis_k, 31);
+        assert_eq!(
+            (theta, hh_min_reported, agg_batch),
+            (32_000, 2, DEFAULT_BATCH)
+        );
+        assert!(use_heavy_hitters && use_bloom);
+        assert_eq!(partition, PartitionScheme::Uniform);
+        let ContigConfig {
+            oracle,            // table1_oracle_traversal
+            mode,              // ablations
+            walk_cap,          // small inputs reaching the chain merge
+            schedule,          // --schedule
+            partition,         // --partition
+            prune_depth_floor, // round_stage_configs
+        } = contig;
+        assert!(oracle.is_none());
+        assert_eq!(mode, TraversalMode::Cooperative);
+        assert_eq!(walk_cap, 2048);
+        assert_eq!(schedule, Schedule::Static);
+        assert_eq!(partition, PartitionScheme::Uniform);
+        assert_eq!(prune_depth_floor, 0.0);
+        let ScaffoldConfig {
+            align,
+            gap,
+            rounds,   // --rounds, the wheat and metagenome presets
+            schedule, // --schedule
+        } = scaffold;
+        assert_eq!((rounds, schedule), (1, Schedule::Static));
+        let AlignConfig {
+            seed_len,      // min(15, k)
+            lookup_batch,  // ablations
+            cache_entries, // ablations
+            schedule,      // --schedule
+            partition,     // --partition
+        } = align;
+        assert_eq!(
+            (seed_len, lookup_batch, cache_entries),
+            (15, DEFAULT_BATCH, 4096)
+        );
+        assert_eq!(schedule, Schedule::Static);
+        assert_eq!(partition, PartitionScheme::Uniform);
+        let GapCloseConfig {
+            round_robin, // ablations
+            schedule,    // --schedule, scaling_schedule
+        } = gap;
+        assert!(round_robin);
+        assert_eq!(schedule, Schedule::Static);
     }
 
     #[test]

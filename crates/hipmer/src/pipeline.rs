@@ -473,7 +473,7 @@ pub fn run_assembly(
     for (ri, &k) in ks.iter().enumerate() {
         let round = ri + 1;
         let is_final = round == ks.len();
-        // Non-final rounds prune low-depth hairs (round_prune_depth); the
+        // Non-final rounds prune low-depth hairs (`ROUND_PRUNE_DEPTH`); the
         // final round runs this config's own stage configs verbatim so
         // `--multi-k` ending at k equals classic-k quality.
         let (ka_cfg, contig_cfg) = if is_final {
@@ -510,8 +510,8 @@ pub fn run_assembly(
         if !is_final {
             // Next round's input: original reads plus this round's contigs
             // as pseudo-reads. Each pseudo-read is emitted twice so its
-            // k-mers clear the min_count=2 filter, at a quality comfortably
-            // above the min_qual floor. Derived from the (possibly
+            // k-mers clear the `MIN_COUNT` = 2 filter, at a quality
+            // comfortably above the `MIN_QUAL` floor. Derived from the (possibly
             // checkpoint-decoded) contig set, so a resumed round N+1 sees
             // byte-identical input.
             round_reads = reads.to_vec();
@@ -541,7 +541,11 @@ pub fn run_assembly(
         let alignments = runner.stage(
             || align_reads(team, &prepared, reads, &cfg.scaffold.align),
             |alns| checkpoint::encode_alignments(alns),
-            checkpoint::decode_alignments,
+            |bytes| {
+                let alns = checkpoint::decode_alignments(bytes)?;
+                checkpoint::validate_alignments(&alns, &prepared, reads)?;
+                Ok(alns)
+            },
         )?;
 
         // scaffolding: the scaffolding rounds proper.

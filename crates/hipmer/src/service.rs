@@ -94,7 +94,10 @@ impl JobExecutor for AssemblyExecutor {
         // The lease may have granted fewer ranks than requested (clamped
         // to the pool); the topology must stay valid either way.
         let rpn = spec.ranks_per_node.clamp(1, lease.ranks());
-        let team = lease.team_with_rpn(rpn).with_recorder(recorder.clone());
+        let team = lease
+            .team_with_rpn(rpn)
+            .with_recorder(recorder.clone())
+            .with_hot_keys(trace::HOT_KEY_CAPACITY);
 
         let opts = RunOptions {
             checkpoint_dir: Some(out_dir.join("checkpoints")),

@@ -224,6 +224,17 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
             .unwrap()
             > 0
     );
+    // A served job names its hot keys like a `--report-json` CLI run does
+    // (the team carries the capacity; no process-global switch to forget).
+    let phases = report.get("phases").unwrap().as_arr().unwrap();
+    let count = phases
+        .iter()
+        .find(|p| p.get("name").and_then(Value::as_str) == Some("kmer-analysis/count"))
+        .expect("count phase");
+    assert!(
+        !count.get("hot_keys").unwrap().as_arr().unwrap().is_empty(),
+        "served report must surface hot keys"
+    );
     // The per-job trace artifact is valid chrome-trace JSON.
     let (status, trace) =
         http::request(&addr, "GET", &format!("/v1/jobs/{id_a}/trace"), None).unwrap();

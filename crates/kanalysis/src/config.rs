@@ -1,21 +1,16 @@
 //! K-mer analysis configuration.
 
+use hipmer_pgas::agg::DEFAULT_BATCH;
 use hipmer_pgas::PartitionScheme;
 
-/// Tunables for k-mer analysis. Defaults follow the paper (k = 51 and
-/// θ = 32,000 for wheat; we default k lower because our genomes are
-/// megabase-scale) and Meraculous conventions (count ≥ 2, quality ≥ 20).
+/// Tunables for k-mer analysis: what a caller turns. Defaults follow the
+/// paper (k = 51 and θ = 32,000 for wheat; we default k lower because our
+/// genomes are megabase-scale). The Meraculous conventions nobody varies
+/// (count ≥ 2, quality ≥ 20, …) are constants in [`crate::count`].
 #[derive(Clone, Debug)]
 pub struct KmerAnalysisConfig {
     /// K-mer length.
     pub k: usize,
-    /// Minimum exact count for a k-mer to be considered non-erroneous.
-    pub min_count: u32,
-    /// Minimum Phred score for a neighboring base to cast an extension
-    /// vote ("high quality extensions").
-    pub min_qual: u8,
-    /// Minimum votes for a base to be a high-quality extension candidate.
-    pub min_votes: u32,
     /// Misra–Gries summary capacity (θ). The paper uses 32,000 and reports
     /// <10% sensitivity over 1K–64K.
     pub theta: usize,
@@ -30,9 +25,7 @@ pub struct KmerAnalysisConfig {
     /// Use Bloom filters to keep singletons out of the table (§3.1;
     /// ablation: without them every k-mer gets an entry).
     pub use_bloom: bool,
-    /// Bloom filter false-positive rate.
-    pub bloom_fp_rate: f64,
-    /// Aggregating-stores batch size.
+    /// Aggregating-stores batch size (Ablation 2 sweeps it).
     pub agg_batch: usize,
     /// How k-mer ownership maps to ranks (uniform hashing vs.
     /// minimizer bucketing). The votes table and the final spectrum table
@@ -45,15 +38,11 @@ impl KmerAnalysisConfig {
     pub fn new(k: usize) -> Self {
         KmerAnalysisConfig {
             k,
-            min_count: 2,
-            min_qual: 20,
-            min_votes: 2,
             theta: 32_000,
             hh_min_reported: 2,
             use_heavy_hitters: true,
             use_bloom: true,
-            bloom_fp_rate: 0.05,
-            agg_batch: 256,
+            agg_batch: DEFAULT_BATCH,
             partition: PartitionScheme::Uniform,
         }
     }
@@ -72,7 +61,8 @@ mod tests {
     #[test]
     fn defaults_match_paper_conventions() {
         let c = KmerAnalysisConfig::default();
-        assert_eq!(c.min_count, 2);
+        assert_eq!(crate::count::MIN_COUNT, 2);
+        assert_eq!(crate::count::MIN_QUAL, 20);
         assert_eq!(c.theta, 32_000);
         assert!(c.use_heavy_hitters);
         assert!(c.use_bloom);

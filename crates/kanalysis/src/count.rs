@@ -10,6 +10,19 @@ use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
 use parking_lot::Mutex;
 
+/// Minimum exact count for a k-mer to be considered non-erroneous (§3.1:
+/// "k-mers that appear fewer than two times are treated as erroneous").
+pub const MIN_COUNT: u32 = 2;
+/// Minimum Phred score for a neighboring base to cast an extension vote —
+/// Meraculous' "high quality extensions" are quality ≥ 20.
+pub const MIN_QUAL: u8 = 20;
+/// Minimum votes for a base to be a high-quality extension candidate
+/// (Meraculous convention, like [`MIN_COUNT`]: seen at least twice).
+const MIN_VOTES: u32 = 2;
+/// Bloom filter false-positive rate: a false positive only costs one table
+/// entry that [`MIN_COUNT`] drops again, so the filter can be loose.
+const BLOOM_FP_RATE: f64 = 0.05;
+
 /// The left/right extension bases of one k-mer occurrence, re-oriented to
 /// the k-mer's canonical form. `left`/`right` are 2-bit codes of the
 /// neighboring bases that passed the quality filter.
@@ -25,7 +38,7 @@ fn canonical_votes(km: Kmer, canon: Kmer, left: Option<u8>, right: Option<u8>) -
 
 /// Visit every k-mer occurrence of a read with the vote of its
 /// quality-filtered neighbor bases (already re-oriented to canonical form).
-fn for_each_occurrence<F>(codec: &KmerCodec, cfg: &KmerAnalysisConfig, read: &SeqRecord, mut f: F)
+fn for_each_occurrence<F>(codec: &KmerCodec, read: &SeqRecord, mut f: F)
 where
     F: FnMut(Kmer, ExtCode),
 {
@@ -33,7 +46,7 @@ where
     for (off, km, canon) in codec.canonical_kmers(&read.seq) {
         let left = if off > 0 {
             match read.phred(off - 1) {
-                Some(q) if q >= cfg.min_qual => hipmer_dna::encode_base(read.seq[off - 1]),
+                Some(q) if q >= MIN_QUAL => hipmer_dna::encode_base(read.seq[off - 1]),
                 None => hipmer_dna::encode_base(read.seq[off - 1]),
                 _ => None,
             }
@@ -42,7 +55,7 @@ where
         };
         let right = if off + k < read.seq.len() {
             match read.phred(off + k) {
-                Some(q) if q >= cfg.min_qual => hipmer_dna::encode_base(read.seq[off + k]),
+                Some(q) if q >= MIN_QUAL => hipmer_dna::encode_base(read.seq[off + k]),
                 None => hipmer_dna::encode_base(read.seq[off + k]),
                 _ => None,
             }
@@ -68,7 +81,7 @@ fn bloom_pass(
     // Per-owner Bloom filters sized from the cardinality estimate.
     let per_rank_items = ((sketch.cardinality / ranks as f64).ceil() as usize).max(1024);
     let blooms: Vec<Mutex<BloomFilter>> = (0..ranks)
-        .map(|_| Mutex::new(BloomFilter::with_rate(per_rank_items, cfg.bloom_fp_rate)))
+        .map(|_| Mutex::new(BloomFilter::with_rate(per_rank_items, BLOOM_FP_RATE)))
         .collect();
 
     let (_, mut stats) = team.run_named("kmer-analysis/bloom", |ctx| {
@@ -142,7 +155,7 @@ fn count_pass(
 
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for_each_occurrence(&codec, cfg, read, |canon, code| {
+            for_each_occurrence(&codec, read, |canon, code| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
@@ -174,7 +187,7 @@ fn count_pass(
     });
     table.drain_service_into(&mut stats);
     // Surface the most-hit keys of the vote table (only populated when
-    // hot-key tracking is enabled, e.g. under `--trace`).
+    // the team asks for them, e.g. under `--trace`).
     PhaseReport::new("kmer-analysis/count", *team.topo(), stats).with_hot_keys(table.hot_keys(16))
 }
 
@@ -182,7 +195,6 @@ fn count_pass(
 /// final spectrum (purely shard-local work).
 fn finalize(
     team: &Team,
-    cfg: &KmerAnalysisConfig,
     table: DistHashMap<Kmer, ExtVotes>,
     final_table: &DistHashMap<Kmer, KmerEntry>,
 ) -> PhaseReport {
@@ -191,12 +203,12 @@ fn finalize(
         let mut keep: Vec<(Kmer, KmerEntry)> = Vec::with_capacity(entries.len());
         for (km, votes) in entries {
             ctx.stats.compute(1);
-            if votes.count >= cfg.min_count {
+            if votes.count >= MIN_COUNT {
                 keep.push((
                     km,
                     KmerEntry {
                         count: votes.count,
-                        exts: votes.decide(cfg.min_votes),
+                        exts: votes.decide(MIN_VOTES),
                     },
                 ));
             }
@@ -224,7 +236,10 @@ pub fn analyze_kmers(
     // owner.
     let codec = KmerCodec::new(cfg.k);
     let label = cfg.partition.label(cfg.k);
-    let votes_table: DistHashMap<Kmer, ExtVotes> = cfg.partition.table(*team.topo(), codec);
+    let votes_table: DistHashMap<Kmer, ExtVotes> = cfg
+        .partition
+        .table(*team.topo(), codec)
+        .with_hot_keys(team.hot_key_capacity());
     if cfg.use_bloom {
         reports.push(
             bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement(label.clone()),
@@ -233,7 +248,7 @@ pub fn analyze_kmers(
     reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement(label.clone()));
 
     let final_table: DistHashMap<Kmer, KmerEntry> = cfg.partition.table(*team.topo(), codec);
-    reports.push(finalize(team, cfg, votes_table, &final_table).with_placement(label));
+    reports.push(finalize(team, votes_table, &final_table).with_placement(label));
 
     (
         KmerSpectrum {
@@ -334,7 +349,7 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let topo = *team.topo();
         let mut cfg = KmerAnalysisConfig::new(k);
-        let truth = brute_force_votes(&reads, k, cfg.min_qual);
+        let truth = brute_force_votes(&reads, k, MIN_QUAL);
         assert!(truth.values().any(|t| t.count == 1) && truth.values().any(|t| t.count > 4));
 
         for (partition, use_bloom, use_hh) in [
@@ -403,9 +418,9 @@ mod tests {
             let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
             let mut want: Vec<(Kmer, KmerEntry)> = truth
                 .iter()
-                .filter(|(_, t)| t.count >= cfg.min_count)
+                .filter(|(_, t)| t.count >= MIN_COUNT)
                 .map(|(km, t)| {
-                    let exts = t.decide(cfg.min_votes);
+                    let exts = t.decide(MIN_VOTES);
                     (
                         *km,
                         KmerEntry {
@@ -486,8 +501,7 @@ mod tests {
             reads.push(r);
         }
         let team = Team::new(Topology::new(1, 1));
-        let mut cfg = KmerAnalysisConfig::new(21);
-        cfg.min_qual = 20;
+        let cfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
         let codec = KmerCodec::new(21);
         let mut ctx = RankCtx::new(0, *team.topo());

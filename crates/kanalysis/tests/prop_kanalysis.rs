@@ -48,7 +48,7 @@ proptest! {
         let team = Team::new(Topology::new(ranks, 4));
         let cfg = KmerAnalysisConfig::new(k);
         let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
-        let reference = reference_counts(&reads, k, cfg.min_count);
+        let reference = reference_counts(&reads, k, hipmer_kanalysis::count::MIN_COUNT);
         prop_assert_eq!(spectrum.distinct(), reference.len());
         let got: KmerHashMap<Kmer, u32> = spectrum
             .table

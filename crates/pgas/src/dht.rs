@@ -29,7 +29,6 @@
 
 use crate::team::RankCtx;
 use crate::topology::Topology;
-use crate::trace;
 use hipmer_dna::KmerBuildHasher;
 use hipmer_sketch::MisraGries;
 use parking_lot::Mutex;
@@ -43,9 +42,9 @@ struct Partition<K, V> {
     map: HashMap<K, V, KmerBuildHasher>,
     /// Misra–Gries summary over the key hashes of this partition's service
     /// operations, for naming the heavy hitters behind `service_ops` skew.
-    /// `None` (free) unless [`trace::hotkey_capacity`] was nonzero when the
-    /// table was built. A key has one owner, so the partitions' summaries
-    /// cover disjoint keys.
+    /// `None` (free) unless the table was built
+    /// [`DistHashMap::with_hot_keys`]. A key has one owner, so the
+    /// partitions' summaries cover disjoint keys.
     hot_keys: Option<MisraGries<u64>>,
 }
 
@@ -72,11 +71,11 @@ struct Shard<K, V> {
 }
 
 impl<K, V> Shard<K, V> {
-    fn new(hotkey_capacity: usize) -> Self {
+    fn new() -> Self {
         Shard {
             part: Mutex::new(Partition {
                 map: HashMap::default(),
-                hot_keys: (hotkey_capacity > 0).then(|| MisraGries::new(hotkey_capacity)),
+                hot_keys: None,
             }),
             seq: AtomicU64::new(0),
             lock_waits: AtomicU64::new(0),
@@ -132,16 +131,30 @@ where
 
     fn build(topo: Topology, owner_fn: Option<OwnerFn<K>>) -> Self {
         let ranks = topo.ranks();
-        let hotkey_capacity = trace::hotkey_capacity();
         DistHashMap {
             topo,
             owner_fn,
-            shards: (0..ranks).map(|_| Shard::new(hotkey_capacity)).collect(),
+            shards: (0..ranks).map(|_| Shard::new()).collect(),
             service: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             hasher: KmerBuildHasher::default(),
             entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
             table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
         }
+    }
+
+    /// Keep a Misra–Gries summary of `capacity` counters per partition over
+    /// the key hashes of its service operations, for [`hot_keys`]
+    /// (`capacity` 0 tracks nothing). For the one table whose skew a run
+    /// reports, the k-mer analysis vote table; call it on the empty table.
+    ///
+    /// [`hot_keys`]: Self::hot_keys
+    pub fn with_hot_keys(mut self, capacity: usize) -> Self {
+        if capacity > 0 {
+            for shard in &mut self.shards {
+                shard.part.get_mut().hot_keys = Some(MisraGries::new(capacity));
+            }
+        }
+        self
     }
 
     /// A process-unique identity for this table instance. Read-side
@@ -1003,16 +1016,12 @@ mod tests {
     }
 
     #[test]
-    fn hot_key_tracking_follows_the_process_capacity() {
-        // The one test that writes the process-wide capacity: a table made
-        // while it is 0 (the default) tracks nothing, one made while it is
-        // set names the heavy hitter.
+    fn hot_key_tracking_is_per_table() {
+        // A plain table (or one built with capacity 0) tracks nothing; one
+        // built `with_hot_keys` names the heavy hitter.
         let topo = Topology::new(4, 2);
-        let off: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        trace::set_hotkey_capacity(16);
-        assert_eq!(trace::hotkey_capacity(), 16);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        trace::set_hotkey_capacity(0);
+        let off: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_keys(0);
+        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_keys(16);
         let mut c = ctx(0, topo);
         // One ultra-frequent key among a uniform background, and a second,
         // half as hot, on another owner: each lands in its own partition's

@@ -31,7 +31,7 @@ pub struct PhaseReport {
     /// Heavy-hitter key hashes observed by this phase's hash-table service
     /// operations, as `(key_hash, estimated_count)` sorted by descending
     /// count. Empty unless hot-key tracking was enabled
-    /// ([`crate::trace::set_hotkey_capacity`]) and the stage attached them.
+    /// ([`crate::Team::with_hot_keys`]) and the stage attached them.
     pub hot_keys: Vec<(u64, u64)>,
     /// Placement label of the phase's dominant hash table — a
     /// [`crate::PartitionScheme::label`] string such as `"uniform"` or

@@ -122,6 +122,7 @@ pub struct Team {
     os_threads: usize,
     faults: Option<Arc<FaultPlan>>,
     recorder: Option<trace::Recorder>,
+    hot_keys: usize,
 }
 
 /// Number of OS worker threads to use (env `HIPMER_THREADS`, else the
@@ -183,7 +184,24 @@ impl Team {
             os_threads: default_os_threads(),
             faults: None,
             recorder: None,
+            hot_keys: 0,
         }
+    }
+
+    /// Ask the stages run on this team to report their hot keys: k-mer
+    /// analysis builds its vote table
+    /// [`with_hot_keys(capacity)`](crate::DistHashMap::with_hot_keys) and
+    /// attaches the heaviest to its count phase. 0 (the default) tracks
+    /// nothing.
+    pub fn with_hot_keys(mut self, capacity: usize) -> Self {
+        self.hot_keys = capacity;
+        self
+    }
+
+    /// The capacity set by [`Team::with_hot_keys`] (0 = off).
+    #[inline]
+    pub fn hot_key_capacity(&self) -> usize {
+        self.hot_keys
     }
 
     /// Attach a span [`trace::Recorder`]: every phase of this team records

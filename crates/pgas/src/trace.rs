@@ -11,16 +11,12 @@
 //! (`tid`) per rank, one `ph:"X"` complete event per phase execution, with
 //! queue delay and every [`CommStats`] field attached as event `args`.
 //!
-//! The module also owns the process-global *hot-key tracking capacity*:
-//! when nonzero, every [`crate::DistHashMap`] created afterwards keeps one
-//! Misra–Gries summary per partition, of that capacity, over the key
-//! hashes its service operations touch, so
-//! reports can name the heavy hitters responsible for service-op skew
-//! (the paper's Fig. 6 load-imbalance story).
+//! Nothing here is process-global but the trace [`epoch`]: a run that also
+//! wants its hot keys named (the paper's Fig. 6 load-imbalance story) says
+//! so on its team, [`Team::with_hot_keys`](crate::Team::with_hot_keys).
 
 use crate::stats::CommStats;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -43,7 +39,10 @@ pub struct SpanEvent {
     pub stats: CommStats,
 }
 
-static HOTKEY_CAPACITY: AtomicUsize = AtomicUsize::new(0);
+/// Misra–Gries counters per table partition that a run which reports its
+/// hot keys asks for ([`Team::with_hot_keys`](crate::Team::with_hot_keys)):
+/// the CLI under `--trace`/`--report-json`, the job service always.
+pub const HOT_KEY_CAPACITY: usize = 64;
 
 /// A span recorder scoped to one [`Team`](crate::Team) (or any set of teams
 /// that share a clone), so concurrent users — parallel tests, the jobs of a
@@ -110,19 +109,6 @@ impl std::fmt::Debug for Recorder {
 pub fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-/// Set the Misra–Gries capacity of each table partition's hot-key
-/// summary. Takes effect for `DistHashMap`s created afterwards; 0 (the
-/// default) disables tracking.
-pub fn set_hotkey_capacity(capacity: usize) {
-    HOTKEY_CAPACITY.store(capacity, Ordering::Relaxed);
-}
-
-/// The current hot-key tracking capacity (0 = off).
-#[inline]
-pub fn hotkey_capacity() -> usize {
-    HOTKEY_CAPACITY.load(Ordering::Relaxed)
 }
 
 /// Serialize spans in the Chrome trace-event JSON array format readable by

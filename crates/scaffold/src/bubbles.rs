@@ -320,7 +320,7 @@ mod tests {
         let mut reads = tile_reads(h1, 80, 4);
         reads.extend(tile_reads(h2, 80, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
         let (merged, _) = merge_bubbles(&team, &contigs, &info, Schedule::Static);
         (contigs, merged)
@@ -387,7 +387,7 @@ mod tests {
         let team = Team::new(Topology::new(2, 2));
         let reads = tile_reads(&g, 80, 4);
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
         let (merged, _) = merge_bubbles(&team, &contigs, &info, Schedule::Static);
         let a: Vec<&Vec<u8>> = contigs.contigs.iter().map(|c| &c.seq).collect();

@@ -265,7 +265,7 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let reads = tile_reads(&genome, 80, 6);
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
         assert_eq!(info.len(), contigs.len());
         // Reads tile at stride 40 with 6 offsets over 80bp reads -> each
@@ -280,7 +280,7 @@ mod tests {
         let team = Team::new(Topology::new(2, 2));
         let reads = tile_reads(&genome, 80, 6);
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
         // The dominant contig's ends stop because coverage runs out.
         let main = &info[0];
@@ -301,7 +301,7 @@ mod tests {
         reads.extend(tile_reads(&h2, 80, 4));
         let team = Team::new(Topology::new(2, 2));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
 
         // Expect ≥4 contigs: two flanks + two bubble arms. The bubble arms

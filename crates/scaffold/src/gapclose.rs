@@ -26,25 +26,30 @@ use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Schedule, Team};
 use hipmer_seqio::SeqRecord;
 
+/// Flank length taken from each side of the gap (a read length and a
+/// bit: every method anchors inside it).
+const FLANK: usize = 120;
+/// Exact anchor length for the spanning method.
+const ANCHOR: usize = 16;
+/// K values for the iterative k-mer walks (odd, increasing) — §4.8's
+/// "iteratively increasing k-mer sizes until the gap is closed".
+const WALK_KS: [usize; 3] = [17, 25, 33];
+/// Minimum k-mer multiplicity to follow during a walk (the k-mer analysis
+/// error threshold, applied to the gap's own reads).
+const WALK_MIN_COUNT: u32 = 2;
+/// Maximum bases a walk may add.
+const MAX_WALK: usize = 2000;
+/// Minimum exact overlap for patching two half-walks.
+const MIN_PATCH_OVERLAP: usize = 15;
+/// Window around a contig end within which alignments nominate reads
+/// (the short-insert library's mean plus its spread).
+const END_WINDOW: usize = 600;
+/// Cap on N-fill length for failed closures.
+const MAX_NFILL: usize = 5000;
+
 /// Gap-closing configuration.
 #[derive(Clone, Debug)]
 pub struct GapCloseConfig {
-    /// Flank length taken from each side of the gap.
-    pub flank: usize,
-    /// Exact anchor length for the spanning method.
-    pub anchor: usize,
-    /// K values for the iterative k-mer walks (odd, increasing).
-    pub walk_ks: Vec<usize>,
-    /// Minimum k-mer multiplicity to follow during a walk.
-    pub walk_min_count: u32,
-    /// Maximum bases a walk may add.
-    pub max_walk: usize,
-    /// Minimum exact overlap for patching two half-walks.
-    pub min_patch_overlap: usize,
-    /// Window around a contig end within which alignments nominate reads.
-    pub end_window: usize,
-    /// Cap on N-fill length for failed closures.
-    pub max_nfill: usize,
     /// Round-robin gap distribution (false = blocked; ablation). Only
     /// consulted under [`Schedule::Static`].
     pub round_robin: bool,
@@ -58,14 +63,6 @@ pub struct GapCloseConfig {
 impl Default for GapCloseConfig {
     fn default() -> Self {
         GapCloseConfig {
-            flank: 120,
-            anchor: 16,
-            walk_ks: vec![17, 25, 33],
-            walk_min_count: 2,
-            max_walk: 2000,
-            min_patch_overlap: 15,
-            end_window: 600,
-            max_nfill: 5000,
             round_robin: true,
             schedule: Schedule::Static,
         }
@@ -165,8 +162,6 @@ fn kmer_walk(
     codec: &KmerCodec,
     seed: &[u8],
     target: Kmer,
-    min_count: u32,
-    max_walk: usize,
     ctx: &mut RankCtx,
 ) -> Result<Vec<u8>, Vec<u8>> {
     let k = codec.k();
@@ -174,7 +169,7 @@ fn kmer_walk(
         return Err(Vec::new());
     };
     let mut appended = Vec::new();
-    for _ in 0..max_walk {
+    for _ in 0..MAX_WALK {
         if cur == target {
             // The last k appended bases are the target k-mer itself, which
             // belongs to the far flank — the gap fill excludes them. A
@@ -194,7 +189,7 @@ fn kmer_walk(
         // Unique next base above threshold.
         let mut next_base = None;
         for (b, &v) in votes.iter().enumerate() {
-            if v >= min_count {
+            if v >= WALK_MIN_COUNT {
                 if next_base.is_some() {
                     return Err(appended); // fork in the gap
                 }
@@ -232,19 +227,16 @@ fn walk_table(codec: &KmerCodec, reads: &[&SeqRecord]) -> KmerHashMap<Kmer, [u32
 }
 
 /// Attempt to close one gap. Returns the closure and which method worked.
-#[allow(clippy::too_many_arguments)]
 fn close_one(
     ctx: &mut RankCtx,
-    cfg: &GapCloseConfig,
     prev_seq: &[u8],
     next_seq: &[u8],
     gap_est: i64,
     candidates: &[&SeqRecord],
     stats: &mut GapCloseStats,
 ) -> Closure {
-    let flank = cfg.flank;
-    let prev_flank = &prev_seq[prev_seq.len().saturating_sub(flank)..];
-    let next_flank = &next_seq[..flank.min(next_seq.len())];
+    let prev_flank = &prev_seq[prev_seq.len().saturating_sub(FLANK)..];
+    let next_flank = &next_seq[..FLANK.min(next_seq.len())];
 
     // Method 0: proven contig overlap (splint-style negative gaps).
     if gap_est < 0 {
@@ -261,7 +253,7 @@ fn close_one(
         }
     }
 
-    let m = cfg.anchor;
+    let m = ANCHOR;
     // Method 1: spanning read.
     if prev_flank.len() >= m && next_flank.len() >= m {
         let a1 = &prev_flank[prev_flank.len() - m..];
@@ -293,7 +285,7 @@ fn close_one(
     // fails). The partial extensions from the largest k are kept for
     // patching.
     let mut best_partials: Option<(Vec<u8>, Vec<u8>)> = None;
-    for &kw in &cfg.walk_ks {
+    for kw in WALK_KS {
         if prev_flank.len() < kw || next_flank.len() < kw {
             continue;
         }
@@ -303,15 +295,7 @@ fn close_one(
             .pack(&next_flank[..kw])
             .expect("contig flanks are clean DNA");
         // Left-to-right walk.
-        let partial_fwd = match kmer_walk(
-            &table,
-            &codec,
-            prev_flank,
-            target,
-            cfg.walk_min_count,
-            cfg.max_walk,
-            ctx,
-        ) {
+        let partial_fwd = match kmer_walk(&table, &codec, prev_flank, target, ctx) {
             Ok(fill) => {
                 stats.walked += 1;
                 return Closure::Fill(fill);
@@ -323,15 +307,7 @@ fn close_one(
         let rc_target = codec
             .pack(&revcomp(&prev_flank[prev_flank.len() - kw..]))
             .expect("clean flank");
-        let partial_back = match kmer_walk(
-            &table,
-            &codec,
-            &rc_next,
-            rc_target,
-            cfg.walk_min_count,
-            cfg.max_walk,
-            ctx,
-        ) {
+        let partial_back = match kmer_walk(&table, &codec, &rc_next, rc_target, ctx) {
             Ok(fill_rc) => {
                 stats.walked += 1;
                 return Closure::Fill(revcomp(&fill_rc));
@@ -358,7 +334,7 @@ fn close_one(
             .collect();
         let max_o = s1.len().min(s2.len());
         let mut found: Option<usize> = None;
-        for o in (cfg.min_patch_overlap..=max_o).rev() {
+        for o in (MIN_PATCH_OVERLAP..=max_o).rev() {
             ctx.stats.compute(o as u64);
             if s1[s1.len() - o..] == s2[..o] {
                 if found.is_some() {
@@ -385,7 +361,7 @@ fn close_one(
     }
 
     stats.nfilled += 1;
-    Closure::NFill((gap_est.max(1) as usize).min(cfg.max_nfill))
+    Closure::NFill((gap_est.max(1) as usize).min(MAX_NFILL))
 }
 
 /// Close all gaps and emit final scaffold sequences.
@@ -412,10 +388,10 @@ pub fn close_gaps(
             ctx.stats.compute(1);
             let len = contigs.contigs[a.contig as usize].len();
             let mate = a.read ^ 1;
-            if (a.contig_start as usize) < cfg.end_window {
+            if (a.contig_start as usize) < END_WINDOW {
                 agg.push(ctx, (a.contig, ContigEnd::Left), vec![a.read, mate]);
             }
-            if a.contig_end as usize + cfg.end_window > len {
+            if a.contig_end as usize + END_WINDOW > len {
                 agg.push(ctx, (a.contig, ContigEnd::Right), vec![a.read, mate]);
             }
         }
@@ -517,7 +493,6 @@ pub fn close_gaps(
 
             let closure = close_one(
                 ctx,
-                cfg,
                 &prev_seq,
                 &next_seq,
                 gap_est,

@@ -81,31 +81,15 @@ pub struct Link {
     pub kind: LinkKind,
 }
 
-/// Evidence thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct LinkConfig {
-    /// Minimum splint observations for a splint link.
-    pub min_splints: u32,
-    /// Minimum span observations for a span link.
-    pub min_spans: u32,
-}
-
-impl Default for LinkConfig {
-    fn default() -> Self {
-        LinkConfig {
-            min_splints: 2,
-            min_spans: 2,
-        }
-    }
-}
+/// Minimum splint observations for a splint link: one observation may be
+/// a chimeric read, two independent ones agree (the count ≥ 2 convention
+/// of the k-mer filter, applied to links).
+const MIN_SPLINTS: u32 = 2;
+/// Minimum span observations for a span link (as [`MIN_SPLINTS`]).
+const MIN_SPANS: u32 = 2;
 
 /// Aggregate splints and spans into links.
-pub fn generate_links(
-    team: &Team,
-    splints: &[Splint],
-    spans: &[Span],
-    cfg: &LinkConfig,
-) -> (Vec<Link>, PhaseReport) {
+pub fn generate_links(team: &Team, splints: &[Splint], spans: &[Span]) -> (Vec<Link>, PhaseReport) {
     let table: DistHashMap<EndKey, LinkAgg> = DistHashMap::new(*team.topo());
 
     let (_, mut stats) = team.run_named("scaffold/links/aggregate", |ctx| {
@@ -141,14 +125,14 @@ pub fn generate_links(
     // Assess local buckets.
     let (link_lists, stats_b) = team.run_named("scaffold/links/assess", |ctx| {
         table.fold_local(ctx, Vec::<Link>::new(), |mut out, key, agg| {
-            if agg.splint_count >= cfg.min_splints {
+            if agg.splint_count >= MIN_SPLINTS {
                 out.push(Link {
                     key: *key,
                     gap: agg.splint_gap_sum / agg.splint_count as i64,
                     support: agg.splint_count,
                     kind: LinkKind::Splint,
                 });
-            } else if agg.span_count >= cfg.min_spans {
+            } else if agg.span_count >= MIN_SPANS {
                 out.push(Link {
                     key: *key,
                     gap: agg.span_gap_sum / agg.span_count as i64,
@@ -195,7 +179,7 @@ mod tests {
             splint(1, ContigEnd::Left, 0, ContigEnd::Right, -19), // same, reversed order
             splint(2, ContigEnd::Right, 3, ContigEnd::Left, -19), // only once
         ];
-        let (links, _) = generate_links(&team, &splints, &[], &LinkConfig::default());
+        let (links, _) = generate_links(&team, &splints, &[]);
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].support, 2);
         assert_eq!(links[0].kind, LinkKind::Splint);
@@ -214,7 +198,7 @@ mod tests {
             span(5, ContigEnd::Right, 6, ContigEnd::Left, 110),
             span(5, ContigEnd::Right, 6, ContigEnd::Left, 100),
         ];
-        let (links, _) = generate_links(&team, &[], &spans, &LinkConfig::default());
+        let (links, _) = generate_links(&team, &[], &spans);
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].gap, 100);
         assert_eq!(links[0].support, 3);
@@ -232,7 +216,7 @@ mod tests {
             span(0, ContigEnd::Right, 1, ContigEnd::Left, 40),
             span(0, ContigEnd::Right, 1, ContigEnd::Left, 60),
         ];
-        let (links, _) = generate_links(&team, &splints, &spans, &LinkConfig::default());
+        let (links, _) = generate_links(&team, &splints, &spans);
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].kind, LinkKind::Splint);
         assert_eq!(links[0].gap, -19);
@@ -245,7 +229,7 @@ mod tests {
             .collect();
         let run = |ranks| {
             let team = Team::new(Topology::new(ranks, 4));
-            generate_links(&team, &splints, &[], &LinkConfig::default()).0
+            generate_links(&team, &splints, &[]).0
         };
         assert_eq!(run(1), run(8));
     }

@@ -4,9 +4,9 @@ use crate::bubbles::merge_bubbles;
 use crate::depths::compute_depths;
 use crate::gapclose::{close_gaps, GapCloseConfig, GapCloseStats};
 use crate::inserts::estimate_insert_size;
-use crate::links::{generate_links, LinkConfig};
+use crate::links::generate_links;
 use crate::scaffolds::ScaffoldSet;
-use crate::splints::{locate_splints_and_spans, SplintSpanConfig};
+use crate::splints::locate_splints_and_spans;
 use crate::ties::order_and_orient;
 use hipmer_align::{align_reads, AlignConfig, Alignment};
 use hipmer_contig::ContigSet;
@@ -15,26 +15,28 @@ use hipmer_pgas::{PartitionScheme, PhaseReport, Schedule, Team};
 use hipmer_seqio::SeqRecord;
 use std::ops::Range;
 
+/// Fallback insert size when a library yields no same-contig pairs (the
+/// simulated short-insert library's nominal size).
+const DEFAULT_INSERT: f64 = 400.0;
+/// Contigs shorter than this do not participate in links/ties (repeat
+/// scraps produce conflicting links; Meraculous likewise scaffolds only
+/// sufficiently long contigs — here, one read length).
+const MIN_TIE_CONTIG: usize = 100;
+/// Contigs whose depth exceeds this factor times the median depth are
+/// treated as repeats and masked from links/ties: between the 1× of unique
+/// sequence and the 2× of a two-copy repeat, nearer the latter so diploid
+/// depth noise is not masked.
+const REPEAT_DEPTH_FACTOR: f64 = 1.75;
+
 /// Scaffolding configuration.
 #[derive(Clone, Debug)]
 pub struct ScaffoldConfig {
     /// merAligner settings.
     pub align: AlignConfig,
-    /// Link support thresholds.
-    pub link: LinkConfig,
     /// Gap-closing settings.
     pub gap: GapCloseConfig,
-    /// Fallback insert size when a library yields no same-contig pairs.
-    pub default_insert: f64,
     /// Scaffolding rounds (the paper's wheat pipeline runs four).
     pub rounds: usize,
-    /// Contigs shorter than this do not participate in links/ties (repeat
-    /// scraps produce conflicting links; Meraculous likewise scaffolds
-    /// only sufficiently long contigs).
-    pub min_tie_contig: usize,
-    /// Contigs whose depth exceeds this factor times the median depth are
-    /// treated as repeats and masked from links/ties.
-    pub repeat_depth_factor: f64,
     /// Work schedule for the skew-prone scaffold stages (depths, bubbles).
     /// The per-module configs carry their own copies; use
     /// [`ScaffoldConfig::with_schedule`] to set all of them at once.
@@ -46,12 +48,8 @@ impl ScaffoldConfig {
     pub fn new(seed_len: usize) -> Self {
         ScaffoldConfig {
             align: AlignConfig::new(seed_len),
-            link: LinkConfig::default(),
             gap: GapCloseConfig::default(),
-            default_insert: 400.0,
             rounds: 1,
-            min_tie_contig: 100,
-            repeat_depth_factor: 1.75,
             schedule: Schedule::Static,
         }
     }
@@ -183,7 +181,7 @@ pub fn scaffold_rounds(
             .contigs
             .iter()
             .zip(&round_info)
-            .filter(|(c, _)| c.len() >= cfg.min_tie_contig)
+            .filter(|(c, _)| c.len() >= MIN_TIE_CONTIG)
             .map(|(c, i)| (i.depth, c.len()))
             .collect();
         weighted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
@@ -202,8 +200,8 @@ pub fn scaffold_rounds(
             .iter()
             .zip(&round_info)
             .map(|(c, i)| {
-                c.len() < cfg.min_tie_contig
-                    || (median_depth > 0.0 && i.depth > cfg.repeat_depth_factor * median_depth)
+                c.len() < MIN_TIE_CONTIG
+                    || (median_depth > 0.0 && i.depth > REPEAT_DEPTH_FACTOR * median_depth)
             })
             .collect();
 
@@ -231,11 +229,10 @@ pub fn scaffold_rounds(
             let lib_alns = alignment_slice(&alignments, range);
             let (est, r) = estimate_insert_size(team, lib_alns, 3);
             reports.push(r);
-            let mean = est.map(|e| e.mean).unwrap_or(cfg.default_insert);
+            let mean = est.map(|e| e.mean).unwrap_or(DEFAULT_INSERT);
             insert_means.push(mean);
-            let sscfg = SplintSpanConfig::new(mean);
             let lens: Vec<usize> = contigs.contigs.iter().map(|c| c.len()).collect();
-            let (sp, sn, r) = locate_splints_and_spans(team, lib_alns, &lens, &sscfg);
+            let (sp, sn, r) = locate_splints_and_spans(team, lib_alns, &lens, mean);
             reports.push(r);
             splints.extend(sp);
             spans.extend(sn);
@@ -244,7 +241,7 @@ pub fn scaffold_rounds(
         spans.retain(|s| s.ends.iter().all(|(c, _)| !masked[*c as usize]));
 
         // §4.6 links.
-        let (links, r) = generate_links(team, &splints, &spans, &cfg.link);
+        let (links, r) = generate_links(team, &splints, &spans);
         reports.push(r);
 
         // §4.7 ordering and orientation.
@@ -286,7 +283,7 @@ mod tests {
         let lib_ranges = dataset.lib_ranges();
         let kcfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
         let n_raw = contigs.len();
         let out = scaffold_pipeline(
             &team,

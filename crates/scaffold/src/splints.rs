@@ -34,30 +34,14 @@ pub struct Span {
     pub gap: i64,
 }
 
-/// Detection tolerances.
-#[derive(Clone, Copy, Debug)]
-pub struct SplintSpanConfig {
-    /// How close an alignment must reach a contig end to count (bases).
-    pub end_slack: u32,
-    /// Full-length slack for span mates.
-    pub read_slack: u32,
-    /// The library insert size used for span gap estimates.
-    pub insert_mean: f64,
-    /// Reject spans whose implied gap is below this (repeat mis-mappings).
-    pub min_gap: i64,
-}
-
-impl SplintSpanConfig {
-    /// Defaults for a given insert size.
-    pub fn new(insert_mean: f64) -> Self {
-        SplintSpanConfig {
-            end_slack: 5,
-            read_slack: 3,
-            insert_mean,
-            min_gap: -200,
-        }
-    }
-}
+/// How close an alignment must reach a contig end to count (bases): the
+/// aligner may clip a few mismatching bases off an alignment's tail.
+const END_SLACK: u32 = 5;
+/// Full-length slack for span mates (as [`END_SLACK`], on the read).
+const READ_SLACK: u32 = 3;
+/// Reject spans whose implied gap is below this (repeat mis-mappings): no
+/// two contigs overlap by more than a couple of read lengths.
+const MIN_GAP: i64 = -200;
 
 /// Which contig end an alignment reaches, looking along the read.
 ///
@@ -85,12 +69,13 @@ fn touched_end(a: &Alignment, contig_len: usize, outgoing: bool, slack: u32) -> 
 /// Scan all alignments for splints and spans.
 ///
 /// `alignments` must be sorted by read; `contig_lens[c]` gives contig
-/// lengths. Returns splints, spans, and the phase report.
+/// lengths; `insert_mean` is the library insert size the span gap
+/// estimates use. Returns splints, spans, and the phase report.
 pub fn locate_splints_and_spans(
     team: &Team,
     alignments: &[Alignment],
     contig_lens: &[usize],
-    cfg: &SplintSpanConfig,
+    insert_mean: f64,
 ) -> (Vec<Splint>, Vec<Span>, PhaseReport) {
     // Pair-range index (pairs = reads 2i, 2i+1).
     let mut pair_ranges: Vec<(usize, usize)> = Vec::new();
@@ -129,8 +114,8 @@ pub fn locate_splints_and_spans(
                             continue;
                         }
                         let (Some(ea), Some(eb)) = (
-                            touched_end(a, contig_lens[a.contig as usize], true, cfg.end_slack),
-                            touched_end(b, contig_lens[b.contig as usize], false, cfg.end_slack),
+                            touched_end(a, contig_lens[a.contig as usize], true, END_SLACK),
+                            touched_end(b, contig_lens[b.contig as usize], false, END_SLACK),
                         ) else {
                             continue;
                         };
@@ -146,11 +131,11 @@ pub fn locate_splints_and_spans(
             let (r1, r2) = (2 * pair, 2 * pair + 1);
             let m1: Vec<&Alignment> = group
                 .iter()
-                .filter(|a| a.read == r1 && a.is_full_length(cfg.read_slack))
+                .filter(|a| a.read == r1 && a.is_full_length(READ_SLACK))
                 .collect();
             let m2: Vec<&Alignment> = group
                 .iter()
-                .filter(|a| a.read == r2 && a.is_full_length(cfg.read_slack))
+                .filter(|a| a.read == r2 && a.is_full_length(READ_SLACK))
                 .collect();
             if let (&[a1], &[a2]) = (&m1[..], &m2[..]) {
                 if a1.contig != a2.contig {
@@ -171,8 +156,8 @@ pub fn locate_splints_and_spans(
                     };
                     let (e1, d1) = geom(a1);
                     let (e2, d2) = geom(a2);
-                    let gap = cfg.insert_mean as i64 - d1 - d2;
-                    if gap >= cfg.min_gap {
+                    let gap = insert_mean as i64 - d1 - d2;
+                    if gap >= MIN_GAP {
                         spans.push(Span {
                             ends: [(a1.contig, e1), (a2.contig, e2)],
                             gap,
@@ -247,8 +232,7 @@ mod tests {
         let team = Team::new(Topology::new(2, 2));
         let (alns, _) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
         let lens: Vec<usize> = contigs.contigs.iter().map(|c| c.len()).collect();
-        let (splints, _, _) =
-            locate_splints_and_spans(&team, &alns, &lens, &SplintSpanConfig::new(400.0));
+        let (splints, _, _) = locate_splints_and_spans(&team, &alns, &lens, 400.0);
         assert_eq!(splints.len(), 1, "{splints:?}");
         let s = &splints[0];
         let hit: std::collections::HashSet<u32> = s.ends.iter().map(|(c, _)| *c).collect();
@@ -278,8 +262,7 @@ mod tests {
         let (alns, _) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
         assert_eq!(alns.len(), 2, "{alns:?}");
         let lens: Vec<usize> = contigs.contigs.iter().map(|c| c.len()).collect();
-        let (_, spans, _) =
-            locate_splints_and_spans(&team, &alns, &lens, &SplintSpanConfig::new(400.0));
+        let (_, spans, _) = locate_splints_and_spans(&team, &alns, &lens, 400.0);
         assert_eq!(spans.len(), 1, "{spans:?}");
         let s = &spans[0];
         // d1 = 400-250 = 150 (A right end), d2 = 650-500... B occupies
@@ -303,8 +286,7 @@ mod tests {
         let team = Team::new(Topology::new(1, 1));
         let (alns, _) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
         let lens = vec![g.len()];
-        let (splints, spans, _) =
-            locate_splints_and_spans(&team, &alns, &lens, &SplintSpanConfig::new(400.0));
+        let (splints, spans, _) = locate_splints_and_spans(&team, &alns, &lens, 400.0);
         assert!(splints.is_empty());
         assert!(spans.is_empty());
     }

@@ -38,7 +38,7 @@ fn main() {
     let d1 = human_like_dataset(genome_len, 14.0, false, 11);
     let reads1 = d1.all_reads();
     let (spectrum1, _) = analyze_kmers(&team, &reads1, &KmerAnalysisConfig::new(k));
-    let cfg = ContigConfig::new(k);
+    let cfg = ContigConfig::default();
     let (graph1, _) = build_graph(&team, &spectrum1, None, PartitionScheme::Uniform);
     let (contigs1, t1) = traverse_graph(&team, &graph1, &cfg);
     println!(
@@ -113,7 +113,7 @@ fn main() {
     println!("\n--- k-sweep: oracle from the k={k} draft, applied at k=41 ---");
     let k2 = 41;
     let (spectrum_k2, _) = analyze_kmers(&team, &reads1, &KmerAnalysisConfig::new(k2));
-    let cfg2 = ContigConfig::new(k2);
+    let cfg2 = ContigConfig::default();
     let (graph_a, _) = build_graph(&team, &spectrum_k2, None, PartitionScheme::Uniform);
     let (set_a, trav_a) = traverse_graph(&team, &graph_a, &cfg2);
     let oracle_k2 = Arc::new(build_oracle_for_k(

@@ -239,3 +239,57 @@ fn diploid_breaks_are_only_phase_switches() {
     assert!(report.precision > 0.99, "{report:?}");
     assert!(report.genome_fraction > 0.9, "{report:?}");
 }
+
+/// FNV-1a of the FASTA under every `Schedule` × `PartitionScheme` × OS
+/// thread count the CLI can select; all eight must equal `golden`.
+fn assert_golden_fasta(
+    dataset: &Dataset,
+    libs: &[std::ops::Range<usize>],
+    base: &PipelineConfig,
+    golden: u64,
+) {
+    use hipmer_pgas::{PartitionScheme, Schedule};
+    let reads = dataset.all_reads();
+    for schedule in [Schedule::Static, Schedule::Dynamic] {
+        for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
+            for threads in [1, 2] {
+                let team = Team::new(Topology::new(8, 4)).with_os_threads(threads);
+                let cfg = base
+                    .clone()
+                    .with_schedule(schedule)
+                    .with_partition(partition);
+                let fasta = assemble(&team, &reads, libs, &cfg).to_fasta();
+                assert_eq!(
+                    hipmer::checkpoint::fnv1a(&fasta),
+                    golden,
+                    "assembled bytes moved under {schedule:?}/{partition:?}/{threads} thread(s)"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn assembled_bytes_are_pinned_across_commits() {
+    // Every other identity test compares two runs of the same build, so a
+    // default that silently changes value passes them all. These literals
+    // were computed at commit a7971ae, before the stage-config fields
+    // became constants; a change that moves them changes the assembly and
+    // must say so.
+    let human = human_like_dataset(25_000, 16.0, false, 7);
+    assert_golden_fasta(
+        &human,
+        &human.lib_ranges(),
+        &PipelineConfig::new(21),
+        0x8bbb_6ee5_394d_1ba4,
+    );
+    // Multi-k on a repeat-bearing community: covers `round_stage_configs`
+    // and the non-final-round pruning floor (a floor of 0 gives 92
+    // scaffolds instead of 93 on this input).
+    let meta = hipmer_readsim::metagenome_repeats_dataset(40_000, 6, 30, 300, 12.0, false, 9);
+    let all = 0..meta.all_reads().len();
+    let cfg = PipelineConfig::metagenome_preset(33)
+        .try_multi_k(&[21, 33])
+        .unwrap();
+    assert_golden_fasta(&meta, &[all], &cfg, 0x1380_19c0_0df8_1fe6);
+}

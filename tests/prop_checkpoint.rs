@@ -53,6 +53,12 @@ fn arb_seq() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(proptest::sample::select(&b"ACGTN"[..]), 1..200)
 }
 
+/// A contig as the traversal emits one: `ACGT` only and at least one k-mer
+/// long for every k the tests draw (k < 32).
+fn arb_contig_seq() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(proptest::sample::select(&b"ACGT"[..]), 32..200)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -68,7 +74,7 @@ proptest! {
     #[test]
     fn contig_codec_round_trips(
         k in 15usize..32,
-        seqs in proptest::collection::vec(arb_seq(), 0..20),
+        seqs in proptest::collection::vec(arb_contig_seq(), 0..20),
         depths in proptest::collection::vec(0u64..100_000, 20),
     ) {
         let contigs = ContigSet {
@@ -222,7 +228,7 @@ fn valid_artifacts() -> Vec<(Vec<u8>, Vec<usize>, Option<usize>)> {
     let contigs = ContigSet {
         contigs: vec![Contig {
             id: 0,
-            seq: b"ACGTACGTAC".to_vec(),
+            seq: b"ACGTACGTACGTACGTACGTACGT".to_vec(),
             depth: 4.5,
         }],
         codec: KmerCodec::new(21),
@@ -315,6 +321,93 @@ proptest! {
             }
         }
     }
+}
+
+/// A contig set holding one sequence, framed by the real encoder.
+fn encoded_contig(seq: &[u8]) -> Vec<u8> {
+    encode_contigs(&ContigSet {
+        contigs: vec![Contig {
+            id: 0,
+            seq: seq.to_vec(),
+            depth: 0.0,
+        }],
+        codec: KmerCodec::new(21),
+    })
+}
+
+// Well-formed, checksum-consistent artifacts whose *content* the stages
+// downstream cannot take: `compute_depths` slices `seq[off..off + k]` and
+// packs `seq[..k]` inside `Team::run`, where a panic is a process abort.
+#[test]
+fn contigs_the_scaffolder_cannot_read_are_rejected() {
+    let good = b"ACGTTGCAACGTTGCAACGTTGCAAC";
+    assert!(decode_contigs(&encoded_contig(good)).is_ok());
+    let short = decode_contigs(&encoded_contig(b"ACGTA")).unwrap_err();
+    assert_eq!(short.kind(), std::io::ErrorKind::InvalidData);
+    let mut with_n = good.to_vec();
+    with_n[3] = b'N';
+    let n = decode_contigs(&encoded_contig(&with_n)).unwrap_err();
+    assert_eq!(n.kind(), std::io::ErrorKind::InvalidData);
+    // Ids index the set (`build_seed_index` looks contigs up by id).
+    let mut sparse = encoded_contig(good);
+    sparse[21..29].copy_from_slice(&7u64.to_le_bytes());
+    assert!(decode_contigs(&sparse).is_err());
+}
+
+// An alignment artifact that decodes but names a contig the prepared set
+// does not have: `--resume` must fail with an I/O error, not index
+// `contigs.contigs[u32::MAX]` in gap closing.
+#[test]
+fn resume_rejects_alignments_that_name_missing_contigs() {
+    let dataset = hipmer_readsim::human_like_dataset(8_000, 14.0, false, 5);
+    let reads = dataset.all_reads();
+    let ranges = dataset.lib_ranges();
+    let cfg = PipelineConfig::new(21);
+    let team = Team::new(Topology::new(4, 2));
+    let dir = std::env::temp_dir().join(format!("hipmer-ckpt-badaln-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.clone()),
+        halt_after: Some("alignment".to_string()),
+        ..RunOptions::default()
+    };
+    let halted = run_assembly(&team, &reads, &ranges, &cfg, &opts);
+    assert!(matches!(halted, Err(PipelineError::Halted { .. })));
+
+    // Rewrite the artifact through the store, so manifest and checksum agree.
+    let fingerprint = checkpoint::Fingerprint {
+        k: 21,
+        ranks: 4,
+        ranks_per_node: 2,
+        n_reads: reads.len(),
+        read_bases: reads.iter().map(|r| r.len()).sum(),
+        rounds: cfg.scaffold.rounds,
+        multi_k: Vec::new(),
+    };
+    let mut store = checkpoint::CheckpointStore::open_for_resume(&dir, fingerprint).unwrap();
+    let (payload, _, _) = store.load("alignment").unwrap();
+    let mut alns = decode_alignments(&payload).unwrap();
+    alns[0].contig = u32::MAX;
+    store
+        .save(3, "alignment", &encode_alignments(&alns))
+        .unwrap();
+
+    let resumed = run_assembly(
+        &team,
+        &reads,
+        &ranges,
+        &cfg,
+        &RunOptions {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..RunOptions::default()
+        },
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        matches!(resumed, Err(PipelineError::Io(_))),
+        "an out-of-range alignment must be an I/O error"
+    );
 }
 
 proptest! {

@@ -34,7 +34,11 @@ fn counted_only(doc: Value, measured: &[&str]) -> Value {
 fn report_of(dataset: &Dataset, cfg: &PipelineConfig, tag: &str) -> (Value, Value) {
     let dir = std::env::temp_dir().join(format!("hipmer-repro-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let team = Team::new(Topology::new(8, 4)).with_os_threads(1);
+    // Hot-key tracking on, as under `--report-json`: `hot_keys` ties are
+    // part of what must repeat.
+    let team = Team::new(Topology::new(8, 4))
+        .with_os_threads(1)
+        .with_hot_keys(trace::HOT_KEY_CAPACITY);
     let opts = RunOptions {
         checkpoint_dir: Some(dir.clone()),
         ..RunOptions::default()
@@ -50,9 +54,6 @@ fn report_of(dataset: &Dataset, cfg: &PipelineConfig, tag: &str) -> (Value, Valu
 
 #[test]
 fn two_one_thread_runs_write_equal_reports_minus_the_measured_keys() {
-    // Hot-key tracking on, as under `--report-json`: `hot_keys` ties are
-    // part of what must repeat.
-    trace::set_hotkey_capacity(64);
     let classic = PipelineConfig::new(21);
     let multi_k = PipelineConfig::metagenome_preset(33)
         .with_schedule(Schedule::Dynamic)
