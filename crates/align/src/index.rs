@@ -75,24 +75,18 @@ pub fn build_seed_index(
     // Window-parallel work units so a dominant contig does not serialize
     // the index build onto one rank.
     const WINDOW: usize = 4096;
-    let mut windows: Vec<(u32, u32)> = Vec::new(); // (contig, window)
-    for c in &contigs.contigs {
-        let n_seeds = c.seq.len().saturating_sub(seed_len) + 1;
-        for w in 0..n_seeds.div_ceil(WINDOW).max(1) {
-            windows.push((c.id as u32, w as u32));
-        }
-    }
+    let windows = contigs.kmer_windows(seed_len, WINDOW);
 
     let (_, mut stats) = team.run_named("scaffold/meraligner-index", |ctx| {
         let mut agg = AggregatingStores::new(&table, merge);
-        for &(ci, w) in &windows[ctx.chunk(windows.len())] {
-            let contig = &contigs.contigs[ci as usize];
-            let lo = w as usize * WINDOW;
-            let hi = (lo + WINDOW + seed_len - 1).min(contig.seq.len());
+        for (ci, seeds) in &windows[ctx.chunk(windows.len())] {
+            let contig = &contigs.contigs[*ci];
+            let lo = seeds.start;
+            let hi = (seeds.end + seed_len - 1).min(contig.seq.len());
             for (off, km, canon) in codec.canonical_kmers(&contig.seq[lo..hi]) {
                 ctx.stats.compute(1);
                 let hit = SeedHit {
-                    contig: ci,
+                    contig: *ci as u32,
                     pos: (lo + off) as u32,
                     rc: canon != km,
                 };

@@ -1,6 +1,7 @@
 //! Contigs: the uncontested linear sequences the traversal emits.
 
 use hipmer_dna::KmerCodec;
+use std::ops::Range;
 
 /// One contig. Sequences are stored in canonical orientation (the
 /// traversal's tie-break guarantees a deterministic orientation), ids are
@@ -86,6 +87,23 @@ impl ContigSet {
     pub fn max_len(&self) -> usize {
         self.contigs.first().map(Contig::len).unwrap_or(0)
     }
+
+    /// Parallel work units over the set: each contig's `k`-mer offsets cut
+    /// into ranges of at most `window`, as `(contig, offsets)` in contig
+    /// order. Dealing windows rather than whole contigs keeps one dominant
+    /// contig from serializing a stage onto one rank (the assemblies in
+    /// the paper have millions of contigs; small test genomes may have
+    /// one). Every contig gets at least one window.
+    pub fn kmer_windows(&self, k: usize, window: usize) -> Vec<(usize, Range<usize>)> {
+        let mut out = Vec::new();
+        for (ci, c) in self.contigs.iter().enumerate() {
+            let n_kmers = c.len().saturating_sub(k) + 1;
+            for lo in (0..n_kmers).step_by(window) {
+                out.push((ci, lo..(lo + window).min(n_kmers)));
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -127,6 +145,13 @@ mod tests {
             vec![b"AAAAA".to_vec(), b"CCCCC".to_vec()],
         );
         assert_eq!(a.contigs, b.contigs);
+    }
+
+    #[test]
+    fn kmer_windows_cover_every_offset_once() {
+        // 50 + 30 + 10 bases at k = 21: 30, 10 and (too short) 1 offsets.
+        let w = set(&[10, 50, 30]).kmer_windows(21, 16);
+        assert_eq!(w, vec![(0, 0..16), (0, 16..30), (1, 0..10), (2, 0..1)]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! endpoint tie-break, plus a cleanup pass that linearizes cycles. Both
 //! produce the identical contig set.
 
+use crate::chain::{ends_overlap, stitch, walk_chains, ContigEnd};
 use crate::contig_set::ContigSet;
 use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec, KmerHashMap};
@@ -275,16 +276,12 @@ fn step_claim(
     })
 }
 
-/// Index of a subcontig's left side in [`Subcontig::ends`] / `links`.
-const LEFT: usize = 0;
-/// Index of its right side.
-const RIGHT: usize = 1;
-
 /// A subcontig produced by the cooperative traversal.
 struct Subcontig {
     /// Sequence in the seed's canonical orientation.
     seq: Vec<u8>,
-    /// Canonical keys of the first (`LEFT`) and last (`RIGHT`) k-mer.
+    /// Canonical keys of the first and last k-mer, indexed by
+    /// [`ContigEnd`] (as `links` is).
     ends: [Kmer; 2],
     /// Per side, the canonical key of the vertex beyond that end if the
     /// walk stopped at a boundary (foreign claim, ownership boundary or
@@ -530,15 +527,15 @@ fn merge_chains(subs: &[Subcontig], k: usize) -> Vec<Vec<u8>> {
     // Endpoint key -> subcontigs ending there.
     let mut by_end: KmerHashMap<Kmer, Vec<usize>> = KmerHashMap::default();
     for (i, s) in subs.iter().enumerate() {
-        by_end.entry(s.ends[LEFT]).or_default().push(i);
-        if s.ends[RIGHT] != s.ends[LEFT] {
-            by_end.entry(s.ends[RIGHT]).or_default().push(i);
+        by_end.entry(s.ends[0]).or_default().push(i);
+        if s.ends[1] != s.ends[0] {
+            by_end.entry(s.ends[1]).or_default().push(i);
         }
     }
     // Follow the link out of `side` of subcontig `i`: the neighbor, and the
     // side we enter it by.
-    let hop = |i: usize, side: usize| -> Option<(usize, usize)> {
-        let km = subs[i].links[side]?;
+    let hop = |i: usize, side: ContigEnd| -> Option<(usize, ContigEnd)> {
+        let km = subs[i].links[side as usize]?;
         // Prefer a neighbor other than `i` (a subcontig may self-link on
         // cycles).
         let at = by_end.get(&km)?;
@@ -546,66 +543,34 @@ fn merge_chains(subs: &[Subcontig], k: usize) -> Vec<Vec<u8>> {
         // We enter the neighbor at the side whose link points back at our
         // endpoint. (Endpoint matching alone is ambiguous for single-k-mer
         // subcontigs, where both ends are the same key.)
-        let back = Some(subs[i].ends[side]);
-        let enter = if subs[n].links[LEFT] == back {
-            LEFT
-        } else if subs[n].links[RIGHT] == back {
-            RIGHT
-        } else if subs[n].ends[LEFT] == km {
-            LEFT
+        let back = Some(subs[i].ends[side as usize]);
+        let enter = if subs[n].links[0] == back {
+            ContigEnd::Left
+        } else if subs[n].links[1] == back {
+            ContigEnd::Right
+        } else if subs[n].ends[0] == km {
+            ContigEnd::Left
         } else {
-            RIGHT
+            ContigEnd::Right
         };
         Some((n, enter))
     };
-    // A subcontig read so that `enter` is its left side.
-    let oriented = |i: usize, enter: usize| -> Vec<u8> {
-        if enter == LEFT {
-            subs[i].seq.clone()
-        } else {
-            hipmer_dna::revcomp(&subs[i].seq)
-        }
+    // A join is walked only if both sides name each other and the two
+    // subcontigs overlap by exactly k-1 bases across it; anything else
+    // stays two chains.
+    let joined = |i: usize, side: ContigEnd| {
+        hop(i, side).filter(|&(n, enter)| {
+            hop(n, enter) == Some((i, side))
+                && ends_overlap(&subs[i].seq, side, &subs[n].seq, enter, k - 1)
+        })
     };
-
-    let mut used = vec![false; subs.len()];
-    let mut out: Vec<Vec<u8>> = Vec::new();
-    for start in 0..subs.len() {
-        if used[start] {
-            continue;
-        }
-        // Walk to the chain's left terminus: `(subcontig, side facing left)`.
-        let mut cur = (start, LEFT);
-        for hops in 0..=subs.len() {
-            match hop(cur.0, cur.1) {
-                // Back at the start (cycle) or a single-subcontig cycle.
-                Some((prev, _)) if (prev == start && hops > 0) || prev == cur.0 => break,
-                Some((prev, enter)) => cur = (prev, 1 - enter),
-                None => break,
-            }
-        }
-        // Assemble rightward from the terminus.
-        let mut seq = oriented(cur.0, cur.1);
-        used[cur.0] = true;
-        let mut exit = (cur.0, 1 - cur.1);
-        for _ in 0..=subs.len() {
-            let Some((next, enter)) = hop(exit.0, exit.1).filter(|&(n, _)| !used[n]) else {
-                break;
-            };
-            let next_seq = oriented(next, enter);
-            // Adjacent subcontigs overlap by exactly k-1 bases.
-            if next_seq.len() < k - 1
-                || seq.len() < k - 1
-                || next_seq[..k - 1] != seq[seq.len() - (k - 1)..]
-            {
-                break; // inconsistent join; leave as separate chains
-            }
-            seq.extend_from_slice(&next_seq[k - 1..]);
-            used[next] = true;
-            exit = (next, 1 - enter);
-        }
-        out.push(canonical_seq(seq));
-    }
-    out
+    let links: Vec<[Option<(usize, ContigEnd)>; 2]> = (0..subs.len())
+        .map(|i| [joined(i, ContigEnd::Left), joined(i, ContigEnd::Right)])
+        .collect();
+    walk_chains(subs.len(), |i, side| links[i][side as usize])
+        .iter()
+        .map(|chain| canonical_seq(stitch(chain, |i| &subs[i].seq, k - 1)))
+        .collect()
 }
 
 /// The deterministic endpoint traversal (default mode).

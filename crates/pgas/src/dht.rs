@@ -467,22 +467,6 @@ where
         self.apply_batch(dest, entries, merge, Some(|v| v));
     }
 
-    /// As [`merge_batch`](Self::merge_batch), but entries whose key is not
-    /// already present are **dropped** instead of inserted. This is the
-    /// second-pass counting semantics of §3.1: only k-mers the Bloom filter
-    /// admitted (seen at least twice) have table entries; votes for
-    /// anything else are discarded.
-    pub fn merge_batch_existing<M>(
-        &self,
-        dest: usize,
-        entries: impl IntoIterator<Item = (K, V)>,
-        merge: M,
-    ) where
-        M: Fn(&mut V, V),
-    {
-        self.apply_batch(dest, entries, merge, None::<fn(V) -> V>);
-    }
-
     /// Total entries across all shards (collective metadata; not counted).
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.part.lock().map.len()).sum()
@@ -931,14 +915,16 @@ mod tests {
             .collect();
         assert_eq!(merged, expect);
 
-        // The existing-only variant drops absent keys and keeps the order.
+        // Without a `vacant` arm absent keys are dropped (the second-pass
+        // counting semantics of §3.1) and the order is kept.
         let absent = (64..).find(|k| batched.owner(k) == 1).unwrap();
         let second = vec![
             (owned[0], "x".to_string()),
             (absent, "dropped".to_string()),
             (owned[0], "y".to_string()),
         ];
-        batched.merge_batch_existing(1, second, |a: &mut String, b: String| a.push_str(&b));
+        let append = |a: &mut String, b: String| a.push_str(&b);
+        batched.apply_batch(1, second, append, None::<fn(String) -> String>);
         assert_eq!(batched.get(&mut c, &absent), None);
         assert!(batched.get(&mut c, &owned[0]).unwrap().ends_with("xy"));
     }
@@ -986,8 +972,8 @@ mod tests {
         expect_advance("remove", 1, &dht);
         dht.merge_batch(0, batch(), |a, b| *a += b);
         expect_advance("merge_batch", 1, &dht);
-        dht.merge_batch_existing(0, batch(), |a, b| *a += b);
-        expect_advance("merge_batch_existing", 1, &dht);
+        dht.apply_batch(0, batch(), |a, b| *a += b, None::<fn(u32) -> u32>);
+        expect_advance("apply_batch without a vacant arm", 1, &dht);
         // Reads leave the stamp untouched: the sequence-validated read
         // protocol for caches.
         let refs: Vec<&u64> = owned.iter().collect();

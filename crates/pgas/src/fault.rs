@@ -24,9 +24,8 @@
 //!   whose retry budget is exhausted escalates to a hard failure.
 //! * A **hard rank failure** ([`FaultPlan::with_rank_failure`], or an
 //!   escalated transient) unwinds the failing rank's phase body with a
-//!   [`RankFailure`] payload. [`crate::Team::try_run_named`] catches it and
-//!   returns [`StageOutcome::Aborted`]; the plain
-//!   [`crate::Team::run_named`] re-raises it as a [`StageAbort`] panic so
+//!   [`RankFailure`] payload. [`crate::Team::run_named`] catches it and,
+//!   once every rank has run, raises a [`StageAbort`] panic so
 //!   drivers that checkpoint (see the `hipmer` crate) can catch the whole
 //!   stage with [`catch_stage_abort`] and re-execute it from the last
 //!   checkpoint. Injected hard failures are one-shot: the re-executed
@@ -66,7 +65,7 @@ impl std::fmt::Display for FailureCause {
 }
 
 /// Panic payload raised inside a phase body when the acting rank dies.
-/// Caught by [`crate::Team::try_run_named`]; never escapes a worker thread.
+/// Caught by [`crate::Team::run_named`]; never escapes a worker thread.
 #[derive(Clone, Copy, Debug)]
 pub struct RankFailure {
     /// The rank that died.
@@ -75,10 +74,8 @@ pub struct RankFailure {
     pub cause: FailureCause,
 }
 
-/// Panic payload raised by [`crate::Team::run_named`] when a stage aborts
-/// (its structured sibling [`crate::Team::try_run_named`] returns
-/// [`StageOutcome::Aborted`] instead). Catch it at a stage boundary with
-/// [`catch_stage_abort`].
+/// Panic payload raised by [`crate::Team::run_named`] when a stage aborts.
+/// Catch it at a stage boundary with [`catch_stage_abort`].
 #[derive(Clone, Debug)]
 pub struct StageAbort {
     /// Label of the phase that aborted.
@@ -97,17 +94,6 @@ impl std::fmt::Display for StageAbort {
             self.phase, self.rank, self.cause
         )
     }
-}
-
-/// The outcome of one SPMD stage under fault injection (returned by
-/// [`crate::Team::try_run_named`]).
-pub enum StageOutcome<R> {
-    /// Every rank ran to completion.
-    Completed(Vec<R>, Vec<crate::CommStats>),
-    /// At least one rank died; per-rank results were discarded. The caller
-    /// re-executes the stage (counters of the aborted attempt are dropped
-    /// with it — see `PipelineReport::rollback_to`).
-    Aborted(StageAbort),
 }
 
 /// What [`FaultPlan::on_remote_event`] decided for one communication event.

@@ -52,9 +52,7 @@ pub use agg::{AggregatingStores, Outbox};
 pub use calib::Calibration;
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
 pub use dht::DistHashMap;
-pub use fault::{
-    catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort, StageOutcome,
-};
+pub use fault::{catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort};
 pub use lookup::{LookupBatch, SoftwareCache};
 pub use oracle::OracleVector;
 pub use part::{PartitionScheme, DEFAULT_MINIMIZER_LEN};

@@ -10,7 +10,7 @@
 //! aborted job can never leak its allocation.
 //!
 //! The pool is deliberately policy-free: it answers "are `n` ranks
-//! free?" and blocks or fails fast, while *which* job gets the next
+//! free?" and fails fast, while *which* job gets the next
 //! lease (fair share, priorities, anti-starvation) is the scheduler's
 //! decision in the serving layer. OS threads are divided proportionally:
 //! a lease for half the pool's ranks runs its team on half the pool's
@@ -18,14 +18,13 @@
 //! oversubscribe the host.
 //!
 //! Metrics ([`crate::metrics`]): the gauge
-//! `pgas/pool/leased_ranks` tracks the live allocation, and the counters
-//! `pgas/pool/leases` / `pgas/pool/lease_waits` count grants and
-//! blocking waits.
+//! `pgas/pool/leased_ranks` tracks the live allocation, and the counter
+//! `pgas/pool/leases` counts grants.
 
 use crate::metrics;
 use crate::team::Team;
 use crate::topology::Topology;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Mutable pool state guarded by the mutex: ranks currently leased out.
 #[derive(Debug)]
@@ -42,7 +41,6 @@ pub struct TeamPool {
     ranks_per_node: usize,
     os_threads: usize,
     state: Mutex<PoolState>,
-    freed: Condvar,
 }
 
 impl TeamPool {
@@ -62,7 +60,6 @@ impl TeamPool {
             ranks_per_node,
             os_threads,
             state: Mutex::new(PoolState { leased: 0 }),
-            freed: Condvar::new(),
         }
     }
 
@@ -123,36 +120,12 @@ impl TeamPool {
         })
     }
 
-    /// Lease `ranks` ranks, blocking until the allocation is free.
-    /// Requests are clamped with [`TeamPool::clamp_request`].
-    pub fn lease(self: &Arc<Self>, ranks: usize) -> TeamLease {
-        let ranks = self.clamp_request(ranks);
-        let mut state = self.state.lock().expect("pool lock poisoned");
-        if state.leased + ranks > self.total_ranks {
-            metrics::counter_add("pgas/pool/lease_waits", 1);
-            while state.leased + ranks > self.total_ranks {
-                state = self.freed.wait(state).expect("pool lock poisoned");
-            }
-        }
-        state.leased += ranks;
-        metrics::gauge_set("pgas/pool/leased_ranks", state.leased as f64);
-        metrics::counter_add("pgas/pool/leases", 1);
-        drop(state);
-        TeamLease {
-            pool: Arc::clone(self),
-            ranks,
-            os_threads: self.thread_share(ranks),
-        }
-    }
-
     /// Return `ranks` ranks to the pool (the lease's `Drop` path).
     fn release(&self, ranks: usize) {
         let mut state = self.state.lock().expect("pool lock poisoned");
         debug_assert!(state.leased >= ranks, "double release");
         state.leased = state.leased.saturating_sub(ranks);
         metrics::gauge_set("pgas/pool/leased_ranks", state.leased as f64);
-        drop(state);
-        self.freed.notify_all();
     }
 }
 
@@ -176,12 +149,6 @@ impl TeamLease {
         self.os_threads
     }
 
-    /// Build a [`Team`] over this allocation with the pool's default
-    /// ranks-per-node grouping.
-    pub fn team(&self) -> Team {
-        self.team_with_rpn(self.pool.ranks_per_node)
-    }
-
     /// Build a [`Team`] over this allocation with an explicit
     /// ranks-per-node grouping (clamped to the lease size).
     pub fn team_with_rpn(&self, ranks_per_node: usize) -> Team {
@@ -199,7 +166,6 @@ impl Drop for TeamLease {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pool(ranks: usize) -> Arc<TeamPool> {
         Arc::new(TeamPool::new(ranks, 4).with_os_threads(4))
@@ -244,8 +210,8 @@ mod tests {
     #[test]
     fn leased_team_runs_every_rank() {
         let p = pool(12);
-        let lease = p.lease(5);
-        let team = lease.team();
+        let lease = p.try_lease(5).expect("5 of 12 free");
+        let team = lease.team_with_rpn(p.ranks_per_node());
         assert_eq!(team.ranks(), 5);
         let (ranks_seen, _) = team.run(|ctx| ctx.rank);
         assert_eq!(ranks_seen, (0..5).collect::<Vec<_>>());
@@ -254,33 +220,12 @@ mod tests {
     }
 
     #[test]
-    fn blocking_lease_waits_for_a_release() {
-        let p = pool(4);
-        let held = p.lease(4);
-        let got = Arc::new(AtomicUsize::new(0));
-        let waiter = {
-            let p = Arc::clone(&p);
-            let got = Arc::clone(&got);
-            std::thread::spawn(move || {
-                let lease = p.lease(2); // blocks until `held` drops
-                got.store(lease.ranks(), Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert_eq!(got.load(Ordering::SeqCst), 0, "still blocked");
-        drop(held);
-        waiter.join().unwrap();
-        assert_eq!(got.load(Ordering::SeqCst), 2);
-        assert_eq!(p.leased_ranks(), 0, "waiter's lease dropped on join");
-    }
-
-    #[test]
     fn lease_is_returned_even_when_the_job_panics() {
         let p = pool(8);
         let res = std::panic::catch_unwind({
             let p = Arc::clone(&p);
             move || {
-                let _lease = p.lease(8);
+                let _lease = p.try_lease(8).expect("pool is idle");
                 panic!("job died");
             }
         });

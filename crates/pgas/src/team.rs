@@ -17,7 +17,7 @@
 //! adjacent, share that worker's caches: the single-process analogue of
 //! NUMA-aware rank pinning (DESIGN.md §12).
 
-use crate::fault::{self, FailureCause, FaultEvent, FaultPlan, StageAbort, StageOutcome};
+use crate::fault::{self, FailureCause, FaultEvent, FaultPlan, StageAbort};
 use crate::stats::CommStats;
 use crate::topology::Topology;
 use crate::trace;
@@ -273,24 +273,15 @@ impl Team {
     /// and each rank's measured execution time is stamped into
     /// [`CommStats::exec_nanos`]. With a [`trace::Recorder`] attached, a
     /// span per sampled rank is recorded under `label`.
+    ///
+    /// An injected rank failure aborts the stage with a
+    /// [`StageAbort`] panic for [`fault::catch_stage_abort`] to catch at a
+    /// stage boundary. Every rank still executes (a real failure detector
+    /// also lags the failure; phase bodies are non-blocking, so survivors
+    /// always finish); the aborted attempt's per-rank results and counters
+    /// are discarded — the caller re-executes the stage (see
+    /// `PipelineReport::rollback_to`).
     pub fn run_named<R, F>(&self, label: &str, f: F) -> (Vec<R>, Vec<CommStats>)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        match self.try_run_named(label, f) {
-            StageOutcome::Completed(results, stats) => (results, stats),
-            StageOutcome::Aborted(abort) => fault::raise_stage_abort(abort),
-        }
-    }
-
-    /// As [`Team::run_named`], but an injected rank failure is returned as
-    /// [`StageOutcome::Aborted`] instead of panicking. Every rank still
-    /// executes (a real failure detector also lags the failure; phase
-    /// bodies are non-blocking, so survivors always finish); the aborted
-    /// attempt's per-rank results and counters are discarded with the
-    /// outcome.
-    pub fn try_run_named<R, F>(&self, label: &str, f: F) -> StageOutcome<R>
     where
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
@@ -361,7 +352,7 @@ impl Team {
             .filter_map(|(_, _, _, failure)| *failure)
             .min_by_key(|failure| failure.rank)
         {
-            return StageOutcome::Aborted(StageAbort {
+            fault::raise_stage_abort(StageAbort {
                 phase: label.to_string(),
                 rank: failure.rank,
                 cause: failure.cause,
@@ -378,7 +369,7 @@ impl Team {
             stats.push(rank_stats);
         }
         debug_assert_eq!(results.len(), ranks);
-        StageOutcome::Completed(results, stats)
+        (results, stats)
     }
 }
 
@@ -485,26 +476,26 @@ mod tests {
                 .with_os_threads(threads)
                 .with_fault_plan(Arc::new(plan));
             let dht: DistHashMap<u64, u64> = DistHashMap::new(topo);
-            team.try_run_named("test/batched-abort", |ctx| {
-                let mut agg =
-                    AggregatingStores::with_batch(&dht, |acc: &mut u64, v: u64| *acc += v, 4);
-                for i in 0..200u64 {
-                    agg.push(ctx, i * 7, 1);
-                }
-                agg.flush_all(ctx);
-                agg.finish(ctx);
+            fault::catch_stage_abort(|| {
+                team.run_named("test/batched-abort", |ctx| {
+                    let mut agg =
+                        AggregatingStores::with_batch(&dht, |acc: &mut u64, v: u64| *acc += v, 4);
+                    for i in 0..200u64 {
+                        agg.push(ctx, i * 7, 1);
+                    }
+                    agg.flush_all(ctx);
+                    agg.finish(ctx);
+                })
             })
         };
         let mut aborted_ranks = Vec::new();
         for threads in [1usize, 4, 8] {
             match run_with(threads) {
-                StageOutcome::Aborted(abort) => {
+                Err(abort) => {
                     assert_eq!(abort.phase, "test/batched-abort");
                     aborted_ranks.push(abort.rank);
                 }
-                StageOutcome::Completed(..) => {
-                    panic!("stage must abort at {threads} threads")
-                }
+                Ok(_) => panic!("stage must abort at {threads} threads"),
             }
         }
         assert_eq!(
@@ -594,22 +585,15 @@ mod tests {
             }
             ctx.rank
         };
-        match team.try_run_named("test/hard-kill", body) {
-            StageOutcome::Aborted(abort) => {
-                assert_eq!(abort.phase, "test/hard-kill");
-                assert_eq!(abort.rank, 3);
-                assert_eq!(abort.cause, FailureCause::Injected);
-            }
-            StageOutcome::Completed(..) => panic!("stage must abort"),
-        }
+        let abort = fault::catch_stage_abort(|| team.run_named("test/hard-kill", body))
+            .expect_err("stage must abort");
+        assert_eq!(abort.phase, "test/hard-kill");
+        assert_eq!(abort.rank, 3);
+        assert_eq!(abort.cause, FailureCause::Injected);
         // The kill is one-shot: the same team retries the stage and wins.
-        match team.try_run_named("test/hard-kill-retry", body) {
-            StageOutcome::Completed(results, stats) => {
-                assert_eq!(results, (0..8).collect::<Vec<_>>());
-                assert_eq!(stats.len(), 8);
-            }
-            StageOutcome::Aborted(a) => panic!("retry must complete: {a}"),
-        }
+        let (results, stats) = team.run_named("test/hard-kill-retry", body);
+        assert_eq!(results, (0..8).collect::<Vec<_>>());
+        assert_eq!(stats.len(), 8);
     }
 
     #[test]
@@ -640,15 +624,14 @@ mod tests {
         let team = Team::new(topo)
             .with_os_threads(1)
             .with_fault_plan(Arc::new(plan));
-        match team.try_run_named("test/budget", |ctx| {
-            ctx.access((ctx.rank + 1) % 2, 8);
-        }) {
-            StageOutcome::Aborted(abort) => {
-                assert_eq!(abort.cause, FailureCause::RetryBudgetExhausted);
-                assert_eq!(abort.rank, 0, "lowest failing rank reported");
-            }
-            StageOutcome::Completed(..) => panic!("stage must abort"),
-        }
+        let abort = fault::catch_stage_abort(|| {
+            team.run_named("test/budget", |ctx| {
+                ctx.access((ctx.rank + 1) % 2, 8);
+            })
+        })
+        .expect_err("stage must abort");
+        assert_eq!(abort.cause, FailureCause::RetryBudgetExhausted);
+        assert_eq!(abort.rank, 0, "lowest failing rank reported");
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! resulting chains of contigs are compressed into single sequences; the
 //! output is what the rest of scaffolding calls "contigs".
 
-use crate::depths::ContigEndInfo;
-use hipmer_contig::ContigSet;
-use hipmer_dna::{revcomp, Kmer, BASES};
+use crate::depths::{weighted_median_depth, ContigEndInfo};
+use hipmer_contig::chain::{ends_overlap, stitch, walk_chains};
+use hipmer_contig::{ContigEnd, ContigSet};
+use hipmer_dna::Kmer;
 use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Schedule, Team};
+
+/// One end of a contig in the bubble–contig graph.
+type End = (u32, ContigEnd);
 
 /// Merge bubbles and compress contig chains.
 ///
@@ -53,27 +57,15 @@ pub fn merge_bubbles(
     // of a segmental duplication carry *full* depth (each copy is
     // sequenced independently). Absorbing the latter would weld the two
     // repeat copies into a mosaic — a real misassembly. Use the
-    // length-weighted median depth as the genome-wide reference.
-    // `total_cmp` keeps the sort total even if a depth is NaN (a foreign
-    // contig set whose depth stage never ran): NaNs sort to the end and
-    // a NaN median simply disarms absorption below, rather than panicking.
-    let mut weighted: Vec<(f64, usize)> = contigs
-        .contigs
-        .iter()
-        .zip(info)
-        .map(|(c, i)| (i.depth, c.len()))
-        .collect();
-    weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let half_bases: usize = weighted.iter().map(|(_, l)| l).sum::<usize>() / 2;
-    let mut acc = 0usize;
-    let mut median_depth = 0.0f64;
-    for (d, l) in &weighted {
-        acc += l;
-        median_depth = *d;
-        if acc >= half_bases {
-            break;
-        }
-    }
+    // length-weighted median depth as the genome-wide reference (NaN
+    // depths disarm absorption below).
+    let median_depth = weighted_median_depth(
+        contigs
+            .contigs
+            .iter()
+            .zip(info)
+            .map(|(c, i)| (i.depth, c.len())),
+    );
     let max_arm_depth = 0.75 * median_depth;
 
     // Phase A (parallel): bubble grouping. Key = the normalized pair of
@@ -138,12 +130,10 @@ pub fn merge_bubbles(
     }
 
     // Phase C (parallel): attachment incidence for chain edges.
-    let attachments: DistHashMap<Kmer, Vec<(u32, u8)>> = DistHashMap::new(*team.topo());
+    let attachments: DistHashMap<Kmer, Vec<End>> = DistHashMap::new(*team.topo());
     let (_, stats_c) = team.run_named("scaffold/bubbles/attachments", |ctx| {
         let mut agg =
-            AggregatingStores::new(&attachments, |a: &mut Vec<(u32, u8)>, b: Vec<(u32, u8)>| {
-                a.extend(b)
-            });
+            AggregatingStores::new(&attachments, |a: &mut Vec<End>, b: Vec<End>| a.extend(b));
         for ci in schedule.ranges(ctx, n).into_iter().flatten() {
             if absorbed[ci] {
                 continue;
@@ -152,10 +142,10 @@ pub fn merge_bubbles(
             let ci32 = u32::try_from(ci)
                 .expect("contig index exceeds u32::MAX; the bubble-contig graph uses u32 ids");
             if let Some(la) = i.left_attach {
-                agg.push(ctx, la, vec![(ci32, 0)]);
+                agg.push(ctx, la, vec![(ci32, ContigEnd::Left)]);
             }
             if let Some(ra) = i.right_attach {
-                agg.push(ctx, ra, vec![(ci32, 1)]);
+                agg.push(ctx, ra, vec![(ci32, ContigEnd::Right)]);
             }
         }
         agg.finish(ctx);
@@ -166,110 +156,45 @@ pub fn merge_bubbles(
     // Phase D (parallel): unambiguous joins — exactly two distinct contig
     // ends at one attachment k-mer.
     let (edge_lists, stats_d) = team.run_named("scaffold/bubbles/joins", |ctx| {
-        attachments.fold_local(
-            ctx,
-            Vec::<((u32, u8), (u32, u8))>::new(),
-            |mut edges, _km, ends| {
-                if ends.len() == 2 && ends[0].0 != ends[1].0 {
-                    let mut pair = [ends[0], ends[1]];
-                    pair.sort_unstable();
-                    edges.push((pair[0], pair[1]));
-                }
-                edges
-            },
-        )
+        attachments.fold_local(ctx, Vec::<(End, End)>::new(), |mut edges, _km, ends| {
+            if ends.len() == 2 && ends[0].0 != ends[1].0 {
+                let mut pair = [ends[0], ends[1]];
+                pair.sort_unstable();
+                edges.push((pair[0], pair[1]));
+            }
+            edges
+        })
     });
     merge_ranks(&mut stats, &stats_d);
-    let mut edges: Vec<((u32, u8), (u32, u8))> = edge_lists.into_iter().flatten().collect();
+    let mut edges: Vec<(End, End)> = edge_lists.into_iter().flatten().collect();
     edges.sort_unstable();
     edges.dedup();
 
     // Phase E (serial; tiny graph): walk the chains and stitch sequences.
-    // adjacency[contig][side] -> (other contig, other side)
-    let mut adj: Vec<[Option<(u32, u8)>; 2]> = vec![[None, None]; n];
-    for ((c1, s1), (c2, s2)) in &edges {
-        // A contig end may appear in several edges only if the attachment
-        // analysis was ambiguous; keep the first (sorted order).
-        if adj[*c1 as usize][*s1 as usize].is_none() && adj[*c2 as usize][*s2 as usize].is_none() {
-            adj[*c1 as usize][*s1 as usize] = Some((*c2, *s2));
-            adj[*c2 as usize][*s2 as usize] = Some((*c1, *s1));
+    // Two contigs joined through an attachment k-mer F overlap by k-2
+    // bases (the last k-mer R of one, F = R[1..] + b, the other starts
+    // with F[1..]). An edge whose ends, read as the walk would read them,
+    // do not (two unique flanks converging on one repeat k-mer share an
+    // attachment without being adjacent) is not a join: it is left out, so
+    // it neither takes the slot of a good edge nor gets walked.
+    let seq_of = |c: usize| &contigs.contigs[c].seq[..];
+    let mut adj: Vec<[Option<(usize, ContigEnd)>; 2]> = vec![[None, None]; n];
+    for &((c1, s1), (c2, s2)) in &edges {
+        let (c1, c2) = (c1 as usize, c2 as usize);
+        if adj[c1][s1 as usize].is_none()
+            && adj[c2][s2 as usize].is_none()
+            && ends_overlap(seq_of(c1), s1, seq_of(c2), s2, k - 2)
+        {
+            adj[c1][s1 as usize] = Some((c2, s2));
+            adj[c2][s2 as usize] = Some((c1, s1));
         }
     }
-
-    let mut used = vec![false; n];
-    let mut out_seqs: Vec<Vec<u8>> = Vec::new();
-    for start in 0..n {
-        if used[start] || absorbed[start] {
-            continue;
-        }
-        // Find the chain's leftmost element: walk "left" (side 0 in the
-        // walking orientation) until a free end or a cycle closes.
-        let mut cur = (start as u32, 0u8); // (contig, side we entered from)
-        let mut guard = 0usize;
-        while let Some(prev) = adj[cur.0 as usize][cur.1 as usize] {
-            let next = (prev.0, 1 - prev.1);
-            if next.0 as usize == start && guard > 0 {
-                break; // cycle
-            }
-            cur = next;
-            guard += 1;
-            if guard > n {
-                break;
-            }
-        }
-        // Walk right from the chain start, stitching.
-        let first_contig = cur.0 as usize;
-        let first_oriented = if cur.1 == 0 {
-            contigs.contigs[first_contig].seq.clone()
-        } else {
-            revcomp(&contigs.contigs[first_contig].seq)
-        };
-        used[first_contig] = true;
-        let mut seq = first_oriented;
-        let mut cursor = (cur.0, 1 - cur.1); // the end we exit from
-        let mut guard = 0usize;
-        while let Some((nc, ns)) = adj[cursor.0 as usize][cursor.1 as usize] {
-            if used[nc as usize] {
-                break; // cycle closed
-            }
-            // Orient the next contig so that its joining end (ns) is its
-            // left end.
-            let next_oriented = if ns == 0 {
-                contigs.contigs[nc as usize].seq.clone()
-            } else {
-                revcomp(&contigs.contigs[nc as usize].seq)
-            };
-            // Bridge: seq's last k-mer R, fork F = R[1..] + b, next starts
-            // with F[1..]. Find the base b that makes the overlap check out.
-            let tail = &seq[seq.len() - (k - 1)..];
-            let mut bridged = false;
-            for &b in &BASES {
-                // Candidate fork k-mer suffix = tail[1..] + b must equal
-                // next_oriented[..k-1].
-                if next_oriented.len() >= k - 1
-                    && next_oriented[..k - 2] == tail[1..]
-                    && next_oriented[k - 2] == b
-                {
-                    // next_oriented[k-2] IS the fork base b; appending from
-                    // k-2 adds b plus everything after it exactly once.
-                    seq.extend_from_slice(&next_oriented[k - 2..]);
-                    bridged = true;
-                    break;
-                }
-            }
-            if !bridged {
-                break; // inconsistent join; leave the rest as its own chain
-            }
-            used[nc as usize] = true;
-            cursor = (nc, 1 - ns);
-            guard += 1;
-            if guard > n {
-                break;
-            }
-        }
-        out_seqs.push(hipmer_dna::canonical_seq(seq));
-    }
-    // The serial section's work: one op per edge placed, per base stitched.
+    let out_seqs: Vec<Vec<u8>> = walk_chains(n, |c, side| adj[c][side as usize])
+        .iter()
+        .filter(|chain| !absorbed[chain[0].0]) // absorbed arms have no edges
+        .map(|chain| hipmer_dna::canonical_seq(stitch(chain, seq_of, k - 2)))
+        .collect();
+    // The serial section's work: one op per edge assessed, per base stitched.
     let stitched: usize = out_seqs.iter().map(Vec::len).sum();
     let serial_ops = (edges.len() + stitched) as u64;
 
@@ -284,6 +209,7 @@ mod tests {
     use super::*;
     use crate::depths::compute_depths;
     use hipmer_contig::{generate_contigs, ContigConfig};
+    use hipmer_dna::revcomp;
     use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
     use hipmer_pgas::Topology;
     use hipmer_seqio::SeqRecord;
@@ -434,6 +360,88 @@ mod tests {
         // With a NaN in the depth pool the absorption gate cannot qualify
         // both arms, so nothing is merged away silently.
         assert!(!merged.is_empty());
+    }
+
+    /// `merge_bubbles` over hand-made contigs whose only end information is
+    /// the given `(left, right)` attachment k-mers.
+    fn merge_with_attachments(
+        seqs: Vec<Vec<u8>>,
+        attach: impl Fn(&[u8]) -> (Option<Kmer>, Option<Kmer>),
+    ) -> ContigSet {
+        use crate::depths::TerminationState;
+        let set = ContigSet::from_sequences(hipmer_dna::KmerCodec::new(21), seqs);
+        let info: Vec<ContigEndInfo> = set
+            .contigs
+            .iter()
+            .map(|c| {
+                let (left_attach, right_attach) = attach(&c.seq);
+                ContigEndInfo {
+                    depth: 10.0,
+                    left_state: TerminationState::Fork,
+                    left_attach,
+                    right_state: TerminationState::Fork,
+                    right_attach,
+                }
+            })
+            .collect();
+        let team = Team::new(Topology::new(2, 2));
+        merge_bubbles(&team, &set, &info, Schedule::Static).0
+    }
+
+    /// Strand-neutral, order-neutral view of a set of sequences.
+    fn canonical_sorted(seqs: impl IntoIterator<Item = Vec<u8>>) -> Vec<String> {
+        let mut out: Vec<String> = seqs
+            .into_iter()
+            .map(|s| String::from_utf8(hipmer_dna::canonical_seq(s)).unwrap())
+            .collect();
+        out.sort();
+        out
+    }
+
+    fn seqs_of(set: &ContigSet) -> Vec<Vec<u8>> {
+        set.contigs.iter().map(|c| c.seq.clone()).collect()
+    }
+
+    /// Two unique flanks converging on one repeat k-mer share an attachment
+    /// on the same side without being adjacent. The walk used to cross that
+    /// edge leftward, fail to stitch across it, and emit only the far
+    /// contig: the one it started from vanished.
+    #[test]
+    fn same_side_attachment_conserves_both_contigs() {
+        let x = hipmer_dna::KmerCodec::new(21).pack(&lcg(21, 5)).unwrap();
+        let seqs = vec![lcg(300, 1), lcg(200, 2)];
+        let want = canonical_sorted(seqs.clone());
+        let left = merge_with_attachments(seqs.clone(), |_| (Some(x), None));
+        assert_eq!(canonical_sorted(seqs_of(&left)), want, "left-left");
+        let right = merge_with_attachments(seqs, |_| (None, Some(x)));
+        assert_eq!(canonical_sorted(seqs_of(&right)), want, "right-right");
+    }
+
+    /// c ~ b → a: b → a is a real join (k-2 overlap), c and b share an
+    /// attachment on their left sides. The seed is b (the longest): its
+    /// leftward walk must not cross to c. a+b are stitched, c stays.
+    #[test]
+    fn chain_with_a_same_side_middle_join_conserves_every_contig() {
+        let codec = hipmer_dna::KmerCodec::new(21);
+        let genome = lcg(500, 3);
+        let (b, a) = (genome[..281].to_vec(), genome[262..].to_vec()); // k-2 = 19 shared
+        let c = lcg(150, 4);
+        let fork = codec.pack(&genome[261..282]).unwrap();
+        let y = codec.pack(&lcg(21, 6)).unwrap();
+        let merged = merge_with_attachments(vec![a.clone(), b.clone(), c.clone()], |seq| {
+            if seq == b {
+                (Some(y), Some(fork))
+            } else if seq == a {
+                (Some(fork), None)
+            } else {
+                (Some(y), None)
+            }
+        });
+        assert_eq!(
+            canonical_sorted(seqs_of(&merged)),
+            canonical_sorted([genome, c]),
+            "a+b stitched, c alone"
+        );
     }
 
     #[test]

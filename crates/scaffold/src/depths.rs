@@ -109,6 +109,25 @@ fn classify_end(
     }
 }
 
+/// The depth below which half the bases of `contigs` (as `(depth, length)`)
+/// lie — the genome-wide reference depth of the bubble and repeat gates.
+/// `total_cmp` keeps the sort total even if a depth is NaN (a foreign
+/// contig set whose depth stage never ran): NaNs sort to the end, and a
+/// NaN median disarms the gates rather than panicking. `0.0` when empty.
+pub(crate) fn weighted_median_depth(contigs: impl Iterator<Item = (f64, usize)>) -> f64 {
+    let mut weighted: Vec<(f64, usize)> = contigs.collect();
+    weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let half_bases: usize = weighted.iter().map(|(_, l)| l).sum::<usize>() / 2;
+    let mut acc = 0usize;
+    for (d, l) in &weighted {
+        acc += l;
+        if acc >= half_bases {
+            return *d;
+        }
+    }
+    0.0
+}
+
 /// Compute depth and end states for every contig (parallel over contigs).
 /// Returns per-contig info indexed by contig id, and the phase report.
 ///
@@ -125,21 +144,10 @@ pub fn compute_depths(
     let codec = &spectrum.codec;
     let k = codec.k();
 
-    // Work units are fixed-size windows of k-mers, not whole contigs: a
-    // single dominant contig would otherwise serialize onto one rank (the
-    // assemblies in the paper have millions of contigs; small test genomes
-    // may have one).
+    // Work units are fixed-size windows of k-mers, not whole contigs.
     const WINDOW: usize = 1024;
-    let mut windows: Vec<(usize, usize)> = Vec::new(); // (contig, window index)
-    let mut weights: Vec<u64> = Vec::new(); // k-mers in the window
-    for (ci, c) in contigs.contigs.iter().enumerate() {
-        let n_kmers = c.seq.len().saturating_sub(k) + 1;
-        for w in 0..n_kmers.div_ceil(WINDOW).max(1) {
-            windows.push((ci, w));
-            let lo = w * WINDOW;
-            weights.push(((lo + WINDOW).min(n_kmers).saturating_sub(lo)) as u64);
-        }
-    }
+    let windows = contigs.kmer_windows(k, WINDOW);
+    let weights: Vec<u64> = windows.iter().map(|(_, w)| w.len() as u64).collect();
 
     let (chunks, mut stats) = team.run_named("scaffold/depths", |ctx| {
         // Per-window partial sums plus end info computed by the windows
@@ -151,11 +159,10 @@ pub fn compute_depths(
             .into_iter()
             .flatten()
             .collect();
-        for &(ci, w) in mine.iter().map(|&i| &windows[i]) {
+        for (ci, window) in mine.iter().map(|&i| &windows[i]) {
+            let (ci, lo, hi) = (*ci, window.start, window.end);
             let contig = &contigs.contigs[ci];
             let n_kmers = contig.seq.len() - k + 1;
-            let lo = w * WINDOW;
-            let hi = (lo + WINDOW).min(n_kmers);
             // Resolve the window's k-mers as one batched multi-get per
             // owner rank instead of one message per k-mer; the k-mer table
             // is frozen after analysis, so the batch sees the same values a

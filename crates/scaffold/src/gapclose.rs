@@ -17,10 +17,9 @@
 //! of magnitude and gaps of one scaffold tend to cost alike, so blocked
 //! distribution (the ablation toggle) suffers load imbalance.
 
-use crate::links::ContigEnd;
 use crate::scaffolds::{Scaffold, ScaffoldSet};
 use hipmer_align::Alignment;
-use hipmer_contig::ContigSet;
+use hipmer_contig::{ContigEnd, ContigSet};
 use hipmer_dna::{revcomp, Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Schedule, Team};

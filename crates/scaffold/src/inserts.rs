@@ -5,6 +5,7 @@
 //! sampled pairs locally; the histograms are merged into a global one and
 //! the mean/σ are read off it.
 
+use crate::splints::{pair_groups, unique_full_length_mates};
 use hipmer_align::Alignment;
 use hipmer_pgas::{PhaseReport, Team};
 use hipmer_sketch::CountHistogram;
@@ -28,49 +29,21 @@ pub struct InsertEstimate {
 /// Estimate the insert size from read-to-contig alignments.
 ///
 /// `alignments` must be sorted by read (as [`hipmer_align::align_reads`]
-/// returns them); reads `2i`/`2i+1` form pair `i`. Full-length is
-/// checked with `slack` bases of tolerance at the read tips.
+/// returns them); reads `2i`/`2i+1` form pair `i`.
 pub fn estimate_insert_size(
     team: &Team,
     alignments: &[Alignment],
-    slack: u32,
 ) -> (Option<InsertEstimate>, PhaseReport) {
-    // Index alignment ranges per read pair: group boundaries by pair id.
-    // (Cheap scan; the heavy part — histogramming — is parallel below.)
-    let mut pair_ranges: Vec<(usize, usize)> = Vec::new(); // (start, end) into alignments per pair
-    {
-        let mut i = 0usize;
-        while i < alignments.len() {
-            let pair = alignments[i].read / 2;
-            let j = alignments[i..]
-                .iter()
-                .position(|a| a.read / 2 != pair)
-                .map(|off| i + off)
-                .unwrap_or(alignments.len());
-            pair_ranges.push((i, j));
-            i = j;
-        }
-    }
+    // Cheap serial scan; the heavy part — histogramming — is parallel below.
+    let pairs = pair_groups(alignments);
 
     let (histograms, stats) = team.run_named("scaffold/insert-size", |ctx| {
         let mut h = CountHistogram::new(MAX_INSERT);
-        for &(start, end) in &pair_ranges[ctx.chunk(pair_ranges.len())] {
-            ctx.stats.compute((end - start) as u64);
-            let group = &alignments[start..end];
-            let pair = group[0].read / 2;
-            let (r1, r2) = (2 * pair, 2 * pair + 1);
-            // Full-length alignments of each mate.
-            let m1: Vec<&Alignment> = group
-                .iter()
-                .filter(|a| a.read == r1 && a.is_full_length(slack))
-                .collect();
-            let m2: Vec<&Alignment> = group
-                .iter()
-                .filter(|a| a.read == r2 && a.is_full_length(slack))
-                .collect();
+        for &group in &pairs[ctx.chunk(pairs.len())] {
+            ctx.stats.compute(group.len() as u64);
             // Use the pair only if each mate maps uniquely and to a common
             // contig, with opposite orientations (FR).
-            if let (&[a1], &[a2]) = (&m1[..], &m2[..]) {
+            if let Some((a1, a2)) = unique_full_length_mates(group) {
                 if a1.contig == a2.contig && a1.rc != a2.rc {
                     let lo = a1.contig_start.min(a2.contig_start) as u64;
                     let hi = a1.contig_end.max(a2.contig_end) as u64;
@@ -142,7 +115,7 @@ mod tests {
         }
         let team = Team::new(Topology::new(4, 2));
         let (alns, _) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
-        let (est, _) = estimate_insert_size(&team, &alns, 2);
+        let (est, _) = estimate_insert_size(&team, &alns);
         let est = est.expect("pairs found");
         assert!(est.pairs > 30, "pairs {}", est.pairs);
         assert!(
@@ -156,7 +129,7 @@ mod tests {
     #[test]
     fn no_common_contig_pairs_yields_none() {
         let team = Team::new(Topology::new(2, 2));
-        let (est, _) = estimate_insert_size(&team, &[], 2);
+        let (est, _) = estimate_insert_size(&team, &[]);
         assert!(est.is_none());
     }
 }

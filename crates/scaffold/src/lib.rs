@@ -33,8 +33,9 @@ pub mod ties;
 pub use bubbles::merge_bubbles;
 pub use depths::{compute_depths, ContigEndInfo, TerminationState};
 pub use gapclose::{close_gaps, GapCloseConfig, GapCloseStats};
+pub use hipmer_contig::ContigEnd;
 pub use inserts::estimate_insert_size;
-pub use links::{generate_links, ContigEnd, EndKey, Link, LinkKind};
+pub use links::{generate_links, EndKey, Link, LinkKind};
 pub use pipeline::{
     prepare_contigs, scaffold_pipeline, scaffold_rounds, ScaffoldConfig, ScaffoldOutput,
 };

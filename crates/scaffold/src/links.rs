@@ -7,27 +7,9 @@
 //! assesses its local buckets.
 
 use crate::splints::{Span, Splint};
+use hipmer_contig::ContigEnd;
 use hipmer_pgas::stats::merge_ranks;
 use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
-
-/// One end of a contig.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ContigEnd {
-    /// The `seq[0]` end.
-    Left,
-    /// The `seq[len-1]` end.
-    Right,
-}
-
-impl ContigEnd {
-    /// The opposite end.
-    pub fn other(self) -> ContigEnd {
-        match self {
-            ContigEnd::Left => ContigEnd::Right,
-            ContigEnd::Right => ContigEnd::Left,
-        }
-    }
-}
 
 /// Normalized key for an unordered pair of contig ends.
 pub type EndKey = ((u32, ContigEnd), (u32, ContigEnd));

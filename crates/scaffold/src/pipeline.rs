@@ -1,7 +1,7 @@
 //! The complete scaffolding pipeline: §4.1 → §4.8 in order.
 
 use crate::bubbles::merge_bubbles;
-use crate::depths::compute_depths;
+use crate::depths::{compute_depths, weighted_median_depth};
 use crate::gapclose::{close_gaps, GapCloseConfig, GapCloseStats};
 use crate::inserts::estimate_insert_size;
 use crate::links::generate_links;
@@ -177,24 +177,14 @@ pub fn scaffold_rounds(
         // Median depth weighted by contig length over tie-eligible contigs:
         // short error-derived contigs sit at the count threshold and would
         // otherwise poison the repeat cutoff.
-        let mut weighted: Vec<(f64, usize)> = contigs
-            .contigs
-            .iter()
-            .zip(&round_info)
-            .filter(|(c, _)| c.len() >= MIN_TIE_CONTIG)
-            .map(|(c, i)| (i.depth, c.len()))
-            .collect();
-        weighted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        let half: usize = weighted.iter().map(|(_, l)| l).sum::<usize>() / 2;
-        let mut acc = 0usize;
-        let mut median_depth = 0.0;
-        for (d, l) in &weighted {
-            acc += l;
-            median_depth = *d;
-            if acc >= half {
-                break;
-            }
-        }
+        let median_depth = weighted_median_depth(
+            contigs
+                .contigs
+                .iter()
+                .zip(&round_info)
+                .filter(|(c, _)| c.len() >= MIN_TIE_CONTIG)
+                .map(|(c, i)| (i.depth, c.len())),
+        );
         let masked: Vec<bool> = contigs
             .contigs
             .iter()
@@ -222,16 +212,16 @@ pub fn scaffold_rounds(
         };
 
         // §4.4 insert sizes + §4.5 splints/spans, per library.
+        let lens: Vec<usize> = contigs.contigs.iter().map(|c| c.len()).collect();
         let mut splints = Vec::new();
         let mut spans = Vec::new();
         insert_means.clear();
         for range in lib_ranges {
             let lib_alns = alignment_slice(&alignments, range);
-            let (est, r) = estimate_insert_size(team, lib_alns, 3);
+            let (est, r) = estimate_insert_size(team, lib_alns);
             reports.push(r);
             let mean = est.map(|e| e.mean).unwrap_or(DEFAULT_INSERT);
             insert_means.push(mean);
-            let lens: Vec<usize> = contigs.contigs.iter().map(|c| c.len()).collect();
             let (sp, sn, r) = locate_splints_and_spans(team, lib_alns, &lens, mean);
             reports.push(r);
             splints.extend(sp);
@@ -275,7 +265,7 @@ mod tests {
     use hipmer_contig::{generate_contigs, ContigConfig};
     use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
     use hipmer_pgas::Topology;
-    use hipmer_readsim::{human_like_dataset, Dataset};
+    use hipmer_readsim::{human_like_dataset, wheat_scaffolding_dataset, Dataset};
 
     fn run_pipeline(dataset: &Dataset, topo: Topology) -> (ScaffoldOutput, usize) {
         let team = Team::new(topo);
@@ -323,5 +313,43 @@ mod tests {
         let (a, _) = run_pipeline(&dataset, Topology::new(1, 1));
         let (b, _) = run_pipeline(&dataset, Topology::new(8, 4));
         assert_eq!(a.scaffolds.sequences, b.scaffolds.sequences);
+    }
+
+    /// Preparation may join contigs and absorb bubble arms; it may not lose
+    /// sequence. On a repetitive genome unique flanks converge on repeat
+    /// k-mers and share attachments without being adjacent — the input on
+    /// which the bubble walk used to drop 14 of 449 contigs.
+    #[test]
+    fn prepare_contigs_conserves_every_contig_on_a_repetitive_genome() {
+        let dataset = wheat_scaffolding_dataset(60_000, 16.0, false, 321);
+        let team = Team::new(Topology::new(6, 3));
+        let reads = dataset.all_reads();
+        let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
+        let (raw, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
+        let (info, _) = compute_depths(&team, &spectrum, &raw, Schedule::Static);
+        let (prepared, _) = prepare_contigs(&team, &spectrum, &raw, Schedule::Static);
+
+        let survives = |seq: &[u8]| {
+            let rc = hipmer_dna::revcomp(seq);
+            prepared
+                .contigs
+                .iter()
+                .any(|p| p.seq.windows(seq.len()).any(|w| w == seq || w == &rc[..]))
+        };
+        // An absorbed bubble arm shares both attachment k-mers with the
+        // arm that was kept.
+        let bubble_key = |ci: usize| {
+            let (l, r) = (info[ci].left_attach?, info[ci].right_attach?);
+            Some((l.min(r), l.max(r)))
+        };
+        let (kept, gone): (Vec<usize>, Vec<usize>) =
+            (0..raw.len()).partition(|&ci| survives(&raw.contigs[ci].seq));
+        let kept_keys: Vec<_> = kept.iter().filter_map(|&ci| bubble_key(ci)).collect();
+        let lost: Vec<usize> = gone
+            .into_iter()
+            .filter(|&ci| bubble_key(ci).is_none_or(|key| !kept_keys.contains(&key)))
+            .map(|ci| raw.contigs[ci].len())
+            .collect();
+        assert!(lost.is_empty(), "contigs lost, by length: {lost:?}");
     }
 }

@@ -11,8 +11,8 @@
 //! Both detectors are embarrassingly parallel: each rank assesses 1/p of
 //! the read alignments.
 
-use crate::links::ContigEnd;
 use hipmer_align::Alignment;
+use hipmer_contig::ContigEnd;
 use hipmer_pgas::{PhaseReport, Team};
 
 /// Evidence that two contig ends abut (from a single read).
@@ -37,11 +37,33 @@ pub struct Span {
 /// How close an alignment must reach a contig end to count (bases): the
 /// aligner may clip a few mismatching bases off an alignment's tail.
 const END_SLACK: u32 = 5;
-/// Full-length slack for span mates (as [`END_SLACK`], on the read).
+/// Full-length slack for paired mates (as [`END_SLACK`], on the read).
 const READ_SLACK: u32 = 3;
 /// Reject spans whose implied gap is below this (repeat mis-mappings): no
 /// two contigs overlap by more than a couple of read lengths.
 const MIN_GAP: i64 = -200;
+
+/// Split read-sorted alignments into one slice per read pair (reads `2i`
+/// and `2i+1` form pair `i`).
+pub(crate) fn pair_groups(alignments: &[Alignment]) -> Vec<&[Alignment]> {
+    alignments
+        .chunk_by(|a, b| a.read / 2 == b.read / 2)
+        .collect()
+}
+
+/// The two mates' alignments, if each mate of the pair has exactly one
+/// full-length alignment (multi-mapping mates are repeat evidence, not
+/// geometry).
+pub(crate) fn unique_full_length_mates(group: &[Alignment]) -> Option<(&Alignment, &Alignment)> {
+    let mate = |read: u32| {
+        let mut full = group
+            .iter()
+            .filter(|a| a.read == read && a.is_full_length(READ_SLACK));
+        full.next().filter(|_| full.next().is_none())
+    };
+    let first = group[0].read & !1;
+    Some((mate(first)?, mate(first + 1)?))
+}
 
 /// Which contig end an alignment reaches, looking along the read.
 ///
@@ -77,28 +99,13 @@ pub fn locate_splints_and_spans(
     contig_lens: &[usize],
     insert_mean: f64,
 ) -> (Vec<Splint>, Vec<Span>, PhaseReport) {
-    // Pair-range index (pairs = reads 2i, 2i+1).
-    let mut pair_ranges: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut i = 0usize;
-        while i < alignments.len() {
-            let pair = alignments[i].read / 2;
-            let j = alignments[i..]
-                .iter()
-                .position(|a| a.read / 2 != pair)
-                .map(|off| i + off)
-                .unwrap_or(alignments.len());
-            pair_ranges.push((i, j));
-            i = j;
-        }
-    }
+    let pairs = pair_groups(alignments);
 
     let (results, stats) = team.run_named("scaffold/splints-spans", |ctx| {
         let mut splints = Vec::new();
         let mut spans = Vec::new();
-        for &(start, end) in &pair_ranges[ctx.chunk(pair_ranges.len())] {
-            let group = &alignments[start..end];
-            ctx.stats.compute((end - start) as u64);
+        for &group in &pairs[ctx.chunk(pairs.len())] {
+            ctx.stats.compute(group.len() as u64);
 
             // --- Splints: within each read, ordered alignment pairs on
             // different contigs.
@@ -128,16 +135,7 @@ pub fn locate_splints_and_spans(
             }
 
             // --- Spans: unique full-length mates on different contigs.
-            let (r1, r2) = (2 * pair, 2 * pair + 1);
-            let m1: Vec<&Alignment> = group
-                .iter()
-                .filter(|a| a.read == r1 && a.is_full_length(READ_SLACK))
-                .collect();
-            let m2: Vec<&Alignment> = group
-                .iter()
-                .filter(|a| a.read == r2 && a.is_full_length(READ_SLACK))
-                .collect();
-            if let (&[a1], &[a2]) = (&m1[..], &m2[..]) {
+            if let Some((a1, a2)) = unique_full_length_mates(group) {
                 if a1.contig != a2.contig {
                     // For either mate, the rest of the fragment lies in the
                     // read's *forward* direction (mate 2 is sequenced

@@ -9,9 +9,9 @@
 //! serial section's operation count is recorded on the phase report (and
 //! priced like compute) to keep the claim checkable.
 
-use crate::links::{ContigEnd, Link};
+use crate::links::Link;
 use crate::scaffolds::{Scaffold, ScaffoldMember};
-use hipmer_contig::ContigSet;
+use hipmer_contig::{walk_chains, ContigEnd, ContigSet};
 use hipmer_dna::KmerHashMap;
 use hipmer_pgas::{PhaseReport, Team};
 
@@ -71,64 +71,34 @@ pub fn order_and_orient(
         }
     }
 
-    // Seed contigs in decreasing length; lock chains.
+    // Seed contigs in decreasing length (= index order); lock chains.
     let n = contigs.contigs.len();
     serial_ops += (best.len() + n) as u64;
-    let mut used = vec![false; n];
-    let mut scaffolds = Vec::new();
-    for seed in 0..n {
-        if used[seed] {
-            continue;
-        }
-        // Walk left from the seed to find the chain start. (The seed is
-        // NOT marked used yet — it is picked up when the rightward walk
-        // passes back over it.)
-        let mut start = (seed as u32, ContigEnd::Left);
-        let mut guard = 0usize;
-        while let Some(&(prev, _gap)) = tie.get(&start) {
-            if used[prev.0 as usize] && prev.0 as usize != seed {
-                break;
-            }
-            if prev.0 as usize == seed {
-                break; // cycle
-            }
-            start = (prev.0, prev.1.other());
-            guard += 1;
-            if guard > n {
-                break;
-            }
-        }
-        // start = (contig, outward end). Orient so the outward end is on
-        // the scaffold's left.
-        let first = start.0;
-        let first_reversed = start.1 == ContigEnd::Right;
-        let mut members = vec![ScaffoldMember {
-            contig: first,
-            reversed: first_reversed,
-            gap_before: 0,
-        }];
-        used[first as usize] = true;
-        let mut cursor = (first, start.1.other());
-        let mut guard = 0usize;
-        while let Some(&(next, gap)) = tie.get(&cursor) {
-            if used[next.0 as usize] {
-                break;
-            }
-            used[next.0 as usize] = true;
-            members.push(ScaffoldMember {
-                contig: next.0,
-                // Joining via its Left end means forward orientation.
-                reversed: next.1 == ContigEnd::Right,
-                gap_before: gap,
-            });
-            cursor = (next.0, next.1.other());
-            guard += 1;
-            if guard > n {
-                break;
-            }
-        }
-        scaffolds.push(Scaffold { members });
-    }
+    let tie_of = |c: usize, end: ContigEnd| tie.get(&(c as u32, end));
+    let scaffolds = walk_chains(n, |c, end| {
+        tie_of(c, end).map(|&((other, other_end), _)| (other as usize, other_end))
+    })
+    .iter()
+    .map(|chain| Scaffold {
+        members: chain
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, reversed))| ScaffoldMember {
+                contig: c as u32,
+                reversed,
+                // The gap of the tie the walk entered this contig through:
+                // joining via its Left end means forward orientation.
+                gap_before: if i == 0 {
+                    0
+                } else {
+                    tie_of(c, ContigEnd::facing_left(reversed))
+                        .expect("the walk came through a tie")
+                        .1
+                },
+            })
+            .collect(),
+    })
+    .collect();
 
     (
         scaffolds,
