@@ -17,7 +17,10 @@ pub mod aligner;
 pub mod index;
 pub mod sw;
 
-pub use aligner::{align_reads, AlignConfig, Alignment};
+pub use aligner::{
+    align_read_subset, align_reads, drop_contained, sort_alignments, stride_seeds, AlignConfig,
+    Alignment,
+};
 pub use index::{build_seed_index, SeedHit, SeedIndex};
 pub use sw::{
     banded_sw, banded_sw_reference, banded_sw_with, ungapped_matches, ungapped_matches_reference,

@@ -1,9 +1,13 @@
 //! Property tests for the alignment kernels.
 
 use hipmer_align::{
-    banded_sw, banded_sw_reference, ungapped_matches, ungapped_matches_reference, SwParams,
+    align_read_subset, align_reads, banded_sw, banded_sw_reference, ungapped_matches,
+    ungapped_matches_reference, AlignConfig, Alignment, SwParams,
 };
-use hipmer_dna::BASES;
+use hipmer_contig::ContigSet;
+use hipmer_dna::{revcomp, KmerCodec, BASES};
+use hipmer_pgas::{Team, Topology};
+use hipmer_seqio::SeqRecord;
 use proptest::prelude::*;
 
 fn dna(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
@@ -122,5 +126,76 @@ proptest! {
         prop_assert!(m <= len);
         let (m2, _) = ungapped_matches(&b, &a);
         prop_assert_eq!(m, m2);
+    }
+}
+
+/// Contigs cut from a genome that carries three copies of a 150-base
+/// repeat, and 80 reads sampled from it on both strands with a
+/// substitution or an indel now and then (some cross a cut, some are
+/// noise).
+fn subset_fixture() -> (ContigSet, Vec<SeqRecord>) {
+    let mut x = 77u64;
+    let mut rand = move |n: usize| {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as usize % n
+    };
+    let mut genome: Vec<u8> = (0..3000).map(|_| BASES[rand(4)]).collect();
+    let repeat = genome[200..350].to_vec();
+    genome[1200..1350].copy_from_slice(&repeat);
+    genome[2400..2550].copy_from_slice(&repeat);
+    let cuts = [0, 900, 1700, 2300, 3000];
+    let contigs = ContigSet::from_sequences(
+        KmerCodec::new(21),
+        cuts.windows(2)
+            .map(|w| genome[w[0]..w[1]].to_vec())
+            .collect(),
+    );
+    let reads = (0..80)
+        .map(|i| {
+            let mut seq: Vec<u8> = if i % 10 == 9 {
+                (0..100).map(|_| BASES[rand(4)]).collect()
+            } else {
+                let start = rand(genome.len() - 100);
+                genome[start..start + 100].to_vec()
+            };
+            match rand(4) {
+                0 => seq[rand(100)] = BASES[rand(4)],
+                1 => {
+                    seq.remove(rand(100));
+                }
+                2 => seq.insert(rand(100), BASES[rand(4)]),
+                _ => {}
+            }
+            if rand(2) == 0 {
+                seq = revcomp(&seq);
+            }
+            SeqRecord::with_uniform_quality(format!("r{i}"), seq, 35)
+        })
+        .collect();
+    (contigs, reads)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // A read's alignments depend on the read, the contigs and the config
+    // only: aligning any subset of the reads returns exactly the full run's
+    // alignments of those reads, whatever the rank count.
+    #[test]
+    fn a_read_subset_aligns_as_in_the_full_run(keep in prop::collection::vec(any::<bool>(), 80)) {
+        let (contigs, reads) = subset_fixture();
+        let subset: Vec<u32> = (0u32..).zip(&keep).filter(|(_, &k)| k).map(|(i, _)| i).collect();
+        let cfg = AlignConfig::new(15);
+        for ranks in [1, 8] {
+            let team = Team::new(Topology::new(ranks, 4));
+            let (full, _) = align_reads(&team, &contigs, &reads, &cfg);
+            let expect: Vec<Alignment> =
+                full.into_iter().filter(|a| keep[a.read as usize]).collect();
+            let (part, reports) = align_read_subset(&team, &contigs, &reads, &subset, &cfg);
+            prop_assert_eq!(part, expect, "ranks {}", ranks);
+            prop_assert_eq!(reports.len(), 2);
+        }
     }
 }

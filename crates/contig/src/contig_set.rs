@@ -39,19 +39,32 @@ pub struct ContigSet {
 }
 
 impl ContigSet {
-    /// Build from raw sequences: sorts longest-first and assigns ids.
+    /// Build from raw sequences: sorts longest-first and assigns ids (see
+    /// [`ContigSet::sort_order`]).
     pub fn from_sequences(codec: KmerCodec, mut seqs: Vec<Vec<u8>>) -> Self {
-        seqs.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-        let contigs = seqs
+        let contigs = Self::sort_order(&seqs)
             .into_iter()
             .enumerate()
-            .map(|(id, seq)| Contig {
+            .map(|(id, i)| Contig {
                 id,
-                seq,
+                seq: std::mem::take(&mut seqs[i]),
                 depth: 0.0,
             })
             .collect();
         ContigSet { contigs, codec }
+    }
+
+    /// The ids [`ContigSet::from_sequences`] gives `seqs`: element `id` is
+    /// the index in `seqs` of the sequence that becomes contig `id` —
+    /// longest first, equal lengths by bytes, equal sequences in input
+    /// order.
+    pub fn sort_order(seqs: &[Vec<u8>]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..seqs.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&seqs[a], &seqs[b]);
+            b.len().cmp(&a.len()).then_with(|| a.cmp(b))
+        });
+        order
     }
 
     /// Number of contigs.
@@ -145,6 +158,22 @@ mod tests {
             vec![b"AAAAA".to_vec(), b"CCCCC".to_vec()],
         );
         assert_eq!(a.contigs, b.contigs);
+    }
+
+    #[test]
+    fn sort_order_names_the_source_of_every_id() {
+        let seqs = vec![
+            b"CCCCC".to_vec(),
+            b"AAAAAAA".to_vec(),
+            b"AAAAA".to_vec(),
+            b"CCCCC".to_vec(),
+        ];
+        let order = ContigSet::sort_order(&seqs);
+        assert_eq!(order, vec![1, 2, 0, 3]);
+        let set = ContigSet::from_sequences(KmerCodec::new(5), seqs.clone());
+        for (id, &i) in order.iter().enumerate() {
+            assert_eq!(set.contigs[id].seq, seqs[i]);
+        }
     }
 
     #[test]

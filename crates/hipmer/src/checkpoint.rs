@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 4] = b"HMCP";
 
 /// On-disk format version; bumped on any incompatible layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit checksum (the per-artifact integrity check; fast,
 /// dependency-free, and byte-order independent).
@@ -410,6 +410,13 @@ pub fn encode_scaffold_state(state: &ScaffoldState) -> Vec<u8> {
     for seq in &state.scaffolds.sequences {
         put_bytes(&mut out, seq);
     }
+    put_u64(&mut out, state.scaffolds.offsets.len() as u64);
+    for offsets in &state.scaffolds.offsets {
+        put_u64(&mut out, offsets.len() as u64);
+        for &o in offsets {
+            put_u32(&mut out, o);
+        }
+    }
     put_u64(&mut out, state.gap_stats.overlap_joined as u64);
     put_u64(&mut out, state.gap_stats.spanned as u64);
     put_u64(&mut out, state.gap_stats.walked as u64);
@@ -448,6 +455,12 @@ pub fn decode_scaffold_state(bytes: &[u8]) -> io::Result<ScaffoldState> {
     for _ in 0..n_seqs {
         sequences.push(r.bytes()?);
     }
+    let n_offsets = r.count(8)?;
+    let mut offsets = Vec::with_capacity(n_offsets);
+    for _ in 0..n_offsets {
+        let n = r.count(4)?;
+        offsets.push((0..n).map(|_| r.u32()).collect::<io::Result<Vec<u32>>>()?);
+    }
     let gap_stats = GapCloseStats {
         overlap_joined: r.u64()? as usize,
         spanned: r.u64()? as usize,
@@ -465,6 +478,7 @@ pub fn decode_scaffold_state(bytes: &[u8]) -> io::Result<ScaffoldState> {
         scaffolds: ScaffoldSet {
             scaffolds,
             sequences,
+            offsets,
         },
         gap_stats,
         insert_means,
@@ -820,6 +834,7 @@ mod tests {
                     ],
                 }],
                 sequences: vec![b"ACGTNNNACGT".to_vec()],
+                offsets: vec![vec![0, 7]],
             },
             gap_stats: GapCloseStats {
                 overlap_joined: 1,

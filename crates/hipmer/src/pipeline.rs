@@ -593,6 +593,7 @@ pub fn run_assembly(
         let scaffolds = ScaffoldSet {
             scaffolds: (0..n).map(singleton).collect(),
             sequences: contigs.contigs.iter().map(|c| c.seq.clone()).collect(),
+            offsets: vec![vec![0]; contigs.len()],
         };
         (scaffolds, Default::default())
     };

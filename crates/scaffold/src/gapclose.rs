@@ -513,9 +513,12 @@ pub fn close_gaps(
     }
     merge_ranks(&mut stats, &stats2);
 
-    // Phase 3 (parallel over scaffolds): stitch final sequences.
+    // Phase 3 (parallel over scaffolds): stitch final sequences, noting
+    // where each member starts. Both overlap closures verified that the
+    // dropped bases equal the sequence's tail, so a member's bases all sit
+    // at its offset.
     let (seq_lists, stats3) = team.run_named("scaffold/gap-closing/stitch", |ctx| {
-        let mut out: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut out: Vec<(usize, Vec<u8>, Vec<u32>)> = Vec::new();
         for si in cfg
             .schedule
             .ranges(ctx, scaffolds.len())
@@ -524,38 +527,45 @@ pub fn close_gaps(
         {
             let s = &scaffolds[si];
             let mut seq = member_seq(contigs, s, 0);
+            let mut offsets = vec![0u32];
             for (j, closure) in closures[si].iter().enumerate().take(s.gaps()) {
                 let next = member_seq(contigs, s, j + 1);
                 match closure.as_ref().expect("every gap was processed") {
                     Closure::Overlap(o) => {
                         let o = (*o).min(next.len());
+                        offsets.push((seq.len() - o) as u32);
                         seq.extend_from_slice(&next[o..]);
                     }
                     Closure::Fill(f) => {
                         seq.extend_from_slice(f);
+                        offsets.push(seq.len() as u32);
                         seq.extend_from_slice(&next);
                     }
                     Closure::NFill(n) => {
                         seq.extend(std::iter::repeat_n(b'N', *n));
+                        offsets.push(seq.len() as u32);
                         seq.extend_from_slice(&next);
                     }
                 }
                 ctx.stats.compute(seq.len() as u64 / 64);
             }
-            out.push((si, seq));
+            out.push((si, seq, offsets));
         }
         out
     });
     merge_ranks(&mut stats, &stats3);
     let mut sequences: Vec<Vec<u8>> = vec![Vec::new(); scaffolds.len()];
-    for (si, seq) in seq_lists.into_iter().flatten() {
+    let mut offsets: Vec<Vec<u32>> = vec![Vec::new(); scaffolds.len()];
+    for (si, seq, offs) in seq_lists.into_iter().flatten() {
         sequences[si] = seq;
+        offsets[si] = offs;
     }
 
     (
         ScaffoldSet {
             scaffolds: scaffolds.to_vec(),
             sequences,
+            offsets,
         },
         gstats,
         PhaseReport::new("scaffold/gap-closing", *team.topo(), stats),
@@ -693,6 +703,7 @@ mod tests {
         assert_eq!(stats.total(), 1);
         assert_eq!(stats.spanned, 1, "{stats:?}");
         assert_eq!(set.sequences[0], f.genome, "closed scaffold == genome");
+        assert_eq!(set.offsets, vec![vec![0, 400 + 40]]);
     }
 
     #[test]
@@ -731,6 +742,7 @@ mod tests {
         let ns = set.sequences[0].iter().filter(|&&b| b == b'N').count();
         assert_eq!(ns, 120, "N-fill must use the gap estimate");
         assert_eq!(set.sequences[0].len(), f.genome.len());
+        assert_eq!(set.offsets, vec![vec![0, 400 + 120]]);
     }
 
     #[test]
@@ -774,6 +786,8 @@ mod tests {
         let mut expect = a.clone();
         expect.extend_from_slice(&b_full[30..]);
         assert_eq!(set.sequences[0], expect);
+        // The second member starts on the 30 shared bases.
+        assert_eq!(set.offsets, vec![vec![0, 270]]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | contig depths & termination states | 4.1 | [`depths`] |
 //! | bubble detection + bubble–contig graph | 4.2 | [`bubbles`] |
-//! | read-to-contig alignment (merAligner) | 4.3 | `hipmer-align` |
+//! | read-to-contig alignment (merAligner) | 4.3 | `hipmer-align`; carried from round to round by `carry` |
 //! | insert-size estimation | 4.4 | [`inserts`] |
 //! | splint & span location | 4.5 | [`splints`] |
 //! | contig link generation | 4.6 | [`links`] |
@@ -21,6 +21,7 @@
 //! and "rest scaffolding".
 
 pub mod bubbles;
+mod carry;
 pub mod depths;
 pub mod gapclose;
 pub mod inserts;

@@ -1,6 +1,7 @@
 //! The complete scaffolding pipeline: §4.1 → §4.8 in order.
 
 use crate::bubbles::merge_bubbles;
+use crate::carry::carry_alignments;
 use crate::depths::{compute_depths, weighted_median_depth};
 use crate::gapclose::{close_gaps, GapCloseConfig, GapCloseStats};
 use crate::inserts::estimate_insert_size;
@@ -8,7 +9,7 @@ use crate::links::generate_links;
 use crate::scaffolds::ScaffoldSet;
 use crate::splints::locate_splints_and_spans;
 use crate::ties::order_and_orient;
-use hipmer_align::{align_reads, AlignConfig, Alignment};
+use hipmer_align::{align_read_subset, align_reads, sort_alignments, AlignConfig, Alignment};
 use hipmer_contig::ContigSet;
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::{PartitionScheme, PhaseReport, Schedule, Team};
@@ -144,29 +145,64 @@ pub fn prepare_contigs(
 /// closing, `cfg.rounds` times, over the *prepared* (bubble-merged)
 /// contig set from [`prepare_contigs`].
 ///
+/// Round 0 aligns every read. Each later round scaffolds the previous
+/// round's scaffolds, which contain the previous contigs whole, so it
+/// inherits their alignments translated onto the new contigs and sends
+/// back through the aligner only the reads the joins can change: reads
+/// with no alignment, reads that reach within the aligner's band of a
+/// contig end that faced a junction, and reads with a seed whose hits the
+/// joins changed (the `carry` module has the rule). A round with no such
+/// read builds no seed index; a one-round run never reaches that branch.
+///
 /// `round0_alignments`, when provided, replaces round 0's
-/// [`align_reads`] call (later rounds always re-align against the
-/// round's rebuilt contigs). Round-0 alignment depends only on the
-/// prepared contigs, the reads, and `cfg.align` — not on the round's
-/// depth mask — so results are byte-identical either way. This is the
-/// hook the checkpoint/restart machinery uses to persist alignments at a
-/// stage boundary; when it fires, the align phase reports belong to the
+/// [`align_reads`] call. Round-0 alignment depends only on the prepared
+/// contigs, the reads, and `cfg.align` — not on the round's depth mask —
+/// so results are byte-identical either way. This is the hook the
+/// checkpoint/restart machinery uses to persist alignments at a stage
+/// boundary; when it fires, the align phase reports belong to the
 /// alignment stage and are *not* repeated here.
 #[allow(clippy::too_many_arguments)]
 pub fn scaffold_rounds(
+    team: &Team,
+    spectrum: &KmerSpectrum,
+    contigs: ContigSet,
+    reads: &[SeqRecord],
+    lib_ranges: &[Range<usize>],
+    cfg: &ScaffoldConfig,
+    round0_alignments: Option<Vec<Alignment>>,
+) -> ScaffoldOutput {
+    run_rounds(
+        team,
+        spectrum,
+        contigs,
+        reads,
+        lib_ranges,
+        cfg,
+        round0_alignments,
+        |_, _| {},
+    )
+}
+
+/// [`scaffold_rounds`], showing `inspect` each round's contigs and the
+/// alignments the round scaffolds with.
+#[allow(clippy::too_many_arguments)]
+fn run_rounds(
     team: &Team,
     spectrum: &KmerSpectrum,
     mut contigs: ContigSet,
     reads: &[SeqRecord],
     lib_ranges: &[Range<usize>],
     cfg: &ScaffoldConfig,
-    round0_alignments: Option<Vec<Alignment>>,
+    mut round0_alignments: Option<Vec<Alignment>>,
+    mut inspect: impl FnMut(&ContigSet, &[Alignment]),
 ) -> ScaffoldOutput {
     let mut reports: Vec<PhaseReport> = Vec::new();
-    let mut round0_alignments = round0_alignments;
     let mut gap_stats = GapCloseStats::default();
     let mut insert_means: Vec<f64> = Vec::new();
     let mut result: Option<ScaffoldSet> = None;
+    // From round 1 on: the previous round's alignments translated onto
+    // this round's contigs, and the reads to align afresh.
+    let mut carried: Option<(Vec<Alignment>, Vec<u32>)> = None;
 
     for round in 0..cfg.rounds.max(1) {
         // Repeat/short-contig mask: depth and length over the current
@@ -195,21 +231,26 @@ pub fn scaffold_rounds(
             })
             .collect();
 
-        // §4.3 merAligner (round 0 may be satisfied from a checkpointed
-        // alignment set — see the function docs).
-        let provided = if round == 0 {
-            round0_alignments.take()
-        } else {
-            None
-        };
-        let alignments = match provided {
-            Some(alns) => alns,
-            None => {
-                let (alns, rs) = align_reads(team, &contigs, reads, &cfg.align);
+        // §4.3 merAligner: from round 1 on, inherited alignments plus
+        // those of the reads the joins can change; round 0 may be
+        // satisfied from a checkpointed alignment set (see the function
+        // docs).
+        let alignments = if let Some((mut alns, realign)) = carried.take() {
+            if !realign.is_empty() {
+                let (fresh, rs) = align_read_subset(team, &contigs, reads, &realign, &cfg.align);
                 reports.extend(rs);
-                alns
+                alns.extend(fresh);
             }
+            sort_alignments(&mut alns);
+            alns
+        } else if let Some(alns) = round0_alignments.take() {
+            alns
+        } else {
+            let (alns, rs) = align_reads(team, &contigs, reads, &cfg.align);
+            reports.extend(rs);
+            alns
         };
+        inspect(&contigs, &alignments);
 
         // §4.4 insert sizes + §4.5 splints/spans, per library.
         let lens: Vec<usize> = contigs.contigs.iter().map(|c| c.len()).collect();
@@ -245,7 +286,16 @@ pub fn scaffold_rounds(
 
         if round + 1 < cfg.rounds {
             // Next round scaffolds the current scaffolds.
-            contigs = ContigSet::from_sequences(contigs.codec, set.sequences.clone());
+            let next = ContigSet::from_sequences(contigs.codec, set.sequences.clone());
+            carried = Some(carry_alignments(
+                &contigs,
+                &set,
+                &next,
+                &alignments,
+                reads,
+                cfg.align.seed_len,
+            ));
+            contigs = next;
         }
         result = Some(set);
     }
@@ -313,6 +363,60 @@ mod tests {
         let (a, _) = run_pipeline(&dataset, Topology::new(1, 1));
         let (b, _) = run_pipeline(&dataset, Topology::new(8, 4));
         assert_eq!(a.scaffolds.sequences, b.scaffolds.sequences);
+    }
+
+    /// Carrying alignments forward stands in for re-aligning every read
+    /// against every round's contigs. On the repetitive Tier-1 wheat input
+    /// the two may disagree on fewer than 1 % of the reads in any round.
+    #[test]
+    fn carried_alignments_match_full_realignment_on_wheat() {
+        let dataset = wheat_scaffolding_dataset(60_000, 16.0, false, 321);
+        let team = Team::new(Topology::new(6, 3));
+        let reads = dataset.all_reads();
+        let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
+        let (raw, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
+        let (prepared, _) = prepare_contigs(&team, &spectrum, &raw, Schedule::Static);
+        let cfg = ScaffoldConfig {
+            rounds: 4,
+            ..ScaffoldConfig::new(15)
+        };
+        let per_read = |alns: &[Alignment]| {
+            let mut sets = vec![Vec::new(); reads.len()];
+            for a in alns {
+                sets[a.read as usize].push(*a);
+            }
+            sets
+        };
+        let mut rounds = Vec::new();
+        run_rounds(
+            &team,
+            &spectrum,
+            prepared,
+            &reads,
+            &dataset.lib_ranges(),
+            &cfg,
+            None,
+            |contigs, carried| {
+                let (full, _) = align_reads(&team, contigs, &reads, &cfg.align);
+                let differ = per_read(carried)
+                    .iter()
+                    .zip(&per_read(&full))
+                    .filter(|(c, f)| c != f)
+                    .count();
+                rounds.push((contigs.len(), differ));
+            },
+        );
+        for (round, &(contigs, differ)) in rounds.iter().enumerate() {
+            println!(
+                "round {round}: {contigs} contigs, {differ} of {} reads with another \
+                 alignment set than full re-alignment",
+                reads.len()
+            );
+        }
+        assert_eq!(rounds.len(), 4);
+        for &(_, differ) in &rounds {
+            assert!(100 * differ < reads.len(), "{rounds:?}");
+        }
     }
 
     /// Preparation may join contigs and absorb bubble arms; it may not lose

@@ -58,6 +58,11 @@ pub struct ScaffoldSet {
     pub scaffolds: Vec<Scaffold>,
     /// Final sequence per scaffold (gaps closed or N-filled), same order.
     pub sequences: Vec<Vec<u8>>,
+    /// Where each member's (oriented) contig starts in its scaffold's
+    /// sequence: one entry per member, same order. A member joined by an
+    /// overlap starts inside its predecessor's tail, on the bases the two
+    /// share.
+    pub offsets: Vec<Vec<u32>>,
 }
 
 impl ScaffoldSet {
@@ -139,6 +144,7 @@ mod tests {
         let set = ScaffoldSet {
             scaffolds: vec![Scaffold::default(); 3],
             sequences: vec![vec![b'A'; 50], vec![b'A'; 30], vec![b'A'; 10]],
+            offsets: vec![Vec::new(); 3],
         };
         assert_eq!(set.n50(), 50);
         assert_eq!(set.total_bases(), 90);

@@ -83,6 +83,23 @@ fn wheat_preset_runs_multiple_rounds_and_improves() {
             "{rounds}-round scaffolds cover {recall} of the reference k-mers, raw contigs {raw_recall}"
         );
     }
+    // Rounds 1-3 inherit alignments and re-align only the reads at new
+    // junctions: together they may not out-work round 0, which aligns
+    // every read (re-aligning everything costs about three times round 0).
+    // Operation counts are deterministic, so this holds on any machine.
+    let align_ops: Vec<u64> = four
+        .report
+        .phases
+        .iter()
+        .filter(|p| p.name == "scaffold/meraligner-align")
+        .map(|p| p.totals().compute_ops)
+        .collect();
+    let later: u64 = align_ops[1..].iter().sum();
+    assert!(
+        later <= align_ops[0],
+        "rounds 1-3 aligned {later} ops against round 0's {}: {align_ops:?}",
+        align_ops[0]
+    );
 }
 
 #[test]

@@ -140,7 +140,7 @@ proptest! {
     fn scaffold_state_codec_round_trips(
         members in proptest::collection::vec(
             proptest::collection::vec(
-                (0u32..500, any::<bool>(), -500i64..500),
+                (0u32..500, any::<bool>(), -500i64..500, any::<u32>()),
                 1..6,
             ),
             0..10,
@@ -152,11 +152,11 @@ proptest! {
         let state = ScaffoldState {
             scaffolds: ScaffoldSet {
                 scaffolds: members
-                    .into_iter()
+                    .iter()
                     .map(|ms| Scaffold {
                         members: ms
-                            .into_iter()
-                            .map(|(contig, reversed, gap_before)| ScaffoldMember {
+                            .iter()
+                            .map(|&(contig, reversed, gap_before, _)| ScaffoldMember {
                                 contig,
                                 reversed,
                                 gap_before,
@@ -165,6 +165,10 @@ proptest! {
                     })
                     .collect(),
                 sequences: seqs,
+                offsets: members
+                    .iter()
+                    .map(|ms| ms.iter().map(|m| m.3).collect())
+                    .collect(),
             },
             gap_stats: GapCloseStats {
                 overlap_joined: gaps[0],
@@ -254,6 +258,7 @@ fn valid_artifacts() -> Vec<(Vec<u8>, Vec<usize>, Option<usize>)> {
                 }],
             }],
             sequences: vec![b"ACGT".to_vec()],
+            offsets: vec![vec![0]],
         },
         gap_stats: GapCloseStats::default(),
         insert_means: vec![395.0],
@@ -265,10 +270,11 @@ fn valid_artifacts() -> Vec<(Vec<u8>, Vec<usize>, Option<usize>)> {
         (encode_contigs(&contigs), vec![13, 37], Some(9)),
         (encode_alignments(&[alignment]), vec![9], None),
         // Scaffold count, member count, one 13-byte member, sequence count,
-        // sequence length (4 bases), five gap counters, insert-mean count.
+        // sequence length (4 bases), offset-list count, offset count (one
+        // u32), five gap counters, insert-mean count.
         (
             encode_scaffold_state(&state),
-            vec![9, 17, 38, 46, 58 + 5 * 8],
+            vec![9, 17, 38, 46, 58, 66, 74 + 5 * 8],
             None,
         ),
     ]
