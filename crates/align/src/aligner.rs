@@ -8,9 +8,17 @@
 //! result-transparent — alignments are byte-identical to the fine-grained
 //! path — and both are ablatable via [`AlignConfig::lookup_batch`] and
 //! [`AlignConfig::cache_entries`].
+//!
+//! Stage 2 goes block by block (`BLOCK` reads): *plan* each read's top
+//! candidates up to the ungapped test, *batch* every gapped fallback of
+//! the block through one [`banded_sw_batch`], sixteen alignments to a SIMD
+//! pass, then *finish* each read with the candidate loop itself. Only the
+//! finish touches the contig replica cache and charges compute, in
+//! candidate order up to the read's last accepted alignment, so every
+//! counter is what a read-at-a-time loop gives.
 
 use crate::index::{build_seed_index, HitList, SeedIndex};
-use crate::sw::ungapped_matches;
+use crate::sw::{banded_sw_batch, ungapped_matches, SwParams, SwResult};
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::agg::DEFAULT_BATCH;
@@ -246,25 +254,84 @@ fn resolve_seeds(
     resolved
 }
 
-/// Stage 2: align one read against the contigs from its resolved seeds.
-fn align_one(
-    ctx: &mut RankCtx,
-    index: &SeedIndex,
+/// Stage 2 takes a block of this many reads at a time: it plans their
+/// candidates, aligns all their gapped fallbacks in one
+/// [`banded_sw_batch`], then replays each read's candidate loop. A fixed
+/// block, not a rank's whole range, so that the plan's memory does not
+/// grow with the input (`Schedule::Static` hands each rank one range).
+const BLOCK: usize = 64;
+
+/// One of a read's top candidates, taken as far as it goes without the
+/// contig replica cache.
+struct Planned {
+    cand: Candidate,
+    /// The candidate's overlap with its contig; `None` if the clipped
+    /// overlap is shorter than [`MIN_ALIGNED`].
+    overlap: Option<Overlap>,
+}
+
+/// A candidate's clipped overlap, in oriented-read and contig coordinates.
+struct Overlap {
+    r0: usize,
+    c0: usize,
+    span: usize,
+    /// Matching bases on the diagonal.
+    matches: usize,
+    /// The gapped fallback's index in the block's batch, when the
+    /// diagonal's identity falls short of [`MIN_IDENTITY`].
+    gapped: Option<usize>,
+}
+
+/// A read's stage-2 plan.
+struct ReadPlan {
+    /// Resolved seeds with a hit list: one compute op each.
+    listed_seeds: u64,
+    /// The read's reverse complement if a candidate is on the reverse
+    /// strand, else empty.
+    rc: Vec<u8>,
+    /// The top candidates, best-supported first.
+    candidates: Vec<Planned>,
+}
+
+impl ReadPlan {
+    /// The read oriented to the contig's forward strand.
+    fn oriented<'a>(&'a self, read: &'a SeqRecord, rc: bool) -> &'a [u8] {
+        if rc {
+            &self.rc
+        } else {
+            &read.seq
+        }
+    }
+}
+
+/// The banded fallback's window of `contig` for an overlap: it starts on
+/// the candidate's diagonal, which puts the diagonal in the middle of the
+/// band, so a tail shifted either way by up to [`BAND`] bases (read
+/// insertion or deletion) stays reachable.
+fn fallback_window(contig: &[u8], ov: &Overlap) -> std::ops::Range<usize> {
+    ov.c0..(ov.c0 + ov.span + BAND).min(contig.len())
+}
+
+/// Stage 2, plan: cluster one read's resolved seeds into candidates and
+/// take each of the top `2 · MAX_ALIGNMENTS_PER_READ` as far as it goes
+/// without the contig replica cache — orientation, clipping and the
+/// ungapped diagonal. A gapped fallback the diagonal needs gets the next
+/// index of `jobs`.
+fn plan_read(
+    codec: &KmerCodec,
     contigs: &ContigSet,
     read: &SeqRecord,
-    read_idx: u32,
     seeds: &[ResolvedSeed],
-    mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
-) -> Vec<Alignment> {
-    let codec = &index.codec;
+    jobs: &mut usize,
+) -> ReadPlan {
     // Sorted in full below, so the map's order never reaches the output.
     let mut candidates: KmerHashMap<Candidate, u32> = KmerHashMap::default();
-
+    let mut listed_seeds = 0;
     for seed in seeds {
         let Some(list) = &seed.list else {
             continue;
         };
-        ctx.stats.compute(1);
+        listed_seeds += 1;
         if list.is_repeat() {
             continue;
         }
@@ -298,9 +365,71 @@ fn align_one(
             ka.cmp(&kb)
         })
     });
+    ordered.truncate(2 * MAX_ALIGNMENTS_PER_READ);
 
+    let mut plan = ReadPlan {
+        listed_seeds,
+        rc: Vec::new(),
+        candidates: Vec::with_capacity(ordered.len()),
+    };
+    if ordered.iter().any(|(cand, _)| cand.rc) {
+        plan.rc = hipmer_dna::revcomp(&read.seq);
+    }
+    for (cand, _support) in ordered {
+        let contig = &contigs.contigs[cand.contig as usize].seq;
+        let oriented = plan.oriented(read, cand.rc);
+        // In forward-oriented coordinates the diagonal gives the read's
+        // start position on the contig.
+        let start = if cand.rc {
+            cand.diag - oriented.len() as i64
+        } else {
+            cand.diag
+        };
+        // Clip to contig bounds.
+        let r0 = (-start).max(0) as usize; // read offset where overlap begins
+        let c0 = start.max(0) as usize;
+        let overlap = (c0 < contig.len() && r0 < oriented.len())
+            .then(|| (oriented.len() - r0).min(contig.len() - c0))
+            .filter(|&span| span >= MIN_ALIGNED)
+            .map(|span| {
+                // Fast path: ungapped comparison (substitution-only reads).
+                let (matches, _) =
+                    ungapped_matches(&oriented[r0..r0 + span], &contig[c0..c0 + span]);
+                let gapped = ((matches as f64 / span as f64) < MIN_IDENTITY).then(|| {
+                    *jobs += 1;
+                    *jobs - 1
+                });
+                Overlap {
+                    r0,
+                    c0,
+                    span,
+                    matches,
+                    gapped,
+                }
+            });
+        plan.candidates.push(Planned { cand, overlap });
+    }
+    plan
+}
+
+/// Stage 2, finish: the candidate loop over a planned read, in candidate
+/// order up to its last accepted alignment. The contig replica cache sees
+/// the accesses a read-at-a-time loop makes, in its order, and compute is
+/// charged only for the candidates the loop reaches; `sw` holds the
+/// block's gapped fallbacks, of which those past the loop's end are
+/// discarded uncharged.
+fn finish_read(
+    ctx: &mut RankCtx,
+    contigs: &ContigSet,
+    read: &SeqRecord,
+    read_idx: u32,
+    plan: &ReadPlan,
+    sw: &[SwResult],
+    mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
+) -> Vec<Alignment> {
+    ctx.stats.compute(plan.listed_seeds);
     let mut out: Vec<Alignment> = Vec::new();
-    for (cand, _support) in ordered.into_iter().take(2 * MAX_ALIGNMENTS_PER_READ) {
+    for Planned { cand, overlap } in &plan.candidates {
         let contig = &contigs.contigs[cand.contig as usize];
         let owner = cand.contig as usize % ctx.topo().ranks();
         match contig_cache.as_deref_mut() {
@@ -317,71 +446,36 @@ fn align_one(
             // candidate from the contig's owner (cyclic by id).
             None => ctx.access(owner, read.seq.len() as u64),
         }
-
-        // Orient the read to the contig's forward strand.
-        let oriented: std::borrow::Cow<[u8]> = if cand.rc {
-            hipmer_dna::revcomp(&read.seq).into()
-        } else {
-            (&read.seq[..]).into()
-        };
-        // In forward-oriented coordinates the diagonal gives the read's
-        // start position on the contig.
-        let start = if cand.rc {
-            cand.diag - oriented.len() as i64
-        } else {
-            cand.diag
-        };
-        // Clip to contig bounds.
-        let r0 = (-start).max(0) as usize; // read offset where overlap begins
-        let c0 = start.max(0) as usize;
-        if c0 >= contig.seq.len() || r0 >= oriented.len() {
+        let Some(ov) = overlap else {
             continue;
-        }
-        let span = (oriented.len() - r0).min(contig.seq.len() - c0);
-        if span < MIN_ALIGNED {
-            continue;
-        }
-        // Fast path: ungapped comparison (substitution-only reads).
-        let (matches, aligned) =
-            ungapped_matches(&oriented[r0..r0 + span], &contig.seq[c0..c0 + span]);
-        ctx.stats.compute(aligned as u64);
-        let identity = matches as f64 / aligned as f64;
-        // Coordinates in the oriented read / contig, possibly refined by
-        // the gapped path below.
-        let (mut ro_start, mut ro_end) = (r0, r0 + aligned);
-        let (mut co_start, mut co_end) = (c0, c0 + aligned);
-        let mut matches = matches;
-        if identity < MIN_IDENTITY {
-            // Gapped fallback: a small indel breaks the diagonal; banded
-            // Smith-Waterman recovers it (merAligner's extension kernel).
-            // The window starts on the candidate's diagonal, which puts it
-            // in the middle of the band: a tail shifted either way by up to
-            // `BAND` bases (read insertion or deletion) stays reachable.
-            let cw_start = c0;
-            let cw_end = (c0 + span + BAND).min(contig.seq.len());
-            let sw = crate::sw::banded_sw(
-                &oriented[r0..r0 + span],
-                &contig.seq[cw_start..cw_end],
-                &crate::sw::SwParams {
-                    band: BAND,
-                    ..crate::sw::SwParams::default()
-                },
-            );
-            ctx.stats.compute((span * BAND) as u64);
-            if sw.aligned < MIN_ALIGNED || (sw.matches as f64) < MIN_IDENTITY * sw.aligned as f64 {
-                continue;
+        };
+        ctx.stats.compute(ov.span as u64);
+        // Coordinates in the oriented read / contig.
+        let (ro_start, ro_end, co_start, co_end, matches) = match ov.gapped {
+            None => (ov.r0, ov.r0 + ov.span, ov.c0, ov.c0 + ov.span, ov.matches),
+            Some(job) => {
+                // Gapped fallback: a small indel breaks the diagonal; banded
+                // Smith-Waterman recovers it (merAligner's extension kernel).
+                ctx.stats.compute((ov.span * BAND) as u64);
+                let sw = &sw[job];
+                if sw.aligned < MIN_ALIGNED
+                    || (sw.matches as f64) < MIN_IDENTITY * sw.aligned as f64
+                {
+                    continue;
+                }
+                (
+                    ov.r0 + sw.a_start,
+                    ov.r0 + sw.a_end,
+                    ov.c0 + sw.b_start,
+                    ov.c0 + sw.b_end,
+                    sw.matches,
+                )
             }
-            ro_start = r0 + sw.a_start;
-            ro_end = r0 + sw.a_end;
-            co_start = cw_start + sw.b_start;
-            co_end = cw_start + sw.b_end;
-            matches = sw.matches;
-        } else if aligned < MIN_ALIGNED {
-            continue;
-        }
+        };
         // Convert back to forward-read coordinates.
+        let len = read.seq.len();
         let (read_start, read_end) = if cand.rc {
-            (oriented.len() - ro_end, oriented.len() - ro_start)
+            (len - ro_end, len - ro_start)
         } else {
             (ro_start, ro_end)
         };
@@ -394,7 +488,7 @@ fn align_one(
             contig_end: co_end as u32,
             rc: cand.rc,
             matches: matches as u32,
-            read_len: read.seq.len() as u32,
+            read_len: len as u32,
         });
         if out.len() >= MAX_ALIGNMENTS_PER_READ {
             break;
@@ -407,6 +501,56 @@ fn align_one(
             .cmp(&a.matches)
             .then_with(|| (a.contig, a.contig_start).cmp(&(b.contig, b.contig_start)))
     });
+    out
+}
+
+/// Stage 2 over one block of a rank's reads (`read_ids`, with their
+/// resolved seeds): plan every read, align the block's gapped fallbacks in
+/// one batch, then finish every read in order.
+fn align_block(
+    ctx: &mut RankCtx,
+    codec: &KmerCodec,
+    contigs: &ContigSet,
+    reads: &[SeqRecord],
+    read_ids: &[u32],
+    resolved: &[Vec<ResolvedSeed>],
+    mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
+) -> Vec<Alignment> {
+    let mut n_jobs = 0;
+    let plans: Vec<ReadPlan> = (read_ids.iter().zip(resolved))
+        .map(|(&ri, seeds)| plan_read(codec, contigs, &reads[ri as usize], seeds, &mut n_jobs))
+        .collect();
+    let mut jobs: Vec<(&[u8], &[u8])> = Vec::with_capacity(n_jobs);
+    for (&ri, plan) in read_ids.iter().zip(&plans) {
+        for Planned { cand, overlap } in &plan.candidates {
+            if let Some(ov) = overlap.as_ref().filter(|ov| ov.gapped.is_some()) {
+                debug_assert_eq!(ov.gapped, Some(jobs.len()));
+                let contig = &contigs.contigs[cand.contig as usize].seq;
+                let oriented = plan.oriented(&reads[ri as usize], cand.rc);
+                jobs.push((
+                    &oriented[ov.r0..ov.r0 + ov.span],
+                    &contig[fallback_window(contig, ov)],
+                ));
+            }
+        }
+    }
+    let params = SwParams {
+        band: BAND,
+        ..SwParams::default()
+    };
+    let sw = banded_sw_batch(&jobs, &params);
+    let mut out = Vec::new();
+    for (&ri, plan) in read_ids.iter().zip(&plans) {
+        out.extend(finish_read(
+            ctx,
+            contigs,
+            &reads[ri as usize],
+            ri,
+            plan,
+            &sw,
+            contig_cache.as_deref_mut(),
+        ));
+    }
     out
 }
 
@@ -495,14 +639,14 @@ pub fn align_read_subset(
             // the seed cache and one streaming lookup batch.
             let resolved = resolve_seeds(ctx, &index, reads, read_ids, cfg);
             // Stage 2: candidate clustering and extension on resolved
-            // lists, with contig replicas cached per rank.
-            for (&ri, seeds) in read_ids.iter().zip(&resolved) {
-                out.extend(align_one(
+            // lists, block by block, with contig replicas cached per rank.
+            for (ids, seeds) in read_ids.chunks(BLOCK).zip(resolved.chunks(BLOCK)) {
+                out.extend(align_block(
                     ctx,
-                    &index,
+                    &index.codec,
                     contigs,
-                    &reads[ri as usize],
-                    ri,
+                    reads,
+                    ids,
                     seeds,
                     contig_cache.as_mut(),
                 ));

@@ -1,21 +1,34 @@
 //! Banded Smith–Waterman alignment.
 //!
-//! The extension kernel of merAligner and the "patching" step of gap
-//! closing. The band keeps the kernel O(n·band) — reads differ from
-//! contigs by substitutions and the occasional small indel, so a narrow
-//! band loses nothing.
+//! The extension kernel of merAligner. The band keeps the kernel
+//! O(n·band) — reads differ from contigs by substitutions and the
+//! occasional small indel, so a narrow band loses nothing.
 //!
-//! Two implementations live here:
+//! There is one recurrence and no traceback. Each cell carries its score
+//! together with the statistics of the path a traceback would follow from
+//! it — matched bases, aligned length, and the bases the path consumed
+//! from `a` and from `b` — so the best cell alone yields every field of
+//! [`SwResult`]. The recurrence is written over `L` lanes, each aligning a
+//! pair of its own: the lanes of one cell are fixed-width arrays, which the
+//! compiler turns into SIMD (one alignment per lane, as in ADEPT). Two
+//! instantiations serve the callers:
 //!
-//! * [`banded_sw`] — the production kernel: a two-row rolling-array DP
-//!   that touches only the O(band) cells of each row (plus a banded
-//!   traceback matrix), exits as soon as the band leaves the matrix, and
-//!   short-circuits the substitution-free case with a bit-parallel
-//!   (u64-block) diagonal scan. Scratch buffers can be reused across
-//!   calls via [`SwWorkspace`]/[`banded_sw_with`].
-//! * [`banded_sw_reference`] — the original dense O(n·m) formulation,
-//!   kept as the executable specification. Property tests pin
-//!   `banded_sw` result-identical to it on every input.
+//! * [`banded_sw`] / [`banded_sw_with`] — one lane. Two rolling rows of
+//!   O(band) cells, clipped per row to the columns that exist, and an exit
+//!   as soon as the band leaves the matrix. [`SwWorkspace`] keeps the rows
+//!   across calls.
+//! * [`banded_sw_batch`] — sixteen lanes: the pairs of a batch sorted by
+//!   length and aligned sixteen at a time.
+//!
+//! Lanes hold `i16` when the pair's lengths and the scoring prove that no
+//! value of the recurrence can leave `i16` (`fits`, below); any other pair
+//! runs the same code on `i64` lanes. Before any DP, both entry points
+//! answer a mismatch-free full-overlap diagonal with a bit-parallel
+//! (u64-block) scan.
+//!
+//! [`banded_sw_reference`] is the dense O(n·m) formulation with a traceback
+//! matrix, kept as the executable specification: property tests pin both
+//! entry points result-identical to it.
 
 /// Scoring parameters (match bonus is positive; penalties are negative).
 #[derive(Clone, Copy, Debug)]
@@ -76,16 +89,11 @@ impl SwResult {
 }
 
 /// Reusable scratch buffers for [`banded_sw_with`], so tight alignment
-/// loops (one per rank in merAligner, one per gap in gap closing) pay the
-/// row/traceback allocations once instead of per call.
+/// loops pay the row allocations once instead of per call.
 #[derive(Default)]
 pub struct SwWorkspace {
-    /// Previous DP row, band coordinates (2·band + 1 cells).
-    prev: Vec<i32>,
-    /// Current DP row, band coordinates.
-    cur: Vec<i32>,
-    /// Banded traceback: row-major `n × (2·band + 1)` direction codes.
-    tb: Vec<u8>,
+    narrow: Scratch<i16, 1>,
+    wide: Scratch<i64, 1>,
 }
 
 impl SwWorkspace {
@@ -99,134 +107,497 @@ impl SwWorkspace {
 ///
 /// Returns the best-scoring local alignment confined to the band around
 /// the main diagonal, result-identical to [`banded_sw_reference`] in
-/// O(|a|·band) time and O(|a|·band) memory (the banded traceback; the DP
-/// itself keeps two rolling rows).
+/// O(|a|·band) time and O(|a| + |b| + band) memory.
 pub fn banded_sw(a: &[u8], b: &[u8], p: &SwParams) -> SwResult {
     banded_sw_with(&mut SwWorkspace::new(), a, b, p)
 }
 
 /// [`banded_sw`] with caller-owned scratch buffers (see [`SwWorkspace`]).
 pub fn banded_sw_with(ws: &mut SwWorkspace, a: &[u8], b: &[u8], p: &SwParams) -> SwResult {
-    let (n, m) = (a.len(), b.len());
-    if n == 0 || m == 0 {
-        return SwResult::empty();
-    }
-    // Bit-parallel fast path: if the full-overlap diagonal is mismatch-free
-    // the optimum is that run — provably, for sane scoring (see below).
-    if let Some(r) = perfect_diagonal(a, b, p) {
+    if let Some(r) = without_dp(a, b, p) {
         return r;
     }
+    let mut out = [SwResult::empty()];
+    if fits::<i16>(a.len(), b.len(), p) {
+        lanes_sw(&mut ws.narrow, &[(a, b)], p, &mut out);
+    } else {
+        lanes_sw(&mut ws.wide, &[(a, b)], p, &mut out);
+    }
+    out[0]
+}
 
-    let w = p.band as isize;
-    // Band width in cells; column c of row i holds matrix cell
-    // j = (i - w) + c, so moving down one row shifts the window right by
-    // one: cell (i-1, j) sits at column c+1 of the previous row and the
-    // diagonal (i-1, j-1) at column c.
-    let width = (2 * p.band + 1).max(1);
-    ws.prev.clear();
-    ws.prev.resize(width, 0);
-    ws.cur.clear();
-    ws.cur.resize(width, 0);
-    ws.tb.clear();
-    ws.tb.resize(n * width, 0);
+/// Lanes of one [`banded_sw_batch`] pass: sixteen `i16` scores fill two
+/// SSE2 registers, or one AVX2 register.
+const BATCH_LANES: usize = 16;
 
-    let mut best = (0i32, 0usize, 0usize);
-    for i in 1..=n {
-        let j_lo = ((i as isize - w).max(1)) as usize;
-        if j_lo > m {
-            // The band has slid past the last column of `b`; every later
-            // row is empty too. (The dense reference spins through them.)
-            break;
+/// [`banded_sw`] of every `(a, b)` pair in `jobs`: `out[i]` equals
+/// `banded_sw(jobs[i].0, jobs[i].1, p)`.
+///
+/// The pairs are sorted by length and aligned sixteen to a pass, one pair
+/// per lane, so that the lanes of a pass run about as many rows as each
+/// other.
+pub fn banded_sw_batch(jobs: &[(&[u8], &[u8])], p: &SwParams) -> Vec<SwResult> {
+    let mut out = vec![SwResult::empty(); jobs.len()];
+    let (mut narrow, mut wide) = (Vec::new(), Vec::new());
+    for (k, &(a, b)) in jobs.iter().enumerate() {
+        match without_dp(a, b, p) {
+            Some(r) => out[k] = r,
+            None if fits::<i16>(a.len(), b.len(), p) => narrow.push(k),
+            None => wide.push(k),
         }
-        let j_hi = ((i as isize + w).min(m as isize)) as usize;
-        // j of column 0 in this row.
-        let base = i as isize - w;
-        // Columns below the range keep their zero initialization — they
-        // stand in for the virtual zero column j = 0 the reference reads.
-        let c0 = (j_lo as isize - base) as usize;
-        for c in ws.cur[..c0].iter_mut() {
-            *c = 0;
+    }
+    batch_passes::<i16>(narrow, jobs, p, &mut out);
+    batch_passes::<i64>(wide, jobs, p, &mut out);
+    out
+}
+
+/// Align the jobs `ids` names, [`BATCH_LANES`] at a time, into `out`.
+fn batch_passes<T: Score>(
+    mut ids: Vec<usize>,
+    jobs: &[(&[u8], &[u8])],
+    p: &SwParams,
+    out: &mut [SwResult],
+) {
+    ids.sort_by_key(|&k| (jobs[k].0.len(), jobs[k].1.len()));
+    let mut ws = Scratch::<T, BATCH_LANES>::default();
+    let mut res = [SwResult::empty(); BATCH_LANES];
+    for pass in ids.chunks(BATCH_LANES) {
+        let pairs: Vec<(&[u8], &[u8])> = pass.iter().map(|&k| jobs[k]).collect();
+        lanes_sw(&mut ws, &pairs, p, &mut res[..pass.len()]);
+        for (&k, r) in pass.iter().zip(res) {
+            out[k] = r;
         }
-        let ai = a[i - 1];
-        let row_tb = &mut ws.tb[(i - 1) * width..i * width];
-        for (off, &bj) in b[j_lo - 1..j_hi].iter().enumerate() {
-            let c = c0 + off;
-            let diag = ws.prev[c] + if ai == bj { p.mat } else { p.mis };
-            // (i-1, j) is in band iff |i-1-j| <= w, i.e. c + 1 <= 2w.
-            let up = if c + 1 < width {
-                ws.prev[c + 1] + p.gap
-            } else {
-                i32::MIN / 2
-            };
-            // (i, j-1) is in band iff c >= 1.
-            let left = if c >= 1 {
-                ws.cur[c - 1] + p.gap
-            } else {
-                i32::MIN / 2
-            };
-            // Same candidate order and tie-breaking as the reference's
-            // `max_by_key` over [diag, up, left, 0]: later candidates win
-            // ties, hence `>=`.
-            let mut score = diag;
-            let mut dir = 1u8;
-            if up >= score {
-                score = up;
-                dir = 2;
-            }
-            if left >= score {
-                score = left;
-                dir = 3;
-            }
-            if score <= 0 {
-                score = 0;
-                dir = 0;
-            }
-            ws.cur[c] = score;
-            row_tb[c] = dir;
-            if score > best.0 {
-                best = (score, i, (c as isize + base) as usize);
+    }
+}
+
+/// The answers that need no DP: an empty side, or a perfect diagonal.
+fn without_dp(a: &[u8], b: &[u8], p: &SwParams) -> Option<SwResult> {
+    if a.is_empty() || b.is_empty() {
+        return Some(SwResult::empty());
+    }
+    perfect_diagonal(a, b, p)
+}
+
+/// A lane's score and counter type.
+trait Score:
+    Copy
+    + Ord
+    + std::ops::BitAnd<Output = Self>
+    + std::ops::BitOr<Output = Self>
+    + std::ops::Not<Output = Self>
+{
+    const ZERO: Self;
+    /// A set mask lane: all bits one.
+    const ALL: Self;
+    /// The type's range, for [`fits`].
+    const LO: i128;
+    const HI: i128;
+    fn of(x: i128) -> Self;
+    fn add(self, o: Self) -> Self;
+    fn to_i128(self) -> i128;
+}
+
+/// Runs only on jobs [`fits`] admits, where no value leaves `i16`: the
+/// conversions are exact and `+` cannot overflow (debug builds check it).
+impl Score for i16 {
+    const ZERO: Self = 0;
+    const ALL: Self = -1;
+    const LO: i128 = i16::MIN as i128;
+    const HI: i128 = i16::MAX as i128;
+    fn of(x: i128) -> Self {
+        i16::try_from(x).expect("fits() bounds every value")
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self + o
+    }
+    fn to_i128(self) -> i128 {
+        self.into()
+    }
+}
+
+/// Every job [`fits`] turns away for `i16`. No `i32` scoring and no slice
+/// length in memory takes a value past `i64`; the adds saturate all the
+/// same, so that no input can wrap or panic.
+impl Score for i64 {
+    const ZERO: Self = 0;
+    const ALL: Self = -1;
+    const LO: i128 = i64::MIN as i128;
+    const HI: i128 = i64::MAX as i128;
+    fn of(x: i128) -> Self {
+        i64::try_from(x).unwrap_or(if x < 0 { i64::MIN } else { i64::MAX })
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.saturating_add(o)
+    }
+    fn to_i128(self) -> i128 {
+        self.into()
+    }
+}
+
+/// Whether every value the recurrence computes for an `n × m` job under
+/// `p` lies in `T`'s range.
+///
+/// A path to a cell takes at most min(n, m) diagonal steps, each worth at
+/// most max(mat, mis, 0), and at most n + m gap steps, each worth at most
+/// max(gap, 0); so every score is in `[0, h_max]`. A candidate adds one
+/// step to a score — the diagonal one as `mis`, then `mat - mis` if the
+/// bases match — so it lies in `[min(mat, mis, gap), h_max + step]`. A
+/// path consumes at least one base per step, so every counter, position
+/// and remaining-column count is in `[-(n + m), n + m]`; a cell outside
+/// the matrix adds one step to a counter of a cell inside it or to zero,
+/// hence the strict bound. The out-of-band cell's score is `-gap` or
+/// `LO - gap`, whichever is `<= 0`.
+fn fits<T: Score>(n: usize, m: usize, p: &SwParams) -> bool {
+    let (n, m) = (n as i128, m as i128);
+    let (mat, mis, gap) = (i128::from(p.mat), i128::from(p.mis), i128::from(p.gap));
+    let h_max = mat.max(mis).max(0) * n.min(m) + gap.max(0) * (n + m);
+    let step = mat.max(mis).max(gap).max(0);
+    let in_range = |x: i128| (T::LO..=T::HI).contains(&x);
+    n + m < T::HI
+        && in_range(mat.min(mis).min(gap))
+        && in_range(h_max + step)
+        && in_range(mat - mis)
+}
+
+/// `L` lanes of `T`. Each operation is one loop over the lanes, which the
+/// compiler turns into SIMD instructions; a mask lane is all ones or zero.
+#[derive(Clone, Copy)]
+struct Lanes<T, const L: usize>([T; L]);
+
+impl<T: Score, const L: usize> Lanes<T, L> {
+    const ZERO: Self = Lanes([T::ZERO; L]);
+
+    #[inline(always)]
+    fn splat(x: T) -> Self {
+        Lanes([x; L])
+    }
+
+    #[inline(always)]
+    fn zip(self, o: Self, f: impl Fn(T, T) -> T) -> Self {
+        let mut out = self;
+        for l in 0..L {
+            out.0[l] = f(self.0[l], o.0[l]);
+        }
+        out
+    }
+
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        self.zip(o, T::add)
+    }
+
+    #[inline(always)]
+    fn max(self, o: Self) -> Self {
+        self.zip(o, Ord::max)
+    }
+
+    /// Through this mask: `x` where it is set, zero elsewhere.
+    #[inline(always)]
+    fn and(self, x: Self) -> Self {
+        self.zip(x, |m, x| m & x)
+    }
+
+    /// The mask of lanes where `self >= o`.
+    #[inline(always)]
+    fn ge(self, o: Self) -> Self {
+        self.zip(o, |x, y| if x >= y { T::ALL } else { T::ZERO })
+    }
+
+    /// The mask of lanes where `self > o`.
+    #[inline(always)]
+    fn gt(self, o: Self) -> Self {
+        self.zip(o, |x, y| if x > y { T::ALL } else { T::ZERO })
+    }
+
+    /// Through this mask: `yes` where it is set, `no` elsewhere.
+    #[inline(always)]
+    fn select(self, yes: Self, no: Self) -> Self {
+        let mut out = self;
+        for l in 0..L {
+            out.0[l] = (yes.0[l] & self.0[l]) | (no.0[l] & !self.0[l]);
+        }
+        out
+    }
+
+    /// Whether any lane of this mask is set.
+    #[inline(always)]
+    fn any(self) -> bool {
+        self.0.iter().fold(T::ZERO, |acc, &x| acc | x) != T::ZERO
+    }
+
+    /// Whether every lane of this mask is set.
+    #[inline(always)]
+    fn all(self) -> bool {
+        self.0.iter().fold(T::ALL, |acc, &x| acc & x) != T::ZERO
+    }
+
+    /// The mask of lanes where the bases are equal.
+    #[inline(always)]
+    fn eq_bases(a: &[u8; L], b: &[u8; L]) -> Self {
+        let mut out = Self::ZERO;
+        for l in 0..L {
+            out.0[l] = if a[l] == b[l] { T::ALL } else { T::ZERO };
+        }
+        out
+    }
+}
+
+/// One cell of `L` lanes: each lane's score and the statistics of the path
+/// a traceback would follow from it.
+#[derive(Clone, Copy)]
+struct Cell<T, const L: usize> {
+    h: Lanes<T, L>,
+    matches: Lanes<T, L>,
+    aligned: Lanes<T, L>,
+    /// Bases of `a` on the path (diagonal and up steps).
+    a_used: Lanes<T, L>,
+    /// Bases of `b` on the path (diagonal and left steps).
+    b_used: Lanes<T, L>,
+}
+
+impl<T: Score, const L: usize> Cell<T, L> {
+    /// A reset cell: score 0 and no path — also the virtual row 0 and
+    /// column 0.
+    const ZERO: Self = Cell {
+        h: Lanes::ZERO,
+        matches: Lanes::ZERO,
+        aligned: Lanes::ZERO,
+        a_used: Lanes::ZERO,
+        b_used: Lanes::ZERO,
+    };
+
+    /// This cell through `keep`: reset where the mask is clear.
+    #[inline(always)]
+    fn kept(self, keep: Lanes<T, L>) -> Self {
+        Cell {
+            h: keep.and(self.h),
+            matches: keep.and(self.matches),
+            aligned: keep.and(self.aligned),
+            a_used: keep.and(self.a_used),
+            b_used: keep.and(self.b_used),
+        }
+    }
+}
+
+/// Scratch rows of the `L`-lane recurrence.
+struct Scratch<T, const L: usize> {
+    /// Previous and current row in band coordinates: column c of row i is
+    /// matrix cell j = i - w + c, so the diagonal predecessor of column c
+    /// is column c of the previous row and the one above is column c + 1.
+    /// One cell past the band stands for the cells outside it.
+    prev: Vec<Cell<T, L>>,
+    cur: Vec<Cell<T, L>>,
+    /// `a` and `b` transposed: `a[i][l]` is base i of lane l's `a`.
+    a: Vec<[u8; L]>,
+    b: Vec<[u8; L]>,
+}
+
+impl<T, const L: usize> Default for Scratch<T, L> {
+    fn default() -> Self {
+        Scratch {
+            prev: Vec::new(),
+            cur: Vec::new(),
+            a: Vec::new(),
+            b: Vec::new(),
+        }
+    }
+}
+
+/// The scoring as lanes: the diagonal candidate is `mis`, plus `delta =
+/// mat - mis` where the bases match.
+#[derive(Clone, Copy)]
+struct Scoring<T, const L: usize> {
+    mis: Lanes<T, L>,
+    delta: Lanes<T, L>,
+    gap: Lanes<T, L>,
+}
+
+/// The banded recurrence over `jobs.len() <= L` non-empty pairs, one per
+/// lane, results into `out`. Every pair must pass [`fits`] for `T`.
+///
+/// The cells of an unused lane, and those of a lane outside its own
+/// matrix (past its last row or column), are computed and then reset: no
+/// cell inside a lane's matrix reads one outside it, and a reset cell
+/// never becomes the best.
+fn lanes_sw<T: Score, const L: usize>(
+    ws: &mut Scratch<T, L>,
+    jobs: &[(&[u8], &[u8])],
+    p: &SwParams,
+    out: &mut [SwResult],
+) {
+    debug_assert!(jobs.len() <= L && out.len() == jobs.len());
+    let n: [usize; L] = std::array::from_fn(|l| jobs.get(l).map_or(0, |j| j.0.len()));
+    let m: [usize; L] = std::array::from_fn(|l| jobs.get(l).map_or(0, |j| j.1.len()));
+    // A band wider than the longest side reaches every cell, as that
+    // width does: clip it so the row buffers stay O(length).
+    let longest = (0..L).map(|l| n[l].max(m[l])).max().unwrap_or(0);
+    let w = p.band.min(longest);
+    let width = 2 * w + 1;
+    // Row i of a lane has cells only while i <= n and i - w <= m.
+    let rows = (0..L).map(|l| n[l].min(m[l] + w)).max().unwrap_or(0);
+    let cols = m.iter().copied().max().unwrap_or(0);
+
+    ws.a.clear();
+    ws.a.resize(rows, [0; L]);
+    ws.b.clear();
+    ws.b.resize(cols, [0; L]);
+    for (l, (a, b)) in jobs.iter().enumerate() {
+        for (row, &x) in ws.a.iter_mut().zip(a.iter()) {
+            row[l] = x;
+        }
+        for (col, &x) in ws.b.iter_mut().zip(b.iter()) {
+            col[l] = x;
+        }
+    }
+    // The cells just outside the band: their score plus a gap is at most
+    // 0, so, like the reference's out-of-band candidate, they never beat
+    // the reset to 0, and their statistics are never kept.
+    let gap = i128::from(p.gap);
+    let outside = Cell {
+        h: Lanes::splat(T::of(if gap > 0 { -gap } else { T::LO - gap })),
+        ..Cell::ZERO
+    };
+    for row in [&mut ws.prev, &mut ws.cur] {
+        row.clear();
+        row.resize(width + 1, Cell::ZERO);
+        row[width] = outside;
+    }
+    let splat = |x: i32| Lanes::splat(T::of(x.into()));
+    let scoring = Scoring {
+        mis: splat(p.mis),
+        delta: Lanes::splat(T::of(i128::from(p.mat) - i128::from(p.mis))),
+        gap: splat(p.gap),
+    };
+
+    // Each lane's best cell so far — the first strict maximum in
+    // row-major order, as the reference scans — and its row and column.
+    let mut best = Cell::<T, L>::ZERO;
+    let (mut best_i, mut best_j) = ([0usize; L], [0usize; L]);
+    for i in 1..=rows {
+        // Columns holding a cell of some lane: j_lo <= j <= j_hi. The
+        // columns left of them stand for the virtual column j = 0.
+        let j_lo = (i + 1).saturating_sub(w + 1).max(1);
+        let j_hi = (0..L).filter(|&l| i <= n[l]).map(|l| m[l]).max();
+        let j_hi = j_hi.unwrap_or(0).min(i + w);
+        let (c_lo, c_hi) = (j_lo + w - i, j_hi + w - i);
+        // Whether some lane's matrix ends before j_hi; if so, each lane's
+        // count of its columns from j_lo on, less one.
+        let clipped = (0..L).any(|l| i > n[l] || m[l] < j_hi);
+        let room = clipped.then(|| {
+            Lanes(std::array::from_fn(|l| {
+                let last = if i <= n[l] { m[l] } else { 0 };
+                T::of(last as i128 - j_lo as i128)
+            }))
+        });
+        let (prev, cur) = (&ws.prev, &mut ws.cur);
+        cur[..c_lo].fill(Cell::ZERO);
+        let (row_h, row_j) = sw_row(
+            &prev[c_lo..=c_hi + 1],
+            &mut cur[c_lo..=c_hi],
+            (ws.a[i - 1], &ws.b[j_lo - 1..j_hi], j_lo),
+            scoring,
+            room,
+            if c_lo == 0 { outside } else { Cell::ZERO },
+        );
+        cur[c_hi + 1..width].fill(Cell::ZERO);
+        for l in 0..L {
+            if row_h.0[l] > best.h.0[l] {
+                let j = usize::try_from(row_j.0[l].to_i128()).expect("a column");
+                let cell = &cur[j + w - i];
+                best.h.0[l] = cell.h.0[l];
+                best.matches.0[l] = cell.matches.0[l];
+                best.aligned.0[l] = cell.aligned.0[l];
+                best.a_used.0[l] = cell.a_used.0[l];
+                best.b_used.0[l] = cell.b_used.0[l];
+                (best_i[l], best_j[l]) = (i, j);
             }
         }
         std::mem::swap(&mut ws.prev, &mut ws.cur);
     }
 
-    // Traceback for match/length statistics, reading the banded matrix.
-    let (score, mut i, mut j) = best;
-    let (a_end, b_end) = (i, j);
-    let mut matches = 0usize;
-    let mut aligned = 0usize;
-    while i > 0 && j > 0 {
-        let c = j as isize - (i as isize - w);
-        debug_assert!((0..width as isize).contains(&c), "traceback left band");
-        match ws.tb[(i - 1) * width + c as usize] {
-            1 => {
-                if a[i - 1] == b[j - 1] {
-                    matches += 1;
-                }
-                aligned += 1;
-                i -= 1;
-                j -= 1;
-            }
-            2 => {
-                aligned += 1;
-                i -= 1;
-            }
-            3 => {
-                aligned += 1;
-                j -= 1;
-            }
-            _ => break,
+    let count = |x: T| usize::try_from(x.to_i128()).expect("counters are non-negative");
+    for (l, r) in out.iter_mut().enumerate() {
+        let (a_end, b_end) = (best_i[l], best_j[l]);
+        *r = SwResult {
+            score: best.h.0[l]
+                .to_i128()
+                .clamp(i32::MIN.into(), i32::MAX.into()) as i32,
+            a_start: a_end - count(best.a_used.0[l]),
+            a_end,
+            b_start: b_end - count(best.b_used.0[l]),
+            b_end,
+            matches: count(best.matches.0[l]),
+            aligned: count(best.aligned.0[l]),
+        };
+    }
+}
+
+/// One row of the recurrence over the columns that hold a cell of some
+/// lane: `prev` is the row above from the first column's diagonal
+/// predecessor on, `cur` receives the row, `a_i` is the row's base and
+/// `b` the columns' from column `j_lo` on. `room` (when some lane's
+/// matrix ends inside the row) counts each lane's columns down, and
+/// `left` is the cell left of the first column. Returns each lane's
+/// highest score in the row and the first column holding it.
+///
+/// A lane takes its left neighbour, or resets, only now and then: the
+/// work for either is skipped when no lane needs it, which keeps the one-
+/// lane instance's dependency chain short.
+fn sw_row<T: Score, const L: usize>(
+    prev: &[Cell<T, L>],
+    cur: &mut [Cell<T, L>],
+    (a_i, b, j_lo): ([u8; L], &[[u8; L]], usize),
+    s: Scoring<T, L>,
+    mut room: Option<Lanes<T, L>>,
+    mut left: Cell<T, L>,
+) -> (Lanes<T, L>, Lanes<T, L>) {
+    let (one, minus_one) = (Lanes::splat(T::of(1)), Lanes::splat(T::of(-1)));
+    let (mut row_h, mut row_j) = (Lanes::ZERO, Lanes::ZERO);
+    for (j, ((out, above), b_j)) in (j_lo..).zip(cur.iter_mut().zip(prev.windows(2)).zip(b)) {
+        let (diag, up) = (&above[0], &above[1]);
+        let eq = Lanes::eq_bases(&a_i, b_j);
+        let hd = diag.h.add(s.mis).add(eq.and(s.delta));
+        let hu = up.h.add(s.gap);
+        // The reference's candidate order [diag, up, left, 0], a later
+        // candidate winning a tie.
+        let take_up = hu.ge(hd);
+        let mut cell = Cell {
+            h: hu.max(hd),
+            matches: take_up.select(up.matches, diag.matches.add(eq.and(one))),
+            aligned: take_up.select(up.aligned, diag.aligned).add(one),
+            a_used: take_up.select(up.a_used, diag.a_used).add(one),
+            b_used: take_up.select(up.b_used, diag.b_used.add(one)),
+        };
+        let hl = left.h.add(s.gap);
+        let take_left = hl.ge(cell.h);
+        if take_left.any() {
+            cell = Cell {
+                h: take_left.select(hl, cell.h),
+                matches: take_left.select(left.matches, cell.matches),
+                aligned: take_left.select(left.aligned.add(one), cell.aligned),
+                a_used: take_left.select(left.a_used, cell.a_used),
+                b_used: take_left.select(left.b_used.add(one), cell.b_used),
+            };
+        }
+        let mut keep = cell.h.gt(Lanes::ZERO);
+        if let Some(room) = room.as_mut() {
+            keep = keep.and(room.ge(Lanes::ZERO));
+            *room = room.add(minus_one);
+        }
+        if !keep.all() {
+            cell = cell.kept(keep);
+        }
+        *out = cell;
+        left = cell;
+        let higher = cell.h.gt(row_h);
+        if higher.any() {
+            row_h = row_h.max(cell.h);
+            row_j = higher.select(Lanes::splat(T::of(j as i128)), row_j);
         }
     }
-    SwResult {
-        score,
-        a_start: i,
-        a_end,
-        b_start: j,
-        b_end,
-        matches,
-        aligned,
-    }
+    (row_h, row_j)
 }
 
 /// Substitution-free fast path: when `a[..L]` and `b[..L]` (L = full
@@ -248,7 +619,8 @@ fn perfect_diagonal(a: &[u8], b: &[u8], p: &SwParams) -> Option<SwResult> {
         return None;
     }
     Some(SwResult {
-        score: len as i32 * p.mat,
+        // A score past `i32` goes to the DP, which clamps it.
+        score: i32::try_from(len).ok()?.checked_mul(p.mat)?,
         a_start: 0,
         a_end: len,
         b_start: 0,
@@ -274,9 +646,9 @@ fn equal_u64_blocks(a: &[u8], b: &[u8]) -> bool {
     acc == 0 && ac.remainder() == bc.remainder()
 }
 
-/// Dense-matrix banded Smith–Waterman: the executable specification
-/// [`banded_sw`] is pinned against. O(|a|·|b|) memory; use only for
-/// testing and benchmarking the optimized kernel.
+/// Dense-matrix banded Smith–Waterman with a traceback: the executable
+/// specification [`banded_sw`] and [`banded_sw_batch`] are pinned
+/// against. O(|a|·|b|) memory; use only for testing and benchmarking.
 pub fn banded_sw_reference(a: &[u8], b: &[u8], p: &SwParams) -> SwResult {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
@@ -398,7 +770,6 @@ pub fn ungapped_matches_reference(a: &[u8], b: &[u8]) -> (usize, usize) {
         .count();
     (matches, len)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,8 @@
 //! Property tests for the alignment kernels.
 
 use hipmer_align::{
-    align_read_subset, align_reads, banded_sw, banded_sw_reference, ungapped_matches,
-    ungapped_matches_reference, AlignConfig, Alignment, SwParams,
+    align_read_subset, align_reads, banded_sw, banded_sw_batch, banded_sw_reference,
+    ungapped_matches, ungapped_matches_reference, AlignConfig, Alignment, SwParams,
 };
 use hipmer_contig::ContigSet;
 use hipmer_dna::{revcomp, KmerCodec, BASES};
@@ -126,6 +126,134 @@ proptest! {
         prop_assert!(m <= len);
         let (m2, _) = ungapped_matches(&b, &a);
         prop_assert_eq!(m, m2);
+    }
+}
+
+/// `banded_sw_batch(jobs)[i]` and `banded_sw(jobs[i])` both equal
+/// `banded_sw_reference(jobs[i])`.
+fn assert_batch_and_single_match_reference(jobs: &[(Vec<u8>, Vec<u8>)], p: &SwParams) {
+    let pairs: Vec<(&[u8], &[u8])> = jobs.iter().map(|(a, b)| (&a[..], &b[..])).collect();
+    let batch = banded_sw_batch(&pairs, p);
+    assert_eq!(batch.len(), jobs.len());
+    for (&(a, b), got) in pairs.iter().zip(batch) {
+        let want = banded_sw_reference(a, b, p);
+        let shown = || {
+            format!(
+                "a={} b={} p={p:?}",
+                String::from_utf8_lossy(a),
+                String::from_utf8_lossy(b)
+            )
+        };
+        assert_eq!(got, want, "batch: {}", shown());
+        assert_eq!(banded_sw(a, b, p), want, "single: {}", shown());
+    }
+}
+
+/// The default scoring and two others: a heavier one, and one where a
+/// mismatch and a gap cost the same, so that more candidates tie.
+const SCORINGS: [(i32, i32, i32); 3] = [(1, -2, -3), (2, -3, -5), (1, -1, -1)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Mixed lengths inside a batch (so the lanes of one pass end on
+    // different rows and columns), related and unrelated pairs.
+    #[test]
+    fn batch_and_single_equal_reference_on_mixed_batches(
+        jobs in prop::collection::vec(
+            (
+                dna(0..300),
+                prop::collection::vec((0usize..300, 0usize..3, 0u8..4), 0..6),
+                any::<bool>(),
+                dna(0..300),
+            ),
+            1..41,
+        ),
+        band in prop::sample::select(&[0usize, 1, 8, 64][..]),
+        (mat, mis, gap) in prop::sample::select(&SCORINGS[..]),
+    ) {
+        let jobs: Vec<(Vec<u8>, Vec<u8>)> = jobs
+            .into_iter()
+            .map(|(a, edits, related, other)| {
+                let b = if related { mutate(&a, &edits) } else { other };
+                (a, b)
+            })
+            .collect();
+        assert_batch_and_single_match_reference(&jobs, &SwParams { mat, mis, gap, band });
+    }
+}
+
+fn lcg_dna(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            BASES[(x >> 60) as usize % 4]
+        })
+        .collect()
+}
+
+#[test]
+fn indels_at_both_band_edges_match_reference() {
+    // A read with `shift` bases deleted moves the alignment `shift`
+    // diagonals up; with `shift` bases inserted, down. At shift = band the
+    // tail runs on the band's edge, at band + 1 just outside it. The window
+    // starts on the read's diagonal, as merAligner's fallback does.
+    for band in [1usize, 8] {
+        let mut jobs = Vec::new();
+        for shift in [band - 1, band, band + 1] {
+            for at in [10usize, 60, 110] {
+                let contig = lcg_dna(
+                    120 + 2 * shift + band,
+                    (band * 100 + shift * 10 + at) as u64,
+                );
+                let mut deleted = contig[..120 + shift].to_vec();
+                deleted.drain(at..at + shift);
+                let mut inserted = contig[..120].to_vec();
+                let extra = lcg_dna(shift, at as u64);
+                inserted.splice(at..at, extra);
+                for read in [deleted, inserted] {
+                    let window = contig[..(read.len() + band).min(contig.len())].to_vec();
+                    jobs.push((read, window));
+                }
+            }
+        }
+        assert_batch_and_single_match_reference(
+            &jobs,
+            &SwParams {
+                band,
+                ..SwParams::default()
+            },
+        );
+    }
+}
+
+#[test]
+fn jobs_either_side_of_the_i16_bound_match_reference() {
+    // Lanes are i16 while |a| + |b| < 32767 and the best score plus one
+    // step fits; these pairs sit one base either side of each limit. A
+    // mismatch at the start keeps them off the perfect-diagonal shortcut.
+    let mismatched = |mut s: Vec<u8>| {
+        s[3] = if s[3] == b'A' { b'C' } else { b'A' };
+        s
+    };
+    for n in [32_700usize, 32_701] {
+        let a = lcg_dna(n, 5);
+        let b = mismatched(a[..66].to_vec());
+        assert_batch_and_single_match_reference(&[(a, b)], &SwParams::default());
+    }
+    let heavy = SwParams {
+        mat: 300,
+        mis: -300,
+        gap: -300,
+        band: 8,
+    };
+    for n in [108usize, 109] {
+        let a = lcg_dna(n, 7);
+        let b = mismatched(a.clone());
+        assert_batch_and_single_match_reference(&[(a.clone(), b.clone()), (b, a)], &heavy);
     }
 }
 

@@ -6,15 +6,16 @@
 //! Besides the plain criterion benches, the `before_after` target measures
 //! every optimized kernel of the hot-kernel performance pass against the
 //! in-tree reference implementation it replaced (which the differential
-//! property tests pin it result-identical to) and writes the ns/op pairs
-//! to `BENCH_kernels.json` — the perf baseline every future PR is compared
-//! against (CI fails on >25% regression). `HIPMER_BENCH_FAST=1` shortens
-//! the sampling for CI.
+//! property tests pin it result-identical to) — and the batched banded
+//! Smith–Waterman against one single-lane call per pair — and writes the
+//! ns/op pairs to `BENCH_kernels.json`, the perf baseline every later
+//! change is compared against (CI fails on >25% regression).
+//! `HIPMER_BENCH_FAST=1` shortens the sampling for CI.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hipmer_align::{
-    banded_sw_reference, banded_sw_with, ungapped_matches, ungapped_matches_reference, SwParams,
-    SwWorkspace,
+    banded_sw_batch, banded_sw_reference, banded_sw_with, ungapped_matches,
+    ungapped_matches_reference, SwParams, SwWorkspace,
 };
 use hipmer_dna::{mix128, Kmer, KmerCodec};
 use hipmer_pgas::{json::Value, DistHashMap, RankCtx, Team, Topology};
@@ -133,8 +134,8 @@ fn bench_before_after(_c: &mut Criterion) {
     let mut pairs = Vec::new();
 
     // Banded Smith–Waterman, 200 bp read-vs-contig with two substitutions
-    // and one indel: the general banded path (dense matrix vs two rolling
-    // rows + banded traceback).
+    // and one indel: the general banded path (dense matrix and traceback vs
+    // the one-lane recurrence over two rolling rows).
     {
         let a = lcg_seq(200, 3);
         let mut b = a.clone();
@@ -163,6 +164,44 @@ fn bench_before_after(_c: &mut Criterion) {
             "call",
             || banded_sw_reference(&a, &a, &p),
             || banded_sw_with(&mut ws, &a, &a, &p),
+        ));
+    }
+
+    // merAligner's gapped fallbacks: 64 reads of 100-150 bp, each with
+    // three substitutions and a one-base indel, against the contig window
+    // the aligner hands the kernel (the read's span plus the band). One
+    // single-lane call per pair vs one sixteen-lane batch of all 64.
+    {
+        let p = SwParams::default();
+        let fallbacks: Vec<(Vec<u8>, Vec<u8>)> = (0..64usize)
+            .map(|k| {
+                let len = 100 + (k * 7) % 51;
+                let window = lcg_seq(len + p.band, 100 + k as u64);
+                let mut read = window[..len].to_vec();
+                for s in 0..3 {
+                    let at = ((k + 1) * (s + 5) * 13) % len;
+                    read[at] = if read[at] == b'A' { b'T' } else { b'A' };
+                }
+                let at = (k * 31) % len;
+                if k % 2 == 0 {
+                    read.remove(at);
+                } else {
+                    read.insert(at, b'G');
+                }
+                (read, window)
+            })
+            .collect();
+        let jobs: Vec<(&[u8], &[u8])> = fallbacks.iter().map(|(a, b)| (&a[..], &b[..])).collect();
+        let mut ws = SwWorkspace::new();
+        pairs.push(run_pair(
+            "banded_sw_batch_64",
+            "batch",
+            || {
+                (jobs.iter())
+                    .map(|(a, b)| banded_sw_with(&mut ws, a, b, &p))
+                    .collect::<Vec<_>>()
+            },
+            || banded_sw_batch(&jobs, &p),
         ));
     }
 

@@ -331,3 +331,43 @@ fn assembled_bytes_are_pinned_across_commits() {
         .unwrap();
     assert_golden_fasta(&meta, &[all], &cfg, 0x1380_19c0_0df8_1fe6);
 }
+
+/// `[compute_ops, cache_hits, cache_misses, remote_msgs]` of every
+/// `scaffold/meraligner-align` phase of one assembly on one OS thread.
+fn aligner_counters(dataset: &Dataset, cfg: &PipelineConfig) -> Vec<[u64; 4]> {
+    let team = Team::new(Topology::new(8, 4)).with_os_threads(1);
+    let reads = dataset.all_reads();
+    let assembly = assemble(&team, &reads, &dataset.lib_ranges(), cfg);
+    (assembly.report.phases.iter())
+        .filter(|p| p.name == "scaffold/meraligner-align")
+        .map(|p| {
+            let t = p.totals();
+            [t.compute_ops, t.cache_hits, t.cache_misses, t.remote_msgs()]
+        })
+        .collect()
+}
+
+#[test]
+fn aligner_counters_are_pinned_across_commits() {
+    // merAligner computes a block's gapped extensions before the candidate
+    // loop that consumes them. The loop must still charge compute only for
+    // the candidates it reaches and touch the contig replica cache in
+    // candidate order, up to the read's last accepted alignment: the CLOCK
+    // cache's hits and misses depend on that order. The FASTA cannot show
+    // either; these counts can. Taken at 49eca00.
+    let human = human_like_dataset(25_000, 16.0, false, 7);
+    assert_eq!(
+        aligner_counters(&human, &PipelineConfig::new(21)),
+        [[547_052, 15_357, 77_011, 636]]
+    );
+    let wheat = wheat_scaffolding_dataset(60_000, 16.0, false, 321);
+    assert_eq!(
+        aligner_counters(&wheat, &PipelineConfig::wheat_preset(21)),
+        [
+            [8_021_598, 40_925, 196_370, 2_496],
+            [5_831_948, 19_917, 70_134, 1_224],
+            [1_222_653, 1_656, 11_033, 332],
+            [446_191, 653, 5_365, 173],
+        ]
+    );
+}
