@@ -304,14 +304,6 @@ impl ReadPlan {
     }
 }
 
-/// The banded fallback's window of `contig` for an overlap: it starts on
-/// the candidate's diagonal, which puts the diagonal in the middle of the
-/// band, so a tail shifted either way by up to [`BAND`] bases (read
-/// insertion or deletion) stays reachable.
-fn fallback_window(contig: &[u8], ov: &Overlap) -> std::ops::Range<usize> {
-    ov.c0..(ov.c0 + ov.span + BAND).min(contig.len())
-}
-
 /// Stage 2, plan: cluster one read's resolved seeds into candidates and
 /// take each of the top `2 · MAX_ALIGNMENTS_PER_READ` as far as it goes
 /// without the contig replica cache — orientation, clipping and the
@@ -527,9 +519,14 @@ fn align_block(
                 debug_assert_eq!(ov.gapped, Some(jobs.len()));
                 let contig = &contigs.contigs[cand.contig as usize].seq;
                 let oriented = plan.oriented(&reads[ri as usize], cand.rc);
+                // The contig window starts on the candidate's diagonal,
+                // which puts it in the middle of the band: a tail shifted
+                // either way by up to `BAND` bases (read insertion or
+                // deletion) stays reachable.
+                let window_end = (ov.c0 + ov.span + BAND).min(contig.len());
                 jobs.push((
                     &oriented[ov.r0..ov.r0 + ov.span],
-                    &contig[fallback_window(contig, ov)],
+                    &contig[ov.c0..window_end],
                 ));
             }
         }

@@ -130,6 +130,13 @@ pub fn banded_sw_with(ws: &mut SwWorkspace, a: &[u8], b: &[u8], p: &SwParams) ->
 /// SSE2 registers, or one AVX2 register.
 const BATCH_LANES: usize = 16;
 
+/// A pass of fewer pairs costs more than aligning them one lane at a
+/// time. On the gapped fallbacks of one human benchmark rep (2,526 in
+/// 1,248 blocks of 64 reads) running passes of one or two pairs one lane
+/// at a time took the batches from 40 to 33 ms; on wheat's (53,910 in 400
+/// blocks) it changed nothing.
+const MIN_PASS: usize = 3;
+
 /// [`banded_sw`] of every `(a, b)` pair in `jobs`: `out[i]` equals
 /// `banded_sw(jobs[i].0, jobs[i].1, p)`.
 ///
@@ -160,8 +167,15 @@ fn batch_passes<T: Score>(
 ) {
     ids.sort_by_key(|&k| (jobs[k].0.len(), jobs[k].1.len()));
     let mut ws = Scratch::<T, BATCH_LANES>::default();
+    let mut one = Scratch::<T, 1>::default();
     let mut res = [SwResult::empty(); BATCH_LANES];
     for pass in ids.chunks(BATCH_LANES) {
+        if pass.len() < MIN_PASS {
+            for &k in pass {
+                lanes_sw(&mut one, &[jobs[k]], p, std::slice::from_mut(&mut out[k]));
+            }
+            continue;
+        }
         let pairs: Vec<(&[u8], &[u8])> = pass.iter().map(|&k| jobs[k]).collect();
         lanes_sw(&mut ws, &pairs, p, &mut res[..pass.len()]);
         for (&k, r) in pass.iter().zip(res) {
@@ -542,9 +556,10 @@ fn lanes_sw<T: Score, const L: usize>(
 /// `left` is the cell left of the first column. Returns each lane's
 /// highest score in the row and the first column holding it.
 ///
-/// A lane takes its left neighbour, or resets, only now and then: the
-/// work for either is skipped when no lane needs it, which keeps the one-
-/// lane instance's dependency chain short.
+/// A lane takes its left neighbour only now and then, so that work is
+/// skipped when no lane needs it. The one-lane instance skips a reset the
+/// same way: the branch, predicted, keeps its dependency chain short,
+/// where sixteen lanes rarely all keep their cells and mask outright.
 fn sw_row<T: Score, const L: usize>(
     prev: &[Cell<T, L>],
     cur: &mut [Cell<T, L>],
@@ -586,7 +601,7 @@ fn sw_row<T: Score, const L: usize>(
             keep = keep.and(room.ge(Lanes::ZERO));
             *room = room.add(minus_one);
         }
-        if !keep.all() {
+        if L > 1 || !keep.all() {
             cell = cell.kept(keep);
         }
         *out = cell;
@@ -910,6 +925,54 @@ mod tests {
                 banded_sw_reference(b"ACGTTACGGT", b"ACGTACGGT", &p),
                 "band={band}"
             );
+        }
+    }
+
+    #[test]
+    fn i16_lanes_are_admitted_exactly_up_to_the_bound() {
+        // The pairs `jobs_either_side_of_the_i16_bound_match_reference`
+        // (tests/prop_align.rs) aligns sit on both sides of these limits.
+        let p = SwParams::default();
+        assert!(fits::<i16>(32_700, 66, &p));
+        assert!(!fits::<i16>(32_701, 66, &p));
+        let heavy = SwParams {
+            mat: 300,
+            mis: -300,
+            gap: -300,
+            band: 8,
+        };
+        assert!(fits::<i16>(108, 108, &heavy));
+        assert!(!fits::<i16>(109, 109, &heavy));
+        assert!(fits::<i64>(109, 109, &heavy));
+    }
+
+    #[test]
+    fn extreme_parameters_neither_wrap_nor_panic() {
+        let (a, b): (&[u8], &[u8]) = (b"ACGTTACGGTACGTACCA", b"ACGTACGGTTACGTACCA");
+        // A band past every cell aligns as the widest band that exists.
+        let wide = SwParams {
+            band: usize::MAX,
+            ..SwParams::default()
+        };
+        let widest = SwParams {
+            band: a.len(),
+            ..SwParams::default()
+        };
+        assert_eq!(banded_sw(a, b, &wide), banded_sw_reference(a, b, &widest));
+        // Scores past i32 saturate: the reference itself would overflow.
+        for (mat, mis, gap) in [
+            (i32::MAX, i32::MIN, i32::MIN),
+            (i32::MAX, i32::MAX, i32::MAX),
+        ] {
+            let p = SwParams {
+                mat,
+                mis,
+                gap,
+                band: 4,
+            };
+            let r = banded_sw(a, b, &p);
+            assert!(r.a_start <= r.a_end && r.a_end <= a.len() && r.matches <= r.aligned);
+            assert_eq!(banded_sw_batch(&[(a, b); 3], &p), vec![r; 3]);
         }
     }
 

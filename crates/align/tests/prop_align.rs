@@ -234,7 +234,8 @@ fn indels_at_both_band_edges_match_reference() {
 fn jobs_either_side_of_the_i16_bound_match_reference() {
     // Lanes are i16 while |a| + |b| < 32767 and the best score plus one
     // step fits; these pairs sit one base either side of each limit. A
-    // mismatch at the start keeps them off the perfect-diagonal shortcut.
+    // mismatch at the start keeps them off the perfect-diagonal shortcut,
+    // and three copies of a pair fill enough lanes for a batch pass.
     let mismatched = |mut s: Vec<u8>| {
         s[3] = if s[3] == b'A' { b'C' } else { b'A' };
         s
@@ -242,7 +243,7 @@ fn jobs_either_side_of_the_i16_bound_match_reference() {
     for n in [32_700usize, 32_701] {
         let a = lcg_dna(n, 5);
         let b = mismatched(a[..66].to_vec());
-        assert_batch_and_single_match_reference(&[(a, b)], &SwParams::default());
+        assert_batch_and_single_match_reference(&vec![(a, b); 3], &SwParams::default());
     }
     let heavy = SwParams {
         mat: 300,
@@ -253,7 +254,8 @@ fn jobs_either_side_of_the_i16_bound_match_reference() {
     for n in [108usize, 109] {
         let a = lcg_dna(n, 7);
         let b = mismatched(a.clone());
-        assert_batch_and_single_match_reference(&[(a.clone(), b.clone()), (b, a)], &heavy);
+        let jobs = [(a.clone(), b.clone()), (b.clone(), a.clone()), (a, b)];
+        assert_batch_and_single_match_reference(&jobs, &heavy);
     }
 }
 
