@@ -11,14 +11,14 @@
 //!
 //! Stage 2 goes block by block (`BLOCK` reads): *plan* each read's top
 //! candidates up to the ungapped test, *batch* every gapped fallback of
-//! the block through one [`banded_sw_batch`], sixteen alignments to a SIMD
-//! pass, then *finish* each read with the candidate loop itself. Only the
-//! finish touches the contig replica cache and charges compute, in
-//! candidate order up to the read's last accepted alignment, so every
+//! the block through one [`banded_sw_batch_with`], sixteen alignments to
+//! a SIMD pass, then *finish* each read with the candidate loop itself.
+//! Only the finish touches the contig replica cache and charges compute,
+//! in candidate order up to the read's last accepted alignment, so every
 //! counter is what a read-at-a-time loop gives.
 
 use crate::index::{build_seed_index, HitList, SeedIndex};
-use crate::sw::{banded_sw_batch, ungapped_matches, SwParams, SwResult};
+use crate::sw::{banded_sw_batch_with, ungapped_matches, SwParams, SwResult, SwWorkspace};
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::agg::DEFAULT_BATCH;
@@ -504,9 +504,9 @@ fn align_block(
     codec: &KmerCodec,
     contigs: &ContigSet,
     reads: &[SeqRecord],
-    read_ids: &[u32],
-    resolved: &[Vec<ResolvedSeed>],
+    (read_ids, resolved): (&[u32], &[Vec<ResolvedSeed>]),
     mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
+    sw_ws: &mut SwWorkspace,
 ) -> Vec<Alignment> {
     let mut n_jobs = 0;
     let plans: Vec<ReadPlan> = (read_ids.iter().zip(resolved))
@@ -535,7 +535,7 @@ fn align_block(
         band: BAND,
         ..SwParams::default()
     };
-    let sw = banded_sw_batch(&jobs, &params);
+    let sw = banded_sw_batch_with(sw_ws, &jobs, &params);
     let mut out = Vec::new();
     for (&ri, plan) in read_ids.iter().zip(&plans) {
         out.extend(finish_read(
@@ -629,6 +629,7 @@ pub fn align_read_subset(
         // result-transparent, so reuse only saves messages.
         let mut contig_cache: Option<SoftwareCache<u32, ()>> =
             (cfg.cache_entries > 0).then(|| SoftwareCache::new(cfg.cache_entries));
+        let mut sw_ws = SwWorkspace::new();
         let mut out = Vec::new();
         for range in cfg.schedule.ranges_weighted(ctx, &weights) {
             let read_ids = &subset[range];
@@ -643,9 +644,9 @@ pub fn align_read_subset(
                     &index.codec,
                     contigs,
                     reads,
-                    ids,
-                    seeds,
+                    (ids, seeds),
                     contig_cache.as_mut(),
+                    &mut sw_ws,
                 ));
             }
         }

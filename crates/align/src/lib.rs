@@ -23,6 +23,6 @@ pub use aligner::{
 };
 pub use index::{build_seed_index, SeedHit, SeedIndex};
 pub use sw::{
-    banded_sw, banded_sw_batch, banded_sw_reference, banded_sw_with, ungapped_matches,
-    ungapped_matches_reference, SwParams, SwResult, SwWorkspace,
+    banded_sw, banded_sw_batch, banded_sw_batch_with, banded_sw_reference, banded_sw_with,
+    ungapped_matches, ungapped_matches_reference, SwParams, SwResult, SwWorkspace,
 };

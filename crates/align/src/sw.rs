@@ -88,12 +88,15 @@ impl SwResult {
     }
 }
 
-/// Reusable scratch buffers for [`banded_sw_with`], so tight alignment
-/// loops pay the row allocations once instead of per call.
+/// Reusable scratch buffers for [`banded_sw_with`] and
+/// [`banded_sw_batch_with`], so tight alignment loops pay the row
+/// allocations once instead of per call.
 #[derive(Default)]
 pub struct SwWorkspace {
     narrow: Scratch<i16, 1>,
     wide: Scratch<i64, 1>,
+    narrow_batch: Scratch<i16, BATCH_LANES>,
+    wide_batch: Scratch<i64, BATCH_LANES>,
 }
 
 impl SwWorkspace {
@@ -144,6 +147,16 @@ const MIN_PASS: usize = 3;
 /// per lane, so that the lanes of a pass run about as many rows as each
 /// other.
 pub fn banded_sw_batch(jobs: &[(&[u8], &[u8])], p: &SwParams) -> Vec<SwResult> {
+    banded_sw_batch_with(&mut SwWorkspace::new(), jobs, p)
+}
+
+/// [`banded_sw_batch`] with caller-owned scratch buffers (see
+/// [`SwWorkspace`]).
+pub fn banded_sw_batch_with(
+    ws: &mut SwWorkspace,
+    jobs: &[(&[u8], &[u8])],
+    p: &SwParams,
+) -> Vec<SwResult> {
     let mut out = vec![SwResult::empty(); jobs.len()];
     let (mut narrow, mut wide) = (Vec::new(), Vec::new());
     for (k, &(a, b)) in jobs.iter().enumerate() {
@@ -153,31 +166,36 @@ pub fn banded_sw_batch(jobs: &[(&[u8], &[u8])], p: &SwParams) -> Vec<SwResult> {
             None => wide.push(k),
         }
     }
-    batch_passes::<i16>(narrow, jobs, p, &mut out);
-    batch_passes::<i64>(wide, jobs, p, &mut out);
+    batch_passes(
+        (&mut ws.narrow_batch, &mut ws.narrow),
+        narrow,
+        jobs,
+        p,
+        &mut out,
+    );
+    batch_passes((&mut ws.wide_batch, &mut ws.wide), wide, jobs, p, &mut out);
     out
 }
 
 /// Align the jobs `ids` names, [`BATCH_LANES`] at a time, into `out`.
 fn batch_passes<T: Score>(
+    (ws, one): (&mut Scratch<T, BATCH_LANES>, &mut Scratch<T, 1>),
     mut ids: Vec<usize>,
     jobs: &[(&[u8], &[u8])],
     p: &SwParams,
     out: &mut [SwResult],
 ) {
     ids.sort_by_key(|&k| (jobs[k].0.len(), jobs[k].1.len()));
-    let mut ws = Scratch::<T, BATCH_LANES>::default();
-    let mut one = Scratch::<T, 1>::default();
     let mut res = [SwResult::empty(); BATCH_LANES];
     for pass in ids.chunks(BATCH_LANES) {
         if pass.len() < MIN_PASS {
             for &k in pass {
-                lanes_sw(&mut one, &[jobs[k]], p, std::slice::from_mut(&mut out[k]));
+                lanes_sw(one, &[jobs[k]], p, std::slice::from_mut(&mut out[k]));
             }
             continue;
         }
         let pairs: Vec<(&[u8], &[u8])> = pass.iter().map(|&k| jobs[k]).collect();
-        lanes_sw(&mut ws, &pairs, p, &mut res[..pass.len()]);
+        lanes_sw(ws, &pairs, p, &mut res[..pass.len()]);
         for (&k, r) in pass.iter().zip(res) {
             out[k] = r;
         }
@@ -987,5 +1005,10 @@ mod tests {
         let fresh = banded_sw(b"ACGTTACGGT", b"ACGTACGGT", &p);
         let reused = banded_sw_with(&mut ws, b"ACGTTACGGT", b"ACGTACGGT", &p);
         assert_eq!(fresh, reused);
+        // The same for a batch after a bigger one.
+        let big: Vec<(&[u8], &[u8])> = vec![(&big_a, &big_b); 20];
+        banded_sw_batch_with(&mut ws, &big, &p);
+        let small: Vec<(&[u8], &[u8])> = vec![(b"ACGTTACGGT", b"ACGTACGGT"); 5];
+        assert_eq!(banded_sw_batch_with(&mut ws, &small, &p), vec![fresh; 5]);
     }
 }

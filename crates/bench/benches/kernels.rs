@@ -14,7 +14,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hipmer_align::{
-    banded_sw_batch, banded_sw_reference, banded_sw_with, ungapped_matches,
+    banded_sw_batch_with, banded_sw_reference, banded_sw_with, ungapped_matches,
     ungapped_matches_reference, SwParams, SwWorkspace,
 };
 use hipmer_dna::{mix128, Kmer, KmerCodec};
@@ -192,7 +192,7 @@ fn bench_before_after(_c: &mut Criterion) {
             })
             .collect();
         let jobs: Vec<(&[u8], &[u8])> = fallbacks.iter().map(|(a, b)| (&a[..], &b[..])).collect();
-        let mut ws = SwWorkspace::new();
+        let (mut ws, mut batch_ws) = (SwWorkspace::new(), SwWorkspace::new());
         pairs.push(run_pair(
             "banded_sw_batch_64",
             "batch",
@@ -201,7 +201,7 @@ fn bench_before_after(_c: &mut Criterion) {
                     .map(|(a, b)| banded_sw_with(&mut ws, a, b, &p))
                     .collect::<Vec<_>>()
             },
-            || banded_sw_batch(&jobs, &p),
+            || banded_sw_batch_with(&mut batch_ws, &jobs, &p),
         ));
     }
 
