@@ -498,7 +498,9 @@ fn finish_read(
 
 /// Stage 2 over one block of a rank's reads (`read_ids`, with their
 /// resolved seeds): plan every read, align the block's gapped fallbacks in
-/// one batch, then finish every read in order.
+/// one batch, then finish every read in order, appending to `out` read by
+/// read.
+#[allow(clippy::too_many_arguments)]
 fn align_block(
     ctx: &mut RankCtx,
     codec: &KmerCodec,
@@ -507,7 +509,8 @@ fn align_block(
     (read_ids, resolved): (&[u32], &[Vec<ResolvedSeed>]),
     mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
     sw_ws: &mut SwWorkspace,
-) -> Vec<Alignment> {
+    out: &mut Vec<Alignment>,
+) {
     let mut n_jobs = 0;
     let plans: Vec<ReadPlan> = (read_ids.iter().zip(resolved))
         .map(|(&ri, seeds)| plan_read(codec, contigs, &reads[ri as usize], seeds, &mut n_jobs))
@@ -536,7 +539,6 @@ fn align_block(
         ..SwParams::default()
     };
     let sw = banded_sw_batch_with(sw_ws, &jobs, &params);
-    let mut out = Vec::new();
     for (&ri, plan) in read_ids.iter().zip(&plans) {
         out.extend(finish_read(
             ctx,
@@ -548,7 +550,6 @@ fn align_block(
             contig_cache.as_deref_mut(),
         ));
     }
-    out
 }
 
 /// Drop those of one read's alignments whose read interval is (within five
@@ -639,7 +640,7 @@ pub fn align_read_subset(
             // Stage 2: candidate clustering and extension on resolved
             // lists, block by block, with contig replicas cached per rank.
             for (ids, seeds) in read_ids.chunks(BLOCK).zip(resolved.chunks(BLOCK)) {
-                out.extend(align_block(
+                align_block(
                     ctx,
                     &index.codec,
                     contigs,
@@ -647,7 +648,8 @@ pub fn align_read_subset(
                     (ids, seeds),
                     contig_cache.as_mut(),
                     &mut sw_ws,
-                ));
+                    &mut out,
+                );
             }
         }
         out
