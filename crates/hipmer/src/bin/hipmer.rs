@@ -42,40 +42,29 @@
 //! `--report-json` gains a per-round `rounds` array.
 //!
 //! Observability: `--report-json <path>` writes the run's one record (the
-//! machine-readable pipeline report, schema v8): per phase the counter
-//! totals, measured wall time and lock waits, hash-table occupancy,
-//! modeled-time breakdown, off-node fraction, imbalance and heavy-hitter
-//! keys; per stage the attempts and resident-set readings; per checkpoint
-//! the bytes, checksum and seconds. `--trace <path>` (or the
-//! `HIPMER_TRACE=<path>` env var) writes the same per-rank records as
-//! Chrome trace-event spans (load in `chrome://tracing` or Perfetto);
-//! `--trace-ranks N` caps the number of traced ranks (0 = all, default 16).
-//! `--heartbeat <secs>` emits rate-limited stage-progress lines to stderr
-//! (or, with `--heartbeat-jsonl <path>`, appends JSONL records).
-//!
-//! Calibration: `--calibrate <fitted.json>` fits the six measurable
-//! `CostModel` constants by least-squares regression of measured per-rank
-//! execution times against the run's own op counters (see
-//! [`hipmer_pgas::calib`]) and writes them as JSON loadable with
-//! `CostModel::from_json`; `--report-json` then prices the report with the
-//! fitted model (`cost_model: "calibrated"`) instead of the Edison
-//! constants.
+//! machine-readable pipeline report, schema v9, priced on the Edison
+//! constants): per phase the counter totals, measured wall time and lock
+//! waits, hash-table occupancy, modeled-time breakdown, off-node fraction,
+//! imbalance and heavy-hitter keys; per stage the attempts and resident-set
+//! readings; per checkpoint the bytes, checksum and seconds. `--trace
+//! <path>` (or the `HIPMER_TRACE=<path>` env var) writes the same per-rank
+//! records as Chrome trace-event spans (load in `chrome://tracing` or
+//! Perfetto); `--trace-ranks N` caps the number of traced ranks (0 = all,
+//! default 16).
 //!
 //! Fault tolerance: `--checkpoint-dir <dir>` persists each completed
-//! stage's artifact (every Nth stage with `--checkpoint-interval N`);
+//! stage's artifact (every Nth stage with `--checkpoint-interval N`, N ≥ 1);
 //! `--resume` validates the directory and skips completed stages;
 //! `--halt-after <stage>` stops (successfully) after the named stage —
 //! the restart test hook. `--stage-retries N` re-executes an aborted
 //! stage up to N times. Fault injection: `--fault-seed S`,
-//! `--fault-transient P` (per-message transient fault probability),
-//! `--fault-retries N` (per-message retry budget), and
+//! `--fault-transient P` (per-message transient fault probability in
+//! [0, 1]), `--fault-retries N` (per-message retry budget), and
 //! `--fault-kill R:E` (hard-kill rank R at its Eth remote event) arm a
 //! deterministic [`hipmer_pgas::FaultPlan`] on the team.
 
-use hipmer::{
-    run_assembly_fastq, Heartbeat, PipelineConfig, PipelineError, RunOptions, StageTimes,
-};
-use hipmer_pgas::{calib, trace, CostModel, FaultPlan, Team, Topology};
+use hipmer::{run_assembly_fastq, PipelineConfig, PipelineError, RunOptions, StageTimes};
+use hipmer_pgas::{trace, CostModel, FaultPlan, Team, Topology};
 use hipmer_serve::{signal, ServeConfig, Server};
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::path::PathBuf;
@@ -99,7 +88,6 @@ const USAGE: [(&str, &str, Run); 3] = [
          \x20         [--multi-k K1,K2,...]\n\
          \x20         [--schedule static|dynamic] [--partition uniform|minimizer]\n\
          \x20         [--trace <trace.json>] [--trace-ranks N] [--report-json <report.json>]\n\
-         \x20         [--calibrate <fitted.json>] [--heartbeat SECS] [--heartbeat-jsonl <path>]\n\
          \x20         [--checkpoint-dir <dir>] [--resume] [--checkpoint-interval N]\n\
          \x20         [--stage-retries N] [--halt-after <stage>] [--fault-seed S]\n\
          \x20         [--fault-transient P] [--fault-retries N] [--fault-kill R:E]",
@@ -237,8 +225,12 @@ fn fault_plan(flags: &Flags, ranks: usize) -> Result<Option<FaultPlan>, String> 
     if !flags.given.iter().any(|(f, _)| f.starts_with("--fault-")) {
         return Ok(None);
     }
-    let mut plan = FaultPlan::new(flags.get_or("--fault-seed", 1)?, ranks)
-        .with_transient(flags.get_or("--fault-transient", 0.0)?);
+    let transient: f64 = flags.get_or("--fault-transient", 0.0)?;
+    if !(0.0..=1.0).contains(&transient) {
+        return Err("--fault-transient wants a probability in [0, 1]".into());
+    }
+    let mut plan =
+        FaultPlan::new(flags.get_or("--fault-seed", 1)?, ranks).with_transient(transient);
     if let Some(n) = flags.get::<NonZeroU32>("--fault-retries")? {
         plan = plan.with_max_retries(n.get());
     }
@@ -280,22 +272,14 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         flags.get_or("--schedule", Default::default())?,
         flags.get_or("--partition", Default::default())?,
     )?;
-    let sink: Option<PathBuf> = flags.get("--heartbeat-jsonl")?;
-    // A bare `--heartbeat-jsonl` beats once a second.
-    let secs: Option<f64> = (flags.get("--heartbeat")?).or(sink.as_ref().map(|_| 1.0));
-    if secs.is_some_and(|s| s.is_nan() || s <= 0.0) {
-        return Err("--heartbeat wants a positive seconds value".into());
-    }
-    let interval = secs.map(std::time::Duration::from_secs_f64);
     let cancel = Arc::new(AtomicBool::new(false));
     let opts = RunOptions {
         checkpoint_dir: flags.get("--checkpoint-dir")?,
         resume: flags.has("--resume"),
-        checkpoint_interval: flags.get_or("--checkpoint-interval", 1)?,
+        checkpoint_interval: flags.positive("--checkpoint-interval", 1)?,
         stage_retries: flags.get_or("--stage-retries", 1)?,
         halt_after: flags.get("--halt-after")?,
         cancel: Some(Arc::clone(&cancel)),
-        heartbeat: interval.map(|interval| Heartbeat { interval, sink }),
     };
 
     // `--trace` wins over the HIPMER_TRACE env var; either turns the span
@@ -306,7 +290,6 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         .is_some()
         .then(|| trace::Recorder::new(trace_ranks));
     let report_json: Option<PathBuf> = flags.get("--report-json")?;
-    let calibrate_out: Option<PathBuf> = flags.get("--calibrate")?;
     let mut team = Team::new(Topology::new(ranks, rpn));
     if trace_out.is_some() || report_json.is_some() {
         team = team.with_hot_keys(trace::HOT_KEY_CAPACITY);
@@ -366,26 +349,8 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         let what = format!("{} trace spans ({sampled})", events.len());
         outputs.push((path, trace::chrome_trace_json(&events).into(), what));
     }
-    // `--calibrate` fits the cost constants to this run's own measurements;
-    // the report (if requested) is then priced with the fitted model so
-    // `model_error` reflects the fit.
-    let mut report_model = (CostModel::edison(), "edison");
-    if let Some(path) = calibrate_out {
-        match calib::fit(&assembly.report, &CostModel::edison()) {
-            Ok(cal) => {
-                eprintln!("{}", cal.summary());
-                outputs.push((
-                    path,
-                    cal.model.to_json().into(),
-                    "fitted cost constants".into(),
-                ));
-                report_model = (cal.model, "calibrated");
-            }
-            Err(e) => eprintln!("calibration failed: {e}; keeping Edison constants"),
-        }
-    }
     if let Some(path) = report_json {
-        let json = assembly.report.to_json(&report_model.0, report_model.1);
+        let json = assembly.report.to_json();
         outputs.push((path, json.into(), "pipeline report".into()));
     }
     outputs.push((out.clone(), assembly.to_fasta(), "scaffolds".into()));

@@ -42,7 +42,7 @@ pub use config::PipelineConfig;
 pub use eval::{evaluate, EvalReport};
 pub use pipeline::{
     assemble, assemble_fastq, planned_stage_names, run_assembly, run_assembly_fastq, Assembly,
-    Heartbeat, PipelineError, RunOptions,
+    PipelineError, RunOptions,
 };
 pub use service::AssemblyExecutor;
 pub use stats::{kmer_containment, AssemblyStats, StageTimes};

@@ -9,8 +9,8 @@
 //! prefixed `round{N}/`, round N+1's input is the original reads plus round
 //! N's contigs injected as high-confidence pseudo-reads, and the
 //! scaffolding tail runs once at the largest k. [`run_assembly`] walks that
-//! plan in one loop; stage names, checkpoint indices, progress totals and
-//! `--halt-after` validation are all read off it.
+//! plan in one loop; stage names, checkpoint indices and `--halt-after`
+//! validation are all read off it.
 //!
 //! Each stage is checkpointable and runs inside
 //! [`hipmer_pgas::catch_stage_abort`], so an injected (or modeled) rank
@@ -29,18 +29,15 @@ use crate::stats::AssemblyStats;
 use hipmer_align::align_reads;
 use hipmer_contig::{generate_contigs, ContigSet};
 use hipmer_kanalysis::analyze_kmers;
-use hipmer_pgas::json::Value;
 use hipmer_pgas::{catch_stage_abort, CheckpointEvent, RoundReport, StageAttempt};
 use hipmer_pgas::{CommStats, PhaseReport, PipelineReport, Team, Topology};
 use hipmer_scaffold::{prepare_contigs, scaffold_rounds, Scaffold, ScaffoldMember, ScaffoldSet};
 use hipmer_seqio::{read_fastq_parallel, SeqRecord};
-use std::fs::File;
-use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A finished assembly.
 pub struct Assembly {
@@ -80,9 +77,9 @@ pub struct RunOptions {
     /// Validate an existing checkpoint directory and skip its completed
     /// stages instead of starting fresh.
     pub resume: bool,
-    /// Save a checkpoint every Nth stage (1 = every stage). A skipped
-    /// save invalidates later on-disk artifacts so `--resume` can never
-    /// jump a gap.
+    /// Save a checkpoint every Nth stage (1 = every stage; 0 is taken as
+    /// 1). A skipped save invalidates later on-disk artifacts so
+    /// `--resume` can never jump a gap.
     pub checkpoint_interval: usize,
     /// How many times an aborted stage is re-executed before the run
     /// gives up with [`PipelineError::StageAborted`].
@@ -98,21 +95,6 @@ pub struct RunOptions {
     /// handlers (one-shot CLI) and the job server's drain path both feed
     /// this flag.
     pub cancel: Option<Arc<AtomicBool>>,
-    /// Progress lines at stage boundaries (`None` = silent).
-    pub heartbeat: Option<Heartbeat>,
-}
-
-/// Where and how often [`run_assembly`] reports progress: after a stage
-/// completes, if at least `interval` has passed since the last line, one
-/// `stages done / total` line goes to stderr or — with a `sink` — is
-/// appended to that file as a JSON record
-/// (`{"pool","done","total","elapsed_seconds"}`).
-#[derive(Clone, Debug)]
-pub struct Heartbeat {
-    /// Minimum time between two lines.
-    pub interval: Duration,
-    /// JSONL file to append to instead of writing to stderr.
-    pub sink: Option<PathBuf>,
 }
 
 impl Default for RunOptions {
@@ -124,7 +106,6 @@ impl Default for RunOptions {
             stage_retries: 1,
             halt_after: None,
             cancel: None,
-            heartbeat: None,
         }
     }
 }
@@ -242,8 +223,8 @@ fn io_phase(name: String, topo: Topology, bytes: u64, write: bool, wall: f64) ->
 /// order — the single stage plan: one `kmer-analysis` + `contig-generation`
 /// pair per k (prefixed `round{N}/` only when the schedule has more than
 /// one round), then the scaffolding tail unless scaffolding is disabled.
-/// Stage names, checkpoint indices, the progress total and
-/// [`RunOptions::halt_after`] validation all come from this list.
+/// Stage names, checkpoint indices and [`RunOptions::halt_after`]
+/// validation all come from this list.
 pub fn planned_stage_names(cfg: &PipelineConfig) -> Vec<String> {
     let rounds = cfg.multi_k_rounds().map_or(1, <[usize]>::len);
     let mut names = Vec::new();
@@ -273,8 +254,6 @@ struct StageRunner<'a> {
     /// [`planned_stage_names`] of this run; the next stage is `plan[done]`.
     plan: Vec<String>,
     done: usize,
-    started: Instant,
-    last_heartbeat: Option<Instant>,
 }
 
 impl StageRunner<'_> {
@@ -354,37 +333,10 @@ impl StageRunner<'_> {
                 }
             },
         };
-        if let Some(hb) = &self.opts.heartbeat {
-            self.heartbeat(hb);
-        }
         if self.opts.halt_after.as_ref() == Some(&name) {
             return Err(PipelineError::Halted { stage: name });
         }
         Ok(value)
-    }
-
-    /// Report progress after a completed stage, at most once per
-    /// [`Heartbeat::interval`].
-    fn heartbeat(&mut self, hb: &Heartbeat) {
-        if (self.last_heartbeat).is_some_and(|last| last.elapsed() < hb.interval) {
-            return;
-        }
-        self.last_heartbeat = Some(Instant::now());
-        let (done, total) = (self.done, self.plan.len());
-        let Some(path) = &hb.sink else {
-            let pct = 100.0 * done as f64 / total as f64;
-            eprintln!(
-                "hipmer: heartbeat pool=pipeline/stages done={done} total={total} ({pct:.1}%)"
-            );
-            return;
-        };
-        let mut line = Value::obj();
-        line.set("pool", "pipeline/stages")
-            .set("done", done)
-            .set("total", total)
-            .set("elapsed_seconds", self.started.elapsed().as_secs_f64());
-        let file = File::options().create(true).append(true).open(path);
-        let _ = file.and_then(|mut f| writeln!(f, "{}", line.to_json()));
     }
 
     /// Book one checkpoint transfer (`action` is `"save"` or `"load"`): an
@@ -429,12 +381,6 @@ pub fn run_assembly(
             valid: plan,
         });
     }
-    if opts.checkpoint_interval == 0 {
-        eprintln!(
-            "hipmer: warning: --checkpoint-interval 0 is not meaningful; \
-             treating it as 1 (checkpoint every stage)"
-        );
-    }
     let read_bases = reads.iter().map(|r| r.len()).sum();
     let fingerprint = Fingerprint {
         k: cfg.k,
@@ -457,8 +403,6 @@ pub fn run_assembly(
         topo,
         plan,
         done: 0,
-        started: Instant::now(),
-        last_heartbeat: None,
     };
 
     // k-mer analysis + contig generation, once per k of the schedule. A

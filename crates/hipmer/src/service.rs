@@ -21,7 +21,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use hipmer_pgas::json::Value;
-use hipmer_pgas::{metrics, trace, CostModel, PartitionScheme, Schedule, TeamLease};
+use hipmer_pgas::{metrics, trace, PartitionScheme, Schedule, TeamLease};
 use hipmer_serve::{ExecOutcome, JobExecutor, JobSpec};
 
 use crate::checkpoint;
@@ -135,7 +135,7 @@ impl JobExecutor for AssemblyExecutor {
 
         // Outputs: FASTA, report, per-job chrome trace.
         let fasta = assembly.to_fasta();
-        let report = assembly.report.to_json(&CostModel::edison(), "edison");
+        let report = assembly.report.to_json();
         let trace_json = trace::chrome_trace_json(&recorder.take_events());
         for (name, bytes) in [
             ("scaffolds.fasta", fasta.as_slice()),

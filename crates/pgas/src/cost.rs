@@ -14,32 +14,8 @@
 //! are not expected to match the paper (our genomes are megabase-scale);
 //! ratios and curve shapes are what the experiments check.
 
-use crate::json::Value;
 use crate::stats::CommStats;
 use crate::topology::Topology;
-
-/// Schema version of the fitted-constants JSON written by [`CostModel::to_json`].
-pub const COST_MODEL_SCHEMA_VERSION: u64 = 1;
-
-/// The constants' names in struct-declaration order — the canonical key
-/// order of the serialized form, and the accessor table `from_json` checks
-/// against.
-const FIELDS: [&str; 14] = [
-    "t_compute",
-    "t_local",
-    "t_onnode",
-    "t_offnode",
-    "bw_onnode",
-    "bw_offnode",
-    "t_service",
-    "t_cache",
-    "t_steal",
-    "t_backoff",
-    "t_barrier_base",
-    "io_bw_per_rank",
-    "io_bw_aggregate",
-    "io_latency",
-];
 
 /// Modeled execution time of a phase, broken into components.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -214,94 +190,6 @@ impl CostModel {
         self.io_latency + bytes as f64 / effective_bw
     }
 
-    /// The constants as an array in [`FIELDS`] order.
-    fn field_values(&self) -> [f64; 14] {
-        [
-            self.t_compute,
-            self.t_local,
-            self.t_onnode,
-            self.t_offnode,
-            self.bw_onnode,
-            self.bw_offnode,
-            self.t_service,
-            self.t_cache,
-            self.t_steal,
-            self.t_backoff,
-            self.t_barrier_base,
-            self.io_bw_per_rank,
-            self.io_bw_aggregate,
-            self.io_latency,
-        ]
-    }
-
-    /// Serialize the constants as a JSON object with
-    /// `cost_model_schema_version` followed by the fourteen constants in
-    /// struct-declaration order. The writer emits shortest-round-trip
-    /// float literals, so `to_json` → [`from_json`](Self::from_json) →
-    /// `to_json` is byte-identical.
-    pub fn to_json(&self) -> String {
-        let mut doc = Value::obj();
-        doc.set("cost_model_schema_version", COST_MODEL_SCHEMA_VERSION);
-        for (name, value) in FIELDS.iter().zip(self.field_values()) {
-            doc.set(*name, value);
-        }
-        doc.to_json()
-    }
-
-    /// Parse a constants document written by [`to_json`](Self::to_json).
-    /// Rejects wrong schema versions, missing constants, and non-numeric
-    /// or non-finite values; unknown extra keys are rejected too so a
-    /// typo'd constant name cannot silently fall back to a default.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = Value::parse(text).map_err(|e| format!("cost model JSON: {e}"))?;
-        let Value::Obj(pairs) = &doc else {
-            return Err("cost model JSON: not an object".to_string());
-        };
-        match doc.get("cost_model_schema_version").and_then(Value::as_u64) {
-            Some(COST_MODEL_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "cost model JSON: unsupported schema version {v} (expected {COST_MODEL_SCHEMA_VERSION})"
-                ))
-            }
-            None => return Err("cost model JSON: missing cost_model_schema_version".to_string()),
-        }
-        for (key, _) in pairs {
-            if key != "cost_model_schema_version" && !FIELDS.contains(&key.as_str()) {
-                return Err(format!("cost model JSON: unknown key {key:?}"));
-            }
-        }
-        let mut values = [0.0f64; 14];
-        for (name, slot) in FIELDS.iter().zip(values.iter_mut()) {
-            let v = doc
-                .get(name)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("cost model JSON: missing or non-numeric {name:?}"))?;
-            if !v.is_finite() {
-                return Err(format!("cost model JSON: non-finite {name:?}"));
-            }
-            *slot = v;
-        }
-        let [t_compute, t_local, t_onnode, t_offnode, bw_onnode, bw_offnode, t_service, t_cache, t_steal, t_backoff, t_barrier_base, io_bw_per_rank, io_bw_aggregate, io_latency] =
-            values;
-        Ok(CostModel {
-            t_compute,
-            t_local,
-            t_onnode,
-            t_offnode,
-            bw_onnode,
-            bw_offnode,
-            t_service,
-            t_cache,
-            t_steal,
-            t_backoff,
-            t_barrier_base,
-            io_bw_per_rank,
-            io_bw_aggregate,
-            io_latency,
-        })
-    }
-
     /// Model a whole phase. `stats` must have one entry per rank.
     pub fn phase_time(&self, topo: &Topology, stats: &[CommStats]) -> ModeledTime {
         assert_eq!(stats.len(), topo.ranks(), "one CommStats per rank");
@@ -474,62 +362,6 @@ mod tests {
     fn phase_time_checks_arity() {
         let model = CostModel::edison();
         model.phase_time(&topo(2), &[CommStats::new()]);
-    }
-
-    #[test]
-    fn cost_model_json_round_trips_byte_identically() {
-        for model in [CostModel::edison(), CostModel::single_node()] {
-            let text = model.to_json();
-            let parsed = CostModel::from_json(&text).expect("round trip");
-            assert_eq!(parsed, model);
-            assert_eq!(parsed.to_json(), text, "byte-identical re-serialization");
-        }
-        // Awkward fitted values (subnormal-ish, huge, zero) must survive too.
-        let fitted = CostModel {
-            t_compute: 1.2345678901234567e-9,
-            t_backoff: 0.0,
-            bw_offnode: 9.87654321e11,
-            ..CostModel::edison()
-        };
-        let text = fitted.to_json();
-        let parsed = CostModel::from_json(&text).expect("round trip");
-        assert_eq!(parsed, fitted);
-        assert_eq!(parsed.to_json(), text);
-    }
-
-    #[test]
-    fn cost_model_from_json_rejects_bad_documents() {
-        assert!(CostModel::from_json("[]").is_err(), "not an object");
-        assert!(CostModel::from_json("{").is_err(), "not JSON");
-        assert!(
-            CostModel::from_json("{\"t_compute\":1e-9}").is_err(),
-            "missing schema version"
-        );
-        let good = CostModel::edison().to_json();
-        assert!(
-            CostModel::from_json(&good.replace(
-                "\"cost_model_schema_version\":1",
-                "\"cost_model_schema_version\":99"
-            ))
-            .is_err(),
-            "wrong schema version"
-        );
-        assert!(
-            CostModel::from_json(&good.replace("t_steal", "t_stale")).is_err(),
-            "unknown key and missing constant"
-        );
-        let mut doc = Value::parse(&good).unwrap();
-        if let Value::Obj(pairs) = &mut doc {
-            for (k, v) in pairs.iter_mut() {
-                if k == "t_cache" {
-                    *v = Value::from("fast");
-                }
-            }
-        }
-        assert!(
-            CostModel::from_json(&doc.to_json()).is_err(),
-            "non-numeric constant"
-        );
     }
 
     #[test]

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod calib;
 pub mod cost;
 pub mod dht;
 pub mod fault;
@@ -49,7 +48,6 @@ pub mod topology;
 pub mod trace;
 
 pub use agg::{AggregatingStores, Outbox};
-pub use calib::Calibration;
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
 pub use dht::DistHashMap;
 pub use fault::{catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort};

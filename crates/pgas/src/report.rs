@@ -106,16 +106,6 @@ impl PhaseReport {
         self.totals().offnode_fraction().unwrap_or(0.0)
     }
 
-    /// The slowest rank's measured execution seconds (from the
-    /// [`CommStats::exec_nanos`] stamps). Because virtual ranks are
-    /// multiplexed over a few OS threads, this — not the phase's host wall
-    /// time — is the measured analog of the modeled critical path: both
-    /// are "the slowest rank's own work", independent of how many ranks
-    /// ran concurrently.
-    pub fn max_rank_seconds(&self) -> f64 {
-        derived_wall_seconds(&self.stats)
-    }
-
     /// Occupancy of the phase's hash table(s) as drained into the stats:
     /// `(entries, max_partition_entries)` — total resident entries and the
     /// fullest rank's share (`max · ranks / entries` is the load factor the
@@ -209,27 +199,6 @@ pub struct RoundReport {
     pub offnode_fraction: f64,
 }
 
-/// One phase's measured-vs-modeled comparison (see
-/// [`PipelineReport::model_errors`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct PhaseModelError {
-    /// Phase name.
-    pub name: String,
-    /// Measured seconds: the slowest rank's stamped execution time, or —
-    /// for phases with no per-rank stamps (synthetic I/O phases) — the
-    /// recorded wall time.
-    pub measured_seconds: f64,
-    /// Modeled seconds for the same quantity: the critical path for
-    /// stamped phases, the full modeled total for I/O phases.
-    pub modeled_seconds: f64,
-    /// `|modeled - measured| / measured`.
-    pub rel_error: f64,
-    /// Fraction of the critical rank's priced seconds that is compute
-    /// (1.0 = pure compute). Calibration quality is only meaningful for
-    /// compute-dominated phases; gates should filter on this.
-    pub compute_fraction: f64,
-}
-
 /// An ordered collection of phase reports for one pipeline run.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineReport {
@@ -319,46 +288,6 @@ impl PipelineReport {
         acc
     }
 
-    /// Compare measured and modeled time phase by phase. For phases whose
-    /// ranks carry [`CommStats::exec_nanos`] stamps, the measured quantity
-    /// is the slowest rank's execution seconds and the modeled one is the
-    /// critical path (both are "the slowest rank's own work" — the
-    /// apples-to-apples pair under virtual-rank multiplexing, where host
-    /// wall time reflects thread count, not rank count). For synthetic
-    /// phases with no stamps (e.g. the I/O phases the pipeline
-    /// fabricates), measured is the recorded wall time and modeled is the
-    /// phase's full modeled total. Phases that measured ≤ 0 seconds are
-    /// skipped — there is nothing to compare against.
-    pub fn model_errors(&self, model: &CostModel) -> Vec<PhaseModelError> {
-        self.phases
-            .iter()
-            .filter_map(|p| {
-                let stamped = p.stats.iter().any(|s| s.exec_nanos > 0);
-                let (measured, modeled) = if stamped {
-                    (p.max_rank_seconds(), p.modeled(model).critical_path)
-                } else {
-                    (p.wall_seconds, p.modeled(model).total())
-                };
-                if measured <= 0.0 {
-                    return None;
-                }
-                let breakdown = model.critical_rank_breakdown(&p.stats);
-                let priced = breakdown.total();
-                Some(PhaseModelError {
-                    name: p.name.clone(),
-                    measured_seconds: measured,
-                    modeled_seconds: modeled,
-                    rel_error: (modeled - measured).abs() / measured,
-                    compute_fraction: if priced > 0.0 {
-                        breakdown.compute / priced
-                    } else {
-                        0.0
-                    },
-                })
-            })
-            .collect()
-    }
-
     /// Render a per-phase table (name, modeled seconds, % of total,
     /// off-node fraction).
     pub fn render(&self, model: &CostModel) -> String {
@@ -383,9 +312,8 @@ impl PipelineReport {
     }
 
     /// Serialize the whole pipeline report as a machine-readable JSON
-    /// document, **schema version 8**, priced under `model`;
-    /// `cost_model_label` names the constants (`"edison"`, `"calibrated"`
-    /// when fitted by [`crate::calib`]). Everything in it is a view of the
+    /// document, **schema version 9**, priced under [`CostModel::edison`]
+    /// (`cost_model: "edison"`). Everything in it is a view of the
     /// per-rank [`CommStats`] the phases returned plus the stage and
     /// checkpoint bookkeeping; the keys that hold host measurements are
     /// [`crate::stats::measured_report_keys`].
@@ -396,8 +324,6 @@ impl PipelineReport {
     ///   `ranks_per_node`, `nodes`), `modeled_total` and `wall_seconds`
     ///   (sums over phases), `offnode_by_placement`
     ///   ([`offnode_by_placement`](Self::offnode_by_placement));
-    /// * `model_error`: [`model_errors`](Self::model_errors) per phase plus
-    ///   `mean_rel_error` / `max_rel_error`;
     /// * `stage_attempts`: one [`StageAttempt`] per pipeline stage;
     /// * `checkpoints`: one [`CheckpointEvent`] per artifact saved or loaded;
     /// * `phases`: per phase `name`, `measured` (`wall_seconds` and the
@@ -409,15 +335,16 @@ impl PipelineReport {
     ///   ([`PhaseReport::imbalance`]), `totals` (the [`Kind::Counted`]
     ///   fields summed over ranks), `table` ([`PhaseReport::table`]) and
     ///   `hot_keys` (heavy-hitter key hashes, when tracking was on).
-    pub fn to_json(&self, model: &CostModel, cost_model_label: &str) -> String {
+    pub fn to_json(&self) -> String {
+        let model = &CostModel::edison();
         let label_or_null = |label: &Option<String>| match label {
             Some(label) => Value::from(label.as_str()),
             None => Value::Null,
         };
         let mut doc = Value::obj();
-        doc.set("schema_version", 8u64)
+        doc.set("schema_version", 9u64)
             .set("generator", "hipmer-pgas")
-            .set("cost_model", cost_model_label)
+            .set("cost_model", "edison")
             .set("partition", label_or_null(&self.partition));
         let rounds = self.rounds.iter().map(|r| {
             let mut v = Value::obj();
@@ -446,25 +373,6 @@ impl PipelineReport {
             by_placement.set(label, frac);
         }
         doc.set("offnode_by_placement", by_placement);
-
-        let errors = self.model_errors(model);
-        let entries = errors.iter().map(|e| {
-            let mut v = Value::obj();
-            v.set("name", e.name.as_str())
-                .set("measured_seconds", e.measured_seconds)
-                .set("modeled_seconds", e.modeled_seconds)
-                .set("rel_error", e.rel_error)
-                .set("compute_fraction", e.compute_fraction);
-            v
-        });
-        let mut err_obj = Value::obj();
-        err_obj.set("phases", Value::Arr(entries.collect()));
-        let rel_sum: f64 = errors.iter().map(|e| e.rel_error).sum();
-        let max = errors.iter().map(|e| e.rel_error).fold(0.0, f64::max);
-        err_obj
-            .set("mean_rel_error", rel_sum / errors.len().max(1) as f64)
-            .set("max_rel_error", max);
-        doc.set("model_error", err_obj);
 
         let attempts = self.stage_attempts.iter().map(|a| {
             let mut v = Value::obj();
@@ -726,8 +634,7 @@ mod tests {
 
     #[test]
     fn json_report_round_trips() {
-        let model = CostModel::edison();
-        let text = busy_pipeline().to_json(&model, "edison");
+        let text = busy_pipeline().to_json();
         let parsed = Value::parse(&text).expect("report must be valid JSON");
         // Serializing the parsed document reproduces the original text
         // byte-for-byte (ordered object pairs make this deterministic).
@@ -738,9 +645,8 @@ mod tests {
     fn json_report_schema_is_stable() {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
-        let model = CostModel::edison();
-        let doc = Value::parse(&busy_pipeline().to_json(&model, "edison")).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 8);
+        let doc = Value::parse(&busy_pipeline().to_json()).unwrap();
+        assert_eq!(u64_at(&doc, "schema_version"), 9);
         assert_eq!(str_at(&doc, "cost_model"), "edison");
         assert_eq!(str_at(&doc, "partition"), "minimizer");
         assert_keys(
@@ -755,7 +661,6 @@ mod tests {
                 "modeled_total",
                 "wall_seconds",
                 "offnode_by_placement",
-                "model_error",
                 "stage_attempts",
                 "checkpoints",
                 "phases",
@@ -774,20 +679,6 @@ mod tests {
         assert_keys(
             get_path(&doc, "offnode_by_placement"),
             &["minimizer(w=17,m=7)"],
-        );
-        assert_keys(
-            get_path(&doc, "model_error"),
-            &["phases", "mean_rel_error", "max_rel_error"],
-        );
-        assert_keys(
-            get_path(&doc, "model_error/phases/0"),
-            &[
-                "name",
-                "measured_seconds",
-                "modeled_seconds",
-                "rel_error",
-                "compute_fraction",
-            ],
         );
         let attempts = get_path(&doc, "stage_attempts").as_arr().unwrap();
         assert_eq!(attempts.len(), 2);
@@ -914,57 +805,13 @@ mod tests {
     }
 
     #[test]
-    fn json_report_cost_model_label_flows_through() {
-        let model = CostModel::edison();
-        let doc = Value::parse(&busy_pipeline().to_json(&model, "calibrated")).unwrap();
-        assert_eq!(str_at(&doc, "cost_model"), "calibrated");
-    }
-
-    #[test]
-    fn model_errors_compare_the_right_quantities() {
-        let model = CostModel::edison();
-        let pr = busy_pipeline();
-        let errors = pr.model_errors(&model);
-        assert_eq!(errors.len(), 2, "both fixture phases are stamped");
-        for (e, p) in errors.iter().zip(&pr.phases) {
-            assert_eq!(e.name, p.name);
-            // Stamped phases compare max-rank seconds vs critical path.
-            assert!((e.measured_seconds - p.max_rank_seconds()).abs() < 1e-12);
-            assert!((e.modeled_seconds - p.modeled(&model).critical_path).abs() < 1e-12);
-            let expect = (e.modeled_seconds - e.measured_seconds).abs() / e.measured_seconds;
-            assert!((e.rel_error - expect).abs() < 1e-12);
-            assert!(e.compute_fraction > 0.0 && e.compute_fraction <= 1.0);
-        }
-
-        // An unstamped (synthetic I/O) phase compares wall vs modeled total,
-        // and a zero-measured phase is skipped.
-        let topo = Topology::new(2, 2);
-        let io_stats = vec![
-            CommStats {
-                io_read_bytes: 1 << 20,
-                ..CommStats::default()
-            };
-            2
-        ];
-        let mut pr2 = PipelineReport::new();
-        pr2.push(PhaseReport::new("io/fastq", topo, io_stats).with_wall(0.5));
-        pr2.push(phase_with(&[1_000, 1_000])); // no exec stamps, wall 0
-        let errors2 = pr2.model_errors(&model);
-        assert_eq!(errors2.len(), 1, "zero-measured phase skipped");
-        let e = &errors2[0];
-        assert!((e.measured_seconds - 0.5).abs() < 1e-12);
-        let expect_modeled = pr2.phases[0].modeled(&model).total();
-        assert!((e.modeled_seconds - expect_modeled).abs() < 1e-12);
-        assert_eq!(e.compute_fraction, 0.0, "pure-I/O critical rank");
-    }
-
-    #[test]
     fn json_report_matches_phase_methods() {
         // Golden check: the serialized metrics are exactly what the
-        // `PhaseReport` accessors compute, not a parallel implementation.
+        // `PhaseReport` accessors compute under the Edison constants, not a
+        // parallel implementation.
         let model = CostModel::edison();
         let pr = busy_pipeline();
-        let doc = Value::parse(&pr.to_json(&model, "edison")).unwrap();
+        let doc = Value::parse(&pr.to_json()).unwrap();
         let phases = get_path(&doc, "phases").as_arr().unwrap();
         for (p, v) in pr.phases.iter().zip(phases) {
             assert_eq!(str_at(v, "name"), p.name.as_str());
@@ -1004,13 +851,8 @@ mod tests {
         let wall = f64_at(&doc, "wall_seconds");
         let expect: f64 = pr.phases.iter().map(|p| p.wall_seconds).sum();
         assert!((wall - expect).abs() < 1e-12);
-        // The model_error block agrees with the accessor.
-        let errors = pr.model_errors(&model);
-        for (i, e) in errors.iter().enumerate() {
-            let base = format!("model_error/phases/{i}");
-            assert_eq!(str_at(&doc, &format!("{base}/name")), e.name.as_str());
-            assert!((f64_at(&doc, &format!("{base}/rel_error")) - e.rel_error).abs() < 1e-12);
-        }
+        let modeled = f64_at(&doc, "modeled_total/total_seconds");
+        assert!((modeled - pr.total_modeled(&model).total()).abs() < 1e-12);
     }
 
     #[test]

@@ -126,18 +126,12 @@ pub const FIELDS: [Field; 20] = [
 
 /// Every key of the report document ([`crate::PipelineReport::to_json`])
 /// that holds a host measurement: the [`Kind::Measured`] rows of [`FIELDS`]
-/// plus wall time (per phase and pipeline-wide), the measured-vs-modeled
-/// `model_error` block, a stage attempt's resident-set readings and a
-/// checkpoint transfer's seconds. Two runs of the same input at one OS
-/// thread write equal reports once these keys are removed.
+/// plus wall time (per phase and pipeline-wide), a stage attempt's
+/// resident-set readings and a checkpoint transfer's seconds. Two runs of
+/// the same input at one OS thread write equal reports once these keys are
+/// removed.
 pub fn measured_report_keys() -> Vec<&'static str> {
-    let extra = [
-        "wall_seconds",
-        "model_error",
-        "peak_rss_bytes",
-        "rss_bytes",
-        "seconds",
-    ];
+    let extra = ["wall_seconds", "peak_rss_bytes", "rss_bytes", "seconds"];
     let measured = FIELDS.iter().filter(|f| f.1 == Measured).map(|f| f.0);
     measured.chain(extra).collect()
 }

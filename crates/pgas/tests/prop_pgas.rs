@@ -1,11 +1,35 @@
 //! Property tests for the PGAS runtime simulator.
 
+use hipmer_pgas::json::Value;
 use hipmer_pgas::{
     AggregatingStores, CommStats, CostModel, DistHashMap, LookupBatch, OracleVector, RankCtx,
     SoftwareCache, Team, Topology,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Bytes JSON is made of, so random text often gets deep into the parser
+/// (numbers, escapes, literals, containers) before it goes wrong.
+const JSON_BYTES: &[u8] = b"{}[]:,\"\\/ \t\n-+.0123456789eEtrufalsnbu\xc3\xa9";
+
+proptest! {
+    // `Value::parse` is the trust boundary for everything the daemon and the
+    // checkpoint store read back: any text, JSON-shaped, deeply nested or
+    // lossily decoded from arbitrary bytes, is `Ok` or `Err`, never a panic.
+    #[test]
+    fn json_parse_never_panics(
+        shaped in prop::collection::vec(prop::sample::select(JSON_BYTES), 0..96),
+        raw in prop::collection::vec(any::<u8>(), 0..256),
+        depth in 0usize..300,
+        object in any::<bool>(),
+    ) {
+        let shaped = String::from_utf8_lossy(&shaped);
+        let opener = if object { "{\"k\":" } else { "[" };
+        let _ = Value::parse(&shaped);
+        let _ = Value::parse(&format!("{}{shaped}", opener.repeat(depth)));
+        let _ = Value::parse(&String::from_utf8_lossy(&raw));
+    }
+}
 
 proptest! {
     #[test]

@@ -50,25 +50,25 @@ impl From<io::Error> for ParseError {
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
-    let mut line = String::new();
 
-    let read_line = |reader: &mut BufReader<&mut TcpStream>,
-                     line: &mut String,
-                     head_bytes: &mut usize|
-     -> Result<(), ParseError> {
-        line.clear();
-        let n = reader.read_line(line)?;
+    // Each line is read through a `take` of the remaining head budget plus
+    // one byte, so a client that never sends a newline is cut off there
+    // instead of being buffered whole.
+    let mut read_line = |reader: &mut BufReader<&mut TcpStream>| -> Result<String, ParseError> {
+        let mut line = Vec::new();
+        let budget = (MAX_HEAD_BYTES - head_bytes) as u64 + 1;
+        let n = reader.take(budget).read_until(b'\n', &mut line)?;
         if n == 0 {
             return Err(ParseError::Bad("connection closed mid-request"));
         }
-        *head_bytes += n;
-        if *head_bytes > MAX_HEAD_BYTES {
+        head_bytes += n;
+        if head_bytes > MAX_HEAD_BYTES {
             return Err(ParseError::TooLarge("request head over 8 KiB"));
         }
-        Ok(())
+        String::from_utf8(line).map_err(|_| ParseError::Bad("request head is not UTF-8"))
     };
 
-    read_line(&mut reader, &mut line, &mut head_bytes)?;
+    let line = read_line(&mut reader)?;
     let mut parts = line.trim_end().splitn(3, ' ');
     let method = parts
         .next()
@@ -93,7 +93,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
     // skipped (but still counted against the head limit).
     let mut content_length = 0usize;
     loop {
-        read_line(&mut reader, &mut line, &mut head_bytes)?;
+        let line = read_line(&mut reader)?;
         let trimmed = line.trim_end();
         if trimmed.is_empty() {
             break;
@@ -270,6 +270,28 @@ mod tests {
         raw.extend_from_slice(format!("X-Pad: {}\r\n", "y".repeat(10_000)).as_bytes());
         raw.extend_from_slice(b"\r\n");
         let (parsed, _) = roundtrip(&raw);
+        assert!(matches!(parsed, Err(ParseError::TooLarge(_))), "{parsed:?}");
+    }
+
+    #[test]
+    fn rejects_a_head_line_that_never_ends() {
+        // 64 KiB without a newline, then the client holds the connection
+        // open: the parser must stop at the head limit, not wait for a
+        // newline until the read timeout.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            // The server may reset the connection with most of this unread.
+            let _ = s.write_all(&vec![b'y'; 64 * 1024]);
+            let _ = s.read_to_end(&mut Vec::new());
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        let parsed = read_request(&mut conn);
+        drop(conn);
+        client.join().unwrap();
         assert!(matches!(parsed, Err(ParseError::TooLarge(_))), "{parsed:?}");
     }
 

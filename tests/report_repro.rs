@@ -7,7 +7,7 @@
 use hipmer::{run_assembly, PipelineConfig, RunOptions};
 use hipmer_pgas::json::Value;
 use hipmer_pgas::stats::measured_report_keys;
-use hipmer_pgas::{trace, CostModel, PartitionScheme, Schedule, Team, Topology};
+use hipmer_pgas::{trace, PartitionScheme, Schedule, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, Dataset};
 
 /// `doc` without the measured keys, at any depth.
@@ -46,7 +46,7 @@ fn report_of(dataset: &Dataset, cfg: &PipelineConfig, tag: &str) -> (Value, Valu
     let reads = dataset.all_reads();
     let assembly = run_assembly(&team, &reads, &dataset.lib_ranges(), cfg, &opts).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let text = assembly.report.to_json(&CostModel::edison(), "edison");
+    let text = assembly.report.to_json();
     let full = Value::parse(&text).unwrap();
     let counted = counted_only(full.clone(), &measured_report_keys());
     (full, counted)
