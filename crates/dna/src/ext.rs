@@ -130,22 +130,28 @@ impl ExtCode {
 /// immediately before / after the k-mer. Counts saturate instead of
 /// wrapping: ultra-deep repeats (the paper's wheat k-mers occur >10⁷ times)
 /// must not overflow the counters.
+///
+/// The eight votes are `u8`s, which is exact: [`decide`](Self::decide)
+/// only asks whether a vote reached `min_votes: u8`, and a vote
+/// saturated at 255 reaches every threshold its true count does. `count`
+/// stays a `u32` — it is the k-mer's depth in the spectrum. The tally is
+/// 12 bytes, so a `(Kmer, ExtVotes)` vote-table entry is 32.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExtVotes {
     /// Votes for each left-extension base code.
-    pub left: [u32; 4],
+    pub left: [u8; 4],
     /// Votes for each right-extension base code.
-    pub right: [u32; 4],
+    pub right: [u8; 4],
     /// Total occurrences of the k-mer (its depth / count).
     pub count: u32,
 }
 
 impl ExtVotes {
-    /// Packed wire bytes of one tally: nine `u32` counters, no padding —
-    /// what a real sender serializes (the in-memory size of a *tuple*
-    /// containing an `ExtVotes` can be larger once alignment padding to a
-    /// neighboring field is counted).
-    pub const WIRE_BYTES: u64 = 9 * 4;
+    /// Packed wire bytes of one tally: eight `u8` votes and the `u32`
+    /// count, no padding — what a real sender serializes (the in-memory
+    /// size of a *tuple* containing an `ExtVotes` can be larger once
+    /// alignment padding to a neighboring field is counted).
+    pub const WIRE_BYTES: u64 = 8 + 4;
 
     /// An empty tally.
     pub fn new() -> Self {
@@ -200,7 +206,7 @@ impl ExtVotes {
 
     /// Collapse one side's votes given the minimum vote count for a base to
     /// be considered a high-quality candidate.
-    fn decide_side(votes: &[u32; 4], min_votes: u32) -> ExtChoice {
+    fn decide_side(votes: &[u8; 4], min_votes: u8) -> ExtChoice {
         let mut candidates = 0;
         let mut winner = 0u8;
         for (c, &v) in votes.iter().enumerate() {
@@ -217,7 +223,7 @@ impl ExtVotes {
     }
 
     /// Collapse both sides into an [`ExtensionPair`].
-    pub fn decide(&self, min_votes: u32) -> ExtensionPair {
+    pub fn decide(&self, min_votes: u8) -> ExtensionPair {
         ExtensionPair {
             left: Self::decide_side(&self.left, min_votes),
             right: Self::decide_side(&self.right, min_votes),
@@ -259,8 +265,8 @@ mod tests {
                 let mut one = ExtVotes::new();
                 one.record_code(code);
                 assert_eq!(one.count, 1);
-                assert_eq!(one.left.iter().sum::<u32>(), u32::from(left.is_some()));
-                assert_eq!(one.right.iter().sum::<u32>(), u32::from(right.is_some()));
+                assert_eq!(one.left.iter().sum::<u8>(), u8::from(left.is_some()));
+                assert_eq!(one.right.iter().sum::<u8>(), u8::from(right.is_some()));
             }
         }
         assert_eq!((seen.len(), by_code.count), (25, 25));
@@ -319,16 +325,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_saturates() {
+    fn votes_saturate_at_u8_max_and_still_decide() {
         let mut a = ExtVotes {
-            left: [u32::MAX, 0, 0, 0],
-            right: [0; 4],
+            left: [u8::MAX, 0, 0, 0],
+            right: [0, 0, 0, 250],
             count: u32::MAX,
         };
         let b = a;
         a.merge(&b);
-        assert_eq!(a.count, u32::MAX);
-        assert_eq!(a.left[0], u32::MAX);
+        assert_eq!(
+            (a.left[0], a.right[3], a.count),
+            (u8::MAX, u8::MAX, u32::MAX)
+        );
+        for _ in 0..10 {
+            a.record(Some(0), Some(3));
+        }
+        assert_eq!((a.left[0], a.right[3]), (u8::MAX, u8::MAX));
+        // A saturated vote still clears the highest threshold there is.
+        assert_eq!(a.decide(u8::MAX).code(), *b"AT");
+        assert_eq!(a.flip().left[0], u8::MAX);
+    }
+
+    #[test]
+    fn layout_is_twelve_bytes_and_entries_are_32_and_24() {
+        use crate::kmer::{Kmer, Kmer64};
+        use std::mem::size_of;
+        assert_eq!(size_of::<ExtVotes>() as u64, ExtVotes::WIRE_BYTES);
+        assert_eq!(size_of::<ExtVotes>(), 12);
+        assert_eq!(size_of::<(Kmer, ExtVotes)>(), 32);
+        assert_eq!(size_of::<(Kmer64, ExtVotes)>(), 24);
     }
 
     #[test]

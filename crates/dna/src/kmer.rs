@@ -9,8 +9,14 @@
 //! The de Bruijn graph in the paper is keyed by *canonical* k-mers: a k-mer
 //! and its reverse complement denote the same node, and the lexicographically
 //! (numerically, in 2-bit space) smaller of the two is the table key.
+//!
+//! K-mer analysis alone also keys by [`Kmer64`], one `u64`, when k ≤ 32:
+//! both types implement [`KmerKey`], and what the stage hands on is a
+//! `Kmer` again.
 
 use crate::base::{decode_base, encode_base};
+use std::hash::{Hash, Hasher};
+use std::ops::{BitAnd, BitOr, Shl, Shr};
 
 /// The largest supported k (two bits per base in a `u128`).
 pub const MAX_K: usize = 64;
@@ -51,6 +57,76 @@ impl Kmer {
 impl std::fmt::Debug for Kmer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Kmer({:#034x})", self.0)
+    }
+}
+
+/// A 2-bit packed k-mer of at most 32 bases in one `u64`, laid out as a
+/// [`Kmer`]: k-mer analysis' key for k ≤ 32, half the bytes.
+///
+/// It compares, orders and — the invariant tables rely on — **hashes**
+/// exactly as the `Kmer` with the same bits (`write_u128` of the widened
+/// word), so a table keyed by either places every key on the same owner
+/// and in the same bucket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct Kmer64(pub u64);
+
+impl Hash for Kmer64 {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.0 as u128);
+    }
+}
+
+impl From<Kmer64> for Kmer {
+    #[inline]
+    fn from(km: Kmer64) -> Kmer {
+        Kmer(km.0 as u128)
+    }
+}
+
+/// A packed canonical k-mer key: [`Kmer`] for any k, [`Kmer64`] for
+/// k ≤ 32. [`KmerCodec::canonical_keys`] rolls either over a read, and a
+/// key widens losslessly into the `Kmer` of the same bits.
+pub trait KmerKey: Copy + Eq + Ord + Hash + Default + Send + Sync + Into<Kmer> + 'static {
+    /// The machine word holding the 2-bit bases.
+    type Word: Copy
+        + Ord
+        + From<u8>
+        + Shl<u32, Output = Self::Word>
+        + Shr<u32, Output = Self::Word>
+        + BitOr<Output = Self::Word>
+        + BitAnd<Output = Self::Word>;
+    /// The largest k the word holds.
+    const MAX_K: usize;
+    /// The key of packed bits `word`.
+    fn from_word(word: Self::Word) -> Self;
+    /// The low `Self::MAX_K` bases of `kmer`'s bits.
+    fn truncate(kmer: Kmer) -> Self::Word;
+}
+
+impl KmerKey for Kmer {
+    type Word = u128;
+    const MAX_K: usize = MAX_K;
+    #[inline]
+    fn from_word(word: u128) -> Self {
+        Kmer(word)
+    }
+    #[inline]
+    fn truncate(kmer: Kmer) -> u128 {
+        kmer.0
+    }
+}
+
+impl KmerKey for Kmer64 {
+    type Word = u64;
+    const MAX_K: usize = 32;
+    #[inline]
+    fn from_word(word: u64) -> Self {
+        Kmer64(word)
+    }
+    #[inline]
+    fn truncate(kmer: Kmer) -> u64 {
+        kmer.0 as u64
     }
 }
 
@@ -272,13 +348,31 @@ impl KmerCodec {
     /// `(offset, kmer, canonical)` triples identical to
     /// `kmers(seq).map(|(o, km)| (o, km, codec.canonical(km)))`.
     pub fn canonical_kmers<'a>(&self, seq: &'a [u8]) -> CanonicalKmerIter<'a> {
+        self.canonical_keys(seq)
+    }
+
+    /// [`canonical_kmers`](Self::canonical_kmers) rolled in key type `K`'s
+    /// word: the same triples, each the `K` of the `Kmer`'s bits.
+    ///
+    /// # Panics
+    /// Panics if this codec's k exceeds `K::MAX_K`.
+    pub fn canonical_keys<'a, K: KmerKey>(&self, seq: &'a [u8]) -> CanonicalKmerIter<'a, K> {
+        assert!(
+            self.k <= K::MAX_K,
+            "k = {} does not fit a {}-base key",
+            self.k,
+            K::MAX_K
+        );
+        let zero = K::Word::from(0);
         CanonicalKmerIter {
-            codec: *self,
+            k: self.k,
+            mask: K::truncate(Kmer(self.mask)),
             seq,
             pos: 0,
             valid: 0,
-            bits: 0,
-            rc_bits: 0,
+            bits: zero,
+            rc_bits: zero,
+            key: std::marker::PhantomData,
         }
     }
 }
@@ -327,45 +421,50 @@ impl<'a> Iterator for KmerIter<'a> {
 }
 
 /// Rolling iterator over the k-mers of an ASCII sequence together with
-/// their canonical representatives.
+/// their canonical representatives, in key type `K` (see
+/// [`KmerCodec::canonical_keys`]).
 ///
 /// Like [`KmerIter`], but additionally maintains the reverse-complement
 /// window incrementally: appending base `c` to the forward window
 /// corresponds to shifting `complement(c)` into the *high* end of the RC
 /// window, so canonicalization costs a comparison instead of a full
 /// bit-reversal per position.
-pub struct CanonicalKmerIter<'a> {
-    codec: KmerCodec,
+pub struct CanonicalKmerIter<'a, K: KmerKey = Kmer> {
+    k: usize,
+    /// Mask with the low `2k` bits set.
+    mask: K::Word,
     seq: &'a [u8],
     pos: usize,
     /// How many consecutive valid bases end at `pos` (capped at k).
     valid: usize,
     /// Forward 2-bit window (low `2k` bits).
-    bits: u128,
+    bits: K::Word,
     /// Reverse-complement 2-bit window (low `2k` bits).
-    rc_bits: u128,
+    rc_bits: K::Word,
+    key: std::marker::PhantomData<K>,
 }
 
-impl<'a> Iterator for CanonicalKmerIter<'a> {
-    type Item = (usize, Kmer, Kmer);
+impl<'a, K: KmerKey> Iterator for CanonicalKmerIter<'a, K> {
+    type Item = (usize, K, K);
 
-    fn next(&mut self) -> Option<(usize, Kmer, Kmer)> {
-        let k = self.codec.k;
+    #[inline]
+    fn next(&mut self) -> Option<(usize, K, K)> {
+        let k = self.k;
         let rc_shift = 2 * (k - 1) as u32;
         while self.pos < self.seq.len() {
             let b = self.seq[self.pos];
             self.pos += 1;
             match encode_base(b) {
                 Some(code) => {
-                    self.bits = ((self.bits << 2) | code as u128) & self.codec.mask;
+                    self.bits = ((self.bits << 2) | K::Word::from(code)) & self.mask;
                     // The dropped base's complement falls off the low end;
                     // the new base's complement (3 - code) enters at the top.
-                    self.rc_bits = (self.rc_bits >> 2) | (((3 - code) as u128) << rc_shift);
+                    self.rc_bits = (self.rc_bits >> 2) | (K::Word::from(3 - code) << rc_shift);
                     self.valid = (self.valid + 1).min(k);
                     if self.valid == k {
-                        let fwd = Kmer(self.bits);
+                        let fwd = K::from_word(self.bits);
                         let canon = if self.rc_bits < self.bits {
-                            Kmer(self.rc_bits)
+                            K::from_word(self.rc_bits)
                         } else {
                             fwd
                         };
@@ -374,8 +473,8 @@ impl<'a> Iterator for CanonicalKmerIter<'a> {
                 }
                 None => {
                     self.valid = 0;
-                    self.bits = 0;
-                    self.rc_bits = 0;
+                    self.bits = K::Word::from(0);
+                    self.rc_bits = K::Word::from(0);
                 }
             }
         }
@@ -684,6 +783,36 @@ mod tests {
             "minimizer changed {changes} times over {} adjacent pairs",
             hashes.len() - 1
         );
+    }
+
+    #[test]
+    fn narrow_keys_roll_hash_and_order_as_wide_ones() {
+        use crate::hash::KmerBuildHasher;
+        use std::hash::BuildHasher;
+        let hasher = KmerBuildHasher::default();
+        for k in [1usize, 15, 21, 31, 32] {
+            let c = KmerCodec::new(k);
+            let seq = noisy_seq(300, 53, k);
+            let wide: Vec<(usize, Kmer, Kmer)> = c.canonical_kmers(&seq).collect();
+            let narrow: Vec<(usize, Kmer64, Kmer64)> = c.canonical_keys(&seq).collect();
+            assert!(wide.len() > 100, "k={k}");
+            let widened: Vec<(usize, Kmer, Kmer)> = (narrow.iter())
+                .map(|&(o, km, canon)| (o, km.into(), canon.into()))
+                .collect();
+            assert_eq!(widened, wide, "k={k}");
+            for (&(_, _, n), &(_, _, w)) in narrow.iter().zip(&wide) {
+                assert_eq!(hasher.hash_one(n), hasher.hash_one(w), "k={k}");
+            }
+            for (a, b) in narrow.iter().zip(&narrow[1..]) {
+                assert_eq!(a.2.cmp(&b.2), Kmer::from(a.2).cmp(&Kmer::from(b.2)));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-base key")]
+    fn narrow_keys_reject_k_33() {
+        KmerCodec::new(33).canonical_keys::<Kmer64>(b"ACGT");
     }
 
     #[test]

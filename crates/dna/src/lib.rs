@@ -10,7 +10,9 @@
 //! [`KmerCodec`] shared by a whole table rather than being duplicated in
 //! every key, which halves the memory footprint of the distributed hash
 //! tables that dominate the assembler (the paper stores the human genome's
-//! ~3·10⁹-vertex de Bruijn graph this way).
+//! ~3·10⁹-vertex de Bruijn graph this way). K-mer analysis, whose tables
+//! hold every distinct k-mer of the reads, halves its keys again with
+//! [`Kmer64`] when k ≤ 32.
 
 pub mod base;
 pub mod ext;
@@ -21,7 +23,9 @@ pub mod seq;
 pub use base::{complement_ascii, complement_code, decode_base, encode_base, is_acgt, BASES};
 pub use ext::{ExtChoice, ExtCode, ExtVotes, ExtensionPair};
 pub use hash::{mix128, mix64, KmerBuildHasher, KmerHashMap, KmerHashSet};
-pub use kmer::{CanonicalKmerIter, Kmer, KmerCodec, KmerIter, KmerLenError, MAX_K};
+pub use kmer::{
+    CanonicalKmerIter, Kmer, Kmer64, KmerCodec, KmerIter, KmerKey, KmerLenError, MAX_K,
+};
 pub use seq::{
     canonical_seq, gc_content, hamming, is_canonical_seq, revcomp, revcomp_in_place, validate_dna,
 };

@@ -2,9 +2,96 @@
 
 use hipmer_dna::{
     canonical_seq, encode_base, hash::mix128, is_canonical_seq, revcomp, revcomp_in_place,
-    ExtVotes, KmerCodec, BASES,
+    ExtChoice, ExtCode, ExtVotes, ExtensionPair, KmerCodec, BASES,
 };
 use proptest::prelude::*;
+
+/// The extension tally with `u32` votes, as `ExtVotes` counted before its
+/// votes became saturating `u8`s: the reference the narrow tally must
+/// decide exactly like.
+#[derive(Clone, Copy, Default)]
+struct WideTally {
+    left: [u32; 4],
+    right: [u32; 4],
+    count: u32,
+}
+
+impl WideTally {
+    fn record_code(&mut self, code: ExtCode) {
+        self.count += 1;
+        if let Some(c) = code.left() {
+            self.left[c as usize] += 1;
+        }
+        if let Some(c) = code.right() {
+            self.right[c as usize] += 1;
+        }
+    }
+
+    fn merge(&mut self, other: &WideTally) {
+        for c in 0..4 {
+            self.left[c] += other.left[c];
+            self.right[c] += other.right[c];
+        }
+        self.count += other.count;
+    }
+
+    fn flip(&self) -> WideTally {
+        let mut out = WideTally {
+            count: self.count,
+            ..WideTally::default()
+        };
+        for c in 0..4 {
+            out.right[3 - c] = self.left[c];
+            out.left[3 - c] = self.right[c];
+        }
+        out
+    }
+
+    fn decide(&self, min_votes: u32) -> ExtensionPair {
+        let side = |votes: &[u32; 4]| {
+            let passing: Vec<u8> = (0..4u8)
+                .filter(|&c| votes[c as usize] >= min_votes)
+                .collect();
+            match passing[..] {
+                [] => ExtChoice::None,
+                [c] => ExtChoice::Unique(c),
+                _ => ExtChoice::Fork,
+            }
+        };
+        ExtensionPair {
+            left: side(&self.left),
+            right: side(&self.right),
+        }
+    }
+}
+
+/// One step applied to one of two tallies.
+#[derive(Clone, Debug)]
+enum TallyOp {
+    /// Record the one-byte code `code` (of 25) `times` times into tally `at`.
+    Record { at: usize, code: u8, times: u32 },
+    /// Merge the other tally into tally `at`.
+    Merge { at: usize },
+    /// Replace tally `at` by its reverse-complement view.
+    Flip { at: usize },
+}
+
+fn tally_op() -> impl Strategy<Value = TallyOp> {
+    // Half the steps record; runs up to 600 push single bases well past
+    // the `u8` votes' 255.
+    (0u8..4, 0usize..2, 0u8..25, 1u32..600).prop_map(|(kind, at, code, times)| match kind {
+        0 | 1 => TallyOp::Record { at, code, times },
+        2 => TallyOp::Merge { at },
+        _ => TallyOp::Flip { at },
+    })
+}
+
+/// The one-byte code number `n` of 25: left digit `n / 5`, right `n % 5`,
+/// digit 4 meaning "no vote".
+fn ext_code(n: u8) -> ExtCode {
+    let side = |d: u8| (d < 4).then_some(d);
+    ExtCode::new(side(n / 5), side(n % 5))
+}
 
 /// Strategy: an ACGT sequence of the given length range.
 fn dna_seq(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
@@ -137,12 +224,43 @@ proptest! {
     #[test]
     fn ext_votes_flip_commutes_with_decide(
         recs in prop::collection::vec((0u8..4, 0u8..4), 0..20),
-        min_votes in 1u32..4,
+        min_votes in 1u8..4,
     ) {
         let mut v = ExtVotes::new();
         for (l, r) in &recs { v.record(Some(*l), Some(*r)); }
         // Deciding then flipping must equal flipping then deciding.
         prop_assert_eq!(v.decide(min_votes).flip(), v.flip().decide(min_votes));
+    }
+
+    #[test]
+    fn narrow_tally_decides_like_a_u32_one(ops in prop::collection::vec(tally_op(), 1..24)) {
+        let mut narrow = [ExtVotes::new(); 2];
+        let mut wide = [WideTally::default(); 2];
+        for op in &ops {
+            match *op {
+                TallyOp::Record { at, code, times } => {
+                    for _ in 0..times {
+                        narrow[at].record_code(ext_code(code));
+                        wide[at].record_code(ext_code(code));
+                    }
+                }
+                TallyOp::Merge { at } => {
+                    let (n, w) = (narrow[1 - at], wide[1 - at]);
+                    narrow[at].merge(&n);
+                    wide[at].merge(&w);
+                }
+                TallyOp::Flip { at } => {
+                    narrow[at] = narrow[at].flip();
+                    wide[at] = wide[at].flip();
+                }
+            }
+            for (n, w) in narrow.iter().zip(&wide) {
+                prop_assert_eq!(n.count, w.count);
+                for m in 0..=u8::MAX {
+                    prop_assert_eq!(n.decide(m), w.decide(u32::from(m)), "min_votes {}", m);
+                }
+            }
+        }
     }
 
     #[test]

@@ -406,7 +406,7 @@ fn serve(flags: &Flags) -> Result<ExitCode, String> {
         tenant_quota: flags.get_or("--tenant-quota", defaults.tenant_quota)?,
         pool_ranks: flags.positive("--pool-ranks", defaults.pool_ranks)?,
         ranks_per_node: flags.positive("--ranks-per-node", defaults.ranks_per_node)?,
-        pool_threads: flags.get("--pool-threads")?,
+        pool_threads: flags.get("--pool-threads")?.map(NonZeroUsize::get),
         handle_signals: true,
         ..defaults
     };

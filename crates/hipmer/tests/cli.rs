@@ -1200,6 +1200,18 @@ fn checkpoint_interval_zero_exits_2() {
 }
 
 #[test]
+fn serve_pool_threads_zero_exits_2() {
+    // Zero pool threads used to be accepted and clamped to one; it is a
+    // usage error like `--pool-ranks 0`, raised before any port is bound.
+    let (code, err) = usage_error(&["serve", "--pool-threads", "0"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(
+        err.starts_with("error: bad value \"0\" for --pool-threads"),
+        "{err}"
+    );
+}
+
+#[test]
 fn every_flag_in_the_usage_text_is_accepted() {
     let flags = usage_flags();
     assert_eq!(flags[0].1.len(), 22, "assemble's flags: {:?}", flags[0].1);

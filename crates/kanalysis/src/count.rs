@@ -1,10 +1,17 @@
 //! Passes 2–3: Bloom-filtered table construction and exact counting with
 //! extension votes, plus the heavy-hitter local-accumulation path.
+//!
+//! Every pass is generic over the vote table's key ([`KmerKey`]):
+//! [`analyze_kmers`] runs them on [`Kmer64`] when k ≤ 32 and on [`Kmer`]
+//! otherwise, and `finalize` widens the survivors into the `Kmer`-keyed
+//! spectrum. The narrow key hashes as its widened `Kmer`, so both tables
+//! agree on every key's owner — what the shard-local merge into the
+//! spectrum depends on.
 
 use crate::config::KmerAnalysisConfig;
-use crate::pass1::{sketch_reads, SketchResult};
+use crate::pass1::{sketch_pass, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
-use hipmer_dna::{ExtCode, ExtVotes, Kmer, KmerCodec, KmerHashMap};
+use hipmer_dna::{ExtCode, ExtVotes, Kmer, Kmer64, KmerCodec, KmerHashMap, KmerKey};
 use hipmer_pgas::{DistHashMap, Outbox, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
@@ -17,8 +24,10 @@ pub const MIN_COUNT: u32 = 2;
 /// Meraculous' "high quality extensions" are quality ≥ 20.
 pub const MIN_QUAL: u8 = 20;
 /// Minimum votes for a base to be a high-quality extension candidate
-/// (Meraculous convention, like [`MIN_COUNT`]: seen at least twice).
-const MIN_VOTES: u32 = 2;
+/// (Meraculous convention, like [`MIN_COUNT`]: seen at least twice). A
+/// `u8`, as the tally's saturating votes are: any threshold they can
+/// decide exactly.
+const MIN_VOTES: u8 = 2;
 /// Bloom filter false-positive rate: a false positive only costs one table
 /// entry that [`MIN_COUNT`] drops again, so the filter can be loose.
 const BLOOM_FP_RATE: f64 = 0.05;
@@ -26,7 +35,7 @@ const BLOOM_FP_RATE: f64 = 0.05;
 /// The left/right extension bases of one k-mer occurrence, re-oriented to
 /// the k-mer's canonical form. `left`/`right` are 2-bit codes of the
 /// neighboring bases that passed the quality filter.
-fn canonical_votes(km: Kmer, canon: Kmer, left: Option<u8>, right: Option<u8>) -> ExtCode {
+fn canonical_votes<K: PartialEq>(km: K, canon: K, left: Option<u8>, right: Option<u8>) -> ExtCode {
     if km == canon {
         ExtCode::new(left, right)
     } else {
@@ -38,12 +47,13 @@ fn canonical_votes(km: Kmer, canon: Kmer, left: Option<u8>, right: Option<u8>) -
 
 /// Visit every k-mer occurrence of a read with the vote of its
 /// quality-filtered neighbor bases (already re-oriented to canonical form).
-fn for_each_occurrence<F>(codec: &KmerCodec, read: &SeqRecord, mut f: F)
+fn for_each_occurrence<K, F>(codec: &KmerCodec, read: &SeqRecord, mut f: F)
 where
-    F: FnMut(Kmer, ExtCode),
+    K: KmerKey,
+    F: FnMut(K, ExtCode),
 {
     let k = codec.k();
-    for (off, km, canon) in codec.canonical_kmers(&read.seq) {
+    for (off, km, canon) in codec.canonical_keys::<K>(&read.seq) {
         let left = if off > 0 {
             match read.phred(off - 1) {
                 Some(q) if q >= MIN_QUAL => hipmer_dna::encode_base(read.seq[off - 1]),
@@ -69,12 +79,12 @@ where
 /// Pass 2: route every (non-heavy) k-mer occurrence to its owner, which
 /// inserts it into its Bloom filter and creates a table entry the second
 /// time it sees the key.
-fn bloom_pass(
+fn bloom_pass<K: KmerKey>(
     team: &Team,
     reads: &[SeqRecord],
     cfg: &KmerAnalysisConfig,
-    sketch: &SketchResult,
-    table: &DistHashMap<Kmer, ExtVotes>,
+    sketch: &SketchResult<K>,
+    table: &DistHashMap<K, ExtVotes>,
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
     let ranks = team.ranks();
@@ -86,16 +96,19 @@ fn bloom_pass(
 
     let (_, mut stats) = team.run_named("kmer-analysis/bloom", |ctx| {
         // Wire bytes: the packed 2k bits of the k-mer, not the in-memory
-        // 16-byte `u128`.
-        let mut outbox: Outbox<Kmer> =
+        // key word.
+        let mut outbox: Outbox<K> =
             Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(codec.wire_bytes());
         // Owner-side service: insert into the owner's Bloom filter and
         // give the keys it has now seen twice an (empty) entry, keeping the
         // existing one if the key already landed.
-        let mut apply = |_: &mut RankCtx, dest: usize, kmers: &mut Vec<Kmer>| {
+        let mut apply = |_: &mut RankCtx, dest: usize, kmers: &mut Vec<K>| {
             {
                 let mut bloom = blooms[dest].lock();
-                kmers.retain(|km| bloom.insert(hipmer_dna::mix128(km.bits())));
+                kmers.retain(|&km| {
+                    let wide: Kmer = km.into();
+                    bloom.insert(hipmer_dna::mix128(wide.bits()))
+                });
             }
             if !kmers.is_empty() {
                 let repeated = kmers.drain(..).map(|km| (km, ()));
@@ -104,7 +117,7 @@ fn bloom_pass(
         };
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for (_, _, canon) in codec.canonical_kmers(&read.seq) {
+            for (_, _, canon) in codec.canonical_keys::<K>(&read.seq) {
                 ctx.stats.compute(1);
                 if !sketch.heavy_hitters.contains(&canon) {
                     let dest = table.owner(&canon);
@@ -123,21 +136,21 @@ fn bloom_pass(
 /// plus one byte of votes via aggregating stores, and the owner records it
 /// into the k-mer's tally in place — into *existing* entries only under
 /// Bloom semantics.
-fn count_pass(
+fn count_pass<K: KmerKey>(
     team: &Team,
     reads: &[SeqRecord],
     cfg: &KmerAnalysisConfig,
-    sketch: &SketchResult,
-    table: &DistHashMap<Kmer, ExtVotes>,
+    sketch: &SketchResult<K>,
+    table: &DistHashMap<K, ExtVotes>,
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
-    // Wire bytes: the packed 2k bits of the k-mer, not the in-memory
-    // 16-byte `u128`, plus what rides with it.
+    // Wire bytes: the packed 2k bits of the k-mer, not the in-memory key
+    // word, plus what rides with it.
     let occurrence_wire_bytes = codec.wire_bytes() + ExtCode::WIRE_BYTES;
     let partial_wire_bytes = codec.wire_bytes() + ExtVotes::WIRE_BYTES;
 
     let (_, mut stats) = team.run_named("kmer-analysis/count", |ctx| {
-        let mut outbox: Outbox<(Kmer, ExtCode)> =
+        let mut outbox: Outbox<(K, ExtCode)> =
             Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(occurrence_wire_bytes);
         // Without the Bloom pass a k-mer's first vote creates its entry;
         // with it, a vote for a k-mer the filter kept out is dropped.
@@ -148,14 +161,14 @@ fn count_pass(
         });
         // Votes commute, so batches from different ranks may land in any
         // order.
-        let mut apply = |_: &mut RankCtx, dest: usize, votes: &mut Vec<(Kmer, ExtCode)>| {
+        let mut apply = |_: &mut RankCtx, dest: usize, votes: &mut Vec<(K, ExtCode)>| {
             table.apply_batch(dest, votes.drain(..), ExtVotes::record_code, first_sighting);
         };
-        let mut hh_local: KmerHashMap<Kmer, ExtVotes> = KmerHashMap::default();
+        let mut hh_local: KmerHashMap<K, ExtVotes> = KmerHashMap::default();
 
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for_each_occurrence(&codec, read, |canon, code| {
+            for_each_occurrence(&codec, read, |canon: K, code| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
@@ -172,12 +185,11 @@ fn count_pass(
         // per owner holding this rank's partial tallies (O(p) messages per
         // heavy k-mer across the team instead of O(count)).
         if !hh_local.is_empty() {
-            let mut hh_outbox: Outbox<(Kmer, ExtVotes)> =
+            let mut hh_outbox: Outbox<(K, ExtVotes)> =
                 Outbox::new(*ctx.topo(), usize::MAX >> 1).with_item_bytes(partial_wire_bytes);
-            let mut hh_apply =
-                |_: &mut RankCtx, dest: usize, entries: &mut Vec<(Kmer, ExtVotes)>| {
-                    table.merge_batch(dest, entries.drain(..), |a, b| a.merge(&b));
-                };
+            let mut hh_apply = |_: &mut RankCtx, dest: usize, entries: &mut Vec<(K, ExtVotes)>| {
+                table.merge_batch(dest, entries.drain(..), |a, b| a.merge(&b));
+            };
             for (km, votes) in hh_local {
                 let dest = table.owner(&km);
                 hh_outbox.push(ctx, dest, (km, votes), &mut hh_apply);
@@ -192,10 +204,12 @@ fn count_pass(
 }
 
 /// Finalize: drop below-threshold k-mers, decide extensions, and build the
-/// final spectrum (purely shard-local work).
-fn finalize(
+/// final spectrum (purely shard-local work). Each survivor is widened into
+/// the `Kmer` the spectrum is keyed by; it hashes, and so is owned, as
+/// its vote-table key was.
+fn finalize<K: KmerKey>(
     team: &Team,
-    table: DistHashMap<Kmer, ExtVotes>,
+    table: DistHashMap<K, ExtVotes>,
     final_table: &DistHashMap<Kmer, KmerEntry>,
 ) -> PhaseReport {
     let (_, mut stats) = team.run_named("kmer-analysis/finalize", |ctx| {
@@ -205,7 +219,7 @@ fn finalize(
             ctx.stats.compute(1);
             if votes.count >= MIN_COUNT {
                 keep.push((
-                    km,
+                    km.into(),
                     KmerEntry {
                         count: votes.count,
                         exts: votes.decide(MIN_VOTES),
@@ -222,12 +236,29 @@ fn finalize(
 
 /// Run complete k-mer analysis over `reads`: sketch pass, Bloom pass,
 /// count pass, finalize. Returns the spectrum and one report per phase.
+///
+/// The passes key their tables by one machine word, [`Kmer64`], when k
+/// fits it and by [`Kmer`] otherwise; the spectrum is `Kmer`-keyed either
+/// way, and nothing but memory and time tells the two apart.
 pub fn analyze_kmers(
     team: &Team,
     reads: &[SeqRecord],
     cfg: &KmerAnalysisConfig,
 ) -> (KmerSpectrum, Vec<PhaseReport>) {
-    let (sketch, sketch_report) = sketch_reads(team, reads, cfg);
+    if cfg.k <= Kmer64::MAX_K {
+        analyze_keyed::<Kmer64>(team, reads, cfg)
+    } else {
+        analyze_keyed::<Kmer>(team, reads, cfg)
+    }
+}
+
+/// [`analyze_kmers`] with vote-table keys of type `K`.
+fn analyze_keyed<K: KmerKey>(
+    team: &Team,
+    reads: &[SeqRecord],
+    cfg: &KmerAnalysisConfig,
+) -> (KmerSpectrum, Vec<PhaseReport>) {
+    let (sketch, sketch_report) = sketch_pass::<K>(team, reads, cfg);
     let mut reports = vec![sketch_report];
 
     // One partition scheme for the whole table family: `finalize` moves entries
@@ -236,7 +267,7 @@ pub fn analyze_kmers(
     // owner.
     let codec = KmerCodec::new(cfg.k);
     let label = cfg.partition.label(cfg.k);
-    let votes_table: DistHashMap<Kmer, ExtVotes> = cfg
+    let votes_table: DistHashMap<K, ExtVotes> = cfg
         .partition
         .table(*team.topo(), codec)
         .with_hot_keys(team.hot_key_capacity());
@@ -262,8 +293,9 @@ pub fn analyze_kmers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass1::sketch_reads;
     use hipmer_dna::ExtChoice;
-    use hipmer_pgas::Topology;
+    use hipmer_pgas::{CommStats, PartitionScheme, Topology};
 
     /// Reads tiling `genome` perfectly with `depth` copies.
     fn perfect_reads(genome: &[u8], read_len: usize, depth: usize) -> Vec<SeqRecord> {
@@ -435,6 +467,132 @@ mod tests {
             have.sort_by_key(|(km, _)| *km);
             assert_eq!(have, want, "{what}");
         }
+    }
+
+    /// A genome with a 60-base unit repeated 40 times (heavy hitters at
+    /// θ = 256), tiled by reads of which every third is reverse-complemented
+    /// and every fifth has two low-quality bases, plus one stray read whose
+    /// k-mers are singletons.
+    fn differential_reads() -> Vec<SeqRecord> {
+        let unit = lcg_genome(60, 3);
+        let mut genome = lcg_genome(900, 23);
+        for _ in 0..40 {
+            genome.extend_from_slice(&unit);
+        }
+        genome.extend(lcg_genome(900, 29));
+        let mut reads = perfect_reads(&genome, 80, 3);
+        for (i, r) in reads.iter_mut().enumerate() {
+            if i % 3 == 0 {
+                r.seq = hipmer_dna::revcomp(&r.seq);
+            }
+            if i % 5 == 0 {
+                for pos in [7, 50] {
+                    r.qual.as_mut().unwrap()[pos] = 33 + 5;
+                }
+            }
+        }
+        reads.push(SeqRecord::with_uniform_quality(
+            "stray",
+            lcg_genome(80, 77),
+            35,
+        ));
+        reads
+    }
+
+    /// Per phase: its name, placement label, hot keys and every rank's
+    /// counted `CommStats` — all of a report that is not a host timing.
+    type PhaseCounters = (String, Option<String>, Vec<(u64, u64)>, Vec<CommStats>);
+
+    fn keyed_run<K: KmerKey>(
+        team: &Team,
+        reads: &[SeqRecord],
+        cfg: &KmerAnalysisConfig,
+    ) -> (Vec<(Kmer, KmerEntry)>, Vec<PhaseCounters>) {
+        let (spectrum, reports) = analyze_keyed::<K>(team, reads, cfg);
+        let counters = (reports.into_iter())
+            .map(|r| {
+                let counted = r.stats.iter().map(|s| s.counted()).collect();
+                (r.name, r.placement, r.hot_keys, counted)
+            })
+            .collect();
+        (spectrum.export_entries(), counters)
+    }
+
+    #[test]
+    fn narrow_and_wide_keys_give_identical_spectra_and_counters() {
+        let reads = differential_reads();
+        // One OS thread: the hot-key summaries depend on the order batches
+        // land in, which threads would interleave.
+        let team = Team::new(Topology::new(8, 4))
+            .with_os_threads(1)
+            .with_hot_keys(16);
+        for k in [15, 21, 31, 32] {
+            for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
+                for (use_bloom, use_hh) in
+                    [(true, true), (true, false), (false, true), (false, false)]
+                {
+                    let mut cfg = KmerAnalysisConfig::new(k);
+                    cfg.theta = 256;
+                    cfg.hh_min_reported = 50;
+                    cfg.partition = partition;
+                    cfg.use_bloom = use_bloom;
+                    cfg.use_heavy_hitters = use_hh;
+                    let what = format!("k={k} {partition:?} bloom={use_bloom} hh={use_hh}");
+                    let narrow = keyed_run::<Kmer64>(&team, &reads, &cfg);
+                    let wide = keyed_run::<Kmer>(&team, &reads, &cfg);
+                    assert!(narrow.0.len() > 1000, "{what}: {}", narrow.0.len());
+                    assert_eq!(narrow.0, wide.0, "{what}: spectrum");
+                    assert_eq!(narrow.1, wide.1, "{what}: phase counters");
+                    // The heavy-hitter path really ran: partials moved.
+                    let hot = &narrow
+                        .1
+                        .iter()
+                        .find(|p| p.0 == "kmer-analysis/count")
+                        .unwrap()
+                        .2;
+                    assert!(!hot.is_empty(), "{what}");
+                    // And the entry point is the narrow instance.
+                    let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
+                    assert_eq!(spectrum.export_entries(), narrow.0, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_keys_hash_and_route_as_wide_ones() {
+        let reads = differential_reads();
+        let topo = Topology::new(16, 8);
+        for k in [15, 21, 31, 32] {
+            let codec = KmerCodec::new(k);
+            for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
+                let narrow: DistHashMap<Kmer64, ()> = partition.table(topo, codec);
+                let wide: DistHashMap<Kmer, ()> = partition.table(topo, codec);
+                for read in &reads {
+                    for (_, _, canon) in codec.canonical_keys::<Kmer64>(&read.seq) {
+                        let widened: Kmer = canon.into();
+                        assert_eq!(narrow.key_hash(&canon), wide.key_hash(&widened));
+                        assert_eq!(narrow.owner(&canon), wide.owner(&widened));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn k_33_takes_the_wide_path() {
+        let reads = differential_reads();
+        let team = Team::new(Topology::new(4, 2));
+        let cfg = KmerAnalysisConfig::new(33);
+        let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
+        assert_eq!(
+            spectrum.export_entries(),
+            keyed_run::<Kmer>(&team, &reads, &cfg).0
+        );
+        // The narrow instance cannot hold a 33-mer: it refuses to start, so
+        // the entry point above did not take it.
+        let narrow = std::panic::catch_unwind(|| analyze_keyed::<Kmer64>(&team, &reads, &cfg));
+        assert!(narrow.is_err());
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Pass 1: cardinality estimation + heavy-hitter identification (§3.1).
 
 use crate::config::KmerAnalysisConfig;
-use hipmer_dna::{Kmer, KmerCodec, KmerHashSet};
+use hipmer_dna::{Kmer, KmerCodec, KmerHashSet, KmerKey};
 use hipmer_pgas::{PhaseReport, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::{HyperLogLog, MisraGries};
 
-/// The merged result of the sketch pass.
-pub struct SketchResult {
+/// The merged result of the sketch pass, keyed as the pass was run
+/// ([`Kmer`] unless k-mer analysis runs on [`hipmer_dna::Kmer64`]).
+pub struct SketchResult<K = Kmer> {
     /// Estimated number of distinct canonical k-mers.
     pub cardinality: f64,
     /// K-mers flagged as heavy hitters (empty when the optimization is
     /// off). Shared read-only by all ranks in later passes.
-    pub heavy_hitters: KmerHashSet<Kmer>,
+    pub heavy_hitters: KmerHashSet<K>,
     /// Total k-mer occurrences streamed.
     pub stream_len: u64,
 }
@@ -30,15 +31,26 @@ pub fn sketch_reads(
     reads: &[SeqRecord],
     cfg: &KmerAnalysisConfig,
 ) -> (SketchResult, PhaseReport) {
+    sketch_pass(team, reads, cfg)
+}
+
+/// [`sketch_reads`] over keys of type `K`: the same sketches, fed the same
+/// hashes, so the heavy hitters are the same k-mers in either key type.
+pub(crate) fn sketch_pass<K: KmerKey>(
+    team: &Team,
+    reads: &[SeqRecord],
+    cfg: &KmerAnalysisConfig,
+) -> (SketchResult<K>, PhaseReport) {
     let codec = KmerCodec::new(cfg.k);
 
     let (partials, mut stats) = team.run_named("kmer-analysis/sketch", |ctx| {
         let mut hll = HyperLogLog::new(HLL_P);
-        let mut mg: MisraGries<Kmer> = MisraGries::new(cfg.theta);
+        let mut mg: MisraGries<K> = MisraGries::new(cfg.theta);
         let chunk = ctx.chunk(reads.len());
         for read in &reads[chunk] {
-            for (_, _, canon) in codec.canonical_kmers(&read.seq) {
-                hll.observe(hipmer_dna::mix128(canon.bits()));
+            for (_, _, canon) in codec.canonical_keys::<K>(&read.seq) {
+                let wide: Kmer = canon.into();
+                hll.observe(hipmer_dna::mix128(wide.bits()));
                 if cfg.use_heavy_hitters {
                     mg.observe(canon);
                 }
@@ -61,7 +73,7 @@ pub fn sketch_reads(
         mg.merge(&m);
     }
 
-    let heavy_hitters: KmerHashSet<Kmer> = if cfg.use_heavy_hitters {
+    let heavy_hitters: KmerHashSet<K> = if cfg.use_heavy_hitters {
         mg.heavy_hitters(cfg.hh_min_reported)
             .into_iter()
             .map(|(k, _)| k)

@@ -38,6 +38,7 @@
 use crate::dht::DistHashMap;
 use crate::topology::Topology;
 use hipmer_dna::{Kmer, KmerCodec};
+use std::hash::Hash;
 use std::str::FromStr;
 
 /// Default minimizer length `m` (capped at the key length). Short enough
@@ -97,14 +98,22 @@ impl PartitionScheme {
     /// (`key_hash % ranks` for uniform, `minimizer_hash % ranks` for
     /// minimizer bucketing). Stages that feed entries between tables must
     /// build both ends through the same scheme (see the module docs).
-    pub fn table<V: Send>(self, topo: Topology, codec: KmerCodec) -> DistHashMap<Kmer, V> {
+    ///
+    /// The key is a [`Kmer`] or a narrower word that widens into one
+    /// ([`hipmer_dna::Kmer64`]): the minimizer owner is computed on the
+    /// widened k-mer, and a key that hashes as its widened `Kmer` has the
+    /// same uniform owner too.
+    pub fn table<K, V: Send>(self, topo: Topology, codec: KmerCodec) -> DistHashMap<K, V>
+    where
+        K: Copy + Into<Kmer> + Hash + Eq + Send + 'static,
+    {
         match self {
             PartitionScheme::Uniform => DistHashMap::new(topo),
             PartitionScheme::Minimizer => {
                 let m = DEFAULT_MINIMIZER_LEN.min(codec.k());
                 let ranks = topo.ranks() as u64;
-                DistHashMap::with_owner(topo, move |km: &Kmer| {
-                    (codec.minimizer_hash(*km, m) % ranks) as usize
+                DistHashMap::with_owner(topo, move |km: &K| {
+                    (codec.minimizer_hash((*km).into(), m) % ranks) as usize
                 })
             }
         }

@@ -371,3 +371,68 @@ fn aligner_counters_are_pinned_across_commits() {
         ]
     );
 }
+
+/// `[compute_ops, remote_msgs, service_ops, onnode_bytes + offnode_bytes]`
+/// of every `kmer-analysis/*` phase of one assembly on one OS thread, in
+/// phase order (sketch, bloom, count, finalize; once per multi-k round).
+fn kmer_analysis_counters(
+    dataset: &Dataset,
+    libs: &[std::ops::Range<usize>],
+    cfg: &PipelineConfig,
+) -> Vec<[u64; 4]> {
+    let team = Team::new(Topology::new(8, 4)).with_os_threads(1);
+    let reads = dataset.all_reads();
+    let assembly = assemble(&team, &reads, libs, cfg);
+    (assembly.report.phases.iter())
+        .filter(|p| p.name.starts_with("kmer-analysis/"))
+        .map(|p| {
+            let t = p.totals();
+            let bytes = t.onnode_bytes + t.offnode_bytes;
+            [t.compute_ops, t.remote_msgs(), t.service_ops, bytes]
+        })
+        .collect()
+}
+
+#[test]
+fn kmer_analysis_counters_are_pinned_across_commits() {
+    // K-mer analysis keys its tables by a 64-bit word at k <= 32 and by the
+    // 128-bit `Kmer` above; neither may move a counted event. Taken at
+    // 9bd9526, with one exception: the count pass's bytes. A heavy
+    // hitter's per-rank partial tally ships as the packed k-mer plus
+    // `ExtVotes::WIRE_BYTES`, which went from 36 (nine `u32`s) to 12 (eight
+    // `u8` votes and the `u32` count), so each partial shipped to another
+    // rank bills exactly 24 B less. At the parent these three read
+    // human 5_767_580 = pinned + 24 * 137_319, meta round 1 2_280_894 =
+    // pinned + 24 * 49_162 and round 2 (k = 33, the 128-bit path)
+    // 3_251_220 = pinned + 24 * 60_064. (The other occurrences the count
+    // pass ships are those of the Bloom pass, one vote byte heavier, which
+    // pins the partial counts: human 26 * 7 + 137_319 * 18 = 2_471_924.)
+    let human = human_like_dataset(25_000, 16.0, false, 7);
+    assert_eq!(
+        kmer_analysis_counters(&human, &human.lib_ranges(), &PipelineConfig::new(21)),
+        [
+            [321_084, 7, 0, 5_490_688],
+            [321_084, 13, 0, 156],
+            [321_084, 69, 156_965, 2_471_924],
+            [24_906, 0, 24_906, 0],
+        ]
+    );
+    let meta = hipmer_readsim::metagenome_repeats_dataset(40_000, 6, 30, 300, 12.0, false, 9);
+    let all = 0..meta.all_reads().len();
+    let cfg = PipelineConfig::metagenome_preset(33)
+        .try_multi_k(&[21, 33])
+        .unwrap();
+    assert_eq!(
+        kmer_analysis_counters(&meta, &[all], &cfg),
+        [
+            [299_052, 7, 0, 5_490_688],
+            [299_052, 150, 23_695, 185_220],
+            [299_052, 206, 91_624, 1_101_006],
+            [37_518, 0, 37_518, 0],
+            [324_564, 7, 0, 5_490_688],
+            [324_564, 251, 48_781, 493_506],
+            [324_564, 307, 131_394, 1_809_684],
+            [37_800, 0, 37_800, 0],
+        ]
+    );
+}
