@@ -22,9 +22,7 @@ use crate::sw::{banded_sw_batch_with, ungapped_matches, SwParams, SwResult, SwWo
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::agg::DEFAULT_BATCH;
-use hipmer_pgas::{
-    LookupBatch, PartitionScheme, PhaseReport, RankCtx, Schedule, SoftwareCache, Team,
-};
+use hipmer_pgas::{LookupBatch, PhaseReport, RankCtx, Schedule, SoftwareCache, Team};
 use hipmer_seqio::SeqRecord;
 
 /// merAligner configuration.
@@ -46,11 +44,6 @@ pub struct AlignConfig {
     /// repeat-heavy or long-read-tailed inputs; alignments are byte-
     /// identical either way.
     pub schedule: Schedule,
-    /// Seed-index ownership scheme. [`PartitionScheme::Minimizer`]
-    /// co-locates a read's adjacent stride seeds on one rank so each
-    /// read's lookup batch touches fewer distinct owners; alignments
-    /// are byte-identical either way.
-    pub partition: PartitionScheme,
 }
 
 impl AlignConfig {
@@ -61,7 +54,6 @@ impl AlignConfig {
             lookup_batch: DEFAULT_BATCH,
             cache_entries: 4096,
             schedule: Schedule::Static,
-            partition: PartitionScheme::Uniform,
         }
     }
 }
@@ -616,7 +608,7 @@ pub fn align_read_subset(
     subset: &[u32],
     cfg: &AlignConfig,
 ) -> (Vec<Alignment>, Vec<PhaseReport>) {
-    let (index, index_report) = build_seed_index(team, contigs, cfg.seed_len, cfg.partition);
+    let (index, index_report) = build_seed_index(team, contigs, cfg.seed_len);
 
     // Per-read cost proxy for the dynamic scheduler: seeding and extension
     // work both scale with read length. Under `Schedule::Static` the
@@ -809,29 +801,6 @@ mod tests {
             align_reads(&team, &contigs, &reads, &AlignConfig::new(15)).0
         };
         assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn minimizer_partition_gives_identical_alignments() {
-        let genome = lcg(1500, 41);
-        let contigs = one_contig_set(genome.clone());
-        let reads: Vec<SeqRecord> = (0..25)
-            .map(|i| read(&format!("r{i}"), genome[i * 50..i * 50 + 100].to_vec()))
-            .collect();
-        let run = |scheme: PartitionScheme, ranks: usize| {
-            let team = Team::new(Topology::new(ranks, 4));
-            let cfg = AlignConfig {
-                partition: scheme,
-                ..AlignConfig::new(15)
-            };
-            align_reads(&team, &contigs, &reads, &cfg).0
-        };
-        for ranks in [1, 8] {
-            assert_eq!(
-                run(PartitionScheme::Uniform, ranks),
-                run(PartitionScheme::Minimizer, ranks)
-            );
-        }
     }
 
     #[test]

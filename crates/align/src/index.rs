@@ -2,7 +2,7 @@
 
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec};
-use hipmer_pgas::{AggregatingStores, DistHashMap, PartitionScheme, PhaseReport, Team};
+use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
 
 /// One seed occurrence in a contig.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,17 +51,14 @@ impl HitList {
 /// Build the seed index over the contigs in parallel: each rank indexes
 /// its contig chunk and ships (seed, hit) entries with aggregating stores
 /// (the paper's point: the lookup table build itself is fully parallel).
-/// `partition` decides seed ownership — minimizer bucketing co-locates
-/// the adjacent seeds of a read's stride walk on one rank, shrinking the
-/// distinct-owner set each read's lookup batch touches.
+/// Seeds are owned by `key_hash % ranks`.
 pub fn build_seed_index(
     team: &Team,
     contigs: &ContigSet,
     seed_len: usize,
-    partition: PartitionScheme,
 ) -> (SeedIndex, PhaseReport) {
     let codec = KmerCodec::new(seed_len);
-    let table: DistHashMap<Kmer, HitList> = partition.table(*team.topo(), codec);
+    let table: DistHashMap<Kmer, HitList> = DistHashMap::new(*team.topo());
 
     let merge = |a: &mut HitList, b: HitList| {
         a.total += b.total;
@@ -104,7 +101,7 @@ pub fn build_seed_index(
     });
     table.drain_service_into(&mut stats);
     let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats)
-        .with_placement(partition.label(seed_len));
+        .with_placement("uniform");
     (SeedIndex { table, codec }, report)
 }
 
@@ -135,7 +132,7 @@ mod tests {
         let c0 = lcg(200, 1);
         let set = contigs_from(&[&c0]);
         let team = Team::new(Topology::new(4, 2));
-        let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
+        let (index, _) = build_seed_index(&team, &set, 15);
         let mut ctx = RankCtx::new(0, Topology::new(4, 2));
         let codec = KmerCodec::new(15);
         for (pos, km) in codec.kmers(&set.contigs[0].seq) {
@@ -152,7 +149,7 @@ mod tests {
     fn rc_flag_reflects_orientation() {
         let set = contigs_from(&[b"TTTTTTTTTTTTTTTTTTTTTGGGGG"]);
         let team = Team::new(Topology::new(1, 1));
-        let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
+        let (index, _) = build_seed_index(&team, &set, 15);
         let mut ctx = RankCtx::new(0, Topology::new(1, 1));
         let codec = KmerCodec::new(15);
         // TTT... seed: canonical is AAA..., so rc must be true.
@@ -177,7 +174,7 @@ mod tests {
             .collect();
         let set = ContigSet::from_sequences(KmerCodec::new(21), seqs);
         let team = Team::new(Topology::new(2, 2));
-        let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
+        let (index, _) = build_seed_index(&team, &set, 15);
         let mut ctx = RankCtx::new(0, Topology::new(2, 2));
         let codec = KmerCodec::new(15);
         let km = codec.canonical(codec.pack(&block[..15]).unwrap());
@@ -193,7 +190,7 @@ mod tests {
         let set = ContigSet::from_sequences(KmerCodec::new(21), seqs);
         let sizes = |ranks: usize| -> usize {
             let team = Team::new(Topology::new(ranks, 4));
-            let (index, _) = build_seed_index(&team, &set, 15, PartitionScheme::Uniform);
+            let (index, _) = build_seed_index(&team, &set, 15);
             index.table.len()
         };
         let a = sizes(1);

@@ -28,7 +28,7 @@ use hipmer_contig::{
     build_graph, build_oracle, generate_contigs, traverse_graph, ContigConfig, TraversalMode,
 };
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
-use hipmer_pgas::{PartitionScheme, Team, Topology};
+use hipmer_pgas::{Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_like_dataset};
 use hipmer_scaffold::{close_gaps, GapCloseConfig};
 use std::sync::Arc;
@@ -143,7 +143,7 @@ fn main() {
         let oracle = Arc::new(build_oracle(&contigs, &topo, slots));
         let collisions = oracle.collisions();
         let kb = oracle.memory_bytes() / 1024;
-        let (graph, _) = build_graph(&team, &spectrum, Some(oracle), PartitionScheme::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, Some(oracle));
         let (_, traversal) = traverse_graph(&team, &graph, &ccfg);
         // A vector far smaller than the k-mer set funnels most k-mers onto
         // the first-written ranks: lookups turn local but the load
@@ -161,12 +161,7 @@ fn main() {
     let slots = 1usize << 16;
     let mut oracle = build_oracle(&contigs, &topo, slots);
     oracle.coarsen_to_nodes(&topo);
-    let (graph, _) = build_graph(
-        &team,
-        &spectrum,
-        Some(Arc::new(oracle)),
-        PartitionScheme::Uniform,
-    );
+    let (graph, _) = build_graph(&team, &spectrum, Some(Arc::new(oracle)));
     let (_, traversal) = traverse_graph(&team, &graph, &ccfg);
     let t = traversal.totals();
     println!(

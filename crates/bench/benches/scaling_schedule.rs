@@ -31,7 +31,7 @@ use hipmer_bench::{banner, fast, model, scaled};
 use hipmer_contig::{build_graph, build_oracle, traverse_graph, ContigConfig, ContigSet};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::json::Value;
-use hipmer_pgas::{PartitionScheme, Schedule, Team, Topology};
+use hipmer_pgas::{Schedule, Team, Topology};
 use hipmer_scaffold::{close_gaps, GapCloseConfig, Scaffold, ScaffoldMember};
 use hipmer_seqio::SeqRecord;
 use std::sync::Arc;
@@ -124,7 +124,7 @@ fn traversal_rows(concurrencies: &[usize], rows: &mut Vec<Row>) {
         // Draft assembly (cyclic) feeds the oracle, exactly as the oracle
         // benches do; the oracle then co-locates whole contigs.
         let cfg = ContigConfig::default();
-        let (draft_graph, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
+        let (draft_graph, _) = build_graph(&team, &spectrum, None);
         let (draft, _) = traverse_graph(&team, &draft_graph, &cfg);
         let oracle = Arc::new(build_oracle(&draft, &topo, (total / 2).next_power_of_two()));
 
@@ -141,12 +141,7 @@ fn traversal_rows(concurrencies: &[usize], rows: &mut Vec<Row>) {
                 schedule,
                 ..ContigConfig::default()
             };
-            let (graph, _) = build_graph(
-                &team,
-                &spectrum,
-                ocfg.oracle.clone(),
-                PartitionScheme::Uniform,
-            );
+            let (graph, _) = build_graph(&team, &spectrum, ocfg.oracle.clone());
             let (set, report) = traverse_graph(&team, &graph, &ocfg);
             imb[i] = report.imbalance(&m);
             secs[i] = report.modeled(&m).total();

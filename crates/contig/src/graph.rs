@@ -1,15 +1,12 @@
 //! De Bruijn graph construction in a distributed hash table.
 //!
 //! [`build_graph`] is where vertex ownership is decided, once: the node
-//! table is built either by the oracle ([`OracleVector::table`]) or by the
-//! run's partition scheme ([`PartitionScheme::table`]), and the traversal reads the
-//! consequence — whether walks stop at ownership boundaries — from
-//! [`DebruijnGraph::stop_foreign`] instead of asking the table how it
-//! routes.
+//! table is owned by the oracle ([`OracleVector::table`]) when one is given
+//! and by uniform hashing ([`DistHashMap::new`]) otherwise.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{DistHashMap, OracleVector, PartitionScheme, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, OracleVector, PhaseReport, Team};
 use std::sync::Arc;
 
 /// A graph vertex: one UU k-mer with its unique extensions.
@@ -32,21 +29,11 @@ pub struct DebruijnGraph {
     pub nodes: DistHashMap<Kmer, GraphNode>,
     /// K-mer codec.
     pub codec: KmerCodec,
-    /// Whether claim walks stop at ownership boundaries (see
-    /// `traverse::step_claim`). Set when the node table co-locates adjacent
-    /// k-mers by minimizer, so each rank claims its own runs locally; unset
-    /// under uniform hashing (nothing to exploit) and under an oracle (whose
-    /// owner already follows whole contigs, so a walk that crosses ranks is
-    /// a collision to walk through, not a run boundary).
-    pub stop_foreign: bool,
 }
 
 /// Build the graph from a finished k-mer spectrum. Vertices are owned as
 /// `oracle` says when one is given (the communication-avoiding traversal
-/// of §3.2), otherwise as `partition` says. An oracle supersedes the
-/// partition scheme: it already encodes a (stronger, contig-exact) locality
-/// decision per k-mer, so a minimizer layer under it would only re-home the
-/// k-mers the oracle deliberately grouped.
+/// of §3.2), otherwise by `key_hash % ranks`, as the spectrum's are.
 ///
 /// Only UU k-mers become vertices (§2: "for k-mers where the extensions
 /// are \[unique\] in both directions"). Each rank streams its local spectrum
@@ -58,16 +45,11 @@ pub fn build_graph(
     team: &Team,
     spectrum: &KmerSpectrum,
     oracle: Option<Arc<OracleVector>>,
-    partition: PartitionScheme,
 ) -> (DebruijnGraph, PhaseReport) {
     let topo = *team.topo();
-    let (nodes, label, stop_foreign): (DistHashMap<Kmer, GraphNode>, String, bool) = match oracle {
-        Some(oracle) => (oracle.table(topo), "oracle".to_string(), false),
-        None => (
-            partition.table(topo, spectrum.codec),
-            partition.label(spectrum.codec.k()),
-            partition != PartitionScheme::Uniform,
-        ),
+    let (nodes, label): (DistHashMap<Kmer, GraphNode>, _) = match oracle {
+        Some(oracle) => (oracle.table(topo), "oracle"),
+        None => (DistHashMap::new(topo), "uniform"),
     };
 
     let (_, mut stats) = team.run_named("contig/graph-build", |ctx| {
@@ -94,7 +76,6 @@ pub fn build_graph(
         DebruijnGraph {
             nodes,
             codec: spectrum.codec,
-            stop_foreign,
         },
         report,
     )
@@ -146,7 +127,7 @@ mod tests {
                 ("GTA", ExtChoice::Unique(2), ExtChoice::None),      // UX
             ],
         );
-        let (graph, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
+        let (graph, _) = build_graph(&team, &spectrum, None);
         assert_eq!(graph.nodes.len(), 1);
         let mut ctx = RankCtx::new(0, topo);
         let codec = KmerCodec::new(3);
@@ -174,48 +155,10 @@ mod tests {
                 ("GCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
             ],
         );
-        let (graph, _) = build_graph(
-            &team,
-            &spectrum,
-            everything_on(3, 4),
-            PartitionScheme::Uniform,
-        );
+        let (graph, report) = build_graph(&team, &spectrum, everything_on(3, 4));
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 0, 0, 3]);
-        assert!(!graph.stop_foreign);
-    }
-
-    #[test]
-    fn oracle_supersedes_the_minimizer_partitioner() {
-        let topo = Topology::new(4, 2);
-        let team = Team::new(topo);
-        let spectrum = spectrum_from(
-            topo,
-            3,
-            &[
-                ("ACG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
-                ("CCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
-                ("GCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
-            ],
-        );
-        let part = PartitionScheme::Minimizer;
-        // No oracle: the partitioner decides owners, and minimizer runs
-        // are worth stopping at.
-        let (graph, report) = build_graph(&team, &spectrum, None, part);
-        assert!(graph.stop_foreign);
-        assert_eq!(report.placement.as_deref(), Some("minimizer(w=1,m=3)"));
-        let by_minimizer: DistHashMap<Kmer, GraphNode> = part.table(topo, graph.codec);
-        for (km, _) in graph.nodes.snapshot_entries() {
-            assert_eq!(graph.nodes.owner(&km), by_minimizer.owner(&km));
-        }
-        // An oracle supersedes it — owners, label, and walks that do NOT
-        // stop at ownership boundaries even though the run's partition
-        // scheme is minimizer.
-        let (graph, report) = build_graph(&team, &spectrum, everything_on(1, 4), part);
-        assert!(!graph.stop_foreign);
         assert_eq!(report.placement.as_deref(), Some("oracle"));
-        assert_eq!(graph.nodes.shard_sizes(), vec![0, 3, 0, 0]);
-        // Uniform hashing has no runs to stop at either.
-        let (graph, _) = build_graph(&team, &spectrum, None, PartitionScheme::Uniform);
-        assert!(!graph.stop_foreign);
+        let (_, report) = build_graph(&team, &spectrum, None);
+        assert_eq!(report.placement.as_deref(), Some("uniform"));
     }
 }

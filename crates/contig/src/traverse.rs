@@ -18,9 +18,7 @@ use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec, KmerHashMap};
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{
-    CommStats, OracleVector, PartitionScheme, PhaseReport, RankCtx, Schedule, SoftwareCache, Team,
-};
+use hipmer_pgas::{CommStats, OracleVector, PhaseReport, RankCtx, Schedule, SoftwareCache, Team};
 use std::sync::Arc;
 
 /// Which traversal algorithm to run (ablation hook; both emit the
@@ -42,8 +40,7 @@ pub enum TraversalMode {
 /// Traversal configuration.
 #[derive(Clone)]
 pub struct ContigConfig {
-    /// Oracle vertex ownership (§3.2), or `None` for the run's partition
-    /// scheme.
+    /// Oracle vertex ownership (§3.2), or `None` for uniform hashing.
     pub oracle: Option<Arc<OracleVector>>,
     /// Traversal algorithm.
     pub mode: TraversalMode,
@@ -58,11 +55,6 @@ pub struct ContigConfig {
     /// still guarantee each vertex is consumed exactly once and the merged
     /// contig set is byte-identical. Ignored by [`TraversalMode::EndpointWalk`].
     pub schedule: Schedule,
-    /// How graph vertices map to ranks: uniform hashing or minimizer
-    /// bucketing (adjacent k-mers share an owner, so claim/probe steps stay
-    /// local within minimizer runs). Superseded by [`Self::oracle`] — see
-    /// [`crate::graph::build_graph`].
-    pub partition: PartitionScheme,
     /// Abundance-aware hair/tip pruning floor (the MetaHipMer multi-k
     /// rounds): after traversal, contigs no longer than `3 * k` bases with
     /// at least one dead end (no unique outward extension) and a mean k-mer
@@ -78,7 +70,6 @@ impl Default for ContigConfig {
             mode: TraversalMode::Cooperative,
             walk_cap: 2048,
             schedule: Schedule::Static,
-            partition: PartitionScheme::Uniform,
             prune_depth_floor: 0.0,
         }
     }
@@ -224,20 +215,9 @@ enum ClaimStep {
 /// Advance one base, claiming the next vertex in the same access that
 /// reads it (one one-sided operation per explored vertex, as in the
 /// paper).
-///
-/// With [`DebruijnGraph::stop_foreign`] set (minimizer ownership: adjacent
-/// k-mers share an owner), the walk instead **stops at ownership
-/// boundaries**: crossing into another rank's minimizer run records a
-/// boundary link and lets that rank claim its own run from its local
-/// buckets. Every claim is then rank-local and the only remote traffic is
-/// one exts probe per run boundary — this is what converts co-ownership of
-/// adjacent k-mers into an off-node message reduction. The chain merge stitches the per-run
-/// subcontigs exactly as it stitches walk-cap and racing-claim boundaries,
-/// so the contig set is unchanged.
 fn step_claim(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
-    cache: &mut NodeCache,
     cur: Oriented,
     cur_node: &GraphNode,
 ) -> ClaimStep {
@@ -248,18 +228,6 @@ fn step_claim(
     let next = orient(&codec, codec.extend_right(cur.kmer, b));
     let first_base = codec.first_base(cur.kmer);
     ctx.stats.compute(1);
-    if graph.stop_foreign && graph.nodes.owner(&next.canon) != ctx.rank {
-        // Ownership boundary. Confirm the link is real (exts-only read,
-        // cache-served) before pointing the merge at it; the owner claims
-        // the vertex when it seeds its own run.
-        let Some(node) = cache.get_through(ctx, &graph.nodes, &next.canon) else {
-            return ClaimStep::End;
-        };
-        if exts_of(&node, next.flipped).left.unique_base() != Some(first_base) {
-            return ClaimStep::End;
-        }
-        return ClaimStep::Boundary(next.canon);
-    }
     graph.nodes.with_mut(ctx, &next.canon, |slot| match slot {
         None => ClaimStep::End,
         Some(node) => {
@@ -284,8 +252,8 @@ struct Subcontig {
     /// [`ContigEnd`] (as `links` is).
     ends: [Kmer; 2],
     /// Per side, the canonical key of the vertex beyond that end if the
-    /// walk stopped at a boundary (foreign claim, ownership boundary or
-    /// walk cap); `None` at natural path ends.
+    /// walk stopped at a boundary (foreign claim or walk cap); `None` at
+    /// natural path ends.
     links: [Option<Kmer>; 2],
 }
 
@@ -318,7 +286,7 @@ fn claim_arm(
     };
     let (mut cur, mut cur_node) = (start, start_node);
     for _ in 0..cfg.walk_cap {
-        match step_claim(graph, ctx, cache, cur, &cur_node) {
+        match step_claim(graph, ctx, cur, &cur_node) {
             ClaimStep::Claimed(next, node, b) => {
                 arm.bases.push(b);
                 arm.end = next.canon;
@@ -805,8 +773,7 @@ pub fn generate_contigs(
     spectrum: &KmerSpectrum,
     cfg: &ContigConfig,
 ) -> (ContigSet, Vec<PhaseReport>) {
-    let (graph, build_report) =
-        crate::graph::build_graph(team, spectrum, cfg.oracle.clone(), cfg.partition);
+    let (graph, build_report) = crate::graph::build_graph(team, spectrum, cfg.oracle.clone());
     let (set, traverse_report) = traverse_graph(team, &graph, cfg);
     // The traversal walks the same table the build placed, so it carries
     // the build's placement label in the report's per-placement split.
@@ -974,18 +941,14 @@ mod tests {
         genome: &[u8],
         topo: Topology,
         schedule: Schedule,
-        partition: PartitionScheme,
         read_len: usize,
     ) -> ContigSet {
         let team = Team::new(topo);
         let reads = perfect_reads(genome, read_len, 4);
-        let mut kcfg = KmerAnalysisConfig::new(21);
-        kcfg.partition = partition;
-        let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
+        let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let ccfg = ContigConfig {
             walk_cap: 100,
             schedule,
-            partition,
             ..ContigConfig::default()
         };
         let (set, _) = generate_contigs(&team, &spectrum, &ccfg);
@@ -1002,20 +965,8 @@ mod tests {
             let genome = lcg_genome(len, seed);
             for (ranks, per) in [(1usize, 1usize), (7, 3), (16, 4), (64, 8)] {
                 let topo = Topology::new(ranks, per);
-                let st = assemble_sched(
-                    &genome,
-                    topo,
-                    Schedule::Static,
-                    PartitionScheme::Uniform,
-                    read_len,
-                );
-                let dy = assemble_sched(
-                    &genome,
-                    topo,
-                    Schedule::Dynamic,
-                    PartitionScheme::Uniform,
-                    read_len,
-                );
+                let st = assemble_sched(&genome, topo, Schedule::Static, read_len);
+                let dy = assemble_sched(&genome, topo, Schedule::Dynamic, read_len);
                 assert_eq!(
                     seqs(&st),
                     seqs(&dy),
@@ -1023,79 +974,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn minimizer_partition_matches_uniform_contigs() {
-        // Placement must be invisible to assembly output: uniform and
-        // minimizer bucketing produce byte-identical contig sets across
-        // genomes × topologies × schedules (the static≡dynamic harness,
-        // extended along the partition axis).
-        let seqs =
-            |s: &ContigSet| -> Vec<Vec<u8>> { s.contigs.iter().map(|c| c.seq.clone()).collect() };
-        for (len, seed, read_len) in [(2000usize, 33u64, 80usize), (700, 91, 80), (60, 5, 30)] {
-            let genome = lcg_genome(len, seed);
-            for (ranks, per) in [(1usize, 1usize), (7, 3), (16, 4), (64, 8)] {
-                let topo = Topology::new(ranks, per);
-                for schedule in [Schedule::Static, Schedule::Dynamic] {
-                    let uni =
-                        assemble_sched(&genome, topo, schedule, PartitionScheme::Uniform, read_len);
-                    let min = assemble_sched(
-                        &genome,
-                        topo,
-                        schedule,
-                        PartitionScheme::Minimizer,
-                        read_len,
-                    );
-                    assert_eq!(
-                        seqs(&uni),
-                        seqs(&min),
-                        "partitions disagree at ranks={ranks} len={len} {schedule:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn minimizer_partition_preserves_contigs_and_cuts_offnode_traffic() {
-        // The minimizer analogue of the oracle test below: same contigs,
-        // and the traversal's per-step claim/probe traffic stays local
-        // within minimizer runs, cutting the stage's off-node fraction.
-        let genome = lcg_genome(4000, 101);
-        let topo = Topology::new(8, 2); // 4 nodes -> plenty of off-node
-        let team = Team::new(topo);
-        let reads = perfect_reads(&genome, 80, 4);
-        let kcfg = KmerAnalysisConfig::new(21);
-        let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-
-        let offnode = |reports: &[PhaseReport]| -> f64 {
-            reports
-                .iter()
-                .find(|r| r.name.contains("traversal"))
-                .unwrap()
-                .offnode_fraction()
-        };
-        let ucfg = ContigConfig::default();
-        assert_eq!(ucfg.partition, PartitionScheme::Uniform);
-        let (uni_set, uni_reports) = generate_contigs(&team, &spectrum, &ucfg);
-        let mcfg = ContigConfig {
-            partition: PartitionScheme::Minimizer,
-            ..ContigConfig::default()
-        };
-        let (min_set, min_reports) = generate_contigs(&team, &spectrum, &mcfg);
-
-        let seqs =
-            |s: &ContigSet| -> Vec<Vec<u8>> { s.contigs.iter().map(|c| c.seq.clone()).collect() };
-        assert_eq!(seqs(&uni_set), seqs(&min_set), "same contigs");
-
-        let uni_frac = offnode(&uni_reports);
-        let min_frac = offnode(&min_reports);
-        assert!(
-            min_frac < uni_frac * 0.75,
-            "minimizer bucketing must cut off-node traversal traffic ≥ 25%: \
-             {min_frac:.3} vs {uni_frac:.3}"
-        );
     }
 
     #[test]
@@ -1159,29 +1037,24 @@ mod tests {
             ("circular", circular),
         ] {
             let reads = perfect_reads(&genome, 80, 4);
-            for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-                let mut kcfg = KmerAnalysisConfig::new(k);
-                kcfg.partition = partition;
-                let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-                let mut cfg = ContigConfig {
-                    partition,
-                    mode: TraversalMode::EndpointWalk,
-                    ..ContigConfig::default()
-                };
-                let (reference, _) = generate_contigs(&team, &spectrum, &cfg);
-                assert!(!reference.is_empty());
-                cfg.mode = TraversalMode::Cooperative;
-                for walk_cap in [1, 2, 3] {
-                    for schedule in [Schedule::Static, Schedule::Dynamic] {
-                        cfg.walk_cap = walk_cap;
-                        cfg.schedule = schedule;
-                        let (set, _) = generate_contigs(&team, &spectrum, &cfg);
-                        assert_eq!(
-                            rotation_free(&set, k),
-                            rotation_free(&reference, k),
-                            "{what} {partition} {schedule} walk_cap={walk_cap}"
-                        );
-                    }
+            let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
+            let mut cfg = ContigConfig {
+                mode: TraversalMode::EndpointWalk,
+                ..ContigConfig::default()
+            };
+            let (reference, _) = generate_contigs(&team, &spectrum, &cfg);
+            assert!(!reference.is_empty());
+            cfg.mode = TraversalMode::Cooperative;
+            for walk_cap in [1, 2, 3] {
+                for schedule in [Schedule::Static, Schedule::Dynamic] {
+                    cfg.walk_cap = walk_cap;
+                    cfg.schedule = schedule;
+                    let (set, _) = generate_contigs(&team, &spectrum, &cfg);
+                    assert_eq!(
+                        rotation_free(&set, k),
+                        rotation_free(&reference, k),
+                        "{what} {schedule} walk_cap={walk_cap}"
+                    );
                 }
             }
         }
@@ -1223,44 +1096,15 @@ mod tests {
         let reads = perfect_reads(&genome, 80, 4);
         let kcfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
-        let mut sets = Vec::new();
-        for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-            let ccfg = ContigConfig {
-                partition,
-                ..ContigConfig::default()
-            };
-            let (set, _) = generate_contigs(&team, &spectrum, &ccfg);
-            // The wrapped genome has no endpoints at the junction, so
-            // without the cycle pass part of it would vanish. Total
-            // assembled bases must be close to the circle length.
-            assert!(
-                set.total_bases() + 150 > 600,
-                "cycle pass lost sequence: {} bases",
-                set.total_bases()
-            );
-            sets.push(set);
-        }
-        // Cyclic components must also survive partition-boundary
-        // stitching. A cycle's linearization rotation depends on claim
-        // order (true under uniform placement too), so compare rotation-
-        // and strand-invariantly: same lengths, and each contig is a
-        // window of the other scheme's doubled sequence.
-        assert_eq!(sets[0].len(), sets[1].len());
-        for (a, b) in sets[0].contigs.iter().zip(&sets[1].contigs) {
-            assert_eq!(a.len(), b.len());
-            // A linearized cycle is one period plus k-1 wrap bases; strip
-            // the wrap and compare the periods as rotations.
-            let core_a = &a.seq[..a.len() - 20];
-            let core_b = &b.seq[..b.len() - 20];
-            let mut doubled = core_a.to_vec();
-            doubled.extend_from_slice(core_a);
-            let rc = hipmer_dna::revcomp(&doubled);
-            assert!(
-                doubled.windows(core_b.len()).any(|w| w == core_b)
-                    || rc.windows(core_b.len()).any(|w| w == core_b),
-                "cycle contents differ between partition schemes"
-            );
-        }
+        let (set, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
+        // The wrapped genome has no endpoints at the junction, so without
+        // the cycle pass part of it would vanish. Total assembled bases
+        // must be close to the circle length.
+        assert!(
+            set.total_bases() + 150 > 600,
+            "cycle pass lost sequence: {} bases",
+            set.total_bases()
+        );
     }
 
     #[test]
@@ -1312,7 +1156,6 @@ mod tests {
         let graph = DebruijnGraph {
             nodes: hipmer_pgas::DistHashMap::new(topo),
             codec,
-            stop_foreign: false,
         };
         let cfg = ContigConfig::default();
         let _ = traverse_graph(&team, &graph, &cfg);

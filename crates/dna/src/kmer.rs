@@ -287,48 +287,6 @@ impl KmerCodec {
         Kmer((kmer.0 >> 2) | ((code as u128) << (2 * (self.k - 1))))
     }
 
-    /// The largest minimizer length supported by [`minimizer_hash`]
-    /// (an m-mer's 2-bit code must fit the 64-bit mixer input).
-    ///
-    /// [`minimizer_hash`]: KmerCodec::minimizer_hash
-    pub const MAX_MINIMIZER_LEN: usize = 32;
-
-    /// The **minimizer hash** of a k-mer: the minimum, over its `k - m + 1`
-    /// length-`m` windows, of `mix64` applied to the *canonical* m-mer's
-    /// 2-bit code. This is the bucketing key of minimizer-based k-mer
-    /// placement: two k-mers that overlap in `m` or more bases share
-    /// windows, so adjacent k-mers of one read usually share a minimizer —
-    /// and therefore an owner rank — collapsing the cross-rank traffic of
-    /// sliding-window table access patterns.
-    ///
-    /// Because each window is canonicalized before hashing, the result is
-    /// **strand-invariant**: `minimizer_hash(km) ==
-    /// minimizer_hash(revcomp(km))` (a k-mer and its reverse complement see
-    /// the same multiset of canonical m-mers, in reverse window order).
-    /// With `m == k` (a single window) this degenerates to
-    /// `mix64(canonical(km))`.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= m <= min(k, MAX_MINIMIZER_LEN)` — ownership
-    /// decisions ride on this value, so the range is enforced in release
-    /// builds too.
-    pub fn minimizer_hash(&self, kmer: Kmer, m: usize) -> u64 {
-        assert!(
-            m >= 1 && m <= self.k && m <= Self::MAX_MINIMIZER_LEN,
-            "minimizer length m={m} outside 1..=min(k={}, {})",
-            self.k,
-            Self::MAX_MINIMIZER_LEN
-        );
-        let mcodec = KmerCodec::new(m);
-        let mut best = u64::MAX;
-        for i in 0..=(self.k - m) {
-            let bits = (kmer.0 >> (2 * (self.k - m - i))) & mcodec.mask;
-            let canon = mcodec.canonical(Kmer(bits));
-            best = best.min(crate::hash::mix64(canon.0 as u64));
-        }
-        best
-    }
-
     /// Iterate over all k-mers of `seq` (ASCII), skipping windows that
     /// contain a non-ACGT byte. Yields `(offset, kmer)` pairs.
     pub fn kmers<'a>(&self, seq: &'a [u8]) -> KmerIter<'a> {
@@ -696,93 +654,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    #[test]
-    fn minimizer_hash_is_strand_invariant() {
-        for (k, m) in [
-            (5usize, 3usize),
-            (21, 7),
-            (31, 7),
-            (31, 15),
-            (33, 11),
-            (63, 7),
-        ] {
-            let c = KmerCodec::new(k);
-            for salt in 0..8 {
-                let seq = noisy_seq(k, 0, salt);
-                let km = c.pack(&seq).unwrap();
-                assert_eq!(
-                    c.minimizer_hash(km, m),
-                    c.minimizer_hash(c.revcomp(km), m),
-                    "k={k} m={m} salt={salt}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn minimizer_hash_k_equals_m_degenerates_to_canonical_hash() {
-        // With a single window, the minimizer IS the canonical k-mer's hash.
-        for k in [1usize, 3, 15, 31, 32] {
-            let c = KmerCodec::new(k);
-            let seq = noisy_seq(k, 0, 1);
-            let km = c.pack(&seq).unwrap();
-            let expect = crate::hash::mix64(c.canonical(km).0 as u64);
-            assert_eq!(c.minimizer_hash(km, k), expect, "k={k}");
-        }
-    }
-
-    #[test]
-    fn minimizer_hash_matches_naive_window_scan() {
-        let k = 11;
-        let m = 4;
-        let c = KmerCodec::new(k);
-        let mc = KmerCodec::new(m);
-        let seq = noisy_seq(k, 0, 2);
-        let km = c.pack(&seq).unwrap();
-        let naive = (0..=k - m)
-            .map(|i| {
-                let mm = mc.pack(&seq[i..i + m]).unwrap();
-                crate::hash::mix64(mc.canonical(mm).0 as u64)
-            })
-            .min()
-            .unwrap();
-        assert_eq!(c.minimizer_hash(km, m), naive);
-    }
-
-    #[test]
-    #[should_panic(expected = "minimizer length")]
-    fn minimizer_hash_rejects_m_longer_than_k() {
-        let c = KmerCodec::new(5);
-        c.minimizer_hash(Kmer(0), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "minimizer length")]
-    fn minimizer_hash_rejects_m_beyond_mixer_width() {
-        let c = KmerCodec::new(40);
-        c.minimizer_hash(Kmer(0), 33);
-    }
-
-    #[test]
-    fn adjacent_kmers_mostly_share_minimizers() {
-        // The locality property placement rides on: along a read, the
-        // minimizer changes far less often than once per position.
-        let k = 31;
-        let m = 7;
-        let c = KmerCodec::new(k);
-        let seq = noisy_seq(4000, 0, 3);
-        let hashes: Vec<u64> = c
-            .canonical_kmers(&seq)
-            .map(|(_, km, _)| c.minimizer_hash(km, m))
-            .collect();
-        let changes = hashes.windows(2).filter(|w| w[0] != w[1]).count();
-        assert!(
-            changes * 4 < hashes.len(),
-            "minimizer changed {changes} times over {} adjacent pairs",
-            hashes.len() - 1
-        );
     }
 
     #[test]

@@ -24,14 +24,6 @@
 //! modeled per-rank load balance — visible as `imbalance` and `steal_ops`
 //! in `--report-json` — changes.
 //!
-//! Partitioning: `--partition minimizer` buckets every k-mer table's keys
-//! by window minimizer so adjacent k-mers share an owner rank (k-mer
-//! analysis, the de Bruijn graph, and the aligner seed index). The
-//! assembled output is byte-identical to `--partition uniform` (the
-//! default); only the off-node traffic —
-//! visible as `offnode_fraction`, the per-phase `placement` labels, and
-//! the `offnode_by_placement` split in `--report-json` — changes.
-//!
 //! Multi-k: `--multi-k 21,33,55` (strictly increasing, comma-separated)
 //! runs MetaHipMer-style iterative coassembly rounds: k-mer analysis +
 //! contig generation repeat once per k, each round's contigs feed the next
@@ -42,7 +34,7 @@
 //! `--report-json` gains a per-round `rounds` array.
 //!
 //! Observability: `--report-json <path>` writes the run's one record (the
-//! machine-readable pipeline report, schema v9, priced on the Edison
+//! machine-readable pipeline report, schema v10, priced on the Edison
 //! constants): per phase the counter totals, measured wall time and lock
 //! waits, hash-table occupancy, modeled-time breakdown, off-node fraction,
 //! imbalance and heavy-hitter keys; per stage the attempts and resident-set
@@ -86,7 +78,7 @@ const USAGE: [(&str, &str, Run); 3] = [
         "<reads.fastq> -o <scaffolds.fasta> [-k K] [--ranks N]\n\
          \x20         [--ranks-per-node N] [--rounds N] [--metagenome] [--report]\n\
          \x20         [--multi-k K1,K2,...]\n\
-         \x20         [--schedule static|dynamic] [--partition uniform|minimizer]\n\
+         \x20         [--schedule static|dynamic]\n\
          \x20         [--trace <trace.json>] [--trace-ranks N] [--report-json <report.json>]\n\
          \x20         [--checkpoint-dir <dir>] [--resume] [--checkpoint-interval N]\n\
          \x20         [--stage-retries N] [--halt-after <stage>] [--fault-seed S]\n\
@@ -270,7 +262,6 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         flags.has("--metagenome"),
         &multi_k,
         flags.get_or("--schedule", Default::default())?,
-        flags.get_or("--partition", Default::default())?,
     )?;
     let cancel = Arc::new(AtomicBool::new(false));
     let opts = RunOptions {
@@ -431,6 +422,9 @@ fn simulate(flags: &Flags) -> Result<ExitCode, String> {
     let out = flags.output()?;
     let len = flags.get_or("--len", 100_000usize)?;
     let cov = flags.get_or("--cov", 16.0f64)?;
+    if !(cov.is_finite() && cov > 0.0) {
+        return Err("--cov wants a positive, finite coverage".into());
+    }
     let seed = flags.get_or("--seed", 42u64)?;
     let dataset = match kind {
         "human" => hipmer_readsim::human_like_dataset(len, cov, true, seed),

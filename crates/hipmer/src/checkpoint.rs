@@ -221,14 +221,16 @@ pub fn encode_spectrum(spectrum: &KmerSpectrum) -> Vec<u8> {
 }
 
 /// Rebuild a k-mer spectrum over `topo` from [`encode_spectrum`] bytes,
-/// homing entries with `partition` (the artifact itself is
-/// placement-independent, so a checkpoint written under one scheme
-/// restores cleanly under another; the fingerprint deliberately excludes
-/// the scheme for the same reason).
+/// homing entries by `key_hash % ranks` (the artifact itself is
+/// placement-independent, so it restores onto any topology).
+///
+/// The third parameter is ignored: [`PartitionScheme`] has one variant. It
+/// stays only because the wall-clock benchmark crate calls this function
+/// with it, and goes with that crate's next change.
 pub fn decode_spectrum(
     bytes: &[u8],
     topo: Topology,
-    partition: PartitionScheme,
+    _: PartitionScheme,
 ) -> io::Result<KmerSpectrum> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_SPECTRUM)?;
@@ -249,7 +251,7 @@ pub fn decode_spectrum(
         ));
     }
     r.finish()?;
-    Ok(KmerSpectrum::from_entries(topo, k, partition, entries))
+    Ok(KmerSpectrum::from_entries(topo, k, entries))
 }
 
 /// Serialize a contig set (already canonically ordered: longest-first

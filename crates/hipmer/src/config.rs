@@ -2,7 +2,7 @@
 
 use hipmer_contig::ContigConfig;
 use hipmer_kanalysis::KmerAnalysisConfig;
-use hipmer_pgas::{PartitionScheme, Schedule};
+use hipmer_pgas::Schedule;
 use hipmer_scaffold::ScaffoldConfig;
 
 /// Configuration for a complete assembly run.
@@ -73,20 +73,19 @@ impl PipelineConfig {
     /// The one request → config mapping, shared by `hipmer assemble` and the
     /// job service so the two cannot disagree about what a parameter
     /// means: assemble at `k` with `rounds` scaffolding rounds (none under
-    /// `metagenome`, §5.4), `schedule` and `partition` applied to every
-    /// stage, and — when `multi_k` is non-empty — the MetaHipMer round
-    /// schedule of [`Self::try_multi_k`].
+    /// `metagenome`, §5.4), `schedule` applied to every stage, and — when
+    /// `multi_k` is non-empty — the MetaHipMer round schedule of
+    /// [`Self::try_multi_k`].
     pub fn from_spec(
         k: usize,
         rounds: usize,
         metagenome: bool,
         multi_k: &[usize],
         schedule: Schedule,
-        partition: PartitionScheme,
     ) -> Result<Self, String> {
         let mut cfg = Self::try_new(k).map_err(|e| format!("k={k}: {e}"))?;
         cfg.scaffold.rounds = if metagenome { 0 } else { rounds };
-        cfg = cfg.with_schedule(schedule).with_partition(partition);
+        cfg = cfg.with_schedule(schedule);
         if multi_k.is_empty() {
             Ok(cfg)
         } else {
@@ -166,27 +165,6 @@ impl PipelineConfig {
         self
     }
 
-    /// Apply one [`PartitionScheme`] to every k-mer-keyed table in the
-    /// pipeline: the k-mer analysis votes/final tables, the de Bruijn
-    /// graph (under cyclic placement), and the merAligner seed index.
-    /// [`PartitionScheme::Minimizer`] buckets each k-mer by its window
-    /// minimizer so adjacent k-mers share an owner rank; the assembled
-    /// output is byte-identical either way, only the off-node traffic
-    /// changes.
-    pub fn with_partition(mut self, partition: PartitionScheme) -> Self {
-        self.kanalysis.partition = partition;
-        self.contig.partition = partition;
-        self.scaffold = self.scaffold.with_partition(partition);
-        self
-    }
-
-    /// The partition scheme the pipeline's k-mer tables use (the stage
-    /// configs carry their own copies; [`Self::with_partition`] keeps them
-    /// in lock-step, and this reads the canonical one for reporting).
-    pub fn partition(&self) -> PartitionScheme {
-        self.kanalysis.partition
-    }
-
     /// Preset matching the wheat runs: four scaffolding rounds (§5.3: "the
     /// wheat pipeline ... requires four rounds of scaffolding").
     pub fn wheat_preset(k: usize) -> Self {
@@ -233,35 +211,22 @@ mod tests {
     }
 
     #[test]
-    fn with_partition_reaches_every_stage() {
-        let cfg = PipelineConfig::new(31);
-        assert_eq!(cfg.partition(), PartitionScheme::Uniform);
-        let cfg = cfg.with_partition(PartitionScheme::Minimizer);
-        assert_eq!(cfg.partition(), PartitionScheme::Minimizer);
-        assert_eq!(cfg.kanalysis.partition, PartitionScheme::Minimizer);
-        assert_eq!(cfg.contig.partition, PartitionScheme::Minimizer);
-        assert_eq!(cfg.scaffold.align.partition, PartitionScheme::Minimizer);
-    }
-
-    #[test]
     fn from_spec_applies_every_parameter() {
-        let (dynamic, minimizer) = (Schedule::Dynamic, PartitionScheme::Minimizer);
-        let cfg = PipelineConfig::from_spec(33, 4, false, &[21, 33], dynamic, minimizer).unwrap();
+        let dynamic = Schedule::Dynamic;
+        let cfg = PipelineConfig::from_spec(33, 4, false, &[21, 33], dynamic).unwrap();
         assert_eq!((cfg.k, cfg.scaffold.rounds), (33, 4));
         assert_eq!(cfg.multi_k_rounds(), Some(&[21, 33][..]));
         assert_eq!(cfg.contig.schedule, Schedule::Dynamic);
         assert_eq!(cfg.scaffold.align.schedule, Schedule::Dynamic);
-        assert_eq!(cfg.partition(), PartitionScheme::Minimizer);
-        assert_eq!(cfg.scaffold.align.partition, PartitionScheme::Minimizer);
 
         // `metagenome` wins over `rounds`; no multi-k list is the classic run.
-        let meta = PipelineConfig::from_spec(31, 4, true, &[], dynamic, minimizer).unwrap();
+        let meta = PipelineConfig::from_spec(31, 4, true, &[], dynamic).unwrap();
         assert!(!meta.scaffolding_enabled());
         assert_eq!(meta.multi_k_rounds(), None);
 
-        let (s, p) = Default::default();
-        assert!(PipelineConfig::from_spec(32, 1, false, &[], s, p).is_err());
-        assert!(PipelineConfig::from_spec(31, 1, false, &[21, 33], s, p).is_err());
+        let s = Schedule::default();
+        assert!(PipelineConfig::from_spec(32, 1, false, &[], s).is_err());
+        assert!(PipelineConfig::from_spec(31, 1, false, &[21, 33], s).is_err());
     }
 
     #[test]
@@ -309,7 +274,6 @@ mod tests {
             use_heavy_hitters: false,
             use_bloom: false,
             agg_batch: 3,
-            partition: PartitionScheme::Minimizer,
         };
         let oracle = Arc::new(OracleVector::new(64, 4));
         cfg.contig = ContigConfig {
@@ -317,7 +281,6 @@ mod tests {
             mode: TraversalMode::EndpointWalk,
             walk_cap: 5,
             schedule: Schedule::Dynamic,
-            partition: PartitionScheme::Minimizer,
             prune_depth_floor: 0.0,
         };
         let (ka, cc) = cfg.round_stage_configs(21);
@@ -330,31 +293,27 @@ mod tests {
             use_heavy_hitters,
             use_bloom,
             agg_batch,
-            partition,
         } = ka;
         assert_eq!(k, 21);
         assert_eq!((theta, hh_min_reported, agg_batch), (77, 9, 3));
         assert!(!use_heavy_hitters && !use_bloom);
-        assert_eq!(partition, PartitionScheme::Minimizer);
         let ContigConfig {
             oracle: round_oracle,
             mode,
             walk_cap,
             schedule,
-            partition,
             prune_depth_floor,
         } = cc;
         assert!(Arc::ptr_eq(&round_oracle.unwrap(), &oracle));
         assert_eq!(mode, TraversalMode::EndpointWalk);
         assert_eq!(walk_cap, 5);
         assert_eq!(schedule, Schedule::Dynamic);
-        assert_eq!(partition, PartitionScheme::Minimizer);
         assert_eq!(prune_depth_floor, ROUND_PRUNE_DEPTH);
         // The final-round configs (cfg.contig) never prune.
         assert_eq!(cfg.contig.prune_depth_floor, 0.0);
     }
 
-    /// The whole option surface: 24 independently settable values. Every
+    /// The whole option surface: 21 independently settable values. Every
     /// struct is destructured without `..`, so a new field does not compile
     /// until it is listed here — and it belongs here only if two callers
     /// that are neither tests nor examples (a CLI flag, the job service, a
@@ -383,7 +342,6 @@ mod tests {
             use_heavy_hitters, // fig6_heavy_hitters, ablations
             use_bloom,         // ablations
             agg_batch,         // ablations
-            partition,         // --partition
         } = kanalysis;
         assert_eq!(analysis_k, 31);
         assert_eq!(
@@ -391,20 +349,17 @@ mod tests {
             (32_000, 2, DEFAULT_BATCH)
         );
         assert!(use_heavy_hitters && use_bloom);
-        assert_eq!(partition, PartitionScheme::Uniform);
         let ContigConfig {
             oracle,            // table1_oracle_traversal
             mode,              // ablations
             walk_cap,          // small inputs reaching the chain merge
             schedule,          // --schedule
-            partition,         // --partition
             prune_depth_floor, // round_stage_configs
         } = contig;
         assert!(oracle.is_none());
         assert_eq!(mode, TraversalMode::Cooperative);
         assert_eq!(walk_cap, 2048);
         assert_eq!(schedule, Schedule::Static);
-        assert_eq!(partition, PartitionScheme::Uniform);
         assert_eq!(prune_depth_floor, 0.0);
         let ScaffoldConfig {
             align,
@@ -418,14 +373,12 @@ mod tests {
             lookup_batch,  // ablations
             cache_entries, // ablations
             schedule,      // --schedule
-            partition,     // --partition
         } = align;
         assert_eq!(
             (seed_len, lookup_batch, cache_entries),
             (15, DEFAULT_BATCH, 4096)
         );
         assert_eq!(schedule, Schedule::Static);
-        assert_eq!(partition, PartitionScheme::Uniform);
         let GapCloseConfig {
             round_robin, // ablations
             schedule,    // --schedule, scaling_schedule

@@ -30,7 +30,7 @@ use hipmer_align::align_reads;
 use hipmer_contig::{generate_contigs, ContigSet};
 use hipmer_kanalysis::analyze_kmers;
 use hipmer_pgas::{catch_stage_abort, CheckpointEvent, RoundReport, StageAttempt};
-use hipmer_pgas::{CommStats, PhaseReport, PipelineReport, Team, Topology};
+use hipmer_pgas::{CommStats, PartitionScheme, PhaseReport, PipelineReport, Team, Topology};
 use hipmer_scaffold::{prepare_contigs, scaffold_rounds, Scaffold, ScaffoldMember, ScaffoldSet};
 use hipmer_seqio::{read_fastq_parallel, SeqRecord};
 use std::ops::Range;
@@ -397,7 +397,7 @@ pub fn run_assembly(
         None => None,
     };
     let mut runner = StageRunner {
-        report: PipelineReport::new().with_partition(cfg.partition().to_string()),
+        report: PipelineReport::new(),
         store,
         opts,
         topo,
@@ -430,7 +430,7 @@ pub fn run_assembly(
         let spectrum = runner.stage(
             || analyze_kmers(team, input, &ka_cfg),
             checkpoint::encode_spectrum,
-            |b| checkpoint::decode_spectrum(b, topo, cfg.partition()),
+            |b| checkpoint::decode_spectrum(b, topo, PartitionScheme::Uniform),
         )?;
         // The raw, pre-bubble contig set.
         let contigs = runner.stage(
@@ -1054,40 +1054,33 @@ mod tests {
 
     #[test]
     fn single_element_multi_k_matches_classic_byte_for_byte() {
-        use hipmer_pgas::PartitionScheme;
-
         let dataset = human_like_dataset(15_000, 16.0, false, 32);
         let team = Team::new(Topology::new(4, 2));
         let reads = dataset.all_reads();
         let ranges = dataset.lib_ranges();
 
-        for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-            let classic = PipelineConfig::new(21).with_partition(partition);
-            let single = PipelineConfig::new(21)
-                .with_partition(partition)
-                .try_multi_k(&[21])
-                .unwrap();
-            let a = assemble(&team, &reads, &ranges, &classic);
-            let b = assemble(&team, &reads, &ranges, &single);
-            assert_eq!(
-                a.scaffolds.sequences, b.scaffolds.sequences,
-                "--multi-k 21 must be byte-identical to single-k ({partition:?})"
-            );
-            // And it runs the classic stage list — no round prefixes — which
-            // is what the plan says for both configs.
-            let classic_stages = [
-                "kmer-analysis",
-                "contig-generation",
-                "scaffold-prep",
-                "alignment",
-                "scaffolding",
-            ];
-            assert_eq!(stages_run(&a), classic_stages);
-            assert_eq!(stages_run(&b), classic_stages);
-            assert_eq!(planned_stage_names(&classic), classic_stages);
-            assert_eq!(planned_stage_names(&single), classic_stages);
-            assert!(b.report.rounds.is_empty(), "classic runs report no rounds");
-        }
+        let classic = PipelineConfig::new(21);
+        let single = PipelineConfig::new(21).try_multi_k(&[21]).unwrap();
+        let a = assemble(&team, &reads, &ranges, &classic);
+        let b = assemble(&team, &reads, &ranges, &single);
+        assert_eq!(
+            a.scaffolds.sequences, b.scaffolds.sequences,
+            "--multi-k 21 must be byte-identical to single-k"
+        );
+        // And it runs the classic stage list — no round prefixes — which
+        // is what the plan says for both configs.
+        let classic_stages = [
+            "kmer-analysis",
+            "contig-generation",
+            "scaffold-prep",
+            "alignment",
+            "scaffolding",
+        ];
+        assert_eq!(stages_run(&a), classic_stages);
+        assert_eq!(stages_run(&b), classic_stages);
+        assert_eq!(planned_stage_names(&classic), classic_stages);
+        assert_eq!(planned_stage_names(&single), classic_stages);
+        assert!(b.report.rounds.is_empty(), "classic runs report no rounds");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use hipmer_pgas::json::Value;
-use hipmer_pgas::{metrics, trace, PartitionScheme, Schedule, TeamLease};
+use hipmer_pgas::{metrics, trace, Schedule, TeamLease};
 use hipmer_serve::{ExecOutcome, JobExecutor, JobSpec};
 
 use crate::checkpoint;
@@ -44,8 +44,8 @@ impl AssemblyExecutor {
 }
 
 /// The pipeline configuration a spec describes, through the constructor the
-/// one-shot CLI also uses. A spec carries no schedule or partition: both
-/// only move counters, never bytes, so the service runs the defaults.
+/// one-shot CLI also uses. A spec carries no schedule: it only moves
+/// counters, never bytes, so the service runs the default.
 fn config_for(spec: &JobSpec) -> Result<PipelineConfig, String> {
     PipelineConfig::from_spec(
         spec.k,
@@ -53,7 +53,6 @@ fn config_for(spec: &JobSpec) -> Result<PipelineConfig, String> {
         spec.metagenome,
         &[],
         Schedule::default(),
-        PartitionScheme::default(),
     )
 }
 

@@ -171,119 +171,6 @@ fn dynamic_schedule_matches_static_fasta_and_records_steals() {
 }
 
 #[test]
-fn minimizer_partition_matches_uniform_fasta_and_labels_report() {
-    use hipmer_pgas::json::Value;
-
-    let dir = std::env::temp_dir().join(format!("hipmer-cli-part-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let reads = dir.join("reads.fastq");
-
-    let sim = Command::new(bin())
-        .args([
-            "simulate",
-            "human",
-            "-o",
-            reads.to_str().unwrap(),
-            "--len",
-            "15000",
-            "--cov",
-            "14",
-            "--seed",
-            "11",
-        ])
-        .output()
-        .expect("simulate runs");
-    assert!(
-        sim.status.success(),
-        "{}",
-        String::from_utf8_lossy(&sim.stderr)
-    );
-
-    let run = |partition: &str| {
-        let out = dir.join(format!("scaffolds-{partition}.fasta"));
-        let report = dir.join(format!("report-{partition}.json"));
-        let asm = Command::new(bin())
-            .args([
-                "assemble",
-                reads.to_str().unwrap(),
-                "-o",
-                out.to_str().unwrap(),
-                "-k",
-                "21",
-                "--ranks",
-                "16",
-                "--ranks-per-node",
-                "8",
-                "--partition",
-                partition,
-                "--report-json",
-                report.to_str().unwrap(),
-            ])
-            .output()
-            .expect("assemble runs");
-        assert!(
-            asm.status.success(),
-            "{}",
-            String::from_utf8_lossy(&asm.stderr)
-        );
-        (
-            std::fs::read(&out).unwrap(),
-            std::fs::read_to_string(&report).unwrap(),
-        )
-    };
-    let (fasta_uniform, report_uniform) = run("uniform");
-    let (fasta_minimizer, report_minimizer) = run("minimizer");
-    assert_eq!(
-        fasta_uniform, fasta_minimizer,
-        "partition schemes must assemble byte-identical scaffolds"
-    );
-
-    // The schema-v6 partition surface: the header names the scheme, the
-    // placement split carries the expected labels, and the traversal
-    // phase's off-node fraction drops under minimizer bucketing.
-    let doc_uni = Value::parse(&report_uniform).unwrap();
-    let doc_min = Value::parse(&report_minimizer).unwrap();
-    assert_eq!(
-        doc_uni.get("partition").and_then(Value::as_str),
-        Some("uniform")
-    );
-    assert_eq!(
-        doc_min.get("partition").and_then(Value::as_str),
-        Some("minimizer")
-    );
-    let split_keys = |doc: &Value| -> Vec<String> {
-        doc.get("offnode_by_placement")
-            .unwrap()
-            .keys()
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    };
-    assert!(split_keys(&doc_uni).iter().all(|k| k == "uniform"));
-    assert!(split_keys(&doc_min)
-        .iter()
-        .all(|k| k.starts_with("minimizer(")));
-    let traversal_offnode = |doc: &Value| -> f64 {
-        doc.get("phases")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .find(|p| p.get("name").and_then(Value::as_str) == Some("contig/traversal"))
-            .and_then(|p| p.get("offnode_fraction"))
-            .and_then(Value::as_f64)
-            .unwrap()
-    };
-    let uni = traversal_offnode(&doc_uni);
-    let min = traversal_offnode(&doc_min);
-    assert!(
-        min < uni * 0.75,
-        "minimizer traversal off-node fraction {min} must undercut uniform {uni} by >= 25%"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn trace_and_report_json_outputs_are_valid() {
     use hipmer_pgas::json::Value;
 
@@ -376,7 +263,7 @@ fn trace_and_report_json_outputs_are_valid() {
     let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         report_doc.get("schema_version").and_then(Value::as_u64),
-        Some(9)
+        Some(10)
     );
     // Classic single-k runs serialize an empty rounds array.
     assert!(report_doc
@@ -392,6 +279,13 @@ fn trace_and_report_json_outputs_are_valid() {
     // Schema v9 dropped the measured-vs-modeled block: Edison-priced
     // seconds over this host's seconds compared two different machines.
     assert!(report_doc.get("model_error").is_none());
+    // Schema v10 dropped the `partition` header: every k-mer table is owned
+    // by uniform hashing, so the placement split has that one label.
+    assert!(report_doc.get("partition").is_none());
+    assert_eq!(
+        report_doc.get("offnode_by_placement").unwrap().keys(),
+        ["uniform"]
+    );
     // Schema v3: per-stage attempt bookkeeping is always present; a
     // fault-free, checkpoint-free run shows one clean execution per stage
     // and no checkpoint events.
@@ -581,13 +475,15 @@ fn report_and_trace_sampling_flags_work_end_to_end() {
     );
 
     // The registry's flags went with it, and so did the calibration and
-    // heartbeat side outputs: unknown flag, usage, exit 2.
+    // heartbeat side outputs and the k-mer partition knob: unknown flag,
+    // usage, exit 2.
     for flag in [
         &["--metrics-json", "m.json"][..],
         &["--metrics-text"],
         &["--calibrate", "fitted.json"],
         &["--heartbeat", "1"],
         &["--heartbeat-jsonl", "hb.jsonl"],
+        &["--partition", "uniform"],
     ] {
         let gone = Command::new(bin())
             .args(["assemble", reads.to_str().unwrap(), "-o", "x.fa"])
@@ -914,7 +810,7 @@ fn multi_k_assembles_and_reports_rounds() {
 
     // The schema-v7 rounds surface.
     let doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(9));
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(10));
     let rounds = doc.get("rounds").unwrap().as_arr().unwrap();
     assert_eq!(rounds.len(), 2);
     assert_eq!(rounds[0].get("k").and_then(Value::as_u64), Some(21));
@@ -1183,6 +1079,18 @@ fn fault_transient_outside_zero_to_one_exits_2() {
 }
 
 #[test]
+fn simulate_coverage_must_be_positive_and_finite() {
+    // NaN and negative coverages used to exit 0 with an empty FASTQ.
+    // Nothing here writes the output.
+    let base = ["simulate", "human", "-o", "x.fastq", "--cov"];
+    for bad in ["nan", "-1", "0", "inf"] {
+        let (code, err) = usage_error(&[&base[..], &[bad]].concat());
+        assert_eq!(code, Some(2), "{bad}: {err}");
+        assert!(err.starts_with("error: --cov"), "{bad}: {err}");
+    }
+}
+
+#[test]
 fn checkpoint_interval_zero_exits_2() {
     let (code, err) = usage_error(&[
         "assemble",
@@ -1214,7 +1122,7 @@ fn serve_pool_threads_zero_exits_2() {
 #[test]
 fn every_flag_in_the_usage_text_is_accepted() {
     let flags = usage_flags();
-    assert_eq!(flags[0].1.len(), 22, "assemble's flags: {:?}", flags[0].1);
+    assert_eq!(flags[0].1.len(), 21, "assemble's flags: {:?}", flags[0].1);
     for (cmd, flags) in flags {
         assert!(!flags.is_empty(), "{cmd}");
         for flag in flags {

@@ -206,7 +206,7 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(4));
     assert_eq!(stats.get("cache_hits").and_then(Value::as_u64), Some(2));
 
-    // The report artifact is the schema-v9 pipeline report — where the
+    // The report artifact is the schema-v10 pipeline report — where the
     // job's own measurements live.
     let (status, report) =
         http::request(&addr, "GET", &format!("/v1/jobs/{id_a}/report"), None).unwrap();
@@ -214,7 +214,7 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
     let report = Value::parse(std::str::from_utf8(&report).unwrap()).unwrap();
     assert_eq!(
         report.get("schema_version").and_then(Value::as_u64),
-        Some(9)
+        Some(10)
     );
     let attempts = report.get("stage_attempts").unwrap().as_arr().unwrap();
     assert!(

@@ -1,7 +1,6 @@
 //! K-mer analysis configuration.
 
 use hipmer_pgas::agg::DEFAULT_BATCH;
-use hipmer_pgas::PartitionScheme;
 
 /// Tunables for k-mer analysis: what a caller turns. Defaults follow the
 /// paper (k = 51 and θ = 32,000 for wheat; we default k lower because our
@@ -27,10 +26,6 @@ pub struct KmerAnalysisConfig {
     pub use_bloom: bool,
     /// Aggregating-stores batch size (Ablation 2 sweeps it).
     pub agg_batch: usize,
-    /// How k-mer ownership maps to ranks (uniform hashing vs.
-    /// minimizer bucketing). The votes table and the final spectrum table
-    /// share one partitioner built from this scheme.
-    pub partition: PartitionScheme,
 }
 
 impl KmerAnalysisConfig {
@@ -43,7 +38,6 @@ impl KmerAnalysisConfig {
             use_heavy_hitters: true,
             use_bloom: true,
             agg_batch: DEFAULT_BATCH,
-            partition: PartitionScheme::Uniform,
         }
     }
 }

@@ -261,25 +261,20 @@ fn analyze_keyed<K: KmerKey>(
     let (sketch, sketch_report) = sketch_pass::<K>(team, reads, cfg);
     let mut reports = vec![sketch_report];
 
-    // One partition scheme for the whole table family: `finalize` moves entries
+    // Both tables are owned by `key_hash % ranks`: `finalize` moves entries
     // from the votes table into the final spectrum with a shard-local
-    // merge, which is only correct when both tables agree on every key's
-    // owner.
+    // merge, which is only correct because a `K` key hashes as its widened
+    // `Kmer` and so has the same owner in both.
     let codec = KmerCodec::new(cfg.k);
-    let label = cfg.partition.label(cfg.k);
-    let votes_table: DistHashMap<K, ExtVotes> = cfg
-        .partition
-        .table(*team.topo(), codec)
-        .with_hot_keys(team.hot_key_capacity());
+    let votes_table: DistHashMap<K, ExtVotes> =
+        DistHashMap::new(*team.topo()).with_hot_keys(team.hot_key_capacity());
     if cfg.use_bloom {
-        reports.push(
-            bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement(label.clone()),
-        );
+        reports.push(bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement("uniform"));
     }
-    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement(label.clone()));
+    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement("uniform"));
 
-    let final_table: DistHashMap<Kmer, KmerEntry> = cfg.partition.table(*team.topo(), codec);
-    reports.push(finalize(team, votes_table, &final_table).with_placement(label));
+    let final_table: DistHashMap<Kmer, KmerEntry> = DistHashMap::new(*team.topo());
+    reports.push(finalize(team, votes_table, &final_table).with_placement("uniform"));
 
     (
         KmerSpectrum {
@@ -295,7 +290,7 @@ mod tests {
     use super::*;
     use crate::pass1::sketch_reads;
     use hipmer_dna::ExtChoice;
-    use hipmer_pgas::{CommStats, PartitionScheme, Topology};
+    use hipmer_pgas::{CommStats, Topology};
 
     /// Reads tiling `genome` perfectly with `depth` copies.
     fn perfect_reads(genome: &[u8], read_len: usize, depth: usize) -> Vec<SeqRecord> {
@@ -384,22 +379,16 @@ mod tests {
         let truth = brute_force_votes(&reads, k, MIN_QUAL);
         assert!(truth.values().any(|t| t.count == 1) && truth.values().any(|t| t.count > 4));
 
-        for (partition, use_bloom, use_hh) in [
-            (hipmer_pgas::PartitionScheme::Uniform, true, false),
-            (hipmer_pgas::PartitionScheme::Uniform, false, true),
-            (hipmer_pgas::PartitionScheme::Minimizer, true, true),
-            (hipmer_pgas::PartitionScheme::Minimizer, false, false),
-        ] {
-            cfg.partition = partition;
+        for (use_bloom, use_hh) in [(true, false), (false, true), (true, true), (false, false)] {
             cfg.use_bloom = use_bloom;
             cfg.use_heavy_hitters = use_hh;
-            let what = format!("{partition:?} bloom={use_bloom} hh={use_hh}");
+            let what = format!("bloom={use_bloom} hh={use_hh}");
 
             // The vote table after the count pass: full tallies, not only
             // the counts and decided extensions the spectrum keeps.
             let (sketch, _) = sketch_reads(&team, &reads, &cfg);
             assert_eq!(sketch.heavy_hitters.is_empty(), !use_hh);
-            let table: DistHashMap<Kmer, ExtVotes> = cfg.partition.table(topo, codec);
+            let table: DistHashMap<Kmer, ExtVotes> = DistHashMap::new(topo);
             if use_bloom {
                 bloom_pass(&team, &reads, &cfg, &sketch, &table);
             }
@@ -527,34 +516,30 @@ mod tests {
             .with_os_threads(1)
             .with_hot_keys(16);
         for k in [15, 21, 31, 32] {
-            for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-                for (use_bloom, use_hh) in
-                    [(true, true), (true, false), (false, true), (false, false)]
-                {
-                    let mut cfg = KmerAnalysisConfig::new(k);
-                    cfg.theta = 256;
-                    cfg.hh_min_reported = 50;
-                    cfg.partition = partition;
-                    cfg.use_bloom = use_bloom;
-                    cfg.use_heavy_hitters = use_hh;
-                    let what = format!("k={k} {partition:?} bloom={use_bloom} hh={use_hh}");
-                    let narrow = keyed_run::<Kmer64>(&team, &reads, &cfg);
-                    let wide = keyed_run::<Kmer>(&team, &reads, &cfg);
-                    assert!(narrow.0.len() > 1000, "{what}: {}", narrow.0.len());
-                    assert_eq!(narrow.0, wide.0, "{what}: spectrum");
-                    assert_eq!(narrow.1, wide.1, "{what}: phase counters");
-                    // The heavy-hitter path really ran: partials moved.
-                    let hot = &narrow
-                        .1
-                        .iter()
-                        .find(|p| p.0 == "kmer-analysis/count")
-                        .unwrap()
-                        .2;
-                    assert!(!hot.is_empty(), "{what}");
-                    // And the entry point is the narrow instance.
-                    let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
-                    assert_eq!(spectrum.export_entries(), narrow.0, "{what}");
-                }
+            for (use_bloom, use_hh) in [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let mut cfg = KmerAnalysisConfig::new(k);
+                cfg.theta = 256;
+                cfg.hh_min_reported = 50;
+                cfg.use_bloom = use_bloom;
+                cfg.use_heavy_hitters = use_hh;
+                let what = format!("k={k} bloom={use_bloom} hh={use_hh}");
+                let narrow = keyed_run::<Kmer64>(&team, &reads, &cfg);
+                let wide = keyed_run::<Kmer>(&team, &reads, &cfg);
+                assert!(narrow.0.len() > 1000, "{what}: {}", narrow.0.len());
+                assert_eq!(narrow.0, wide.0, "{what}: spectrum");
+                assert_eq!(narrow.1, wide.1, "{what}: phase counters");
+                // The heavy-hitter path really ran: partials moved.
+                let hot = &narrow
+                    .1
+                    .iter()
+                    .find(|p| p.0 == "kmer-analysis/count")
+                    .unwrap()
+                    .2;
+                assert!(!hot.is_empty(), "{what}");
+                // And the entry point is the narrow instance.
+                let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
+                assert_eq!(spectrum.export_entries(), narrow.0, "{what}");
             }
         }
     }
@@ -565,15 +550,13 @@ mod tests {
         let topo = Topology::new(16, 8);
         for k in [15, 21, 31, 32] {
             let codec = KmerCodec::new(k);
-            for partition in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-                let narrow: DistHashMap<Kmer64, ()> = partition.table(topo, codec);
-                let wide: DistHashMap<Kmer, ()> = partition.table(topo, codec);
-                for read in &reads {
-                    for (_, _, canon) in codec.canonical_keys::<Kmer64>(&read.seq) {
-                        let widened: Kmer = canon.into();
-                        assert_eq!(narrow.key_hash(&canon), wide.key_hash(&widened));
-                        assert_eq!(narrow.owner(&canon), wide.owner(&widened));
-                    }
+            let narrow: DistHashMap<Kmer64, ()> = DistHashMap::new(topo);
+            let wide: DistHashMap<Kmer, ()> = DistHashMap::new(topo);
+            for read in &reads {
+                for (_, _, canon) in codec.canonical_keys::<Kmer64>(&read.seq) {
+                    let widened: Kmer = canon.into();
+                    assert_eq!(narrow.key_hash(&canon), wide.key_hash(&widened));
+                    assert_eq!(narrow.owner(&canon), wide.owner(&widened));
                 }
             }
         }
@@ -752,42 +735,6 @@ mod tests {
             with_hh * 2 < without,
             "HH must cut the hottest rank's service load: {with_hh} vs {without}"
         );
-    }
-
-    #[test]
-    fn minimizer_partition_gives_identical_spectrum() {
-        // Placement must be invisible to results: the exported spectrum
-        // (canonical order) is byte-for-byte the same under uniform hashing
-        // and minimizer bucketing, across heavy-hitter and Bloom settings.
-        let unit = lcg_genome(60, 3);
-        let mut genome = lcg_genome(1500, 19);
-        for _ in 0..100 {
-            genome.extend_from_slice(&unit);
-        }
-        let reads = perfect_reads(&genome, 90, 3);
-        let team = Team::new(Topology::new(8, 4));
-        for use_bloom in [false, true] {
-            let mut cfg = KmerAnalysisConfig::new(21);
-            cfg.theta = 256;
-            cfg.hh_min_reported = 50;
-            cfg.use_bloom = use_bloom;
-            cfg.partition = hipmer_pgas::PartitionScheme::Uniform;
-            let (spec_u, _) = analyze_kmers(&team, &reads, &cfg);
-            cfg.partition = hipmer_pgas::PartitionScheme::Minimizer;
-            let (spec_m, _) = analyze_kmers(&team, &reads, &cfg);
-            assert_eq!(spec_u.export_entries(), spec_m.export_entries());
-            // ...while the owners really moved: adjacent k-mers of the
-            // genome mostly share a rank under minimizer bucketing.
-            let codec = KmerCodec::new(21);
-            let owner_changes = |spec: &KmerSpectrum| {
-                let owners: Vec<usize> = codec
-                    .canonical_kmers(&genome[..1500])
-                    .map(|(_, _, canon)| spec.table.owner(&canon))
-                    .collect();
-                owners.windows(2).filter(|w| w[0] != w[1]).count()
-            };
-            assert!(owner_changes(&spec_m) * 2 < owner_changes(&spec_u));
-        }
     }
 
     #[test]

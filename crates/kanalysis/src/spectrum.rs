@@ -1,7 +1,7 @@
 //! The k-mer analysis output: the table of non-erroneous k-mers.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
-use hipmer_pgas::{DistHashMap, PartitionScheme, RankCtx, Topology};
+use hipmer_pgas::{DistHashMap, RankCtx, Topology};
 use hipmer_sketch::CountHistogram;
 
 /// One surviving canonical k-mer: exact count plus decided extensions.
@@ -70,19 +70,17 @@ impl KmerSpectrum {
     }
 
     /// Rebuild a spectrum from exported entries over a (possibly
-    /// different) topology and partition scheme, uncounted — the
-    /// checkpoint restore path. Entries land on the owners the current
-    /// run's partitioner dictates (the exported artifact is
-    /// placement-independent), so the restored table is indistinguishable
-    /// from a freshly-counted one under the same scheme.
+    /// different) topology, uncounted — the checkpoint restore path.
+    /// Entries land on their `key_hash % ranks` owners in `topo` (the
+    /// exported artifact is placement-independent), so the restored table
+    /// is indistinguishable from a freshly-counted one.
     pub fn from_entries(
         topo: Topology,
         k: usize,
-        partition: PartitionScheme,
         entries: impl IntoIterator<Item = (Kmer, KmerEntry)>,
     ) -> Self {
         let codec = KmerCodec::new(k);
-        let table = partition.table(topo, codec);
+        let table = DistHashMap::new(topo);
         table.preload(entries);
         KmerSpectrum { codec, table }
     }
@@ -169,22 +167,18 @@ mod tests {
             exported.windows(2).all(|w| w[0].0 .0 < w[1].0 .0),
             "entries sorted by packed bits"
         );
-        // Restore onto a different topology — under either partition
-        // scheme: contents and canonical export order are identical.
-        for scheme in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-            let restored =
-                KmerSpectrum::from_entries(Topology::new(7, 3), 5, scheme, exported.clone());
-            assert_eq!(restored.codec.k(), 5);
-            assert_eq!(restored.export_entries(), exported);
-            let homed: DistHashMap<Kmer, KmerEntry> =
-                scheme.table(Topology::new(7, 3), restored.codec);
-            for &(km, _) in &exported {
-                assert_eq!(restored.table.owner(&km), homed.owner(&km));
-            }
-            let mut c2 = RankCtx::new(0, Topology::new(7, 3));
-            for &(km, e) in &exported {
-                assert_eq!(restored.get(&mut c2, km), Some(e));
-            }
+        // Restore onto a different topology: contents and canonical export
+        // order are identical.
+        let restored = KmerSpectrum::from_entries(Topology::new(7, 3), 5, exported.clone());
+        assert_eq!(restored.codec.k(), 5);
+        assert_eq!(restored.export_entries(), exported);
+        let homed: DistHashMap<Kmer, KmerEntry> = DistHashMap::new(Topology::new(7, 3));
+        for &(km, _) in &exported {
+            assert_eq!(restored.table.owner(&km), homed.owner(&km));
+        }
+        let mut c2 = RankCtx::new(0, Topology::new(7, 3));
+        for &(km, e) in &exported {
+            assert_eq!(restored.get(&mut c2, km), Some(e));
         }
     }
 

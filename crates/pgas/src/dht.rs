@@ -120,8 +120,7 @@ where
     }
 
     /// An empty table whose keys are owned by `owner(key)` — the hook the
-    /// minimizer partitioner ([`crate::PartitionScheme::table`]) and the oracle
-    /// of §3.2 ([`crate::OracleVector::table`]) plug into. The function is
+    /// oracle of §3.2 ([`crate::OracleVector::table`]) plugs into. The function is
     /// fixed for the table's lifetime (re-homing a populated table would
     /// orphan its entries) and must return a rank `< topo.ranks()`, which
     /// [`owner`](Self::owner) checks on every call.
@@ -741,7 +740,8 @@ mod tests {
     #[test]
     fn owner_function_keeps_grouped_keys_on_one_owner() {
         // Keys bucketed by key/8: every group of 8 consecutive keys shares
-        // an owner — the minimizer-run shape — and preload/drain respect it.
+        // an owner — the shape of an oracle's contig slots — and
+        // preload/drain respect it.
         let topo = Topology::new(8, 4);
         let build =
             || -> DistHashMap<u64, u32> { DistHashMap::with_owner(topo, |k| (k / 8 % 8) as usize) };
@@ -766,11 +766,11 @@ mod tests {
     }
 
     #[test]
-    fn partitioner_and_oracle_tables_keep_their_owners() {
+    fn uniform_and_oracle_tables_keep_their_owners() {
         // Digests of `owner(key)` over 10 000 random 31-mers, taken at the
         // commit before ownership became one closure (when it was a
         // placement over a locality hash): the refactor moved no key.
-        use crate::{OracleVector, PartitionScheme};
+        use crate::OracleVector;
         use hipmer_dna::{Kmer, KmerCodec};
         let k = 31;
         let codec = KmerCodec::new(k);
@@ -798,15 +798,10 @@ mod tests {
             (digest, all[..6].to_vec())
         };
 
-        let uniform = PartitionScheme::Uniform.table(topo, codec);
+        let uniform = DistHashMap::new(topo);
         assert_eq!(
             owners(&uniform),
             (0xbd50dbfff5db97f9, vec![7, 4, 0, 5, 10, 10])
-        );
-        let minimizer = PartitionScheme::Minimizer.table(topo, codec);
-        assert_eq!(
-            owners(&minimizer),
-            (0x300302fae281ebbd, vec![7, 0, 4, 12, 11, 2])
         );
         // Half the keys claim oracle slots (with collisions); the rest fall
         // back to uniform ownership.

@@ -53,7 +53,7 @@ pub use dht::DistHashMap;
 pub use fault::{catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort};
 pub use lookup::{LookupBatch, SoftwareCache};
 pub use oracle::OracleVector;
-pub use part::{PartitionScheme, DEFAULT_MINIMIZER_LEN};
+pub use part::PartitionScheme;
 pub use pool::{TeamLease, TeamPool};
 pub use report::{CheckpointEvent, PhaseReport, PipelineReport, RoundReport, StageAttempt};
 pub use sched::Schedule;

@@ -25,9 +25,9 @@
 //! `visited` flag) must bypass the cache and use [`DistHashMap::get`]
 //! directly. The contract is also **per table**: a cache primed through one
 //! map must never be re-pointed at another — the second map may hold
-//! different values for the same keys *and*, now that tables can carry
-//! per-partitioner locality hashes ([`crate::PartitionScheme`]), may not even
-//! agree on who owns a key, so stale hits would silently bypass the second
+//! different values for the same keys *and*, when one of them is an oracle
+//! table ([`crate::OracleVector::table`]), may not even agree on who owns a
+//! key, so stale hits would silently bypass the second
 //! table entirely. [`SoftwareCache::get_through`] binds the cache to the
 //! first table's [`DistHashMap::table_id`] and `debug_assert`s every later
 //! call against it. Hits and misses are tallied into
@@ -443,7 +443,7 @@ mod tests {
         let topo = Topology::new(4, 2);
         let a: DistHashMap<u64, u32> = DistHashMap::new(topo);
         // Same key type and contents, but a different table — which may
-        // also partition differently (e.g. a minimizer locality hash).
+        // also partition differently (e.g. an oracle table).
         let b: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
         a.insert(&mut c, 1, 10);

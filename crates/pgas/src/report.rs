@@ -33,12 +33,11 @@ pub struct PhaseReport {
     /// count. Empty unless hot-key tracking was enabled
     /// ([`crate::Team::with_hot_keys`]) and the stage attached them.
     pub hot_keys: Vec<(u64, u64)>,
-    /// Placement label of the phase's dominant hash table — a
-    /// [`crate::PartitionScheme::label`] string such as `"uniform"` or
-    /// `"minimizer(w=25,m=7)"`, or `"oracle"` for contig-oracle placement.
+    /// Placement label of the phase's dominant hash table: `"uniform"`
+    /// (`key_hash % ranks`) or `"oracle"` for contig-oracle placement.
     /// `None` for phases that own no table (I/O, serial passes). Drives
-    /// the report's `offnode_by_placement` split, so partition ablations
-    /// can read per-placement traffic straight from one document.
+    /// the report's `offnode_by_placement` split, so the oracle ablation
+    /// (Table 1) can read per-placement traffic straight from one document.
     pub placement: Option<String>,
 }
 
@@ -209,11 +208,6 @@ pub struct PipelineReport {
     pub stage_attempts: Vec<StageAttempt>,
     /// Checkpoint saves and loads performed during the run.
     pub checkpoints: Vec<CheckpointEvent>,
-    /// Partition-scheme label for the run's k-mer tables (the
-    /// `PartitionScheme`'s `Display` string, `"uniform"` or
-    /// `"minimizer"`). `None` when the producer predates partition-aware
-    /// reporting; serialized as the schema-v6 `partition` header.
-    pub partition: Option<String>,
     /// Per-round summaries of a MetaHipMer multi-k run (empty for classic
     /// single-k runs); serialized as the `rounds` array.
     pub rounds: Vec<RoundReport>,
@@ -225,20 +219,13 @@ impl PipelineReport {
         Self::default()
     }
 
-    /// Stamp the run's partition-scheme label (see
-    /// [`PipelineReport::partition`]).
-    pub fn with_partition(mut self, label: impl Into<String>) -> Self {
-        self.partition = Some(label.into());
-        self
-    }
-
     /// Off-node traffic split by table placement: for each distinct
     /// [`PhaseReport::placement`] label, the off-node fraction over the
     /// combined counters of every phase carrying that label (phases with
     /// no label are skipped — they own no table). Ordered by first
-    /// appearance. This is the partition ablation's headline number: under
-    /// minimizer bucketing the labeled stages' fractions drop while the
-    /// unlabeled ones are untouched.
+    /// appearance. This is the oracle ablation's headline number: under
+    /// oracle placement the traversal's fraction drops while the uniform
+    /// stages' are untouched.
     pub fn offnode_by_placement(&self) -> Vec<(String, f64)> {
         let mut order: Vec<String> = Vec::new();
         let mut acc: std::collections::HashMap<String, CommStats> =
@@ -318,8 +305,8 @@ impl PipelineReport {
     /// checkpoint bookkeeping; the keys that hold host measurements are
     /// [`crate::stats::measured_report_keys`].
     ///
-    /// * header: `schema_version`, `generator`, `cost_model`, `partition`
-    ///   (k-mer partition scheme or `null`), `rounds` ([`RoundReport`] per
+    /// * header: `schema_version`, `generator`, `cost_model`, `rounds`
+    ///   ([`RoundReport`] per
     ///   multi-k round; empty on classic runs), `topology` (`ranks`,
     ///   `ranks_per_node`, `nodes`), `modeled_total` and `wall_seconds`
     ///   (sums over phases), `offnode_by_placement`
@@ -337,15 +324,10 @@ impl PipelineReport {
     ///   `hot_keys` (heavy-hitter key hashes, when tracking was on).
     pub fn to_json(&self) -> String {
         let model = &CostModel::edison();
-        let label_or_null = |label: &Option<String>| match label {
-            Some(label) => Value::from(label.as_str()),
-            None => Value::Null,
-        };
         let mut doc = Value::obj();
-        doc.set("schema_version", 9u64)
+        doc.set("schema_version", 10u64)
             .set("generator", "hipmer-pgas")
-            .set("cost_model", "edison")
-            .set("partition", label_or_null(&self.partition));
+            .set("cost_model", "edison");
         let rounds = self.rounds.iter().map(|r| {
             let mut v = Value::obj();
             v.set("round", r.round)
@@ -416,7 +398,10 @@ impl PipelineReport {
                 .set("bandwidth_seconds", breakdown.bandwidth);
             v.set("critical_rank", crit)
                 .set("offnode_fraction", p.offnode_fraction())
-                .set("placement", label_or_null(&p.placement))
+                .set(
+                    "placement",
+                    p.placement.as_deref().map_or(Value::Null, Value::from),
+                )
                 .set("imbalance", p.imbalance(model))
                 .set("totals", totals);
             let (entries, max_partition_entries) = p.table();
@@ -592,11 +577,11 @@ mod tests {
                 ..CommStats::default()
             })
             .collect();
-        let mut pr = PipelineReport::new().with_partition("minimizer");
+        let mut pr = PipelineReport::new();
         pr.push(
             PhaseReport::new("kmer-analysis/count", topo, stats.clone())
                 .with_hot_keys(vec![(0xdead_beef, 41), (0x1234, 7)])
-                .with_placement("minimizer(w=17,m=7)"),
+                .with_placement("oracle"),
         );
         pr.push(PhaseReport::new("contig/traversal", topo, stats).with_serial_ops(125_000));
         pr.stage_attempts.push(StageAttempt {
@@ -646,16 +631,14 @@ mod tests {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
         let doc = Value::parse(&busy_pipeline().to_json()).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 9);
+        assert_eq!(u64_at(&doc, "schema_version"), 10);
         assert_eq!(str_at(&doc, "cost_model"), "edison");
-        assert_eq!(str_at(&doc, "partition"), "minimizer");
         assert_keys(
             &doc,
             &[
                 "schema_version",
                 "generator",
                 "cost_model",
-                "partition",
                 "rounds",
                 "topology",
                 "modeled_total",
@@ -676,10 +659,7 @@ mod tests {
         assert_eq!(u64_at(&doc, "rounds/0/contigs"), 100);
         // The placement split carries exactly the labeled phase's label;
         // the unlabeled (table-less) phase contributes nothing.
-        assert_keys(
-            get_path(&doc, "offnode_by_placement"),
-            &["minimizer(w=17,m=7)"],
-        );
+        assert_keys(get_path(&doc, "offnode_by_placement"), &["oracle"]);
         let attempts = get_path(&doc, "stage_attempts").as_arr().unwrap();
         assert_eq!(attempts.len(), 2);
         assert_keys(
@@ -732,7 +712,7 @@ mod tests {
                 "hot_keys",
             ],
         );
-        assert_eq!(str_at(p, "placement"), "minimizer(w=17,m=7)");
+        assert_eq!(str_at(p, "placement"), "oracle");
         assert!(matches!(get_path(&doc, "phases/1/placement"), Value::Null));
         assert_keys(
             get_path(p, "modeled"),
@@ -772,7 +752,7 @@ mod tests {
         let split = pr.offnode_by_placement();
         // One labeled phase: its fraction verbatim.
         assert_eq!(split.len(), 1);
-        assert_eq!(split[0].0, "minimizer(w=17,m=7)");
+        assert_eq!(split[0].0, "oracle");
         assert!((split[0].1 - pr.phases[0].offnode_fraction()).abs() < 1e-12);
 
         // Two phases sharing a label pool their counters (the pooled

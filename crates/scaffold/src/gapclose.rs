@@ -432,8 +432,8 @@ pub fn close_gaps(
                 .flatten()
                 .collect(),
             // Round-robin here deals *gaps* (work units) to ranks; it is
-            // not k-mer ownership, so it stays modulo-based regardless of
-            // the table partitioner.
+            // not k-mer ownership, so it stays modulo-based whatever owns
+            // the k-mer tables.
             Schedule::Static if cfg.round_robin => {
                 (0..gaps.len()).filter(|g| g % ranks == ctx.rank).collect()
             }

@@ -12,7 +12,7 @@ use crate::ties::order_and_orient;
 use hipmer_align::{align_read_subset, align_reads, sort_alignments, AlignConfig, Alignment};
 use hipmer_contig::ContigSet;
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{PartitionScheme, PhaseReport, Schedule, Team};
+use hipmer_pgas::{PhaseReport, Schedule, Team};
 use hipmer_seqio::SeqRecord;
 use std::ops::Range;
 
@@ -61,15 +61,6 @@ impl ScaffoldConfig {
         self.schedule = schedule;
         self.align.schedule = schedule;
         self.gap.schedule = schedule;
-        self
-    }
-
-    /// Set the k-mer partition scheme for every scaffold stage that owns a
-    /// k-mer-keyed table (currently the merAligner seed index; gap closing
-    /// keys its bucket table by contig end and deals reads by index, so it
-    /// has no k-mer ownership to re-home).
-    pub fn with_partition(mut self, partition: PartitionScheme) -> Self {
-        self.align.partition = partition;
         self
     }
 }

@@ -114,29 +114,53 @@ fn encode_record(out: &mut Vec<u8>, r: &SeqRecord) -> io::Result<()> {
     Ok(())
 }
 
-/// Parse one record starting at `pos`; advances `pos`.
-fn decode_record(buf: &[u8], pos: &mut usize) -> io::Result<SeqRecord> {
-    let id_len = read_varint(buf, pos)? as usize;
-    let id = String::from_utf8_lossy(
-        buf.get(*pos..*pos + id_len)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "id"))?,
-    )
-    .into_owned();
-    *pos += id_len;
-    let seq_len = read_varint(buf, pos)? as usize;
-    let n_count = read_varint(buf, pos)? as usize;
-    let mut n_positions = Vec::with_capacity(n_count);
-    let mut acc = 0usize;
-    for i in 0..n_count {
-        let d = read_varint(buf, pos)? as usize;
-        acc = if i == 0 { d } else { acc + d };
-        n_positions.push(acc);
+fn invalid(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
+/// The next `len` bytes of `buf` from `pos`; advances `pos`.
+fn take<'a>(buf: &'a [u8], pos: &mut usize, len: u64, what: &str) -> io::Result<&'a [u8]> {
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= buf.len())
+        .ok_or_else(|| invalid(what))?;
+    let bytes = &buf[*pos..end];
+    *pos = end;
+    Ok(bytes)
+}
+
+/// A count read from the file, refused when the bytes left after `pos`
+/// cannot hold `count` items of at least `min_bytes` each.
+fn read_count(buf: &[u8], pos: &mut usize, min_bytes: usize, what: &str) -> io::Result<usize> {
+    let count = read_varint(buf, pos)?;
+    if count > ((buf.len() - *pos) / min_bytes) as u64 {
+        return Err(invalid(what));
     }
-    let packed_len = seq_len.div_ceil(4);
-    let packed = buf
-        .get(*pos..*pos + packed_len)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "bases"))?;
-    *pos += packed_len;
+    Ok(count as usize)
+}
+
+/// Parse one record starting at `pos`; advances `pos`. Every length,
+/// count and position read from `buf` is checked against what `buf` holds,
+/// so a corrupt record is an `InvalidData` error, never a panic.
+fn decode_record(buf: &[u8], pos: &mut usize) -> io::Result<SeqRecord> {
+    let id_len = read_varint(buf, pos)?;
+    let id = String::from_utf8_lossy(take(buf, pos, id_len, "id")?).into_owned();
+    let seq_len = read_varint(buf, pos)?;
+    let n_count = read_count(buf, pos, 1, "N count")?;
+    let mut n_positions = Vec::with_capacity(n_count);
+    let mut acc = 0u64;
+    for _ in 0..n_count {
+        let d = read_varint(buf, pos)?;
+        acc = (acc.checked_add(d))
+            .filter(|&p| p < seq_len)
+            .ok_or_else(|| invalid("N position"))?;
+        n_positions.push(acc as usize);
+    }
+    // `take` bounds seq_len by the bytes present before anything is sized
+    // by it.
+    let packed = take(buf, pos, seq_len.div_ceil(4), "bases")?;
+    let seq_len = seq_len as usize;
     let mut seq = Vec::with_capacity(seq_len);
     for i in 0..seq_len {
         let code = (packed[i / 4] >> ((i % 4) * 2)) & 0b11;
@@ -145,18 +169,18 @@ fn decode_record(buf: &[u8], pos: &mut usize) -> io::Result<SeqRecord> {
     for &p in &n_positions {
         seq[p] = b'N';
     }
-    let run_count = read_varint(buf, pos)? as usize;
+    let run_count = read_count(buf, pos, 2, "quality run count")?;
     let mut qual = Vec::with_capacity(seq_len);
     for _ in 0..run_count {
-        let len = read_varint(buf, pos)? as usize;
-        let q = *buf
-            .get(*pos)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "qual"))?;
-        *pos += 1;
-        qual.extend(std::iter::repeat_n(q, len));
+        let len = read_varint(buf, pos)?;
+        let q = take(buf, pos, 1, "qual")?[0];
+        if len > (seq_len - qual.len()) as u64 {
+            return Err(invalid("qual length"));
+        }
+        qual.extend(std::iter::repeat_n(q, len as usize));
     }
     if qual.len() != seq_len {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "qual length"));
+        return Err(invalid("qual length"));
     }
     Ok(SeqRecord {
         id,
@@ -199,18 +223,26 @@ pub fn read_seqdb_parallel(
     // Read the header + index once (tiny; the paper's reader samples
     // similarly).
     let mut f = std::fs::File::open(path)?;
+    let file_len = f.metadata()?.len();
     let mut header = [0u8; 24];
     f.read_exact(&mut header)?;
     if &header[..8] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic"));
     }
     let n_records = u64::from_le_bytes(header[8..16].try_into().unwrap());
     let index_offset = u64::from_le_bytes(header[16..24].try_into().unwrap());
+    let body_len = index_offset
+        .checked_sub(24)
+        .filter(|_| index_offset <= file_len)
+        .ok_or_else(|| invalid("index offset"))?;
     f.seek(SeekFrom::Start(index_offset))?;
     let mut count_buf = [0u8; 8];
     f.read_exact(&mut count_buf)?;
-    let n_blocks = u64::from_le_bytes(count_buf) as usize;
-    let mut index = Vec::with_capacity(n_blocks);
+    let n_blocks = u64::from_le_bytes(count_buf);
+    if n_blocks > file_len.saturating_sub(index_offset + 8) / 16 {
+        return Err(invalid("index block count"));
+    }
+    let mut index = Vec::with_capacity(n_blocks as usize);
     let mut entry = [0u8; 16];
     for _ in 0..n_blocks {
         f.read_exact(&mut entry)?;
@@ -220,30 +252,31 @@ pub fn read_seqdb_parallel(
         ));
     }
     drop(f);
+    // Blocks must be in order, within the record count and within the body
+    // (the end of the last block is the start of the index).
+    index.push((n_records, body_len));
+    if index.windows(2).any(|w| w[1].0 < w[0].0 || w[1].1 < w[0].1) {
+        return Err(invalid("index order"));
+    }
 
     let (results, stats) = team.run_named("io/seqdb", |ctx| -> io::Result<Vec<SeqRecord>> {
-        // Block range for this rank.
-        let blocks = ctx.chunk(index.len());
+        // Block range for this rank; the last entry of `index` is the end
+        // sentinel, not a block.
+        let blocks = ctx.chunk(index.len() - 1);
         if blocks.is_empty() {
             return Ok(Vec::new());
         }
-        let first_record = index[blocks.start].0;
-        let end_record = if blocks.end < index.len() {
-            index[blocks.end].0
-        } else {
-            n_records
-        };
-        let byte_start = 24 + index[blocks.start].1;
-        let byte_end = if blocks.end < index.len() {
-            24 + index[blocks.end].1
-        } else {
-            index_offset
-        };
+        let (first_record, byte_start) = index[blocks.start];
+        let (end_record, byte_end) = index[blocks.end];
         let mut f = std::fs::File::open(path)?;
-        f.seek(SeekFrom::Start(byte_start))?;
+        f.seek(SeekFrom::Start(24 + byte_start))?;
         let mut buf = vec![0u8; (byte_end - byte_start) as usize];
         f.read_exact(&mut buf)?;
         ctx.stats.io_read_bytes += buf.len() as u64 + 24;
+        // Every record takes at least four bytes (four varints).
+        if end_record - first_record > buf.len() as u64 / 4 {
+            return Err(invalid("block record count"));
+        }
         let mut pos = 0usize;
         let mut out = Vec::with_capacity((end_record - first_record) as usize);
         for _ in first_record..end_record {
@@ -325,6 +358,106 @@ mod tests {
         let team = Team::new(Topology::new(4, 2));
         let (per_rank, _) = read_seqdb_parallel(&team, &path).unwrap();
         assert!(per_rank.into_iter().flatten().next().is_none());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A record body from raw varint fields: id, seq_len, N deltas, packed
+    /// bytes, quality runs.
+    fn raw_record(
+        id: &[u8],
+        seq_len: u64,
+        ns: &[u64],
+        packed: &[u8],
+        runs: &[(u64, u8)],
+    ) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_varint(&mut out, id.len() as u64).unwrap();
+        out.extend_from_slice(id);
+        write_varint(&mut out, seq_len).unwrap();
+        write_varint(&mut out, ns.len() as u64).unwrap();
+        for &d in ns {
+            write_varint(&mut out, d).unwrap();
+        }
+        out.extend_from_slice(packed);
+        write_varint(&mut out, runs.len() as u64).unwrap();
+        for &(len, q) in runs {
+            write_varint(&mut out, len).unwrap();
+            out.push(q);
+        }
+        out
+    }
+
+    #[test]
+    fn corrupt_records_are_invalid_data() {
+        let decode = |buf: &[u8]| decode_record(buf, &mut 0).map_err(|e| e.kind());
+        let ok = raw_record(b"r", 5, &[1, 2], &[0, 0], &[(2, b'#'), (3, b'I')]);
+        let rec = decode(&ok).unwrap();
+        assert_eq!(
+            (rec.seq.as_slice(), rec.qual.unwrap()),
+            (&b"ANANA"[..], b"##III".to_vec())
+        );
+        let invalid = Err(io::ErrorKind::InvalidData);
+        // An N position past the sequence, and one whose delta overflows.
+        assert_eq!(
+            decode(&raw_record(b"r", 5, &[5], &[0, 0], &[(5, b'I')])),
+            invalid
+        );
+        assert_eq!(
+            decode(&raw_record(b"r", 5, &[1, u64::MAX], &[0, 0], &[(5, b'I')])),
+            invalid
+        );
+        // Lengths that overflow the cursor or outrun the buffer.
+        let mut huge_id = Vec::new();
+        write_varint(&mut huge_id, u64::MAX).unwrap();
+        assert_eq!(decode(&huge_id), invalid);
+        assert_eq!(decode(&raw_record(b"r", u64::MAX, &[], &[], &[])), invalid);
+        // Quality runs longer than the sequence are refused before they are
+        // expanded, and a run count the bytes cannot hold before any run.
+        assert_eq!(
+            decode(&raw_record(b"r", 5, &[], &[0, 0], &[(u64::MAX, b'I')])),
+            invalid
+        );
+        let mut many_runs = raw_record(b"r", 5, &[], &[0, 0], &[]);
+        many_runs.pop();
+        write_varint(&mut many_runs, u64::MAX >> 1).unwrap();
+        assert_eq!(decode(&many_runs), invalid);
+        // An N count the bytes cannot hold.
+        let mut many_ns = raw_record(b"r", 5, &[], &[], &[]);
+        many_ns.truncate(3);
+        write_varint(&mut many_ns, u64::MAX >> 1).unwrap();
+        assert_eq!(decode(&many_ns), invalid);
+    }
+
+    #[test]
+    fn corrupt_headers_and_indexes_are_invalid_data() {
+        let path = tempfile("corrupt-index");
+        write_seqdb(&path, &records(2 * BLOCK as usize + 10)).unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        let index_offset = u64::from_le_bytes(valid[16..24].try_into().unwrap()) as usize;
+        let team = Team::new(Topology::new(4, 2));
+        let with = |at: usize, word: u64| {
+            let mut bytes = valid.clone();
+            bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            read_seqdb_parallel(&team, &path)
+                .map(|_| ())
+                .map_err(|e| e.kind())
+        };
+        let invalid = Err(io::ErrorKind::InvalidData);
+        // Header: an index offset inside the header or past the file.
+        assert_eq!(with(16, 8), invalid);
+        assert_eq!(with(16, u64::MAX), invalid);
+        // Index: a block count the file cannot hold.
+        assert_eq!(with(index_offset, u64::MAX / 2), invalid);
+        // Index: blocks out of order by record or by byte offset, or a
+        // record count below the last block's first record.
+        let second = index_offset + 8 + 16;
+        assert_eq!(with(second, u64::MAX), invalid);
+        assert_eq!(with(second + 8, u64::MAX), invalid);
+        assert_eq!(with(second + 8, 0), invalid);
+        assert_eq!(with(8, 1), invalid);
+        // A record count the block's bytes cannot hold.
+        assert_eq!(with(8, u64::MAX), invalid);
         std::fs::remove_file(&path).ok();
     }
 

@@ -46,15 +46,17 @@ impl From<io::Error> for ParseError {
     }
 }
 
-/// Read one request from `stream`.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
+/// Read one request from `stream` (the server passes its `TcpStream`). Any
+/// input gives a [`Request`] or a [`ParseError`], and at most the head and
+/// body limits are buffered: an endless stream is cut off, not read whole.
+pub fn read_request<R: Read>(stream: R) -> Result<Request, ParseError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
 
     // Each line is read through a `take` of the remaining head budget plus
     // one byte, so a client that never sends a newline is cut off there
     // instead of being buffered whole.
-    let mut read_line = |reader: &mut BufReader<&mut TcpStream>| -> Result<String, ParseError> {
+    let mut read_line = |reader: &mut BufReader<R>| -> Result<String, ParseError> {
         let mut line = Vec::new();
         let budget = (MAX_HEAD_BYTES - head_bytes) as u64 + 1;
         let n = reader.take(budget).read_until(b'\n', &mut line)?;

@@ -37,11 +37,6 @@ KINDS = {
         False,
     ),
     "scaling": (scaling, "static / dynamic imbalance at P=16", False),
-    "partition": (
-        lambda d: {f"P={g['ranks']}": g["reduction"] for g in d["gates"]},
-        "traversal off-node reduction, minimizer vs uniform (message counts)",
-        True,
-    ),
     "metagenome": (
         lambda d: {g["name"]: g["improvement"] for g in d["gates"]},
         "genome-fraction improvement, round 1 -> final (k-mer counts)",

@@ -120,20 +120,14 @@ proptest! {
             .into_iter()
             .map(|(bits, e)| (Kmer(bits), e))
             .collect();
-        let spectrum = KmerSpectrum::from_entries(topo, 21, PartitionScheme::Uniform, entries);
+        let spectrum = KmerSpectrum::from_entries(topo, 21, entries);
         let bytes = encode_spectrum(&spectrum);
-        // Restore under *both* partition schemes: the artifact is
-        // placement-independent, so a spectrum written under uniform
-        // ownership must round-trip byte-identically even when restored
-        // into a minimizer-bucketed table.
-        for scheme in [PartitionScheme::Uniform, PartitionScheme::Minimizer] {
-            let back = decode_spectrum(&bytes, topo, scheme).unwrap();
-            // Export order is canonical (sorted by packed bits), so the
-            // round-tripped spectrum exports the identical entry list and
-            // the re-encoded artifact is byte-identical.
-            prop_assert_eq!(back.export_entries(), spectrum.export_entries());
-            prop_assert_eq!(encode_spectrum(&back), bytes.clone());
-        }
+        let back = decode_spectrum(&bytes, topo, PartitionScheme::Uniform).unwrap();
+        // Export order is canonical (sorted by packed bits), so the
+        // round-tripped spectrum exports the identical entry list and the
+        // re-encoded artifact is byte-identical.
+        prop_assert_eq!(back.export_entries(), spectrum.export_entries());
+        prop_assert_eq!(encode_spectrum(&back), bytes);
     }
 
     #[test]
@@ -202,7 +196,7 @@ proptest! {
 /// bytes cannot back.
 fn decode_all(bytes: &[u8]) -> usize {
     [
-        decode_spectrum(bytes, Topology::new(3, 2), PartitionScheme::Minimizer).is_ok(),
+        decode_spectrum(bytes, Topology::new(3, 2), PartitionScheme::Uniform).is_ok(),
         decode_contigs(bytes).is_ok(),
         decode_alignments(bytes).is_ok(),
         decode_scaffold_state(bytes).is_ok(),
@@ -226,7 +220,6 @@ fn valid_artifacts() -> Vec<(Vec<u8>, Vec<usize>, Option<usize>)> {
     let spectrum = KmerSpectrum::from_entries(
         Topology::new(2, 2),
         21,
-        PartitionScheme::Uniform,
         vec![(Kmer(5), entry), (Kmer(77), entry)],
     );
     let contigs = ContigSet {
