@@ -5,9 +5,8 @@
 //! per-rank [`SoftwareCache`] of seed hit lists first, then runs the
 //! candidate-clustering and extension logic per read on the resolved lists
 //! (stage 2) with a second cache of contig replicas. Both optimizations are
-//! result-transparent — alignments are byte-identical to the fine-grained
-//! path — and both are ablatable via [`AlignConfig::lookup_batch`] and
-//! [`AlignConfig::cache_entries`].
+//! result-transparent: alignments are byte-identical to one `get` per
+//! seed and one contig fetch per candidate, at fewer messages.
 //!
 //! Stage 2 goes block by block (`BLOCK` reads): *plan* each read's top
 //! candidates up to the ungapped test, *batch* every gapped fallback of
@@ -22,7 +21,7 @@ use crate::sw::{banded_sw_batch_with, ungapped_matches, SwParams, SwResult, SwWo
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::agg::DEFAULT_BATCH;
-use hipmer_pgas::{LookupBatch, PhaseReport, RankCtx, Schedule, SoftwareCache, Team};
+use hipmer_pgas::{LookupBatch, PhaseReport, RankCtx, SoftwareCache, Team};
 use hipmer_seqio::SeqRecord;
 
 /// merAligner configuration.
@@ -30,31 +29,12 @@ use hipmer_seqio::SeqRecord;
 pub struct AlignConfig {
     /// Seed k-mer length.
     pub seed_len: usize,
-    /// Seed lookups buffered per destination rank before they ship as one
-    /// [`LookupBatch`] message. `<= 1` disables batching and issues one
-    /// fine-grained get per seed — the unoptimized baseline, kept as an
-    /// ablation hook.
-    pub lookup_batch: usize,
-    /// Capacity of the per-rank seed cache (which caches *negatively*:
-    /// absent seeds are remembered as absent) and of the per-rank contig
-    /// replica cache. `0` disables both caches.
-    pub cache_entries: usize,
-    /// How reads are dealt to ranks. [`Schedule::Dynamic`] deals guided
-    /// chunks weighted by read length, which absorbs the skew of
-    /// repeat-heavy or long-read-tailed inputs; alignments are byte-
-    /// identical either way.
-    pub schedule: Schedule,
 }
 
 impl AlignConfig {
     /// Defaults for a given seed length.
     pub fn new(seed_len: usize) -> Self {
-        AlignConfig {
-            seed_len,
-            lookup_batch: DEFAULT_BATCH,
-            cache_entries: 4096,
-            schedule: Schedule::Static,
-        }
+        AlignConfig { seed_len }
     }
 }
 
@@ -69,6 +49,10 @@ const MIN_ALIGNED: usize = 30;
 /// Keep at most this many alignments per read (best first); twice as many
 /// candidates are extended to find them.
 const MAX_ALIGNMENTS_PER_READ: usize = 4;
+/// Capacity of the per-rank seed cache (which caches *negatively*: absent
+/// seeds are remembered as absent) and of the per-rank contig replica
+/// cache: a few hundred KB per rank.
+const CACHE_ENTRIES: usize = 4096;
 /// Band half-width of the gapped fallback: the indels a short read carries
 /// are a few bases. It is also how far an extension may drift from the
 /// seeds' diagonal, which bounds how far from a contig end a changed
@@ -156,13 +140,11 @@ pub fn stride_seeds<'a>(
 /// result (present *or* absent) in the seed cache.
 fn deliver_seed(
     resolved: &mut [Vec<ResolvedSeed>],
-    cache: &mut Option<SoftwareCache<Kmer, Option<HitList>>>,
+    cache: &mut SoftwareCache<Kmer, Option<HitList>>,
     (slot, s): (usize, usize),
     list: Option<HitList>,
 ) {
-    if let Some(c) = cache.as_mut() {
-        c.insert(resolved[slot][s].canon, list.clone());
-    }
+    cache.insert(resolved[slot][s].canon, list.clone());
     resolved[slot][s].list = list;
 }
 
@@ -182,7 +164,6 @@ fn resolve_seeds(
     index: &SeedIndex,
     reads: &[SeqRecord],
     read_ids: &[u32],
-    cfg: &AlignConfig,
 ) -> Vec<Vec<ResolvedSeed>> {
     let codec = &index.codec;
     let mut resolved: Vec<Vec<ResolvedSeed>> = read_ids
@@ -199,8 +180,7 @@ fn resolve_seeds(
         })
         .collect();
 
-    let mut cache: Option<SoftwareCache<Kmer, Option<HitList>>> =
-        (cfg.cache_entries > 0).then(|| SoftwareCache::new(cfg.cache_entries));
+    let mut cache: SoftwareCache<Kmer, Option<HitList>> = SoftwareCache::new(CACHE_ENTRIES);
 
     // The seed index is immutable during alignment; the sequence-validated
     // read protocol (DESIGN.md §12) lets us assert that no writer raced
@@ -208,35 +188,23 @@ fn resolve_seeds(
     #[cfg(debug_assertions)]
     let stamp_before = index.table.version_stamp();
 
-    // A miss either joins the streaming batch or, with batching ablated
-    // (`lookup_batch <= 1`), is one fine-grained get.
-    let mut lb: Option<LookupBatch<'_, Kmer, HitList, (usize, usize)>> =
-        (cfg.lookup_batch > 1).then(|| LookupBatch::with_batch(&index.table, cfg.lookup_batch));
+    let mut lb: LookupBatch<'_, Kmer, HitList, (usize, usize)> =
+        LookupBatch::with_batch(&index.table, DEFAULT_BATCH);
     for slot in 0..resolved.len() {
         for s in 0..resolved[slot].len() {
             let canon = resolved[slot][s].canon;
-            if let Some(c) = cache.as_mut() {
-                if let Some(list) = c.get(ctx, &canon) {
-                    resolved[slot][s].list = list;
-                    continue;
-                }
+            if let Some(list) = cache.get(ctx, &canon) {
+                resolved[slot][s].list = list;
+                continue;
             }
-            match lb.as_mut() {
-                Some(lb) => lb.push(ctx, canon, (slot, s), &mut |_: &mut RankCtx, tag, v| {
-                    deliver_seed(&mut resolved, &mut cache, tag, v)
-                }),
-                None => {
-                    let v = index.table.get(ctx, &canon);
-                    deliver_seed(&mut resolved, &mut cache, (slot, s), v);
-                }
-            }
+            lb.push(ctx, canon, (slot, s), &mut |_: &mut RankCtx, tag, v| {
+                deliver_seed(&mut resolved, &mut cache, tag, v)
+            });
         }
     }
-    if let Some(lb) = lb {
-        lb.finish(ctx, &mut |_: &mut RankCtx, tag, v| {
-            deliver_seed(&mut resolved, &mut cache, tag, v)
-        });
-    }
+    lb.finish(ctx, &mut |_: &mut RankCtx, tag, v| {
+        deliver_seed(&mut resolved, &mut cache, tag, v)
+    });
     #[cfg(debug_assertions)]
     assert_eq!(
         index.table.version_stamp(),
@@ -250,7 +218,7 @@ fn resolve_seeds(
 /// candidates, aligns all their gapped fallbacks in one
 /// [`banded_sw_batch`], then replays each read's candidate loop. A fixed
 /// block, not a rank's whole range, so that the plan's memory does not
-/// grow with the input (`Schedule::Static` hands each rank one range).
+/// grow with the input (each rank aligns one contiguous range).
 const BLOCK: usize = 64;
 
 /// One of a read's top candidates, taken as far as it goes without the
@@ -409,26 +377,19 @@ fn finish_read(
     read_idx: u32,
     plan: &ReadPlan,
     sw: &[SwResult],
-    mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
+    contig_cache: &mut SoftwareCache<u32, ()>,
 ) -> Vec<Alignment> {
     ctx.stats.compute(plan.listed_seeds);
     let mut out: Vec<Alignment> = Vec::new();
     for Planned { cand, overlap } in &plan.candidates {
         let contig = &contigs.contigs[cand.contig as usize];
         let owner = cand.contig as usize % ctx.topo().ranks();
-        match contig_cache.as_deref_mut() {
-            // Replica-cached path: a miss fetches the whole contig once
-            // (contig-length bytes, one message); every later candidate on
-            // this contig is served from the local replica.
-            Some(cache) => {
-                if cache.get(ctx, &cand.contig).is_none() {
-                    ctx.access(owner, contig.seq.len() as u64);
-                    cache.insert(cand.contig, ());
-                }
-            }
-            // Fine-grained path: fetch a read-length contig window per
-            // candidate from the contig's owner (cyclic by id).
-            None => ctx.access(owner, read.seq.len() as u64),
+        // A replica-cache miss fetches the whole contig once from its owner
+        // (cyclic by id; contig-length bytes, one message); every later
+        // candidate on this contig is served from the local replica.
+        if contig_cache.get(ctx, &cand.contig).is_none() {
+            ctx.access(owner, contig.seq.len() as u64);
+            contig_cache.insert(cand.contig, ());
         }
         let Some(ov) = overlap else {
             continue;
@@ -499,7 +460,7 @@ fn align_block(
     contigs: &ContigSet,
     reads: &[SeqRecord],
     (read_ids, resolved): (&[u32], &[Vec<ResolvedSeed>]),
-    mut contig_cache: Option<&mut SoftwareCache<u32, ()>>,
+    contig_cache: &mut SoftwareCache<u32, ()>,
     sw_ws: &mut SwWorkspace,
     out: &mut Vec<Alignment>,
 ) {
@@ -539,7 +500,7 @@ fn align_block(
             ri,
             plan,
             &sw,
-            contig_cache.as_deref_mut(),
+            contig_cache,
         ));
     }
 }
@@ -567,8 +528,7 @@ pub fn drop_contained(mut alignments: Vec<Alignment>) -> Vec<Alignment> {
 
 /// The order alignments are returned in: by read, then contig, then
 /// position — on the full record, so it is independent of which rank
-/// produced each alignment (dynamic scheduling permutes the chunks) and of
-/// whether an alignment was computed or carried over from an earlier
+/// produced each alignment and of whether an alignment was computed or carried over from an earlier
 /// contig set.
 pub fn sort_alignments(alignments: &mut [Alignment]) {
     alignments.sort_by_key(|a| {
@@ -610,39 +570,27 @@ pub fn align_read_subset(
 ) -> (Vec<Alignment>, Vec<PhaseReport>) {
     let (index, index_report) = build_seed_index(team, contigs, cfg.seed_len);
 
-    // Per-read cost proxy for the dynamic scheduler: seeding and extension
-    // work both scale with read length. Under `Schedule::Static` the
-    // weights are ignored (one contiguous block per rank, as before).
-    let weights: Vec<u64> = subset
-        .iter()
-        .map(|&ri| reads[ri as usize].seq.len() as u64)
-        .collect();
     let (chunks, mut stats) = team.run_named("scaffold/meraligner-align", |ctx| {
-        // The contig replica cache persists across claimed ranges — it is
-        // result-transparent, so reuse only saves messages.
-        let mut contig_cache: Option<SoftwareCache<u32, ()>> =
-            (cfg.cache_entries > 0).then(|| SoftwareCache::new(cfg.cache_entries));
+        let mut contig_cache: SoftwareCache<u32, ()> = SoftwareCache::new(CACHE_ENTRIES);
         let mut sw_ws = SwWorkspace::new();
         let mut out = Vec::new();
-        for range in cfg.schedule.ranges_weighted(ctx, &weights) {
-            let read_ids = &subset[range];
-            // Stage 1: every seed of every read in the range goes through
-            // the seed cache and one streaming lookup batch.
-            let resolved = resolve_seeds(ctx, &index, reads, read_ids, cfg);
-            // Stage 2: candidate clustering and extension on resolved
-            // lists, block by block, with contig replicas cached per rank.
-            for (ids, seeds) in read_ids.chunks(BLOCK).zip(resolved.chunks(BLOCK)) {
-                align_block(
-                    ctx,
-                    &index.codec,
-                    contigs,
-                    reads,
-                    (ids, seeds),
-                    contig_cache.as_mut(),
-                    &mut sw_ws,
-                    &mut out,
-                );
-            }
+        let read_ids = &subset[ctx.chunk(subset.len())];
+        // Stage 1: every seed of every read in the range goes through the
+        // seed cache and one streaming lookup batch.
+        let resolved = resolve_seeds(ctx, &index, reads, read_ids);
+        // Stage 2: candidate clustering and extension on resolved lists,
+        // block by block, with contig replicas cached per rank.
+        for (ids, seeds) in read_ids.chunks(BLOCK).zip(resolved.chunks(BLOCK)) {
+            align_block(
+                ctx,
+                &index.codec,
+                contigs,
+                reads,
+                (ids, seeds),
+                &mut contig_cache,
+                &mut sw_ws,
+                &mut out,
+            );
         }
         out
     });
@@ -811,43 +759,26 @@ mod tests {
         let reads: Vec<SeqRecord> = (0..30)
             .map(|i| read(&format!("r{i}"), genome[i * 20..i * 20 + 100].to_vec()))
             .collect();
-        let run = |lookup_batch: usize, cache_entries: usize| {
-            let team = Team::new(Topology::new(6, 3));
-            let cfg = AlignConfig {
-                lookup_batch,
-                cache_entries,
-                ..AlignConfig::new(15)
-            };
-            let (alns, reports) = align_reads(&team, &contigs, &reads, &cfg);
-            let align_phase = reports
-                .iter()
-                .find(|r| r.name == "scaffold/meraligner-align")
-                .unwrap();
-            (alns, align_phase.totals())
-        };
-        let (base_alns, base) = run(1, 0); // fine-grained baseline
-        let (batch_alns, batch) = run(64, 0); // batch only
-        let (full_alns, full) = run(64, 4096); // batch + caches
+        let team = Team::new(Topology::new(6, 3));
+        let (alns, reports) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
+        let full = reports
+            .iter()
+            .find(|r| r.name == "scaffold/meraligner-align")
+            .unwrap()
+            .totals();
+        assert_eq!(alns.len(), reads.len());
 
-        // Alignments are byte-identical under every configuration.
-        assert_eq!(base_alns, batch_alns);
-        assert_eq!(base_alns, full_alns);
-
-        // Batching cuts messages without touching bytes or compute.
-        assert!(batch.total_accesses() < base.total_accesses());
-        assert!(batch.lookup_batches > 0);
-        assert_eq!(base.compute_ops, batch.compute_ops);
-        assert_eq!(
-            base.onnode_bytes + base.offnode_bytes,
-            batch.onnode_bytes + batch.offnode_bytes
-        );
-
-        // Caching cuts messages further and records its effectiveness.
-        assert!(full.total_accesses() < batch.total_accesses());
+        // One `get` per seed would take at least one access per seed; the
+        // batches and both caches take fewer, and record their work.
+        let codec = KmerCodec::new(15);
+        let seeds: usize = reads
+            .iter()
+            .map(|r| stride_seeds(&codec, &r.seq).count())
+            .sum();
+        assert!(full.total_accesses() < seeds as u64);
+        assert!(full.lookup_batches > 0);
         assert!(full.cache_hits > 0);
         assert!(full.cache_misses > 0);
-        assert_eq!(base.cache_hits, 0);
-        assert_eq!(batch.cache_hits, 0);
     }
 }
 

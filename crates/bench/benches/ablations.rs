@@ -10,23 +10,19 @@
 //!    the node-level coarsening refinement.
 //! 5. Round-robin vs blocked gap distribution — gap-closing load balance
 //!    (§4.8).
-//! 6. Traversal mode cross-check — cooperative / endpoint produce
-//!    identical contigs at different cost profiles.
 //! 7. Parallel FASTQ reader vs a SeqDB-like binary store (§3.3's claim:
 //!    FASTQ reading reaches SeqDB's bandwidth up to the compression
 //!    factor).
-//! 8. Read-side communication avoidance — seed-lookup batching and
-//!    software caching in the aligner (§4.4), with results recorded to
-//!    `BENCH_lookup_avoidance.json`.
 //! 9. Fault-tolerance overhead — checkpoint-interval × retry-budget sweep
 //!    under seeded transient faults and a hard rank failure, with results
 //!    recorded to `BENCH_fault_overhead.json`. All variants must produce
 //!    byte-identical assemblies.
+//!
+//! Numbers 6 and 8 are unused: their options are gone, and EXPERIMENTS.md
+//! keeps their results.
 
 use hipmer_bench::{banner, model, scaled};
-use hipmer_contig::{
-    build_graph, build_oracle, generate_contigs, traverse_graph, ContigConfig, TraversalMode,
-};
+use hipmer_contig::{build_graph, build_oracle, generate_contigs, traverse_graph, ContigConfig};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::{Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_like_dataset};
@@ -304,10 +300,7 @@ fn main() {
         alignments.sort_by_key(|a| (a.read, a.contig, a.contig_start));
         let gap_team = Team::new(Topology::edison(24));
         for round_robin in [true, false] {
-            let gcfg = GapCloseConfig {
-                round_robin,
-                ..GapCloseConfig::default()
-            };
+            let gcfg = GapCloseConfig { round_robin };
             let (_, stats, report) = close_gaps(
                 &gap_team,
                 &contig_set,
@@ -331,29 +324,6 @@ fn main() {
         }
         println!("(one 24-gap scaffold needs k-mer walks; 72 scaffolds close by overlap —");
         println!(" blocked distribution serializes the expensive scaffold onto few ranks)");
-    }
-
-    // ------------------------------------------------------------------
-    banner(
-        "Ablation 6",
-        "traversal modes: identical contigs, different cost profiles",
-    );
-    for mode in [TraversalMode::Cooperative, TraversalMode::EndpointWalk] {
-        let cfg = ContigConfig {
-            mode,
-            ..ContigConfig::default()
-        };
-        let (set, reports) = generate_contigs(&team, &spectrum, &cfg);
-        let secs: f64 = reports.iter().map(|r| r.modeled(&m).total()).sum();
-        let lookups: u64 = reports.iter().map(|r| r.totals().total_accesses()).sum();
-        println!(
-            "{:?}: {} contigs (N50 {}), {:.4} s, {} table accesses",
-            mode,
-            set.len(),
-            set.n50(),
-            secs,
-            lookups
-        );
     }
 
     // ------------------------------------------------------------------
@@ -395,81 +365,6 @@ fn main() {
         );
         println!("(same records either way; the gap is the compression factor, as the paper says)");
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    // ------------------------------------------------------------------
-    banner(
-        "Ablation 8",
-        "read-side communication avoidance: seed-lookup batching + caching",
-    );
-    {
-        use hipmer_align::{align_reads, AlignConfig};
-        use hipmer_pgas::json::Value;
-
-        let reads = human.all_reads();
-        let variants = [
-            ("no-batching", 1usize, 0usize),
-            ("batch-only", 256, 0),
-            ("batch+cache", 256, 4096),
-        ];
-        println!(
-            "{:<12} {:>14} {:>12} {:>10} {:>12} {:>12}",
-            "variant", "remote msgs", "off-node %", "batches", "cache hit %", "modeled (s)"
-        );
-        let mut rows: Vec<Value> = Vec::new();
-        let mut baseline_alns: Option<Vec<hipmer_align::Alignment>> = None;
-        for (label, lookup_batch, cache_entries) in variants {
-            let mut acfg = AlignConfig::new(15);
-            acfg.lookup_batch = lookup_batch;
-            acfg.cache_entries = cache_entries;
-            let (alns, reports) = align_reads(&team, &contigs, &reads, &acfg);
-            // The optimizations must be result-transparent.
-            match &baseline_alns {
-                None => baseline_alns = Some(alns.clone()),
-                Some(base) => assert_eq!(base, &alns, "alignments must not change"),
-            }
-            let align_phase = reports
-                .iter()
-                .find(|r| r.name == "scaffold/meraligner-align")
-                .unwrap();
-            let t = align_phase.totals();
-            let secs: f64 = reports.iter().map(|r| r.modeled(&m).total()).sum();
-            let probes = t.cache_hits + t.cache_misses;
-            let hit_pct = if probes > 0 {
-                100.0 * t.cache_hits as f64 / probes as f64
-            } else {
-                0.0
-            };
-            println!(
-                "{:<12} {:>14} {:>11.1}% {:>10} {:>11.1}% {:>12.4}",
-                label,
-                t.remote_msgs(),
-                100.0 * align_phase.offnode_fraction(),
-                t.lookup_batches,
-                hit_pct,
-                secs
-            );
-            let mut row = Value::obj();
-            row.set("variant", label)
-                .set("lookup_batch", lookup_batch)
-                .set("cache_entries", cache_entries)
-                .set("alignments", alns.len())
-                .set("remote_msgs", t.remote_msgs())
-                .set("offnode_fraction", align_phase.offnode_fraction())
-                .set("lookup_batches", t.lookup_batches)
-                .set("cache_hits", t.cache_hits)
-                .set("cache_misses", t.cache_misses)
-                .set("modeled_seconds", secs);
-            rows.push(row);
-        }
-        let mut doc = Value::obj();
-        doc.set("bench", "lookup_avoidance");
-        hipmer_bench::stamp(&mut doc);
-        doc.set("ranks", ranks)
-            .set("seed_len", 15usize)
-            .set("rows", Value::Arr(rows));
-        std::fs::write("BENCH_lookup_avoidance.json", doc.to_json()).unwrap();
-        println!("(identical alignments in all three variants; wrote BENCH_lookup_avoidance.json)");
     }
 
     // ------------------------------------------------------------------

@@ -2,15 +2,15 @@
 //!
 //! Mutual unique-extension links give every vertex in-degree ≤ 1 and
 //! out-degree ≤ 1, so the graph decomposes into simple paths and cycles.
-//! The paper's traversal ([`TraversalMode::Cooperative`]) is one claim walk
-//! per seed: every rank picks seeds from its **local** buckets, claims the
-//! seed, extends it in both directions with one claiming access per vertex,
+//! [`traverse_graph`] is the paper's traversal, one claim walk per seed:
+//! every rank picks seeds from its **local** buckets, claims the seed,
+//! extends it in both directions with one claiming access per vertex,
 //! stops where another walk's claim (or the walk cap, or an ownership
 //! boundary) begins, and a serial pass stitches the resulting subcontig
-//! chains. [`TraversalMode::EndpointWalk`] is the deterministic reference
-//! the tests compare against: one walker per path endpoint, emitted by an
-//! endpoint tie-break, plus a cleanup pass that linearizes cycles. Both
-//! produce the identical contig set.
+//! chains. `traverse_endpoints` is the deterministic reference the tests
+//! compare against: one walker per path endpoint, emitted by an endpoint
+//! tie-break, plus a cleanup pass that linearizes cycles. Both produce the
+//! identical contig set.
 
 use crate::chain::{ends_overlap, stitch, walk_chains, ContigEnd};
 use crate::contig_set::ContigSet;
@@ -18,43 +18,17 @@ use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec, KmerHashMap};
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{CommStats, OracleVector, PhaseReport, RankCtx, Schedule, SoftwareCache, Team};
+use hipmer_pgas::{CommStats, OracleVector, PhaseReport, RankCtx, SoftwareCache, Team};
 use std::sync::Arc;
-
-/// Which traversal algorithm to run (ablation hook; both emit the
-/// identical contig set).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraversalMode {
-    /// The paper's scheme: every rank seeds subcontigs from its local
-    /// buckets, claims vertices with a lightweight synchronization flag,
-    /// stops at foreign claims, and the resulting subcontig chains are
-    /// merged. Work per rank is proportional to its local vertices even
-    /// when one contig spans the whole genome.
-    Cooperative,
-    /// Deterministic endpoint walks: one walker per path endpoint (simple,
-    /// but serializes each contig onto one rank). The reference the
-    /// property tests hold `Cooperative` to.
-    EndpointWalk,
-}
 
 /// Traversal configuration.
 #[derive(Clone)]
 pub struct ContigConfig {
     /// Oracle vertex ownership (§3.2), or `None` for uniform hashing.
     pub oracle: Option<Arc<OracleVector>>,
-    /// Traversal algorithm.
-    pub mode: TraversalMode,
-    /// Cooperative mode: cap on steps per walk before the subcontig is
-    /// closed with a boundary link (keeps per-rank work bounded).
+    /// Cap on steps per claim walk before the subcontig is closed with a
+    /// boundary link (keeps per-rank work bounded).
     pub walk_cap: usize,
-    /// How cooperative-mode seeds are dealt to ranks. [`Schedule::Static`]
-    /// keeps the paper's local-bucket seeding (each rank seeds only its own
-    /// shard — skewed when placement co-locates a dominant contig on one
-    /// rank). [`Schedule::Dynamic`] pools all seeds and deals them as
-    /// guided chunks, so any rank may walk any region; the claim flags
-    /// still guarantee each vertex is consumed exactly once and the merged
-    /// contig set is byte-identical. Ignored by [`TraversalMode::EndpointWalk`].
-    pub schedule: Schedule,
     /// Abundance-aware hair/tip pruning floor (the MetaHipMer multi-k
     /// rounds): after traversal, contigs no longer than `3 * k` bases with
     /// at least one dead end (no unique outward extension) and a mean k-mer
@@ -67,9 +41,7 @@ impl Default for ContigConfig {
     fn default() -> Self {
         ContigConfig {
             oracle: None,
-            mode: TraversalMode::Cooperative,
             walk_cap: 2048,
-            schedule: Schedule::Static,
             prune_depth_floor: 0.0,
         }
     }
@@ -381,9 +353,9 @@ fn traverse_cooperative(
             _ => "contig/traversal/pass-final",
         };
         team.run_named(label, |ctx| {
-            // Per-rank node cache: in cooperative mode only the cap-boundary
-            // existence probes are exts-only reads (claims must see fresh
-            // `visited` and always bypass it).
+            // Per-rank node cache: only the cap-boundary existence probes
+            // are exts-only reads (claims must see fresh `visited` and
+            // always bypass it).
             let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
             // Seed scan: a snapshot of the local shard. Already-claimed
             // vertices are skipped from the (possibly stale) snapshot without
@@ -429,59 +401,17 @@ fn traverse_cooperative(
             subs
         })
     };
-    let (subs, stats) = match cfg.schedule {
-        Schedule::Static => {
-            let (subs_native, mut stats) = run_pass(0);
-            let (subs_capped, stats_capped) = run_pass(1);
-            let (subs_cleanup, stats_cleanup) = run_pass(2);
-            merge_ranks(&mut stats, &stats_capped);
-            merge_ranks(&mut stats, &stats_cleanup);
-            let subs: Vec<Subcontig> = subs_native
-                .into_iter()
-                .chain(subs_capped)
-                .chain(subs_cleanup)
-                .flatten()
-                .collect();
-            (subs, stats)
-        }
-        Schedule::Dynamic => {
-            // Pool every seed globally: each rank reports its local keys
-            // sorted, and the rank-ordered concatenation is a deterministic
-            // pool independent of the OS schedule. (Materializing the pool
-            // is not billed as communication; the coordination cost of
-            // dealing it out is modeled by `t_steal` per claimed chunk.)
-            let (seed_lists, mut stats) = team.run_named("contig/traversal/seed-scan", |ctx| {
-                let mut seeds: Vec<Kmer> = graph
-                    .nodes
-                    .snapshot_local(ctx)
-                    .into_iter()
-                    .map(|(km, _)| km)
-                    .collect();
-                seeds.sort_unstable();
-                ctx.stats.compute(seeds.len() as u64);
-                seeds
-            });
-            let seeds: Vec<Kmer> = seed_lists.into_iter().flatten().collect();
-            // Deal the pool as guided chunks: any rank may walk any region.
-            // The claim flags still guarantee each vertex is consumed
-            // exactly once, so the subcontig partition covers the same
-            // paths and the merge below stitches identical contigs.
-            let (subs_lists, stats_claim) = team.run_named("contig/traversal/claim", |ctx| {
-                let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
-                let mut subs: Vec<Subcontig> = Vec::new();
-                for range in ctx.dynamic_ranges(seeds.len()) {
-                    for &seed in &seeds[range] {
-                        if let Some((sub, _)) = claim_walk_seed(graph, ctx, cfg, &mut cache, seed) {
-                            subs.push(sub);
-                        }
-                    }
-                }
-                subs
-            });
-            merge_ranks(&mut stats, &stats_claim);
-            (subs_lists.into_iter().flatten().collect(), stats)
-        }
-    };
+    let (subs_native, mut stats) = run_pass(0);
+    let (subs_capped, stats_capped) = run_pass(1);
+    let (subs_cleanup, stats_cleanup) = run_pass(2);
+    merge_ranks(&mut stats, &stats_capped);
+    merge_ranks(&mut stats, &stats_cleanup);
+    let subs: Vec<Subcontig> = subs_native
+        .into_iter()
+        .chain(subs_capped)
+        .chain(subs_cleanup)
+        .flatten()
+        .collect();
 
     // Serial merge of the subcontig chains (tiny: O(G / walk_cap + p)
     // pieces); its work is one op per piece merged and per base stitched.
@@ -541,8 +471,32 @@ fn merge_chains(subs: &[Subcontig], k: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The deterministic endpoint traversal (default mode).
-fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (Vec<Vec<u8>>, Vec<CommStats>) {
+/// Traverse a built graph into a contig set.
+pub fn traverse_graph(
+    team: &Team,
+    graph: &DebruijnGraph,
+    cfg: &ContigConfig,
+) -> (ContigSet, PhaseReport) {
+    assert!(
+        graph.codec.k() % 2 == 1,
+        "traversal requires odd k (no palindromic k-mers)"
+    );
+    let (seqs, mut stats, serial_ops) = traverse_cooperative(team, graph, cfg);
+    graph.nodes.drain_service_into(&mut stats);
+    let set = ContigSet::from_sequences(graph.codec, seqs);
+    (
+        set,
+        PhaseReport::new("contig/traversal", *team.topo(), stats).with_serial_ops(serial_ops),
+    )
+}
+
+/// The deterministic endpoint traversal: one walker per path endpoint,
+/// emitted by an endpoint tie-break, then a pass that linearizes cycles.
+/// It produces the same contig set as [`traverse_graph`] and is the
+/// reference the contig tests hold the claim walk to. Not for production
+/// use.
+#[doc(hidden)]
+pub fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (ContigSet, PhaseReport) {
     // Pass 1: endpoint walks. Every endpoint check and walk step is an
     // exts-only read, so the whole pass runs through the node cache: path
     // vertices are read several times (once per orientation check of their
@@ -605,31 +559,10 @@ fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (Vec<Vec<u8>>, Vec<
     all.extend(cycle_seqs.into_iter().flatten());
 
     merge_ranks(&mut stats, &cycle_stats);
-    (all, stats)
-}
-
-/// Traverse a built graph into a contig set.
-pub fn traverse_graph(
-    team: &Team,
-    graph: &DebruijnGraph,
-    cfg: &ContigConfig,
-) -> (ContigSet, PhaseReport) {
-    assert!(
-        graph.codec.k() % 2 == 1,
-        "traversal requires odd k (no palindromic k-mers)"
-    );
-    let (seqs, mut stats, serial_ops) = match cfg.mode {
-        TraversalMode::Cooperative => traverse_cooperative(team, graph, cfg),
-        TraversalMode::EndpointWalk => {
-            let (s, st) = traverse_endpoints(team, graph);
-            (s, st, 0)
-        }
-    };
     graph.nodes.drain_service_into(&mut stats);
-    let set = ContigSet::from_sequences(graph.codec, seqs);
     (
-        set,
-        PhaseReport::new("contig/traversal", *team.topo(), stats).with_serial_ops(serial_ops),
+        ContigSet::from_sequences(graph.codec, all),
+        PhaseReport::new("contig/traversal", *team.topo(), stats),
     )
 }
 
@@ -701,21 +634,10 @@ pub fn prune_hairs(
     let candidates: Vec<usize> = (0..set.contigs.len())
         .filter(|&ci| set.contigs[ci].seq.len() <= max_len)
         .collect();
-    let weights: Vec<u64> = candidates
-        .iter()
-        .map(|&ci| (set.contigs[ci].seq.len() - k + 1) as u64)
-        .collect();
 
     let (drop_lists, mut stats) = team.run_named("contig/prune", |ctx| {
         let mut dropped: Vec<usize> = Vec::new();
-        let mine: Vec<usize> = cfg
-            .schedule
-            .ranges_weighted(ctx, &weights)
-            .into_iter()
-            .flatten()
-            .collect();
-        for &i in &mine {
-            let ci = candidates[i];
+        for &ci in &candidates[ctx.chunk(candidates.len())] {
             let seq = &set.contigs[ci].seq;
             let n_kmers = seq.len() - k + 1;
             ctx.stats.compute(n_kmers as u64);
@@ -824,13 +746,12 @@ mod tests {
         out
     }
 
-    fn assemble(genome: &[u8], topo: Topology, mode: TraversalMode) -> ContigSet {
+    fn assemble(genome: &[u8], topo: Topology) -> ContigSet {
         let team = Team::new(topo);
         let reads = perfect_reads(genome, 80, 4);
         let kcfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &kcfg);
         let ccfg = ContigConfig {
-            mode,
             walk_cap: 100, // small cap: exercise chain merging in tests
             ..ContigConfig::default()
         };
@@ -838,10 +759,16 @@ mod tests {
         set
     }
 
+    /// The endpoint-walk reference over the graph of `spectrum`.
+    fn endpoint_contigs(team: &Team, spectrum: &KmerSpectrum) -> ContigSet {
+        let (graph, _) = crate::graph::build_graph(team, spectrum, None);
+        traverse_endpoints(team, &graph).0
+    }
+
     #[test]
     fn single_clean_genome_yields_one_dominant_contig() {
         let genome = lcg_genome(3000, 21);
-        let set = assemble(&genome, Topology::new(4, 2), TraversalMode::Cooperative);
+        let set = assemble(&genome, Topology::new(4, 2));
         assert!(!set.is_empty());
         // Read ends lose extension votes near boundaries, so the assembly
         // may be split, but the largest contig should span nearly
@@ -928,59 +855,23 @@ mod tests {
     #[test]
     fn contig_set_is_schedule_independent() {
         let genome = lcg_genome(2000, 33);
-        let a = assemble(&genome, Topology::new(1, 1), TraversalMode::Cooperative);
-        let b = assemble(&genome, Topology::new(7, 3), TraversalMode::Cooperative);
-        let c = assemble(&genome, Topology::new(16, 4), TraversalMode::Cooperative);
+        let a = assemble(&genome, Topology::new(1, 1));
+        let b = assemble(&genome, Topology::new(7, 3));
+        let c = assemble(&genome, Topology::new(16, 4));
         let seqs =
             |s: &ContigSet| -> Vec<Vec<u8>> { s.contigs.iter().map(|c| c.seq.clone()).collect() };
         assert_eq!(seqs(&a), seqs(&b));
         assert_eq!(seqs(&a), seqs(&c));
     }
 
-    fn assemble_sched(
-        genome: &[u8],
-        topo: Topology,
-        schedule: Schedule,
-        read_len: usize,
-    ) -> ContigSet {
-        let team = Team::new(topo);
-        let reads = perfect_reads(genome, read_len, 4);
-        let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
-        let ccfg = ContigConfig {
-            walk_cap: 100,
-            schedule,
-            ..ContigConfig::default()
-        };
-        let (set, _) = generate_contigs(&team, &spectrum, &ccfg);
-        set
-    }
-
-    #[test]
-    fn dynamic_schedule_matches_static_contigs() {
-        let seqs =
-            |s: &ContigSet| -> Vec<Vec<u8>> { s.contigs.iter().map(|c| c.seq.clone()).collect() };
-        // Random genomes at several sizes; the 60-base one has ~40 seeds,
-        // fewer than the 64-rank topology (ranks > items).
-        for (len, seed, read_len) in [(2000usize, 33u64, 80usize), (700, 91, 80), (60, 5, 30)] {
-            let genome = lcg_genome(len, seed);
-            for (ranks, per) in [(1usize, 1usize), (7, 3), (16, 4), (64, 8)] {
-                let topo = Topology::new(ranks, per);
-                let st = assemble_sched(&genome, topo, Schedule::Static, read_len);
-                let dy = assemble_sched(&genome, topo, Schedule::Dynamic, read_len);
-                assert_eq!(
-                    seqs(&st),
-                    seqs(&dy),
-                    "schedules disagree at ranks={ranks} len={len}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn cooperative_matches_deterministic() {
         let genome = lcg_genome(2500, 55);
-        let det = assemble(&genome, Topology::new(4, 2), TraversalMode::EndpointWalk);
-        let coop = assemble(&genome, Topology::new(4, 2), TraversalMode::Cooperative);
+        let team = Team::new(Topology::new(4, 2));
+        let reads = perfect_reads(&genome, 80, 4);
+        let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
+        let det = endpoint_contigs(&team, &spectrum);
+        let coop = assemble(&genome, Topology::new(4, 2));
         let seqs =
             |s: &ContigSet| -> Vec<Vec<u8>> { s.contigs.iter().map(|c| c.seq.clone()).collect() };
         assert_eq!(seqs(&det), seqs(&coop));
@@ -1038,24 +929,19 @@ mod tests {
         ] {
             let reads = perfect_reads(&genome, 80, 4);
             let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
-            let mut cfg = ContigConfig {
-                mode: TraversalMode::EndpointWalk,
-                ..ContigConfig::default()
-            };
-            let (reference, _) = generate_contigs(&team, &spectrum, &cfg);
+            let reference = endpoint_contigs(&team, &spectrum);
             assert!(!reference.is_empty());
-            cfg.mode = TraversalMode::Cooperative;
             for walk_cap in [1, 2, 3] {
-                for schedule in [Schedule::Static, Schedule::Dynamic] {
-                    cfg.walk_cap = walk_cap;
-                    cfg.schedule = schedule;
-                    let (set, _) = generate_contigs(&team, &spectrum, &cfg);
-                    assert_eq!(
-                        rotation_free(&set, k),
-                        rotation_free(&reference, k),
-                        "{what} {schedule} walk_cap={walk_cap}"
-                    );
-                }
+                let cfg = ContigConfig {
+                    walk_cap,
+                    ..ContigConfig::default()
+                };
+                let (set, _) = generate_contigs(&team, &spectrum, &cfg);
+                assert_eq!(
+                    rotation_free(&set, k),
+                    rotation_free(&reference, k),
+                    "{what} walk_cap={walk_cap}"
+                );
             }
         }
     }
@@ -1070,7 +956,7 @@ mod tests {
         genome.extend(lcg_genome(800, 2));
         genome.extend_from_slice(&r);
         genome.extend(lcg_genome(800, 3));
-        let set = assemble(&genome, Topology::new(2, 2), TraversalMode::Cooperative);
+        let set = assemble(&genome, Topology::new(2, 2));
         assert!(
             set.len() >= 3,
             "repeat must split the assembly, got {} contigs",

@@ -1,8 +1,11 @@
 //! Property tests for contig generation: the traversal must reconstruct
-//! arbitrary clean genomes exactly, in every mode, at any concurrency —
+//! arbitrary clean genomes exactly, as does the endpoint-walk reference it
+//! is held to, at any concurrency —
 //! and the chain walker under it must place every node exactly once.
 
-use hipmer_contig::{generate_contigs, walk_chains, ContigConfig, ContigEnd, TraversalMode};
+use hipmer_contig::{
+    build_graph, traverse_endpoints, traverse_graph, walk_chains, ContigConfig, ContigEnd,
+};
 use hipmer_dna::{revcomp, BASES};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::{Team, Topology};
@@ -103,18 +106,22 @@ proptest! {
     fn contigs_are_genome_substrings_and_cover_interior(
         genome in genome_strategy(),
         ranks in 1usize..10,
-        mode_pick in 0usize..2,
+        endpoint_walk in any::<bool>(),
     ) {
         let k = 21;
         let reads = tile(&genome, 80);
         let team = Team::new(Topology::new(ranks, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
+        let (graph, _) = build_graph(&team, &spectrum, None);
         let cfg = ContigConfig {
-            mode: [TraversalMode::Cooperative, TraversalMode::EndpointWalk][mode_pick],
             walk_cap: 64, // exercise subcontig chaining
             ..ContigConfig::default()
         };
-        let (set, _) = generate_contigs(&team, &spectrum, &cfg);
+        let (set, _) = if endpoint_walk {
+            traverse_endpoints(&team, &graph)
+        } else {
+            traverse_graph(&team, &graph, &cfg)
+        };
 
         // Every contig is an exact substring of the genome or its reverse
         // complement (no chimeras, no invented bases).
@@ -142,22 +149,19 @@ proptest! {
         let reads = tile(&genome, 80);
         let team = Team::new(Topology::new(ranks, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(k));
-        let mut sets = Vec::new();
-        for mode in [TraversalMode::Cooperative, TraversalMode::EndpointWalk] {
-            let cfg = ContigConfig {
-                mode,
-                walk_cap: 50,
-                ..ContigConfig::default()
-            };
-            let (set, _) = generate_contigs(&team, &spectrum, &cfg);
-            sets.push(
-                set.contigs
-                    .into_iter()
-                    .map(|c| c.seq)
-                    .collect::<Vec<_>>(),
-            );
-        }
-        prop_assert_eq!(&sets[0], &sets[1]);
+        let cfg = ContigConfig {
+            walk_cap: 50,
+            ..ContigConfig::default()
+        };
+        let seqs = |set: hipmer_contig::ContigSet| {
+            set.contigs.into_iter().map(|c| c.seq).collect::<Vec<_>>()
+        };
+        // Separate graphs: each traversal claims every vertex it visits.
+        let (graph, _) = build_graph(&team, &spectrum, None);
+        let cooperative = seqs(traverse_graph(&team, &graph, &cfg).0);
+        let (graph, _) = build_graph(&team, &spectrum, None);
+        let endpoints = seqs(traverse_endpoints(&team, &graph).0);
+        prop_assert_eq!(&cooperative, &endpoints);
     }
 }
 

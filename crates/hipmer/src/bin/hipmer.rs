@@ -17,13 +17,6 @@
 //! scaffolds as FASTA, and (with `--report`) prints the per-phase modeled
 //! times on the Edison-like cost model.
 //!
-//! Scheduling: `--schedule dynamic` deals the skew-prone stages' work
-//! (cooperative traversal, alignment, depths, bubbles, gap closing) as
-//! guided chunks from a shared pool instead of fixed blocks. The assembled
-//! output is byte-identical to `--schedule static` (the default); only the
-//! modeled per-rank load balance — visible as `imbalance` and `steal_ops`
-//! in `--report-json` — changes.
-//!
 //! Multi-k: `--multi-k 21,33,55` (strictly increasing, comma-separated)
 //! runs MetaHipMer-style iterative coassembly rounds: k-mer analysis +
 //! contig generation repeat once per k, each round's contigs feed the next
@@ -78,7 +71,6 @@ const USAGE: [(&str, &str, Run); 3] = [
         "<reads.fastq> -o <scaffolds.fasta> [-k K] [--ranks N]\n\
          \x20         [--ranks-per-node N] [--rounds N] [--metagenome] [--report]\n\
          \x20         [--multi-k K1,K2,...]\n\
-         \x20         [--schedule static|dynamic]\n\
          \x20         [--trace <trace.json>] [--trace-ranks N] [--report-json <report.json>]\n\
          \x20         [--checkpoint-dir <dir>] [--resume] [--checkpoint-interval N]\n\
          \x20         [--stage-retries N] [--halt-after <stage>] [--fault-seed S]\n\
@@ -261,7 +253,6 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         flags.get_or("--rounds", 1)?,
         flags.has("--metagenome"),
         &multi_k,
-        flags.get_or("--schedule", Default::default())?,
     )?;
     let cancel = Arc::new(AtomicBool::new(false));
     let opts = RunOptions {

@@ -2,7 +2,6 @@
 
 use hipmer_contig::ContigConfig;
 use hipmer_kanalysis::KmerAnalysisConfig;
-use hipmer_pgas::Schedule;
 use hipmer_scaffold::ScaffoldConfig;
 
 /// Configuration for a complete assembly run.
@@ -73,19 +72,16 @@ impl PipelineConfig {
     /// The one request → config mapping, shared by `hipmer assemble` and the
     /// job service so the two cannot disagree about what a parameter
     /// means: assemble at `k` with `rounds` scaffolding rounds (none under
-    /// `metagenome`, §5.4), `schedule` applied to every stage, and — when
-    /// `multi_k` is non-empty — the MetaHipMer round schedule of
-    /// [`Self::try_multi_k`].
+    /// `metagenome`, §5.4) and — when `multi_k` is non-empty — the
+    /// MetaHipMer round schedule of [`Self::try_multi_k`].
     pub fn from_spec(
         k: usize,
         rounds: usize,
         metagenome: bool,
         multi_k: &[usize],
-        schedule: Schedule,
     ) -> Result<Self, String> {
         let mut cfg = Self::try_new(k).map_err(|e| format!("k={k}: {e}"))?;
         cfg.scaffold.rounds = if metagenome { 0 } else { rounds };
-        cfg = cfg.with_schedule(schedule);
         if multi_k.is_empty() {
             Ok(cfg)
         } else {
@@ -153,18 +149,6 @@ impl PipelineConfig {
         (self.multi_k.len() >= 2).then_some(&self.multi_k[..])
     }
 
-    /// Apply one [`Schedule`] to every skew-prone stage: the cooperative
-    /// contig traversal, the aligner read loop, contig depths, bubble
-    /// merging, and gap closing. [`Schedule::Dynamic`] deals each stage's
-    /// work as guided chunks from a shared pool instead of fixed
-    /// contiguous blocks; the assembled output is byte-identical either
-    /// way, only the modeled load balance changes.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.contig.schedule = schedule;
-        self.scaffold = self.scaffold.with_schedule(schedule);
-        self
-    }
-
     /// Preset matching the wheat runs: four scaffolding rounds (§5.3: "the
     /// wheat pipeline ... requires four rounds of scaffolding").
     pub fn wheat_preset(k: usize) -> Self {
@@ -202,31 +186,18 @@ mod tests {
     }
 
     #[test]
-    fn with_schedule_reaches_every_stage() {
-        let cfg = PipelineConfig::new(31).with_schedule(Schedule::Dynamic);
-        assert_eq!(cfg.contig.schedule, Schedule::Dynamic);
-        assert_eq!(cfg.scaffold.schedule, Schedule::Dynamic);
-        assert_eq!(cfg.scaffold.align.schedule, Schedule::Dynamic);
-        assert_eq!(cfg.scaffold.gap.schedule, Schedule::Dynamic);
-    }
-
-    #[test]
     fn from_spec_applies_every_parameter() {
-        let dynamic = Schedule::Dynamic;
-        let cfg = PipelineConfig::from_spec(33, 4, false, &[21, 33], dynamic).unwrap();
+        let cfg = PipelineConfig::from_spec(33, 4, false, &[21, 33]).unwrap();
         assert_eq!((cfg.k, cfg.scaffold.rounds), (33, 4));
         assert_eq!(cfg.multi_k_rounds(), Some(&[21, 33][..]));
-        assert_eq!(cfg.contig.schedule, Schedule::Dynamic);
-        assert_eq!(cfg.scaffold.align.schedule, Schedule::Dynamic);
 
         // `metagenome` wins over `rounds`; no multi-k list is the classic run.
-        let meta = PipelineConfig::from_spec(31, 4, true, &[], dynamic).unwrap();
+        let meta = PipelineConfig::from_spec(31, 4, true, &[]).unwrap();
         assert!(!meta.scaffolding_enabled());
         assert_eq!(meta.multi_k_rounds(), None);
 
-        let s = Schedule::default();
-        assert!(PipelineConfig::from_spec(32, 1, false, &[], s).is_err());
-        assert!(PipelineConfig::from_spec(31, 1, false, &[21, 33], s).is_err());
+        assert!(PipelineConfig::from_spec(32, 1, false, &[]).is_err());
+        assert!(PipelineConfig::from_spec(31, 1, false, &[21, 33]).is_err());
     }
 
     #[test]
@@ -262,7 +233,6 @@ mod tests {
 
     #[test]
     fn round_stage_configs_differ_only_in_k_and_pruning() {
-        use hipmer_contig::TraversalMode;
         use hipmer_pgas::OracleVector;
         use std::sync::Arc;
         // Every field of the two stage configs at a non-default value.
@@ -278,9 +248,7 @@ mod tests {
         let oracle = Arc::new(OracleVector::new(64, 4));
         cfg.contig = ContigConfig {
             oracle: Some(Arc::clone(&oracle)),
-            mode: TraversalMode::EndpointWalk,
             walk_cap: 5,
-            schedule: Schedule::Dynamic,
             prune_depth_floor: 0.0,
         };
         let (ka, cc) = cfg.round_stage_configs(21);
@@ -299,21 +267,19 @@ mod tests {
         assert!(!use_heavy_hitters && !use_bloom);
         let ContigConfig {
             oracle: round_oracle,
-            mode,
             walk_cap,
-            schedule,
             prune_depth_floor,
         } = cc;
         assert!(Arc::ptr_eq(&round_oracle.unwrap(), &oracle));
-        assert_eq!(mode, TraversalMode::EndpointWalk);
         assert_eq!(walk_cap, 5);
-        assert_eq!(schedule, Schedule::Dynamic);
         assert_eq!(prune_depth_floor, ROUND_PRUNE_DEPTH);
         // The final-round configs (cfg.contig) never prune.
         assert_eq!(cfg.contig.prune_depth_floor, 0.0);
     }
 
-    /// The whole option surface: 21 independently settable values. Every
+    /// The whole option surface: 15 independently settable values, of
+    /// which `ScaffoldConfig.schedule` has one value only (its type stays
+    /// for the benchmark crate; see `hipmer_pgas::Schedule`). Every
     /// struct is destructured without `..`, so a new field does not compile
     /// until it is listed here — and it belongs here only if two callers
     /// that are neither tests nor examples (a CLI flag, the job service, a
@@ -323,8 +289,8 @@ mod tests {
     #[test]
     fn option_surface_and_defaults() {
         use hipmer_align::AlignConfig;
-        use hipmer_contig::TraversalMode;
         use hipmer_pgas::agg::DEFAULT_BATCH;
+        use hipmer_pgas::Schedule;
         use hipmer_scaffold::GapCloseConfig;
         let PipelineConfig {
             k,       // -k
@@ -351,40 +317,27 @@ mod tests {
         assert!(use_heavy_hitters && use_bloom);
         let ContigConfig {
             oracle,            // table1_oracle_traversal
-            mode,              // ablations
             walk_cap,          // small inputs reaching the chain merge
-            schedule,          // --schedule
             prune_depth_floor, // round_stage_configs
         } = contig;
         assert!(oracle.is_none());
-        assert_eq!(mode, TraversalMode::Cooperative);
         assert_eq!(walk_cap, 2048);
-        assert_eq!(schedule, Schedule::Static);
         assert_eq!(prune_depth_floor, 0.0);
         let ScaffoldConfig {
             align,
             gap,
             rounds,   // --rounds, the wheat and metagenome presets
-            schedule, // --schedule
+            schedule, // benchmark/src/rep.rs (ignored)
         } = scaffold;
         assert_eq!((rounds, schedule), (1, Schedule::Static));
         let AlignConfig {
-            seed_len,      // min(15, k)
-            lookup_batch,  // ablations
-            cache_entries, // ablations
-            schedule,      // --schedule
+            seed_len, // min(15, k)
         } = align;
-        assert_eq!(
-            (seed_len, lookup_batch, cache_entries),
-            (15, DEFAULT_BATCH, 4096)
-        );
-        assert_eq!(schedule, Schedule::Static);
+        assert_eq!(seed_len, 15);
         let GapCloseConfig {
             round_robin, // ablations
-            schedule,    // --schedule, scaling_schedule
         } = gap;
         assert!(round_robin);
-        assert_eq!(schedule, Schedule::Static);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use hipmer_pgas::json::Value;
-use hipmer_pgas::{metrics, trace, Schedule, TeamLease};
+use hipmer_pgas::{metrics, trace, TeamLease};
 use hipmer_serve::{ExecOutcome, JobExecutor, JobSpec};
 
 use crate::checkpoint;
@@ -44,16 +44,9 @@ impl AssemblyExecutor {
 }
 
 /// The pipeline configuration a spec describes, through the constructor the
-/// one-shot CLI also uses. A spec carries no schedule: it only moves
-/// counters, never bytes, so the service runs the default.
+/// one-shot CLI also uses.
 fn config_for(spec: &JobSpec) -> Result<PipelineConfig, String> {
-    PipelineConfig::from_spec(
-        spec.k,
-        spec.rounds,
-        spec.metagenome,
-        &[],
-        Schedule::default(),
-    )
+    PipelineConfig::from_spec(spec.k, spec.rounds, spec.metagenome, &[])
 }
 
 impl JobExecutor for AssemblyExecutor {

@@ -78,99 +78,6 @@ fn simulate_then_assemble_roundtrip() {
 }
 
 #[test]
-fn dynamic_schedule_matches_static_fasta_and_records_steals() {
-    use hipmer_pgas::json::Value;
-
-    let dir = std::env::temp_dir().join(format!("hipmer-cli-sched-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let reads = dir.join("reads.fastq");
-
-    let sim = Command::new(bin())
-        .args([
-            "simulate",
-            "human",
-            "-o",
-            reads.to_str().unwrap(),
-            "--len",
-            "15000",
-            "--cov",
-            "14",
-            "--seed",
-            "7",
-        ])
-        .output()
-        .expect("simulate runs");
-    assert!(
-        sim.status.success(),
-        "{}",
-        String::from_utf8_lossy(&sim.stderr)
-    );
-
-    let run = |schedule: &str| {
-        let out = dir.join(format!("scaffolds-{schedule}.fasta"));
-        let report = dir.join(format!("report-{schedule}.json"));
-        let asm = Command::new(bin())
-            .args([
-                "assemble",
-                reads.to_str().unwrap(),
-                "-o",
-                out.to_str().unwrap(),
-                "-k",
-                "21",
-                "--ranks",
-                "16",
-                "--ranks-per-node",
-                "8",
-                "--schedule",
-                schedule,
-                "--report-json",
-                report.to_str().unwrap(),
-            ])
-            .output()
-            .expect("assemble runs");
-        assert!(
-            asm.status.success(),
-            "{}",
-            String::from_utf8_lossy(&asm.stderr)
-        );
-        (
-            std::fs::read(&out).unwrap(),
-            std::fs::read_to_string(&report).unwrap(),
-        )
-    };
-    let (fasta_static, report_static) = run("static");
-    let (fasta_dynamic, report_dynamic) = run("dynamic");
-    assert_eq!(
-        fasta_static, fasta_dynamic,
-        "schedules must assemble byte-identical scaffolds"
-    );
-
-    // Static records no steals; dynamic records them on the converted
-    // phases (traversal claim, aligner, depths, bubbles, gap closing).
-    let steals = |doc: &str| -> u64 {
-        let doc = Value::parse(doc).unwrap();
-        doc.get("phases")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|p| {
-                p.get("totals")
-                    .and_then(|t| t.get("steal_ops"))
-                    .and_then(Value::as_u64)
-                    .unwrap()
-            })
-            .sum()
-    };
-    assert_eq!(steals(&report_static), 0, "static schedule must not steal");
-    assert!(
-        steals(&report_dynamic) > 0,
-        "dynamic schedule must record steal operations"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn trace_and_report_json_outputs_are_valid() {
     use hipmer_pgas::json::Value;
 
@@ -263,7 +170,7 @@ fn trace_and_report_json_outputs_are_valid() {
     let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         report_doc.get("schema_version").and_then(Value::as_u64),
-        Some(10)
+        Some(11)
     );
     // Classic single-k runs serialize an empty rounds array.
     assert!(report_doc
@@ -329,13 +236,12 @@ fn trace_and_report_json_outputs_are_valid() {
         );
         assert!(p.get("offnode_fraction").and_then(Value::as_f64).is_some());
         assert!(p.get("imbalance").and_then(Value::as_f64).unwrap() >= 1.0);
-        // Schema v4: steal accounting is always present (0 under the
-        // default static schedule).
-        assert!(p
-            .get("totals")
-            .and_then(|t| t.get("steal_ops"))
-            .and_then(Value::as_u64)
-            .is_some());
+        // `totals` is exactly the counted field table.
+        let counted: Vec<&str> = (hipmer_pgas::stats::FIELDS.iter())
+            .filter(|f| f.1 == hipmer_pgas::stats::Kind::Counted)
+            .map(|f| f.0)
+            .collect();
+        assert_eq!(p.get("totals").unwrap().keys(), counted);
         assert!(p
             .get("modeled")
             .and_then(|m| m.get("total_seconds"))
@@ -475,8 +381,8 @@ fn report_and_trace_sampling_flags_work_end_to_end() {
     );
 
     // The registry's flags went with it, and so did the calibration and
-    // heartbeat side outputs and the k-mer partition knob: unknown flag,
-    // usage, exit 2.
+    // heartbeat side outputs, the k-mer partition knob and the work
+    // schedule: unknown flag, usage, exit 2.
     for flag in [
         &["--metrics-json", "m.json"][..],
         &["--metrics-text"],
@@ -484,6 +390,7 @@ fn report_and_trace_sampling_flags_work_end_to_end() {
         &["--heartbeat", "1"],
         &["--heartbeat-jsonl", "hb.jsonl"],
         &["--partition", "uniform"],
+        &["--schedule", "static"],
     ] {
         let gone = Command::new(bin())
             .args(["assemble", reads.to_str().unwrap(), "-o", "x.fa"])
@@ -810,7 +717,7 @@ fn multi_k_assembles_and_reports_rounds() {
 
     // The schema-v7 rounds surface.
     let doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(10));
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(11));
     let rounds = doc.get("rounds").unwrap().as_arr().unwrap();
     assert_eq!(rounds.len(), 2);
     assert_eq!(rounds[0].get("k").and_then(Value::as_u64), Some(21));
@@ -1122,7 +1029,7 @@ fn serve_pool_threads_zero_exits_2() {
 #[test]
 fn every_flag_in_the_usage_text_is_accepted() {
     let flags = usage_flags();
-    assert_eq!(flags[0].1.len(), 21, "assemble's flags: {:?}", flags[0].1);
+    assert_eq!(flags[0].1.len(), 20, "assemble's flags: {:?}", flags[0].1);
     for (cmd, flags) in flags {
         assert!(!flags.is_empty(), "{cmd}");
         for flag in flags {

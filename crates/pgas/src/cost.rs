@@ -90,12 +90,6 @@ pub struct CostModel {
     /// full bytes (priced by the bandwidth terms), so the saving falls out
     /// of the existing terms.
     pub t_cache: f64,
-    /// Seconds per dynamic-scheduling chunk acquisition (see
-    /// [`CommStats::steal_ops`]): one remote atomic fetch-add on the shared
-    /// work counter, typically living on one rank — dearer than an on-node
-    /// access, cheaper than a full off-node round trip since the payload is
-    /// a single word and the operation needs no service work at the owner.
-    pub t_steal: f64,
     /// Seconds per exponential-backoff unit accumulated while waiting to
     /// re-deliver a transiently-faulted message (see
     /// [`CommStats::backoff_units`]): attempt `n` waits
@@ -123,7 +117,6 @@ impl CostModel {
             bw_offnode: 1.0e9,
             t_service: 1.5e-7,
             t_cache: 2.0e-8,
-            t_steal: 2.5e-6,
             t_backoff: 1.0e-4,
             t_barrier_base: 5.0e-6,
             io_bw_per_rank: 8.0e7,
@@ -137,7 +130,6 @@ impl CostModel {
     pub fn single_node() -> Self {
         CostModel {
             t_offnode: 1.0e-6, // everything is at worst cross-socket
-            t_steal: 1.0e-6,   // the work counter is in shared memory
             io_bw_aggregate: 5.0e8,
             io_bw_per_rank: 5.0e8,
             ..Self::edison()
@@ -153,7 +145,6 @@ impl CostModel {
                 + (s.cache_hits + s.cache_misses) as f64 * self.t_cache,
             latency: s.onnode_msgs as f64 * self.t_onnode
                 + s.offnode_msgs as f64 * self.t_offnode
-                + s.steal_ops as f64 * self.t_steal
                 + s.backoff_units as f64 * self.t_backoff,
             bandwidth: s.onnode_bytes as f64 / self.bw_onnode
                 + s.offnode_bytes as f64 / self.bw_offnode,
@@ -276,19 +267,6 @@ mod tests {
         };
         let delta = model.rank_breakdown(&faulted).latency - model.rank_breakdown(&clean).latency;
         assert!((delta - 7.0 * model.t_backoff).abs() < 1e-12);
-    }
-
-    #[test]
-    fn steal_ops_price_into_latency_between_onnode_and_offnode() {
-        let model = CostModel::edison();
-        assert!(model.t_onnode < model.t_steal && model.t_steal < model.t_offnode);
-        let clean = CommStats::new();
-        let stealing = CommStats {
-            steal_ops: 1_000,
-            ..CommStats::default()
-        };
-        let delta = model.rank_breakdown(&stealing).latency - model.rank_breakdown(&clean).latency;
-        assert!((delta - 1_000.0 * model.t_steal).abs() < 1e-12);
     }
 
     #[test]

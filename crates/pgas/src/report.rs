@@ -299,7 +299,7 @@ impl PipelineReport {
     }
 
     /// Serialize the whole pipeline report as a machine-readable JSON
-    /// document, **schema version 9**, priced under [`CostModel::edison`]
+    /// document, **schema version 11**, priced under [`CostModel::edison`]
     /// (`cost_model: "edison"`). Everything in it is a view of the
     /// per-rank [`CommStats`] the phases returned plus the stage and
     /// checkpoint bookkeeping; the keys that hold host measurements are
@@ -325,7 +325,7 @@ impl PipelineReport {
     pub fn to_json(&self) -> String {
         let model = &CostModel::edison();
         let mut doc = Value::obj();
-        doc.set("schema_version", 10u64)
+        doc.set("schema_version", 11u64)
             .set("generator", "hipmer-pgas")
             .set("cost_model", "edison");
         let rounds = self.rounds.iter().map(|r| {
@@ -569,7 +569,6 @@ mod tests {
                 retries: 3,
                 backoff_units: 7,
                 io_read_bytes: 1 << 20,
-                steal_ops: 9 + r,
                 barriers: 2,
                 table_entries: 100 + r,
                 exec_nanos: 1_000_000 * (r + 1),
@@ -631,7 +630,7 @@ mod tests {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
         let doc = Value::parse(&busy_pipeline().to_json()).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 10);
+        assert_eq!(u64_at(&doc, "schema_version"), 11);
         assert_eq!(str_at(&doc, "cost_model"), "edison");
         assert_keys(
             &doc,
@@ -822,10 +821,6 @@ mod tests {
             assert!(faults > 0, "fixture must exercise fault accounting");
             assert_eq!(u64_at(v, "totals/retries"), p.totals().retries);
             assert_eq!(u64_at(v, "totals/backoff_units"), p.totals().backoff_units);
-            // Schema-v4 dynamic-scheduling counter.
-            let steals = u64_at(v, "totals/steal_ops");
-            assert_eq!(steals, p.totals().steal_ops);
-            assert!(steals > 0, "fixture must exercise steal accounting");
         }
         // Pipeline-level sums.
         let wall = f64_at(&doc, "wall_seconds");

@@ -56,12 +56,6 @@ pub struct CommStats {
     pub io_read_bytes: u64,
     /// Bytes written to storage by this rank.
     pub io_write_bytes: u64,
-    /// Dynamic-scheduling chunk acquisitions: each chunk a rank claims from
-    /// the shared work counter of [`crate::RankCtx::dynamic_ranges`] is one
-    /// modeled remote atomic fetch-add, priced by
-    /// [`crate::CostModel::t_steal`]. Static `chunk` partitioning performs
-    /// none.
-    pub steal_ops: u64,
     /// Barriers this rank participated in.
     pub barriers: u64,
     /// Measured nanoseconds this rank's phase body actually executed
@@ -101,7 +95,7 @@ pub type Field = (&'static str, Kind, fn(&mut CommStats) -> &mut u64);
 /// order. [`CommStats::merge`], [`CommStats::counted`], the report's
 /// `totals`/`measured` objects and the trace span `args` are all loops over
 /// this table, so a new counter is one struct field plus one row here.
-pub const FIELDS: [Field; 20] = [
+pub const FIELDS: [Field; 19] = [
     ("compute_ops", Counted, |s| &mut s.compute_ops),
     ("local_ops", Counted, |s| &mut s.local_ops),
     ("onnode_msgs", Counted, |s| &mut s.onnode_msgs),
@@ -117,7 +111,6 @@ pub const FIELDS: [Field; 20] = [
     ("backoff_units", Counted, |s| &mut s.backoff_units),
     ("io_read_bytes", Counted, |s| &mut s.io_read_bytes),
     ("io_write_bytes", Counted, |s| &mut s.io_write_bytes),
-    ("steal_ops", Counted, |s| &mut s.steal_ops),
     ("barriers", Counted, |s| &mut s.barriers),
     ("table_entries", Counted, |s| &mut s.table_entries),
     ("exec_nanos", Measured, |s| &mut s.exec_nanos),
@@ -146,13 +139,6 @@ impl CommStats {
     #[inline]
     pub fn compute(&mut self, n: u64) {
         self.compute_ops = self.compute_ops.saturating_add(n);
-    }
-
-    /// Record `n` dynamic-scheduling chunk acquisitions (modeled remote
-    /// atomic fetch-adds on the shared work counter).
-    #[inline]
-    pub fn steal(&mut self, n: u64) {
-        self.steal_ops = self.steal_ops.saturating_add(n);
     }
 
     /// Record one access from `from` to the partition owned by `to`,
@@ -296,7 +282,6 @@ mod tests {
             backoff_units,
             io_read_bytes,
             io_write_bytes,
-            steal_ops,
             barriers,
             exec_nanos,
             table_entries,
@@ -367,7 +352,6 @@ mod tests {
         let topo = Topology::new(48, 24);
         let mut a = CommStats::new();
         a.compute(7);
-        a.steal(3);
         a.access(&topo, 0, 5, 64);
         a.access(&topo, 0, 30, 128);
         a.exec_nanos = 42;
@@ -398,9 +382,6 @@ mod tests {
         s.compute_ops = u64::MAX;
         s.compute(1);
         assert_eq!(s.compute_ops, u64::MAX);
-        s.steal_ops = u64::MAX;
-        s.steal(u64::MAX);
-        assert_eq!(s.steal_ops, u64::MAX);
 
         s.onnode_bytes = u64::MAX;
         s.access(&topo, 0, 5, u64::MAX); // on-node: msg count 1, bytes pinned

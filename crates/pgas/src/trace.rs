@@ -181,7 +181,6 @@ mod tests {
             stats: CommStats {
                 barriers: 1,
                 cache_hits: 40,
-                steal_ops: 7,
                 exec_nanos: dur,
                 ..CommStats::default()
             },
@@ -220,7 +219,6 @@ mod tests {
         assert_eq!(args.get("queue_us").and_then(Value::as_f64), Some(0.25));
         assert_eq!(args.get("barriers").and_then(Value::as_u64), Some(1));
         assert_eq!(args.get("cache_hits").and_then(Value::as_u64), Some(40));
-        assert_eq!(args.get("steal_ops").and_then(Value::as_u64), Some(7));
         // The args are the queue delay plus the field table, nothing else.
         let names: Vec<&str> = crate::stats::FIELDS.iter().map(|f| f.0).collect();
         assert_eq!(args.keys()[0], "queue_us");

@@ -14,7 +14,7 @@ use hipmer_contig::chain::{ends_overlap, stitch, walk_chains};
 use hipmer_contig::{ContigEnd, ContigSet};
 use hipmer_dna::Kmer;
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Schedule, Team};
+use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
 
 /// One end of a contig in the bubble–contig graph.
 type End = (u32, ContigEnd);
@@ -27,15 +27,10 @@ type End = (u32, ContigEnd);
 /// traversal spends ~99% of its time in parallel walks precisely because
 /// there is so little of it); its work — edges placed plus bases stitched
 /// — is recorded as the report's serial ops.
-///
-/// `schedule` controls how the parallel grouping/attachment passes deal
-/// contigs to ranks; per-contig work here is near-uniform, so the dynamic
-/// variant runs unweighted.
 pub fn merge_bubbles(
     team: &Team,
     contigs: &ContigSet,
     info: &[ContigEndInfo],
-    schedule: Schedule,
 ) -> (ContigSet, PhaseReport) {
     assert_eq!(info.len(), contigs.contigs.len());
     let n = contigs.contigs.len();
@@ -74,7 +69,7 @@ pub fn merge_bubbles(
     let (_, mut stats) = team.run_named("scaffold/bubbles/group", |ctx| {
         let mut agg =
             AggregatingStores::new(&bubble_groups, |a: &mut Vec<u32>, b: Vec<u32>| a.extend(b));
-        for ci in schedule.ranges(ctx, n).into_iter().flatten() {
+        for ci in ctx.chunk(n) {
             let i = &info[ci];
             if let (Some(la), Some(ra)) = (i.left_attach, i.right_attach) {
                 let key = if la <= ra { (la, ra) } else { (ra, la) };
@@ -134,7 +129,7 @@ pub fn merge_bubbles(
     let (_, stats_c) = team.run_named("scaffold/bubbles/attachments", |ctx| {
         let mut agg =
             AggregatingStores::new(&attachments, |a: &mut Vec<End>, b: Vec<End>| a.extend(b));
-        for ci in schedule.ranges(ctx, n).into_iter().flatten() {
+        for ci in ctx.chunk(n) {
             if absorbed[ci] {
                 continue;
             }
@@ -247,8 +242,8 @@ mod tests {
         reads.extend(tile_reads(h2, 80, 4));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
-        let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
-        let (merged, _) = merge_bubbles(&team, &contigs, &info, Schedule::Static);
+        let (info, _) = compute_depths(&team, &spectrum, &contigs);
+        let (merged, _) = merge_bubbles(&team, &contigs, &info);
         (contigs, merged)
     }
 
@@ -314,8 +309,8 @@ mod tests {
         let reads = tile_reads(&g, 80, 4);
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
-        let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
-        let (merged, _) = merge_bubbles(&team, &contigs, &info, Schedule::Static);
+        let (info, _) = compute_depths(&team, &spectrum, &contigs);
+        let (merged, _) = merge_bubbles(&team, &contigs, &info);
         let a: Vec<&Vec<u8>> = contigs.contigs.iter().map(|c| &c.seq).collect();
         let b: Vec<&Vec<u8>> = merged.contigs.iter().map(|c| &c.seq).collect();
         assert_eq!(a, b);
@@ -325,7 +320,7 @@ mod tests {
     fn empty_contig_set_is_handled_explicitly() {
         let team = Team::new(Topology::new(2, 2));
         let empty = ContigSet::from_sequences(hipmer_dna::KmerCodec::new(21), Vec::new());
-        let (merged, report) = merge_bubbles(&team, &empty, &[], Schedule::Static);
+        let (merged, report) = merge_bubbles(&team, &empty, &[]);
         assert!(merged.is_empty());
         assert_eq!(report.name, "scaffold/bubbles");
     }
@@ -356,7 +351,7 @@ mod tests {
             })
             .collect();
         let team = Team::new(Topology::new(2, 2));
-        let (merged, _) = merge_bubbles(&team, &set, &info, Schedule::Static);
+        let (merged, _) = merge_bubbles(&team, &set, &info);
         // With a NaN in the depth pool the absorption gate cannot qualify
         // both arms, so nothing is merged away silently.
         assert!(!merged.is_empty());
@@ -385,7 +380,7 @@ mod tests {
             })
             .collect();
         let team = Team::new(Topology::new(2, 2));
-        merge_bubbles(&team, &set, &info, Schedule::Static).0
+        merge_bubbles(&team, &set, &info).0
     }
 
     /// Strand-neutral, order-neutral view of a set of sequences.

@@ -14,7 +14,7 @@
 use hipmer_contig::ContigSet;
 use hipmer_dna::{ExtChoice, Kmer};
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{PhaseReport, RankCtx, Schedule, Team};
+use hipmer_pgas::{PhaseReport, RankCtx, Team};
 
 /// Why a contig stopped extending at one end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,16 +130,11 @@ pub(crate) fn weighted_median_depth(contigs: impl Iterator<Item = (f64, usize)>)
 
 /// Compute depth and end states for every contig (parallel over contigs).
 /// Returns per-contig info indexed by contig id, and the phase report.
-///
-/// `schedule` picks how windows are dealt to ranks: [`Schedule::Static`]
-/// gives each rank one contiguous block; [`Schedule::Dynamic`] deals
-/// guided chunks weighted by window k-mer count, which absorbs the skew
-/// of long-tail contig length distributions (trailing windows are short).
+/// Each rank takes one contiguous block of windows.
 pub fn compute_depths(
     team: &Team,
     spectrum: &KmerSpectrum,
     contigs: &ContigSet,
-    schedule: Schedule,
 ) -> (Vec<ContigEndInfo>, PhaseReport) {
     let codec = &spectrum.codec;
     let k = codec.k();
@@ -147,19 +142,13 @@ pub fn compute_depths(
     // Work units are fixed-size windows of k-mers, not whole contigs.
     const WINDOW: usize = 1024;
     let windows = contigs.kmer_windows(k, WINDOW);
-    let weights: Vec<u64> = windows.iter().map(|(_, w)| w.len() as u64).collect();
 
     let (chunks, mut stats) = team.run_named("scaffold/depths", |ctx| {
         // Per-window partial sums plus end info computed by the windows
         // that hold the contig's first/last k-mer.
         let mut partial: Vec<(usize, u64, u64)> = Vec::new(); // (contig, sum, n)
         let mut ends: Vec<(usize, bool, TerminationState, Option<Kmer>)> = Vec::new();
-        let mine: Vec<usize> = schedule
-            .ranges_weighted(ctx, &weights)
-            .into_iter()
-            .flatten()
-            .collect();
-        for (ci, window) in mine.iter().map(|&i| &windows[i]) {
+        for (ci, window) in &windows[ctx.chunk(windows.len())] {
             let (ci, lo, hi) = (*ci, window.start, window.end);
             let contig = &contigs.contigs[ci];
             let n_kmers = contig.seq.len() - k + 1;
@@ -273,7 +262,7 @@ mod tests {
         let reads = tile_reads(&genome, 80, 6);
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
-        let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
+        let (info, _) = compute_depths(&team, &spectrum, &contigs);
         assert_eq!(info.len(), contigs.len());
         // Reads tile at stride 40 with 6 offsets over 80bp reads -> each
         // base covered ~12x; interior k-mer count ≈ reads covering it.
@@ -288,7 +277,7 @@ mod tests {
         let reads = tile_reads(&genome, 80, 6);
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
-        let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
+        let (info, _) = compute_depths(&team, &spectrum, &contigs);
         // The dominant contig's ends stop because coverage runs out.
         let main = &info[0];
         assert_eq!(main.left_state, TerminationState::DeadEnd);
@@ -309,7 +298,7 @@ mod tests {
         let team = Team::new(Topology::new(2, 2));
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
-        let (info, _) = compute_depths(&team, &spectrum, &contigs, Schedule::Static);
+        let (info, _) = compute_depths(&team, &spectrum, &contigs);
 
         // Expect ≥4 contigs: two flanks + two bubble arms. The bubble arms
         // (length 2k-1 = 41) terminate at forks on both sides and share

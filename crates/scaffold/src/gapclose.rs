@@ -22,7 +22,7 @@ use hipmer_align::Alignment;
 use hipmer_contig::{ContigEnd, ContigSet};
 use hipmer_dna::{revcomp, Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Schedule, Team};
+use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 
 /// Flank length taken from each side of the gap (a read length and a
@@ -49,22 +49,13 @@ const MAX_NFILL: usize = 5000;
 /// Gap-closing configuration.
 #[derive(Clone, Debug)]
 pub struct GapCloseConfig {
-    /// Round-robin gap distribution (false = blocked; ablation). Only
-    /// consulted under [`Schedule::Static`].
+    /// Round-robin gap distribution (false = blocked; ablation).
     pub round_robin: bool,
-    /// How work is dealt to ranks. [`Schedule::Dynamic`] replaces the
-    /// round-robin/blocked split with guided chunks weighted by flanking
-    /// contig length (a locally computable proxy for closure cost);
-    /// closures are merged positionally, so output is byte-identical.
-    pub schedule: Schedule,
 }
 
 impl Default for GapCloseConfig {
     fn default() -> Self {
-        GapCloseConfig {
-            round_robin: true,
-            schedule: Schedule::Static,
-        }
+        GapCloseConfig { round_robin: true }
     }
 }
 
@@ -377,13 +368,7 @@ pub fn close_gaps(
     let buckets: DistHashMap<(u32, ContigEnd), Vec<u32>> = DistHashMap::new(*team.topo());
     let (_, mut stats) = team.run_named("scaffold/gap-closing/buckets", |ctx| {
         let mut agg = AggregatingStores::new(&buckets, |a: &mut Vec<u32>, b: Vec<u32>| a.extend(b));
-        for a in cfg
-            .schedule
-            .ranges(ctx, alignments.len())
-            .into_iter()
-            .flatten()
-            .map(|i| &alignments[i])
-        {
+        for a in &alignments[ctx.chunk(alignments.len())] {
             ctx.stats.compute(1);
             let len = contigs.contigs[a.contig as usize].len();
             let mate = a.read ^ 1;
@@ -409,35 +394,17 @@ pub fn close_gaps(
         }
     }
 
-    // Phase 2 (parallel): close gaps. Under the static schedule gaps go
-    // round-robin (or blocked, the ablation); under the dynamic schedule
-    // they are dealt as guided chunks weighted by flanking contig length —
-    // the locally computable proxy for closure cost (longer flanks attract
-    // more candidate reads and longer walks).
+    // Phase 2 (parallel): close gaps, dealt round-robin (or blocked, the
+    // ablation).
     let ranks = team.ranks();
-    let gap_weights: Vec<u64> = gaps
-        .iter()
-        .map(|g| {
-            let s = &scaffolds[g.scaffold];
-            let prev = contigs.contigs[s.members[g.junction].contig as usize].len();
-            let next = contigs.contigs[s.members[g.junction + 1].contig as usize].len();
-            (prev + next) as u64
-        })
-        .collect();
     let (closure_lists, stats2) = team.run_named("scaffold/gap-closing/close", |ctx| {
-        let my_gaps: Vec<usize> = match cfg.schedule {
-            Schedule::Dynamic => ctx
-                .dynamic_ranges_weighted(&gap_weights)
-                .into_iter()
-                .flatten()
-                .collect(),
-            // Round-robin here deals *gaps* (work units) to ranks; it is
-            // not k-mer ownership, so it stays modulo-based whatever owns
-            // the k-mer tables.
-            Schedule::Static if cfg.round_robin => {
-                (0..gaps.len()).filter(|g| g % ranks == ctx.rank).collect()
-            }
-            Schedule::Static => ctx.chunk(gaps.len()).collect(),
+        // Round-robin here deals *gaps* (work units) to ranks; it is not
+        // k-mer ownership, so it stays modulo-based whatever owns the k-mer
+        // tables.
+        let my_gaps: Vec<usize> = if cfg.round_robin {
+            (0..gaps.len()).filter(|g| g % ranks == ctx.rank).collect()
+        } else {
+            ctx.chunk(gaps.len()).collect()
         };
         let mut out: Vec<(usize, usize, Closure)> = Vec::new();
         let mut local_stats = GapCloseStats::default();
@@ -519,12 +486,7 @@ pub fn close_gaps(
     // at its offset.
     let (seq_lists, stats3) = team.run_named("scaffold/gap-closing/stitch", |ctx| {
         let mut out: Vec<(usize, Vec<u8>, Vec<u32>)> = Vec::new();
-        for si in cfg
-            .schedule
-            .ranges(ctx, scaffolds.len())
-            .into_iter()
-            .flatten()
-        {
+        for si in ctx.chunk(scaffolds.len()) {
             let s = &scaffolds[si];
             let mut seq = member_seq(contigs, s, 0);
             let mut offsets = vec![0u32];
@@ -791,10 +753,11 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_schedule_matches_static_closures() {
+    fn round_robin_matches_blocked_closures() {
         // Several gap shapes, replicated into a multi-gap workload, closed
-        // under both schedules at several rank counts — including 16 ranks
-        // over 6 gaps (ranks > items). Output must be byte-identical.
+        // under both gap distributions at several rank counts — including
+        // 16 ranks over 6 gaps (ranks > items). Output must be
+        // byte-identical.
         for (gap_len, read_len) in [(40usize, 120usize), (300, 90)] {
             let f = fixture(gap_len, read_len, true);
             let mut scaffolds = Vec::new();
@@ -803,19 +766,16 @@ mod tests {
             }
             for (ranks, per) in [(1usize, 1usize), (4, 2), (16, 4)] {
                 let team = Team::new(Topology::new(ranks, per));
-                let run = |schedule: Schedule| {
-                    let cfg = GapCloseConfig {
-                        schedule,
-                        ..Default::default()
-                    };
+                let run = |round_robin: bool| {
+                    let cfg = GapCloseConfig { round_robin };
                     let (set, _, _) =
                         close_gaps(&team, &f.contigs, &scaffolds, &f.alignments, &f.reads, &cfg);
                     set.sequences
                 };
                 assert_eq!(
-                    run(Schedule::Static),
-                    run(Schedule::Dynamic),
-                    "schedules disagree at ranks={ranks} gap={gap_len}"
+                    run(true),
+                    run(false),
+                    "distributions disagree at ranks={ranks} gap={gap_len}"
                 );
             }
         }

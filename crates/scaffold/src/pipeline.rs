@@ -38,9 +38,9 @@ pub struct ScaffoldConfig {
     pub gap: GapCloseConfig,
     /// Scaffolding rounds (the paper's wheat pipeline runs four).
     pub rounds: usize,
-    /// Work schedule for the skew-prone scaffold stages (depths, bubbles).
-    /// The per-module configs carry their own copies; use
-    /// [`ScaffoldConfig::with_schedule`] to set all of them at once.
+    /// Ignored: every stage partitions statically. It and the fourth
+    /// parameter of [`prepare_contigs`] stay only because the wall-clock
+    /// benchmark crate names them.
     pub schedule: Schedule,
 }
 
@@ -53,15 +53,6 @@ impl ScaffoldConfig {
             rounds: 1,
             schedule: Schedule::Static,
         }
-    }
-
-    /// Set one schedule for every scaffold stage (depths, bubbles,
-    /// alignment, gap closing).
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self.align.schedule = schedule;
-        self.gap.schedule = schedule;
-        self
     }
 }
 
@@ -113,20 +104,23 @@ pub fn scaffold_pipeline(
 ///
 /// Split out of [`scaffold_pipeline`] so the checkpoint/restart machinery
 /// can persist the merged contigs at a stage boundary.
+///
+/// The fourth parameter is ignored (every stage partitions statically); it
+/// stays only because the wall-clock benchmark crate passes it.
 pub fn prepare_contigs(
     team: &Team,
     spectrum: &KmerSpectrum,
     raw_contigs: &ContigSet,
-    schedule: Schedule,
+    _schedule: Schedule,
 ) -> (ContigSet, Vec<PhaseReport>) {
     let mut reports: Vec<PhaseReport> = Vec::new();
 
     // §4.1 Contig depths and termination states.
-    let (info, r) = compute_depths(team, spectrum, raw_contigs, schedule);
+    let (info, r) = compute_depths(team, spectrum, raw_contigs);
     reports.push(r);
 
     // §4.2 Bubble merging (the output is "contigs" from here on).
-    let (contigs, r) = merge_bubbles(team, raw_contigs, &info, schedule);
+    let (contigs, r) = merge_bubbles(team, raw_contigs, &info);
     reports.push(r);
 
     (contigs, reports)
@@ -199,7 +193,7 @@ fn run_rounds(
         // Repeat/short-contig mask: depth and length over the current
         // contig set. Masked contigs never join ties (they scaffold as
         // singletons); gap closing can still walk through their sequence.
-        let (round_info, r) = compute_depths(team, spectrum, &contigs, cfg.schedule);
+        let (round_info, r) = compute_depths(team, spectrum, &contigs);
         reports.push(r);
         // Median depth weighted by contig length over tie-eligible contigs:
         // short error-derived contigs sit at the count threshold and would
@@ -421,7 +415,7 @@ mod tests {
         let reads = dataset.all_reads();
         let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
         let (raw, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
-        let (info, _) = compute_depths(&team, &spectrum, &raw, Schedule::Static);
+        let (info, _) = compute_depths(&team, &spectrum, &raw);
         let (prepared, _) = prepare_contigs(&team, &spectrum, &raw, Schedule::Static);
 
         let survives = |seq: &[u8]| {

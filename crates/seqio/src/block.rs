@@ -8,7 +8,11 @@
 //!
 //! Boundary detection cannot just look for `@` at line start — `@` is a
 //! legal quality character (Phred 31). A candidate line is accepted as a
-//! record header only if a whole well-formed record parses at it.
+//! record header only if a whole well-formed record parses at it. Only true
+//! line starts are candidates, and no sequence line may begin with `@` or
+//! `+` (no base code is either), so the line after a quality line that
+//! begins with `@` cannot pass for a sequence line: every accepted line is
+//! a header in the sequential framing.
 
 use crate::fastq::{parse_fastq, parse_fastq_complete};
 use crate::record::SeqRecord;
@@ -30,7 +34,8 @@ pub struct FastqSplit {
     pub end: u64,
 }
 
-/// Find the first record boundary at or after the start of `buf`.
+/// Find the first record boundary at or after the start of `buf`, whose
+/// first byte must start a line.
 ///
 /// Scans line starts; a line is a header iff a complete, well-formed FASTQ
 /// record parses there. Returns the offset *within `buf`*.
@@ -79,18 +84,23 @@ fn resolve_boundary(
         return Ok(file_len);
     }
     // Window: a handful of records' worth, growing if nothing parses
-    // (quality lines full of '@'s can defeat a too-small window).
+    // (quality lines full of '@'s can defeat a too-small window). It starts
+    // one byte early: a line starts at `offset` only if the byte before it
+    // is a newline, so the scan begins after the window's first newline.
+    let from = offset - 1;
     let mut window = (est_record_len * 8).max(4096);
     loop {
-        let len = window.min((file_len - offset) as usize);
+        let len = window.min((file_len - from) as usize);
         let mut buf = vec![0u8; len];
-        file.seek(SeekFrom::Start(offset))?;
+        file.seek(SeekFrom::Start(from))?;
         file.read_exact(&mut buf)?;
         *io_bytes += len as u64;
-        if let Some(pos) = find_record_start(&buf) {
-            return Ok(offset + pos as u64);
+        if let Some(first) = memchr_nl(&buf).map(|nl| nl + 1) {
+            if let Some(pos) = find_record_start(&buf[first..]) {
+                return Ok(from + (first + pos) as u64);
+            }
         }
-        if len == (file_len - offset) as usize {
+        if len == (file_len - from) as usize {
             // Scanned to end of file without a boundary: previous rank owns
             // the tail.
             return Ok(file_len);
@@ -239,6 +249,51 @@ mod tests {
         // From offset 1 (inside r1's header) the next record start is r2's.
         let pos = find_record_start(&txt[1..]).unwrap();
         assert_eq!(&txt[1 + pos..1 + pos + 3], b"@r2");
+    }
+
+    #[test]
+    fn at_signs_inside_headers_are_not_boundaries() {
+        // A split landing inside `@sample@lane7` must not take `@lane7` for
+        // a header: a window's first byte is not a line start.
+        let dir = tempdir();
+        let records: Vec<SeqRecord> = (0..40)
+            .map(|i| {
+                let seq: Vec<u8> = (0..30 + i % 7)
+                    .map(|j| b"ACGT"[(i * j + j / 3) % 4])
+                    .collect();
+                SeqRecord::with_uniform_quality(format!("sample@lane{i}"), seq, 35)
+            })
+            .collect();
+        let path = dir.join("at-ids.fastq");
+        let mut buf = Vec::new();
+        write_fastq(&mut buf, &records).unwrap();
+        std::fs::write(&path, &buf).unwrap();
+        for ranks in 1..=64 {
+            let team = Team::new(Topology::new(ranks, 8));
+            let (per_rank, _) = read_fastq_parallel(&team, &path).unwrap();
+            let got: Vec<SeqRecord> = per_rank.into_iter().flatten().collect();
+            assert_eq!(got, records, "ranks={ranks}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_sequence_line_starting_with_a_marker_is_an_error_at_every_rank_count() {
+        // Framed from `@A`, the file's tail is one record (`@A`, `+ab`,
+        // `+I`, `@r2`) plus three lines a window may cut off, so a split
+        // landing on `@A` would take it for a header. No valid record has
+        // such a sequence line, so both readers reject the file.
+        let dir = tempdir();
+        let txt = b"@r1\n@A\n+ab\n+I\n@r2\nAC\n+\nII\n";
+        let path = dir.join("marker-seq.fastq");
+        std::fs::write(&path, txt).unwrap();
+        let err = crate::fastq::parse_fastq_complete(txt).unwrap_err();
+        assert_eq!(err, "record 1: sequence line starts with '@'");
+        for ranks in 1..=8 {
+            let team = Team::new(Topology::new(ranks, 4));
+            assert!(read_fastq_parallel(&team, &path).is_err(), "ranks={ranks}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -134,6 +134,13 @@ impl<'a> FastqScanner<'a> {
                 self.nrec + 1
             ));
         }
+        if let Some(&b @ (b'@' | b'+')) = seq.first() {
+            return Err(format!(
+                "record {}: sequence line starts with '{}'",
+                self.nrec + 1,
+                b as char
+            ));
+        }
         let seq = trim_cr(seq);
         let qual = trim_cr(qual);
         if seq.len() != qual.len() {
@@ -238,6 +245,13 @@ pub fn parse_fastq_reference(buf: &[u8]) -> Result<(Vec<SeqRecord>, usize), Stri
             return Err(format!(
                 "record {}: separator does not start with '+'",
                 records.len() + 1
+            ));
+        }
+        if let Some(&b @ (b'@' | b'+')) = buf[l2.clone()].first() {
+            return Err(format!(
+                "record {}: sequence line starts with '{}'",
+                records.len() + 1,
+                b as char
             ));
         }
         let seq = trim_cr(&buf[l2.clone()]);

@@ -1,6 +1,8 @@
 //! Property tests for sequence I/O: round-trips, the parallel reader's
-//! exact-partition guarantee under arbitrary record shapes, and a SeqDB
-//! reader that answers `Ok` or `Err` to any corruption of a valid file.
+//! exact-partition guarantee under arbitrary record shapes (and its
+//! agreement with the sequential parse on ids, sequences and qualities
+//! full of `@` and `+`), and a SeqDB reader that answers `Ok` or `Err` to
+//! any corruption of a valid file.
 
 use hipmer_dna::BASES;
 use hipmer_pgas::{Team, Topology};
@@ -18,6 +20,21 @@ fn record_strategy() -> impl Strategy<Value = SeqRecord> {
         2u8..41,
     )
         .prop_map(|(id, seq, q)| SeqRecord::with_uniform_quality(id, seq, q))
+}
+
+/// One FASTQ record's lines as `(id, lead roll, bases, separator tail,
+/// qualities)`, drawn from alphabets that hold `@` and `+`: the id, the
+/// tail after the separator's `+` and the qualities may hold them anywhere.
+/// The test puts `@` or `+` before the bases when the roll is below its
+/// odds; no valid file has such a sequence line.
+fn marker_record_strategy() -> impl Strategy<Value = (Vec<u8>, u8, Vec<u8>, Vec<u8>, Vec<u8>)> {
+    (
+        prop::collection::vec(prop::sample::select(&b"@+a1"[..]), 0..4),
+        0u8..64,
+        prop::collection::vec(prop::sample::select(&b"ACGTN"[..]), 0..40),
+        prop::collection::vec(prop::sample::select(&b"@+a"[..]), 0..4),
+        prop::collection::vec(prop::sample::select(&b"@+I#"[..]), 41),
+    )
 }
 
 /// Records with `N`s and several quality runs, so every SeqDB field is
@@ -161,5 +178,50 @@ proptest! {
         let got: Vec<SeqRecord> = per_rank.into_iter().flatten().collect();
         std::fs::remove_dir_all(&dir).ok();
         prop_assert_eq!(got, records);
+    }
+
+    #[test]
+    fn parallel_reader_agrees_with_the_sequential_parse(
+        records in prop::collection::vec(marker_record_strategy(), 1..40),
+        lead_odds in 0usize..3,
+        case in any::<u64>(),
+    ) {
+        // A file has no marked sequence line, about one in sixteen, or one
+        // in four.
+        let odds = [0, 4, 16][lead_odds];
+        let mut buf = Vec::new();
+        for (id, roll, bases, tail, qual) in &records {
+            let mut seq = bases.clone();
+            if *roll < odds {
+                seq.insert(0, b"@+"[*roll as usize % 2]);
+            }
+            let qual = &qual[..seq.len()];
+            for line in [b"@", &id[..], b"\n", &seq, b"\n+", tail, b"\n", qual, b"\n"] {
+                buf.extend_from_slice(line);
+            }
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "hipmer-prop-seqio-markers-{}-{case}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("reads.fastq");
+        std::fs::write(&path, &buf).unwrap();
+
+        let sequential = parse_fastq_complete(&buf);
+        for ranks in 1usize..24 {
+            let team = Team::new(Topology::new(ranks, 4));
+            let parallel = read_fastq_parallel(&team, &path)
+                .map(|(per_rank, _)| per_rank.into_iter().flatten().collect::<Vec<_>>());
+            match (&sequential, &parallel) {
+                (Ok(want), Ok(got)) => prop_assert_eq!(got, want, "ranks={}", ranks),
+                (Err(_), Err(_)) => {}
+                _ => prop_assert!(
+                    false,
+                    "ranks={ranks}: sequential {sequential:?}, parallel {parallel:?}"
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

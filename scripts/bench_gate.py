@@ -21,13 +21,6 @@ import sys
 FLOOR = 0.75
 
 
-def scaling(doc):
-    # How much of the static imbalance the dynamic schedule removes at P=16.
-    at16 = {(r["stage"], r["schedule"]): r["imbalance"] for r in doc["rows"] if r["ranks"] == 16}
-    stages = ["contig/traversal", "scaffold/gap-closing"]
-    return {s: at16[(s, "static")] / at16[(s, "dynamic")] for s in stages}
-
-
 # kind: (file -> {key: ratio}, what the ratio is,
 #        whether a fast-mode fresh run may cover only part of the baseline's keys)
 KINDS = {
@@ -36,7 +29,6 @@ KINDS = {
         "speedup of the optimized kernel over the in-tree reference",
         False,
     ),
-    "scaling": (scaling, "static / dynamic imbalance at P=16", False),
     "metagenome": (
         lambda d: {g["name"]: g["improvement"] for g in d["gates"]},
         "genome-fraction improvement, round 1 -> final (k-mer counts)",

@@ -7,7 +7,7 @@
 use hipmer::{run_assembly, PipelineConfig, RunOptions};
 use hipmer_pgas::json::Value;
 use hipmer_pgas::stats::measured_report_keys;
-use hipmer_pgas::{trace, Schedule, Team, Topology};
+use hipmer_pgas::{trace, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, Dataset};
 
 /// `doc` without the measured keys, at any depth.
@@ -56,7 +56,6 @@ fn report_of(dataset: &Dataset, cfg: &PipelineConfig, tag: &str) -> (Value, Valu
 fn two_one_thread_runs_write_equal_reports_minus_the_measured_keys() {
     let classic = PipelineConfig::new(21);
     let multi_k = PipelineConfig::metagenome_preset(33)
-        .with_schedule(Schedule::Dynamic)
         .try_multi_k(&[21, 33])
         .unwrap();
     let runs = [
