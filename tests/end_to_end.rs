@@ -427,3 +427,69 @@ fn kmer_analysis_counters_are_pinned_across_commits() {
         ]
     );
 }
+
+/// `[compute_ops, local_ops, remote_msgs, lookup_batches, cache_misses,
+/// table_entries]` of every `contig/traversal`, `contig/prune`,
+/// `scaffold/depths` and `scaffold/gap-closing` phase of one assembly on
+/// one OS thread, by name in phase order.
+fn read_phase_counters(
+    dataset: &Dataset,
+    libs: &[std::ops::Range<usize>],
+    cfg: &PipelineConfig,
+) -> Vec<(&'static str, [u64; 6])> {
+    const READ_PHASES: [&str; 4] = [
+        "contig/traversal",
+        "contig/prune",
+        "scaffold/depths",
+        "scaffold/gap-closing",
+    ];
+    let team = Team::new(Topology::new(8, 4)).with_os_threads(1);
+    let reads = dataset.all_reads();
+    let assembly = assemble(&team, &reads, libs, cfg);
+    (assembly.report.phases.iter())
+        .filter_map(|p| {
+            let name = READ_PHASES.into_iter().find(|&n| n == p.name)?;
+            let t = p.totals();
+            let counts = [
+                t.compute_ops,
+                t.local_ops,
+                t.remote_msgs(),
+                t.lookup_batches,
+                t.cache_misses,
+                t.table_entries,
+            ];
+            Some((name, counts))
+        })
+        .collect()
+}
+
+#[test]
+fn read_phase_counters_are_pinned_across_commits() {
+    // The phases that only read tables built earlier: the claim walk over
+    // the de Bruijn graph, hair pruning and contig depths over the k-mer
+    // spectrum, and gap closing over the read buckets. How a table is read
+    // may change; what the reads count may not. Taken at f237ba7.
+    let human = human_like_dataset(25_000, 16.0, false, 7);
+    assert_eq!(
+        read_phase_counters(&human, &human.lib_ranges(), &PipelineConfig::new(21)),
+        [
+            ("contig/traversal", [101_467, 3_380, 21_851, 0, 2, 24_834]),
+            ("scaffold/depths", [24_834, 163, 1_150, 893, 0, 24_906]),
+            ("scaffold/depths", [24_505, 95, 678, 557, 0, 24_906]),
+            ("scaffold/gap-closing", [21_448, 14, 90, 40, 0, 100]),
+        ]
+    );
+    let meta = hipmer_readsim::metagenome_repeats_dataset(40_000, 6, 30, 300, 12.0, false, 9);
+    let all = 0..meta.all_reads().len();
+    let cfg = PipelineConfig::metagenome_preset(33)
+        .try_multi_k(&[21, 33])
+        .unwrap();
+    assert_eq!(
+        read_phase_counters(&meta, &[all], &cfg),
+        [
+            ("contig/traversal", [152_071, 5_232, 32_666, 0, 0, 37_266]),
+            ("contig/prune", [652, 40, 303, 291, 0, 37_518]),
+            ("contig/traversal", [153_349, 5_138, 32_942, 0, 2, 37_655]),
+        ]
+    );
+}
