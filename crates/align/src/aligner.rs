@@ -111,7 +111,7 @@ struct Candidate {
 }
 
 /// One stride-selected seed of a read with its resolved hit list.
-struct ResolvedSeed {
+struct ResolvedSeed<'a> {
     /// Seed position in the read (forward coordinates).
     rpos: usize,
     /// Canonical seed appears reverse-complemented in the read.
@@ -119,7 +119,7 @@ struct ResolvedSeed {
     /// Canonical seed k-mer (the index key).
     canon: Kmer,
     /// The hit list, once resolved (`None` = seed absent from the index).
-    list: Option<HitList>,
+    list: Option<&'a HitList>,
 }
 
 /// The seeds the aligner looks `seq` up by: every fourth valid k-mer of
@@ -138,13 +138,13 @@ pub fn stride_seeds<'a>(
 
 /// Write one resolved lookup back into its seed slot, remembering the
 /// result (present *or* absent) in the seed cache.
-fn deliver_seed(
-    resolved: &mut [Vec<ResolvedSeed>],
-    cache: &mut SoftwareCache<Kmer, Option<HitList>>,
+fn deliver_seed<'a>(
+    resolved: &mut [Vec<ResolvedSeed<'a>>],
+    cache: &mut SoftwareCache<Kmer, Option<&'a HitList>>,
     (slot, s): (usize, usize),
-    list: Option<HitList>,
+    list: Option<&'a HitList>,
 ) {
-    cache.insert(resolved[slot][s].canon, list.clone());
+    cache.insert(resolved[slot][s].canon, list);
     resolved[slot][s].list = list;
 }
 
@@ -154,17 +154,17 @@ fn deliver_seed(
 /// Cache-first, then one streaming [`LookupBatch`] over all misses of all
 /// reads — seeds from different reads that hash to the same owner share a
 /// message, which is what makes batching effective at high rank counts
-/// (a single read's ~two dozen seeds scatter too thinly). Results are
-/// byte-identical to per-seed [`DistHashMap::get`]s; only the message
-/// accounting differs.
+/// (a single read's ~two dozen seeds scatter too thinly). Results equal
+/// per-seed [`FrozenMap::get`]s; only the message accounting differs. A
+/// resolved seed points into the frozen index: no hit list is copied.
 ///
-/// [`DistHashMap::get`]: hipmer_pgas::DistHashMap::get
-fn resolve_seeds(
+/// [`FrozenMap::get`]: hipmer_pgas::FrozenMap::get
+fn resolve_seeds<'a>(
     ctx: &mut RankCtx,
-    index: &SeedIndex,
+    index: &'a SeedIndex,
     reads: &[SeqRecord],
     read_ids: &[u32],
-) -> Vec<Vec<ResolvedSeed>> {
+) -> Vec<Vec<ResolvedSeed<'a>>> {
     let codec = &index.codec;
     let mut resolved: Vec<Vec<ResolvedSeed>> = read_ids
         .iter()
@@ -180,14 +180,7 @@ fn resolve_seeds(
         })
         .collect();
 
-    let mut cache: SoftwareCache<Kmer, Option<HitList>> = SoftwareCache::new(CACHE_ENTRIES);
-
-    // The seed index is immutable during alignment; the sequence-validated
-    // read protocol (DESIGN.md §12) lets us assert that no writer raced
-    // this read-only phase.
-    #[cfg(debug_assertions)]
-    let stamp_before = index.table.version_stamp();
-
+    let mut cache: SoftwareCache<Kmer, Option<&HitList>> = SoftwareCache::new(CACHE_ENTRIES);
     let mut lb: LookupBatch<'_, Kmer, HitList, (usize, usize)> =
         LookupBatch::with_batch(&index.table, DEFAULT_BATCH);
     for slot in 0..resolved.len() {
@@ -205,12 +198,6 @@ fn resolve_seeds(
     lb.finish(ctx, &mut |_: &mut RankCtx, tag, v| {
         deliver_seed(&mut resolved, &mut cache, tag, v)
     });
-    #[cfg(debug_assertions)]
-    assert_eq!(
-        index.table.version_stamp(),
-        stamp_before,
-        "seed index mutated during read-only seed resolution"
-    );
     resolved
 }
 
@@ -280,7 +267,7 @@ fn plan_read(
     let mut candidates: KmerHashMap<Candidate, u32> = KmerHashMap::default();
     let mut listed_seeds = 0;
     for seed in seeds {
-        let Some(list) = &seed.list else {
+        let Some(list) = seed.list else {
             continue;
         };
         listed_seeds += 1;
@@ -594,7 +581,7 @@ pub fn align_read_subset(
         }
         out
     });
-    index.table.drain_service_into(&mut stats);
+    index.table.record_entries(&mut stats);
     let mut alignments: Vec<Alignment> = chunks.into_iter().flatten().collect();
     sort_alignments(&mut alignments);
     // The align loop reads the same seed table the index build placed, so

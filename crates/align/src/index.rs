@@ -2,7 +2,7 @@
 
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec};
-use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
+use hipmer_pgas::{AggregatingStores, DistHashMap, FrozenMap, PhaseReport, Team};
 
 /// One seed occurrence in a contig.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,8 +34,8 @@ pub struct HitList {
 
 /// The distributed seed index.
 pub struct SeedIndex {
-    /// Canonical seed k-mer → hits.
-    pub table: DistHashMap<Kmer, HitList>,
+    /// Canonical seed k-mer → hits; frozen when the build phase ends.
+    pub table: FrozenMap<Kmer, HitList>,
     /// Seed codec (seed length).
     pub codec: KmerCodec,
 }
@@ -102,6 +102,7 @@ pub fn build_seed_index(
     table.drain_service_into(&mut stats);
     let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats)
         .with_placement("uniform");
+    let table = table.freeze();
     (SeedIndex { table, codec }, report)
 }
 

@@ -388,10 +388,11 @@ fn bench_dht(c: &mut Criterion) {
         for i in 0..10_000u128 {
             dht.insert(&mut ctx, Kmer(i), i as u32);
         }
+        let dht = dht.freeze();
         b.iter(|| {
             let mut acc = 0u64;
             for i in 0..10_000u128 {
-                acc += dht.get(&mut ctx, &Kmer(i)).unwrap_or(0) as u64;
+                acc += dht.get(&mut ctx, &Kmer(i)).copied().unwrap_or(0) as u64;
             }
             black_box(acc)
         })

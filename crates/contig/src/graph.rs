@@ -2,31 +2,35 @@
 //!
 //! [`build_graph`] is where vertex ownership is decided, once: the node
 //! table is owned by the oracle ([`OracleVector::table`]) when one is given
-//! and by uniform hashing ([`DistHashMap::new`]) otherwise.
+//! and by uniform hashing ([`DistHashMap::new`]) otherwise. The table is
+//! frozen when the build phase ends; only the vertices' claim flags change
+//! after that.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{DistHashMap, OracleVector, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, FrozenMap, OracleVector, PhaseReport, Team};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// A graph vertex: one UU k-mer with its unique extensions.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub struct GraphNode {
     /// Extension decision in canonical orientation (always `is_uu()` for
     /// vertices admitted to the graph).
     pub exts: ExtensionPair,
     /// Exact k-mer count, carried along for contig depth.
     pub count: u32,
-    /// Claim flag for the traversal's lightweight synchronization: set
-    /// when a subcontig has consumed this vertex (also used as the
-    /// visited mark by the endpoint-walk and cycle passes).
-    pub visited: bool,
+    /// Claim flag for the traversal's lightweight synchronization (§3.2;
+    /// a remote atomic in the UPC code): set, once, by the walk that
+    /// consumes this vertex (also the visited mark of the endpoint-walk
+    /// reference).
+    pub visited: AtomicBool,
 }
 
 /// The distributed de Bruijn graph.
 pub struct DebruijnGraph {
     /// Canonical UU k-mer → node.
-    pub nodes: DistHashMap<Kmer, GraphNode>,
+    pub nodes: FrozenMap<Kmer, GraphNode>,
     /// K-mer codec.
     pub codec: KmerCodec,
 }
@@ -61,7 +65,7 @@ pub fn build_graph(
                     GraphNode {
                         exts: entry.exts,
                         count: entry.count,
-                        visited: false,
+                        visited: AtomicBool::new(false),
                     },
                 ));
             }
@@ -74,7 +78,7 @@ pub fn build_graph(
     let report = PhaseReport::new("contig/graph-build", topo, stats).with_placement(label);
     (
         DebruijnGraph {
-            nodes,
+            nodes: nodes.freeze(),
             codec: spectrum.codec,
         },
         report,
@@ -84,7 +88,7 @@ pub fn build_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hipmer_dna::{ExtChoice, ExtVotes};
+    use hipmer_dna::ExtChoice;
     use hipmer_kanalysis::KmerEntry;
     use hipmer_pgas::{RankCtx, Topology};
 
@@ -95,21 +99,15 @@ mod tests {
         entries: &[(&str, ExtChoice, ExtChoice)],
     ) -> KmerSpectrum {
         let codec = KmerCodec::new(k);
-        let table = DistHashMap::new(topo);
-        let mut ctx = RankCtx::new(0, topo);
-        for (s, l, r) in entries {
+        let entries = entries.iter().map(|&(s, left, right)| {
             let km = codec.pack(s.as_bytes()).unwrap();
             let canon = codec.canonical(km);
             // Re-orient the given (forward-sense) extensions to canonical.
-            let fwd = ExtensionPair {
-                left: *l,
-                right: *r,
-            };
+            let fwd = ExtensionPair { left, right };
             let exts = if canon == km { fwd } else { fwd.flip() };
-            table.insert(&mut ctx, canon, KmerEntry { count: 3, exts });
-        }
-        let _ = ExtVotes::new();
-        KmerSpectrum { codec, table }
+            (canon, KmerEntry { count: 3, exts })
+        });
+        KmerSpectrum::from_entries(topo, k, entries)
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! compare against: one walker per path endpoint, emitted by an endpoint
 //! tie-break, plus a cleanup pass that linearizes cycles. Both produce the
 //! identical contig set.
+//!
+//! The graph is frozen: every read is a plain billed lookup, and a claim is
+//! one billed `get` followed by one atomic `swap` of the vertex's
+//! [`GraphNode::visited`] flag, so exactly one walk wins each vertex on any
+//! number of OS threads.
 
 use crate::chain::{ends_overlap, stitch, walk_chains, ContigEnd};
 use crate::contig_set::ContigSet;
@@ -18,7 +23,8 @@ use crate::graph::{DebruijnGraph, GraphNode};
 use hipmer_dna::{canonical_seq, decode_base, ExtensionPair, Kmer, KmerCodec, KmerHashMap};
 use hipmer_kanalysis::KmerSpectrum;
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{CommStats, OracleVector, PhaseReport, RankCtx, SoftwareCache, Team};
+use hipmer_pgas::{CommStats, OracleVector, PhaseReport, RankCtx, Team};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Traversal configuration.
@@ -53,22 +59,6 @@ impl Default for ContigConfig {
 /// never touches genuine backbone contigs (tuned on the PR-10 multi-k
 /// community).
 const PRUNE_MAX_LEN_IN_K: usize = 3;
-
-/// Entries in the per-rank node cache fronting *extension-only* reads of
-/// the graph table (endpoint checks, walk steps, boundary probes) — sized,
-/// like the aligner's seed cache, to a few hundred KB per rank. `exts`
-/// never changes after the graph is built, so those reads obey the
-/// [`SoftwareCache`] coherence contract; reads that consult the mutable
-/// `visited` flag, and all claiming writes, bypass the cache.
-const NODE_CACHE_ENTRIES: usize = 16_384;
-
-/// The per-rank cache of graph nodes, for reads that only consult the
-/// immutable `exts` field (and existence).
-///
-/// Coherence: a cached [`GraphNode`] may carry a **stale `visited` flag** —
-/// callers must not read it. Freshness checks and claims go through
-/// `graph.nodes` directly.
-type NodeCache = SoftwareCache<Kmer, GraphNode>;
 
 /// A k-mer in walk orientation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,21 +103,20 @@ fn exts_of(node: &GraphNode, flipped: bool) -> ExtensionPair {
 /// Try to advance one base to the right. Returns the next oriented vertex,
 /// its node, and the appended base code — or `None` at a path end (missing
 /// neighbor or non-mutual link). Exactly one hash-table lookup.
-fn step_right(
-    graph: &DebruijnGraph,
+fn step_right<'g>(
+    graph: &'g DebruijnGraph,
     ctx: &mut RankCtx,
-    cache: &mut NodeCache,
     cur: Oriented,
     cur_node: &GraphNode,
-) -> Option<(Oriented, GraphNode, u8)> {
+) -> Option<(Oriented, &'g GraphNode, u8)> {
     let codec = &graph.codec;
     let b = exts_of(cur_node, cur.flipped).right.unique_base()?;
     let next = orient(codec, codec.extend_right(cur.kmer, b));
-    let node = cache.get_through(ctx, &graph.nodes, &next.canon)?;
+    let node = graph.nodes.get(ctx, &next.canon)?;
     ctx.stats.compute(1);
     // Mutual check: the next vertex's left extension must point back at the
     // base we dropped (the current k-mer's first base).
-    if exts_of(&node, next.flipped).left.unique_base() != Some(codec.first_base(cur.kmer)) {
+    if exts_of(node, next.flipped).left.unique_base() != Some(codec.first_base(cur.kmer)) {
         return None;
     }
     Some((next, node, b))
@@ -138,16 +127,15 @@ fn step_right(
 fn walk_right(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
-    cache: &mut NodeCache,
     start: Oriented,
-    start_node: GraphNode,
+    start_node: &GraphNode,
 ) -> (Vec<u8>, Vec<Kmer>, Oriented) {
     let codec = &graph.codec;
     let mut seq = codec.unpack(start.kmer);
     let mut path = vec![start.canon];
     let mut cur = start;
     let mut cur_node = start_node;
-    while let Some((next, node, b)) = step_right(graph, ctx, cache, cur, &cur_node) {
+    while let Some((next, node, b)) = step_right(graph, ctx, cur, cur_node) {
         // A walk from a true endpoint cannot revisit (in/out degree ≤ 1),
         // but a cycle walk returns to its start; callers handle that — here
         // we guard against it to keep linear walks finite in all cases.
@@ -165,18 +153,23 @@ fn walk_right(
 /// Mark every vertex of an emitted path visited (one access per vertex).
 fn mark_visited(graph: &DebruijnGraph, ctx: &mut RankCtx, path: &[Kmer]) {
     for km in path {
-        graph.nodes.with_mut(ctx, km, |slot| {
-            if let Some(node) = slot {
-                node.visited = true;
-            }
-        });
+        if let Some(node) = graph.nodes.get(ctx, km) {
+            node.visited.store(true, Ordering::Relaxed);
+        }
     }
 }
 
+/// Claim `node` for the calling walk: `true` if it was free. The flag
+/// orders nothing else, so the swap needs no ordering beyond its own
+/// atomicity: exactly one of any number of racing claims sees it clear.
+fn claim(node: &GraphNode) -> bool {
+    !node.visited.swap(true, Ordering::Relaxed)
+}
+
 /// One step of the claiming walk.
-enum ClaimStep {
+enum ClaimStep<'g> {
     /// The next vertex was free and is now ours.
-    Claimed(Oriented, GraphNode, u8),
+    Claimed(Oriented, &'g GraphNode, u8),
     /// The next vertex exists but belongs to another subcontig: record the
     /// boundary (its canonical key) and stop.
     Boundary(Kmer),
@@ -187,12 +180,12 @@ enum ClaimStep {
 /// Advance one base, claiming the next vertex in the same access that
 /// reads it (one one-sided operation per explored vertex, as in the
 /// paper).
-fn step_claim(
-    graph: &DebruijnGraph,
+fn step_claim<'g>(
+    graph: &'g DebruijnGraph,
     ctx: &mut RankCtx,
     cur: Oriented,
     cur_node: &GraphNode,
-) -> ClaimStep {
+) -> ClaimStep<'g> {
     let codec = graph.codec;
     let Some(b) = exts_of(cur_node, cur.flipped).right.unique_base() else {
         return ClaimStep::End;
@@ -200,20 +193,16 @@ fn step_claim(
     let next = orient(&codec, codec.extend_right(cur.kmer, b));
     let first_base = codec.first_base(cur.kmer);
     ctx.stats.compute(1);
-    graph.nodes.with_mut(ctx, &next.canon, |slot| match slot {
-        None => ClaimStep::End,
-        Some(node) => {
-            if exts_of(node, next.flipped).left.unique_base() != Some(first_base) {
-                return ClaimStep::End;
-            }
-            if node.visited {
-                ClaimStep::Boundary(next.canon)
-            } else {
-                node.visited = true;
-                ClaimStep::Claimed(next, *node, b)
-            }
-        }
-    })
+    let Some(node) = graph.nodes.get(ctx, &next.canon) else {
+        return ClaimStep::End;
+    };
+    if exts_of(node, next.flipped).left.unique_base() != Some(first_base) {
+        ClaimStep::End
+    } else if claim(node) {
+        ClaimStep::Claimed(next, node, b)
+    } else {
+        ClaimStep::Boundary(next.canon)
+    }
 }
 
 /// A subcontig produced by the cooperative traversal.
@@ -246,9 +235,8 @@ fn claim_arm(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
     cfg: &ContigConfig,
-    cache: &mut NodeCache,
     start: Oriented,
-    start_node: GraphNode,
+    start_node: &GraphNode,
 ) -> Arm {
     let codec = graph.codec;
     let mut arm = Arm {
@@ -258,7 +246,7 @@ fn claim_arm(
     };
     let (mut cur, mut cur_node) = (start, start_node);
     for _ in 0..cfg.walk_cap {
-        match step_claim(graph, ctx, cur, &cur_node) {
+        match step_claim(graph, ctx, cur, cur_node) {
             ClaimStep::Claimed(next, node, b) => {
                 arm.bases.push(b);
                 arm.end = next.canon;
@@ -274,9 +262,9 @@ fn claim_arm(
     }
     // Hit the cap mid-path: the next (unclaimed) vertex is the boundary
     // another subcontig will seed from.
-    if let Some(b) = exts_of(&cur_node, cur.flipped).right.unique_base() {
+    if let Some(b) = exts_of(cur_node, cur.flipped).right.unique_base() {
         let next = orient(&codec, codec.extend_right(cur.kmer, b));
-        if cache.get_through(ctx, &graph.nodes, &next.canon).is_some() {
+        if graph.nodes.get(ctx, &next.canon).is_some() {
             arm.link = Some(next.canon);
         }
     }
@@ -290,23 +278,17 @@ fn claim_walk_seed(
     graph: &DebruijnGraph,
     ctx: &mut RankCtx,
     cfg: &ContigConfig,
-    cache: &mut NodeCache,
     seed: Kmer,
 ) -> Option<(Subcontig, usize)> {
     let codec = graph.codec;
     // Claim the seed (visited flips exactly once, whichever rank wins).
-    let seed_node = graph.nodes.with_mut(ctx, &seed, |slot| {
-        let node = slot.expect("seed key exists");
-        if node.visited {
-            None
-        } else {
-            node.visited = true;
-            Some(*node)
-        }
-    })?;
+    let seed_node = graph.nodes.get(ctx, &seed).expect("seed key exists");
+    if !claim(seed_node) {
+        return None;
+    }
     let mut arm = |flipped| {
         let start = orient_canon(&codec, seed, flipped);
-        claim_arm(graph, ctx, cfg, cache, start, seed_node)
+        claim_arm(graph, ctx, cfg, start, seed_node)
     };
     let right = arm(false);
     let left = arm(true);
@@ -353,15 +335,14 @@ fn traverse_cooperative(
             _ => "contig/traversal/pass-final",
         };
         team.run_named(label, |ctx| {
-            // Per-rank node cache: only the cap-boundary existence probes
-            // are exts-only reads (claims must see fresh `visited` and
-            // always bypass it).
-            let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
-            // Seed scan: a snapshot of the local shard. Already-claimed
-            // vertices are skipped from the (possibly stale) snapshot without
-            // a table lookup — claims never revert, so a stale "claimed" is
-            // always correct to skip.
-            let local = graph.nodes.snapshot_local(ctx);
+            // Seed scan: every local vertex's flag, read once at the start
+            // of the pass. Already-claimed vertices are skipped without a
+            // table lookup — claims never revert, so a stale "claimed" is
+            // always correct to skip; a seed claimed later in the pass
+            // costs one failed claim.
+            let local: Vec<(Kmer, &GraphNode, bool)> = (graph.nodes.scan_local(ctx))
+                .map(|(&km, node)| (km, node, node.visited.load(Ordering::Relaxed)))
+                .collect();
             let rank_cap = if capped {
                 (local.len() * 3 / 2).max(64)
             } else {
@@ -370,11 +351,11 @@ fn traverse_cooperative(
             let mut claimed_total = 0usize;
             let mut subs: Vec<Subcontig> = Vec::new();
 
-            for (seed, snapshot_node) in local {
+            for (seed, node, claimed_at_start) in local {
                 if claimed_total >= rank_cap {
                     break;
                 }
-                if snapshot_node.visited {
+                if claimed_at_start {
                     continue;
                 }
                 if native_only {
@@ -382,8 +363,8 @@ fn traverse_cooperative(
                     // table lookups.
                     ctx.stats.compute(2);
                     let here = |n: Kmer| graph.nodes.owner(&codec.canonical(n)) == ctx.rank;
-                    let left = snapshot_node.exts.left.unique_base();
-                    let right = snapshot_node.exts.right.unique_base();
+                    let left = node.exts.left.unique_base();
+                    let right = node.exts.right.unique_base();
                     if !left.is_some_and(|b| here(codec.extend_left(seed, b)))
                         && !right.is_some_and(|b| here(codec.extend_right(seed, b)))
                     {
@@ -392,7 +373,7 @@ fn traverse_cooperative(
                 }
                 // Claim the seed (processors pick seeds from local buckets)
                 // and walk both directions from it.
-                let Some((sub, claims)) = claim_walk_seed(graph, ctx, cfg, &mut cache, seed) else {
+                let Some((sub, claims)) = claim_walk_seed(graph, ctx, cfg, seed) else {
                     continue;
                 };
                 claimed_total += claims;
@@ -482,7 +463,7 @@ pub fn traverse_graph(
         "traversal requires odd k (no palindromic k-mers)"
     );
     let (seqs, mut stats, serial_ops) = traverse_cooperative(team, graph, cfg);
-    graph.nodes.drain_service_into(&mut stats);
+    graph.nodes.record_entries(&mut stats);
     let set = ContigSet::from_sequences(graph.codec, seqs);
     (
         set,
@@ -497,25 +478,20 @@ pub fn traverse_graph(
 /// use.
 #[doc(hidden)]
 pub fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (ContigSet, PhaseReport) {
-    // Pass 1: endpoint walks. Every endpoint check and walk step is an
-    // exts-only read, so the whole pass runs through the node cache: path
-    // vertices are read several times (once per orientation check of their
-    // own endpoint role, once per walk over the path) and repeats hit.
+    // Pass 1: endpoint walks.
     let (seqs, mut stats) = team.run_named("contig/traversal/endpoints", |ctx| {
-        let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
-        let local = graph.nodes.snapshot_local(ctx);
         let mut out: Vec<Vec<u8>> = Vec::new();
-        for (km, node) in local {
+        for (&km, node) in graph.nodes.scan_local(ctx) {
             // Two possible walk orientations; each is a start if it has no
             // mutual left neighbor — i.e. no step right from the opposite
             // orientation (one lookup).
             for flipped in [false, true] {
                 let oriented = orient_canon(&graph.codec, km, flipped);
                 let facing_left = orient_canon(&graph.codec, km, !flipped);
-                if step_right(graph, ctx, &mut cache, facing_left, &node).is_some() {
+                if step_right(graph, ctx, facing_left, node).is_some() {
                     continue;
                 }
-                let (seq, path, end) = walk_right(graph, ctx, &mut cache, oriented, node);
+                let (seq, path, end) = walk_right(graph, ctx, oriented, node);
                 // Tie-break: of the two endpoint walks over this path, emit
                 // the one whose start key is smaller; single-vertex paths
                 // (start == end) emit from the canonical orientation only.
@@ -537,17 +513,14 @@ pub fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (ContigSet, Pha
     // Pass 2: cycle cleanup. Any vertex still unvisited lies on a cycle;
     // walk it, and the walker whose start is the cycle's minimum key emits.
     let (cycle_seqs, cycle_stats) = team.run_named("contig/traversal/cycles", |ctx| {
-        let mut cache = NodeCache::new(NODE_CACHE_ENTRIES);
         let mut out: Vec<Vec<u8>> = Vec::new();
-        for (km, node) in graph.nodes.snapshot_local(ctx) {
-            // Skip what pass 1 visited, then re-check (an earlier walk this
-            // pass may have claimed the cycle). The re-check reads
-            // `visited`, so it must bypass the cache.
-            if node.visited || graph.nodes.get(ctx, &km).is_none_or(|n| n.visited) {
+        for (&km, node) in graph.nodes.scan_local(ctx) {
+            // Skip what pass 1, or an earlier walk of this pass, visited.
+            if node.visited.load(Ordering::Relaxed) {
                 continue;
             }
             let start = orient_canon(&graph.codec, km, false);
-            let (seq, path, _) = walk_right(graph, ctx, &mut cache, start, node);
+            let (seq, path, _) = walk_right(graph, ctx, start, node);
             let min = path.iter().min().copied().expect("non-empty path");
             if min == km {
                 mark_visited(graph, ctx, &path);
@@ -559,7 +532,7 @@ pub fn traverse_endpoints(team: &Team, graph: &DebruijnGraph) -> (ContigSet, Pha
     all.extend(cycle_seqs.into_iter().flatten());
 
     merge_ranks(&mut stats, &cycle_stats);
-    graph.nodes.drain_service_into(&mut stats);
+    graph.nodes.record_entries(&mut stats);
     (
         ContigSet::from_sequences(graph.codec, all),
         PhaseReport::new("contig/traversal", *team.topo(), stats),
@@ -669,7 +642,7 @@ pub fn prune_hairs(
         }
         dropped
     });
-    spectrum.table.drain_service_into(&mut stats);
+    spectrum.table.record_entries(&mut stats);
 
     let mut drop = vec![false; set.contigs.len()];
     for ci in drop_lists.into_iter().flatten() {
@@ -947,6 +920,47 @@ mod tests {
     }
 
     #[test]
+    fn claims_hold_on_real_threads() {
+        // 32 ranks on up to 8 OS threads race their claim walks for real:
+        // whatever the interleaving, every vertex is claimed and the
+        // contigs are the reference's.
+        let k = 21;
+        let repeat = lcg_genome(60, 77);
+        let broken = [
+            lcg_genome(900, 4),
+            repeat.clone(),
+            lcg_genome(900, 5),
+            repeat,
+        ]
+        .concat();
+        let mut circular = lcg_genome(900, 8);
+        circular.extend_from_within(..80);
+        let topo = Topology::new(32, 8);
+        for genome in [lcg_genome(3000, 3), broken, circular] {
+            let reads = perfect_reads(&genome, 80, 4);
+            let (spectrum, _) =
+                analyze_kmers(&Team::new(topo), &reads, &KmerAnalysisConfig::new(k));
+            let reference = rotation_free(&endpoint_contigs(&Team::new(topo), &spectrum), k);
+            for (threads, walk_cap) in [1, 2, 4, 8].into_iter().flat_map(|t| [(t, 8), (t, 2048)]) {
+                let team = Team::new(topo).with_os_threads(threads);
+                let (graph, _) = crate::graph::build_graph(&team, &spectrum, None);
+                let cfg = ContigConfig {
+                    walk_cap,
+                    ..ContigConfig::default()
+                };
+                let (set, _) = traverse_graph(&team, &graph, &cfg);
+                let at = format!(
+                    "{} bases, {threads} thread(s), cap {walk_cap}",
+                    genome.len()
+                );
+                let visited = |(_, n): (&Kmer, &GraphNode)| n.visited.load(Ordering::Relaxed);
+                assert!(graph.nodes.iter().all(visited), "unclaimed vertex: {at}");
+                assert_eq!(rotation_free(&set, k), reference, "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn repeat_breaks_contigs() {
         // genome: U1 R U2 R U3 — the repeat R (longer than k) must fork the
         // graph and split contigs.
@@ -1040,7 +1054,7 @@ mod tests {
         let team = Team::new(topo);
         let codec = hipmer_dna::KmerCodec::new(4);
         let graph = DebruijnGraph {
-            nodes: hipmer_pgas::DistHashMap::new(topo),
+            nodes: hipmer_pgas::DistHashMap::new(topo).freeze(),
             codec,
         };
         let cfg = ContigConfig::default();

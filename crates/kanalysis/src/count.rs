@@ -12,7 +12,7 @@ use crate::config::KmerAnalysisConfig;
 use crate::pass1::{sketch_pass, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
 use hipmer_dna::{ExtCode, ExtVotes, Kmer, Kmer64, KmerCodec, KmerHashMap, KmerKey};
-use hipmer_pgas::{DistHashMap, Outbox, PhaseReport, RankCtx, Team};
+use hipmer_pgas::{DistHashMap, FrozenMap, Outbox, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
 use parking_lot::Mutex;
@@ -204,29 +204,31 @@ fn count_pass<K: KmerKey>(
 }
 
 /// Finalize: drop below-threshold k-mers, decide extensions, and build the
-/// final spectrum (purely shard-local work). Each survivor is widened into
-/// the `Kmer` the spectrum is keyed by; it hashes, and so is owned, as
-/// its vote-table key was.
+/// final spectrum (purely shard-local work) from the frozen vote table.
+/// Each survivor is widened into the `Kmer` the spectrum is keyed by; it
+/// hashes, and so is owned, as its vote-table key was.
 fn finalize<K: KmerKey>(
     team: &Team,
-    table: DistHashMap<K, ExtVotes>,
+    table: FrozenMap<K, ExtVotes>,
     final_table: &DistHashMap<Kmer, KmerEntry>,
 ) -> PhaseReport {
     let (_, mut stats) = team.run_named("kmer-analysis/finalize", |ctx| {
-        let entries = table.drain_local(ctx);
-        let mut keep: Vec<(Kmer, KmerEntry)> = Vec::with_capacity(entries.len());
-        for (km, votes) in entries {
-            ctx.stats.compute(1);
+        let mut seen = 0u64;
+        let keep = table.fold_local(ctx, Vec::new(), |mut keep, &km, votes| {
+            seen += 1;
             if votes.count >= MIN_COUNT {
+                let exts = votes.decide(MIN_VOTES);
                 keep.push((
                     km.into(),
                     KmerEntry {
                         count: votes.count,
-                        exts: votes.decide(MIN_VOTES),
+                        exts,
                     },
                 ));
             }
-        }
+            keep
+        });
+        ctx.stats.compute(seen);
         // Same key, same placement: the batch lands in this rank's shard.
         final_table.merge_batch(ctx.rank, keep, |_a, _b| {});
     });
@@ -274,12 +276,12 @@ fn analyze_keyed<K: KmerKey>(
     reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement("uniform"));
 
     let final_table: DistHashMap<Kmer, KmerEntry> = DistHashMap::new(*team.topo());
-    reports.push(finalize(team, votes_table, &final_table).with_placement("uniform"));
+    reports.push(finalize(team, votes_table.freeze(), &final_table).with_placement("uniform"));
 
     (
         KmerSpectrum {
             codec,
-            table: final_table,
+            table: final_table.freeze(),
         },
         reports,
     )
@@ -291,6 +293,12 @@ mod tests {
     use crate::pass1::sketch_reads;
     use hipmer_dna::ExtChoice;
     use hipmer_pgas::{CommStats, Topology};
+
+    /// Every `(k-mer, count)` of a spectrum, in ascending k-mer order.
+    fn counts(spectrum: &KmerSpectrum) -> Vec<(Kmer, u32)> {
+        let entries = spectrum.export_entries().into_iter();
+        entries.map(|(km, e)| (km, e.count)).collect()
+    }
 
     /// Reads tiling `genome` perfectly with `depth` copies.
     fn perfect_reads(genome: &[u8], read_len: usize, depth: usize) -> Vec<SeqRecord> {
@@ -393,8 +401,9 @@ mod tests {
                 bloom_pass(&team, &reads, &cfg, &sketch, &table);
             }
             let report = count_pass(&team, &reads, &cfg, &sketch, &table);
-            let got: KmerHashMap<Kmer, ExtVotes> = table.snapshot_entries().into_iter().collect();
-            for (km, votes) in &got {
+            let table = table.freeze();
+            let got: KmerHashMap<Kmer, &ExtVotes> = table.iter().map(|(&km, v)| (km, v)).collect();
+            for (km, &votes) in &got {
                 assert_eq!(votes, &truth[km], "{what}: {}", codec.to_string(*km));
             }
             // Without Bloom every k-mer has an entry; with it, every
@@ -452,7 +461,7 @@ mod tests {
                 })
                 .collect();
             want.sort_by_key(|(km, _)| *km);
-            let mut have = spectrum.table.into_entries();
+            let mut have = spectrum.export_entries();
             have.sort_by_key(|(km, _)| *km);
             assert_eq!(have, want, "{what}");
         }
@@ -686,21 +695,11 @@ mod tests {
         let (spec_on, _) = analyze_kmers(&team, &reads, &cfg_on);
         let (spec_off, _) = analyze_kmers(&team, &reads, &cfg_off);
 
-        let mut on: Vec<(Kmer, u32)> = spec_on
-            .table
-            .into_entries()
-            .into_iter()
-            .map(|(k, e)| (k, e.count))
-            .collect();
-        let mut off: Vec<(Kmer, u32)> = spec_off
-            .table
-            .into_entries()
-            .into_iter()
-            .map(|(k, e)| (k, e.count))
-            .collect();
-        on.sort();
-        off.sort();
-        assert_eq!(on, off, "HH optimization must not change results");
+        assert_eq!(
+            counts(&spec_on),
+            counts(&spec_off),
+            "HH optimization must not change results"
+        );
     }
 
     #[test]
@@ -753,20 +752,6 @@ mod tests {
         cfg.use_bloom = true;
         let (spec_b, _) = analyze_kmers(&team, &reads, &cfg);
         // Final spectra agree (both threshold at min_count)...
-        let mut a: Vec<(Kmer, u32)> = spec_nb
-            .table
-            .into_entries()
-            .into_iter()
-            .map(|(k, e)| (k, e.count))
-            .collect();
-        let mut b: Vec<(Kmer, u32)> = spec_b
-            .table
-            .into_entries()
-            .into_iter()
-            .map(|(k, e)| (k, e.count))
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        assert_eq!(counts(&spec_nb), counts(&spec_b));
     }
 }

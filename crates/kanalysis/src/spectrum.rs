@@ -1,7 +1,7 @@
 //! The k-mer analysis output: the table of non-erroneous k-mers.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
-use hipmer_pgas::{DistHashMap, RankCtx, Topology};
+use hipmer_pgas::{DistHashMap, FrozenMap, RankCtx, Topology};
 use hipmer_sketch::CountHistogram;
 
 /// One surviving canonical k-mer: exact count plus decided extensions.
@@ -18,8 +18,9 @@ pub struct KmerEntry {
 pub struct KmerSpectrum {
     /// Codec carrying k.
     pub codec: KmerCodec,
-    /// Canonical k-mer → entry, partitioned over the topology.
-    pub table: DistHashMap<Kmer, KmerEntry>,
+    /// Canonical k-mer → entry, partitioned over the topology; frozen at
+    /// the end of k-mer analysis.
+    pub table: FrozenMap<Kmer, KmerEntry>,
 }
 
 impl KmerSpectrum {
@@ -30,19 +31,17 @@ impl KmerSpectrum {
 
     /// One-sided lookup of a k-mer (callers pass any orientation; the
     /// lookup canonicalizes).
-    pub fn get(&self, ctx: &mut RankCtx, kmer: Kmer) -> Option<KmerEntry> {
+    pub fn get(&self, ctx: &mut RankCtx, kmer: Kmer) -> Option<&KmerEntry> {
         let canon = self.codec.canonical(kmer);
         self.table.get(ctx, &canon)
     }
 
     /// Batched one-sided lookup: canonicalize every k-mer and resolve the
-    /// whole set through [`DistHashMap::multi_get`] — one message per
+    /// whole set through [`FrozenMap::multi_get`] — one message per
     /// distinct owner rank instead of one per k-mer. Results come back in
-    /// input order and are byte-identical to calling
-    /// [`get`](Self::get) per k-mer; only the message accounting differs.
-    /// The table is read-only after k-mer analysis, so batch windows of any
-    /// size are safe.
-    pub fn get_batch(&self, ctx: &mut RankCtx, kmers: &[Kmer]) -> Vec<Option<KmerEntry>> {
+    /// input order and equal calling [`get`](Self::get) per k-mer; only
+    /// the message accounting differs.
+    pub fn get_batch(&self, ctx: &mut RankCtx, kmers: &[Kmer]) -> Vec<Option<&KmerEntry>> {
         let canon: Vec<Kmer> = kmers.iter().map(|&km| self.codec.canonical(km)).collect();
         self.table.multi_get(ctx, &canon)
     }
@@ -64,7 +63,8 @@ impl KmerSpectrum {
     /// The ordering makes the serialized artifact byte-identical across
     /// runs and topologies.
     pub fn export_entries(&self) -> Vec<(Kmer, KmerEntry)> {
-        let mut entries = self.table.snapshot_entries();
+        let mut entries: Vec<(Kmer, KmerEntry)> =
+            self.table.iter().map(|(&k, &e)| (k, e)).collect();
         entries.sort_unstable_by_key(|(km, _)| km.0);
         entries
     }
@@ -82,7 +82,10 @@ impl KmerSpectrum {
         let codec = KmerCodec::new(k);
         let table = DistHashMap::new(topo);
         table.preload(entries);
-        KmerSpectrum { codec, table }
+        KmerSpectrum {
+            codec,
+            table: table.freeze(),
+        }
     }
 }
 
@@ -107,17 +110,31 @@ mod tests {
         KmerEntry { count, exts }
     }
 
+    /// A spectrum over `topo` holding the k-mer `names[i]` (canonicalized;
+    /// a later name overwrites an earlier one of the same canonical form)
+    /// as `entry(base + i, uu(i))`.
+    fn spectrum_of(
+        topo: Topology,
+        names: &[&str],
+        base: u32,
+        uu: fn(usize) -> bool,
+    ) -> KmerSpectrum {
+        let codec = KmerCodec::new(names[0].len());
+        let canon = |s: &str| codec.canonical(codec.pack(s.as_bytes()).unwrap());
+        let entries =
+            (names.iter().enumerate()).map(|(i, s)| (canon(s), entry(base + i as u32, uu(i))));
+        KmerSpectrum::from_entries(topo, codec.k(), entries)
+    }
+
     #[test]
     fn lookup_canonicalizes() {
         let topo = Topology::new(2, 2);
-        let codec = KmerCodec::new(3);
-        let table = DistHashMap::new(topo);
-        let spectrum = KmerSpectrum { codec, table };
+        let spectrum = spectrum_of(topo, &["TTT"], 5, |_| true);
+        let codec = spectrum.codec;
         let mut ctx = RankCtx::new(0, topo);
 
         let fwd = codec.pack(b"TTT").unwrap(); // canonical form is AAA
         let canon = codec.canonical(fwd);
-        spectrum.table.insert(&mut ctx, canon, entry(5, true));
         assert_eq!(spectrum.get(&mut ctx, fwd).unwrap().count, 5);
         assert_eq!(spectrum.get(&mut ctx, canon).unwrap().count, 5);
     }
@@ -125,21 +142,12 @@ mod tests {
     #[test]
     fn batched_lookup_matches_sequential() {
         let topo = Topology::new(4, 2);
-        let codec = KmerCodec::new(3);
-        let table = DistHashMap::new(topo);
-        let spectrum = KmerSpectrum { codec, table };
-        let mut ctx = RankCtx::new(0, topo);
-
-        let kmers: Vec<_> = ["AAA", "ACG", "TTT", "GGG", "CCA"]
-            .iter()
+        let names = ["AAA", "ACG", "TTT", "GGG", "CCA"];
+        let spectrum = spectrum_of(topo, &names[..3], 1, |_| true);
+        let codec = spectrum.codec;
+        let kmers: Vec<_> = (names.iter())
             .map(|s| codec.pack(s.as_bytes()).unwrap())
             .collect();
-        for (i, &km) in kmers.iter().take(3).enumerate() {
-            let canon = codec.canonical(km);
-            spectrum
-                .table
-                .insert(&mut ctx, canon, entry(i as u32 + 1, true));
-        }
         let mut seq = RankCtx::new(0, topo);
         let one_by_one: Vec<_> = kmers.iter().map(|&km| spectrum.get(&mut seq, km)).collect();
         let mut bat = RankCtx::new(0, topo);
@@ -152,16 +160,8 @@ mod tests {
     #[test]
     fn export_entries_round_trip_across_topologies() {
         let topo = Topology::new(4, 2);
-        let codec = KmerCodec::new(5);
-        let table = DistHashMap::new(topo);
-        let spectrum = KmerSpectrum { codec, table };
-        let mut ctx = RankCtx::new(0, topo);
-        for (i, s) in ["AACGT", "CGTAA", "TTACG", "GGGCA"].iter().enumerate() {
-            let km = codec.canonical(codec.pack(s.as_bytes()).unwrap());
-            spectrum
-                .table
-                .insert(&mut ctx, km, entry(i as u32 + 2, i % 2 == 0));
-        }
+        let names = ["AACGT", "CGTAA", "TTACG", "GGGCA"];
+        let spectrum = spectrum_of(topo, &names, 2, |i| i % 2 == 0);
         let exported = spectrum.export_entries();
         assert!(
             exported.windows(2).all(|w| w[0].0 .0 < w[1].0 .0),
@@ -177,26 +177,16 @@ mod tests {
             assert_eq!(restored.table.owner(&km), homed.owner(&km));
         }
         let mut c2 = RankCtx::new(0, Topology::new(7, 3));
-        for &(km, e) in &exported {
-            assert_eq!(restored.get(&mut c2, km), Some(e));
+        for (km, e) in &exported {
+            assert_eq!(restored.get(&mut c2, *km), Some(e));
         }
     }
 
     #[test]
     fn count_histogram_bins_local_counts() {
         let topo = Topology::new(1, 1);
-        let codec = KmerCodec::new(3);
-        let table = DistHashMap::new(topo);
-        let spectrum = KmerSpectrum { codec, table };
+        let spectrum = spectrum_of(topo, &["AAA", "AAC", "AAG", "AAT"], 1, |i| i % 2 == 0);
         let mut ctx = RankCtx::new(0, topo);
-
-        let kmers = ["AAA", "AAC", "AAG", "AAT"];
-        for (i, s) in kmers.iter().enumerate() {
-            let km = codec.canonical(codec.pack(s.as_bytes()).unwrap());
-            spectrum
-                .table
-                .insert(&mut ctx, km, entry(i as u32 + 1, i % 2 == 0));
-        }
         let h = spectrum.count_histogram(&mut ctx, 100);
         assert_eq!(h.count(), 4);
         assert_eq!(h.bin(1), Some(1));

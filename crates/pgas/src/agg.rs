@@ -281,8 +281,10 @@ mod tests {
             agg.push(&mut ctx, k % 10, 1);
         }
         agg.flush_all(&mut ctx);
+        drop(agg);
+        let dht = dht.freeze();
         for k in 0..10u64 {
-            assert_eq!(dht.get(&mut ctx, &k), Some(10), "key {k}");
+            assert_eq!(dht.get(&mut ctx, &k), Some(&10), "key {k}");
         }
     }
 

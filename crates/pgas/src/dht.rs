@@ -16,15 +16,14 @@
 //! `service_ops` against the owner, which is where heavy-hitter load
 //! imbalance (Fig. 6) becomes visible.
 //!
-//! Every partition carries a **mutation sequence number** bumped on each
-//! write that touches it. Read-only consumers (the software caches, the
-//! merAligner seed index) capture a [`version_stamp`] and validate it
-//! unchanged after the read phase — the sequence-validated access that
-//! makes the coherence contract of [`crate::lookup`] checkable instead of
-//! merely documented.
+//! Every table in HipMer is built in one phase and only read after it. A
+//! [`DistHashMap`] is the build side; [`DistHashMap::freeze`] ends the
+//! build and yields a [`FrozenMap`]: the same partitions and owner
+//! function, read through `&self` with no lock, each access billed exactly
+//! as before. Nothing can write a frozen table, so no reader needs to
+//! check that nothing did.
 //!
 //! [`CommStats`]: crate::stats::CommStats
-//! [`version_stamp`]: DistHashMap::version_stamp
 //! [`with_owner`]: DistHashMap::with_owner
 
 use crate::team::RankCtx;
@@ -62,9 +61,6 @@ impl<K, V> Partition<K, V> {
 /// One owner rank's partition.
 struct Shard<K, V> {
     part: Mutex<Partition<K, V>>,
-    /// Mutation sequence number: bumped once per write batch / write op
-    /// that touches this partition. Never reset.
-    seq: AtomicU64,
     /// Times an accessor found `part`'s lock held and waited for it, since
     /// the last [`DistHashMap::drain_service_into`].
     lock_waits: AtomicU64,
@@ -77,35 +73,85 @@ impl<K, V> Shard<K, V> {
                 map: HashMap::default(),
                 hot_keys: None,
             }),
-            seq: AtomicU64::new(0),
             lock_waits: AtomicU64::new(0),
         }
     }
 }
 
-/// Process-global table id source (see [`DistHashMap::table_id`]).
-static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
-
 /// A table's owner function: key → owner rank (see
 /// [`DistHashMap::with_owner`]).
 type OwnerFn<K> = Box<dyn Fn(&K) -> usize + Send + Sync>;
 
-/// A hash table partitioned across the virtual ranks of a [`Topology`].
-pub struct DistHashMap<K, V> {
+/// Where a table's keys live and what an access to them costs: the part a
+/// table keeps when it is frozen.
+struct Routing<K> {
     topo: Topology,
     /// The one routing decision: `None` is uniform hashing
     /// (`key_hash % ranks`); `Some` is whatever the table was built with
     /// ([`DistHashMap::with_owner`]).
     owner_fn: Option<OwnerFn<K>>,
+    hasher: KmerBuildHasher,
+    /// Logical payload bytes per transferred entry (key + value estimate).
+    entry_bytes: u64,
+}
+
+impl<K: Hash> Routing<K> {
+    fn key_hash(&self, key: &K) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    /// See [`DistHashMap::owner`].
+    #[inline]
+    fn owner(&self, key: &K) -> usize {
+        let ranks = self.topo.ranks();
+        match &self.owner_fn {
+            None => (self.key_hash(key) % ranks as u64) as usize,
+            Some(f) => {
+                let r = f(key);
+                assert!(
+                    r < ranks,
+                    "owner function returned rank {r} for a table of {ranks} ranks"
+                );
+                r
+            }
+        }
+    }
+
+    /// Record one one-sided access by `ctx.rank` against `owner`'s shard
+    /// (subject to fault injection when the rank's team carries a
+    /// [`crate::FaultPlan`]).
+    #[inline]
+    fn account(&self, ctx: &mut RankCtx, owner: usize) {
+        ctx.comm(&self.topo, owner, self.entry_bytes);
+    }
+
+    /// Group `keys` by owner and bill one message per distinct owner (bytes
+    /// in full: `group_len * entry_bytes`) plus one
+    /// [`CommStats::lookup_batches`](crate::CommStats::lookup_batches) each.
+    /// Returns the key indices of each owner's group.
+    fn bill_multi_get(&self, ctx: &mut RankCtx, keys: &[K]) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.topo.ranks()];
+        for (i, k) in keys.iter().enumerate() {
+            groups[self.owner(k)].push(i);
+        }
+        for (dest, group) in groups.iter().enumerate() {
+            if !group.is_empty() {
+                ctx.comm(&self.topo, dest, group.len() as u64 * self.entry_bytes);
+                ctx.stats.lookup_batches += 1;
+            }
+        }
+        groups
+    }
+}
+
+/// A hash table partitioned across the virtual ranks of a [`Topology`],
+/// while it is being built (see [`freeze`](Self::freeze)).
+pub struct DistHashMap<K, V> {
+    route: Routing<K>,
     /// One partition per rank, indexed by owner.
     shards: Vec<Shard<K, V>>,
     /// Remote-landed updates serviced by each shard's owner.
     service: Vec<AtomicU64>,
-    hasher: KmerBuildHasher,
-    /// Logical payload bytes per transferred entry (key + value estimate).
-    entry_bytes: u64,
-    /// Process-unique identity (see [`DistHashMap::table_id`]).
-    table_id: u64,
 }
 
 impl<K, V> DistHashMap<K, V>
@@ -131,13 +177,14 @@ where
     fn build(topo: Topology, owner_fn: Option<OwnerFn<K>>) -> Self {
         let ranks = topo.ranks();
         DistHashMap {
-            topo,
-            owner_fn,
+            route: Routing {
+                topo,
+                owner_fn,
+                hasher: KmerBuildHasher::default(),
+                entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
+            },
             shards: (0..ranks).map(|_| Shard::new()).collect(),
             service: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-            hasher: KmerBuildHasher::default(),
-            entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
-            table_id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -154,16 +201,6 @@ where
             }
         }
         self
-    }
-
-    /// A process-unique identity for this table instance. Read-side
-    /// consumers that snapshot table contents ([`crate::SoftwareCache`])
-    /// bind to this id so a cache filled from one table can never serve
-    /// entries to a different table — e.g. one with another partitioner,
-    /// where even the owner ranks disagree.
-    #[inline]
-    pub fn table_id(&self) -> u64 {
-        self.table_id
     }
 
     /// The `top_k` heaviest key hashes seen by service operations, as
@@ -186,7 +223,7 @@ where
     /// The topology this table is partitioned over.
     #[inline]
     pub fn topo(&self) -> &Topology {
-        &self.topo
+        &self.route.topo
     }
 
     /// Logical payload bytes accounted per transferred entry (key + value
@@ -194,14 +231,14 @@ where
     /// per shipped buffer so bandwidth totals match the fine-grained path.
     #[inline]
     pub fn entry_bytes(&self) -> u64 {
-        self.entry_bytes
+        self.route.entry_bytes
     }
 
     /// The 64-bit hash behind uniform ownership and the hot-key summary
     /// (stable across tables, ranks and runs).
     #[inline]
     pub fn key_hash(&self, key: &K) -> u64 {
-        self.hasher.hash_one(key)
+        self.route.key_hash(key)
     }
 
     /// The rank owning `key`.
@@ -212,26 +249,7 @@ where
     /// `Topology::chunk`'s release bounds check.
     #[inline]
     pub fn owner(&self, key: &K) -> usize {
-        let ranks = self.topo.ranks();
-        match &self.owner_fn {
-            None => (self.key_hash(key) % ranks as u64) as usize,
-            Some(f) => {
-                let r = f(key);
-                assert!(
-                    r < ranks,
-                    "owner function returned rank {r} for a table of {ranks} ranks"
-                );
-                r
-            }
-        }
-    }
-
-    /// Record one one-sided access by `ctx.rank` against `owner`'s shard
-    /// (subject to fault injection when the rank's team carries a
-    /// [`crate::FaultPlan`]).
-    #[inline]
-    fn account(&self, ctx: &mut RankCtx, owner: usize) {
-        ctx.comm(&self.topo, owner, self.entry_bytes);
+        self.route.owner(key)
     }
 
     /// Take `owner`'s partition lock. A failed `try_lock` first counts one
@@ -248,150 +266,52 @@ where
         })
     }
 
-    /// Bump `owner`'s mutation sequence number (call once per write op or
-    /// applied write batch).
-    #[inline]
-    fn bump_seq(&self, owner: usize) {
-        self.shards[owner].seq.fetch_add(1, Ordering::Release);
-    }
-
-    /// Sum of the per-rank mutation sequence numbers — a cheap stamp that
-    /// changes whenever any write lands anywhere in the table.
-    ///
-    /// The sequence-validated read protocol: capture the stamp before a
-    /// read-only phase (cached seed lookups, contig-replica reads), and
-    /// assert it unchanged afterwards. A changed stamp means some rank
-    /// mutated the table while caches assumed immutability — the coherence
-    /// contract of [`crate::SoftwareCache`] was violated.
-    pub fn version_stamp(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.seq.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// One-sided read. Returns a clone of the value.
-    pub fn get(&self, ctx: &mut RankCtx, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
-        let owner = self.owner(key);
-        self.account(ctx, owner);
-        self.lock_shard(owner).map.get(key).cloned()
-    }
-
-    /// One-sided existence check.
-    pub fn contains(&self, ctx: &mut RankCtx, key: &K) -> bool {
-        let owner = self.owner(key);
-        self.account(ctx, owner);
-        self.lock_shard(owner).map.contains_key(key)
-    }
-
     /// One-sided write; returns the previous value if any. Counts a service
     /// op at the owner.
     pub fn insert(&self, ctx: &mut RankCtx, key: K, value: V) -> Option<V> {
         let owner = self.owner(&key);
-        self.account(ctx, owner);
+        self.route.account(ctx, owner);
         self.service[owner].fetch_add(1, Ordering::Relaxed);
-        self.bump_seq(owner);
         let mut part = self.lock_shard(owner);
         part.track_hot_key(|| self.key_hash(&key));
         part.map.insert(key, value)
     }
 
     /// One-sided upsert: create the entry with `default` if absent, then
-    /// apply `f`. This is the primitive k-mer counting and link generation
-    /// are built on.
+    /// apply `f`. The fine-grained write every batched one is measured
+    /// against.
     pub fn update<D, F>(&self, ctx: &mut RankCtx, key: K, default: D, f: F)
     where
         D: FnOnce() -> V,
         F: FnOnce(&mut V),
     {
         let owner = self.owner(&key);
-        self.account(ctx, owner);
+        self.route.account(ctx, owner);
         self.service[owner].fetch_add(1, Ordering::Relaxed);
-        self.bump_seq(owner);
         let mut part = self.lock_shard(owner);
         part.track_hot_key(|| self.key_hash(&key));
         f(part.map.entry(key).or_insert_with(default));
     }
 
-    /// One-sided read-modify-write with full access to the slot (present or
-    /// not). Used by the traversal's claim protocol.
-    pub fn with_mut<T, F>(&self, ctx: &mut RankCtx, key: &K, f: F) -> T
-    where
-        F: FnOnce(Option<&mut V>) -> T,
-    {
-        let owner = self.owner(key);
-        self.account(ctx, owner);
-        self.bump_seq(owner);
-        f(self.lock_shard(owner).map.get_mut(key))
-    }
-
-    /// One-sided removal.
-    pub fn remove(&self, ctx: &mut RankCtx, key: &K) -> Option<V> {
-        let owner = self.owner(key);
-        self.account(ctx, owner);
-        self.bump_seq(owner);
-        self.lock_shard(owner).map.remove(key)
-    }
-
-    /// Answer a batch of lookups that arrived as **one** multi-get message
-    /// (see [`crate::LookupBatch`] / [`multi_get`](Self::multi_get)). The
-    /// caller has already accounted the message; like
-    /// [`get`](Self::get) — and unlike [`merge_batch`](Self::merge_batch) —
-    /// this tallies **no** service ops and does not touch the hot-key
-    /// summary, so converting a loop of `get`s into one `fetch_batch` leaves
-    /// every counter except the message count unchanged.
-    ///
-    /// Every key must be owned by `dest` (checked in debug builds). `dest`'s
-    /// partition is locked once and probed in input order — the read-side
-    /// analogue of the aggregated-store lock saving documented in
-    /// [`crate::agg`].
-    pub fn fetch_batch(&self, dest: usize, keys: &[&K]) -> Vec<Option<V>>
-    where
-        V: Clone,
-    {
-        let part = self.lock_shard(dest);
-        keys.iter()
-            .map(|k| {
-                debug_assert_eq!(self.owner(k), dest, "fetch_batch key not owned by dest");
-                part.map.get(k).cloned()
-            })
-            .collect()
-    }
-
-    /// Batched one-sided read: group `keys` by owner, ship **one** message
-    /// per distinct owner (bytes accounted in full — `group_len *
-    /// entry_bytes` — mirroring [`crate::Outbox`] semantics), and return the
-    /// values in input-key order.
-    ///
-    /// Results are byte-identical to `keys.iter().map(|k| self.get(ctx,
-    /// k))`; only the accounting differs: per-message latency is divided by
-    /// the group size, bandwidth is not saved, and
-    /// [`CommStats::lookup_batches`](crate::CommStats::lookup_batches) is
-    /// incremented once per shipped group. For streaming call sites that
-    /// cannot collect keys up front, use [`crate::LookupBatch`].
+    /// Batched one-sided read of a table still being built: group `keys` by
+    /// owner, ship **one** message per distinct owner, and return clones of
+    /// the values in input-key order, each owner's partition locked once.
+    /// It exists for the benchmark's multi-get microbench, which times this
+    /// locked path; every pipeline read goes through
+    /// [`FrozenMap::multi_get`], which bills the same.
     pub fn multi_get(&self, ctx: &mut RankCtx, keys: &[K]) -> Vec<Option<V>>
     where
         V: Clone,
     {
-        let ranks = self.topo.ranks();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); ranks];
-        for (i, k) in keys.iter().enumerate() {
-            groups[self.owner(k)].push(i);
-        }
         let mut out: Vec<Option<V>> = Vec::with_capacity(keys.len());
         out.resize_with(keys.len(), || None);
-        for (dest, group) in groups.into_iter().enumerate() {
+        for (dest, group) in self.route.bill_multi_get(ctx, keys).into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            ctx.comm(&self.topo, dest, group.len() as u64 * self.entry_bytes);
-            ctx.stats.lookup_batches += 1;
-            let batch_keys: Vec<&K> = group.iter().map(|&i| &keys[i]).collect();
-            for (i, v) in group.into_iter().zip(self.fetch_batch(dest, &batch_keys)) {
-                out[i] = v;
+            let part = self.lock_shard(dest);
+            for i in group {
+                out[i] = part.map.get(&keys[i]).cloned();
             }
         }
         out
@@ -406,9 +326,8 @@ where
     /// item is **dropped** if `vacant` is `None`. The item type `U` is the
     /// sender's, not the table's: one byte of votes recorded into a tally in
     /// place, or `()` for insert-if-absent. Each item is one service op at
-    /// the owner (and one hot-key observation when tracking is on), the
-    /// sequence number is bumped once per batch, and every key must be
-    /// owned by `dest`.
+    /// the owner (and one hot-key observation when tracking is on), and
+    /// every key must be owned by `dest`.
     pub fn apply_batch<U, O, C>(
         &self,
         dest: usize,
@@ -419,7 +338,6 @@ where
         O: Fn(&mut V, U),
         C: Fn(U) -> V,
     {
-        self.bump_seq(dest);
         let mut applied = 0u64;
         let mut part = self.lock_shard(dest);
         // Key hashes for the hot-key summary, observed after the loop: its
@@ -476,49 +394,12 @@ where
         self.shards.iter().all(|s| s.part.lock().map.is_empty())
     }
 
-    /// Iterate the acting rank's own partition, counting one local op per
-    /// entry (each rank post-processing its local buckets is a standard
-    /// phase in the paper: link assessment, depth summation, ...).
-    pub fn fold_local<T, F>(&self, ctx: &mut RankCtx, init: T, mut f: F) -> T
-    where
-        F: FnMut(T, &K, &V) -> T,
-    {
-        let part = self.shards[ctx.rank].part.lock();
-        ctx.stats.local_ops += part.map.len() as u64;
-        part.map.iter().fold(init, |acc, (k, v)| f(acc, k, v))
-    }
-
-    /// Snapshot the acting rank's partition as (key, value) pairs, charging
-    /// only compute (a linear scan of local memory, not hash lookups).
-    /// Used for seed scans where the per-entry cost is a flag check, not a
-    /// table operation.
-    pub fn snapshot_local(&self, ctx: &mut RankCtx) -> Vec<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let part = self.shards[ctx.rank].part.lock();
-        ctx.stats.compute(part.map.len() as u64);
-        part.map
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Drain the acting rank's partition into a vector (counts local ops).
-    pub fn drain_local(&self, ctx: &mut RankCtx) -> Vec<(K, V)> {
-        self.bump_seq(ctx.rank);
-        let mut part = self.shards[ctx.rank].part.lock();
-        ctx.stats.local_ops += part.map.len() as u64;
-        part.map.drain().collect()
-    }
-
     /// Move each partition owner's tallies into the per-rank stats vector
     /// collected from a finished phase: the service work and lock waits
     /// accumulated since the last drain (both reset), and the partition's
     /// current entry count ([`CommStats::table_entries`](crate::CommStats)).
     pub fn drain_service_into(&self, stats: &mut [crate::CommStats]) {
-        assert_eq!(stats.len(), self.topo.ranks());
+        assert_eq!(stats.len(), self.topo().ranks());
         for ((s, shard), service) in stats.iter_mut().zip(&self.shards).zip(&self.service) {
             s.service_ops += service.swap(0, Ordering::Relaxed);
             s.lock_waits += shard.lock_waits.swap(0, Ordering::Relaxed);
@@ -526,31 +407,13 @@ where
         }
     }
 
-    /// Clone every entry across all shards, **without** touching any
-    /// counters — a collective metadata operation used by the checkpoint
-    /// writer, which prices the traffic as checkpoint I/O instead.
-    pub fn snapshot_entries(&self) -> Vec<(K, V)>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let part = shard.part.lock();
-            out.extend(part.map.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        out
-    }
-
     /// Bulk-load entries into their owner shards, **without** touching any
     /// counters or service tallies — the checkpoint-restore path, whose I/O
     /// cost is accounted by the resume machinery as a `checkpoint/load-*`
-    /// phase instead of as table traffic. Sequence numbers still advance
-    /// (a restore is a write).
+    /// phase instead of as table traffic.
     pub fn preload(&self, entries: impl IntoIterator<Item = (K, V)>) {
         for (k, v) in entries {
             let owner = self.owner(&k);
-            self.bump_seq(owner);
             self.shards[owner].part.lock().map.insert(k, v);
         }
     }
@@ -571,6 +434,154 @@ where
             .map(|s| s.part.lock().map.len())
             .collect()
     }
+
+    /// End the build: move each partition's map out of its lock into a
+    /// [`FrozenMap`] with the same owner function. Drain the build phase's
+    /// tallies ([`drain_service_into`](Self::drain_service_into)) first;
+    /// the hot-key summaries are dropped.
+    pub fn freeze(self) -> FrozenMap<K, V> {
+        FrozenMap {
+            route: self.route,
+            parts: (self.shards.into_iter())
+                .map(|shard| shard.part.into_inner().map)
+                .collect(),
+        }
+    }
+}
+
+/// A [`DistHashMap`] after its build phase ([`DistHashMap::freeze`]): the
+/// same per-owner maps and owner function, read through `&self` with no
+/// lock. Reads return references into the table, and every access is
+/// billed through [`RankCtx::comm`] exactly as the locked table billed it,
+/// so message, byte and fault-injection counts do not depend on which of
+/// the two a phase reads.
+///
+/// The one value HipMer writes after a build, a graph vertex's claim flag,
+/// is an atomic inside the value (`hipmer_contig::GraphNode::visited`).
+pub struct FrozenMap<K, V> {
+    route: Routing<K>,
+    /// One map per rank, indexed by owner.
+    parts: Vec<HashMap<K, V, KmerBuildHasher>>,
+}
+
+impl<K: Hash + Eq, V> FrozenMap<K, V> {
+    /// The topology this table is partitioned over.
+    #[inline]
+    pub fn topo(&self) -> &Topology {
+        &self.route.topo
+    }
+
+    /// See [`DistHashMap::entry_bytes`].
+    #[inline]
+    pub fn entry_bytes(&self) -> u64 {
+        self.route.entry_bytes
+    }
+
+    /// The rank owning `key`: the owner function the table was built with.
+    #[inline]
+    pub fn owner(&self, key: &K) -> usize {
+        self.route.owner(key)
+    }
+
+    /// One-sided read.
+    pub fn get(&self, ctx: &mut RankCtx, key: &K) -> Option<&V> {
+        let owner = self.owner(key);
+        self.route.account(ctx, owner);
+        self.parts[owner].get(key)
+    }
+
+    /// Answer a batch of lookups that arrived as **one** multi-get message
+    /// (see [`crate::LookupBatch`] / [`multi_get`](Self::multi_get)). The
+    /// caller has already accounted the message; like [`get`](Self::get),
+    /// this tallies **no** service ops, so converting a loop of `get`s into
+    /// one `fetch_batch` leaves every counter except the message count
+    /// unchanged. Every key must be owned by `dest` (checked in debug
+    /// builds); `dest`'s map is probed in input order.
+    pub fn fetch_batch(&self, dest: usize, keys: &[&K]) -> Vec<Option<&V>> {
+        let part = &self.parts[dest];
+        keys.iter()
+            .map(|k| {
+                debug_assert_eq!(self.owner(k), dest, "fetch_batch key not owned by dest");
+                part.get(k)
+            })
+            .collect()
+    }
+
+    /// Batched one-sided read: group `keys` by owner, ship **one** message
+    /// per distinct owner (bytes accounted in full — `group_len *
+    /// entry_bytes` — mirroring [`crate::Outbox`] semantics), and return the
+    /// values in input-key order.
+    ///
+    /// Results equal `keys.iter().map(|k| self.get(ctx, k))`; only the
+    /// accounting differs: per-message latency is divided by the group
+    /// size, bandwidth is not saved, and
+    /// [`CommStats::lookup_batches`](crate::CommStats::lookup_batches) is
+    /// incremented once per shipped group. For streaming call sites that
+    /// cannot collect keys up front, use [`crate::LookupBatch`].
+    pub fn multi_get(&self, ctx: &mut RankCtx, keys: &[K]) -> Vec<Option<&V>> {
+        let mut out: Vec<Option<&V>> = vec![None; keys.len()];
+        for (dest, group) in self.route.bill_multi_get(ctx, keys).into_iter().enumerate() {
+            for i in group {
+                out[i] = self.parts[dest].get(&keys[i]);
+            }
+        }
+        out
+    }
+
+    /// Iterate the acting rank's own partition, counting one local op per
+    /// entry (each rank post-processing its local buckets is a standard
+    /// phase in the paper: link assessment, depth summation, ...).
+    pub fn fold_local<T, F>(&self, ctx: &mut RankCtx, init: T, mut f: F) -> T
+    where
+        F: FnMut(T, &K, &V) -> T,
+    {
+        let part = &self.parts[ctx.rank];
+        ctx.stats.local_ops += part.len() as u64;
+        part.iter().fold(init, |acc, (k, v)| f(acc, k, v))
+    }
+
+    /// The acting rank's own partition for a seed scan, charging only
+    /// compute: a linear pass over local memory whose per-entry cost is a
+    /// flag check, not a table operation.
+    pub fn scan_local(&self, ctx: &mut RankCtx) -> impl ExactSizeIterator<Item = (&K, &V)> {
+        let part = &self.parts[ctx.rank];
+        ctx.stats.compute(part.len() as u64);
+        part.iter()
+    }
+
+    /// Every entry across all partitions, **without** touching any counters
+    /// — a collective metadata operation, used by the checkpoint writer,
+    /// which prices the traffic as checkpoint I/O instead.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.parts.iter().flatten()
+    }
+
+    /// Total entries across all partitions (collective metadata; not
+    /// counted).
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(HashMap::len).sum()
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.parts.iter().all(HashMap::is_empty)
+    }
+
+    /// The per-rank partition sizes (load-balance diagnostics).
+    pub fn shard_sizes(&self) -> Vec<usize> {
+        self.parts.iter().map(HashMap::len).collect()
+    }
+
+    /// Add each partition's entry count to its owner's
+    /// [`CommStats::table_entries`](crate::CommStats) in the stats of a
+    /// phase that read this table. A frozen table serves no writes and
+    /// takes no lock, so there are no service ops or lock waits to move.
+    pub fn record_entries(&self, stats: &mut [crate::CommStats]) {
+        assert_eq!(stats.len(), self.topo().ranks());
+        for (s, part) in stats.iter_mut().zip(&self.parts) {
+            s.table_entries += part.len() as u64;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -587,10 +598,11 @@ mod tests {
         let dht: DistHashMap<u64, String> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
         assert_eq!(dht.insert(&mut c, 42, "hello".into()), None);
-        assert_eq!(dht.get(&mut c, &42), Some("hello".into()));
-        assert_eq!(dht.get(&mut c, &43), None);
-        assert!(dht.contains(&mut c, &42));
         assert_eq!(dht.len(), 1);
+        let frozen = dht.freeze();
+        assert_eq!(frozen.get(&mut c, &42).map(String::as_str), Some("hello"));
+        assert_eq!(frozen.get(&mut c, &43), None);
+        assert_eq!(frozen.len(), 1);
     }
 
     #[test]
@@ -628,7 +640,7 @@ mod tests {
         let mut c = ctx(1, topo);
         dht.update(&mut c, 5, || 0, |v| *v += 10);
         dht.update(&mut c, 5, || 0, |v| *v += 10);
-        assert_eq!(dht.get(&mut c, &5), Some(20));
+        assert_eq!(dht.freeze().get(&mut c, &5), Some(&20));
     }
 
     #[test]
@@ -651,24 +663,25 @@ mod tests {
     }
 
     #[test]
-    fn fold_and_drain_local_only_touch_own_shard() {
+    fn fold_local_only_touches_own_shard() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c0 = ctx(0, topo);
         for k in 0..200 {
             dht.insert(&mut c0, k, 1);
         }
+        let frozen = dht.freeze();
         let mut seen = 0usize;
         for rank in 0..4 {
             let mut c = ctx(rank, topo);
-            seen += dht.fold_local(&mut c, 0usize, |acc, _, _| acc + 1);
+            let mine = frozen.fold_local(&mut c, 0usize, |acc, k, _| {
+                assert_eq!(frozen.owner(k), rank);
+                acc + 1
+            });
+            assert_eq!(c.stats.local_ops, mine as u64);
+            seen += mine;
         }
         assert_eq!(seen, 200);
-
-        let mut c2 = ctx(2, topo);
-        let drained = dht.drain_local(&mut c2);
-        assert!(drained.iter().all(|(k, _)| dht.owner(k) == 2));
-        assert_eq!(dht.len(), 200 - drained.len());
     }
 
     #[test]
@@ -723,18 +736,18 @@ mod tests {
         };
         expect_one_call("insert", &mut |c| assert_eq!(dht.insert(c, 7, 0), None));
         expect_one_call("update", &mut |c| dht.update(c, 8, || 0, |v| *v += 1));
-        expect_one_call("get", &mut |c| assert_eq!(dht.get(c, &7), Some(0)));
-        expect_one_call("contains", &mut |c| assert!(dht.contains(c, &8)));
-        expect_one_call("with_mut", &mut |c| {
-            dht.with_mut(c, &8, |v| *v.unwrap() = 0)
-        });
-        expect_one_call("remove", &mut |c| assert_eq!(dht.remove(c, &8), Some(0)));
-        // Reads, batched reads and local iteration agree with the function.
+        // Batched reads agree with the function, before and after freezing.
         for k in 0..256u64 {
             dht.insert(&mut c, k, 0);
         }
         assert_eq!(dht.shard_sizes(), vec![0, 0, 0, 256]);
         assert_eq!(dht.multi_get(&mut c, &[1, 2, 3]), vec![Some(0); 3]);
+        let frozen = dht.freeze();
+        let before = calls.load(Ordering::Relaxed);
+        assert_eq!(frozen.get(&mut c, &7), Some(&0));
+        assert_eq!(calls.load(Ordering::Relaxed) - before, 1, "frozen get");
+        assert_eq!(frozen.shard_sizes(), vec![0, 0, 0, 256]);
+        assert_eq!(frozen.multi_get(&mut c, &[1, 2, 3]), vec![Some(&0); 3]);
     }
 
     #[test]
@@ -757,12 +770,9 @@ mod tests {
         }
         // preload places by the same owner function.
         let restored = build();
-        restored.preload(dht.snapshot_entries());
-        assert_eq!(restored.shard_sizes(), dht.shard_sizes());
-        // drain_local returns exactly the rank's own partition.
-        let mut c2 = ctx(2, topo);
-        let drained = restored.drain_local(&mut c2);
-        assert!(drained.iter().all(|(k, _)| restored.owner(k) == 2));
+        let sizes = dht.shard_sizes();
+        restored.preload(dht.into_entries());
+        assert_eq!(restored.shard_sizes(), sizes);
     }
 
     #[test]
@@ -817,15 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn table_ids_are_unique() {
-        let topo = Topology::new(2, 2);
-        let a: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let b: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        assert_ne!(a.table_id(), b.table_id());
-        assert_ne!(a.table_id(), 0);
-    }
-
-    #[test]
     fn merge_batch_applies_and_counts_service() {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
@@ -833,10 +834,10 @@ mod tests {
         dht.insert(&mut c, 1000, 5);
         let dest = dht.owner(&1000);
         dht.merge_batch(dest, vec![(1000, 7)], |a, b| *a += b);
-        assert_eq!(dht.get(&mut c, &1000), Some(12));
         let mut stats = vec![crate::CommStats::new(); 2];
         dht.drain_service_into(&mut stats);
         assert_eq!(stats[dest].service_ops, 2); // insert + merged entry
+        assert_eq!(dht.freeze().get(&mut c, &1000), Some(&12));
     }
 
     #[test]
@@ -847,7 +848,6 @@ mod tests {
         let owned: Vec<u64> = (0..64).filter(|k| dht.owner(k) == 1).collect();
         let (a, b, c) = (owned[0], owned[1], owned[2]);
         let push = |log: &mut Vec<u8>, code: u8| log.push(code);
-        let stamp = dht.version_stamp();
 
         // With `vacant`: the first item of a key creates the entry from the
         // item, later ones go through `occupied`, in batch order.
@@ -861,17 +861,15 @@ mod tests {
         let batch = [a, c].map(|k| (k, ()));
         dht.apply_batch(1, batch, |_, ()| {}, Some(|()| vec![0]));
 
-        let mut got = dht.snapshot_entries();
+        // One service op per item shipped — dropped or not — at the owner.
+        let mut stats = vec![crate::CommStats::new(); 2];
+        dht.drain_service_into(&mut stats);
+        assert_eq!((stats[0].service_ops, stats[1].service_ops), (0, 4 + 3 + 2));
+        let mut got = dht.into_entries();
         got.sort();
         let mut want = vec![(a, vec![101, 3, 4]), (b, vec![102, 6]), (c, vec![0])];
         want.sort();
         assert_eq!(got, want);
-        // One service op per item shipped — dropped or not — at the owner,
-        // and one sequence tick per batch.
-        let mut stats = vec![crate::CommStats::new(); 2];
-        dht.drain_service_into(&mut stats);
-        assert_eq!((stats[0].service_ops, stats[1].service_ops), (0, 4 + 3 + 2));
-        assert_eq!(dht.version_stamp() - stamp, 3);
     }
 
     #[test]
@@ -894,12 +892,10 @@ mod tests {
         for (k, v) in batch.clone() {
             reference.update(&mut c, k, String::new, |s| s.push_str(&v));
         }
-        let sorted = |t: &DistHashMap<u64, String>| {
-            let mut e = t.snapshot_entries();
-            e.sort();
-            e
-        };
-        assert_eq!(sorted(&batched), sorted(&reference));
+        assert_eq!(
+            batched.multi_get(&mut c, &owned),
+            reference.multi_get(&mut c, &owned)
+        );
         // Merges ran in batch order across keys, not just within one key.
         let merged = log.into_inner();
         let mut seen = std::collections::HashSet::new();
@@ -920,6 +916,7 @@ mod tests {
         ];
         let append = |a: &mut String, b: String| a.push_str(&b);
         batched.apply_batch(1, second, append, None::<fn(String) -> String>);
+        let batched = batched.freeze();
         assert_eq!(batched.get(&mut c, &absent), None);
         assert!(batched.get(&mut c, &owned[0]).unwrap().ends_with("xy"));
     }
@@ -934,66 +931,48 @@ mod tests {
         for &k in owned.iter().filter(|&&k| k % 2 == 0) {
             dht.insert(&mut c, k, k as u32 * 3);
         }
+        let dht = dht.freeze();
         // Duplicates, interleaved: forward then backward over the same keys.
         let probes: Vec<u64> = owned.iter().chain(owned.iter().rev()).copied().collect();
         let refs: Vec<&u64> = probes.iter().collect();
-        let expect: Vec<Option<u32>> = probes.iter().map(|k| dht.get(&mut c, k)).collect();
+        let expect: Vec<Option<&u32>> = probes.iter().map(|k| dht.get(&mut c, k)).collect();
         assert_eq!(dht.fetch_batch(0, &refs), expect);
         assert!(expect.iter().any(Option::is_none) && expect.iter().any(Option::is_some));
-        assert_eq!(dht.fetch_batch(0, &[]), Vec::<Option<u32>>::new());
+        assert_eq!(dht.fetch_batch(0, &[]), Vec::<Option<&u32>>::new());
     }
 
     #[test]
-    fn version_stamp_advances_once_per_write_and_never_on_reads() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        let owned: Vec<u64> = (0..64).filter(|k| dht.owner(k) == 0).collect();
-        let batch = || owned.iter().map(|&k| (k, 1u32));
-        let mut stamp = dht.version_stamp();
-        let mut expect_advance = |what: &str, by: u64, dht: &DistHashMap<u64, u32>| {
-            let now = dht.version_stamp();
-            assert_eq!(now - stamp, by, "{what}");
-            stamp = now;
-        };
-        // One tick per write op or applied batch, whatever the batch size.
-        dht.insert(&mut c, 1, 1);
-        expect_advance("insert", 1, &dht);
-        dht.update(&mut c, 1, || 0, |v| *v += 1);
-        expect_advance("update", 1, &dht);
-        dht.with_mut(&mut c, &1, |v| *v.unwrap() += 1);
-        expect_advance("with_mut", 1, &dht);
-        dht.remove(&mut c, &1);
-        expect_advance("remove", 1, &dht);
-        dht.merge_batch(0, batch(), |a, b| *a += b);
-        expect_advance("merge_batch", 1, &dht);
-        dht.apply_batch(0, batch(), |a, b| *a += b, None::<fn(u32) -> u32>);
-        expect_advance("apply_batch without a vacant arm", 1, &dht);
-        // Reads leave the stamp untouched: the sequence-validated read
-        // protocol for caches.
-        let refs: Vec<&u64> = owned.iter().collect();
-        let _ = dht.get(&mut c, &owned[0]);
-        let _ = dht.contains(&mut c, &owned[0]);
-        let _ = dht.multi_get(&mut c, &[1, 2, 3]);
-        let _ = dht.fetch_batch(0, &refs);
-        let _ = dht.fold_local(&mut c, 0u32, |acc, _, v| acc + v);
-        let _ = dht.snapshot_local(&mut c);
-        let _ = dht.snapshot_entries();
-        let _ = (dht.len(), dht.shard_sizes());
-        expect_advance("reads", 0, &dht);
-        assert_eq!(dht.drain_local(&mut c).len(), owned.len());
-        expect_advance("drain_local", 1, &dht);
-    }
-
-    #[test]
-    fn with_mut_sees_missing_and_present() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        assert!(dht.with_mut(&mut c, &9, |slot| slot.is_none()));
-        dht.insert(&mut c, 9, 1);
-        dht.with_mut(&mut c, &9, |slot| *slot.unwrap() = 99);
-        assert_eq!(dht.get(&mut c, &9), Some(99));
+    fn frozen_reads_bill_like_locked_reads() {
+        // Freezing moves the maps, keeps the owner function, and leaves every
+        // counter of a batched read where the locked table put it.
+        let topo = Topology::new(6, 3);
+        let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |k| (k % 5) as usize);
+        let mut setup = ctx(0, topo);
+        for k in (0..300u64).step_by(3) {
+            dht.insert(&mut setup, k, k as u32 * 7);
+        }
+        let probes: Vec<u64> = (0..200).collect();
+        let (mut locked, mut frozen) = (ctx(4, topo), ctx(4, topo));
+        let want = dht.multi_get(&mut locked, &probes);
+        let sizes = dht.shard_sizes();
+        let table = dht.freeze();
+        let got: Vec<Option<u32>> = table
+            .multi_get(&mut frozen, &probes)
+            .into_iter()
+            .map(Option::<&u32>::copied)
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(frozen.stats, locked.stats);
+        assert_eq!(table.shard_sizes(), sizes);
+        assert_eq!(sizes[5], 0, "owner function kept");
+        // Entry counts land on their owners; nothing else moves.
+        let mut stats = vec![crate::CommStats::new(); 6];
+        table.record_entries(&mut stats);
+        let entries: Vec<u64> = stats.iter().map(|s| s.table_entries).collect();
+        assert_eq!(entries, sizes.iter().map(|&n| n as u64).collect::<Vec<_>>());
+        assert!(stats
+            .iter()
+            .all(|s| s.lock_waits == 0 && s.service_ops == 0));
     }
 
     #[test]
@@ -1030,28 +1009,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_preload_bypass_counters() {
+    fn preload_bypasses_counters() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
         for k in 0..100 {
             dht.insert(&mut c, k, (k * 2) as u32);
         }
-        let mut entries = dht.snapshot_entries();
-        entries.sort_unstable();
+        let sizes = dht.shard_sizes();
+        let entries = dht.into_entries();
         assert_eq!(entries.len(), 100);
 
         let restored: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c2 = ctx(1, topo);
-        restored.preload(entries.clone());
-        // No accesses, no service ops were recorded by either operation.
+        restored.preload(entries);
+        // No accesses, no service ops were recorded.
         assert_eq!(c2.stats.total_accesses(), 0);
         let mut stats = vec![crate::CommStats::new(); 4];
         restored.drain_service_into(&mut stats);
         assert!(stats.iter().all(|s| s.service_ops == 0));
         // But the data round-tripped, landing on the same owners.
-        assert_eq!(restored.shard_sizes(), dht.shard_sizes());
-        assert_eq!(restored.get(&mut c2, &7), Some(14));
+        assert_eq!(restored.shard_sizes(), sizes);
+        assert_eq!(restored.freeze().get(&mut c2, &7), Some(&14));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod trace;
 
 pub use agg::{AggregatingStores, Outbox};
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
-pub use dht::DistHashMap;
+pub use dht::{DistHashMap, FrozenMap};
 pub use fault::{catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort};
 pub use lookup::{LookupBatch, SoftwareCache};
 pub use oracle::OracleVector;

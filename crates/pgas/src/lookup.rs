@@ -9,42 +9,32 @@
 //!
 //! * [`LookupBatch`] — an [`Outbox`] of key requests per destination
 //!   rank. Each full buffer ships as **one**
-//!   message (answered by [`DistHashMap::fetch_batch`]) and results are
-//!   delivered through a per-key callback. Per-message latency and
-//!   per-key shard-lock traffic are divided by the batch factor; bytes are
-//!   accounted in full — batching never saves bandwidth.
-//! * [`SoftwareCache`] — a bounded per-rank read-only cache (CLOCK
-//!   replacement) for tables that are **immutable after build** (seed
-//!   index, contig lookup, oracle partition map). A hit avoids the remote
-//!   access entirely — latency *and* bandwidth — at the price of a local
-//!   probe ([`CostModel::t_cache`](crate::CostModel::t_cache)).
+//!   message (answered by [`FrozenMap::fetch_batch`]) and results are
+//!   delivered through a per-key callback. Per-message latency is divided
+//!   by the batch factor; bytes are accounted in full — batching never
+//!   saves bandwidth.
+//! * [`SoftwareCache`] — a bounded per-rank cache (CLOCK replacement) of
+//!   values read from a [`FrozenMap`] (seed hit lists, contig replicas). A
+//!   hit avoids the remote access entirely — latency *and* bandwidth — at
+//!   the price of a local probe
+//!   ([`CostModel::t_cache`](crate::CostModel::t_cache)).
 //!
-//! Cache coherence contract: the cache holds snapshots and is never
-//! invalidated, so it may only front tables that no rank mutates while the
-//! cache is live. Callers that read a mutable field (e.g. a traversal
-//! `visited` flag) must bypass the cache and use [`DistHashMap::get`]
-//! directly. The contract is also **per table**: a cache primed through one
-//! map must never be re-pointed at another — the second map may hold
-//! different values for the same keys *and*, when one of them is an oracle
-//! table ([`crate::OracleVector::table`]), may not even agree on who owns a
-//! key, so stale hits would silently bypass the second
-//! table entirely. [`SoftwareCache::get_through`] binds the cache to the
-//! first table's [`DistHashMap::table_id`] and `debug_assert`s every later
-//! call against it. Hits and misses are tallied into
+//! Both read frozen tables only, so nothing they return can go stale: the
+//! type is the coherence contract. Hits and misses are tallied into
 //! [`CommStats::cache_hits`](crate::CommStats::cache_hits) /
 //! [`CommStats::cache_misses`](crate::CommStats::cache_misses) so cache
 //! effectiveness is visible in `--report-json` (schema v2).
 
 use crate::agg::Outbox;
-use crate::dht::DistHashMap;
+use crate::dht::FrozenMap;
 use crate::team::RankCtx;
 use hipmer_dna::KmerHashMap;
 use std::hash::Hash;
 
 /// A per-destination buffer set for batched one-sided reads from a
-/// [`DistHashMap`] — the read-side mirror of [`crate::AggregatingStores`]:
+/// [`FrozenMap`] — the read-side mirror of [`crate::AggregatingStores`]:
 /// an [`Outbox`] of `(key, tag)` requests whose apply step is
-/// [`DistHashMap::fetch_batch`] plus delivery.
+/// [`FrozenMap::fetch_batch`] plus delivery.
 ///
 /// Each queued key carries a caller-supplied *tag* (e.g. a read index or
 /// sequence position) handed back to the delivery callback alongside the
@@ -60,27 +50,24 @@ use std::hash::Hash;
 ///
 /// Results arrive grouped by owner, not in push order — callers must route
 /// them by tag (as every call site in this repo does). Values are
-/// unaffected by scheduling: the coherence contract already forbids
-/// mutating a table with reads in flight, and
-/// [`DistHashMap::version_stamp`] makes that checkable.
+/// unaffected by scheduling: a frozen table cannot change.
 pub struct LookupBatch<'a, K, V, T> {
-    dht: &'a DistHashMap<K, V>,
+    dht: &'a FrozenMap<K, V>,
     outbox: Outbox<(K, T)>,
 }
 
 impl<'a, K, V, T> LookupBatch<'a, K, V, T>
 where
-    K: Hash + Eq + Send,
-    V: Clone + Send,
+    K: Hash + Eq,
 {
     /// New buffer set reading from `dht` with the default batch size
     /// ([`crate::agg::DEFAULT_BATCH`]).
-    pub fn new(dht: &'a DistHashMap<K, V>) -> Self {
+    pub fn new(dht: &'a FrozenMap<K, V>) -> Self {
         Self::with_batch(dht, crate::agg::DEFAULT_BATCH)
     }
 
     /// As [`new`](Self::new) with an explicit batch size (ablation hook).
-    pub fn with_batch(dht: &'a DistHashMap<K, V>, batch: usize) -> Self {
+    pub fn with_batch(dht: &'a FrozenMap<K, V>, batch: usize) -> Self {
         LookupBatch {
             dht,
             // Bytes in full, exactly like the write side: one message per
@@ -91,10 +78,10 @@ where
 
     /// Queue a lookup of `key`, remembering `tag`; if the owner's buffer is
     /// full it ships as one message and `deliver` is called once per
-    /// resolved key (in queue order) with the tag and the value clone.
+    /// resolved key (in queue order) with the tag and the value.
     pub fn push<F>(&mut self, ctx: &mut RankCtx, key: K, tag: T, deliver: &mut F)
     where
-        F: FnMut(&mut RankCtx, T, Option<V>),
+        F: FnMut(&mut RankCtx, T, Option<&'a V>),
     {
         let dest = self.dht.owner(&key);
         let mut apply = fetch_at_owner(self.dht, deliver);
@@ -105,7 +92,7 @@ where
     /// delivered (call before the phase barrier).
     pub fn flush_all<F>(&mut self, ctx: &mut RankCtx, deliver: &mut F)
     where
-        F: FnMut(&mut RankCtx, T, Option<V>),
+        F: FnMut(&mut RankCtx, T, Option<&'a V>),
     {
         let mut apply = fetch_at_owner(self.dht, deliver);
         self.outbox.flush_all(ctx, &mut apply);
@@ -117,7 +104,7 @@ where
     /// return path.
     pub fn finish<F>(self, ctx: &mut RankCtx, deliver: &mut F)
     where
-        F: FnMut(&mut RankCtx, T, Option<V>),
+        F: FnMut(&mut RankCtx, T, Option<&'a V>),
     {
         let mut apply = fetch_at_owner(self.dht, deliver);
         self.outbox.finish(ctx, &mut apply);
@@ -126,14 +113,13 @@ where
 
 /// The apply step of [`LookupBatch`]: answer one shipped request batch as a
 /// single multi-get at its owner and deliver each value by tag.
-fn fetch_at_owner<'d, K, V, T, F>(
-    dht: &'d DistHashMap<K, V>,
+fn fetch_at_owner<'a, 'd, K, V, T, F>(
+    dht: &'a FrozenMap<K, V>,
     deliver: &'d mut F,
-) -> impl FnMut(&mut RankCtx, usize, &mut Vec<(K, T)>) + 'd
+) -> impl FnMut(&mut RankCtx, usize, &mut Vec<(K, T)>) + use<'a, 'd, K, V, T, F>
 where
-    K: Hash + Eq + Send,
-    V: Clone + Send,
-    F: FnMut(&mut RankCtx, T, Option<V>),
+    K: Hash + Eq,
+    F: FnMut(&mut RankCtx, T, Option<&'a V>),
 {
     move |ctx, dest, requests| {
         ctx.stats.lookup_batches += 1;
@@ -162,9 +148,9 @@ impl<K, V, T> LookupBatch<'_, K, V, T> {
 /// A bounded per-rank read-only cache with CLOCK (second-chance)
 /// replacement.
 ///
-/// Fronting a [`DistHashMap`] whose contents are immutable for the
-/// lifetime of the cache (see the coherence contract in the
-/// [module docs](crate::lookup)), a hit returns a local clone and records
+/// Fronting a [`FrozenMap`] (see the [module docs](crate::lookup)), a hit
+/// returns a local clone — typically of a reference into the table — and
+/// records
 /// [`CommStats::cache_hits`](crate::CommStats::cache_hits) — no message,
 /// no bytes. A miss records
 /// [`CommStats::cache_misses`](crate::CommStats::cache_misses); the
@@ -177,11 +163,7 @@ impl<K, V, T> LookupBatch<'_, K, V, T> {
 ///
 /// The value type is arbitrary: call sites that want *negative* caching
 /// (remembering that a key is absent) simply use `V = Option<..>` and
-/// [`insert`](Self::insert) the `None`s too. The
-/// [`get_through`](Self::get_through) convenience does **positive caching
-/// only** — absent keys are re-fetched on every probe, the right trade
-/// when misses are dominated by unique erroneous k-mers that would only
-/// pollute the cache.
+/// [`insert`](Self::insert) the `None`s too.
 pub struct SoftwareCache<K, V> {
     /// `(key, value, referenced)` slots; the clock hand sweeps these.
     slots: Vec<(K, V, bool)>,
@@ -189,11 +171,6 @@ pub struct SoftwareCache<K, V> {
     index: KmerHashMap<K, usize>,
     hand: usize,
     capacity: usize,
-    /// [`DistHashMap::table_id`] of the table this cache was first read
-    /// through, if any — reuse against a different table (different values
-    /// for the same keys, possibly a different partitioner deciding
-    /// ownership) is a coherence violation, caught in debug builds.
-    bound: Option<u64>,
 }
 
 impl<K, V> SoftwareCache<K, V>
@@ -209,7 +186,6 @@ where
             index: KmerHashMap::default(),
             hand: 0,
             capacity,
-            bound: None,
         }
     }
 
@@ -259,37 +235,6 @@ where
         self.hand = (victim + 1) % self.capacity;
     }
 
-    /// Read-through probe: a hit is served locally; a miss falls through
-    /// to [`DistHashMap::get`] (which accounts the remote access as usual)
-    /// and caches `Some` results. Absent keys are **not** negatively
-    /// cached — see the type-level docs.
-    pub fn get_through(&mut self, ctx: &mut RankCtx, dht: &DistHashMap<K, V>, key: &K) -> Option<V>
-    where
-        K: Send,
-        V: Send,
-    {
-        // Bind to the first table read through and refuse any other: a
-        // cache holds that table's snapshots, and another table — even one
-        // with identical contents — may partition keys differently, so a
-        // stale hit would silently stand in for the wrong table's answer.
-        match self.bound {
-            None => self.bound = Some(dht.table_id()),
-            Some(id) => debug_assert_eq!(
-                id,
-                dht.table_id(),
-                "SoftwareCache reused across distinct tables; one cache per table"
-            ),
-        }
-        if let Some(v) = self.get(ctx, key) {
-            return Some(v);
-        }
-        let fetched = dht.get(ctx, key);
-        if let Some(v) = &fetched {
-            self.insert(key.clone(), v.clone());
-        }
-        fetched
-    }
-
     /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -309,7 +254,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CommStats, Topology};
+    use crate::{DistHashMap, Topology};
 
     fn ctx(rank: usize, topo: Topology) -> RankCtx {
         RankCtx::new(rank, topo)
@@ -323,16 +268,17 @@ mod tests {
         for k in 0..500u64 {
             dht.insert(&mut setup, k, (k * 3) as u32);
         }
+        let dht = dht.freeze();
 
         // Fine-grained baseline (also probes absent keys).
         let mut fine = ctx(0, topo);
         let keys: Vec<u64> = (0..600).collect();
-        let fine_vals: Vec<Option<u32>> = keys.iter().map(|k| dht.get(&mut fine, k)).collect();
+        let fine_vals: Vec<Option<&u32>> = keys.iter().map(|k| dht.get(&mut fine, k)).collect();
 
         // Batched.
         let mut bat = ctx(0, topo);
-        let mut got: Vec<(u64, Option<u32>)> = Vec::new();
-        let mut deliver = |_: &mut RankCtx, tag: u64, v: Option<u32>| got.push((tag, v));
+        let mut got: Vec<(u64, Option<&u32>)> = Vec::new();
+        let mut deliver = |_: &mut RankCtx, tag: u64, v| got.push((tag, v));
         let mut lb = LookupBatch::with_batch(&dht, 64);
         for &k in &keys {
             lb.push(&mut bat, k, k, &mut deliver);
@@ -340,7 +286,7 @@ mod tests {
         lb.finish(&mut bat, &mut deliver);
 
         got.sort_by_key(|(tag, _)| *tag);
-        let batch_vals: Vec<Option<u32>> = got.into_iter().map(|(_, v)| v).collect();
+        let batch_vals: Vec<Option<&u32>> = got.into_iter().map(|(_, v)| v).collect();
         assert_eq!(fine_vals, batch_vals);
         assert!(bat.stats.remote_msgs() * 16 < fine.stats.remote_msgs());
         // Bandwidth is NOT saved.
@@ -349,11 +295,6 @@ mod tests {
             bat.stats.onnode_bytes + bat.stats.offnode_bytes
         );
         assert!(bat.stats.lookup_batches > 0);
-        // Reads never count service work at the owner.
-        let mut svc = vec![CommStats::new(); 8];
-        dht.drain_service_into(&mut svc);
-        let total: u64 = svc.iter().map(|s| s.service_ops).sum();
-        assert_eq!(total, 500, "only the setup inserts service the shards");
     }
 
     #[test]
@@ -410,55 +351,11 @@ mod tests {
     }
 
     #[test]
-    fn get_through_saves_messages_on_repeats() {
-        let topo = Topology::new(8, 4);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut setup = ctx(0, topo);
-        for k in 0..64u64 {
-            dht.insert(&mut setup, k, k as u32);
-        }
-        let mut c = ctx(0, topo);
-        let mut cache: SoftwareCache<u64, u32> = SoftwareCache::new(128);
-        for _round in 0..10 {
-            for k in 0..64u64 {
-                assert_eq!(cache.get_through(&mut c, &dht, &k), Some(k as u32));
-            }
-        }
-        assert_eq!(c.stats.cache_hits, 64 * 9);
-        assert_eq!(c.stats.cache_misses, 64);
-        // Only the first round touched owners.
-        assert_eq!(c.stats.total_accesses(), 64);
-        // Absent keys are never cached: every probe falls through.
-        let before = c.stats.total_accesses();
-        for _ in 0..5 {
-            assert_eq!(cache.get_through(&mut c, &dht, &9999), None);
-        }
-        assert_eq!(c.stats.total_accesses(), before + 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "reused across distinct tables")]
-    #[cfg(debug_assertions)]
-    fn cache_reuse_across_tables_panics_in_debug() {
-        let topo = Topology::new(4, 2);
-        let a: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        // Same key type and contents, but a different table — which may
-        // also partition differently (e.g. an oracle table).
-        let b: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        a.insert(&mut c, 1, 10);
-        b.insert(&mut c, 1, 99);
-        let mut cache: SoftwareCache<u64, u32> = SoftwareCache::new(8);
-        assert_eq!(cache.get_through(&mut c, &a, &1), Some(10));
-        let _ = cache.get_through(&mut c, &b, &1);
-    }
-
-    #[test]
     fn abandon_disarms_the_drop_assertion() {
         let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let dht = DistHashMap::<u64, u32>::new(topo).freeze();
         let mut c = ctx(0, topo);
-        let mut sink = |_: &mut RankCtx, _t: u64, _v: Option<u32>| panic!("nothing may resolve");
+        let mut sink = |_: &mut RankCtx, _t: u64, _v: Option<&u32>| panic!("nothing may resolve");
         let mut lb = LookupBatch::with_batch(&dht, 100);
         lb.push(&mut c, 7, 7, &mut sink);
         assert_eq!(lb.pending(), 1);
@@ -470,9 +367,9 @@ mod tests {
     #[cfg(debug_assertions)]
     fn dropping_pending_lookups_panics_in_debug() {
         let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let dht = DistHashMap::<u64, u32>::new(topo).freeze();
         let mut c = ctx(0, topo);
-        let mut sink = |_: &mut RankCtx, _t: u64, _v: Option<u32>| {};
+        let mut sink = |_: &mut RankCtx, _t: u64, _v: Option<&u32>| {};
         let mut lb = LookupBatch::new(&dht);
         lb.push(&mut c, 7, 7, &mut sink);
         drop(lb);

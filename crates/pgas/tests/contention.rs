@@ -48,9 +48,10 @@ fn hot_owner_run(
         outbox.finish(ctx, &mut apply);
     });
     dht.drain_service_into(&mut stats);
+    let dht = dht.freeze();
     let (delivered, read_stats) = team.run_named("test/hot-owner-read", |ctx| {
         let mut got: Vec<(u64, Option<u32>)> = Vec::new();
-        let mut deliver = |_: &mut RankCtx, tag: u64, v: Option<u32>| got.push((tag, v));
+        let mut deliver = |_: &mut RankCtx, tag: u64, v: Option<&u32>| got.push((tag, v.copied()));
         let mut lb = LookupBatch::with_batch(&dht, batch);
         for key in 0..KEYS + 8 {
             lb.push(ctx, key, key, &mut deliver); // the last 8 miss
@@ -61,12 +62,11 @@ fn hot_owner_run(
     stats.extend(read_stats);
     // Measured host time and lock waits: the fields allowed to differ.
     let stats: Vec<CommStats> = stats.into_iter().map(CommStats::counted).collect();
-    let sorted = |t: DistHashMap<u64, u32>| {
-        let mut entries = t.into_entries();
-        entries.sort_unstable();
-        entries
-    };
-    (sorted(dht), sorted(side), delivered, stats)
+    let mut table: Vec<(u64, u32)> = dht.iter().map(|(&k, &v)| (k, v)).collect();
+    table.sort_unstable();
+    let mut side = side.into_entries();
+    side.sort_unstable();
+    (table, side, delivered, stats)
 }
 
 #[test]

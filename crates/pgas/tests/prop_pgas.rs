@@ -54,9 +54,10 @@ proptest! {
             dht.update(&mut ctx, k, || 0, |x| *x += v);
             *reference.entry(k).or_insert(0) += v;
         }
+        let dht = dht.freeze();
         prop_assert_eq!(dht.len(), reference.len());
         for (k, v) in reference {
-            prop_assert_eq!(dht.get(&mut ctx, &k), Some(v));
+            prop_assert_eq!(dht.get(&mut ctx, &k), Some(&v));
         }
     }
 
@@ -95,10 +96,11 @@ proptest! {
         for &k in &present {
             dht.insert(&mut setup, k, (k as u32).wrapping_mul(7));
         }
+        let dht = dht.freeze();
 
         // Fine-grained baseline: one get (one message) per key.
         let mut fine = RankCtx::new(acting, topo);
-        let fine_vals: Vec<Option<u32>> =
+        let fine_vals: Vec<Option<&u32>> =
             probes.iter().map(|k| dht.get(&mut fine, k)).collect();
 
         // One multi-get over the same keys, same acting rank.
@@ -124,11 +126,6 @@ proptest! {
             prop_assert!(bat.stats.total_accesses() < fine.stats.total_accesses());
         }
         prop_assert_eq!(bat.stats.lookup_batches, distinct_owners as u64);
-        // Reads never service the owner: totals beyond setup stay zero.
-        let mut svc = vec![CommStats::new(); 8];
-        dht.drain_service_into(&mut svc);
-        let serviced: u64 = svc.iter().map(|s| s.service_ops).sum();
-        prop_assert_eq!(serviced, present.len() as u64);
     }
 
     #[test]
@@ -143,19 +140,20 @@ proptest! {
         for &k in &present {
             dht.insert(&mut setup, k, k as u32);
         }
+        let dht = dht.freeze();
         let mut c1 = RankCtx::new(1, topo);
         let direct = dht.multi_get(&mut c1, &probes);
 
         let mut c2 = RankCtx::new(1, topo);
-        let mut got: Vec<(usize, Option<u32>)> = Vec::new();
-        let mut deliver = |_: &mut RankCtx, tag: usize, v: Option<u32>| got.push((tag, v));
+        let mut got: Vec<(usize, Option<&u32>)> = Vec::new();
+        let mut deliver = |_: &mut RankCtx, tag: usize, v| got.push((tag, v));
         let mut lb = LookupBatch::with_batch(&dht, batch);
         for (i, &k) in probes.iter().enumerate() {
             lb.push(&mut c2, k, i, &mut deliver);
         }
         lb.finish(&mut c2, &mut deliver);
         got.sort_by_key(|(tag, _)| *tag);
-        let streamed: Vec<Option<u32>> = got.into_iter().map(|(_, v)| v).collect();
+        let streamed: Vec<Option<&u32>> = got.into_iter().map(|(_, v)| v).collect();
         prop_assert_eq!(direct, streamed);
         prop_assert_eq!(
             c1.stats.onnode_bytes + c1.stats.offnode_bytes,
@@ -175,11 +173,19 @@ proptest! {
         for &k in &present {
             dht.insert(&mut setup, k, k as u32 ^ 0x5a5a);
         }
+        let dht = dht.freeze();
+        // The aligner's shape: probe the cache; on a miss read the table
+        // and remember the answer, absent or not.
         let mut c = RankCtx::new(3, topo);
-        let mut cache: SoftwareCache<u64, u32> = SoftwareCache::new(capacity);
+        let mut cache: SoftwareCache<u64, Option<&u32>> = SoftwareCache::new(capacity);
         for k in &probes {
             let direct = dht.get(&mut RankCtx::new(3, topo), k);
-            prop_assert_eq!(cache.get_through(&mut c, &dht, k), direct);
+            let cached = cache.get(&mut c, k).unwrap_or_else(|| {
+                let fetched = dht.get(&mut c, k);
+                cache.insert(*k, fetched);
+                fetched
+            });
+            prop_assert_eq!(cached, direct);
         }
         prop_assert!(cache.len() <= capacity);
         prop_assert_eq!(

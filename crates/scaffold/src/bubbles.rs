@@ -82,6 +82,7 @@ pub fn merge_bubbles(
         agg.finish(ctx);
     });
     bubble_groups.drain_service_into(&mut stats);
+    let bubble_groups = bubble_groups.freeze();
 
     // Phase B (parallel over local buckets): pick bubble survivors.
     let (absorbed_lists, stats_b) = team.run_named("scaffold/bubbles/survivors", |ctx| {
@@ -147,6 +148,7 @@ pub fn merge_bubbles(
     });
     attachments.drain_service_into(&mut stats);
     merge_ranks(&mut stats, &stats_c);
+    let attachments = attachments.freeze();
 
     // Phase D (parallel): unambiguous joins — exactly two distinct contig
     // ends at one attachment k-mer.

@@ -1,12 +1,12 @@
 //! Contig depths and termination states (§4.1).
 //!
 //! Each rank takes 1/p of the contigs, looks every contained k-mer up in
-//! the k-mer table (one-sided reads; the table is only read after
-//! construction, so no synchronization), sums the counts into a mean
-//! depth, and classifies why each contig end stopped extending.
+//! the k-mer table (one-sided reads of a frozen table, so no
+//! synchronization), sums the counts into a mean depth, and classifies why
+//! each contig end stopped extending.
 //!
 //! The per-window lookups ship as batched multi-gets
-//! ([`hipmer_pgas::DistHashMap::multi_get`] via
+//! ([`hipmer_pgas::FrozenMap::multi_get`] via
 //! [`KmerSpectrum::get_batch`]): one message per owner rank per window
 //! instead of one per k-mer, with identical results — the read-side
 //! analogue of the aggregating stores used to build the table.
@@ -153,9 +153,7 @@ pub fn compute_depths(
             let contig = &contigs.contigs[ci];
             let n_kmers = contig.seq.len() - k + 1;
             // Resolve the window's k-mers as one batched multi-get per
-            // owner rank instead of one message per k-mer; the k-mer table
-            // is frozen after analysis, so the batch sees the same values a
-            // get-per-key loop would.
+            // owner rank instead of one message per k-mer.
             let kmers: Vec<Kmer> = (lo..hi)
                 .filter_map(|off| codec.pack(&contig.seq[off..off + k]))
                 .collect();
@@ -184,7 +182,7 @@ pub fn compute_depths(
         }
         (partial, ends)
     });
-    spectrum.table.drain_service_into(&mut stats);
+    spectrum.table.record_entries(&mut stats);
 
     let mut info = vec![
         ContigEndInfo {

@@ -382,6 +382,7 @@ pub fn close_gaps(
         agg.finish(ctx);
     });
     buckets.drain_service_into(&mut stats);
+    let buckets = buckets.freeze();
 
     // Enumerate gaps.
     let mut gaps: Vec<Gap> = Vec::new();

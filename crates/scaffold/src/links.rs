@@ -103,6 +103,7 @@ pub fn generate_links(team: &Team, splints: &[Splint], spans: &[Span]) -> (Vec<L
         agg.finish(ctx);
     });
     table.drain_service_into(&mut stats);
+    let table = table.freeze();
 
     // Assess local buckets.
     let (link_lists, stats_b) = team.run_named("scaffold/links/assess", |ctx| {

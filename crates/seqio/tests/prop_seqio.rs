@@ -1,8 +1,8 @@
 //! Property tests for sequence I/O: round-trips, the parallel reader's
 //! exact-partition guarantee under arbitrary record shapes (and its
 //! agreement with the sequential parse on ids, sequences and qualities
-//! full of `@` and `+`), and a SeqDB reader that answers `Ok` or `Err` to
-//! any corruption of a valid file.
+//! full of `@` and `+`), and FASTQ parsers and a SeqDB reader that answer
+//! `Ok` or `Err` to any bytes.
 
 use hipmer_dna::BASES;
 use hipmer_pgas::{Team, Topology};
@@ -52,6 +52,27 @@ fn seqdb_record_strategy() -> impl Strategy<Value = SeqRecord> {
         })
 }
 
+/// Any byte value, with the FASTQ structural bytes (`@`, `+`, newline)
+/// drawn about as often as all the others together, so that arbitrary
+/// input often gets past the header check into the record grammar.
+fn fastq_byte() -> impl Strategy<Value = u8> {
+    let mut alphabet: Vec<u8> = (0..=255).collect();
+    alphabet.extend(b"@+\n".repeat(85));
+    prop::sample::select(&alphabet)
+}
+
+/// Write `bytes` as a FASTQ file and read it back on `ranks` ranks.
+fn read_fastq_bytes(bytes: &[u8], ranks: usize, case: u64) -> std::io::Result<Vec<SeqRecord>> {
+    let dir = std::env::temp_dir().join(format!("hipmer-prop-fastq-{}-{case}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("reads.fastq");
+    std::fs::write(&path, bytes).unwrap();
+    let team = Team::new(Topology::new(ranks, 2));
+    let got = read_fastq_parallel(&team, &path);
+    std::fs::remove_dir_all(&dir).ok();
+    Ok(got?.0.into_iter().flatten().collect())
+}
+
 /// Write `bytes` as a SeqDB file and read it back on `ranks` ranks.
 fn read_seqdb_bytes(bytes: &[u8], ranks: usize, case: u64) -> std::io::Result<Vec<SeqRecord>> {
     let dir = std::env::temp_dir().join(format!("hipmer-prop-seqdb-{}-{case}", std::process::id()));
@@ -66,6 +87,22 @@ fn read_seqdb_bytes(bytes: &[u8], ranks: usize, case: u64) -> std::io::Result<Ve
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn fastq_readers_never_panic_on_arbitrary_bytes(
+        buf in prop::collection::vec(fastq_byte(), 0..400),
+        ranks in 1usize..8,
+        case in any::<u64>(),
+    ) {
+        // Returning at all is the property; a streaming parse also owns up
+        // to the prefix it consumed, which re-parses to the same records.
+        if let Ok((records, consumed)) = parse_fastq(&buf) {
+            prop_assert!(consumed <= buf.len());
+            prop_assert_eq!(parse_fastq(&buf[..consumed]), Ok((records, consumed)));
+        }
+        let _ = parse_fastq_complete(&buf);
+        let _ = read_fastq_bytes(&buf, ranks, case);
+    }
 
     #[test]
     fn seqdb_reader_never_panics_on_a_corrupted_file(
