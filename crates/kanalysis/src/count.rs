@@ -217,12 +217,11 @@ fn finalize<K: KmerKey>(
         let keep = table.fold_local(ctx, Vec::new(), |mut keep, &km, votes| {
             seen += 1;
             if votes.count >= MIN_COUNT {
-                let exts = votes.decide(MIN_VOTES);
                 keep.push((
                     km.into(),
                     KmerEntry {
                         count: votes.count,
-                        exts,
+                        exts: votes.decide(MIN_VOTES),
                     },
                 ));
             }

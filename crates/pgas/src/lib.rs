@@ -12,7 +12,8 @@
 //!   distributed hash table; every access is classified **local**,
 //!   **on-node**, or **off-node** from the acting rank, the owning rank,
 //!   and the configured ranks-per-node, and tallied in per-rank
-//!   [`CommStats`];
+//!   [`CommStats`]; once built, it is frozen into a [`FrozenMap`], read
+//!   without locks;
 //! * [`AggregatingStores`] implements the paper's "aggregating stores"
 //!   optimization: per-destination batching of fine-grained updates;
 //! * [`LookupBatch`] and [`SoftwareCache`] are the read-side counterparts

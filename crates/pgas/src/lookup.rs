@@ -14,14 +14,14 @@
 //!   by the batch factor; bytes are accounted in full — batching never
 //!   saves bandwidth.
 //! * [`SoftwareCache`] — a bounded per-rank cache (CLOCK replacement) of
-//!   values read from a [`FrozenMap`] (seed hit lists, contig replicas). A
-//!   hit avoids the remote access entirely — latency *and* bandwidth — at
-//!   the price of a local probe
+//!   data that no phase changes once built (seed hit lists from the frozen
+//!   seed index, contig replicas). A hit avoids the remote access entirely
+//!   — latency *and* bandwidth — at the price of a local probe
 //!   ([`CostModel::t_cache`](crate::CostModel::t_cache)).
 //!
-//! Both read frozen tables only, so nothing they return can go stale: the
-//! type is the coherence contract. Hits and misses are tallied into
-//! [`CommStats::cache_hits`](crate::CommStats::cache_hits) /
+//! Batches read [`FrozenMap`]s only, so nothing a batch or a cache returns
+//! can go stale: the type is the coherence contract. Hits and misses are
+//! tallied into [`CommStats::cache_hits`](crate::CommStats::cache_hits) /
 //! [`CommStats::cache_misses`](crate::CommStats::cache_misses) so cache
 //! effectiveness is visible in `--report-json` (schema v2).
 
@@ -148,9 +148,9 @@ impl<K, V, T> LookupBatch<'_, K, V, T> {
 /// A bounded per-rank read-only cache with CLOCK (second-chance)
 /// replacement.
 ///
-/// Fronting a [`FrozenMap`] (see the [module docs](crate::lookup)), a hit
-/// returns a local clone — typically of a reference into the table — and
-/// records
+/// Fronting data no phase changes (see the [module docs](crate::lookup)),
+/// a hit returns a local clone — for the seed cache, of a reference into
+/// the frozen index — and records
 /// [`CommStats::cache_hits`](crate::CommStats::cache_hits) — no message,
 /// no bytes. A miss records
 /// [`CommStats::cache_misses`](crate::CommStats::cache_misses); the

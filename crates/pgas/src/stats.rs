@@ -28,7 +28,7 @@ pub struct CommStats {
     /// imbalance from heavy hitters shows up in.
     pub service_ops: u64,
     /// Batched one-sided operations shipped as single messages: multi-get
-    /// buffers flushed by [`crate::LookupBatch`] / [`crate::DistHashMap::multi_get`]
+    /// buffers flushed by [`crate::LookupBatch`] / [`crate::FrozenMap::multi_get`]
     /// and coalesced read gathers. Each batch also counts exactly one
     /// on-node or off-node message (or one local op), so
     /// `remote_msgs / lookup_batches` approximates the inverse batching
