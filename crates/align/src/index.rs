@@ -2,7 +2,7 @@
 
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec};
-use hipmer_pgas::{AggregatingStores, DistHashMap, FrozenMap, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, Exchange, FrozenMap, PhaseReport, Team};
 
 /// One seed occurrence in a contig.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,9 +49,9 @@ impl HitList {
 }
 
 /// Build the seed index over the contigs in parallel: each rank indexes
-/// its contig chunk and ships (seed, hit) entries with aggregating stores
-/// (the paper's point: the lookup table build itself is fully parallel).
-/// Seeds are owned by `key_hash % ranks`.
+/// its contig chunk and ships (seed, hit) entries with aggregating stores,
+/// which each seed's owner merges (the paper's point: the lookup table
+/// build itself is fully parallel). Seeds are owned by `key_hash % ranks`.
 pub fn build_seed_index(
     team: &Team,
     contigs: &ContigSet,
@@ -74,9 +74,15 @@ pub fn build_seed_index(
     const WINDOW: usize = 4096;
     let windows = contigs.kmer_windows(seed_len, WINDOW);
 
-    let (_, mut stats) = team.run_named("scaffold/meraligner-index", |ctx| {
-        let mut agg = AggregatingStores::new(&table, merge);
-        for (ci, seeds) in &windows[ctx.chunk(windows.len())] {
+    let mail = Exchange::for_table(&table);
+    let mut stats = team.run_supersteps("scaffold/meraligner-index", |ctx, step| {
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, hits| {
+            table.merge_batch(rank, hits.drain(..), merge)
+        });
+        let windows = &windows[ctx.chunk(windows.len())];
+        mail.send(ctx, step, windows.len(), |ctx, w, post| {
+            let (ci, seeds) = &windows[w];
             let contig = &contigs.contigs[*ci];
             let lo = seeds.start;
             let hi = (seeds.end + seed_len - 1).min(contig.seq.len());
@@ -87,17 +93,13 @@ pub fn build_seed_index(
                     pos: (lo + off) as u32,
                     rc: canon != km,
                 };
-                agg.push(
-                    ctx,
-                    canon,
-                    HitList {
-                        hits: vec![hit],
-                        total: 1,
-                    },
-                );
+                let list = HitList {
+                    hits: vec![hit],
+                    total: 1,
+                };
+                post.push(ctx, table.owner(&canon), (canon, list));
             }
-        }
-        agg.finish(ctx);
+        })
     });
     table.drain_service_into(&mut stats);
     let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats)

@@ -568,7 +568,7 @@ fn fault_injection_recovers_byte_identically() {
     // the kill lands in may: the kill is keyed off rank 3's remote-event
     // count, and cooperative traversal attributes a claim's lookups to
     // whichever rank wins it, so that count depends on the interleaving
-    // (ROADMAP open item 1).
+    // (ROADMAP item 8(i)).
     for threads in ["1", "4", "8"] {
         let faulty = dir.join(format!("faulty-{threads}t.fasta"));
         let ckpt = dir.join(format!("ckpt-{threads}t"));
@@ -653,6 +653,83 @@ fn fault_injection_recovers_byte_identically() {
         assert!(
             retries >= faults,
             "[{threads} threads] every transient fault costs a retry"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn fault_inside_a_write_pass_recovers_byte_identically() {
+    use hipmer_pgas::json::Value;
+
+    // K-mer analysis sends about 30 remote events per rank, through owner-
+    // applied exchanges, so rank 3's fifth event kills it inside the first
+    // stage while mail is in flight. The attempt's undelivered mail must
+    // never land: the retry starts from empty tables and must reproduce
+    // the fault-free assembly byte for byte, at every thread count.
+    let dir = std::env::temp_dir().join(format!("hipmer-cli-write-fault-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let reads = dir.join("reads.fastq");
+    let sim = Command::new(bin())
+        .args(["simulate", "human", "-o", reads.to_str().unwrap()])
+        .args(["--len", "15000", "--cov", "14", "--seed", "33"])
+        .output()
+        .expect("simulate runs");
+    assert!(sim.status.success());
+
+    let common = [
+        "assemble",
+        reads.to_str().unwrap(),
+        "-k",
+        "21",
+        "--ranks",
+        "8",
+        "--ranks-per-node",
+        "4",
+    ];
+    let base = dir.join("base.fasta");
+    let out = Command::new(bin())
+        .args(common)
+        .args(["-o", base.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    for threads in ["1", "4", "8"] {
+        let faulty = dir.join(format!("faulty-{threads}t.fasta"));
+        let report = dir.join(format!("report-{threads}t.json"));
+        let out = Command::new(bin())
+            .env("HIPMER_THREADS", threads)
+            .args(common)
+            .args(["-o", faulty.to_str().unwrap()])
+            .args(["--stage-retries", "2", "--fault-kill", "3:5"])
+            .args(["--report-json", report.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "[{threads} threads] {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            std::fs::read(&base).unwrap(),
+            std::fs::read(&faulty).unwrap(),
+            "[{threads} threads] recovered assembly must be byte-identical to the fault-free one"
+        );
+        let doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let aborted: Vec<(&str, u64)> = (doc.get("stage_attempts").unwrap().as_arr().unwrap())
+            .iter()
+            .map(|a| {
+                let stage = a.get("stage").and_then(Value::as_str).unwrap();
+                (stage, a.get("aborted").and_then(Value::as_u64).unwrap())
+            })
+            .filter(|&(_, aborted)| aborted > 0)
+            .collect();
+        assert_eq!(
+            aborted,
+            [("kmer-analysis", 1)],
+            "[{threads} threads] exactly one k-mer analysis attempt aborts"
         );
     }
     std::fs::remove_dir_all(&dir).ok();

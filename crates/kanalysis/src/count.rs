@@ -12,7 +12,7 @@ use crate::config::KmerAnalysisConfig;
 use crate::pass1::{sketch_pass, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
 use hipmer_dna::{ExtCode, ExtVotes, Kmer, Kmer64, KmerCodec, KmerHashMap, KmerKey};
-use hipmer_pgas::{DistHashMap, FrozenMap, Outbox, PhaseReport, RankCtx, Team};
+use hipmer_pgas::{DistHashMap, Exchange, FrozenMap, PhaseReport, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
 use parking_lot::Mutex;
@@ -88,44 +88,40 @@ fn bloom_pass<K: KmerKey>(
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
     let ranks = team.ranks();
-    // Per-owner Bloom filters sized from the cardinality estimate.
+    // Per-owner Bloom filters sized from the cardinality estimate; each is
+    // only touched by its owner.
     let per_rank_items = ((sketch.cardinality / ranks as f64).ceil() as usize).max(1024);
     let blooms: Vec<Mutex<BloomFilter>> = (0..ranks)
         .map(|_| Mutex::new(BloomFilter::with_rate(per_rank_items, BLOOM_FP_RATE)))
         .collect();
+    // Wire bytes: the packed 2k bits of the k-mer, not the in-memory key
+    // word.
+    let mail: Exchange<K> =
+        Exchange::new(*team.topo(), cfg.agg_batch).with_item_bytes(codec.wire_bytes());
 
-    let (_, mut stats) = team.run_named("kmer-analysis/bloom", |ctx| {
-        // Wire bytes: the packed 2k bits of the k-mer, not the in-memory
-        // key word.
-        let mut outbox: Outbox<K> =
-            Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(codec.wire_bytes());
-        // Owner-side service: insert into the owner's Bloom filter and
-        // give the keys it has now seen twice an (empty) entry, keeping the
-        // existing one if the key already landed.
-        let mut apply = |_: &mut RankCtx, dest: usize, kmers: &mut Vec<K>| {
-            {
-                let mut bloom = blooms[dest].lock();
-                kmers.retain(|&km| {
-                    let wide: Kmer = km.into();
-                    bloom.insert(hipmer_dna::mix128(wide.bits()))
-                });
-            }
-            if !kmers.is_empty() {
-                let repeated = kmers.drain(..).map(|km| (km, ()));
-                table.apply_batch(dest, repeated, |_, ()| {}, Some(|()| ExtVotes::new()));
-            }
-        };
-        let chunk = ctx.chunk(reads.len());
-        for read in &reads[chunk] {
-            for (_, _, canon) in codec.canonical_keys::<K>(&read.seq) {
+    let mut stats = team.run_supersteps("kmer-analysis/bloom", |ctx, step| {
+        // Owner side: insert into this rank's Bloom filter and give the
+        // keys it has now seen twice an (empty) entry, keeping the existing
+        // one if the key already landed.
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, kmers| {
+            let mut bloom = blooms[rank].lock();
+            kmers.retain(|&km| {
+                let wide: Kmer = km.into();
+                bloom.insert(hipmer_dna::mix128(wide.bits()))
+            });
+            let repeated = kmers.drain(..).map(|km| (km, ()));
+            table.apply_batch(rank, repeated, |_, ()| {}, Some(|()| ExtVotes::new()));
+        });
+        let reads = &reads[ctx.chunk(reads.len())];
+        mail.send(ctx, step, reads.len(), |ctx, i, post| {
+            for (_, _, canon) in codec.canonical_keys::<K>(&reads[i].seq) {
                 ctx.stats.compute(1);
                 if !sketch.heavy_hitters.contains(&canon) {
-                    let dest = table.owner(&canon);
-                    outbox.push(ctx, dest, canon, &mut apply);
+                    post.push(ctx, table.owner(&canon), canon);
                 }
             }
-        }
-        outbox.finish(ctx, &mut apply);
+        })
     });
     table.drain_service_into(&mut stats);
     PhaseReport::new("kmer-analysis/bloom", *team.topo(), stats)
@@ -144,58 +140,57 @@ fn count_pass<K: KmerKey>(
     table: &DistHashMap<K, ExtVotes>,
 ) -> PhaseReport {
     let codec = KmerCodec::new(cfg.k);
+    let topo = *team.topo();
     // Wire bytes: the packed 2k bits of the k-mer, not the in-memory key
     // word, plus what rides with it.
-    let occurrence_wire_bytes = codec.wire_bytes() + ExtCode::WIRE_BYTES;
-    let partial_wire_bytes = codec.wire_bytes() + ExtVotes::WIRE_BYTES;
+    let occurrences: Exchange<(K, ExtCode)> = Exchange::new(topo, cfg.agg_batch)
+        .with_item_bytes(codec.wire_bytes() + ExtCode::WIRE_BYTES);
+    // A rank's heavy-hitter partials go to each owner as one message.
+    let partials: Exchange<(K, ExtVotes)> = Exchange::new(topo, usize::MAX >> 1)
+        .with_item_bytes(codec.wire_bytes() + ExtVotes::WIRE_BYTES);
+    let hh_local: Vec<Mutex<KmerHashMap<K, ExtVotes>>> =
+        (0..topo.ranks()).map(|_| Mutex::default()).collect();
+    // Without the Bloom pass a k-mer's first vote creates its entry; with
+    // it, a vote for a k-mer the filter kept out is dropped.
+    let first_sighting = (!cfg.use_bloom).then_some(|code| {
+        let mut tally = ExtVotes::new();
+        tally.record_code(code);
+        tally
+    });
 
-    let (_, mut stats) = team.run_named("kmer-analysis/count", |ctx| {
-        let mut outbox: Outbox<(K, ExtCode)> =
-            Outbox::new(*ctx.topo(), cfg.agg_batch).with_item_bytes(occurrence_wire_bytes);
-        // Without the Bloom pass a k-mer's first vote creates its entry;
-        // with it, a vote for a k-mer the filter kept out is dropped.
-        let first_sighting = (!cfg.use_bloom).then_some(|code| {
-            let mut tally = ExtVotes::new();
-            tally.record_code(code);
-            tally
+    let mut stats = team.run_supersteps("kmer-analysis/count", |ctx, step| {
+        let rank = ctx.rank;
+        occurrences.deliver(rank, step, |_, votes| {
+            table.apply_batch(rank, votes.drain(..), ExtVotes::record_code, first_sighting);
         });
-        // Votes commute, so batches from different ranks may land in any
-        // order.
-        let mut apply = |_: &mut RankCtx, dest: usize, votes: &mut Vec<(K, ExtCode)>| {
-            table.apply_batch(dest, votes.drain(..), ExtVotes::record_code, first_sighting);
-        };
-        let mut hh_local: KmerHashMap<K, ExtVotes> = KmerHashMap::default();
+        partials.deliver(rank, step, |_, tallies| {
+            table.merge_batch(rank, tallies.drain(..), |a, b| a.merge(&b));
+        });
 
-        let chunk = ctx.chunk(reads.len());
-        for read in &reads[chunk] {
-            for_each_occurrence(&codec, read, |canon: K, code| {
+        let mut hh_local = hh_local[rank].lock();
+        let reads = &reads[ctx.chunk(reads.len())];
+        let sent = occurrences.send(ctx, step, reads.len(), |ctx, i, post| {
+            for_each_occurrence(&codec, &reads[i], |canon: K, code| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
                     hh_local.entry(canon).or_default().record_code(code);
                 } else {
-                    let dest = table.owner(&canon);
-                    outbox.push(ctx, dest, (canon, code), &mut apply);
+                    post.push(ctx, table.owner(&canon), (canon, code));
                 }
             });
-        }
-        outbox.finish(ctx, &mut apply);
-
-        // Global reduction of heavy-hitter partials: one grouped message
-        // per owner holding this rank's partial tallies (O(p) messages per
-        // heavy k-mer across the team instead of O(count)).
-        if !hh_local.is_empty() {
-            let mut hh_outbox: Outbox<(K, ExtVotes)> =
-                Outbox::new(*ctx.topo(), usize::MAX >> 1).with_item_bytes(partial_wire_bytes);
-            let mut hh_apply = |_: &mut RankCtx, dest: usize, entries: &mut Vec<(K, ExtVotes)>| {
-                table.merge_batch(dest, entries.drain(..), |a, b| a.merge(&b));
-            };
-            for (km, votes) in hh_local {
-                let dest = table.owner(&km);
-                hh_outbox.push(ctx, dest, (km, votes), &mut hh_apply);
-            }
-            hh_outbox.finish(ctx, &mut hh_apply);
-        }
+        });
+        // Global reduction of heavy-hitter partials, once every occurrence
+        // has shipped: one grouped message per owner holding this rank's
+        // partial tallies (O(p) messages per heavy k-mer across the team
+        // instead of O(count)).
+        let reduced = occurrences.is_done(rank)
+            && partials.send(ctx, step, 1, |ctx, _, post| {
+                for (km, votes) in hh_local.drain() {
+                    post.push(ctx, table.owner(&km), (km, votes));
+                }
+            });
+        sent || reduced
     });
     table.drain_service_into(&mut stats);
     // Surface the most-hit keys of the vote table (only populated when
@@ -291,7 +286,7 @@ mod tests {
     use super::*;
     use crate::pass1::sketch_reads;
     use hipmer_dna::ExtChoice;
-    use hipmer_pgas::{CommStats, Topology};
+    use hipmer_pgas::{CommStats, RankCtx, Topology};
 
     /// Every `(k-mer, count)` of a spectrum, in ascending k-mer order.
     fn counts(spectrum: &KmerSpectrum) -> Vec<(Kmer, u32)> {
@@ -518,10 +513,11 @@ mod tests {
     #[test]
     fn narrow_and_wide_keys_give_identical_spectra_and_counters() {
         let reads = differential_reads();
-        // One OS thread: the hot-key summaries depend on the order batches
-        // land in, which threads would interleave.
+        // Several OS threads: owners apply their mail in rank order, so
+        // even the hot-key summaries, which depend on the order batches
+        // land in, do not depend on the threads.
         let team = Team::new(Topology::new(8, 4))
-            .with_os_threads(1)
+            .with_os_threads(4)
             .with_hot_keys(16);
         for k in [15, 21, 31, 32] {
             for (use_bloom, use_hh) in [(true, true), (true, false), (false, true), (false, false)]

@@ -4,41 +4,47 @@
 //! one message on the network each. The aggregating-stores optimization
 //! buffers updates per destination rank and ships each buffer as a single
 //! message when full, cutting the message count along the critical path by
-//! the batch factor and reducing synchronization on the destination shard
-//! (one lock acquisition per batch instead of per element).
+//! the batch factor.
 //!
 //! The buffered elements still pay bandwidth (bytes are accounted in full);
-//! only the per-message latency and per-element lock traffic are saved —
-//! the same trade the paper's UPC implementation makes.
-//!
-//! Sends are **blocking**: a full buffer is applied at its owner before
-//! `push` returns, waiting for the owner's lock if another worker holds it.
-//! "Remote" in this single-process runtime is a `Mutex` held for one
-//! ≤ [`DEFAULT_BATCH`]-entry bucket, so there is no round trip worth
-//! overlapping with compute (DESIGN.md §12). The owner receives the
-//! per-destination buffer itself (`&mut Vec<T>`) and hands it back empty
-//! with its capacity, so the batcher allocates nothing per batch.
+//! only the per-message latency is saved — the same trade the paper's UPC
+//! implementation makes.
 //!
 //! [`Outbox`] is the only implementation of per-destination buffering in
-//! this crate. [`AggregatingStores`] (upserts into a [`DistHashMap`]) and
-//! [`crate::LookupBatch`] (batched reads, in [`crate::lookup`]) are thin
-//! adapters that fix the apply step; all three share one accounting
-//! contract.
+//! this crate: it accounts a full buffer as one message, billed to the
+//! sender, and hands it to a ship step. Two ship steps exist:
+//!
+//! * **Writes go through an [`Exchange`]**, in supersteps
+//!   ([`Team::run_supersteps`](crate::Team::run_supersteps)). A shipped batch is posted to a mailbox that only
+//!   its sender writes, one per (source, destination) pair; in the next
+//!   superstep the destination applies its mail to its own partition,
+//!   sources in rank order. So each partition is written by the one thread
+//!   that runs its owner, its lock is never contended, and the order the
+//!   batches land in depends on the input and the rank count only, not on
+//!   how ranks are spread over threads. A team-wide byte budget,
+//!   [`SUPERSTEP_BYTES`], bounds the mail in flight.
+//! * **Reads go through [`crate::LookupBatch`]** (in [`crate::lookup`]),
+//!   which answers a shipped batch on the spot from a frozen table, with
+//!   no lock.
+//!
+//! The ship step receives the sender's buffer itself (`&mut Vec<T>`) and
+//! hands it back empty with its capacity, so the batcher allocates nothing
+//! per batch. [`AggregatingStores`], the older sender-applied write path, is
+//! kept for one microbenchmark only.
 
 use crate::dht::DistHashMap;
 use crate::team::RankCtx;
 use crate::topology::Topology;
+use parking_lot::{Mutex, MutexGuard};
 use std::hash::Hash;
 
 /// A generic per-destination message aggregator.
 ///
-/// [`AggregatingStores`] covers the common "batched upsert into a
-/// [`DistHashMap`]" case; `Outbox` is the underlying pattern for anything
-/// else that batches per-destination work (e.g. Bloom-filter insertion in
-/// k-mer analysis, where the *owner's* filter must absorb the key). The
-/// caller supplies the apply function; the outbox accounts one message per
-/// shipped batch, **before** the batch is applied, so per-rank counters
-/// depend only on the rank's own push sequence.
+/// The caller supplies the ship step (`apply`): posting the batch to its
+/// owner's mailbox ([`Exchange`]) or answering it from a frozen table
+/// ([`crate::LookupBatch`]). The outbox accounts one message per shipped
+/// batch, **before** the ship step runs, so per-rank counters depend only
+/// on the rank's own push sequence.
 ///
 /// `apply(ctx, dest, items)` receives the destination's buffer and must
 /// consume what it needs from it (by `drain(..)` or by reading it in
@@ -92,7 +98,7 @@ impl<T> Outbox<T> {
     }
 
     /// Ship one destination's buffer as a single message: account it, then
-    /// apply it at the owner and take the emptied buffer back.
+    /// hand it to the ship step and take the emptied buffer back.
     fn ship<F>(&mut self, ctx: &mut RankCtx, dest: usize, apply: &mut F)
     where
         F: FnMut(&mut RankCtx, usize, &mut Vec<T>),
@@ -108,7 +114,7 @@ impl<T> Outbox<T> {
     }
 
     /// Ship every non-empty buffer — on return every queued item has been
-    /// applied (call before the phase barrier).
+    /// handed to the ship step.
     pub fn flush_all<F>(&mut self, ctx: &mut RankCtx, apply: &mut F)
     where
         F: FnMut(&mut RankCtx, usize, &mut Vec<T>),
@@ -167,8 +173,231 @@ impl<T> Drop for Outbox<T> {
 /// latency stops mattering.
 pub const DEFAULT_BATCH: usize = 256;
 
-/// A per-rank buffer set for batched upserts into a [`DistHashMap`]: an
-/// [`Outbox`] whose apply step is [`DistHashMap::merge_batch`].
+/// Team-wide bytes of mail one superstep of an [`Exchange`] may post: each
+/// rank's share is `SUPERSTEP_BYTES / ranks`, but at least one batch. Items
+/// are counted at their in-memory size, so a wide key stages no more memory
+/// than a narrow one, and the mail in flight — two supersteps' worth, at
+/// most — grows with neither the input nor the rank count. More bytes per
+/// superstep buy fewer supersteps with more memory.
+pub const SUPERSTEP_BYTES: usize = 8 << 20;
+
+/// Owner-applied batched writes, in supersteps.
+///
+/// Each rank sends its work through its own [`Outbox`]; a full buffer is
+/// billed as one message, as always, and posted to the mailbox of its
+/// (source, destination) pair. A write pass runs as the supersteps of
+/// [`Team::run_supersteps`](crate::Team::run_supersteps): in superstep
+/// `s` every rank first [`deliver`](Self::deliver)s the mail of superstep
+/// `s - 1` to itself, sources in rank order, and then [`send`](Self::send)s
+/// its next slice of work, returning whether it posted anything; the pass
+/// ends after the first superstep in which no rank posted, so S supersteps
+/// that post take S + 1 steps. The mailboxes are double buffered by the
+/// parity of the superstep, so in one step each mailbox is touched by one
+/// rank only: its source writes this superstep's, its destination empties
+/// last superstep's.
+///
+/// A slice ends at the first work unit after which the rank has posted
+/// its budget (see [`SUPERSTEP_BYTES`]); items still in the outbox's
+/// buffers stay there for the next slice, so slicing adds no message.
+///
+/// An exchange serves one pass. If a rank fails, the stage aborts by
+/// unwinding through the exchange, and the attempt's undelivered mail is
+/// dropped with it; outside unwinding, dropping undelivered mail or
+/// unshipped items is a bug, asserted in debug builds.
+pub struct Exchange<T> {
+    topo: Topology,
+    /// Bytes of mail one rank may post in one superstep.
+    step_bytes: usize,
+    /// One mailbox per (parity, source, destination), at
+    /// `(parity * ranks + source) * ranks + destination`.
+    slots: Vec<Mutex<Vec<T>>>,
+    /// Each rank's sending side, indexed by rank.
+    senders: Vec<Mutex<Sender<T>>>,
+}
+
+/// One rank's sending side of an [`Exchange`], kept across supersteps.
+struct Sender<T> {
+    outbox: Outbox<T>,
+    /// Work units sent so far.
+    next: usize,
+    /// Every unit sent and every buffer shipped.
+    done: bool,
+}
+
+/// Lock a mutex the superstep discipline gives to one rank at a time. A
+/// held lock here is a broken discipline, not contention to wait out.
+fn uncontended<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.try_lock()
+        .expect("an exchange mailbox is touched by one rank per superstep")
+}
+
+impl<T: Send> Exchange<T> {
+    /// An exchange over `topo` shipping batches of `batch` items, billed
+    /// at `size_of::<T>()` bytes each (see [`Outbox::new`]).
+    pub fn new(topo: Topology, batch: usize) -> Self {
+        Self::with_team_bytes(topo, batch, SUPERSTEP_BYTES)
+    }
+
+    /// An exchange for upserts into `table`: batches of [`DEFAULT_BATCH`]
+    /// entries, billed at the table's `entry_bytes` each.
+    pub fn for_table<K, V>(table: &DistHashMap<K, V>) -> Self
+    where
+        K: Hash + Eq + Send,
+        V: Send,
+    {
+        Self::new(*table.topo(), DEFAULT_BATCH).with_item_bytes(table.entry_bytes())
+    }
+
+    /// [`new`](Self::new) with a team-wide budget of `team_bytes` per
+    /// superstep.
+    fn with_team_bytes(topo: Topology, batch: usize, team_bytes: usize) -> Self {
+        let ranks = topo.ranks();
+        let batch_bytes = batch.saturating_mul(std::mem::size_of::<T>().max(1));
+        Exchange {
+            topo,
+            step_bytes: (team_bytes / ranks).max(batch_bytes),
+            slots: (0..2 * ranks * ranks)
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+            senders: (0..ranks)
+                .map(|_| {
+                    Mutex::new(Sender {
+                        outbox: Outbox::new(topo, batch),
+                        next: 0,
+                        done: false,
+                    })
+                })
+                .collect(),
+        }
+    }
+
+    /// Override the wire bytes billed per item (see
+    /// [`Outbox::with_item_bytes`]); the budget still counts memory.
+    pub fn with_item_bytes(mut self, item_bytes: u64) -> Self {
+        assert!(item_bytes >= 1, "an item on the wire has at least one byte");
+        for sender in &mut self.senders {
+            sender.get_mut().outbox.item_bytes = item_bytes;
+        }
+        self
+    }
+
+    /// The mailboxes `src` posts to in superstep `step`, by destination.
+    fn row(&self, step: usize, src: usize) -> &[Mutex<Vec<T>>] {
+        let ranks = self.topo.ranks();
+        let start = ((step % 2) * ranks + src) * ranks;
+        &self.slots[start..start + ranks]
+    }
+
+    /// Apply the mail posted to `rank` in superstep `step - 1`:
+    /// `apply(src, items)` once per source that sent any, in rank order,
+    /// each with everything that source posted, in its shipping order.
+    /// Whatever `apply` leaves in `items` is dropped, and so is the
+    /// mailbox's memory: only mail in flight is staged. Nothing arrives in
+    /// superstep 0.
+    pub fn deliver<F>(&self, rank: usize, step: usize, mut apply: F)
+    where
+        F: FnMut(usize, &mut Vec<T>),
+    {
+        let Some(prev) = step.checked_sub(1) else {
+            return;
+        };
+        for src in 0..self.topo.ranks() {
+            let mut mail = std::mem::take(&mut *uncontended(&self.row(prev, src)[rank]));
+            if !mail.is_empty() {
+                apply(src, &mut mail);
+            }
+        }
+    }
+
+    /// Send `ctx.rank`'s next slice of `units` work units in superstep
+    /// `step`: `unit(ctx, i, post)` for each unit `i` from where the last
+    /// slice stopped, until the slice has posted its budget or the units
+    /// run out; after the last unit every buffer ships. Returns whether
+    /// this slice posted anything, which every slice but the last does.
+    pub fn send<F>(&self, ctx: &mut RankCtx, step: usize, units: usize, mut unit: F) -> bool
+    where
+        F: FnMut(&mut RankCtx, usize, &mut Post<'_, T>),
+    {
+        let mut sender = uncontended(&self.senders[ctx.rank]);
+        let Sender { outbox, next, done } = &mut *sender;
+        if *done {
+            return false;
+        }
+        let mut post = Post {
+            outbox,
+            row: self.row(step, ctx.rank),
+            posted: 0,
+        };
+        while *next < units && post.posted < self.step_bytes {
+            unit(ctx, *next, &mut post);
+            *next += 1;
+        }
+        if *next == units {
+            post.ship_all(ctx);
+            *done = true;
+        }
+        post.posted > 0
+    }
+
+    /// Whether `rank` has sent all its units and shipped every buffer.
+    pub fn is_done(&self, rank: usize) -> bool {
+        uncontended(&self.senders[rank]).done
+    }
+}
+
+impl<T> Drop for Exchange<T> {
+    fn drop(&mut self) {
+        // As for `Outbox`: an aborted stage unwinds through its mail.
+        if std::thread::panicking() {
+            return;
+        }
+        debug_assert!(
+            self.slots.iter_mut().all(|slot| slot.get_mut().is_empty()),
+            "exchange dropped with undelivered mail; run supersteps until none is posted"
+        );
+    }
+}
+
+/// One rank's sending handle for one superstep of an [`Exchange`].
+pub struct Post<'a, T> {
+    outbox: &'a mut Outbox<T>,
+    /// This superstep's mailboxes from this rank, by destination.
+    row: &'a [Mutex<Vec<T>>],
+    /// Bytes posted this superstep.
+    posted: usize,
+}
+
+impl<T> Post<'_, T> {
+    /// Queue `item` for `dest`; a full buffer ships as one message into
+    /// `dest`'s mailbox.
+    pub fn push(&mut self, ctx: &mut RankCtx, dest: usize, item: T) {
+        let (row, posted) = (self.row, &mut self.posted);
+        self.outbox.push(ctx, dest, item, &mut |_, dest, items| {
+            post_batch(row, posted, dest, items)
+        });
+    }
+
+    /// Ship every non-empty buffer.
+    fn ship_all(&mut self, ctx: &mut RankCtx) {
+        let (row, posted) = (self.row, &mut self.posted);
+        self.outbox.flush_all(ctx, &mut |_, dest, items| {
+            post_batch(row, posted, dest, items)
+        });
+    }
+}
+
+/// The ship step of a [`Post`]: move a billed batch into its mailbox.
+fn post_batch<T>(row: &[Mutex<Vec<T>>], posted: &mut usize, dest: usize, items: &mut Vec<T>) {
+    *posted += items.len() * std::mem::size_of::<T>();
+    uncontended(&row[dest]).append(items);
+}
+
+/// A per-rank buffer set for batched upserts into a [`DistHashMap`],
+/// applied by the **sender**: an [`Outbox`] whose ship step locks the
+/// owner's partition and runs [`DistHashMap::merge_batch`] before `push`
+/// returns. No pipeline phase writes this way any more (they use an
+/// [`Exchange`]); the type remains for the benchmark's aggregation-layer
+/// microbench, which times this path.
 ///
 /// One `AggregatingStores` is created per acting rank per phase (it is not
 /// shared between ranks). Call [`push`](Self::push) for each update and
@@ -179,8 +408,7 @@ pub const DEFAULT_BATCH: usize = 256;
 /// The read-side mirror of this type is [`crate::LookupBatch`].
 ///
 /// Merge application order across ranks' batches depends on the OS-thread
-/// schedule, which is output-safe only because every merge in this repo
-/// commutes (see DESIGN.md §12).
+/// schedule, and two workers may wait on one partition's lock.
 pub struct AggregatingStores<'a, K, V, M> {
     dht: &'a DistHashMap<K, V>,
     merge: M,
@@ -264,7 +492,7 @@ impl<K, V, M> AggregatingStores<'_, K, V, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CommStats, Topology};
+    use crate::{CommStats, Team, Topology};
     use std::collections::HashMap;
 
     fn add(a: &mut u32, b: u32) {
@@ -463,6 +691,173 @@ mod tests {
         }
         assert_eq!(outbox.pending(), 7);
         outbox.abandon();
+    }
+
+    /// Every rank sends `items` single-item units; unit `i` of rank `r`
+    /// goes to destination `(i * 3 + r) % ranks`, keyed `i % keys`, and
+    /// carries the token `"r.i "`.
+    fn token(rank: usize, i: usize, ranks: usize, keys: u64) -> (usize, u64, String) {
+        (
+            (i * 3 + rank) % ranks,
+            i as u64 % keys,
+            format!("{rank}.{i} "),
+        )
+    }
+
+    /// An append-merge pass through an exchange with a team budget of
+    /// `team_bytes`; returns the table, each rank's counters and, for
+    /// every delivery, `(step, src, dest, bytes)`.
+    #[allow(clippy::type_complexity)]
+    fn append_pass(
+        threads: usize,
+        team_bytes: usize,
+        items: usize,
+    ) -> (
+        Vec<(u64, String)>,
+        Vec<CommStats>,
+        Vec<(usize, usize, usize, usize)>,
+    ) {
+        let topo = Topology::new(8, 4);
+        let team = Team::new(topo).with_os_threads(threads);
+        let table: DistHashMap<u64, String> = DistHashMap::with_owner(topo, |k| *k as usize % 8);
+        let mail: Exchange<(u64, String)> = Exchange::with_team_bytes(topo, 4, team_bytes);
+        let deliveries = Mutex::new(Vec::new());
+        let stats = team.run_supersteps("test/append", |ctx, step| {
+            let rank = ctx.rank;
+            mail.deliver(rank, step, |src, entries| {
+                let bytes = entries.len() * std::mem::size_of::<(u64, String)>();
+                deliveries.lock().push((step, src, rank, bytes));
+                table.merge_batch(rank, entries.drain(..), |a, b| a.push_str(&b));
+            });
+            mail.send(ctx, step, items, |ctx, i, post| {
+                let (_, key, text) = token(ctx.rank, i, 8, 40);
+                post.push(ctx, key as usize % 8, (key, text));
+            })
+        });
+        let mut entries = table.into_entries();
+        entries.sort_unstable();
+        let mut deliveries = deliveries.into_inner();
+        deliveries.sort_unstable();
+        (entries, stats, deliveries)
+    }
+
+    #[test]
+    fn owners_apply_sources_in_rank_order() {
+        // One superstep: the non-commutative append equals a sequential
+        // loop over the source ranks, at every thread count.
+        let mut want: HashMap<u64, String> = HashMap::new();
+        for rank in 0..8 {
+            for i in 0..100 {
+                let (_, key, text) = token(rank, i, 8, 40);
+                want.entry(key).or_default().push_str(&text);
+            }
+        }
+        let mut want: Vec<(u64, String)> = want.into_iter().collect();
+        want.sort_unstable();
+        for threads in [1, 2, 4] {
+            let (got, stats, _) = append_pass(threads, SUPERSTEP_BYTES, 100);
+            assert_eq!(got, want, "{threads} threads");
+            assert!(stats.iter().all(|s| s.barriers == 2), "send, then apply");
+        }
+
+        // Many supersteps: each source's tokens still land in its push
+        // order, and the table does not depend on the threads.
+        let serial = append_pass(1, 8 * 256, 600);
+        for threads in [2, 4] {
+            assert_eq!(append_pass(threads, 8 * 256, 600).0, serial.0);
+        }
+        for (_, text) in &serial.0 {
+            let mut last = [None::<usize>; 8];
+            for tok in text.split_whitespace() {
+                let (rank, i) = tok.split_once('.').unwrap();
+                let (rank, i): (usize, usize) = (rank.parse().unwrap(), i.parse().unwrap());
+                assert!(last[rank] < Some(i), "{tok} after {:?}", last[rank]);
+                last[rank] = Some(i);
+            }
+        }
+    }
+
+    #[test]
+    fn staged_bytes_stay_within_the_budget_plus_a_batch_per_destination() {
+        let team_bytes = 8 * 1024;
+        let (_, stats, deliveries) = append_pass(2, team_bytes, 2000);
+        let item = std::mem::size_of::<(u64, String)>();
+        let step_bytes = team_bytes / 8;
+        let bound = step_bytes + 8 * 4 * item;
+        let mut posted: HashMap<(usize, usize), usize> = HashMap::new();
+        for &(step, src, _, bytes) in &deliveries {
+            *posted.entry((step, src)).or_default() += bytes;
+        }
+        assert!(
+            posted.values().all(|&b| b <= bound),
+            "{posted:?} over {bound}"
+        );
+        let steps = deliveries.iter().map(|d| d.0).max().unwrap();
+        assert!(steps > 10, "a small budget takes many supersteps: {steps}");
+        // Phase s delivers superstep s - 1's mail; the last one posts none.
+        assert!(stats.iter().all(|s| s.barriers == steps as u64 + 1));
+    }
+
+    #[test]
+    fn exchange_bills_like_the_sender_applied_outbox() {
+        let topo = Topology::new(8, 4);
+        let team = Team::new(topo).with_os_threads(2);
+        let key = |rank: usize, i: u64| (i * 13 + rank as u64 * 5) % 300;
+        let sender_side: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let (_, mut want) = team.run_named("test/sender-applied", |ctx| {
+            let mut outbox: Outbox<(u64, u32)> = Outbox::new(topo, 16);
+            let mut apply = |_: &mut RankCtx, dest: usize, items: &mut Vec<(u64, u32)>| {
+                sender_side.merge_batch(dest, items.drain(..), |a, b| *a += b)
+            };
+            for i in 0..500 {
+                let k = key(ctx.rank, i);
+                outbox.push(ctx, sender_side.owner(&k), (k, 1), &mut apply);
+            }
+            outbox.finish(ctx, &mut apply);
+        });
+        sender_side.drain_service_into(&mut want);
+
+        let owner_side: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let mail: Exchange<(u64, u32)> = Exchange::with_team_bytes(topo, 16, 8 * 512);
+        let mut got = team.run_supersteps("test/owner-applied", |ctx, step| {
+            let rank = ctx.rank;
+            mail.deliver(rank, step, |_, items| {
+                owner_side.merge_batch(rank, items.drain(..), |a, b| *a += b)
+            });
+            mail.send(ctx, step, 500, |ctx, i, post| {
+                let k = key(ctx.rank, i as u64);
+                post.push(ctx, owner_side.owner(&k), (k, 1));
+            })
+        });
+        owner_side.drain_service_into(&mut got);
+
+        let billed = |s: &CommStats| {
+            let msgs = (s.local_ops, s.onnode_msgs, s.offnode_msgs);
+            (msgs, s.onnode_bytes, s.offnode_bytes, s.service_ops)
+        };
+        assert_eq!(
+            got.iter().map(billed).collect::<Vec<_>>(),
+            want.iter().map(billed).collect::<Vec<_>>()
+        );
+        assert!(got[0].barriers > 2, "the pass took several supersteps");
+        assert!(got.iter().all(|s| s.lock_waits == 0), "owners never wait");
+        let sorted = |t: DistHashMap<u64, u32>| {
+            let mut e = t.into_entries();
+            e.sort_unstable();
+            e
+        };
+        assert_eq!(sorted(owner_side), sorted(sender_side));
+    }
+
+    #[test]
+    #[should_panic(expected = "exchange dropped with undelivered mail")]
+    #[cfg(debug_assertions)]
+    fn dropping_undelivered_mail_panics_in_debug() {
+        let topo = Topology::new(2, 2);
+        let mail: Exchange<u64> = Exchange::new(topo, 4);
+        let mut ctx = RankCtx::new(0, topo);
+        mail.send(&mut ctx, 0, 1, |ctx, _, post| post.push(ctx, 1, 7));
+        drop(mail); // superstep 1, which would deliver it, never ran
     }
 
     #[test]

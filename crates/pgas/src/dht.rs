@@ -23,6 +23,15 @@
 //! as before. Nothing can write a frozen table, so no reader needs to
 //! check that nothing did.
 //!
+//! Batched builds write through an [`Exchange`](crate::Exchange): the
+//! sender bills each batch, and the owner applies it to its own partition
+//! with [`apply_batch`](DistHashMap::apply_batch) (or
+//! [`merge_batch`](DistHashMap::merge_batch)) in the next superstep. One
+//! thread then writes each partition, and its lock, which stays, is never
+//! contended. The point writes [`insert`](DistHashMap::insert) and
+//! [`update`](DistHashMap::update) lock the owner's partition from any
+//! rank; the de Bruijn graph build and the benchmark's kernels use them.
+//!
 //! [`CommStats`]: crate::stats::CommStats
 //! [`with_owner`]: DistHashMap::with_owner
 
@@ -318,8 +327,8 @@ where
     }
 
     /// Apply a batch of items that arrived at `dest` as **one** aggregated
-    /// message (see [`crate::Outbox`]) — the one batch-apply loop; the
-    /// caller has already accounted the message. `dest`'s partition is
+    /// message (see [`crate::Exchange`]) — the one batch-apply loop, run
+    /// by `dest` itself; the sender has already accounted the message. `dest`'s partition is
     /// locked once and the items are applied straight from the caller's
     /// iterator, in its order: `occupied(slot, item)` where the key has an
     /// entry; where it has none, `vacant(item)` becomes the entry, or the
@@ -370,7 +379,7 @@ where
     }
 
     /// [`apply_batch`](Self::apply_batch) for items that are values: merge
-    /// into the entry, or become it (see [`crate::AggregatingStores`]).
+    /// into the entry, or become it.
     ///
     /// `entries` is any owned sequence: a `Vec`, or the `drain(..)` of a
     /// sender's per-destination buffer, which then keeps its capacity for

@@ -6,7 +6,8 @@
 //! down. This module supplies the failure model for both, wired into the
 //! runtime's classified communication points (every
 //! [`RankCtx::comm`](crate::RankCtx::comm) call: `DistHashMap`
-//! gets/puts/multi-gets and `AggregatingStores`/`LookupBatch` flushes):
+//! gets/puts/multi-gets and `Outbox` flushes, whether an `Exchange` posts
+//! the batch or a `LookupBatch` answers it):
 //!
 //! * A [`FaultPlan`] deterministically schedules faults from a seed. Each
 //!   *remote* communication event of each rank gets an event number; the

@@ -14,8 +14,10 @@
 //!   and the configured ranks-per-node, and tallied in per-rank
 //!   [`CommStats`]; once built, it is frozen into a [`FrozenMap`], read
 //!   without locks;
-//! * [`AggregatingStores`] implements the paper's "aggregating stores"
-//!   optimization: per-destination batching of fine-grained updates;
+//! * an [`Exchange`] implements the paper's "aggregating stores"
+//!   optimization: per-destination batching of fine-grained updates, each
+//!   batch applied by its owner in supersteps
+//!   ([`Team::run_supersteps`]);
 //! * [`LookupBatch`] and [`SoftwareCache`] are the read-side counterparts
 //!   (§4.4's seed-index batching and contig caching): batched multi-gets
 //!   that pay one message of latency per buffer, and a per-rank CLOCK
@@ -48,7 +50,7 @@ pub mod team;
 pub mod topology;
 pub mod trace;
 
-pub use agg::{AggregatingStores, Outbox};
+pub use agg::{AggregatingStores, Exchange, Outbox, Post, SUPERSTEP_BYTES};
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
 pub use dht::{DistHashMap, FrozenMap};
 pub use fault::{catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort};

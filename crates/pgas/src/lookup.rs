@@ -1,7 +1,7 @@
 //! Read-side communication avoidance: batched multi-gets and per-rank
 //! software caching.
 //!
-//! [`crate::AggregatingStores`] batches the *store* path; the lookup path —
+//! [`crate::Exchange`] batches the *store* path; the lookup path —
 //! de Bruijn traversal probes, merAligner seed lookups, scaffolding bucket
 //! reads — is just as irregular and, un-batched, pays one message of
 //! latency per key. This module provides the two levers the paper (§4.4)
@@ -32,9 +32,9 @@ use hipmer_dna::KmerHashMap;
 use std::hash::Hash;
 
 /// A per-destination buffer set for batched one-sided reads from a
-/// [`FrozenMap`] — the read-side mirror of [`crate::AggregatingStores`]:
-/// an [`Outbox`] of `(key, tag)` requests whose apply step is
-/// [`FrozenMap::fetch_batch`] plus delivery.
+/// [`FrozenMap`] — the read-side mirror of [`crate::Exchange`]: an
+/// [`Outbox`] of `(key, tag)` requests whose ship step answers the batch on
+/// the spot with [`FrozenMap::fetch_batch`] plus delivery.
 ///
 /// Each queued key carries a caller-supplied *tag* (e.g. a read index or
 /// sequence position) handed back to the delivery callback alongside the

@@ -13,15 +13,17 @@
 //! Rank→thread placement is blocked: worker `w` of `W` executes the
 //! **contiguous block** of ranks `w·P/W .. (w+1)·P/W`. A rank's working
 //! set — its DHT partition, its aggregation buffers — stays on one worker
-//! for a whole phase, and consecutive ranks, whose DHT partitions are
-//! adjacent, share that worker's caches: the single-process analogue of
-//! NUMA-aware rank pinning (DESIGN.md §12).
+//! for a whole phase, every superstep of it included
+//! ([`Team::run_supersteps`]), and consecutive ranks, whose DHT partitions
+//! are adjacent, share that worker's caches: the single-process analogue
+//! of NUMA-aware rank pinning (DESIGN.md §12).
 
 use crate::fault::{self, FailureCause, FaultEvent, FaultPlan, StageAbort};
 use crate::stats::CommStats;
 use crate::topology::Topology;
 use crate::trace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -147,15 +149,15 @@ fn default_os_threads() -> usize {
 }
 
 /// Execute one rank's phase body, stamping measured execution time into its
-/// stats; also returns when the body started. A [`fault::RankFailure`]
-/// unwinding out of the body is caught and reported in the last slot
-/// (`None` result); any other panic resumes unwinding.
+/// stats; also returns when the body started. A panic unwinding out of the
+/// body is caught and returned as `Err` with its payload: a
+/// [`fault::RankFailure`] for an injected failure, anything else for a bug.
 fn run_rank<R, F>(
     f: &F,
     rank: usize,
     topo: Topology,
     faults: Option<&Arc<FaultPlan>>,
-) -> (Option<R>, CommStats, Instant, Option<fault::RankFailure>)
+) -> (std::thread::Result<R>, CommStats, Instant)
 where
     F: Fn(&mut RankCtx) -> R,
 {
@@ -164,16 +166,20 @@ where
     ctx.faults = faults.cloned();
     // AssertUnwindSafe: on unwind only `ctx.stats` is read, and counters
     // are plain integers that stay valid mid-phase.
-    let (out, failure) = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-        Ok(v) => (Some(v), None),
-        Err(payload) => match payload.downcast::<fault::RankFailure>() {
-            Ok(rf) => (None, Some(*rf)),
-            Err(other) => std::panic::resume_unwind(other),
-        },
-    };
+    let out = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
     ctx.barrier();
     ctx.stats.exec_nanos = rank_start.elapsed().as_nanos() as u64;
-    (out, ctx.stats, rank_start, failure)
+    (out, ctx.stats, rank_start)
+}
+
+/// What one worker hands back from [`Team::run_steps`]: per rank of its
+/// block, the last step's result and the counters summed over the steps;
+/// the lowest failed rank of the block; and a bug's panic payload.
+struct BlockOutcome<R> {
+    results: Vec<Option<R>>,
+    stats: Vec<CommStats>,
+    failure: Option<fault::RankFailure>,
+    panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 impl Team {
@@ -286,11 +292,40 @@ impl Team {
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
+        self.run_steps(label, |ctx, _| f(ctx), |_| false)
+    }
+
+    /// Execute a phase in supersteps: step `s` runs `body(ctx, s)` for
+    /// every rank, and the workers meet at a barrier after each step. The
+    /// steps end after the first in which no rank's body returned `true`.
+    /// Returns each rank's counters summed over the steps, one barrier
+    /// billed per step.
+    ///
+    /// One worker thread runs the same contiguous rank block in every step
+    /// and lives for the whole phase, so a rank's working set stays with
+    /// one thread from step to step. Each step is traced as a phase named
+    /// `label`, and an injected rank failure aborts the stage after the
+    /// step it happened in, as in [`run_named`](Self::run_named). This is
+    /// the phase runner of owner-applied writes ([`crate::Exchange`]).
+    pub fn run_supersteps<F>(&self, label: &str, body: F) -> Vec<CommStats>
+    where
+        F: Fn(&mut RankCtx, usize) -> bool + Sync,
+    {
+        self.run_steps(label, body, |&again| again).1
+    }
+
+    /// The one execution engine: run `body(ctx, step)` for steps 0, 1, …
+    /// until a step after which `again` holds for no rank's result. Returns
+    /// the last step's per-rank results and the counters summed over the
+    /// steps.
+    fn run_steps<R, F, A>(&self, label: &str, body: F, again: A) -> (Vec<R>, Vec<CommStats>)
+    where
+        R: Send,
+        F: Fn(&mut RankCtx, usize) -> R + Sync,
+        A: Fn(&R) -> bool + Sync,
+    {
         let ranks = self.topo.ranks();
         let workers = self.os_threads.min(ranks);
-        type Bucket<R> = Vec<(usize, Option<R>, CommStats, Option<fault::RankFailure>)>;
-
-        let phase_start = Instant::now();
         let recorder = self.recorder.as_ref();
         let sample = recorder.map_or(0, trace::Recorder::sample_ranks);
         let faults = self.faults.as_ref();
@@ -303,38 +338,89 @@ impl Team {
             start..start + base + usize::from(w < rem)
         };
 
-        // One worker's share of the phase: run its ranks in order and
-        // record the sampled ranks' spans in one batch.
-        let run_block = |block: std::ops::Range<usize>| {
-            let mut local: Bucket<R> = Vec::with_capacity(block.len());
-            let mut spans = Vec::new();
-            for rank in block {
-                let (out, stats, rank_start, failure) = run_rank(&f, rank, self.topo, faults);
-                if rank < sample {
-                    let since = |t: Instant| rank_start.saturating_duration_since(t).as_nanos();
-                    spans.push(trace::SpanEvent {
-                        phase: label.to_string(),
-                        rank,
-                        start_nanos: since(trace::epoch()) as u64,
-                        queue_nanos: since(phase_start) as u64,
-                        stats,
-                    });
+        // After each step every worker publishes whether one of its ranks
+        // wants another step, in the slot of the step's parity: a slot is
+        // rewritten two steps later, after every reader has passed the
+        // next step's barrier. `stop` is set once a rank fails or panics.
+        let launch = Instant::now();
+        let barrier = std::sync::Barrier::new(workers);
+        let go_on: Vec<[AtomicBool; 2]> = (0..workers).map(|_| Default::default()).collect();
+        let stop = AtomicBool::new(false);
+
+        // One worker's share of the phase: run its ranks in order, step
+        // after step, and record the sampled ranks' spans in one batch per
+        // step.
+        let run_block = |w: usize| {
+            let ranks = block(w);
+            let mut out = BlockOutcome {
+                results: (0..ranks.len()).map(|_| None).collect(),
+                stats: vec![CommStats::new(); ranks.len()],
+                failure: None,
+                panic: None,
+            };
+            for step in 0.. {
+                // A rank's queue delay counts from the phase's launch, or
+                // from the barrier that released the step.
+                let step_start = if step == 0 { launch } else { Instant::now() };
+                let step_body = |ctx: &mut RankCtx| body(ctx, step);
+                let mut spans = Vec::new();
+                let mut more = false;
+                for (i, rank) in ranks.clone().enumerate() {
+                    let (result, stats, rank_start) = run_rank(&step_body, rank, self.topo, faults);
+                    out.stats[i].merge(&stats);
+                    if rank < sample {
+                        let since = |t: Instant| rank_start.saturating_duration_since(t).as_nanos();
+                        spans.push(trace::SpanEvent {
+                            phase: label.to_string(),
+                            rank,
+                            start_nanos: since(trace::epoch()) as u64,
+                            queue_nanos: since(step_start) as u64,
+                            stats,
+                        });
+                    }
+                    match result {
+                        Ok(r) => {
+                            more |= again(&r);
+                            out.results[i] = Some(r);
+                        }
+                        Err(payload) => match payload.downcast::<fault::RankFailure>() {
+                            // Ranks ascend within a block: the first is the lowest.
+                            Ok(rf) => out.failure = out.failure.or(Some(*rf)),
+                            Err(bug) => {
+                                out.panic = Some(bug);
+                                break;
+                            }
+                        },
+                    }
                 }
-                local.push((rank, out, stats, failure));
+                if let Some(recorder) = recorder.filter(|_| !spans.is_empty()) {
+                    recorder.record(spans);
+                }
+                if out.failure.is_some() || out.panic.is_some() {
+                    stop.store(true, Ordering::Relaxed);
+                }
+                go_on[w][step % 2].store(more, Ordering::Relaxed);
+                if workers > 1 {
+                    barrier.wait();
+                }
+                let more = go_on.iter().any(|g| g[step % 2].load(Ordering::Relaxed));
+                if stop.load(Ordering::Relaxed) || !more {
+                    break;
+                }
             }
-            if let Some(recorder) = recorder.filter(|_| !spans.is_empty()) {
-                recorder.record(spans);
+            if let Some(bug) = out.panic.take() {
+                std::panic::resume_unwind(bug);
             }
-            local
+            out
         };
 
-        let collected: Vec<Bucket<R>> = if workers <= 1 {
-            vec![run_block(0..ranks)]
+        let collected: Vec<BlockOutcome<R>> = if workers <= 1 {
+            vec![run_block(0)]
         } else {
             crossbeam::thread::scope(|scope| {
-                let (run_block, block) = (&run_block, &block);
+                let run_block = &run_block;
                 let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move |_| run_block(block(w))))
+                    .map(|w| scope.spawn(move |_| run_block(w)))
                     .collect();
                 handles
                     .into_iter()
@@ -346,12 +432,7 @@ impl Team {
 
         // Any dead rank aborts the stage; pick the lowest rank so the
         // reported failure is deterministic across OS-thread schedules.
-        if let Some(failure) = collected
-            .iter()
-            .flatten()
-            .filter_map(|(_, _, _, failure)| *failure)
-            .min_by_key(|failure| failure.rank)
-        {
+        if let Some(failure) = collected.iter().find_map(|b| b.failure) {
             fault::raise_stage_abort(StageAbort {
                 phase: label.to_string(),
                 rank: failure.rank,
@@ -359,14 +440,17 @@ impl Team {
             });
         }
 
-        // Blocks are contiguous and joined in worker order, so the flattened
-        // buckets are already in rank order.
+        // Blocks are contiguous and joined in worker order, so the
+        // concatenated blocks are already in rank order.
         let mut results = Vec::with_capacity(ranks);
         let mut stats = Vec::with_capacity(ranks);
-        for (rank, out, rank_stats, _) in collected.into_iter().flatten() {
-            debug_assert_eq!(rank, results.len(), "every rank exactly once, in order");
-            results.push(out.expect("no failure implies a result"));
-            stats.push(rank_stats);
+        for b in collected {
+            results.extend(
+                b.results
+                    .into_iter()
+                    .map(|r| r.expect("no failure implies a result")),
+            );
+            stats.extend(b.stats);
         }
         debug_assert_eq!(results.len(), ranks);
         (results, stats)
@@ -462,10 +546,12 @@ mod tests {
     }
 
     /// Deterministic stage-abort selection must hold while ranks ship
-    /// batched traffic, across OS thread counts.
+    /// batched traffic, across OS thread counts, and the aborted attempt's
+    /// undelivered mail is dropped without tripping the exchange's
+    /// drained-mail assertion.
     #[test]
     fn abort_selection_is_deterministic_under_batched_sends_across_threads() {
-        use crate::agg::AggregatingStores;
+        use crate::agg::Exchange;
         use crate::dht::DistHashMap;
 
         let topo = Topology::new(8, 4);
@@ -477,14 +563,18 @@ mod tests {
                 .with_fault_plan(Arc::new(plan));
             let dht: DistHashMap<u64, u64> = DistHashMap::new(topo);
             fault::catch_stage_abort(|| {
-                team.run_named("test/batched-abort", |ctx| {
-                    let mut agg =
-                        AggregatingStores::with_batch(&dht, |acc: &mut u64, v: u64| *acc += v, 4);
-                    for i in 0..200u64 {
-                        agg.push(ctx, i * 7, 1);
-                    }
-                    agg.flush_all(ctx);
-                    agg.finish(ctx);
+                // Inside the stage, as in the pipeline: an abort unwinds
+                // through the exchange.
+                let mail: Exchange<(u64, u64)> = Exchange::new(topo, 4);
+                team.run_supersteps("test/batched-abort", |ctx, step| {
+                    let rank = ctx.rank;
+                    mail.deliver(rank, step, |_, items| {
+                        dht.merge_batch(rank, items.drain(..), |acc, v| *acc += v)
+                    });
+                    mail.send(ctx, step, 200, |ctx, i, post| {
+                        let key = i as u64 * 7;
+                        post.push(ctx, dht.owner(&key), (key, 1));
+                    })
                 })
             })
         };

@@ -32,7 +32,8 @@ pub struct SpanEvent {
     /// Nanoseconds from the trace epoch to the start of the rank body.
     pub start_nanos: u64,
     /// Nanoseconds the rank waited in the multiplex queue: time from phase
-    /// launch until an OS worker picked this rank up.
+    /// launch (or, in a later superstep, from the barrier that started it)
+    /// until an OS worker picked this rank up.
     pub queue_nanos: u64,
     /// The rank's counters at the end of its phase body (before the
     /// owner-side tallies [`crate::DistHashMap::drain_service_into`] adds).

@@ -1,4 +1,4 @@
-//! The single blocking send path under real lock contention: 16 ranks on
+//! The sender-applied send path under real lock contention: 16 ranks on
 //! 1, 2 and 4 OS threads all write to, then read from, keys owned by **one**
 //! rank, through `Outbox`, `AggregatingStores` and `LookupBatch`. A process
 //! of its own, so its metric observations cannot leak into the lib tests

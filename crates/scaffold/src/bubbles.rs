@@ -14,7 +14,7 @@ use hipmer_contig::chain::{ends_overlap, stitch, walk_chains};
 use hipmer_contig::{ContigEnd, ContigSet};
 use hipmer_dna::Kmer;
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, Exchange, PhaseReport, Team};
 
 /// One end of a contig in the bubble–contig graph.
 type End = (u32, ContigEnd);
@@ -66,20 +66,24 @@ pub fn merge_bubbles(
     // Phase A (parallel): bubble grouping. Key = the normalized pair of
     // attachment k-mers; contigs sharing both attachments are bubble arms.
     let bubble_groups: DistHashMap<(Kmer, Kmer), Vec<u32>> = DistHashMap::new(*team.topo());
-    let (_, mut stats) = team.run_named("scaffold/bubbles/group", |ctx| {
-        let mut agg =
-            AggregatingStores::new(&bubble_groups, |a: &mut Vec<u32>, b: Vec<u32>| a.extend(b));
-        for ci in ctx.chunk(n) {
+    let mail = Exchange::for_table(&bubble_groups);
+    let mut stats = team.run_supersteps("scaffold/bubbles/group", |ctx, step| {
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, arms| {
+            bubble_groups.merge_batch(rank, arms.drain(..), |a, b| a.extend(b))
+        });
+        let mine = ctx.chunk(n);
+        mail.send(ctx, step, mine.len(), |ctx, unit, post| {
+            let ci = mine.start + unit;
             let i = &info[ci];
             if let (Some(la), Some(ra)) = (i.left_attach, i.right_attach) {
                 let key = if la <= ra { (la, ra) } else { (ra, la) };
                 let ci32 = u32::try_from(ci)
                     .expect("contig index exceeds u32::MAX; the bubble-contig graph uses u32 ids");
-                agg.push(ctx, key, vec![ci32]);
+                post.push(ctx, bubble_groups.owner(&key), (key, vec![ci32]));
             }
             ctx.stats.compute(1);
-        }
-        agg.finish(ctx);
+        })
     });
     bubble_groups.drain_service_into(&mut stats);
     let bubble_groups = bubble_groups.freeze();
@@ -127,24 +131,36 @@ pub fn merge_bubbles(
 
     // Phase C (parallel): attachment incidence for chain edges.
     let attachments: DistHashMap<Kmer, Vec<End>> = DistHashMap::new(*team.topo());
-    let (_, stats_c) = team.run_named("scaffold/bubbles/attachments", |ctx| {
-        let mut agg =
-            AggregatingStores::new(&attachments, |a: &mut Vec<End>, b: Vec<End>| a.extend(b));
-        for ci in ctx.chunk(n) {
+    let mail = Exchange::for_table(&attachments);
+    let stats_c = team.run_supersteps("scaffold/bubbles/attachments", |ctx, step| {
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, ends| {
+            attachments.merge_batch(rank, ends.drain(..), |a, b| a.extend(b))
+        });
+        let mine = ctx.chunk(n);
+        mail.send(ctx, step, mine.len(), |ctx, unit, post| {
+            let ci = mine.start + unit;
             if absorbed[ci] {
-                continue;
+                return;
             }
             let i = &info[ci];
             let ci32 = u32::try_from(ci)
                 .expect("contig index exceeds u32::MAX; the bubble-contig graph uses u32 ids");
             if let Some(la) = i.left_attach {
-                agg.push(ctx, la, vec![(ci32, ContigEnd::Left)]);
+                post.push(
+                    ctx,
+                    attachments.owner(&la),
+                    (la, vec![(ci32, ContigEnd::Left)]),
+                );
             }
             if let Some(ra) = i.right_attach {
-                agg.push(ctx, ra, vec![(ci32, ContigEnd::Right)]);
+                post.push(
+                    ctx,
+                    attachments.owner(&ra),
+                    (ra, vec![(ci32, ContigEnd::Right)]),
+                );
             }
-        }
-        agg.finish(ctx);
+        })
     });
     attachments.drain_service_into(&mut stats);
     merge_ranks(&mut stats, &stats_c);

@@ -22,7 +22,7 @@ use hipmer_align::Alignment;
 use hipmer_contig::{ContigEnd, ContigSet};
 use hipmer_dna::{revcomp, Kmer, KmerCodec, KmerHashMap};
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, RankCtx, Team};
+use hipmer_pgas::{DistHashMap, Exchange, PhaseReport, RankCtx, Team};
 use hipmer_seqio::SeqRecord;
 
 /// Flank length taken from each side of the gap (a read length and a
@@ -366,20 +366,27 @@ pub fn close_gaps(
 ) -> (ScaffoldSet, GapCloseStats, PhaseReport) {
     // Phase 1 (parallel): project alignments into contig-end read buckets.
     let buckets: DistHashMap<(u32, ContigEnd), Vec<u32>> = DistHashMap::new(*team.topo());
-    let (_, mut stats) = team.run_named("scaffold/gap-closing/buckets", |ctx| {
-        let mut agg = AggregatingStores::new(&buckets, |a: &mut Vec<u32>, b: Vec<u32>| a.extend(b));
-        for a in &alignments[ctx.chunk(alignments.len())] {
+    let mail = Exchange::for_table(&buckets);
+    let mut stats = team.run_supersteps("scaffold/gap-closing/buckets", |ctx, step| {
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, reads| {
+            buckets.merge_batch(rank, reads.drain(..), |a, b| a.extend(b))
+        });
+        let alignments = &alignments[ctx.chunk(alignments.len())];
+        mail.send(ctx, step, alignments.len(), |ctx, i, post| {
+            let a = &alignments[i];
             ctx.stats.compute(1);
             let len = contigs.contigs[a.contig as usize].len();
             let mate = a.read ^ 1;
             if (a.contig_start as usize) < END_WINDOW {
-                agg.push(ctx, (a.contig, ContigEnd::Left), vec![a.read, mate]);
+                let key = (a.contig, ContigEnd::Left);
+                post.push(ctx, buckets.owner(&key), (key, vec![a.read, mate]));
             }
             if a.contig_end as usize + END_WINDOW > len {
-                agg.push(ctx, (a.contig, ContigEnd::Right), vec![a.read, mate]);
+                let key = (a.contig, ContigEnd::Right);
+                post.push(ctx, buckets.owner(&key), (key, vec![a.read, mate]));
             }
-        }
-        agg.finish(ctx);
+        })
     });
     buckets.drain_service_into(&mut stats);
     let buckets = buckets.freeze();

@@ -2,14 +2,15 @@
 //!
 //! Splints and spans are individually noisy; links aggregate them per
 //! contig-end pair in a distributed hash table (keys: contig pairs,
-//! values: splint/span tallies — built with aggregating stores), and a
+//! values: splint/span tallies — built with aggregating stores and merged
+//! by each pair's owner), and a
 //! link survives only with sufficient supporting evidence. Each rank then
 //! assesses its local buckets.
 
 use crate::splints::{Span, Splint};
 use hipmer_contig::ContigEnd;
 use hipmer_pgas::stats::merge_ranks;
-use hipmer_pgas::{AggregatingStores, DistHashMap, PhaseReport, Team};
+use hipmer_pgas::{DistHashMap, Exchange, PhaseReport, Team};
 
 /// Normalized key for an unordered pair of contig ends.
 pub type EndKey = ((u32, ContigEnd), (u32, ContigEnd));
@@ -74,33 +75,36 @@ const MIN_SPANS: u32 = 2;
 pub fn generate_links(team: &Team, splints: &[Splint], spans: &[Span]) -> (Vec<Link>, PhaseReport) {
     let table: DistHashMap<EndKey, LinkAgg> = DistHashMap::new(*team.topo());
 
-    let (_, mut stats) = team.run_named("scaffold/links/aggregate", |ctx| {
-        let mut agg = AggregatingStores::new(&table, |a: &mut LinkAgg, b| a.merge(b));
-        for s in &splints[ctx.chunk(splints.len())] {
+    let mail = Exchange::for_table(&table);
+    let mut stats = team.run_supersteps("scaffold/links/aggregate", |ctx, step| {
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, tallies| {
+            table.merge_batch(rank, tallies.drain(..), LinkAgg::merge)
+        });
+        // A rank's splints, then its spans.
+        let splints = &splints[ctx.chunk(splints.len())];
+        let spans = &spans[ctx.chunk(spans.len())];
+        mail.send(ctx, step, splints.len() + spans.len(), |ctx, i, post| {
             ctx.stats.compute(1);
-            agg.push(
-                ctx,
-                end_key(s.ends[0], s.ends[1]),
-                LinkAgg {
+            let (ends, tally) = if let Some(s) = splints.get(i) {
+                let tally = LinkAgg {
                     splint_count: 1,
                     splint_gap_sum: s.gap,
                     ..LinkAgg::default()
-                },
-            );
-        }
-        for s in &spans[ctx.chunk(spans.len())] {
-            ctx.stats.compute(1);
-            agg.push(
-                ctx,
-                end_key(s.ends[0], s.ends[1]),
-                LinkAgg {
+                };
+                (s.ends, tally)
+            } else {
+                let s = &spans[i - splints.len()];
+                let tally = LinkAgg {
                     span_count: 1,
                     span_gap_sum: s.gap,
                     ..LinkAgg::default()
-                },
-            );
-        }
-        agg.finish(ctx);
+                };
+                (s.ends, tally)
+            };
+            let key = end_key(ends[0], ends[1]);
+            post.push(ctx, table.owner(&key), (key, tally));
+        })
     });
     table.drain_service_into(&mut stats);
     let table = table.freeze();

@@ -2,7 +2,7 @@
 //! public API, checked against the simulated ground truth.
 
 use hipmer::{assemble, assemble_fastq, kmer_containment, PipelineConfig, StageTimes};
-use hipmer_pgas::{CostModel, Team, Topology};
+use hipmer_pgas::{trace, CommStats, CostModel, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_scaffolding_dataset, Dataset};
 
 /// Reference sequence: all haplotypes joined with an N separator.
@@ -496,4 +496,78 @@ fn read_phase_counters_are_pinned_across_commits() {
             ("contig/traversal", [153_349, 5_138, 32_942, 0, 0, 37_655]),
         ]
     );
+}
+
+/// The phases that build a table by owner-applied batches: k-mer analysis
+/// and the seed index, whose every counted field is compared across
+/// thread counts, and the scaffolding tables, merged into larger reports.
+const WRITE_PHASES: [&str; 4] = [
+    "scaffold/meraligner-index",
+    "scaffold/links",
+    "scaffold/bubbles",
+    "scaffold/gap-closing",
+];
+
+/// One compared write phase: name, every rank's counted `CommStats`,
+/// `(entries, max_partition_entries)` and hot keys.
+type WritePhase = (String, Vec<CommStats>, (u64, u64), Vec<(u64, u64)>);
+
+/// Every `kmer-analysis/*` and `scaffold/meraligner-index` phase of one
+/// assembly at `threads` OS threads, with hot-key tracking on, after
+/// checking that no write phase waited for a lock.
+fn write_phases(
+    dataset: &Dataset,
+    libs: &[std::ops::Range<usize>],
+    cfg: &PipelineConfig,
+    threads: usize,
+) -> Vec<WritePhase> {
+    let team = Team::new(Topology::new(8, 4))
+        .with_os_threads(threads)
+        .with_hot_keys(trace::HOT_KEY_CAPACITY);
+    let reads = dataset.all_reads();
+    let assembly = assemble(&team, &reads, libs, cfg);
+    let phases = assembly.report.phases;
+    for p in &phases {
+        if p.name.starts_with("kmer-analysis/") || WRITE_PHASES.contains(&p.name.as_str()) {
+            let waits = p.totals().lock_waits;
+            assert_eq!(waits, 0, "{} waited at {threads} threads", p.name);
+        }
+    }
+    (phases.into_iter())
+        .filter(|p| p.name.starts_with("kmer-analysis/") || p.name == WRITE_PHASES[0])
+        .map(|p| {
+            let table = p.table();
+            let counted = p.stats.into_iter().map(CommStats::counted).collect();
+            (p.name, counted, table, p.hot_keys)
+        })
+        .collect()
+}
+
+#[test]
+fn write_phases_count_the_same_at_every_thread_count() {
+    // Each owner applies the batches sent to it, sources in rank order, so
+    // the order they land in — which decides the Bloom filter's false
+    // positives and the hot-key summaries — depends on the input and the
+    // rank count, not on the threads; and no owner ever waits for a lock.
+    let check = |dataset: &Dataset, libs: &[std::ops::Range<usize>], cfg: &PipelineConfig| {
+        let serial = write_phases(dataset, libs, cfg, 1);
+        assert!(serial
+            .iter()
+            .any(|p| p.0 == "kmer-analysis/count" && !p.3.is_empty()));
+        for threads in [2, 4, 8] {
+            let threaded = write_phases(dataset, libs, cfg, threads);
+            assert_eq!(threaded.len(), serial.len(), "{threads} threads");
+            for (t, s) in threaded.iter().zip(&serial) {
+                assert_eq!(t, s, "{} at {threads} threads", s.0);
+            }
+        }
+    };
+    let human = human_like_dataset(25_000, 16.0, false, 7);
+    check(&human, &human.lib_ranges(), &PipelineConfig::new(21));
+    let meta = hipmer_readsim::metagenome_repeats_dataset(40_000, 6, 30, 300, 12.0, false, 9);
+    let all = 0..meta.all_reads().len();
+    let multi_k = PipelineConfig::metagenome_preset(33)
+        .try_multi_k(&[21, 33])
+        .unwrap();
+    check(&meta, &[all], &multi_k);
 }

@@ -2,7 +2,7 @@
 //! same reads twice writes equal `PipelineReport::to_json` documents once
 //! the keys `hipmer_pgas::stats::measured_report_keys` names — host
 //! measurements by construction — are removed. (Equality across thread
-//! counts is ROADMAP item 4 i; this is its one-thread base case.)
+//! counts is ROADMAP item 8(i)/(ii); this is its one-thread base case.)
 
 use hipmer::{run_assembly, PipelineConfig, RunOptions};
 use hipmer_pgas::json::Value;
