@@ -10,16 +10,13 @@
 //!    the node-level coarsening refinement.
 //! 5. Round-robin vs blocked gap distribution — gap-closing load balance
 //!    (§4.8).
-//! 7. Parallel FASTQ reader vs a SeqDB-like binary store (§3.3's claim:
-//!    FASTQ reading reaches SeqDB's bandwidth up to the compression
-//!    factor).
 //! 9. Fault-tolerance overhead — checkpoint-interval × retry-budget sweep
 //!    under seeded transient faults and a hard rank failure, with results
 //!    recorded to `BENCH_fault_overhead.json`. All variants must produce
 //!    byte-identical assemblies.
 //!
-//! Numbers 6 and 8 are unused: their options are gone, and EXPERIMENTS.md
-//! keeps their results.
+//! Numbers 6, 7 and 8 are unused: what they compared is gone, and
+//! EXPERIMENTS.md keeps their results.
 
 use hipmer_bench::{banner, model, scaled};
 use hipmer_contig::{build_graph, build_oracle, generate_contigs, traverse_graph, ContigConfig};
@@ -324,47 +321,6 @@ fn main() {
         }
         println!("(one 24-gap scaffold needs k-mer walks; 72 scaffolds close by overlap —");
         println!(" blocked distribution serializes the expensive scaffold onto few ranks)");
-    }
-
-    // ------------------------------------------------------------------
-    banner(
-        "Ablation 7",
-        "parallel FASTQ reader vs SeqDB-like binary store (\u{00a7}3.3)",
-    );
-    {
-        let dataset = human_like_dataset(scaled(100_000), 10.0, true, 1007);
-        let reads = dataset.all_reads();
-        let dir = std::env::temp_dir().join(format!("hipmer-ablation7-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let fastq_path = dir.join("reads.fastq");
-        let seqdb_path = dir.join("reads.seqdb");
-        let mut buf = Vec::new();
-        hipmer_seqio::write_fastq(&mut buf, &reads).unwrap();
-        std::fs::write(&fastq_path, &buf).unwrap();
-        hipmer_seqio::write_seqdb(&seqdb_path, &reads).unwrap();
-        let fastq_bytes = std::fs::metadata(&fastq_path).unwrap().len();
-        let seqdb_bytes = std::fs::metadata(&seqdb_path).unwrap().len();
-
-        let io_team = Team::new(Topology::edison(96));
-        let (fq, fq_stats) = hipmer_seqio::read_fastq_parallel(&io_team, &fastq_path).unwrap();
-        let (sq, sq_stats) = hipmer_seqio::read_seqdb_parallel(&io_team, &seqdb_path).unwrap();
-        let a: Vec<_> = fq.into_iter().flatten().collect();
-        let b: Vec<_> = sq.into_iter().flatten().collect();
-        assert_eq!(a, b, "both readers must produce identical records");
-        let t_fq = m.io_seconds(&Topology::edison(96), &fq_stats);
-        let t_sq = m.io_seconds(&Topology::edison(96), &sq_stats);
-        println!(
-            "FASTQ : {:>9} bytes on disk, modeled parallel read {:.4} s",
-            fastq_bytes, t_fq
-        );
-        println!(
-            "SeqDB : {:>9} bytes on disk ({:.2}x smaller), modeled parallel read {:.4} s",
-            seqdb_bytes,
-            fastq_bytes as f64 / seqdb_bytes as f64,
-            t_sq
-        );
-        println!("(same records either way; the gap is the compression factor, as the paper says)");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // ------------------------------------------------------------------

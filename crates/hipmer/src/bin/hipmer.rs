@@ -27,11 +27,11 @@
 //! `--report-json` gains a per-round `rounds` array.
 //!
 //! Observability: `--report-json <path>` writes the run's one record (the
-//! machine-readable pipeline report, schema v10, priced on the Edison
-//! constants): per phase the counter totals, measured wall time and lock
-//! waits, hash-table occupancy, modeled-time breakdown, off-node fraction,
-//! imbalance and heavy-hitter keys; per stage the attempts and resident-set
-//! readings; per checkpoint the bytes, checksum and seconds. `--trace
+//! machine-readable pipeline report, priced on the Edison constants): per
+//! phase the counter totals, measured wall time and lock waits, hash-table
+//! occupancy, modeled-time breakdown, off-node fraction, imbalance and
+//! heavy-hitter keys; per stage the attempts and resident-set readings; per
+//! checkpoint the bytes, checksum and seconds. `--trace
 //! <path>` (or the `HIPMER_TRACE=<path>` env var) writes the same per-rank
 //! records as Chrome trace-event spans (load in `chrome://tracing` or
 //! Perfetto); `--trace-ranks N` caps the number of traced ranks (0 = all,

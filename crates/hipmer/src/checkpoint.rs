@@ -273,7 +273,7 @@ pub fn encode_contigs(contigs: &ContigSet) -> Vec<u8> {
 /// downstream index and slice by is checked here, not only the framing:
 /// ids are dense (`id == index`) and every contig is at least one k-mer of
 /// `ACGT` — depth computation packs `seq[..k]` and the seed index looks
-/// contigs up by id, inside `Team::run`, where a panic is a process abort.
+/// contigs up by id, inside `Team::run_named`, where a panic is a process abort.
 pub fn decode_contigs(bytes: &[u8]) -> io::Result<ContigSet> {
     let mut r = Reader::new(bytes);
     check_header(&mut r, TAG_CONTIGS)?;

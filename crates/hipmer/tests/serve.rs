@@ -206,8 +206,8 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(4));
     assert_eq!(stats.get("cache_hits").and_then(Value::as_u64), Some(2));
 
-    // The report artifact is the schema-v10 pipeline report — where the
-    // job's own measurements live.
+    // The report artifact is the pipeline report — where the job's own
+    // measurements live.
     let (status, report) =
         http::request(&addr, "GET", &format!("/v1/jobs/{id_a}/report"), None).unwrap();
     assert_eq!(status, 200);

@@ -354,6 +354,7 @@ where
         // cache misses. Stays empty and unallocated while tracking is off.
         let mut tracked: Vec<u64> = Vec::new();
         for (k, item) in items {
+            debug_assert_eq!(self.owner(&k), dest, "apply_batch key not owned by dest");
             applied += 1;
             if part.hot_keys.is_some() {
                 tracked.push(self.key_hash(&k));
@@ -879,6 +880,15 @@ mod tests {
         let mut want = vec![(a, vec![101, 3, 4]), (b, vec![102, 6]), (c, vec![0])];
         want.sort();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "apply_batch key not owned by dest")]
+    #[cfg(debug_assertions)]
+    fn apply_batch_rejects_a_key_owned_by_another_rank() {
+        let dht: DistHashMap<u64, u64> = DistHashMap::new(Topology::new(2, 2));
+        let foreign = (0..64).find(|k| dht.owner(k) == 0).unwrap();
+        dht.apply_batch(1, [(foreign, 1)], |v, x| *v += x, Some(|x| x));
     }
 
     #[test]

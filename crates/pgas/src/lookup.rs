@@ -23,7 +23,7 @@
 //! can go stale: the type is the coherence contract. Hits and misses are
 //! tallied into [`CommStats::cache_hits`](crate::CommStats::cache_hits) /
 //! [`CommStats::cache_misses`](crate::CommStats::cache_misses) so cache
-//! effectiveness is visible in `--report-json` (schema v2).
+//! effectiveness is visible in `--report-json`.
 
 use crate::agg::Outbox;
 use crate::dht::FrozenMap;

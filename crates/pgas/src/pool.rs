@@ -213,7 +213,7 @@ mod tests {
         let lease = p.try_lease(5).expect("5 of 12 free");
         let team = lease.team_with_rpn(p.ranks_per_node());
         assert_eq!(team.ranks(), 5);
-        let (ranks_seen, _) = team.run(|ctx| ctx.rank);
+        let (ranks_seen, _) = team.run_named("test/leased", |ctx| ctx.rank);
         assert_eq!(ranks_seen, (0..5).collect::<Vec<_>>());
         // An explicit rpn wider than the lease clamps cleanly.
         assert_eq!(lease.team_with_rpn(64).topo().ranks_per_node(), 5);

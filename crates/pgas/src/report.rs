@@ -21,7 +21,7 @@ pub struct PhaseReport {
     pub stats: Vec<CommStats>,
     /// Real wall-clock seconds the simulation took (diagnostics only).
     /// Derived automatically from the per-rank [`CommStats::exec_nanos`]
-    /// that [`crate::Team::run`] stamps (max over ranks, i.e. the slowest
+    /// that [`crate::Team::run_named`] stamps (max over ranks, i.e. the slowest
     /// rank's measured time); [`PhaseReport::with_wall`] overrides it.
     pub wall_seconds: f64,
     /// Operations of the stage's inherently serial section (e.g. the edges
@@ -47,7 +47,7 @@ fn derived_wall_seconds(stats: &[CommStats]) -> f64 {
 }
 
 impl PhaseReport {
-    /// Build a report from a finished [`crate::Team::run`] invocation.
+    /// Build a report from a finished [`crate::Team::run_named`] invocation.
     /// `wall_seconds` is derived from the stamped per-rank execution times.
     pub fn new(name: impl Into<String>, topo: Topology, stats: Vec<CommStats>) -> Self {
         let wall_seconds = derived_wall_seconds(&stats);

@@ -59,7 +59,7 @@ pub struct CommStats {
     /// Barriers this rank participated in.
     pub barriers: u64,
     /// Measured nanoseconds this rank's phase body actually executed
-    /// (stamped by [`crate::Team::run`]; sums across merged sub-phases).
+    /// (stamped by [`crate::Team::run_named`]; sums across merged sub-phases).
     /// This is *host* time of the simulation, not modeled machine time.
     pub exec_nanos: u64,
     /// Entries resident in this rank's partition of the phase's hash
@@ -214,7 +214,7 @@ pub fn total(stats: &[CommStats]) -> CommStats {
 }
 
 /// Fold a later sub-phase's per-rank counters into `acc`, rank by rank —
-/// how a stage made of several `Team::run` calls builds one record.
+/// how a stage made of several `Team::run_named` calls builds one record.
 pub fn merge_ranks(acc: &mut [CommStats], more: &[CommStats]) {
     assert_eq!(acc.len(), more.len(), "one CommStats per rank on each side");
     for (a, b) in acc.iter_mut().zip(more) {

@@ -256,21 +256,6 @@ impl Team {
         self.topo.ranks()
     }
 
-    /// Execute one SPMD phase: `f` runs once per virtual rank. Returns the
-    /// per-rank results and per-rank communication counters, both indexed by
-    /// rank.
-    ///
-    /// Identical to [`Team::run_named`] with the placeholder label
-    /// `"phase"`; pipeline stages should prefer `run_named` so traces and
-    /// reports carry meaningful names.
-    pub fn run<R, F>(&self, f: F) -> (Vec<R>, Vec<CommStats>)
-    where
-        R: Send,
-        F: Fn(&mut RankCtx) -> R + Sync,
-    {
-        self.run_named("phase", f)
-    }
-
     /// Execute one named SPMD phase: `f` runs once per virtual rank.
     /// Returns the per-rank results and per-rank communication counters,
     /// both indexed by rank.
@@ -464,7 +449,7 @@ mod tests {
     #[test]
     fn every_rank_runs_exactly_once() {
         let team = Team::new(Topology::new(100, 24)).with_os_threads(4);
-        let (ranks_seen, stats) = team.run(|ctx| ctx.rank);
+        let (ranks_seen, stats) = team.run_named("test/every-rank", |ctx| ctx.rank);
         assert_eq!(ranks_seen, (0..100).collect::<Vec<_>>());
         assert_eq!(stats.len(), 100);
         assert!(stats.iter().all(|s| s.barriers == 1));
@@ -473,14 +458,14 @@ mod tests {
     #[test]
     fn serial_fallback_matches() {
         let team = Team::new(Topology::new(7, 24)).with_os_threads(1);
-        let (out, _) = team.run(|ctx| ctx.rank * 2);
+        let (out, _) = team.run_named("test/serial", |ctx| ctx.rank * 2);
         assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12]);
     }
 
     #[test]
     fn stats_are_attributed_to_the_acting_rank() {
         let team = Team::new(Topology::new(8, 4)).with_os_threads(3);
-        let (_, stats) = team.run(|ctx| {
+        let (_, stats) = team.run_named("test/attribution", |ctx| {
             ctx.stats.compute(ctx.rank as u64);
         });
         for (rank, s) in stats.iter().enumerate() {
@@ -492,7 +477,7 @@ mod tests {
     fn chunks_cover_input() {
         let team = Team::new(Topology::new(13, 24)).with_os_threads(2);
         let n = 1000;
-        let (chunks, _) = team.run(|ctx| ctx.chunk(n));
+        let (chunks, _) = team.run_named("test/chunks", |ctx| ctx.chunk(n));
         let mut covered = 0;
         for c in chunks {
             assert_eq!(c.start, covered);
@@ -600,7 +585,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         let team = Team::new(Topology::new(64, 24)).with_os_threads(4);
         let acc = AtomicU64::new(0);
-        team.run(|ctx| {
+        team.run_named("test/shared-state", |ctx| {
             acc.fetch_add(ctx.rank as u64, Ordering::Relaxed);
         });
         assert_eq!(acc.load(Ordering::Relaxed), (0..64u64).sum());
@@ -736,7 +721,7 @@ mod tests {
         // Regression: `with_os_threads(0)` used to assert; it must clamp
         // to a single worker and execute every rank.
         let team = Team::new(Topology::new(4, 2)).with_os_threads(0);
-        let (results, _) = team.run(|ctx| ctx.rank);
+        let (results, _) = team.run_named("test/zero-threads", |ctx| ctx.rank);
         assert_eq!(results, vec![0, 1, 2, 3]);
     }
 
@@ -747,7 +732,7 @@ mod tests {
         // a clamped value of 1 is valid for any concurrently-built team.
         std::env::set_var("HIPMER_THREADS", "0");
         let team = Team::new(Topology::new(3, 2));
-        let (results, _) = team.run(|ctx| ctx.rank);
+        let (results, _) = team.run_named("test/zero-threads-env", |ctx| ctx.rank);
         std::env::remove_var("HIPMER_THREADS");
         assert_eq!(results, vec![0, 1, 2]);
     }

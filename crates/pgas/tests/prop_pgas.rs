@@ -236,7 +236,7 @@ proptest! {
     #[test]
     fn team_results_ordered_by_rank(ranks in 1usize..64, threads in 1usize..6) {
         let team = Team::new(Topology::new(ranks, 8)).with_os_threads(threads);
-        let (out, stats) = team.run(|ctx| ctx.rank * 3);
+        let (out, stats) = team.run_named("test/rank-order", |ctx| ctx.rank * 3);
         prop_assert_eq!(out, (0..ranks).map(|r| r * 3).collect::<Vec<_>>());
         prop_assert_eq!(stats.len(), ranks);
     }

@@ -1,5 +1,5 @@
 //! Sequence I/O: FASTQ/FASTA records, parsers and writers, and the
-//! parallel block FASTQ reader of §3.3.
+//! parallel block FASTQ reader of §3.3. Reads come in as FASTQ only.
 //!
 //! The paper replaced its earlier SeqDB/HDF5 input path with a parallel
 //! FASTQ reader so end users would not have to convert their files; the
@@ -15,10 +15,8 @@ pub mod fasta;
 pub mod fastq;
 pub mod record;
 pub mod scan;
-pub mod seqdb;
 
 pub use block::{read_fastq_parallel, FastqSplit};
 pub use fasta::{parse_fasta, write_fasta};
 pub use fastq::{parse_fastq, parse_fastq_complete, write_fastq, FastqScanner, RawRecord};
 pub use record::SeqRecord;
-pub use seqdb::{read_seqdb_parallel, write_seqdb};

@@ -1,15 +1,15 @@
 //! Property tests for sequence I/O: round-trips, the parallel reader's
 //! exact-partition guarantee under arbitrary record shapes (and its
 //! agreement with the sequential parse on ids, sequences and qualities
-//! full of `@` and `+`), and FASTQ parsers and a SeqDB reader that answer
-//! `Ok` or `Err` to any bytes.
+//! full of `@` and `+`), and FASTQ parsers that answer `Ok` or `Err` to
+//! any bytes.
 
 use hipmer_dna::BASES;
 use hipmer_pgas::{Team, Topology};
 use hipmer_seqio::fastq::parse_fastq_reference;
 use hipmer_seqio::{
-    parse_fasta, parse_fastq, parse_fastq_complete, read_fastq_parallel, read_seqdb_parallel,
-    write_fasta, write_fastq, write_seqdb, SeqRecord,
+    parse_fasta, parse_fastq, parse_fastq_complete, read_fastq_parallel, write_fasta, write_fastq,
+    SeqRecord,
 };
 use proptest::prelude::*;
 
@@ -37,21 +37,6 @@ fn marker_record_strategy() -> impl Strategy<Value = (Vec<u8>, u8, Vec<u8>, Vec<
     )
 }
 
-/// Records with `N`s and several quality runs, so every SeqDB field is
-/// exercised.
-fn seqdb_record_strategy() -> impl Strategy<Value = SeqRecord> {
-    (
-        "[a-z0-9 ]{0,12}",
-        prop::collection::vec(prop::sample::select(&b"ACGTN"[..]), 0..90),
-        prop::collection::vec(prop::sample::select(&b"#5I"[..]), 90),
-    )
-        .prop_map(|(id, seq, qual)| SeqRecord {
-            id,
-            qual: Some(qual[..seq.len()].to_vec()),
-            seq,
-        })
-}
-
 /// Any byte value, with the FASTQ structural bytes (`@`, `+`, newline)
 /// drawn about as often as all the others together, so that arbitrary
 /// input often gets past the header check into the record grammar.
@@ -73,18 +58,6 @@ fn read_fastq_bytes(bytes: &[u8], ranks: usize, case: u64) -> std::io::Result<Ve
     Ok(got?.0.into_iter().flatten().collect())
 }
 
-/// Write `bytes` as a SeqDB file and read it back on `ranks` ranks.
-fn read_seqdb_bytes(bytes: &[u8], ranks: usize, case: u64) -> std::io::Result<Vec<SeqRecord>> {
-    let dir = std::env::temp_dir().join(format!("hipmer-prop-seqdb-{}-{case}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("reads.seqdb");
-    std::fs::write(&path, bytes).unwrap();
-    let team = Team::new(Topology::new(ranks, 2));
-    let got = read_seqdb_parallel(&team, &path);
-    std::fs::remove_dir_all(&dir).ok();
-    Ok(got?.0.into_iter().flatten().collect())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -102,47 +75,6 @@ proptest! {
         }
         let _ = parse_fastq_complete(&buf);
         let _ = read_fastq_bytes(&buf, ranks, case);
-    }
-
-    #[test]
-    fn seqdb_reader_never_panics_on_a_corrupted_file(
-        records in prop::collection::vec(seqdb_record_strategy(), 0..30),
-        ranks in 1usize..6,
-        cut in any::<u64>(),
-        flip_at in any::<u64>(),
-        flip in 1u8..=255,
-        word_at in any::<u64>(),
-        word in any::<u64>(),
-        tail in prop::collection::vec(any::<u8>(), 0..64),
-        case in any::<u64>(),
-    ) {
-        // A valid file round-trips...
-        let dir = std::env::temp_dir().join(format!(
-            "hipmer-prop-seqdb-src-{}-{case}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("valid.seqdb");
-        write_seqdb(&path, &records).unwrap();
-        let valid = std::fs::read(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        prop_assert_eq!(read_seqdb_bytes(&valid, ranks, case).unwrap(), records);
-
-        // ...and a truncation, a flipped byte, an overwritten 64-bit word
-        // (header and index fields are u64) and an arbitrary tail each give
-        // `Ok` or `Err`: returning at all is the property.
-        let len = valid.len() as u64;
-        let mut flipped = valid.clone();
-        flipped[(flip_at % len) as usize] ^= flip;
-        let mut overwritten = valid.clone();
-        let at = (word_at % (len - 7)) as usize;
-        overwritten[at..at + 8].copy_from_slice(&word.to_le_bytes());
-        let keep = (cut % len) as usize;
-        let mut tailed = valid[..keep].to_vec();
-        tailed.extend_from_slice(&tail);
-        for bytes in [&valid[..keep], &flipped[..], &overwritten[..], &tailed[..]] {
-            let _ = read_seqdb_bytes(bytes, ranks, case);
-        }
     }
 
     #[test]

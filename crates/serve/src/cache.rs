@@ -9,7 +9,7 @@
 //! cache/<key>/
 //!   checkpoints/       HMCP stage artifacts (written by the pipeline)
 //!   scaffolds.fasta    final assembly       \
-//!   report.json        schema-v5 report      } outputs
+//!   report.json        pipeline report       } outputs
 //!   trace.json         chrome trace         /
 //!   done.json          completeness marker, written last (atomically)
 //! ```

@@ -336,7 +336,7 @@ fn encoded_contig(seq: &[u8]) -> Vec<u8> {
 
 // Well-formed, checksum-consistent artifacts whose *content* the stages
 // downstream cannot take: `compute_depths` slices `seq[off..off + k]` and
-// packs `seq[..k]` inside `Team::run`, where a panic is a process abort.
+// packs `seq[..k]` inside `Team::run_named`, where a panic is a process abort.
 #[test]
 fn contigs_the_scaffolder_cannot_read_are_rejected() {
     let good = b"ACGTTGCAACGTTGCAACGTTGCAAC";
