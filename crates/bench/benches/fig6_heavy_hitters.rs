@@ -10,7 +10,7 @@
 //!   limits scaling at the top end.
 
 use hipmer_bench::{banner, efficiency, fast, model, scaled};
-use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
+use hipmer_kanalysis::{analyze_kmers, sketch_reads, KmerAnalysisConfig};
 use hipmer_pgas::{CommStats, PhaseReport, Team, Topology};
 use hipmer_readsim::wheat_like_dataset;
 
@@ -50,8 +50,15 @@ fn main() {
         dataset.total_read_bases() / 1_000_000
     );
     println!(
-        "\n{:>7} {:>14} {:>14} {:>9} {:>12} {:>12} {:>8}",
-        "cores", "default (s)", "heavy-hit (s)", "speedup", "comm% dflt", "comm% hh", "io (s)"
+        "\n{:>7} {:>14} {:>14} {:>9} {:>12} {:>12} {:>8} {:>7}",
+        "cores",
+        "default (s)",
+        "heavy-hit (s)",
+        "speedup",
+        "comm% dflt",
+        "comm% hh",
+        "io (s)",
+        "heavy"
     );
 
     // Concurrency sweep scaled to keep items-per-rank in the paper's
@@ -68,6 +75,9 @@ fn main() {
         let team = Team::new(Topology::edison(ranks));
         let mut results = Vec::new();
         let mut comm_fracs = Vec::new();
+        // K-mers the sketch pass calls heavy: a merged count of at least
+        // 1/16 of the mean owner load N/P, a bar that falls as P grows.
+        let mut heavy = 0;
         for use_hh in [false, true] {
             let mut cfg = KmerAnalysisConfig::new(31);
             cfg.use_heavy_hitters = use_hh;
@@ -75,6 +85,9 @@ fn main() {
             // k-mer volume (and well inside the paper's 1K-64K
             // insensitivity sweep, reproduced in the ablations bench).
             cfg.theta = 4096;
+            if use_hh {
+                heavy = sketch_reads(&team, &reads, &cfg).0.heavy_hitters.len();
+            }
             let (spectrum, reports) = analyze_kmers(&team, &reads, &cfg);
             let (secs, io) = kmer_analysis_seconds(&reports, read_bytes, ranks);
             // Communication share: priced comm seconds / total.
@@ -106,14 +119,15 @@ fn main() {
             base = Some(((ranks, t_default), (ranks, t_hh)));
         }
         println!(
-            "{:>7} {:>14.3} {:>14.3} {:>8.2}x {:>11.1}% {:>11.1}% {:>8.3}",
+            "{:>7} {:>14.3} {:>14.3} {:>8.2}x {:>11.1}% {:>11.1}% {:>8.3} {:>7}",
             ranks,
             t_default,
             t_hh,
             t_default / t_hh,
             100.0 * comm_fracs[0],
             100.0 * comm_fracs[1],
-            io
+            io,
+            heavy
         );
     }
     let _ = base.map(|(bd, _)| efficiency(bd, bd));

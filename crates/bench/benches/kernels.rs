@@ -342,11 +342,15 @@ fn bench_hash_and_sketches(c: &mut Criterion) {
             black_box(h.estimate())
         })
     });
-    g.bench_function("misra_gries_100k_theta1k", |b| {
+    // One human rank's share of the sketch pass: ~350 k occurrences of
+    // mostly distinct k-mers through the paper's θ = 32,000, so the table
+    // fills, and a full-table miss steps every counter down a few times.
+    g.throughput(Throughput::Elements(350_000));
+    g.bench_function("misra_gries_350k_theta32k", |b| {
         b.iter(|| {
-            let mut mg: MisraGries<u64> = MisraGries::new(1_000);
-            for i in 0..100_000u64 {
-                mg.observe(i % 7_919);
+            let mut mg: MisraGries<u64> = MisraGries::new(32_000);
+            for i in 0..350_000u64 {
+                mg.observe(hipmer_dna::mix64(i % 300_000));
             }
             black_box(mg.stream_len())
         })

@@ -104,20 +104,27 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array.
+    fn take_array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn u8(&mut self) -> io::Result<u8> {
         Ok(self.take(1)?[0])
     }
     fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.take_array().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take_array().map(u64::from_le_bytes)
     }
     fn u128(&mut self) -> io::Result<u128> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+        self.take_array().map(u128::from_le_bytes)
     }
     fn i64(&mut self) -> io::Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.take_array().map(i64::from_le_bytes)
     }
     fn f64(&mut self) -> io::Result<f64> {
         Ok(f64::from_bits(self.u64()?))

@@ -240,7 +240,6 @@ mod tests {
         cfg.kanalysis = KmerAnalysisConfig {
             k: 55,
             theta: 77,
-            hh_min_reported: 9,
             use_heavy_hitters: false,
             use_bloom: false,
             agg_batch: 3,
@@ -257,13 +256,12 @@ mod tests {
         let KmerAnalysisConfig {
             k,
             theta,
-            hh_min_reported,
             use_heavy_hitters,
             use_bloom,
             agg_batch,
         } = ka;
         assert_eq!(k, 21);
-        assert_eq!((theta, hh_min_reported, agg_batch), (77, 9, 3));
+        assert_eq!((theta, agg_batch), (77, 3));
         assert!(!use_heavy_hitters && !use_bloom);
         let ContigConfig {
             oracle: round_oracle,
@@ -277,7 +275,7 @@ mod tests {
         assert_eq!(cfg.contig.prune_depth_floor, 0.0);
     }
 
-    /// The whole option surface: 15 independently settable values, of
+    /// The whole option surface: 14 independently settable values, of
     /// which `ScaffoldConfig.schedule` has one value only (its type stays
     /// for the benchmark crate; see `hipmer_pgas::Schedule`). Every
     /// struct is destructured without `..`, so a new field does not compile
@@ -304,16 +302,12 @@ mod tests {
         let KmerAnalysisConfig {
             k: analysis_k,     // round_stage_configs
             theta,             // fig6_heavy_hitters
-            hh_min_reported,   // small inputs reaching the heavy-hitter path
             use_heavy_hitters, // fig6_heavy_hitters, ablations
             use_bloom,         // ablations
             agg_batch,         // ablations
         } = kanalysis;
         assert_eq!(analysis_k, 31);
-        assert_eq!(
-            (theta, hh_min_reported, agg_batch),
-            (32_000, 2, DEFAULT_BATCH)
-        );
+        assert_eq!((theta, agg_batch), (32_000, DEFAULT_BATCH));
         assert!(use_heavy_hitters && use_bloom);
         let ContigConfig {
             oracle,            // table1_oracle_traversal

@@ -11,15 +11,13 @@ pub struct KmerAnalysisConfig {
     /// K-mer length.
     pub k: usize,
     /// Misra–Gries summary capacity (θ). The paper uses 32,000 and reports
-    /// <10% sensitivity over 1K–64K.
+    /// <10% sensitivity over 1K–64K. A merged count undershoots the truth
+    /// by at most `N/θ` over a stream of `N` occurrences.
     pub theta: usize,
-    /// Treat k-mers whose Misra–Gries lower-bound count is at least this as
-    /// heavy hitters. The paper treats k-mers with reported count
-    /// `f'(x) > 1` specially (anything the summary retains with evidence of
-    /// repetition); raising it shrinks the special set.
-    pub hh_min_reported: u64,
     /// Master switch for the heavy-hitter optimization (Fig. 6's
-    /// "Default" vs "Heavy Hitters").
+    /// "Default" vs "Heavy Hitters"). A k-mer is heavy when its merged
+    /// Misra–Gries count reaches 1/16 of the mean owner load `N/P` over
+    /// `P` ranks, the share at which one k-mer can unbalance its owner.
     pub use_heavy_hitters: bool,
     /// Use Bloom filters to keep singletons out of the table (§3.1;
     /// ablation: without them every k-mer gets an entry).
@@ -34,7 +32,6 @@ impl KmerAnalysisConfig {
         KmerAnalysisConfig {
             k,
             theta: 32_000,
-            hh_min_reported: 2,
             use_heavy_hitters: true,
             use_bloom: true,
             agg_batch: DEFAULT_BATCH,

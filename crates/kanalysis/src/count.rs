@@ -358,7 +358,16 @@ mod tests {
 
     #[test]
     fn exact_counts_match_brute_force() {
-        let genome = lcg_genome(2000, 7);
+        // Unique flanks around a 25-base unit repeated 60 times: each of the
+        // unit's k-mers occurs 720 times, above the heavy-hitter threshold
+        // N/(16·P) = 643 of this 41,100-occurrence stream, so the heavy
+        // path runs.
+        let mut genome = lcg_genome(1000, 7);
+        let unit = lcg_genome(25, 11);
+        for _ in 0..60 {
+            genome.extend_from_slice(&unit);
+        }
+        genome.extend(lcg_genome(1000, 13));
         let mut reads = perfect_reads(&genome, 80, 4);
         // Every third read comes from the other strand, and every fifth has
         // three bases below `min_qual`: its first, its last (neighbours of
@@ -461,14 +470,15 @@ mod tests {
         }
     }
 
-    /// A genome with a 60-base unit repeated 40 times (heavy hitters at
-    /// θ = 256), tiled by reads of which every third is reverse-complemented
-    /// and every fifth has two low-quality bases, plus one stray read whose
-    /// k-mers are singletons.
+    /// A genome with a 30-base unit repeated 80 times (its k-mers are heavy
+    /// hitters at θ = 256 over 8 ranks: each stays above N/(16·8) after the
+    /// summary's N/θ undercount), tiled by reads of which every third is
+    /// reverse-complemented and every fifth has two low-quality bases, plus
+    /// one stray read whose k-mers are singletons.
     fn differential_reads() -> Vec<SeqRecord> {
-        let unit = lcg_genome(60, 3);
+        let unit = lcg_genome(30, 3);
         let mut genome = lcg_genome(900, 23);
-        for _ in 0..40 {
+        for _ in 0..80 {
             genome.extend_from_slice(&unit);
         }
         genome.extend(lcg_genome(900, 29));
@@ -524,10 +534,11 @@ mod tests {
             {
                 let mut cfg = KmerAnalysisConfig::new(k);
                 cfg.theta = 256;
-                cfg.hh_min_reported = 50;
                 cfg.use_bloom = use_bloom;
                 cfg.use_heavy_hitters = use_hh;
                 let what = format!("k={k} bloom={use_bloom} hh={use_hh}");
+                let (sketch, _) = sketch_reads(&team, &reads, &cfg);
+                assert_eq!(sketch.heavy_hitters.is_empty(), !use_hh, "{what}");
                 let narrow = keyed_run::<Kmer64>(&team, &reads, &cfg);
                 let wide = keyed_run::<Kmer>(&team, &reads, &cfg);
                 assert!(narrow.0.len() > 1000, "{what}: {}", narrow.0.len());
@@ -670,11 +681,13 @@ mod tests {
 
     #[test]
     fn heavy_hitter_path_gives_identical_counts() {
-        // A genome with a massive tandem repeat; run with and without the
-        // heavy-hitter optimization and compare tables exactly.
-        let unit = lcg_genome(60, 3);
+        // A genome with a massive tandem repeat, whose 30 k-mers each hold
+        // ~3 % of the stream, nearly twice the heavy-hitter threshold N/(16·P);
+        // run with and without the heavy-hitter optimization and compare
+        // tables exactly.
+        let unit = lcg_genome(30, 3);
         let mut genome = lcg_genome(1000, 5);
-        for _ in 0..200 {
+        for _ in 0..400 {
             genome.extend_from_slice(&unit);
         }
         genome.extend(lcg_genome(1000, 6));
@@ -683,7 +696,8 @@ mod tests {
 
         let mut cfg_on = KmerAnalysisConfig::new(21);
         cfg_on.theta = 256;
-        cfg_on.hh_min_reported = 50;
+        let (sketch, _) = sketch_reads(&team, &reads, &cfg_on);
+        assert_eq!(sketch.heavy_hitters.len(), 30);
         let mut cfg_off = cfg_on.clone();
         cfg_off.use_heavy_hitters = false;
 
@@ -713,7 +727,6 @@ mod tests {
         let hottest_service = |use_hh: bool| -> u64 {
             let mut cfg = KmerAnalysisConfig::new(21);
             cfg.theta = 256;
-            cfg.hh_min_reported = 50;
             cfg.use_heavy_hitters = use_hh;
             let (_, reports) = analyze_kmers(&team, &reads, &cfg);
             reports

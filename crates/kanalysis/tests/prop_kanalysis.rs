@@ -3,7 +3,7 @@
 //! toggles must never change results.
 
 use hipmer_dna::{Kmer, KmerCodec, KmerHashMap, BASES};
-use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig, KmerSpectrum};
+use hipmer_kanalysis::{analyze_kmers, sketch_reads, KmerAnalysisConfig, KmerSpectrum};
 use hipmer_pgas::{Team, Topology};
 use hipmer_seqio::SeqRecord;
 use proptest::prelude::*;
@@ -60,11 +60,19 @@ proptest! {
 
     #[test]
     fn toggles_do_not_change_results(
-        reads in reads_strategy(),
+        mut reads in reads_strategy(),
+        unit in prop::collection::vec(prop::sample::select(&BASES[..]), 21..25),
         use_bloom in any::<bool>(),
         use_hh in any::<bool>(),
         batch in 1usize..512,
     ) {
+        // A hundred reads tiling a unit of at most 24 bases: each of its
+        // k-mers occurs at least 400 times in at most 18,000 occurrences,
+        // above N/(16·P) = 225 even after θ = 128's N/θ = 141 undercount.
+        let tandem: Vec<u8> = unit.iter().copied().cycle().take(120).collect();
+        for i in 0..100 {
+            reads.push(SeqRecord::with_uniform_quality(format!("t{i}"), tandem.clone(), 35));
+        }
         let team = Team::new(Topology::new(5, 3));
         let base = KmerAnalysisConfig::new(21);
         let mut varied = base.clone();
@@ -72,7 +80,8 @@ proptest! {
         varied.use_heavy_hitters = use_hh;
         varied.agg_batch = batch;
         varied.theta = 128;
-        varied.hh_min_reported = 2;
+        let (sketch, _) = sketch_reads(&team, &reads, &varied);
+        prop_assert_eq!(sketch.heavy_hitters.is_empty(), !use_hh);
         let (s1, _) = analyze_kmers(&team, &reads, &base);
         let (s2, _) = analyze_kmers(&team, &reads, &varied);
         let counts = |s: KmerSpectrum| -> Vec<(Kmer, u32)> {

@@ -291,7 +291,8 @@ impl Team {
     /// one thread from step to step. Each step is traced as a phase named
     /// `label`, and an injected rank failure aborts the stage after the
     /// step it happened in, as in [`run_named`](Self::run_named). This is
-    /// the phase runner of owner-applied writes ([`crate::Exchange`]).
+    /// the phase runner of owner-applied writes ([`crate::Exchange`]) and of
+    /// reductions that merge up a tree of ranks.
     pub fn run_supersteps<F>(&self, label: &str, body: F) -> Vec<CommStats>
     where
         F: Fn(&mut RankCtx, usize) -> bool + Sync,
@@ -324,13 +325,17 @@ impl Team {
         };
 
         // After each step every worker publishes whether one of its ranks
-        // wants another step, in the slot of the step's parity: a slot is
-        // rewritten two steps later, after every reader has passed the
-        // next step's barrier. `stop` is set once a rank fails or panics.
+        // wants another step and whether one failed or panicked, in the
+        // slots of the step's parity: a slot is rewritten two steps later,
+        // after every reader has passed the next step's barrier. So every
+        // worker reads the same flags and all stop after the same step (a
+        // flag shared across steps could be set by a fast worker's next
+        // step before a slow one read it for this one, and strand the fast
+        // worker at a barrier nobody else reaches).
         let launch = Instant::now();
         let barrier = std::sync::Barrier::new(workers);
         let go_on: Vec<[AtomicBool; 2]> = (0..workers).map(|_| Default::default()).collect();
-        let stop = AtomicBool::new(false);
+        let failed: Vec<[AtomicBool; 2]> = (0..workers).map(|_| Default::default()).collect();
 
         // One worker's share of the phase: run its ranks in order, step
         // after step, and record the sampled ranks' spans in one batch per
@@ -381,15 +386,15 @@ impl Team {
                 if let Some(recorder) = recorder.filter(|_| !spans.is_empty()) {
                     recorder.record(spans);
                 }
-                if out.failure.is_some() || out.panic.is_some() {
-                    stop.store(true, Ordering::Relaxed);
-                }
+                let fail = out.failure.is_some() || out.panic.is_some();
+                failed[w][step % 2].store(fail, Ordering::Relaxed);
                 go_on[w][step % 2].store(more, Ordering::Relaxed);
                 if workers > 1 {
                     barrier.wait();
                 }
                 let more = go_on.iter().any(|g| g[step % 2].load(Ordering::Relaxed));
-                if stop.load(Ordering::Relaxed) || !more {
+                let stop = failed.iter().any(|f| f[step % 2].load(Ordering::Relaxed));
+                if stop || !more {
                     break;
                 }
             }
@@ -577,6 +582,40 @@ mod tests {
             aborted_ranks,
             vec![aborted_ranks[0]; 3],
             "same aborting rank at 1, 4, and 8 OS threads"
+        );
+    }
+
+    /// A rank that fails in a later superstep must stop every worker after
+    /// that step. Rank 0's first step is slow, so its worker reaches the
+    /// barrier last and runs on while the other is still waking; it then
+    /// fails at once. Every worker must still agree to stop after step 1.
+    #[test]
+    fn a_failure_after_the_first_superstep_stops_every_worker() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let team = Team::new(Topology::new(2, 2)).with_os_threads(2);
+            for _ in 0..20 {
+                let outcome = fault::catch_stage_abort(|| {
+                    team.run_supersteps("test/late-failure", |ctx, step| {
+                        if ctx.rank == 0 && step == 0 {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        if ctx.rank == 0 && step == 1 {
+                            FaultPlan::fail_rank(0, FailureCause::Injected);
+                        }
+                        step < 3
+                    })
+                });
+                assert_eq!(outcome.expect_err("rank 0 failed").rank, 0);
+            }
+            done.send(()).unwrap();
+        });
+        let waited = finished.recv_timeout(Duration::from_secs(60));
+        assert!(
+            waited.is_ok(),
+            "a worker waits at a barrier nobody else reaches"
         );
     }
 

@@ -15,24 +15,31 @@
 //! the concatenated stream, which is how the parallel version (Cafaro &
 //! Tempesta \[7\]) works.
 
-use hipmer_dna::KmerHashMap;
-use std::hash::Hash;
+use hipmer_dna::KmerBuildHasher;
+use std::hash::{BuildHasher, Hash};
 
 /// A Misra–Gries summary with at most `capacity` counters.
 ///
-/// The counters hash with the repo's deterministic [`KmerHashMap`] hasher, as
-/// every table around the summary does: the sketch pass observes one item
-/// per k-mer occurrence, so the hash is its whole cost, and a fixed hash
-/// makes the map's iteration order repeat from run to run.
+/// The counters live in one flat open-addressed table of `2θ` slots
+/// rounded up to a power of two, probed linearly from the key's
+/// [`KmerBuildHasher`] hash; a count of 0 marks an empty slot. A slot only
+/// empties when every counter steps down, and that rebuilds the table, so
+/// a probe stops at the first empty slot and an observed item costs one
+/// probe. The hash is the one every table around the summary uses:
+/// deterministic, so the slot order — and with it [`items`](Self::items) —
+/// repeats from run to run.
 #[derive(Clone, Debug)]
-pub struct MisraGries<K: Eq + Hash + Clone> {
+pub struct MisraGries<K> {
     capacity: usize,
-    counters: KmerHashMap<K, u64>,
+    /// `(item, count)`; the item is meaningless where the count is 0.
+    slots: Vec<(K, u64)>,
+    /// Live counters: slots with a non-zero count.
+    len: usize,
     /// Total stream length observed (for the error bound).
     n: u64,
 }
 
-impl<K: Eq + Hash + Clone> MisraGries<K> {
+impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
     /// A summary with `capacity` (θ) counter slots.
     ///
     /// # Panics
@@ -41,7 +48,8 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
         assert!(capacity > 0, "capacity must be positive");
         MisraGries {
             capacity,
-            counters: KmerHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
+            slots: vec![(K::default(), 0); (2 * capacity).next_power_of_two()],
+            len: 0,
             n: 0,
         }
     }
@@ -56,25 +64,52 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
         self.n
     }
 
+    /// The hash [`observe_hashed`](Self::observe_hashed) expects of `item`.
+    #[inline]
+    pub fn item_hash(item: &K) -> u64 {
+        KmerBuildHasher::default().hash_one(item)
+    }
+
     /// Observe one item (weight 1).
     #[inline]
     pub fn observe(&mut self, item: K) {
-        self.observe_weighted(item, 1);
+        self.observe_hashed(item, Self::item_hash(&item));
+    }
+
+    /// Observe one item whose [`item_hash`](Self::item_hash) the caller
+    /// already has (for a k-mer, `mix128` of its bits, which also feeds
+    /// HyperLogLog).
+    #[inline]
+    pub fn observe_hashed(&mut self, item: K, hash: u64) {
+        debug_assert_eq!(hash, Self::item_hash(&item), "hash of a different item");
+        self.n += 1;
+        let slot = self.probe(item, hash);
+        if self.slots[slot].1 > 0 {
+            self.slots[slot].1 += 1;
+        } else if self.len < self.capacity {
+            self.slots[slot] = (item, 1);
+            self.len += 1;
+        } else {
+            // Summary full: the item and one unit of every counter cancel.
+            self.decrement(1);
+        }
     }
 
     /// Observe an item with weight `w` (used when merging pre-counted
     /// chunks). A zero weight observes nothing.
     pub fn observe_weighted(&mut self, item: K, w: u64) {
+        let hash = Self::item_hash(&item);
         self.n += w;
         let mut rem = w;
         while rem > 0 {
-            // Below capacity a tracked and an untracked item are one probe.
-            if self.counters.len() < self.capacity {
-                *self.counters.entry(item).or_insert(0) += rem;
+            let slot = self.probe(item, hash);
+            if self.slots[slot].1 > 0 {
+                self.slots[slot].1 += rem;
                 return;
             }
-            if let Some(c) = self.counters.get_mut(&item) {
-                *c += rem;
+            if self.len < self.capacity {
+                self.slots[slot] = (item, rem);
+                self.len += 1;
                 return;
             }
             // Summary full: decrement everything by the smallest amount that
@@ -82,12 +117,48 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
             // item; the weighted generalization decrements by
             // min(w, min counter) and goes round again with the remainder,
             // which then finds the freed slot).
-            let dec = rem.min(*self.counters.values().min().expect("non-empty"));
-            self.counters.retain(|_, c| {
-                *c -= dec;
-                *c > 0
-            });
+            let min = self.live().map(|&(_, c)| c).min().expect("full");
+            let dec = rem.min(min);
+            self.decrement(dec);
             rem -= dec;
+        }
+    }
+
+    /// The slot holding `item`, or the empty slot ending its probe.
+    #[inline]
+    fn probe(&self, item: K, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let (key, count) = self.slots[i];
+            if count == 0 || key == item {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The live `(item, count)` slots, in slot order.
+    fn live(&self) -> impl Iterator<Item = &(K, u64)> {
+        self.slots.iter().filter(|s| s.1 > 0)
+    }
+
+    /// Subtract `dec` from every counter and rebuild the table from the
+    /// ones still positive, so no probe chain keeps a hole. On a mostly
+    /// distinct stream almost nothing survives, so the scan's branch
+    /// predicts well.
+    fn decrement(&mut self, dec: u64) {
+        let mut survivors: Vec<(K, u64)> = Vec::new();
+        for slot in &mut self.slots {
+            if slot.1 > dec {
+                survivors.push((slot.0, slot.1 - dec));
+            }
+            slot.1 = 0;
+        }
+        self.len = survivors.len();
+        for (item, count) in survivors {
+            let slot = self.probe(item, Self::item_hash(&item));
+            self.slots[slot] = (item, count);
         }
     }
 
@@ -98,43 +169,64 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
 
     /// All currently-tracked items with their lower-bound counts.
     pub fn items(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.counters.iter().map(|(k, &c)| (k, c))
+        self.live().map(|(k, c)| (k, *c))
     }
 
     /// Items whose lower-bound count is at least `min_count`. Guaranteed to
     /// contain every item with true frequency ≥ `min_count + error_bound()`.
     /// Sorted by descending count, ties by ascending item, so a truncated
-    /// prefix does not depend on `HashMap` iteration order.
+    /// prefix does not depend on the table's slot order.
     pub fn heavy_hitters(&self, min_count: u64) -> Vec<(K, u64)>
     where
         K: Ord,
     {
-        let mut out: Vec<(K, u64)> = self
-            .counters
-            .iter()
-            .filter(|(_, &c)| c >= min_count)
-            .map(|(k, &c)| (k.clone(), c))
-            .collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut out: Vec<(K, u64)> = self.live().filter(|s| s.1 >= min_count).copied().collect();
+        out.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
     }
 
-    /// Merge another summary into this one (mergeable-summaries property).
+    /// Merge another summary into this one (mergeable summaries, Agarwal et
+    /// al.): add the counters up, then subtract the (θ+1)-th largest count
+    /// from every counter and keep the positive ones. The merged counts
+    /// keep `f − N/θ ≤ f' ≤ f` over the concatenated stream: a prune by
+    /// `c` drops at least `(θ+1)·c` from the counters' total.
     pub fn merge(&mut self, other: &MisraGries<K>) {
-        // Absorb the other side's counters, then prune back to capacity by
-        // subtracting the (capacity+1)-th largest count from everything.
-        for (k, &c) in other.counters.iter() {
-            *self.counters.entry(k.clone()).or_insert(0) += c;
-        }
         self.n += other.n;
-        if self.counters.len() > self.capacity {
-            let mut counts: Vec<u64> = self.counters.values().copied().collect();
-            counts.sort_unstable_by(|a, b| b.cmp(a));
-            let cutoff = counts[self.capacity];
-            self.counters.retain(|_, c| {
-                *c = c.saturating_sub(cutoff);
-                *c > 0
-            });
+        // Add the other side's counters in, and set aside the items this
+        // table does not track (distinct from each other and from this
+        // table's items). Both loops avoid a branch per slot or per item:
+        // on a summary of mixed hits and misses it would mispredict.
+        let mut theirs = vec![(K::default(), 0); other.len + 1];
+        let mut m = 0;
+        for &slot in &other.slots {
+            theirs[m] = slot;
+            m += usize::from(slot.1 > 0);
+        }
+        let mut untracked = vec![(K::default(), 0, 0); m];
+        let mut u = 0;
+        for &(item, count) in &theirs[..m] {
+            let hash = Self::item_hash(&item);
+            let slot = self.probe(item, hash);
+            let tracked = self.slots[slot].1 > 0;
+            self.slots[slot].1 += if tracked { count } else { 0 };
+            untracked[u] = (item, hash, count);
+            u += usize::from(!tracked);
+        }
+        untracked.truncate(u);
+        if self.len + u > self.capacity {
+            // The (θ+1)-th largest count; the empty slots' zeros sort below.
+            let mut counts: Vec<u64> = self.slots.iter().map(|s| s.1).collect();
+            counts.extend(untracked.iter().map(|s| s.2));
+            let at = counts.len() - 1 - self.capacity;
+            let cutoff = *counts.select_nth_unstable(at).1;
+            self.decrement(cutoff);
+            untracked.retain(|s| s.2 > cutoff);
+            untracked.iter_mut().for_each(|s| s.2 -= cutoff);
+        }
+        self.len += untracked.len();
+        for (item, hash, count) in untracked {
+            let slot = self.probe(item, hash);
+            self.slots[slot] = (item, count);
         }
     }
 }
@@ -232,9 +324,8 @@ mod tests {
         for &x in &stream {
             *truth.entry(x).or_insert(0) += 1;
         }
-        // Mergeable-summary guarantee: error ≤ N/θ over the whole stream
-        // (we allow 2x slack for the simple merge-prune implementation).
-        let bound = 2 * merged.error_bound();
+        // Mergeable-summary guarantee: error ≤ N/θ over the whole stream.
+        let bound = merged.error_bound();
         for (k, reported) in merged.items() {
             let t = truth[k];
             assert!(reported <= t);

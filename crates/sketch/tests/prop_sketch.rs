@@ -5,7 +5,98 @@ use hipmer_sketch::{BloomFilter, CountHistogram, HyperLogLog, MisraGries};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
+/// The summary [`MisraGries`] must hold, counter for counter, spelled over
+/// a `HashMap`: weighted observes that decrement by `min(weight, smallest
+/// counter)` when full, and merges that prune by the (θ+1)-th count.
+struct Model {
+    theta: usize,
+    counters: HashMap<u64, u64>,
+}
+
+impl Model {
+    fn observe(&mut self, x: u64, w: u64) {
+        let mut rem = w;
+        while rem > 0 {
+            if let Some(c) = self.counters.get_mut(&x) {
+                *c += rem;
+                return;
+            }
+            if self.counters.len() < self.theta {
+                self.counters.insert(x, rem);
+                return;
+            }
+            let dec = rem.min(*self.counters.values().min().unwrap());
+            self.counters.retain(|_, c| {
+                *c -= dec;
+                *c > 0
+            });
+            rem -= dec;
+        }
+    }
+
+    fn merge(&mut self, other: &Model) {
+        for (&x, &c) in &other.counters {
+            *self.counters.entry(x).or_insert(0) += c;
+        }
+        if self.counters.len() > self.theta {
+            let mut counts: Vec<u64> = self.counters.values().copied().collect();
+            counts.sort_unstable_by(|a, b| b.cmp(a));
+            let cutoff = counts[self.theta];
+            self.counters.retain(|_, c| {
+                *c = c.saturating_sub(cutoff);
+                *c > 0
+            });
+        }
+    }
+}
+
+fn counters(mg: &MisraGries<u64>) -> HashMap<u64, u64> {
+    mg.items().map(|(&k, c)| (k, c)).collect()
+}
+
 proptest! {
+    #[test]
+    fn misra_gries_equals_the_hashmap_model(
+        s1 in prop::collection::vec((0u64..120, 1u64..40), 1..600),
+        s2 in prop::collection::vec((0u64..120, 1u64..40), 1..600),
+        unit_weights in any::<bool>(),
+        theta in 1usize..24,
+    ) {
+        // 120 keys over at most 64 slots: probes collide, the table
+        // overflows θ, unit streams decrement again and again, and weights
+        // up to 39 exceed the smallest counter.
+        let mut parts = Vec::new();
+        let mut truth: HashMap<u64, u64> = HashMap::new();
+        for stream in [&s1, &s2] {
+            let mut mg = MisraGries::new(theta);
+            let mut model = Model { theta, counters: HashMap::new() };
+            for &(x, w) in stream {
+                let w = if unit_weights { 1 } else { w };
+                if w == 1 {
+                    mg.observe(x);
+                } else {
+                    mg.observe_weighted(x, w);
+                }
+                model.observe(x, w);
+                *truth.entry(x).or_insert(0) += w;
+                prop_assert_eq!(&counters(&mg), &model.counters);
+            }
+            parts.push((mg, model));
+        }
+        let (b, b_model) = parts.pop().unwrap();
+        let (mut a, mut a_model) = parts.pop().unwrap();
+        a.merge(&b);
+        a_model.merge(&b_model);
+        prop_assert_eq!(&counters(&a), &a_model.counters);
+        // The merged summary keeps f − N/θ ≤ f' ≤ f over both streams.
+        prop_assert_eq!(a.stream_len(), truth.values().sum::<u64>());
+        let bound = a.error_bound();
+        for (&x, &f) in &truth {
+            let reported = counters(&a).get(&x).copied().unwrap_or(0);
+            prop_assert!(reported <= f && reported + bound >= f, "{x}: {reported} vs {f}");
+        }
+    }
+
     #[test]
     fn bloom_never_false_negative(keys in prop::collection::vec(any::<u64>(), 1..2000)) {
         let mut f = BloomFilter::with_rate(keys.len(), 0.02);
@@ -127,9 +218,14 @@ proptest! {
         for &x in &s2 { b.observe(x); *truth.entry(x).or_insert(0) += 1; }
         a.merge(&b);
         prop_assert_eq!(a.stream_len(), (s1.len() + s2.len()) as u64);
-        // Counts stay lower bounds after a merge.
+        // Counts stay lower bounds, short of the truth by at most N/θ.
+        let bound = a.error_bound();
         for (k, reported) in a.items() {
             prop_assert!(reported <= truth[k]);
+        }
+        for (k, &t) in &truth {
+            let reported = a.items().find(|(x, _)| *x == k).map_or(0, |(_, c)| c);
+            prop_assert!(reported + bound >= t, "{k}: {reported} + {bound} < {t}");
         }
     }
 

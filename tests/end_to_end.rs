@@ -398,13 +398,27 @@ fn kmer_analysis_counters_are_pinned_across_commits() {
     // 3_251_220 = pinned + 24 * 60_064. (The other occurrences the count
     // pass ships are those of the Bloom pass, one vote byte heavier, which
     // pins the partial counts: human 26 * 7 + 137_319 * 18 = 2_471_924.)
+    //
+    // The Bloom, count and finalize rows moved once more when a heavy
+    // hitter came to need a merged count of N/(16·P): on these inputs
+    // that is 2,509 (human) and 2,337 / 2,536 (meta) occurrences, none
+    // reaches it, and every occurrence takes the owner path. The rows now
+    // read exactly what the earlier code read with heavy hitters off. At
+    // the previous pin they read, in the order above, human
+    // [321_084, 13, 0, 156], [321_084, 69, 156_965, 2_471_924],
+    // [24_906, 0, 24_906, 0]; meta round 1 [299_052, 150, 23_695, 185_220],
+    // [299_052, 206, 91_624, 1_101_006], [37_518, 0, 37_518, 0]; round 2
+    // [324_564, 251, 48_781, 493_506], [324_564, 307, 131_394, 1_809_684],
+    // [37_800, 0, 37_800, 0]. (Finalize now also reads the few singletons
+    // the Bloom filters let into the vote table, which heavy k-mers used
+    // to bypass.)
     let human = human_like_dataset(25_000, 16.0, false, 7);
     assert_eq!(
         kmer_analysis_counters(&human, &human.lib_ranges(), &PipelineConfig::new(21)),
         [
             [321_084, 7, 0, 5_490_688],
-            [321_084, 13, 0, 156],
-            [321_084, 69, 156_965, 2_471_924],
+            [321_084, 1_126, 296_176, 1_685_544],
+            [321_084, 1_126, 321_084, 1_966_468],
             [24_906, 0, 24_906, 0],
         ]
     );
@@ -417,13 +431,13 @@ fn kmer_analysis_counters_are_pinned_across_commits() {
         kmer_analysis_counters(&meta, &[all], &cfg),
         [
             [299_052, 7, 0, 5_490_688],
-            [299_052, 150, 23_695, 185_220],
-            [299_052, 206, 91_624, 1_101_006],
-            [37_518, 0, 37_518, 0],
+            [299_052, 1_048, 260_862, 1_571_220],
+            [299_052, 1_048, 299_052, 1_833_090],
+            [37_523, 0, 37_518, 0],
             [324_564, 7, 0, 5_490_688],
-            [324_564, 251, 48_781, 493_506],
-            [324_564, 307, 131_394, 1_809_684],
-            [37_800, 0, 37_800, 0],
+            [324_564, 1_136, 285_527, 2_555_082],
+            [324_564, 1_136, 324_564, 2_838_980],
+            [37_817, 0, 37_800, 0],
         ]
     );
 }
@@ -473,11 +487,20 @@ fn read_phase_counters_are_pinned_across_commits() {
     // through a per-rank node cache that only the probe one step past a
     // walk cap consulted; it never hit, and it is gone. At f237ba7 that
     // column read 2 on human and 0 and 2 on the two meta rounds.
+    //
+    // The traversal rows moved when these inputs stopped having heavy
+    // hitters (see `kmer_analysis_counters_are_pinned_across_commits`):
+    // the vote table is built in another insertion order, so the frozen
+    // graph deals its seeds in another order and the claim walks race
+    // differently, while the contigs stay byte for byte the same. They read
+    // what the earlier code read with heavy hitters off; before, human
+    // read [101_467, 3_380, 21_851, ..] and the meta rounds
+    // [152_071, 5_232, 32_666, ..] and [153_349, 5_138, 32_942, ..].
     let human = human_like_dataset(25_000, 16.0, false, 7);
     assert_eq!(
         read_phase_counters(&human, &human.lib_ranges(), &PipelineConfig::new(21)),
         [
-            ("contig/traversal", [101_467, 3_380, 21_851, 0, 0, 24_834]),
+            ("contig/traversal", [101_319, 3_388, 21_834, 0, 0, 24_834]),
             ("scaffold/depths", [24_834, 163, 1_150, 893, 0, 24_906]),
             ("scaffold/depths", [24_505, 95, 678, 557, 0, 24_906]),
             ("scaffold/gap-closing", [21_448, 14, 90, 40, 0, 100]),
@@ -491,9 +514,9 @@ fn read_phase_counters_are_pinned_across_commits() {
     assert_eq!(
         read_phase_counters(&meta, &[all], &cfg),
         [
-            ("contig/traversal", [152_071, 5_232, 32_666, 0, 0, 37_266]),
+            ("contig/traversal", [152_081, 5_233, 32_666, 0, 0, 37_266]),
             ("contig/prune", [652, 40, 303, 291, 0, 37_518]),
-            ("contig/traversal", [153_349, 5_138, 32_942, 0, 0, 37_655]),
+            ("contig/traversal", [153_425, 5_146, 32_944, 0, 0, 37_655]),
         ]
     );
 }
