@@ -144,18 +144,24 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
     }
 
     /// Subtract `dec` from every counter and rebuild the table from the
-    /// ones still positive, so no probe chain keeps a hole. On a mostly
-    /// distinct stream almost nothing survives, so the scan's branch
-    /// predicts well.
+    /// ones still positive, so no probe chain keeps a hole.
     fn decrement(&mut self, dec: u64) {
-        let mut survivors: Vec<(K, u64)> = Vec::new();
-        for slot in &mut self.slots {
-            if slot.1 > dec {
-                survivors.push((slot.0, slot.1 - dec));
-            }
-            slot.1 = 0;
+        // One pass with no branch per slot (on a merged summary about half
+        // the counters survive, and a branch would mispredict): empty each
+        // slot and write it to position `j ≤ i`, which only a survivor
+        // keeps. Survivors end up packed at the front, the rest empty but
+        // for the last write at `j`.
+        let mut j = 0;
+        for i in 0..self.slots.len() {
+            let (item, count) = self.slots[i];
+            self.slots[i].1 = 0;
+            self.slots[j] = (item, count.wrapping_sub(dec));
+            j += usize::from(count > dec);
         }
-        self.len = survivors.len();
+        self.slots[j].1 = 0;
+        let survivors = self.slots[..j].to_vec();
+        self.slots[..j].iter_mut().for_each(|s| s.1 = 0);
+        self.len = j;
         for (item, count) in survivors {
             let slot = self.probe(item, Self::item_hash(&item));
             self.slots[slot] = (item, count);
@@ -214,8 +220,15 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
         }
         untracked.truncate(u);
         if self.len + u > self.capacity {
-            // The (θ+1)-th largest count; the empty slots' zeros sort below.
-            let mut counts: Vec<u64> = self.slots.iter().map(|s| s.1).collect();
+            // The (θ+1)-th largest of the live counts, packed without a
+            // branch per slot.
+            let mut counts = vec![0; self.len + 1];
+            let mut c = 0;
+            for slot in &self.slots {
+                counts[c] = slot.1;
+                c += usize::from(slot.1 > 0);
+            }
+            counts.truncate(c);
             counts.extend(untracked.iter().map(|s| s.2));
             let at = counts.len() - 1 - self.capacity;
             let cutoff = *counts.select_nth_unstable(at).1;
