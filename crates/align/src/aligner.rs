@@ -1,12 +1,14 @@
 //! The seed-and-extend alignment driver.
 //!
-//! Communication structure (merAligner §4.4): each rank streams its reads'
-//! seed lookups through one [`LookupBatch`] (stage 1), consulting a
-//! per-rank [`SoftwareCache`] of seed hit lists first, then runs the
-//! candidate-clustering and extension logic per read on the resolved lists
-//! (stage 2) with a second cache of contig replicas. Both optimizations are
-//! result-transparent: alignments are byte-identical to one `get` per
-//! seed and one contig fetch per candidate, at fewer messages.
+//! Communication structure (merAligner §4.4): each rank resolves its
+//! reads' seeds in two batched gathers (stage 1), each one
+//! [`FrozenMap::multi_get`] over the distinct keys the rank has not
+//! resolved yet, remembered in a per-rank memo so that no key is fetched
+//! twice. It then runs the candidate-clustering and extension logic per
+//! read on the resolved lists (stage 2) with a [`SoftwareCache`] of contig
+//! replicas. Both optimizations are result-transparent: alignments are
+//! byte-identical to one `get` per seed and one contig fetch per
+//! candidate, at fewer messages.
 //!
 //! Stage 1 resolves each read's *anchor*, its first stride seed, before any
 //! other seed. A read whose anchor occurs once in the contig set, and which
@@ -15,7 +17,7 @@
 //! shortcut**: every one of its seeds would resolve to that one contig, on
 //! that one diagonal, so full resolution would return exactly the
 //! alignment the shortcut emits. Only the other reads resolve their
-//! remaining seeds, through the same cache and batch.
+//! remaining seeds, in the second gather.
 //!
 //! Stage 2 goes block by block (`BLOCK` reads): *plan* each read's top
 //! candidates up to the ungapped test, *batch* every gapped fallback of
@@ -24,13 +26,14 @@
 //! Only the finish touches the contig replica cache and charges compute,
 //! in candidate order up to the read's last accepted alignment, so every
 //! counter is what a read-at-a-time loop gives.
+//!
+//! [`FrozenMap::multi_get`]: hipmer_pgas::FrozenMap::multi_get
 
 use crate::index::{build_seed_index, HitList, SeedIndex};
 use crate::sw::{banded_sw_batch_with, ungapped_matches, SwParams, SwResult, SwWorkspace};
 use hipmer_contig::ContigSet;
-use hipmer_dna::{complement_ascii, is_acgt, Kmer, KmerCodec, KmerHashMap};
-use hipmer_pgas::agg::DEFAULT_BATCH;
-use hipmer_pgas::{LookupBatch, PhaseReport, RankCtx, SoftwareCache, Team};
+use hipmer_dna::{complement_ascii, is_acgt, mix128, Kmer, KmerCodec, KmerHashMap};
+use hipmer_pgas::{PhaseReport, RankCtx, SoftwareCache, Team};
 use hipmer_seqio::SeqRecord;
 
 /// merAligner configuration.
@@ -59,9 +62,8 @@ const MIN_ALIGNED: usize = 30;
 /// Keep at most this many alignments per read (best first); twice as many
 /// candidates are extended to find them.
 const MAX_ALIGNMENTS_PER_READ: usize = 4;
-/// Capacity of the per-rank seed cache (which caches *negatively*: absent
-/// seeds are remembered as absent) and of the per-rank contig replica
-/// cache: a few hundred KB per rank.
+/// Capacity of the per-rank contig replica cache: a few hundred KB per
+/// rank.
 const CACHE_ENTRIES: usize = 4096;
 /// Band half-width of the gapped fallback: the indels a short read carries
 /// are a few bases. It is also how far an extension may drift from the
@@ -158,17 +160,6 @@ pub fn stride_seeds<'a>(
         .map(|(_, seed)| seed)
 }
 
-/// Write one resolved lookup back into its seed, remembering the result
-/// (present *or* absent) in the seed cache.
-fn deliver_seed<'a>(
-    seed: &mut ResolvedSeed<'a>,
-    cache: &mut SoftwareCache<Kmer, Option<&'a HitList>>,
-    list: Option<&'a HitList>,
-) {
-    cache.insert(seed.canon, list);
-    seed.list = list;
-}
-
 /// Overwrite `out` with the reverse complement of `seq`.
 fn revcomp_into(out: &mut Vec<u8>, seq: &[u8]) {
     out.clear();
@@ -208,17 +199,16 @@ impl<'a> Resolved<'a> {
 /// anchor first. Reads that take the exact-match shortcut append their one
 /// alignment to `out`; the rest come back with every stride seed resolved.
 ///
-/// Cache-first, then one streaming [`LookupBatch`] over all misses of all
-/// reads — seeds from different reads that hash to the same owner share a
-/// message, which is what makes batching effective at high rank counts
-/// (a single read's ~two dozen seeds scatter too thinly). The anchors go
-/// through it first and are flushed; a read the shortcut declines then
-/// queues its other seeds, so no seed of a read is looked up twice.
-/// Results equal per-seed [`FrozenMap::get`]s; only the message accounting
-/// differs. A resolved seed points into the frozen index: no hit list is
-/// copied.
+/// Two [`Memo::gather`]s: every read's anchor, then the declined reads'
+/// other seeds. Each fetches the distinct keys the rank has not resolved
+/// yet with one [`FrozenMap::multi_get`], so seeds from different reads
+/// that hash to the same owner share a message, and no key is fetched
+/// twice. Results equal per-seed [`FrozenMap::get`]s; only the message
+/// accounting differs. A resolved seed points into the frozen index: no
+/// hit list is copied.
 ///
 /// [`FrozenMap::get`]: hipmer_pgas::FrozenMap::get
+/// [`FrozenMap::multi_get`]: hipmer_pgas::FrozenMap::multi_get
 fn resolve_seeds<'a>(
     ctx: &mut RankCtx,
     index: &'a SeedIndex,
@@ -230,9 +220,7 @@ fn resolve_seeds<'a>(
 ) -> Resolved<'a> {
     let codec = &index.codec;
     let mut rc = Vec::new();
-    let mut cache: SoftwareCache<Kmer, Option<&HitList>> = SoftwareCache::new(CACHE_ENTRIES);
-    let mut lb: LookupBatch<'_, Kmer, HitList, usize> =
-        LookupBatch::with_batch(&index.table, DEFAULT_BATCH);
+    let mut memo = Memo::default();
 
     let mut anchors: Vec<Option<ResolvedSeed>> = (read_ids.iter())
         .map(|&ri| {
@@ -241,30 +229,10 @@ fn resolve_seeds<'a>(
                 .map(ResolvedSeed::new)
         })
         .collect();
-    for slot in 0..anchors.len() {
-        let Some(anchor) = &mut anchors[slot] else {
-            continue;
-        };
-        let canon = anchor.canon;
-        if let Some(list) = cache.get(ctx, &canon) {
-            anchor.list = list;
-            continue;
-        }
-        lb.push(ctx, canon, slot, &mut |_: &mut RankCtx, slot, v| {
-            deliver_seed(
-                anchors[slot].as_mut().expect("a queued anchor"),
-                &mut cache,
-                v,
-            )
-        });
+    let lists = memo.gather(ctx, index, anchors.iter().flatten().map(|a| a.canon));
+    for (anchor, list) in anchors.iter_mut().flatten().zip(lists) {
+        anchor.list = list;
     }
-    lb.flush_all(ctx, &mut |_: &mut RankCtx, slot, v| {
-        deliver_seed(
-            anchors[slot].as_mut().expect("a queued anchor"),
-            &mut cache,
-            v,
-        )
-    });
 
     // The shortcut, read by read; a read it takes drops its anchor.
     for (&ri, slot) in read_ids.iter().zip(&mut anchors) {
@@ -280,8 +248,8 @@ fn resolve_seeds<'a>(
         }
     }
 
-    // Every other read with a seed queues the rest of its seeds. A read of
-    // length `len` has at most ⌈(len − k + 1) / SEED_STRIDE⌉ of them.
+    // Every other read with a seed resolves the rest of its seeds. A read
+    // of length `len` has at most ⌈(len − k + 1) / SEED_STRIDE⌉ of them.
     let declined =
         || (read_ids.iter().zip(&anchors)).filter_map(|(&ri, a)| Some((ri, a.as_ref()?)));
     let bound = declined()
@@ -295,24 +263,106 @@ fn resolve_seeds<'a>(
     for (ri, anchor) in declined() {
         rest.ids.push(ri);
         rest.seeds.push(*anchor);
-        for seed in stride_seeds(codec, &reads[ri as usize].seq).skip(1) {
-            let s = rest.seeds.len();
-            rest.seeds.push(ResolvedSeed::new(seed));
-            let canon = rest.seeds[s].canon;
-            if let Some(list) = cache.get(ctx, &canon) {
-                rest.seeds[s].list = list;
-                continue;
-            }
-            lb.push(ctx, canon, s, &mut |_: &mut RankCtx, s, v| {
-                deliver_seed(&mut rest.seeds[s], &mut cache, v)
-            });
-        }
+        let others = stride_seeds(codec, &reads[ri as usize].seq).skip(1);
+        rest.seeds.extend(others.map(ResolvedSeed::new));
         rest.bounds.push(rest.seeds.len());
     }
-    lb.finish(ctx, &mut |_: &mut RankCtx, s, v| {
-        deliver_seed(&mut rest.seeds[s], &mut cache, v)
-    });
+    let others = (rest.seeds.iter().enumerate()).filter(not_an_anchor(&rest.bounds));
+    let lists = memo.gather(ctx, index, others.map(|(_, s)| s.canon));
+    let others = (rest.seeds.iter_mut().enumerate()).filter(not_an_anchor(&rest.bounds));
+    for ((_, seed), list) in others.zip(lists) {
+        seed.list = list;
+    }
     rest
+}
+
+/// A filter over `(position, seed)` of [`Resolved::seeds`], visited in
+/// order, that drops each read's anchor: the seed at its bound.
+fn not_an_anchor<T>(bounds: &[usize]) -> impl FnMut(&(usize, T)) -> bool + '_ {
+    let mut anchors = bounds.iter().copied().peekable();
+    move |&(i, _)| anchors.next_if_eq(&i).is_none()
+}
+
+/// The seeds a rank has resolved in stage 1: each distinct key once, with
+/// its hit list, absent seeds too. It lives for stage 1 only and holds at
+/// most the rank's stride seeds, so it needs no capacity bound.
+///
+/// The keys sit in a `Vec` that is also the fetch list, reached through an
+/// open-addressed table of `u32` positions: a rank holds tens of thousands
+/// of distinct seeds, and a `KmerHashMap<Kmer, _>` entry pads to 32 bytes.
+#[derive(Default)]
+struct Memo<'a> {
+    /// Linear probing, at most half full: 0 is empty, `i + 1` names
+    /// `keys[i]`. The length is a power of two.
+    slots: Vec<u32>,
+    /// The distinct keys, in fetch order.
+    keys: Vec<Kmer>,
+    /// The hit lists of `keys`.
+    answers: Vec<Option<&'a HitList>>,
+}
+
+impl<'a> Memo<'a> {
+    /// One gather: the hit list of each of `keys`, in order. The keys the
+    /// memo lacks are fetched, each once, with one [`FrozenMap::multi_get`]
+    /// (one message per owner). A key the memo holds, or that this gather
+    /// already fetches, is billed as a `cache_hits`; a fetched key as a
+    /// `cache_misses`.
+    ///
+    /// [`FrozenMap::multi_get`]: hipmer_pgas::FrozenMap::multi_get
+    fn gather(
+        &mut self,
+        ctx: &mut RankCtx,
+        index: &'a SeedIndex,
+        keys: impl Iterator<Item = Kmer>,
+    ) -> impl Iterator<Item = Option<&'a HitList>> + '_ {
+        let known = self.keys.len();
+        let at: Vec<u32> = keys
+            .map(|key| {
+                let (i, new) = self.find_or_add(key);
+                if new {
+                    ctx.stats.cache_misses += 1;
+                } else {
+                    ctx.stats.cache_hits += 1;
+                }
+                i
+            })
+            .collect();
+        self.answers
+            .extend(index.table.multi_get(ctx, &self.keys[known..]));
+        at.into_iter().map(|i| self.answers[i as usize])
+    }
+
+    /// `key`'s position in `keys`, appended if absent, and whether it was.
+    fn find_or_add(&mut self, key: Kmer) -> (u32, bool) {
+        if 2 * (self.keys.len() + 1) > self.slots.len() {
+            let mut slots = vec![0; (2 * self.slots.len()).max(1 << 10)];
+            for (i, k) in self.keys.iter().enumerate() {
+                let at = probe(&slots, &self.keys, *k);
+                slots[at] = i as u32 + 1;
+            }
+            self.slots = slots;
+        }
+        let at = probe(&self.slots, &self.keys, key);
+        match self.slots[at] {
+            0 => {
+                self.keys.push(key);
+                self.slots[at] = self.keys.len() as u32;
+                (self.slots[at] - 1, true)
+            }
+            i => (i - 1, false),
+        }
+    }
+}
+
+/// The slot of [`Memo::slots`] that holds `key`, or the empty one where it
+/// would go.
+fn probe(slots: &[u32], keys: &[Kmer], key: Kmer) -> usize {
+    let mask = slots.len() - 1;
+    let mut at = mix128(key.0) as usize & mask;
+    while slots[at] != 0 && keys[slots[at] as usize - 1] != key {
+        at = (at + 1) & mask;
+    }
+    at
 }
 
 /// The exact-match shortcut: the alignment full resolution gives `read`
@@ -775,8 +825,7 @@ pub fn align_read_subset(
         let mut out = Vec::new();
         let read_ids = &subset[ctx.chunk(subset.len())];
         // Stage 1: every read's anchor, then the shortcut or the read's
-        // other seeds, through the seed cache and one streaming lookup
-        // batch.
+        // other seeds, in two batched gathers.
         let resolved = resolve_seeds(
             ctx,
             &index,
@@ -807,15 +856,11 @@ pub fn align_read_subset(
     index.table.record_entries(&mut stats);
     let mut alignments: Vec<Alignment> = chunks.into_iter().flatten().collect();
     sort_alignments(&mut alignments);
-    // The align loop reads the same seed table the index build placed, so
-    // both phases share one placement label in the report's split.
-    let label = index_report.placement.clone().unwrap_or_default();
     (
         alignments,
         vec![
             index_report,
-            PhaseReport::new("scaffold/meraligner-align", *team.topo(), stats)
-                .with_placement(label),
+            PhaseReport::new("scaffold/meraligner-align", *team.topo(), stats),
         ],
     )
 }
@@ -964,9 +1009,9 @@ mod tests {
     fn batching_and_caching_are_result_transparent_and_save_messages() {
         let genome = lcg(1200, 31);
         let contigs = one_contig_set(genome.clone());
-        // Overlapping reads so seeds repeat across reads (cache fodder),
+        // Overlapping reads so seeds repeat across reads (memo fodder),
         // each with one substitution so that none takes the exact-match
-        // shortcut and every seed goes through the batch.
+        // shortcut and every seed goes through both gathers.
         let reads: Vec<SeqRecord> = (0..30)
             .map(|i| {
                 let mut seq = genome[i * 20..i * 20 + 100].to_vec();
@@ -974,7 +1019,8 @@ mod tests {
                 read(&format!("r{i}"), seq)
             })
             .collect();
-        let team = Team::new(Topology::new(6, 3));
+        let topo = Topology::new(6, 3);
+        let team = Team::new(topo);
         let (alns, reports) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
         let full = reports
             .iter()
@@ -983,8 +1029,18 @@ mod tests {
             .totals();
         assert_eq!(alns.len(), reads.len());
 
-        // One `get` per seed would take at least one access per seed; the
-        // batches and both caches take fewer, and record their work.
+        // Exactly what one `get` per seed and one contig read per candidate
+        // give.
+        let (index, _) = build_seed_index(&team, &contigs, 15);
+        let mut want: Vec<Alignment> = (0..reads.len() as u32)
+            .flat_map(|ri| full_resolution(&index, &contigs, &reads, ri))
+            .collect();
+        sort_alignments(&mut want);
+        assert_eq!(alns, want);
+
+        // One `get` per seed would take one access per seed. Each rank's two
+        // gathers ship at most one message per owner, and the memo and the
+        // contig replica cache record their work.
         let codec = KmerCodec::new(15);
         let seeds: usize = reads
             .iter()
@@ -992,8 +1048,46 @@ mod tests {
             .sum();
         assert!(full.total_accesses() < seeds as u64);
         assert!(full.lookup_batches > 0);
+        assert!(full.lookup_batches <= 2 * (topo.ranks() * topo.ranks()) as u64);
         assert!(full.cache_hits > 0);
         assert!(full.cache_misses > 0);
+    }
+
+    #[test]
+    fn a_rank_fetches_each_distinct_seed_once() {
+        // Ten copies of each of twelve overlapping windows, each copy with a
+        // substitution of its own: no read takes the shortcut, and most
+        // seeds recur within a gather and across the two.
+        let genome = lcg(600, 53);
+        let contigs = one_contig_set(genome.clone());
+        let reads: Vec<SeqRecord> = (0..120)
+            .map(|i| {
+                let start = (i % 12) * 20;
+                let mut seq = genome[start..start + 100].to_vec();
+                let p = 20 + (i / 12) * 7;
+                seq[p] = if seq[p] == b'A' { b'C' } else { b'A' };
+                read(&format!("r{i}"), seq)
+            })
+            .collect();
+        let team = Team::new(Topology::new(1, 1));
+        let (alns, reports) = align_reads(&team, &contigs, &reads, &AlignConfig::new(15));
+        assert_eq!(alns.len(), reads.len());
+        let t = reports
+            .iter()
+            .find(|r| r.name == "scaffold/meraligner-align")
+            .unwrap()
+            .totals();
+
+        let codec = KmerCodec::new(15);
+        let seeds: Vec<Kmer> = (reads.iter())
+            .flat_map(|r| stride_seeds(&codec, &r.seq).map(|(_, _, canon)| canon))
+            .collect();
+        let distinct: hipmer_dna::KmerHashSet<Kmer> = seeds.iter().copied().collect();
+        assert!(distinct.len() * 4 < seeds.len());
+        // The keys billed are the distinct keys, in one batch per gather;
+        // the one other miss is the contig's replica.
+        assert_eq!(t.cache_misses, distinct.len() as u64 + 1);
+        assert_eq!(t.lookup_batches, 2);
     }
 
     /// Stage 1 and 2 for one read with every stride seed looked up: the

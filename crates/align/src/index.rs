@@ -160,8 +160,7 @@ pub fn build_seed_index(
         })
     });
     table.drain_service_into(&mut stats);
-    let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats)
-        .with_placement("uniform");
+    let report = PhaseReport::new("scaffold/meraligner-index", *team.topo(), stats);
     let index = SeedIndex {
         table: table.freeze(),
         codec,

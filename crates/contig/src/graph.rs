@@ -51,9 +51,9 @@ pub fn build_graph(
     oracle: Option<Arc<OracleVector>>,
 ) -> (DebruijnGraph, PhaseReport) {
     let topo = *team.topo();
-    let (nodes, label): (DistHashMap<Kmer, GraphNode>, _) = match oracle {
-        Some(oracle) => (oracle.table(topo), "oracle"),
-        None => (DistHashMap::new(topo), "uniform"),
+    let nodes: DistHashMap<Kmer, GraphNode> = match oracle {
+        Some(oracle) => oracle.table(topo),
+        None => DistHashMap::new(topo),
     };
 
     let (_, mut stats) = team.run_named("contig/graph-build", |ctx| {
@@ -75,7 +75,7 @@ pub fn build_graph(
         }
     });
     nodes.drain_service_into(&mut stats);
-    let report = PhaseReport::new("contig/graph-build", topo, stats).with_placement(label);
+    let report = PhaseReport::new("contig/graph-build", topo, stats);
     (
         DebruijnGraph {
             nodes: nodes.freeze(),
@@ -153,10 +153,7 @@ mod tests {
                 ("GCG", ExtChoice::Unique(3), ExtChoice::Unique(0)),
             ],
         );
-        let (graph, report) = build_graph(&team, &spectrum, everything_on(3, 4));
+        let (graph, _) = build_graph(&team, &spectrum, everything_on(3, 4));
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 0, 0, 3]);
-        assert_eq!(report.placement.as_deref(), Some("oracle"));
-        let (_, report) = build_graph(&team, &spectrum, None);
-        assert_eq!(report.placement.as_deref(), Some("uniform"));
     }
 }

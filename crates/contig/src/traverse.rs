@@ -670,13 +670,10 @@ pub fn generate_contigs(
 ) -> (ContigSet, Vec<PhaseReport>) {
     let (graph, build_report) = crate::graph::build_graph(team, spectrum, cfg.oracle.clone());
     let (set, traverse_report) = traverse_graph(team, &graph, cfg);
-    // The traversal walks the same table the build placed, so it carries
-    // the build's placement label in the report's per-placement split.
-    let label = build_report.placement.clone().unwrap_or_default();
-    let mut reports = vec![build_report, traverse_report.with_placement(label.clone())];
+    let mut reports = vec![build_report, traverse_report];
     let set = if cfg.prune_depth_floor > 0.0 {
         let (pruned, prune_report) = prune_hairs(team, spectrum, &set, cfg);
-        reports.push(prune_report.with_placement(label));
+        reports.push(prune_report);
         pruned
     } else {
         set

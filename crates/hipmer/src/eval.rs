@@ -73,10 +73,8 @@ pub fn evaluate(references: &[&[u8]], scaffolds: &[Vec<u8>], k: usize) -> EvalRe
     // Reference index: canonical k-mer -> up to 2 anchor positions (repeat
     // k-mers beyond that are unreliable anchors and are skipped).
     let mut index: KmerHashMap<Kmer, Vec<Anchor>> = KmerHashMap::default();
-    let mut ref_kmers = 0usize;
     for (si, r) in references.iter().enumerate() {
         for (pos, km, canon) in codec.canonical_kmers(r) {
-            ref_kmers += 1;
             let e = index.entry(canon).or_default();
             if e.len() < 2 {
                 e.push(Anchor {
@@ -168,7 +166,7 @@ pub fn evaluate(references: &[&[u8]], scaffolds: &[Vec<u8>], k: usize) -> EvalRe
         let mut acc = 0usize;
         for (i, &l) in lens.iter().enumerate() {
             acc += l;
-            if 2 * acc >= target * 2 / 2 && acc * 2 >= target {
+            if acc * 2 >= target {
                 return (l, i + 1);
             }
         }
@@ -202,14 +200,9 @@ pub fn evaluate(references: &[&[u8]], scaffolds: &[Vec<u8>], k: usize) -> EvalRe
         misassembled_scaffolds: misassembled,
         scaffolds_evaluated: evaluated,
     }
-    .with_ref_kmers(ref_kmers)
 }
 
 impl EvalReport {
-    fn with_ref_kmers(self, _n: usize) -> Self {
-        self
-    }
-
     /// Render a compact text report.
     pub fn render(&self) -> String {
         format!(
@@ -336,6 +329,29 @@ mod tests {
         assert!(r.precision < 0.9);
         assert!((r.genome_fraction - 1.0).abs() < 1e-9);
         assert_eq!(r.misassembled_scaffolds, 0);
+    }
+
+    #[test]
+    fn partial_query_lowers_precision_and_genome_fraction() {
+        let reference = b"ACGTACGTTGCAACGGATCGATCGAAT".to_vec();
+        let r = evaluate(&[&reference], std::slice::from_ref(&reference), 11);
+        assert!((r.precision - 1.0).abs() < 1e-12);
+        assert!((r.genome_fraction - 1.0).abs() < 1e-12);
+        // Half-matching query.
+        let mut q = reference[..15].to_vec();
+        q.extend(b"TTTTTTTTTTTTTTT");
+        let r = evaluate(&[&reference], &[q], 11);
+        assert!(r.precision > 0.0 && r.precision < 1.0, "{r:?}");
+        assert!(r.genome_fraction > 0.0 && r.genome_fraction < 1.0, "{r:?}");
+    }
+
+    #[test]
+    fn reverse_complement_scores_like_the_forward_strand() {
+        let reference = b"ACGTTGCAACGGATCGATCGAATCCGT".to_vec();
+        let rc = hipmer_dna::revcomp(&reference);
+        let r = evaluate(&[&reference], &[rc], 11);
+        assert!((r.precision - 1.0).abs() < 1e-12);
+        assert!((r.genome_fraction - 1.0).abs() < 1e-12);
     }
 
     #[test]

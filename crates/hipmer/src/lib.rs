@@ -45,4 +45,4 @@ pub use pipeline::{
     PipelineError, RunOptions,
 };
 pub use service::AssemblyExecutor;
-pub use stats::{kmer_containment, AssemblyStats, StageTimes};
+pub use stats::{AssemblyStats, StageTimes};

@@ -613,7 +613,8 @@ pub fn assemble_fastq(team: &Team, path: &Path, cfg: &PipelineConfig) -> std::io
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{kmer_containment, StageTimes};
+    use crate::eval::evaluate;
+    use crate::stats::StageTimes;
     use hipmer_pgas::{CostModel, Topology};
     use hipmer_readsim::human_like_dataset;
 
@@ -635,16 +636,18 @@ mod tests {
         assert!(assembly.stats.scaffold_n50 >= assembly.stats.contig_n50);
         // Accuracy: nearly all scaffold k-mers come from a haplotype, and
         // nearly the whole genome is covered.
-        let reference = {
-            let mut r = dataset.genomes[0].haplotypes[0].clone();
-            r.extend_from_slice(b"N"); // separator
-            r.extend_from_slice(&dataset.genomes[0].haplotypes[1]);
-            r
-        };
-        let (precision, completeness) =
-            kmer_containment(&reference, &assembly.scaffolds.sequences, 21);
-        assert!(precision > 0.99, "precision {precision}");
-        assert!(completeness > 0.90, "completeness {completeness}");
+        let haplotypes = &dataset.genomes[0].haplotypes;
+        let eval = evaluate(
+            &[&haplotypes[0], &haplotypes[1]],
+            &assembly.scaffolds.sequences,
+            21,
+        );
+        assert!(eval.precision > 0.99, "precision {}", eval.precision);
+        assert!(
+            eval.genome_fraction > 0.90,
+            "completeness {}",
+            eval.genome_fraction
+        );
     }
 
     #[test]
@@ -1196,7 +1199,7 @@ mod tests {
 #[cfg(test)]
 mod indel_tests {
     use super::*;
-    use crate::stats::kmer_containment;
+    use crate::eval::evaluate;
     use hipmer_pgas::Topology;
     use hipmer_readsim::{human_like, simulate_library, ErrorModel, Library};
 
@@ -1219,13 +1222,17 @@ mod indel_tests {
             std::slice::from_ref(&(0..reads.len())),
             &PipelineConfig::new(21),
         );
-        let mut reference = genome.haplotypes[0].clone();
-        reference.push(b'N');
-        reference.extend_from_slice(&genome.haplotypes[1]);
-        let (precision, completeness) =
-            kmer_containment(&reference, &assembly.scaffolds.sequences, 21);
-        assert!(precision > 0.97, "precision {precision}");
-        assert!(completeness > 0.80, "completeness {completeness}");
+        let eval = evaluate(
+            &[&genome.haplotypes[0], &genome.haplotypes[1]],
+            &assembly.scaffolds.sequences,
+            21,
+        );
+        assert!(eval.precision > 0.97, "precision {}", eval.precision);
+        assert!(
+            eval.genome_fraction > 0.80,
+            "completeness {}",
+            eval.genome_fraction
+        );
         assert!(assembly.stats.scaffold_n50 > 2_000);
     }
 }

@@ -1,6 +1,5 @@
 //! Assembly statistics and stage-time grouping.
 
-use hipmer_dna::{Kmer, KmerCodec, KmerHashSet};
 use hipmer_pgas::{CostModel, PipelineReport};
 use hipmer_scaffold::GapCloseStats;
 
@@ -83,41 +82,6 @@ impl StageTimes {
     }
 }
 
-/// Fraction of `query`'s k-mers found in `reference` (both directions are
-/// canonicalized), plus the fraction of the reference's k-mers covered by
-/// the queries. A cheap, alignment-free accuracy/completeness check used
-/// by the examples and integration tests.
-pub fn kmer_containment(reference: &[u8], queries: &[Vec<u8>], k: usize) -> (f64, f64) {
-    let codec = KmerCodec::new(k);
-    let ref_set: KmerHashSet<Kmer> = codec
-        .canonical_kmers(reference)
-        .map(|(_, _, canon)| canon)
-        .collect();
-    let mut query_total = 0usize;
-    let mut query_hit = 0usize;
-    let mut covered: KmerHashSet<Kmer> = KmerHashSet::default();
-    for q in queries {
-        for (_, _, canon) in codec.canonical_kmers(q) {
-            query_total += 1;
-            if ref_set.contains(&canon) {
-                query_hit += 1;
-                covered.insert(canon);
-            }
-        }
-    }
-    let precision = if query_total == 0 {
-        0.0
-    } else {
-        query_hit as f64 / query_total as f64
-    };
-    let completeness = if ref_set.is_empty() {
-        0.0
-    } else {
-        covered.len() as f64 / ref_set.len() as f64
-    };
-    (precision, completeness)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,29 +114,5 @@ mod tests {
         assert!(t.rest_scaffolding > t.gap_closing);
         let sum = t.io + t.kmer_analysis + t.contig_generation + t.scaffolding();
         assert!((t.total() - sum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn containment_exact_and_partial() {
-        let reference = b"ACGTACGTTGCAACGGATCGATCGAAT".to_vec();
-        let (p, c) = kmer_containment(&reference, std::slice::from_ref(&reference), 11);
-        assert!((p - 1.0).abs() < 1e-12);
-        assert!((c - 1.0).abs() < 1e-12);
-        // Half-matching query.
-        let mut q = reference[..15].to_vec();
-        q.extend(b"TTTTTTTTTTTTTTT");
-        let (p2, c2) = kmer_containment(&reference, &[q], 11);
-        assert!(p2 < 1.0);
-        assert!(c2 < 1.0);
-        assert!(p2 > 0.0);
-    }
-
-    #[test]
-    fn containment_respects_orientation_invariance() {
-        let reference = b"ACGTTGCAACGGATCGATCGAATCCGT".to_vec();
-        let rc = hipmer_dna::revcomp(&reference);
-        let (p, c) = kmer_containment(&reference, &[rc], 11);
-        assert!((p - 1.0).abs() < 1e-12);
-        assert!((c - 1.0).abs() < 1e-12);
     }
 }

@@ -170,7 +170,7 @@ fn trace_and_report_json_outputs_are_valid() {
     let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         report_doc.get("schema_version").and_then(Value::as_u64),
-        Some(11)
+        Some(12)
     );
     // Classic single-k runs serialize an empty rounds array.
     assert!(report_doc
@@ -186,13 +186,10 @@ fn trace_and_report_json_outputs_are_valid() {
     // Schema v9 dropped the measured-vs-modeled block: Edison-priced
     // seconds over this host's seconds compared two different machines.
     assert!(report_doc.get("model_error").is_none());
-    // Schema v10 dropped the `partition` header: every k-mer table is owned
-    // by uniform hashing, so the placement split has that one label.
+    // Schema v10 dropped the `partition` header and v12 the per-placement
+    // split: every table a CLI run builds is owned by uniform hashing.
     assert!(report_doc.get("partition").is_none());
-    assert_eq!(
-        report_doc.get("offnode_by_placement").unwrap().keys(),
-        ["uniform"]
-    );
+    assert!(report_doc.get("offnode_by_placement").is_none());
     // Schema v3: per-stage attempt bookkeeping is always present; a
     // fault-free, checkpoint-free run shows one clean execution per stage
     // and no checkpoint events.
@@ -794,7 +791,7 @@ fn multi_k_assembles_and_reports_rounds() {
 
     // The schema-v7 rounds surface.
     let doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(11));
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(12));
     let rounds = doc.get("rounds").unwrap().as_arr().unwrap();
     assert_eq!(rounds.len(), 2);
     assert_eq!(rounds[0].get("k").and_then(Value::as_u64), Some(21));

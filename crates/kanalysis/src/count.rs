@@ -265,12 +265,12 @@ fn analyze_keyed<K: KmerKey>(
     let votes_table: DistHashMap<K, ExtVotes> =
         DistHashMap::new(*team.topo()).with_hot_keys(team.hot_key_capacity());
     if cfg.use_bloom {
-        reports.push(bloom_pass(team, reads, cfg, &sketch, &votes_table).with_placement("uniform"));
+        reports.push(bloom_pass(team, reads, cfg, &sketch, &votes_table));
     }
-    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table).with_placement("uniform"));
+    reports.push(count_pass(team, reads, cfg, &sketch, &votes_table));
 
     let final_table: DistHashMap<Kmer, KmerEntry> = DistHashMap::new(*team.topo());
-    reports.push(finalize(team, votes_table.freeze(), &final_table).with_placement("uniform"));
+    reports.push(finalize(team, votes_table.freeze(), &final_table));
 
     (
         KmerSpectrum {
@@ -501,9 +501,9 @@ mod tests {
         reads
     }
 
-    /// Per phase: its name, placement label, hot keys and every rank's
-    /// counted `CommStats` — all of a report that is not a host timing.
-    type PhaseCounters = (String, Option<String>, Vec<(u64, u64)>, Vec<CommStats>);
+    /// Per phase: its name, hot keys and every rank's counted `CommStats` —
+    /// all of a report that is not a host timing.
+    type PhaseCounters = (String, Vec<(u64, u64)>, Vec<CommStats>);
 
     fn keyed_run<K: KmerKey>(
         team: &Team,
@@ -514,7 +514,7 @@ mod tests {
         let counters = (reports.into_iter())
             .map(|r| {
                 let counted = r.stats.iter().map(|s| s.counted()).collect();
-                (r.name, r.placement, r.hot_keys, counted)
+                (r.name, r.hot_keys, counted)
             })
             .collect();
         (spectrum.export_entries(), counters)

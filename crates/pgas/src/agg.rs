@@ -12,20 +12,22 @@
 //!
 //! [`Outbox`] is the only implementation of per-destination buffering in
 //! this crate: it accounts a full buffer as one message, billed to the
-//! sender, and hands it to a ship step. Two ship steps exist:
+//! sender, and hands it to a ship step.
 //!
-//! * **Writes go through an [`Exchange`]**, in supersteps
-//!   ([`Team::run_supersteps`](crate::Team::run_supersteps)). A shipped batch is posted to a mailbox that only
-//!   its sender writes, one per (source, destination) pair; in the next
-//!   superstep the destination applies its mail to its own partition,
-//!   sources in rank order. So each partition is written by the one thread
-//!   that runs its owner, its lock is never contended, and the order the
-//!   batches land in depends on the input and the rank count only, not on
-//!   how ranks are spread over threads. A team-wide byte budget,
-//!   [`SUPERSTEP_BYTES`], bounds the mail in flight.
-//! * **Reads go through [`crate::LookupBatch`]** (in [`crate::lookup`]),
-//!   which answers a shipped batch on the spot from a frozen table, with
-//!   no lock.
+//! **Writes go through an [`Exchange`]**, in supersteps
+//! ([`Team::run_supersteps`](crate::Team::run_supersteps)). A shipped
+//! batch is posted to a mailbox that only its sender writes, one per
+//! (source, destination) pair; in the next superstep the destination
+//! applies its mail to its own partition, sources in rank order. So each
+//! partition is written by the one thread that runs its owner, its lock is
+//! never contended, and the order the batches land in depends on the input
+//! and the rank count only, not on how ranks are spread over threads. A
+//! team-wide byte budget, [`SUPERSTEP_BYTES`], bounds the mail in flight.
+//!
+//! Reads do not go through an outbox: a phase that reads a frozen table in
+//! bulk collects its keys and calls
+//! [`FrozenMap::multi_get`](crate::FrozenMap::multi_get), one message per
+//! owner.
 //!
 //! The ship step receives the sender's buffer itself (`&mut Vec<T>`) and
 //! hands it back empty with its capacity, so the batcher allocates nothing
@@ -41,8 +43,8 @@ use std::hash::Hash;
 /// A generic per-destination message aggregator.
 ///
 /// The caller supplies the ship step (`apply`): posting the batch to its
-/// owner's mailbox ([`Exchange`]) or answering it from a frozen table
-/// ([`crate::LookupBatch`]). The outbox accounts one message per shipped
+/// owner's mailbox ([`Exchange`]) or merging it at the owner
+/// ([`AggregatingStores`]). The outbox accounts one message per shipped
 /// batch, **before** the ship step runs, so per-rank counters depend only
 /// on the rank's own push sequence.
 ///
@@ -140,16 +142,6 @@ impl<T> Outbox<T> {
     pub fn pending(&self) -> usize {
         self.buffers.iter().map(Vec::len).sum()
     }
-
-    /// Discard every buffered item without shipping it. The abort-safe
-    /// teardown for a stage that failed mid-flight: the un-shipped work is
-    /// intentionally thrown away (the stage will be re-executed from
-    /// scratch), and the `Drop` drained-buffer assertion is disarmed.
-    pub fn abandon(mut self) {
-        for buf in &mut self.buffers {
-            buf.clear();
-        }
-    }
 }
 
 impl<T> Drop for Outbox<T> {
@@ -163,7 +155,7 @@ impl<T> Drop for Outbox<T> {
         debug_assert_eq!(
             self.pending(),
             0,
-            "batcher dropped with un-shipped items; call finish or abandon"
+            "batcher dropped with un-shipped items; call finish"
         );
     }
 }
@@ -404,8 +396,8 @@ fn post_batch<T>(row: &[Mutex<Vec<T>>], posted: &mut usize, dest: usize, items: 
 /// consume the aggregator with [`finish`](Self::finish) (or at least
 /// [`flush_all`](Self::flush_all)) before the phase ends; un-flushed
 /// updates are lost (`finish` asserts in all builds, and the outbox's
-/// `debug_assert` in `Drop` catches aggregators abandoned at phase end).
-/// The read-side mirror of this type is [`crate::LookupBatch`].
+/// `debug_assert` in `Drop` catches aggregators dropped unflushed at phase
+/// end).
 ///
 /// Merge application order across ranks' batches depends on the OS-thread
 /// schedule, and two workers may wait on one partition's lock.
@@ -479,13 +471,6 @@ impl<K, V, M> AggregatingStores<'_, K, V, M> {
     /// Elements currently buffered.
     pub fn pending(&self) -> usize {
         self.outbox.pending()
-    }
-
-    /// Discard every buffered update without flushing it — the abort-safe
-    /// teardown for a stage that failed mid-flight (the stage re-executes
-    /// from scratch, so the pending upserts must *not* land).
-    pub fn abandon(self) {
-        self.outbox.abandon();
     }
 }
 
@@ -568,19 +553,6 @@ mod tests {
         }
         agg.finish(&mut ctx);
         assert_eq!(dht.len(), 9);
-    }
-
-    #[test]
-    fn abandon_discards_pending_updates() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::new(&dht, add);
-        for k in 0..5u64 {
-            agg.push(&mut ctx, k, 1);
-        }
-        agg.abandon(); // no drop assertion, and nothing lands
-        assert_eq!(dht.len(), 0);
     }
 
     #[test]
@@ -677,20 +649,6 @@ mod tests {
         let mut packed: Outbox<(u64, u8)> = Outbox::new(topo, 8).with_item_bytes(9);
         assert_eq!(run(&mut padded), 50 * 16);
         assert_eq!(run(&mut packed), 50 * 9);
-    }
-
-    #[test]
-    fn outbox_abandon_discards_pending() {
-        let topo = Topology::new(4, 2);
-        let mut ctx = RankCtx::new(0, topo);
-        let mut outbox: Outbox<u64> = Outbox::new(topo, 100);
-        let mut apply =
-            |_: &mut RankCtx, _dest: usize, _items: &mut Vec<u64>| panic!("nothing may ship");
-        for i in 0..7u64 {
-            outbox.push(&mut ctx, (i % 4) as usize, i, &mut apply);
-        }
-        assert_eq!(outbox.pending(), 7);
-        outbox.abandon();
     }
 
     /// Every rank sends `items` single-item units; unit `i` of rank `r`

@@ -83,8 +83,9 @@ pub struct CostModel {
     pub bw_offnode: f64,
     /// Seconds of service work at the owner per remotely-landed update.
     pub t_service: f64,
-    /// Seconds per [`SoftwareCache`](crate::SoftwareCache) probe (hit *or*
-    /// miss): a local hash lookup with no shard lock, cheaper than
+    /// Seconds per [`SoftwareCache`](crate::SoftwareCache) or aligner-memo
+    /// probe (hit *or* miss, as tallied in `cache_hits`/`cache_misses`): a
+    /// local hash lookup with no shard lock, cheaper than
     /// `t_local`. Batched lookups need no price of their own — a shipped
     /// batch is one message (priced by `t_onnode`/`t_offnode`) carrying
     /// full bytes (priced by the bandwidth terms), so the saving falls out

@@ -21,7 +21,9 @@
 //! build and yields a [`FrozenMap`]: the same partitions and owner
 //! function, read through `&self` with no lock, each access billed exactly
 //! as before. Nothing can write a frozen table, so no reader needs to
-//! check that nothing did.
+//! check that nothing did. A phase that reads many keys collects them
+//! and calls [`FrozenMap::multi_get`], the one batched read: one message
+//! per owner, bytes in full.
 //!
 //! Batched builds write through an [`Exchange`](crate::Exchange): the
 //! sender bills each batch, and the owner applies it to its own partition
@@ -500,23 +502,6 @@ impl<K: Hash + Eq, V> FrozenMap<K, V> {
         self.parts[owner].get(key)
     }
 
-    /// Answer a batch of lookups that arrived as **one** multi-get message
-    /// (see [`crate::LookupBatch`] / [`multi_get`](Self::multi_get)). The
-    /// caller has already accounted the message; like [`get`](Self::get),
-    /// this tallies **no** service ops, so converting a loop of `get`s into
-    /// one `fetch_batch` leaves every counter except the message count
-    /// unchanged. Every key must be owned by `dest` (checked in debug
-    /// builds); `dest`'s map is probed in input order.
-    pub fn fetch_batch(&self, dest: usize, keys: &[&K]) -> Vec<Option<&V>> {
-        let part = &self.parts[dest];
-        keys.iter()
-            .map(|k| {
-                debug_assert_eq!(self.owner(k), dest, "fetch_batch key not owned by dest");
-                part.get(k)
-            })
-            .collect()
-    }
-
     /// Batched one-sided read: group `keys` by owner, ship **one** message
     /// per distinct owner (bytes accounted in full — `group_len *
     /// entry_bytes` — mirroring [`crate::Outbox`] semantics), and return the
@@ -526,8 +511,7 @@ impl<K: Hash + Eq, V> FrozenMap<K, V> {
     /// accounting differs: per-message latency is divided by the group
     /// size, bandwidth is not saved, and
     /// [`CommStats::lookup_batches`](crate::CommStats::lookup_batches) is
-    /// incremented once per shipped group. For streaming call sites that
-    /// cannot collect keys up front, use [`crate::LookupBatch`].
+    /// incremented once per shipped group.
     pub fn multi_get(&self, ctx: &mut RankCtx, keys: &[K]) -> Vec<Option<&V>> {
         let mut out: Vec<Option<&V>> = vec![None; keys.len()];
         for (dest, group) in self.route.bill_multi_get(ctx, keys).into_iter().enumerate() {
@@ -938,26 +922,6 @@ mod tests {
         let batched = batched.freeze();
         assert_eq!(batched.get(&mut c, &absent), None);
         assert!(batched.get(&mut c, &owned[0]).unwrap().ends_with("xy"));
-    }
-
-    #[test]
-    fn fetch_batch_equals_per_key_get_in_input_order() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        // Even keys of rank 0 are present, odd ones are misses.
-        let owned: Vec<u64> = (0..400).filter(|k| dht.owner(k) == 0).collect();
-        for &k in owned.iter().filter(|&&k| k % 2 == 0) {
-            dht.insert(&mut c, k, k as u32 * 3);
-        }
-        let dht = dht.freeze();
-        // Duplicates, interleaved: forward then backward over the same keys.
-        let probes: Vec<u64> = owned.iter().chain(owned.iter().rev()).copied().collect();
-        let refs: Vec<&u64> = probes.iter().collect();
-        let expect: Vec<Option<&u32>> = probes.iter().map(|k| dht.get(&mut c, k)).collect();
-        assert_eq!(dht.fetch_batch(0, &refs), expect);
-        assert!(expect.iter().any(Option::is_none) && expect.iter().any(Option::is_some));
-        assert_eq!(dht.fetch_batch(0, &[]), Vec::<Option<&u32>>::new());
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! that must be retried — and *hard* rank failures that take a whole stage
 //! down. This module supplies the failure model for both, wired into the
 //! runtime's classified communication points (every
-//! [`RankCtx::comm`](crate::RankCtx::comm) call: `DistHashMap`
-//! gets/puts/multi-gets and `Outbox` flushes, whether an `Exchange` posts
-//! the batch or a `LookupBatch` answers it):
+//! [`RankCtx::comm`](crate::RankCtx::comm) call: `DistHashMap` and
+//! `FrozenMap` gets/puts/multi-gets and `Outbox` flushes):
 //!
 //! * A [`FaultPlan`] deterministically schedules faults from a seed. Each
 //!   *remote* communication event of each rank gets an event number; the

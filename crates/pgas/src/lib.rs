@@ -18,10 +18,10 @@
 //!   optimization: per-destination batching of fine-grained updates, each
 //!   batch applied by its owner in supersteps
 //!   ([`Team::run_supersteps`]);
-//! * [`LookupBatch`] and [`SoftwareCache`] are the read-side counterparts
-//!   (§4.4's seed-index batching and contig caching): batched multi-gets
-//!   that pay one message of latency per buffer, and a per-rank CLOCK
-//!   cache for immutable-after-build tables;
+//! * [`FrozenMap::multi_get`] and [`SoftwareCache`] are the read-side
+//!   counterparts (§4.4's seed-index batching and contig caching): a
+//!   batched read that pays one message of latency per owner, and a
+//!   per-rank CLOCK cache for immutable-after-build data;
 //! * a [`CostModel`] converts the per-rank counters of a finished phase into
 //!   modeled wall-clock seconds (critical-path max over ranks, plus barrier
 //!   and I/O terms with aggregate-bandwidth saturation).
@@ -54,7 +54,7 @@ pub use agg::{AggregatingStores, Exchange, Outbox, Post, SUPERSTEP_BYTES};
 pub use cost::{CostModel, ModeledTime, RankBreakdown};
 pub use dht::{DistHashMap, FrozenMap};
 pub use fault::{catch_stage_abort, FailureCause, FaultEvent, FaultPlan, RankFailure, StageAbort};
-pub use lookup::{LookupBatch, SoftwareCache};
+pub use lookup::SoftwareCache;
 pub use oracle::OracleVector;
 pub use part::PartitionScheme;
 pub use pool::{TeamLease, TeamPool};

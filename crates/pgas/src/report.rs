@@ -33,12 +33,6 @@ pub struct PhaseReport {
     /// count. Empty unless hot-key tracking was enabled
     /// ([`crate::Team::with_hot_keys`]) and the stage attached them.
     pub hot_keys: Vec<(u64, u64)>,
-    /// Placement label of the phase's dominant hash table: `"uniform"`
-    /// (`key_hash % ranks`) or `"oracle"` for contig-oracle placement.
-    /// `None` for phases that own no table (I/O, serial passes). Drives
-    /// the report's `offnode_by_placement` split, so the oracle ablation
-    /// (Table 1) can read per-placement traffic straight from one document.
-    pub placement: Option<String>,
 }
 
 /// The measured wall time of a phase: its slowest rank's execution time.
@@ -58,7 +52,6 @@ impl PhaseReport {
             wall_seconds,
             serial_ops: 0,
             hot_keys: Vec::new(),
-            placement: None,
         }
     }
 
@@ -78,13 +71,6 @@ impl PhaseReport {
     /// descending count).
     pub fn with_hot_keys(mut self, hot_keys: Vec<(u64, u64)>) -> Self {
         self.hot_keys = hot_keys;
-        self
-    }
-
-    /// Attach the placement label of the phase's dominant hash table (see
-    /// [`PhaseReport::placement`]).
-    pub fn with_placement(mut self, label: impl Into<String>) -> Self {
-        self.placement = Some(label.into());
         self
     }
 
@@ -219,33 +205,6 @@ impl PipelineReport {
         Self::default()
     }
 
-    /// Off-node traffic split by table placement: for each distinct
-    /// [`PhaseReport::placement`] label, the off-node fraction over the
-    /// combined counters of every phase carrying that label (phases with
-    /// no label are skipped — they own no table). Ordered by first
-    /// appearance. This is the oracle ablation's headline number: under
-    /// oracle placement the traversal's fraction drops while the uniform
-    /// stages' are untouched.
-    pub fn offnode_by_placement(&self) -> Vec<(String, f64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut acc: std::collections::HashMap<String, CommStats> =
-            std::collections::HashMap::new();
-        for p in &self.phases {
-            let Some(label) = &p.placement else { continue };
-            if !acc.contains_key(label) {
-                order.push(label.clone());
-            }
-            acc.entry(label.clone()).or_default().merge(&p.totals());
-        }
-        order
-            .into_iter()
-            .map(|label| {
-                let frac = acc[&label].offnode_fraction().unwrap_or(0.0);
-                (label, frac)
-            })
-            .collect()
-    }
-
     /// Append a finished phase.
     pub fn push(&mut self, phase: PhaseReport) {
         self.phases.push(phase);
@@ -299,7 +258,7 @@ impl PipelineReport {
     }
 
     /// Serialize the whole pipeline report as a machine-readable JSON
-    /// document, **schema version 11**, priced under [`CostModel::edison`]
+    /// document, **schema version 12**, priced under [`CostModel::edison`]
     /// (`cost_model: "edison"`). Everything in it is a view of the
     /// per-rank [`CommStats`] the phases returned plus the stage and
     /// checkpoint bookkeeping; the keys that hold host measurements are
@@ -309,23 +268,21 @@ impl PipelineReport {
     ///   ([`RoundReport`] per
     ///   multi-k round; empty on classic runs), `topology` (`ranks`,
     ///   `ranks_per_node`, `nodes`), `modeled_total` and `wall_seconds`
-    ///   (sums over phases), `offnode_by_placement`
-    ///   ([`offnode_by_placement`](Self::offnode_by_placement));
+    ///   (sums over phases);
     /// * `stage_attempts`: one [`StageAttempt`] per pipeline stage;
     /// * `checkpoints`: one [`CheckpointEvent`] per artifact saved or loaded;
     /// * `phases`: per phase `name`, `measured` (`wall_seconds` and the
     ///   [`Kind::Measured`] fields summed over ranks), `modeled`
     ///   (`critical_path_seconds`, `sync_seconds`, `io_seconds`,
     ///   `serial_seconds`, `total_seconds`), `critical_rank` (its
-    ///   compute/latency/bandwidth seconds), `offnode_fraction`,
-    ///   `placement` (table placement label or `null`), `imbalance`
+    ///   compute/latency/bandwidth seconds), `offnode_fraction`, `imbalance`
     ///   ([`PhaseReport::imbalance`]), `totals` (the [`Kind::Counted`]
     ///   fields summed over ranks), `table` ([`PhaseReport::table`]) and
     ///   `hot_keys` (heavy-hitter key hashes, when tracking was on).
     pub fn to_json(&self) -> String {
         let model = &CostModel::edison();
         let mut doc = Value::obj();
-        doc.set("schema_version", 11u64)
+        doc.set("schema_version", 12u64)
             .set("generator", "hipmer-pgas")
             .set("cost_model", "edison");
         let rounds = self.rounds.iter().map(|r| {
@@ -350,11 +307,6 @@ impl PipelineReport {
             "wall_seconds",
             self.phases.iter().map(|p| p.wall_seconds).sum::<f64>(),
         );
-        let mut by_placement = Value::obj();
-        for (label, frac) in self.offnode_by_placement() {
-            by_placement.set(label, frac);
-        }
-        doc.set("offnode_by_placement", by_placement);
 
         let attempts = self.stage_attempts.iter().map(|a| {
             let mut v = Value::obj();
@@ -398,10 +350,6 @@ impl PipelineReport {
                 .set("bandwidth_seconds", breakdown.bandwidth);
             v.set("critical_rank", crit)
                 .set("offnode_fraction", p.offnode_fraction())
-                .set(
-                    "placement",
-                    p.placement.as_deref().map_or(Value::Null, Value::from),
-                )
                 .set("imbalance", p.imbalance(model))
                 .set("totals", totals);
             let (entries, max_partition_entries) = p.table();
@@ -579,8 +527,7 @@ mod tests {
         let mut pr = PipelineReport::new();
         pr.push(
             PhaseReport::new("kmer-analysis/count", topo, stats.clone())
-                .with_hot_keys(vec![(0xdead_beef, 41), (0x1234, 7)])
-                .with_placement("oracle"),
+                .with_hot_keys(vec![(0xdead_beef, 41), (0x1234, 7)]),
         );
         pr.push(PhaseReport::new("contig/traversal", topo, stats).with_serial_ops(125_000));
         pr.stage_attempts.push(StageAttempt {
@@ -630,7 +577,7 @@ mod tests {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
         let doc = Value::parse(&busy_pipeline().to_json()).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 11);
+        assert_eq!(u64_at(&doc, "schema_version"), 12);
         assert_eq!(str_at(&doc, "cost_model"), "edison");
         assert_keys(
             &doc,
@@ -642,7 +589,6 @@ mod tests {
                 "topology",
                 "modeled_total",
                 "wall_seconds",
-                "offnode_by_placement",
                 "stage_attempts",
                 "checkpoints",
                 "phases",
@@ -656,9 +602,6 @@ mod tests {
         );
         assert_eq!(u64_at(&doc, "rounds/0/k"), 21);
         assert_eq!(u64_at(&doc, "rounds/0/contigs"), 100);
-        // The placement split carries exactly the labeled phase's label;
-        // the unlabeled (table-less) phase contributes nothing.
-        assert_keys(get_path(&doc, "offnode_by_placement"), &["oracle"]);
         let attempts = get_path(&doc, "stage_attempts").as_arr().unwrap();
         assert_eq!(attempts.len(), 2);
         assert_keys(
@@ -704,15 +647,12 @@ mod tests {
                 "modeled",
                 "critical_rank",
                 "offnode_fraction",
-                "placement",
                 "imbalance",
                 "totals",
                 "table",
                 "hot_keys",
             ],
         );
-        assert_eq!(str_at(p, "placement"), "oracle");
-        assert!(matches!(get_path(&doc, "phases/1/placement"), Value::Null));
         assert_keys(
             get_path(p, "modeled"),
             &[
@@ -743,44 +683,6 @@ mod tests {
         assert_eq!(hot.len(), 2);
         assert_eq!(str_at(p, "hot_keys/0/key_hash"), "0x00000000deadbeef");
         assert_eq!(u64_at(p, "hot_keys/0/estimated_count"), 41);
-    }
-
-    #[test]
-    fn offnode_by_placement_aggregates_labeled_phases() {
-        let pr = busy_pipeline();
-        let split = pr.offnode_by_placement();
-        // One labeled phase: its fraction verbatim.
-        assert_eq!(split.len(), 1);
-        assert_eq!(split[0].0, "oracle");
-        assert!((split[0].1 - pr.phases[0].offnode_fraction()).abs() < 1e-12);
-
-        // Two phases sharing a label pool their counters (the pooled
-        // fraction is accesses-weighted, not a mean of fractions).
-        let mut pr2 = PipelineReport::new();
-        let topo = Topology::new(2, 1);
-        let mostly_off = vec![
-            CommStats {
-                local_ops: 10,
-                offnode_msgs: 90,
-                ..CommStats::default()
-            };
-            2
-        ];
-        let mostly_local = vec![
-            CommStats {
-                local_ops: 300,
-                offnode_msgs: 100,
-                ..CommStats::default()
-            };
-            2
-        ];
-        pr2.push(PhaseReport::new("a", topo, mostly_off).with_placement("uniform"));
-        pr2.push(PhaseReport::new("b", topo, mostly_local).with_placement("uniform"));
-        pr2.push(phase_with(&[10, 10])); // unlabeled: excluded
-        let split2 = pr2.offnode_by_placement();
-        assert_eq!(split2.len(), 1);
-        let expect = (90.0 + 100.0) * 2.0 / ((10.0 + 90.0 + 300.0 + 100.0) * 2.0);
-        assert!((split2[0].1 - expect).abs() < 1e-12, "{}", split2[0].1);
     }
 
     #[test]

@@ -27,18 +27,20 @@ pub struct CommStats {
     /// (remote inserts/updates landing in its shard). This is what load
     /// imbalance from heavy hitters shows up in.
     pub service_ops: u64,
-    /// Batched one-sided operations shipped as single messages: multi-get
-    /// buffers flushed by [`crate::LookupBatch`] / [`crate::FrozenMap::multi_get`]
-    /// and coalesced read gathers. Each batch also counts exactly one
+    /// Batched one-sided reads shipped as single messages: the per-owner
+    /// groups of a [`crate::FrozenMap::multi_get`] (or
+    /// [`crate::DistHashMap::multi_get`]). Each batch also counts exactly one
     /// on-node or off-node message (or one local op), so
     /// `remote_msgs / lookup_batches` approximates the inverse batching
     /// factor of the read path.
     pub lookup_batches: u64,
-    /// Remote lookups answered from a per-rank [`crate::SoftwareCache`]
-    /// without touching the owner (no message, no bytes).
+    /// Remote lookups answered from per-rank memory without touching the
+    /// owner (no message, no bytes): a [`crate::SoftwareCache`] hit, or a
+    /// seed the aligner's memo already holds.
     pub cache_hits: u64,
-    /// Cache probes that missed and fell through to a real lookup. The
-    /// fall-through access is accounted separately by whoever performs it.
+    /// Cache or memo probes that missed and fell through to a real lookup.
+    /// The fall-through access is accounted separately by whoever performs
+    /// it.
     pub cache_misses: u64,
     /// Transient message faults injected against this rank's remote
     /// accesses by an attached [`crate::FaultPlan`] (each lost delivery

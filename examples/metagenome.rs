@@ -14,7 +14,7 @@
 //! count threshold — the paper's point that most reads of a real soil
 //! metagenome cannot be assembled without deeper sampling.
 
-use hipmer::{assemble, kmer_containment, PipelineConfig, StageTimes};
+use hipmer::{assemble, evaluate, PipelineConfig, StageTimes};
 use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
 use hipmer_pgas::{CostModel, RankCtx, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset};
@@ -79,7 +79,8 @@ fn main() {
     println!("\n--- per-species genome recovery (k-mer completeness) ---");
     let mut rows: Vec<(String, usize, f64)> = Vec::new();
     for g in &dataset.genomes {
-        let (_, completeness) = kmer_containment(g.reference(), &assembly.scaffolds.sequences, k);
+        let completeness =
+            evaluate(&[g.reference()], &assembly.scaffolds.sequences, k).genome_fraction;
         rows.push((g.name.clone(), g.reference_len(), completeness));
     }
     rows.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap());

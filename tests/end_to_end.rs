@@ -1,22 +1,15 @@
 //! Cross-crate integration tests: the full assembler driven through its
 //! public API, checked against the simulated ground truth.
 
-use hipmer::{assemble, assemble_fastq, kmer_containment, PipelineConfig, StageTimes};
+use hipmer::{assemble, assemble_fastq, evaluate, PipelineConfig, StageTimes};
 use hipmer_pgas::{trace, CommStats, CostModel, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_scaffolding_dataset, Dataset};
 
 /// Reference sequence: all haplotypes joined with an N separator.
-fn reference_of(d: &Dataset) -> Vec<u8> {
-    let mut out = Vec::new();
-    for g in &d.genomes {
-        for h in &g.haplotypes {
-            if !out.is_empty() {
-                out.push(b'N');
-            }
-            out.extend_from_slice(h);
-        }
-    }
-    out
+fn references_of(d: &Dataset) -> Vec<&[u8]> {
+    (d.genomes.iter())
+        .flat_map(|g| g.haplotypes.iter().map(Vec::as_slice))
+        .collect()
 }
 
 #[test]
@@ -31,8 +24,8 @@ fn human_like_with_errors_assembles_accurately() {
         &PipelineConfig::new(21),
     );
 
-    let reference = reference_of(&dataset);
-    let (precision, completeness) = kmer_containment(&reference, &assembly.scaffolds.sequences, 21);
+    let eval = evaluate(&references_of(&dataset), &assembly.scaffolds.sequences, 21);
+    let (precision, completeness) = (eval.precision, eval.genome_fraction);
     assert!(
         precision > 0.97,
         "erroneous sequence leaked into scaffolds: precision {precision}"
@@ -68,15 +61,17 @@ fn wheat_preset_runs_multiple_rounds_and_improves() {
         one.stats.scaffold_n50
     );
     // Repetitive assembly stays honest: high k-mer precision.
-    let reference = reference_of(&dataset);
-    let (precision, four_recall) = kmer_containment(&reference, &four.scaffolds.sequences, 21);
+    let references = references_of(&dataset);
+    let recall = |seqs: &[Vec<u8>]| evaluate(&references, seqs, 21).genome_fraction;
+    let four_eval = evaluate(&references, &four.scaffolds.sequences, 21);
+    let (precision, four_recall) = (four_eval.precision, four_eval.genome_fraction);
     assert!(precision > 0.95, "precision {precision}");
     // ... and complete: scaffolding reorders and joins contigs, it does not
     // lose them. (Bubble merging once dropped a contig per unique flank
     // pair converging on a repeat: 0.915 / 0.956 against 0.996 raw.)
     let contig_seqs: Vec<Vec<u8>> = one.contigs.contigs.iter().map(|c| c.seq.clone()).collect();
-    let (_, raw_recall) = kmer_containment(&reference, &contig_seqs, 21);
-    let (_, one_recall) = kmer_containment(&reference, &one.scaffolds.sequences, 21);
+    let raw_recall = recall(&contig_seqs);
+    let one_recall = recall(&one.scaffolds.sequences);
     for (rounds, recall) in [(1, one_recall), (4, four_recall)] {
         assert!(
             recall >= raw_recall - 0.005,
@@ -116,7 +111,8 @@ fn metagenome_recovers_abundant_species_only() {
     let mut best = 0.0f64;
     let mut worst = 1.0f64;
     for g in &dataset.genomes {
-        let (_, completeness) = kmer_containment(g.reference(), &assembly.scaffolds.sequences, 21);
+        let completeness =
+            evaluate(&[g.reference()], &assembly.scaffolds.sequences, 21).genome_fraction;
         best = best.max(completeness);
         worst = worst.min(completeness);
     }
@@ -358,19 +354,29 @@ fn aligner_counters_are_pinned_across_commits() {
     // 11_033, 332], [446_191, 653, 5_365, 173]. Rounds 1-3 re-align reads
     // at new junctions, which rarely take the shortcut, so there the flush
     // between the two lookup passes adds a few messages.
+    //
+    // Moved again when stage 1 became two `FrozenMap::multi_get` gathers
+    // behind a per-rank memo instead of a streaming lookup batch behind a
+    // 4,096-entry seed cache: a rank now fetches each distinct seed once
+    // (no re-fetch of a key in flight or evicted), so misses fall and hits
+    // rise by the same amount, and a gather ships one message per owner
+    // instead of one per 256 keys. Compute does not move. At the shortcut's
+    // pin the rows read: human [481_841, 5_121, 14_536, 468]; wheat
+    // [7_960_761, 39_989, 136_469, 2_317], [5_831_057, 19_957, 69_203,
+    // 1_278], [1_222_653, 1_771, 10_918, 388], [446_170, 695, 5_302, 225].
     let human = human_like_dataset(25_000, 16.0, false, 7);
     assert_eq!(
         aligner_counters(&human, &PipelineConfig::new(21)),
-        [[481_841, 5_121, 14_536, 468]]
+        [[481_841, 7_071, 12_586, 468]]
     );
     let wheat = wheat_scaffolding_dataset(60_000, 16.0, false, 321);
     assert_eq!(
         aligner_counters(&wheat, &PipelineConfig::wheat_preset(21)),
         [
-            [7_960_761, 39_989, 136_469, 2_317],
-            [5_831_057, 19_957, 69_203, 1_278],
-            [1_222_653, 1_771, 10_918, 388],
-            [446_170, 695, 5_302, 225],
+            [7_960_761, 57_248, 119_210, 1_919],
+            [5_831_057, 25_239, 63_921, 1_076],
+            [1_222_653, 3_397, 9_292, 388],
+            [446_170, 1_553, 4_444, 225],
         ]
     );
 }

@@ -1,6 +1,6 @@
 //! Property-based integration tests over the pipeline's invariants.
 
-use hipmer::{assemble, kmer_containment, PipelineConfig};
+use hipmer::{assemble, evaluate, PipelineConfig};
 use hipmer_pgas::{Team, Topology};
 use hipmer_readsim::{human_like, simulate_library, ErrorModel, Genome, Library};
 use proptest::prelude::*;
@@ -25,10 +25,8 @@ fn assembly_invariants(genome_len: usize, coverage: f64, seed: u64, ranks: usize
     }
     // 2. Every scaffold's non-N k-mers come from the genome (no invented
     //    sequence with error-free reads).
-    let mut reference = genome.haplotypes[0].clone();
-    reference.push(b'N');
-    reference.extend_from_slice(&genome.haplotypes[1]);
-    let (precision, _) = kmer_containment(&reference, &assembly.scaffolds.sequences, 21);
+    let haplotypes = [&genome.haplotypes[0][..], &genome.haplotypes[1][..]];
+    let precision = evaluate(&haplotypes, &assembly.scaffolds.sequences, 21).precision;
     assert!(
         precision > 0.999,
         "seed {seed}: precision {precision} (invented sequence!)"
