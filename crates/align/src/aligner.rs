@@ -5,7 +5,7 @@
 //! [`FrozenMap::multi_get`] over the distinct keys the rank has not
 //! resolved yet, remembered in a per-rank memo so that no key is fetched
 //! twice. It then runs the candidate-clustering and extension logic per
-//! read on the resolved lists (stage 2) with a [`SoftwareCache`] of contig
+//! read on the resolved entries (stage 2) with a [`SoftwareCache`] of contig
 //! replicas. Both optimizations are result-transparent: alignments are
 //! byte-identical to one `get` per seed and one contig fetch per
 //! candidate, at fewer messages.
@@ -29,7 +29,7 @@
 //!
 //! [`FrozenMap::multi_get`]: hipmer_pgas::FrozenMap::multi_get
 
-use crate::index::{build_seed_index, HitList, SeedIndex};
+use crate::index::{build_seed_index, SeedEntry, SeedIndex};
 use crate::sw::{banded_sw_batch_with, ungapped_matches, SwParams, SwResult, SwWorkspace};
 use hipmer_contig::ContigSet;
 use hipmer_dna::{complement_ascii, is_acgt, mix128, Kmer, KmerCodec, KmerHashMap};
@@ -122,7 +122,7 @@ struct Candidate {
     diag: i64,
 }
 
-/// One stride-selected seed of a read with its resolved hit list.
+/// One stride-selected seed of a read with its resolved index entry.
 #[derive(Clone, Copy)]
 struct ResolvedSeed<'a> {
     /// Seed position in the read (forward coordinates).
@@ -131,8 +131,9 @@ struct ResolvedSeed<'a> {
     read_rc: bool,
     /// Canonical seed k-mer (the index key).
     canon: Kmer,
-    /// The hit list, once resolved (`None` = seed absent from the index).
-    list: Option<&'a HitList>,
+    /// The index entry, once resolved (`None` = seed absent from the
+    /// index).
+    entry: Option<&'a SeedEntry>,
 }
 
 impl ResolvedSeed<'_> {
@@ -141,7 +142,7 @@ impl ResolvedSeed<'_> {
             rpos: rpos as u32,
             read_rc: canon != km,
             canon,
-            list: None,
+            entry: None,
         }
     }
 }
@@ -205,7 +206,7 @@ impl<'a> Resolved<'a> {
 /// that hash to the same owner share a message, and no key is fetched
 /// twice. Results equal per-seed [`FrozenMap::get`]s; only the message
 /// accounting differs. A resolved seed points into the frozen index: no
-/// hit list is copied.
+/// entry is copied.
 ///
 /// [`FrozenMap::get`]: hipmer_pgas::FrozenMap::get
 /// [`FrozenMap::multi_get`]: hipmer_pgas::FrozenMap::multi_get
@@ -229,9 +230,9 @@ fn resolve_seeds<'a>(
                 .map(ResolvedSeed::new)
         })
         .collect();
-    let lists = memo.gather(ctx, index, anchors.iter().flatten().map(|a| a.canon));
-    for (anchor, list) in anchors.iter_mut().flatten().zip(lists) {
-        anchor.list = list;
+    let entries = memo.gather(ctx, index, anchors.iter().flatten().map(|a| a.canon));
+    for (anchor, entry) in anchors.iter_mut().flatten().zip(entries) {
+        anchor.entry = entry;
     }
 
     // The shortcut, read by read; a read it takes drops its anchor.
@@ -268,10 +269,10 @@ fn resolve_seeds<'a>(
         rest.bounds.push(rest.seeds.len());
     }
     let others = (rest.seeds.iter().enumerate()).filter(not_an_anchor(&rest.bounds));
-    let lists = memo.gather(ctx, index, others.map(|(_, s)| s.canon));
+    let entries = memo.gather(ctx, index, others.map(|(_, s)| s.canon));
     let others = (rest.seeds.iter_mut().enumerate()).filter(not_an_anchor(&rest.bounds));
-    for ((_, seed), list) in others.zip(lists) {
-        seed.list = list;
+    for ((_, seed), entry) in others.zip(entries) {
+        seed.entry = entry;
     }
     rest
 }
@@ -284,7 +285,7 @@ fn not_an_anchor<T>(bounds: &[usize]) -> impl FnMut(&(usize, T)) -> bool + '_ {
 }
 
 /// The seeds a rank has resolved in stage 1: each distinct key once, with
-/// its hit list, absent seeds too. It lives for stage 1 only and holds at
+/// its index entry, absent seeds too. It lives for stage 1 only and holds at
 /// most the rank's stride seeds, so it needs no capacity bound.
 ///
 /// The keys sit in a `Vec` that is also the fetch list, reached through an
@@ -297,12 +298,12 @@ struct Memo<'a> {
     slots: Vec<u32>,
     /// The distinct keys, in fetch order.
     keys: Vec<Kmer>,
-    /// The hit lists of `keys`.
-    answers: Vec<Option<&'a HitList>>,
+    /// The index entries of `keys`.
+    answers: Vec<Option<&'a SeedEntry>>,
 }
 
 impl<'a> Memo<'a> {
-    /// One gather: the hit list of each of `keys`, in order. The keys the
+    /// One gather: the index entry of each of `keys`, in order. The keys the
     /// memo lacks are fetched, each once, with one [`FrozenMap::multi_get`]
     /// (one message per owner). A key the memo holds, or that this gather
     /// already fetches, is billed as a `cache_hits`; a fetched key as a
@@ -314,7 +315,7 @@ impl<'a> Memo<'a> {
         ctx: &mut RankCtx,
         index: &'a SeedIndex,
         keys: impl Iterator<Item = Kmer>,
-    ) -> impl Iterator<Item = Option<&'a HitList>> + '_ {
+    ) -> impl Iterator<Item = Option<&'a SeedEntry>> + '_ {
         let known = self.keys.len();
         let at: Vec<u32> = keys
             .map(|key| {
@@ -389,8 +390,8 @@ fn exact_shortcut(
     contig_cache: &mut SoftwareCache<u32, ()>,
     rc_buf: &mut Vec<u8>,
 ) -> Option<Alignment> {
-    let list = anchor.list.filter(|l| l.total == 1)?;
-    let hit = list.hits[0];
+    let entry = anchor.entry.filter(|e| e.total == 1)?;
+    let hit = index.hits(entry)[0];
     let len = read.seq.len();
     let k = index.codec.k();
     let rc = hit.rc != anchor.read_rc;
@@ -466,7 +467,7 @@ struct Overlap {
 /// plan per slot of a block and refills it block after block.
 #[derive(Default)]
 struct ReadPlan {
-    /// Resolved seeds with a hit list: one compute op each.
+    /// Resolved seeds found in the index: one compute op each.
     listed_seeds: u64,
     /// The read's reverse complement if a candidate is on the reverse
     /// strand, else empty.
@@ -504,7 +505,7 @@ struct Scratch {
 /// ungapped diagonal — into `plan`. A gapped fallback the diagonal needs
 /// gets the next index of `jobs`.
 fn plan_read(
-    codec: &KmerCodec,
+    index: &SeedIndex,
     contigs: &ContigSet,
     read: &SeqRecord,
     seeds: &[ResolvedSeed],
@@ -512,18 +513,17 @@ fn plan_read(
     (candidates, ordered): (&mut KmerHashMap<Candidate, u32>, &mut Vec<(Candidate, u32)>),
     plan: &mut ReadPlan,
 ) {
-    // Sorted in full below, so the map's order never reaches the output;
-    // drained there, so it starts every read empty.
+    // Sorted in full below, so the map's order, and with it the order of a
+    // seed's hits, never reaches the output; drained there, so it starts
+    // every read empty. A repeat seed has no hits.
+    let codec = &index.codec;
     let mut listed_seeds = 0;
     for seed in seeds {
-        let Some(list) = seed.list else {
+        let Some(entry) = seed.entry else {
             continue;
         };
         listed_seeds += 1;
-        if list.is_repeat() {
-            continue;
-        }
-        for hit in &list.hits {
+        for hit in index.hits(entry) {
             // Strand of the read relative to the contig: the seed is RC'd
             // in the contig (hit.rc) and/or in the read (read_rc).
             let rc = hit.rc != seed.read_rc;
@@ -683,7 +683,7 @@ fn finish_read(
 #[allow(clippy::too_many_arguments)]
 fn align_block(
     ctx: &mut RankCtx,
-    codec: &KmerCodec,
+    index: &SeedIndex,
     contigs: &ContigSet,
     reads: &[SeqRecord],
     (resolved, block): (&Resolved, std::ops::Range<usize>),
@@ -707,7 +707,7 @@ fn align_block(
         let read = &reads[ri as usize];
         let seeds = resolved.seeds_of(i);
         plan_read(
-            codec,
+            index,
             contigs,
             read,
             seeds,
@@ -835,13 +835,13 @@ pub fn align_read_subset(
             &mut contig_cache,
             &mut out,
         );
-        // Stage 2: candidate clustering and extension on resolved lists,
+        // Stage 2: candidate clustering and extension on resolved seeds,
         // block by block, with contig replicas cached per rank.
         for lo in (0..resolved.ids.len()).step_by(BLOCK) {
             let block = lo..(lo + BLOCK).min(resolved.ids.len());
             align_block(
                 ctx,
-                &index.codec,
+                &index,
                 contigs,
                 reads,
                 (&resolved, block),
@@ -851,11 +851,14 @@ pub fn align_read_subset(
                 &mut out,
             );
         }
+        // The rank's reads are one ascending range of `subset`, so its
+        // sorted alignments are a run of the sorted whole.
+        sort_alignments(&mut out);
         out
     });
     index.table.record_entries(&mut stats);
-    let mut alignments: Vec<Alignment> = chunks.into_iter().flatten().collect();
-    sort_alignments(&mut alignments);
+    let alignments = chunks.concat();
+    debug_assert!(alignments.is_sorted_by_key(|a| a.read));
     (
         alignments,
         vec![
@@ -1102,7 +1105,7 @@ mod tests {
         let seeds: Vec<ResolvedSeed> = stride_seeds(&index.codec, &reads[ri as usize].seq)
             .map(|s| {
                 let mut seed = ResolvedSeed::new(s);
-                seed.list = index.table.get(&mut ctx, &seed.canon);
+                seed.entry = index.table.get(&mut ctx, &seed.canon);
                 seed
             })
             .collect();
@@ -1114,7 +1117,7 @@ mod tests {
         let mut out = Vec::new();
         align_block(
             &mut ctx,
-            &index.codec,
+            index,
             contigs,
             reads,
             (&resolved, 0..1),
@@ -1137,7 +1140,7 @@ mod tests {
         let mut ctx = RankCtx::new(0, Topology::new(1, 1));
         let read = &reads[ri as usize];
         let mut anchor = ResolvedSeed::new(stride_seeds(&index.codec, &read.seq).next()?);
-        anchor.list = index.table.get(&mut ctx, &anchor.canon);
+        anchor.entry = index.table.get(&mut ctx, &anchor.canon);
         let mut cache = SoftwareCache::new(CACHE_ENTRIES);
         exact_shortcut(
             &mut ctx,

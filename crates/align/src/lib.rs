@@ -21,7 +21,7 @@ pub use aligner::{
     align_read_subset, align_reads, drop_contained, sort_alignments, stride_seeds, AlignConfig,
     Alignment,
 };
-pub use index::{build_seed_index, SeedHit, SeedIndex};
+pub use index::{build_seed_index, SeedEntry, SeedHit, SeedIndex};
 pub use sw::{
     banded_sw, banded_sw_batch, banded_sw_batch_with, banded_sw_reference, banded_sw_with,
     ungapped_matches, ungapped_matches_reference, SwParams, SwResult, SwWorkspace,

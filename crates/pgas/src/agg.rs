@@ -39,6 +39,7 @@ use crate::team::RankCtx;
 use crate::topology::Topology;
 use parking_lot::{Mutex, MutexGuard};
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A generic per-destination message aggregator.
 ///
@@ -205,6 +206,9 @@ pub struct Exchange<T> {
     slots: Vec<Mutex<Vec<T>>>,
     /// Each rank's sending side, indexed by rank.
     senders: Vec<Mutex<Sender<T>>>,
+    /// The superstep in which each rank's sender finished, `usize::MAX`
+    /// until it has (see [`all_sent_before`](Self::all_sent_before)).
+    finished: Vec<AtomicUsize>,
 }
 
 /// One rank's sending side of an [`Exchange`], kept across supersteps.
@@ -260,6 +264,7 @@ impl<T: Send> Exchange<T> {
                     })
                 })
                 .collect(),
+            finished: (0..ranks).map(|_| AtomicUsize::new(usize::MAX)).collect(),
         }
     }
 
@@ -327,8 +332,23 @@ impl<T: Send> Exchange<T> {
         if *next == units {
             post.ship_all(ctx);
             *done = true;
+            self.finished[ctx.rank].store(step, Ordering::Relaxed);
         }
         post.posted > 0
+    }
+
+    /// Whether every rank's sender had finished before superstep `step`.
+    /// Asked in `step` after [`deliver`](Self::deliver), a `true` means
+    /// this rank now holds all the mail it will ever get, so an owner can
+    /// finish its table inside the pass. Every rank gets the same answer in
+    /// the same step: a sender that finishes in `step` itself records
+    /// `step`, which is not before it, and the earlier records were made
+    /// before the barrier that released the step.
+    pub fn all_sent_before(&self, step: usize) -> bool {
+        // Relaxed: the barrier between supersteps orders every earlier
+        // step's store before these loads, and a store racing with them in
+        // this step reads as `step` or as unset, neither before `step`.
+        (self.finished.iter()).all(|f| f.load(Ordering::Relaxed) < step)
     }
 
     /// Whether `rank` has sent all its units and shipped every buffer.
@@ -754,6 +774,48 @@ mod tests {
         assert!(steps > 10, "a small budget takes many supersteps: {steps}");
         // Phase s delivers superstep s - 1's mail; the last one posts none.
         assert!(stats.iter().all(|s| s.barriers == steps as u64 + 1));
+    }
+
+    #[test]
+    fn owners_finish_inside_the_pass_once_every_sender_has() {
+        // Each owner keeps its mail and sums it in the step in which
+        // `all_sent_before` first holds: by then it has every item, and the
+        // pass takes as many steps as one that stops when nothing is posted.
+        let topo = Topology::new(8, 4);
+        let pass = |threads: usize, finish_inside: bool| {
+            let team = Team::new(topo).with_os_threads(threads);
+            let mail: Exchange<u64> = Exchange::with_team_bytes(topo, 4, 8 * 64);
+            let inbox: Vec<Mutex<Vec<u64>>> = (0..8).map(|_| Mutex::default()).collect();
+            let sums: Vec<Mutex<Option<u64>>> = (0..8).map(|_| Mutex::default()).collect();
+            let stats = team.run_supersteps("test/finish-inside", |ctx, step| {
+                let rank = ctx.rank;
+                mail.deliver(rank, step, |_, items| inbox[rank].lock().append(items));
+                let posted = mail.send(ctx, step, 300, |ctx, i, post| {
+                    post.push(ctx, (i + ctx.rank) % 8, i as u64)
+                });
+                if !finish_inside {
+                    return posted;
+                }
+                if !mail.all_sent_before(step) {
+                    return true;
+                }
+                let sum = inbox[rank].lock().iter().sum();
+                assert!(sums[rank].lock().replace(sum).is_none(), "finished twice");
+                false
+            });
+            let sums: Option<Vec<u64>> = sums.into_iter().map(Mutex::into_inner).collect();
+            (stats[0].barriers, sums.map(|s| s.iter().sum::<u64>()))
+        };
+        let (steps, _) = pass(1, false);
+        assert!(steps > 4, "several supersteps: {steps}");
+        for threads in [1, 2, 4] {
+            let want = 8 * (0..300).sum::<u64>();
+            assert_eq!(
+                pass(threads, true),
+                (steps, Some(want)),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

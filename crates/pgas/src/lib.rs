@@ -62,5 +62,5 @@ pub use report::{CheckpointEvent, PhaseReport, PipelineReport, RoundReport, Stag
 pub use sched::Schedule;
 pub use stats::CommStats;
 pub use team::{RankCtx, Team};
-pub use topology::Topology;
+pub use topology::{prefix_sums, Topology};
 pub use trace::Recorder;

@@ -62,6 +62,13 @@ impl RankCtx {
         self.topo.chunk(n, self.rank)
     }
 
+    /// The contiguous chunk of items this rank owns when they are cut by
+    /// cost: see [`Topology::cost_chunk`].
+    #[inline]
+    pub fn cost_chunk(&self, prefix: &[u64]) -> std::ops::Range<usize> {
+        self.topo.cost_chunk(prefix, self.rank)
+    }
+
     /// Record participation in a barrier.
     #[inline]
     pub fn barrier(&mut self) {
@@ -489,6 +496,18 @@ mod tests {
             covered = c.end;
         }
         assert_eq!(covered, n);
+    }
+
+    #[test]
+    fn cost_chunks_are_the_same_at_every_thread_count() {
+        let topo = Topology::new(13, 24);
+        let prefix = crate::prefix_sums((0..500u64).map(|i| i % 17 * (i % 5)));
+        let serial: Vec<_> = (0..13).map(|r| topo.cost_chunk(&prefix, r)).collect();
+        for threads in [1, 2, 4, 8] {
+            let team = Team::new(topo).with_os_threads(threads);
+            let (chunks, _) = team.run_named("test/cost-chunks", |ctx| ctx.cost_chunk(&prefix));
+            assert_eq!(chunks, serial, "{threads} threads");
+        }
     }
 
     #[test]

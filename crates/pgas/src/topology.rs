@@ -94,6 +94,62 @@ impl Topology {
         let len = base + usize::from(rank < extra);
         start..start + len
     }
+
+    /// Split items of varying cost into this topology's per-rank contiguous
+    /// chunks: returns the half-open range of items owned by `rank`, given
+    /// `prefix`, the prefix sum of the items' costs (`prefix[0] == 0` and
+    /// `prefix[i + 1] - prefix[i]` is item `i`'s cost; see
+    /// [`prefix_sums`]).
+    ///
+    /// Rank `r` takes the items whose cumulative cost, counted to the
+    /// item's end, lies in `(total · r / ranks, total · (r + 1) / ranks]`,
+    /// so a block costs at most `total / ranks` plus the cost of its first
+    /// item. The blocks depend only on `prefix` and the rank count, and
+    /// concatenated in rank order they are the items in order. With no
+    /// cost at all the items are dealt by count, as [`chunk`](Self::chunk)
+    /// deals them.
+    ///
+    /// # Panics
+    /// Panics if `rank >= self.ranks()` or `prefix` is empty.
+    pub fn cost_chunk(&self, prefix: &[u64], rank: usize) -> std::ops::Range<usize> {
+        let n = prefix
+            .len()
+            .checked_sub(1)
+            .expect("a prefix sum starts at 0");
+        let total = prefix[n];
+        if total == 0 {
+            return self.chunk(n, rank);
+        }
+        assert!(
+            rank < self.ranks,
+            "chunk rank {rank} out of range (ranks={})",
+            self.ranks
+        );
+        // Items whose end is at most total · r / ranks, compared exactly.
+        let cut = |r: usize| -> usize {
+            let bound = total as u128 * r as u128;
+            (prefix[1..]).partition_point(|&end| end as u128 * self.ranks as u128 <= bound)
+        };
+        let start = if rank == 0 { 0 } else { cut(rank) };
+        let end = if rank + 1 == self.ranks {
+            n
+        } else {
+            cut(rank + 1)
+        };
+        start..end
+    }
+}
+
+/// The prefix sum of `costs`, the input of [`Topology::cost_chunk`]: one
+/// more element than `costs`, starting at 0.
+pub fn prefix_sums(costs: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let mut total = 0;
+    std::iter::once(0)
+        .chain(costs.into_iter().map(|c| {
+            total += c;
+            total
+        }))
+        .collect()
 }
 
 #[cfg(test)]
@@ -149,6 +205,41 @@ mod tests {
         let max = sizes.iter().max().unwrap();
         let min = sizes.iter().min().unwrap();
         assert!(max - min <= 1);
+    }
+
+    #[test]
+    fn cost_chunks_tile_and_balance() {
+        let costs: Vec<u64> = (0..200u64)
+            .map(|i| (i * 7919) % 97 + (i % 13 == 0) as u64 * 900)
+            .collect();
+        let prefix = prefix_sums(costs.iter().copied());
+        let total = prefix[costs.len()];
+        for p in [1, 2, 3, 7, 16, 64, 300] {
+            let t = Topology::new(p, 4);
+            let mut covered = 0;
+            for r in 0..p {
+                let c = t.cost_chunk(&prefix, r);
+                assert_eq!(c.start, covered, "p={p} r={r}");
+                covered = c.end;
+                let cost = prefix[c.end] - prefix[c.start];
+                let first = costs.get(c.start).copied().unwrap_or(0);
+                assert!(
+                    cost <= total / p as u64 + 1 + first,
+                    "p={p} r={r} cost={cost}"
+                );
+            }
+            assert_eq!(covered, costs.len());
+        }
+    }
+
+    #[test]
+    fn costless_items_are_dealt_by_count() {
+        let t = Topology::new(3, 4);
+        let prefix = prefix_sums([0; 10]);
+        for r in 0..3 {
+            assert_eq!(t.cost_chunk(&prefix, r), t.chunk(10, r));
+        }
+        assert_eq!(t.cost_chunk(&[0], 2), 0..0);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use hipmer_align::index::MAX_SEED_HITS;
 use hipmer_align::{drop_contained, stride_seeds, Alignment};
 use hipmer_contig::ContigSet;
 use hipmer_dna::{Kmer, KmerCodec, KmerHashMap, KmerHashSet};
+use hipmer_pgas::{PhaseReport, Team};
 use hipmer_seqio::SeqRecord;
 
 /// Where one round-r contig landed in the round-(r + 1) contig set.
@@ -181,60 +182,81 @@ fn translate(a: &Alignment, landing: &Landing, len: u32) -> Alignment {
 /// into what the round-(r + 1) contig set `next` — built from `set`'s
 /// sequences — can inherit and what it cannot. Returns the translated
 /// alignments of every read that keeps its alignments (in read order, not
-/// re-sorted: contig ids changed) and the ascending indices of the reads
-/// that must be aligned afresh. `seed_len` is the aligner's.
+/// re-sorted: contig ids changed), the ascending indices of the reads that
+/// must be aligned afresh, and the report of the `scaffold/carry` phase,
+/// in which each rank takes one contiguous block of reads. `seed_len` is
+/// the aligner's.
 pub(crate) fn carry_alignments(
+    team: &Team,
     prev: &ContigSet,
     set: &ScaffoldSet,
     next: &ContigSet,
     alignments: &[Alignment],
     reads: &[SeqRecord],
     seed_len: usize,
-) -> (Vec<Alignment>, Vec<u32>) {
+) -> (Vec<Alignment>, Vec<u32>, PhaseReport) {
     let landings = landings(prev, set);
     let codec = KmerCodec::new(seed_len);
     let changed = changed_seeds(prev, set, next, &codec);
     let len = |a: &Alignment| prev.contigs[a.contig as usize].len() as u32;
-    let mut carried = Vec::with_capacity(alignments.len());
-    let mut realign = Vec::new();
-    let mut rest = alignments;
-    for (read, record) in (0u32..).zip(reads) {
-        let (mine, after) = rest.split_at(rest.partition_point(|a| a.read == read));
-        rest = after;
-        if mine.is_empty()
-            || mine
-                .iter()
-                .any(|a| near_junction(a, &landings[a.contig as usize], len(a)))
-            || stride_seeds(&codec, &record.seq).any(|(_, _, canon)| changed.contains(&canon))
-        {
-            realign.push(read);
-            continue;
+    let (blocks, stats) = team.run_named("scaffold/carry", |ctx| {
+        let block = ctx.chunk(reads.len());
+        let lo = alignments.partition_point(|a| (a.read as usize) < block.start);
+        let hi = alignments.partition_point(|a| (a.read as usize) < block.end);
+        let mut rest = &alignments[lo..hi];
+        let mut carried = Vec::with_capacity(rest.len());
+        let mut realign = Vec::new();
+        for read in block.start as u32..block.end as u32 {
+            let (mine, after) = rest.split_at(rest.partition_point(|a| a.read == read));
+            rest = after;
+            ctx.stats.compute(1 + mine.len() as u64);
+            if mine.is_empty()
+                || mine
+                    .iter()
+                    .any(|a| near_junction(a, &landings[a.contig as usize], len(a)))
+                || stride_seeds(&codec, &reads[read as usize].seq)
+                    .any(|(_, _, canon)| changed.contains(&canon))
+            {
+                realign.push(read);
+                continue;
+            }
+            let mut moved_all = Vec::with_capacity(mine.len());
+            for a in mine {
+                let moved = translate(a, &landings[a.contig as usize], len(a));
+                debug_assert!(
+                    {
+                        let old = &prev.contigs[a.contig as usize].seq
+                            [a.contig_start as usize..a.contig_end as usize];
+                        let new = &next.contigs[moved.contig as usize].seq
+                            [moved.contig_start as usize..moved.contig_end as usize];
+                        if landings[a.contig as usize].reversed {
+                            hipmer_dna::revcomp(old) == new
+                        } else {
+                            old == new
+                        }
+                    },
+                    "carried alignment does not cover the same bases: {a:?} -> {moved:?}"
+                );
+                moved_all.push(moved);
+            }
+            // Two contigs that now share one may hold one alignment each
+            // where the aligner keeps only the better.
+            carried.extend(drop_contained(moved_all));
         }
-        let mut moved_all = Vec::with_capacity(mine.len());
-        for a in mine {
-            let moved = translate(a, &landings[a.contig as usize], len(a));
-            debug_assert!(
-                {
-                    let old = &prev.contigs[a.contig as usize].seq
-                        [a.contig_start as usize..a.contig_end as usize];
-                    let new = &next.contigs[moved.contig as usize].seq
-                        [moved.contig_start as usize..moved.contig_end as usize];
-                    if landings[a.contig as usize].reversed {
-                        hipmer_dna::revcomp(old) == new
-                    } else {
-                        old == new
-                    }
-                },
-                "carried alignment does not cover the same bases: {a:?} -> {moved:?}"
-            );
-            moved_all.push(moved);
-        }
-        // Two contigs that now share one may hold one alignment each where
-        // the aligner keeps only the better.
-        carried.extend(drop_contained(moved_all));
-    }
-    debug_assert!(rest.is_empty(), "alignments name reads past the read slice");
-    (carried, realign)
+        (carried, realign)
+    });
+    debug_assert!(
+        alignments
+            .last()
+            .is_none_or(|a| (a.read as usize) < reads.len()),
+        "alignments name reads past the read slice"
+    );
+    let (carried, realign): (Vec<_>, Vec<_>) = blocks.into_iter().unzip();
+    (
+        carried.concat(),
+        realign.concat(),
+        PhaseReport::new("scaffold/carry", *team.topo(), stats),
+    )
 }
 
 #[cfg(test)]
@@ -244,7 +266,7 @@ mod tests {
     use crate::scaffolds::{Scaffold, ScaffoldMember};
     use hipmer_align::{align_reads, AlignConfig};
     use hipmer_dna::revcomp;
-    use hipmer_pgas::{Team, Topology};
+    use hipmer_pgas::Topology;
 
     fn lcg(len: usize, seed: u64) -> Vec<u8> {
         let mut x = seed;
@@ -270,11 +292,23 @@ mod tests {
         }
     }
 
+    /// What one round hands the next: the contigs it scaffolded, its
+    /// gap-closed scaffolds, the next round's contigs, and its alignments of
+    /// the reads.
+    struct Round {
+        prev: ContigSet,
+        set: ScaffoldSet,
+        next: ContigSet,
+        before: Vec<Alignment>,
+        reads: Vec<SeqRecord>,
+        /// D's bases.
+        d: Vec<u8>,
+    }
+
     /// One scaffold joins A, reverse-complemented B (overlapping A by 30
     /// bases) and C (an unclosable 100-base gap after B); D stays a
     /// singleton. Reads tile the genome on both strands.
-    #[test]
-    fn carried_alignments_equal_fresh_ones_over_every_closure_kind() {
+    fn round() -> Round {
         let genome = lcg(1100, 1);
         let a = genome[..400].to_vec();
         let b = genome[370..700].to_vec();
@@ -318,11 +352,32 @@ mod tests {
                 }
             }
         }
-        let cfg = AlignConfig::new(15);
-        let (before, _) = align_reads(&team, &prev, &reads, &cfg);
+        let (before, _) = align_reads(&team, &prev, &reads, &AlignConfig::new(15));
         let next = ContigSet::from_sequences(prev.codec, set.sequences.clone());
-        let (carried, realign) = carry_alignments(&prev, &set, &next, &before, &reads, 15);
-        let (fresh, _) = align_reads(&team, &next, &reads, &cfg);
+        Round {
+            prev,
+            set,
+            next,
+            before,
+            reads,
+            d,
+        }
+    }
+
+    #[test]
+    fn carried_alignments_equal_fresh_ones_over_every_closure_kind() {
+        let Round {
+            prev,
+            set,
+            next,
+            before,
+            reads,
+            d,
+        } = round();
+        let team = Team::new(Topology::new(2, 2));
+        let (carried, realign, _) =
+            carry_alignments(&team, &prev, &set, &next, &before, &reads, 15);
+        let (fresh, _) = align_reads(&team, &next, &reads, &AlignConfig::new(15));
 
         // Every carried read has exactly the alignments the aligner finds
         // on the new contigs, over the same bases.
@@ -374,6 +429,30 @@ mod tests {
         for r in 0..reads.len() as u32 {
             if fresh_on_joined(r, &across_a_end) || fresh_on_joined(r, &near_n_run) {
                 assert!(realign.contains(&r), "read {r} was carried");
+            }
+        }
+    }
+
+    #[test]
+    fn carry_is_the_same_at_every_thread_and_rank_count() {
+        let r = round();
+        let carry = |ranks: usize, threads: usize| {
+            let team = Team::new(Topology::new(ranks, 4)).with_os_threads(threads);
+            let (carried, realign, report) =
+                carry_alignments(&team, &r.prev, &r.set, &r.next, &r.before, &r.reads, 15);
+            assert_eq!(report.name, "scaffold/carry");
+            assert_eq!(report.stats.len(), ranks);
+            (carried, realign)
+        };
+        let serial = carry(1, 1);
+        assert!(!serial.0.is_empty() && !serial.1.is_empty());
+        for threads in [1, 2, 4, 8] {
+            for ranks in [3, 8] {
+                assert_eq!(
+                    carry(ranks, threads),
+                    serial,
+                    "{ranks} ranks, {threads} threads"
+                );
             }
         }
     }

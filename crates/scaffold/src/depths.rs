@@ -1,20 +1,19 @@
 //! Contig depths and termination states (§4.1).
 //!
-//! Each rank takes 1/p of the contigs, looks every contained k-mer up in
-//! the k-mer table (one-sided reads of a frozen table, so no
+//! Each rank takes about 1/p of the contigs' k-mers, in windows, looks
+//! every one up in the k-mer table (one-sided reads of a frozen table, so no
 //! synchronization), sums the counts into a mean depth, and classifies why
 //! each contig end stopped extending.
 //!
 //! The per-window lookups ship as batched multi-gets
-//! ([`hipmer_pgas::FrozenMap::multi_get`] via
-//! [`KmerSpectrum::get_batch`]): one message per owner rank per window
-//! instead of one per k-mer, with identical results — the read-side
+//! ([`hipmer_pgas::FrozenMap::multi_get`]): one message per owner rank per
+//! window instead of one per k-mer, with identical results — the read-side
 //! analogue of the aggregating stores used to build the table.
 
 use hipmer_contig::ContigSet;
 use hipmer_dna::{ExtChoice, Kmer};
 use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{PhaseReport, RankCtx, Team};
+use hipmer_pgas::{prefix_sums, PhaseReport, RankCtx, Team};
 
 /// Why a contig stopped extending at one end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,7 +129,10 @@ pub(crate) fn weighted_median_depth(contigs: impl Iterator<Item = (f64, usize)>)
 
 /// Compute depth and end states for every contig (parallel over contigs).
 /// Returns per-contig info indexed by contig id, and the phase report.
-/// Each rank takes one contiguous block of windows.
+/// Each rank takes one contiguous block of windows, cut by cost (k-mers
+/// plus a fixed cost per window): a long contig's window costs a thousand
+/// lookups and a short contig's a few, so equal window counts would leave
+/// one rank block most of the work.
 pub fn compute_depths(
     team: &Team,
     spectrum: &KmerSpectrum,
@@ -141,26 +143,39 @@ pub fn compute_depths(
 
     // Work units are fixed-size windows of k-mers, not whole contigs.
     const WINDOW: usize = 1024;
+    // What a window costs besides its k-mers, in k-mer lookups: its
+    // multi-get's grouping by owner and, at a contig end, the end's
+    // classification. On the human CLI input at 16 ranks, 16 to 64 brings
+    // the slowest rank within 1.35× of the mean busy time (0 leaves it at
+    // 1.8×, 512 at 2.1×).
+    const WINDOW_COST: u64 = 32;
     let windows = contigs.kmer_windows(k, WINDOW);
+    let prefix = prefix_sums(
+        windows
+            .iter()
+            .map(|(_, kmers)| kmers.len() as u64 + WINDOW_COST),
+    );
 
     let (chunks, mut stats) = team.run_named("scaffold/depths", |ctx| {
         // Per-window partial sums plus end info computed by the windows
         // that hold the contig's first/last k-mer.
         let mut partial: Vec<(usize, u64, u64)> = Vec::new(); // (contig, sum, n)
         let mut ends: Vec<(usize, bool, TerminationState, Option<Kmer>)> = Vec::new();
-        for (ci, window) in &windows[ctx.chunk(windows.len())] {
+        let mut kmers: Vec<Kmer> = Vec::new();
+        for (ci, window) in &windows[ctx.cost_chunk(&prefix)] {
             let (ci, lo, hi) = (*ci, window.start, window.end);
             let contig = &contigs.contigs[ci];
             let n_kmers = contig.seq.len() - k + 1;
-            // Resolve the window's k-mers as one batched multi-get per
-            // owner rank instead of one message per k-mer.
-            let kmers: Vec<Kmer> = (lo..hi)
-                .filter_map(|off| codec.pack(&contig.seq[off..off + k]))
-                .collect();
+            // Resolve the window's k-mers, rolled straight into canonical
+            // keys (those with an `N` skipped), as one batched multi-get
+            // per owner rank instead of one message per k-mer.
+            kmers.clear();
+            let bases = &contig.seq[lo..hi + k - 1];
+            kmers.extend(codec.canonical_kmers(bases).map(|(_, _, canon)| canon));
             ctx.stats.compute((hi - lo) as u64);
             let mut sum = 0u64;
             let mut n = 0u64;
-            for entry in spectrum.get_batch(ctx, &kmers).into_iter().flatten() {
+            for entry in spectrum.table.multi_get(ctx, &kmers).into_iter().flatten() {
                 sum += entry.count as u64;
                 n += 1;
             }

@@ -15,7 +15,10 @@
 //! Unclosed gaps are N-filled with the link's gap estimate. Gaps are
 //! distributed **round-robin** across ranks: closure costs vary by orders
 //! of magnitude and gaps of one scaffold tend to cost alike, so blocked
-//! distribution (the ablation toggle) suffers load imbalance.
+//! distribution (the ablation toggle) suffers load imbalance. The deal
+//! visits the ranks in bit-reversed order, so that neighbouring gaps land
+//! on ranks far apart, in different OS threads' rank blocks: each rank
+//! closes as many gaps as in rank order.
 
 use crate::scaffolds::{Scaffold, ScaffoldSet};
 use hipmer_align::Alignment;
@@ -196,8 +199,13 @@ fn kmer_walk(
 }
 
 /// Build the oriented k-mer table (k-mer → right-extension votes) from the
-/// candidate reads, both orientations.
-fn walk_table(codec: &KmerCodec, reads: &[&SeqRecord]) -> KmerHashMap<Kmer, [u32; 4]> {
+/// candidate reads, both orientations (`rcs` holds each read's reverse
+/// complement).
+fn walk_table(
+    codec: &KmerCodec,
+    reads: &[&SeqRecord],
+    rcs: &[Vec<u8>],
+) -> KmerHashMap<Kmer, [u32; 4]> {
     let k = codec.k();
     let mut table: KmerHashMap<Kmer, [u32; 4]> = KmerHashMap::default();
     let mut add = |seq: &[u8]| {
@@ -209,9 +217,9 @@ fn walk_table(codec: &KmerCodec, reads: &[&SeqRecord]) -> KmerHashMap<Kmer, [u32
             }
         }
     };
-    for r in reads {
+    for (r, rc) in reads.iter().zip(rcs) {
         add(&r.seq);
-        add(&revcomp(&r.seq));
+        add(rc);
     }
     table
 }
@@ -243,14 +251,18 @@ fn close_one(
         }
     }
 
+    // Every candidate's reverse complement, computed once for the spanning
+    // test and all the walks.
+    let mut rcs: Vec<Vec<u8>> = Vec::with_capacity(candidates.len());
+
     let m = ANCHOR;
     // Method 1: spanning read.
     if prev_flank.len() >= m && next_flank.len() >= m {
         let a1 = &prev_flank[prev_flank.len() - m..];
         let a2 = &next_flank[..m];
         for r in candidates {
-            let rc = revcomp(&r.seq);
-            for seq in [&r.seq, &rc] {
+            rcs.push(revcomp(&r.seq));
+            for seq in [&r.seq, &rcs[rcs.len() - 1]] {
                 ctx.stats.compute(seq.len() as u64);
                 let Some(p1) = find(seq, a1) else { continue };
                 let Some(off2) = find(&seq[p1..], a2) else {
@@ -275,12 +287,13 @@ fn close_one(
     // fails). The partial extensions from the largest k are kept for
     // patching.
     let mut best_partials: Option<(Vec<u8>, Vec<u8>)> = None;
+    rcs.extend(candidates[rcs.len()..].iter().map(|r| revcomp(&r.seq)));
     for kw in WALK_KS {
         if prev_flank.len() < kw || next_flank.len() < kw {
             continue;
         }
         let codec = KmerCodec::new(kw);
-        let table = walk_table(&codec, candidates);
+        let table = walk_table(&codec, candidates, &rcs);
         let target = codec
             .pack(&next_flank[..kw])
             .expect("contig flanks are clean DNA");
@@ -354,6 +367,24 @@ fn close_one(
     Closure::NFill((gap_est.max(1) as usize).min(MAX_NFILL))
 }
 
+/// The ranks `0..ranks` in bit-reversed order: each rank's index, its bits
+/// reversed within the next power of two, ranks past the end skipped (8
+/// ranks: 0, 4, 2, 6, 1, 5, 3, 7). A run of consecutive turns alternates
+/// between the halves of the rank range, then between its quarters, and so
+/// on.
+fn bit_reversed(ranks: usize) -> Vec<usize> {
+    let span = ranks.next_power_of_two();
+    let bits = span.trailing_zeros();
+    (0..span)
+        .map(|i| {
+            i.reverse_bits()
+                .checked_shr(usize::BITS - bits)
+                .unwrap_or(0)
+        })
+        .filter(|&r| r < ranks)
+        .collect()
+}
+
 /// Close all gaps and emit final scaffold sequences.
 #[allow(clippy::too_many_arguments)]
 pub fn close_gaps(
@@ -402,15 +433,20 @@ pub fn close_gaps(
         }
     }
 
-    // Phase 2 (parallel): close gaps, dealt round-robin (or blocked, the
-    // ablation).
+    // Phase 2 (parallel): close gaps, dealt round-robin in bit-reversed
+    // rank order (or blocked, the ablation).
     let ranks = team.ranks();
+    let deal = bit_reversed(ranks);
     let (closure_lists, stats2) = team.run_named("scaffold/gap-closing/close", |ctx| {
         // Round-robin here deals *gaps* (work units) to ranks; it is not
         // k-mer ownership, so it stays modulo-based whatever owns the k-mer
-        // tables.
+        // tables. Gap g goes to rank deal[g % ranks].
         let my_gaps: Vec<usize> = if cfg.round_robin {
-            (0..gaps.len()).filter(|g| g % ranks == ctx.rank).collect()
+            let turn = deal
+                .iter()
+                .position(|&r| r == ctx.rank)
+                .expect("a permutation");
+            (turn..gaps.len()).step_by(ranks).collect()
         } else {
             ctx.chunk(gaps.len()).collect()
         };
@@ -786,6 +822,25 @@ mod tests {
                     "distributions disagree at ranks={ranks} gap={gap_len}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn bit_reversed_deal_is_a_permutation_that_alternates_halves() {
+        assert_eq!(bit_reversed(1), vec![0]);
+        assert_eq!(bit_reversed(2), vec![0, 1]);
+        assert_eq!(bit_reversed(8), vec![0, 4, 2, 6, 1, 5, 3, 7]);
+        assert_eq!(bit_reversed(6), vec![0, 4, 2, 1, 5, 3]);
+        for ranks in 1..40 {
+            let mut deal = bit_reversed(ranks);
+            let first_four: Vec<usize> = deal.iter().take(4).copied().collect();
+            if ranks >= 4 {
+                // Four consecutive gaps reach both halves of the ranks.
+                assert!(first_four.iter().any(|&r| 2 * r < ranks), "{ranks}");
+                assert!(first_four.iter().any(|&r| 2 * r >= ranks), "{ranks}");
+            }
+            deal.sort_unstable();
+            assert_eq!(deal, (0..ranks).collect::<Vec<_>>());
         }
     }
 

@@ -272,14 +272,17 @@ fn run_rounds(
         if round + 1 < cfg.rounds {
             // Next round scaffolds the current scaffolds.
             let next = ContigSet::from_sequences(contigs.codec, set.sequences.clone());
-            carried = Some(carry_alignments(
+            let (alns, realign, r) = carry_alignments(
+                team,
                 &contigs,
                 &set,
                 &next,
                 &alignments,
                 reads,
                 cfg.align.seed_len,
-            ));
+            );
+            reports.push(r);
+            carried = Some((alns, realign));
             contigs = next;
         }
         result = Some(set);
