@@ -18,7 +18,7 @@ use hipmer_align::{
     ungapped_matches_reference, SwParams, SwWorkspace,
 };
 use hipmer_dna::{mix128, Kmer, KmerCodec};
-use hipmer_pgas::{json::Value, DistHashMap, RankCtx, Team, Topology};
+use hipmer_pgas::{json::Value, DistHashMap, RankCtx, Topology};
 use hipmer_seqio::fastq::parse_fastq_reference;
 use hipmer_seqio::{parse_fastq, write_fastq, SeqRecord};
 use hipmer_sketch::{BloomFilter, HyperLogLog, MisraGries};
@@ -373,25 +373,12 @@ fn bench_sw(c: &mut Criterion) {
 
 fn bench_dht(c: &mut Criterion) {
     let topo = Topology::new(16, 8);
-    let _team = Team::new(topo);
     let mut g = c.benchmark_group("dht");
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("update_10k", |b| {
-        b.iter(|| {
-            let dht: DistHashMap<Kmer, u32> = DistHashMap::new(topo);
-            let mut ctx = RankCtx::new(0, topo);
-            for i in 0..10_000u128 {
-                dht.update(&mut ctx, Kmer(i), || 0, |v| *v += 1);
-            }
-            black_box(dht.len())
-        })
-    });
     g.bench_function("get_10k", |b| {
         let dht: DistHashMap<Kmer, u32> = DistHashMap::new(topo);
+        dht.preload((0..10_000u128).map(|i| (Kmer(i), i as u32)));
         let mut ctx = RankCtx::new(0, topo);
-        for i in 0..10_000u128 {
-            dht.insert(&mut ctx, Kmer(i), i as u32);
-        }
         let dht = dht.freeze();
         b.iter(|| {
             let mut acc = 0u64;

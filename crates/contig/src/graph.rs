@@ -2,13 +2,16 @@
 //!
 //! [`build_graph`] is where vertex ownership is decided, once: the node
 //! table is owned by the oracle ([`OracleVector::table`]) when one is given
-//! and by uniform hashing ([`DistHashMap::new`]) otherwise. The table is
-//! frozen when the build phase ends; only the vertices' claim flags change
-//! after that.
+//! and by uniform hashing ([`DistHashMap::new`]) otherwise. Either way the
+//! vertices reach their owners through an [`Exchange`], as every table's
+//! entries do, so the frozen table does not depend on the thread count.
+//! The table is frozen when the build phase ends; only the vertices' claim
+//! flags change after that.
 
 use hipmer_dna::{ExtensionPair, Kmer, KmerCodec};
-use hipmer_kanalysis::KmerSpectrum;
-use hipmer_pgas::{DistHashMap, FrozenMap, OracleVector, PhaseReport, Team};
+use hipmer_kanalysis::{KmerEntry, KmerSpectrum};
+use hipmer_pgas::{DistHashMap, Exchange, FrozenMap, OracleVector, PhaseReport, Team};
+use parking_lot::Mutex;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -41,10 +44,11 @@ pub struct DebruijnGraph {
 ///
 /// Only UU k-mers become vertices (§2: "for k-mers where the extensions
 /// are \[unique\] in both directions"). Each rank streams its local spectrum
-/// shard into the graph table; with matching spectrum→graph ownership this
-/// is mostly rank-local, while an oracle reshuffles vertices to their
-/// contig's rank (paying the one-time movement the paper folds into graph
-/// construction).
+/// partition, one superstep's budget at a time, and posts each vertex to
+/// its owner, which applies its mail sources in rank order. With matching
+/// spectrum→graph ownership every vertex stays on its rank, while an oracle
+/// reshuffles vertices to their contig's rank (paying the one-time movement
+/// the paper folds into graph construction).
 pub fn build_graph(
     team: &Team,
     spectrum: &KmerSpectrum,
@@ -56,23 +60,39 @@ pub fn build_graph(
         None => DistHashMap::new(topo),
     };
 
-    let (_, mut stats) = team.run_named("contig/graph-build", |ctx| {
-        let mut uu: Vec<(Kmer, GraphNode)> = Vec::new();
-        spectrum.table.fold_local(ctx, (), |(), km, entry| {
-            if entry.exts.is_uu() {
-                uu.push((
-                    *km,
-                    GraphNode {
-                        exts: entry.exts,
-                        count: entry.count,
-                        visited: AtomicBool::new(false),
-                    },
-                ));
-            }
+    // Vertices travel as references into the spectrum, which outlives the
+    // pass, and become nodes at their owner: half a node copy's bytes.
+    let mail = Exchange::for_table(&nodes);
+    // Each rank's partition size and place in it, kept across the
+    // supersteps so that no rank collects its vertices first.
+    let scans: Vec<Mutex<Option<_>>> = (0..topo.ranks()).map(|_| Mutex::new(None)).collect();
+    let mut stats = team.run_supersteps("contig/graph-build", |ctx, step| {
+        let rank = ctx.rank;
+        mail.deliver(rank, step, |_, vertices| {
+            let vertices = vertices.drain(..).map(|(&km, entry)| (km, entry));
+            let node = |entry: &KmerEntry| GraphNode {
+                exts: entry.exts,
+                count: entry.count,
+                visited: AtomicBool::new(false),
+            };
+            nodes.apply_batch(
+                rank,
+                vertices,
+                |_, _| unreachable!("a spectrum holds each k-mer once"),
+                Some(node),
+            )
         });
-        for (km, node) in uu {
-            nodes.insert(ctx, km, node);
-        }
+        let mut scan = scans[rank].lock();
+        let (units, scan) = scan.get_or_insert_with(|| {
+            let scan = spectrum.table.scan_local(ctx);
+            (scan.len(), scan)
+        });
+        mail.send(ctx, step, *units, |ctx, _, post| {
+            let (km, entry) = scan.next().expect("one entry per unit");
+            if entry.exts.is_uu() {
+                post.push(ctx, nodes.owner(km), (km, entry));
+            }
+        })
     });
     nodes.drain_service_into(&mut stats);
     let report = PhaseReport::new("contig/graph-build", topo, stats);
@@ -89,7 +109,6 @@ pub fn build_graph(
 mod tests {
     use super::*;
     use hipmer_dna::ExtChoice;
-    use hipmer_kanalysis::KmerEntry;
     use hipmer_pgas::{RankCtx, Topology};
 
     /// Build a spectrum by hand from (kmer string, left, right) triples.
@@ -155,5 +174,34 @@ mod tests {
         );
         let (graph, _) = build_graph(&team, &spectrum, everything_on(3, 4));
         assert_eq!(graph.nodes.shard_sizes(), vec![0, 0, 0, 3]);
+    }
+
+    #[test]
+    fn oracle_graph_does_not_depend_on_the_threads() {
+        // An oracle moves most vertices off the rank that scanned them. The
+        // frozen graph's key order, which deals the traversal's seeds, is
+        // the order the owners inserted them in: rank order at any thread
+        // count.
+        use crate::traverse::tests::{lcg_genome, perfect_reads};
+        use crate::{build_oracle, generate_contigs, ContigConfig};
+        use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
+        let topo = Topology::new(16, 4);
+        let reads = perfect_reads(&lcg_genome(60_000, 5), 80, 4);
+        let team = Team::new(topo).with_os_threads(1);
+        let (spectrum, _) = analyze_kmers(&team, &reads, &KmerAnalysisConfig::new(21));
+        let (contigs, _) = generate_contigs(&team, &spectrum, &ContigConfig::default());
+        let oracle = Arc::new(build_oracle(&contigs, &topo, 1 << 16));
+        let key_order = |threads: usize| -> Vec<Kmer> {
+            let team = Team::new(topo).with_os_threads(threads);
+            let (graph, _) = build_graph(&team, &spectrum, Some(Arc::clone(&oracle)));
+            graph.nodes.iter().map(|(&km, _)| km).collect()
+        };
+        let serial = key_order(1);
+        assert!(serial.len() > 50_000, "{} vertices", serial.len());
+        for threads in [1, 2, 4, 8] {
+            for run in 0..2 {
+                assert!(key_order(threads) == serial, "{threads} threads, run {run}");
+            }
+        }
     }
 }

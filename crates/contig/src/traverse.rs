@@ -682,13 +682,13 @@ pub fn generate_contigs(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hipmer_kanalysis::{analyze_kmers, KmerAnalysisConfig};
     use hipmer_pgas::Topology;
     use hipmer_seqio::SeqRecord;
 
-    fn lcg_genome(len: usize, seed: u64) -> Vec<u8> {
+    pub(crate) fn lcg_genome(len: usize, seed: u64) -> Vec<u8> {
         let mut x = seed;
         (0..len)
             .map(|_| {
@@ -700,7 +700,7 @@ mod tests {
             .collect()
     }
 
-    fn perfect_reads(genome: &[u8], read_len: usize, depth: usize) -> Vec<SeqRecord> {
+    pub(crate) fn perfect_reads(genome: &[u8], read_len: usize, depth: usize) -> Vec<SeqRecord> {
         let mut out = Vec::new();
         for d in 0..depth {
             let mut pos = d * 7 % read_len.max(1);

@@ -28,7 +28,7 @@
 //!
 //! Observability: `--report-json <path>` writes the run's one record (the
 //! machine-readable pipeline report, priced on the Edison constants): per
-//! phase the counter totals, measured wall time and lock waits, hash-table
+//! phase the counter totals, measured wall time, hash-table
 //! occupancy, modeled-time breakdown, off-node fraction, imbalance and
 //! heavy-hitter keys; per stage the attempts and resident-set readings; per
 //! checkpoint the bytes, checksum and seconds. `--trace

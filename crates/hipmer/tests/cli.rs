@@ -170,7 +170,7 @@ fn trace_and_report_json_outputs_are_valid() {
     let report_doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
     assert_eq!(
         report_doc.get("schema_version").and_then(Value::as_u64),
-        Some(12)
+        Some(13)
     );
     // Classic single-k runs serialize an empty rounds array.
     assert!(report_doc
@@ -225,7 +225,6 @@ fn trace_and_report_json_outputs_are_valid() {
                 > 0.0
         );
         assert!(measured.get("exec_nanos").and_then(Value::as_u64).unwrap() > 0);
-        assert!(measured.get("lock_waits").and_then(Value::as_u64).is_some());
         let table = p.get("table").expect("table block");
         assert!(
             table.get("max_partition_entries").and_then(Value::as_u64)
@@ -791,7 +790,7 @@ fn multi_k_assembles_and_reports_rounds() {
 
     // The schema-v7 rounds surface.
     let doc = Value::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(12));
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(13));
     let rounds = doc.get("rounds").unwrap().as_arr().unwrap();
     assert_eq!(rounds.len(), 2);
     assert_eq!(rounds[0].get("k").and_then(Value::as_u64), Some(21));

@@ -214,7 +214,7 @@ fn served_jobs_match_oneshot_cli_and_duplicates_hit_cache() {
     let report = Value::parse(std::str::from_utf8(&report).unwrap()).unwrap();
     assert_eq!(
         report.get("schema_version").and_then(Value::as_u64),
-        Some(12)
+        Some(13)
     );
     let attempts = report.get("stage_attempts").unwrap().as_arr().unwrap();
     assert!(

@@ -525,34 +525,30 @@ mod tests {
     fn aggregation_reduces_message_count() {
         let topo = Topology::new(8, 4);
         let n = 4096u64;
-
-        // Fine-grained: one message per update.
-        let dht1: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut fine = RankCtx::new(0, topo);
-        for k in 0..n {
-            dht1.update(&mut fine, k, || 0, |v| *v += 1);
-        }
-
-        // Aggregated.
-        let dht2: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut agg_ctx = RankCtx::new(0, topo);
-        let mut agg = AggregatingStores::with_batch(&dht2, add, 128);
+        let mut agg = AggregatingStores::with_batch(&dht, add, 128);
+        let mut reference: HashMap<u64, u32> = HashMap::new();
         for k in 0..n {
             agg.push(&mut agg_ctx, k, 1);
+            *reference.entry(k).or_default() += 1;
         }
-        agg.flush_all(&mut agg_ctx);
+        agg.finish(&mut agg_ctx);
 
-        assert_eq!(dht1.len(), dht2.len());
-        let fine_msgs = fine.stats.remote_msgs();
+        let dht = dht.freeze();
+        assert_eq!(dht.len(), reference.len());
+        assert!(dht.iter().all(|(k, v)| reference[k] == *v));
+        // Sent one by one, every update for another rank is a message of
+        // one entry.
+        let remote = reference.keys().filter(|k| dht.owner(k) != 0).count() as u64;
         let agg_msgs = agg_ctx.stats.remote_msgs();
         assert!(
-            agg_msgs * 32 < fine_msgs,
-            "batching must slash messages: {agg_msgs} vs {fine_msgs}"
+            agg_msgs * 32 < remote,
+            "batching must slash messages: {agg_msgs} vs {remote}"
         );
-        // Bandwidth is NOT saved — bytes must be comparable.
-        let fine_bytes = fine.stats.onnode_bytes + fine.stats.offnode_bytes;
+        // Bandwidth is NOT saved — every entry's bytes are billed.
         let agg_bytes = agg_ctx.stats.onnode_bytes + agg_ctx.stats.offnode_bytes;
-        assert_eq!(fine_bytes, agg_bytes);
+        assert_eq!(agg_bytes, remote * dht.entry_bytes());
     }
 
     #[test]
@@ -567,12 +563,16 @@ mod tests {
         assert_eq!(agg.pending(), 5);
         agg.flush_all(&mut ctx);
         assert_eq!(agg.pending(), 0);
-        assert_eq!(dht.len(), 5);
+        let landed = |ctx: &mut RankCtx| {
+            let got = dht.multi_get(ctx, &(0..9).collect::<Vec<u64>>());
+            got.iter().filter(|v| v.is_some()).count()
+        };
+        assert_eq!(landed(&mut ctx), 5);
         for k in 5..9u64 {
             agg.push(&mut ctx, k, 1);
         }
         agg.finish(&mut ctx);
-        assert_eq!(dht.len(), 9);
+        assert_eq!(landed(&mut ctx), 9);
     }
 
     #[test]
@@ -712,7 +712,9 @@ mod tests {
                 post.push(ctx, key as usize % 8, (key, text));
             })
         });
-        let mut entries = table.into_entries();
+        let mut entries: Vec<(u64, String)> = (table.freeze().iter())
+            .map(|(&k, text)| (k, text.clone()))
+            .collect();
         entries.sort_unstable();
         let mut deliveries = deliveries.into_inner();
         deliveries.sort_unstable();
@@ -860,9 +862,8 @@ mod tests {
             want.iter().map(billed).collect::<Vec<_>>()
         );
         assert!(got[0].barriers > 2, "the pass took several supersteps");
-        assert!(got.iter().all(|s| s.lock_waits == 0), "owners never wait");
         let sorted = |t: DistHashMap<u64, u32>| {
-            let mut e = t.into_entries();
+            let mut e: Vec<(u64, u32)> = t.freeze().iter().map(|(&k, &v)| (k, v)).collect();
             e.sort_unstable();
             e
         };

@@ -6,15 +6,11 @@
 //! (`key_hash % ranks` unless the table was built [`with_owner`]); each
 //! rank owns exactly one partition — one map under one lock, as each UPC
 //! thread does in the paper — and every operation holds at most one
-//! partition lock (see DESIGN.md §12). Lock count scales with the rank
-//! count, which is never below the worker count.
-//! Any rank may read or write any key (one-sided semantics): the access is
-//! executed directly against the owner's partition, and the *acting* rank's
-//! [`CommStats`] records whether it was local, on-node, or off-node —
-//! exactly the accounting Tables 1–2 of the paper report. Work that lands
-//! in a partition on behalf of other ranks is additionally tallied as
-//! `service_ops` against the owner, which is where heavy-hitter load
-//! imbalance (Fig. 6) becomes visible.
+//! partition lock (see DESIGN.md §12). Every access is billed to the
+//! *acting* rank's [`CommStats`] as local, on-node, or off-node — exactly
+//! the accounting Tables 1–2 of the paper report. Work applied to a
+//! partition is additionally tallied as `service_ops` against its owner,
+//! which is where heavy-hitter load imbalance (Fig. 6) becomes visible.
 //!
 //! Every table in HipMer is built in one phase and only read after it. A
 //! [`DistHashMap`] is the build side; [`DistHashMap::freeze`] ends the
@@ -25,14 +21,15 @@
 //! and calls [`FrozenMap::multi_get`], the one batched read: one message
 //! per owner, bytes in full.
 //!
-//! Batched builds write through an [`Exchange`](crate::Exchange): the
-//! sender bills each batch, and the owner applies it to its own partition
-//! with [`apply_batch`](DistHashMap::apply_batch) (or
+//! A table is built through an [`Exchange`](crate::Exchange): the sender
+//! bills each batch, and the owner applies it to its own partition with
+//! [`apply_batch`](DistHashMap::apply_batch) (or
 //! [`merge_batch`](DistHashMap::merge_batch)) in the next superstep. One
-//! thread then writes each partition, and its lock, which stays, is never
-//! contended. The point writes [`insert`](DistHashMap::insert) and
-//! [`update`](DistHashMap::update) lock the owner's partition from any
-//! rank; the de Bruijn graph build and the benchmark's kernels use them.
+//! thread then writes each partition, in an order that depends on the
+//! input and the rank count only. The only other writer is the checkpoint
+//! restore, [`preload`](DistHashMap::preload). The partition lock stays
+//! because the benchmark's microbenches merge into every partition from
+//! every rank.
 //!
 //! [`CommStats`]: crate::stats::CommStats
 //! [`with_owner`]: DistHashMap::with_owner
@@ -44,49 +41,21 @@ use hipmer_sketch::MisraGries;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hash};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What one partition lock guards: the owner's entries and, when hot-key
-/// tracking is on, the summary of the service operations that landed here.
+/// What one partition lock guards: the owner's entries, the service
+/// operations applied to them and, when hot-key tracking is on, the
+/// summary of those operations' keys.
 struct Partition<K, V> {
     map: HashMap<K, V, KmerBuildHasher>,
+    /// Items applied here since the last
+    /// [`DistHashMap::drain_service_into`].
+    service_ops: u64,
     /// Misra–Gries summary over the key hashes of this partition's service
     /// operations, for naming the heavy hitters behind `service_ops` skew.
     /// `None` (free) unless the table was built
     /// [`DistHashMap::with_hot_keys`]. A key has one owner, so the
     /// partitions' summaries cover disjoint keys.
     hot_keys: Option<MisraGries<u64>>,
-}
-
-impl<K, V> Partition<K, V> {
-    /// Observe one service operation on the key hashing to `key_hash()`.
-    /// The hash is only computed when tracking is on.
-    #[inline]
-    fn track_hot_key(&mut self, key_hash: impl FnOnce() -> u64) {
-        if let Some(mg) = &mut self.hot_keys {
-            mg.observe(key_hash());
-        }
-    }
-}
-
-/// One owner rank's partition.
-struct Shard<K, V> {
-    part: Mutex<Partition<K, V>>,
-    /// Times an accessor found `part`'s lock held and waited for it, since
-    /// the last [`DistHashMap::drain_service_into`].
-    lock_waits: AtomicU64,
-}
-
-impl<K, V> Shard<K, V> {
-    fn new() -> Self {
-        Shard {
-            part: Mutex::new(Partition {
-                map: HashMap::default(),
-                hot_keys: None,
-            }),
-            lock_waits: AtomicU64::new(0),
-        }
-    }
 }
 
 /// A table's owner function: key → owner rank (see
@@ -128,14 +97,6 @@ impl<K: Hash> Routing<K> {
         }
     }
 
-    /// Record one one-sided access by `ctx.rank` against `owner`'s shard
-    /// (subject to fault injection when the rank's team carries a
-    /// [`crate::FaultPlan`]).
-    #[inline]
-    fn account(&self, ctx: &mut RankCtx, owner: usize) {
-        ctx.comm(&self.topo, owner, self.entry_bytes);
-    }
-
     /// Group `keys` by owner and bill one message per distinct owner (bytes
     /// in full: `group_len * entry_bytes`) plus one
     /// [`CommStats::lookup_batches`](crate::CommStats::lookup_batches) each.
@@ -160,9 +121,7 @@ impl<K: Hash> Routing<K> {
 pub struct DistHashMap<K, V> {
     route: Routing<K>,
     /// One partition per rank, indexed by owner.
-    shards: Vec<Shard<K, V>>,
-    /// Remote-landed updates serviced by each shard's owner.
-    service: Vec<AtomicU64>,
+    parts: Vec<Mutex<Partition<K, V>>>,
 }
 
 impl<K, V> DistHashMap<K, V>
@@ -194,8 +153,15 @@ where
                 hasher: KmerBuildHasher::default(),
                 entry_bytes: (std::mem::size_of::<K>() + std::mem::size_of::<V>()) as u64,
             },
-            shards: (0..ranks).map(|_| Shard::new()).collect(),
-            service: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
+            parts: (0..ranks)
+                .map(|_| {
+                    Mutex::new(Partition {
+                        map: HashMap::default(),
+                        service_ops: 0,
+                        hot_keys: None,
+                    })
+                })
+                .collect(),
         }
     }
 
@@ -207,8 +173,8 @@ where
     /// [`hot_keys`]: Self::hot_keys
     pub fn with_hot_keys(mut self, capacity: usize) -> Self {
         if capacity > 0 {
-            for shard in &mut self.shards {
-                shard.part.get_mut().hot_keys = Some(MisraGries::new(capacity));
+            for part in &mut self.parts {
+                part.get_mut().hot_keys = Some(MisraGries::new(capacity));
             }
         }
         self
@@ -221,8 +187,8 @@ where
     /// keys, so their reports are concatenated, not re-pruned.
     pub fn hot_keys(&self, top_k: usize) -> Vec<(u64, u64)> {
         let mut all: Vec<(u64, u64)> = Vec::new();
-        for shard in &self.shards {
-            if let Some(mg) = &shard.part.lock().hot_keys {
+        for part in &self.parts {
+            if let Some(mg) = &part.lock().hot_keys {
                 all.extend(mg.items().map(|(&hash, count)| (hash, count)));
             }
         }
@@ -263,47 +229,6 @@ where
         self.route.owner(key)
     }
 
-    /// Take `owner`'s partition lock. A failed `try_lock` first counts one
-    /// lock wait against the owner (drained into
-    /// [`CommStats::lock_waits`](crate::CommStats::lock_waits)) before
-    /// blocking — the simulator's stand-in for the remote atomics HipMer's
-    /// UPC tables contend on.
-    #[inline]
-    fn lock_shard(&self, owner: usize) -> parking_lot::MutexGuard<'_, Partition<K, V>> {
-        let shard = &self.shards[owner];
-        shard.part.try_lock().unwrap_or_else(|| {
-            shard.lock_waits.fetch_add(1, Ordering::Relaxed);
-            shard.part.lock()
-        })
-    }
-
-    /// One-sided write; returns the previous value if any. Counts a service
-    /// op at the owner.
-    pub fn insert(&self, ctx: &mut RankCtx, key: K, value: V) -> Option<V> {
-        let owner = self.owner(&key);
-        self.route.account(ctx, owner);
-        self.service[owner].fetch_add(1, Ordering::Relaxed);
-        let mut part = self.lock_shard(owner);
-        part.track_hot_key(|| self.key_hash(&key));
-        part.map.insert(key, value)
-    }
-
-    /// One-sided upsert: create the entry with `default` if absent, then
-    /// apply `f`. The fine-grained write every batched one is measured
-    /// against.
-    pub fn update<D, F>(&self, ctx: &mut RankCtx, key: K, default: D, f: F)
-    where
-        D: FnOnce() -> V,
-        F: FnOnce(&mut V),
-    {
-        let owner = self.owner(&key);
-        self.route.account(ctx, owner);
-        self.service[owner].fetch_add(1, Ordering::Relaxed);
-        let mut part = self.lock_shard(owner);
-        part.track_hot_key(|| self.key_hash(&key));
-        f(part.map.entry(key).or_insert_with(default));
-    }
-
     /// Batched one-sided read of a table still being built: group `keys` by
     /// owner, ship **one** message per distinct owner, and return clones of
     /// the values in input-key order, each owner's partition locked once.
@@ -320,7 +245,7 @@ where
             if group.is_empty() {
                 continue;
             }
-            let part = self.lock_shard(dest);
+            let part = self.parts[dest].lock();
             for i in group {
                 out[i] = part.map.get(&keys[i]).cloned();
             }
@@ -350,7 +275,7 @@ where
         C: Fn(U) -> V,
     {
         let mut applied = 0u64;
-        let mut part = self.lock_shard(dest);
+        let mut part = self.parts[dest].lock();
         // Key hashes for the hot-key summary, observed after the loop: its
         // bookkeeping between two table probes would serialize the probes'
         // cache misses. Stays empty and unallocated while tracking is off.
@@ -378,7 +303,7 @@ where
         if let Some(summary) = &mut part.hot_keys {
             tracked.into_iter().for_each(|hash| summary.observe(hash));
         }
-        self.service[dest].fetch_add(applied, Ordering::Relaxed);
+        part.service_ops += applied;
     }
 
     /// [`apply_batch`](Self::apply_batch) for items that are values: merge
@@ -387,7 +312,7 @@ where
     /// `entries` is any owned sequence: a `Vec`, or the `drain(..)` of a
     /// sender's per-destination buffer, which then keeps its capacity for
     /// the next batch. Entries are merged in sequence order under one lock,
-    /// so the result equals a loop of [`update`](Self::update)s even for a
+    /// so the result equals a sequential fold of the entries even for a
     /// merge that does not commute.
     pub fn merge_batch<M>(&self, dest: usize, entries: impl IntoIterator<Item = (K, V)>, merge: M)
     where
@@ -396,55 +321,28 @@ where
         self.apply_batch(dest, entries, merge, Some(|v| v));
     }
 
-    /// Total entries across all shards (collective metadata; not counted).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.part.lock().map.len()).sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.part.lock().map.is_empty())
-    }
-
     /// Move each partition owner's tallies into the per-rank stats vector
-    /// collected from a finished phase: the service work and lock waits
-    /// accumulated since the last drain (both reset), and the partition's
-    /// current entry count ([`CommStats::table_entries`](crate::CommStats)).
+    /// collected from a finished phase: the service work accumulated since
+    /// the last drain (reset), and the partition's current entry count
+    /// ([`CommStats::table_entries`](crate::CommStats)).
     pub fn drain_service_into(&self, stats: &mut [crate::CommStats]) {
         assert_eq!(stats.len(), self.topo().ranks());
-        for ((s, shard), service) in stats.iter_mut().zip(&self.shards).zip(&self.service) {
-            s.service_ops += service.swap(0, Ordering::Relaxed);
-            s.lock_waits += shard.lock_waits.swap(0, Ordering::Relaxed);
-            s.table_entries += shard.part.lock().map.len() as u64;
+        for (s, part) in stats.iter_mut().zip(&self.parts) {
+            let mut part = part.lock();
+            s.service_ops += std::mem::take(&mut part.service_ops);
+            s.table_entries += part.map.len() as u64;
         }
     }
 
-    /// Bulk-load entries into their owner shards, **without** touching any
+    /// Bulk-load entries into their owner partitions, **without** touching any
     /// counters or service tallies — the checkpoint-restore path, whose I/O
     /// cost is accounted by the resume machinery as a `checkpoint/load-*`
     /// phase instead of as table traffic.
     pub fn preload(&self, entries: impl IntoIterator<Item = (K, V)>) {
         for (k, v) in entries {
             let owner = self.owner(&k);
-            self.shards[owner].part.lock().map.insert(k, v);
+            self.parts[owner].lock().map.insert(k, v);
         }
-    }
-
-    /// Consume the table, yielding every entry (for tests / final output).
-    pub fn into_entries(self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
-        for shard in self.shards {
-            out.extend(shard.part.into_inner().map);
-        }
-        out
-    }
-
-    /// Snapshot of the per-rank partition sizes (load-balance diagnostics).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.part.lock().map.len())
-            .collect()
     }
 
     /// End the build: move each partition's map out of its lock into a
@@ -454,8 +352,8 @@ where
     pub fn freeze(self) -> FrozenMap<K, V> {
         FrozenMap {
             route: self.route,
-            parts: (self.shards.into_iter())
-                .map(|shard| shard.part.into_inner().map)
+            parts: (self.parts.into_iter())
+                .map(|part| part.into_inner().map)
                 .collect(),
         }
     }
@@ -495,10 +393,11 @@ impl<K: Hash + Eq, V> FrozenMap<K, V> {
         self.route.owner(key)
     }
 
-    /// One-sided read.
+    /// One-sided read, billed as one message to the owner (subject to
+    /// fault injection when the rank's team carries a [`crate::FaultPlan`]).
     pub fn get(&self, ctx: &mut RankCtx, key: &K) -> Option<&V> {
         let owner = self.owner(key);
-        self.route.account(ctx, owner);
+        ctx.comm(&self.route.topo, owner, self.route.entry_bytes);
         self.parts[owner].get(key)
     }
 
@@ -568,8 +467,8 @@ impl<K: Hash + Eq, V> FrozenMap<K, V> {
 
     /// Add each partition's entry count to its owner's
     /// [`CommStats::table_entries`](crate::CommStats) in the stats of a
-    /// phase that read this table. A frozen table serves no writes and
-    /// takes no lock, so there are no service ops or lock waits to move.
+    /// phase that read this table. A frozen table serves no writes, so
+    /// there are no service ops to move.
     pub fn record_entries(&self, stats: &mut [crate::CommStats]) {
         assert_eq!(stats.len(), self.topo().ranks());
         for (s, part) in stats.iter_mut().zip(&self.parts) {
@@ -587,12 +486,11 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_roundtrip() {
+    fn preload_get_roundtrip() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, String> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
-        assert_eq!(dht.insert(&mut c, 42, "hello".into()), None);
-        assert_eq!(dht.len(), 1);
+        dht.preload([(42, "hello".to_string())]);
         let frozen = dht.freeze();
         assert_eq!(frozen.get(&mut c, &42).map(String::as_str), Some("hello"));
         assert_eq!(frozen.get(&mut c, &43), None);
@@ -613,43 +511,33 @@ mod tests {
     #[test]
     fn comm_accounting_matches_owner_locality() {
         let topo = Topology::new(48, 24);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let dht: FrozenMap<u64, u32> = DistHashMap::new(topo).freeze();
         let mut c = ctx(0, topo);
         // Find keys owned locally / on node 0 / off node.
         let local_key = (0..).find(|k| dht.owner(k) == 0).unwrap();
         let onnode_key = (0..).find(|k| (1..24).contains(&dht.owner(k))).unwrap();
         let offnode_key = (0..).find(|k| dht.owner(k) >= 24).unwrap();
-        dht.insert(&mut c, local_key, 1);
-        dht.insert(&mut c, onnode_key, 2);
-        dht.insert(&mut c, offnode_key, 3);
+        for key in [local_key, onnode_key, offnode_key] {
+            assert_eq!(dht.get(&mut c, &key), None);
+        }
         assert_eq!(c.stats.local_ops, 1);
         assert_eq!(c.stats.onnode_msgs, 1);
         assert_eq!(c.stats.offnode_msgs, 1);
     }
 
     #[test]
-    fn update_upserts() {
-        let topo = Topology::new(2, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(1, topo);
-        dht.update(&mut c, 5, || 0, |v| *v += 10);
-        dht.update(&mut c, 5, || 0, |v| *v += 10);
-        assert_eq!(dht.freeze().get(&mut c, &5), Some(&20));
-    }
-
-    #[test]
     fn service_ops_attributed_to_owner() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        // Insert many keys; service ops land at owners, not at rank 0.
+        // Each applied item is a service op at its key's owner.
         for k in 0..100 {
-            dht.insert(&mut c, k, 0);
+            dht.merge_batch(dht.owner(&k), [(k, 0)], |a, b| *a += b);
         }
         let mut stats = vec![crate::CommStats::new(); 4];
         dht.drain_service_into(&mut stats);
         let total: u64 = stats.iter().map(|s| s.service_ops).sum();
         assert_eq!(total, 100);
+        assert!(stats.iter().all(|s| s.service_ops > 0), "{stats:?}");
         // And the counters reset.
         let mut again = vec![crate::CommStats::new(); 4];
         dht.drain_service_into(&mut again);
@@ -660,10 +548,7 @@ mod tests {
     fn fold_local_only_touches_own_shard() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c0 = ctx(0, topo);
-        for k in 0..200 {
-            dht.insert(&mut c0, k, 1);
-        }
+        dht.preload((0..200).map(|k| (k, 1)));
         let frozen = dht.freeze();
         let mut seen = 0usize;
         for rank in 0..4 {
@@ -683,11 +568,8 @@ mod tests {
         let topo = Topology::new(4, 2);
         // Everything on rank 3.
         let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 3);
-        let mut c = ctx(0, topo);
-        for k in 0..50 {
-            dht.insert(&mut c, k, 0);
-        }
-        assert_eq!(dht.shard_sizes(), vec![0, 0, 0, 50]);
+        dht.preload((0..50).map(|k| (k, 0)));
+        assert_eq!(dht.freeze().shard_sizes(), vec![0, 0, 0, 50]);
     }
 
     #[test]
@@ -697,9 +579,8 @@ mod tests {
         // `ranks` itself is the smallest bad owner.
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 4);
-        let mut c = ctx(0, topo);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dht.insert(&mut c, 1, 1);
+            dht.preload([(1, 1)]);
         }))
         .expect_err("out-of-range owner must panic even with debug_asserts off");
         let msg = err
@@ -714,6 +595,7 @@ mod tests {
 
     #[test]
     fn owner_function_is_evaluated_once_per_point_op() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let topo = Topology::new(4, 2);
         let calls = std::sync::Arc::new(AtomicU64::new(0));
         let counter = std::sync::Arc::clone(&calls);
@@ -722,19 +604,9 @@ mod tests {
             3
         });
         let mut c = ctx(0, topo);
-        // Every point operation routes with exactly one owner evaluation.
-        let mut expect_one_call = |what: &str, op: &mut dyn FnMut(&mut RankCtx)| {
-            let before = calls.load(Ordering::Relaxed);
-            op(&mut c);
-            assert_eq!(calls.load(Ordering::Relaxed) - before, 1, "{what}");
-        };
-        expect_one_call("insert", &mut |c| assert_eq!(dht.insert(c, 7, 0), None));
-        expect_one_call("update", &mut |c| dht.update(c, 8, || 0, |v| *v += 1));
         // Batched reads agree with the function, before and after freezing.
-        for k in 0..256u64 {
-            dht.insert(&mut c, k, 0);
-        }
-        assert_eq!(dht.shard_sizes(), vec![0, 0, 0, 256]);
+        dht.preload((0..256u64).map(|k| (k, 0)));
+        assert_eq!(calls.load(Ordering::Relaxed), 256, "one call per entry");
         assert_eq!(dht.multi_get(&mut c, &[1, 2, 3]), vec![Some(0); 3]);
         let frozen = dht.freeze();
         let before = calls.load(Ordering::Relaxed);
@@ -753,20 +625,17 @@ mod tests {
         let build =
             || -> DistHashMap<u64, u32> { DistHashMap::with_owner(topo, |k| (k / 8 % 8) as usize) };
         let dht = build();
-        let mut c = ctx(0, topo);
-        for k in 0..640u64 {
-            dht.insert(&mut c, k, k as u32);
-        }
+        dht.preload((0..640u64).map(|k| (k, k as u32)));
         for group in 0..80u64 {
             let owners: std::collections::HashSet<usize> =
                 (group * 8..group * 8 + 8).map(|k| dht.owner(&k)).collect();
             assert_eq!(owners.len(), 1, "group {group} split across owners");
         }
         // preload places by the same owner function.
+        let dht = dht.freeze();
         let restored = build();
-        let sizes = dht.shard_sizes();
-        restored.preload(dht.into_entries());
-        assert_eq!(restored.shard_sizes(), sizes);
+        restored.preload(dht.iter().map(|(&k, &v)| (k, v)));
+        assert_eq!(restored.freeze().shard_sizes(), dht.shard_sizes());
     }
 
     #[test]
@@ -825,12 +694,12 @@ mod tests {
         let topo = Topology::new(2, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c = ctx(0, topo);
-        dht.insert(&mut c, 1000, 5);
         let dest = dht.owner(&1000);
+        dht.merge_batch(dest, vec![(1000, 5)], |a, b| *a += b);
         dht.merge_batch(dest, vec![(1000, 7)], |a, b| *a += b);
         let mut stats = vec![crate::CommStats::new(); 2];
         dht.drain_service_into(&mut stats);
-        assert_eq!(stats[dest].service_ops, 2); // insert + merged entry
+        assert_eq!(stats[dest].service_ops, 2); // created + merged entry
         assert_eq!(dht.freeze().get(&mut c, &1000), Some(&12));
     }
 
@@ -859,7 +728,9 @@ mod tests {
         let mut stats = vec![crate::CommStats::new(); 2];
         dht.drain_service_into(&mut stats);
         assert_eq!((stats[0].service_ops, stats[1].service_ops), (0, 4 + 3 + 2));
-        let mut got = dht.into_entries();
+        let mut got: Vec<(u64, Vec<u8>)> = (dht.freeze().iter())
+            .map(|(&k, log)| (k, log.clone()))
+            .collect();
         got.sort();
         let mut want = vec![(a, vec![101, 3, 4]), (b, vec![102, 6]), (c, vec![0])];
         want.sort();
@@ -881,7 +752,7 @@ mod tests {
         // through the shared log, different-key) entries would show.
         let topo = Topology::new(2, 2);
         let batched: DistHashMap<u64, String> = DistHashMap::new(topo);
-        let reference: DistHashMap<u64, String> = DistHashMap::new(topo);
+        let mut reference: HashMap<u64, String> = HashMap::new();
         let mut c = ctx(0, topo);
         let owned: Vec<u64> = (0..64).filter(|k| batched.owner(k) == 1).collect();
         let batch: Vec<(u64, String)> = (0..500usize)
@@ -892,13 +763,11 @@ mod tests {
             log.lock().push(b.clone());
             a.push_str(&b);
         });
-        for (k, v) in batch.clone() {
-            reference.update(&mut c, k, String::new, |s| s.push_str(&v));
+        for (k, v) in &batch {
+            reference.entry(*k).or_default().push_str(v);
         }
-        assert_eq!(
-            batched.multi_get(&mut c, &owned),
-            reference.multi_get(&mut c, &owned)
-        );
+        let want: Vec<Option<String>> = owned.iter().map(|k| reference.get(k).cloned()).collect();
+        assert_eq!(batched.multi_get(&mut c, &owned), want);
         // Merges ran in batch order across keys, not just within one key.
         let merged = log.into_inner();
         let mut seen = std::collections::HashSet::new();
@@ -930,15 +799,12 @@ mod tests {
         // counter of a batched read where the locked table put it.
         let topo = Topology::new(6, 3);
         let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |k| (k % 5) as usize);
-        let mut setup = ctx(0, topo);
-        for k in (0..300u64).step_by(3) {
-            dht.insert(&mut setup, k, k as u32 * 7);
-        }
+        dht.preload((0..300u64).step_by(3).map(|k| (k, k as u32 * 7)));
         let probes: Vec<u64> = (0..200).collect();
         let (mut locked, mut frozen) = (ctx(4, topo), ctx(4, topo));
         let want = dht.multi_get(&mut locked, &probes);
-        let sizes = dht.shard_sizes();
         let table = dht.freeze();
+        let sizes = table.shard_sizes();
         let got: Vec<Option<u32>> = table
             .multi_get(&mut frozen, &probes)
             .into_iter()
@@ -946,16 +812,13 @@ mod tests {
             .collect();
         assert_eq!(got, want);
         assert_eq!(frozen.stats, locked.stats);
-        assert_eq!(table.shard_sizes(), sizes);
         assert_eq!(sizes[5], 0, "owner function kept");
         // Entry counts land on their owners; nothing else moves.
         let mut stats = vec![crate::CommStats::new(); 6];
         table.record_entries(&mut stats);
         let entries: Vec<u64> = stats.iter().map(|s| s.table_entries).collect();
         assert_eq!(entries, sizes.iter().map(|&n| n as u64).collect::<Vec<_>>());
-        assert!(stats
-            .iter()
-            .all(|s| s.lock_waits == 0 && s.service_ops == 0));
+        assert!(stats.iter().all(|s| s.service_ops == 0));
     }
 
     #[test]
@@ -965,17 +828,17 @@ mod tests {
         let topo = Topology::new(4, 2);
         let off: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_keys(0);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_keys(16);
-        let mut c = ctx(0, topo);
         // One ultra-frequent key among a uniform background, and a second,
         // half as hot, on another owner: each lands in its own partition's
         // summary and the report ranks them together.
         let second = (0..).find(|k| dht.owner(k) != dht.owner(&7777)).unwrap();
+        let mut reference: HashMap<u64, u32> = HashMap::new();
         for i in 0..500u64 {
-            for t in [&off, &dht] {
-                t.update(&mut c, 7777, || 0, |v| *v += 1);
-                t.update(&mut c, 1000 + i, || 0, |v| *v += 1);
-                if i % 2 == 0 {
-                    t.merge_batch(t.owner(&second), [(second, 1)], |a, b| *a += b);
+            let keys = [Some(7777), Some(1000 + i), (i % 2 == 0).then_some(second)];
+            for k in keys.into_iter().flatten() {
+                *reference.entry(k).or_default() += 1;
+                for t in [&off, &dht] {
+                    t.merge_batch(t.owner(&k), [(k, 1)], |a, b| *a += b);
                 }
             }
         }
@@ -989,90 +852,58 @@ mod tests {
         for w in hot.windows(2) {
             assert!(w[0].1 >= w[1].1, "sorted descending");
         }
+        // Tracking changes no entry.
+        for t in [off, dht] {
+            let t = t.freeze();
+            assert_eq!(t.len(), reference.len());
+            assert!(t.iter().all(|(k, v)| reference[k] == *v));
+        }
     }
 
     #[test]
     fn preload_bypasses_counters() {
         let topo = Topology::new(4, 2);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        for k in 0..100 {
-            dht.insert(&mut c, k, (k * 2) as u32);
-        }
-        let sizes = dht.shard_sizes();
-        let entries = dht.into_entries();
-        assert_eq!(entries.len(), 100);
-
         let restored: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut c2 = ctx(1, topo);
-        restored.preload(entries);
+        restored.preload((0..100).map(|k| (k, (k * 2) as u32)));
         // No accesses, no service ops were recorded.
         assert_eq!(c2.stats.total_accesses(), 0);
         let mut stats = vec![crate::CommStats::new(); 4];
         restored.drain_service_into(&mut stats);
         assert!(stats.iter().all(|s| s.service_ops == 0));
-        // But the data round-tripped, landing on the same owners.
+        // But the data landed, each entry on its owner.
+        let restored = restored.freeze();
+        let mut sizes = vec![0; 4];
+        (0..100).for_each(|k| sizes[restored.owner(&k)] += 1);
         assert_eq!(restored.shard_sizes(), sizes);
-        assert_eq!(restored.freeze().get(&mut c2, &7), Some(&14));
+        assert_eq!(restored.get(&mut c2, &7), Some(&14));
     }
 
     #[test]
-    fn drained_stats_capture_occupancy_and_contention() {
+    fn drained_stats_capture_occupancy() {
         let topo = Topology::new(4, 2);
         // All keys on rank 3.
         let dht: DistHashMap<u64, u32> = DistHashMap::with_owner(topo, |_| 3);
-        let mut c = ctx(0, topo);
-        for k in 0..80 {
-            dht.insert(&mut c, k, 0);
-        }
-
-        // Contention: hold rank 3's partition lock while another thread
-        // inserts. The insert's try_lock fails and counts the wait *before*
-        // blocking, so we can watch the tally and then release.
-        let shard = &dht.shards[3];
-        let held = shard.part.lock();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut c2 = RankCtx::new(1, topo);
-                dht.insert(&mut c2, 0, 9); // blocks until `held` drops
-            });
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            while shard.lock_waits.load(Ordering::Relaxed) == 0 {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "blocked insert never counted a lock wait"
-                );
-                std::thread::yield_now();
-            }
-            drop(held);
-        });
+        dht.preload((0..80).map(|k| (k, 0)));
 
         let mut stats = vec![crate::CommStats::new(); 4];
         dht.drain_service_into(&mut stats);
         let total = crate::stats::total(&stats);
         assert_eq!(total.table_entries, 80);
         assert_eq!(stats[3].table_entries, 80, "max partition = the one owner");
-        assert!(stats[3].lock_waits >= 1, "blocked insert must count a wait");
-        assert_eq!(
-            total.lock_waits, stats[3].lock_waits,
-            "waits go to the owner"
-        );
 
-        // Waits reset with the drain; occupancy is read afresh each time.
+        // Occupancy is read afresh at each drain.
         let mut again = vec![crate::CommStats::new(); 4];
         dht.drain_service_into(&mut again);
-        assert_eq!((again[3].lock_waits, again[3].table_entries), (0, 80));
+        assert_eq!(again[3].table_entries, 80);
     }
 
     #[test]
     fn cyclic_placement_is_roughly_balanced() {
         let topo = Topology::new(16, 8);
         let dht: DistHashMap<u64, ()> = DistHashMap::new(topo);
-        let mut c = ctx(0, topo);
-        for k in 0..16_000u64 {
-            dht.insert(&mut c, k, ());
-        }
-        let sizes = dht.shard_sizes();
+        dht.preload((0..16_000u64).map(|k| (k, ())));
+        let sizes = dht.freeze().shard_sizes();
         let expect = 1000.0;
         for (rank, &s) in sizes.iter().enumerate() {
             let dev = (s as f64 - expect).abs() / expect;

@@ -17,7 +17,8 @@
 //! * an [`Exchange`] implements the paper's "aggregating stores"
 //!   optimization: per-destination batching of fine-grained updates, each
 //!   batch applied by its owner in supersteps
-//!   ([`Team::run_supersteps`]);
+//!   ([`Team::run_supersteps`]). It is the one way a table is built: no
+//!   rank writes another rank's partition;
 //! * [`FrozenMap::multi_get`] and [`SoftwareCache`] are the read-side
 //!   counterparts (§4.4's seed-index batching and contig caching): a
 //!   batched read that pays one message of latency per owner, and a

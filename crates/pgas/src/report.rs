@@ -258,7 +258,7 @@ impl PipelineReport {
     }
 
     /// Serialize the whole pipeline report as a machine-readable JSON
-    /// document, **schema version 12**, priced under [`CostModel::edison`]
+    /// document, **schema version 13**, priced under [`CostModel::edison`]
     /// (`cost_model: "edison"`). Everything in it is a view of the
     /// per-rank [`CommStats`] the phases returned plus the stage and
     /// checkpoint bookkeeping; the keys that hold host measurements are
@@ -282,7 +282,7 @@ impl PipelineReport {
     pub fn to_json(&self) -> String {
         let model = &CostModel::edison();
         let mut doc = Value::obj();
-        doc.set("schema_version", 12u64)
+        doc.set("schema_version", 13u64)
             .set("generator", "hipmer-pgas")
             .set("cost_model", "edison");
         let rounds = self.rounds.iter().map(|r| {
@@ -520,7 +520,6 @@ mod tests {
                 barriers: 2,
                 table_entries: 100 + r,
                 exec_nanos: 1_000_000 * (r + 1),
-                lock_waits: r,
                 ..CommStats::default()
             })
             .collect();
@@ -577,7 +576,7 @@ mod tests {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
         let doc = Value::parse(&busy_pipeline().to_json()).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 12);
+        assert_eq!(u64_at(&doc, "schema_version"), 13);
         assert_eq!(str_at(&doc, "cost_model"), "edison");
         assert_keys(
             &doc,
@@ -675,7 +674,7 @@ mod tests {
         serialized.extend(&measured[1..]);
         let table_names: Vec<&str> = crate::stats::FIELDS.iter().map(|f| f.0).collect();
         assert_eq!(serialized, table_names);
-        assert_eq!(measured[1..], ["exec_nanos", "lock_waits"]);
+        assert_eq!(measured[1..], ["exec_nanos"]);
         assert_keys(get_path(p, "table"), &["entries", "max_partition_entries"]);
         assert_eq!(u64_at(p, "table/entries"), 100 + 101 + 102 + 103);
         assert_eq!(u64_at(p, "table/max_partition_entries"), 103);
@@ -708,7 +707,6 @@ mod tests {
             let total = f64_at(v, "modeled/total_seconds");
             assert!((total - p.modeled(&model).total()).abs() < 1e-12);
             assert_eq!(u64_at(v, "measured/exec_nanos"), p.totals().exec_nanos);
-            assert_eq!(u64_at(v, "measured/lock_waits"), p.totals().lock_waits);
             // Schema-v2 read-path counters carry the merged CommStats values.
             let hits = u64_at(v, "totals/cache_hits");
             assert_eq!(hits, p.totals().cache_hits);

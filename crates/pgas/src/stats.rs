@@ -23,8 +23,8 @@ pub struct CommStats {
     pub onnode_bytes: u64,
     /// Payload bytes that crossed the network.
     pub offnode_bytes: u64,
-    /// Work performed *for* this rank's partition on behalf of others
-    /// (remote inserts/updates landing in its shard). This is what load
+    /// Work performed *for* this rank's partition on behalf of every
+    /// sender (the batched items its owner applied). This is what load
     /// imbalance from heavy hitters shows up in.
     pub service_ops: u64,
     /// Batched one-sided reads shipped as single messages: the per-owner
@@ -70,11 +70,6 @@ pub struct CommStats {
     /// the report's `table.entries`, the max its
     /// `table.max_partition_entries`.
     pub table_entries: u64,
-    /// Measured: times an accessor found this rank's partition lock held
-    /// and had to wait for it — the simulator's stand-in for the remote
-    /// atomics HipMer's UPC tables contend on. Tallied per table and
-    /// drained to the *owner* alongside [`CommStats::service_ops`].
-    pub lock_waits: u64,
 }
 
 /// Whether a [`CommStats`] field counts modeled events — a function of the
@@ -97,7 +92,7 @@ pub type Field = (&'static str, Kind, fn(&mut CommStats) -> &mut u64);
 /// order. [`CommStats::merge`], [`CommStats::counted`], the report's
 /// `totals`/`measured` objects and the trace span `args` are all loops over
 /// this table, so a new counter is one struct field plus one row here.
-pub const FIELDS: [Field; 19] = [
+pub const FIELDS: [Field; 18] = [
     ("compute_ops", Counted, |s| &mut s.compute_ops),
     ("local_ops", Counted, |s| &mut s.local_ops),
     ("onnode_msgs", Counted, |s| &mut s.onnode_msgs),
@@ -116,7 +111,6 @@ pub const FIELDS: [Field; 19] = [
     ("barriers", Counted, |s| &mut s.barriers),
     ("table_entries", Counted, |s| &mut s.table_entries),
     ("exec_nanos", Measured, |s| &mut s.exec_nanos),
-    ("lock_waits", Measured, |s| &mut s.lock_waits),
 ];
 
 /// Every key of the report document ([`crate::PipelineReport::to_json`])
@@ -286,8 +280,7 @@ mod tests {
             io_write_bytes,
             barriers,
             exec_nanos,
-            table_entries,
-            lock_waits
+            table_entries
         );
         assert_eq!(named.len(), FIELDS.len());
         for (name, value) in named {
@@ -307,11 +300,11 @@ mod tests {
             *slot(&mut s) = 7;
         }
         let c = s.counted();
-        assert_eq!((c.exec_nanos, c.lock_waits), (0, 0));
+        assert_eq!(c.exec_nanos, 0);
         let counted = || c.fields().filter(|f| f.1 == Counted);
         assert!(counted().all(|(_, _, v)| v == 7));
-        assert_eq!(counted().count() + 2, FIELDS.len());
-        assert_eq!(measured_report_keys()[..2], ["exec_nanos", "lock_waits"]);
+        assert_eq!(counted().count() + 1, FIELDS.len());
+        assert_eq!(measured_report_keys()[0], "exec_nanos");
     }
 
     #[test]

@@ -50,9 +50,14 @@ proptest! {
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let mut reference: HashMap<u64, u32> = HashMap::new();
         let mut ctx = RankCtx::new(0, topo);
+        // One batch per owner, in input order, as an owner receives them.
+        let mut batches: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 6];
         for (k, v) in ops {
-            dht.update(&mut ctx, k, || 0, |x| *x += v);
+            batches[dht.owner(&k)].push((k, v));
             *reference.entry(k).or_insert(0) += v;
+        }
+        for (owner, batch) in batches.into_iter().enumerate() {
+            dht.merge_batch(owner, batch, |x, v| *x += v);
         }
         let dht = dht.freeze();
         prop_assert_eq!(dht.len(), reference.len());
@@ -62,23 +67,22 @@ proptest! {
     }
 
     #[test]
-    fn aggregated_and_fine_grained_updates_agree(
+    fn aggregated_updates_agree_with_reference_hashmap(
         keys in prop::collection::vec(0u64..200, 1..500),
         batch in 1usize..64,
     ) {
         let topo = Topology::new(8, 4);
-        let fine: DistHashMap<u64, u32> = DistHashMap::new(topo);
         let agg_t: DistHashMap<u64, u32> = DistHashMap::new(topo);
+        let mut reference: HashMap<u64, u32> = HashMap::new();
         let mut ctx = RankCtx::new(2, topo);
         let mut agg = AggregatingStores::with_batch(&agg_t, |a: &mut u32, b| *a += b, batch);
         for &k in &keys {
-            fine.update(&mut ctx, k, || 0, |v| *v += 1);
+            *reference.entry(k).or_insert(0) += 1;
             agg.push(&mut ctx, k, 1);
         }
-        agg.flush_all(&mut ctx);
-        drop(agg);
-        let mut a = fine.into_entries();
-        let mut b = agg_t.into_entries();
+        agg.finish(&mut ctx);
+        let mut a: Vec<(u64, u32)> = reference.into_iter().collect();
+        let mut b: Vec<(u64, u32)> = agg_t.freeze().iter().map(|(&k, &v)| (k, v)).collect();
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
@@ -92,10 +96,7 @@ proptest! {
     ) {
         let topo = Topology::new(8, 4);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut setup = RankCtx::new(0, topo);
-        for &k in &present {
-            dht.insert(&mut setup, k, (k as u32).wrapping_mul(7));
-        }
+        dht.preload(present.iter().map(|&k| (k, (k as u32).wrapping_mul(7))));
         let dht = dht.freeze();
 
         // Fine-grained baseline: one get (one message) per key.
@@ -136,10 +137,7 @@ proptest! {
     ) {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
-        let mut setup = RankCtx::new(0, topo);
-        for &k in &present {
-            dht.insert(&mut setup, k, k as u32 ^ 0x5a5a);
-        }
+        dht.preload(present.iter().map(|&k| (k, k as u32 ^ 0x5a5a)));
         let dht = dht.freeze();
         // Read through: probe the cache; on a miss read the table and
         // remember the answer, absent or not.

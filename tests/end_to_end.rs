@@ -547,10 +547,11 @@ fn read_phase_counters_are_pinned_across_commits() {
     );
 }
 
-/// The phases that build a table by owner-applied batches: k-mer analysis
-/// and the seed index, whose every counted field is compared across
-/// thread counts, and the scaffolding tables, merged into larger reports.
-const WRITE_PHASES: [&str; 4] = [
+/// The phases that build a table by owner-applied batches, besides k-mer
+/// analysis: the de Bruijn graph, the seed index and the scaffolding
+/// tables (each merged with the phase that reads it into one report).
+const WRITE_PHASES: [&str; 5] = [
+    "contig/graph-build",
     "scaffold/meraligner-index",
     "scaffold/links",
     "scaffold/bubbles",
@@ -561,9 +562,8 @@ const WRITE_PHASES: [&str; 4] = [
 /// `(entries, max_partition_entries)` and hot keys.
 type WritePhase = (String, Vec<CommStats>, (u64, u64), Vec<(u64, u64)>);
 
-/// Every `kmer-analysis/*` and `scaffold/meraligner-index` phase of one
-/// assembly at `threads` OS threads, with hot-key tracking on, after
-/// checking that no write phase waited for a lock.
+/// Every `kmer-analysis/*` phase and every one of [`WRITE_PHASES`] of one
+/// assembly at `threads` OS threads, with hot-key tracking on.
 fn write_phases(
     dataset: &Dataset,
     libs: &[std::ops::Range<usize>],
@@ -575,15 +575,8 @@ fn write_phases(
         .with_hot_keys(trace::HOT_KEY_CAPACITY);
     let reads = dataset.all_reads();
     let assembly = assemble(&team, &reads, libs, cfg);
-    let phases = assembly.report.phases;
-    for p in &phases {
-        if p.name.starts_with("kmer-analysis/") || WRITE_PHASES.contains(&p.name.as_str()) {
-            let waits = p.totals().lock_waits;
-            assert_eq!(waits, 0, "{} waited at {threads} threads", p.name);
-        }
-    }
-    (phases.into_iter())
-        .filter(|p| p.name.starts_with("kmer-analysis/") || p.name == WRITE_PHASES[0])
+    (assembly.report.phases.into_iter())
+        .filter(|p| p.name.starts_with("kmer-analysis/") || WRITE_PHASES.contains(&p.name.as_str()))
         .map(|p| {
             let table = p.table();
             let counted = p.stats.into_iter().map(CommStats::counted).collect();
@@ -597,7 +590,7 @@ fn write_phases_count_the_same_at_every_thread_count() {
     // Each owner applies the batches sent to it, sources in rank order, so
     // the order they land in — which decides the Bloom filter's false
     // positives and the hot-key summaries — depends on the input and the
-    // rank count, not on the threads; and no owner ever waits for a lock.
+    // rank count, not on the threads. No rank writes another's partition.
     let check = |dataset: &Dataset, libs: &[std::ops::Range<usize>], cfg: &PipelineConfig| {
         let serial = write_phases(dataset, libs, cfg, 1);
         assert!(serial

@@ -87,7 +87,7 @@ fn two_one_thread_runs_write_equal_reports_minus_the_measured_keys() {
         let full_phase = &full.get("phases").unwrap().as_arr().unwrap()[0];
         assert_eq!(
             full_phase.get("measured").unwrap().keys(),
-            ["wall_seconds", "exec_nanos", "lock_waits"],
+            ["wall_seconds", "exec_nanos"],
             "every key of `measured` is a measured key"
         );
         let attempt = &first.get("stage_attempts").unwrap().as_arr().unwrap()[0];
