@@ -10,9 +10,9 @@
 //! and its reverse complement denote the same node, and the lexicographically
 //! (numerically, in 2-bit space) smaller of the two is the table key.
 //!
-//! K-mer analysis alone also keys by [`Kmer64`], one `u64`, when k ≤ 32:
-//! both types implement [`KmerKey`], and what the stage hands on is a
-//! `Kmer` again.
+//! K-mer analysis alone keys by [`Kmer64`], one `u64`, when k ≤ 32 and by
+//! [`KmerPair`], two `u64`s, above: both implement [`KmerKey`] as `Kmer`
+//! does, and what the stage hands on is a `Kmer` again.
 
 use crate::base::{decode_base, encode_base};
 use std::hash::{Hash, Hasher};
@@ -84,8 +84,47 @@ impl From<Kmer64> for Kmer {
     }
 }
 
-/// A packed canonical k-mer key: [`Kmer`] for any k, [`Kmer64`] for
-/// k ≤ 32. [`KmerCodec::canonical_keys`] rolls either over a read, and a
+/// A 2-bit packed k-mer of up to 64 bases in two `u64` words, high word
+/// first: the bits of a [`Kmer`] at 8-byte alignment. K-mer analysis keys
+/// by it above k = 32, where a `u128`'s 16-byte alignment pads every
+/// `(key, vote)` item and summary slot it sits in (32 bytes; 24 with this
+/// key).
+///
+/// It orders and **hashes** (`write_u128` of the joined word) exactly as
+/// the `Kmer` of the same bits, so a table keyed by either places every
+/// key on the same owner and in the same bucket.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct KmerPair {
+    /// Bits 64..128 (compared first).
+    pub hi: u64,
+    /// Bits 0..64.
+    pub lo: u64,
+}
+
+impl KmerPair {
+    /// The joined 128-bit word.
+    #[inline]
+    fn word(self) -> u128 {
+        ((self.hi as u128) << 64) | self.lo as u128
+    }
+}
+
+impl Hash for KmerPair {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(self.word());
+    }
+}
+
+impl From<KmerPair> for Kmer {
+    #[inline]
+    fn from(km: KmerPair) -> Kmer {
+        Kmer(km.word())
+    }
+}
+
+/// A packed canonical k-mer key: [`Kmer`] or [`KmerPair`] for any k,
+/// [`Kmer64`] for k ≤ 32. [`KmerCodec::canonical_keys`] rolls either over a read, and a
 /// key widens losslessly into the `Kmer` of the same bits.
 pub trait KmerKey: Copy + Eq + Ord + Hash + Default + Send + Sync + Into<Kmer> + 'static {
     /// The machine word holding the 2-bit bases.
@@ -110,6 +149,22 @@ impl KmerKey for Kmer {
     #[inline]
     fn from_word(word: u128) -> Self {
         Kmer(word)
+    }
+    #[inline]
+    fn truncate(kmer: Kmer) -> u128 {
+        kmer.0
+    }
+}
+
+impl KmerKey for KmerPair {
+    type Word = u128;
+    const MAX_K: usize = MAX_K;
+    #[inline]
+    fn from_word(word: u128) -> Self {
+        KmerPair {
+            hi: (word >> 64) as u64,
+            lo: word as u64,
+        }
     }
     #[inline]
     fn truncate(kmer: Kmer) -> u128 {
@@ -675,6 +730,32 @@ mod tests {
                 assert_eq!(hasher.hash_one(n), hasher.hash_one(w), "k={k}");
             }
             for (a, b) in narrow.iter().zip(&narrow[1..]) {
+                assert_eq!(a.2.cmp(&b.2), Kmer::from(a.2).cmp(&Kmer::from(b.2)));
+            }
+        }
+    }
+
+    #[test]
+    fn pair_keys_roll_hash_and_order_as_wide_ones() {
+        use crate::hash::KmerBuildHasher;
+        use std::hash::BuildHasher;
+        let hasher = KmerBuildHasher::default();
+        assert_eq!(std::mem::size_of::<(KmerPair, u8)>(), 24);
+        assert_eq!(std::mem::size_of::<(Kmer, u8)>(), 32);
+        for k in [1usize, 31, 32, 33, 55, 63, 64] {
+            let c = KmerCodec::new(k);
+            let seq = noisy_seq(300, 97, k);
+            let wide: Vec<(usize, Kmer, Kmer)> = c.canonical_kmers(&seq).collect();
+            let pair: Vec<(usize, KmerPair, KmerPair)> = c.canonical_keys(&seq).collect();
+            assert!(wide.len() > 50, "k={k}");
+            let widened: Vec<(usize, Kmer, Kmer)> = (pair.iter())
+                .map(|&(o, km, canon)| (o, km.into(), canon.into()))
+                .collect();
+            assert_eq!(widened, wide, "k={k}");
+            for (&(_, _, p), &(_, _, w)) in pair.iter().zip(&wide) {
+                assert_eq!(hasher.hash_one(p), hasher.hash_one(w), "k={k}");
+            }
+            for (a, b) in pair.iter().zip(&pair[1..]) {
                 assert_eq!(a.2.cmp(&b.2), Kmer::from(a.2).cmp(&Kmer::from(b.2)));
             }
         }

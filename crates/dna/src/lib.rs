@@ -12,7 +12,8 @@
 //! tables that dominate the assembler (the paper stores the human genome's
 //! ~3·10⁹-vertex de Bruijn graph this way). K-mer analysis, whose tables
 //! hold every distinct k-mer of the reads, halves its keys again with
-//! [`Kmer64`] when k ≤ 32.
+//! [`Kmer64`] when k ≤ 32 and drops the `u128`'s 16-byte alignment with
+//! [`KmerPair`] above.
 
 pub mod base;
 pub mod ext;
@@ -24,7 +25,7 @@ pub use base::{complement_ascii, complement_code, decode_base, encode_base, is_a
 pub use ext::{ExtChoice, ExtCode, ExtVotes, ExtensionPair};
 pub use hash::{mix128, mix64, KmerBuildHasher, KmerHashMap, KmerHashSet};
 pub use kmer::{
-    CanonicalKmerIter, Kmer, Kmer64, KmerCodec, KmerIter, KmerKey, KmerLenError, MAX_K,
+    CanonicalKmerIter, Kmer, Kmer64, KmerCodec, KmerIter, KmerKey, KmerLenError, KmerPair, MAX_K,
 };
 pub use seq::{
     canonical_seq, gc_content, hamming, is_canonical_seq, revcomp, revcomp_in_place, validate_dna,

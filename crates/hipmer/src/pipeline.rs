@@ -361,6 +361,24 @@ impl StageRunner<'_> {
     }
 }
 
+/// Round `round`'s contigs as the next round's pseudo-reads: one record
+/// per contig, at a quality comfortably above the `MIN_QUAL` floor.
+fn pseudo_reads(round: usize, contigs: &ContigSet) -> Vec<SeqRecord> {
+    (contigs.contigs.iter())
+        .map(|c| {
+            let id = format!("pseudo{round}:{}", c.id);
+            SeqRecord::with_uniform_quality(id, c.seq.clone(), 40)
+        })
+        .collect()
+}
+
+/// A later round's k-mer analysis input, borrowed: every read, then each
+/// pseudo-read twice, so its k-mers clear the `MIN_COUNT` = 2 filter.
+fn round_input<'a>(reads: &'a [SeqRecord], pseudo: &'a [SeqRecord]) -> Vec<&'a SeqRecord> {
+    let twice = pseudo.iter().flat_map(|p| [p, p]);
+    reads.iter().chain(twice).collect()
+}
+
 /// Assemble reads end-to-end with checkpoint/restart and stage-abort
 /// recovery. `lib_ranges` partitions read indices by library (see
 /// [`hipmer_scaffold::scaffold_pipeline`]).
@@ -411,7 +429,9 @@ pub fn run_assembly(
     // scaffolding tail below runs once, at the largest k, on the final
     // round's spectrum/contigs and the *original* reads.
     let ks = cfg.multi_k_rounds().unwrap_or(std::slice::from_ref(&cfg.k));
-    let mut round_reads: Vec<SeqRecord> = Vec::new();
+    // The previous round's contigs as pseudo-reads, one record per contig;
+    // empty in round 1. Only k-mer analysis reads them.
+    let mut pseudo: Vec<SeqRecord> = Vec::new();
     let mut injected = 0u64;
     let mut last = None;
     for (ri, &k) in ks.iter().enumerate() {
@@ -425,13 +445,18 @@ pub fn run_assembly(
         } else {
             cfg.round_stage_configs(k)
         };
-        let input: &[SeqRecord] = if ri == 0 { reads } else { &round_reads };
         let phase_mark = runner.report.phases.len();
         let spectrum = runner.stage(
-            || analyze_kmers(team, input, &ka_cfg),
+            || match ri {
+                0 => analyze_kmers(team, reads, &ka_cfg),
+                _ => analyze_kmers(team, &round_input(reads, &pseudo), &ka_cfg),
+            },
             checkpoint::encode_spectrum,
             |b| checkpoint::decode_spectrum(b, topo, PartitionScheme::Uniform),
         )?;
+        // Only k-mer analysis reads the pseudo-reads; free them before the
+        // contig stage's tables grow.
+        pseudo = Vec::new();
         // The raw, pre-bubble contig set.
         let contigs = runner.stage(
             || generate_contigs(team, &spectrum, &contig_cfg),
@@ -451,23 +476,15 @@ pub fn run_assembly(
                 offnode_fraction: acc.offnode_fraction().unwrap_or(0.0),
             });
         }
-        if !is_final {
-            // Next round's input: original reads plus this round's contigs
-            // as pseudo-reads. Each pseudo-read is emitted twice so its
-            // k-mers clear the `MIN_COUNT` = 2 filter, at a quality
-            // comfortably above the `MIN_QUAL` floor. Derived from the (possibly
-            // checkpoint-decoded) contig set, so a resumed round N+1 sees
-            // byte-identical input.
-            round_reads = reads.to_vec();
-            for c in &contigs.contigs {
-                let id = format!("pseudo{round}:{}", c.id);
-                let rec = SeqRecord::with_uniform_quality(id, c.seq.clone(), 40);
-                round_reads.push(rec.clone());
-                round_reads.push(rec);
-            }
-            injected = 2 * contigs.len() as u64;
+        if is_final {
+            last = Some((spectrum, contigs));
+        } else {
+            // Derived from the (possibly checkpoint-decoded) contig set, so
+            // a resumed round N+1 sees byte-identical input. This round's
+            // spectrum and contigs go out of scope here.
+            pseudo = pseudo_reads(round, &contigs);
+            injected = 2 * pseudo.len() as u64;
         }
-        last = Some((spectrum, contigs));
     }
     let (spectrum, contigs) = last.expect("a schedule has at least one k");
 
@@ -1116,6 +1133,43 @@ mod tests {
         );
         assert!(rounds[0].contigs > 0);
         assert!(assembly.stats.n_contigs > 0);
+    }
+
+    #[test]
+    fn borrowed_round_input_counts_as_the_owned_copy() {
+        let dataset = hipmer_readsim::metagenome_dataset(40_000, 6, 10.0, false, 35);
+        let team = Team::new(Topology::new(4, 2));
+        let reads = dataset.all_reads();
+        let cfg = PipelineConfig::metagenome_preset(33);
+        let (ka1, contig1) = cfg.round_stage_configs(21);
+        let (spectrum, _) = analyze_kmers(&team, &reads, &ka1);
+        let (contigs, _) = generate_contigs(&team, &spectrum, &contig1);
+        assert!(contigs.len() > 10, "{}", contigs.len());
+
+        // The copy rounds used to build: the reads, then two clones of
+        // each contig's pseudo-read.
+        let mut owned = reads.to_vec();
+        for c in &contigs.contigs {
+            let rec =
+                SeqRecord::with_uniform_quality(format!("pseudo1:{}", c.id), c.seq.clone(), 40);
+            owned.push(rec.clone());
+            owned.push(rec);
+        }
+        let pseudo = pseudo_reads(1, &contigs);
+        let borrowed = round_input(&reads, &pseudo);
+        assert!(borrowed.iter().copied().eq(owned.iter()));
+
+        let (ka2, _) = cfg.round_stage_configs(33);
+        let (from_borrowed, a) = analyze_kmers(&team, &borrowed, &ka2);
+        let (from_owned, b) = analyze_kmers(&team, &owned, &ka2);
+        assert!(from_owned.distinct() > 1000);
+        assert_eq!(from_borrowed.export_entries(), from_owned.export_entries());
+        let counted = |r: &[PhaseReport]| -> Vec<CommStats> {
+            r.iter()
+                .flat_map(|p| p.stats.iter().map(|s| s.counted()))
+                .collect()
+        };
+        assert_eq!(counted(&a), counted(&b));
     }
 
     #[test]

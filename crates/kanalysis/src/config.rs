@@ -12,12 +12,14 @@ pub struct KmerAnalysisConfig {
     pub k: usize,
     /// Misra–Gries summary capacity (θ). The paper uses 32,000 and reports
     /// <10% sensitivity over 1K–64K. A merged count undershoots the truth
-    /// by at most `N/θ` over a stream of `N` occurrences.
+    /// by at most `n/θ` over the `n` occurrences the summary observes (the
+    /// one read in 16 it samples).
     pub theta: usize,
     /// Master switch for the heavy-hitter optimization (Fig. 6's
-    /// "Default" vs "Heavy Hitters"). A k-mer is heavy when its merged
-    /// Misra–Gries count reaches 1/16 of the mean owner load `N/P` over
-    /// `P` ranks, the share at which one k-mer can unbalance its owner.
+    /// "Default" vs "Heavy Hitters"). A k-mer is heavy when it holds 1/16
+    /// of the mean owner load `N/P` over `P` ranks, the share at which one
+    /// k-mer can unbalance its owner, counted in Misra–Gries' one-in-16
+    /// read sample.
     pub use_heavy_hitters: bool,
     /// Use Bloom filters to keep singletons out of the table (§3.1;
     /// ablation: without them every k-mer gets an entry).

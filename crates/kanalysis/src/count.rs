@@ -2,16 +2,20 @@
 //! extension votes, plus the heavy-hitter local-accumulation path.
 //!
 //! Every pass is generic over the vote table's key ([`KmerKey`]):
-//! [`analyze_kmers`] runs them on [`Kmer64`] when k ≤ 32 and on [`Kmer`]
-//! otherwise, and `finalize` widens the survivors into the `Kmer`-keyed
-//! spectrum. The narrow key hashes as its widened `Kmer`, so both tables
-//! agree on every key's owner — what the shard-local merge into the
+//! [`analyze_kmers`] runs them on [`Kmer64`] when k ≤ 32 and on
+//! [`KmerPair`] otherwise, and `finalize` widens the survivors into the
+//! `Kmer`-keyed spectrum. Either key hashes as its widened `Kmer`, so both
+//! tables agree on every key's owner — what the shard-local merge into the
 //! spectrum depends on.
+//!
+//! Every pass is generic over its input's records too (`R:
+//! AsRef<SeqRecord>`): a multi-k round passes the reads and its
+//! pseudo-reads as references instead of copying them.
 
 use crate::config::KmerAnalysisConfig;
 use crate::pass1::{sketch_pass, SketchResult};
 use crate::spectrum::{KmerEntry, KmerSpectrum};
-use hipmer_dna::{ExtCode, ExtVotes, Kmer, Kmer64, KmerCodec, KmerHashMap, KmerKey};
+use hipmer_dna::{ExtCode, ExtVotes, Kmer, Kmer64, KmerCodec, KmerHashMap, KmerKey, KmerPair};
 use hipmer_pgas::{DistHashMap, Exchange, FrozenMap, PhaseReport, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::BloomFilter;
@@ -79,9 +83,9 @@ where
 /// Pass 2: route every (non-heavy) k-mer occurrence to its owner, which
 /// inserts it into its Bloom filter and creates a table entry the second
 /// time it sees the key.
-fn bloom_pass<K: KmerKey>(
+fn bloom_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     team: &Team,
-    reads: &[SeqRecord],
+    reads: &[R],
     cfg: &KmerAnalysisConfig,
     sketch: &SketchResult<K>,
     table: &DistHashMap<K, ExtVotes>,
@@ -115,7 +119,7 @@ fn bloom_pass<K: KmerKey>(
         });
         let reads = &reads[ctx.chunk(reads.len())];
         mail.send(ctx, step, reads.len(), |ctx, i, post| {
-            for (_, _, canon) in codec.canonical_keys::<K>(&reads[i].seq) {
+            for (_, _, canon) in codec.canonical_keys::<K>(&reads[i].as_ref().seq) {
                 ctx.stats.compute(1);
                 if !sketch.heavy_hitters.contains(&canon) {
                     post.push(ctx, table.owner(&canon), canon);
@@ -132,9 +136,9 @@ fn bloom_pass<K: KmerKey>(
 /// plus one byte of votes via aggregating stores, and the owner records it
 /// into the k-mer's tally in place — into *existing* entries only under
 /// Bloom semantics.
-fn count_pass<K: KmerKey>(
+fn count_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     team: &Team,
-    reads: &[SeqRecord],
+    reads: &[R],
     cfg: &KmerAnalysisConfig,
     sketch: &SketchResult<K>,
     table: &DistHashMap<K, ExtVotes>,
@@ -170,7 +174,7 @@ fn count_pass<K: KmerKey>(
         let mut hh_local = hh_local[rank].lock();
         let reads = &reads[ctx.chunk(reads.len())];
         let sent = occurrences.send(ctx, step, reads.len(), |ctx, i, post| {
-            for_each_occurrence(&codec, &reads[i], |canon: K, code| {
+            for_each_occurrence(&codec, reads[i].as_ref(), |canon: K, code| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
@@ -208,21 +212,17 @@ fn finalize<K: KmerKey>(
     final_table: &DistHashMap<Kmer, KmerEntry>,
 ) -> PhaseReport {
     let (_, mut stats) = team.run_named("kmer-analysis/finalize", |ctx| {
-        let mut seen = 0u64;
-        let keep = table.fold_local(ctx, Vec::new(), |mut keep, &km, votes| {
-            seen += 1;
-            if votes.count >= MIN_COUNT {
-                keep.push((
-                    km.into(),
-                    KmerEntry {
-                        count: votes.count,
-                        exts: votes.decide(MIN_VOTES),
-                    },
-                ));
-            }
-            keep
-        });
-        ctx.stats.compute(seen);
+        let keep: Vec<(Kmer, KmerEntry)> = (table.scan_local(ctx))
+            .filter(|(_, votes)| votes.count >= MIN_COUNT)
+            .map(|(&km, votes)| {
+                let exts = votes.decide(MIN_VOTES);
+                let entry = KmerEntry {
+                    count: votes.count,
+                    exts,
+                };
+                (km.into(), entry)
+            })
+            .collect();
         // Same key, same placement: the batch lands in this rank's shard.
         final_table.merge_batch(ctx.rank, keep, |_a, _b| {});
     });
@@ -234,27 +234,28 @@ fn finalize<K: KmerKey>(
 /// count pass, finalize. Returns the spectrum and one report per phase.
 ///
 /// The passes key their tables by one machine word, [`Kmer64`], when k
-/// fits it and by [`Kmer`] otherwise; the spectrum is `Kmer`-keyed either
-/// way, and nothing but memory and time tells the two apart.
-pub fn analyze_kmers(
+/// fits it and by two, [`KmerPair`], otherwise; the spectrum is
+/// `Kmer`-keyed either way, and nothing but memory and time tells the key
+/// types apart. `reads` may hold the records or references to them.
+pub fn analyze_kmers<R: AsRef<SeqRecord> + Sync>(
     team: &Team,
-    reads: &[SeqRecord],
+    reads: &[R],
     cfg: &KmerAnalysisConfig,
 ) -> (KmerSpectrum, Vec<PhaseReport>) {
     if cfg.k <= Kmer64::MAX_K {
-        analyze_keyed::<Kmer64>(team, reads, cfg)
+        analyze_keyed::<Kmer64, _>(team, reads, cfg)
     } else {
-        analyze_keyed::<Kmer>(team, reads, cfg)
+        analyze_keyed::<KmerPair, _>(team, reads, cfg)
     }
 }
 
 /// [`analyze_kmers`] with vote-table keys of type `K`.
-fn analyze_keyed<K: KmerKey>(
+fn analyze_keyed<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     team: &Team,
-    reads: &[SeqRecord],
+    reads: &[R],
     cfg: &KmerAnalysisConfig,
 ) -> (KmerSpectrum, Vec<PhaseReport>) {
-    let (sketch, sketch_report) = sketch_pass::<K>(team, reads, cfg);
+    let (sketch, sketch_report) = sketch_pass::<K, _>(team, reads, cfg);
     let mut reports = vec![sketch_report];
 
     // Both tables are owned by `key_hash % ranks`: `finalize` moves entries
@@ -510,7 +511,7 @@ mod tests {
         reads: &[SeqRecord],
         cfg: &KmerAnalysisConfig,
     ) -> (Vec<(Kmer, KmerEntry)>, Vec<PhaseCounters>) {
-        let (spectrum, reports) = analyze_keyed::<K>(team, reads, cfg);
+        let (spectrum, reports) = analyze_keyed::<K, _>(team, reads, cfg);
         let counters = (reports.into_iter())
             .map(|r| {
                 let counted = r.stats.iter().map(|s| s.counted()).collect();
@@ -529,7 +530,7 @@ mod tests {
         let team = Team::new(Topology::new(8, 4))
             .with_os_threads(4)
             .with_hot_keys(16);
-        for k in [15, 21, 31, 32] {
+        for k in [15, 21, 31, 32, 33, 55] {
             for (use_bloom, use_hh) in [(true, true), (true, false), (false, true), (false, false)]
             {
                 let mut cfg = KmerAnalysisConfig::new(k);
@@ -539,7 +540,13 @@ mod tests {
                 let what = format!("k={k} bloom={use_bloom} hh={use_hh}");
                 let (sketch, _) = sketch_reads(&team, &reads, &cfg);
                 assert_eq!(sketch.heavy_hitters.is_empty(), !use_hh, "{what}");
-                let narrow = keyed_run::<Kmer64>(&team, &reads, &cfg);
+                // Every k runs on the `u128` reference key and on the key
+                // the entry point picks: `Kmer64` up to 32, `KmerPair` above.
+                let narrow = if k <= Kmer64::MAX_K {
+                    keyed_run::<Kmer64>(&team, &reads, &cfg)
+                } else {
+                    keyed_run::<KmerPair>(&team, &reads, &cfg)
+                };
                 let wide = keyed_run::<Kmer>(&team, &reads, &cfg);
                 assert!(narrow.0.len() > 1000, "{what}: {}", narrow.0.len());
                 assert_eq!(narrow.0, wide.0, "{what}: spectrum");
@@ -559,21 +566,30 @@ mod tests {
         }
     }
 
+    /// Whether a `K`-keyed and a `Kmer`-keyed table hash and route every
+    /// canonical k-mer of `reads` at `k` alike.
+    fn routes_as_wide<K: KmerKey>(reads: &[SeqRecord], k: usize) {
+        let codec = KmerCodec::new(k);
+        let topo = Topology::new(16, 8);
+        let narrow: DistHashMap<K, ()> = DistHashMap::new(topo);
+        let wide: DistHashMap<Kmer, ()> = DistHashMap::new(topo);
+        for read in reads {
+            for (_, _, canon) in codec.canonical_keys::<K>(&read.seq) {
+                let widened: Kmer = canon.into();
+                assert_eq!(narrow.key_hash(&canon), wide.key_hash(&widened), "k={k}");
+                assert_eq!(narrow.owner(&canon), wide.owner(&widened), "k={k}");
+            }
+        }
+    }
+
     #[test]
     fn narrow_keys_hash_and_route_as_wide_ones() {
         let reads = differential_reads();
-        let topo = Topology::new(16, 8);
         for k in [15, 21, 31, 32] {
-            let codec = KmerCodec::new(k);
-            let narrow: DistHashMap<Kmer64, ()> = DistHashMap::new(topo);
-            let wide: DistHashMap<Kmer, ()> = DistHashMap::new(topo);
-            for read in &reads {
-                for (_, _, canon) in codec.canonical_keys::<Kmer64>(&read.seq) {
-                    let widened: Kmer = canon.into();
-                    assert_eq!(narrow.key_hash(&canon), wide.key_hash(&widened));
-                    assert_eq!(narrow.owner(&canon), wide.owner(&widened));
-                }
-            }
+            routes_as_wide::<Kmer64>(&reads, k);
+        }
+        for k in [33, 55] {
+            routes_as_wide::<KmerPair>(&reads, k);
         }
     }
 
@@ -589,7 +605,7 @@ mod tests {
         );
         // The narrow instance cannot hold a 33-mer: it refuses to start, so
         // the entry point above did not take it.
-        let narrow = std::panic::catch_unwind(|| analyze_keyed::<Kmer64>(&team, &reads, &cfg));
+        let narrow = std::panic::catch_unwind(|| analyze_keyed::<Kmer64, _>(&team, &reads, &cfg));
         assert!(narrow.is_err());
     }
 
@@ -619,20 +635,15 @@ mod tests {
         let cfg = KmerAnalysisConfig::new(21);
         let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
 
-        let mut ctx = RankCtx::new(0, *team.topo());
         let mut uu = 0usize;
         let mut total = 0usize;
         for rank in 0..2 {
             let mut c = RankCtx::new(rank, *team.topo());
-            let (u, t) = spectrum
-                .table
-                .fold_local(&mut c, (0usize, 0usize), |(u, t), _, e| {
-                    (u + usize::from(e.exts.is_uu()), t + 1)
-                });
-            uu += u;
-            total += t;
+            for (_, e) in spectrum.table.scan_local(&mut c) {
+                uu += usize::from(e.exts.is_uu());
+                total += 1;
+            }
         }
-        let _ = &mut ctx;
         assert!(total > 1000);
         // Interior k-mers of a non-repetitive genome are UU.
         assert!(

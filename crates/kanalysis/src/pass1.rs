@@ -22,16 +22,30 @@ pub struct SketchResult<K = Kmer> {
 /// HyperLogLog precision: 2^14 registers, ~0.8% standard error.
 const HLL_P: u8 = 14;
 
-/// A k-mer is a heavy hitter when its merged Misra–Gries count is at least
-/// `1 / OWNER_LOAD_SHARE` of the mean owner load `N / P`: a k-mer that
-/// heavy can unbalance the rank that owns it (Fig. 6), and one below it
-/// cannot, so shipping it as one partial per rank would only cost.
+/// A k-mer is a heavy hitter when it holds at least `1 / OWNER_LOAD_SHARE`
+/// of the mean owner load `N / P`: a k-mer that heavy can unbalance the
+/// rank that owns it (Fig. 6), and one below it cannot, so shipping it as
+/// one partial per rank would only cost.
 const OWNER_LOAD_SHARE: u64 = 16;
 
-/// The smallest merged count that makes a k-mer heavy in a stream of
-/// `stream_len` occurrences over `ranks` owners: ⌈N / (16·P)⌉.
+/// Misra–Gries sees only the reads whose index in the input is a multiple
+/// of this: a fixed sample of one read in 16, the same at every rank and
+/// thread count. A heavy k-mer is spread over many reads, so its share of
+/// the sample is its share of the stream; sampling by k-mer hash instead
+/// could drop a heavy k-mer entirely.
+const READ_SAMPLE: usize = 16;
+
+/// The mean-owner-load share ⌈N / (16·P)⌉ of a stream of `stream_len`
+/// occurrences over `ranks` owners: the occurrences that make a k-mer
+/// heavy.
 fn heavy_threshold(stream_len: u64, ranks: usize) -> u64 {
     stream_len.div_ceil(OWNER_LOAD_SHARE * ranks as u64).max(1)
+}
+
+/// The merged count in the one-in-[`READ_SAMPLE`] sample that makes a
+/// k-mer heavy: [`heavy_threshold`] scaled down to the sample, ⌈T / 16⌉.
+fn sampled_heavy_threshold(stream_len: u64, ranks: usize) -> u64 {
+    heavy_threshold(stream_len, ranks).div_ceil(READ_SAMPLE as u64)
 }
 
 /// One rank's sketches, merged up the reduction tree: the HyperLogLog
@@ -40,14 +54,19 @@ type Summary<K> = (HyperLogLog, Option<MisraGries<K>>);
 
 /// Stream every rank's chunk of `reads` through the sketches and merge.
 ///
+/// HyperLogLog and the stream length see every occurrence; Misra–Gries
+/// sees the occurrences of every 16th read only, and a k-mer
+/// is heavy when its merged sampled count reaches ⌈T / 16⌉ for the
+/// full-stream share T = ⌈N / (16·P)⌉.
+///
 /// The reduction is a binomial tree inside the phase: in superstep `s`,
 /// rank `r` with `r mod 2^s = 0` merges the summary of rank `r + 2^(s-1)`,
 /// which ships it as one message of summary size (θ entries + the HLL
 /// registers) — the mergeable-summaries parallelization of
 /// Cafaro–Tempesta, ⌈log₂ P⌉ merges deep.
-pub fn sketch_reads(
+pub fn sketch_reads<R: AsRef<SeqRecord> + Sync>(
     team: &Team,
-    reads: &[SeqRecord],
+    reads: &[R],
     cfg: &KmerAnalysisConfig,
 ) -> (SketchResult, PhaseReport) {
     sketch_pass(team, reads, cfg)
@@ -55,9 +74,9 @@ pub fn sketch_reads(
 
 /// [`sketch_reads`] over keys of type `K`: the same sketches, fed the same
 /// hashes, so the heavy hitters are the same k-mers in either key type.
-pub(crate) fn sketch_pass<K: KmerKey>(
+pub(crate) fn sketch_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     team: &Team,
-    reads: &[SeqRecord],
+    reads: &[R],
     cfg: &KmerAnalysisConfig,
 ) -> (SketchResult<K>, PhaseReport) {
     let codec = KmerCodec::new(cfg.k);
@@ -70,14 +89,14 @@ pub(crate) fn sketch_pass<K: KmerKey>(
         if step == 0 {
             let mut hll = HyperLogLog::new(HLL_P);
             let mut mg = cfg.use_heavy_hitters.then(|| MisraGries::new(cfg.theta));
-            let chunk = ctx.chunk(reads.len());
-            for read in &reads[chunk] {
-                for (_, _, canon) in codec.canonical_keys::<K>(&read.seq) {
+            for i in ctx.chunk(reads.len()) {
+                let mut sampled = mg.as_mut().filter(|_| i % READ_SAMPLE == 0);
+                for (_, _, canon) in codec.canonical_keys::<K>(&reads[i].as_ref().seq) {
                     let wide: Kmer = canon.into();
                     // The k-mer hasher of a key is `mix128` of its bits.
                     let hash = hipmer_dna::mix128(wide.bits());
                     hll.observe(hash);
-                    if let Some(mg) = &mut mg {
+                    if let Some(mg) = sampled.as_mut() {
                         mg.observe_hashed(canon, hash);
                     }
                     ctx.stats.compute(1);
@@ -113,7 +132,7 @@ pub(crate) fn sketch_pass<K: KmerKey>(
     // One compute op per occurrence streamed.
     let stream_len = stats.iter().map(|s| s.compute_ops).sum();
     let heavy = mg.map_or_else(Vec::new, |mg| {
-        mg.heavy_hitters(heavy_threshold(stream_len, ranks))
+        mg.heavy_hitters(sampled_heavy_threshold(stream_len, ranks))
     });
     let heavy_hitters: KmerHashSet<K> = heavy.into_iter().map(|(k, _)| k).collect();
 
@@ -191,10 +210,13 @@ mod tests {
         let mut cfg = KmerAnalysisConfig::new(31);
         cfg.theta = 512;
         let (res, _) = sketch_reads(&team, &reads, &cfg);
-        // 2,000 of 16,000 occurrences: far above N/(16·3) = 334 even after
-        // the summary's N/θ = 31 undercount.
+        // 2,000 of 16,000 occurrences, T = ⌈N/(16·3)⌉ = 334. The sample
+        // holds 125 tandem reads and 13 background ones (1,035
+        // occurrences): far above ⌈T/16⌉ = 21 even after the summary's
+        // N/θ = 2 undercount.
         assert_eq!(res.stream_len, 16_000);
         assert_eq!(heavy_threshold(res.stream_len, 3), 334);
+        assert_eq!(sampled_heavy_threshold(res.stream_len, 3), 21);
         let codec = KmerCodec::new(31);
         let hot = codec.canonical(codec.pack(unit).unwrap());
         assert!(
@@ -208,20 +230,31 @@ mod tests {
     #[test]
     fn heavy_means_a_sixteenth_of_the_mean_owner_load() {
         // Two 21-mers (one-k-mer reads) amid unique background at four
-        // ranks: one at exactly ⌈N/64⌉ occurrences, one just short of it.
-        // θ exceeds the distinct k-mers, so the summary counts exactly.
+        // ranks, N = 6,000: T = ⌈N/64⌉ = 94, and the sample's threshold is
+        // ⌈T/16⌉ = 6. Each k-mer also fills 88 reads outside the sample;
+        // only the sampled reads decide: `hot` sits in exactly 6 of them,
+        // `warm` in 5. θ exceeds the distinct sampled k-mers, so the
+        // summary counts exactly.
         let hot = b"ACGTTGCAAGGCTTAGCGTAC";
         let warm = b"TTGCAAGGCTTAGCGTACGAT";
-        let mut seqs: Vec<Vec<u8>> = vec![hot.to_vec(); 94];
-        seqs.extend(vec![warm.to_vec(); 93]);
         let mut x: u64 = 7;
-        for _ in 0..5_813 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            seqs.push(
+        let mut seqs: Vec<Vec<u8>> = (0..6_000)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
                 (0..21)
                     .map(|i| b"ACGT"[(x >> (2 * i)) as usize % 4])
-                    .collect(),
-            );
+                    .collect()
+            })
+            .collect();
+        for j in 0..88 {
+            seqs[READ_SAMPLE * j + 1] = hot.to_vec();
+            seqs[READ_SAMPLE * j + 2] = warm.to_vec();
+        }
+        for j in 0..6 {
+            seqs[READ_SAMPLE * j] = hot.to_vec();
+        }
+        for j in 6..11 {
+            seqs[READ_SAMPLE * j] = warm.to_vec();
         }
         let reads = reads_from(&seqs.iter().map(|s| &s[..]).collect::<Vec<_>>());
         let team = Team::new(Topology::new(4, 2));
@@ -230,10 +263,21 @@ mod tests {
         let (res, _) = sketch_reads(&team, &reads, &cfg);
         assert_eq!(res.stream_len, 6_000);
         assert_eq!(heavy_threshold(res.stream_len, 4), 94);
+        assert_eq!(sampled_heavy_threshold(res.stream_len, 4), 6);
         let codec = KmerCodec::new(21);
         let key = |s: &[u8]| codec.canonical(codec.pack(s).unwrap());
         assert!(res.heavy_hitters.contains(&key(hot)));
         assert!(!res.heavy_hitters.contains(&key(warm)));
+        // The sample is fixed by read index, not by the machine shape.
+        for topo in [Topology::new(1, 1), Topology::new(7, 3)] {
+            let (other, _) = sketch_reads(&Team::new(topo), &reads, &cfg);
+            let want = sampled_heavy_threshold(6_000, topo.ranks());
+            let sampled = |s: &[u8]| (0..11).filter(|&j| seqs[READ_SAMPLE * j] == s).count();
+            for s in [&hot[..], &warm[..]] {
+                let heavy = other.heavy_hitters.contains(&key(s));
+                assert_eq!(heavy, sampled(s) as u64 >= want, "{topo:?}");
+            }
+        }
     }
 
     #[test]

@@ -51,9 +51,9 @@ impl KmerSpectrum {
     /// fractions (§5.4's 95% human vs 36% metagenome contrast).
     pub fn count_histogram(&self, ctx: &mut RankCtx, max_count: u64) -> CountHistogram {
         let mut h = CountHistogram::new(max_count as usize);
-        self.table.fold_local(ctx, (), |(), _, entry| {
+        for (_, entry) in self.table.scan_local(ctx) {
             h.record(entry.count as u64);
-        });
+        }
         h
     }
 

@@ -421,21 +421,11 @@ impl<K: Hash + Eq, V> FrozenMap<K, V> {
         out
     }
 
-    /// Iterate the acting rank's own partition, counting one local op per
-    /// entry (each rank post-processing its local buckets is a standard
-    /// phase in the paper: link assessment, depth summation, ...).
-    pub fn fold_local<T, F>(&self, ctx: &mut RankCtx, init: T, mut f: F) -> T
-    where
-        F: FnMut(T, &K, &V) -> T,
-    {
-        let part = &self.parts[ctx.rank];
-        ctx.stats.local_ops += part.len() as u64;
-        part.iter().fold(init, |acc, (k, v)| f(acc, k, v))
-    }
-
-    /// The acting rank's own partition for a seed scan, charging only
-    /// compute: a linear pass over local memory whose per-entry cost is a
-    /// flag check, not a table operation.
+    /// The acting rank's own partition, charging one compute op per entry:
+    /// a linear pass over local memory (each rank post-processing its local
+    /// buckets is a standard phase in the paper: link assessment, bubble
+    /// survivors, finalizing counts, ...), not a table operation per
+    /// entry.
     pub fn scan_local(&self, ctx: &mut RankCtx) -> impl ExactSizeIterator<Item = (&K, &V)> {
         let part = &self.parts[ctx.rank];
         ctx.stats.compute(part.len() as u64);
@@ -545,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn fold_local_only_touches_own_shard() {
+    fn scan_local_only_touches_own_shard() {
         let topo = Topology::new(4, 2);
         let dht: DistHashMap<u64, u32> = DistHashMap::new(topo);
         dht.preload((0..200).map(|k| (k, 1)));
@@ -553,11 +543,11 @@ mod tests {
         let mut seen = 0usize;
         for rank in 0..4 {
             let mut c = ctx(rank, topo);
-            let mine = frozen.fold_local(&mut c, 0usize, |acc, k, _| {
-                assert_eq!(frozen.owner(k), rank);
-                acc + 1
-            });
-            assert_eq!(c.stats.local_ops, mine as u64);
+            let mine = (frozen.scan_local(&mut c))
+                .inspect(|(k, _)| assert_eq!(frozen.owner(k), rank))
+                .count();
+            assert_eq!(c.stats.compute_ops, mine as u64);
+            assert_eq!(c.stats.local_ops, 0);
             seen += mine;
         }
         assert_eq!(seen, 200);

@@ -90,7 +90,7 @@ pub fn merge_bubbles(
 
     // Phase B (parallel over local buckets): pick bubble survivors.
     let (absorbed_lists, stats_b) = team.run_named("scaffold/bubbles/survivors", |ctx| {
-        bubble_groups.fold_local(ctx, Vec::<u32>::new(), |mut absorbed, _key, group| {
+        (bubble_groups.scan_local(ctx)).fold(Vec::<u32>::new(), |mut absorbed, (_key, group)| {
             if group.len() >= 2 {
                 // Arms must be length-similar (SNP/small-indel bubbles).
                 let mut arms: Vec<u32> = group.clone();
@@ -169,7 +169,7 @@ pub fn merge_bubbles(
     // Phase D (parallel): unambiguous joins — exactly two distinct contig
     // ends at one attachment k-mer.
     let (edge_lists, stats_d) = team.run_named("scaffold/bubbles/joins", |ctx| {
-        attachments.fold_local(ctx, Vec::<(End, End)>::new(), |mut edges, _km, ends| {
+        (attachments.scan_local(ctx)).fold(Vec::<(End, End)>::new(), |mut edges, (_km, ends)| {
             if ends.len() == 2 && ends[0].0 != ends[1].0 {
                 let mut pair = [ends[0], ends[1]];
                 pair.sort_unstable();

@@ -111,7 +111,7 @@ pub fn generate_links(team: &Team, splints: &[Splint], spans: &[Span]) -> (Vec<L
 
     // Assess local buckets.
     let (link_lists, stats_b) = team.run_named("scaffold/links/assess", |ctx| {
-        table.fold_local(ctx, Vec::<Link>::new(), |mut out, key, agg| {
+        (table.scan_local(ctx)).fold(Vec::<Link>::new(), |mut out, (key, agg)| {
             if agg.splint_count >= MIN_SPLINTS {
                 out.push(Link {
                     key: *key,

@@ -78,6 +78,15 @@ impl SeqRecord {
     }
 }
 
+/// A record is a view of itself, so code that reads records can take
+/// `&[R]` with `R: AsRef<SeqRecord>` and be handed owned records or
+/// references to them alike.
+impl AsRef<SeqRecord> for SeqRecord {
+    fn as_ref(&self) -> &SeqRecord {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
