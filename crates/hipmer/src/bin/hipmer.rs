@@ -273,9 +273,6 @@ fn assemble(flags: &Flags) -> Result<ExitCode, String> {
         .then(|| trace::Recorder::new(trace_ranks));
     let report_json: Option<PathBuf> = flags.get("--report-json")?;
     let mut team = Team::new(Topology::new(ranks, rpn));
-    if trace_out.is_some() || report_json.is_some() {
-        team = team.with_hot_keys(trace::HOT_KEY_CAPACITY);
-    }
     if let Some(recorder) = &recorder {
         team = team.with_recorder(recorder.clone());
     }

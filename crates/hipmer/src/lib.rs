@@ -14,13 +14,15 @@
 //!    closing.
 //!
 //! ```no_run
-//! use hipmer::{assemble, PipelineConfig};
+//! use hipmer::{assemble, PipelineConfig, StageTimes};
 //! use hipmer_pgas::{CostModel, Team, Topology};
 //! # let reads = vec![];
 //! # let lib_ranges = vec![0..0];
 //! let team = Team::new(Topology::edison(480));
 //! let assembly = assemble(&team, &reads, &lib_ranges, &PipelineConfig::new(31));
-//! println!("{}", assembly.report.render(&CostModel::edison()));
+//! let t = StageTimes::from_report(&assembly.report, &CostModel::edison());
+//! println!("k-mer analysis {:.3} s of {:.3} s modeled", t.kmer_analysis, t.total());
+//! std::fs::write("report.json", assembly.report.to_json()).unwrap();
 //! println!("scaffold N50: {}", assembly.stats.scaffold_n50);
 //! ```
 //!

@@ -12,6 +12,8 @@
 //!   `report.json` and `trace.json` (a private per-team recorder), stored
 //!   and evicted with the job, so concurrent jobs share no observability
 //!   state and the daemon's `/metrics` does not grow with the job count;
+//!   a resume that fell back to a fresh run says so in the job's own
+//!   completion summary (`"resume_fallback": true` in `done.json`);
 //! * checkpoints every stage into the cache directory, so a drain-time
 //!   interruption leaves a prefix that the next submission of the same
 //!   spec resumes instead of recomputing.
@@ -21,7 +23,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use hipmer_pgas::json::Value;
-use hipmer_pgas::{metrics, trace, TeamLease};
+use hipmer_pgas::{trace, TeamLease};
 use hipmer_serve::{ExecOutcome, JobExecutor, JobSpec};
 
 use crate::checkpoint;
@@ -86,10 +88,7 @@ impl JobExecutor for AssemblyExecutor {
         // The lease may have granted fewer ranks than requested (clamped
         // to the pool); the topology must stay valid either way.
         let rpn = spec.ranks_per_node.clamp(1, lease.ranks());
-        let team = lease
-            .team_with_rpn(rpn)
-            .with_recorder(recorder.clone())
-            .with_hot_keys(trace::HOT_KEY_CAPACITY);
+        let team = lease.team_with_rpn(rpn).with_recorder(recorder.clone());
 
         let opts = RunOptions {
             checkpoint_dir: Some(out_dir.join("checkpoints")),
@@ -97,13 +96,14 @@ impl JobExecutor for AssemblyExecutor {
             cancel: Some(Arc::clone(cancel)),
             ..RunOptions::default()
         };
+        let mut resume_fallback = false;
         let assembly = match run_assembly_fastq(&team, Path::new(&spec.input), &cfg, &opts) {
             Ok(a) => a,
             Err(PipelineError::Interrupted { .. }) => return ExecOutcome::Interrupted,
             Err(PipelineError::Io(e)) if resume => {
                 // A corrupt checkpoint prefix must not wedge the job:
                 // fall back to a fresh run under the same key.
-                metrics::counter_add("hipmer/serve/resume_fallbacks", 1);
+                resume_fallback = true;
                 let fresh = RunOptions {
                     resume: false,
                     ..opts.clone()
@@ -151,6 +151,9 @@ impl JobExecutor for AssemblyExecutor {
             .set("scaffold_n50", s.scaffold_n50)
             .set("scaffold_bases", s.scaffold_bases)
             .set("ranks", team.topo().ranks());
+        if resume_fallback {
+            summary.set("resume_fallback", true);
+        }
         ExecOutcome::Completed { summary }
     }
 }
@@ -210,6 +213,30 @@ mod tests {
 
         spec.input = "/nonexistent/reads.fastq".to_string();
         assert!(exec.cache_key(&spec).is_err());
+        std::fs::remove_dir_all(input.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_resume_that_falls_back_says_so_in_its_summary() {
+        let input = write_reads("fallback");
+        let out_dir = input.parent().unwrap().join("out");
+        let checkpoints = out_dir.join("checkpoints");
+        std::fs::create_dir_all(&checkpoints).unwrap();
+        std::fs::write(checkpoints.join("manifest.json"), "not json").unwrap();
+        let pool = Arc::new(hipmer_pgas::TeamPool::new(4, 2));
+        let cancel = Arc::new(AtomicBool::new(false));
+        let spec = spec_for(&input);
+        // The unreadable manifest sends the resume to a fresh run, which
+        // leaves a good one behind: a fresh run after it has no fallback.
+        for (resume, fallback) in [(true, Some(true)), (false, None)] {
+            let lease = pool.try_lease(4).unwrap();
+            let outcome = AssemblyExecutor.execute(1, &spec, &lease, &out_dir, resume, &cancel);
+            let ExecOutcome::Completed { summary } = outcome else {
+                panic!("resume={resume}: {outcome:?}");
+            };
+            let flag = summary.get("resume_fallback").and_then(Value::as_bool);
+            assert_eq!(flag, fallback, "resume={resume}");
+        }
         std::fs::remove_dir_all(input.parent().unwrap()).ok();
     }
 

@@ -197,9 +197,7 @@ fn count_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
         sent || reduced
     });
     table.drain_service_into(&mut stats);
-    // Surface the most-hit keys of the vote table (only populated when
-    // the team asks for them, e.g. under `--trace`).
-    PhaseReport::new("kmer-analysis/count", *team.topo(), stats).with_hot_keys(table.hot_keys(16))
+    PhaseReport::new("kmer-analysis/count", *team.topo(), stats)
 }
 
 /// Finalize: drop below-threshold k-mers, decide extensions, and build the
@@ -263,8 +261,7 @@ fn analyze_keyed<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     // merge, which is only correct because a `K` key hashes as its widened
     // `Kmer` and so has the same owner in both.
     let codec = KmerCodec::new(cfg.k);
-    let votes_table: DistHashMap<K, ExtVotes> =
-        DistHashMap::new(*team.topo()).with_hot_keys(team.hot_key_capacity());
+    let votes_table: DistHashMap<K, ExtVotes> = DistHashMap::new(*team.topo());
     if cfg.use_bloom {
         reports.push(bloom_pass(team, reads, cfg, &sketch, &votes_table));
     }
@@ -525,11 +522,8 @@ mod tests {
     fn narrow_and_wide_keys_give_identical_spectra_and_counters() {
         let reads = differential_reads();
         // Several OS threads: owners apply their mail in rank order, so
-        // even the hot-key summaries, which depend on the order batches
-        // land in, do not depend on the threads.
-        let team = Team::new(Topology::new(8, 4))
-            .with_os_threads(4)
-            .with_hot_keys(16);
+        // no counter depends on the threads.
+        let team = Team::new(Topology::new(8, 4)).with_os_threads(4);
         for k in [15, 21, 31, 32, 33, 55] {
             for (use_bloom, use_hh) in [(true, true), (true, false), (false, true), (false, false)]
             {
@@ -551,14 +545,12 @@ mod tests {
                 assert!(narrow.0.len() > 1000, "{what}: {}", narrow.0.len());
                 assert_eq!(narrow.0, wide.0, "{what}: spectrum");
                 assert_eq!(narrow.1, wide.1, "{what}: phase counters");
-                // The heavy-hitter path really ran: partials moved.
-                let hot = &narrow
-                    .1
-                    .iter()
-                    .find(|p| p.0 == "kmer-analysis/count")
-                    .unwrap()
-                    .2;
-                assert!(!hot.is_empty(), "{what}");
+                // Hot keys, equal across key types with the rest, come
+                // from the sketch's summary, and only with heavy hitters on.
+                for (phase, hot, _) in &narrow.1 {
+                    let sketched = use_hh && phase == "kmer-analysis/sketch";
+                    assert_eq!(!hot.is_empty(), sketched, "{what}: {phase}");
+                }
                 // And the entry point is the narrow instance.
                 let (spectrum, _) = analyze_kmers(&team, &reads, &cfg);
                 assert_eq!(spectrum.export_entries(), narrow.0, "{what}");

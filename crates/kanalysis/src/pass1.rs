@@ -35,6 +35,10 @@ const OWNER_LOAD_SHARE: u64 = 16;
 /// could drop a heavy k-mer entirely.
 const READ_SAMPLE: usize = 16;
 
+/// Hot keys the sketch phase reports: the heaviest entries of its merged
+/// Misra–Gries summary.
+const HOT_KEYS: usize = 16;
+
 /// The mean-owner-load share ⌈N / (16·P)⌉ of a stream of `stream_len`
 /// occurrences over `ranks` owners: the occurrences that make a k-mer
 /// heavy.
@@ -131,18 +135,40 @@ pub(crate) fn sketch_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
         .expect("at least one rank");
     // One compute op per occurrence streamed.
     let stream_len = stats.iter().map(|s| s.compute_ops).sum();
-    let heavy = mg.map_or_else(Vec::new, |mg| {
-        mg.heavy_hitters(sampled_heavy_threshold(stream_len, ranks))
+    let (heavy_hitters, hot_keys) = mg.map_or_else(Default::default, |mg| {
+        let heavy = mg.heavy_hitters(sampled_heavy_threshold(stream_len, ranks));
+        (heavy.into_iter().map(|(k, _)| k).collect(), hot_keys(&mg))
     });
-    let heavy_hitters: KmerHashSet<K> = heavy.into_iter().map(|(k, _)| k).collect();
 
     let result = SketchResult {
         cardinality: hll.estimate(),
         heavy_hitters,
         stream_len,
     };
-    let report = PhaseReport::new("kmer-analysis/sketch", *team.topo(), stats);
+    let report =
+        PhaseReport::new("kmer-analysis/sketch", *team.topo(), stats).with_hot_keys(hot_keys);
     (result, report)
+}
+
+/// The [`HOT_KEYS`] heaviest k-mers of the merged summary that stand above
+/// its noise (a sampled count over the N/θ it may undercount by), as
+/// `(key_hash, sampled count × READ_SAMPLE)`: heaviest first, ties by
+/// hash, so every key type reports the same list. The hash is the one the
+/// sketch fed the summary, `mix128` of the widened bits, which is also the
+/// k-mer's `DistHashMap::key_hash`.
+fn hot_keys<K: KmerKey>(mg: &MisraGries<K>) -> Vec<(u64, u64)> {
+    let noise = mg.error_bound();
+    let mut hot: Vec<(u64, u64)> = (mg.items())
+        .filter(|&(_, count)| count > noise)
+        .map(|(k, count)| (MisraGries::item_hash(k), count * READ_SAMPLE as u64))
+        .collect();
+    let heaviest_first = |a: &(u64, u64), b: &(u64, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+    if hot.len() > HOT_KEYS {
+        hot.select_nth_unstable_by(HOT_KEYS - 1, heaviest_first);
+        hot.truncate(HOT_KEYS);
+    }
+    hot.sort_unstable_by(heaviest_first);
+    hot
 }
 
 #[cfg(test)]
@@ -171,7 +197,10 @@ mod tests {
         let reads = reads_from(&[&seq]);
         let team = Team::new(Topology::new(4, 2));
         let cfg = KmerAnalysisConfig::new(21);
-        let (res, _) = sketch_reads(&team, &reads, &cfg);
+        let (res, report) = sketch_reads(&team, &reads, &cfg);
+        // Its ~50,000 distinct k-mers overfill θ = 32,000 counters: each
+        // count the summary keeps is noise, and no key is reported hot.
+        assert!(report.hot_keys.is_empty(), "{:?}", report.hot_keys);
         let truth = {
             let codec = KmerCodec::new(21);
             let set: KmerHashSet<Kmer> = codec
@@ -209,7 +238,7 @@ mod tests {
         let team = Team::new(Topology::new(3, 3));
         let mut cfg = KmerAnalysisConfig::new(31);
         cfg.theta = 512;
-        let (res, _) = sketch_reads(&team, &reads, &cfg);
+        let (res, report) = sketch_reads(&team, &reads, &cfg);
         // 2,000 of 16,000 occurrences, T = ⌈N/(16·3)⌉ = 334. The sample
         // holds 125 tandem reads and 13 background ones (1,035
         // occurrences): far above ⌈T/16⌉ = 21 even after the summary's
@@ -225,6 +254,12 @@ mod tests {
         );
         // The unique background must not flood the set.
         assert!(res.heavy_hitters.len() < 10, "{}", res.heavy_hitters.len());
+        // The report names it first, by the hash its vote-table owner is
+        // chosen by, at its sampled count (125 less at most N/θ = 2)
+        // scaled back to the stream.
+        let (hash, count) = report.hot_keys[0];
+        assert_eq!(hash, hipmer_dna::mix128(hot.bits()));
+        assert!((123 * 16..=125 * 16).contains(&count), "{count}");
     }
 
     #[test]
@@ -286,8 +321,9 @@ mod tests {
         let team = Team::new(Topology::new(2, 2));
         let mut cfg = KmerAnalysisConfig::new(21);
         cfg.use_heavy_hitters = false;
-        let (res, _) = sketch_reads(&team, &reads, &cfg);
+        let (res, report) = sketch_reads(&team, &reads, &cfg);
         assert!(res.heavy_hitters.is_empty());
+        assert!(report.hot_keys.is_empty());
         assert!(res.stream_len > 0);
     }
 }

@@ -37,25 +37,17 @@
 use crate::team::RankCtx;
 use crate::topology::Topology;
 use hipmer_dna::KmerBuildHasher;
-use hipmer_sketch::MisraGries;
 use parking_lot::Mutex;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hash};
 
-/// What one partition lock guards: the owner's entries, the service
-/// operations applied to them and, when hot-key tracking is on, the
-/// summary of those operations' keys.
+/// What one partition lock guards: the owner's entries and the service
+/// operations applied to them.
 struct Partition<K, V> {
     map: HashMap<K, V, KmerBuildHasher>,
     /// Items applied here since the last
     /// [`DistHashMap::drain_service_into`].
     service_ops: u64,
-    /// Misra–Gries summary over the key hashes of this partition's service
-    /// operations, for naming the heavy hitters behind `service_ops` skew.
-    /// `None` (free) unless the table was built
-    /// [`DistHashMap::with_hot_keys`]. A key has one owner, so the
-    /// partitions' summaries cover disjoint keys.
-    hot_keys: Option<MisraGries<u64>>,
 }
 
 /// A table's owner function: key → owner rank (see
@@ -158,43 +150,10 @@ where
                     Mutex::new(Partition {
                         map: HashMap::default(),
                         service_ops: 0,
-                        hot_keys: None,
                     })
                 })
                 .collect(),
         }
-    }
-
-    /// Keep a Misra–Gries summary of `capacity` counters per partition over
-    /// the key hashes of its service operations, for [`hot_keys`]
-    /// (`capacity` 0 tracks nothing). For the one table whose skew a run
-    /// reports, the k-mer analysis vote table; call it on the empty table.
-    ///
-    /// [`hot_keys`]: Self::hot_keys
-    pub fn with_hot_keys(mut self, capacity: usize) -> Self {
-        if capacity > 0 {
-            for part in &mut self.parts {
-                part.get_mut().hot_keys = Some(MisraGries::new(capacity));
-            }
-        }
-        self
-    }
-
-    /// The `top_k` heaviest key hashes seen by service operations, as
-    /// `(key_hash, estimated_count)` sorted by descending count, ties by
-    /// hash. Empty when tracking is off. Counts are Misra–Gries lower
-    /// bounds, each from its owner's summary: the partitions track disjoint
-    /// keys, so their reports are concatenated, not re-pruned.
-    pub fn hot_keys(&self, top_k: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = Vec::new();
-        for part in &self.parts {
-            if let Some(mg) = &part.lock().hot_keys {
-                all.extend(mg.items().map(|(&hash, count)| (hash, count)));
-            }
-        }
-        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        all.truncate(top_k);
-        all
     }
 
     /// The topology this table is partitioned over.
@@ -211,8 +170,8 @@ where
         self.route.entry_bytes
     }
 
-    /// The 64-bit hash behind uniform ownership and the hot-key summary
-    /// (stable across tables, ranks and runs).
+    /// The 64-bit hash behind uniform ownership (stable across tables, ranks
+    /// and runs); the sketch phase names its hot keys by it.
     #[inline]
     pub fn key_hash(&self, key: &K) -> u64 {
         self.route.key_hash(key)
@@ -262,8 +221,7 @@ where
     /// item is **dropped** if `vacant` is `None`. The item type `U` is the
     /// sender's, not the table's: one byte of votes recorded into a tally in
     /// place, or `()` for insert-if-absent. Each item is one service op at
-    /// the owner (and one hot-key observation when tracking is on), and
-    /// every key must be owned by `dest`.
+    /// the owner, and every key must be owned by `dest`.
     pub fn apply_batch<U, O, C>(
         &self,
         dest: usize,
@@ -276,16 +234,9 @@ where
     {
         let mut applied = 0u64;
         let mut part = self.parts[dest].lock();
-        // Key hashes for the hot-key summary, observed after the loop: its
-        // bookkeeping between two table probes would serialize the probes'
-        // cache misses. Stays empty and unallocated while tracking is off.
-        let mut tracked: Vec<u64> = Vec::new();
         for (k, item) in items {
             debug_assert_eq!(self.owner(&k), dest, "apply_batch key not owned by dest");
             applied += 1;
-            if part.hot_keys.is_some() {
-                tracked.push(self.key_hash(&k));
-            }
             match &vacant {
                 None => {
                     if let Some(slot) = part.map.get_mut(&k) {
@@ -299,9 +250,6 @@ where
                     }
                 },
             }
-        }
-        if let Some(summary) = &mut part.hot_keys {
-            tracked.into_iter().for_each(|hash| summary.observe(hash));
         }
         part.service_ops += applied;
     }
@@ -809,45 +757,6 @@ mod tests {
         let entries: Vec<u64> = stats.iter().map(|s| s.table_entries).collect();
         assert_eq!(entries, sizes.iter().map(|&n| n as u64).collect::<Vec<_>>());
         assert!(stats.iter().all(|s| s.service_ops == 0));
-    }
-
-    #[test]
-    fn hot_key_tracking_is_per_table() {
-        // A plain table (or one built with capacity 0) tracks nothing; one
-        // built `with_hot_keys` names the heavy hitter.
-        let topo = Topology::new(4, 2);
-        let off: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_keys(0);
-        let dht: DistHashMap<u64, u32> = DistHashMap::new(topo).with_hot_keys(16);
-        // One ultra-frequent key among a uniform background, and a second,
-        // half as hot, on another owner: each lands in its own partition's
-        // summary and the report ranks them together.
-        let second = (0..).find(|k| dht.owner(k) != dht.owner(&7777)).unwrap();
-        let mut reference: HashMap<u64, u32> = HashMap::new();
-        for i in 0..500u64 {
-            let keys = [Some(7777), Some(1000 + i), (i % 2 == 0).then_some(second)];
-            for k in keys.into_iter().flatten() {
-                *reference.entry(k).or_default() += 1;
-                for t in [&off, &dht] {
-                    t.merge_batch(t.owner(&k), [(k, 1)], |a, b| *a += b);
-                }
-            }
-        }
-        assert!(off.hot_keys(10).is_empty());
-        let hot = dht.hot_keys(3);
-        assert_eq!(hot.len(), 3);
-        assert_eq!(hot[0].0, dht.key_hash(&7777));
-        assert!(hot[0].1 > 100, "count {} too low", hot[0].1);
-        assert_eq!(hot[1].0, dht.key_hash(&second));
-        assert!(hot[1].1 > 50 && hot[1].1 <= 250, "count {}", hot[1].1);
-        for w in hot.windows(2) {
-            assert!(w[0].1 >= w[1].1, "sorted descending");
-        }
-        // Tracking changes no entry.
-        for t in [off, dht] {
-            let t = t.freeze();
-            assert_eq!(t.len(), reference.len());
-            assert!(t.iter().all(|(k, v)| reference[k] == *v));
-        }
     }
 
     #[test]

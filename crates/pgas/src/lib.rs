@@ -40,7 +40,6 @@ pub mod dht;
 pub mod fault;
 pub mod json;
 pub mod lookup;
-pub mod metrics;
 pub mod oracle;
 pub mod part;
 pub mod pool;

@@ -16,12 +16,7 @@
 //! a lease for half the pool's ranks runs its team on half the pool's
 //! worker threads (always at least one), so concurrent teams don't
 //! oversubscribe the host.
-//!
-//! Metrics ([`crate::metrics`]): the gauge
-//! `pgas/pool/leased_ranks` tracks the live allocation, and the counter
-//! `pgas/pool/leases` counts grants.
 
-use crate::metrics;
 use crate::team::Team;
 use crate::topology::Topology;
 use std::sync::{Arc, Mutex};
@@ -110,8 +105,6 @@ impl TeamPool {
             return None;
         }
         state.leased += ranks;
-        metrics::gauge_set("pgas/pool/leased_ranks", state.leased as f64);
-        metrics::counter_add("pgas/pool/leases", 1);
         drop(state);
         Some(TeamLease {
             pool: Arc::clone(self),
@@ -125,7 +118,6 @@ impl TeamPool {
         let mut state = self.state.lock().expect("pool lock poisoned");
         debug_assert!(state.leased >= ranks, "double release");
         state.leased = state.leased.saturating_sub(ranks);
-        metrics::gauge_set("pgas/pool/leased_ranks", state.leased as f64);
     }
 }
 

@@ -1,8 +1,8 @@
 //! Phase and pipeline reports: measured counters plus modeled time.
 //!
 //! Every pipeline stage produces a [`PhaseReport`]; a [`PipelineReport`]
-//! collects them and renders the per-stage breakdowns the paper's figures
-//! plot (k-mer analysis / contig generation / scaffolding / overall, and
+//! collects them and serializes the per-stage breakdowns the paper's
+//! figures plot (k-mer analysis / contig generation / scaffolding / overall, and
 //! within scaffolding: merAligner / gap closing / rest).
 
 use crate::cost::{CostModel, ModeledTime};
@@ -28,10 +28,10 @@ pub struct PhaseReport {
     /// walked by the serial tie traversal of §4.7) — counted by the stage,
     /// priced at [`CostModel::t_compute`] by [`PhaseReport::modeled`].
     pub serial_ops: u64,
-    /// Heavy-hitter key hashes observed by this phase's hash-table service
-    /// operations, as `(key_hash, estimated_count)` sorted by descending
-    /// count. Empty unless hot-key tracking was enabled
-    /// ([`crate::Team::with_hot_keys`]) and the stage attached them.
+    /// The heaviest keys the phase found, as `(key_hash, estimated_count)`
+    /// sorted by descending count: k-mer analysis' sketch phase attaches
+    /// those its Misra–Gries summary holds above its noise. Empty on every
+    /// other phase.
     pub hot_keys: Vec<(u64, u64)>,
 }
 
@@ -234,31 +234,8 @@ impl PipelineReport {
         acc
     }
 
-    /// Render a per-phase table (name, modeled seconds, % of total,
-    /// off-node fraction).
-    pub fn render(&self, model: &CostModel) -> String {
-        let total = self.total_modeled(model).total().max(f64::MIN_POSITIVE);
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<28} {:>12} {:>7} {:>9}\n",
-            "phase", "modeled (s)", "%", "off-node"
-        ));
-        for p in &self.phases {
-            let t = p.modeled(model).total();
-            out.push_str(&format!(
-                "{:<28} {:>12.4} {:>6.1}% {:>8.1}%\n",
-                p.name,
-                t,
-                100.0 * t / total,
-                100.0 * p.offnode_fraction()
-            ));
-        }
-        out.push_str(&format!("{:<28} {:>12.4}\n", "TOTAL", total));
-        out
-    }
-
     /// Serialize the whole pipeline report as a machine-readable JSON
-    /// document, **schema version 13**, priced under [`CostModel::edison`]
+    /// document, **schema version 14**, priced under [`CostModel::edison`]
     /// (`cost_model: "edison"`). Everything in it is a view of the
     /// per-rank [`CommStats`] the phases returned plus the stage and
     /// checkpoint bookkeeping; the keys that hold host measurements are
@@ -278,11 +255,12 @@ impl PipelineReport {
     ///   compute/latency/bandwidth seconds), `offnode_fraction`, `imbalance`
     ///   ([`PhaseReport::imbalance`]), `totals` (the [`Kind::Counted`]
     ///   fields summed over ranks), `table` ([`PhaseReport::table`]) and
-    ///   `hot_keys` (heavy-hitter key hashes, when tracking was on).
+    ///   `hot_keys` (the sketch phase's heaviest k-mers, each a `key_hash` and
+    ///   an `estimated_count` scaled from the read sample; empty elsewhere).
     pub fn to_json(&self) -> String {
         let model = &CostModel::edison();
         let mut doc = Value::obj();
-        doc.set("schema_version", 13u64)
+        doc.set("schema_version", 14u64)
             .set("generator", "hipmer-pgas")
             .set("cost_model", "edison");
         let rounds = self.rounds.iter().map(|r| {
@@ -525,7 +503,7 @@ mod tests {
             .collect();
         let mut pr = PipelineReport::new();
         pr.push(
-            PhaseReport::new("kmer-analysis/count", topo, stats.clone())
+            PhaseReport::new("kmer-analysis/sketch", topo, stats.clone())
                 .with_hot_keys(vec![(0xdead_beef, 41), (0x1234, 7)]),
         );
         pr.push(PhaseReport::new("contig/traversal", topo, stats).with_serial_ops(125_000));
@@ -576,7 +554,7 @@ mod tests {
         // Guards the field names downstream tooling depends on; renaming
         // any of these is a schema break and must bump `schema_version`.
         let doc = Value::parse(&busy_pipeline().to_json()).unwrap();
-        assert_eq!(u64_at(&doc, "schema_version"), 13);
+        assert_eq!(u64_at(&doc, "schema_version"), 14);
         assert_eq!(str_at(&doc, "cost_model"), "edison");
         assert_keys(
             &doc,
@@ -747,15 +725,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_totals_and_render() {
+    fn pipeline_totals_sum_the_phases() {
         let model = CostModel::edison();
         let mut pr = PipelineReport::new();
         pr.push(phase_with(&[1_000_000, 1_000_000]));
         pr.push(phase_with(&[500_000, 500_000]).with_serial_ops(250_000));
         let total = pr.total_modeled(&model).total();
         assert!(total > 250_000.0 * model.t_compute);
-        let text = pr.render(&model);
-        assert!(text.contains("TOTAL"));
-        assert!(text.lines().count() >= 4);
+        let sum: f64 = pr.phases.iter().map(|p| p.modeled(&model).total()).sum();
+        assert!((total - sum).abs() <= 1e-12 * sum, "{total} vs {sum}");
     }
 }

@@ -11,9 +11,7 @@
 //! (`tid`) per rank, one `ph:"X"` complete event per phase execution, with
 //! queue delay and every [`CommStats`] field attached as event `args`.
 //!
-//! Nothing here is process-global but the trace [`epoch`]: a run that also
-//! wants its hot keys named (the paper's Fig. 6 load-imbalance story) says
-//! so on its team, [`Team::with_hot_keys`](crate::Team::with_hot_keys).
+//! Nothing here is process-global but the trace [`epoch`].
 
 use crate::stats::CommStats;
 use parking_lot::Mutex;
@@ -39,11 +37,6 @@ pub struct SpanEvent {
     /// owner-side tallies [`crate::DistHashMap::drain_service_into`] adds).
     pub stats: CommStats,
 }
-
-/// Misra–Gries counters per table partition that a run which reports its
-/// hot keys asks for ([`Team::with_hot_keys`](crate::Team::with_hot_keys)):
-/// the CLI under `--trace`/`--report-json`, the job service always.
-pub const HOT_KEY_CAPACITY: usize = 64;
 
 /// A span recorder scoped to one [`Team`](crate::Team) (or any set of teams
 /// that share a clone), so concurrent users — parallel tests, the jobs of a

@@ -17,21 +17,17 @@ const HIGH: u64 = 0x8080_8080_8080_8080;
 #[inline]
 pub fn memchr(needle: u8, hay: &[u8]) -> Option<usize> {
     let pat = LOW * needle as u64;
-    let mut chunks = hay.chunks_exact(8);
+    let (blocks, rest) = hay.as_chunks::<8>();
     let mut offset = 0usize;
-    for c in chunks.by_ref() {
-        let v = u64::from_le_bytes(c.try_into().expect("chunk of 8")) ^ pat;
+    for &block in blocks {
+        let v = u64::from_le_bytes(block) ^ pat;
         let marks = v.wrapping_sub(LOW) & !v & HIGH;
         if marks != 0 {
             return Some(offset + (marks.trailing_zeros() as usize >> 3));
         }
         offset += 8;
     }
-    chunks
-        .remainder()
-        .iter()
-        .position(|&b| b == needle)
-        .map(|i| offset + i)
+    rest.iter().position(|&b| b == needle).map(|i| offset + i)
 }
 
 /// Position of the first `\n` in `buf`.

@@ -168,8 +168,8 @@ pub struct JobRecord {
     pub spec: JobSpec,
     /// Current lifecycle state.
     pub status: JobStatus,
-    /// Cache key (content fingerprint + parameters); set at dispatch.
-    pub cache_key: Option<String>,
+    /// Cache key (content fingerprint + parameters), fixed at admission.
+    pub cache_key: String,
     /// How the cache served this job; set at dispatch/completion.
     pub cache: CacheDisposition,
     /// Error text for `Failed`.
@@ -186,12 +186,12 @@ pub struct JobRecord {
 
 impl JobRecord {
     /// A fresh queued record.
-    pub fn new(id: u64, spec: JobSpec, submitted_s: f64) -> JobRecord {
+    pub fn new(id: u64, spec: JobSpec, cache_key: String, submitted_s: f64) -> JobRecord {
         JobRecord {
             id,
             spec,
             status: JobStatus::Queued,
-            cache_key: None,
+            cache_key,
             cache: CacheDisposition::Unknown,
             error: None,
             submitted_s,
@@ -207,13 +207,7 @@ impl JobRecord {
         v.set("id", self.id)
             .set("status", self.status.as_str())
             .set("cache", self.cache.as_str())
-            .set(
-                "cache_key",
-                self.cache_key
-                    .as_deref()
-                    .map(Value::from)
-                    .unwrap_or(Value::Null),
-            )
+            .set("cache_key", self.cache_key.as_str())
             .set(
                 "error",
                 self.error
@@ -282,10 +276,9 @@ mod tests {
     #[test]
     fn record_document_has_wire_fields() {
         let spec = JobSpec::from_json(br#"{"input": "/x", "tenant": "t"}"#).unwrap();
-        let mut rec = JobRecord::new(7, spec, 1.5);
+        let mut rec = JobRecord::new(7, spec, "abc123".into(), 1.5);
         rec.status = JobStatus::Completed;
         rec.cache = CacheDisposition::Hit;
-        rec.cache_key = Some("abc123".into());
         rec.started_s = Some(2.0);
         rec.finished_s = Some(2.1);
         let v = rec.to_value();

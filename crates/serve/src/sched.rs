@@ -99,12 +99,10 @@ impl SchedQueue {
     /// Admit a job or reject it with a reason.
     pub fn try_admit(&mut self, id: u64, tenant: &str, priority: i64) -> Result<(), RejectReason> {
         if self.queued.len() >= self.queue_capacity {
-            hipmer_pgas::metrics::counter_add("serve/sched/rejected_queue_full", 1);
             return Err(RejectReason::QueueFull);
         }
         let share = self.tenants.entry(tenant.to_string()).or_default();
         if share.queued + share.running >= self.tenant_quota {
-            hipmer_pgas::metrics::counter_add("serve/sched/rejected_tenant_quota", 1);
             return Err(RejectReason::TenantQuota);
         }
         share.queued += 1;
@@ -115,8 +113,6 @@ impl SchedQueue {
             passes: 0,
             blocked: false,
         });
-        hipmer_pgas::metrics::counter_add("serve/sched/admitted", 1);
-        hipmer_pgas::metrics::gauge_set("serve/sched/queue_depth", self.queued.len() as f64);
         Ok(())
     }
 
@@ -138,32 +134,23 @@ impl SchedQueue {
             .filter(|(_, j)| !j.blocked)
             .map(|(i, _)| i)
             .collect();
-        if eligible.is_empty() {
-            return None;
-        }
 
-        // Anti-starvation first: any job passed over too many times wins,
-        // oldest first (queue order is submission order).
-        let starved = eligible
-            .iter()
-            .copied()
-            .find(|&i| self.queued[i].passes >= self.max_starvation_passes);
-
-        let chosen = starved.unwrap_or_else(|| {
-            *eligible
-                .iter()
-                .min_by_key(|&&i| {
-                    let j = &self.queued[i];
-                    let leased = self
-                        .tenants
-                        .get(&j.tenant)
-                        .map(|t| t.leased_ranks)
-                        .unwrap_or(0);
-                    // min leased ranks, then max priority, then FIFO.
-                    (leased, std::cmp::Reverse(j.priority), j.id)
-                })
-                .expect("eligible is non-empty")
-        });
+        // Fair share: min leased ranks, then max priority, then FIFO. No
+        // eligible job, no pick.
+        let fairest = eligible.iter().copied().min_by_key(|&i| {
+            let j = &self.queued[i];
+            let leased = self
+                .tenants
+                .get(&j.tenant)
+                .map(|t| t.leased_ranks)
+                .unwrap_or(0);
+            (leased, std::cmp::Reverse(j.priority), j.id)
+        })?;
+        // Anti-starvation overrides it: any job passed over too many times
+        // wins, oldest first (queue order is submission order).
+        let chosen = (eligible.iter().copied())
+            .find(|&i| self.queued[i].passes >= self.max_starvation_passes)
+            .unwrap_or(fairest);
 
         for &i in &eligible {
             if i != chosen {
@@ -174,7 +161,6 @@ impl SchedQueue {
         if let Some(share) = self.tenants.get_mut(&job.tenant) {
             share.queued = share.queued.saturating_sub(1);
         }
-        hipmer_pgas::metrics::gauge_set("serve/sched/queue_depth", self.queued.len() as f64);
         Some((job.id, job.tenant))
     }
 
@@ -202,7 +188,6 @@ impl SchedQueue {
             }
         }
         self.queued.clear();
-        hipmer_pgas::metrics::gauge_set("serve/sched/queue_depth", 0.0);
         ids
     }
 }

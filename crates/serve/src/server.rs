@@ -22,13 +22,19 @@
 //! queued jobs become `cancelled`, running jobs get their cancel flag set
 //! so the pipeline stops at the next stage boundary (leaving resumable
 //! checkpoints), and the scheduler exits once the last worker finishes.
+//!
+//! Every counter the daemon keeps lives in its own state, under the one
+//! state lock: `GET /v1/stats` serializes a snapshot of them as JSON and
+//! `GET /metrics` writes the same snapshot as Prometheus series, so two
+//! servers in one process never share a number.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -85,20 +91,22 @@ impl Default for ServeConfig {
     }
 }
 
-/// Counters surfaced at `GET /v1/stats`.
+/// Job counters, updated under the state lock with the records they
+/// count.
 #[derive(Debug, Default)]
 struct Stats {
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    interrupted: AtomicU64,
-    cache_hits: AtomicU64,
-    resumed: AtomicU64,
+    submitted: u64,
+    rejected: u64,
+    completed: u64,
+    failed: u64,
+    cancelled: u64,
+    interrupted: u64,
+    cache_hits: u64,
+    resumed: u64,
 }
 
 struct Inner {
+    stats: Stats,
     jobs: BTreeMap<u64, JobRecord>,
     queue: SchedQueue,
     /// cache key -> id of the job currently running under it.
@@ -128,12 +136,27 @@ struct Shared {
     /// polling for their jobs' terminal state).
     accept_stop: AtomicBool,
     next_id: AtomicU64,
-    stats: Stats,
+}
+
+/// A lock or condvar result, recovered if a thread panicked holding the
+/// lock: a bug in one request or job must not turn every later request
+/// into a panic too, so the server goes on with the state as it was left.
+fn recover<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
     fn now_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        recover(self.state.lock())
+    }
+
+    /// Release the lock until a wake-up or [`POLL_INTERVAL`], then retake it.
+    fn wait<'a>(&self, inner: MutexGuard<'a, Inner>) -> MutexGuard<'a, Inner> {
+        recover(self.wake.wait_timeout(inner, POLL_INTERVAL)).0
     }
 }
 
@@ -162,6 +185,7 @@ impl Server {
         }
         let shared = Arc::new(Shared {
             state: Mutex::new(Inner {
+                stats: Stats::default(),
                 jobs: BTreeMap::new(),
                 queue: SchedQueue::new(
                     cfg.queue_capacity,
@@ -184,7 +208,6 @@ impl Server {
             stopped: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
             next_id: AtomicU64::new(1),
-            stats: Stats::default(),
         });
 
         let accept_shared = Arc::clone(&shared);
@@ -236,7 +259,7 @@ fn begin_drain(shared: &Arc<Shared>) {
     if shared.draining.swap(true, Ordering::SeqCst) {
         return;
     }
-    let mut inner = shared.state.lock().unwrap();
+    let mut inner = shared.lock();
     let now = shared.now_s();
     // A job picked but still waiting for pool ranks is queued in spirit:
     // cancel it along with the queue proper.
@@ -247,7 +270,7 @@ fn begin_drain(shared: &Arc<Shared>) {
             rec.status = JobStatus::Cancelled;
             rec.finished_s = Some(now);
         }
-        shared.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        inner.stats.cancelled += 1;
     }
     for flag in inner.cancel_flags.values() {
         flag.store(true, Ordering::SeqCst);
@@ -281,7 +304,7 @@ fn scheduler_loop(shared: Arc<Shared>) {
         if shared.cfg.handle_signals && signal::triggered() {
             begin_drain(&shared);
         }
-        let mut inner = shared.state.lock().unwrap();
+        let mut inner = shared.lock();
 
         // Exit once drained: nothing queued, pending, or running.
         if shared.draining.load(Ordering::SeqCst)
@@ -308,23 +331,12 @@ fn scheduler_loop(shared: Arc<Shared>) {
         });
 
         match candidate {
-            None => {
-                let (guard, _) = shared
-                    .wake
-                    .wait_timeout(inner, POLL_INTERVAL)
-                    .expect("scheduler lock poisoned");
-                drop(guard);
-            }
+            Some(id) if try_dispatch(&shared, &mut inner, id) => {}
             Some(id) => {
-                if !try_dispatch(&shared, &mut inner, id) {
-                    inner.pending_dispatch = Some(id);
-                    let (guard, _) = shared
-                        .wake
-                        .wait_timeout(inner, POLL_INTERVAL)
-                        .expect("scheduler lock poisoned");
-                    drop(guard);
-                }
+                inner.pending_dispatch = Some(id);
+                drop(shared.wait(inner));
             }
+            None => drop(shared.wait(inner)),
         }
     }
 }
@@ -333,181 +345,141 @@ fn scheduler_loop(shared: Arc<Shared>) {
 /// a worker. Returns false when the pool cannot satisfy the request yet
 /// (the caller re-queues it as `pending_dispatch`).
 fn try_dispatch(shared: &Arc<Shared>, inner: &mut Inner, id: u64) -> bool {
-    let rec = match inner.jobs.get(&id) {
-        Some(r) => r.clone(),
-        None => return true, // record vanished; drop the dispatch
+    let now = shared.now_s();
+    // A vanished record, or one drain cancelled between pick and dispatch,
+    // drops the dispatch.
+    let Some(rec) = inner.jobs.get_mut(&id) else {
+        return true;
     };
-    // Drain may have cancelled the job between pick and dispatch.
     if rec.status != JobStatus::Queued {
         return true;
     }
-    let key = rec.cache_key.clone().expect("cache key set at admission");
+    let key = rec.cache_key.clone();
 
     // A completed cache entry satisfies the job without leasing anything.
     if shared.cache.state(&key) == CacheState::Complete {
-        let now = shared.now_s();
-        let rec = inner.jobs.get_mut(&id).expect("checked above");
         rec.status = JobStatus::Completed;
         rec.cache = CacheDisposition::Hit;
         rec.started_s = Some(now);
         rec.finished_s = Some(now);
-        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        hipmer_pgas::metrics::counter_add("serve/cache/hits", 1);
+        inner.stats.cache_hits += 1;
+        inner.stats.completed += 1;
         return true;
     }
 
-    let request = shared.pool.clamp_request(rec.spec.ranks);
-    let lease = match shared.pool.try_lease(request) {
-        Some(l) => l,
-        None => return false,
+    let Some(lease) = shared
+        .pool
+        .try_lease(shared.pool.clamp_request(rec.spec.ranks))
+    else {
+        return false;
     };
-
     let resume = shared.cache.state(&key) == CacheState::Partial;
-    if shared.cache.prepare(&key).is_err() {
-        // Treat an unwritable state dir as a job failure, not a server
-        // crash.
-        let now = shared.now_s();
-        let rec = inner.jobs.get_mut(&id).expect("checked above");
+    // An unwritable state dir, or no thread for the worker, fails the job,
+    // not the server; the lease goes back to the pool as it drops.
+    let fail = |rec: &mut JobRecord, error: &str| {
         rec.status = JobStatus::Failed;
-        rec.error = Some("cannot create cache directory".to_string());
+        rec.error = Some(error.to_string());
         rec.finished_s = Some(now);
-        shared.stats.failed.fetch_add(1, Ordering::Relaxed);
+    };
+    if shared.cache.prepare(&key).is_err() {
+        fail(rec, "cannot create cache directory");
+        inner.stats.failed += 1;
         return true;
     }
 
-    let cancel = Arc::new(AtomicBool::new(false));
-    if shared.draining.load(Ordering::SeqCst) {
-        cancel.store(true, Ordering::SeqCst);
-    }
-    let now = shared.now_s();
-    {
-        let rec = inner.jobs.get_mut(&id).expect("checked above");
-        rec.status = JobStatus::Running;
-        rec.cache = if resume {
-            CacheDisposition::Resumed
-        } else {
-            CacheDisposition::Miss
-        };
-        rec.started_s = Some(now);
-        rec.leased_ranks = lease.ranks();
-    }
-    if resume {
-        shared.stats.resumed.fetch_add(1, Ordering::Relaxed);
-        hipmer_pgas::metrics::counter_add("serve/cache/resumes", 1);
+    let cancel = Arc::new(AtomicBool::new(shared.draining.load(Ordering::SeqCst)));
+    let ranks = lease.ranks();
+    // The worker reports back through `finish_job`, which waits for the
+    // state lock this dispatch holds.
+    let worker = {
+        let (shared, key, spec, cancel) = (
+            Arc::clone(shared),
+            key.clone(),
+            rec.spec.clone(),
+            Arc::clone(&cancel),
+        );
+        let out_dir = shared.cache.dir(&key);
+        thread::Builder::new()
+            .name(format!("serve-job-{id}"))
+            .spawn(move || {
+                let outcome = shared
+                    .executor
+                    .execute(id, &spec, &lease, &out_dir, resume, &cancel);
+                drop(lease); // release ranks before taking the state lock
+                finish_job(&shared, id, &key, &spec.tenant, ranks, outcome);
+            })
+    };
+    let Ok(worker) = worker else {
+        fail(rec, "worker spawn failed");
+        inner.stats.failed += 1;
+        return true;
+    };
+    rec.status = JobStatus::Running;
+    rec.cache = if resume {
+        CacheDisposition::Resumed
     } else {
-        hipmer_pgas::metrics::counter_add("serve/cache/misses", 1);
-    }
-    inner.queue.mark_running(&rec.spec.tenant, lease.ranks());
+        CacheDisposition::Miss
+    };
+    rec.started_s = Some(now);
+    rec.leased_ranks = ranks;
+    inner.stats.resumed += u64::from(resume);
+    inner.queue.mark_running(&rec.spec.tenant, ranks);
+    inner.workers.push(worker);
     inner.running += 1;
     inner.running_keys.insert(key.clone(), id);
-    inner.cancel_flags.insert(id, Arc::clone(&cancel));
+    inner.cancel_flags.insert(id, cancel);
     // Queued duplicates wait for this run rather than recomputing.
-    let dup_ids: Vec<u64> = inner
-        .jobs
-        .values()
-        .filter(|j| {
-            j.id != id && j.status == JobStatus::Queued && j.cache_key.as_deref() == Some(&key)
-        })
-        .map(|j| j.id)
-        .collect();
-    for dup in dup_ids {
-        inner.queue.set_blocked(dup, true);
-    }
-
-    let worker_shared = Arc::clone(shared);
-    let spec = rec.spec.clone();
-    let out_dir = shared.cache.dir(&key);
-    let worker = thread::Builder::new()
-        .name(format!("serve-job-{id}"))
-        .spawn(move || {
-            let outcome = worker_shared
-                .executor
-                .execute(id, &spec, &lease, &out_dir, resume, &cancel);
-            let ranks = lease.ranks();
-            drop(lease); // release ranks before taking the state lock
-            finish_job(&worker_shared, id, &spec, ranks, outcome);
-        });
-    match worker {
-        Ok(handle) => inner.workers.push(handle),
-        Err(_) => {
-            // Spawn failure: roll the dispatch back and fail the job.
-            let now = shared.now_s();
-            let (tenant, leased) = {
-                let rec = inner.jobs.get_mut(&id).expect("checked above");
-                rec.status = JobStatus::Failed;
-                rec.error = Some("worker spawn failed".to_string());
-                rec.finished_s = Some(now);
-                (rec.spec.tenant.clone(), rec.leased_ranks)
-            };
-            inner.running -= 1;
-            inner.running_keys.remove(&key);
-            inner.cancel_flags.remove(&id);
-            inner.queue.mark_finished(&tenant, leased);
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    set_duplicates_blocked(inner, &key, true);
     true
 }
 
-fn finish_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec, ranks: usize, outcome: ExecOutcome) {
-    let mut inner = shared.state.lock().unwrap();
-    let now = shared.now_s();
-    let key = inner
-        .jobs
-        .get(&id)
-        .and_then(|r| r.cache_key.clone())
-        .unwrap_or_default();
+/// Block or unblock every queued job under cache key `key`.
+fn set_duplicates_blocked(inner: &mut Inner, key: &str, blocked: bool) {
+    let queued = inner.jobs.values();
+    let dups = queued.filter(|j| j.status == JobStatus::Queued && j.cache_key == key);
+    for dup in dups {
+        inner.queue.set_blocked(dup.id, blocked);
+    }
+}
 
-    match &outcome {
-        ExecOutcome::Completed { summary } => {
-            let committed = shared.cache.commit(&key, summary);
-            let rec = inner.jobs.get_mut(&id).expect("running job has a record");
-            match committed {
-                Ok(()) => {
-                    rec.status = JobStatus::Completed;
-                    shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    rec.status = JobStatus::Failed;
-                    rec.error = Some(format!("cache commit failed: {e}"));
-                    shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            rec.finished_s = Some(now);
-        }
-        ExecOutcome::Interrupted => {
-            let rec = inner.jobs.get_mut(&id).expect("running job has a record");
-            rec.status = JobStatus::Interrupted;
-            rec.finished_s = Some(now);
-            shared.stats.interrupted.fetch_add(1, Ordering::Relaxed);
-        }
-        ExecOutcome::Failed { error } => {
-            let rec = inner.jobs.get_mut(&id).expect("running job has a record");
-            rec.status = JobStatus::Failed;
-            rec.error = Some(error.clone());
-            rec.finished_s = Some(now);
-            shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-        }
+fn finish_job(
+    shared: &Shared,
+    id: u64,
+    key: &str,
+    tenant: &str,
+    ranks: usize,
+    outcome: ExecOutcome,
+) {
+    let mut inner = shared.lock();
+    let inner = &mut *inner;
+    let (status, error) = match outcome {
+        ExecOutcome::Completed { summary } => match shared.cache.commit(key, &summary) {
+            Ok(()) => (JobStatus::Completed, None),
+            Err(e) => (JobStatus::Failed, Some(format!("cache commit failed: {e}"))),
+        },
+        ExecOutcome::Interrupted => (JobStatus::Interrupted, None),
+        ExecOutcome::Failed { error } => (JobStatus::Failed, Some(error)),
+    };
+    let tally = match status {
+        JobStatus::Completed => &mut inner.stats.completed,
+        JobStatus::Interrupted => &mut inner.stats.interrupted,
+        _ => &mut inner.stats.failed,
+    };
+    *tally += 1;
+    if let Some(rec) = inner.jobs.get_mut(&id) {
+        rec.status = status;
+        rec.error = error;
+        rec.finished_s = Some(shared.now_s());
     }
 
     inner.running -= 1;
-    inner.running_keys.remove(&key);
+    inner.running_keys.remove(key);
     inner.cancel_flags.remove(&id);
-    inner.queue.mark_finished(&spec.tenant, ranks);
+    inner.queue.mark_finished(tenant, ranks);
     // Unblock queued duplicates: if we completed they will resolve as
     // cache hits; otherwise one of them becomes the new primary (and will
     // resume from whatever checkpoints this run left).
-    let dup_ids: Vec<u64> = inner
-        .jobs
-        .values()
-        .filter(|j| j.status == JobStatus::Queued && j.cache_key.as_deref() == Some(key.as_str()))
-        .map(|j| j.id)
-        .collect();
-    for dup in dup_ids {
-        inner.queue.set_blocked(dup, false);
-    }
-    drop(inner);
+    set_duplicates_blocked(inner, key, false);
     shared.wake.notify_all();
 }
 
@@ -556,11 +528,11 @@ fn route(req: &http::Request, shared: &Arc<Shared>) -> (u16, &'static str, Vec<u
         ("GET", ["metrics"]) => (
             200,
             "text/plain; version=0.0.4",
-            hipmer_pgas::metrics::prometheus_text().into_bytes(),
+            metrics_text(shared).into_bytes(),
         ),
         ("GET", ["v1", "stats"]) => (200, "application/json", stats_doc(shared).into_bytes()),
         ("GET", ["v1", "jobs"]) => {
-            let inner = shared.state.lock().unwrap();
+            let inner = shared.lock();
             let list: Vec<Value> = inner.jobs.values().map(JobRecord::to_value).collect();
             (
                 200,
@@ -580,8 +552,14 @@ fn route(req: &http::Request, shared: &Arc<Shared>) -> (u16, &'static str, Vec<u
                 json_error("not_found", "no such job"),
             ),
         },
-        ("GET", ["v1", "jobs", id, artifact @ ("report" | "fasta" | "trace")]) => {
-            serve_artifact(shared, id, artifact)
+        ("GET", ["v1", "jobs", id, "report"]) => {
+            serve_artifact(shared, id, "report.json", "application/json")
+        }
+        ("GET", ["v1", "jobs", id, "fasta"]) => {
+            serve_artifact(shared, id, "scaffolds.fasta", "text/plain")
+        }
+        ("GET", ["v1", "jobs", id, "trace"]) => {
+            serve_artifact(shared, id, "trace.json", "application/json")
         }
         ("POST", ["v1", "jobs"]) => submit(shared, &req.body),
         ("POST", ["admin", "drain"]) => {
@@ -605,19 +583,22 @@ fn route(req: &http::Request, shared: &Arc<Shared>) -> (u16, &'static str, Vec<u
 
 fn lookup_job(shared: &Arc<Shared>, id: &str) -> Option<JobRecord> {
     let id: u64 = id.parse().ok()?;
-    shared.state.lock().unwrap().jobs.get(&id).cloned()
+    shared.lock().jobs.get(&id).cloned()
 }
 
-fn serve_artifact(shared: &Arc<Shared>, id: &str, artifact: &str) -> (u16, &'static str, Vec<u8>) {
-    let rec = match lookup_job(shared, id) {
-        Some(r) => r,
-        None => {
-            return (
-                404,
-                "application/json",
-                json_error("not_found", "no such job"),
-            )
-        }
+/// A completed job's output `file` from the result cache.
+fn serve_artifact(
+    shared: &Arc<Shared>,
+    id: &str,
+    file: &str,
+    content_type: &'static str,
+) -> (u16, &'static str, Vec<u8>) {
+    let Some(rec) = lookup_job(shared, id) else {
+        return (
+            404,
+            "application/json",
+            json_error("not_found", "no such job"),
+        );
     };
     if rec.status != JobStatus::Completed {
         return (
@@ -626,14 +607,7 @@ fn serve_artifact(shared: &Arc<Shared>, id: &str, artifact: &str) -> (u16, &'sta
             json_error("not_ready", rec.status.as_str()),
         );
     }
-    let key = rec.cache_key.as_deref().unwrap_or("");
-    let (file, content_type) = match artifact {
-        "report" => ("report.json", "application/json"),
-        "fasta" => ("scaffolds.fasta", "text/plain"),
-        "trace" => ("trace.json", "application/json"),
-        _ => unreachable!("router only passes known artifacts"),
-    };
-    match shared.cache.read_output(key, file) {
+    match shared.cache.read_output(&rec.cache_key, file) {
         Ok(bytes) => (200, content_type, bytes),
         Err(_) => (
             404,
@@ -660,47 +634,112 @@ fn submit(shared: &Arc<Shared>, body: &[u8]) -> (u16, &'static str, Vec<u8>) {
         Err(e) => return (400, "application/json", json_error("bad_input", &e)),
     };
 
-    let mut inner = shared.state.lock().unwrap();
+    let mut inner = shared.lock();
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
     if let Err(reason) = inner.queue.try_admit(id, &spec.tenant, spec.priority) {
-        shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        inner.stats.rejected += 1;
         return (
             429,
             "application/json",
             json_error(reason.as_str(), "admission refused; retry with backoff"),
         );
     }
-    let mut rec = JobRecord::new(id, spec, shared.now_s());
-    rec.cache_key = Some(key.clone());
     if inner.running_keys.contains_key(&key) {
         inner.queue.set_blocked(id, true);
     }
+    let rec = JobRecord::new(id, spec, key, shared.now_s());
     let doc = rec.to_value().to_json().into_bytes();
     inner.jobs.insert(id, rec);
-    shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-    hipmer_pgas::metrics::counter_add("serve/jobs/submitted", 1);
+    inner.stats.submitted += 1;
     drop(inner);
     shared.wake.notify_all();
     (200, "application/json", doc)
 }
 
-fn stats_doc(shared: &Arc<Shared>) -> String {
-    let inner = shared.state.lock().unwrap();
+/// The daemon's numbers at one instant, in `/v1/stats` order, each as
+/// `(field, series, type, value)`: `/v1/stats` writes `field: value`, and
+/// `/metrics` one sample of the Prometheus `series` of that `type`.
+fn stats_snapshot(shared: &Shared) -> [(&'static str, &'static str, &'static str, f64); 13] {
+    let inner = shared.lock();
+    let s = &inner.stats;
+    let (counter, gauge) = ("counter", "gauge");
+    [
+        (
+            "submitted",
+            "serve_jobs_submitted",
+            counter,
+            s.submitted as f64,
+        ),
+        (
+            "rejected",
+            "serve_jobs_rejected",
+            counter,
+            s.rejected as f64,
+        ),
+        (
+            "completed",
+            "serve_jobs_completed",
+            counter,
+            s.completed as f64,
+        ),
+        ("failed", "serve_jobs_failed", counter, s.failed as f64),
+        (
+            "cancelled",
+            "serve_jobs_cancelled",
+            counter,
+            s.cancelled as f64,
+        ),
+        (
+            "interrupted",
+            "serve_jobs_interrupted",
+            counter,
+            s.interrupted as f64,
+        ),
+        (
+            "cache_hits",
+            "serve_cache_hits",
+            counter,
+            s.cache_hits as f64,
+        ),
+        ("resumed", "serve_cache_resumes", counter, s.resumed as f64),
+        (
+            "queue_depth",
+            "serve_sched_queue_depth",
+            gauge,
+            inner.queue.depth() as f64,
+        ),
+        ("running", "serve_jobs_running", gauge, inner.running as f64),
+        (
+            "pool_ranks",
+            "serve_pool_ranks",
+            gauge,
+            shared.pool.total_ranks() as f64,
+        ),
+        (
+            "leased_ranks",
+            "serve_pool_leased_ranks",
+            gauge,
+            shared.pool.leased_ranks() as f64,
+        ),
+        ("uptime_s", "serve_uptime_seconds", gauge, shared.now_s()),
+    ]
+}
+
+/// `GET /v1/stats`: the snapshot, plus whether the daemon is draining.
+fn stats_doc(shared: &Shared) -> String {
     let mut v = Value::obj();
-    let s = &shared.stats;
-    v.set("submitted", s.submitted.load(Ordering::Relaxed))
-        .set("rejected", s.rejected.load(Ordering::Relaxed))
-        .set("completed", s.completed.load(Ordering::Relaxed))
-        .set("failed", s.failed.load(Ordering::Relaxed))
-        .set("cancelled", s.cancelled.load(Ordering::Relaxed))
-        .set("interrupted", s.interrupted.load(Ordering::Relaxed))
-        .set("cache_hits", s.cache_hits.load(Ordering::Relaxed))
-        .set("resumed", s.resumed.load(Ordering::Relaxed))
-        .set("queue_depth", inner.queue.depth())
-        .set("running", inner.running)
-        .set("pool_ranks", shared.pool.total_ranks())
-        .set("leased_ranks", shared.pool.leased_ranks())
-        .set("draining", shared.draining.load(Ordering::SeqCst))
-        .set("uptime_s", shared.now_s());
+    for (field, _, _, value) in stats_snapshot(shared) {
+        v.set(field, value);
+    }
+    v.set("draining", shared.draining.load(Ordering::SeqCst));
     v.to_json()
+}
+
+/// `GET /metrics`: the snapshot in Prometheus text-exposition format.
+fn metrics_text(shared: &Shared) -> String {
+    let mut out = String::new();
+    for (_, series, kind, value) in stats_snapshot(shared) {
+        let _ = writeln!(out, "# TYPE {series} {kind}\n{series} {value}");
+    }
+    out
 }

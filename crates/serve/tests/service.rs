@@ -216,6 +216,104 @@ fn duplicates_hit_the_cache_instead_of_recomputing() {
     server.join();
 }
 
+/// `GET /metrics` as `(series, value)` samples.
+fn metric_samples(addr: &str) -> Vec<(String, f64)> {
+    let (status, body) = http::request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let text = String::from_utf8(body).unwrap();
+    let samples = text.lines().filter(|l| !l.starts_with('#'));
+    samples
+        .map(|l| {
+            let (series, value) = l.split_once(' ').unwrap();
+            (series.to_string(), value.parse().unwrap())
+        })
+        .collect()
+}
+
+fn submitted_id(addr: &str, input: &str, tenant: &str) -> u64 {
+    let (status, doc) = submit(addr, input, tenant);
+    assert_eq!(status, 200, "{doc:?}");
+    doc.get("id").and_then(Value::as_u64).unwrap()
+}
+
+#[test]
+fn every_metrics_series_is_its_stats_field() {
+    let (server, addr, _exec) = start("series", Duration::from_millis(60), |cfg| {
+        cfg.tenant_quota = 2;
+    });
+    // Two runs, one refused over quota, then one cache hit.
+    let a = submitted_id(&addr, "/data/a.fastq", "alice");
+    let b = submitted_id(&addr, "/data/b.fastq", "alice");
+    assert_eq!(submit(&addr, "/data/c.fastq", "alice").0, 429);
+    for id in [a, b] {
+        wait_terminal(&addr, id, Duration::from_secs(10));
+    }
+    let hit = submitted_id(&addr, "/data/a.fastq", "carol");
+    wait_terminal(&addr, hit, Duration::from_secs(10));
+
+    let (_, stats) = get_json(&addr, "/v1/stats");
+    let samples = metric_samples(&addr);
+    let field_of = [
+        ("serve_jobs_submitted", "submitted"),
+        ("serve_jobs_rejected", "rejected"),
+        ("serve_jobs_completed", "completed"),
+        ("serve_jobs_failed", "failed"),
+        ("serve_jobs_cancelled", "cancelled"),
+        ("serve_jobs_interrupted", "interrupted"),
+        ("serve_cache_hits", "cache_hits"),
+        ("serve_cache_resumes", "resumed"),
+        ("serve_sched_queue_depth", "queue_depth"),
+        ("serve_jobs_running", "running"),
+        ("serve_pool_ranks", "pool_ranks"),
+        ("serve_pool_leased_ranks", "leased_ranks"),
+        ("serve_uptime_seconds", "uptime_s"),
+    ];
+    let series: Vec<&str> = samples.iter().map(|s| s.0.as_str()).collect();
+    assert_eq!(series, field_of.map(|f| f.0), "one series per number");
+    // Every number of /v1/stats is a series, and `draining` is its flag.
+    let mut fields = stats.keys();
+    assert_eq!(fields.pop(), Some("draining"));
+    assert_eq!(fields, field_of.map(|f| f.1));
+    for ((series, value), (_, field)) in samples.iter().zip(field_of) {
+        let stat = stats.get(field).and_then(Value::as_f64).unwrap();
+        if field == "uptime_s" {
+            assert!(*value >= stat, "{series} {value} read after {stat}");
+        } else {
+            assert_eq!(*value, stat, "{series} vs {field}");
+        }
+    }
+    let stat = |field: &str| stats.get(field).and_then(Value::as_u64).unwrap();
+    assert_eq!(
+        ["submitted", "rejected", "completed", "cache_hits"].map(stat),
+        [3, 1, 3, 1]
+    );
+
+    let _ = http::request(&addr, "POST", "/admin/drain", None).unwrap();
+    server.join();
+}
+
+#[test]
+fn two_servers_in_one_process_keep_separate_metrics() {
+    let (busy, busy_addr, _) = start("metrics-busy", Duration::from_millis(5), |_| {});
+    let (idle, idle_addr, _) = start("metrics-idle", Duration::from_millis(5), |_| {});
+    for input in ["/data/x.fastq", "/data/y.fastq"] {
+        let id = submitted_id(&busy_addr, input, "alice");
+        wait_terminal(&busy_addr, id, Duration::from_secs(10));
+    }
+    let value = |addr: &str, series: &str| {
+        let samples = metric_samples(addr);
+        samples.into_iter().find(|s| s.0 == series).map(|s| s.1)
+    };
+    for series in ["serve_jobs_submitted", "serve_jobs_completed"] {
+        assert_eq!(value(&busy_addr, series), Some(2.0), "{series}");
+        assert_eq!(value(&idle_addr, series), Some(0.0), "{series}");
+    }
+    for (server, addr) in [(busy, busy_addr), (idle, idle_addr)] {
+        let _ = http::request(&addr, "POST", "/admin/drain", None).unwrap();
+        server.join();
+    }
+}
+
 #[test]
 fn deeply_nested_body_gets_400_and_the_server_keeps_serving() {
     // 200 kB of '[' is far under the body limit; a parser that recurses per

@@ -18,16 +18,31 @@
 use hipmer_dna::KmerBuildHasher;
 use std::hash::{BuildHasher, Hash};
 
+/// Slots a new summary starts with (fewer when `2θ` is smaller).
+const MIN_SLOTS: usize = 16;
+
+/// The largest table observes reach by doubling. A summary that outgrows it
+/// one counter at a time takes its full `2θ` slots at once: a rank's sample
+/// of a large run fits well below it, and a summary that fills θ = 32,000
+/// counters would otherwise rehash through four more tables, each
+/// first-touched afresh.
+const MAX_DOUBLED_SLOTS: usize = 4096;
+
 /// A Misra–Gries summary with at most `capacity` counters.
 ///
-/// The counters live in one flat open-addressed table of `2θ` slots
-/// rounded up to a power of two, probed linearly from the key's
-/// [`KmerBuildHasher`] hash; a count of 0 marks an empty slot. A slot only
-/// empties when every counter steps down, and that rebuilds the table, so
-/// a probe stops at the first empty slot and an observed item costs one
-/// probe. The hash is the one every table around the summary uses:
-/// deterministic, so the slot order — and with it [`items`](Self::items) —
-/// repeats from run to run.
+/// The counters live in one flat open-addressed table, probed linearly
+/// from the key's [`KmerBuildHasher`] hash; a count of 0 marks an empty
+/// slot. The table starts small and grows, rehashing its live counters,
+/// whenever a new counter would fill more than half of it: an observe
+/// doubles it up to 4,096 slots and then takes the full `2θ` rounded up to
+/// a power of two; a merge, which knows how many counters it adds, takes
+/// the power of two they need. A summary that sees few items stays small.
+/// What the summary holds does not depend on the table's size: growth
+/// moves counters, never changes them. A slot only empties when every
+/// counter steps down, and that rebuilds the table, so a probe stops at the
+/// first empty slot and an observed item costs one probe. The hash is the
+/// one every table around the summary uses: deterministic, so the slot
+/// order — and with it [`items`](Self::items) — repeats from run to run.
 #[derive(Clone, Debug)]
 pub struct MisraGries<K> {
     capacity: usize,
@@ -48,7 +63,7 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
         assert!(capacity > 0, "capacity must be positive");
         MisraGries {
             capacity,
-            slots: vec![(K::default(), 0); (2 * capacity).next_power_of_two()],
+            slots: vec![(K::default(), 0); MIN_SLOTS.min((2 * capacity).next_power_of_two())],
             len: 0,
             n: 0,
         }
@@ -87,8 +102,8 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
         if self.slots[slot].1 > 0 {
             self.slots[slot].1 += 1;
         } else if self.len < self.capacity {
+            let slot = self.claim(slot, item, hash);
             self.slots[slot] = (item, 1);
-            self.len += 1;
         } else {
             // Summary full: the item and one unit of every counter cancel.
             self.decrement(1);
@@ -108,8 +123,8 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
                 return;
             }
             if self.len < self.capacity {
+                let slot = self.claim(slot, item, hash);
                 self.slots[slot] = (item, rem);
-                self.len += 1;
                 return;
             }
             // Summary full: decrement everything by the smallest amount that
@@ -135,6 +150,44 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
                 return i;
             }
             i = (i + 1) & mask;
+        }
+    }
+
+    /// Count one more live counter, for `item`, whose probe ended at the
+    /// empty `slot`, and return where to write it: `slot` while the table
+    /// stays at most half full, else `item`'s slot in the grown table.
+    #[inline]
+    fn claim(&mut self, slot: usize, item: K, hash: u64) -> usize {
+        self.len += 1;
+        if 2 * self.len <= self.slots.len() {
+            slot
+        } else {
+            self.grow_for(item, hash)
+        }
+    }
+
+    /// [`claim`](Self::claim)'s growth, kept out of the observe loop:
+    /// double the table up to [`MAX_DOUBLED_SLOTS`], then take the full
+    /// `2θ` slots. A counter is claimed only while fewer than θ are live,
+    /// so the doubled table is never larger than that.
+    #[cold]
+    #[inline(never)]
+    fn grow_for(&mut self, item: K, hash: u64) -> usize {
+        let doubled = 2 * self.slots.len();
+        self.rehash(if doubled > MAX_DOUBLED_SLOTS {
+            (2 * self.capacity).next_power_of_two()
+        } else {
+            doubled
+        });
+        self.probe(item, hash)
+    }
+
+    /// Move the live counters into a table of `slots` slots.
+    fn rehash(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![(K::default(), 0); slots]);
+        for (item, count) in old.into_iter().filter(|s| s.1 > 0) {
+            let slot = self.probe(item, Self::item_hash(&item));
+            self.slots[slot] = (item, count);
         }
     }
 
@@ -237,6 +290,10 @@ impl<K: Copy + Eq + Hash + Default> MisraGries<K> {
             untracked.iter_mut().for_each(|s| s.2 -= cutoff);
         }
         self.len += untracked.len();
+        let want = (2 * self.len).next_power_of_two();
+        if want > self.slots.len() {
+            self.rehash(want);
+        }
         for (item, hash, count) in untracked {
             let slot = self.probe(item, hash);
             self.slots[slot] = (item, count);

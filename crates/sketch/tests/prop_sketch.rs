@@ -98,6 +98,49 @@ proptest! {
     }
 
     #[test]
+    fn misra_gries_holds_the_model_whatever_its_table_size(
+        distinct in 1u64..3_000,
+        s1 in prop::collection::vec((any::<u64>(), 1u64..8), 1..3_000),
+        s2 in prop::collection::vec((any::<u64>(), 1u64..8), 1..3_000),
+        theta in 1usize..4_000,
+        min_count in 1u64..6,
+    ) {
+        // θ falls below and above the `distinct` keys the streams draw
+        // from, so a table grows from its first slots up to what its live
+        // counters need, or past 4,096 slots straight to the full 2θ; none
+        // of that may show in what it holds.
+        let heavy = |mg: &MisraGries<u64>| -> HashMap<u64, u64> {
+            mg.heavy_hitters(min_count).into_iter().collect()
+        };
+        let model_heavy = |m: &Model| -> HashMap<u64, u64> {
+            m.counters.iter().filter(|(_, &c)| c >= min_count).map(|(&x, &c)| (x, c)).collect()
+        };
+        let mut parts = Vec::new();
+        for stream in [&s1, &s2] {
+            let mut mg = MisraGries::new(theta);
+            let mut model = Model { theta, counters: HashMap::new() };
+            for &(x, w) in stream {
+                let x = mix64(x % distinct);
+                if w == 1 {
+                    mg.observe(x);
+                } else {
+                    mg.observe_weighted(x, w);
+                }
+                model.observe(x, w);
+            }
+            prop_assert_eq!(&counters(&mg), &model.counters);
+            prop_assert_eq!(heavy(&mg), model_heavy(&model));
+            parts.push((mg, model));
+        }
+        let (b, b_model) = parts.pop().unwrap();
+        let (mut a, mut a_model) = parts.pop().unwrap();
+        a.merge(&b);
+        a_model.merge(&b_model);
+        prop_assert_eq!(&counters(&a), &a_model.counters);
+        prop_assert_eq!(heavy(&a), model_heavy(&a_model));
+    }
+
+    #[test]
     fn bloom_never_false_negative(keys in prop::collection::vec(any::<u64>(), 1..2000)) {
         let mut f = BloomFilter::with_rate(keys.len(), 0.02);
         for &k in &keys {

@@ -2,7 +2,7 @@
 //! public API, checked against the simulated ground truth.
 
 use hipmer::{assemble, assemble_fastq, evaluate, PipelineConfig, StageTimes};
-use hipmer_pgas::{trace, CommStats, CostModel, Team, Topology};
+use hipmer_pgas::{CommStats, CostModel, Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, wheat_scaffolding_dataset, Dataset};
 
 /// Reference sequence: all haplotypes joined with an N separator.
@@ -563,16 +563,14 @@ const WRITE_PHASES: [&str; 5] = [
 type WritePhase = (String, Vec<CommStats>, (u64, u64), Vec<(u64, u64)>);
 
 /// Every `kmer-analysis/*` phase and every one of [`WRITE_PHASES`] of one
-/// assembly at `threads` OS threads, with hot-key tracking on.
+/// assembly at `threads` OS threads.
 fn write_phases(
     dataset: &Dataset,
     libs: &[std::ops::Range<usize>],
     cfg: &PipelineConfig,
     threads: usize,
 ) -> Vec<WritePhase> {
-    let team = Team::new(Topology::new(8, 4))
-        .with_os_threads(threads)
-        .with_hot_keys(trace::HOT_KEY_CAPACITY);
+    let team = Team::new(Topology::new(8, 4)).with_os_threads(threads);
     let reads = dataset.all_reads();
     let assembly = assemble(&team, &reads, libs, cfg);
     (assembly.report.phases.into_iter())
@@ -589,13 +587,14 @@ fn write_phases(
 fn write_phases_count_the_same_at_every_thread_count() {
     // Each owner applies the batches sent to it, sources in rank order, so
     // the order they land in — which decides the Bloom filter's false
-    // positives and the hot-key summaries — depends on the input and the
-    // rank count, not on the threads. No rank writes another's partition.
+    // positives — depends on the input and the rank count, not on the
+    // threads. No rank writes another's partition. The hot keys come from
+    // the sketch's merge tree, whose shape is the rank count's too.
     let check = |dataset: &Dataset, libs: &[std::ops::Range<usize>], cfg: &PipelineConfig| {
         let serial = write_phases(dataset, libs, cfg, 1);
-        assert!(serial
-            .iter()
-            .any(|p| p.0 == "kmer-analysis/count" && !p.3.is_empty()));
+        for p in &serial {
+            assert_eq!(p.3.is_empty(), p.0 != "kmer-analysis/sketch", "{}", p.0);
+        }
         for threads in [2, 4, 8] {
             let threaded = write_phases(dataset, libs, cfg, threads);
             assert_eq!(threaded.len(), serial.len(), "{threads} threads");

@@ -7,7 +7,7 @@
 use hipmer::{run_assembly, PipelineConfig, RunOptions};
 use hipmer_pgas::json::Value;
 use hipmer_pgas::stats::measured_report_keys;
-use hipmer_pgas::{trace, Team, Topology};
+use hipmer_pgas::{Team, Topology};
 use hipmer_readsim::{human_like_dataset, metagenome_dataset, Dataset};
 
 /// `doc` without the measured keys, at any depth.
@@ -34,11 +34,7 @@ fn counted_only(doc: Value, measured: &[&str]) -> Value {
 fn report_of(dataset: &Dataset, cfg: &PipelineConfig, tag: &str) -> (Value, Value) {
     let dir = std::env::temp_dir().join(format!("hipmer-repro-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    // Hot-key tracking on, as under `--report-json`: `hot_keys` ties are
-    // part of what must repeat.
-    let team = Team::new(Topology::new(8, 4))
-        .with_os_threads(1)
-        .with_hot_keys(trace::HOT_KEY_CAPACITY);
+    let team = Team::new(Topology::new(8, 4)).with_os_threads(1);
     let opts = RunOptions {
         checkpoint_dir: Some(dir.clone()),
         ..RunOptions::default()
