@@ -122,6 +122,20 @@ impl ExtCode {
     pub fn right(self) -> Option<u8> {
         Some(self.0 % 5).filter(|&c| c != Self::NO_VOTE)
     }
+
+    /// The code's one wire byte.
+    #[inline]
+    pub fn to_byte(self) -> u8 {
+        self.0
+    }
+
+    /// The code whose wire byte is `byte`, as [`to_byte`](Self::to_byte)
+    /// wrote it.
+    #[inline]
+    pub fn from_byte(byte: u8) -> Self {
+        debug_assert!(byte < 25, "an ExtCode byte is below 25, not {byte}");
+        ExtCode(byte)
+    }
 }
 
 /// Per-side extension vote counters for one k-mer.
@@ -255,6 +269,7 @@ mod tests {
             for right in sides {
                 let code = ExtCode::new(left, right);
                 assert_eq!((code.left(), code.right()), (left, right));
+                assert_eq!(ExtCode::from_byte(code.to_byte()), code);
                 assert!(!seen.contains(&code), "{code:?} encodes two states");
                 seen.push(code);
                 // Accumulate, so a vote landing on the wrong counter shows

@@ -31,7 +31,7 @@ pub struct AssemblyStats {
 pub struct StageTimes {
     /// FASTQ input time.
     pub io: f64,
-    /// K-mer analysis (sketch + bloom + count + finalize).
+    /// K-mer analysis (sketch + count + finalize).
     pub kmer_analysis: f64,
     /// Contig generation (graph build + traversal).
     pub contig_generation: f64,

@@ -24,7 +24,7 @@ pub struct KmerAnalysisConfig {
     /// Use Bloom filters to keep singletons out of the table (§3.1;
     /// ablation: without them every k-mer gets an entry).
     pub use_bloom: bool,
-    /// Aggregating-stores batch size (Ablation 2 sweeps it).
+    /// Aggregating-stores batch size (Ablation 1 sweeps it).
     pub agg_batch: usize,
 }
 

@@ -4,7 +4,8 @@
 //! k-mers, each with its exact count and its high-quality extension pair —
 //! the vertices of the de Bruijn graph the contig stage traverses.
 //!
-//! Three passes over the reads, exactly as in the paper:
+//! Two passes over the reads — the paper's three, with its Bloom and count
+//! passes fused into one:
 //!
 //! 1. **Sketch pass** ([`pass1::sketch_reads`]): every rank streams its
 //!    read chunk through a HyperLogLog (cardinality, to size the Bloom
@@ -17,17 +18,21 @@
 //!    which took the pass from 0.26–0.27 s to 0.08–0.13 s on one thread
 //!    over 5.6 M occurrences, and HyperLogLog still sees every
 //!    occurrence.
-//! 2. **Bloom pass** (`count::bloom_pass`): each k-mer occurrence is
-//!    routed to its owner (aggregating stores); the owner inserts the key
-//!    hash into its Bloom filter and creates a table entry the *second*
-//!    time it sees the key. Singletons — overwhelmingly sequencing errors —
-//!    never enter the table, the paper's up-to-85% memory saving.
-//! 3. **Count pass** (`count::count_pass`): occurrences are routed again
-//!    with their quality-filtered extension votes and merged into existing
-//!    entries only. Heavy hitters bypass the owner-computes path: every
-//!    rank accumulates them locally and one final global reduction merges
-//!    the partials — O(p) messages per heavy k-mer instead of O(count),
-//!    removing the load imbalance of Fig. 6.
+//! 2. **Count pass** (`count::count_pass`): each k-mer occurrence is
+//!    routed once to its owner (aggregating stores) with its
+//!    quality-filtered extension votes. The owner inserts the key hash
+//!    into its Bloom filter; an occurrence the filter may have seen
+//!    before is recorded into the k-mer's tally at once (creating the
+//!    entry), and a first sighting is held until every occurrence has
+//!    arrived and then recorded only if its k-mer has an entry by then.
+//!    Singletons — overwhelmingly sequencing errors — never enter the
+//!    table, the paper's up-to-85% memory saving. The paper routes every
+//!    occurrence twice instead, a Bloom pass that creates the entries and
+//!    a count pass that fills them; the fused pass gives the same counts
+//!    and votes (DESIGN.md §1). Heavy hitters bypass the owner-computes
+//!    path: every rank accumulates them locally and one final global
+//!    reduction merges the partials — O(p) messages per heavy k-mer
+//!    instead of O(count), removing the load imbalance of Fig. 6.
 //!
 //! Finalization drops below-threshold k-mers and decides each side's
 //! extension (`[ACGT]`, fork, or none).

@@ -31,8 +31,11 @@
 //!
 //! The ship step receives the sender's buffer itself (`&mut Vec<T>`) and
 //! hands it back empty with its capacity, so the batcher allocates nothing
-//! per batch. [`AggregatingStores`], the older sender-applied write path, is
-//! kept for one microbenchmark only.
+//! per batch. An exchange's last shipment instead moves each buffer into
+//! its mailbox and frees the rest: at high rank counts few buffers ever
+//! fill, and what a pass sends waits in them until that shipment.
+//! [`AggregatingStores`], the older sender-applied write path, is kept for
+//! one microbenchmark only.
 
 use crate::dht::DistHashMap;
 use crate::team::RankCtx;
@@ -389,12 +392,22 @@ impl<T> Post<'_, T> {
         });
     }
 
-    /// Ship every non-empty buffer.
+    /// Ship every non-empty buffer: the sender's last shipment. A buffer
+    /// moves into its mailbox if that is empty and is appended to it
+    /// otherwise, and then every buffer is freed, so a sender that is done
+    /// keeps no capacity for P destinations until the pass ends.
     fn ship_all(&mut self, ctx: &mut RankCtx) {
-        let (row, posted) = (self.row, &mut self.posted);
+        let posted = &mut self.posted;
         self.outbox.flush_all(ctx, &mut |_, dest, items| {
-            post_batch(row, posted, dest, items)
+            *posted += items.len() * std::mem::size_of::<T>();
+            let mut mailbox = uncontended(&self.row[dest]);
+            if mailbox.is_empty() {
+                std::mem::swap(&mut *mailbox, items);
+            } else {
+                mailbox.append(items);
+            }
         });
+        (self.outbox.buffers.iter_mut()).for_each(|items| *items = Vec::new());
     }
 }
 
@@ -818,6 +831,29 @@ mod tests {
                 "{threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn a_done_sender_keeps_no_buffer() {
+        // Full batches reuse their buffer; the last shipment moves each
+        // one into its mailbox or frees it, and what arrives is the same.
+        let topo = Topology::new(4, 2);
+        let team = Team::new(topo).with_os_threads(2);
+        let mail: Exchange<u64> = Exchange::with_team_bytes(topo, 8, 4 * 128);
+        let got = Mutex::new(0u64);
+        team.run_supersteps("test/free", |ctx, step| {
+            mail.deliver(ctx.rank, step, |_, items| {
+                *got.lock() += items.iter().sum::<u64>();
+            });
+            let posted = mail.send(ctx, step, 203, |ctx, i, post| {
+                post.push(ctx, i % 4, i as u64)
+            });
+            let sender = uncontended(&mail.senders[ctx.rank]);
+            let kept = sender.outbox.buffers.iter().any(|b| b.capacity() > 0);
+            assert_eq!(kept, !sender.done, "step {step}");
+            posted
+        });
+        assert_eq!(got.into_inner(), 4 * (0..203).sum::<u64>());
     }
 
     #[test]

@@ -657,8 +657,8 @@ mod tests {
         // Without: items for absent keys are dropped, present ones applied.
         let batch = vec![(c, 5u8), (b, 6), (c, 7)];
         dht.apply_batch(1, batch, push, None::<fn(u8) -> Vec<u8>>);
-        // Insert-if-absent, the Bloom pass's shape: unit items, an
-        // `occupied` that leaves the entry alone.
+        // Insert-if-absent: unit items, an `occupied` that leaves the
+        // entry alone.
         let batch = [a, c].map(|k| (k, ()));
         dht.apply_batch(1, batch, |_, ()| {}, Some(|()| vec![0]));
 
