@@ -77,8 +77,7 @@ fn main() {
         for (i, use_bloom) in [true, false].into_iter().enumerate() {
             let mut cfg = KmerAnalysisConfig::new(k);
             cfg.use_bloom = use_bloom;
-            (entries[i], held[i]) = vote_table_census(&team, &reads, &cfg);
-            survived[i] = analyze_kmers(&team, &reads, &cfg).0.distinct();
+            (survived[i], entries[i], held[i]) = vote_table_census(&team, &reads, &cfg);
         }
         assert_eq!(survived[0], survived[1], "spectra must agree");
         assert_eq!(held[1], 0, "without the filter nothing is held");

@@ -91,8 +91,8 @@ struct Owner<K> {
 }
 
 /// An owner's held first sightings, each its key packed at the codec's
-/// wire width plus its vote byte: 7 to 15 bytes where a `(K, ExtCode)`
-/// tuple takes 16 or 24.
+/// wire width plus its vote byte: ⌈2k/8⌉ + 1 bytes (9 at k = 31) where a
+/// `(K, ExtCode)` tuple takes 16 or 24.
 struct FirstSightings<K> {
     bytes: Vec<u8>,
     key_bytes: usize,
@@ -297,21 +297,22 @@ pub fn analyze_kmers<R: AsRef<SeqRecord> + Sync>(
     reads: &[R],
     cfg: &KmerAnalysisConfig,
 ) -> (KmerSpectrum, Vec<PhaseReport>) {
-    analyze_narrow(team, reads, cfg).0
+    let (spectrum, reports, _) = analyze_narrow(team, reads, cfg);
+    (spectrum, reports)
 }
 
-/// What the Bloom filter of §3.1 costs and saves: the vote table's
+/// What the Bloom filter of §3.1 costs and saves, from one run of
+/// [`analyze_kmers`]: the spectrum's distinct k-mers, the vote table's
 /// entries after the count pass, and the first sightings its owners held
-/// until the pass ended (their peak, summed over owners). Runs
-/// [`analyze_kmers`].
+/// until the pass ended (their peak, summed over owners).
 pub fn vote_table_census<R: AsRef<SeqRecord> + Sync>(
     team: &Team,
     reads: &[R],
     cfg: &KmerAnalysisConfig,
-) -> (u64, u64) {
-    let ((_, reports), held) = analyze_narrow(team, reads, cfg);
+) -> (usize, u64, u64) {
+    let (spectrum, reports, held) = analyze_narrow(team, reads, cfg);
     let count = reports.iter().find(|r| r.name == "kmer-analysis/count");
-    (count.map_or(0, |r| r.table().0), held)
+    (spectrum.distinct(), count.map_or(0, |r| r.table().0), held)
 }
 
 /// [`analyze_keyed`] on the narrowest key that holds k.
@@ -319,7 +320,7 @@ fn analyze_narrow<R: AsRef<SeqRecord> + Sync>(
     team: &Team,
     reads: &[R],
     cfg: &KmerAnalysisConfig,
-) -> ((KmerSpectrum, Vec<PhaseReport>), u64) {
+) -> (KmerSpectrum, Vec<PhaseReport>, u64) {
     if cfg.k <= Kmer64::MAX_K {
         analyze_keyed::<Kmer64, _>(team, reads, cfg)
     } else {
@@ -333,7 +334,7 @@ fn analyze_keyed<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     team: &Team,
     reads: &[R],
     cfg: &KmerAnalysisConfig,
-) -> ((KmerSpectrum, Vec<PhaseReport>), u64) {
+) -> (KmerSpectrum, Vec<PhaseReport>, u64) {
     let (sketch, sketch_report) = sketch_pass::<K, _>(team, reads, cfg);
 
     // Both tables are owned by `key_hash % ranks`: `finalize` moves entries
@@ -352,7 +353,7 @@ fn analyze_keyed<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
         table: final_table.freeze(),
     };
     let reports = vec![sketch_report, count_report, finalize_report];
-    ((spectrum, reports), held)
+    (spectrum, reports, held)
 }
 
 #[cfg(test)]
@@ -454,7 +455,7 @@ mod tests {
         for (km, t) in truth {
             let kept = present.contains(km);
             assert!(
-                kept || t.count < MIN_COUNT,
+                kept || (cfg.use_bloom && t.count < MIN_COUNT),
                 "{what}: {}",
                 codec.to_string(*km)
             );
@@ -675,7 +676,7 @@ mod tests {
         reads: &[SeqRecord],
         cfg: &KmerAnalysisConfig,
     ) -> (Vec<(Kmer, KmerEntry)>, Vec<PhaseCounters>) {
-        let ((spectrum, reports), _) = analyze_keyed::<K, _>(team, reads, cfg);
+        let (spectrum, reports, _) = analyze_keyed::<K, _>(team, reads, cfg);
         let counters = (reports.into_iter())
             .map(|r| {
                 let counted = r.stats.iter().map(|s| s.counted()).collect();
