@@ -214,8 +214,9 @@ pub(crate) fn carry_alignments(
                 || mine
                     .iter()
                     .any(|a| near_junction(a, &landings[a.contig as usize], len(a)))
-                || stride_seeds(&codec, &reads[read as usize].seq)
-                    .any(|(_, _, canon)| changed.contains(&canon))
+                || (!changed.is_empty()
+                    && stride_seeds(&codec, &reads[read as usize].seq)
+                        .any(|(_, _, canon)| changed.contains(&canon)))
             {
                 realign.push(read);
                 continue;

@@ -8,9 +8,25 @@
 //! 1. **spanning** — a single read contains the end of one flank and the
 //!    start of the other;
 //! 2. **k-mer walk** — a mini-assembly across the gap from the candidate
-//!    reads, with iteratively increasing k, first right-to-left... first
-//!    from the left flank, then from the right;
+//!    reads, with iteratively increasing k (17, 25, 33), first from the
+//!    left flank, then from the right;
 //! 3. **patching** — overlap the two incomplete walks.
+//!
+//! A walk steps from k-mer to k-mer while exactly one next base has at
+//! least `WALK_MIN_COUNT` votes: the number of clean occurrences of the
+//! k-mer, over every candidate and its reverse complement, that a clean
+//! base follows. All walks of a gap ask one `WalkIndex`, built on the
+//! gap's first walk (a gap closed by overlap or by a spanning read builds
+//! none): the candidates as 2-bit codes, and one sorted key per clean
+//! 17-mer that a clean base follows. The votes of a k-mer are the keys of
+//! its first 17 bases whose next k − 17 bases match the rest of it, counted
+//! by the base after those. That is the same set of positions a per-k
+//! table of (k-mer → votes) counts: an occurrence of a k-mer followed by a
+//! clean base is an occurrence of its 17-mer prefix followed by a clean
+//! base, and the code 4 that ends every sequence (and stands for every
+//! non-ACGT byte) stops a match from running into the next sequence. So
+//! every vote array, hence every walk step and its `compute` charge, is
+//! the one the three tables gave; building either was never billed.
 //!
 //! Unclosed gaps are N-filled with the link's gap estimate. Gaps are
 //! distributed **round-robin** across ranks: closure costs vary by orders
@@ -147,11 +163,107 @@ fn gap_side_end(scaffold: &Scaffold, idx: usize, leading: bool) -> ContigEnd {
     }
 }
 
+/// Length of the k-mer prefix [`WalkIndex`] sorts its keys by: the
+/// smallest walk k.
+const KEY_K: usize = WALK_KS[0];
+/// Bits of a [`WalkIndex`] key that hold the position in `codes`.
+const OFFSET_BITS: u32 = 64 - 2 * KEY_K as u32;
+const _: () = assert!(
+    WALK_KS[0] < WALK_KS[1] && WALK_KS[1] < WALK_KS[2],
+    "every walk k must be at least KEY_K"
+);
+
+/// The 2-bit code of a base, or 4 for any other byte.
+fn code_of(b: u8) -> u8 {
+    hipmer_dna::encode_base(b).unwrap_or(4)
+}
+
+/// A gap's candidate reads as one sorted k-mer index, serving the walks of
+/// every k in [`WALK_KS`].
+///
+/// `codes` holds every candidate and its reverse complement as 2-bit codes,
+/// each sequence followed by a 4 (the code of every non-ACGT byte too), so
+/// no clean window crosses from one sequence into the next. `keys` holds
+/// one `(17-mer << OFFSET_BITS) | offset` per clean 17-mer of `codes` that
+/// a clean base follows, sorted: the k-mers of one 17-mer prefix are one
+/// run of keys, found by binary search.
+struct WalkIndex {
+    codes: Vec<u8>,
+    keys: Vec<u64>,
+}
+
+impl WalkIndex {
+    fn new(reads: &[&SeqRecord]) -> Self {
+        let len: usize = reads.iter().map(|r| 2 * (r.seq.len() + 1)).sum();
+        assert!(
+            len < 1 << OFFSET_BITS,
+            "a gap's candidate reads ({len} codes) overflow the walk index's offsets"
+        );
+        let mut codes = Vec::with_capacity(len);
+        for r in reads {
+            codes.extend(r.seq.iter().map(|&b| code_of(b)));
+            codes.push(4);
+            codes.extend(r.seq.iter().rev().map(|&b| match code_of(b) {
+                4 => 4,
+                c => hipmer_dna::complement_code(c),
+            }));
+            codes.push(4);
+        }
+        let mask = (1u64 << (2 * KEY_K)) - 1;
+        let mut keys = Vec::with_capacity(len);
+        let (mut window, mut clean) = (0u64, 0usize);
+        for (i, &c) in codes.iter().enumerate() {
+            if c == 4 {
+                clean = 0;
+                continue;
+            }
+            // `window` is the 17-mer ending just before `i`, and `c` the
+            // clean base that follows it.
+            if clean >= KEY_K {
+                keys.push((window << OFFSET_BITS) | (i - KEY_K) as u64);
+            }
+            window = ((window << 2) | c as u64) & mask;
+            clean += 1;
+        }
+        keys.sort_unstable();
+        WalkIndex { codes, keys }
+    }
+
+    /// The right-extension votes of the `k`-mer `cur`: per base, how many
+    /// times a clean occurrence of `cur` is followed by it, over every
+    /// candidate and its reverse complement. `None` if there is none.
+    fn votes(&self, k: usize, cur: Kmer) -> Option<[u32; 4]> {
+        let tail = k - KEY_K;
+        let prefix = (cur.0 >> (2 * tail)) as u64;
+        let lo = self
+            .keys
+            .partition_point(|&key| key >> OFFSET_BITS < prefix);
+        let hi = lo + self.keys[lo..].partition_point(|&key| key >> OFFSET_BITS == prefix);
+        let mut votes = [0u32; 4];
+        let mut any = false;
+        for &key in &self.keys[lo..hi] {
+            let at = (key & ((1 << OFFSET_BITS) - 1)) as usize + KEY_K;
+            // The bases after the prefix must match `cur`'s too. A 4 stops
+            // the match before the end of `codes`, which is a 4.
+            let matched = (0..tail)
+                .all(|j| self.codes[at + j] as u128 == (cur.0 >> (2 * (tail - 1 - j))) & 3);
+            if matched {
+                let next = self.codes[at + tail];
+                if next < 4 {
+                    votes[next as usize] += 1;
+                    any = true;
+                }
+            }
+        }
+        any.then_some(votes)
+    }
+}
+
 /// Walk rightward from the last `k`-mer of `seed` using read k-mers,
 /// stopping when `target` (a k-mer) is reached or limits hit. Returns the
 /// appended bases on success (`Ok`) or the partial extension (`Err`).
 fn kmer_walk(
-    table: &KmerHashMap<Kmer, [u32; 4]>,
+    index: &WalkIndex,
     codec: &KmerCodec,
     seed: &[u8],
     target: Kmer,
@@ -176,7 +288,7 @@ fn kmer_walk(
             return Ok(appended);
         }
         ctx.stats.compute(1);
-        let Some(votes) = table.get(&cur) else {
+        let Some(votes) = index.votes(k, cur) else {
             return Err(appended);
         };
         // Unique next base above threshold.
@@ -196,32 +308,6 @@ fn kmer_walk(
         appended.push(hipmer_dna::decode_base(b));
     }
     Err(appended)
-}
-
-/// Build the oriented k-mer table (k-mer → right-extension votes) from the
-/// candidate reads, both orientations (`rcs` holds each read's reverse
-/// complement).
-fn walk_table(
-    codec: &KmerCodec,
-    reads: &[&SeqRecord],
-    rcs: &[Vec<u8>],
-) -> KmerHashMap<Kmer, [u32; 4]> {
-    let k = codec.k();
-    let mut table: KmerHashMap<Kmer, [u32; 4]> = KmerHashMap::default();
-    let mut add = |seq: &[u8]| {
-        for (off, km) in codec.kmers(seq) {
-            if off + k < seq.len() {
-                if let Some(code) = hipmer_dna::encode_base(seq[off + k]) {
-                    table.entry(km).or_insert([0; 4])[code as usize] += 1;
-                }
-            }
-        }
-    };
-    for (r, rc) in reads.iter().zip(rcs) {
-        add(&r.seq);
-        add(rc);
-    }
-    table
 }
 
 /// Attempt to close one gap. Returns the closure and which method worked.
@@ -251,18 +337,13 @@ fn close_one(
         }
     }
 
-    // Every candidate's reverse complement, computed once for the spanning
-    // test and all the walks.
-    let mut rcs: Vec<Vec<u8>> = Vec::with_capacity(candidates.len());
-
     let m = ANCHOR;
     // Method 1: spanning read.
     if prev_flank.len() >= m && next_flank.len() >= m {
         let a1 = &prev_flank[prev_flank.len() - m..];
         let a2 = &next_flank[..m];
         for r in candidates {
-            rcs.push(revcomp(&r.seq));
-            for seq in [&r.seq, &rcs[rcs.len() - 1]] {
+            for seq in [&r.seq, &revcomp(&r.seq)] {
                 ctx.stats.compute(seq.len() as u64);
                 let Some(p1) = find(seq, a1) else { continue };
                 let Some(off2) = find(&seq[p1..], a2) else {
@@ -285,20 +366,21 @@ fn close_one(
     // crosses the whole gap (the paper: "with iteratively increasing k-mer
     // sizes until the gap is closed", right-side attempt after the left
     // fails). The partial extensions from the largest k are kept for
-    // patching.
+    // patching. One index of the candidates serves every k; it is built on
+    // the first walk.
     let mut best_partials: Option<(Vec<u8>, Vec<u8>)> = None;
-    rcs.extend(candidates[rcs.len()..].iter().map(|r| revcomp(&r.seq)));
+    let mut index: Option<WalkIndex> = None;
     for kw in WALK_KS {
         if prev_flank.len() < kw || next_flank.len() < kw {
             continue;
         }
         let codec = KmerCodec::new(kw);
-        let table = walk_table(&codec, candidates, &rcs);
+        let index = index.get_or_insert_with(|| WalkIndex::new(candidates));
         let target = codec
             .pack(&next_flank[..kw])
             .expect("contig flanks are clean DNA");
         // Left-to-right walk.
-        let partial_fwd = match kmer_walk(&table, &codec, prev_flank, target, ctx) {
+        let partial_fwd = match kmer_walk(index, &codec, prev_flank, target, ctx) {
             Ok(fill) => {
                 stats.walked += 1;
                 return Closure::Fill(fill);
@@ -310,7 +392,7 @@ fn close_one(
         let rc_target = codec
             .pack(&revcomp(&prev_flank[prev_flank.len() - kw..]))
             .expect("clean flank");
-        let partial_back = match kmer_walk(&table, &codec, &rc_next, rc_target, ctx) {
+        let partial_back = match kmer_walk(index, &codec, &rc_next, rc_target, ctx) {
             Ok(fill_rc) => {
                 stats.walked += 1;
                 return Closure::Fill(revcomp(&fill_rc));
@@ -604,8 +686,12 @@ mod tests {
     }
 
     fn fixture(gap_len: usize, read_len: usize, with_reads: bool) -> Fixture {
+        fixture_with_gap(lcg(gap_len, 2), read_len, with_reads)
+    }
+
+    fn fixture_with_gap(gap: Vec<u8>, read_len: usize, with_reads: bool) -> Fixture {
+        let gap_len = gap.len();
         let a = lcg(400, 1);
-        let gap = lcg(gap_len, 2);
         let b = lcg(400, 3);
         let mut genome = a.clone();
         genome.extend_from_slice(&gap);
@@ -692,6 +778,153 @@ mod tests {
             reads,
             genome,
         }
+    }
+
+    /// The per-k table the walks used before [`WalkIndex`]: k-mer →
+    /// right-extension votes over every read and its reverse complement
+    /// (`rcs`). The oracle of the index's differential test.
+    fn walk_table(
+        codec: &KmerCodec,
+        reads: &[&SeqRecord],
+        rcs: &[Vec<u8>],
+    ) -> KmerHashMap<Kmer, [u32; 4]> {
+        let k = codec.k();
+        let mut table: KmerHashMap<Kmer, [u32; 4]> = KmerHashMap::default();
+        let mut add = |seq: &[u8]| {
+            for (off, km) in codec.kmers(seq) {
+                if off + k < seq.len() {
+                    if let Some(code) = hipmer_dna::encode_base(seq[off + k]) {
+                        table.entry(km).or_insert([0; 4])[code as usize] += 1;
+                    }
+                }
+            }
+        };
+        for (r, rc) in reads.iter().zip(rcs) {
+            add(&r.seq);
+            add(rc);
+        }
+        table
+    }
+
+    #[test]
+    fn walk_index_votes_equal_the_per_k_tables() {
+        let mut x = 99u64;
+        let mut draw = |n: u64| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for trial in 0..40u64 {
+            // Reads from a short genome (so they overlap), some shorter
+            // than 34 bases, with N bases and a planted 17-mer repeat
+            // followed by different bases.
+            let genome = lcg(300 + draw(400) as usize, 100 + trial);
+            let repeat = lcg(KEY_K, 200 + trial);
+            let mut reads = Vec::new();
+            for i in 0..(20 + draw(40)) {
+                let len = 5 + draw(130) as usize;
+                let start = draw((genome.len() - len) as u64) as usize;
+                let mut seq = genome[start..start + len].to_vec();
+                if draw(3) == 0 {
+                    let at = draw(len as u64) as usize;
+                    seq.splice(at..at, repeat.iter().copied());
+                    seq.insert(at + KEY_K, b"ACGT"[draw(4) as usize]);
+                }
+                for _ in 0..draw(3) {
+                    let at = draw(seq.len() as u64) as usize;
+                    seq[at] = if draw(2) == 0 { b'N' } else { b'n' };
+                }
+                reads.push(SeqRecord::with_uniform_quality(format!("r{i}"), seq, 35));
+            }
+            let reads: Vec<&SeqRecord> = reads.iter().collect();
+            let rcs: Vec<Vec<u8>> = reads.iter().map(|r| revcomp(&r.seq)).collect();
+            let index = WalkIndex::new(&reads);
+            for k in WALK_KS {
+                let codec = KmerCodec::new(k);
+                let table = walk_table(&codec, &reads, &rcs);
+                assert!(!table.is_empty());
+                for (&km, &votes) in &table {
+                    assert_eq!(index.votes(k, km), Some(votes), "trial {trial} k {k}");
+                }
+                // Probes: every k-mer of the reads (those no clean base
+                // follows are absent), each table k-mer with its last base
+                // or its first base after the 17-mer prefix changed, and
+                // random k-mers.
+                let mut probes: Vec<Kmer> = Vec::new();
+                for seq in reads.iter().map(|r| &r.seq).chain(&rcs) {
+                    probes.extend(codec.kmers(seq).map(|(_, km)| km));
+                }
+                for &km in table.keys() {
+                    for b in 0..4u128 {
+                        probes.push(Kmer((km.0 & !3) | b));
+                        if k > KEY_K {
+                            let shift = 2 * (k - KEY_K - 1);
+                            probes.push(Kmer((km.0 & !(3 << shift)) | (b << shift)));
+                        }
+                    }
+                }
+                for _ in 0..200 {
+                    probes.push(Kmer(
+                        ((draw(1 << 32) as u128) << 34 | draw(1 << 34) as u128)
+                            & ((1u128 << (2 * k)) - 1),
+                    ));
+                }
+                for km in probes {
+                    assert_eq!(
+                        index.votes(k, km),
+                        table.get(&km).copied(),
+                        "trial {trial} k {k} probe {}",
+                        codec.to_string(km)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn planted_17mer_repeat_forks_k17_and_k25_walks_through() {
+        // gap = X G R A Y T R C Z: the 17-mer R occurs twice, preceded and
+        // followed by different bases, so at k = 17 both walks fork at R
+        // (and patching would glue the halves at the wrong copy); any
+        // 25-mer over R is unique.
+        let repeat = lcg(KEY_K, 5);
+        let mut gap = lcg(100, 4);
+        for (before, part, after) in [(b'G', lcg(80, 6), b'A'), (b'T', lcg(100, 7), b'C')] {
+            gap.push(before);
+            gap.extend_from_slice(&repeat);
+            gap.push(after);
+            gap.extend_from_slice(&part);
+        }
+        let f = fixture_with_gap(gap, 90, true);
+        let reads: Vec<&SeqRecord> = f.reads.iter().collect();
+        let codec = KmerCodec::new(KEY_K);
+        let votes = WalkIndex::new(&reads)
+            .votes(KEY_K, codec.pack(&repeat).unwrap())
+            .unwrap();
+        let forks = votes.iter().filter(|&&v| v >= WALK_MIN_COUNT).count();
+        assert_eq!(
+            forks, 2,
+            "the k = 17 walk must fork at the repeat: {votes:?}"
+        );
+
+        let team = Team::new(Topology::new(2, 2));
+        let (set, stats, _) = close_gaps(
+            &team,
+            &f.contigs,
+            &f.scaffolds,
+            &f.alignments,
+            &f.reads,
+            &GapCloseConfig::default(),
+        );
+        assert_eq!(
+            stats,
+            GapCloseStats {
+                walked: 1,
+                ..GapCloseStats::default()
+            }
+        );
+        assert_eq!(set.sequences[0], f.genome);
     }
 
     #[test]
