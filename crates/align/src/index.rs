@@ -210,7 +210,7 @@ pub fn build_seed_index(
             }
             run.iter().map(move |&(seed, _)| (seed, entry))
         });
-        table.apply_batch(rank, entries, |_, _| {}, Some(|entry| entry));
+        table.apply_batch(rank, entries, |_, _| {}, |_, entry| Some(entry));
         *hits[rank].lock() = kept;
         false
     });

@@ -79,7 +79,7 @@ pub fn build_graph(
                 rank,
                 vertices,
                 |_, _| unreachable!("a spectrum holds each k-mer once"),
-                Some(node),
+                |_, entry| Some(node(entry)),
             )
         });
         let mut scan = scans[rank].lock();

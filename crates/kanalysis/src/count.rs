@@ -38,47 +38,55 @@ const MIN_VOTES: u8 = 2;
 /// entry that [`MIN_COUNT`] drops again, so the filter can be loose.
 const BLOOM_FP_RATE: f64 = 0.05;
 
-/// The left/right extension bases of one k-mer occurrence, re-oriented to
-/// the k-mer's canonical form. `left`/`right` are 2-bit codes of the
-/// neighboring bases that passed the quality filter.
-fn canonical_votes<K: PartialEq>(km: K, canon: K, left: Option<u8>, right: Option<u8>) -> ExtCode {
-    if km == canon {
-        ExtCode::new(left, right)
-    } else {
-        // Occurrence is the reverse complement of the canonical form: sides
-        // swap and bases complement.
-        ExtCode::new(right.map(|c| 3 - c), left.map(|c| 3 - c))
-    }
+/// A vote digit: a base's 2-bit code if it may cast an extension vote,
+/// else [`NO_VOTE`].
+const NO_VOTE: u8 = 4;
+/// The vote digit of each digit's complement base; "no vote" stays.
+const COMPLEMENT: [u8; 5] = [3, 2, 1, 0, NO_VOTE];
+
+/// Fill `digits` with one vote digit per base of `read`, between two
+/// [`NO_VOTE`]s. A base may vote if it is ACGT and either its Phred
+/// quality is at least [`MIN_QUAL`] or it has none (a record without
+/// qualities, or past the end of a short quality string). The neighbours
+/// of the occurrence at `off` are then `digits[off]` and
+/// `digits[off + k + 1]`.
+fn vote_digits(read: &SeqRecord, digits: &mut Vec<u8>) {
+    let qual = read.qual.as_deref().unwrap_or_default();
+    let (scored, unscored) = read.seq.split_at(qual.len().min(read.seq.len()));
+    let digit = |b: u8| hipmer_dna::encode_base(b).unwrap_or(NO_VOTE);
+    digits.clear();
+    digits.push(NO_VOTE);
+    digits.extend(scored.iter().zip(qual).map(|(&b, &q)| {
+        let code = digit(b);
+        if q.saturating_sub(33) >= MIN_QUAL {
+            code
+        } else {
+            NO_VOTE
+        }
+    }));
+    digits.extend(unscored.iter().map(|&b| digit(b)));
+    digits.push(NO_VOTE);
 }
 
 /// Visit every k-mer occurrence of a read with the vote of its
-/// quality-filtered neighbor bases (already re-oriented to canonical form).
-fn for_each_occurrence<K, F>(codec: &KmerCodec, read: &SeqRecord, mut f: F)
+/// quality-filtered neighbor bases, re-oriented to the canonical form: on
+/// the reverse strand the sides swap and the bases complement. `digits` is
+/// the caller's scratch buffer, refilled by [`vote_digits`] once per read.
+fn for_each_occurrence<K, F>(codec: &KmerCodec, read: &SeqRecord, digits: &mut Vec<u8>, mut f: F)
 where
     K: KmerKey,
     F: FnMut(K, ExtCode),
 {
     let k = codec.k();
+    vote_digits(read, digits);
     for (off, km, canon) in codec.canonical_keys::<K>(&read.seq) {
-        let left = if off > 0 {
-            match read.phred(off - 1) {
-                Some(q) if q >= MIN_QUAL => hipmer_dna::encode_base(read.seq[off - 1]),
-                None => hipmer_dna::encode_base(read.seq[off - 1]),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let right = if off + k < read.seq.len() {
-            match read.phred(off + k) {
-                Some(q) if q >= MIN_QUAL => hipmer_dna::encode_base(read.seq[off + k]),
-                None => hipmer_dna::encode_base(read.seq[off + k]),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        f(canon, canonical_votes(km, canon, left, right));
+        let (left, right) = (digits[off], digits[off + k + 1]);
+        // The strand is a coin flip per occurrence, which a branch would
+        // mispredict half the time: form both codes and pick one.
+        let forward = left * 5 + right;
+        let reverse = COMPLEMENT[right as usize] * 5 + COMPLEMENT[left as usize];
+        let byte = std::hint::select_unpredictable(km == canon, forward, reverse);
+        f(canon, ExtCode::from_byte(byte));
     }
 }
 
@@ -88,6 +96,53 @@ where
 struct Owner<K> {
     bloom: Option<BloomFilter>,
     held: FirstSightings<K>,
+}
+
+impl<K: KmerKey> Owner<K> {
+    /// Apply one batch of occurrences that arrived at owner `rank`, table
+    /// first: an occurrence whose k-mer has an entry is recorded there and
+    /// never asks the filter, which the entry's first occurrence already
+    /// set. A miss inserts the k-mer into the filter: "maybe seen" creates
+    /// the entry, a first sighting is held. Without a filter every miss
+    /// creates its entry.
+    fn arrive(
+        &mut self,
+        table: &DistHashMap<K, ExtVotes>,
+        rank: usize,
+        votes: &mut Vec<(K, ExtCode)>,
+    ) {
+        let Owner { bloom, held } = self;
+        table.apply_batch(rank, votes.drain(..), ExtVotes::record_code, |&km, code| {
+            let seen = bloom.as_mut().is_none_or(|b| {
+                let wide: Kmer = km.into();
+                b.insert(hipmer_dna::mix128(wide.bits()))
+            });
+            if !seen {
+                held.push(km, code);
+                return None;
+            }
+            let mut tally = ExtVotes::new();
+            tally.record_code(code);
+            Some(tally)
+        });
+    }
+
+    /// Every occurrence is in: record the held sightings whose k-mer has an
+    /// entry, drop the rest, and free the list and the filter. Returns how
+    /// many were held and how many dropped (0 and 0 without a filter,
+    /// which holds nothing).
+    fn flush(&mut self, table: &DistHashMap<K, ExtVotes>, rank: usize) -> (u64, u64) {
+        if self.bloom.take().is_none() {
+            return (0, 0);
+        }
+        let held = self.held.len() as u64;
+        let mut dropped = 0;
+        table.apply_batch(rank, self.held.take(), ExtVotes::record_code, |_, _| {
+            dropped += 1;
+            None
+        });
+        (held, dropped)
+    }
 }
 
 /// An owner's held first sightings, each its key packed at the codec's
@@ -119,17 +174,25 @@ impl<K: KmerKey> FirstSightings<K> {
     }
 
     /// Every held sighting in arrival order, and the list's memory with
-    /// them.
+    /// them. A key is read as one 16-byte little-endian load, masked to its
+    /// width, wherever 16 bytes remain; only the last few records are
+    /// copied out.
     fn take(&mut self) -> impl Iterator<Item = (K, ExtCode)> {
         let key_bytes = self.key_bytes;
+        let mask = u128::MAX >> (128 - 8 * key_bytes);
         let bytes = std::mem::take(&mut self.bytes);
         (0..bytes.len() / (key_bytes + 1)).map(move |i| {
-            let record = &bytes[i * (key_bytes + 1)..(i + 1) * (key_bytes + 1)];
-            let mut word = [0u8; 16];
-            word[..key_bytes].copy_from_slice(&record[..key_bytes]);
-            let wide = Kmer(u128::from_le_bytes(word));
+            let record = &bytes[i * (key_bytes + 1)..];
+            let bits = match record.first_chunk::<16>() {
+                Some(word) => u128::from_le_bytes(*word) & mask,
+                None => {
+                    let mut word = [0u8; 16];
+                    word[..key_bytes].copy_from_slice(&record[..key_bytes]);
+                    u128::from_le_bytes(word)
+                }
+            };
             (
-                K::from_word(K::truncate(wide)),
+                K::from_word(K::truncate(Kmer(bits))),
                 ExtCode::from_byte(record[key_bytes]),
             )
         })
@@ -140,15 +203,20 @@ impl<K: KmerKey> FirstSightings<K> {
 /// k-mer plus one byte of votes, and its owner records it into the k-mer's
 /// tally in place. Heavy hitters accumulate locally and reduce at the end.
 ///
-/// The owner inserts each occurrence into its Bloom filter. One the filter
-/// may have seen before is recorded at once, creating the k-mer's entry if
-/// it has none; a first sighting is held. Once every occurrence has
+/// The owner looks each occurrence up in its vote table first and records
+/// it there if its k-mer has an entry. Otherwise it inserts the k-mer into
+/// its Bloom filter: one the filter may have seen before creates the
+/// entry at once, a first sighting is held. Once every occurrence has
 /// arrived, the owner records its held sightings into the entries that
 /// exist and drops the rest: the singletons — overwhelmingly sequencing
 /// errors — never enter the table. A filter has no false negatives, so a
 /// k-mer has at most one held occurrence, its first, and every occurrence
 /// of a k-mer that has an entry is recorded exactly once. With the filter
 /// off every occurrence is recorded at once.
+///
+/// Asking the table first changes no answer of the filter (DESIGN.md §1):
+/// a k-mer with an entry is already in the filter, so the inserts it skips
+/// would have set no bit.
 ///
 /// Returns the phase's report and the first sightings held at its end,
 /// summed over owners: their peak, since no owner's list shrinks before.
@@ -159,6 +227,23 @@ fn count_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
     sketch: &SketchResult<K>,
     table: &DistHashMap<K, ExtVotes>,
 ) -> (PhaseReport, u64) {
+    count_pass_with(team, reads, cfg, sketch, table, Owner::arrive)
+}
+
+/// [`count_pass`] with `arrive` applying each batch at its owner.
+fn count_pass_with<K, R, A>(
+    team: &Team,
+    reads: &[R],
+    cfg: &KmerAnalysisConfig,
+    sketch: &SketchResult<K>,
+    table: &DistHashMap<K, ExtVotes>,
+    arrive: A,
+) -> (PhaseReport, u64)
+where
+    K: KmerKey,
+    R: AsRef<SeqRecord> + Sync,
+    A: Fn(&mut Owner<K>, &DistHashMap<K, ExtVotes>, usize, &mut Vec<(K, ExtCode)>) + Sync,
+{
     let codec = KmerCodec::new(cfg.k);
     let topo = *team.topo();
     // Wire bytes: the packed 2k bits of the k-mer, not the in-memory key
@@ -182,43 +267,20 @@ fn count_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
         })
         .collect();
     let held_at_end = AtomicU64::new(0);
-    let first_vote = |code| {
-        let mut tally = ExtVotes::new();
-        tally.record_code(code);
-        tally
-    };
 
     let mut stats = team.run_supersteps("kmer-analysis/count", |ctx, step| {
         let rank = ctx.rank;
         let mut owner = owners[rank].lock();
-        let Owner { bloom, held } = &mut *owner;
         occurrences.deliver(rank, step, |_, votes| {
-            // The filter first, over the whole batch, then the table: two
-            // tight loops overlap their cache misses better than one.
-            votes.retain(|&(km, code)| {
-                let wide: Kmer = km.into();
-                let hash = hipmer_dna::mix128(wide.bits());
-                let seen = bloom.as_mut().is_none_or(|b| b.insert(hash));
-                if !seen {
-                    held.push(km, code);
-                }
-                seen
-            });
-            table.apply_batch(
-                rank,
-                votes.drain(..),
-                ExtVotes::record_code,
-                Some(first_vote),
-            );
+            arrive(&mut owner, table, rank, votes)
         });
-        // Every occurrence is in: record the held sightings whose k-mer has
-        // an entry, once, and free the list and the filter (without a
-        // filter nothing was held).
         let all_arrived = occurrences.all_sent_before(step);
-        if all_arrived && bloom.take().is_some() {
-            held_at_end.fetch_add(held.len() as u64, Ordering::Relaxed);
-            let vacant = None::<fn(ExtCode) -> ExtVotes>;
-            table.apply_batch(rank, held.take(), ExtVotes::record_code, vacant);
+        if all_arrived {
+            let (held, dropped) = owner.flush(table, rank);
+            held_at_end.fetch_add(held, Ordering::Relaxed);
+            // A dropped sighting is served here, as a recorded one is in
+            // the table: one service op per delivered occurrence.
+            ctx.stats.service_ops += dropped;
         }
         drop(owner);
         partials.deliver(rank, step, |_, tallies| {
@@ -227,8 +289,9 @@ fn count_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
 
         let mut hh_local = hh_local[rank].lock();
         let reads = &reads[ctx.chunk(reads.len())];
+        let mut digits = Vec::new();
         let sent = occurrences.send(ctx, step, reads.len(), |ctx, i, post| {
-            for_each_occurrence(&codec, reads[i].as_ref(), |canon: K, code| {
+            for_each_occurrence(&codec, reads[i].as_ref(), &mut digits, |canon: K, code| {
                 ctx.stats.compute(1);
                 if sketch.heavy_hitters.contains(&canon) {
                     // Local accumulation: no communication per occurrence.
@@ -583,19 +646,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exact_counts_survive_a_saturated_filter() {
-        // A cardinality estimate of one sizes each owner's filter for 1,024
-        // k-mers; each of the 4 owners here gets ~7,000, so its filter
-        // fills up and calls almost every first sighting "maybe seen". The
-        // early first sightings are held, the later ones create entries at
-        // once, and singletons take entries they would not otherwise have:
-        // counts and votes must come out exact all the same.
-        let genome = lcg_genome(24_000, 31);
+    /// Reads tiling a random genome of `len` bases 4 deep, of which every
+    /// third is from the other strand, every fourth has one substitution
+    /// (its k-mers across it are singletons) and every fifth a low-quality
+    /// base.
+    fn substituted_reads(len: usize) -> Vec<SeqRecord> {
+        let genome = lcg_genome(len, 31);
         let mut reads = perfect_reads(&genome, 80, 4);
-        // Every third read from the other strand, every fourth with one
-        // substitution (its k-mers across it are singletons) and every
-        // fifth with a low-quality base.
         for (i, r) in reads.iter_mut().enumerate() {
             if i % 4 == 0 {
                 let pos = 10 + i % 60;
@@ -608,6 +665,18 @@ mod tests {
                 r.seq = hipmer_dna::revcomp(&r.seq);
             }
         }
+        reads
+    }
+
+    #[test]
+    fn exact_counts_survive_a_saturated_filter() {
+        // A cardinality estimate of one sizes each owner's filter for 1,024
+        // k-mers; each of the 4 owners here gets ~7,000, so its filter
+        // fills up and calls almost every first sighting "maybe seen". The
+        // early first sightings are held, the later ones create entries at
+        // once, and singletons take entries they would not otherwise have:
+        // counts and votes must come out exact all the same.
+        let reads = substituted_reads(24_000);
         let k = 21;
         let team = Team::new(Topology::new(4, 2));
         let mut cfg = KmerAnalysisConfig::new(k);
@@ -932,5 +1001,236 @@ mod tests {
         let (spec_b, _) = analyze_kmers(&team, &reads, &cfg);
         // Final spectra agree (both threshold at min_count)...
         assert_eq!(counts(&spec_nb), counts(&spec_b));
+    }
+
+    /// The sender's votes as they were read before the digit pass: per
+    /// occurrence, a `phred` and an `encode_base` for each neighbour, then
+    /// swapped and complemented on the reverse strand.
+    fn phred_occurrences<K: KmerKey>(codec: &KmerCodec, read: &SeqRecord) -> Vec<(K, ExtCode)> {
+        let k = codec.k();
+        let vote = |i: usize| match read.phred(i) {
+            Some(q) if q >= MIN_QUAL => hipmer_dna::encode_base(read.seq[i]),
+            None => hipmer_dna::encode_base(read.seq[i]),
+            _ => None,
+        };
+        let occurrences = codec.canonical_keys::<K>(&read.seq);
+        occurrences
+            .map(|(off, km, canon)| {
+                let left = off.checked_sub(1).and_then(vote);
+                let right = (off + k < read.seq.len()).then(|| vote(off + k)).flatten();
+                let code = if km == canon {
+                    ExtCode::new(left, right)
+                } else {
+                    ExtCode::new(right.map(|c| 3 - c), left.map(|c| 3 - c))
+                };
+                (canon, code)
+            })
+            .collect()
+    }
+
+    /// Random reads around length `k`: upper-case ACGT with lower-case
+    /// bases and Ns, qualities on both sides of [`MIN_QUAL`] (low at both
+    /// ends of every third read, one below the Phred+33 offset in every
+    /// seventh), and every fifth record without qualities and every fifth
+    /// with a quality string cut short. Every eighth read is k − 1 bases
+    /// long and every eighth exactly k.
+    fn vote_reads(k: usize, seed: u64) -> Vec<SeqRecord> {
+        let mut x = seed;
+        let mut next = |n: usize| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % n
+        };
+        (0..400)
+            .map(|i| {
+                let len = match i % 8 {
+                    0 => k - 1,
+                    1 => k,
+                    _ => k + next(2 * k + 40),
+                };
+                let seq: Vec<u8> = (0..len)
+                    .map(|_| match next(64) {
+                        0 => b'N',
+                        c @ 1..=4 => b"acgt"[c - 1],
+                        c => b"ACGT"[c % 4],
+                    })
+                    .collect();
+                let mut qual: Vec<u8> = (0..len)
+                    .map(|_| 33 + MIN_QUAL - 3 + next(7) as u8)
+                    .collect();
+                if i % 3 == 0 {
+                    qual[0] = 33 + 2;
+                    qual[len - 1] = 33 + 2;
+                }
+                if i % 7 == 0 {
+                    qual[len / 2] = 20;
+                }
+                if i % 5 == 1 {
+                    qual.truncate(next(len + 1));
+                }
+                let mut read = SeqRecord::new(format!("r{i}"), seq);
+                read.qual = (i % 5 != 0).then_some(qual);
+                read
+            })
+            .collect()
+    }
+
+    /// [`for_each_occurrence`] on `K` keys against [`phred_occurrences`];
+    /// returns the occurrences compared.
+    fn digits_match_phred<K: KmerKey + std::fmt::Debug>(k: usize, reads: &[SeqRecord]) -> usize {
+        let codec = KmerCodec::new(k);
+        let mut digits = Vec::new();
+        let mut compared = 0;
+        for read in reads {
+            let mut got: Vec<(K, ExtCode)> = Vec::new();
+            for_each_occurrence(&codec, read, &mut digits, |km, code| got.push((km, code)));
+            assert_eq!(got, phred_occurrences::<K>(&codec, read), "k={k} {read:?}");
+            compared += got.len();
+        }
+        compared
+    }
+
+    #[test]
+    fn vote_digits_vote_as_the_per_occurrence_phred_path() {
+        for k in [15, 21, 31, 32, 33, 55, 63] {
+            let reads = vote_reads(k, k as u64);
+            let compared = digits_match_phred::<KmerPair>(k, &reads);
+            assert!(compared > 5_000, "k={k}: {compared}");
+            if k <= Kmer64::MAX_K {
+                assert_eq!(digits_match_phred::<Kmer64>(k, &reads), compared);
+            }
+            // Every kind of read is in the sample, and so is every vote.
+            let codec = KmerCodec::new(k);
+            let codes: std::collections::HashSet<u8> = (reads.iter())
+                .flat_map(|r| phred_occurrences::<KmerPair>(&codec, r))
+                .map(|(_, code)| code.to_byte())
+                .collect();
+            assert_eq!(codes.len(), 25, "k={k}");
+            assert!(reads.iter().any(|r| r.qual.is_none()));
+            assert!(reads
+                .iter()
+                .any(|r| r.qual.as_ref().is_some_and(|q| q.len() < r.len())));
+        }
+    }
+
+    #[test]
+    fn held_sightings_decode_as_pushed_at_every_width() {
+        for k in [1, 4, 15, 21, 31, 32, 33, 55, 60, 63, 64] {
+            let codec = KmerCodec::new(k);
+            let mut x = k as u128;
+            let pushed: Vec<(Kmer, ExtCode)> = (0..50u8)
+                .map(|i| {
+                    x = x.wrapping_mul(0x2545_f491_4f6c_dd1d_9e37_79b9_7f4a_7c15) + 1;
+                    let bits = (x ^ (x >> 64)) & (u128::MAX >> (128 - 2 * k));
+                    (Kmer(bits), ExtCode::from_byte(i % 25))
+                })
+                .collect();
+            let mut held = FirstSightings::<Kmer>::new(&codec);
+            for &(km, code) in &pushed {
+                held.push(km, code);
+            }
+            assert_eq!(held.len(), pushed.len(), "k={k}");
+            assert_eq!(held.take().collect::<Vec<_>>(), pushed, "k={k}");
+            assert_eq!(held.len(), 0, "k={k}");
+        }
+    }
+
+    /// The owner's order before it asked its table first: the filter over
+    /// the whole batch, then the batch into the table.
+    fn filter_first_arrive<K: KmerKey>(
+        owner: &mut Owner<K>,
+        table: &DistHashMap<K, ExtVotes>,
+        rank: usize,
+        votes: &mut Vec<(K, ExtCode)>,
+    ) {
+        let Owner { bloom, held } = owner;
+        votes.retain(|&(km, code)| {
+            let wide: Kmer = km.into();
+            let hash = hipmer_dna::mix128(wide.bits());
+            let seen = bloom.as_mut().is_none_or(|b| b.insert(hash));
+            if !seen {
+                held.push(km, code);
+            }
+            seen
+        });
+        table.apply_batch(rank, votes.drain(..), ExtVotes::record_code, |_, code| {
+            let mut tally = ExtVotes::new();
+            tally.record_code(code);
+            Some(tally)
+        });
+    }
+
+    /// A count pass with owner order `arrive`: the vote table's entries in
+    /// each partition's iteration order, the first sightings held, and
+    /// every rank's counters.
+    type OwnerRun<K> = (Vec<(K, ExtVotes)>, u64, Vec<CommStats>);
+
+    fn owner_run<K, A>(
+        team: &Team,
+        reads: &[SeqRecord],
+        cfg: &KmerAnalysisConfig,
+        sketch: &SketchResult<K>,
+        arrive: A,
+    ) -> OwnerRun<K>
+    where
+        K: KmerKey,
+        A: Fn(&mut Owner<K>, &DistHashMap<K, ExtVotes>, usize, &mut Vec<(K, ExtCode)>) + Sync,
+    {
+        let table = DistHashMap::new(*team.topo());
+        let (report, held) = count_pass_with(team, reads, cfg, sketch, &table, arrive);
+        let entries = table.freeze().iter().map(|(&k, &v)| (k, v)).collect();
+        (
+            entries,
+            held,
+            report.stats.iter().map(|s| s.counted()).collect(),
+        )
+    }
+
+    /// Table-first and filter-first owners over `reads` at `k` on `K`
+    /// keys, with the filter sized, saturated and off and heavy hitters
+    /// on and off. Returns whether any configuration had heavy hitters,
+    /// and the singleton entries (false positives) a sized filter let in.
+    fn owner_orders_agree<K: KmerKey + std::fmt::Debug>(
+        reads: &[SeqRecord],
+        k: usize,
+    ) -> (bool, usize) {
+        let team = Team::new(Topology::new(8, 4));
+        let (mut any_heavy, mut sized_singletons) = (false, 0);
+        for use_hh in [true, false] {
+            for filter in ["sized", "saturated", "off"] {
+                let mut cfg = KmerAnalysisConfig::new(k);
+                cfg.theta = 256;
+                cfg.use_heavy_hitters = use_hh;
+                cfg.use_bloom = filter != "off";
+                let (mut sketch, _) = sketch_pass::<K, _>(&team, reads, &cfg);
+                if filter == "saturated" {
+                    sketch.cardinality = 1.0;
+                }
+                any_heavy |= !sketch.heavy_hitters.is_empty();
+                let what = format!("k={k} filter={filter} hh={use_hh}");
+                let want = owner_run(&team, reads, &cfg, &sketch, filter_first_arrive);
+                let got = owner_run(&team, reads, &cfg, &sketch, Owner::arrive);
+                assert_eq!(got.1, want.1, "{what}: held");
+                assert_eq!(got.2, want.2, "{what}: counters");
+                assert!(got.0 == want.0, "{what}: vote table");
+                assert_eq!(got.1 > 0, cfg.use_bloom, "{what}: held");
+                if filter == "sized" {
+                    sized_singletons += got.0.iter().filter(|(_, v)| v.count == 1).count();
+                }
+            }
+        }
+        (any_heavy, sized_singletons)
+    }
+
+    #[test]
+    fn table_first_owner_matches_the_filter_first_order() {
+        // The substituted reads have many singletons, of which a sized
+        // filter passes some as false positives and a saturated one most;
+        // the tandem repeat of `differential_reads` has heavy hitters.
+        let (heavy, singletons) = owner_orders_agree::<Kmer64>(&substituted_reads(6_000), 21);
+        assert!(!heavy && singletons > 0, "{singletons}");
+        assert!(owner_orders_agree::<Kmer64>(&differential_reads(), 21).0);
+        assert!(owner_orders_agree::<KmerPair>(&differential_reads(), 33).0);
     }
 }

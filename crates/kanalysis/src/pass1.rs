@@ -5,7 +5,7 @@ use hipmer_dna::{Kmer, KmerCodec, KmerHashSet, KmerKey};
 use hipmer_pgas::{PhaseReport, Team};
 use hipmer_seqio::SeqRecord;
 use hipmer_sketch::{HyperLogLog, MisraGries};
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 /// The merged result of the sketch pass, keyed as the pass was run
 /// ([`Kmer`] unless k-mer analysis runs on [`hipmer_dna::Kmer64`]).
@@ -106,33 +106,32 @@ pub(crate) fn sketch_pass<K: KmerKey, R: AsRef<SeqRecord> + Sync>(
                     ctx.stats.compute(1);
                 }
             }
-            *summaries[rank].lock().unwrap() = Some((hll, mg));
+            *summaries[rank].lock() = Some((hll, mg));
         } else {
             let stride = 1 << (step - 1);
             if rank % (2 * stride) == stride {
                 ctx.access(rank - stride, summary_bytes);
             } else if rank % (2 * stride) == 0 && rank + stride < ranks {
-                let (h, m) = summaries[rank + stride]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("sent");
-                let mut mine = summaries[rank].lock().unwrap();
-                let (hll, mg) = mine.as_mut().expect("own summary");
-                hll.merge(&h);
-                if let (Some(mg), Some(m)) = (mg, m) {
-                    mg.merge(&m);
+                // Every rank stored its summary in step 0, and a summary is
+                // taken only by the one rank it merges into, so both are
+                // there.
+                let sent = summaries[rank + stride].lock().take();
+                let mut mine = summaries[rank].lock();
+                if let (Some((h, m)), Some((hll, mg))) = (sent, mine.as_mut()) {
+                    hll.merge(&h);
+                    if let (Some(mg), Some(m)) = (mg, m) {
+                        mg.merge(&m);
+                    }
                 }
             }
         }
         (1 << step) < ranks
     });
 
-    let (hll, mg) = summaries
-        .into_iter()
-        .next()
-        .and_then(|root| root.into_inner().unwrap())
-        .expect("at least one rank");
+    // Rank 0, the root of the tree, holds the merged summary: a team has at
+    // least one rank (`Topology::new`), so the empty sketch never stands in.
+    let root = summaries.into_iter().next().and_then(Mutex::into_inner);
+    let (hll, mg) = root.unwrap_or_else(|| (HyperLogLog::new(HLL_P), None));
     // One compute op per occurrence streamed.
     let stream_len = stats.iter().map(|s| s.compute_ops).sum();
     let (heavy_hitters, hot_keys) = mg.map_or_else(Default::default, |mg| {

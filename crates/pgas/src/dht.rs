@@ -214,42 +214,57 @@ where
 
     /// Apply a batch of items that arrived at `dest` as **one** aggregated
     /// message (see [`crate::Exchange`]) — the one batch-apply loop, run
-    /// by `dest` itself; the sender has already accounted the message. `dest`'s partition is
-    /// locked once and the items are applied straight from the caller's
-    /// iterator, in its order: `occupied(slot, item)` where the key has an
-    /// entry; where it has none, `vacant(item)` becomes the entry, or the
-    /// item is **dropped** if `vacant` is `None`. The item type `U` is the
-    /// sender's, not the table's: one byte of votes recorded into a tally in
-    /// place, or `()` for insert-if-absent. Each item is one service op at
-    /// the owner, and every key must be owned by `dest`.
+    /// by `dest` itself; the sender has already accounted the message.
+    /// `dest`'s partition is locked once and the items are applied straight
+    /// from the caller's iterator, in its order: `occupied(slot, item)`
+    /// where the key has an entry; where it has none, `vacant(key, item)`
+    /// returns the entry to create, or `None` to **decline** the item. The
+    /// item type `U` is the sender's, not the table's: one byte of votes
+    /// recorded into a tally in place, or `()` for insert-if-absent. Every
+    /// key must be owned by `dest`.
+    ///
+    /// Each item recorded into an entry or made one is one service op at
+    /// the owner. A declined item is not: the callback has taken it over,
+    /// and a caller that settles it later (applies it again, or drops it)
+    /// bills it then. A declined item never grows the table, so the table
+    /// ends with the capacity, and the iteration order, it would have had
+    /// if the item had never been offered.
     pub fn apply_batch<U, O, C>(
         &self,
         dest: usize,
         items: impl IntoIterator<Item = (K, U)>,
         occupied: O,
-        vacant: Option<C>,
+        mut vacant: C,
     ) where
         O: Fn(&mut V, U),
-        C: Fn(U) -> V,
+        C: FnMut(&K, U) -> Option<V>,
     {
         let mut applied = 0u64;
         let mut part = self.parts[dest].lock();
         for (k, item) in items {
             debug_assert_eq!(self.owner(&k), dest, "apply_batch key not owned by dest");
-            applied += 1;
-            match &vacant {
-                None => {
-                    if let Some(slot) = part.map.get_mut(&k) {
-                        occupied(slot, item);
-                    }
-                }
-                Some(create) => match part.map.entry(k) {
+            // `entry` makes room for one more entry before it returns a
+            // vacant one: on a full table, look the key up first so that
+            // a declined item cannot grow it.
+            if part.map.len() < part.map.capacity() {
+                match part.map.entry(k) {
                     Entry::Occupied(mut e) => occupied(e.get_mut(), item),
-                    Entry::Vacant(e) => {
-                        e.insert(create(item));
-                    }
-                },
+                    Entry::Vacant(e) => match vacant(e.key(), item) {
+                        Some(v) => {
+                            e.insert(v);
+                        }
+                        None => continue,
+                    },
+                }
+            } else if let Some(slot) = part.map.get_mut(&k) {
+                occupied(slot, item);
+            } else {
+                match vacant(&k, item) {
+                    Some(v) => part.map.insert(k, v),
+                    None => continue,
+                };
             }
+            applied += 1;
         }
         part.service_ops += applied;
     }
@@ -266,7 +281,7 @@ where
     where
         M: Fn(&mut V, V),
     {
-        self.apply_batch(dest, entries, merge, Some(|v| v));
+        self.apply_batch(dest, entries, merge, |_, v| Some(v));
     }
 
     /// Move each partition owner's tallies into the per-rank stats vector
@@ -653,24 +668,46 @@ mod tests {
         // With `vacant`: the first item of a key creates the entry from the
         // item, later ones go through `occupied`, in batch order.
         let batch = vec![(a, 1u8), (b, 2), (a, 3), (a, 4)];
-        dht.apply_batch(1, batch, push, Some(|code: u8| vec![100 + code]));
-        // Without: items for absent keys are dropped, present ones applied.
+        dht.apply_batch(1, batch, push, |_, code| Some(vec![100 + code]));
+        // Declining every vacant key: items for absent keys are dropped,
+        // present ones applied.
         let batch = vec![(c, 5u8), (b, 6), (c, 7)];
-        dht.apply_batch(1, batch, push, None::<fn(u8) -> Vec<u8>>);
+        dht.apply_batch(1, batch, push, |_, _| None);
         // Insert-if-absent: unit items, an `occupied` that leaves the
         // entry alone.
         let batch = [a, c].map(|k| (k, ()));
-        dht.apply_batch(1, batch, |_, ()| {}, Some(|()| vec![0]));
+        dht.apply_batch(1, batch, |_, ()| {}, |_, ()| Some(vec![0]));
+        // The callback sees the key and may keep what it declines.
+        let (d, e) = (owned[3], owned[4]);
+        let mut declined = Vec::new();
+        let batch = vec![(d, 8u8), (e, 9), (d, 10)];
+        dht.apply_batch(1, batch, push, |&k, code| {
+            if k == d {
+                return Some(vec![code]);
+            }
+            declined.push((k, code));
+            None
+        });
+        assert_eq!(declined, vec![(e, 9)]);
 
-        // One service op per item shipped — dropped or not — at the owner.
+        // One service op per item recorded or made an entry, at the owner;
+        // the three declined items are the callers' to bill.
         let mut stats = vec![crate::CommStats::new(); 2];
         dht.drain_service_into(&mut stats);
-        assert_eq!((stats[0].service_ops, stats[1].service_ops), (0, 4 + 3 + 2));
+        assert_eq!(
+            (stats[0].service_ops, stats[1].service_ops),
+            (0, 4 + 1 + 2 + 2)
+        );
         let mut got: Vec<(u64, Vec<u8>)> = (dht.freeze().iter())
             .map(|(&k, log)| (k, log.clone()))
             .collect();
         got.sort();
-        let mut want = vec![(a, vec![101, 3, 4]), (b, vec![102, 6]), (c, vec![0])];
+        let mut want = vec![
+            (a, vec![101, 3, 4]),
+            (b, vec![102, 6]),
+            (c, vec![0]),
+            (d, vec![8, 10]),
+        ];
         want.sort();
         assert_eq!(got, want);
     }
@@ -681,7 +718,37 @@ mod tests {
     fn apply_batch_rejects_a_key_owned_by_another_rank() {
         let dht: DistHashMap<u64, u64> = DistHashMap::new(Topology::new(2, 2));
         let foreign = (0..64).find(|k| dht.owner(k) == 0).unwrap();
-        dht.apply_batch(1, [(foreign, 1)], |v, x| *v += x, Some(|x| x));
+        dht.apply_batch(1, [(foreign, 1)], |v, x| *v += x, |_, x| Some(x));
+    }
+
+    #[test]
+    fn a_declined_item_never_grows_the_table() {
+        // Fill the one partition to its capacity: one more entry grows it.
+        let dht: DistHashMap<u64, u32> = DistHashMap::new(Topology::new(1, 1));
+        let mut next = 0u64;
+        let full = |dht: &DistHashMap<u64, u32>| {
+            let part = dht.parts[0].lock();
+            (part.map.len() == part.map.capacity()).then_some(part.map.capacity())
+        };
+        let capacity = loop {
+            dht.merge_batch(0, [(next, 1)], |a, b| *a += b);
+            next += 1;
+            if let Some(capacity) = full(&dht) {
+                break capacity;
+            }
+        };
+        // Absent keys declined, present ones recorded: still full, no
+        // larger, and only the recorded items are service ops.
+        let batch = (0..2 * next).map(|k| (k, 1));
+        dht.apply_batch(0, batch, |v, x| *v += x, |_, _| None);
+        assert_eq!(full(&dht), Some(capacity));
+        // A created entry grows it as before.
+        dht.apply_batch(0, [(2 * next, 1)], |v, x| *v += x, |_, x| Some(x));
+        assert!(dht.parts[0].lock().map.capacity() > capacity);
+        let mut stats = vec![crate::CommStats::new()];
+        dht.drain_service_into(&mut stats);
+        assert_eq!(stats[0].service_ops, next + next + 1);
+        assert_eq!(stats[0].table_entries, next + 1);
     }
 
     #[test]
@@ -716,8 +783,8 @@ mod tests {
             .collect();
         assert_eq!(merged, expect);
 
-        // Without a `vacant` arm absent keys are dropped (the second-pass
-        // counting semantics of §3.1) and the order is kept.
+        // A `vacant` that declines drops absent keys (the held sightings'
+        // flush of §3.1) and keeps the order.
         let absent = (64..).find(|k| batched.owner(k) == 1).unwrap();
         let second = vec![
             (owned[0], "x".to_string()),
@@ -725,7 +792,7 @@ mod tests {
             (owned[0], "y".to_string()),
         ];
         let append = |a: &mut String, b: String| a.push_str(&b);
-        batched.apply_batch(1, second, append, None::<fn(String) -> String>);
+        batched.apply_batch(1, second, append, |_, _| None);
         let batched = batched.freeze();
         assert_eq!(batched.get(&mut c, &absent), None);
         assert!(batched.get(&mut c, &owned[0]).unwrap().ends_with("xy"));

@@ -178,6 +178,62 @@ fn code_of(b: u8) -> u8 {
     hipmer_dna::encode_base(b).unwrap_or(4)
 }
 
+/// One `(17-mer << OFFSET_BITS) | offset` key per clean 17-mer of `codes`
+/// that a clean base follows, in the order of `codes`.
+fn index_keys(codes: &[u8]) -> Vec<u64> {
+    let mask = (1u64 << (2 * KEY_K)) - 1;
+    let mut keys = Vec::with_capacity(codes.len());
+    let (mut window, mut clean) = (0u64, 0usize);
+    for (i, &c) in codes.iter().enumerate() {
+        if c == 4 {
+            clean = 0;
+            continue;
+        }
+        // `window` is the 17-mer ending just before `i`, and `c` the clean
+        // base that follows it.
+        if clean >= KEY_K {
+            keys.push((window << OFFSET_BITS) | (i - KEY_K) as u64);
+        }
+        window = ((window << 2) | c as u64) & mask;
+        clean += 1;
+    }
+    keys
+}
+
+/// The top bits of a key, its 17-mer's first seven bases, that
+/// [`sort_keys`] buckets by.
+const BUCKET_BITS: u32 = 14;
+
+/// `keys` in ascending order: one counting pass on their top
+/// [`BUCKET_BITS`] bits, then a `sort_unstable` of each bucket. The ~10⁵
+/// keys of a walk gap fill each of the 2¹⁴ buckets with a handful, so this
+/// costs about half a plain sort of them.
+fn sort_keys(keys: Vec<u64>) -> Vec<u64> {
+    let bucket = |key: u64| (key >> (64 - BUCKET_BITS)) as usize;
+    // Per bucket its key count, then where its keys start, then (once
+    // they are placed) where they end.
+    let mut bounds = vec![0u32; 1 << BUCKET_BITS];
+    for &key in &keys {
+        bounds[bucket(key)] += 1;
+    }
+    let mut start = 0;
+    for bound in &mut bounds {
+        (*bound, start) = (start, start + *bound);
+    }
+    let mut sorted = vec![0u64; keys.len()];
+    for &key in &keys {
+        let at = &mut bounds[bucket(key)];
+        sorted[*at as usize] = key;
+        *at += 1;
+    }
+    let mut start = 0;
+    for &end in &bounds {
+        sorted[start..end as usize].sort_unstable();
+        start = end as usize;
+    }
+    sorted
+}
+
 /// A gap's candidate reads as one sorted k-mer index, serving the walks of
 /// every k in [`WALK_KS`].
 ///
@@ -209,23 +265,7 @@ impl WalkIndex {
             }));
             codes.push(4);
         }
-        let mask = (1u64 << (2 * KEY_K)) - 1;
-        let mut keys = Vec::with_capacity(len);
-        let (mut window, mut clean) = (0u64, 0usize);
-        for (i, &c) in codes.iter().enumerate() {
-            if c == 4 {
-                clean = 0;
-                continue;
-            }
-            // `window` is the 17-mer ending just before `i`, and `c` the
-            // clean base that follows it.
-            if clean >= KEY_K {
-                keys.push((window << OFFSET_BITS) | (i - KEY_K) as u64);
-            }
-            window = ((window << 2) | c as u64) & mask;
-            clean += 1;
-        }
-        keys.sort_unstable();
+        let keys = sort_keys(index_keys(&codes));
         WalkIndex { codes, keys }
     }
 
@@ -840,6 +880,9 @@ mod tests {
             let reads: Vec<&SeqRecord> = reads.iter().collect();
             let rcs: Vec<Vec<u8>> = reads.iter().map(|r| revcomp(&r.seq)).collect();
             let index = WalkIndex::new(&reads);
+            let mut plain = index_keys(&index.codes);
+            plain.sort_unstable();
+            assert_eq!(index.keys, plain, "trial {trial}");
             for k in WALK_KS {
                 let codec = KmerCodec::new(k);
                 let table = walk_table(&codec, &reads, &rcs);
@@ -879,6 +922,28 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bucketed_key_sort_equals_a_plain_sort() {
+        let mut x = 5u64;
+        let mut draw = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        // Uniform keys, keys crowding a few buckets (a poly-A read's
+        // 17-mers are all zero bits on top), duplicates, and the extremes.
+        for n in [0, 1, 2, 100, 5_000, 80_000] {
+            let mut keys: Vec<u64> = (0..n).map(|_| draw()).collect();
+            keys.extend((0..n / 2).map(|_| draw() >> 52));
+            keys.extend_from_within(..n / 4);
+            keys.extend([0, u64::MAX, 1 << 50, (1 << 50) - 1]);
+            let mut plain = keys.clone();
+            plain.sort_unstable();
+            assert_eq!(sort_keys(keys), plain, "{n}");
         }
     }
 
